@@ -9,8 +9,8 @@ frequencies in a common reference unit.
 """
 
 from .errors import ConfigError, ConvergenceError, GaugecraftError, InvariantViolation
-from .hilbert import (Factor, HermitianGenerator, HilbertSpec, Operator, herm_eig,
-                      ladder, matrix_exp, matter_levels, pauli, photon)
+from .hilbert import (Factor, HermitianGenerator, HilbertSpec, KroneckerGenerator, Operator,
+                      herm_eig, ladder, matrix_exp, matter_levels, pauli, photon)
 from .modes import (Dielectric1D, ModeSet, NormalModeSet1D, PolaritonGrid, QnmChiResult,
                     QnmSet, build_from_grid, chi_from_qnm, completeness_residual,
                     qnm_frequency_grid, solve_dielectric_1d)

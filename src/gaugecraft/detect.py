@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .gaugecheck import gauge_unitary
-from .hamiltonians import CouplingSet, HamiltonianBundle, couplings, field_hamiltonian
-from .hilbert import HilbertSpec, Operator, PAULI_X, ladder_matrix, max_abs, photon
+from .hamiltonians import HamiltonianBundle, couplings, field_hamiltonian
+from .hilbert import HilbertSpec, Operator, PAULI_X, fock_mask, ladder_matrix, max_abs, photon
 from .matter import EmitterSpec
 from .modes import ModeSet
 
@@ -48,9 +48,12 @@ def photon_space(ms: ModeSet, cutoffs) -> HilbertSpec:
     return HilbertSpec([photon(int(n)) for n in cutoffs])
 
 
-def _mode_ops(space: HilbertSpec):
-    return [space.embed(fi, ladder_matrix(space.factors[fi].fock_cutoff))
-            for fi in space.photon_indices]
+def _mode_sum(space: HilbertSpec, coeffs) -> np.ndarray:
+    """sum_mu c_mu a_mu over the photon factors of `space`, as Kronecker products."""
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for c, fi in zip(coeffs, space.photon_indices):
+        out += space.kron({fi: c * ladder_matrix(space.factors[fi].fock_cutoff)})
+    return out
 
 
 def vector_potential_operator(ms: ModeSet, point: str, cutoffs) -> list[Operator]:
@@ -62,10 +65,9 @@ def vector_potential_operator(ms: ModeSet, point: str, cutoffs) -> list[Operator
     space = photon_space(ms, cutoffs)
     f = ms.profile(point)
     c_mu = 1.0 / np.sqrt(2 * ms.chi_diag)
-    a_ops = _mode_ops(space)
     out = []
     for c in range(3):
-        m = sum(c_mu[mu] * f[mu, c] * a_ops[mu] for mu in range(ms.n_modes))
+        m = _mode_sum(space, c_mu * f[:, c])
         out.append(Operator(m + m.conj().T, space, hermitian=True))
     return out
 
@@ -82,23 +84,11 @@ def truncated_E_operator(ms: ModeSet, point: str, cutoffs,
     space = photon_space(ms, cutoffs)
     f = ms.profile(point) if naive else ms.derived_profile(point)
     w_mu = np.sqrt(ms.chi_diag / 2)
-    a_ops = _mode_ops(space)
     out = []
     for c in range(3):
-        m = sum(1j * w_mu[mu] * f[mu, c] * a_ops[mu] for mu in range(ms.n_modes))
+        m = _mode_sum(space, 1j * w_mu * f[:, c])
         out.append(Operator(m + m.conj().T, space, hermitian=True))
     return out
-
-
-def interior_projector(space: HilbertSpec) -> np.ndarray:
-    """Projector removing the top Fock level of every photon factor."""
-    diag = np.ones(1)
-    for f in space.factors:
-        local = np.ones(f.dim)
-        if f.kind == "photon":
-            local[-1] = 0.0
-        diag = np.kron(diag, local)
-    return np.diag(diag).astype(complex)
 
 
 def field_commutator_residual(ms: ModeSet, point: str, cutoffs,
@@ -117,19 +107,13 @@ def field_commutator_residual(ms: ModeSet, point: str, cutoffs,
     h_f = field_hamiltonian(ms.chi, space)
     a_comps = vector_potential_operator(ms, point, cutoffs)
     e_comps = truncated_E_operator(ms, point, cutoffs, naive=naive)
-    p = interior_projector(space)
+    below_top = fock_mask(space, lambda cutoff: cutoff - 1)
+    interior = np.ix_(below_top, below_top)
     worst = 0.0
     for a_c, e_c in zip(a_comps, e_comps):
         comm = 1j * (a_c.matrix @ h_f - h_f @ a_c.matrix)
-        worst = max(worst, max_abs(p @ (e_c.matrix - comm) @ p))
+        worst = max(worst, max_abs((e_c.matrix - comm)[interior]))
     return worst
-
-
-def _embed_photon_op(space: HilbertSpec, ms: ModeSet, matrix_builder) -> np.ndarray:
-    """Build sum over modes of photon operators embedded in a photons+matter space."""
-    a_ops = [space.embed(fi, ladder_matrix(space.factors[fi].fock_cutoff))
-             for fi in space.photon_indices]
-    return matrix_builder(a_ops)
 
 
 def _detector_etas(ms: ModeSet, det: DetectorSpec) -> np.ndarray:
@@ -147,33 +131,46 @@ def _system_eta_matrices(bundle: HamiltonianBundle, ms: ModeSet,
     return np.array([complex(v) * PAULI_X for v in eta])
 
 
+def _frequency_factor(bundle: HamiltonianBundle, omega_d: float) -> float:
+    """How the detection operator scales with the detector frequency in the bundle's gauge."""
+    return omega_d if bundle.gauge.theta == 0.0 else 1.0
+
+
 def detection_operator(bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec,
                        em: Optional[EmitterSpec] = None) -> np.ndarray:
     """Matrix element operator of the golden-rule rate in the bundle's gauge.
 
     Coulomb endpoint: omega_d * d_d . A(r_d).  Multipolar endpoint:
     i sum_{mu nu} chi*_{mu nu} eta_d*_nu a'_mu + H.c. with the displaced
-    operators a'_mu = a_mu + i eta_mu.
+    operators a'_mu = a_mu + i eta_mu.  Either is a sum of Kronecker
+    products; across transitions it changes only by `_frequency_factor`.
     """
     space = bundle.space
     theta = bundle.gauge.theta
-    a_ops = [space.embed(fi, ladder_matrix(space.factors[fi].fock_cutoff))
-             for fi in space.photon_indices]
     if theta == 0.0:
         f = ms.profile(det.r_d)
-        c_mu = 1.0 / np.sqrt(2 * ms.chi_diag)
-        m = sum(c_mu[mu] * (det.d_d @ f[mu]) * a_ops[mu] for mu in range(ms.n_modes))
-        m = m + m.conj().T
-        return det.omega_d * m
-    if theta == 1.0:
-        eta_d = _detector_etas(ms, det)
+        m = _mode_sum(space, (f @ det.d_d) / np.sqrt(2 * ms.chi_diag))
+    elif theta == 1.0:
+        # sum_mu c_mu a'_mu with c_mu = i sum_nu chi*_{mu nu} eta_d*_nu
+        c = 1j * ms.chi.conj() @ _detector_etas(ms, det).conj()
         eta_sys = _system_eta_matrices(bundle, ms, em)
-        mi = space.matter_indices[0]
-        a_disp = [a_ops[mu] + 1j * space.embed(mi, eta_sys[mu]) for mu in range(ms.n_modes)]
-        m = sum(1j * np.conj(ms.chi[mu, nu]) * np.conj(eta_d[nu]) * a_disp[mu]
-                for mu in range(ms.n_modes) for nu in range(ms.n_modes))
-        return m + m.conj().T
-    raise ValueError("detection rates are defined at the gauge endpoints theta = 0, 1")
+        m = (_mode_sum(space, c)
+             + space.kron({space.matter_indices[0]: 1j * np.einsum("m,mij->ij", c, eta_sys)}))
+    else:
+        raise ValueError("detection rates are defined at the gauge endpoints theta = 0, 1")
+    return _frequency_factor(bundle, det.omega_d) * (m + m.conj().T)
+
+
+def _check_resonance(det: DetectorSpec, vals: np.ndarray, i: int, j: int, match_tol: float):
+    omega_ij = float(vals[j] - vals[i])
+    if abs(det.omega_d - omega_ij) > match_tol:
+        raise ValueError(
+            f"detector frequency {det.omega_d:g} does not match transition "
+            f"{omega_ij:g} (|i>={i}, |j>={j}); invalid resonance pairing")
+
+
+def _amplitude_sq(vecs: np.ndarray, op: np.ndarray, i: int, j: int) -> float:
+    return float(abs(vecs[:, i].conj() @ op @ vecs[:, j]) ** 2)
 
 
 def detection_rate(bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec,
@@ -186,14 +183,8 @@ def detection_rate(bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec,
     must match the transition to `match_tol` or the pairing is rejected.
     """
     vals, vecs = bundle.eigensystem() if eigensystem is None else eigensystem
-    omega_ij = float(vals[j] - vals[i])
-    if abs(det.omega_d - omega_ij) > match_tol:
-        raise ValueError(
-            f"detector frequency {det.omega_d:g} does not match transition "
-            f"{omega_ij:g} (|i>={i}, |j>={j}); invalid resonance pairing")
-    op = detection_operator(bundle, ms, det, em)
-    amp = vecs[:, i].conj() @ op @ vecs[:, j]
-    return float(abs(amp) ** 2)
+    _check_resonance(det, vals, i, j, match_tol)
+    return _amplitude_sq(vecs, detection_operator(bundle, ms, det, em), i, j)
 
 
 @dataclass(frozen=True)
@@ -212,10 +203,7 @@ def naive_rate_gap(bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec,
     exactly zero for diagonal chi.
     """
     vals, vecs = bundle.eigensystem()
-    omega_ij = float(vals[j] - vals[i])
-    if abs(det.omega_d - omega_ij) > match_tol:
-        raise ValueError(
-            f"detector frequency {det.omega_d:g} does not match transition {omega_ij:g}")
+    _check_resonance(det, vals, i, j, match_tol)
     space = bundle.space
     mi_dims = [f.fock_cutoff for f in space.factors if f.kind == "photon"]
     rates = {}
@@ -255,12 +243,12 @@ def rate_table(bundle_c: HamiltonianBundle, bundle_mp: HamiltonianBundle,
     vals_c, vecs_c = bundle_c.eigensystem()
     vals_mp, vecs_mp = bundle_mp.eigensystem()
     w = gauge_unitary(bundle_c.space, cs, bundle_c.gauge.theta, bundle_mp.gauge.theta).matrix
+    op_c = detection_operator(bundle_c, ms, replace(det, omega_d=1.0), em)
+    op_mp = detection_operator(bundle_mp, ms, replace(det, omega_d=1.0), em)
     rows = []
     for i, j in transitions:
         omega_ij = float(vals_c[j] - vals_c[i])
-        det_ij = replace(det, omega_d=omega_ij)
-        r_c = detection_rate(bundle_c, ms, det_ij, i, j, em=em,
-                             eigensystem=(vals_c, vecs_c))
+        r_c = _frequency_factor(bundle_c, omega_ij) ** 2 * _amplitude_sq(vecs_c, op_c, i, j)
         pair = {}
         for idx in (i, j):
             target = w @ vecs_c[:, idx]
@@ -270,9 +258,9 @@ def rate_table(bundle_c: HamiltonianBundle, bundle_mp: HamiltonianBundle,
                 raise InvariantViolation(
                     f"gauge pairing of eigenstate {idx} failed (overlap {overlaps[k]:.4f})")
             pair[idx] = k
-        r_mp = detection_rate(bundle_mp, ms, replace(det_ij, omega_d=float(
-            vals_mp[pair[j]] - vals_mp[pair[i]])), pair[i], pair[j], em=em,
-            eigensystem=(vals_mp, vecs_mp))
+        omega_mp = float(vals_mp[pair[j]] - vals_mp[pair[i]])
+        r_mp = (_frequency_factor(bundle_mp, omega_mp) ** 2
+                * _amplitude_sq(vecs_mp, op_mp, pair[i], pair[j]))
         rel = abs(r_c - r_mp) / r_c if r_c > 0 else (0.0 if r_mp == 0 else float("inf"))
         rows.append(RateRow(i, j, omega_ij, r_c, r_mp, rel))
     return rows
@@ -284,16 +272,17 @@ def significant_transitions(bundle: HamiltonianBundle, ms: ModeSet, det: Detecto
     """First `count` transitions out of |i> with a non-negligible rate.
 
     Parity-forbidden transitions carry rates at numerical zero and are
-    skipped (threshold: `floor` relative to the largest rate found).
+    skipped (threshold: `floor` relative to the largest rate found), as are
+    transitions that are not upward in energy.
     """
     vals, vecs = bundle.eigensystem()
+    op = detection_operator(bundle, ms, replace(det, omega_d=1.0), em)
     rates = []
     for j in range(i + 1, min(bundle.space.dim, i + 40)):
-        det_ij = replace(det, omega_d=float(vals[j] - vals[i]))
-        if det_ij.omega_d <= 0:
+        omega = float(vals[j] - vals[i])
+        if omega <= 0:
             continue
-        rates.append((j, detection_rate(bundle, ms, det_ij, i, j, em=em,
-                                        eigensystem=(vals, vecs))))
+        rates.append((j, _frequency_factor(bundle, omega) ** 2 * _amplitude_sq(vecs, op, i, j)))
     if not rates:
         return []
     top = max(r for _, r in rates)

@@ -82,9 +82,10 @@ def _as_matrix_fn(h) -> tuple[Callable[[float], np.ndarray], Optional[HilbertSpe
 
 
 def _rk4_step(fn, t, psi, h):
+    h_mid = fn(t + h / 2)  # the two midpoint stages share one H(t + h/2)
     k1 = -1j * (fn(t) @ psi)
-    k2 = -1j * (fn(t + h / 2) @ (psi + (h / 2) * k1))
-    k3 = -1j * (fn(t + h / 2) @ (psi + (h / 2) * k2))
+    k2 = -1j * (h_mid @ (psi + (h / 2) * k1))
+    k3 = -1j * (h_mid @ (psi + (h / 2) * k2))
     k4 = -1j * (fn(t + h) @ (psi + h * k3))
     return psi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .hamiltonians import (COULOMB, MULTIPOLAR, CouplingSet, GaugeParam,
                            HamiltonianBundle, build_dipole, build_naive, couplings)
-from .hilbert import HermitianGenerator, HilbertSpec, Operator
+from .hilbert import HilbertSpec, Operator, fock_mask
 from .matter import EmitterSpec, tls
 from .modes import ModeSet
 
@@ -29,24 +29,17 @@ DEFAULT_LOW_FRACTION = 0.5
 def gauge_unitary(space: HilbertSpec, cs: CouplingSet,
                   theta_from: float, theta_to: float) -> Operator:
     """W = exp(-i (theta_to - theta_from) X), exactly unitary on the truncated space."""
-    gen = HermitianGenerator(cs.generator_matrix(space), space)
-    return gen.unitary(-(theta_to - theta_from))
+    return cs.generator(space).unitary(-(theta_to - theta_from))
+
+
+def _low_sector_mask(space: HilbertSpec, fraction: float = DEFAULT_LOW_FRACTION) -> np.ndarray:
+    """Boolean mask of product states with every photon number <= fraction * cutoff."""
+    return fock_mask(space, lambda cutoff: int(np.floor(fraction * cutoff)))
 
 
 def low_sector_projector(space: HilbertSpec, fraction: float = DEFAULT_LOW_FRACTION) -> np.ndarray:
     """Projector onto product states with every photon number <= fraction * cutoff."""
-    keep_local = []
-    for f in space.factors:
-        if f.kind == "photon":
-            top = int(np.floor(fraction * f.fock_cutoff))
-            diag = np.array([1.0 if n <= top else 0.0 for n in range(f.dim)])
-        else:
-            diag = np.ones(f.dim)
-        keep_local.append(diag)
-    diag = np.ones(1)
-    for d in keep_local:
-        diag = np.kron(diag, d)
-    return np.diag(diag).astype(complex)
+    return np.diag(_low_sector_mask(space, fraction)).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -81,14 +74,15 @@ def verify_spectral_equivalence(h_a: HamiltonianBundle, h_b: HamiltonianBundle,
     dim = h_a.space.dim
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in [1, {dim}]")
-    ev_a = np.linalg.eigvalsh(h_a.H.matrix)[:k]
-    ev_b = np.linalg.eigvalsh(h_b.H.matrix)[:k]
+    ev_a = h_a.eigenvalues(k)
+    ev_b = h_b.eigenvalues(k)
     per_level = np.abs(ev_a - ev_b)
     residual = float("nan")
     if cs is not None:
         w = gauge_unitary(h_a.space, cs, h_a.gauge.theta, h_b.gauge.theta).matrix
-        p_low = low_sector_projector(h_a.space, low_fraction)
-        delta = (w @ h_a.H.matrix @ w.conj().T - h_b.H.matrix) @ p_low
+        keep = _low_sector_mask(h_a.space, low_fraction)
+        # (W H_a W^dag - H_b) P_low keeps exactly the columns of the low sector
+        delta = (w @ h_a.H.matrix @ w[keep].conj().T) - h_b.H.matrix[:, keep]
         residual = float(np.linalg.norm(delta, 2))
     max_diff = float(per_level.max())
     cutoffs = tuple(h_a.metadata.get("cutoffs", ()))

@@ -18,6 +18,18 @@ unitarily equivalent at any Fock cutoff; the physically-interesting breakdown
 appears in the `build_naive` reference builders, which truncate the canonical
 algebra instead.
 
+When every coupling matrix is a multiple of one Hermitian matter matrix,
+eta_mu = g_mu D (always for the parity-symmetric two-level emitter of
+`matter.tls`, and for any emitter whose dipole has a single axis), the
+generator factors as X = sum_mu phi_mu (x) D with local
+phi_mu = g_mu a_mu^dag + g_mu^* a_mu.  `CouplingSet.generator` then returns
+a `KroneckerGenerator`, and H(theta), the gauge unitaries and H(t) are
+assembled from Kronecker products of local exponentials in O(D^2), without
+a D x D eigendecomposition.  Couplings that do not factor (an N-level
+emitter coupled through several dipole axes) take the dense
+`HermitianGenerator` branch.  Every builder checks that its assembled matrix
+is Hermitian before it symmetrizes away the rounding.
+
 Explicit single-mode two-level forms, beyond-dipole builders for effective
 single-particle emitters, normal-mode (lossless 1D dielectric) builders in
 the generalized Coulomb/multipolar gauges, and time-dependent coupling
@@ -33,12 +45,14 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConvergenceError, InvariantViolation
-from .hilbert import (HERMITIAN_TOL, Factor, HermitianGenerator, HilbertSpec, Operator,
-                      PAULI_X, PAULI_Y, PAULI_Z, ladder_matrix, matter_levels, max_abs, photon)
+from .hilbert import (HERMITIAN_TOL, Factor, HermitianGenerator, HilbertSpec,
+                      KroneckerGenerator, Operator, PAULI_X, PAULI_Y, PAULI_Z, kron,
+                      ladder_matrix, matter_levels, max_abs, photon)
 from .matter import EmitterSpec, TimeProfile
 from .modes import ModeSet, NormalModeSet1D
 
 TD_EXTRA_TERM_SIGN = +1.0
+FACTOR_TOL = 1e-12
 
 
 class FockCutoffWarning(UserWarning):
@@ -104,20 +118,63 @@ class CouplingSet:
                 raise ValueError("coupling matrix is not proportional to sigma_x")
         return eta[:, 0, 1]
 
-    def generator_matrix(self, space: HilbertSpec) -> np.ndarray:
-        """X = sum_mu (a_mu^dag (x) eta_mu + a_mu (x) eta_mu^dag) on `space`."""
+    def _check_space(self, space: HilbertSpec) -> int:
+        """Index of the matter factor of a space that matches these couplings."""
         if len(space.photon_indices) != self.n_modes or len(space.matter_indices) != 1:
             raise ValueError("space does not match couplings (modes or matter factor)")
         mi = space.matter_indices[0]
         if space.factors[mi].dim != self.matter_dim:
             raise ValueError("matter factor dimension does not match couplings")
+        return mi
+
+    def generator_matrix(self, space: HilbertSpec) -> np.ndarray:
+        """X = sum_mu (a_mu^dag (x) eta_mu + a_mu (x) eta_mu^dag) on `space`."""
+        mi = self._check_space(space)
         x = np.zeros((space.dim, space.dim), dtype=complex)
         for mu, fi in enumerate(space.photon_indices):
-            adag = space.embed(fi, ladder_matrix(space.factors[fi].fock_cutoff)).conj().T
-            emb_eta = space.embed(mi, self.eta_matrices[mu])
-            term = adag @ emb_eta
-            x += term + term.conj().T
-        return x
+            adag = ladder_matrix(space.factors[fi].fock_cutoff).conj().T
+            x += space.kron({fi: adag, mi: self.eta_matrices[mu]})
+        return x + x.conj().T
+
+    def common_matter_matrix(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """(g, D) with eta_mu = g_mu D for one Hermitian D, or None if there is none.
+
+        The stacked couplings must have rank at most one: every eta_mu is
+        compared with g_mu times the largest one, rotated by a global phase
+        to be Hermitian, and the residual must stay below FACTOR_TOL.
+        """
+        eta = self.eta_matrices
+        scale = max_abs(eta)
+        if scale == 0.0:
+            return np.zeros(self.n_modes, dtype=complex), np.zeros_like(eta[0])
+        b = eta[np.argmax(np.linalg.norm(eta.reshape(self.n_modes, -1), axis=1))]
+        i, j = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+        d = b * np.exp(-0.5j * np.angle(b[i, j] * b[j, i]))
+        if max_abs(d - d.conj().T) > FACTOR_TOL * max_abs(d):
+            return None
+        d = (d + d.conj().T) / 2
+        g = np.einsum("ij,mij->m", d.conj(), eta) / np.vdot(d, d).real
+        if max_abs(eta - g[:, None, None] * d) > FACTOR_TOL * scale:
+            return None
+        return g, d
+
+    def generator(self, space: HilbertSpec):
+        """The gauge generator X on `space`, factored whenever the couplings allow it.
+
+        Returns a `KroneckerGenerator` when `common_matter_matrix` finds one
+        matter matrix and the matter factor comes last, as in
+        `standard_space`; otherwise the dense `HermitianGenerator`.
+        """
+        mi = self._check_space(space)
+        split = self.common_matter_matrix()
+        if split is None or mi != len(space.factors) - 1:
+            return HermitianGenerator(self.generator_matrix(space), space)
+        g, d = split
+        local = []
+        for g_mu, fi in zip(g, space.photon_indices):
+            a = ladder_matrix(space.factors[fi].fock_cutoff)
+            local.append(g_mu * a.conj().T + np.conj(g_mu) * a)
+        return KroneckerGenerator(local, d, space)
 
 
 def couplings(ms: ModeSet, em: EmitterSpec) -> CouplingSet:
@@ -147,11 +204,44 @@ class HamiltonianBundle:
             raise InvariantViolation(f"built Hamiltonian is not Hermitian (dev {dev:.3e})")
 
     def eigenvalues(self, k: Optional[int] = None) -> np.ndarray:
-        vals = np.linalg.eigvalsh(self.H.matrix)
+        """Ascending eigenvalues, taken from the cached eigensystem when there is one."""
+        cached = self.__dict__.get("_eigensystem")
+        vals = cached[0] if cached is not None else np.linalg.eigvalsh(self.H.matrix)
         return vals if k is None else vals[:k]
 
     def eigensystem(self):
-        return np.linalg.eigh(self.H.matrix)
+        """(eigenvalues, eigenvectors) of H, computed once and kept read-only."""
+        cached = self.__dict__.get("_eigensystem")
+        if cached is None:
+            cached = np.linalg.eigh(self.H.matrix)
+            for arr in cached:
+                arr.flags.writeable = False
+            object.__setattr__(self, "_eigensystem", cached)
+        return cached
+
+
+def _hermitian_part(h: np.ndarray, what: str) -> np.ndarray:
+    """(h + h^dag) / 2, after checking that h itself is Hermitian.
+
+    The deviation ||h - h^dag||_max is measured before symmetrizing, so the
+    check sees what the assembly produced; it must not exceed
+    HERMITIAN_TOL * max(1, max|h|).
+    """
+    h_dag = h.conj().T
+    dev = max_abs(h - h_dag)
+    # the scale max(1, max|h|) is needed only once dev exceeds the absolute tolerance
+    if dev > HERMITIAN_TOL and dev > HERMITIAN_TOL * max_abs(h):
+        raise InvariantViolation(f"{what} is not Hermitian before symmetrization "
+                                 f"(||h - h^dag||_max = {dev:.3e})")
+    out = h + h_dag
+    out *= 0.5
+    return out
+
+
+def _bundle(h: np.ndarray, space: HilbertSpec, gauge: GaugeParam,
+            meta: dict) -> HamiltonianBundle:
+    h = _hermitian_part(h, f"{meta['builder']} Hamiltonian")
+    return HamiltonianBundle(Operator(h, space, hermitian=True), space, gauge, meta)
 
 
 def _normalize_cutoffs(cutoffs, n_modes: int) -> tuple[int, ...]:
@@ -169,18 +259,27 @@ def standard_space(cutoffs: Sequence[int], matter_dim: int) -> HilbertSpec:
 
 
 def field_hamiltonian(chi: np.ndarray, space: HilbertSpec) -> np.ndarray:
-    """H_F = sum_{mu nu} chi_{mu nu} a_mu^dag a_nu embedded in `space`."""
+    """H_F = sum_{mu nu} chi_{mu nu} a_mu^dag a_nu on `space`, as a sum of Kronecker products."""
     chi = np.atleast_2d(np.asarray(chi, dtype=complex))
     ph = space.photon_indices
     if chi.shape != (len(ph),) * 2:
         raise ValueError("chi shape does not match photon factor count")
-    ops = [space.embed(fi, ladder_matrix(space.factors[fi].fock_cutoff)) for fi in ph]
+    a = [ladder_matrix(space.factors[fi].fock_cutoff) for fi in ph]
     h = np.zeros((space.dim, space.dim), dtype=complex)
-    for m in range(len(ph)):
-        for n in range(len(ph)):
-            if chi[m, n] != 0:
-                h += chi[m, n] * ops[m].conj().T @ ops[n]
+    for m, fm in enumerate(ph):
+        for n, fn in enumerate(ph):
+            if chi[m, n] == 0:
+                continue
+            if m == n:
+                h += space.kron({fm: chi[m, m] * a[m].conj().T @ a[m]})
+            else:
+                h += space.kron({fm: chi[m, n] * a[m].conj().T, fn: a[n]})
     return h
+
+
+def _photon_part(space: HilbertSpec) -> HilbertSpec:
+    """The photon factors of a `standard_space`, which precede the matter factor."""
+    return HilbertSpec(space.factors[:-1])
 
 
 def _check_cutoff_headroom(cutoffs, theta: float, cs: CouplingSet):
@@ -213,12 +312,13 @@ def _apply_longitudinal(h: np.ndarray, space: HilbertSpec, em: EmitterSpec,
                         lc: LongitudinalCoupling):
     ext = HilbertSpec(list(space.factors) + [photon(lc.cutoff)])
     aux_fi = len(ext.factors) - 1
-    b = ext.embed(aux_fi, ladder_matrix(lc.cutoff))
+    b = ladder_matrix(lc.cutoff)
     mi = ext.matter_indices[0]
     direction = np.asarray(lc.direction, dtype=float).reshape(3)
     d_mat = np.einsum("cij,c->ij", em.dipole, direction)
-    coup = lc.coupling * (b + b.conj().T) @ ext.embed(mi, d_mat)
-    h_ext = np.kron(h, np.eye(lc.cutoff + 1)) + lc.omega * b.conj().T @ b + coup
+    h_ext = (np.kron(h, np.eye(lc.cutoff + 1))
+             + ext.kron({aux_fi: lc.omega * b.conj().T @ b})
+             + ext.kron({mi: d_mat, aux_fi: lc.coupling * (b + b.conj().T)}))
     return h_ext, ext
 
 
@@ -236,18 +336,16 @@ def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
     cs = couplings(ms, em)
     _check_cutoff_headroom(cutoffs, g.theta, cs)
     space = standard_space(cutoffs, em.n_levels)
-    h_f = field_hamiltonian(ms.chi, space)
-    h_0 = space.embed(space.matter_indices[0], em.h0)
-    gen = HermitianGenerator(cs.generator_matrix(space), space)
-    h = gen.conjugate(-g.theta, h_f) + gen.conjugate(1.0 - g.theta, h_0)
+    gen = cs.generator(space)
+    h = (gen.conjugate_photon(-g.theta, field_hamiltonian(ms.chi, _photon_part(space)))
+         + gen.conjugate_matter(1.0 - g.theta, em.h0))
     meta = {"builder": "build_dipole", "truncation": "correct",
             "cutoffs": cutoffs, "theta": g.theta,
             "eta": _eta_summary(cs)}
     if longitudinal is not None:
         h, space = _apply_longitudinal(h, space, em, longitudinal)
         meta["longitudinal"] = "custom"
-    h = (h + h.conj().T) / 2
-    return HamiltonianBundle(Operator(h, space, hermitian=True), space, g, meta)
+    return _bundle(h, space, g, meta)
 
 
 def _eta_summary(cs: CouplingSet):
@@ -285,10 +383,9 @@ def build_tls_coulomb_single(chi: float, omega0: float, eta: complex,
     cos_m, sin_m = _trig_pair(2 * phi)
     h = (chi * np.kron(a.conj().T @ a, np.eye(2))
          + (omega0 / 2) * (np.kron(cos_m, PAULI_Z) + np.kron(sin_m, PAULI_Y)))
-    h = (h + h.conj().T) / 2
     meta = {"builder": "build_tls_coulomb_single", "truncation": "correct",
             "cutoffs": (cutoff,), "eta": [complex(eta)], "chi": chi, "omega0": omega0}
-    return HamiltonianBundle(Operator(h, space, hermitian=True), space, COULOMB, meta)
+    return _bundle(h, space, COULOMB, meta)
 
 
 def build_tls_multipolar_single(chi: float, omega0: float, eta: complex,
@@ -310,10 +407,9 @@ def build_tls_multipolar_single(chi: float, omega0: float, eta: complex,
          + (omega0 / 2) * np.kron(np.eye(cutoff + 1), PAULI_Z)
          + np.kron(drive, PAULI_X)
          + chi * abs(eta) ** 2 * np.eye(space.dim))
-    h = (h + h.conj().T) / 2
     meta = {"builder": "build_tls_multipolar_single", "truncation": "correct",
             "cutoffs": (cutoff,), "eta": [complex(eta)], "chi": chi, "omega0": omega0}
-    return HamiltonianBundle(Operator(h, space, hermitian=True), space, MULTIPOLAR, meta)
+    return _bundle(h, space, MULTIPOLAR, meta)
 
 
 def _nested_commutator_series(x: np.ndarray, h0: np.ndarray, order: int) -> np.ndarray:
@@ -337,20 +433,21 @@ def multipolar_canonical_terms(ms: ModeSet, em: EmitterSpec, space: HilbertSpec,
     """
     ph = space.photon_indices
     mi = space.matter_indices[0]
-    a_ops = [space.embed(fi, ladder_matrix(space.factors[fi].fock_cutoff)) for fi in ph]
     chi = ms.chi
     inter = np.zeros((space.dim, space.dim), dtype=complex)
-    for mu in range(ms.n_modes):
+    for mu, fi in enumerate(ph):
+        a = ladder_matrix(space.factors[fi].fock_cutoff)
         for nu in range(ms.n_modes):
             if chi[mu, nu] == 0:
                 continue
-            t = -1j * np.conj(chi[mu, nu]) * a_ops[mu] @ space.embed(mi, cs.eta_matrices[nu].conj().T)
-            inter += t + t.conj().T
+            inter += space.kron({fi: -1j * np.conj(chi[mu, nu]) * a,
+                                 mi: cs.eta_matrices[nu].conj().T})
+    inter += inter.conj().T
     p2_matter = np.zeros((em.n_levels, em.n_levels), dtype=complex)
     for mu in range(ms.n_modes):
         for nu in range(ms.n_modes):
             p2_matter += chi[mu, nu] * cs.eta_matrices[mu].conj().T @ cs.eta_matrices[nu]
-    return inter, space.embed(mi, p2_matter)
+    return inter, space.kron({mi: p2_matter})
 
 
 def build_naive(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
@@ -369,7 +466,7 @@ def build_naive(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
     cs = couplings(ms, em)
     space = standard_space(cutoffs, em.n_levels)
     h_f = field_hamiltonian(ms.chi, space)
-    h_0 = space.embed(space.matter_indices[0], em.h0)
+    h_0 = space.kron({space.matter_indices[0]: em.h0})
     meta = {"builder": "build_naive", "truncation": "naive", "cutoffs": cutoffs,
             "theta": g.theta, "order": order, "eta": _eta_summary(cs)}
     if g.theta == 0.0:
@@ -380,8 +477,7 @@ def build_naive(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
         h = h_f + h_0 + inter
     else:
         raise ValueError("naive builders are defined at theta = 0 and theta = 1 only")
-    h = (h + h.conj().T) / 2
-    return HamiltonianBundle(Operator(h, space, hermitian=True), space, g, meta)
+    return _bundle(h, space, g, meta)
 
 
 def simpson_segment(fn: Callable[[float], np.ndarray], lo: float, hi: float,
@@ -461,39 +557,36 @@ def build_beyond_dipole(chi: Union[float, np.ndarray],
     space = standard_space(cutoffs, 2)
     mi = space.matter_indices[0]
     h_f = field_hamiltonian(chi, space)
-    a_ops = [space.embed(fi, ladder_matrix(space.factors[fi].fock_cutoff))
-             for fi in space.photon_indices]
+    a = [ladder_matrix(space.factors[fi].fock_cutoff) for fi in space.photon_indices]
     meta = {"builder": "build_beyond_dipole", "truncation": "correct",
             "cutoffs": cutoffs, "gauge_label": gauge,
             "eta_bar": [complex(v) for v in eta_bar]}
 
     if gauge == "coulomb":
-        phi = np.zeros((space.dim, space.dim), dtype=complex)
-        sx = space.embed(mi, PAULI_X)
-        for mu in range(m_modes):
-            phi += eta_bar[mu] * a_ops[mu].conj().T + np.conj(eta_bar[mu]) * a_ops[mu]
+        # Phi acts on the photon factors only, so its trigonometric functions do too
+        photons = _photon_part(space)
+        phi = sum(photons.kron({fi: eta_bar[mu] * a[mu].conj().T + np.conj(eta_bar[mu]) * a[mu]})
+                  for mu, fi in enumerate(photons.photon_indices))
         cos_m, sin_m = _trig_pair(phi)
-        h = h_f + (omega0 / 2) * (cos_m @ space.embed(mi, PAULI_Z)
-                                  + sin_m @ space.embed(mi, PAULI_Y))
+        h = h_f + (omega0 / 2) * (kron(cos_m, PAULI_Z) + kron(sin_m, PAULI_Y))
         bundle_gauge = COULOMB
     else:
         # xi_mu = -(g_even,mu 1 + (eta_bar,mu / 2) sigma_x) on the matter factor
         xi = np.array([-(g_even[mu] * np.eye(2, dtype=complex) + 0.5 * eta_bar[mu] * PAULI_X)
                        for mu in range(m_modes)])
-        h = h_f + (omega0 / 2) * space.embed(mi, PAULI_Z)
-        for mu in range(m_modes):
+        inter = np.zeros((space.dim, space.dim), dtype=complex)
+        for mu, fi in enumerate(space.photon_indices):
             for nu in range(m_modes):
                 if chi[mu, nu] != 0:
-                    t = 1j * np.conj(chi[mu, nu]) * a_ops[mu] @ space.embed(mi, xi[nu].conj().T)
-                    h += t + t.conj().T
+                    inter += space.kron({fi: 1j * np.conj(chi[mu, nu]) * a[mu],
+                                         mi: xi[nu].conj().T})
         p2 = np.zeros((2, 2), dtype=complex)
         for mu in range(m_modes):
             for nu in range(m_modes):
                 p2 += chi[mu, nu] * xi[mu].conj().T @ xi[nu]
-        h += space.embed(mi, p2)
+        h = h_f + inter + inter.conj().T + space.kron({mi: (omega0 / 2) * PAULI_Z + p2})
         bundle_gauge = MULTIPOLAR
-    h = (h + h.conj().T) / 2
-    return HamiltonianBundle(Operator(h, space, hermitian=True), space, bundle_gauge, meta)
+    return _bundle(h, space, bundle_gauge, meta)
 
 
 def build_generalized_1d(nm: NormalModeSet1D, em: EmitterSpec, gauge: str,
@@ -526,32 +619,28 @@ def build_generalized_1d(nm: NormalModeSet1D, em: EmitterSpec, gauge: str,
     space = standard_space(cutoffs, em.n_levels)
     mi = space.matter_indices[0]
     h_f = field_hamiltonian(np.diag(omega), space)
-    h_0 = space.embed(mi, em.h0)
+    a = [ladder_matrix(space.factors[fi].fock_cutoff) for fi in space.photon_indices]
     meta = {"builder": "build_generalized_1d", "truncation": truncation,
             "cutoffs": cutoffs, "gauge_label": gauge, "n_modes": n_modes, "x0": x0}
 
     if gauge == "gC":
-        x = np.zeros((space.dim, space.dim), dtype=complex)
-        for mu, fi in enumerate(space.photon_indices):
-            a = space.embed(fi, ladder_matrix(space.factors[fi].fock_cutoff))
-            kappa = space.embed(mi, d_mat) * (h_at_x0[mu] / np.sqrt(2 * omega[mu]))
-            x += (a + a.conj().T) @ kappa
-        gen = HermitianGenerator(x, space)
-        h = h_f + gen.conjugate(1.0, h_0)
+        # X = sum_mu h_mu(x0) / sqrt(2 omega_mu) (a_mu + a_mu^dag) (x) d_hat
+        local = [h_at_x0[mu] / np.sqrt(2 * omega[mu]) * (a[mu] + a[mu].conj().T)
+                 for mu in range(n_modes)]
+        gen = KroneckerGenerator(local, d_mat, space)
+        h = h_f + gen.conjugate_matter(1.0, em.h0)
         bundle_gauge = COULOMB
     else:
-        h = h_f + h_0
+        h = h_f + space.kron({mi: em.h0})
         for mu, fi in enumerate(space.photon_indices):
-            a = space.embed(fi, ladder_matrix(space.factors[fi].fock_cutoff))
-            drive = 1j * np.sqrt(omega[mu] / 2) * h_at_x0[mu] * (a.conj().T - a)
-            h += drive @ space.embed(mi, d_mat)
+            drive = 1j * np.sqrt(omega[mu] / 2) * h_at_x0[mu] * (a[mu].conj().T - a[mu])
+            h += space.kron({fi: drive, mi: d_mat})
         p2_modes = range(n_modes) if truncation == "correct" else range(nm.n_modes)
         d_sq = d_mat @ d_mat
         p2 = sum((h_at_x0[mu] ** 2 / 2) * d_sq for mu in p2_modes)
-        h += space.embed(mi, p2)
+        h += space.kron({mi: p2})
         bundle_gauge = MULTIPOLAR
-    h = (h + h.conj().T) / 2
-    return HamiltonianBundle(Operator(h, space, hermitian=True), space, bundle_gauge, meta)
+    return _bundle(h, space, bundle_gauge, meta)
 
 
 class TimeDependentHamiltonian:
@@ -562,18 +651,22 @@ class TimeDependentHamiltonian:
                       V(t) = exp(-i mu(t) X)
     where the extra multipolar term compensates the explicitly time-dependent
     gauge condition; its sign is pinned by the gauge-equivalence of the
-    resulting dynamics (see dynamics.td_gauge_equivalence).
+    resulting dynamics (see dynamics.td_gauge_equivalence).  H_F is passed as
+    its block on the photon factors and H_0 as its matter matrix, so that a
+    factored generator conjugates only those blocks.
     """
 
-    def __init__(self, gauge: str, generator: HermitianGenerator, h_f: np.ndarray,
-                 h_0: np.ndarray, profile: TimeProfile, space: HilbertSpec,
+    def __init__(self, gauge: str, generator, h_field: np.ndarray,
+                 h_matter: np.ndarray, profile: TimeProfile, space: HilbertSpec,
                  extra_term_sign: float = TD_EXTRA_TERM_SIGN):
         if gauge not in ("coulomb", "multipolar"):
             raise ValueError(f"unknown gauge {gauge!r}")
         self.gauge = gauge
         self.generator = generator
-        self.h_f = h_f
-        self.h_0 = h_0
+        self.h_field = h_field
+        self.h_matter = h_matter
+        self.h_f = np.kron(h_field, np.eye(h_matter.shape[0]))
+        self.h_0 = np.kron(np.eye(h_field.shape[0]), h_matter)
         self.profile = profile
         self.space = space
         self.extra_term_sign = float(extra_term_sign)
@@ -581,11 +674,13 @@ class TimeDependentHamiltonian:
     def matrix(self, t: float) -> np.ndarray:
         mu = self.profile.mu(t)
         if self.gauge == "coulomb":
-            h = self.h_f + self.generator.conjugate(mu, self.h_0)
+            h = self.h_f + self.generator.conjugate_matter(mu, self.h_matter)
         else:
-            h = (self.generator.conjugate(-mu, self.h_f) + self.h_0
-                 + self.extra_term_sign * self.profile.mu_dot(t) * self.generator.matrix)
-        return (h + h.conj().T) / 2
+            h = self.generator.conjugate_photon(-mu, self.h_field) + self.h_0
+            mu_dot = self.profile.mu_dot(t)
+            if mu_dot != 0.0:
+                h += self.extra_term_sign * mu_dot * self.generator.matrix
+        return _hermitian_part(h, "H(t)")
 
     def __call__(self, t: float) -> Operator:
         return Operator(self.matrix(t), self.space, hermitian=True)
@@ -608,7 +703,6 @@ def build_time_dependent(ms: ModeSet, em: EmitterSpec, gauge: str,
     cutoffs = _normalize_cutoffs(cutoffs, ms.n_modes)
     cs = couplings(ms, em)
     space = standard_space(cutoffs, em.n_levels)
-    h_f = field_hamiltonian(ms.chi, space)
-    h_0 = space.embed(space.matter_indices[0], em.h0)
-    gen = HermitianGenerator(cs.generator_matrix(space), space)
-    return TimeDependentHamiltonian(gauge, gen, h_f, h_0, profile, space, extra_term_sign)
+    h_field = field_hamiltonian(ms.chi, _photon_part(space))
+    return TimeDependentHamiltonian(gauge, cs.generator(space), h_field, em.h0, profile,
+                                    space, extra_term_sign)

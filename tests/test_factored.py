@@ -1,0 +1,247 @@
+"""Kronecker-factored gauge family against the dense oracle, and its structural guards."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gaugecraft.hamiltonians as hamiltonians
+from dense_oracle import DenseSystem
+from gaugecraft import (COULOMB, MULTIPOLAR, EmitterSpec, GaugeParam, InvariantViolation,
+                        ModeSet, build_dipole, build_naive, build_time_dependent, couplings,
+                        field_hamiltonian, gauge_unitary, raised_cosine_ramp,
+                        td_gauge_equivalence, tls, verify_spectral_equivalence)
+from gaugecraft.gaugecheck import low_sector_projector
+from gaugecraft.hilbert import (HermitianGenerator, HilbertSpec, KroneckerGenerator,
+                                ladder_matrix, matter_levels, max_abs, photon)
+
+pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
+
+REL_TOL = 1e-10
+KINDS = ("tls", "single_axis", "multi_axis")
+# largest Fock cutoff per mode count, so that D stays at most a few hundred
+MAX_CUTOFF = {1: 12, 2: 5, 3: 3}
+RAMP = raised_cosine_ramp(duration=2.0, t0=1.0)
+RAMP_TIMES = (0.5, 1.7, 2.6, 4.0)  # before, inside (twice) and after the ramp
+
+
+def random_hermitian(rng, n):
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (m + m.conj().T) / 2
+
+
+def random_system(seed, n_modes, kind):
+    """Mode set with positive-definite off-diagonal chi, and an emitter of the given kind.
+
+    "tls" and "single_axis" (a 3-level emitter with one dipole matrix along
+    a random axis) have couplings that share one matter matrix; "multi_axis"
+    (a 3-level emitter with independent dipole matrices per axis) does not.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n_modes, n_modes)) + 1j * rng.normal(size=(n_modes, n_modes))
+    chi = a @ a.conj().T / (2 * n_modes) + np.diag(rng.uniform(0.6, 1.4, size=n_modes))
+    if kind == "tls":
+        em = tls(rng.uniform(0.5, 1.5), rng.normal(size=3))
+    else:
+        levels = np.sort(rng.uniform(-1.0, 1.0, size=3))[::-1]
+        if kind == "single_axis":
+            axis, dm = rng.normal(size=3), random_hermitian(rng, 3)
+            dipole = np.array([axis[c] * dm for c in range(3)])
+        else:
+            dipole = np.array([random_hermitian(rng, 3) for _ in range(3)])
+        em = EmitterSpec(levels, dipole)
+    f = rng.normal(size=(n_modes, 3)) + 1j * rng.normal(size=(n_modes, 3))
+    ms = ModeSet(chi, {"emitter": f})
+    eta_max = max_abs(couplings(ms, em).eta_matrices)
+    ms = ModeSet(chi, {"emitter": f * rng.uniform(0.2, 0.6) / eta_max})
+    return ms, em
+
+
+@st.composite
+def systems(draw):
+    n_modes = draw(st.sampled_from((1, 2, 3)))
+    cutoffs = draw(st.lists(st.integers(1, MAX_CUTOFF[n_modes]), min_size=n_modes,
+                            max_size=n_modes, unique=True))
+    kind = draw(st.sampled_from(KINDS))
+    ms, em = random_system(draw(st.integers(0, 2**31 - 1)), n_modes, kind)
+    return ms, em, tuple(cutoffs), kind
+
+
+def assert_close(got, want, what):
+    dev = max_abs(got - want)
+    assert dev <= REL_TOL * max(1.0, max_abs(want)), f"{what}: deviation {dev:.3e}"
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=systems())
+def test_kronecker_sums_match_embedded_products(system):
+    ms, em, cutoffs, _ = system
+    dense = DenseSystem(ms, em, cutoffs)
+    assert_close(field_hamiltonian(ms.chi, dense.space), dense.h_f, "H_F")
+    assert_close(couplings(ms, em).generator_matrix(dense.space), dense.x, "X")
+    assert_close(couplings(ms, em).generator(dense.space).matrix, dense.x, "generator.matrix")
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=systems())
+def test_generator_branch_follows_the_couplings(system):
+    ms, em, cutoffs, kind = system
+    gen = couplings(ms, em).generator(DenseSystem(ms, em, cutoffs).space)
+    expected = HermitianGenerator if kind == "multi_axis" else KroneckerGenerator
+    assert type(gen) is expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=systems())
+def test_build_dipole_matches_dense_oracle(system):
+    ms, em, cutoffs, _ = system
+    dense = DenseSystem(ms, em, cutoffs)
+    for theta in (0.0, 0.37, 1.0):
+        h = build_dipole(ms, em, GaugeParam(theta), cutoffs).H.matrix
+        want = dense.hamiltonian(theta)
+        assert_close(h, want, f"H({theta})")
+        assert_close(np.linalg.eigvalsh(h), np.linalg.eigvalsh(want), f"spectrum({theta})")
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=systems(), thetas=st.lists(st.floats(0, 1), min_size=3, max_size=3))
+def test_gauge_unitary_matches_oracle_and_composes(system, thetas):
+    ms, em, cutoffs, _ = system
+    a, b, c = thetas
+    dense = DenseSystem(ms, em, cutoffs)
+    cs = couplings(ms, em)
+    w_ab = gauge_unitary(dense.space, cs, a, b)
+    assert w_ab.unitary
+    assert_close(w_ab.matrix, dense.gauge_unitary(a, b), "W")
+    w_ac = gauge_unitary(dense.space, cs, a, c).matrix
+    w_bc = gauge_unitary(dense.space, cs, b, c).matrix
+    assert max_abs(w_ab.matrix @ w_bc - w_ac) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=systems())
+def test_time_dependent_matrix_matches_oracle(system):
+    ms, em, cutoffs, _ = system
+    dense = DenseSystem(ms, em, cutoffs)
+    for gauge in ("coulomb", "multipolar"):
+        tdh = build_time_dependent(ms, em, gauge, RAMP, cutoffs)
+        for t in RAMP_TIMES:
+            assert_close(tdh.matrix(t), dense.td_matrix(gauge, RAMP, t), f"{gauge} H({t})")
+
+
+def test_static_build_makes_no_full_size_eigendecomposition(monkeypatch):
+    """Two modes at cutoff 20 (D = 882): only local and matter matrices are diagonalized."""
+    ms, em = random_system(5, 2, "tls")
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(m, *args, _original=original, **kwargs):
+            sizes.append(np.shape(m)[-1])
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    bundle = build_dipole(ms, em, GaugeParam(0.37), (20, 20))
+    assert bundle.space.dim == 882
+    assert sizes and max(sizes) <= 21
+
+
+def test_td_gauge_equivalence_bound_and_sign_control():
+    chi = np.array([[1.0, 0.15 + 0.05j], [0.15 - 0.05j, 1.3]])
+    ms = ModeSet(chi, {"emitter": [(0.9, 0.2, 0.0), (0.5, -0.3, 0.1)]})
+    em = tls(1.0, (0.6, 0.2, 0.0))
+    profile = raised_cosine_ramp(duration=4.0, t0=1.0)
+    t_grid = np.linspace(0.0, 8.0, 17)
+    good = td_gauge_equivalence(ms, em, profile, t_grid, (4, 3))
+    assert good.max_deviation < 1e-8
+    flipped = td_gauge_equivalence(ms, em, profile, t_grid, (4, 3), extra_term_sign=-1.0)
+    assert flipped.max_deviation > 1e-3
+
+
+class TestHermiticityBeforeSymmetrization:
+    """A non-Hermitian term in the assembly raises instead of being averaged away."""
+
+    @pytest.fixture
+    def skewed_field(self, monkeypatch):
+        original = hamiltonians.field_hamiltonian
+
+        def skewed(chi, space):
+            h = original(chi, space)
+            return h + 1e-9 * np.triu(np.ones_like(h), 1)
+
+        monkeypatch.setattr(hamiltonians, "field_hamiltonian", skewed)
+
+    def _system(self):
+        return random_system(3, 2, "tls")
+
+    def test_build_dipole(self, skewed_field):
+        ms, em = self._system()
+        with pytest.raises(InvariantViolation, match="before symmetrization"):
+            build_dipole(ms, em, GaugeParam(0.37), (4, 3))
+
+    def test_build_naive(self, skewed_field):
+        ms, em = self._system()
+        with pytest.raises(InvariantViolation, match="before symmetrization"):
+            build_naive(ms, em, COULOMB, (4, 3))
+
+    def test_time_dependent_matrix(self, skewed_field):
+        ms, em = self._system()
+        for gauge in ("coulomb", "multipolar"):
+            tdh = build_time_dependent(ms, em, gauge, RAMP, (4, 3))
+            with pytest.raises(InvariantViolation, match="before symmetrization"):
+                tdh.matrix(1.7)
+
+
+class TestKroneckerGeneratorChecks:
+    def test_rejects_non_hermitian_local_term(self):
+        space = HilbertSpec([photon(3), matter_levels(2)])
+        a = ladder_matrix(3)
+        with pytest.raises(InvariantViolation):
+            KroneckerGenerator([a], np.diag([1.0, -1.0]), space)
+
+    def test_rejects_term_of_wrong_size(self):
+        space = HilbertSpec([photon(3), matter_levels(2)])
+        with pytest.raises(ValueError):
+            KroneckerGenerator([np.eye(3)], np.eye(2), space)
+
+    def test_zero_couplings_give_identity_unitary(self):
+        ms, em = random_system(1, 2, "tls")
+        em = tls(1.0, (0.0, 0.0, 0.0))
+        space = hamiltonians.standard_space((3, 2), 2)
+        w = gauge_unitary(space, couplings(ms, em), 0.0, 1.0)
+        assert max_abs(w.matrix - np.eye(space.dim)) < 1e-15
+
+
+def test_masked_residual_equals_projector_form():
+    ms, em = random_system(7, 1, "tls")
+    cs = couplings(ms, em)
+    naive = build_naive(ms, em, COULOMB, 16)
+    correct = build_dipole(ms, em, MULTIPOLAR, 16)
+    rep = verify_spectral_equivalence(naive, correct, k=3, cs=cs)
+    w = gauge_unitary(naive.space, cs, 0.0, 1.0).matrix
+    p_low = low_sector_projector(naive.space)
+    delta = (w @ naive.H.matrix @ w.conj().T - correct.H.matrix) @ p_low
+    assert rep.operator_residual > 1e-3
+    assert abs(rep.operator_residual - np.linalg.norm(delta, 2)) < 1e-12 * rep.operator_residual
+
+
+def test_eigensystem_is_computed_once(monkeypatch):
+    ms, em = random_system(2, 1, "tls")
+    bundle = build_dipole(ms, em, COULOMB, 10)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(m, *args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    vals, vecs = bundle.eigensystem()
+    again = bundle.eigensystem()
+    assert again[0] is vals and again[1] is vecs
+    assert np.array_equal(bundle.eigenvalues(4), vals[:4])
+    assert calls == ["eigh"]
+    with pytest.raises(ValueError):
+        vals[0] = 0.0
+
