@@ -265,7 +265,16 @@ def cmd_evolve(cfg: RunConfig) -> int:
     cutoffs = sc.cutoffs(ms.n_modes)
     section = sc.section("evolve")
     t_max = float(section.get("t_max", 10.0))
+    if not t_max > 0:
+        raise ConfigError(f"'evolve.t_max' must be positive, got {t_max:g}")
     n_times = int(section.get("n_times", 101))
+    if n_times < 2:
+        raise ConfigError(f"'evolve.n_times' must be at least 2, got {n_times}")
+    checkpoints = [int(idx) for idx in section.get("state_checkpoints", [])]
+    for k, idx in enumerate(checkpoints):
+        if not 0 <= idx < n_times:
+            raise ConfigError(f"'evolve.state_checkpoints[{k}]' = {idx} is outside "
+                              f"[0, {n_times}) (evolve.n_times)")
     gauge_label = section.get("gauge", "coulomb")
     if gauge_label not in ("coulomb", "multipolar"):
         raise ConfigError("'evolve.gauge' must be 'coulomb' or 'multipolar'")
@@ -286,18 +295,18 @@ def cmd_evolve(cfg: RunConfig) -> int:
     write_csv(cfg.out_dir / "trajectory.csv", ["time"] + labels,
               [[float(t)] + [float(traj.observables[l][k]) for l in labels]
                for k, t in enumerate(traj.times)])
-    checkpoints = section.get("state_checkpoints", [])
     if checkpoints:
-        dump = []
-        for idx in checkpoints:
-            idx = int(idx)
-            dump.append({"time": float(traj.times[idx]),
-                         "state": [[float(c.real), float(c.imag)] for c in traj.states[idx]]})
+        dump = [{"time": float(traj.times[idx]),
+                 "state": [[float(c.real), float(c.imag)] for c in traj.states[idx]]}
+                for idx in checkpoints]
         (cfg.out_dir / "states.json").write_text(
             json.dumps(dump, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n")
+    stats = dict(traj.stats)
     write_metadata(cfg, {"cutoffs": list(cutoffs), "gauge": gauge_label,
                          "t_max": t_max, "n_times": n_times,
-                         "profile_kind": profile.kind})
+                         "profile_kind": profile.kind,
+                         "diagnostics": {"norm_error": stats.pop("norm_error")},
+                         "counters": stats})
     return 0
 
 

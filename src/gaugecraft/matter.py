@@ -134,6 +134,8 @@ class TimeProfile:
     Kinds: "constant" (value), "linear" and "raised_cosine" (ramps from
     `start` to `stop` over [t0, t0 + duration]), and "tabulated" (linear
     interpolation of (times, values) with the segment slope as derivative).
+    `breakpoints` lists the times where mu' may jump; time evolution splits
+    its grid there and propagates exactly wherever mu' = 0.
     """
 
     kind: str
@@ -193,6 +195,20 @@ class TimeProfile:
         else:
             slope = 0.5 * np.pi * np.sin(np.pi * s)
         return (self.stop - self.start) * slope / self.duration
+
+    def breakpoints(self) -> tuple:
+        """Increasing times at which mu'(t) may be discontinuous.
+
+        (t0, t0 + duration) for the ramps, the nodes for "tabulated", and
+        none for "constant".  Between two consecutive breakpoints mu' is
+        either identically zero or zero at no interior point, so its value at
+        the midpoint tells which.
+        """
+        if self.kind == "constant":
+            return ()
+        if self.kind == "tabulated":
+            return tuple(float(t) for t in self.times)
+        return (float(self.t0), float(self.t0 + self.duration))
 
 
 def constant_profile(value: float = 1.0) -> TimeProfile:
