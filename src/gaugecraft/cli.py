@@ -31,8 +31,8 @@ from .hamiltonians import (COULOMB, MULTIPOLAR, GaugeParam, build_beyond_dipole,
                            build_dipole, build_naive, build_time_dependent, couplings)
 from .modes import build_from_grid, chi_from_qnm, completeness_residual, qnm_frequency_grid, solve_dielectric_1d
 from .scenario import (Scenario, decode_complex_matrix, dielectric_from_json,
-                       modeset_to_json, polariton_grid_from_json, qnm_from_json,
-                       save_modeset)
+                       modeset_to_json, number, number_list, polariton_grid_from_json,
+                       qnm_from_json, save_modeset)
 
 COMMANDS = ("spectrum", "gauge-check", "detect", "evolve", "modes")
 
@@ -126,9 +126,9 @@ def _build_system(cfg: RunConfig):
     if bd:
         fns = _beyond_dipole_profiles(bd, ms.n_modes)
         gauge_label = "coulomb" if g.theta == 0.0 else "multipolar"
-        nodes = bd.get("quadrature_order", 65)
+        nodes = number(bd.get("quadrature_order", 65), "beyond_dipole.quadrature_order", int)
         return ms, em, build_beyond_dipole(ms.chi, fns, em, gauge_label, cutoffs,
-                                           quad_nodes=int(nodes))
+                                           quad_nodes=nodes)
     if sc.truncation() == "naive":
         return ms, em, build_naive(ms, em, g, cutoffs, order=sc.naive_order())
     return ms, em, build_dipole(ms, em, g, cutoffs, longitudinal=sc.longitudinal())
@@ -170,6 +170,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "gauge_theta": bundle.gauge.theta,
         "couplings": [[v.real, v.imag] for v in (bundle.metadata.get("eta") or [])],
         "dimension": bundle.space.dim,
+        "diagnostics": bundle.diagnostics,
     })
     return 0
 
@@ -184,16 +185,22 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
     if ms.n_modes != 1:
         raise ConfigError("gauge-check runs on single-mode scenarios")
     omega0 = float(em.levels[0] - em.levels[1])
-    spectral_tol = float(section.get("spectral_tol", 1e-6)) * chi
-    ground_tol = float(section.get("ground_tol", 1e-7)) * chi
-    k = int(section.get("k", 5))
+    spectral_tol = number(section.get("spectral_tol", 1e-6), "gauge_check.spectral_tol") * chi
+    ground_tol = number(section.get("ground_tol", 1e-7), "gauge_check.ground_tol") * chi
+    k = number(section.get("k", 5), "gauge_check.k", int)
+    cutoffs = sc.cutoffs(1)
+    if not 1 <= k <= 2 * (cutoffs[0] + 1):
+        raise ConfigError(f"'gauge_check.k' = {k} is outside [1, {2 * (cutoffs[0] + 1)}], "
+                          f"the dimension at fock_cutoffs {cutoffs[0]}")
     eta_grid = section.get("eta_grid")
     if eta_grid is None:
         eta_grid = [float(abs(couplings(ms, em).scalars[0]))]
+    else:
+        eta_grid = number_list(eta_grid, "gauge_check.eta_grid")
     order = sc.naive_order()
 
     def scan_one(eta):
-        return ambiguity_scan(chi, omega0, [float(eta)], tol=ground_tol, order=order)[0]
+        return ambiguity_scan(chi, omega0, [eta], tol=ground_tol, order=order)[0]
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -204,7 +211,6 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
               ("eta", "naive_gap", "correct_gap", "cutoff", "converged"),
               [(r.eta, r.naive_gap, r.correct_gap, r.cutoff, r.converged) for r in rows])
 
-    cutoffs = sc.cutoffs(1)
     if sc.truncation() == "naive":
         h_a = build_naive(ms, em, COULOMB, cutoffs, order=order)
     else:
@@ -235,27 +241,37 @@ def cmd_detect(cfg: RunConfig) -> int:
     ms, em = sc.modeset(), sc.emitter()
     cutoffs = sc.cutoffs(ms.n_modes)
     section = sc.section("detector")
-    d_d = np.asarray(section.get("dipole", (0.0, 0.0, 0.0)), dtype=float)
-    if d_d.shape != (3,):
+    d_d = number_list(section.get("dipole", [0.0, 0.0, 0.0]), "detector.dipole")
+    if len(d_d) != 3:
         raise ConfigError("'detector.dipole' must be a 3-vector")
     r_d = section.get("position_label", "detector")
     if r_d not in ms.profiles:
         raise ConfigError(f"'detector.position_label' {r_d!r} has no stored profiles")
-    det = DetectorSpec(float(section.get("omega_d", 1.0)), d_d, r_d)
+    omega_d = number(section.get("omega_d", 1.0), "detector.omega_d")
+    if not omega_d > 0:
+        raise ConfigError(f"'detector.omega_d' must be positive, got {omega_d:g}")
+    det = DetectorSpec(omega_d, d_d, r_d)
+    transitions = section.get("transitions")
+    if transitions is not None:
+        if not isinstance(transitions, list):
+            raise ConfigError("'detector.transitions' must be a list of [i, j] pairs")
+        transitions = [tuple(number_list(pair, f"detector.transitions[{k}]", int))
+                       for k, pair in enumerate(transitions)]
+        if any(len(pair) != 2 for pair in transitions):
+            raise ConfigError("'detector.transitions' must be a list of [i, j] pairs")
+    count = number(section.get("count", 3), "detector.count", int)
     bundle_c = build_dipole(ms, em, COULOMB, cutoffs)
     bundle_mp = build_dipole(ms, em, MULTIPOLAR, cutoffs)
-    transitions = section.get("transitions")
     if transitions is None:
-        count = int(section.get("count", 3))
         transitions = significant_transitions(bundle_c, ms, det, count, em=em)
-    else:
-        transitions = [(int(i), int(j)) for i, j in transitions]
     rows = rate_table(bundle_c, bundle_mp, ms, em, det, transitions)
     write_csv(cfg.out_dir / "rates.csv",
               ("i", "j", "omega_ij", "R_coulomb", "R_multipolar", "rel_diff"),
               [(r.i, r.j, r.omega_ij, r.rate_coulomb, r.rate_multipolar, r.rel_diff)
                for r in rows])
-    write_metadata(cfg, {"cutoffs": list(cutoffs), "transitions": [list(t) for t in transitions]})
+    write_metadata(cfg, {"cutoffs": list(cutoffs), "transitions": [list(t) for t in transitions],
+                         "diagnostics": {"coulomb": bundle_c.diagnostics,
+                                         "multipolar": bundle_mp.diagnostics}})
     return 0
 
 
@@ -264,17 +280,18 @@ def cmd_evolve(cfg: RunConfig) -> int:
     ms, em = sc.modeset(), sc.emitter()
     cutoffs = sc.cutoffs(ms.n_modes)
     section = sc.section("evolve")
-    t_max = float(section.get("t_max", 10.0))
+    t_max = number(section.get("t_max", 10.0), "evolve.t_max")
     if not t_max > 0:
         raise ConfigError(f"'evolve.t_max' must be positive, got {t_max:g}")
-    n_times = int(section.get("n_times", 101))
+    n_times = number(section.get("n_times", 101), "evolve.n_times", int)
     if n_times < 2:
         raise ConfigError(f"'evolve.n_times' must be at least 2, got {n_times}")
-    checkpoints = [int(idx) for idx in section.get("state_checkpoints", [])]
+    checkpoints = number_list(section.get("state_checkpoints", []), "evolve.state_checkpoints", int)
     for k, idx in enumerate(checkpoints):
         if not 0 <= idx < n_times:
             raise ConfigError(f"'evolve.state_checkpoints[{k}]' = {idx} is outside "
                               f"[0, {n_times}) (evolve.n_times)")
+    tol = number(section.get("tol", 1e-8), "evolve.tol")
     gauge_label = section.get("gauge", "coulomb")
     if gauge_label not in ("coulomb", "multipolar"):
         raise ConfigError("'evolve.gauge' must be 'coulomb' or 'multipolar'")
@@ -290,7 +307,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
         psi0[0] = 1.0  # |0...0> (x) first matter level
     else:
         raise ConfigError("'evolve.initial' must be 'ground' or 'vacuum'")
-    traj = evolve(tdh, psi0, t_grid, tol=float(section.get("tol", 1e-8)))
+    traj = evolve(tdh, psi0, t_grid, tol=tol)
     labels = sorted(traj.observables)
     write_csv(cfg.out_dir / "trajectory.csv", ["time"] + labels,
               [[float(t)] + [float(traj.observables[l][k]) for l in labels]
@@ -327,12 +344,14 @@ def cmd_modes(cfg: RunConfig) -> int:
     elif "qnm" in section:
         qnm = qnm_from_json(section["qnm"])
         grid_opts = section.get("frequency_grid", {})
+        path = "modes.frequency_grid"
         freq_grid = qnm_frequency_grid(
             qnm,
-            span_factor=float(grid_opts.get("span_factor", 3.0)),
-            points_per_gamma=float(grid_opts.get("points_per_gamma", 40.0)),
-            pole_halfwidth=float(grid_opts.get("pole_halfwidth", 50.0)),
-            n_background=int(grid_opts.get("n_background", 4001)))
+            span_factor=number(grid_opts.get("span_factor", 3.0), f"{path}.span_factor"),
+            points_per_gamma=number(grid_opts.get("points_per_gamma", 40.0),
+                                    f"{path}.points_per_gamma"),
+            pole_halfwidth=number(grid_opts.get("pole_halfwidth", 50.0), f"{path}.pole_halfwidth"),
+            n_background=number(grid_opts.get("n_background", 4001), f"{path}.n_background", int))
         result = chi_from_qnm(qnm, freq_grid)
         save_modeset(result.modeset, cfg.out_dir / "modeset.json")
         write_csv(cfg.out_dir / "qnm_deviation.csv",
@@ -344,7 +363,7 @@ def cmd_modes(cfg: RunConfig) -> int:
         meta["n_modes"] = qnm.n_modes
     elif "dielectric" in section:
         diel = dielectric_from_json(section["dielectric"], "modes.dielectric")
-        n_modes = int(section.get("n_modes", 5))
+        n_modes = number(section.get("n_modes", 5), "modes.n_modes", int)
         nm = solve_dielectric_1d(diel, n_modes)
         write_csv(cfg.out_dir / "modes1d.csv", ("mode", "omega"),
                   [(mu, float(nm.omega[mu])) for mu in range(nm.n_modes)])

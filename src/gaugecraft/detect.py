@@ -277,12 +277,15 @@ def significant_transitions(bundle: HamiltonianBundle, ms: ModeSet, det: Detecto
     """
     vals, vecs = bundle.eigensystem()
     op = detection_operator(bundle, ms, replace(det, omega_d=1.0), em)
+    stop = min(bundle.space.dim, i + 40)
+    # <i| op |j> for every candidate j from one row and one product
+    amp_sq = np.abs((vecs[:, i].conj() @ op) @ vecs[:, i + 1:stop]) ** 2
     rates = []
-    for j in range(i + 1, min(bundle.space.dim, i + 40)):
+    for j, a_sq in zip(range(i + 1, stop), amp_sq):
         omega = float(vals[j] - vals[i])
         if omega <= 0:
             continue
-        rates.append((j, _frequency_factor(bundle, omega) ** 2 * _amplitude_sq(vecs, op, i, j)))
+        rates.append((j, _frequency_factor(bundle, omega) ** 2 * float(a_sq)))
     if not rates:
         return []
     top = max(r for _, r in rates)

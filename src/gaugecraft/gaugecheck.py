@@ -152,8 +152,7 @@ def ambiguity_scan(chi: float, omega0: float, eta_grid: Sequence[float],
     """
     rows = []
     for eta in eta_grid:
-        em = tls(omega0, (float(eta) * np.sqrt(2 * chi), 0.0, 0.0))
-        ms = ModeSet.single_mode(chi, {em.position_label: (1.0, 0.0, 0.0)})
+        ms, em = tls_single_mode_modeset(chi, eta, omega0)
         e0_c, n_c = converged_ground_energy(
             lambda n: build_dipole(ms, em, COULOMB, n), tol, start_cutoff)
         e0_mp, n_mp = converged_ground_energy(

@@ -149,6 +149,21 @@ def fock_mask(space: HilbertSpec, top: Callable[[int], int]) -> np.ndarray:
     return keep
 
 
+def parity_labels(space: HilbertSpec, matter_signs: Sequence[int]) -> np.ndarray:
+    """Eigenvalue (+1 or -1) of the parity (-1)^(sum_mu n_mu) (x) diag(matter_signs)
+    on every product state; the diagonal of that operator."""
+    labels = np.ones(1, dtype=int)
+    for f in space.factors:
+        if f.kind == "photon":
+            local = 1 - 2 * (np.arange(f.dim) % 2)
+        else:
+            local = np.asarray(matter_signs, dtype=int)
+            if local.shape != (f.dim,):
+                raise ValueError("need one sign per level of the matter factor")
+        labels = np.multiply.outer(labels, local).ravel()
+    return labels
+
+
 def max_abs(m: np.ndarray) -> float:
     """Entrywise max-abs norm, zero for empty arrays."""
     return float(np.abs(m).max()) if m.size else 0.0

@@ -40,7 +40,17 @@ class SingleParticle:
 
 @dataclass(frozen=True)
 class EmitterSpec:
-    """N-level emitter: energies, Hermitian dipole components, profile point."""
+    """N-level emitter: energies, Hermitian dipole components, profile point.
+
+    `parity_signs` gives the emitter's parity S = diag(s), a sign s_i = +-1
+    per level under which every dipole component is odd, S d S = -d.  The
+    signs 2-colour the graph whose edges are the nonzero off-diagonal dipole
+    entries; there are none when that graph has an odd cycle or a dipole
+    diagonal entry is nonzero.  Because h0 = diag(levels) is even under any
+    S, (-1)^(photon number) (x) S then commutes with every correctly or
+    naively truncated dipole-gauge Hamiltonian of the emitter (see
+    `hamiltonians`).
+    """
 
     levels: np.ndarray
     dipole: np.ndarray  # (3, N, N) complex, Hermitian in each component
@@ -70,6 +80,33 @@ class EmitterSpec:
     def h0(self) -> np.ndarray:
         """Bare Hamiltonian diag(levels) in the emitter basis."""
         return np.diag(self.levels).astype(complex)
+
+    @property
+    def parity_signs(self) -> Optional[np.ndarray]:
+        """+-1 per level with S d S = -d for every dipole component, or None.
+
+        Levels that no dipole entry connects get +1, as does the first level
+        of every connected group, so a two-level emitter has (+1, -1).
+        """
+        d = self.dipole
+        if np.any(np.diagonal(d, axis1=1, axis2=2) != 0):
+            return None
+        linked = np.any(d != 0, axis=0)
+        signs = np.zeros(self.n_levels, dtype=int)
+        for root in range(self.n_levels):
+            if signs[root]:
+                continue
+            signs[root] = 1
+            stack = [root]
+            while stack:
+                i = stack.pop()
+                for j in np.flatnonzero(linked[i]):
+                    if not signs[j]:
+                        signs[j] = -signs[i]
+                        stack.append(j)
+                    elif signs[j] == signs[i]:
+                        return None
+        return signs
 
     @property
     def is_tls(self) -> bool:

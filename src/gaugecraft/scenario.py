@@ -51,6 +51,29 @@ def _get(doc: Mapping, key: str, path: str, required: bool = True, default=None)
     return doc[key]
 
 
+def number(value, path: str, kind=float):
+    """`value` converted by `kind` (float or int); ConfigError naming `path` otherwise.
+
+    An int is refused where the value has a fractional part, rather than
+    truncated.
+    """
+    try:
+        out = kind(value)
+        if kind is int and out != float(value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"'{path}' must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}") from None
+    return out
+
+
+def number_list(values, path: str, kind=float) -> list:
+    """Each entry of a JSON list through `number`, its index in the key path."""
+    if not isinstance(values, list):
+        raise ConfigError(f"'{path}' must be a list, got {values!r}")
+    return [number(v, f"{path}[{k}]", kind) for k, v in enumerate(values)]
+
+
 def _subpath(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 

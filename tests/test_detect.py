@@ -10,7 +10,7 @@ from gaugecraft import (COULOMB, MULTIPOLAR, DetectorSpec, ModeSet, build_dipole
                         significant_transitions, tls, truncated_E_operator,
                         vector_potential_operator)
 from gaugecraft.cli import main
-from gaugecraft.detect import photon_space
+from gaugecraft.detect import detection_operator, photon_space
 from gaugecraft.hamiltonians import field_hamiltonian
 from gaugecraft.hilbert import max_abs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
@@ -43,6 +43,21 @@ def test_cross_gauge_rates_agree_with_off_diagonal_chi():
     rows = rate_table(b_c, b_mp, ms, em, detector(), transitions)
     assert all(r.rate_coulomb > 0 for r in rows)
     assert max(r.rel_diff for r in rows) <= 1e-8
+
+
+def test_significant_transitions_match_one_matrix_element_per_transition():
+    ms, em = two_mode_system(OFF_DIAGONAL_CHI)
+    for bundle in (build_dipole(ms, em, COULOMB, CUTOFFS),
+                   build_dipole(ms, em, MULTIPOLAR, CUTOFFS)):
+        vals, vecs = bundle.eigensystem()
+        op = detection_operator(bundle, ms, detector(), em)
+        for i in (0, 2):
+            rates = {j: (vals[j] - vals[i]) ** (2 * (bundle.gauge.theta == 0.0))
+                     * abs(vecs[:, i].conj() @ op @ vecs[:, j]) ** 2
+                     for j in range(i + 1, i + 40) if vals[j] > vals[i]}
+            top = max(rates.values())
+            want = [(i, j) for j, r in rates.items() if r > 1e-10 * top][:5]
+            assert significant_transitions(bundle, ms, detector(), 5, i=i, em=em) == want
 
 
 @pytest.mark.parametrize("chi, expect_gap", [(OFF_DIAGONAL_CHI, True), (DIAGONAL_CHI, False)])
@@ -84,17 +99,22 @@ def test_detect_command_diagonalizes_each_bundle_once(tmp_path, monkeypatch):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     dim = 2 * (CUTOFFS[0] + 1) * (CUTOFFS[1] + 1)
-    full_size = []
+    sizes = []
     original = np.linalg.eigh
 
     def counted(m, *args, **kwargs):
-        if np.shape(m)[-1] == dim:
-            full_size.append(1)
+        sizes.append(np.shape(m)[-1])
         return original(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     assert main(["detect", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    assert len(full_size) == 2  # the Coulomb and the multipolar bundle, once each
+    # the Coulomb and the multipolar bundle, once each, as two parity sectors
+    assert sizes.count(dim) == 0
+    assert sizes.count(dim // 2) == 4
     rows = (tmp_path / "out" / "rates.csv").read_text(encoding="utf-8").splitlines()
     assert len(rows) == 4
     assert max(float(r.split(",")[-1]) for r in rows[1:]) <= 1e-8
+    diagnostics = json.loads((tmp_path / "out" / "metadata.json").read_text())["diagnostics"]
+    for gauge in ("coulomb", "multipolar"):
+        assert diagnostics[gauge]["sector_sizes"] == [dim // 2, dim // 2]
+        assert 0.0 <= diagnostics[gauge]["parity_off_block"] <= 1e-12

@@ -221,6 +221,8 @@ def test_evolve_command_golden(tmp_path):
     (("evolve.n_times=201", "evolve.state_checkpoints=[0,500]"),
      "'evolve.state_checkpoints[1]'"),
     (("evolve.state_checkpoints=[-1]",), "'evolve.state_checkpoints[0]'"),
+    (("evolve.n_times=abc",), "'evolve.n_times'"),
+    (('evolve.state_checkpoints=["x"]',), "'evolve.state_checkpoints[0]'"),
 ])
 def test_evolve_command_rejects_bad_input(tmp_path, capsys, overrides, key):
     assert run_evolve(write_scenario(tmp_path), tmp_path / "out", *overrides) == 2

@@ -238,10 +238,11 @@ def test_eigensystem_is_computed_once(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     vals, vecs = bundle.eigensystem()
+    assert calls == ["eigh", "eigh"]  # one per parity sector
     again = bundle.eigensystem()
     assert again[0] is vals and again[1] is vecs
     assert np.array_equal(bundle.eigenvalues(4), vals[:4])
-    assert calls == ["eigh"]
+    assert calls == ["eigh", "eigh"]
     with pytest.raises(ValueError):
         vals[0] = 0.0
 

@@ -1,6 +1,7 @@
 """Gauge unitaries, spectral-equivalence reports, and the coupling-grid scan."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from gaugecraft import (COULOMB, MULTIPOLAR, GaugeParam, ambiguity_scan, build_d
                         build_naive, converged_spectral_equivalence, couplings,
                         gauge_unitary, tls_single_mode_modeset,
                         verify_spectral_equivalence)
+from gaugecraft.cli import main
 from gaugecraft.gaugecheck import converged_ground_energy
 from gaugecraft.hilbert import HermitianGenerator, max_abs
+from gaugecraft.scenario import emitter_to_json, modeset_to_json
 
 
 def _setup(eta=0.5, cutoff=30, chi=1.0, omega0=1.0):
@@ -157,3 +160,22 @@ class TestAmbiguityScan:
         assert all(naive[i + 1] > naive[i] for i in range(3))
         assert all(r.correct_gap < 1e-6 for r in rows)
         assert all(r.converged for r in rows)
+
+
+@pytest.mark.parametrize("override, key", [
+    ("gauge_check.k=abc", "'gauge_check.k'"),
+    ("gauge_check.k=2.5", "'gauge_check.k'"),
+    ("gauge_check.k=0", "'gauge_check.k'"),
+    ("gauge_check.k=43", "'gauge_check.k'"),
+    ('gauge_check.eta_grid=[0.3, "x"]', "'gauge_check.eta_grid[1]'"),
+])
+def test_gauge_check_command_names_a_bad_numeric_key(tmp_path, capsys, override, key):
+    ms, em = tls_single_mode_modeset(1.0, 0.5, 1.0)
+    doc = {"seed": 0, "modeset": modeset_to_json(ms), "emitter": emitter_to_json(em),
+           "fock_cutoffs": 20, "gauge_check": {"k": 3}}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["gauge-check", "--config", str(config), "--out", str(tmp_path / "out"),
+            "--set", override]
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
