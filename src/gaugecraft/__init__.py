@@ -26,10 +26,9 @@ from .gaugecheck import (AmbiguityRow, EquivalenceReport, ambiguity_scan,
                          converged_ground_energy, converged_spectral_equivalence,
                          gauge_unitary, low_sector_projector, tls_single_mode_modeset,
                          verify_spectral_equivalence)
-from .detect import (DetectorSpec, RateGap, RateRow, detection_rate,
-                     field_commutator_residual, naive_rate_gap, rate_table,
-                     significant_transitions, truncated_E_operator,
-                     vector_potential_operator)
+from .detect import (DetectorSpec, RateGap, RateRow, field_commutator_residual,
+                     naive_rate_gap, rate_table, significant_transitions,
+                     truncated_E_operator, vector_potential_operator)
 from .dynamics import (TdEquivalenceResult, Trajectory, default_observables, evolve,
                        td_gauge_equivalence)
 

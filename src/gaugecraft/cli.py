@@ -16,23 +16,21 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .detect import DetectorSpec, detection_rate, rate_table, significant_transitions
-from .dynamics import evolve, td_gauge_equivalence
+from .detect import DetectorSpec, rate_table, significant_transitions
+from .dynamics import evolve
 from .errors import ConfigError, ConvergenceError, GaugecraftError, InvariantViolation
-from .gaugecheck import (ambiguity_scan, converged_ground_energy, gauge_unitary,
-                         verify_spectral_equivalence)
-from .hamiltonians import (COULOMB, MULTIPOLAR, GaugeParam, build_beyond_dipole,
-                           build_dipole, build_naive, build_time_dependent, couplings)
+from .gaugecheck import ambiguity_scan, verify_spectral_equivalence
+from .hamiltonians import (COULOMB, MULTIPOLAR, build_beyond_dipole, build_dipole,
+                           build_naive, build_time_dependent, couplings)
 from .modes import build_from_grid, chi_from_qnm, completeness_residual, qnm_frequency_grid, solve_dielectric_1d
-from .scenario import (Scenario, decode_complex_matrix, dielectric_from_json,
-                       modeset_to_json, number, number_list, polariton_grid_from_json,
-                       qnm_from_json, save_modeset)
+from .scenario import (Scenario, decode_complex_matrix, dielectric_from_json, number,
+                       number_list, polariton_grid_from_json, qnm_from_json, save_modeset)
 
 COMMANDS = ("spectrum", "gauge-check", "detect", "evolve", "modes")
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvariantViolation
 from .gaugecheck import gauge_unitary
 from .hamiltonians import HamiltonianBundle, couplings, field_hamiltonian
-from .hilbert import HilbertSpec, Operator, PAULI_X, fock_mask, ladder_matrix, max_abs, photon
+from .hilbert import HilbertSpec, Operator, fock_mask, ladder_matrix, max_abs, photon
 from .matter import EmitterSpec
 from .modes import ModeSet
 
@@ -121,16 +121,6 @@ def _detector_etas(ms: ModeSet, det: DetectorSpec) -> np.ndarray:
     return (f.conj() @ det.d_d) / np.sqrt(2 * ms.chi_diag)
 
 
-def _system_eta_matrices(bundle: HamiltonianBundle, ms: ModeSet,
-                         em: Optional[EmitterSpec]) -> np.ndarray:
-    if em is not None:
-        return couplings(ms, em).eta_matrices
-    eta = bundle.metadata.get("eta")
-    if eta is None:
-        raise ValueError("multipolar rate needs the system emitter (pass em=...)")
-    return np.array([complex(v) * PAULI_X for v in eta])
-
-
 def _frequency_factor(bundle: HamiltonianBundle, omega_d: float) -> float:
     """How the detection operator scales with the detector frequency in the bundle's gauge."""
     return omega_d if bundle.gauge.theta == 0.0 else 1.0
@@ -152,8 +142,10 @@ def detection_operator(bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec
         m = _mode_sum(space, (f @ det.d_d) / np.sqrt(2 * ms.chi_diag))
     elif theta == 1.0:
         # sum_mu c_mu a'_mu with c_mu = i sum_nu chi*_{mu nu} eta_d*_nu
+        if em is None:
+            raise ValueError("multipolar rate needs the system emitter (pass em=...)")
         c = 1j * ms.chi.conj() @ _detector_etas(ms, det).conj()
-        eta_sys = _system_eta_matrices(bundle, ms, em)
+        eta_sys = couplings(ms, em).eta_matrices
         m = (_mode_sum(space, c)
              + space.kron({space.matter_indices[0]: 1j * np.einsum("m,mij->ij", c, eta_sys)}))
     else:
@@ -173,20 +165,6 @@ def _amplitude_sq(vecs: np.ndarray, op: np.ndarray, i: int, j: int) -> float:
     return float(abs(vecs[:, i].conj() @ op @ vecs[:, j]) ** 2)
 
 
-def detection_rate(bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec,
-                   i: int, j: int, em: Optional[EmitterSpec] = None,
-                   match_tol: float = FREQUENCY_MATCH_TOL,
-                   eigensystem=None) -> float:
-    """Golden-rule photodetection rate for the |i> -> |j> transition.
-
-    The detector never enters the diagonalized Hamiltonian; its frequency
-    must match the transition to `match_tol` or the pairing is rejected.
-    """
-    vals, vecs = bundle.eigensystem() if eigensystem is None else eigensystem
-    _check_resonance(det, vals, i, j, match_tol)
-    return _amplitude_sq(vecs, detection_operator(bundle, ms, det, em), i, j)
-
-
 @dataclass(frozen=True)
 class RateGap:
     correct: float
@@ -204,16 +182,11 @@ def naive_rate_gap(bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec,
     """
     vals, vecs = bundle.eigensystem()
     _check_resonance(det, vals, i, j, match_tol)
-    space = bundle.space
-    mi_dims = [f.fock_cutoff for f in space.factors if f.kind == "photon"]
-    rates = {}
-    for naive in (False, True):
-        comps = truncated_E_operator(ms, det.r_d, mi_dims, naive=naive)
-        matter_dim = space.dim // comps[0].dim
-        m = sum(det.d_d[c] * np.kron(comps[c].matrix, np.eye(matter_dim)) for c in range(3))
-        amp = vecs[:, i].conj() @ m @ vecs[:, j]
-        rates[naive] = float(abs(amp) ** 2)
-    r_c, r_n = rates[False], rates[True]
+    rates = []
+    for f in (ms.derived_profile(det.r_d), ms.profile(det.r_d)):
+        m = _mode_sum(bundle.space, 1j * np.sqrt(ms.chi_diag / 2) * (f @ det.d_d))
+        rates.append(_amplitude_sq(vecs, m + m.conj().T, i, j))
+    r_c, r_n = rates
     rel = abs(r_c - r_n) / r_c if r_c > 0 else (0.0 if r_n == 0 else float("inf"))
     return RateGap(r_c, r_n, rel)
 

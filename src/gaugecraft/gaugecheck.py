@@ -16,10 +16,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError
-from .hamiltonians import (COULOMB, MULTIPOLAR, CouplingSet, GaugeParam,
-                           HamiltonianBundle, build_dipole, build_naive, couplings)
+from .hamiltonians import (COULOMB, MULTIPOLAR, CouplingSet, HamiltonianBundle,
+                           build_dipole, build_naive)
 from .hilbert import HilbertSpec, Operator, fock_mask
-from .matter import EmitterSpec, tls
+from .matter import tls
 from .modes import ModeSet
 
 DEFAULT_SPECTRAL_TOL = 1e-6

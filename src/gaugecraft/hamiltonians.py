@@ -44,6 +44,18 @@ even and odd sectors separately.  The beyond-dipole and 1D builders and H(t)
 declare none: a profile that is not even about the emitter breaks the parity
 of the beyond-dipole forms.
 
+Every builder is a `CouplingSet` fed to one of two cores; the models differ
+only in their couplings.  The exact-conjugation core, `CouplingSet.generator`
+with `conjugate_photon` and `conjugate_matter`, gives `build_dipole`, H(t),
+the beyond-dipole Coulomb form (eta_mu = (eta_bar_mu / 2) sigma_x) and the 1D
+gC form (eta_mu = h_mu(x0) d_hat / sqrt(2 omega_mu)).  The canonical
+multipolar core, `multipolar_interaction` plus the matter matrix
+`polarization_squared`, gives the theta = 1 naive builder and the
+beyond-dipole and 1D multipolar forms; the theta = 0 naive builder truncates
+the commutator series of the same generator.  Only the two explicit
+single-mode two-level builders are written out by hand, as closed forms that
+the tests compare the cores against.
+
 Explicit single-mode two-level forms, beyond-dipole builders for effective
 single-particle emitters, normal-mode (lossless 1D dielectric) builders in
 the generalized Coulomb/multipolar gauges, and time-dependent coupling
@@ -59,9 +71,9 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConvergenceError, InvariantViolation
-from .hilbert import (HERMITIAN_TOL, Factor, HermitianGenerator, HilbertSpec,
-                      KroneckerGenerator, Operator, PAULI_X, PAULI_Y, PAULI_Z, kron,
-                      ladder_matrix, matter_levels, max_abs, parity_labels, photon)
+from .hilbert import (HERMITIAN_TOL, HermitianGenerator, HilbertSpec, KroneckerGenerator,
+                      Operator, PAULI_X, PAULI_Y, PAULI_Z, ladder_matrix, matter_levels,
+                      max_abs, parity_labels, photon)
 from .matter import EmitterSpec, TimeProfile
 from .modes import ModeSet, NormalModeSet1D
 
@@ -432,18 +444,6 @@ def _eta_summary(cs: CouplingSet):
         return None
 
 
-def _single_mode_tls_space(cutoff: int) -> HilbertSpec:
-    return standard_space((cutoff,), 2)
-
-
-def _trig_pair(arg: np.ndarray):
-    """cos(arg) and sin(arg) for a Hermitian matrix argument."""
-    vals, vecs = np.linalg.eigh((arg + arg.conj().T) / 2)
-    cos_m = (vecs * np.cos(vals)) @ vecs.conj().T
-    sin_m = (vecs * np.sin(vals)) @ vecs.conj().T
-    return cos_m, sin_m
-
-
 def build_tls_coulomb_single(chi: float, omega0: float, eta: complex,
                              cutoff: int) -> HamiltonianBundle:
     """Single-mode two-level Coulomb-form Hamiltonian via matrix trigonometry.
@@ -454,10 +454,11 @@ def build_tls_coulomb_single(chi: float, omega0: float, eta: complex,
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    space = _single_mode_tls_space(cutoff)
+    space = standard_space((cutoff,), 2)
     a = ladder_matrix(cutoff)
-    phi = eta * a.conj().T + np.conj(eta) * a
-    cos_m, sin_m = _trig_pair(2 * phi)
+    vals, vecs = np.linalg.eigh(2 * (eta * a.conj().T + np.conj(eta) * a))
+    cos_m = (vecs * np.cos(vals)) @ vecs.conj().T
+    sin_m = (vecs * np.sin(vals)) @ vecs.conj().T
     h = (chi * np.kron(a.conj().T @ a, np.eye(2))
          + (omega0 / 2) * (np.kron(cos_m, PAULI_Z) + np.kron(sin_m, PAULI_Y)))
     meta = {"builder": "build_tls_coulomb_single", "truncation": "correct",
@@ -477,7 +478,7 @@ def build_tls_multipolar_single(chi: float, omega0: float, eta: complex,
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    space = _single_mode_tls_space(cutoff)
+    space = standard_space((cutoff,), 2)
     a = ladder_matrix(cutoff)
     drive = 1j * chi * (eta * a.conj().T - np.conj(eta) * a)
     h = (chi * np.kron(a.conj().T @ a, np.eye(2))
@@ -514,6 +515,12 @@ def multipolar_interaction(cs: CouplingSet, space: HilbertSpec) -> np.ndarray:
             inter += space.kron({fi: -1j * np.conj(chi[mu, nu]) * a,
                                  mi: cs.eta_matrices[nu].conj().T})
     return inter + inter.conj().T
+
+
+def polarization_squared(cs: CouplingSet) -> np.ndarray:
+    """sum_{mu nu} chi_{mu nu} eta_mu^dag eta_nu, the multipolar P^2 term as a matter matrix."""
+    eta = cs.eta_matrices
+    return np.einsum("mn,mji,njk->ik", cs.chi, eta.conj(), eta)
 
 
 def build_naive(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
@@ -584,13 +591,17 @@ def build_beyond_dipole(chi: Union[float, np.ndarray],
                         quad_nodes: int = 65, quad_tol: float = 1e-8) -> HamiltonianBundle:
     """Beyond-dipole Hamiltonian for an effective single-particle two-level emitter.
 
-    Profiles are sampled along the displacement segment s r_dip, s in [-1, 1].
-    The Coulomb form exponentiates the line-integrated vector potential; the
-    multipolar form carries the segment-averaged field drive, the odd-field
-    (sigma_x-free) drive that vanishes for even profiles, and the
-    mode-truncated polarization-squared correction with
-    [int_0^1 f]^2 - [int_-1^0 f]^2 weights.  Constant profiles reduce exactly
-    to the dipole builders.
+    Profiles are sampled along the displacement segment s r_dip, s in [-1, 1],
+    which gives per mode the segment-averaged coupling eta_bar_mu (from the
+    integral over [-1, 1]) and its even-field companion g_even,mu (from the
+    difference of the integrals over [0, 1] and [-1, 0]).  The Coulomb form
+    is the exact conjugation with eta_mu = (eta_bar_mu / 2) sigma_x, which
+    gives H_F + (omega0/2) [cos(Phi) sigma_z + sin(Phi) sigma_y],
+    Phi = sum_mu eta_bar_mu a_mu^dag + H.c.  The multipolar form is the
+    canonical one with eta_mu = g_even,mu 1 + (eta_bar_mu / 2) sigma_x: the
+    segment-averaged field drive, the odd-field (sigma_x-free) drive that
+    vanishes for even profiles, and the mode-truncated polarization-squared
+    correction.  Constant profiles reduce exactly to the dipole builders.
     """
     if not em.is_tls or em.single_particle is None:
         raise ValueError("requires a two-level emitter with single_particle data")
@@ -605,7 +616,7 @@ def build_beyond_dipole(chi: Union[float, np.ndarray],
     dev = max(max_abs(em.dipole[c] - d[c] * PAULI_X) for c in range(3))
     if dev >= 1e-10 * max(1.0, float(np.abs(d).max())):
         raise InvariantViolation("emitter dipole inconsistent with q * r_dip * sigma_x")
-    omega0 = float(em.levels[0] - em.levels[1])
+    h_matter = (float(em.levels[0] - em.levels[1]) / 2) * PAULI_Z
 
     chi_d = np.diag(chi).real
     a_int = np.zeros((m_modes, 3), dtype=complex)  # int_0^1 f(s r_dip) ds
@@ -620,38 +631,18 @@ def build_beyond_dipole(chi: Union[float, np.ndarray],
 
     cutoffs = _normalize_cutoffs(cutoffs, m_modes)
     space = standard_space(cutoffs, 2)
-    mi = space.matter_indices[0]
-    h_f = field_hamiltonian(chi, space)
-    a = [ladder_matrix(space.factors[fi].fock_cutoff) for fi in space.photon_indices]
+    h = field_hamiltonian(chi, space)
     meta = {"builder": "build_beyond_dipole", "truncation": "correct",
             "cutoffs": cutoffs, "gauge_label": gauge,
             "eta_bar": [complex(v) for v in eta_bar]}
-
+    half_sx = 0.5 * eta_bar[:, None, None] * PAULI_X
     if gauge == "coulomb":
-        # Phi acts on the photon factors only, so its trigonometric functions do too
-        photons = _photon_part(space)
-        phi = sum(photons.kron({fi: eta_bar[mu] * a[mu].conj().T + np.conj(eta_bar[mu]) * a[mu]})
-                  for mu, fi in enumerate(photons.photon_indices))
-        cos_m, sin_m = _trig_pair(phi)
-        h = h_f + (omega0 / 2) * (kron(cos_m, PAULI_Z) + kron(sin_m, PAULI_Y))
-        bundle_gauge = COULOMB
-    else:
-        # xi_mu = -(g_even,mu 1 + (eta_bar,mu / 2) sigma_x) on the matter factor
-        xi = np.array([-(g_even[mu] * np.eye(2, dtype=complex) + 0.5 * eta_bar[mu] * PAULI_X)
-                       for mu in range(m_modes)])
-        inter = np.zeros((space.dim, space.dim), dtype=complex)
-        for mu, fi in enumerate(space.photon_indices):
-            for nu in range(m_modes):
-                if chi[mu, nu] != 0:
-                    inter += space.kron({fi: 1j * np.conj(chi[mu, nu]) * a[mu],
-                                         mi: xi[nu].conj().T})
-        p2 = np.zeros((2, 2), dtype=complex)
-        for mu in range(m_modes):
-            for nu in range(m_modes):
-                p2 += chi[mu, nu] * xi[mu].conj().T @ xi[nu]
-        h = h_f + inter + inter.conj().T + space.kron({mi: (omega0 / 2) * PAULI_Z + p2})
-        bundle_gauge = MULTIPOLAR
-    return _bundle(h, space, bundle_gauge, meta)
+        h += CouplingSet(half_sx, chi).generator(space).conjugate_matter(1.0, h_matter)
+        return _bundle(h, space, COULOMB, meta)
+    cs = CouplingSet(g_even[:, None, None] * np.eye(2) + half_sx, chi)
+    h += multipolar_interaction(cs, space)
+    h += space.kron({space.matter_indices[0]: h_matter + polarization_squared(cs)})
+    return _bundle(h, space, MULTIPOLAR, meta)
 
 
 def build_generalized_1d(nm: NormalModeSet1D, em: EmitterSpec, gauge: str,
@@ -660,6 +651,8 @@ def build_generalized_1d(nm: NormalModeSet1D, em: EmitterSpec, gauge: str,
                          polarization_axis: int = 0) -> HamiltonianBundle:
     """Normal-mode Hamiltonians of a lossless 1D dielectric, dipole approximation.
 
+    The couplings are eta_mu = h_mu(x0) d_hat / sqrt(2 omega_mu) with
+    chi = diag(omega), the d.f* / sqrt(2 chi) convention of `couplings`.
     gauge "gC":  H = sum_mu omega_mu a_mu^dag a_mu + U H_0 U^dag with the
     exact truncated minimal-coupling unitary U = exp(i d.A(x0)).
     gauge "gmp": H = H_F + H_0 + i sum_mu sqrt(omega_mu/2) h_mu(x0)
@@ -677,35 +670,21 @@ def build_generalized_1d(nm: NormalModeSet1D, em: EmitterSpec, gauge: str,
         raise ValueError("naive truncation is defined for the generalized multipolar gauge only")
     if not 1 <= n_modes <= nm.n_modes:
         raise ValueError(f"n_modes must be in [1, {nm.n_modes}]")
-    h_at_x0 = nm.profile_at(x0)
-    omega = nm.omega[:n_modes]
-    d_mat = em.dipole[polarization_axis]
+    every_mode = CouplingSet(np.multiply.outer(nm.profile_at(x0) / np.sqrt(2 * nm.omega),
+                                               em.dipole[polarization_axis]), np.diag(nm.omega))
+    cs = CouplingSet(every_mode.eta_matrices[:n_modes], every_mode.chi[:n_modes, :n_modes])
     cutoffs = _normalize_cutoffs(cutoffs, n_modes)
     space = standard_space(cutoffs, em.n_levels)
-    mi = space.matter_indices[0]
-    h_f = field_hamiltonian(np.diag(omega), space)
-    a = [ladder_matrix(space.factors[fi].fock_cutoff) for fi in space.photon_indices]
+    h = field_hamiltonian(cs.chi, space)
     meta = {"builder": "build_generalized_1d", "truncation": truncation,
             "cutoffs": cutoffs, "gauge_label": gauge, "n_modes": n_modes, "x0": x0}
-
     if gauge == "gC":
-        # X = sum_mu h_mu(x0) / sqrt(2 omega_mu) (a_mu + a_mu^dag) (x) d_hat
-        local = [h_at_x0[mu] / np.sqrt(2 * omega[mu]) * (a[mu] + a[mu].conj().T)
-                 for mu in range(n_modes)]
-        gen = KroneckerGenerator(local, d_mat, space)
-        h = h_f + gen.conjugate_matter(1.0, em.h0)
-        bundle_gauge = COULOMB
-    else:
-        h = h_f + space.kron({mi: em.h0})
-        for mu, fi in enumerate(space.photon_indices):
-            drive = 1j * np.sqrt(omega[mu] / 2) * h_at_x0[mu] * (a[mu].conj().T - a[mu])
-            h += space.kron({fi: drive, mi: d_mat})
-        p2_modes = range(n_modes) if truncation == "correct" else range(nm.n_modes)
-        d_sq = d_mat @ d_mat
-        p2 = sum((h_at_x0[mu] ** 2 / 2) * d_sq for mu in p2_modes)
-        h += space.kron({mi: p2})
-        bundle_gauge = MULTIPOLAR
-    return _bundle(h, space, bundle_gauge, meta)
+        h += cs.generator(space).conjugate_matter(1.0, em.h0)
+        return _bundle(h, space, COULOMB, meta)
+    p2 = polarization_squared(cs if truncation == "correct" else every_mode)
+    h += multipolar_interaction(cs, space)
+    h += space.kron({space.matter_indices[0]: em.h0 + p2})
+    return _bundle(h, space, MULTIPOLAR, meta)
 
 
 class TimeDependentHamiltonian:

@@ -218,51 +218,6 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.space,
-                        hermitian=self.hermitian, unitary=self.unitary)
-
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return max_abs(self.matrix - self.matrix.conj().T) < tol
-
-    def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
-        return max_abs(self.matrix.conj().T @ self.matrix - np.eye(self.dim)) < tol
-
-    def _wrap(self, m: np.ndarray) -> "Operator":
-        return Operator(m, self.space)
-
-    def _coerce(self, other) -> np.ndarray:
-        if isinstance(other, Operator):
-            if other.space != self.space:
-                raise ValueError("operators live on different spaces")
-            return other.matrix
-        return np.asarray(other, dtype=complex)
-
-    def __add__(self, other):
-        if np.isscalar(other):
-            return self._wrap(self.matrix + other * np.eye(self.dim))
-        return self._wrap(self.matrix + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if np.isscalar(other):
-            return self._wrap(self.matrix - other * np.eye(self.dim))
-        return self._wrap(self.matrix - self._coerce(other))
-
-    def __mul__(self, scalar):
-        return self._wrap(self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self._wrap(-self.matrix)
-
-    def __matmul__(self, other):
-        if isinstance(other, Operator):
-            return self._wrap(self.matrix @ self._coerce(other))
-        return self.matrix @ np.asarray(other, dtype=complex)
-
 
 def ladder_matrix(fock_cutoff: int) -> np.ndarray:
     """Truncated annihilation matrix with <n-1|a|n> = sqrt(n)."""

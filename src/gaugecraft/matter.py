@@ -11,7 +11,7 @@ two-level emitter the convention is |e> first, so sigma_z = diag(+1, -1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -111,9 +111,6 @@ class EmitterSpec:
     @property
     def is_tls(self) -> bool:
         return self.n_levels == 2
-
-    def matter_factor(self):
-        return matter_levels(self.n_levels)
 
 
 def tls(omega0: float, d: Sequence[float], position_label: str = "emitter",
