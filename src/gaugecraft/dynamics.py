@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConvergenceError, InvariantViolation
 from .hamiltonians import (HamiltonianBundle, TimeDependentHamiltonian,
                            build_time_dependent, TD_EXTRA_TERM_SIGN)
-from .hilbert import HilbertSpec, Operator, PAULI_Z, ladder_matrix
+from .hilbert import HilbertSpec, Operator, PAULI_Z, hermitian_part, ladder_matrix
 from .matter import EmitterSpec, TimeProfile, constant_profile
 from .modes import ModeSet
 
@@ -84,11 +84,9 @@ def _as_matrix_fn(h) -> tuple[Callable[[float], np.ndarray], Optional[HilbertSpe
     if isinstance(h, HamiltonianBundle):
         m = h.H.matrix
         return (lambda t: m), h.space, constant_profile()
-    if isinstance(h, Operator):
-        m = h.matrix
-        return (lambda t: m), h.space, constant_profile()
-    if isinstance(h, np.ndarray):
-        return (lambda t: h), None, constant_profile()
+    if isinstance(h, (Operator, np.ndarray)):  # checked here, where it enters
+        m = hermitian_part(getattr(h, "matrix", h), "static Hamiltonian")
+        return (lambda t: m), getattr(h, "space", None), constant_profile()
     if isinstance(h, TimeDependentHamiltonian):
         return h.matrix, h.space, h.profile
     if callable(h):
@@ -110,7 +108,7 @@ def _pieces(profile: Optional[TimeProfile], t0: float, t1: float) -> list:
 
 def _static_piece(m: np.ndarray, psi: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """States V exp(-i Lambda tau) V^dag psi at each offset tau from the piece start."""
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+    vals, vecs = np.linalg.eigh(m)
     coeff = vecs.conj().T @ psi
     return (np.exp(-1j * np.outer(offsets, vals)) * coeff) @ vecs.T
 
@@ -180,8 +178,9 @@ def evolve(h, psi0: np.ndarray, t_grid: Sequence[float],
     ndarray) are propagated exactly: one H evaluation and one eigh per piece,
     each grid state written from the piece's start state.  Pieces where
     mu'(t) != 0 (all of a bare callable) integrate with adaptive RK4 at local
-    error `tol` per unit time.  Raises ConvergenceError when the recorded
-    norms drift by `tol` or more.  `Trajectory.stats` counts H evaluations,
+    error `tol` per unit time.  A non-Hermitian static Operator or ndarray
+    raises InvariantViolation, and norms that drift by `tol` or more raise
+    ConvergenceError.  `Trajectory.stats` counts H evaluations,
     accepted and rejected steps, static and dynamic pieces, and records the
     final norm error.
     """

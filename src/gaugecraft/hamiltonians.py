@@ -27,8 +27,8 @@ a `KroneckerGenerator`, and H(theta), the gauge unitaries and H(t) are
 assembled from Kronecker products of local exponentials in O(D^2), without
 a D x D eigendecomposition.  Couplings that do not factor (an N-level
 emitter coupled through several dipole axes) take the dense
-`HermitianGenerator` branch.  Every builder checks that its assembled matrix
-is Hermitian before it symmetrizes away the rounding.
+`HermitianGenerator` branch.  `HamiltonianBundle` checks each assembled
+matrix once for Hermiticity before it symmetrizes away the rounding.
 
 The family keeps the emitter's parity at any Fock cutoff.  Let
 Pi = (-1)^(sum_mu n_mu) (x) S with S = diag(s), s_i = +-1, the signs of
@@ -38,11 +38,10 @@ odd, S eta_mu S = -eta_mu, and h0 is diagonal.  Hence X is even under Pi, and
 so are exp(i s X), H_F, H_0, every H(theta), and the naive builders, whose
 terms are nested commutators with X or products a (x) eta^dag.  `build_dipole`
 (with or without the longitudinal hook, whose auxiliary factor joins the
-photon factors), `build_naive` and the two explicit single-mode two-level
-builders declare Pi on their bundle, which verifies it and diagonalizes the
-even and odd sectors separately.  The beyond-dipole and 1D builders and H(t)
-declare none: a profile that is not even about the emitter breaks the parity
-of the beyond-dipole forms.
+photon factors), `build_naive`, the single-mode two-level, the 1D and the
+beyond-dipole Coulomb builders declare Pi on their bundle, which verifies it
+and diagonalizes the even and odd sectors separately.  The beyond-dipole
+multipolar form and H(t) declare none: its drive g_even,mu 1 is even under S.
 
 Every builder is a `CouplingSet` fed to one of two cores; the models differ
 only in their couplings.  The exact-conjugation core, `CouplingSet.generator`
@@ -72,8 +71,8 @@ import numpy as np
 
 from .errors import ConvergenceError, InvariantViolation
 from .hilbert import (HERMITIAN_TOL, HermitianGenerator, HilbertSpec, KroneckerGenerator,
-                      Operator, PAULI_X, PAULI_Y, PAULI_Z, ladder_matrix, matter_levels,
-                      max_abs, parity_labels, photon)
+                      Operator, PAULI_X, PAULI_Y, PAULI_Z, hermitian_part, ladder_matrix,
+                      matter_levels, max_abs, parity_labels, photon)
 from .matter import EmitterSpec, TimeProfile
 from .modes import ModeSet, NormalModeSet1D
 
@@ -176,10 +175,10 @@ class CouplingSet:
             return np.zeros(self.n_modes, dtype=complex), np.zeros_like(eta[0])
         b = eta[np.argmax(np.linalg.norm(eta.reshape(self.n_modes, -1), axis=1))]
         i, j = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-        d = b * np.exp(-0.5j * np.angle(b[i, j] * b[j, i]))
-        if max_abs(d - d.conj().T) > FACTOR_TOL * max_abs(d):
+        try:
+            d = hermitian_part(b * np.exp(-0.5j * np.angle(b[i, j] * b[j, i])), "coupling")
+        except InvariantViolation:
             return None
-        d = (d + d.conj().T) / 2
         g = np.einsum("ij,mij->m", d.conj(), eta) / np.vdot(d, d).real
         if max_abs(eta - g[:, None, None] * d) > FACTOR_TOL * scale:
             return None
@@ -216,7 +215,8 @@ def couplings(ms: ModeSet, em: EmitterSpec) -> CouplingSet:
 class HamiltonianBundle:
     """A built Hamiltonian with its space, gauge and builder metadata.
 
-    Hermiticity is verified at 1e-12 on construction.
+    `H` is passed as assembled, a matrix or an `Operator`, checked once with
+    `hilbert.hermitian_part` and stored as an `Operator` of its Hermitian part.
 
     A builder may declare a parity: a label +1 or -1 per basis state, the
     diagonal of an operator Pi that commutes with H.  The declaration is
@@ -229,18 +229,16 @@ class HamiltonianBundle:
     measured off-block maximum (None without a parity).
     """
 
-    H: Operator
+    H: Union[np.ndarray, Operator]  # stored as an Operator
     space: HilbertSpec
     gauge: GaugeParam
     metadata: dict = field(default_factory=dict)
     parity: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        m = self.H.matrix
-        dev = max_abs(m - m.conj().T)
-        scale = max(1.0, max_abs(m))
-        if dev >= HERMITIAN_TOL * scale:
-            raise InvariantViolation(f"built Hamiltonian is not Hermitian (dev {dev:.3e})")
+        raw = self.H.matrix if isinstance(self.H, Operator) else self.H
+        m = hermitian_part(raw, f"{self.metadata.get('builder', 'bundle')} Hamiltonian")
+        object.__setattr__(self, "H", Operator(m, self.space))
         sectors, off_block = (np.arange(len(m)),), None
         if self.parity is not None:
             labels = np.asarray(self.parity)
@@ -248,7 +246,7 @@ class HamiltonianBundle:
                 raise ValueError("parity needs a label +1 or -1 per basis state")
             even, odd = np.flatnonzero(labels > 0), np.flatnonzero(labels < 0)
             off_block = max_abs(m[np.ix_(even, odd)])
-            if off_block > HERMITIAN_TOL * scale:
+            if off_block > HERMITIAN_TOL * max(1.0, max_abs(m)):
                 raise InvariantViolation(f"declared parity does not commute with H "
                                          f"(max|H[even, odd]| = {off_block:.3e})")
             sectors = tuple(s for s in (even, odd) if s.size)
@@ -304,31 +302,12 @@ class HamiltonianBundle:
         return cached
 
 
-def _hermitian_part(h: np.ndarray, what: str) -> np.ndarray:
-    """(h + h^dag) / 2, after checking that h itself is Hermitian.
-
-    The deviation ||h - h^dag||_max is measured before symmetrizing, so the
-    check sees what the assembly produced; it must not exceed
-    HERMITIAN_TOL * max(1, max|h|).
-    """
-    h_dag = h.conj().T
-    dev = max_abs(h - h_dag)
-    # the scale max(1, max|h|) is needed only once dev exceeds the absolute tolerance
-    if dev > HERMITIAN_TOL and dev > HERMITIAN_TOL * max_abs(h):
-        raise InvariantViolation(f"{what} is not Hermitian before symmetrization "
-                                 f"(||h - h^dag||_max = {dev:.3e})")
-    out = h + h_dag
-    out *= 0.5
-    return out
-
-
 def _bundle(h: np.ndarray, space: HilbertSpec, gauge: GaugeParam, meta: dict,
             parity_signs: Optional[Sequence[int]] = None) -> HamiltonianBundle:
-    """Bundle of the Hermitian part of h, declaring the parity
+    """Bundle of the assembled h, declaring the parity
     (-1)^(photon number) (x) diag(parity_signs) when signs are given."""
-    h = _hermitian_part(h, f"{meta['builder']} Hamiltonian")
     parity = None if parity_signs is None else parity_labels(space, parity_signs)
-    return HamiltonianBundle(Operator(h, space, hermitian=True), space, gauge, meta, parity)
+    return HamiltonianBundle(h, space, gauge, meta, parity)
 
 
 def _normalize_cutoffs(cutoffs, n_modes: int) -> tuple[int, ...]:
@@ -503,17 +482,13 @@ def _nested_commutator_series(x: np.ndarray, h0: np.ndarray, order: int) -> np.n
 
 
 def multipolar_interaction(cs: CouplingSet, space: HilbertSpec) -> np.ndarray:
-    """-i sum_{mu nu} chi*_{mu nu} a_mu (x) eta_nu^dag + H.c., the canonical multipolar drive."""
+    """-i sum_{mu nu} chi*_{mu nu} a_mu (x) eta_nu^dag + H.c., the canonical multipolar drive,
+    as sum_mu a_mu (x) B_mu + H.c. with B_mu = -i sum_nu chi*_{mu nu} eta_nu^dag."""
     mi = space.matter_indices[0]
-    chi = cs.chi
+    b = -1j * np.einsum("mn,nji->mij", cs.chi.conj(), cs.eta_matrices.conj())
     inter = np.zeros((space.dim, space.dim), dtype=complex)
-    for mu, fi in enumerate(space.photon_indices):
-        a = ladder_matrix(space.factors[fi].fock_cutoff)
-        for nu in range(cs.n_modes):
-            if chi[mu, nu] == 0:
-                continue
-            inter += space.kron({fi: -1j * np.conj(chi[mu, nu]) * a,
-                                 mi: cs.eta_matrices[nu].conj().T})
+    for b_mu, fi in zip(b, space.photon_indices):
+        inter += space.kron({fi: ladder_matrix(space.factors[fi].fock_cutoff), mi: b_mu})
     return inter + inter.conj().T
 
 
@@ -638,7 +613,7 @@ def build_beyond_dipole(chi: Union[float, np.ndarray],
     half_sx = 0.5 * eta_bar[:, None, None] * PAULI_X
     if gauge == "coulomb":
         h += CouplingSet(half_sx, chi).generator(space).conjugate_matter(1.0, h_matter)
-        return _bundle(h, space, COULOMB, meta)
+        return _bundle(h, space, COULOMB, meta, TLS_PARITY_SIGNS)
     cs = CouplingSet(g_even[:, None, None] * np.eye(2) + half_sx, chi)
     h += multipolar_interaction(cs, space)
     h += space.kron({space.matter_indices[0]: h_matter + polarization_squared(cs)})
@@ -680,11 +655,11 @@ def build_generalized_1d(nm: NormalModeSet1D, em: EmitterSpec, gauge: str,
             "cutoffs": cutoffs, "gauge_label": gauge, "n_modes": n_modes, "x0": x0}
     if gauge == "gC":
         h += cs.generator(space).conjugate_matter(1.0, em.h0)
-        return _bundle(h, space, COULOMB, meta)
+        return _bundle(h, space, COULOMB, meta, em.parity_signs)
     p2 = polarization_squared(cs if truncation == "correct" else every_mode)
     h += multipolar_interaction(cs, space)
     h += space.kron({space.matter_indices[0]: em.h0 + p2})
-    return _bundle(h, space, MULTIPOLAR, meta)
+    return _bundle(h, space, MULTIPOLAR, meta, em.parity_signs)
 
 
 class TimeDependentHamiltonian:
@@ -724,10 +699,7 @@ class TimeDependentHamiltonian:
             mu_dot = self.profile.mu_dot(t)
             if mu_dot != 0.0:
                 h += self.extra_term_sign * mu_dot * self.generator.matrix
-        return _hermitian_part(h, "H(t)")
-
-    def __call__(self, t: float) -> Operator:
-        return Operator(self.matrix(t), self.space, hermitian=True)
+        return hermitian_part(h, "H(t)")
 
     def gauge_map(self, t: float) -> Operator:
         """W(t) = exp(-i mu(t) X), mapping Coulomb-gauge states to multipolar ones."""

@@ -2,11 +2,15 @@
 
 Provides the ordered tensor-factor layout (`HilbertSpec`), dense complex
 operators bound to it (`Operator`), ladder and Pauli operators embedded in
-the full product space, Hermitian eigendecomposition, and matrix
-exponentials.  Operators on the full space are dense matrices aimed at
-desk-scale dimensions (up to ~10^4); they are assembled as Kronecker
-products of local factor matrices (`HilbertSpec.kron`), never by
-multiplying embedded D x D matrices.
+the full product space, and the gauge generators.  Operators on the full
+space are dense matrices aimed at desk-scale dimensions (up to ~10^4); they
+are assembled as Kronecker products of local factor matrices
+(`HilbertSpec.kron`), never by multiplying embedded D x D matrices.
+
+The package has one Hermiticity rule, `hermitian_part`, applied once to each
+matrix where it enters (generator terms, chi, overlaps, dipoles, built and
+static Hamiltonians): a non-Hermitian matrix is refused, never averaged into
+a Hermitian one.
 
 Gauge generators come in two forms with one interface.  When the generator
 is a sum of local terms on the leading factors times one matrix on the last
@@ -28,13 +32,11 @@ from functools import cached_property, reduce
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvariantViolation
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
-EIG_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -169,6 +171,21 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
 
 
+def hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
+    """(m + m^dag) / 2, after checking that ||m - m^dag||_max of the raw m is at
+    most HERMITIAN_TOL * max(1, max|m|); `InvariantViolation` names `what`."""
+    m = np.asarray(m, dtype=complex)
+    m_dag = m.conj().T
+    dev = max_abs(m - m_dag)
+    # the scale max(1, max|m|) is needed only once dev exceeds the absolute tolerance
+    if dev > HERMITIAN_TOL and dev > HERMITIAN_TOL * max_abs(m):
+        raise InvariantViolation(f"{what} is not Hermitian before symmetrization "
+                                 f"(||m - m^dag||_max = {dev:.3e})")
+    out = m + m_dag
+    out *= 0.5
+    return out
+
+
 @dataclass(frozen=True)
 class Operator:
     """Dense complex matrix bound to a HilbertSpec.
@@ -262,60 +279,6 @@ def pauli(space: HilbertSpec, matter_index: int) -> tuple[Operator, Operator, Op
     )
 
 
-def herm_eig(op: Operator, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, Operator]:
-    """Eigendecomposition of a Hermitian operator.
-
-    Returns eigenvalues in ascending order and the unitary of column
-    eigenvectors; the reconstruction residual ||M V - V diag(lam)||_max is
-    checked against 1e-10.  Non-Hermitian input is rejected.
-    """
-    m = op.matrix
-    dev = max_abs(m - m.conj().T)
-    if dev >= tol:
-        raise InvariantViolation(f"herm_eig requires Hermitian input, ||M - M^dag||_max = {dev:.3e}")
-    vals, vecs = np.linalg.eigh(m)
-    resid = max_abs(m @ vecs - vecs * vals)
-    scale = max(1.0, float(np.abs(vals).max()) if vals.size else 1.0)
-    if resid >= EIG_RESIDUAL_TOL * scale:
-        raise InvariantViolation(f"eigendecomposition residual {resid:.3e} too large")
-    return vals, Operator(vecs, op.space, unitary=True)
-
-
-def matrix_exp(op: Operator) -> Operator:
-    """Matrix exponential exp(M).
-
-    Hermitian and anti-Hermitian inputs go through an eigendecomposition
-    (anti-Hermitian input yields an output whose unitary flag is verified);
-    everything else uses scaling-and-squaring Pade.
-    """
-    m = op.matrix
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix_exp: non-finite entries")
-    herm_dev = max_abs(m - m.conj().T)
-    anti_dev = max_abs(m + m.conj().T)
-    scale = max(1.0, max_abs(m))
-    if anti_dev < HERMITIAN_TOL * scale:
-        # M = iH with H Hermitian: exp(M) = V exp(i lam) V^dag, exactly unitary
-        h = (-1j * m + (-1j * m).conj().T) / 2
-        vals, vecs = np.linalg.eigh(h)
-        e = (vecs * np.exp(1j * vals)) @ vecs.conj().T
-        return Operator(e, op.space, unitary=True)
-    if herm_dev < HERMITIAN_TOL * scale:
-        h = (m + m.conj().T) / 2
-        vals, vecs = np.linalg.eigh(h)
-        e = (vecs * np.exp(vals)) @ vecs.conj().T
-        return Operator(e, op.space, hermitian=True)
-    return Operator(scipy.linalg.expm(m), op.space)
-
-
-def _check_generator_term(m: np.ndarray, what: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    dev = max_abs(m - m.conj().T)
-    if dev >= HERMITIAN_TOL * max(1.0, max_abs(m)):
-        raise InvariantViolation(f"{what} is not Hermitian, deviation {dev:.3e}")
-    return m
-
-
 def _check_unitary_columns(v: np.ndarray, what: str):
     dev = max_abs(v.conj().T @ v - np.eye(v.shape[1]))
     if dev >= UNITARY_TOL:
@@ -332,10 +295,9 @@ class HermitianGenerator:
     """
 
     def __init__(self, matrix: np.ndarray, space: HilbertSpec):
-        matrix = _check_generator_term(matrix, "generator")
         self.space = space
-        self.matrix = matrix
-        self._vals, self._vecs = np.linalg.eigh((matrix + matrix.conj().T) / 2)
+        self.matrix = hermitian_part(matrix, "generator")
+        self._vals, self._vecs = np.linalg.eigh(self.matrix)
 
     def unitary(self, s: float) -> Operator:
         u = (self._vecs * np.exp(1j * s * self._vals)) @ self._vecs.conj().T
@@ -400,9 +362,8 @@ class KroneckerGenerator:
         if np.shape(matter) != (space.factors[-1].dim,) * 2:
             raise ValueError("matter matrix does not match the last factor")
         self.space = space
-        self._local_terms = [_check_generator_term(p, "local generator term")
-                             for p in local_terms]
-        self._matter = _check_generator_term(matter, "matter generator term")
+        self._local_terms = [hermitian_part(p, "local generator term") for p in local_terms]
+        self._matter = hermitian_part(matter, "matter generator term")
         self._local_eigs = []
         for p in self._local_terms:
             nu, v = np.linalg.eigh(p)

@@ -16,8 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation
-from .hilbert import HilbertSpec, Operator, PAULI_X, matter_levels, max_abs
+from .hilbert import HilbertSpec, Operator, PAULI_X, hermitian_part, matter_levels
 
 
 @dataclass(frozen=True)
@@ -61,16 +60,13 @@ class EmitterSpec:
         levels = np.asarray(self.levels, dtype=float)
         dipole = np.asarray(self.dipole, dtype=complex)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "dipole", dipole)
         n = levels.shape[0]
         if n < 1:
             raise ValueError("need at least one level")
         if dipole.shape != (3, n, n):
             raise ValueError(f"dipole must have shape (3, {n}, {n})")
-        for c in range(3):
-            dev = max_abs(dipole[c] - dipole[c].conj().T)
-            if dev >= 1e-12 * max(1.0, max_abs(dipole[c])):
-                raise InvariantViolation(f"dipole component {c} is not Hermitian (dev {dev:.3e})")
+        object.__setattr__(self, "dipole", np.array(
+            [hermitian_part(dipole[c], f"dipole component {c}") for c in range(3)]))
 
     @property
     def n_levels(self) -> int:

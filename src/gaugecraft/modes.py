@@ -20,12 +20,10 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, InvariantViolation
-from .hilbert import max_abs
+from .hilbert import hermitian_part, max_abs
 
-CHI_HERMITIAN_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-10
 DERIVED_PROFILE_TOL = 1e-10
 SQRT_EIGENVALUE_FLOOR = 1e-14
@@ -57,13 +55,11 @@ class ModeSet:
             chi = np.atleast_2d(chi)
         else:
             chi = chi.reshape(0, 0)
-        object.__setattr__(self, "chi", chi)
         m = chi.shape[0]
         if chi.shape != (m, m):
             raise ValueError("chi must be square")
-        dev = max_abs(chi - chi.conj().T)
-        if dev >= CHI_HERMITIAN_TOL * max(1.0, max_abs(chi)):
-            raise InvariantViolation(f"chi is not Hermitian, deviation {dev:.3e}")
+        chi = hermitian_part(chi, "chi")
+        object.__setattr__(self, "chi", chi)
         if m > 0:
             evals = np.linalg.eigvalsh(chi)
             if evals[0] <= 0:
@@ -163,7 +159,6 @@ def build_from_grid(grid: PolaritonGrid, profile_points: Mapping[str, np.ndarray
     """Mode set from a discretized continuum: chi_mn = sum_k w_k omega_k L_m(k) L*_n(k)."""
     L = grid.projections
     chi = np.einsum("k,mk,nk->mn", grid.weight * grid.omega, L, L.conj())
-    chi = (chi + chi.conj().T) / 2
     return ModeSet(chi, dict(profile_points))
 
 
@@ -192,7 +187,8 @@ class QnmSet:
     frequencies omega - i gamma (both positive).  The overlap spectrum
     S_{mu nu}(omega), combining non-radiative and radiative contributions, is
     either a constant Hermitian matrix or tabulated on ``overlap_freqs`` as an
-    (K, M, M) array and interpolated linearly.
+    (K, M, M) array and interpolated linearly.  A copy is stored; the
+    caller's array is never written.
     """
 
     omega: np.ndarray
@@ -215,17 +211,15 @@ class QnmSet:
             ov = np.atleast_2d(ov)
             if ov.shape != (m, m):
                 raise ValueError("constant overlap must be an MxM matrix")
-            if max_abs(ov - ov.conj().T) >= 1e-12 * max(1.0, max_abs(ov)):
-                raise InvariantViolation("overlap spectrum must be Hermitian in the mode indices")
-            object.__setattr__(self, "overlap", ov)
+            object.__setattr__(self, "overlap", hermitian_part(ov, "overlap spectrum"))
         else:
             freqs = np.asarray(self.overlap_freqs, dtype=float)
             if ov.shape != (freqs.shape[0], m, m):
                 raise ValueError("tabulated overlap must have shape (K, M, M)")
-            for k in range(freqs.shape[0]):
-                if max_abs(ov[k] - ov[k].conj().T) >= 1e-12 * max(1.0, max_abs(ov[k])):
-                    raise InvariantViolation("overlap spectrum must be Hermitian at every frequency")
-            object.__setattr__(self, "overlap", ov)
+            checked = np.empty_like(ov)
+            for k, w in enumerate(freqs):
+                checked[k] = hermitian_part(ov[k], f"overlap spectrum at omega = {w:g}")
+            object.__setattr__(self, "overlap", checked)
             object.__setattr__(self, "overlap_freqs", freqs)
 
     @property
@@ -278,7 +272,7 @@ class QnmChiResult:
 
 
 def _hermitian_inv_sqrt(s: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((s + s.conj().T) / 2)
+    vals, vecs = np.linalg.eigh(s)
     floor = SQRT_EIGENVALUE_FLOOR * max(1.0, float(vals.max()) if vals.size else 1.0)
     if vals.min() <= floor:
         raise InvariantViolation(
@@ -314,13 +308,11 @@ def chi_from_qnm(qnm: QnmSet, freq_grid: Optional[np.ndarray] = None) -> QnmChiR
     denom = ((freq_grid[:, None, None] - wtilde[None, :, None])
              * (freq_grid[:, None, None] - wtilde.conj()[None, None, :]))
     core = samples / denom
-    s_mat = pref * np.trapezoid(core, freq_grid, axis=0)
-    t_mat = pref * np.trapezoid(freq_grid[:, None, None] * core, freq_grid, axis=0)
-    s_mat = (s_mat + s_mat.conj().T) / 2
-    t_mat = (t_mat + t_mat.conj().T) / 2
+    s_mat = hermitian_part(pref * np.trapezoid(core, freq_grid, axis=0), "overlap integral S")
+    t_mat = hermitian_part(pref * np.trapezoid(freq_grid[:, None, None] * core, freq_grid, axis=0),
+                           "overlap integral T")
     s_inv_sqrt = _hermitian_inv_sqrt(s_mat)
     chi = s_inv_sqrt @ t_mat @ s_inv_sqrt
-    chi = (chi + chi.conj().T) / 2
     deviation = np.abs(np.diag(chi).real - qnm.omega) / qnm.omega
     return QnmChiResult(ModeSet(chi), deviation)
 
@@ -398,8 +390,9 @@ class NormalModeSet1D:
 def solve_dielectric_1d(d: Dielectric1D, n_modes: int) -> NormalModeSet1D:
     """Lowest normal modes of -h'' = (omega^2/c^2) eps(x) h with h = 0 at both ends.
 
-    Second-order central differences on the interior points give a symmetric
-    generalized eigenproblem, solved densely; eigenvectors are scaled to the
+    Second-order central differences on the interior points give A h =
+    lambda B h with B = diag(eps) > 0, solved densely as the symmetric
+    B^-1/2 A B^-1/2 y = lambda y, h = B^-1/2 y; eigenvectors are scaled to the
     eps-weighted normalization and signed so the largest-magnitude sample is
     positive.
     """
@@ -410,8 +403,9 @@ def solve_dielectric_1d(d: Dielectric1D, n_modes: int) -> NormalModeSet1D:
     main = 2.0 * np.ones(n_int) / dx**2
     off = -np.ones(n_int - 1) / dx**2
     a = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-    b = np.diag(d.eps[1:-1])
-    vals, vecs = scipy.linalg.eigh(a, b)
+    w = 1.0 / np.sqrt(d.eps[1:-1])  # the diagonal of B^-1/2
+    vals, vecs = np.linalg.eigh(w[:, None] * a * w)
+    vecs *= w[:, None]
     omega = d.c * np.sqrt(np.maximum(vals[:n_modes], 0.0))
     profiles = np.zeros((n_modes, d.n_points))
     for mu in range(n_modes):

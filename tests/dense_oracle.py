@@ -8,12 +8,21 @@ independent of the Kronecker factoring that the package uses.
 `beyond_dipole` and `generalized_1d` write the beyond-dipole and the 1D
 normal-mode Hamiltonians out term by term, as closed forms that do not go
 through a `CouplingSet`.
+
+`herm_eig` and `matrix_exp` are the general dense eigendecomposition and
+exponential of an `Operator`, and `dielectric_modes` solves the 1D dielectric
+finite-difference problem with scipy's generalized symmetric eigensolver.
 """
 
 import numpy as np
+import scipy.linalg
 
+from gaugecraft.errors import InvariantViolation
 from gaugecraft.hamiltonians import couplings, segment_integral, standard_space
-from gaugecraft.hilbert import PAULI_X, PAULI_Y, PAULI_Z, ladder_matrix
+from gaugecraft.hilbert import (HERMITIAN_TOL, Operator, PAULI_X, PAULI_Y, PAULI_Z,
+                                ladder_matrix, max_abs)
+
+EIG_RESIDUAL_TOL = 1e-10
 
 
 def field_hamiltonian(chi, space):
@@ -159,3 +168,65 @@ def generalized_1d(nm, em, gauge, n_modes, cutoffs, x0, truncation="correct",
         h += 1j * np.sqrt(omega[mu] / 2) * h_at_x0[mu] * (a[mu].conj().T - a[mu]) @ d_hat
     p2_modes = range(n_modes) if truncation == "correct" else range(nm.n_modes)
     return h + sum(h_at_x0[mu] ** 2 / 2 for mu in p2_modes) * d_hat @ d_hat, meta
+
+
+def herm_eig(op, tol=HERMITIAN_TOL):
+    """Eigendecomposition of a Hermitian operator.
+
+    Returns eigenvalues in ascending order and the unitary of column
+    eigenvectors; the reconstruction residual ||M V - V diag(lam)||_max is
+    checked against 1e-10.  Non-Hermitian input is rejected.
+    """
+    m = op.matrix
+    dev = max_abs(m - m.conj().T)
+    if dev >= tol:
+        raise InvariantViolation(f"herm_eig requires Hermitian input, ||M - M^dag||_max = {dev:.3e}")
+    vals, vecs = np.linalg.eigh(m)
+    resid = max_abs(m @ vecs - vecs * vals)
+    scale = max(1.0, float(np.abs(vals).max()) if vals.size else 1.0)
+    if resid >= EIG_RESIDUAL_TOL * scale:
+        raise InvariantViolation(f"eigendecomposition residual {resid:.3e} too large")
+    return vals, Operator(vecs, op.space, unitary=True)
+
+
+def matrix_exp(op):
+    """Matrix exponential exp(M).
+
+    Hermitian and anti-Hermitian inputs go through an eigendecomposition
+    (anti-Hermitian input yields an output whose unitary flag is verified);
+    everything else uses scaling-and-squaring Pade.
+    """
+    m = op.matrix
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix_exp: non-finite entries")
+    herm_dev = max_abs(m - m.conj().T)
+    anti_dev = max_abs(m + m.conj().T)
+    scale = max(1.0, max_abs(m))
+    if anti_dev < HERMITIAN_TOL * scale:
+        # M = iH with H Hermitian: exp(M) = V exp(i lam) V^dag, exactly unitary
+        h = (-1j * m + (-1j * m).conj().T) / 2
+        vals, vecs = np.linalg.eigh(h)
+        e = (vecs * np.exp(1j * vals)) @ vecs.conj().T
+        return Operator(e, op.space, unitary=True)
+    if herm_dev < HERMITIAN_TOL * scale:
+        h = (m + m.conj().T) / 2
+        vals, vecs = np.linalg.eigh(h)
+        e = (vecs * np.exp(vals)) @ vecs.conj().T
+        return Operator(e, op.space, hermitian=True)
+    return Operator(scipy.linalg.expm(m), op.space)
+
+
+def dielectric_modes(d, n_modes):
+    """(omega, interior profiles) of the lowest modes, from scipy.linalg.eigh(A, B).
+
+    The same central-difference A and B = diag(eps) as `solve_dielectric_1d`;
+    profiles are eps-normalized and signed so the largest-magnitude sample is
+    positive.
+    """
+    n_int = d.n_points - 2
+    off = -np.ones(n_int - 1) / d.dx**2
+    a = np.diag(2.0 * np.ones(n_int) / d.dx**2) + np.diag(off, 1) + np.diag(off, -1)
+    vals, vecs = scipy.linalg.eigh(a, np.diag(d.eps[1:-1]))
+    profiles = vecs[:, :n_modes].T / np.sqrt(d.dx)
+    peaks = profiles[np.arange(n_modes), np.argmax(np.abs(profiles), axis=1)]
+    return d.c * np.sqrt(np.maximum(vals[:n_modes], 0.0)), profiles * np.sign(peaks)[:, None]

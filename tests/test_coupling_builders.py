@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 import dense_oracle
 from gaugecraft import (Dielectric1D, EmitterSpec, build_beyond_dipole, build_generalized_1d,
                         solve_dielectric_1d, tls)
-from gaugecraft.hilbert import max_abs
+from gaugecraft.hamiltonians import TLS_PARITY_SIGNS
+from gaugecraft.hilbert import max_abs, parity_labels
 
 REL_TOL = 1e-12
+SECTOR_TOL = 1e-10
 MAX_CUTOFF = {1: 12, 2: 5, 3: 3}
 PROFILE_KINDS = ("even", "skew", "vector")
 # an inhomogeneous slab, so the mode profiles are not plain sines
@@ -18,11 +20,23 @@ NM = solve_dielectric_1d(Dielectric1D(np.pi, 1.0 + 0.8 * np.exp(-(np.linspace(0,
                                                                      - 2.0) ** 2)), 5)
 
 
-def assert_matches(bundle, want, meta):
+def assert_matches(bundle, want, meta, parity_signs):
     dev = max_abs(bundle.H.matrix - want)
     assert dev <= REL_TOL * max(1.0, max_abs(want)), f"deviation {dev:.3e}"
     assert bundle.metadata == meta
-    assert bundle.parity is None
+    if parity_signs is None:
+        assert bundle.parity is None
+    else:
+        # a declared parity is verified, and its two sector solves give the full spectrum
+        assert np.array_equal(bundle.parity, parity_labels(bundle.space, parity_signs))
+        assert len(bundle.diagnostics["sector_sizes"]) == 2
+        full = np.linalg.eigvalsh(want)
+        assert max_abs(bundle.eigenvalues() - full) <= SECTOR_TOL * max(1.0, max_abs(full))
+
+
+def beyond_dipole_signs(gauge):
+    """The Coulomb form declares the two-level parity; the multipolar form none."""
+    return TLS_PARITY_SIGNS if gauge == "coulomb" else None
 
 
 def random_chi(rng, n_modes):
@@ -64,7 +78,8 @@ def test_beyond_dipole_matches_closed_form(system):
     chi, fns, em, cutoffs = system
     for gauge in ("coulomb", "multipolar"):
         assert_matches(build_beyond_dipole(chi, fns, em, gauge, cutoffs),
-                       *dense_oracle.beyond_dipole(chi, fns, em, gauge, cutoffs))
+                       *dense_oracle.beyond_dipole(chi, fns, em, gauge, cutoffs),
+                       beyond_dipole_signs(gauge))
 
 
 def ladder_emitter(rng, axis):
@@ -103,7 +118,8 @@ def test_generalized_1d_matches_closed_form(system):
         assert_matches(build_generalized_1d(NM, em, gauge, n_modes, cutoffs, x0, truncation,
                                             polarization_axis=axis),
                        *dense_oracle.generalized_1d(NM, em, gauge, n_modes, cutoffs, x0,
-                                                    truncation, polarization_axis=axis))
+                                                    truncation, polarization_axis=axis),
+                       em.parity_signs)
 
 
 @pytest.mark.parametrize("gauge", ["coulomb", "multipolar"])
@@ -112,7 +128,8 @@ def test_beyond_dipole_zero_couplings(gauge):
     chi = np.array([[1.0, 0.2], [0.2, 1.3]])
     fns = [lambda r: np.zeros(3)] * 2
     bundle = build_beyond_dipole(chi, fns, em, gauge, (4, 3))
-    assert_matches(bundle, *dense_oracle.beyond_dipole(chi, fns, em, gauge, (4, 3)))
+    assert_matches(bundle, *dense_oracle.beyond_dipole(chi, fns, em, gauge, (4, 3)),
+                   beyond_dipole_signs(gauge))
 
 
 @pytest.mark.parametrize("gauge, truncation", CASES_1D)
@@ -120,4 +137,4 @@ def test_generalized_1d_zero_couplings(gauge, truncation):
     em = tls(1.0, (0.0, 0.0, 0.0))
     bundle = build_generalized_1d(NM, em, gauge, 2, (4, 3), 1.1, truncation)
     assert_matches(bundle, *dense_oracle.generalized_1d(NM, em, gauge, 2, (4, 3), 1.1,
-                                                        truncation))
+                                                        truncation), em.parity_signs)

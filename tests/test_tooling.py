@@ -1,7 +1,10 @@
-"""Repository hygiene: no unused imports in the package, and a reversible perf tracer."""
+"""Repository hygiene: no unused imports in the package, a reversible perf tracer,
+and a command-line tool that runs without scipy."""
 
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,3 +46,12 @@ def test_tracer_uninstall_restores_numpy(monkeypatch):
     finally:
         uninstall()
     assert np.linalg.eigh is eigh
+
+
+def test_cli_import_does_not_load_scipy():
+    probe = "import sys, gaugecraft.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
