@@ -43,6 +43,20 @@ beyond-dipole Coulomb builders declare Pi on their bundle, which verifies it
 and diagonalizes the even and odd sectors separately.  The beyond-dipole
 multipolar form and H(t) declare none: its drive g_even,mu 1 is even under S.
 
+The family is also time-reversal symmetric whenever chi, every eta_mu and h0
+are real.  Let P = (-1)^(sum_mu n_mu) on the photon factors and K be complex
+conjugation.  The truncated a is real, so real couplings give K X K = X, and
+P X P = -X as above; hence P K exp(i s X) K P = exp(i s X), and P K commutes
+with H_F, H_0 and every H(theta).  It commutes with the naive builders too:
+each of their terms pairs an odd power of i with an odd power of a or X, or
+an even power with an even one.  With the phases p = i^[sum_mu n_mu odd],
+p^dag H p is therefore real symmetric.  `build_dipole` (without the
+longitudinal hook), `build_naive`, the two single-mode two-level builders,
+the 1D builders and the beyond-dipole Coulomb form declare it when their
+inputs are real; `HamiltonianBundle` verifies it and solves each sector in
+real arithmetic.  A complex chi (a lossy grid's) or complex couplings, the
+hook and the beyond-dipole multipolar form declare nothing.
+
 Every builder is a `CouplingSet` fed to one of two cores; the models differ
 only in their couplings.  The exact-conjugation core, `CouplingSet.generator`
 with `conjugate_photon` and `conjugate_matter`, gives `build_dipole`, H(t),
@@ -51,9 +65,9 @@ gC form (eta_mu = h_mu(x0) d_hat / sqrt(2 omega_mu)).  The canonical
 multipolar core, `multipolar_interaction` plus the matter matrix
 `polarization_squared`, gives the theta = 1 naive builder and the
 beyond-dipole and 1D multipolar forms; the theta = 0 naive builder truncates
-the commutator series of the same generator.  Only the two explicit
-single-mode two-level builders are written out by hand, as closed forms that
-the tests compare the cores against.
+the commutator series of the same generator (`nested_commutators`).  Only
+the two explicit single-mode two-level builders are written out by hand, as
+closed forms that the tests compare the cores against.
 
 Explicit single-mode two-level forms, beyond-dipole builders for effective
 single-particle emitters, normal-mode (lossless 1D dielectric) builders in
@@ -211,6 +225,12 @@ def couplings(ms: ModeSet, em: EmitterSpec) -> CouplingSet:
     return CouplingSet(eta, ms.chi)
 
 
+def _time_reversal_imag(m: np.ndarray, odd: np.ndarray) -> float:
+    """max|Im(p^dag m p)| for the phases p = i on the states flagged `odd`, 1 elsewhere:
+    Im(m) between states of equal flag, Re(m) between states of opposite flag."""
+    return max_abs(np.where(odd[:, None] == odd[None, :], m.imag, m.real))
+
+
 @dataclass(frozen=True)
 class HamiltonianBundle:
     """A built Hamiltonian with its space, gauge and builder metadata.
@@ -225,8 +245,18 @@ class HamiltonianBundle:
     spectrum is then solved in the even and the odd sector separately, so two
     (D/2)^3 eigensolves replace one D^3 solve, and eigenvectors are scattered
     back into the full basis in ascending energy.  A bundle without a parity
-    is the one-sector case.  `diagnostics` reports the sector sizes and the
-    measured off-block maximum (None without a parity).
+    is the one-sector case.
+
+    A builder may also declare time reversal: that (-1)^(sum_mu n_mu) K, with
+    K complex conjugation, commutes with H, so that p^dag H p is real
+    symmetric for the phases p = i^[sum_mu n_mu odd].  It is verified the same
+    way, max|Im(p^dag H p)| <= HERMITIAN_TOL * max(1, max|H|), and each sector
+    is then solved as the real symmetric block p^dag H p, rotated in place on
+    the sector's copy; eigenvectors are p v, phased in the one D x D result.
+
+    `diagnostics` reports the sector sizes, the measured off-block maximum
+    (None without a parity) and, when time reversal is declared, the measured
+    max|Im(p^dag H p)| as "time_reversal_imag".
     """
 
     H: Union[np.ndarray, Operator]  # stored as an Operator
@@ -234,11 +264,13 @@ class HamiltonianBundle:
     gauge: GaugeParam
     metadata: dict = field(default_factory=dict)
     parity: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    time_reversal: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         raw = self.H.matrix if isinstance(self.H, Operator) else self.H
         m = hermitian_part(raw, f"{self.metadata.get('builder', 'bundle')} Hamiltonian")
         object.__setattr__(self, "H", Operator(m, self.space))
+        tol = HERMITIAN_TOL * max(1.0, max_abs(m))
         sectors, off_block = (np.arange(len(m)),), None
         if self.parity is not None:
             labels = np.asarray(self.parity)
@@ -246,18 +278,37 @@ class HamiltonianBundle:
                 raise ValueError("parity needs a label +1 or -1 per basis state")
             even, odd = np.flatnonzero(labels > 0), np.flatnonzero(labels < 0)
             off_block = max_abs(m[np.ix_(even, odd)])
-            if off_block > HERMITIAN_TOL * max(1.0, max_abs(m)):
+            if off_block > tol:
                 raise InvariantViolation(f"declared parity does not commute with H "
                                          f"(max|H[even, odd]| = {off_block:.3e})")
             sectors = tuple(s for s in (even, odd) if s.size)
         object.__setattr__(self, "_sectors", sectors)
-        object.__setattr__(self, "diagnostics", {
-            "sector_sizes": [len(s) for s in sectors], "parity_off_block": off_block})
+        diagnostics = {"sector_sizes": [len(s) for s in sectors], "parity_off_block": off_block}
+        phases = None
+        if self.time_reversal:
+            odd_photons = parity_labels(self.space) < 0
+            imag = _time_reversal_imag(m, odd_photons)
+            if imag > tol:
+                raise InvariantViolation(f"declared time reversal does not hold "
+                                         f"(max|Im(p^dag H p)| = {imag:.3e})")
+            diagnostics["time_reversal_imag"] = imag
+            phases = np.where(odd_photons, 1j, 1.0)
+        object.__setattr__(self, "_phases", phases)
+        object.__setattr__(self, "diagnostics", diagnostics)
 
     def _sector_blocks(self):
+        """(indices, block) per sector; the real symmetric p^dag H p block under
+        declared time reversal."""
         m = self.H.matrix
         for s in self._sectors:
-            yield s, (m if len(s) == len(m) else m[np.ix_(s, s)])
+            if self._phases is None:
+                yield s, (m if len(s) == len(m) else m[np.ix_(s, s)])
+                continue
+            block = m[np.ix_(s, s)]
+            p = self._phases[s]
+            block *= p.conj()[:, None]
+            block *= p
+            yield s, block.real
 
     def eigenvalues(self, k: Optional[int] = None) -> np.ndarray:
         """Ascending eigenvalues, from the cached eigensystem when there is one,
@@ -278,15 +329,16 @@ class HamiltonianBundle:
         """
         cached = self.__dict__.get("_eigensystem")
         if cached is None:
-            n = len(self.H.matrix)
-            # allocated before the sector solves: allocated after their freed
-            # temporaries, it raised the peak RSS of `detect` at D = 882 by
-            # 5 MB (retained heap), with the same data alive
-            vecs = np.zeros((n, n), dtype=complex) if len(self._sectors) > 1 else None
-            parts = [(s, *np.linalg.eigh(block)) for s, block in self._sector_blocks()]
-            if vecs is None:
-                cached = parts[0][1:]
+            m = self.H.matrix
+            n = len(m)
+            if len(self._sectors) == 1 and self._phases is None:
+                cached = np.linalg.eigh(m)
             else:
+                # allocated before the sector solves: allocated after their freed
+                # temporaries, it raised the peak RSS of `detect` at D = 882 by
+                # 5 MB (retained heap), with the same data alive
+                vecs = np.zeros((n, n), dtype=complex)
+                parts = [(s, *np.linalg.eigh(block)) for s, block in self._sector_blocks()]
                 vals = np.concatenate([v for _, v, _ in parts])
                 order = np.argsort(vals, kind="stable")
                 column = np.empty_like(order)
@@ -295,6 +347,8 @@ class HamiltonianBundle:
                 for s, v, sector_vecs in parts:
                     vecs[np.ix_(s, column[start:start + len(v)])] = sector_vecs
                     start += len(v)
+                if self._phases is not None:
+                    vecs *= self._phases[:, None]
                 cached = (vals[order], vecs)
             for arr in cached:
                 arr.flags.writeable = False
@@ -303,11 +357,19 @@ class HamiltonianBundle:
 
 
 def _bundle(h: np.ndarray, space: HilbertSpec, gauge: GaugeParam, meta: dict,
-            parity_signs: Optional[Sequence[int]] = None) -> HamiltonianBundle:
+            parity_signs: Optional[Sequence[int]] = None,
+            time_reversal: bool = False) -> HamiltonianBundle:
     """Bundle of the assembled h, declaring the parity
-    (-1)^(photon number) (x) diag(parity_signs) when signs are given."""
+    (-1)^(photon number) (x) diag(parity_signs) when signs are given, and time
+    reversal when asked."""
     parity = None if parity_signs is None else parity_labels(space, parity_signs)
-    return HamiltonianBundle(h, space, gauge, meta, parity)
+    return HamiltonianBundle(h, space, gauge, meta, parity, time_reversal)
+
+
+def _real(*arrays) -> bool:
+    """True when no entry of any array has a nonzero imaginary part: the condition
+    (on chi, the couplings and h0) under which a builder declares time reversal."""
+    return not any(np.any(np.imag(a)) for a in arrays)
 
 
 def _normalize_cutoffs(cutoffs, n_modes: int) -> tuple[int, ...]:
@@ -399,6 +461,8 @@ def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
     `LongitudinalCoupling` hook is supplied.  The bundle declares the
     emitter's parity whenever `EmitterSpec.parity_signs` finds one; the
     auxiliary factor of the hook counts as one more photon factor in it.
+    Without the hook it declares time reversal when chi, the couplings and
+    h0 are real.
     """
     cutoffs = _normalize_cutoffs(cutoffs, ms.n_modes)
     cs = couplings(ms, em)
@@ -413,7 +477,8 @@ def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
     if longitudinal is not None:
         h, space = _apply_longitudinal(h, space, em, longitudinal)
         meta["longitudinal"] = "custom"
-    return _bundle(h, space, g, meta, em.parity_signs)
+    return _bundle(h, space, g, meta, em.parity_signs,
+                   longitudinal is None and _real(cs.chi, cs.eta_matrices, em.h0))
 
 
 def _eta_summary(cs: CouplingSet):
@@ -442,7 +507,7 @@ def build_tls_coulomb_single(chi: float, omega0: float, eta: complex,
          + (omega0 / 2) * (np.kron(cos_m, PAULI_Z) + np.kron(sin_m, PAULI_Y)))
     meta = {"builder": "build_tls_coulomb_single", "truncation": "correct",
             "cutoffs": (cutoff,), "eta": [complex(eta)], "chi": chi, "omega0": omega0}
-    return _bundle(h, space, COULOMB, meta, TLS_PARITY_SIGNS)
+    return _bundle(h, space, COULOMB, meta, TLS_PARITY_SIGNS, _real(chi, eta, omega0))
 
 
 def build_tls_multipolar_single(chi: float, omega0: float, eta: complex,
@@ -466,19 +531,7 @@ def build_tls_multipolar_single(chi: float, omega0: float, eta: complex,
          + chi * abs(eta) ** 2 * np.eye(space.dim))
     meta = {"builder": "build_tls_multipolar_single", "truncation": "correct",
             "cutoffs": (cutoff,), "eta": [complex(eta)], "chi": chi, "omega0": omega0}
-    return _bundle(h, space, MULTIPOLAR, meta, TLS_PARITY_SIGNS)
-
-
-def _nested_commutator_series(x: np.ndarray, h0: np.ndarray, order: int) -> np.ndarray:
-    """sum_{j<=order} (i^j / j!) ad_X^j(H_0): the naive Taylor truncation of U H_0 U^dag."""
-    out = h0.copy()
-    term = h0.copy()
-    fact = 1.0
-    for j in range(1, order + 1):
-        term = x @ term - term @ x
-        fact *= j
-        out = out + (1j ** j / fact) * term
-    return out
+    return _bundle(h, space, MULTIPOLAR, meta, TLS_PARITY_SIGNS, _real(chi, eta, omega0))
 
 
 def multipolar_interaction(cs: CouplingSet, space: HilbertSpec) -> np.ndarray:
@@ -504,27 +557,28 @@ def build_naive(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
 
     theta = 0: the minimal-coupling conjugation U H_0 U^dag is replaced by its
     Taylor series in the generator, truncated at `order` (order 1 keeps the
-    linear drive only).  theta = 1: the correct multipolar form minus the
-    mode-truncated polarization-squared correction.  Other theta values are
-    not defined.
+    linear drive only); a factored generator sums it from its Kronecker
+    factors (`nested_commutators`).  theta = 1: the correct multipolar form
+    minus the mode-truncated polarization-squared correction.  Other theta
+    values are not defined.  Parity and time reversal are declared as in
+    `build_dipole`.
     """
     if order < 1:
         raise ValueError(f"unsupported naive order {order}")
+    if g.theta not in (0.0, 1.0):
+        raise ValueError("naive builders are defined at theta = 0 and theta = 1 only")
     cutoffs = _normalize_cutoffs(cutoffs, ms.n_modes)
     cs = couplings(ms, em)
     space = standard_space(cutoffs, em.n_levels)
-    h_f = field_hamiltonian(ms.chi, space)
-    h_0 = space.kron({space.matter_indices[0]: em.h0})
     meta = {"builder": "build_naive", "truncation": "naive", "cutoffs": cutoffs,
             "theta": g.theta, "order": order, "eta": _eta_summary(cs)}
+    h = field_hamiltonian(ms.chi, space)
     if g.theta == 0.0:
-        x = cs.generator_matrix(space)
-        h = h_f + _nested_commutator_series(x, h_0, order)
-    elif g.theta == 1.0:
-        h = h_f + h_0 + multipolar_interaction(cs, space)
+        h += cs.generator(space).nested_commutators(em.h0, order)
     else:
-        raise ValueError("naive builders are defined at theta = 0 and theta = 1 only")
-    return _bundle(h, space, g, meta, em.parity_signs)
+        h += space.kron({space.matter_indices[0]: em.h0})
+        h += multipolar_interaction(cs, space)
+    return _bundle(h, space, g, meta, em.parity_signs, _real(cs.chi, cs.eta_matrices, em.h0))
 
 
 def simpson_segment(fn: Callable[[float], np.ndarray], lo: float, hi: float,
@@ -613,7 +667,7 @@ def build_beyond_dipole(chi: Union[float, np.ndarray],
     half_sx = 0.5 * eta_bar[:, None, None] * PAULI_X
     if gauge == "coulomb":
         h += CouplingSet(half_sx, chi).generator(space).conjugate_matter(1.0, h_matter)
-        return _bundle(h, space, COULOMB, meta, TLS_PARITY_SIGNS)
+        return _bundle(h, space, COULOMB, meta, TLS_PARITY_SIGNS, _real(chi, eta_bar))
     cs = CouplingSet(g_even[:, None, None] * np.eye(2) + half_sx, chi)
     h += multipolar_interaction(cs, space)
     h += space.kron({space.matter_indices[0]: h_matter + polarization_squared(cs)})
@@ -653,13 +707,14 @@ def build_generalized_1d(nm: NormalModeSet1D, em: EmitterSpec, gauge: str,
     h = field_hamiltonian(cs.chi, space)
     meta = {"builder": "build_generalized_1d", "truncation": truncation,
             "cutoffs": cutoffs, "gauge_label": gauge, "n_modes": n_modes, "x0": x0}
+    real = _real(every_mode.eta_matrices, em.h0)  # chi = diag(omega) is real
     if gauge == "gC":
         h += cs.generator(space).conjugate_matter(1.0, em.h0)
-        return _bundle(h, space, COULOMB, meta, em.parity_signs)
+        return _bundle(h, space, COULOMB, meta, em.parity_signs, real)
     p2 = polarization_squared(cs if truncation == "correct" else every_mode)
     h += multipolar_interaction(cs, space)
     h += space.kron({space.matter_indices[0]: em.h0 + p2})
-    return _bundle(h, space, MULTIPOLAR, meta, em.parity_signs)
+    return _bundle(h, space, MULTIPOLAR, meta, em.parity_signs, real)
 
 
 class TimeDependentHamiltonian:

@@ -393,8 +393,10 @@ def solve_dielectric_1d(d: Dielectric1D, n_modes: int) -> NormalModeSet1D:
     Second-order central differences on the interior points give A h =
     lambda B h with B = diag(eps) > 0, solved densely as the symmetric
     B^-1/2 A B^-1/2 y = lambda y, h = B^-1/2 y; eigenvectors are scaled to the
-    eps-weighted normalization and signed so the largest-magnitude sample is
-    positive.
+    eps-weighted normalization and signed so the first interior sample is
+    positive.  That sample is never zero for an eigenvector of the unreduced
+    tridiagonal A, so the sign does not hinge on rounding, as a largest-sample
+    rule does for the mirror-image peaks of a symmetric eps.
     """
     n_int = d.n_points - 2
     if not 1 <= n_modes <= n_int:
@@ -408,9 +410,5 @@ def solve_dielectric_1d(d: Dielectric1D, n_modes: int) -> NormalModeSet1D:
     vecs *= w[:, None]
     omega = d.c * np.sqrt(np.maximum(vals[:n_modes], 0.0))
     profiles = np.zeros((n_modes, d.n_points))
-    for mu in range(n_modes):
-        v = vecs[:, mu] / np.sqrt(dx)
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        profiles[mu, 1:-1] = v
+    profiles[:, 1:-1] = (vecs[:, :n_modes] * np.sign(vecs[0, :n_modes])).T / np.sqrt(dx)
     return NormalModeSet1D(omega, profiles, d.x, d.eps, dx)

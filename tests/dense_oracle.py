@@ -9,6 +9,7 @@ independent of the Kronecker factoring that the package uses.
 normal-mode Hamiltonians out term by term, as closed forms that do not go
 through a `CouplingSet`.
 
+`nested_commutator_series` is the naive Taylor truncation of U H_0 U^dag.
 `herm_eig` and `matrix_exp` are the general dense eigendecomposition and
 exponential of an `Operator`, and `dielectric_modes` solves the 1D dielectric
 finite-difference problem with scipy's generalized symmetric eigensolver.
@@ -80,6 +81,15 @@ class DenseSystem:
             return self.h_f + self.conjugate(mu, self.h_0)
         return (self.conjugate(-mu, self.h_f) + self.h_0
                 + extra_term_sign * profile.mu_dot(t) * self.x)
+
+
+def nested_commutator_series(x, h0, order):
+    """sum_{j<=order} (i^j / j!) ad_X^j(H_0), ad_X(Y) = XY - YX, from D x D products."""
+    out, term = h0.copy(), h0.copy()
+    for j in range(1, order + 1):
+        term = (1j / j) * (x @ term - term @ x)
+        out = out + term
+    return out
 
 
 def _ladders(space):
@@ -220,7 +230,7 @@ def dielectric_modes(d, n_modes):
     """(omega, interior profiles) of the lowest modes, from scipy.linalg.eigh(A, B).
 
     The same central-difference A and B = diag(eps) as `solve_dielectric_1d`;
-    profiles are eps-normalized and signed so the largest-magnitude sample is
+    profiles are eps-normalized and signed so the first interior sample is
     positive.
     """
     n_int = d.n_points - 2
@@ -228,5 +238,5 @@ def dielectric_modes(d, n_modes):
     a = np.diag(2.0 * np.ones(n_int) / d.dx**2) + np.diag(off, 1) + np.diag(off, -1)
     vals, vecs = scipy.linalg.eigh(a, np.diag(d.eps[1:-1]))
     profiles = vecs[:, :n_modes].T / np.sqrt(d.dx)
-    peaks = profiles[np.arange(n_modes), np.argmax(np.abs(profiles), axis=1)]
-    return d.c * np.sqrt(np.maximum(vals[:n_modes], 0.0)), profiles * np.sign(peaks)[:, None]
+    return (d.c * np.sqrt(np.maximum(vals[:n_modes], 0.0)),
+            profiles * np.sign(profiles[:, :1]))

@@ -24,10 +24,19 @@ def test_dielectric_solver_matches_generalized_scipy_oracle(shape, n_x):
     # times that norm, not relative to each small eigenvalue
     norm = 4 * d.c**2 / (d.dx**2 * eps.min())
     assert max_abs(nm.omega**2 - omega**2) <= 1e-15 * norm
-    # mirror samples of equal magnitude can make the two solvers sign a mode
-    # differently; compare up to sign and check the convention on each
-    signs = np.sign(np.einsum("mk,mk->m", nm.profiles[:, 1:-1], profiles))
-    assert max_abs(nm.profiles[:, 1:-1] - signs[:, None] * profiles) <= 1e-11 * max_abs(profiles)
-    peaks = nm.profiles[np.arange(n_modes), np.argmax(np.abs(nm.profiles), axis=1)]
-    assert np.all(peaks > 0)
+    # both solvers sign each profile by its first interior sample
+    assert max_abs(nm.profiles[:, 1:-1] - profiles) <= 1e-11 * max_abs(profiles)
+    assert np.all(nm.profiles[:, 1] > 0)
     assert np.all(nm.profiles[:, [0, -1]] == 0.0)
+
+
+@pytest.mark.parametrize("n_x", [401, 801])
+def test_uniform_slab_signs_match_the_oracle(n_x):
+    """A mirror-symmetric eps has mirror peaks of equal magnitude; the first-sample
+    rule signs every mode as the oracle does, with no freedom of sign."""
+    d = Dielectric1D(2.0, np.full(n_x, 2.25), c=0.8)
+    nm = solve_dielectric_1d(d, 8)
+    _, profiles = dense_oracle.dielectric_modes(d, 8)
+    assert np.array_equal(np.sign(np.einsum("mk,mk->m", nm.profiles[:, 1:-1], profiles)),
+                          np.ones(8))
+    assert max_abs(nm.profiles[:, 1:-1] - profiles) <= 1e-11 * max_abs(profiles)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaugecraft.hamiltonians as hamiltonians
+import dense_oracle
 from dense_oracle import DenseSystem
 from gaugecraft import (COULOMB, MULTIPOLAR, EmitterSpec, GaugeParam, InvariantViolation,
                         ModeSet, build_dipole, build_naive, build_time_dependent, couplings,
@@ -246,3 +247,27 @@ def test_eigensystem_is_computed_once(monkeypatch):
     with pytest.raises(ValueError):
         vals[0] = 0.0
 
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=systems(), order=st.integers(1, 3))
+def test_nested_commutators_match_dense_series(system, order):
+    ms, em, cutoffs, kind = system
+    dense = DenseSystem(ms, em, cutoffs)
+    want = dense_oracle.nested_commutator_series(dense.x, dense.h_0, order)
+    gen = couplings(ms, em).generator(dense.space)
+    assert type(gen) is (HermitianGenerator if kind == "multi_axis" else KroneckerGenerator)
+    dev = max_abs(gen.nested_commutators(em.h0, order) - want)
+    assert dev <= 1e-12 * max(1.0, max_abs(want)), f"order {order}: deviation {dev:.3e}"
+    h = build_naive(ms, em, COULOMB, cutoffs, order=order).H.matrix
+    assert_close(h, dense.h_f + want, "naive theta = 0")
+
+
+def test_naive_build_on_factored_couplings_forms_no_dense_generator(monkeypatch):
+    ms, em = random_system(4, 2, "tls")
+
+    def refused(self, space):
+        raise AssertionError("dense generator formed")
+
+    monkeypatch.setattr(hamiltonians.CouplingSet, "generator_matrix", refused)
+    build_naive(ms, em, COULOMB, (5, 4), order=3)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugecraft import (COULOMB, MULTIPOLAR, GaugeParam, ambiguity_scan, build_dipole,
-                        build_naive, converged_spectral_equivalence, couplings,
+from gaugecraft import (COULOMB, MULTIPOLAR, FockCutoffWarning, GaugeParam, ambiguity_scan,
+                        build_dipole, build_naive, converged_spectral_equivalence, couplings,
                         gauge_unitary, tls_single_mode_modeset,
                         verify_spectral_equivalence)
 from gaugecraft.cli import main
@@ -113,7 +113,8 @@ class TestVerifySpectralEquivalence:
 
     def test_k_exceeding_dimension_rejected(self):
         ms, em, _, _ = _setup(eta=0.0, cutoff=3)
-        b = build_dipole(ms, em, COULOMB, 3)
+        with pytest.warns(FockCutoffWarning):
+            b = build_dipole(ms, em, COULOMB, 3)
         with pytest.raises(ValueError):
             verify_spectral_equivalence(b, b, k=b.space.dim + 1)
 

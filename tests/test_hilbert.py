@@ -214,3 +214,12 @@ def test_per_mode_commutator_deviation_is_top_projector(n, seed):
     expected = np.zeros((n + 1, n + 1))
     expected[n, n] = -(n + 1)
     assert max_abs(dev - expected) < 1e-13
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 5, 300, 640])
+def test_ladder_matrix_is_bit_identical_to_the_loop(cutoff):
+    want = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    for n in range(1, cutoff + 1):
+        want[n - 1, n] = np.sqrt(n)
+    got = ladder_matrix(cutoff)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
