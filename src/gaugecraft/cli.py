@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,7 +94,9 @@ def parse_args(argv) -> RunConfig:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, type=Path)
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker count, at least 1; accepted for compatibility, "
+                             "no command parallelizes today")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE")
     args = parser.parse_args(argv)
@@ -196,15 +197,7 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
     else:
         eta_grid = number_list(eta_grid, "gauge_check.eta_grid")
     order = sc.naive_order()
-
-    def scan_one(eta):
-        return ambiguity_scan(chi, omega0, [eta], tol=ground_tol, order=order)[0]
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(scan_one, eta_grid))
-    else:
-        rows = [scan_one(eta) for eta in eta_grid]
+    rows = ambiguity_scan(chi, omega0, eta_grid, tol=ground_tol, order=order)
     write_csv(cfg.out_dir / "gauge_report.csv",
               ("eta", "naive_gap", "correct_gap", "cutoff", "converged"),
               [(r.eta, r.naive_gap, r.correct_gap, r.cutoff, r.converged) for r in rows])

@@ -6,6 +6,21 @@ exactly, since all members share one Hermitian generator.  The checks here
 compare spectra of two built Hamiltonians, measure the operator residual
 ||(W H W^dag - H') P_low|| on the low-energy Fock sector, and scan the
 naive-versus-correct ground-state gap over a coupling grid.
+
+The scan climbs its cutoff ladders rung-major.  Each ladder doubles the
+Fock cutoff until a coupling's ground energy moves by less than the
+tolerance; instead of one ladder per coupling, every coupling still
+climbing is built, verified and solved at each rung as one stack, and a
+coupling that meets the tolerance leaves the stack.  This is exact, not an
+approximation: the scan's emitter `tls(omega0, eta sqrt(2 chi) x)` has the
+generator X(eta) = eta X_1, so every member is the unit-coupling system at
+scaled parameters (`coupling_scale` of `build_dipole` and `build_naive`),
+the same Hamiltonian the coupling's own build would give up to rounding.
+A stack is what costs: at these sizes (D <= 642) one build's fixed
+overhead, not its eigensolve, dominated the scan.  A rung is split into
+chunks of at most max(1, STACK_BYTES // (16 D^2)) members, so one chunk's
+Hamiltonians take at most 8 MB and a grid of strong couplings that climbs
+to large cutoffs runs in bounded memory.
 """
 
 from __future__ import annotations
@@ -24,6 +39,7 @@ from .modes import ModeSet
 
 DEFAULT_SPECTRAL_TOL = 1e-6
 DEFAULT_LOW_FRACTION = 0.5
+STACK_BYTES = 8_000_000  # complex Hamiltonians of one stacked ladder build
 
 
 def gauge_unitary(space: HilbertSpec, cs: CouplingSet,
@@ -117,19 +133,48 @@ def converged_spectral_equivalence(build_pair: Callable[[int], tuple],
         f"(last max diff {prev.max_abs_diff:.3e})")
 
 
+def stack_chunk(dim: int) -> int:
+    """Members of one stacked build at Hilbert dimension `dim`: at most STACK_BYTES
+    of complex D x D Hamiltonians, and at least one."""
+    return max(1, STACK_BYTES // (16 * dim * dim))
+
+
+def _climb(build: Callable[[int, np.ndarray], HamiltonianBundle], members: int,
+           chunk: Callable[[int], int], tol: float, start_cutoff: int,
+           max_cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """(E0, cutoff) of `members` doubling-cutoff ladders, climbed rung-major.
+
+    `build(n, idx)` returns one bundle over the stack of members `idx` at
+    cutoff n, at most `chunk(n)` of them.  A member is done at the first rung
+    whose ground energy differs from the previous rung's by less than tol,
+    and leaves the stack; `ConvergenceError` if any is still climbing past
+    `max_cutoff`.
+    """
+    e0 = np.full(members, np.nan)
+    cutoff = np.zeros(members, dtype=int)
+    live = np.arange(members)
+    n = start_cutoff
+    while live.size and n <= max_cutoff:
+        size = chunk(n)
+        now = np.concatenate([np.reshape(build(n, live[i:i + size]).eigenvalues(1), -1)
+                              for i in range(0, live.size, size)])
+        done = np.abs(now - e0[live]) < tol  # false on the first rung, where e0 is nan
+        e0[live] = now
+        cutoff[live[done]] = n
+        live = live[~done]
+        n *= 2
+    if live.size:
+        raise ConvergenceError(f"ground energy not converged at cutoff {max_cutoff}")
+    return e0, cutoff
+
+
 def converged_ground_energy(build: Callable[[int], HamiltonianBundle],
                             tol: float = 1e-7, start_cutoff: int = 20,
                             max_cutoff: int = 640) -> tuple[float, int]:
-    """Ground energy by cutoff doubling until successive values differ by < tol."""
-    n = start_cutoff
-    prev = None
-    while n <= max_cutoff:
-        e0 = float(build(n).eigenvalues(1)[0])
-        if prev is not None and abs(e0 - prev) < tol:
-            return e0, n
-        prev = e0
-        n *= 2
-    raise ConvergenceError(f"ground energy not converged at cutoff {max_cutoff}")
+    """Ground energy by cutoff doubling until successive values differ by < tol:
+    the one-member ladder of `ambiguity_scan`."""
+    e0, cutoff = _climb(lambda n, _: build(n), 1, lambda n: 1, tol, start_cutoff, max_cutoff)
+    return float(e0[0]), int(cutoff[0])
 
 
 @dataclass(frozen=True)
@@ -148,26 +193,28 @@ def ambiguity_scan(chi: float, omega0: float, eta_grid: Sequence[float],
 
     Per coupling eta: correct_gap = |E0(theta=0) - E0(theta=1)| (expected to
     vanish) and naive_gap = |E0(naive Coulomb, given order) - E0(multipolar)|.
-    Cutoffs are doubled until each ground energy is stable to `tol`.
+    Cutoffs are doubled until each ground energy is stable to `tol`; the three
+    ladders (Coulomb, multipolar, naive) each climb every coupling of the grid
+    at once, as stacks over the unit coupling scaled by eta.
     """
-    rows = []
-    for eta in eta_grid:
-        ms, em = tls_single_mode_modeset(chi, eta, omega0)
-        e0_c, n_c = converged_ground_energy(
-            lambda n: build_dipole(ms, em, COULOMB, n), tol, start_cutoff)
-        e0_mp, n_mp = converged_ground_energy(
-            lambda n: build_dipole(ms, em, MULTIPOLAR, n), tol, start_cutoff)
-        e0_naive, n_nv = converged_ground_energy(
-            lambda n: build_naive(ms, em, COULOMB, n, order=order), tol, start_cutoff)
-        cutoff = max(n_c, n_mp, n_nv)
-        rows.append(AmbiguityRow(
-            eta=float(eta),
-            naive_gap=abs(e0_naive - e0_mp),
-            correct_gap=abs(e0_c - e0_mp),
-            cutoff=cutoff,
-            converged=True,
-        ))
-    return rows
+    etas = np.array([float(eta) for eta in eta_grid])
+    ms, em = tls_single_mode_modeset(chi, 1.0, omega0)
+    chunk = lambda n: stack_chunk(2 * (n + 1))  # one mode and a two-level emitter
+
+    def ladder(build):
+        return _climb(lambda n, idx: build(n, etas[idx]), len(etas), chunk, tol,
+                      start_cutoff, 640)
+
+    e0_c, n_c = ladder(lambda n, scale: build_dipole(ms, em, COULOMB, n,
+                                                     coupling_scale=scale))
+    e0_mp, n_mp = ladder(lambda n, scale: build_dipole(ms, em, MULTIPOLAR, n,
+                                                       coupling_scale=scale))
+    e0_naive, n_nv = ladder(lambda n, scale: build_naive(ms, em, COULOMB, n, order=order,
+                                                         coupling_scale=scale))
+    cutoffs = np.maximum(np.maximum(n_c, n_mp), n_nv)
+    return [AmbiguityRow(eta=float(eta), naive_gap=float(abs(nv - mp)),
+                         correct_gap=float(abs(c - mp)), cutoff=int(n), converged=True)
+            for eta, c, mp, nv, n in zip(etas, e0_c, e0_mp, e0_naive, cutoffs)]
 
 
 def tls_single_mode_modeset(chi: float, eta: float, omega0: float):

@@ -85,8 +85,9 @@ import numpy as np
 
 from .errors import ConvergenceError, InvariantViolation
 from .hilbert import (HERMITIAN_TOL, HermitianGenerator, HilbertSpec, KroneckerGenerator,
-                      Operator, PAULI_X, PAULI_Y, PAULI_Z, hermitian_part, ladder_matrix,
-                      matter_levels, max_abs, parity_labels, photon)
+                      Operator, PAULI_X, PAULI_Y, PAULI_Z, as_stack, hermitian_part, kron,
+                      ladder_matrix, matter_levels, max_abs, member_max_abs, parity_labels,
+                      photon)
 from .matter import EmitterSpec, TimeProfile
 from .modes import ModeSet, NormalModeSet1D
 
@@ -225,10 +226,20 @@ def couplings(ms: ModeSet, em: EmitterSpec) -> CouplingSet:
     return CouplingSet(eta, ms.chi)
 
 
-def _time_reversal_imag(m: np.ndarray, odd: np.ndarray) -> float:
-    """max|Im(p^dag m p)| for the phases p = i on the states flagged `odd`, 1 elsewhere:
-    Im(m) between states of equal flag, Re(m) between states of opposite flag."""
-    return max_abs(np.where(odd[:, None] == odd[None, :], m.imag, m.real))
+def _time_reversal_imag(m: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """max|Im(p^dag m_b p)| of each member for the phases p = i on the states flagged
+    `odd`, 1 elsewhere: Im(m) between states of equal flag, Re(m) between states of
+    opposite flag."""
+    same = odd[:, None] == odd[None, :]
+    return np.array([max_abs(np.where(same, b.imag, b.real)) for b in m])
+
+
+def _verify(measured: np.ndarray, tol: np.ndarray, stacked: bool, claim: str, what: str):
+    """Raise `InvariantViolation` for the first member whose measured value exceeds its tol."""
+    bad = np.flatnonzero(measured > tol)
+    if bad.size:
+        member = f" in stack member {bad[0]}" if stacked else ""
+        raise InvariantViolation(f"{claim}{member} ({what} = {measured[bad[0]]:.3e})")
 
 
 @dataclass(frozen=True)
@@ -237,6 +248,11 @@ class HamiltonianBundle:
 
     `H` is passed as assembled, a matrix or an `Operator`, checked once with
     `hilbert.hermitian_part` and stored as an `Operator` of its Hermitian part.
+    A stack (S, D, D) of Hamiltonians on one space, such as `build_dipole`
+    returns for an array `coupling_scale`, is one bundle: `H.matrix` keeps the
+    stack, every check below is made on each member against that member's own
+    scale max(1, max|H_b|) and names the first failing member by its index,
+    and `eigenvalues` returns one row per member.
 
     A builder may declare a parity: a label +1 or -1 per basis state, the
     diagonal of an operator Pi that commutes with H.  The declaration is
@@ -256,7 +272,8 @@ class HamiltonianBundle:
 
     `diagnostics` reports the sector sizes, the measured off-block maximum
     (None without a parity) and, when time reversal is declared, the measured
-    max|Im(p^dag H p)| as "time_reversal_imag".
+    max|Im(p^dag H p)| as "time_reversal_imag"; for a stack, the largest
+    over its members.
     """
 
     H: Union[np.ndarray, Operator]  # stored as an Operator
@@ -270,41 +287,42 @@ class HamiltonianBundle:
         raw = self.H.matrix if isinstance(self.H, Operator) else self.H
         m = hermitian_part(raw, f"{self.metadata.get('builder', 'bundle')} Hamiltonian")
         object.__setattr__(self, "H", Operator(m, self.space))
-        tol = HERMITIAN_TOL * max(1.0, max_abs(m))
-        sectors, off_block = (np.arange(len(m)),), None
+        stacked, stack = m.ndim == 3, as_stack(m)
+        n = stack.shape[-1]
+        tol = HERMITIAN_TOL * np.maximum(1.0, member_max_abs(stack))
+        sectors, off_block = (np.arange(n),), None
         if self.parity is not None:
             labels = np.asarray(self.parity)
-            if labels.shape != (len(m),) or np.any(np.abs(labels) != 1):
+            if labels.shape != (n,) or np.any(np.abs(labels) != 1):
                 raise ValueError("parity needs a label +1 or -1 per basis state")
             even, odd = np.flatnonzero(labels > 0), np.flatnonzero(labels < 0)
-            off_block = max_abs(m[np.ix_(even, odd)])
-            if off_block > tol:
-                raise InvariantViolation(f"declared parity does not commute with H "
-                                         f"(max|H[even, odd]| = {off_block:.3e})")
+            off = member_max_abs(stack[:, even[:, None], odd])
+            _verify(off, tol, stacked, "declared parity does not commute with H",
+                    "max|H[even, odd]|")
+            off_block = float(off.max())
             sectors = tuple(s for s in (even, odd) if s.size)
         object.__setattr__(self, "_sectors", sectors)
         diagnostics = {"sector_sizes": [len(s) for s in sectors], "parity_off_block": off_block}
         phases = None
         if self.time_reversal:
             odd_photons = parity_labels(self.space) < 0
-            imag = _time_reversal_imag(m, odd_photons)
-            if imag > tol:
-                raise InvariantViolation(f"declared time reversal does not hold "
-                                         f"(max|Im(p^dag H p)| = {imag:.3e})")
-            diagnostics["time_reversal_imag"] = imag
+            imag = _time_reversal_imag(stack, odd_photons)
+            _verify(imag, tol, stacked, "declared time reversal does not hold",
+                    "max|Im(p^dag H p)|")
+            diagnostics["time_reversal_imag"] = float(imag.max())
             phases = np.where(odd_photons, 1j, 1.0)
         object.__setattr__(self, "_phases", phases)
         object.__setattr__(self, "diagnostics", diagnostics)
 
     def _sector_blocks(self):
-        """(indices, block) per sector; the real symmetric p^dag H p block under
-        declared time reversal."""
-        m = self.H.matrix
+        """(indices, stack of blocks) per sector; the real symmetric p^dag H p blocks
+        under declared time reversal."""
+        stack = as_stack(self.H.matrix)
         for s in self._sectors:
             if self._phases is None:
-                yield s, (m if len(s) == len(m) else m[np.ix_(s, s)])
+                yield s, (stack if len(s) == stack.shape[-1] else stack[:, s[:, None], s])
                 continue
-            block = m[np.ix_(s, s)]
+            block = stack[:, s[:, None], s]
             p = self._phases[s]
             block *= p.conj()[:, None]
             block *= p
@@ -312,24 +330,30 @@ class HamiltonianBundle:
 
     def eigenvalues(self, k: Optional[int] = None) -> np.ndarray:
         """Ascending eigenvalues, from the cached eigensystem when there is one,
-        otherwise merged from one eigvalsh per sector."""
+        otherwise merged from one eigvalsh per sector, stacked over the members.
+        A stack of S Hamiltonians gives one row per member, shape (S, k)."""
         cached = self.__dict__.get("_eigensystem")
         if cached is not None:
             vals = cached[0]
         else:
             vals = np.sort(np.concatenate([np.linalg.eigvalsh(block)
-                                           for _, block in self._sector_blocks()]))
-        return vals if k is None else vals[:k]
+                                           for _, block in self._sector_blocks()], axis=-1),
+                           axis=-1)
+            if self.H.matrix.ndim == 2:
+                vals = vals[0]
+        return vals if k is None else vals[..., :k]
 
     def eigensystem(self):
         """(eigenvalues, eigenvectors) of H, computed once and kept read-only.
 
         Columns are in ascending energy; a tie between sectors keeps the
-        even sector first.
+        even sector first.  A stack of Hamiltonians is refused.
         """
         cached = self.__dict__.get("_eigensystem")
         if cached is None:
             m = self.H.matrix
+            if m.ndim != 2:
+                raise ValueError("eigensystem of a stack of Hamiltonians; build one member")
             n = len(m)
             if len(self._sectors) == 1 and self._phases is None:
                 cached = np.linalg.eigh(m)
@@ -338,7 +362,7 @@ class HamiltonianBundle:
                 # temporaries, it raised the peak RSS of `detect` at D = 882 by
                 # 5 MB (retained heap), with the same data alive
                 vecs = np.zeros((n, n), dtype=complex)
-                parts = [(s, *np.linalg.eigh(block)) for s, block in self._sector_blocks()]
+                parts = [(s, *np.linalg.eigh(block[0])) for s, block in self._sector_blocks()]
                 vals = np.concatenate([v for _, v, _ in parts])
                 order = np.argsort(vals, kind="stable")
                 column = np.empty_like(order)
@@ -372,6 +396,14 @@ def _real(*arrays) -> bool:
     return not any(np.any(np.imag(a)) for a in arrays)
 
 
+def _coupling_scale(coupling_scale) -> np.ndarray:
+    """A builder's `coupling_scale` as a float array: 0-d for one Hamiltonian, 1-D for a stack."""
+    scale = np.asarray(coupling_scale, dtype=float)
+    if scale.ndim > 1 or scale.size == 0 or not np.all(np.isfinite(scale)):
+        raise ValueError("coupling_scale must be a finite float or a non-empty 1-D array")
+    return scale
+
+
 def _normalize_cutoffs(cutoffs, n_modes: int) -> tuple[int, ...]:
     if np.isscalar(cutoffs):
         return (int(cutoffs),) * n_modes
@@ -399,7 +431,9 @@ def field_hamiltonian(chi: np.ndarray, space: HilbertSpec) -> np.ndarray:
             if chi[m, n] == 0:
                 continue
             if m == n:
-                h += space.kron({fm: chi[m, m] * a[m].conj().T @ a[m]})
+                # the diagonal of (chi a^dag) @ a, rounded in the same order
+                root_n = np.sqrt(np.arange(space.factors[fm].dim))
+                h += space.kron({fm: np.diag((chi[m, m] * root_n) * root_n)})
             else:
                 h += space.kron({fm: chi[m, n] * a[m].conj().T, fn: a[n]})
     return h
@@ -410,14 +444,16 @@ def _photon_part(space: HilbertSpec) -> HilbertSpec:
     return HilbertSpec(space.factors[:-1])
 
 
-def _check_cutoff_headroom(cutoffs, theta: float, cs: CouplingSet):
-    eta_max = float(np.abs(cs.eta_matrices).max()) if cs.eta_matrices.size else 0.0
-    disp = max(abs(theta), abs(1.0 - theta)) * eta_max
+def _check_cutoff_headroom(cutoffs, theta: float, cs: CouplingSet, scale: np.ndarray):
+    """Warn once when the largest |coupling_scale| fails the displacement heuristic."""
+    largest = float(np.abs(scale).max())
+    disp = max(abs(theta), abs(1.0 - theta)) * max_abs(cs.eta_matrices) * largest
     needed = 4.0 * disp**2 + 10.0
     if min(cutoffs) < needed:
+        at = f" at the largest coupling scale {largest:g} of the stack" if scale.ndim else ""
         warnings.warn(
             f"Fock cutoff {min(cutoffs)} below the displacement heuristic "
-            f"4*(theta*eta)^2 + 10 = {needed:.1f}; spectra may not be converged",
+            f"4*(theta*eta)^2 + 10 = {needed:.1f}{at}; spectra may not be converged",
             FockCutoffWarning, stacklevel=3)
 
 
@@ -444,7 +480,7 @@ def _apply_longitudinal(h: np.ndarray, space: HilbertSpec, em: EmitterSpec,
     mi = ext.matter_indices[0]
     direction = np.asarray(lc.direction, dtype=float).reshape(3)
     d_mat = np.einsum("cij,c->ij", em.dipole, direction)
-    h_ext = (np.kron(h, np.eye(lc.cutoff + 1))
+    h_ext = (kron(h, np.eye(lc.cutoff + 1))
              + ext.kron({aux_fi: lc.omega * b.conj().T @ b})
              + ext.kron({mi: d_mat, aux_fi: lc.coupling * (b + b.conj().T)}))
     return h_ext, ext
@@ -452,7 +488,8 @@ def _apply_longitudinal(h: np.ndarray, space: HilbertSpec, em: EmitterSpec,
 
 def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
                  cutoffs: Union[int, Sequence[int]],
-                 longitudinal: Optional[LongitudinalCoupling] = None) -> HamiltonianBundle:
+                 longitudinal: Optional[LongitudinalCoupling] = None,
+                 coupling_scale=1.0) -> HamiltonianBundle:
     """Dipole-approximation Hamiltonian at gauge parameter theta.
 
     H = V H_F V^dag + U H_0 U^dag with V = exp(-i theta X) and
@@ -463,17 +500,23 @@ def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
     auxiliary factor of the hook counts as one more photon factor in it.
     Without the hook it declares time reversal when chi, the couplings and
     h0 are real.
+
+    `coupling_scale` multiplies every eta_mu.  A 1-D array of scales gives
+    one bundle over the stack (S, D, D) of their Hamiltonians: the generator
+    of scale c is c X, so each member is the same two conjugations at the
+    parameters -theta c and (1 - theta) c, and the whole stack is one call.
     """
     cutoffs = _normalize_cutoffs(cutoffs, ms.n_modes)
+    scale = _coupling_scale(coupling_scale)
     cs = couplings(ms, em)
-    _check_cutoff_headroom(cutoffs, g.theta, cs)
+    _check_cutoff_headroom(cutoffs, g.theta, cs, scale)
     space = standard_space(cutoffs, em.n_levels)
     gen = cs.generator(space)
-    h = (gen.conjugate_photon(-g.theta, field_hamiltonian(ms.chi, _photon_part(space)))
-         + gen.conjugate_matter(1.0 - g.theta, em.h0))
+    h = gen.conjugate_photon(-g.theta * scale, field_hamiltonian(ms.chi, _photon_part(space)))
+    h += gen.conjugate_matter((1.0 - g.theta) * scale, em.h0)
     meta = {"builder": "build_dipole", "truncation": "correct",
             "cutoffs": cutoffs, "theta": g.theta,
-            "eta": _eta_summary(cs)}
+            "eta": _eta_summary(cs, scale)}
     if longitudinal is not None:
         h, space = _apply_longitudinal(h, space, em, longitudinal)
         meta["longitudinal"] = "custom"
@@ -481,9 +524,10 @@ def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
                    longitudinal is None and _real(cs.chi, cs.eta_matrices, em.h0))
 
 
-def _eta_summary(cs: CouplingSet):
+def _eta_summary(cs: CouplingSet, scale: np.ndarray):
+    """The scalar eta_mu of each mode, one list per member of a stack; None without them."""
     try:
-        return [complex(v) for v in cs.scalars]
+        return np.multiply.outer(scale, cs.scalars).tolist()
     except ValueError:
         return None
 
@@ -552,7 +596,8 @@ def polarization_squared(cs: CouplingSet) -> np.ndarray:
 
 
 def build_naive(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
-                cutoffs: Union[int, Sequence[int]], order: int = 1) -> HamiltonianBundle:
+                cutoffs: Union[int, Sequence[int]], order: int = 1,
+                coupling_scale=1.0) -> HamiltonianBundle:
     """Gauge-violating reference Hamiltonians from direct (naive) truncation.
 
     theta = 0: the minimal-coupling conjugation U H_0 U^dag is replaced by its
@@ -561,23 +606,26 @@ def build_naive(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
     factors (`nested_commutators`).  theta = 1: the correct multipolar form
     minus the mode-truncated polarization-squared correction.  Other theta
     values are not defined.  Parity and time reversal are declared as in
-    `build_dipole`.
+    `build_dipole`.  `coupling_scale` multiplies every eta_mu, and an array
+    of scales gives one bundle over the stack, as in `build_dipole`: the
+    j-th term of the series scales as c^j, the multipolar drive as c.
     """
     if order < 1:
         raise ValueError(f"unsupported naive order {order}")
     if g.theta not in (0.0, 1.0):
         raise ValueError("naive builders are defined at theta = 0 and theta = 1 only")
     cutoffs = _normalize_cutoffs(cutoffs, ms.n_modes)
+    scale = _coupling_scale(coupling_scale)
     cs = couplings(ms, em)
     space = standard_space(cutoffs, em.n_levels)
     meta = {"builder": "build_naive", "truncation": "naive", "cutoffs": cutoffs,
-            "theta": g.theta, "order": order, "eta": _eta_summary(cs)}
-    h = field_hamiltonian(ms.chi, space)
+            "theta": g.theta, "order": order, "eta": _eta_summary(cs, scale)}
     if g.theta == 0.0:
-        h += cs.generator(space).nested_commutators(em.h0, order)
+        h = cs.generator(space).nested_commutators(em.h0, order, scale)
+        h += field_hamiltonian(ms.chi, space)
     else:
-        h += space.kron({space.matter_indices[0]: em.h0})
-        h += multipolar_interaction(cs, space)
+        h = field_hamiltonian(ms.chi, space) + space.kron({space.matter_indices[0]: em.h0})
+        h = h + np.multiply.outer(scale, multipolar_interaction(cs, space))
     return _bundle(h, space, g, meta, em.parity_signs, _real(cs.chi, cs.eta_matrices, em.h0))
 
 
@@ -739,6 +787,9 @@ class TimeDependentHamiltonian:
         self.generator = generator
         self.h_field = h_field
         self.h_matter = h_matter
+        # the one conjugation this gauge evaluates at every t, with its set-up done once
+        self._conjugated = (generator.matter_conjugation(h_matter) if gauge == "coulomb"
+                            else generator.photon_conjugation(h_field))
         self.h_f = np.kron(h_field, np.eye(h_matter.shape[0]))
         self.h_0 = np.kron(np.eye(h_field.shape[0]), h_matter)
         self.profile = profile
@@ -748,9 +799,9 @@ class TimeDependentHamiltonian:
     def matrix(self, t: float) -> np.ndarray:
         mu = self.profile.mu(t)
         if self.gauge == "coulomb":
-            h = self.h_f + self.generator.conjugate_matter(mu, self.h_matter)
+            h = self.h_f + self._conjugated(mu)
         else:
-            h = self.generator.conjugate_photon(-mu, self.h_field) + self.h_0
+            h = self._conjugated(-mu) + self.h_0
             mu_dot = self.profile.mu_dot(t)
             if mu_dot != 0.0:
                 h += self.extra_term_sign * mu_dot * self.generator.matrix

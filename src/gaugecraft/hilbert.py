@@ -82,10 +82,17 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def kron_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_k kron(left[k], right[k]) for stacks of matrices, as one product over k."""
-    (k, p, q), (_, i, j) = left.shape, right.shape
-    out = (left.reshape(k, p * q).T @ right.reshape(k, i * j)).reshape(p, q, i, j)
-    return out.transpose(0, 2, 1, 3).reshape(p * i, q * j)
+    """sum_k kron(left[..., k, :, :], right[..., k, :, :]), as one product over k.
+
+    Stack axes in front of k broadcast between the operands, so a stack of
+    left factors against one set of right factors gives a stack of sums.
+    """
+    p, q = left.shape[-2:]
+    i, j = right.shape[-2:]
+    out = (left.reshape(left.shape[:-2] + (p * q,)).swapaxes(-1, -2)
+           @ right.reshape(right.shape[:-2] + (i * j,)))
+    out = out.reshape(out.shape[:-2] + (p, q, i, j)).swapaxes(-3, -2)
+    return out.reshape(out.shape[:-4] + (p * i, q * j))
 
 
 @dataclass(frozen=True)
@@ -176,16 +183,40 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
 
 
+def member_max_abs(m: np.ndarray) -> np.ndarray:
+    """Entrywise max-abs norm of each matrix of a stack (..., D, D), zero when empty."""
+    return np.abs(m).max(axis=(-2, -1)) if m.size else np.zeros(m.shape[:-2])
+
+
+def as_stack(m: np.ndarray) -> np.ndarray:
+    """A matrix (D, D) as a stack of one, (1, D, D); a stack (S, D, D) as it is."""
+    return m if m.ndim == 3 else m[None]
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
 def hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
     """(m + m^dag) / 2, after checking that ||m - m^dag||_max of the raw m is at
-    most HERMITIAN_TOL * max(1, max|m|); `InvariantViolation` names `what`."""
+    most HERMITIAN_TOL * max(1, max|m|); `InvariantViolation` names `what`.
+
+    A stack (S, D, D) is checked member by member, each against its own
+    max|m_b|, and the error names the first failing member by its index.
+    """
     m = np.asarray(m, dtype=complex)
-    m_dag = m.conj().T
-    dev = max_abs(m - m_dag)
-    # the scale max(1, max|m|) is needed only once dev exceeds the absolute tolerance
-    if dev > HERMITIAN_TOL and dev > HERMITIAN_TOL * max_abs(m):
-        raise InvariantViolation(f"{what} is not Hermitian before symmetrization "
-                                 f"(||m - m^dag||_max = {dev:.3e})")
+    m_dag = _dagger(m)
+    diff = m - m_dag
+    # members and their scales max(1, max|m_b|) are needed only once the largest
+    # deviation exceeds the absolute tolerance
+    if max_abs(diff) > HERMITIAN_TOL:
+        dev = np.atleast_1d(member_max_abs(diff))
+        bad = np.flatnonzero(dev > HERMITIAN_TOL * np.maximum(1.0, member_max_abs(as_stack(m))))
+        if bad.size:
+            member = f" (stack member {bad[0]})" if m.ndim == 3 else ""
+            raise InvariantViolation(f"{what}{member} is not Hermitian before symmetrization "
+                                     f"(||m - m^dag||_max = {dev[bad[0]]:.3e})")
+    del diff
     out = m + m_dag
     out *= 0.5
     return out
@@ -193,12 +224,12 @@ def hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense complex matrix bound to a HilbertSpec.
+    """Dense complex matrix bound to a HilbertSpec, or a stack (S, D, D) of them.
 
     The ``hermitian``/``unitary`` flags are *verified* at construction when
     claimed (never merely asserted): claiming a property that the matrix does
-    not satisfy raises ``InvariantViolation``.  A flag value of ``None`` means
-    unchecked.
+    not satisfy raises ``InvariantViolation``; a stack is verified on every
+    member.  A flag value of ``None`` means unchecked.
     """
 
     matrix: np.ndarray
@@ -209,18 +240,18 @@ class Operator:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("operator matrix must be square")
-        if m.shape[0] != self.space.dim:
+        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+            raise ValueError("operator matrix must be square, or a stack of square matrices")
+        if m.shape[-1] != self.space.dim:
             raise ValueError(
-                f"matrix dimension {m.shape[0]} != space dimension {self.space.dim}"
+                f"matrix dimension {m.shape[-1]} != space dimension {self.space.dim}"
             )
         if self.hermitian:
-            dev = max_abs(m - m.conj().T)
+            dev = max_abs(m - _dagger(m))
             if dev >= HERMITIAN_TOL:
                 raise InvariantViolation(f"hermitian flag set but ||M - M^dag||_max = {dev:.3e}")
         if self.unitary:
-            dev = max_abs(m.conj().T @ m - np.eye(m.shape[0]))
+            dev = max_abs(_dagger(m) @ m - np.eye(m.shape[-1]))
             if dev >= UNITARY_TOL:
                 raise InvariantViolation(f"unitary flag set but ||M^dag M - 1||_max = {dev:.3e}")
 
@@ -238,7 +269,7 @@ class Operator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 def ladder_matrix(fock_cutoff: int) -> np.ndarray:
@@ -292,8 +323,10 @@ class HermitianGenerator:
 
     unitary(s) returns exp(i s X) as an exactly-unitary matrix; repeated
     evaluations (gauge sweeps, time-dependent couplings) reuse the
-    factorization, which is computed on first use.  This is the dense form,
-    for generators that do not factor as a `KroneckerGenerator`.
+    factorization, which is computed on first use.  Every method takes s as
+    a float or as a 1-D array; an array gives the stack (S, D, D) of the
+    results at each of its entries.  This is the dense form, for generators
+    that do not factor as a `KroneckerGenerator`.
     """
 
     def __init__(self, matrix: np.ndarray, space: HilbertSpec):
@@ -304,36 +337,42 @@ class HermitianGenerator:
     def _eig(self):
         return np.linalg.eigh(self.matrix)
 
-    def unitary(self, s: float) -> Operator:
+    def unitary(self, s) -> Operator:
         vals, vecs = self._eig
-        u = (vecs * np.exp(1j * s * vals)) @ vecs.conj().T
+        u = (vecs * np.exp(1j * np.multiply.outer(s, vals))[..., None, :]) @ vecs.conj().T
         return Operator(u, self.space, unitary=True)
 
-    def conjugate(self, s: float, m: np.ndarray) -> np.ndarray:
+    def conjugate(self, s, m: np.ndarray) -> np.ndarray:
         """exp(i s X) M exp(-i s X) as a plain matrix."""
         u = self.unitary(s).matrix
-        return u @ m @ u.conj().T
+        return u @ m @ _dagger(u)
 
-    def conjugate_photon(self, s: float, a: np.ndarray) -> np.ndarray:
+    def conjugate_photon(self, s, a: np.ndarray) -> np.ndarray:
         """exp(i s X) (A (x) 1) exp(-i s X) for A on all factors but the last."""
-        return self.conjugate(s, kron(a, np.eye(self.space.factors[-1].dim)))
+        return self.photon_conjugation(a)(s)
 
-    def conjugate_matter(self, s: float, b: np.ndarray) -> np.ndarray:
+    def photon_conjugation(self, a: np.ndarray) -> Callable:
+        """s -> `conjugate_photon(s, a)`, with A (x) 1 formed once."""
+        full = kron(a, np.eye(self.space.factors[-1].dim))
+        return lambda s: self.conjugate(s, full)
+
+    def conjugate_matter(self, s, b: np.ndarray) -> np.ndarray:
         """exp(i s X) (1 (x) B) exp(-i s X) for B on the last factor."""
-        return self.conjugate(s, kron(np.eye(self.space.dim // b.shape[0]), b))
+        return self.matter_conjugation(b)(s)
 
-    def nested_commutators(self, b: np.ndarray, order: int) -> np.ndarray:
-        """sum_{j<=order} (i^j / j!) ad_X^j(1 (x) B), ad_X(Y) = [X, Y], for B on the
-        last factor: the Taylor series of `conjugate_matter(1, B)` cut at `order`."""
+    def matter_conjugation(self, b: np.ndarray) -> Callable:
+        """s -> `conjugate_matter(s, b)`, with 1 (x) B formed once."""
+        full = kron(np.eye(self.space.dim // b.shape[0]), b)
+        return lambda s: self.conjugate(s, full)
+
+    def nested_commutators(self, b: np.ndarray, order: int, s=1.0) -> np.ndarray:
+        """sum_{j<=order} ((i s)^j / j!) ad_X^j(1 (x) B), ad_X(Y) = [X, Y], for B on the
+        last factor: the Taylor series of `conjugate_matter(s, B)` cut at `order`."""
         x = self.matrix
-        out = kron(np.eye(self.space.dim // b.shape[0]), b)
-        term = out.copy()
-        fact = 1.0
+        terms = [kron(np.eye(self.space.dim // b.shape[0]), b)]
         for j in range(1, order + 1):
-            term = x @ term - term @ x
-            fact *= j
-            out = out + (1j ** j / fact) * term
-        return out
+            terms.append((1j / j) * (x @ terms[-1] - terms[-1] @ x))
+        return sum(np.multiply.outer(np.power(s, j), t) for j, t in enumerate(terms))
 
 
 @lru_cache(maxsize=8)
@@ -363,7 +402,9 @@ def _local_eig(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A term g a^dag + g^* a equals |g| R (a + a^dag) R^dag, R = diag(e^(i n arg g)),
     so its eigensystem is (|g| x, R v) with (x, v) = `fock_quadrature`; g = 0
-    gives the identity.  Any other term is eigendecomposed on its own.
+    gives the identity.  Any other term is eigendecomposed on its own.  The
+    eigenvectors are real whenever the term is: for a real g, and for any
+    other term without an imaginary part.
     """
     n = len(phi)
     g = phi[1, 0] if n > 1 else 0j
@@ -376,9 +417,17 @@ def _local_eig(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # exactly +-1 for real g, so a real coupling keeps real eigenvectors
         phase = np.sign(g.real) ** k if g.imag == 0 else np.exp(1j * np.angle(g) * k)
         return abs(g) * x, phase[:, None] * v
-    nu, v = np.linalg.eigh(phi)
+    nu, v = np.linalg.eigh(phi if np.any(phi.imag) else phi.real)
     _check_unitary_columns(v, "local eigenvector matrix is not unitary")
     return nu, v
+
+
+def _left_multiply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x; a real a acts on the real and imaginary parts of a complex x alike, so
+    that is one real product where numpy would promote a to a complex one."""
+    if a.dtype.kind == "f" and x.dtype.kind == "c":
+        return (a @ np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
+    return a @ x
 
 
 def _kron_apply(local: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -390,14 +439,28 @@ def _kron_apply(local: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     before = 1
     for a in local:
         n = a.shape[-1]
-        x = a[..., None, :, :] @ x.reshape(x.shape[:-2] + (before, n, -1))
+        x = _left_multiply(a[..., None, :, :], x.reshape(x.shape[:-2] + (before, n, -1)))
         x = x.reshape(x.shape[:-3] + (rows, cols))
         before *= n
     return x
 
 
-def _dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
+def _by_magnitude(t: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
+                  flip: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """f(t), a stack of matrices over the entries of t, for an f with f(-t) = flip(f(t)).
+
+    A stack's parameters (t of one row per member) repeat: every entry is zero at
+    theta = 0 or 1, and a two-level emitter's come in pairs +-t; f then runs once
+    per distinct |t|.  A single row is evaluated as it is: finding its few
+    distinct entries costs more than it saves.
+    """
+    if t.ndim < 2:
+        return f(t)
+    mags, inverse = np.unique(np.abs(t), return_inverse=True)
+    out = f(mags)[inverse.reshape(t.shape)]
+    negative = t < 0
+    out[negative] = flip(out[negative])
+    return out
 
 
 class KroneckerGenerator:
@@ -417,7 +480,9 @@ class KroneckerGenerator:
     per cutoff; R is a diagonal of unit phases) and orthogonality and
     completeness of the P_k are verified once, which makes every assembled
     exp(i s X) exactly unitary; no D x D check is repeated.  The interface
-    matches `HermitianGenerator`.
+    matches `HermitianGenerator`, s a float or a 1-D array: X(s) = s X, so a
+    stack of couplings that differ only by a scale is one call, its local
+    exponentials one stack of products.
     """
 
     def __init__(self, local_terms: Sequence[np.ndarray], matter: np.ndarray,
@@ -432,10 +497,13 @@ class KroneckerGenerator:
         self.space = space
         self._local_terms = [hermitian_part(p, "local generator term") for p in local_terms]
         self._matter = hermitian_part(matter, "matter generator term")
-        self._local_eigs = []
-        for p in self._local_terms:
-            nu, v = _local_eig(p)
-            self._local_eigs.append((1j * nu, v, v.conj().T))
+        eigs = [_local_eig(p) for p in self._local_terms]
+        # per leading factor (i nu, v, v^dag), v^dag contiguous for the products below
+        self._local_eigs = [(1j * nu, v, np.ascontiguousarray(_dagger(v))) for nu, v in eigs]
+        self._vecs = [v for _, v in eigs]
+        self._vecs_dag = [vh for _, _, vh in self._local_eigs]
+        # eigenvalues of sum_i phi_i, in the order of the basis (x)_i v_i
+        self._nu = reduce(np.add.outer, [nu for nu, _ in eigs]).ravel()
         self._lam, vecs = np.linalg.eigh(self._matter)
         _check_unitary_columns(vecs, "matter eigenprojectors are not orthogonal")
         self._proj = np.einsum("ik,jk->kij", vecs, vecs.conj())  # P_k
@@ -448,13 +516,15 @@ class KroneckerGenerator:
         self._leading = HilbertSpec(space.factors[:-1])
 
     def _local_exps(self, t: np.ndarray) -> list:
-        """exp(i t phi_i) for every entry of t: one stack of matrices per leading factor."""
-        return [(v * np.exp(np.multiply.outer(t, i_nu))[:, None, :]) @ vh
+        """exp(i t phi_i) = v exp(i t nu) v^dag for every entry of t: one stack of
+        matrices per leading factor, a real product for a real v."""
+        return [_left_multiply(v, np.exp(np.multiply.outer(t, i_nu))[..., :, None] * vh)
                 for i_nu, v, vh in self._local_eigs]
 
     def _photon_unitaries(self, t: np.ndarray) -> np.ndarray:
-        """E(t) = (x)_i exp(i t phi_i) on the leading factors, for every entry of t."""
-        return reduce(kron, self._local_exps(t))
+        """E(t) = (x)_i exp(i t phi_i) on the leading factors, for every entry of t;
+        E(-t) = E(t)^dag."""
+        return _by_magnitude(t, lambda t: reduce(kron, self._local_exps(t)), _dagger)
 
     def _photon_term(self) -> np.ndarray:
         """sum_i phi_i on the leading factors."""
@@ -465,12 +535,12 @@ class KroneckerGenerator:
         """X as a dense matrix, built once on first use."""
         return kron(self._photon_term(), self._matter)
 
-    def nested_commutators(self, b: np.ndarray, order: int) -> np.ndarray:
-        """sum_{j<=order} (i^j / j!) ad_X^j(1 (x) B), ad_X(Y) = [X, Y], for B on the last factor.
+    def nested_commutators(self, b: np.ndarray, order: int, s=1.0) -> np.ndarray:
+        """sum_{j<=order} ((i s)^j / j!) ad_X^j(1 (x) B), ad_X(Y) = [X, Y], B on the last factor.
 
         With phi = sum_i phi_i, [phi (x) D, phi^j (x) C] = phi^(j+1) (x) [D, C],
         so ad_X^j(1 (x) B) = phi^j (x) ad_D^j(B) and the series is one Kronecker
-        sum over j, without a D x D product.
+        sum over j, without a D x D product; s^j scales the small matter factor.
         """
         phi = self._photon_term()
         powers, terms = [np.eye(len(phi), dtype=complex)], [np.asarray(b, dtype=complex)]
@@ -478,24 +548,62 @@ class KroneckerGenerator:
             powers.append(powers[-1] @ phi)
             # (i^j / j!) ad_D^j(B) from the previous term
             terms.append((1j / j) * (self._matter @ terms[-1] - terms[-1] @ self._matter))
-        return kron_sum(np.array(powers), np.array(terms))
+        weights = np.power.outer(s, np.arange(order + 1))[..., None, None]
+        return kron_sum(np.array(powers), weights * np.array(terms))
 
-    def unitary(self, s: float) -> Operator:
-        w = kron_sum(self._photon_unitaries(s * self._lam), self._proj)
+    def unitary(self, s) -> Operator:
+        w = kron_sum(self._photon_unitaries(np.multiply.outer(s, self._lam)), self._proj)
         return Operator.unitary_from_factors(w, self.space)
 
-    def conjugate_photon(self, s: float, a: np.ndarray) -> np.ndarray:
+    def conjugate_photon(self, s, a: np.ndarray) -> np.ndarray:
         """exp(i s X) (A (x) 1) exp(-i s X) = sum_k E A E^dag (x) P_k, E = E(s lam_k)."""
-        e = self._local_exps(s * self._lam)
-        return kron_sum(_dagger(_kron_apply(e, _dagger(_kron_apply(e, a)))), self._proj)
+        return self.photon_conjugation(a)(s)
 
-    def conjugate_matter(self, s: float, b: np.ndarray) -> np.ndarray:
+    def photon_conjugation(self, a: np.ndarray) -> Callable:
+        """s -> `conjugate_photon(s, a)` for a Hermitian A, with the work on A done once.
+
+        With real local eigenvectors and a real A the conjugation runs in the
+        eigenbasis V = (x)_i v_i: E(t) = V exp(i t N) V^T, N the sum of the local
+        eigenvalues, so E A E^dag = V (B o exp(i t (N_a - N_b))) V^T with the real
+        B = V^T A V formed once, every product has a real left factor, and the
+        result at -t is the conjugate of the one at t, evaluated once per |t|.
+        Otherwise E A E^dag is formed from the local exponentials, which
+        measured cheaper there in memory and no slower.
+        """
+        if all(v.dtype.kind == "f" for v in self._vecs) and not np.any(np.imag(a)):
+            b = _dagger(_kron_apply(self._vecs_dag, _dagger(_kron_apply(self._vecs_dag, a))))
+
+            def conjugated(t):
+                u = np.exp(1j * np.multiply.outer(t, self._nu))
+                f = b * u[..., :, None]
+                f *= u.conj()[..., None, :]
+                return _dagger(_kron_apply(self._vecs, _dagger(_kron_apply(self._vecs, f))))
+
+            return lambda s: kron_sum(_by_magnitude(np.multiply.outer(s, self._lam),
+                                                    conjugated, np.conj), self._proj)
+
+        def conjugated(s):
+            e = self._local_exps(np.multiply.outer(s, self._lam))
+            return kron_sum(_dagger(_kron_apply(e, _dagger(_kron_apply(e, a)))), self._proj)
+
+        return conjugated
+
+    def conjugate_matter(self, s, b: np.ndarray) -> np.ndarray:
         """exp(i s X) (1 (x) B) exp(-i s X) = sum_kl E(s (lam_k - lam_l)) (x) P_k B P_l."""
+        return self.matter_conjugation(b)(s)
+
+    def matter_conjugation(self, b: np.ndarray) -> Callable:
+        """s -> `conjugate_matter(s, b)`, with the blocks P_k B P_l formed once."""
         b = np.asarray(b, dtype=complex)
         blocks = self._proj[:, None] @ b @ self._proj[None, :]
-        out = kron_sum(self._photon_unitaries(s * self._gaps), blocks[self._coupled])
-        # pairs with lam_k = lam_l have E(0) = 1: add them on the photon diagonal
+        coupled, uncoupled = blocks[self._coupled], blocks[~self._coupled].sum(axis=0)
         n, m = self._leading.dim, b.shape[0]
         diagonal = np.arange(n)
-        out.reshape(n, m, n, m)[diagonal, :, diagonal, :] += blocks[~self._coupled].sum(axis=0)
-        return out
+
+        def conjugated(s):
+            out = kron_sum(self._photon_unitaries(np.multiply.outer(s, self._gaps)), coupled)
+            # pairs with lam_k = lam_l have E(0) = 1: add them on the photon diagonal
+            out.reshape(-1, n, m, n, m)[:, diagonal, :, diagonal, :] += uncoupled
+            return out
+
+        return conjugated

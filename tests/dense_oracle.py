@@ -10,6 +10,8 @@ normal-mode Hamiltonians out term by term, as closed forms that do not go
 through a `CouplingSet`.
 
 `nested_commutator_series` is the naive Taylor truncation of U H_0 U^dag.
+`ambiguity_scan` is the coupling scan one coupling at a time, each with its
+own three scalar cutoff ladders (`ambiguity_ladders`, `converged_ground_energy`).
 `herm_eig` and `matrix_exp` are the general dense eigendecomposition and
 exponential of an `Operator`, and `dielectric_modes` solves the 1D dielectric
 finite-difference problem with scipy's generalized symmetric eigensolver.
@@ -18,8 +20,10 @@ finite-difference problem with scipy's generalized symmetric eigensolver.
 import numpy as np
 import scipy.linalg
 
-from gaugecraft.errors import InvariantViolation
-from gaugecraft.hamiltonians import couplings, segment_integral, standard_space
+from gaugecraft.errors import ConvergenceError, InvariantViolation
+from gaugecraft.gaugecheck import AmbiguityRow, tls_single_mode_modeset
+from gaugecraft.hamiltonians import (COULOMB, MULTIPOLAR, build_dipole, build_naive, couplings,
+                                     segment_integral, standard_space)
 from gaugecraft.hilbert import (HERMITIAN_TOL, Operator, PAULI_X, PAULI_Y, PAULI_Z,
                                 ladder_matrix, max_abs)
 
@@ -240,3 +244,41 @@ def dielectric_modes(d, n_modes):
     profiles = vecs[:, :n_modes].T / np.sqrt(d.dx)
     return (d.c * np.sqrt(np.maximum(vals[:n_modes], 0.0)),
             profiles * np.sign(profiles[:, :1]))
+
+
+def converged_ground_energy(build, tol=1e-7, start_cutoff=20, max_cutoff=640):
+    """(E0, cutoff) of one scalar doubling ladder: build(n) at n = start_cutoff,
+    2 start_cutoff, ... until two successive ground energies differ by < tol."""
+    n, prev = start_cutoff, None
+    while n <= max_cutoff:
+        e0 = float(build(n).eigenvalues(1)[0])
+        if prev is not None and abs(e0 - prev) < tol:
+            return e0, n
+        prev = e0
+        n *= 2
+    raise ConvergenceError(f"ground energy not converged at cutoff {max_cutoff}")
+
+
+def ambiguity_ladders(chi, omega0, eta, start_cutoff=20, tol=1e-7, order=1):
+    """{ladder: (E0, cutoff)} of one coupling's three scalar ladders (Coulomb,
+    multipolar, naive Coulomb), on its own `tls_single_mode_modeset`."""
+    ms, em = tls_single_mode_modeset(chi, eta, omega0)
+    builds = {"coulomb": lambda n: build_dipole(ms, em, COULOMB, n),
+              "multipolar": lambda n: build_dipole(ms, em, MULTIPOLAR, n),
+              "naive": lambda n: build_naive(ms, em, COULOMB, n, order=order)}
+    return {name: converged_ground_energy(build, tol, start_cutoff)
+            for name, build in builds.items()}
+
+
+def ambiguity_row(eta, e0):
+    """The scan's row of one coupling from its `ambiguity_ladders` e0."""
+    return AmbiguityRow(eta=float(eta), naive_gap=abs(e0["naive"][0] - e0["multipolar"][0]),
+                        correct_gap=abs(e0["coulomb"][0] - e0["multipolar"][0]),
+                        cutoff=max(n for _, n in e0.values()), converged=True)
+
+
+def ambiguity_scan(chi, omega0, eta_grid, start_cutoff=20, tol=1e-7, order=1):
+    """The naive-versus-correct scan one coupling at a time, each build a single
+    Hamiltonian, as the package ran it before its ladders climbed as stacks."""
+    return [ambiguity_row(eta, ambiguity_ladders(chi, omega0, eta, start_cutoff, tol, order))
+            for eta in eta_grid]
