@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .hamiltonians import (COULOMB, MULTIPOLAR, CouplingSet, HamiltonianBundle,
-                           build_dipole, build_naive)
+                           build_dipole, build_naive, standard_space)
 from .hilbert import HilbertSpec, Operator, fock_mask
 from .matter import tls
 from .modes import ModeSet
@@ -199,7 +199,7 @@ def ambiguity_scan(chi: float, omega0: float, eta_grid: Sequence[float],
     """
     etas = np.array([float(eta) for eta in eta_grid])
     ms, em = tls_single_mode_modeset(chi, 1.0, omega0)
-    chunk = lambda n: stack_chunk(2 * (n + 1))  # one mode and a two-level emitter
+    chunk = lambda n: stack_chunk(standard_space((n,) * ms.n_modes, em.n_levels).dim)
 
     def ladder(build):
         return _climb(lambda n, idx: build(n, etas[idx]), len(etas), chunk, tol,

@@ -87,7 +87,7 @@ from .errors import ConvergenceError, InvariantViolation
 from .hilbert import (HERMITIAN_TOL, HermitianGenerator, HilbertSpec, KroneckerGenerator,
                       Operator, PAULI_X, PAULI_Y, PAULI_Z, as_stack, hermitian_part, kron,
                       ladder_matrix, matter_levels, max_abs, member_max_abs, parity_labels,
-                      photon)
+                      photon, verify_members)
 from .matter import EmitterSpec, TimeProfile
 from .modes import ModeSet, NormalModeSet1D
 
@@ -234,14 +234,6 @@ def _time_reversal_imag(m: np.ndarray, odd: np.ndarray) -> np.ndarray:
     return np.array([max_abs(np.where(same, b.imag, b.real)) for b in m])
 
 
-def _verify(measured: np.ndarray, tol: np.ndarray, stacked: bool, claim: str, what: str):
-    """Raise `InvariantViolation` for the first member whose measured value exceeds its tol."""
-    bad = np.flatnonzero(measured > tol)
-    if bad.size:
-        member = f" in stack member {bad[0]}" if stacked else ""
-        raise InvariantViolation(f"{claim}{member} ({what} = {measured[bad[0]]:.3e})")
-
-
 @dataclass(frozen=True)
 class HamiltonianBundle:
     """A built Hamiltonian with its space, gauge and builder metadata.
@@ -297,8 +289,8 @@ class HamiltonianBundle:
                 raise ValueError("parity needs a label +1 or -1 per basis state")
             even, odd = np.flatnonzero(labels > 0), np.flatnonzero(labels < 0)
             off = member_max_abs(stack[:, even[:, None], odd])
-            _verify(off, tol, stacked, "declared parity does not commute with H",
-                    "max|H[even, odd]|")
+            verify_members(off, tol, stacked, "declared parity does not commute with H",
+                           "max|H[even, odd]|")
             off_block = float(off.max())
             sectors = tuple(s for s in (even, odd) if s.size)
         object.__setattr__(self, "_sectors", sectors)
@@ -307,8 +299,8 @@ class HamiltonianBundle:
         if self.time_reversal:
             odd_photons = parity_labels(self.space) < 0
             imag = _time_reversal_imag(stack, odd_photons)
-            _verify(imag, tol, stacked, "declared time reversal does not hold",
-                    "max|Im(p^dag H p)|")
+            verify_members(imag, tol, stacked, "declared time reversal does not hold",
+                           "max|Im(p^dag H p)|")
             diagnostics["time_reversal_imag"] = float(imag.max())
             phases = np.where(odd_photons, 1j, 1.0)
         object.__setattr__(self, "_phases", phases)
@@ -787,9 +779,6 @@ class TimeDependentHamiltonian:
         self.generator = generator
         self.h_field = h_field
         self.h_matter = h_matter
-        # the one conjugation this gauge evaluates at every t, with its set-up done once
-        self._conjugated = (generator.matter_conjugation(h_matter) if gauge == "coulomb"
-                            else generator.photon_conjugation(h_field))
         self.h_f = np.kron(h_field, np.eye(h_matter.shape[0]))
         self.h_0 = np.kron(np.eye(h_field.shape[0]), h_matter)
         self.profile = profile
@@ -799,9 +788,9 @@ class TimeDependentHamiltonian:
     def matrix(self, t: float) -> np.ndarray:
         mu = self.profile.mu(t)
         if self.gauge == "coulomb":
-            h = self.h_f + self._conjugated(mu)
+            h = self.h_f + self.generator.conjugate_matter(mu, self.h_matter)
         else:
-            h = self._conjugated(-mu) + self.h_0
+            h = self.generator.conjugate_photon(-mu, self.h_field) + self.h_0
             mu_dot = self.profile.mu_dot(t)
             if mu_dot != 0.0:
                 h += self.extra_term_sign * mu_dot * self.generator.matrix

@@ -197,6 +197,16 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def verify_members(measured: np.ndarray, tol: np.ndarray, stacked: bool, claim: str,
+                   what: str):
+    """Raise `InvariantViolation` "<claim>[ in stack member i] (<what> = value)" for the
+    first member i whose measured value exceeds its own tol; `stacked` names the member."""
+    bad = np.flatnonzero(measured > tol)
+    if bad.size:
+        member = f" in stack member {bad[0]}" if stacked else ""
+        raise InvariantViolation(f"{claim}{member} ({what} = {measured[bad[0]]:.3e})")
+
+
 def hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
     """(m + m^dag) / 2, after checking that ||m - m^dag||_max of the raw m is at
     most HERMITIAN_TOL * max(1, max|m|); `InvariantViolation` names `what`.
@@ -210,12 +220,10 @@ def hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
     # members and their scales max(1, max|m_b|) are needed only once the largest
     # deviation exceeds the absolute tolerance
     if max_abs(diff) > HERMITIAN_TOL:
-        dev = np.atleast_1d(member_max_abs(diff))
-        bad = np.flatnonzero(dev > HERMITIAN_TOL * np.maximum(1.0, member_max_abs(as_stack(m))))
-        if bad.size:
-            member = f" (stack member {bad[0]})" if m.ndim == 3 else ""
-            raise InvariantViolation(f"{what}{member} is not Hermitian before symmetrization "
-                                     f"(||m - m^dag||_max = {dev[bad[0]]:.3e})")
+        verify_members(np.atleast_1d(member_max_abs(diff)),
+                       HERMITIAN_TOL * np.maximum(1.0, member_max_abs(as_stack(m))),
+                       m.ndim == 3, f"{what} is not Hermitian before symmetrization",
+                       "||m - m^dag||_max")
     del diff
     out = m + m_dag
     out *= 0.5
@@ -349,21 +357,11 @@ class HermitianGenerator:
 
     def conjugate_photon(self, s, a: np.ndarray) -> np.ndarray:
         """exp(i s X) (A (x) 1) exp(-i s X) for A on all factors but the last."""
-        return self.photon_conjugation(a)(s)
-
-    def photon_conjugation(self, a: np.ndarray) -> Callable:
-        """s -> `conjugate_photon(s, a)`, with A (x) 1 formed once."""
-        full = kron(a, np.eye(self.space.factors[-1].dim))
-        return lambda s: self.conjugate(s, full)
+        return self.conjugate(s, kron(a, np.eye(self.space.factors[-1].dim)))
 
     def conjugate_matter(self, s, b: np.ndarray) -> np.ndarray:
         """exp(i s X) (1 (x) B) exp(-i s X) for B on the last factor."""
-        return self.matter_conjugation(b)(s)
-
-    def matter_conjugation(self, b: np.ndarray) -> Callable:
-        """s -> `conjugate_matter(s, b)`, with 1 (x) B formed once."""
-        full = kron(np.eye(self.space.dim // b.shape[0]), b)
-        return lambda s: self.conjugate(s, full)
+        return self.conjugate(s, kron(np.eye(self.space.dim // b.shape[0]), b))
 
     def nested_commutators(self, b: np.ndarray, order: int, s=1.0) -> np.ndarray:
         """sum_{j<=order} ((i s)^j / j!) ad_X^j(1 (x) B), ad_X(Y) = [X, Y], for B on the
@@ -445,22 +443,14 @@ def _kron_apply(local: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _by_magnitude(t: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
-                  flip: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """f(t), a stack of matrices over the entries of t, for an f with f(-t) = flip(f(t)).
-
-    A stack's parameters (t of one row per member) repeat: every entry is zero at
-    theta = 0 or 1, and a two-level emitter's come in pairs +-t; f then runs once
-    per distinct |t|.  A single row is evaluated as it is: finding its few
-    distinct entries costs more than it saves.
-    """
-    if t.ndim < 2:
-        return f(t)
-    mags, inverse = np.unique(np.abs(t), return_inverse=True)
-    out = f(mags)[inverse.reshape(t.shape)]
-    negative = t < 0
-    out[negative] = flip(out[negative])
-    return out
+def _distinct(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, inverse): the distinct entries of t in order of first appearance, and
+    for each entry the index of its value, so that values[inverse] equals t.  A dict
+    takes a few microseconds for the two or four entries of one H(t), where
+    np.unique takes about twenty, a tenth of the conjugation it serves."""
+    first = {}
+    inverse = [first.setdefault(x, len(first)) for x in np.ravel(t).tolist()]
+    return np.array(list(first), dtype=float), np.array(inverse, dtype=np.intp).reshape(np.shape(t))
 
 
 class KroneckerGenerator:
@@ -497,13 +487,9 @@ class KroneckerGenerator:
         self.space = space
         self._local_terms = [hermitian_part(p, "local generator term") for p in local_terms]
         self._matter = hermitian_part(matter, "matter generator term")
-        eigs = [_local_eig(p) for p in self._local_terms]
         # per leading factor (i nu, v, v^dag), v^dag contiguous for the products below
-        self._local_eigs = [(1j * nu, v, np.ascontiguousarray(_dagger(v))) for nu, v in eigs]
-        self._vecs = [v for _, v in eigs]
-        self._vecs_dag = [vh for _, _, vh in self._local_eigs]
-        # eigenvalues of sum_i phi_i, in the order of the basis (x)_i v_i
-        self._nu = reduce(np.add.outer, [nu for nu, _ in eigs]).ravel()
+        self._local_eigs = [(1j * nu, v, np.ascontiguousarray(_dagger(v)))
+                            for nu, v in map(_local_eig, self._local_terms)]
         self._lam, vecs = np.linalg.eigh(self._matter)
         _check_unitary_columns(vecs, "matter eigenprojectors are not orthogonal")
         self._proj = np.einsum("ik,jk->kij", vecs, vecs.conj())  # P_k
@@ -522,9 +508,13 @@ class KroneckerGenerator:
                 for i_nu, v, vh in self._local_eigs]
 
     def _photon_unitaries(self, t: np.ndarray) -> np.ndarray:
-        """E(t) = (x)_i exp(i t phi_i) on the leading factors, for every entry of t;
-        E(-t) = E(t)^dag."""
-        return _by_magnitude(t, lambda t: reduce(kron, self._local_exps(t)), _dagger)
+        """E(t) = (x)_i exp(i t phi_i) on the leading factors, for every entry of t.
+
+        A stack's entries repeat (all are zero at theta = 0 or 1), so each local
+        exponential is evaluated once per distinct entry.
+        """
+        values, inverse = _distinct(t)
+        return reduce(kron, [e[inverse] for e in self._local_exps(values)])
 
     def _photon_term(self) -> np.ndarray:
         """sum_i phi_i on the leading factors."""
@@ -557,53 +547,18 @@ class KroneckerGenerator:
 
     def conjugate_photon(self, s, a: np.ndarray) -> np.ndarray:
         """exp(i s X) (A (x) 1) exp(-i s X) = sum_k E A E^dag (x) P_k, E = E(s lam_k)."""
-        return self.photon_conjugation(a)(s)
-
-    def photon_conjugation(self, a: np.ndarray) -> Callable:
-        """s -> `conjugate_photon(s, a)` for a Hermitian A, with the work on A done once.
-
-        With real local eigenvectors and a real A the conjugation runs in the
-        eigenbasis V = (x)_i v_i: E(t) = V exp(i t N) V^T, N the sum of the local
-        eigenvalues, so E A E^dag = V (B o exp(i t (N_a - N_b))) V^T with the real
-        B = V^T A V formed once, every product has a real left factor, and the
-        result at -t is the conjugate of the one at t, evaluated once per |t|.
-        Otherwise E A E^dag is formed from the local exponentials, which
-        measured cheaper there in memory and no slower.
-        """
-        if all(v.dtype.kind == "f" for v in self._vecs) and not np.any(np.imag(a)):
-            b = _dagger(_kron_apply(self._vecs_dag, _dagger(_kron_apply(self._vecs_dag, a))))
-
-            def conjugated(t):
-                u = np.exp(1j * np.multiply.outer(t, self._nu))
-                f = b * u[..., :, None]
-                f *= u.conj()[..., None, :]
-                return _dagger(_kron_apply(self._vecs, _dagger(_kron_apply(self._vecs, f))))
-
-            return lambda s: kron_sum(_by_magnitude(np.multiply.outer(s, self._lam),
-                                                    conjugated, np.conj), self._proj)
-
-        def conjugated(s):
-            e = self._local_exps(np.multiply.outer(s, self._lam))
-            return kron_sum(_dagger(_kron_apply(e, _dagger(_kron_apply(e, a)))), self._proj)
-
-        return conjugated
+        e = self._local_exps(np.multiply.outer(s, self._lam))
+        return kron_sum(_dagger(_kron_apply(e, _dagger(_kron_apply(e, a)))), self._proj)
 
     def conjugate_matter(self, s, b: np.ndarray) -> np.ndarray:
         """exp(i s X) (1 (x) B) exp(-i s X) = sum_kl E(s (lam_k - lam_l)) (x) P_k B P_l."""
-        return self.matter_conjugation(b)(s)
-
-    def matter_conjugation(self, b: np.ndarray) -> Callable:
-        """s -> `conjugate_matter(s, b)`, with the blocks P_k B P_l formed once."""
         b = np.asarray(b, dtype=complex)
         blocks = self._proj[:, None] @ b @ self._proj[None, :]
-        coupled, uncoupled = blocks[self._coupled], blocks[~self._coupled].sum(axis=0)
+        out = kron_sum(self._photon_unitaries(np.multiply.outer(s, self._gaps)),
+                       blocks[self._coupled])
+        # pairs with lam_k = lam_l have E(0) = 1: add them on the photon diagonal
         n, m = self._leading.dim, b.shape[0]
         diagonal = np.arange(n)
-
-        def conjugated(s):
-            out = kron_sum(self._photon_unitaries(np.multiply.outer(s, self._gaps)), coupled)
-            # pairs with lam_k = lam_l have E(0) = 1: add them on the photon diagonal
-            out.reshape(-1, n, m, n, m)[:, diagonal, :, diagonal, :] += uncoupled
-            return out
-
-        return conjugated
+        uncoupled = blocks[~self._coupled].sum(axis=0)
+        out.reshape(-1, n, m, n, m)[:, diagonal, :, diagonal, :] += uncoupled
+        return out
