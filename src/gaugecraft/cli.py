@@ -26,7 +26,7 @@ from .dynamics import evolve
 from .errors import ConfigError, ConvergenceError, GaugecraftError, InvariantViolation
 from .gaugecheck import ambiguity_scan, verify_spectral_equivalence
 from .hamiltonians import (COULOMB, MULTIPOLAR, build_beyond_dipole, build_dipole,
-                           build_naive, build_time_dependent, couplings)
+                           build_naive, build_time_dependent, couplings, standard_space)
 from .modes import build_from_grid, chi_from_qnm, completeness_residual, qnm_frequency_grid, solve_dielectric_1d
 from .scenario import (Scenario, decode_complex_matrix, dielectric_from_json, number,
                        number_list, polariton_grid_from_json, qnm_from_json, save_modeset)
@@ -250,6 +250,9 @@ def cmd_detect(cfg: RunConfig) -> int:
                        for k, pair in enumerate(transitions)]
         if any(len(pair) != 2 for pair in transitions):
             raise ConfigError("'detector.transitions' must be a list of [i, j] pairs")
+        dim = standard_space(cutoffs, em.n_levels).dim
+        if any(not 0 <= idx < dim for pair in transitions for idx in pair):
+            raise ConfigError(f"'detector.transitions' indices must lie in [0, D), D = {dim}")
     count = number(section.get("count", 3), "detector.count", int)
     bundle_c = build_dipole(ms, em, COULOMB, cutoffs)
     bundle_mp = build_dipole(ms, em, MULTIPOLAR, cutoffs)

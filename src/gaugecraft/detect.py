@@ -7,6 +7,10 @@ this way agree between the Coulomb and multipolar gauges; rates built from
 the naively-truncated field (f in place of f') do not whenever chi has
 off-diagonal structure.  All rates are reported up to one common
 density-of-states constant, which cancels in every comparison.
+
+A rate needs a few eigenstates, so the detection operators stay Kronecker
+terms and they and the gauge map W are applied to those eigenvectors only;
+just the helpers that return the field operators form D x D matrices.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .gaugecheck import gauge_unitary
-from .hamiltonians import HamiltonianBundle, couplings, field_hamiltonian
+from .hamiltonians import HamiltonianBundle, _normalize_cutoffs, couplings, field_hamiltonian
 from .hilbert import HilbertSpec, Operator, fock_mask, ladder_matrix, max_abs, photon
 from .matter import EmitterSpec
 from .modes import ModeSet
@@ -43,17 +46,21 @@ class DetectorSpec:
 
 
 def photon_space(ms: ModeSet, cutoffs) -> HilbertSpec:
-    if np.isscalar(cutoffs):
-        cutoffs = (int(cutoffs),) * ms.n_modes
-    return HilbertSpec([photon(int(n)) for n in cutoffs])
+    return HilbertSpec([photon(n) for n in _normalize_cutoffs(cutoffs, ms.n_modes)])
 
 
-def _mode_sum(space: HilbertSpec, coeffs) -> np.ndarray:
-    """sum_mu c_mu a_mu over the photon factors of `space`, as Kronecker products."""
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    for c, fi in zip(coeffs, space.photon_indices):
-        out += space.kron({fi: c * ladder_matrix(space.factors[fi].fock_cutoff)})
-    return out
+def _mode_sum(space: HilbertSpec, coeffs) -> list[dict]:
+    """sum_mu c_mu a_mu + H.c. over the photon factors of `space`, one Kronecker term per mode."""
+    scaled = [(fi, c * ladder_matrix(space.factors[fi].fock_cutoff))
+              for c, fi in zip(coeffs, space.photon_indices)]
+    return [{fi: m + m.conj().T} for fi, m in scaled]
+
+
+def _field_components(ms: ModeSet, cutoffs, profile: np.ndarray, weights) -> list[Operator]:
+    """The three components sum_mu weights_mu profile_mu,c a_mu + H.c. as dense operators."""
+    space = photon_space(ms, cutoffs)
+    return [Operator(sum(map(space.kron, _mode_sum(space, weights * profile[:, c]))), space)
+            for c in range(3)]
 
 
 def vector_potential_operator(ms: ModeSet, point: str, cutoffs) -> list[Operator]:
@@ -62,14 +69,7 @@ def vector_potential_operator(ms: ModeSet, point: str, cutoffs) -> list[Operator
     A_c(x) = sum_mu f_mu,c(x) a_mu / sqrt(2 chi_mm) + H.c. on the bosonic
     factors only.
     """
-    space = photon_space(ms, cutoffs)
-    f = ms.profile(point)
-    c_mu = 1.0 / np.sqrt(2 * ms.chi_diag)
-    out = []
-    for c in range(3):
-        m = _mode_sum(space, c_mu * f[:, c])
-        out.append(Operator(m + m.conj().T, space, hermitian=True))
-    return out
+    return _field_components(ms, cutoffs, ms.profile(point), 1.0 / np.sqrt(2 * ms.chi_diag))
 
 
 def truncated_E_operator(ms: ModeSet, point: str, cutoffs,
@@ -81,14 +81,8 @@ def truncated_E_operator(ms: ModeSet, point: str, cutoffs,
     reproducing the gauge-inconsistent direct truncation of the field
     expansion.
     """
-    space = photon_space(ms, cutoffs)
     f = ms.profile(point) if naive else ms.derived_profile(point)
-    w_mu = np.sqrt(ms.chi_diag / 2)
-    out = []
-    for c in range(3):
-        m = _mode_sum(space, 1j * w_mu * f[:, c])
-        out.append(Operator(m + m.conj().T, space, hermitian=True))
-    return out
+    return _field_components(ms, cutoffs, f, 1j * np.sqrt(ms.chi_diag / 2))
 
 
 def field_commutator_residual(ms: ModeSet, point: str, cutoffs,
@@ -116,41 +110,33 @@ def field_commutator_residual(ms: ModeSet, point: str, cutoffs,
     return worst
 
 
-def _detector_etas(ms: ModeSet, det: DetectorSpec) -> np.ndarray:
-    f = ms.profile(det.r_d)
-    return (f.conj() @ det.d_d) / np.sqrt(2 * ms.chi_diag)
-
-
 def _frequency_factor(bundle: HamiltonianBundle, omega_d: float) -> float:
     """How the detection operator scales with the detector frequency in the bundle's gauge."""
     return omega_d if bundle.gauge.theta == 0.0 else 1.0
 
 
 def detection_operator(bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec,
-                       em: Optional[EmitterSpec] = None) -> np.ndarray:
-    """Matrix element operator of the golden-rule rate in the bundle's gauge.
+                       em: Optional[EmitterSpec] = None) -> list[dict]:
+    """Kronecker terms of the golden-rule matrix element operator in the bundle's gauge.
 
     Coulomb endpoint: omega_d * d_d . A(r_d).  Multipolar endpoint:
     i sum_{mu nu} chi*_{mu nu} eta_d*_nu a'_mu + H.c. with the displaced
-    operators a'_mu = a_mu + i eta_mu.  Either is a sum of Kronecker
-    products; across transitions it changes only by `_frequency_factor`.
+    operators a'_mu = a_mu + i eta_mu.  Either is a sum of Kronecker terms for
+    `HilbertSpec.apply`; across transitions it changes only by `_frequency_factor`.
     """
     space = bundle.space
-    theta = bundle.gauge.theta
-    if theta == 0.0:
-        f = ms.profile(det.r_d)
-        m = _mode_sum(space, (f @ det.d_d) / np.sqrt(2 * ms.chi_diag))
-    elif theta == 1.0:
-        # sum_mu c_mu a'_mu with c_mu = i sum_nu chi*_{mu nu} eta_d*_nu
-        if em is None:
-            raise ValueError("multipolar rate needs the system emitter (pass em=...)")
-        c = 1j * ms.chi.conj() @ _detector_etas(ms, det).conj()
-        eta_sys = couplings(ms, em).eta_matrices
-        m = (_mode_sum(space, c)
-             + space.kron({space.matter_indices[0]: 1j * np.einsum("m,mij->ij", c, eta_sys)}))
-    else:
+    # eta_d*_mu = f_mu(r_d) . d_d / sqrt(2 chi_mm), also the mode coefficients of d_d . A(r_d)
+    eta_d_conj = (ms.profile(det.r_d) @ det.d_d) / np.sqrt(2 * ms.chi_diag)
+    if bundle.gauge.theta == 0.0:
+        return _mode_sum(space, det.omega_d * eta_d_conj)
+    if bundle.gauge.theta != 1.0:
         raise ValueError("detection rates are defined at the gauge endpoints theta = 0, 1")
-    return _frequency_factor(bundle, det.omega_d) * (m + m.conj().T)
+    # sum_mu c_mu a'_mu + H.c. with c_mu = i sum_nu chi*_{mu nu} eta_d*_nu
+    if em is None:
+        raise ValueError("multipolar rate needs the system emitter (pass em=...)")
+    c = 1j * ms.chi.conj() @ eta_d_conj
+    matter = 1j * np.einsum("m,mij->ij", c, couplings(ms, em).eta_matrices)
+    return _mode_sum(space, c) + [{space.matter_indices[0]: matter + matter.conj().T}]
 
 
 def _check_resonance(det: DetectorSpec, vals: np.ndarray, i: int, j: int, match_tol: float):
@@ -161,8 +147,14 @@ def _check_resonance(det: DetectorSpec, vals: np.ndarray, i: int, j: int, match_
             f"{omega_ij:g} (|i>={i}, |j>={j}); invalid resonance pairing")
 
 
-def _amplitude_sq(vecs: np.ndarray, op: np.ndarray, i: int, j: int) -> float:
-    return float(abs(vecs[:, i].conj() @ op @ vecs[:, j]) ** 2)
+def _amplitudes_sq(bundle: HamiltonianBundle, terms: list[dict],
+                   pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """|<i| O |j>|^2 between eigenstates of the bundle for every (i, j) in pairs, the
+    terms of O applied to the columns j only."""
+    vecs = bundle.eigensystem()[1]
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+    o_j = bundle.space.apply(terms, vecs[:, j])
+    return np.abs(np.einsum("dk,dk->k", vecs[:, i].conj(), o_j)) ** 2
 
 
 @dataclass(frozen=True)
@@ -180,13 +172,11 @@ def naive_rate_gap(bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec,
     eigenstates; only the profile family differs (f' versus f), so the gap is
     exactly zero for diagonal chi.
     """
-    vals, vecs = bundle.eigensystem()
-    _check_resonance(det, vals, i, j, match_tol)
-    rates = []
-    for f in (ms.derived_profile(det.r_d), ms.profile(det.r_d)):
-        m = _mode_sum(bundle.space, 1j * np.sqrt(ms.chi_diag / 2) * (f @ det.d_d))
-        rates.append(_amplitude_sq(vecs, m + m.conj().T, i, j))
-    r_c, r_n = rates
+    _check_resonance(det, bundle.eigensystem()[0], i, j, match_tol)
+    w_mu = 1j * np.sqrt(ms.chi_diag / 2)
+    r_c, r_n = (float(_amplitudes_sq(bundle, _mode_sum(bundle.space, w_mu * (f @ det.d_d)),
+                                     [(i, j)])[0])
+                for f in (ms.derived_profile(det.r_d), ms.profile(det.r_d)))
     rel = abs(r_c - r_n) / r_c if r_c > 0 else (0.0 if r_n == 0 else float("inf"))
     return RateGap(r_c, r_n, rel)
 
@@ -212,28 +202,29 @@ def rate_table(bundle_c: HamiltonianBundle, bundle_mp: HamiltonianBundle,
     W |i_C>, required to exceed `overlap_min` (resolves degenerate levels by
     maximal-overlap assignment).
     """
-    cs = couplings(ms, em)
     vals_c, vecs_c = bundle_c.eigensystem()
     vals_mp, vecs_mp = bundle_mp.eigensystem()
-    w = gauge_unitary(bundle_c.space, cs, bundle_c.gauge.theta, bundle_mp.gauge.theta).matrix
-    op_c = detection_operator(bundle_c, ms, replace(det, omega_d=1.0), em)
-    op_mp = detection_operator(bundle_mp, ms, replace(det, omega_d=1.0), em)
+    # W |i_C> for every state a transition names, W = exp(-i (theta_mp - theta_C) X)
+    states = list(dict.fromkeys(idx for pair in transitions for idx in pair))
+    targets = couplings(ms, em).generator(bundle_c.space).apply(
+        bundle_c.gauge.theta - bundle_mp.gauge.theta, vecs_c[:, states])
+    overlaps = np.abs(targets.conj().T @ vecs_mp)  # |<k_mp| W |i_C>|, one row per state
+    pair = {}
+    for idx, row in zip(states, overlaps):
+        k = int(np.argmax(row))
+        if row[k] < overlap_min:
+            raise InvariantViolation(
+                f"gauge pairing of eigenstate {idx} failed (overlap {row[k]:.4f})")
+        pair[idx] = k
+    paired = [(pair[i], pair[j]) for i, j in transitions]
+    unit = replace(det, omega_d=1.0)
+    amp_c = _amplitudes_sq(bundle_c, detection_operator(bundle_c, ms, unit, em), transitions)
+    amp_mp = _amplitudes_sq(bundle_mp, detection_operator(bundle_mp, ms, unit, em), paired)
     rows = []
-    for i, j in transitions:
+    for (i, j), (k, l), a_c, a_mp in zip(transitions, paired, amp_c, amp_mp):
         omega_ij = float(vals_c[j] - vals_c[i])
-        r_c = _frequency_factor(bundle_c, omega_ij) ** 2 * _amplitude_sq(vecs_c, op_c, i, j)
-        pair = {}
-        for idx in (i, j):
-            target = w @ vecs_c[:, idx]
-            overlaps = np.abs(vecs_mp.conj().T @ target)
-            k = int(np.argmax(overlaps))
-            if overlaps[k] < overlap_min:
-                raise InvariantViolation(
-                    f"gauge pairing of eigenstate {idx} failed (overlap {overlaps[k]:.4f})")
-            pair[idx] = k
-        omega_mp = float(vals_mp[pair[j]] - vals_mp[pair[i]])
-        r_mp = (_frequency_factor(bundle_mp, omega_mp) ** 2
-                * _amplitude_sq(vecs_mp, op_mp, pair[i], pair[j]))
+        r_c = _frequency_factor(bundle_c, omega_ij) ** 2 * float(a_c)
+        r_mp = _frequency_factor(bundle_mp, float(vals_mp[l] - vals_mp[k])) ** 2 * float(a_mp)
         rel = abs(r_c - r_mp) / r_c if r_c > 0 else (0.0 if r_mp == 0 else float("inf"))
         rows.append(RateRow(i, j, omega_ij, r_c, r_mp, rel))
     return rows
@@ -249,10 +240,10 @@ def significant_transitions(bundle: HamiltonianBundle, ms: ModeSet, det: Detecto
     transitions that are not upward in energy.
     """
     vals, vecs = bundle.eigensystem()
-    op = detection_operator(bundle, ms, replace(det, omega_d=1.0), em)
+    terms = detection_operator(bundle, ms, replace(det, omega_d=1.0), em)
     stop = min(bundle.space.dim, i + 40)
-    # <i| op |j> for every candidate j from one row and one product
-    amp_sq = np.abs((vecs[:, i].conj() @ op) @ vecs[:, i + 1:stop]) ** 2
+    # <i| O |j> = (O |i>)^dag |j> for every candidate j, O Hermitian: one apply
+    amp_sq = np.abs(bundle.space.apply(terms, vecs[:, i]).conj() @ vecs[:, i + 1:stop]) ** 2
     rates = []
     for j, a_sq in zip(range(i + 1, stop), amp_sq):
         omega = float(vals[j] - vals[i])

@@ -270,11 +270,9 @@ def td_gauge_equivalence(ms: ModeSet, em: EmitterSpec, profile: TimeProfile,
     if psi0 is None:
         vals, vecs = np.linalg.eigh(td_c.matrix(t_grid[0]))
         psi0 = vecs[:, 0].astype(complex)
-    psi_mp0 = td_c.gauge_map(t_grid[0]).matrix @ psi0
+    psi_mp0 = td_c.generator.apply(-profile.mu(t_grid[0]), psi0)
     traj_c = evolve(td_c, psi0, t_grid, tol=tol)
     traj_mp = evolve(td_mp, psi_mp0, t_grid, tol=tol)
-    devs = np.empty(len(t_grid))
-    for k, t in enumerate(t_grid):
-        w = td_c.gauge_map(t).matrix
-        devs[k] = np.linalg.norm(traj_mp.states[k] - w @ traj_c.states[k])
+    devs = np.array([np.linalg.norm(psi_mp - td_c.generator.apply(-profile.mu(t), psi_c))
+                     for t, psi_c, psi_mp in zip(t_grid, traj_c.states, traj_mp.states)])
     return TdEquivalenceResult(float(devs.max()), t_grid, devs, traj_c, traj_mp)

@@ -84,6 +84,11 @@ def verify_spectral_equivalence(h_a: HamiltonianBundle, h_b: HamiltonianBundle,
     the dipole builder family), the operator residual
     ||(W H_a W^dag - H_b) P_low||_2 is evaluated with the connecting gauge
     unitary; otherwise it is reported as nan.
+
+    W is formed here, unlike in `detect`, because the residual needs it on the
+    K ~ D/2 columns of the low sector: at D = 602 and K = 302 (2 cores),
+    forming W took 13 ms and the two products 20 ms, against 42 ms for
+    applying W and W^dag factor by factor (`apply`) to the K columns alone.
     """
     if h_a.space != h_b.space:
         raise ValueError("bundles live on different spaces")

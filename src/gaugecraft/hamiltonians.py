@@ -796,10 +796,6 @@ class TimeDependentHamiltonian:
                 h += self.extra_term_sign * mu_dot * self.generator.matrix
         return hermitian_part(h, "H(t)")
 
-    def gauge_map(self, t: float) -> Operator:
-        """W(t) = exp(-i mu(t) X), mapping Coulomb-gauge states to multipolar ones."""
-        return self.generator.unitary(-self.profile.mu(t))
-
 
 def build_time_dependent(ms: ModeSet, em: EmitterSpec, gauge: str,
                          profile: TimeProfile, cutoffs: Union[int, Sequence[int]],

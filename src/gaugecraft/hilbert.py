@@ -3,9 +3,9 @@
 Provides the ordered tensor-factor layout (`HilbertSpec`), dense complex
 operators bound to it (`Operator`), ladder and Pauli operators embedded in
 the full product space, and the gauge generators.  Operators on the full
-space are dense matrices aimed at desk-scale dimensions (up to ~10^4); they
-are assembled as Kronecker products of local factor matrices
-(`HilbertSpec.kron`), never by multiplying embedded D x D matrices.
+space are either dense matrices for desk-scale D (up to ~10^4), assembled
+as Kronecker products of local factor matrices (`HilbertSpec.kron`), or sums
+of Kronecker terms that `HilbertSpec.apply` applies factor by factor.
 
 The package has one Hermiticity rule, `hermitian_part`, applied once to each
 matrix where it enters (generator terms, chi, overlaps, dipoles, built and
@@ -17,8 +17,9 @@ is a sum of local terms on the leading factors times one matrix on the last
 factor, X = (sum_i phi_i) (x) D, `KroneckerGenerator` keeps only the local
 eigendecompositions and assembles exp(i s X) and its conjugations from
 Kronecker products in O(D^2).  Any other Hermitian generator goes through
-`HermitianGenerator`, which eigendecomposes the D x D matrix once.  Values
-are immutable after construction and safe to share across threads.
+`HermitianGenerator`, which eigendecomposes the D x D matrix once.  Both
+apply exp(i s X) to vectors (`apply`) without forming it.  Values are
+immutable after construction and safe to share across threads.
 
 Conventions: hbar = 1 and eps0 = 1 throughout the package.  Fock states are
 ordered |0>, |1>, ..., |N>; a two-level matter factor is ordered |e>, |g>,
@@ -28,7 +29,7 @@ so that sigma_z = diag(+1, -1).
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -122,25 +123,46 @@ class HilbertSpec:
     def matter_indices(self) -> tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.factors) if f.kind == "matter")
 
+    def _checked(self, local: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
+        """One Kronecker term's local matrices in factor order, each checked against its factor."""
+        out = {i: np.asarray(local[i], dtype=complex) for i in sorted(local)}
+        for i, m in out.items():
+            if not 0 <= i < len(self.factors):
+                raise IndexError(f"factor index {i} out of range")
+            if m.shape != (self.factors[i].dim,) * 2:
+                raise ValueError("local matrix does not match factor dimension")
+        return out
+
     def kron(self, local: Mapping[int, np.ndarray]) -> np.ndarray:
         """Kronecker product of local matrices on the given factors, identity elsewhere."""
+        local = self._checked(local)
         out = np.ones((1, 1), dtype=complex)
         idle = 1  # dimension of the run of identity factors not yet multiplied in
-        for index in local:
-            if not 0 <= index < len(self.factors):
-                raise IndexError(f"factor index {index} out of range")
         for i, f in enumerate(self.factors):
             if i not in local:
                 idle *= f.dim
                 continue
-            m = np.asarray(local[i], dtype=complex)
-            if m.shape != (f.dim, f.dim):
-                raise ValueError("local matrix does not match factor dimension")
             if idle > 1:
                 out = kron(out, np.eye(idle))
                 idle = 1
-            out = kron(out, m)
+            out = kron(out, local[i])
         return kron(out, np.eye(idle)) if idle > 1 else out
+
+    def apply(self, terms: Iterable[Mapping[int, np.ndarray]], x: np.ndarray) -> np.ndarray:
+        """(sum_t kron(t)) @ x for a vector or a D x K block x, one factor at a time;
+        each term t is a {factor: local matrix} map, as `kron` takes."""
+        x = np.asarray(x)
+        if x.shape[0] != self.dim:
+            raise ValueError(f"vector dimension {x.shape[0]} != space dimension {self.dim}")
+        block = x.reshape(self.dim, -1)
+        out = np.zeros(block.shape, dtype=complex)
+        for term in terms:
+            y = block
+            for i, m in self._checked(term).items():
+                before = int(np.prod([f.dim for f in self.factors[:i]]))
+                y = _left_multiply(m, y.reshape(before, len(m), -1))
+            out += y.reshape(block.shape)
+        return out.reshape(x.shape)
 
     def embed(self, index: int, local: np.ndarray) -> np.ndarray:
         """Embed a single-factor matrix into the full space by Kronecker products."""
@@ -232,18 +254,10 @@ def hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense complex matrix bound to a HilbertSpec, or a stack (S, D, D) of them.
-
-    The ``hermitian``/``unitary`` flags are *verified* at construction when
-    claimed (never merely asserted): claiming a property that the matrix does
-    not satisfy raises ``InvariantViolation``; a stack is verified on every
-    member.  A flag value of ``None`` means unchecked.
-    """
+    """Dense complex matrix bound to a HilbertSpec, or a stack (S, D, D) of them."""
 
     matrix: np.ndarray
     space: HilbertSpec
-    hermitian: Optional[bool] = field(default=None)
-    unitary: Optional[bool] = field(default=None)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -254,30 +268,6 @@ class Operator:
             raise ValueError(
                 f"matrix dimension {m.shape[-1]} != space dimension {self.space.dim}"
             )
-        if self.hermitian:
-            dev = max_abs(m - _dagger(m))
-            if dev >= HERMITIAN_TOL:
-                raise InvariantViolation(f"hermitian flag set but ||M - M^dag||_max = {dev:.3e}")
-        if self.unitary:
-            dev = max_abs(_dagger(m) @ m - np.eye(m.shape[-1]))
-            if dev >= UNITARY_TOL:
-                raise InvariantViolation(f"unitary flag set but ||M^dag M - 1||_max = {dev:.3e}")
-
-    @classmethod
-    def unitary_from_factors(cls, matrix: np.ndarray, space: HilbertSpec) -> "Operator":
-        """Unitary operator assembled from factors whose unitarity the caller verified.
-
-        A Kronecker product of unitaries, and a sum of them weighted by
-        orthogonal projectors that resolve the identity, is exactly unitary,
-        so the D x D product check that `unitary=True` would run is skipped.
-        """
-        op = cls(matrix, space)
-        object.__setattr__(op, "unitary", True)
-        return op
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[-1]
 
 
 def ladder_matrix(fock_cutoff: int) -> np.ndarray:
@@ -314,10 +304,7 @@ def pauli(space: HilbertSpec, matter_index: int) -> tuple[Operator, Operator, Op
     fi = matter_idx[matter_index]
     if space.factors[fi].dim != 2:
         raise ValueError(f"matter factor has dim {space.factors[fi].dim}, need 2 for Pauli algebra")
-    return tuple(
-        Operator(space.embed(fi, p), space, hermitian=True)
-        for p in (PAULI_X, PAULI_Y, PAULI_Z)
-    )
+    return tuple(Operator(space.embed(fi, p), space) for p in (PAULI_X, PAULI_Y, PAULI_Z))
 
 
 def _check_unitary_columns(v: np.ndarray, what: str):
@@ -329,12 +316,13 @@ def _check_unitary_columns(v: np.ndarray, what: str):
 class HermitianGenerator:
     """Cached eigendecomposition of a Hermitian generator X.
 
-    unitary(s) returns exp(i s X) as an exactly-unitary matrix; repeated
-    evaluations (gauge sweeps, time-dependent couplings) reuse the
-    factorization, which is computed on first use.  Every method takes s as
-    a float or as a 1-D array; an array gives the stack (S, D, D) of the
-    results at each of its entries.  This is the dense form, for generators
-    that do not factor as a `KroneckerGenerator`.
+    apply(s, x) returns exp(i s X) x and unitary(s) the matrix exp(i s X);
+    repeated evaluations (gauge sweeps, time-dependent couplings) reuse the
+    factorization, which is computed on first use and whose eigenvectors are
+    checked to be unitary then, once.  Every method takes s as a float or as
+    a 1-D array; an array gives the stack of the results at each of its
+    entries.  This is the dense form, for generators that do not factor as a
+    `KroneckerGenerator`.
     """
 
     def __init__(self, matrix: np.ndarray, space: HilbertSpec):
@@ -343,12 +331,20 @@ class HermitianGenerator:
 
     @cached_property
     def _eig(self):
-        return np.linalg.eigh(self.matrix)
+        vals, vecs = np.linalg.eigh(self.matrix)
+        _check_unitary_columns(vecs, "generator eigenvectors are not unitary")
+        return vals, vecs
+
+    def apply(self, s, x: np.ndarray) -> np.ndarray:
+        """exp(i s X) x for a vector or a D x K block x; shape (S,) + x.shape for an array s."""
+        vals, vecs = self._eig
+        x = np.asarray(x)
+        y = vecs.conj().T @ x.reshape(len(vals), -1)
+        out = vecs @ (np.exp(1j * np.multiply.outer(s, vals))[..., None] * y)
+        return out.reshape(np.shape(s) + x.shape)
 
     def unitary(self, s) -> Operator:
-        vals, vecs = self._eig
-        u = (vecs * np.exp(1j * np.multiply.outer(s, vals))[..., None, :]) @ vecs.conj().T
-        return Operator(u, self.space, unitary=True)
+        return Operator(self.apply(s, np.eye(self.space.dim)), self.space)
 
     def conjugate(self, s, m: np.ndarray) -> np.ndarray:
         """exp(i s X) M exp(-i s X) as a plain matrix."""
@@ -541,9 +537,17 @@ class KroneckerGenerator:
         weights = np.power.outer(s, np.arange(order + 1))[..., None, None]
         return kron_sum(np.array(powers), weights * np.array(terms))
 
+    def apply(self, s, x: np.ndarray) -> np.ndarray:
+        """exp(i s X) x = sum_k (E(s lam_k) (x) P_k) x for a vector or a D x K block x,
+        factor by factor; shape (S,) + x.shape for an array s."""
+        x = np.asarray(x)
+        e = self._local_exps(np.multiply.outer(s, self._lam))
+        out = _kron_apply(e + [self._proj], x.reshape(self.space.dim, -1)).sum(axis=-3)
+        return out.reshape(np.shape(s) + x.shape)
+
     def unitary(self, s) -> Operator:
         w = kron_sum(self._photon_unitaries(np.multiply.outer(s, self._lam)), self._proj)
-        return Operator.unitary_from_factors(w, self.space)
+        return Operator(w, self.space)
 
     def conjugate_photon(self, s, a: np.ndarray) -> np.ndarray:
         """exp(i s X) (A (x) 1) exp(-i s X) = sum_k E A E^dag (x) P_k, E = E(s lam_k)."""

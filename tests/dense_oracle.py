@@ -12,10 +12,16 @@ through a `CouplingSet`.
 `nested_commutator_series` is the naive Taylor truncation of U H_0 U^dag.
 `ambiguity_scan` is the coupling scan one coupling at a time, each with its
 own three scalar cutoff ladders (`ambiguity_ladders`, `converged_ground_energy`).
+`detection_operator` is the golden-rule operator of `detect` as one D x D
+matrix, written out with numpy.kron; `rate_table` and
+`significant_transitions` apply it, and the formed gauge unitary W of
+`DenseSystem`, as whole matrices.
 `herm_eig` and `matrix_exp` are the general dense eigendecomposition and
 exponential of an `Operator`, and `dielectric_modes` solves the 1D dielectric
 finite-difference problem with scipy's generalized symmetric eigensolver.
 """
+
+from functools import reduce
 
 import numpy as np
 import scipy.linalg
@@ -184,6 +190,81 @@ def generalized_1d(nm, em, gauge, n_modes, cutoffs, x0, truncation="correct",
     return h + sum(h_at_x0[mu] ** 2 / 2 for mu in p2_modes) * d_hat @ d_hat, meta
 
 
+def detection_operator(bundle, ms, det, em=None):
+    """The golden-rule operator in the bundle's gauge as one D x D matrix.
+
+    Coulomb (theta = 0): omega_d d_d . A(r_d), A = sum_mu f_mu a_mu / sqrt(2 chi_mm)
+    + H.c.  Multipolar (theta = 1): sum_mu c_mu (a_mu + i eta_mu) + H.c. with
+    c = i chi^* eta_d^*, eta_d,mu = f_mu(r_d)^* . d_d / sqrt(2 chi_mm).  Every
+    term is embedded with numpy.kron on its own.
+    """
+    space = bundle.space
+    dims = [f.dim for f in space.factors]
+
+    def embed(index, m):
+        return reduce(np.kron, [m if k == index else np.eye(n) for k, n in enumerate(dims)])
+
+    ladders = [embed(fi, ladder_matrix(dims[fi] - 1)) for fi in space.photon_indices]
+    f = ms.profile(det.r_d)
+    if bundle.gauge.theta == 0.0:
+        c = det.omega_d * (f @ det.d_d) / np.sqrt(2 * ms.chi_diag)
+        m = sum(c_mu * a for c_mu, a in zip(c, ladders))
+    else:
+        c = 1j * ms.chi.conj() @ ((f.conj() @ det.d_d) / np.sqrt(2 * ms.chi_diag)).conj()
+        eta = couplings(ms, em).eta_matrices
+        m = sum(c_mu * (a + 1j * embed(space.matter_indices[0], eta_mu))
+                for c_mu, a, eta_mu in zip(c, ladders, eta))
+    return m + m.conj().T
+
+
+def _rate(bundle, op, i, j):
+    """Golden-rule rate of |i> -> |j> with the operator at omega_d = 1: the
+    Coulomb operator scales with the transition frequency, the multipolar one not."""
+    vals, vecs = bundle.eigensystem()
+    omega = vals[j] - vals[i]
+    return (omega ** 2 if bundle.gauge.theta == 0.0 else 1.0) * abs(
+        vecs[:, i].conj() @ op @ vecs[:, j]) ** 2
+
+
+def rate_table(bundle_a, bundle_b, ms, em, det, transitions):
+    """(rates in a, rates in b, smallest pairing overlap) over transitions indexed in
+    gauge a; each eigenstate is paired with the b eigenvector of largest overlap with
+    W |i_a>, W the formed exp(-i (theta_b - theta_a) X) of `DenseSystem`."""
+    unit = type(det)(1.0, det.d_d, det.r_d)
+    op_a, op_b = (detection_operator(b, ms, unit, em) for b in (bundle_a, bundle_b))
+    w = DenseSystem(ms, em, bundle_a.metadata["cutoffs"]).gauge_unitary(
+        bundle_a.gauge.theta, bundle_b.gauge.theta)
+    vecs_a, vecs_b = bundle_a.eigensystem()[1], bundle_b.eigensystem()[1]
+    rates_a, rates_b, worst = [], [], 1.0
+    for i, j in transitions:
+        overlaps = [np.abs(vecs_b.conj().T @ w @ vecs_a[:, n]) for n in (i, j)]
+        worst = min([worst] + [float(o.max()) for o in overlaps])
+        k, l = (int(np.argmax(o)) for o in overlaps)
+        rates_a.append(_rate(bundle_a, op_a, i, j))
+        rates_b.append(_rate(bundle_b, op_b, k, l))
+    return np.array(rates_a), np.array(rates_b), worst
+
+
+def significant_transitions(bundle, ms, det, count, i=0, em=None, floor=1e-10):
+    """The first `count` upward transitions out of |i>, among the next 39 states,
+    whose rate exceeds `floor` times the largest, one dense matrix element each."""
+    vals = bundle.eigenvalues()
+    op = detection_operator(bundle, ms, type(det)(1.0, det.d_d, det.r_d), em)
+    rates = {j: _rate(bundle, op, i, j) for j in range(i + 1, min(len(vals), i + 40))
+             if vals[j] > vals[i]}
+    if not rates:
+        return []
+    top = max(rates.values())
+    return [(i, j) for j, r in rates.items() if r > floor * top][:count]
+
+
+def _verified(m, deviation, claim, tol=1e-12):
+    """m, after checking that the deviation matrix of the claimed property is below tol."""
+    if max_abs(deviation) >= tol:
+        raise InvariantViolation(f"result is not {claim}: deviation {max_abs(deviation):.3e}")
+    return m
+
+
 def herm_eig(op, tol=HERMITIAN_TOL):
     """Eigendecomposition of a Hermitian operator.
 
@@ -200,15 +281,16 @@ def herm_eig(op, tol=HERMITIAN_TOL):
     scale = max(1.0, float(np.abs(vals).max()) if vals.size else 1.0)
     if resid >= EIG_RESIDUAL_TOL * scale:
         raise InvariantViolation(f"eigendecomposition residual {resid:.3e} too large")
-    return vals, Operator(vecs, op.space, unitary=True)
+    return vals, Operator(_verified(vecs, vecs.conj().T @ vecs - np.eye(len(vals)), "unitary"),
+                          op.space)
 
 
 def matrix_exp(op):
     """Matrix exponential exp(M).
 
     Hermitian and anti-Hermitian inputs go through an eigendecomposition
-    (anti-Hermitian input yields an output whose unitary flag is verified);
-    everything else uses scaling-and-squaring Pade.
+    (the output is verified Hermitian or unitary, respectively); everything
+    else uses scaling-and-squaring Pade.
     """
     m = op.matrix
     if not np.all(np.isfinite(m)):
@@ -221,12 +303,12 @@ def matrix_exp(op):
         h = (-1j * m + (-1j * m).conj().T) / 2
         vals, vecs = np.linalg.eigh(h)
         e = (vecs * np.exp(1j * vals)) @ vecs.conj().T
-        return Operator(e, op.space, unitary=True)
+        return Operator(_verified(e, e.conj().T @ e - np.eye(len(e)), "unitary"), op.space)
     if herm_dev < HERMITIAN_TOL * scale:
         h = (m + m.conj().T) / 2
         vals, vecs = np.linalg.eigh(h)
         e = (vecs * np.exp(vals)) @ vecs.conj().T
-        return Operator(e, op.space, hermitian=True)
+        return Operator(_verified(e, e - e.conj().T, "Hermitian"), op.space)
     return Operator(scipy.linalg.expm(m), op.space)
 
 

@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
+import dense_oracle
 from gaugecraft import (COULOMB, MULTIPOLAR, DetectorSpec, ModeSet, build_dipole,
                         field_commutator_residual, naive_rate_gap, rate_table,
                         significant_transitions, tls, truncated_E_operator,
                         vector_potential_operator)
 from gaugecraft.cli import main
-from gaugecraft.detect import detection_operator, photon_space
+from gaugecraft.detect import photon_space
 from gaugecraft.hamiltonians import field_hamiltonian
 from gaugecraft.hilbert import max_abs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
@@ -49,14 +50,9 @@ def test_significant_transitions_match_one_matrix_element_per_transition():
     ms, em = two_mode_system(OFF_DIAGONAL_CHI)
     for bundle in (build_dipole(ms, em, COULOMB, CUTOFFS),
                    build_dipole(ms, em, MULTIPOLAR, CUTOFFS)):
-        vals, vecs = bundle.eigensystem()
-        op = detection_operator(bundle, ms, detector(), em)
         for i in (0, 2):
-            rates = {j: (vals[j] - vals[i]) ** (2 * (bundle.gauge.theta == 0.0))
-                     * abs(vecs[:, i].conj() @ op @ vecs[:, j]) ** 2
-                     for j in range(i + 1, i + 40) if vals[j] > vals[i]}
-            top = max(rates.values())
-            want = [(i, j) for j, r in rates.items() if r > 1e-10 * top][:5]
+            want = dense_oracle.significant_transitions(bundle, ms, detector(), 5, i=i, em=em)
+            assert len(want) == 5
             assert significant_transitions(bundle, ms, detector(), 5, i=i, em=em) == want
 
 
@@ -118,3 +114,26 @@ def test_detect_command_diagonalizes_each_bundle_once(tmp_path, monkeypatch):
     for gauge in ("coulomb", "multipolar"):
         assert diagnostics[gauge]["sector_sizes"] == [dim // 2, dim // 2]
         assert 0.0 <= diagnostics[gauge]["parity_off_block"] <= 1e-12
+
+
+@pytest.mark.parametrize("pair", [[0, 500], [0, -1]])
+def test_out_of_range_transition_is_a_config_error(tmp_path, capsys, pair):
+    ms = ModeSet(np.array([[1.0]]), {"emitter": [(0.6, 0.1, 0.0)],
+                                      "detector": [(0.4, 0.5, -0.2)]})
+    doc = {"seed": 0, "modeset": modeset_to_json(ms),
+           "emitter": emitter_to_json(tls(1.0, (0.8, 0.3, 0.0))), "fock_cutoffs": [10],
+           "detector": {"dipole": [0.3, 0.9, 0.2], "position_label": "detector",
+                        "transitions": [pair]}}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["detect", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "'detector.transitions'" in err and "D = 22" in err
+    assert not (tmp_path / "out" / "rates.csv").exists()
+
+
+def test_photon_space_refuses_a_cutoff_per_missing_mode():
+    ms, _ = two_mode_system(OFF_DIAGONAL_CHI)
+    with pytest.raises(ValueError, match="need 2 cutoffs"):
+        vector_potential_operator(ms, "detector", (8,))
+    assert photon_space(ms, 3).dim == 16

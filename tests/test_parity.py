@@ -142,8 +142,9 @@ def test_injected_parity_breaking_entry_raises():
     h = bundle.H.matrix.copy()
     h[even, odd] += 1e-6
     h[odd, even] += 1e-6
+    assert max_abs(h - h.conj().T) == 0.0
     with pytest.raises(InvariantViolation, match="parity"):
-        HamiltonianBundle(Operator(h, bundle.space, hermitian=True), bundle.space,
+        HamiltonianBundle(Operator(h, bundle.space), bundle.space,
                           bundle.gauge, {}, bundle.parity)
 
 

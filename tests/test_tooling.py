@@ -1,5 +1,6 @@
 """Repository hygiene: no unused imports in the package, a reversible perf tracer that
-still describes the stacked builds, and a command-line tool that runs without scipy."""
+still describes the stacked builds and the matrix-free detect, a command-line tool that
+runs without scipy, and a rate table that holds no D x D matrix of its own."""
 
 import ast
 import importlib.util
@@ -7,9 +8,11 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gaugecraft"
@@ -93,3 +96,50 @@ def test_traced_gauge_check_spans_describe_the_stacked_builds(monkeypatch, tmp_p
     assert metrics["gaugecheck.ladder_builds"] == 6
     assert metrics["hamiltonians.build.calls"] == 8
     assert metrics["hamiltonians.build.max_dim"] == 82
+
+
+@pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
+def test_traced_detect_applies_the_gauge_map_without_forming_it(monkeypatch, tmp_path):
+    from gaugecraft import cli
+    from gaugecraft.scenario import emitter_to_json, modeset_to_json
+    from test_detect import CUTOFFS, OFF_DIAGONAL_CHI, two_mode_system
+
+    ms, em = two_mode_system(OFF_DIAGONAL_CHI)
+    doc = {"seed": 0, "modeset": modeset_to_json(ms), "emitter": emitter_to_json(em),
+           "fock_cutoffs": list(CUTOFFS),
+           "detector": {"dipole": [0.3, 0.9, 0.2], "position_label": "detector", "count": 3}}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    tracer = load_tracer(monkeypatch)
+    spans = tracer.Tracer()
+    uninstall = tracer.install(spans)
+    spans.enabled = True
+    try:
+        assert cli.main(["detect", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        uninstall()
+    names = [s.name for s in spans.spans]
+    assert names.count("gaugecheck.gauge_unitary") == 0
+    assert names.count("detect.detection_operator") >= 1
+
+
+def test_rate_table_peaks_below_one_dense_matrix():
+    from gaugecraft import COULOMB, MULTIPOLAR, build_dipole, rate_table, significant_transitions
+    from test_detect import OFF_DIAGONAL_CHI, detector, two_mode_system
+
+    ms, em = two_mode_system(OFF_DIAGONAL_CHI)
+    bundle_c = build_dipole(ms, em, COULOMB, (16, 16))
+    bundle_mp = build_dipole(ms, em, MULTIPOLAR, (16, 16))
+    dim = bundle_c.space.dim
+    assert dim == 578
+    for bundle in (bundle_c, bundle_mp):
+        bundle.eigensystem()  # cached: the table reads it, as the detect command does
+    transitions = significant_transitions(bundle_c, ms, detector(), 3, em=em)
+    tracemalloc.start()
+    try:
+        rows = rate_table(bundle_c, bundle_mp, ms, em, detector(), transitions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 3 and max(r.rel_diff for r in rows) <= 1e-8
+    assert peak < 16 * dim * dim, f"rate_table peaked at {peak} bytes"
