@@ -23,7 +23,6 @@ from .hamiltonians import (COULOMB, MULTIPOLAR, CouplingSet, FockCutoffWarning,
                            build_tls_coulomb_single, build_tls_multipolar_single,
                            couplings, field_hamiltonian, standard_space)
 from .gaugecheck import (AmbiguityRow, EquivalenceReport, ambiguity_scan,
-                         converged_ground_energy, converged_spectral_equivalence,
                          gauge_unitary, low_sector_projector, tls_single_mode_modeset,
                          verify_spectral_equivalence)
 from .detect import (DetectorSpec, RateGap, RateRow, field_commutator_residual,

@@ -12,6 +12,7 @@ error, 3 numerical non-convergence, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import sys
@@ -24,7 +25,7 @@ from . import __version__
 from .detect import DetectorSpec, rate_table, significant_transitions
 from .dynamics import evolve
 from .errors import ConfigError, ConvergenceError, GaugecraftError, InvariantViolation
-from .gaugecheck import ambiguity_scan, verify_spectral_equivalence
+from .gaugecheck import ambiguity_scan, gauge_check_pair, verify_spectral_equivalence
 from .hamiltonians import (COULOMB, MULTIPOLAR, build_beyond_dipole, build_dipole,
                            build_naive, build_time_dependent, couplings, standard_space)
 from .modes import build_from_grid, chi_from_qnm, completeness_residual, qnm_frequency_grid, solve_dielectric_1d
@@ -32,6 +33,7 @@ from .scenario import (Scenario, decode_complex_matrix, dielectric_from_json, nu
                        number_list, polariton_grid_from_json, qnm_from_json, save_modeset)
 
 COMMANDS = ("spectrum", "gauge-check", "detect", "evolve", "modes")
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 
 
 @dataclass(frozen=True)
@@ -202,11 +204,8 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
               ("eta", "naive_gap", "correct_gap", "cutoff", "converged"),
               [(r.eta, r.naive_gap, r.correct_gap, r.cutoff, r.converged) for r in rows])
 
-    if sc.truncation() == "naive":
-        h_a = build_naive(ms, em, COULOMB, cutoffs, order=order)
-    else:
-        h_a = build_dipole(ms, em, COULOMB, cutoffs)
-    h_b = build_dipole(ms, em, MULTIPOLAR, cutoffs)
+    h_a, h_b = gauge_check_pair(ms, em, cutoffs[0],
+                                order if sc.truncation() == "naive" else None)
     rep = verify_spectral_equivalence(h_a, h_b, k=k, tol=spectral_tol,
                                       cs=couplings(ms, em))
     worst_correct = max(r.correct_gap for r in rows)
@@ -379,7 +378,20 @@ DISPATCH = {
 }
 
 
+def _keep_freed_memory():
+    """Have glibc's malloc serve blocks below 32 MB from its heap and keep up to 64 MB
+    freed there, so that a build reuses the pages of the last one's D x D temporaries.
+    By default both thresholds follow the largest block freed so far: a spectrum at
+    D = 402 page-faulted about 3800 times per run until a block above 6 MB had been
+    freed in the process.  Without mallopt (not glibc) this does nothing."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     try:
         cfg = parse_args(argv if argv is not None else sys.argv[1:])
         return DISPATCH[cfg.command](cfg)

@@ -210,43 +210,29 @@ def member_max_abs(m: np.ndarray) -> np.ndarray:
     return np.abs(m).max(axis=(-2, -1)) if m.size else np.zeros(m.shape[:-2])
 
 
-def as_stack(m: np.ndarray) -> np.ndarray:
-    """A matrix (D, D) as a stack of one, (1, D, D); a stack (S, D, D) as it is."""
-    return m if m.ndim == 3 else m[None]
-
-
 def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def verify_members(measured: np.ndarray, tol: np.ndarray, stacked: bool, claim: str,
-                   what: str):
-    """Raise `InvariantViolation` "<claim>[ in stack member i] (<what> = value)" for the
-    first member i whose measured value exceeds its own tol; `stacked` names the member."""
+def verify_members(measured: np.ndarray, tol: np.ndarray, claim: str, what: str):
+    """Raise `InvariantViolation` "<claim> in stack member i (<what> = value)" for the first
+    member i of a stack whose measured value exceeds its own tol."""
     bad = np.flatnonzero(measured > tol)
     if bad.size:
-        member = f" in stack member {bad[0]}" if stacked else ""
-        raise InvariantViolation(f"{claim}{member} ({what} = {measured[bad[0]]:.3e})")
+        raise InvariantViolation(f"{claim} in stack member {bad[0]} ({what} = "
+                                 f"{measured[bad[0]]:.3e})")
 
 
 def hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
     """(m + m^dag) / 2, after checking that ||m - m^dag||_max of the raw m is at
     most HERMITIAN_TOL * max(1, max|m|); `InvariantViolation` names `what`.
-
-    A stack (S, D, D) is checked member by member, each against its own
-    max|m_b|, and the error names the first failing member by its index.
     """
     m = np.asarray(m, dtype=complex)
     m_dag = _dagger(m)
-    diff = m - m_dag
-    # members and their scales max(1, max|m_b|) are needed only once the largest
-    # deviation exceeds the absolute tolerance
-    if max_abs(diff) > HERMITIAN_TOL:
-        verify_members(np.atleast_1d(member_max_abs(diff)),
-                       HERMITIAN_TOL * np.maximum(1.0, member_max_abs(as_stack(m))),
-                       m.ndim == 3, f"{what} is not Hermitian before symmetrization",
-                       "||m - m^dag||_max")
-    del diff
+    dev = max_abs(m - m_dag)
+    if dev > HERMITIAN_TOL and dev > HERMITIAN_TOL * max_abs(m):  # tol * max(1, max|m|)
+        raise InvariantViolation(f"{what} is not Hermitian before symmetrization "
+                                 f"(||m - m^dag||_max = {dev:.3e})")
     out = m + m_dag
     out *= 0.5
     return out
@@ -344,7 +330,10 @@ class HermitianGenerator:
         return out.reshape(np.shape(s) + x.shape)
 
     def unitary(self, s) -> Operator:
-        return Operator(self.apply(s, np.eye(self.space.dim)), self.space)
+        """exp(i s X) = (V e^{i s Lambda}) V^dag; a stack (S, D, D) for an array s."""
+        vals, vecs = self._eig
+        phases = np.exp(1j * np.multiply.outer(s, vals))[..., None, :]
+        return Operator((vecs * phases) @ vecs.conj().T, self.space)
 
     def conjugate(self, s, m: np.ndarray) -> np.ndarray:
         """exp(i s X) M exp(-i s X) as a plain matrix."""
@@ -359,14 +348,14 @@ class HermitianGenerator:
         """exp(i s X) (1 (x) B) exp(-i s X) for B on the last factor."""
         return self.conjugate(s, kron(np.eye(self.space.dim // b.shape[0]), b))
 
-    def nested_commutators(self, b: np.ndarray, order: int, s=1.0) -> np.ndarray:
-        """sum_{j<=order} ((i s)^j / j!) ad_X^j(1 (x) B), ad_X(Y) = [X, Y], for B on the
-        last factor: the Taylor series of `conjugate_matter(s, B)` cut at `order`."""
+    def nested_commutators(self, b: np.ndarray, order: int) -> np.ndarray:
+        """sum_{j<=order} (i^j / j!) ad_X^j(1 (x) B), ad_X(Y) = [X, Y], for B on the
+        last factor: the Taylor series of `conjugate_matter(1, B)` cut at `order`."""
         x = self.matrix
         terms = [kron(np.eye(self.space.dim // b.shape[0]), b)]
         for j in range(1, order + 1):
             terms.append((1j / j) * (x @ terms[-1] - terms[-1] @ x))
-        return sum(np.multiply.outer(np.power(s, j), t) for j, t in enumerate(terms))
+        return sum(terms)
 
 
 @lru_cache(maxsize=8)
@@ -439,16 +428,6 @@ def _kron_apply(local: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _distinct(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, inverse): the distinct entries of t in order of first appearance, and
-    for each entry the index of its value, so that values[inverse] equals t.  A dict
-    takes a few microseconds for the two or four entries of one H(t), where
-    np.unique takes about twenty, a tenth of the conjugation it serves."""
-    first = {}
-    inverse = [first.setdefault(x, len(first)) for x in np.ravel(t).tolist()]
-    return np.array(list(first), dtype=float), np.array(inverse, dtype=np.intp).reshape(np.shape(t))
-
-
 class KroneckerGenerator:
     """Hermitian generator X = (sum_i phi_i) (x) D, kept as local eigendecompositions.
 
@@ -466,9 +445,7 @@ class KroneckerGenerator:
     per cutoff; R is a diagonal of unit phases) and orthogonality and
     completeness of the P_k are verified once, which makes every assembled
     exp(i s X) exactly unitary; no D x D check is repeated.  The interface
-    matches `HermitianGenerator`, s a float or a 1-D array: X(s) = s X, so a
-    stack of couplings that differ only by a scale is one call, its local
-    exponentials one stack of products.
+    matches `HermitianGenerator`, s a float or a 1-D array.
     """
 
     def __init__(self, local_terms: Sequence[np.ndarray], matter: np.ndarray,
@@ -503,15 +480,6 @@ class KroneckerGenerator:
         return [_left_multiply(v, np.exp(np.multiply.outer(t, i_nu))[..., :, None] * vh)
                 for i_nu, v, vh in self._local_eigs]
 
-    def _photon_unitaries(self, t: np.ndarray) -> np.ndarray:
-        """E(t) = (x)_i exp(i t phi_i) on the leading factors, for every entry of t.
-
-        A stack's entries repeat (all are zero at theta = 0 or 1), so each local
-        exponential is evaluated once per distinct entry.
-        """
-        values, inverse = _distinct(t)
-        return reduce(kron, [e[inverse] for e in self._local_exps(values)])
-
     def _photon_term(self) -> np.ndarray:
         """sum_i phi_i on the leading factors."""
         return sum(self._leading.kron({i: p}) for i, p in enumerate(self._local_terms))
@@ -521,12 +489,12 @@ class KroneckerGenerator:
         """X as a dense matrix, built once on first use."""
         return kron(self._photon_term(), self._matter)
 
-    def nested_commutators(self, b: np.ndarray, order: int, s=1.0) -> np.ndarray:
-        """sum_{j<=order} ((i s)^j / j!) ad_X^j(1 (x) B), ad_X(Y) = [X, Y], B on the last factor.
+    def nested_commutators(self, b: np.ndarray, order: int) -> np.ndarray:
+        """sum_{j<=order} (i^j / j!) ad_X^j(1 (x) B), ad_X(Y) = [X, Y], B on the last factor.
 
         With phi = sum_i phi_i, [phi (x) D, phi^j (x) C] = phi^(j+1) (x) [D, C],
         so ad_X^j(1 (x) B) = phi^j (x) ad_D^j(B) and the series is one Kronecker
-        sum over j, without a D x D product; s^j scales the small matter factor.
+        sum over j, without a D x D product.
         """
         phi = self._photon_term()
         powers, terms = [np.eye(len(phi), dtype=complex)], [np.asarray(b, dtype=complex)]
@@ -534,8 +502,7 @@ class KroneckerGenerator:
             powers.append(powers[-1] @ phi)
             # (i^j / j!) ad_D^j(B) from the previous term
             terms.append((1j / j) * (self._matter @ terms[-1] - terms[-1] @ self._matter))
-        weights = np.power.outer(s, np.arange(order + 1))[..., None, None]
-        return kron_sum(np.array(powers), weights * np.array(terms))
+        return kron_sum(np.array(powers), np.array(terms))
 
     def apply(self, s, x: np.ndarray) -> np.ndarray:
         """exp(i s X) x = sum_k (E(s lam_k) (x) P_k) x for a vector or a D x K block x,
@@ -546,7 +513,7 @@ class KroneckerGenerator:
         return out.reshape(np.shape(s) + x.shape)
 
     def unitary(self, s) -> Operator:
-        w = kron_sum(self._photon_unitaries(np.multiply.outer(s, self._lam)), self._proj)
+        w = kron_sum(reduce(kron, self._local_exps(np.multiply.outer(s, self._lam))), self._proj)
         return Operator(w, self.space)
 
     def conjugate_photon(self, s, a: np.ndarray) -> np.ndarray:
@@ -558,7 +525,7 @@ class KroneckerGenerator:
         """exp(i s X) (1 (x) B) exp(-i s X) = sum_kl E(s (lam_k - lam_l)) (x) P_k B P_l."""
         b = np.asarray(b, dtype=complex)
         blocks = self._proj[:, None] @ b @ self._proj[None, :]
-        out = kron_sum(self._photon_unitaries(np.multiply.outer(s, self._gaps)),
+        out = kron_sum(reduce(kron, self._local_exps(np.multiply.outer(s, self._gaps))),
                        blocks[self._coupled])
         # pairs with lam_k = lam_l have E(0) = 1: add them on the photon diagonal
         n, m = self._leading.dim, b.shape[0]

@@ -59,6 +59,20 @@ def test_generator_apply_matches_the_formed_unitary(system, theta, k, stacked):
             assert max_abs(got - want) <= APPLY_TOL * max(1.0, max_abs(want))
 
 
+@settings(max_examples=20, deadline=None)
+@given(system=systems(), theta=st.floats(-2.0, 2.0))
+def test_dense_unitary_matches_apply_to_the_identity(system, theta):
+    ms, em, cutoffs = system
+    space = standard_space(cutoffs, em.n_levels)
+    gen = HermitianGenerator(couplings(ms, em).generator_matrix(space), space)
+    eye = np.eye(space.dim)
+    for s in (theta, np.array([theta, -0.5 * theta, 1.0])):
+        got = gen.unitary(s).matrix
+        want = gen.apply(s, eye)
+        assert got.shape == np.shape(s) + (space.dim, space.dim)
+        assert max_abs(got - want) <= APPLY_TOL
+
+
 @settings(max_examples=40, deadline=None)
 @given(system=systems(), k=st.integers(1, 5), seed=st.integers(0, 2**31 - 1))
 def test_space_apply_matches_the_summed_kron(system, k, seed):

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugecraft import (COULOMB, MULTIPOLAR, FockCutoffWarning, GaugeParam, ambiguity_scan,
-                        build_dipole, build_naive, converged_spectral_equivalence, couplings,
-                        gauge_unitary, tls_single_mode_modeset,
-                        verify_spectral_equivalence)
+                        build_dipole, build_naive, couplings, gauge_unitary,
+                        tls_single_mode_modeset, verify_spectral_equivalence)
+from gaugecraft import EmitterSpec, HamiltonianBundle, ModeSet, tls
 from gaugecraft.cli import main
-from gaugecraft.gaugecheck import converged_ground_energy
-from gaugecraft.hilbert import HermitianGenerator, max_abs
+from gaugecraft.gaugecheck import QuadratureBundle, _climb, gauge_check_pair
+from gaugecraft.hilbert import PAULI_X, PAULI_Y, HermitianGenerator, max_abs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
 
 
@@ -129,22 +129,73 @@ class TestVerifySpectralEquivalence:
         assert np.array_equal(r1.per_level, r2.per_level)
 
 
-class TestConvergenceProtocol:
-    def test_doubling_protocol_converges(self):
+class TestQuadraturePair:
+    """gauge-check's verify pair in the quadrature basis against the Fock-basis builds."""
+
+    @pytest.mark.parametrize("profile", [0.45, -0.8, 0.3 - 0.5j, 1.2j])
+    @pytest.mark.parametrize("order", [None, 1, 2])
+    def test_reports_match_the_fock_builds(self, profile, order):
+        em = tls(1.0, (0.9, 0.0, 0.0))
+        ms = ModeSet.single_mode(1.3, {em.position_label: (profile, 0.0, 0.0)})
+        cs = couplings(ms, em)
+        h_a, h_b = gauge_check_pair(ms, em, 30, order)
+        assert isinstance(h_a, QuadratureBundle) and isinstance(h_b, QuadratureBundle)
+        fock_a = (build_dipole(ms, em, COULOMB, 30) if order is None
+                  else build_naive(ms, em, COULOMB, 30, order=order))
+        fock_b = build_dipole(ms, em, MULTIPOLAR, 30)
+        for fraction in (0.5, 0.3, 1.0):
+            got = verify_spectral_equivalence(h_a, h_b, k=6, low_fraction=fraction, cs=cs)
+            want = verify_spectral_equivalence(fock_a, fock_b, k=6, low_fraction=fraction,
+                                               cs=cs)
+            assert got.cutoff == want.cutoff == (30,)
+            assert max_abs(got.per_level - want.per_level) <= 1e-12
+            if want.operator_residual >= 1e-6:
+                assert abs(got.operator_residual / want.operator_residual - 1) <= 1e-10
+            else:
+                assert got.operator_residual <= 1e-10 and order is None
+
+    def test_couplings_that_do_not_factor_are_built_in_the_fock_basis(self, tmp_path, capsys):
+        # a circularly polarized mode: eta = sigma_x - i sigma_y is no phase times a
+        # Hermitian matrix
+        em = EmitterSpec(np.array([0.5, -0.5]), 0.3 * np.array([PAULI_X, PAULI_Y, 0 * PAULI_X]))
+        ms = ModeSet.single_mode(1.0, {em.position_label: (1.0, 1.0j, 0.0)})
+        assert couplings(ms, em).common_matter_matrix() is None
+        h_a, h_b = gauge_check_pair(ms, em, 20)
+        assert isinstance(h_a, HamiltonianBundle) and isinstance(h_b, HamiltonianBundle)
+        doc = {"seed": 0, "modeset": modeset_to_json(ms), "emitter": emitter_to_json(em),
+               "fock_cutoffs": 20, "gauge_check": {"eta_grid": [0.3]}}
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["gauge-check", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.startswith("PASS")
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text(encoding="utf-8"))
+        assert meta["operator_residual"] <= 1e-10
+
+    def test_a_short_cutoff_warns_as_the_fock_build_does(self):
+        ms, em = tls_single_mode_modeset(1.0, 2.0, 1.0)  # heuristic 4 * 2^2 + 10 = 26
+        with pytest.warns(FockCutoffWarning, match="26.0"):
+            gauge_check_pair(ms, em, 12)
+        with pytest.warns(FockCutoffWarning, match="26.0"):
+            build_dipole(ms, em, MULTIPOLAR, 12)
+
+    def test_residual_needs_bundles_of_one_basis(self):
         ms, em = tls_single_mode_modeset(1.0, 0.5, 1.0)
+        h_a, h_b = gauge_check_pair(ms, em, 12)
+        other, _ = gauge_check_pair(ms, em, 12)
+        fock = build_dipole(ms, em, MULTIPOLAR, 12)
+        cs = couplings(ms, em)
+        for a, b in ((h_a, fock), (other, h_b)):
+            with pytest.raises(ValueError, match="one basis"):
+                verify_spectral_equivalence(a, b, k=3, cs=cs)
+        assert verify_spectral_equivalence(h_a, fock, k=3).max_abs_diff < 1e-10
 
-        def pair(n):
-            return (build_dipole(ms, em, COULOMB, n),
-                    build_dipole(ms, em, MULTIPOLAR, n))
 
-        rep = converged_spectral_equivalence(pair, k=5, tol=1e-6, start_cutoff=16)
-        assert rep.converged
-        assert rep.max_abs_diff < 1e-6
-
+class TestConvergenceProtocol:
     def test_ground_energy_doubling(self):
         ms, em = tls_single_mode_modeset(1.0, 0.5, 1.0)
-        e0, cutoff = converged_ground_energy(
-            lambda n: build_dipole(ms, em, MULTIPOLAR, n), tol=1e-7)
+        (e0,), (cutoff,), (converged,) = _climb(
+            lambda n, _: build_dipole(ms, em, MULTIPOLAR, n).eigenvalues(1), 1, 1e-7, 20, 640)
+        assert converged
         e_ref = build_dipole(ms, em, MULTIPOLAR, 4 * cutoff).eigenvalues(1)[0]
         assert abs(e0 - e_ref) < 1e-6
 

@@ -1,9 +1,9 @@
-"""Stacked builds and the rung-major coupling scan, against one-coupling-at-a-time oracles."""
+"""Stacked quadrature-basis builds and the rung-major coupling scan, against
+one-coupling-at-a-time Fock-basis oracles."""
 
 import json
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -11,172 +11,149 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from gaugecraft import (COULOMB, MULTIPOLAR, ConvergenceError, FockCutoffWarning, GaugeParam,
-                        HamiltonianBundle, InvariantViolation, LongitudinalCoupling, ModeSet,
-                        ambiguity_scan, build_dipole, build_naive, couplings, field_hamiltonian,
-                        gaugecheck, tls_single_mode_modeset)
+from gaugecraft import (COULOMB, MULTIPOLAR, ConvergenceError, GaugeParam, HamiltonianBundle,
+                        InvariantViolation, ModeSet, ambiguity_scan, build_dipole, build_naive,
+                        field_hamiltonian, gaugecheck, tls, tls_single_mode_modeset)
 from gaugecraft.cli import main
+from gaugecraft.gaugecheck import QuadratureFamily
 from gaugecraft.hilbert import (PAULI_X, HilbertSpec, KroneckerGenerator, _local_eig,
                                 ladder_matrix, matter_levels, max_abs, photon)
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
-from test_factored import random_system
 
 pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
 
-KINDS = ("tls", "single_axis", "multi_axis")
-MAX_CUTOFF = {1: 10, 2: 4}
-LADDERS = {("build_dipole", 0.0): "coulomb", ("build_dipole", 1.0): "multipolar",
-           ("build_naive", 0.0): "naive"}
+LADDERS = {(0.0, None): "coulomb", (1.0, None): "multipolar", (0.0, 1): "naive"}
 
 
-def assert_members_close(got, want, what, rel=1e-11):
+def assert_members_close(got, want, what, rel=1e-12):
     dev = max_abs(got - want)
     assert dev <= rel * max(1.0, max_abs(want)), f"{what}: deviation {dev:.3e}"
 
 
 def scaled_modes(ms, em, c):
-    """The mode set with the emitter's profile times c: couplings c eta_mu, and nothing
-    else changed, the oracle of coupling_scale c."""
+    """The mode set with the emitter's profile times c: couplings c eta, and nothing else
+    changed, the oracle of a member at coupling scale c."""
     return ModeSet(ms.chi, {em.position_label: c * ms.profile(em.position_label)})
 
 
 @st.composite
-def stacked_systems(draw):
-    n_modes = draw(st.sampled_from((1, 2)))
-    cutoffs = tuple(draw(st.lists(st.integers(1, MAX_CUTOFF[n_modes]), min_size=n_modes,
-                                  max_size=n_modes)))
-    ms, em = random_system(draw(st.integers(0, 2**31 - 1)), n_modes,
-                           draw(st.sampled_from(KINDS)))
+def quadrature_systems(draw):
+    """A single-mode two-level system at |eta| = 1 with a real or a complex-phase
+    coupling, a cutoff in [1, 80] and a stack of scales in [-2.5, 2.5] with a zero and
+    a duplicate."""
+    phase = draw(st.just(0.0) | st.floats(-np.pi, np.pi))
+    chi, omega0 = draw(st.floats(0.5, 2.0)), draw(st.floats(0.3, 2.0))
+    em = tls(omega0, (np.sqrt(2 * chi), 0.0, 0.0))
+    ms = ModeSet.single_mode(chi, {em.position_label: (np.exp(-1j * phase), 0.0, 0.0)})
     # rounded: a subnormal scale makes the oracle's scaled profile underflow
-    base = draw(st.lists(st.floats(-1.5, 1.5).map(lambda c: round(c, 3)), min_size=1,
+    base = draw(st.lists(st.floats(-2.5, 2.5).map(lambda c: round(c, 3)), min_size=1,
                          max_size=3))
-    scales = draw(st.permutations(base + [0.0, base[0]]))  # zero and a duplicate
-    return ms, em, cutoffs, np.array(scales)
+    scales = draw(st.permutations(base + [0.0, base[0]]))
+    return ms, em, draw(st.integers(1, 80)), np.array(scales)
 
 
-@settings(max_examples=25, deadline=None)
-@given(system=stacked_systems(), theta=st.sampled_from((0.0, 0.37, 1.0)))
+@settings(max_examples=30, deadline=None)
+@given(system=quadrature_systems(), theta=st.sampled_from((0.0, 0.37, 1.0)))
 def test_stacked_build_dipole_members_equal_their_own_builds(system, theta):
-    ms, em, cutoffs, scales = system
-    stack = build_dipole(ms, em, GaugeParam(theta), cutoffs, coupling_scale=scales)
-    assert stack.H.matrix.shape == (len(scales),) + (stack.space.dim,) * 2
-    values = stack.eigenvalues(3)
-    assert values.shape == (len(scales), min(3, stack.space.dim))
+    ms, em, cutoff, scales = system
+    family = QuadratureFamily(ms, em, cutoff)
+    assert family.time_reversal == (np.imag(ms.profile(em.position_label)[0, 0]) == 0)
+    values = family.spectra(*family.blocks(theta, scales))
+    assert values.shape == (len(scales), 2 * (cutoff + 1))
     for i, c in enumerate(scales):
-        single = build_dipole(scaled_modes(ms, em, c), em, GaugeParam(theta), cutoffs)
-        assert_members_close(stack.H.matrix[i], single.H.matrix, f"member {i}")
-        assert_members_close(values[i], single.eigenvalues(3), f"member {i} eigenvalues")
-        scalar = build_dipole(ms, em, GaugeParam(theta), cutoffs, coupling_scale=c)
-        assert_members_close(stack.H.matrix[i], scalar.H.matrix, f"scalar scale {c}")
+        single = build_dipole(scaled_modes(ms, em, c), em, GaugeParam(theta), cutoff)
+        assert_members_close(values[i], single.eigenvalues(), f"member {i} at scale {c}")
 
 
-@settings(max_examples=25, deadline=None)
-@given(system=stacked_systems(), theta=st.sampled_from((0.0, 1.0)), order=st.integers(1, 3))
-def test_stacked_build_naive_members_equal_their_own_builds(system, theta, order):
-    ms, em, cutoffs, scales = system
-    stack = build_naive(ms, em, GaugeParam(theta), cutoffs, order=order, coupling_scale=scales)
-    values = stack.eigenvalues(2)
+@settings(max_examples=30, deadline=None)
+@given(system=quadrature_systems(), order=st.integers(1, 3))
+def test_stacked_build_naive_members_equal_their_own_builds(system, order):
+    ms, em, cutoff, scales = system
+    family = QuadratureFamily(ms, em, cutoff)
+    values = family.spectra(*family.blocks(0.0, scales, order))
     for i, c in enumerate(scales):
-        single = build_naive(scaled_modes(ms, em, c), em, GaugeParam(theta), cutoffs,
-                             order=order)
-        assert_members_close(stack.H.matrix[i], single.H.matrix, f"member {i}")
-        assert_members_close(values[i], single.eigenvalues(2), f"member {i} eigenvalues")
-
-
-def test_stacked_build_with_the_longitudinal_hook():
-    ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
-    hook = LongitudinalCoupling(omega=0.7, coupling=0.2, cutoff=2)
-    scales = np.array([0.3, -0.8])
-    stack = build_dipole(ms, em, GaugeParam(0.37), 6, longitudinal=hook, coupling_scale=scales)
-    for i, c in enumerate(scales):
-        single = build_dipole(scaled_modes(ms, em, c), em, GaugeParam(0.37), 6,
-                              longitudinal=hook)
-        assert_members_close(stack.H.matrix[i], single.H.matrix, f"member {i}")
+        single = build_naive(scaled_modes(ms, em, c), em, COULOMB, cutoff, order=order)
+        assert_members_close(values[i], single.eigenvalues(), f"member {i} at scale {c}")
 
 
 def test_stack_of_one_keeps_its_axis_and_eigensystem_refuses_stacks():
-    ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
-    stack = build_dipole(ms, em, COULOMB, 8, coupling_scale=[0.6])
-    single = build_dipole(ms, em, COULOMB, 8, coupling_scale=0.6)
-    assert stack.eigenvalues(2).shape == (1, 2) and single.eigenvalues(2).shape == (2,)
-    assert_members_close(stack.H.matrix[0], single.H.matrix, "stack of one", rel=1e-13)
+    ms, em = tls_single_mode_modeset(1.0, 0.6, 1.0)
+    family = QuadratureFamily(ms, em, 8)
+    values = family.spectra(*family.blocks(0.0, [1.0]))
+    assert values.shape == (1, 18)
+    assert_members_close(values[0], build_dipole(ms, em, COULOMB, 8).eigenvalues(), "member")
+    bundle = build_dipole(ms, em, COULOMB, 8)
     with pytest.raises(ValueError, match="stack"):
-        stack.eigensystem()
-    for bad in ([], [[0.5]], [np.nan]):
-        with pytest.raises(ValueError, match="coupling_scale"):
-            build_dipole(ms, em, COULOMB, 8, coupling_scale=bad)
-
-
-def test_cutoff_warning_once_per_stacked_build_names_the_largest_scale():
-    ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        build_dipole(ms, em, MULTIPOLAR, 12, coupling_scale=[0.1, -2.5, 1.0])
-    assert len(caught) == 1 and caught[0].category is FockCutoffWarning
-    assert "largest coupling scale 2.5" in str(caught[0].message)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        build_dipole(ms, em, MULTIPOLAR, 12, coupling_scale=[0.1, 0.3])
-    assert not caught
+        HamiltonianBundle(bundle.H.matrix[None], bundle.space, COULOMB)
+    with pytest.raises(ValueError, match="theta = 0"):
+        family.blocks(0.37, [1.0], order=1)
 
 
 class TestForgedMembers:
-    """Each check of a stacked bundle is made on every member, at that member's scale."""
+    """Each check of a stacked quadrature-basis solve is made on every member's raw blocks,
+    at that member's scale, and names the first failing member."""
 
     SCALES = [0.2, 0.5, 0.9, 1.3]
 
-    def stack(self):
+    def stack(self, phase=1.0):
         ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
-        return build_dipole(ms, em, COULOMB, 6, coupling_scale=self.SCALES)
-
-    def rebundle(self, bundle, h, time_reversal=False):
-        return HamiltonianBundle(h, bundle.space, bundle.gauge, {"builder": "forged"},
-                                 bundle.parity, time_reversal)
+        if phase != 1.0:
+            ms = scaled_modes(ms, em, phase)
+        family = QuadratureFamily(ms, em, 6)
+        return family, [m.copy() for m in family.blocks(0.37, self.SCALES)]
 
     def test_non_hermitian_member_is_named(self):
-        bundle = self.stack()
-        h = bundle.H.matrix.copy()
-        h[2, 0, 3] += 1e-8  # a lone entry: neither Hermitian nor parity-breaking alone
-        h[2, 3, 0] -= 1e-8
+        family, (a0, a1, b) = self.stack()
+        family.spectra(a0, a1, b)
+        a0[2, 0, 3] += 1e-8  # an asymmetric entry
         with pytest.raises(InvariantViolation,
-                           match="forged Hamiltonian is not Hermitian .* in stack member 2 "):
-            self.rebundle(bundle, h)
+                           match="not Hermitian before symmetrization in stack member 2 "):
+            family.spectra(a0, a1, b)
 
     def test_each_member_is_held_to_its_own_scale(self):
-        bundle = self.stack()
-        h = bundle.H.matrix.copy()
-        h[0] *= 1e6
-        h[0, 0, 2] += 1e-8  # within 1e-12 * 1e6 of the large member
-        self.rebundle(bundle, h)
-        h[1, 0, 2] += 1e-8  # beyond 1e-12 * max(1, max|H_1|) of a small one
+        family, (a0, a1, b) = self.stack()
+        for m in (a0, a1, b):
+            m[0] *= 1e6
+        a0[0, 0, 2] += 1e-8  # within 1e-12 * 1e6 of the large member
+        family.spectra(a0, a1, b)
+        a0[1, 0, 2] += 1e-8  # beyond 1e-12 * max(1, max|A_1|) of a small one
         with pytest.raises(InvariantViolation, match="stack member 1"):
-            self.rebundle(bundle, h)
+            family.spectra(a0, a1, b)
 
     def test_parity_breaking_member_is_named(self):
-        bundle = self.stack()
-        even = int(np.flatnonzero(bundle.parity > 0)[0])
-        odd = int(np.flatnonzero(bundle.parity < 0)[0])
-        h = bundle.H.matrix.copy()
-        h[3, even, odd] += 1e-6
-        h[3, odd, even] += 1e-6
+        family, blocks = self.stack()
+        a0, a1, b = (m.copy() for m in blocks)
+        a1[3, 1, 2] += 1e-6  # a Hermitian change to A_1 alone breaks the reflection
+        a1[3, 2, 1] += 1e-6
         with pytest.raises(InvariantViolation, match="parity .* in stack member 3"):
-            self.rebundle(bundle, h)
+            family.spectra(a0, a1, b)
+        a0, a1, b = (m.copy() for m in blocks)
+        b[1, 0] += 1e-6  # so does one entry of B: B J != J B^dag
+        with pytest.raises(InvariantViolation, match="parity .* in stack member 1"):
+            family.spectra(a0, a1, b)
 
     def test_time_reversal_breaking_member_is_named(self):
-        bundle = self.stack()
-        h = bundle.H.matrix.copy()
-        i, j = 0, 4  # |0, e> and |2, e>: equal parity and equal photon parity
-        h[1, i, j] += 1e-6j
-        h[1, j, i] -= 1e-6j
-        self.rebundle(bundle, h)  # Hermitian, and its parity still holds
+        family, (a0, a1, b) = self.stack()
+        n = a0.shape[-1]
+        e = np.zeros((n, n), dtype=complex)
+        e[0, 1], e[1, 0] = 1e-6j, -1e-6j  # Hermitian and imaginary
+        a0[1] += e
+        a1[1] += e[::-1, ::-1]  # keeps A_0 = J A_1 J
         with pytest.raises(InvariantViolation, match="time reversal .* in stack member 1"):
-            self.rebundle(bundle, h, time_reversal=True)
+            family.spectra(a0, a1, b)
+        complex_family, (c0, c1, cb) = self.stack(phase=np.exp(0.4j))
+        assert not complex_family.time_reversal
+        c0[1] += e
+        c1[1] += e[::-1, ::-1]
+        complex_family.spectra(c0, c1, cb)  # nothing declared, nothing to break
 
     def test_diagnostics_report_the_worst_member(self):
-        bundle = self.stack()
+        ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
+        bundle = build_dipole(ms, em, COULOMB, 6)
         h = bundle.H.matrix
         assert bundle.diagnostics["sector_sizes"] == [bundle.space.dim // 2] * 2
         assert 0.0 <= bundle.diagnostics["parity_off_block"] <= 1e-12 * max(1.0, max_abs(h))
+        assert 0.0 <= bundle.diagnostics["time_reversal_imag"] <= 1e-12 * max(1.0, max_abs(h))
 
 
 @st.composite
@@ -206,21 +183,47 @@ def test_stacked_scan_matches_the_per_eta_oracle(data, order):
 def test_scan_raises_where_the_per_eta_ladder_does_not_converge():
     with pytest.raises(ConvergenceError):
         dense_oracle.ambiguity_ladders(1.0, 1.0, 0.8, order=2)
-    with pytest.raises(ConvergenceError, match="cutoff 640"):
-        ambiguity_scan(1.0, 1.0, [0.2, 0.8, 0.1], order=2)
+    # the order-2 naive ladder of eta = 0.8 is still falling at the top rung: its row is
+    # reported as not converged, with the gap of that rung, and the others are unchanged
+    rows = ambiguity_scan(1.0, 1.0, [0.2, 0.8, 0.1], order=2)
+    assert [r.converged for r in rows] == [True, False, True]
+    assert rows[1].cutoff == 640
+    ms, em = tls_single_mode_modeset(1.0, 0.8, 1.0)
+    e0_naive = build_naive(ms, em, COULOMB, 640, order=2).eigenvalues(1)[0]
+    e0_mp = dense_oracle.converged_ground_energy(lambda n: build_dipole(ms, em, MULTIPOLAR, n))[0]
+    assert abs(rows[1].naive_gap - abs(e0_naive - e0_mp)) <= 1e-12 * max(1.0, abs(e0_naive))
+    for row, eta in zip(rows[::2], (0.2, 0.1)):
+        want = dense_oracle.ambiguity_row(eta, dense_oracle.ambiguity_ladders(1.0, 1.0, eta,
+                                                                             order=2))
+        assert row.cutoff == want.cutoff
+        assert abs(row.naive_gap - want.naive_gap) <= 1e-12
+
+
+def test_unconverged_naive_row_is_written_not_fatal(tmp_path, capsys):
+    ms, em = tls_single_mode_modeset(1.0, 0.8, 1.0)
+    doc = {"seed": 0, "modeset": modeset_to_json(ms), "emitter": emitter_to_json(em),
+           "fock_cutoffs": 40, "naive_order": 2, "gauge_check": {"eta_grid": [0.8, 0.2]}}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["gauge-check", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
+    lines = (out / "gauge_report.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0].endswith(",cutoff,converged")
+    assert lines[1].startswith("0.8,") and lines[1].endswith(",640,False")
+    assert lines[2].endswith(",True")
 
 
 def record_builds(monkeypatch):
-    """Count the scan's builds through `build_dipole` and `build_naive`: (ladder, n, scales)."""
+    """Count the scan's stacked builds through `QuadratureFamily.blocks`: (ladder, n, scales)."""
     calls = []
-    for name in ("build_dipole", "build_naive"):
-        orig = getattr(gaugecheck, name)
+    orig = QuadratureFamily.blocks
 
-        def counted(ms, em, g, n, *args, orig=orig, name=name, **kwargs):
-            calls.append((LADDERS[name, g.theta], n, np.array(kwargs["coupling_scale"])))
-            return orig(ms, em, g, n, *args, **kwargs)
+    def counted(self, theta, scales, order=None):
+        calls.append((LADDERS[theta, order], self.cutoff, np.array(scales)))
+        return orig(self, theta, scales, order)
 
-        monkeypatch.setattr(gaugecheck, name, counted)
+    monkeypatch.setattr(QuadratureFamily, "blocks", counted)
     return calls
 
 
@@ -228,7 +231,8 @@ def record_builds(monkeypatch):
 def test_one_stacked_build_per_ladder_rung_and_chunk(monkeypatch, budget):
     grid = [1.4, 0.1, 0.9, 0.3, 1.4, 0.6, 1.1]
     ladders = [dense_oracle.ambiguity_ladders(1.0, 1.0, eta) for eta in grid]
-    monkeypatch.setattr(gaugecheck, "STACK_BYTES", budget)  # the second: 3 members at D = 42
+    # the second: 4 members at N = 20, 1 from N = 40 on
+    monkeypatch.setattr(gaugecheck, "STACK_BYTES", budget)
     calls = record_builds(monkeypatch)
     ambiguity_scan(1.0, 1.0, grid)
     for ladder in ("coulomb", "multipolar", "naive"):
@@ -236,7 +240,7 @@ def test_one_stacked_build_per_ladder_rung_and_chunk(monkeypatch, budget):
         n, expected = 20, []
         while n <= cutoffs.max():
             live = np.flatnonzero(cutoffs >= n)  # members still climbing at rung n
-            size = gaugecheck.stack_chunk(2 * (n + 1))
+            size = gaugecheck.stack_chunk(n + 1)
             expected += [(n, np.array(grid)[live[i:i + size]])
                          for i in range(0, live.size, size)]
             n *= 2
@@ -247,14 +251,15 @@ def test_one_stacked_build_per_ladder_rung_and_chunk(monkeypatch, budget):
 
 
 def test_chunk_sizes_bound_a_stack_to_the_budget():
-    assert [gaugecheck.stack_chunk(d) for d in (42, 82, 162, 322, 642)] == [283, 74, 19, 4, 1]
+    sizes = [gaugecheck.stack_chunk(n + 1) for n in (20, 40, 80, 160, 320, 640)]
+    assert sizes == [377, 99, 25, 6, 1, 1]
     assert gaugecheck.stack_chunk(10**5) == 1
 
 
 def test_strong_coupling_grid_climbs_in_bounded_memory(monkeypatch):
-    # chi = 1/4: every coupling of the grid climbs to N = 320 (D = 642) under the default tol
+    # chi = 1/4: every coupling of the grid climbs to N = 320 under the default tol
     chi, grid = 0.25, np.linspace(2.0, 2.5, 40)
-    ambiguity_scan(chi, 1.0, [2.0])  # fill the Fock quadrature cache outside the trace
+    ambiguity_scan(chi, 1.0, [2.0])  # fill the Fock quadrature caches outside the trace
     calls = record_builds(monkeypatch)
     tracemalloc.start()
     try:
@@ -263,23 +268,25 @@ def test_strong_coupling_grid_climbs_in_bounded_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert {r.cutoff for r in rows} == {320}
-    assert max(len(s) for _, n, s in calls if n == 160) == 4  # D = 322 climbs 4 at a time
+    assert max(len(s) for _, n, s in calls if n == 160) == 6  # n = 161 climbs 6 at a time
     top = [s for _, n, s in calls if n == 320]
-    assert all(len(s) == 1 for s in top)  # D = 642: one member per build
+    assert all(len(s) == 1 for s in top)  # n = 321: one member per build
     assert set(np.concatenate(top)) == set(grid)
-    assert peak <= 4 * gaugecheck.STACK_BYTES
+    assert peak <= 2 * gaugecheck.STACK_BYTES
 
 
 def test_converged_ground_energy_is_the_one_member_ladder():
     ms, em = tls_single_mode_modeset(1.0, 0.8, 1.0)
     for g in (COULOMB, MULTIPOLAR):
         build = lambda n: build_dipole(ms, em, g, n)
-        got = gaugecheck.converged_ground_energy(build)
-        want = dense_oracle.converged_ground_energy(build)
-        assert got == want and type(got[0]) is float and type(got[1]) is int
-    with pytest.raises(ConvergenceError, match="cutoff 40"):
-        gaugecheck.converged_ground_energy(lambda n: build_dipole(ms, em, COULOMB, n),
-                                           tol=0.0, max_cutoff=40)
+        e0, cutoff, converged = gaugecheck._climb(lambda n, _: build(n).eigenvalues(1), 1,
+                                                  1e-7, 20, 640)
+        assert (e0[0], cutoff[0]) == dense_oracle.converged_ground_energy(build) and converged[0]
+    # a ladder that cannot converge reports its last rung
+    e0, cutoff, converged = gaugecheck._climb(
+        lambda n, _: build_dipole(ms, em, COULOMB, n).eigenvalues(1), 1, 0.0, 20, 40)
+    assert cutoff[0] == 40 and not converged[0]
+    assert e0[0] == build_dipole(ms, em, COULOMB, 40).eigenvalues(1)[0]
 
 
 def product_form(chi, space):

@@ -1,8 +1,10 @@
 """Repository hygiene: no unused imports in the package, a reversible perf tracer that
-still describes the stacked builds and the matrix-free detect, a command-line tool that
-runs without scipy, and a rate table that holds no D x D matrix of its own."""
+still describes the quadrature-basis gauge-check and the matrix-free detect, a
+command-line tool that runs without scipy, a rate table that holds no D x D matrix
+of its own, and repeated commands that reuse the pages their temporaries freed."""
 
 import ast
+import ctypes
 import importlib.util
 import json
 import os
@@ -85,17 +87,16 @@ def test_traced_gauge_check_spans_describe_the_stacked_builds(monkeypatch, tmp_p
     finally:
         uninstall()
     assert capsys.readouterr().out.startswith("PASS")
-    builds = [s for s in spans.spans if s.name == "hamiltonians.build"]
-    ladder = [s for s in builds if s.parent is not None
-              and spans.spans[s.parent].name == "gaugecheck.ambiguity_scan"]
-    # three ladders of two rungs (20 and 40), each rung one stack of the three couplings
-    assert len(ladder) == 6 and len(builds) == 8
-    assert {s.attrs["builder"] for s in ladder} == {"build_dipole", "build_naive"}
-    assert sorted(s.attrs["dim"] for s in ladder) == [42] * 3 + [82] * 3
+    names = [s.name for s in spans.spans]
+    assert names.count("gaugecheck.ambiguity_scan") == 1 and names.count("gaugecheck.verify") == 1
+    # the ladders and the verify pair are solved in the field-quadrature basis: no Fock
+    # build under the scan, and no formed gauge unitary
+    assert "hamiltonians.build" not in names
+    assert "gaugecheck.gauge_unitary" not in names
+    assert names.count("linalg.eigvalsh") > 0
     metrics = tracer.span_metrics(spans.spans)
-    assert metrics["gaugecheck.ladder_builds"] == 6
-    assert metrics["hamiltonians.build.calls"] == 8
-    assert metrics["hamiltonians.build.max_dim"] == 82
+    assert metrics["gaugecheck.ladder_builds"] == 0
+    assert metrics["gaugecheck.gauge_unitary.calls"] == 0
 
 
 @pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
@@ -143,3 +144,37 @@ def test_rate_table_peaks_below_one_dense_matrix():
         tracemalloc.stop()
     assert len(rows) == 3 and max(r.rel_diff for r in rows) <= 1e-8
     assert peak < 16 * dim * dim, f"rate_table peaked at {peak} bytes"
+
+
+FAULT_PROBE = """
+import io, json, resource, sys
+from contextlib import redirect_stdout
+from pathlib import Path
+from gaugecraft import cli, tls_single_mode_modeset
+from gaugecraft.scenario import emitter_to_json, modeset_to_json
+ms, em = tls_single_mode_modeset(1.0, 0.6, 1.0)
+tmp = Path(sys.argv[1])
+config = tmp / "scenario.json"
+config.write_text(json.dumps({"seed": 0, "modeset": modeset_to_json(ms),
+                              "emitter": emitter_to_json(em), "fock_cutoffs": 200}))
+faults = []
+for theta in (0.0, 1.0, 0.0, 1.0):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["spectrum", "--config", str(config), "--out", str(tmp / "out"),
+                         "--set", f"gauge_theta={theta}"]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="needs glibc mallopt")
+def test_repeated_commands_reuse_the_freed_pages(tmp_path):
+    # a spectrum at D = 402 frees about 15 MB of temporaries; the runs after the first
+    # find them in the heap instead of page-faulting them in again (about 3000 faults)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    faults = json.loads(out.stdout)
+    assert max(faults[1:]) < 300, faults
