@@ -293,8 +293,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     t_grid = np.linspace(0.0, t_max, n_times)
     initial = section.get("initial", "ground")
     if initial == "ground":
-        vals, vecs = np.linalg.eigh(tdh.matrix(0.0))
-        psi0 = vecs[:, 0].astype(complex)
+        psi0 = tdh.basis.to_fock(np.linalg.eigh(tdh.matrix(0.0))[1][:, 0])
     elif initial == "vacuum":
         psi0 = np.zeros(tdh.space.dim, dtype=complex)
         psi0[0] = 1.0  # |0...0> (x) first matter level
@@ -312,10 +311,15 @@ def cmd_evolve(cfg: RunConfig) -> int:
         (cfg.out_dir / "states.json").write_text(
             json.dumps(dump, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n")
     stats = dict(traj.stats)
+    # per mode, the largest population of its top Fock level over the recorded states
+    probs = np.abs(traj.states.reshape((n_times,) + tuple(f.dim for f in tdh.space.factors))) ** 2
+    top = [float(probs.take(-1, axis=1 + fi).reshape(n_times, -1).sum(axis=1).max())
+           for fi in tdh.space.photon_indices]
     write_metadata(cfg, {"cutoffs": list(cutoffs), "gauge": gauge_label,
                          "t_max": t_max, "n_times": n_times,
                          "profile_kind": profile.kind,
-                         "diagnostics": {"norm_error": stats.pop("norm_error")},
+                         "diagnostics": {"norm_error": stats.pop("norm_error"),
+                                         "top_fock_population": top},
                          "counters": stats})
     return 0
 

@@ -7,10 +7,12 @@ either gauge: it is evaluated and diagonalized once, and the state at every
 grid point of the piece is written exactly from the piece's start state.
 Only pieces where mu'(t) != 0 (the ramp) are integrated, with the classic
 fourth-order Runge-Kutta step and an embedded step-halving error estimate;
-no step crosses a kink of mu'.  Static Hamiltonians are the one-static-piece
-case and bare callables the one-dynamic-piece case.  Trajectories record
-normalized states on the requested time grid, real observable series and the
-propagator's counters.
+no step crosses a kink of mu'.  A `TimeDependentHamiltonian` is propagated
+in the eigenbasis of its generator, where it evaluates H(t): the start state
+is mapped into that basis and the recorded states back to the Fock basis.
+Static Hamiltonians are the one-static-piece case and bare callables the
+one-dynamic-piece case.  Trajectories record normalized states on the
+requested time grid, real observable series and the propagator's counters.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import ConvergenceError, InvariantViolation
 from .hamiltonians import (HamiltonianBundle, TimeDependentHamiltonian,
                            build_time_dependent, TD_EXTRA_TERM_SIGN)
-from .hilbert import HilbertSpec, Operator, PAULI_Z, hermitian_part, ladder_matrix
+from .hilbert import Eigenbasis, HilbertSpec, Operator, PAULI_Z, hermitian_part
 from .matter import EmitterSpec, TimeProfile, constant_profile
 from .modes import ModeSet
 
@@ -52,10 +54,6 @@ class Trajectory:
         if worst >= NORM_TOL:
             raise InvariantViolation(f"trajectory norm drift {worst:.3e} exceeds {NORM_TOL:g}")
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def default_observables(space: HilbertSpec,
                         generator: Optional[np.ndarray] = None) -> dict:
@@ -65,8 +63,7 @@ def default_observables(space: HilbertSpec,
     gauges."""
     obs = {}
     for k, fi in enumerate(space.photon_indices):
-        a = space.embed(fi, ladder_matrix(space.factors[fi].fock_cutoff))
-        obs[f"n{k}"] = a.conj().T @ a
+        obs[f"n{k}"] = space.embed(fi, np.diag(np.arange(space.factors[fi].dim)))
     for fi in space.matter_indices:
         if space.factors[fi].dim == 2:
             obs["sz"] = space.embed(fi, PAULI_Z)
@@ -76,21 +73,22 @@ def default_observables(space: HilbertSpec,
 
 
 def _as_matrix_fn(h) -> tuple[Callable[[float], np.ndarray], Optional[HilbertSpec],
-                              Optional[TimeProfile]]:
-    """Normalize the Hamiltonian argument; returns (matrix_fn, space, profile).
+                              Optional[TimeProfile], Optional[Eigenbasis]]:
+    """Normalize the Hamiltonian argument; returns (matrix_fn, space, profile, basis).
 
-    Static inputs carry a constant profile, a bare callable none.
+    Static inputs carry a constant profile, a bare callable none; only a
+    `TimeDependentHamiltonian` has a basis.  Matrices are checked where they enter.
     """
     if isinstance(h, HamiltonianBundle):
         m = h.H.matrix
-        return (lambda t: m), h.space, constant_profile()
-    if isinstance(h, (Operator, np.ndarray)):  # checked here, where it enters
+        return (lambda t: m), h.space, constant_profile(), None
+    if isinstance(h, (Operator, np.ndarray)):
         m = hermitian_part(getattr(h, "matrix", h), "static Hamiltonian")
-        return (lambda t: m), getattr(h, "space", None), constant_profile()
+        return (lambda t: m), getattr(h, "space", None), constant_profile(), None
     if isinstance(h, TimeDependentHamiltonian):
-        return h.matrix, h.space, h.profile
+        return h.matrix, h.space, h.profile, h.basis
     if callable(h):
-        return (lambda t: np.asarray(h(t), dtype=complex)), None, None
+        return (lambda t: hermitian_part(h(t), "H(t)")), None, None, None
     raise TypeError(f"cannot evolve under {type(h).__name__}")
 
 
@@ -178,13 +176,14 @@ def evolve(h, psi0: np.ndarray, t_grid: Sequence[float],
     ndarray) are propagated exactly: one H evaluation and one eigh per piece,
     each grid state written from the piece's start state.  Pieces where
     mu'(t) != 0 (all of a bare callable) integrate with adaptive RK4 at local
-    error `tol` per unit time.  A non-Hermitian static Operator or ndarray
-    raises InvariantViolation, and norms that drift by `tol` or more raise
+    error `tol` per unit time.  psi0 and the returned states are in the Fock
+    basis.  A non-Hermitian H, static or returned by a callable, raises
+    InvariantViolation, and norms that drift by `tol` or more raise
     ConvergenceError.  `Trajectory.stats` counts H evaluations,
     accepted and rejected steps, static and dynamic pieces, and records the
     final norm error.
     """
-    fn, space, profile = _as_matrix_fn(h)
+    fn, space, profile, basis = _as_matrix_fn(h)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("time grid must be a non-empty 1D sequence")
@@ -208,7 +207,7 @@ def evolve(h, psi0: np.ndarray, t_grid: Sequence[float],
         return fn(t)
 
     states = np.empty((len(t_grid), psi0.shape[0]), dtype=complex)
-    states[0] = psi = psi0
+    states[0] = psi = psi0 if basis is None else basis.from_fock(psi0)
     filled = 1  # grid points up to the current piece's start are written
     dt = (t_grid[-1] - t_grid[0]) / max(len(t_grid) * 4, 100)
     for t_start, t_end, piece_static in _pieces(profile, t_grid[0], t_grid[-1]):
@@ -230,13 +229,15 @@ def evolve(h, psi0: np.ndarray, t_grid: Sequence[float],
                 t = t_next
         states[filled:stop] = out[:stop - filled]
         psi, filled = out[-1], stop
+    if basis is not None:
+        states = basis.to_fock(states.T).T
     # RK4 does not conserve the norm: refuse a trajectory that drifted too far
     drift = np.abs(np.linalg.norm(states, axis=1) - 1.0).max()
     if drift >= tol:
         raise ConvergenceError(f"norm drift {drift:.3e} exceeds tolerance {tol:g}")
     stats["norm_error"] = float(abs(np.linalg.norm(states[-1]) - 1.0))
 
-    obs = {label: np.real(np.einsum("ki,ij,kj->k", states.conj(), m, states))
+    obs = {label: ((states.conj() @ m) * states).sum(axis=1).real
            for label, m in obs_mats.items()}
     return Trajectory(t_grid, states, obs, stats)
 
@@ -267,9 +268,8 @@ def td_gauge_equivalence(ms: ModeSet, em: EmitterSpec, profile: TimeProfile,
     td_mp = build_time_dependent(ms, em, "multipolar", profile, cutoffs,
                                  extra_term_sign=extra_term_sign)
     t_grid = np.asarray(t_grid, dtype=float)
-    if psi0 is None:
-        vals, vecs = np.linalg.eigh(td_c.matrix(t_grid[0]))
-        psi0 = vecs[:, 0].astype(complex)
+    if psi0 is None:  # the ground state of H_C(0), mapped to the Fock basis
+        psi0 = td_c.basis.to_fock(np.linalg.eigh(td_c.matrix(t_grid[0]))[1][:, 0])
     psi_mp0 = td_c.generator.apply(-profile.mu(t_grid[0]), psi0)
     traj_c = evolve(td_c, psi0, t_grid, tol=tol)
     traj_mp = evolve(td_mp, psi_mp0, t_grid, tol=tol)

@@ -23,9 +23,9 @@ eta_mu = g_mu D (always for the parity-symmetric two-level emitter of
 `matter.tls`, and for any emitter whose dipole has a single axis), the
 generator factors as X = sum_mu phi_mu (x) D with local
 phi_mu = g_mu a_mu^dag + g_mu^* a_mu.  `CouplingSet.generator` then returns
-a `KroneckerGenerator`, and H(theta), the gauge unitaries and H(t) are
-assembled from Kronecker products of local exponentials in O(D^2), without
-a D x D eigendecomposition.  Couplings that do not factor (an N-level
+a `KroneckerGenerator`, and H(theta) and the gauge unitaries are assembled
+from Kronecker products of local exponentials in O(D^2), without a D x D
+eigendecomposition.  Couplings that do not factor (an N-level
 emitter coupled through several dipole axes) take the dense
 `HermitianGenerator` branch.  `HamiltonianBundle` checks each assembled
 matrix once for Hermiticity before it symmetrizes away the rounding.
@@ -59,15 +59,16 @@ hook and the beyond-dipole multipolar form declare nothing.
 
 Every builder is a `CouplingSet` fed to one of two cores; the models differ
 only in their couplings.  The exact-conjugation core, `CouplingSet.generator`
-with `conjugate_photon` and `conjugate_matter`, gives `build_dipole`, H(t),
-the beyond-dipole Coulomb form (eta_mu = (eta_bar_mu / 2) sigma_x) and the 1D
+with `conjugate_photon` and `conjugate_matter`, gives `build_dipole`, the
+beyond-dipole Coulomb form (eta_mu = (eta_bar_mu / 2) sigma_x) and the 1D
 gC form (eta_mu = h_mu(x0) d_hat / sqrt(2 omega_mu)).  The canonical
 multipolar core, `multipolar_interaction` plus the matter matrix
 `polarization_squared`, gives the theta = 1 naive builder and the
 beyond-dipole and 1D multipolar forms; the theta = 0 naive builder truncates
-the commutator series of the same generator (`nested_commutators`).  Only
-the two explicit single-mode two-level builders are written out by hand, as
-closed forms that the tests compare the cores against.
+the commutator series of the same generator (`nested_commutators`).  H(t)
+is written in the generator's `eigenbasis`, where each gauge map is a diagonal
+phase.  Only the two explicit single-mode two-level builders are written out
+by hand, as closed forms that the tests compare the cores against.
 
 Explicit single-mode two-level forms, beyond-dipole builders for effective
 single-particle emitters, normal-mode (lossless 1D dielectric) builders in
@@ -726,9 +727,14 @@ class TimeDependentHamiltonian:
                       V(t) = exp(-i mu(t) X)
     where the extra multipolar term compensates the explicitly time-dependent
     gauge condition; its sign is pinned by the gauge-equivalence of the
-    resulting dynamics (see dynamics.td_gauge_equivalence).  H_F is passed as
-    its block on the photon factors and H_0 as its matter matrix, so that a
-    factored generator conjugates only those blocks.
+    resulting dynamics (see dynamics.td_gauge_equivalence).
+
+    `matrix(t)` is H(t) in the generator's eigenbasis B (`basis`), where
+    X = diag(xi) and exp(i s X) is the diagonal phase Phi(s) = diag(e^(i s xi)).
+    With K = B^dag (H_F (x) 1) B and M = B^dag (1 (x) H_0) B fixed here,
+    H_C(t) = K + Phi(mu) M Phi(mu)^* and
+    H_mp(t) = Phi(-mu) K Phi(-mu)^* + M + sign * mu'(t) diag(xi), so each
+    evaluation is elementwise work.  `basis.to_fock` maps states back.
     """
 
     def __init__(self, gauge: str, generator, h_field: np.ndarray,
@@ -738,23 +744,26 @@ class TimeDependentHamiltonian:
             raise ValueError(f"unknown gauge {gauge!r}")
         self.gauge = gauge
         self.generator = generator
-        self.h_field = h_field
-        self.h_matter = h_matter
-        self.h_f = np.kron(h_field, np.eye(h_matter.shape[0]))
-        self.h_0 = np.kron(np.eye(h_field.shape[0]), h_matter)
+        self.basis = generator.eigenbasis()
+        k = self.basis.transform(kron(h_field, np.eye(len(h_matter))))
+        m = self.basis.transform(kron(np.eye(len(h_field)), h_matter))
+        # H(t) = Phi(sign mu) A Phi(sign mu)^* + C, plus the multipolar mu' term
+        self._sign, self._a, self._c = (1.0, m, k) if gauge == "coulomb" else (-1.0, k, m)
         self.profile = profile
         self.space = space
         self.extra_term_sign = float(extra_term_sign)
 
     def matrix(self, t: float) -> np.ndarray:
-        mu = self.profile.mu(t)
-        if self.gauge == "coulomb":
-            h = self.h_f + self.generator.conjugate_matter(mu, self.h_matter)
-        else:
-            h = self.generator.conjugate_photon(-mu, self.h_field) + self.h_0
+        """H(t) in the eigenbasis of X, checked for Hermiticity before symmetrization."""
+        xi = self.basis.xi
+        phase = np.exp((1j * self._sign * self.profile.mu(t)) * xi)
+        h = np.multiply.outer(phase, phase.conj())  # entry (i, j) e^(i s (xi_i - xi_j))
+        h *= self._a
+        h += self._c
+        if self.gauge == "multipolar":
             mu_dot = self.profile.mu_dot(t)
             if mu_dot != 0.0:
-                h += self.extra_term_sign * mu_dot * self.generator.matrix
+                h.reshape(-1)[::len(xi) + 1] += self.extra_term_sign * mu_dot * xi
         return hermitian_part(h, "H(t)")
 
 

@@ -18,7 +18,9 @@ factor, X = (sum_i phi_i) (x) D, `KroneckerGenerator` keeps only the local
 eigendecompositions and assembles exp(i s X) and its conjugations from
 Kronecker products in O(D^2).  Any other Hermitian generator goes through
 `HermitianGenerator`, which eigendecomposes the D x D matrix once.  Both
-apply exp(i s X) to vectors (`apply`) without forming it.  Values are
+apply exp(i s X) to vectors (`apply`) without forming it, and both give the
+eigenbasis B of X, X = B diag(xi) B^dag, as an `Eigenbasis` that keeps B as
+Kronecker factors; there every exp(i s X) is a diagonal phase.  Values are
 immutable after construction and safe to share across threads.
 
 Conventions: hbar = 1 and eps0 = 1 throughout the package.  Fock states are
@@ -329,6 +331,11 @@ class HermitianGenerator:
         out = vecs @ (np.exp(1j * np.multiply.outer(s, vals))[..., None] * y)
         return out.reshape(np.shape(s) + x.shape)
 
+    def eigenbasis(self) -> Eigenbasis:
+        """X = V diag(Lambda) V^dag, from the cached eigendecomposition."""
+        vals, vecs = self._eig
+        return Eigenbasis(vals, (vecs,))
+
     def unitary(self, s) -> Operator:
         """exp(i s X) = (V e^{i s Lambda}) V^dag; a stack (S, D, D) for an array s."""
         vals, vecs = self._eig
@@ -416,8 +423,11 @@ def _left_multiply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _kron_apply(local: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     """(A_0 (x) A_1 (x) ...) @ x one factor at a time, never forming the product.
 
-    Each A_i may be a stack of matrices; stack axes broadcast against x's.
+    x is a vector or a block; each A_i may be a stack of matrices, whose
+    stack axes broadcast against a block's.
     """
+    if x.ndim == 1:
+        return _kron_apply(local, x[:, None])[:, 0]
     rows, cols = x.shape[-2:]
     before = 1
     for a in local:
@@ -426,6 +436,27 @@ def _kron_apply(local: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
         x = x.reshape(x.shape[:-3] + (rows, cols))
         before *= n
     return x
+
+
+@dataclass(frozen=True)
+class Eigenbasis:
+    """X = B diag(xi) B^dag, with the unitary B kept as its Kronecker factors; maps a
+    vector or a D x K block x between the Fock basis and B, factor by factor."""
+
+    xi: np.ndarray
+    factors: tuple
+
+    def to_fock(self, x: np.ndarray) -> np.ndarray:
+        """B x."""
+        return _kron_apply(self.factors, x)
+
+    def from_fock(self, x: np.ndarray) -> np.ndarray:
+        """B^dag x."""
+        return _kron_apply([_dagger(f) for f in self.factors], x)
+
+    def transform(self, m: np.ndarray) -> np.ndarray:
+        """B^dag M B, not symmetrized."""
+        return self.from_fock(_dagger(self.from_fock(_dagger(m))))
 
 
 class KroneckerGenerator:
@@ -465,6 +496,7 @@ class KroneckerGenerator:
                             for nu, v in map(_local_eig, self._local_terms)]
         self._lam, vecs = np.linalg.eigh(self._matter)
         _check_unitary_columns(vecs, "matter eigenprojectors are not orthogonal")
+        self._vecs = vecs
         self._proj = np.einsum("ik,jk->kij", vecs, vecs.conj())  # P_k
         dev = max_abs(self._proj.sum(axis=0) - np.eye(len(self._lam)))
         if dev >= UNITARY_TOL:
@@ -503,6 +535,13 @@ class KroneckerGenerator:
             # (i^j / j!) ad_D^j(B) from the previous term
             terms.append((1j / j) * (self._matter @ terms[-1] - terms[-1] @ self._matter))
         return kron_sum(np.array(powers), np.array(terms))
+
+    def eigenbasis(self) -> Eigenbasis:
+        """X = B diag(xi) B^dag with B = v_0 (x) v_1 (x) ... (x) W, the local eigenvectors
+        v_i and the matter eigenvectors W, and xi = (nu_0 (+) nu_1 (+) ...) (x) lam."""
+        nu = reduce(np.add.outer, [i_nu.imag for i_nu, _, _ in self._local_eigs], 0.0)
+        return Eigenbasis(np.multiply.outer(nu, self._lam).ravel(),
+                          tuple(v for _, v, _ in self._local_eigs) + (self._vecs,))
 
     def apply(self, s, x: np.ndarray) -> np.ndarray:
         """exp(i s X) x = sum_k (E(s lam_k) (x) P_k) x for a vector or a D x K block x,

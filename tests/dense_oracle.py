@@ -16,6 +16,9 @@ own three scalar cutoff ladders (`ambiguity_ladders`, `converged_ground_energy`)
 matrix, written out with numpy.kron; `rate_table` and
 `significant_transitions` apply it, and the formed gauge unitary W of
 `DenseSystem`, as whole matrices.
+`basis_matrix` forms the eigenbasis of a generator with numpy.kron, and
+`fock_td_matrix` maps H(t), which the package writes in that basis, back to
+the Fock basis.
 `herm_eig` and `matrix_exp` are the general dense eigendecomposition and
 exponential of an `Operator`, and `dielectric_modes` solves the 1D dielectric
 finite-difference problem with scipy's generalized symmetric eigensolver.
@@ -91,6 +94,19 @@ class DenseSystem:
             return self.h_f + self.conjugate(mu, self.h_0)
         return (self.conjugate(-mu, self.h_f) + self.h_0
                 + extra_term_sign * profile.mu_dot(t) * self.x)
+
+
+def basis_matrix(basis):
+    """The eigenbasis B of an `Eigenbasis` as one D x D matrix, numpy.kron of its factors,
+    checked to be unitary."""
+    b = reduce(np.kron, basis.factors)
+    return _verified(b, b.conj().T @ b - np.eye(len(b)), "unitary")
+
+
+def fock_td_matrix(tdh, t):
+    """H(t) of a `TimeDependentHamiltonian` in the Fock basis, B matrix(t) B^dag."""
+    b = basis_matrix(tdh.basis)
+    return b @ tdh.matrix(t) @ b.conj().T
 
 
 def nested_commutator_series(x, h0, order):

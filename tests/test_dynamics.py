@@ -7,9 +7,11 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+import gaugecraft.dynamics as dynamics
+from dense_oracle import DenseSystem, fock_td_matrix
 from gaugecraft import (ConvergenceError, GaugeParam, ModeSet, TimeProfile, build_dipole,
                         build_time_dependent, constant_profile, evolve, linear_ramp,
-                        raised_cosine_ramp, tls)
+                        raised_cosine_ramp, standard_space, tls)
 from gaugecraft.cli import main
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
 
@@ -34,7 +36,8 @@ GRIDS = {
 
 
 def ground_state(td, t=0.0):
-    return np.linalg.eigh(td.matrix(t))[1][:, 0].astype(complex)
+    """Ground state of H(t) in the Fock basis."""
+    return td.basis.to_fock(np.linalg.eigh(td.matrix(t))[1][:, 0])
 
 
 def counting(td):
@@ -50,8 +53,9 @@ def counting(td):
     return times
 
 
-def dop853_reference(td, psi0, t_grid, kinks):
-    """solve_ivp(DOP853) segment by segment between the given kinks of mu'.
+def dop853_reference(h, psi0, t_grid, kinks):
+    """solve_ivp(DOP853) under the callable h(t) segment by segment between the given
+    kinks of mu'.
 
     Inside a segment H is smooth; its ends take the segment's one-sided H,
     evaluated a hair inside.
@@ -63,7 +67,7 @@ def dop853_reference(td, psi0, t_grid, kinks):
         lo, hi = a + 1e-12, b - 1e-12
         inside = np.flatnonzero((t_grid > a) & (t_grid <= b))
         t_eval = np.union1d(t_grid[inside], [b])
-        sol = solve_ivp(lambda t, y: -1j * (td.matrix(min(max(t, lo), hi)) @ y), (a, b), psi,
+        sol = solve_ivp(lambda t, y: -1j * (h(min(max(t, lo), hi)) @ y), (a, b), psi,
                         method="DOP853", rtol=1e-12, atol=1e-12, t_eval=t_eval)
         states[inside] = sol.y[:, :len(inside)].T
         psi = sol.y[:, -1]
@@ -79,7 +83,8 @@ def test_agrees_with_dop853(kind, gauge, grid):
     td = build_time_dependent(TWO_MODES, EMITTER, gauge, profile, CUTOFFS)
     psi0 = ground_state(td, t_grid[0])
     traj = evolve(td, psi0, t_grid, tol=TOL)
-    ref = dop853_reference(td, psi0, t_grid, kinks)
+    dense = DenseSystem(TWO_MODES, EMITTER, CUTOFFS)  # H(t) in the Fock basis
+    ref = dop853_reference(lambda t: dense.td_matrix(gauge, profile, t), psi0, t_grid, kinks)
     err = np.linalg.norm(traj.states - ref, axis=1).max()
     assert err <= TOL * (t_grid[-1] - t_grid[0])
 
@@ -90,7 +95,7 @@ def test_constant_profile_is_exact():
     psi0[0] = 1.0
     t_grid = np.linspace(0.0, 30.0, 13)
     traj = evolve(td, psi0, t_grid)
-    h = td.matrix(0.0)
+    h = fock_td_matrix(td, 0.0)
     ref = np.array([expm(-1j * h * t) @ psi0 for t in t_grid])
     assert np.abs(traj.states - ref).max() <= 1e-12
     assert traj.stats["static_pieces"] == 1 and traj.stats["dynamic_pieces"] == 0
@@ -101,7 +106,7 @@ def test_static_bundle_is_one_static_piece():
     bundle = build_dipole(TWO_MODES, EMITTER, GaugeParam(0.37), CUTOFFS)
     psi0 = np.linalg.eigh(bundle.H.matrix)[1][:, 3].astype(complex)
     traj = evolve(bundle, psi0, np.linspace(0.0, 5.0, 6))
-    phase = np.vdot(psi0, traj.final_state)
+    phase = np.vdot(psi0, traj.states[-1])
     assert abs(abs(phase) - 1.0) <= 1e-12
     assert traj.stats["static_pieces"] == 1 and traj.stats["h_evaluations"] == 1
 
@@ -149,7 +154,8 @@ def test_steps_reuse_hamiltonians():
     td = build_time_dependent(TWO_MODES, EMITTER, "coulomb", profile, CUTOFFS)
     psi0 = ground_state(td)
     calls = []
-    traj = evolve(lambda t: calls.append(t) or td.matrix(t), psi0, GRIDS["straddling"])
+    traj = evolve(lambda t: calls.append(t) or td.matrix(t), td.basis.from_fock(psi0),
+                  GRIDS["straddling"])
     s = traj.stats
     assert s["dynamic_pieces"] == 1 and s["static_pieces"] == 0
     assert s["rejected_steps"] > 0  # steps across the kinks of mu' fail and shrink
@@ -162,12 +168,30 @@ def test_steps_reuse_hamiltonians():
     assert len(times) <= 4 * attempted + s["dynamic_pieces"] + s["static_pieces"]
 
 
-def test_norm_drift_raises():
-    """A non-Hermitian generator loses norm; the drift check refuses the trajectory."""
+def test_norm_drift_raises(monkeypatch):
+    """A step that grows the norm at a rate of 1e-6 is caught by the drift check.
+
+    The growth is proportional to the step, so step halving does not see it."""
+    rk4_step = dynamics._rk4_step
+
+    def growing(h_0, h_mid, h_1, psi, dt):
+        return rk4_step(h_0, h_mid, h_1, psi, dt) * (1 + 1e-6 * dt)
+
+    monkeypatch.setattr(dynamics, "_rk4_step", growing)
     psi0 = np.array([1.0, 0.0], dtype=complex)
-    lossy = np.array([[1.0 - 1e-3j, 0.2], [0.2, -1.0]])
+    hermitian = np.array([[1.0, 0.2], [0.2, -1.0]])
     with pytest.raises(ConvergenceError, match="norm drift"):
-        evolve(lambda t: lossy, psi0, [0.0, 1.0, 2.0])
+        evolve(lambda t: hermitian, psi0, [0.0, 1.0, 2.0])
+
+
+def test_observables_match_the_einsum_form():
+    td = build_time_dependent(TWO_MODES, EMITTER, "multipolar", PROFILES["linear"][0], CUTOFFS)
+    traj = evolve(td, ground_state(td), GRIDS["straddling"])
+    obs = dynamics.default_observables(td.space, td.generator.matrix)
+    assert sorted(traj.observables) == sorted(obs) == ["X", "n0", "n1", "sz"]
+    for label, m in obs.items():
+        want = np.einsum("ki,ij,kj->k", traj.states.conj(), m, traj.states).real
+        assert np.abs(traj.observables[label] - want).max() <= 1e-13
 
 
 @pytest.mark.parametrize("t_grid", [[0.0, 1.0, 1.0, 2.0], [0.0, -5.0], [3.0, 2.0, 1.0]])
@@ -211,6 +235,27 @@ def test_evolve_command_golden(tmp_path):
     assert [s["time"] for s in states] == [0.0, 5.0, 20.0]
     rows = (out / "trajectory.csv").read_text(encoding="utf-8").splitlines()
     assert len(rows) == 42
+
+
+def test_evolve_metadata_reports_top_fock_population(tmp_path):
+    """Per mode, the largest population of |N> over the recorded states, against a dense
+    reduction of every state in states.json."""
+    out = tmp_path / "out"
+    assert run_evolve(write_scenario(tmp_path), out, "evolve.initial=vacuum", "fock_cutoffs=[3,2]",
+                      f"evolve.state_checkpoints={list(range(41))}") == 0
+    meta = json.loads((out / "metadata.json").read_text(encoding="utf-8"))
+    states = json.loads((out / "states.json").read_text(encoding="utf-8"))
+    psi = np.array([[complex(*c) for c in s["state"]] for s in states])
+    space = standard_space((3, 2), 2)
+    want = []
+    for fi in space.photon_indices:
+        top = np.zeros(space.factors[fi].dim)
+        top[-1] = 1.0
+        projector = space.embed(fi, np.diag(top))
+        want.append(np.einsum("ki,ij,kj->k", psi.conj(), projector, psi).real.max())
+    got = meta["diagnostics"]["top_fock_population"]
+    assert len(got) == 2 and min(got) > 1e-6
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("overrides, key", [

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gaugecraft.hamiltonians as hamiltonians
@@ -10,7 +10,7 @@ import dense_oracle
 from dense_oracle import DenseSystem
 from gaugecraft import (COULOMB, MULTIPOLAR, EmitterSpec, GaugeParam, InvariantViolation,
                         ModeSet, build_dipole, build_naive, build_time_dependent, couplings,
-                        field_hamiltonian, gauge_unitary, raised_cosine_ramp,
+                        field_hamiltonian, gauge_unitary, raised_cosine_ramp, standard_space,
                         td_gauge_equivalence, tls, verify_spectral_equivalence)
 from gaugecraft.gaugecheck import low_sector_projector
 from gaugecraft.hilbert import (HermitianGenerator, HilbertSpec, KroneckerGenerator,
@@ -121,13 +121,35 @@ def test_gauge_unitary_matches_oracle_and_composes(system, thetas):
 
 @settings(max_examples=30, deadline=None)
 @given(system=systems())
+@example(system=(*random_system(11, 2, "multi_axis"), (3, 2), "multi_axis"))
 def test_time_dependent_matrix_matches_oracle(system):
-    ms, em, cutoffs, _ = system
+    """B diag(xi) B^dag is X and B matrix(t) B^dag the dense H(t), B formed with numpy.kron,
+    on either generator kind (the example's couplings do not factor)."""
+    ms, em, cutoffs, kind = system
     dense = DenseSystem(ms, em, cutoffs)
     for gauge in ("coulomb", "multipolar"):
         tdh = build_time_dependent(ms, em, gauge, RAMP, cutoffs)
+        expected = HermitianGenerator if kind == "multi_axis" else KroneckerGenerator
+        assert type(tdh.generator) is expected
+        b = dense_oracle.basis_matrix(tdh.basis)
+        assert_close((b * tdh.basis.xi) @ b.conj().T, dense.x, "B diag(xi) B^dag")
         for t in RAMP_TIMES:
-            assert_close(tdh.matrix(t), dense.td_matrix(gauge, RAMP, t), f"{gauge} H({t})")
+            assert_close(b @ tdh.matrix(t) @ b.conj().T, dense.td_matrix(gauge, RAMP, t),
+                         f"{gauge} H({t})")
+
+
+@pytest.mark.parametrize("kind", ["tls", "multi_axis"])
+def test_eigenbasis_maps_match_the_formed_basis(kind):
+    ms, em = random_system(4, 2, kind)
+    space = standard_space((3, 4), em.n_levels)
+    basis = couplings(ms, em).generator(space).eigenbasis()
+    b = dense_oracle.basis_matrix(basis)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(space.dim, 3)) + 1j * rng.normal(size=(space.dim, 3))
+    m = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
+    assert_close(basis.to_fock(x), b @ x, "B x")
+    assert_close(basis.from_fock(x[:, 0]), b.conj().T @ x[:, 0], "B^dag x")
+    assert_close(basis.transform(m), b.conj().T @ m @ b, "B^dag M B")
 
 
 def test_static_build_makes_no_full_size_eigendecomposition(monkeypatch):

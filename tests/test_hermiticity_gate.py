@@ -69,6 +69,12 @@ class TestEvolveRefusesNonHermitianStaticInput:
         assert np.abs(got - want).max() < 1e-12
 
 
+def test_evolve_refuses_a_non_hermitian_callable():
+    """A bare callable's H(t) passes the same gate as a static matrix, at every evaluation."""
+    with pytest.raises(InvariantViolation, match=r"H\(t\) is not Hermitian before symmetrization"):
+        evolve(lambda t: LOSSY, PSI0, [0.0, 1.0, 2.0])
+
+
 class TestBundleGate:
     SPACE = HilbertSpec([photon(2), matter_levels(2)])
 

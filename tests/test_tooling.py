@@ -1,7 +1,8 @@
 """Repository hygiene: no unused imports in the package, a reversible perf tracer that
 still describes the quadrature-basis gauge-check and the matrix-free detect, a
 command-line tool that runs without scipy, a rate table that holds no D x D matrix
-of its own, and repeated commands that reuse the pages their temporaries freed."""
+of its own, repeated commands that reuse the pages their temporaries freed, and
+a failing hypothesis test that is reported as a failure."""
 
 import ast
 import ctypes
@@ -178,3 +179,24 @@ def test_repeated_commands_reuse_the_freed_pages(tmp_path):
                          capture_output=True, text=True, check=True)
     faults = json.loads(out.stdout)
     assert max(faults[1:]) < 300, faults
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 0
+"""
+
+
+def test_failing_hypothesis_test_is_reported_not_an_internal_error(tmp_path):
+    """Under the repository's pytest settings (warnings are errors) a failing @given test
+    is one failure, not an INTERNALERROR from the hypothesis plugin's failure report."""
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+                          "test_property.py"], cwd=tmp_path, capture_output=True, text=True)
+    assert "INTERNALERROR" not in out.stdout + out.stderr
+    assert "1 failed" in out.stdout, out.stdout
