@@ -10,7 +10,7 @@ frequencies in a common reference unit.
 
 from .errors import ConfigError, ConvergenceError, GaugecraftError, InvariantViolation
 from .hilbert import (Factor, HermitianGenerator, HilbertSpec, KroneckerGenerator, Operator,
-                      ladder, matter_levels, pauli, photon)
+                      matter_levels, photon)
 from .modes import (Dielectric1D, ModeSet, NormalModeSet1D, PolaritonGrid, QnmChiResult,
                     QnmSet, build_from_grid, chi_from_qnm, completeness_residual,
                     qnm_frequency_grid, solve_dielectric_1d)
@@ -20,14 +20,11 @@ from .hamiltonians import (COULOMB, MULTIPOLAR, CouplingSet, FockCutoffWarning,
                            GaugeParam, HamiltonianBundle, LongitudinalCoupling,
                            TimeDependentHamiltonian, build_beyond_dipole, build_dipole,
                            build_generalized_1d, build_naive, build_time_dependent,
-                           build_tls_coulomb_single, build_tls_multipolar_single,
                            couplings, field_hamiltonian, standard_space)
-from .gaugecheck import (AmbiguityRow, EquivalenceReport, ambiguity_scan,
-                         gauge_unitary, low_sector_projector, tls_single_mode_modeset,
-                         verify_spectral_equivalence)
-from .detect import (DetectorSpec, RateGap, RateRow, field_commutator_residual,
-                     naive_rate_gap, rate_table, significant_transitions,
-                     truncated_E_operator, vector_potential_operator)
+from .gaugecheck import (AmbiguityRow, EquivalenceReport, ambiguity_scan, gauge_unitary,
+                         tls_single_mode_modeset, verify_spectral_equivalence)
+from .detect import (DetectorSpec, RateGap, RateRow, naive_rate_gap, rate_table,
+                     significant_transitions)
 from .dynamics import (TdEquivalenceResult, Trajectory, default_observables, evolve,
                        td_gauge_equivalence)
 

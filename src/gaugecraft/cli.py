@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .detect import DetectorSpec, rate_table, significant_transitions
-from .dynamics import evolve
+from .dynamics import evolve, ground_state
 from .errors import ConfigError, ConvergenceError, GaugecraftError, InvariantViolation
 from .gaugecheck import ambiguity_scan, gauge_check_pair, verify_spectral_equivalence
 from .hamiltonians import (COULOMB, MULTIPOLAR, build_beyond_dipole, build_dipole,
@@ -176,6 +176,15 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
+def _scan_coupling(eta: np.ndarray) -> float:
+    """|eta_eg| when a matter phase, which commutes with h0, turns the two-level coupling
+    eta into a phase times sigma_x: then the scan's sigma_x surrogate is equivalent to it."""
+    if max(abs(eta[0, 0]), abs(eta[1, 1]), abs(abs(eta[0, 1]) - abs(eta[1, 0]))) > 1e-12:
+        raise ConfigError("'gauge_check.eta_grid' is required: the coupling matrix is not "
+                          "sigma_x up to phases")
+    return float(abs(eta[0, 1]))
+
+
 def cmd_gauge_check(cfg: RunConfig) -> int:
     sc = cfg.scenario
     ms, em = sc.modeset(), sc.emitter()
@@ -195,7 +204,7 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
                           f"the dimension at fock_cutoffs {cutoffs[0]}")
     eta_grid = section.get("eta_grid")
     if eta_grid is None:
-        eta_grid = [float(abs(couplings(ms, em).scalars[0]))]
+        eta_grid = [_scan_coupling(couplings(ms, em).eta_matrices[0])]
     else:
         eta_grid = number_list(eta_grid, "gauge_check.eta_grid")
     order = sc.naive_order()
@@ -293,7 +302,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     t_grid = np.linspace(0.0, t_max, n_times)
     initial = section.get("initial", "ground")
     if initial == "ground":
-        psi0 = tdh.basis.to_fock(np.linalg.eigh(tdh.matrix(0.0))[1][:, 0])
+        psi0 = ground_state(tdh, 0.0)
     elif initial == "vacuum":
         psi0 = np.zeros(tdh.space.dim, dtype=complex)
         psi0[0] = 1.0  # |0...0> (x) first matter level

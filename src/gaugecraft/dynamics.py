@@ -13,6 +13,8 @@ is mapped into that basis and the recorded states back to the Fock basis.
 Static Hamiltonians are the one-static-piece case and bare callables the
 one-dynamic-piece case.  Trajectories record normalized states on the
 requested time grid, real observable series and the propagator's counters.
+`ground_state` fixes the global phase of a start state by a Fock-basis
+convention, so it does not depend on the basis H(t) is diagonalized in.
 """
 
 from __future__ import annotations
@@ -70,6 +72,15 @@ def default_observables(space: HilbertSpec,
     if generator is not None:
         obs["X"] = generator
     return obs
+
+
+def ground_state(tdh: TimeDependentHamiltonian, t: float) -> np.ndarray:
+    """The ground state of H(t) in the Fock basis, with its global phase fixed: the
+    largest-magnitude Fock amplitude (the first one on a tie) is real and positive,
+    whatever basis H(t) was diagonalized in."""
+    psi = tdh.basis.to_fock(np.linalg.eigh(tdh.matrix(t))[1][:, 0])
+    top = psi[np.argmax(np.abs(psi))]
+    return psi * (np.conj(top) / abs(top))
 
 
 def _as_matrix_fn(h) -> tuple[Callable[[float], np.ndarray], Optional[HilbertSpec],
@@ -260,7 +271,7 @@ def td_gauge_equivalence(ms: ModeSet, em: EmitterSpec, profile: TimeProfile,
     """max over t of || psi_mp(t) - W(t) psi_C(t) || for a modulated coupling.
 
     Both gauges are evolved from gauge-consistently prepared initial states
-    (psi_mp(0) = W(0) psi_C(0), default psi_C(0) = ground state of H_C(0));
+    (psi_mp(0) = W(0) psi_C(0), default psi_C(0) = `ground_state` of H_C(0));
     W(t) = exp(-i mu(t) X).  Passing a flipped `extra_term_sign` provides the
     negative control that pins the sign of the multipolar extra term.
     """
@@ -268,11 +279,11 @@ def td_gauge_equivalence(ms: ModeSet, em: EmitterSpec, profile: TimeProfile,
     td_mp = build_time_dependent(ms, em, "multipolar", profile, cutoffs,
                                  extra_term_sign=extra_term_sign)
     t_grid = np.asarray(t_grid, dtype=float)
-    if psi0 is None:  # the ground state of H_C(0), mapped to the Fock basis
-        psi0 = td_c.basis.to_fock(np.linalg.eigh(td_c.matrix(t_grid[0]))[1][:, 0])
-    psi_mp0 = td_c.generator.apply(-profile.mu(t_grid[0]), psi0)
+    if psi0 is None:
+        psi0 = ground_state(td_c, t_grid[0])
+    psi_mp0 = td_c.basis.apply(-profile.mu(t_grid[0]), psi0)
     traj_c = evolve(td_c, psi0, t_grid, tol=tol)
     traj_mp = evolve(td_mp, psi_mp0, t_grid, tol=tol)
-    devs = np.array([np.linalg.norm(psi_mp - td_c.generator.apply(-profile.mu(t), psi_c))
+    devs = np.array([np.linalg.norm(psi_mp - td_c.basis.apply(-profile.mu(t), psi_c))
                      for t, psi_c, psi_mp in zip(t_grid, traj_c.states, traj_mp.states)])
     return TdEquivalenceResult(float(devs.max()), t_grid, devs, traj_c, traj_mp)

@@ -11,13 +11,15 @@ naive-versus-correct ground-state gap over a coupling grid.
 whenever the system allows it, where X is diagonal: every gauge map is a
 diagonal phase and every member of the family, correct or naive, is
 elementwise work around one fixed matrix.  Other systems are built and
-compared in the Fock basis.  The scan's ladders double the cutoff until a
-coupling's ground energy moves by less than the tolerance, rung-major: at
-each rung every coupling still climbing is one member of a stack (X(eta) =
-eta X_1 scales the quadrature), in chunks of `stack_chunk(N + 1)` members so
-that a chunk's real (N+1) x (N+1) blocks take at most STACK_BYTES.  A naive
-ladder still climbing at the top rung gives a row marked not converged; a
-correct one raises `ConvergenceError`.
+compared in the Fock basis.  The quadrature basis is `fock_quadrature`'s,
+whose columns the photon parity reverses, so the parity sectors of a member
+are blocks A_0 +- B J with J the reversal.  The scan's ladders double the
+cutoff until a coupling's ground energy moves by less than the tolerance,
+rung-major: at each rung every coupling still climbing is one member of a
+stack (X(eta) = eta X_1 scales the quadrature), in chunks of
+`stack_chunk(N + 1)` members so that a chunk's real (N+1) x (N+1) blocks
+take at most STACK_BYTES.  A naive ladder still climbing at the top rung
+gives a row marked not converged; a correct one raises `ConvergenceError`.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, InvariantViolation
+from .errors import ConvergenceError
 from .hamiltonians import (COULOMB, MULTIPOLAR, CouplingSet, GaugeParam,
                            _check_cutoff_headroom, _real, build_dipole, build_naive, couplings,
                            standard_space)
-from .hilbert import (HERMITIAN_TOL, UNITARY_TOL, HilbertSpec, Operator, fock_mask,
-                      fock_quadrature, max_abs, member_max_abs, verify_members)
+from .hilbert import (HERMITIAN_TOL, HilbertSpec, Operator, fock_quadrature, max_abs,
+                      member_max_abs, verify_members)
 from .matter import EmitterSpec, tls
 from .modes import ModeSet
 
@@ -52,13 +54,15 @@ def gauge_unitary(space: HilbertSpec, cs: CouplingSet,
 
 
 def _low_sector_mask(space: HilbertSpec, fraction: float = DEFAULT_LOW_FRACTION) -> np.ndarray:
-    """Boolean mask of product states with every photon number <= fraction * cutoff."""
-    return fock_mask(space, lambda cutoff: int(np.floor(fraction * cutoff)))
-
-
-def low_sector_projector(space: HilbertSpec, fraction: float = DEFAULT_LOW_FRACTION) -> np.ndarray:
-    """Projector onto product states with every photon number <= fraction * cutoff."""
-    return np.diag(_low_sector_mask(space, fraction)).astype(complex)
+    """Boolean mask of the product states with every photon number <= fraction * cutoff;
+    the diagonal of the projector P_low."""
+    keep = np.ones(1, dtype=bool)
+    for f in space.factors:
+        local = np.ones(f.dim, dtype=bool)
+        if f.kind == "photon":
+            local[int(np.floor(fraction * f.fock_cutoff)) + 1:] = False
+        keep = np.logical_and.outer(keep, local).ravel()
+    return keep
 
 
 @dataclass(frozen=True)
@@ -86,20 +90,6 @@ def quadrature_split(ms: ModeSet, em: EmitterSpec):
         return None
     (g,), d = split
     return (cs, g, d) if g != 0 else None
-
-
-def _reflected_quadrature(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x, w): `fock_quadrature` with the columns of v signed so that (-1)^n w = w J, J the
-    reversal of the columns (x_{N-i} = -x_i); checked here."""
-    x, v = fock_quadrature(cutoff)
-    n = cutoff + 1
-    p = 1 - 2 * (np.arange(n) % 2)
-    s = np.sign(np.einsum("n,ni,ni->i", p, v, v[:, ::-1]))
-    w = v * np.where(np.arange(n) >= n - n // 2, s, 1.0)
-    dev = max_abs(p[:, None] * w - w[:, ::-1])
-    if dev >= UNITARY_TOL:
-        raise InvariantViolation(f"photon parity does not reverse the quadrature basis ({dev:.3e})")
-    return x, w
 
 
 def _reflected_form(p: np.ndarray, q: np.ndarray, sign: int) -> np.ndarray:
@@ -132,9 +122,9 @@ def _sectors(part: np.ndarray, anti: np.ndarray, diag: Optional[np.ndarray] = No
 class QuadratureFamily:
     """The single-mode gauge family at one Fock cutoff N, in its field-quadrature basis.
 
-    The basis is w (`_reflected_quadrature`) rotated by the phase of g, times
-    the eigenvectors U of D, u_1 = S u_0.  There X = diag(|g| x_n lam_k), so
-    in the matter-major order (k, n), n = N + 1, at coupling scale c
+    The basis is w, `fock_quadrature`'s cached v, rotated by the phase of g,
+    times the eigenvectors U of D, u_1 = S u_0.  There X = diag(|g| x_n lam_k),
+    so in the matter-major order (k, n), n = N + 1, at coupling scale c
 
         H(theta) = [[A_0, B], [B^dag, A_1]],
         A_k = diag(e^{-i theta lam_k c x}) K diag(e^{i theta lam_k c x}) + h0'_kk,
@@ -160,7 +150,7 @@ class QuadratureFamily:
         self.lam = np.array([lam[0], -lam[0]])
         u = np.column_stack([u[:, 0], em.parity_signs * u[:, 0]])
         self.h0 = u.conj().T @ em.h0 @ u
-        x, self.w = _reflected_quadrature(cutoff)
+        x, self.w = fock_quadrature(cutoff)
         self.x = abs(g) * x
         self.k = (self.w.T * (self.cs.chi[0, 0].real * np.arange(cutoff + 1))) @ self.w
 

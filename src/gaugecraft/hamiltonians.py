@@ -22,12 +22,12 @@ When every coupling matrix is a multiple of one Hermitian matter matrix,
 eta_mu = g_mu D (always for the parity-symmetric two-level emitter of
 `matter.tls`, and for any emitter whose dipole has a single axis), the
 generator factors as X = sum_mu phi_mu (x) D with local
-phi_mu = g_mu a_mu^dag + g_mu^* a_mu.  `CouplingSet.generator` then returns
-a `KroneckerGenerator`, and H(theta) and the gauge unitaries are assembled
-from Kronecker products of local exponentials in O(D^2), without a D x D
-eigendecomposition.  Couplings that do not factor (an N-level
-emitter coupled through several dipole axes) take the dense
-`HermitianGenerator` branch.  `HamiltonianBundle` checks each assembled
+phi_mu = g_mu a_mu^dag + g_mu^* a_mu.  `CouplingSet.generator` then hands
+the (g, D) of `common_matter_matrix` to a `KroneckerGenerator`, and H(theta)
+and the gauge unitaries are assembled from Kronecker products of local
+exponentials in O(D^2), without a D x D eigendecomposition.  Couplings that
+do not factor (an N-level emitter coupled through several dipole axes) take
+the dense `HermitianGenerator` branch.  `HamiltonianBundle` checks each assembled
 matrix once for Hermiticity before it symmetrizes away the rounding.
 
 The family keeps the emitter's parity at any Fock cutoff.  Let
@@ -38,10 +38,10 @@ odd, S eta_mu S = -eta_mu, and h0 is diagonal.  Hence X is even under Pi, and
 so are exp(i s X), H_F, H_0, every H(theta), and the naive builders, whose
 terms are nested commutators with X or products a (x) eta^dag.  `build_dipole`
 (with or without the longitudinal hook, whose auxiliary factor joins the
-photon factors), `build_naive`, the single-mode two-level, the 1D and the
-beyond-dipole Coulomb builders declare Pi on their bundle, which verifies it
-and diagonalizes the even and odd sectors separately.  The beyond-dipole
-multipolar form and H(t) declare none: its drive g_even,mu 1 is even under S.
+photon factors), `build_naive`, the 1D and the beyond-dipole Coulomb
+builders declare Pi on their bundle, which verifies it and diagonalizes the
+even and odd sectors separately.  The beyond-dipole multipolar form and H(t)
+declare none: its drive g_even,mu 1 is even under S.
 
 The family is also time-reversal symmetric whenever chi, every eta_mu and h0
 are real.  Let P = (-1)^(sum_mu n_mu) on the photon factors and K be complex
@@ -51,10 +51,9 @@ with H_F, H_0 and every H(theta).  It commutes with the naive builders too:
 each of their terms pairs an odd power of i with an odd power of a or X, or
 an even power with an even one.  With the phases p = i^[sum_mu n_mu odd],
 p^dag H p is therefore real symmetric.  `build_dipole` (without the
-longitudinal hook), `build_naive`, the two single-mode two-level builders,
-the 1D builders and the beyond-dipole Coulomb form declare it when their
-inputs are real; `HamiltonianBundle` verifies it and solves each sector in
-real arithmetic.  A complex chi (a lossy grid's) or complex couplings, the
+longitudinal hook), `build_naive`, the 1D builders and the beyond-dipole
+Coulomb form declare it when their inputs are real; `HamiltonianBundle`
+verifies it and solves each sector in real arithmetic.  A complex chi (a lossy grid's) or complex couplings, the
 hook and the beyond-dipole multipolar form declare nothing.
 
 Every builder is a `CouplingSet` fed to one of two cores; the models differ
@@ -67,13 +66,14 @@ multipolar core, `multipolar_interaction` plus the matter matrix
 beyond-dipole and 1D multipolar forms; the theta = 0 naive builder truncates
 the commutator series of the same generator (`nested_commutators`).  H(t)
 is written in the generator's `eigenbasis`, where each gauge map is a diagonal
-phase.  Only the two explicit single-mode two-level builders are written out
-by hand, as closed forms that the tests compare the cores against.
+phase.  No builder is written out by hand: the closed forms the cores are
+checked against (the single-mode two-level Coulomb and multipolar forms, and
+the beyond-dipole and 1D Hamiltonians term by term) live with the tests.
 
-Explicit single-mode two-level forms, beyond-dipole builders for effective
-single-particle emitters, normal-mode (lossless 1D dielectric) builders in
-the generalized Coulomb/multipolar gauges, and time-dependent coupling
-variants are provided alongside.  Units: hbar = eps0 = 1.
+Beyond-dipole builders for effective single-particle emitters, normal-mode
+(lossless 1D dielectric) builders in the generalized Coulomb/multipolar
+gauges, and time-dependent coupling variants are provided alongside.
+Units: hbar = eps0 = 1.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InvariantViolation
 from .hilbert import (HERMITIAN_TOL, HermitianGenerator, HilbertSpec, KroneckerGenerator,
-                      Operator, PAULI_X, PAULI_Y, PAULI_Z, hermitian_part, kron, ladder_matrix,
+                      Operator, PAULI_X, PAULI_Z, hermitian_part, kron, ladder_matrix,
                       matter_levels, max_abs, parity_labels, photon)
 from .matter import EmitterSpec, TimeProfile
 from .modes import ModeSet, NormalModeSet1D
@@ -210,12 +210,7 @@ class CouplingSet:
         split = self.common_matter_matrix()
         if split is None or mi != len(space.factors) - 1:
             return HermitianGenerator(self.generator_matrix(space), space)
-        g, d = split
-        local = []
-        for g_mu, fi in zip(g, space.photon_indices):
-            a = ladder_matrix(space.factors[fi].fock_cutoff)
-            local.append(g_mu * a.conj().T + np.conj(g_mu) * a)
-        return KroneckerGenerator(local, d, space)
+        return KroneckerGenerator(*split, space)
 
 
 def couplings(ms: ModeSet, em: EmitterSpec) -> CouplingSet:
@@ -265,8 +260,6 @@ class HamiltonianBundle:
         raw = self.H.matrix if isinstance(self.H, Operator) else self.H
         m = hermitian_part(raw, f"{self.metadata.get('builder', 'bundle')} Hamiltonian")
         object.__setattr__(self, "H", Operator(m, self.space))
-        if m.ndim != 2:
-            raise ValueError("a bundle holds one Hamiltonian, not a stack")
         n = m.shape[-1]
         tol = HERMITIAN_TOL * max(1.0, max_abs(m))
         sectors, off_block = (np.arange(n),), None
@@ -488,52 +481,6 @@ def _eta_summary(cs: CouplingSet):
         return cs.scalars.tolist()
     except ValueError:
         return None
-
-
-def build_tls_coulomb_single(chi: float, omega0: float, eta: complex,
-                             cutoff: int) -> HamiltonianBundle:
-    """Single-mode two-level Coulomb-form Hamiltonian via matrix trigonometry.
-
-    H = chi a^dag a + (omega0/2) [cos(2 Phi) sigma_z + sin(2 Phi) sigma_y]
-    with Phi = eta a^dag + eta^* a.  Identical, as an operator identity on the
-    truncated space, to build_dipole at theta = 0.
-    """
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    space = standard_space((cutoff,), 2)
-    a = ladder_matrix(cutoff)
-    vals, vecs = np.linalg.eigh(2 * (eta * a.conj().T + np.conj(eta) * a))
-    cos_m = (vecs * np.cos(vals)) @ vecs.conj().T
-    sin_m = (vecs * np.sin(vals)) @ vecs.conj().T
-    h = (chi * np.kron(a.conj().T @ a, np.eye(2))
-         + (omega0 / 2) * (np.kron(cos_m, PAULI_Z) + np.kron(sin_m, PAULI_Y)))
-    meta = {"builder": "build_tls_coulomb_single", "truncation": "correct",
-            "cutoffs": (cutoff,), "eta": [complex(eta)], "chi": chi, "omega0": omega0}
-    return _bundle(h, space, COULOMB, meta, TLS_PARITY_SIGNS, _real(chi, eta, omega0))
-
-
-def build_tls_multipolar_single(chi: float, omega0: float, eta: complex,
-                                cutoff: int) -> HamiltonianBundle:
-    """Single-mode two-level multipolar-form Hamiltonian (canonical algebra).
-
-    H = chi a^dag a + (omega0/2) sigma_z + i chi (eta a^dag - eta^* a) sigma_x
-        + chi |eta|^2.
-    The c-number term is kept so operator-level gauge comparisons close; the
-    form matches build_dipole at theta = 1 on the low-energy sector once the
-    cutoff is converged.
-    """
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    space = standard_space((cutoff,), 2)
-    a = ladder_matrix(cutoff)
-    drive = 1j * chi * (eta * a.conj().T - np.conj(eta) * a)
-    h = (chi * np.kron(a.conj().T @ a, np.eye(2))
-         + (omega0 / 2) * np.kron(np.eye(cutoff + 1), PAULI_Z)
-         + np.kron(drive, PAULI_X)
-         + chi * abs(eta) ** 2 * np.eye(space.dim))
-    meta = {"builder": "build_tls_multipolar_single", "truncation": "correct",
-            "cutoffs": (cutoff,), "eta": [complex(eta)], "chi": chi, "omega0": omega0}
-    return _bundle(h, space, MULTIPOLAR, meta, TLS_PARITY_SIGNS, _real(chi, eta, omega0))
 
 
 def multipolar_interaction(cs: CouplingSet, space: HilbertSpec) -> np.ndarray:

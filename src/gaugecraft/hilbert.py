@@ -1,27 +1,27 @@
 """Operator algebra over tensor-product Hilbert spaces.
 
 Provides the ordered tensor-factor layout (`HilbertSpec`), dense complex
-operators bound to it (`Operator`), ladder and Pauli operators embedded in
-the full product space, and the gauge generators.  Operators on the full
-space are either dense matrices for desk-scale D (up to ~10^4), assembled
-as Kronecker products of local factor matrices (`HilbertSpec.kron`), or sums
-of Kronecker terms that `HilbertSpec.apply` applies factor by factor.
+matrices bound to it (`Operator`), the truncated ladder and Pauli matrices,
+and the gauge generators.  Operators on the full space are either dense
+matrices for desk-scale D (up to ~10^4), assembled as Kronecker products of
+local factor matrices (`HilbertSpec.kron`), or sums of Kronecker terms that
+`HilbertSpec.apply` applies factor by factor.
 
 The package has one Hermiticity rule, `hermitian_part`, applied once to each
 matrix where it enters (generator terms, chi, overlaps, dipoles, built and
 static Hamiltonians): a non-Hermitian matrix is refused, never averaged into
 a Hermitian one.
 
-Gauge generators come in two forms with one interface.  When the generator
-is a sum of local terms on the leading factors times one matrix on the last
-factor, X = (sum_i phi_i) (x) D, `KroneckerGenerator` keeps only the local
-eigendecompositions and assembles exp(i s X) and its conjugations from
-Kronecker products in O(D^2).  Any other Hermitian generator goes through
-`HermitianGenerator`, which eigendecomposes the D x D matrix once.  Both
-apply exp(i s X) to vectors (`apply`) without forming it, and both give the
-eigenbasis B of X, X = B diag(xi) B^dag, as an `Eigenbasis` that keeps B as
-Kronecker factors; there every exp(i s X) is a diagonal phase.  Values are
-immutable after construction and safe to share across threads.
+Gauge generators come in two forms with one interface.  When the couplings
+share one Hermitian matter matrix D, X = (sum_mu phi_mu) (x) D with
+phi_mu = g_mu a_mu^dag + g_mu^* a_mu, and `KroneckerGenerator` keeps only
+each phi_mu's eigensystem, taken from the one `fock_quadrature` of its
+cutoff, and the n x n eigensystem of D.  Any other Hermitian generator goes
+through `HermitianGenerator`, which eigendecomposes the D x D matrix once.
+Both give the eigenbasis B of X, X = B diag(xi) B^dag, as an `Eigenbasis`
+that keeps B as Kronecker factors; there every exp(i s X) is a diagonal
+phase, and `Eigenbasis.apply` is the one way a gauge map reaches a vector.
+Values are immutable after construction and safe to share across threads.
 
 Conventions: hbar = 1 and eps0 = 1 throughout the package.  Fock states are
 ordered |0>, |1>, ..., |N>; a two-level matter factor is ordered |e>, |g>,
@@ -33,7 +33,7 @@ from __future__ import annotations
 import mmap
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -85,17 +85,12 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def kron_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_k kron(left[..., k, :, :], right[..., k, :, :]), as one product over k.
-
-    Stack axes in front of k broadcast between the operands, so a stack of
-    left factors against one set of right factors gives a stack of sums.
-    """
-    p, q = left.shape[-2:]
-    i, j = right.shape[-2:]
-    out = (left.reshape(left.shape[:-2] + (p * q,)).swapaxes(-1, -2)
-           @ right.reshape(right.shape[:-2] + (i * j,)))
-    out = out.reshape(out.shape[:-2] + (p, q, i, j)).swapaxes(-3, -2)
-    return out.reshape(out.shape[:-4] + (p * i, q * j))
+    """sum_k kron(left[k], right[k]) over two stacks (K, p, q) and (K, i, j), as one
+    product over k."""
+    k, p, q = left.shape
+    i, j = right.shape[1:]
+    out = left.reshape(k, p * q).T @ right.reshape(k, i * j)
+    return out.reshape(p, q, i, j).swapaxes(1, 2).reshape(p * i, q * j)
 
 
 @dataclass(frozen=True)
@@ -171,18 +166,6 @@ class HilbertSpec:
         return self.kron({index: local})
 
 
-def fock_mask(space: HilbertSpec, top: Callable[[int], int]) -> np.ndarray:
-    """Boolean mask of the product states with photon number n <= top(N) on every
-    photon factor of cutoff N; the diagonal of the projector onto that sector."""
-    keep = np.ones(1, dtype=bool)
-    for f in space.factors:
-        local = np.ones(f.dim, dtype=bool)
-        if f.kind == "photon":
-            local[top(f.fock_cutoff) + 1:] = False
-        keep = np.logical_and.outer(keep, local).ravel()
-    return keep
-
-
 def parity_labels(space: HilbertSpec,
                   matter_signs: Optional[Sequence[int]] = None) -> np.ndarray:
     """Eigenvalue (+1 or -1) of the parity (-1)^(sum_mu n_mu) (x) diag(matter_signs)
@@ -242,7 +225,7 @@ def hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense complex matrix bound to a HilbertSpec, or a stack (S, D, D) of them."""
+    """Dense complex matrix bound to a HilbertSpec."""
 
     matrix: np.ndarray
     space: HilbertSpec
@@ -250,8 +233,8 @@ class Operator:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-            raise ValueError("operator matrix must be square, or a stack of square matrices")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("operator matrix must be square")
         if m.shape[-1] != self.space.dim:
             raise ValueError(
                 f"matrix dimension {m.shape[-1]} != space dimension {self.space.dim}"
@@ -263,36 +246,9 @@ def ladder_matrix(fock_cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, fock_cutoff + 1)), 1).astype(complex)
 
 
-def ladder(space: HilbertSpec, mode_index: int) -> Operator:
-    """Annihilation operator of one photon factor, embedded in the full space.
-
-    `mode_index` counts photon factors (0-based, in factor order).
-    """
-    photon_idx = space.photon_indices
-    if not 0 <= mode_index < len(photon_idx):
-        raise IndexError(f"mode index {mode_index} out of range (have {len(photon_idx)} photon factors)")
-    fi = photon_idx[mode_index]
-    local = ladder_matrix(space.factors[fi].fock_cutoff)
-    return Operator(space.embed(fi, local), space)
-
-
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def pauli(space: HilbertSpec, matter_index: int) -> tuple[Operator, Operator, Operator]:
-    """(sigma_x, sigma_y, sigma_z) of a two-level matter factor, embedded.
-
-    Basis order is |e>, |g>, so sigma_z = |e><e| - |g><g| = diag(+1, -1).
-    """
-    matter_idx = space.matter_indices
-    if not 0 <= matter_index < len(matter_idx):
-        raise IndexError(f"matter index {matter_index} out of range")
-    fi = matter_idx[matter_index]
-    if space.factors[fi].dim != 2:
-        raise ValueError(f"matter factor has dim {space.factors[fi].dim}, need 2 for Pauli algebra")
-    return tuple(Operator(space.embed(fi, p), space) for p in (PAULI_X, PAULI_Y, PAULI_Z))
 
 
 def _check_unitary_columns(v: np.ndarray, what: str):
@@ -304,13 +260,12 @@ def _check_unitary_columns(v: np.ndarray, what: str):
 class HermitianGenerator:
     """Cached eigendecomposition of a Hermitian generator X.
 
-    apply(s, x) returns exp(i s X) x and unitary(s) the matrix exp(i s X);
-    repeated evaluations (gauge sweeps, time-dependent couplings) reuse the
-    factorization, which is computed on first use and whose eigenvectors are
-    checked to be unitary then, once.  Every method takes s as a float or as
-    a 1-D array; an array gives the stack of the results at each of its
-    entries.  This is the dense form, for generators that do not factor as a
-    `KroneckerGenerator`.
+    unitary(s) returns the matrix exp(i s X), and `eigenbasis` the basis in
+    which `Eigenbasis.apply` applies it to vectors; repeated evaluations
+    (gauge sweeps, time-dependent couplings) reuse the factorization, which
+    is computed on first use and whose eigenvectors are checked to be unitary
+    then, once.  s is a float.  This is the dense form, for generators that
+    do not factor as a `KroneckerGenerator`.
     """
 
     def __init__(self, matrix: np.ndarray, space: HilbertSpec):
@@ -323,35 +278,26 @@ class HermitianGenerator:
         _check_unitary_columns(vecs, "generator eigenvectors are not unitary")
         return vals, vecs
 
-    def apply(self, s, x: np.ndarray) -> np.ndarray:
-        """exp(i s X) x for a vector or a D x K block x; shape (S,) + x.shape for an array s."""
-        vals, vecs = self._eig
-        x = np.asarray(x)
-        y = vecs.conj().T @ x.reshape(len(vals), -1)
-        out = vecs @ (np.exp(1j * np.multiply.outer(s, vals))[..., None] * y)
-        return out.reshape(np.shape(s) + x.shape)
-
     def eigenbasis(self) -> Eigenbasis:
         """X = V diag(Lambda) V^dag, from the cached eigendecomposition."""
         vals, vecs = self._eig
         return Eigenbasis(vals, (vecs,))
 
-    def unitary(self, s) -> Operator:
-        """exp(i s X) = (V e^{i s Lambda}) V^dag; a stack (S, D, D) for an array s."""
+    def unitary(self, s: float) -> Operator:
+        """exp(i s X) = (V e^{i s Lambda}) V^dag."""
         vals, vecs = self._eig
-        phases = np.exp(1j * np.multiply.outer(s, vals))[..., None, :]
-        return Operator((vecs * phases) @ vecs.conj().T, self.space)
+        return Operator((vecs * np.exp(1j * (s * vals))) @ vecs.conj().T, self.space)
 
-    def conjugate(self, s, m: np.ndarray) -> np.ndarray:
+    def conjugate(self, s: float, m: np.ndarray) -> np.ndarray:
         """exp(i s X) M exp(-i s X) as a plain matrix."""
         u = self.unitary(s).matrix
         return u @ m @ _dagger(u)
 
-    def conjugate_photon(self, s, a: np.ndarray) -> np.ndarray:
+    def conjugate_photon(self, s: float, a: np.ndarray) -> np.ndarray:
         """exp(i s X) (A (x) 1) exp(-i s X) for A on all factors but the last."""
         return self.conjugate(s, kron(a, np.eye(self.space.factors[-1].dim)))
 
-    def conjugate_matter(self, s, b: np.ndarray) -> np.ndarray:
+    def conjugate_matter(self, s: float, b: np.ndarray) -> np.ndarray:
         """exp(i s X) (1 (x) B) exp(-i s X) for B on the last factor."""
         return self.conjugate(s, kron(np.eye(self.space.dim // b.shape[0]), b))
 
@@ -370,16 +316,26 @@ def fock_quadrature(fock_cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """(x, v): the real eigensystem of the truncated a + a^dag on |0> .. |N>.
 
     x, ascending, are sqrt(2) times the roots of the Hermite polynomial
-    H_{N+1}; the columns of v are orthonormal eigenvectors, checked here.
-    Kept read-only for the eight most recent cutoffs.  v outlives every
-    build, so it is copied into its own anonymous memory map: left in the
-    malloc heap among the large short-lived D x D temporaries, it kept the
-    heap from shrinking and raised the peak RSS of a 40-coupling
-    gauge-check at D = 602 by 2 MB.
+    H_{N+1}, so x_{N-i} = -x_i; the columns of v are orthonormal eigenvectors,
+    signed so that the photon parity reverses them, (-1)^n v = v J with J the
+    reversal of the columns.  Both properties are checked here, once per
+    cutoff, and the arrays are kept read-only for the eight most recent
+    cutoffs.  v outlives every build, so it is copied into its own anonymous
+    memory map: left in the malloc heap among the large short-lived D x D
+    temporaries, it kept the heap from shrinking and raised the peak RSS of
+    a 40-coupling gauge-check at D = 602 by 2 MB.
     """
     a = ladder_matrix(fock_cutoff).real
     x, v = np.linalg.eigh(a + a.T)
     _check_unitary_columns(v, "Fock quadrature eigenvectors are not orthogonal")
+    n = fock_cutoff + 1
+    p = 1 - 2 * (np.arange(n) % 2)
+    # (-1)^n maps column i to +-column N - i: sign the upper half to make it +
+    s = np.sign(np.einsum("n,ni,ni->i", p, v, v[:, ::-1]))
+    v = v * np.where(np.arange(n) >= n - n // 2, s, 1.0)
+    dev = max_abs(p[:, None] * v - v[:, ::-1])
+    if dev >= UNITARY_TOL:
+        raise InvariantViolation(f"photon parity does not reverse the quadrature basis ({dev:.3e})")
     kept = np.frombuffer(mmap.mmap(-1, v.nbytes), dtype=v.dtype).reshape(v.shape)
     kept[...] = v
     for arr in (x, kept):
@@ -387,29 +343,21 @@ def fock_quadrature(fock_cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return x, kept
 
 
-def _local_eig(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, unitary eigenvectors) of a Hermitian local term.
+def _local_eig(g: complex, fock_cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, unitary eigenvectors) of phi = g a^dag + g^* a on |0> .. |N>.
 
-    A term g a^dag + g^* a equals |g| R (a + a^dag) R^dag, R = diag(e^(i n arg g)),
-    so its eigensystem is (|g| x, R v) with (x, v) = `fock_quadrature`; g = 0
-    gives the identity.  Any other term is eigendecomposed on its own.  The
-    eigenvectors are real whenever the term is: for a real g, and for any
-    other term without an imaginary part.
+    phi = |g| R (a + a^dag) R^dag with R = diag(e^(i n arg g)), so its
+    eigensystem is (|g| x, R v) with (x, v) = `fock_quadrature`; g = 0 gives
+    the identity.  The eigenvectors are real for a real g.
     """
-    n = len(phi)
-    g = phi[1, 0] if n > 1 else 0j
-    a = ladder_matrix(n - 1)
-    if np.array_equal(phi, g * a.conj().T + np.conj(g) * a):
-        if g == 0:
-            return np.zeros(n), np.eye(n)
-        x, v = fock_quadrature(n - 1)
-        k = np.arange(n)
-        # exactly +-1 for real g, so a real coupling keeps real eigenvectors
-        phase = np.sign(g.real) ** k if g.imag == 0 else np.exp(1j * np.angle(g) * k)
-        return abs(g) * x, phase[:, None] * v
-    nu, v = np.linalg.eigh(phi if np.any(phi.imag) else phi.real)
-    _check_unitary_columns(v, "local eigenvector matrix is not unitary")
-    return nu, v
+    n = fock_cutoff + 1
+    if g == 0:
+        return np.zeros(n), np.eye(n)
+    x, v = fock_quadrature(fock_cutoff)
+    k = np.arange(n)
+    # exactly +-1 for real g, so a real coupling keeps real eigenvectors
+    phase = np.sign(g.real) ** k if g.imag == 0 else np.exp(1j * np.angle(g) * k)
+    return abs(g) * x, phase[:, None] * v
 
 
 def _left_multiply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -458,42 +406,48 @@ class Eigenbasis:
         """B^dag M B, not symmetrized."""
         return self.from_fock(_dagger(self.from_fock(_dagger(m))))
 
+    def apply(self, s: float, x: np.ndarray) -> np.ndarray:
+        """exp(i s X) x = B e^{i s xi} B^dag x for a vector or a D x K block x."""
+        y = self.from_fock(np.asarray(x))
+        phase = np.exp(1j * (s * self.xi))
+        return self.to_fock(phase.reshape(phase.shape + (1,) * (y.ndim - 1)) * y)
+
 
 class KroneckerGenerator:
-    """Hermitian generator X = (sum_i phi_i) (x) D, kept as local eigendecompositions.
+    """Hermitian generator X = (sum_i phi_i) (x) D, phi_i = g_i a_i^dag + g_i^* a_i, kept
+    as local eigendecompositions.
 
-    phi_i acts on leading factor i of `space` and D on its last factor.  The
-    terms act on different factors and commute, so with D = sum_k lam_k P_k
+    The couplings g_i act on the leading (photon) factors of `space` and the
+    Hermitian matter matrix D on its last factor, the (g, D) that
+    `CouplingSet.common_matter_matrix` returns.  The terms act on different
+    factors and commute, so with D = sum_k lam_k P_k
 
         exp(i s X) = sum_k E(s lam_k) (x) P_k,   E(t) = (x)_i exp(i t phi_i),
 
     exactly on the truncated space.  Only the local and the n x n matter
-    eigendecompositions are needed.  A coupling term phi_i = g a^dag + g^* a
-    takes its eigensystem from the one `fock_quadrature` of its cutoff,
-    rotated by the phase of g, so modes and gauges of one cutoff share a
-    single eigensolve; any other local term is eigendecomposed here.
-    Unitarity of the local eigenvector matrices (of the quadrature's v once
-    per cutoff; R is a diagonal of unit phases) and orthogonality and
-    completeness of the P_k are verified once, which makes every assembled
-    exp(i s X) exactly unitary; no D x D check is repeated.  The interface
-    matches `HermitianGenerator`, s a float or a 1-D array.
+    eigendecompositions are needed, and each phi_i takes its eigensystem from
+    the one `fock_quadrature` of its cutoff, rotated by the phase of g_i
+    (`_local_eig`), so modes and gauges of one cutoff share a single
+    eigensolve.  Unitarity of the quadrature's v (once per cutoff; the
+    rotation is a diagonal of unit phases) and orthogonality and completeness
+    of the P_k are verified once, which makes every assembled exp(i s X)
+    exactly unitary; no D x D check is repeated.  The interface matches
+    `HermitianGenerator`.
     """
 
-    def __init__(self, local_terms: Sequence[np.ndarray], matter: np.ndarray,
+    def __init__(self, couplings: Sequence[complex], matter: np.ndarray,
                  space: HilbertSpec):
-        if len(local_terms) != len(space.factors) - 1:
-            raise ValueError("need one local term per leading factor")
-        for f, phi in zip(space.factors, local_terms):
-            if np.shape(phi) != (f.dim, f.dim):
-                raise ValueError("local term does not match factor dimension")
+        if len(couplings) != len(space.factors) - 1:
+            raise ValueError("need one coupling per leading factor")
         if np.shape(matter) != (space.factors[-1].dim,) * 2:
             raise ValueError("matter matrix does not match the last factor")
         self.space = space
-        self._local_terms = [hermitian_part(p, "local generator term") for p in local_terms]
+        self._couplings = list(couplings)
         self._matter = hermitian_part(matter, "matter generator term")
         # per leading factor (i nu, v, v^dag), v^dag contiguous for the products below
         self._local_eigs = [(1j * nu, v, np.ascontiguousarray(_dagger(v)))
-                            for nu, v in map(_local_eig, self._local_terms)]
+                            for nu, v in (_local_eig(g, f.fock_cutoff)
+                                          for g, f in zip(self._couplings, space.factors))]
         self._lam, vecs = np.linalg.eigh(self._matter)
         _check_unitary_columns(vecs, "matter eigenprojectors are not orthogonal")
         self._vecs = vecs
@@ -514,7 +468,11 @@ class KroneckerGenerator:
 
     def _photon_term(self) -> np.ndarray:
         """sum_i phi_i on the leading factors."""
-        return sum(self._leading.kron({i: p}) for i, p in enumerate(self._local_terms))
+        terms = []
+        for i, (g, f) in enumerate(zip(self._couplings, self._leading.factors)):
+            a = ladder_matrix(f.fock_cutoff)
+            terms.append(self._leading.kron({i: g * a.conj().T + np.conj(g) * a}))
+        return sum(terms)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -526,7 +484,9 @@ class KroneckerGenerator:
 
         With phi = sum_i phi_i, [phi (x) D, phi^j (x) C] = phi^(j+1) (x) [D, C],
         so ad_X^j(1 (x) B) = phi^j (x) ad_D^j(B) and the series is one Kronecker
-        sum over j, without a D x D product.
+        sum over j, without a D x D product.  Kept in this form rather than
+        summed in the `eigenbasis`, where ad_X is elementwise: at order 2 and
+        D = 882 (two modes, N = 20, 2 cores) that took 116 ms against 40 ms.
         """
         phi = self._photon_term()
         powers, terms = [np.eye(len(phi), dtype=complex)], [np.asarray(b, dtype=complex)]
@@ -543,28 +503,30 @@ class KroneckerGenerator:
         return Eigenbasis(np.multiply.outer(nu, self._lam).ravel(),
                           tuple(v for _, v, _ in self._local_eigs) + (self._vecs,))
 
-    def apply(self, s, x: np.ndarray) -> np.ndarray:
-        """exp(i s X) x = sum_k (E(s lam_k) (x) P_k) x for a vector or a D x K block x,
-        factor by factor; shape (S,) + x.shape for an array s."""
-        x = np.asarray(x)
-        e = self._local_exps(np.multiply.outer(s, self._lam))
-        out = _kron_apply(e + [self._proj], x.reshape(self.space.dim, -1)).sum(axis=-3)
-        return out.reshape(np.shape(s) + x.shape)
-
-    def unitary(self, s) -> Operator:
-        w = kron_sum(reduce(kron, self._local_exps(np.multiply.outer(s, self._lam))), self._proj)
+    def unitary(self, s: float) -> Operator:
+        """exp(i s X) = sum_k E(s lam_k) (x) P_k, one Kronecker sum.  Kept in this form
+        rather than formed as B e^{i s xi} B^dag from the `eigenbasis`: that took
+        32 ms against 14 ms at D = 882 (two modes, N = 20, 2 cores)."""
+        w = kron_sum(reduce(kron, self._local_exps(s * self._lam)), self._proj)
         return Operator(w, self.space)
 
-    def conjugate_photon(self, s, a: np.ndarray) -> np.ndarray:
-        """exp(i s X) (A (x) 1) exp(-i s X) = sum_k E A E^dag (x) P_k, E = E(s lam_k)."""
-        e = self._local_exps(np.multiply.outer(s, self._lam))
+    def conjugate_photon(self, s: float, a: np.ndarray) -> np.ndarray:
+        """exp(i s X) (A (x) 1) exp(-i s X) = sum_k E A E^dag (x) P_k, E = E(s lam_k).
+
+        Kept in this form rather than as B Phi (B^dag (A (x) 1) B) Phi^* B^dag in the
+        `eigenbasis`: with that, and `conjugate_matter` likewise, the assembly of
+        `build_dipole` took 107 ms against 33 ms at D = 882 (two modes, N = 20,
+        theta = 0.37, 2 cores)."""
+        e = self._local_exps(s * self._lam)
         return kron_sum(_dagger(_kron_apply(e, _dagger(_kron_apply(e, a)))), self._proj)
 
-    def conjugate_matter(self, s, b: np.ndarray) -> np.ndarray:
-        """exp(i s X) (1 (x) B) exp(-i s X) = sum_kl E(s (lam_k - lam_l)) (x) P_k B P_l."""
+    def conjugate_matter(self, s: float, b: np.ndarray) -> np.ndarray:
+        """exp(i s X) (1 (x) B) exp(-i s X) = sum_kl E(s (lam_k - lam_l)) (x) P_k B P_l.
+
+        Kept in this form for the reason `conjugate_photon` gives."""
         b = np.asarray(b, dtype=complex)
         blocks = self._proj[:, None] @ b @ self._proj[None, :]
-        out = kron_sum(reduce(kron, self._local_exps(np.multiply.outer(s, self._gaps))),
+        out = kron_sum(reduce(kron, self._local_exps(s * self._gaps)),
                        blocks[self._coupled])
         # pairs with lam_k = lam_l have E(0) = 1: add them on the photon diagonal
         n, m = self._leading.dim, b.shape[0]

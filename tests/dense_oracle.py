@@ -22,6 +22,13 @@ the Fock basis.
 `herm_eig` and `matrix_exp` are the general dense eigendecomposition and
 exponential of an `Operator`, and `dielectric_modes` solves the 1D dielectric
 finite-difference problem with scipy's generalized symmetric eigensolver.
+
+The rest are the dense forms the package itself no longer needs: the embedded
+`ladder` and `pauli` operators, the low-sector projector P_low, the explicit
+single-mode two-level Coulomb and multipolar Hamiltonians
+(`build_tls_coulomb_single`, `build_tls_multipolar_single`), and the
+truncated field operators A and E at a point with the residual of the
+Heisenberg identity E = i [A, H_F] between them (`field_commutator_residual`).
 """
 
 from functools import reduce
@@ -30,11 +37,12 @@ import numpy as np
 import scipy.linalg
 
 from gaugecraft.errors import ConvergenceError, InvariantViolation
-from gaugecraft.gaugecheck import AmbiguityRow, tls_single_mode_modeset
-from gaugecraft.hamiltonians import (COULOMB, MULTIPOLAR, build_dipole, build_naive, couplings,
+from gaugecraft.gaugecheck import DEFAULT_LOW_FRACTION, AmbiguityRow, tls_single_mode_modeset
+from gaugecraft.hamiltonians import (COULOMB, MULTIPOLAR, TLS_PARITY_SIGNS, HamiltonianBundle,
+                                     _normalize_cutoffs, build_dipole, build_naive, couplings,
                                      segment_integral, standard_space)
-from gaugecraft.hilbert import (HERMITIAN_TOL, Operator, PAULI_X, PAULI_Y, PAULI_Z,
-                                ladder_matrix, max_abs)
+from gaugecraft.hilbert import (HERMITIAN_TOL, HilbertSpec, Operator, PAULI_X, PAULI_Y, PAULI_Z,
+                                ladder_matrix, max_abs, parity_labels, photon)
 
 EIG_RESIDUAL_TOL = 1e-10
 
@@ -380,3 +388,153 @@ def ambiguity_scan(chi, omega0, eta_grid, start_cutoff=20, tol=1e-7, order=1):
     Hamiltonian, as the package ran it before its ladders climbed as stacks."""
     return [ambiguity_row(eta, ambiguity_ladders(chi, omega0, eta, start_cutoff, tol, order))
             for eta in eta_grid]
+
+
+def ladder(space, mode_index):
+    """Annihilation operator of one photon factor, embedded in the full space.
+
+    `mode_index` counts photon factors (0-based, in factor order).
+    """
+    photon_idx = space.photon_indices
+    if not 0 <= mode_index < len(photon_idx):
+        raise IndexError(f"mode index {mode_index} out of range (have {len(photon_idx)} photon factors)")
+    fi = photon_idx[mode_index]
+    return Operator(space.embed(fi, ladder_matrix(space.factors[fi].fock_cutoff)), space)
+
+
+def pauli(space, matter_index):
+    """(sigma_x, sigma_y, sigma_z) of a two-level matter factor, embedded.
+
+    Basis order is |e>, |g>, so sigma_z = |e><e| - |g><g| = diag(+1, -1).
+    """
+    matter_idx = space.matter_indices
+    if not 0 <= matter_index < len(matter_idx):
+        raise IndexError(f"matter index {matter_index} out of range")
+    fi = matter_idx[matter_index]
+    if space.factors[fi].dim != 2:
+        raise ValueError(f"matter factor has dim {space.factors[fi].dim}, need 2 for Pauli algebra")
+    return tuple(Operator(space.embed(fi, p), space) for p in (PAULI_X, PAULI_Y, PAULI_Z))
+
+
+def _photon_diagonal(space, keep):
+    """numpy.kron over the factors of keep(n, N) on each photon factor of cutoff N (n its
+    photon numbers) and of ones on the others."""
+    return reduce(np.kron, [keep(np.arange(f.dim), f.dim - 1) if f.kind == "photon"
+                            else np.ones(f.dim) for f in space.factors])
+
+
+def low_sector_projector(space, fraction=DEFAULT_LOW_FRACTION):
+    """Projector onto product states with every photon number <= fraction * cutoff."""
+    return np.diag(_photon_diagonal(space, lambda n, top: n <= np.floor(fraction * top))
+                   ).astype(complex)
+
+
+def _tls_bundle(h, space, gauge, meta, *inputs):
+    """Bundle of a single-mode two-level h, declaring the parity (-1)^n (x) sigma_z and,
+    when every input is real, time reversal."""
+    return HamiltonianBundle(h, space, gauge, meta, parity_labels(space, TLS_PARITY_SIGNS),
+                             not any(np.any(np.imag(v)) for v in inputs))
+
+
+def build_tls_coulomb_single(chi, omega0, eta, cutoff):
+    """Single-mode two-level Coulomb-form Hamiltonian via matrix trigonometry.
+
+    H = chi a^dag a + (omega0/2) [cos(2 Phi) sigma_z + sin(2 Phi) sigma_y]
+    with Phi = eta a^dag + eta^* a.  Identical, as an operator identity on the
+    truncated space, to build_dipole at theta = 0.
+    """
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    space = standard_space((cutoff,), 2)
+    a = ladder_matrix(cutoff)
+    vals, vecs = np.linalg.eigh(2 * (eta * a.conj().T + np.conj(eta) * a))
+    cos_m = (vecs * np.cos(vals)) @ vecs.conj().T
+    sin_m = (vecs * np.sin(vals)) @ vecs.conj().T
+    h = (chi * np.kron(a.conj().T @ a, np.eye(2))
+         + (omega0 / 2) * (np.kron(cos_m, PAULI_Z) + np.kron(sin_m, PAULI_Y)))
+    meta = {"builder": "build_tls_coulomb_single", "truncation": "correct",
+            "cutoffs": (cutoff,), "eta": [complex(eta)], "chi": chi, "omega0": omega0}
+    return _tls_bundle(h, space, COULOMB, meta, chi, eta, omega0)
+
+
+def build_tls_multipolar_single(chi, omega0, eta, cutoff):
+    """Single-mode two-level multipolar-form Hamiltonian (canonical algebra).
+
+    H = chi a^dag a + (omega0/2) sigma_z + i chi (eta a^dag - eta^* a) sigma_x
+        + chi |eta|^2.
+    The c-number term is kept so operator-level gauge comparisons close; the
+    form matches build_dipole at theta = 1 on the low-energy sector once the
+    cutoff is converged.
+    """
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    space = standard_space((cutoff,), 2)
+    a = ladder_matrix(cutoff)
+    drive = 1j * chi * (eta * a.conj().T - np.conj(eta) * a)
+    h = (chi * np.kron(a.conj().T @ a, np.eye(2))
+         + (omega0 / 2) * np.kron(np.eye(cutoff + 1), PAULI_Z)
+         + np.kron(drive, PAULI_X)
+         + chi * abs(eta) ** 2 * np.eye(space.dim))
+    meta = {"builder": "build_tls_multipolar_single", "truncation": "correct",
+            "cutoffs": (cutoff,), "eta": [complex(eta)], "chi": chi, "omega0": omega0}
+    return _tls_bundle(h, space, MULTIPOLAR, meta, chi, eta, omega0)
+
+
+def photon_space(ms, cutoffs):
+    """The photon factors of a mode set at the given cutoffs, one per mode."""
+    return HilbertSpec([photon(n) for n in _normalize_cutoffs(cutoffs, ms.n_modes)])
+
+
+def _field_components(ms, cutoffs, profile, weights):
+    """The three components sum_mu weights_mu profile_mu,c a_mu + H.c. as dense operators."""
+    space = photon_space(ms, cutoffs)
+    out = []
+    for c in range(3):
+        m = sum(w * p * a.matrix for w, p, a in
+                zip(weights, profile[:, c], (ladder(space, mu) for mu in range(ms.n_modes))))
+        out.append(Operator(m + m.conj().T, space))
+    return out
+
+
+def vector_potential_operator(ms, point, cutoffs):
+    """Components of the truncated vector potential at a stored point.
+
+    A_c(x) = sum_mu f_mu,c(x) a_mu / sqrt(2 chi_mm) + H.c. on the bosonic
+    factors only.
+    """
+    return _field_components(ms, cutoffs, ms.profile(point), 1.0 / np.sqrt(2 * ms.chi_diag))
+
+
+def truncated_E_operator(ms, point, cutoffs, naive=False):
+    """Components of the mode-truncated transverse electric field at a point.
+
+    E_c(x) = i sum_mu sqrt(chi_mm / 2) f'_mu,c(x) a_mu + H.c.  With
+    naive=True the raw profiles f_mu are used instead of the derived f'_mu,
+    reproducing the gauge-inconsistent direct truncation of the field
+    expansion.
+    """
+    f = ms.profile(point) if naive else ms.derived_profile(point)
+    return _field_components(ms, cutoffs, f, 1j * np.sqrt(ms.chi_diag / 2))
+
+
+def field_commutator_residual(ms, point, cutoffs, naive=False):
+    """Max deviation of E from i [A, H_F] per component, away from the ladder top.
+
+    The Heisenberg identity E = -dA/dt = i [A, H_F] holds exactly on the
+    truncated space except on the top Fock level of each mode, where any
+    finite ladder necessarily distorts cross-mode commutators; the comparison
+    therefore projects that level out on both sides.  With naive=True the
+    residual instead measures how far the directly-truncated field is from
+    the Heisenberg derivative (nonzero whenever chi has off-diagonal
+    entries).
+    """
+    space = photon_space(ms, cutoffs)
+    h_f = field_hamiltonian(ms.chi, space)
+    below_top = _photon_diagonal(space, lambda n, top: n < top).astype(bool)
+    interior = np.ix_(below_top, below_top)
+    worst = 0.0
+    for a_c, e_c in zip(vector_potential_operator(ms, point, cutoffs),
+                        truncated_E_operator(ms, point, cutoffs, naive=naive)):
+        comm = 1j * (a_c.matrix @ h_f - h_f @ a_c.matrix)
+        worst = max(worst, max_abs((e_c.matrix - comm)[interior]))
+    return worst

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 import dense_oracle
+from dense_oracle import (field_commutator_residual, photon_space, truncated_E_operator,
+                          vector_potential_operator)
 from gaugecraft import (COULOMB, MULTIPOLAR, DetectorSpec, ModeSet, build_dipole,
-                        field_commutator_residual, naive_rate_gap, rate_table,
-                        significant_transitions, tls, truncated_E_operator,
-                        vector_potential_operator)
+                        naive_rate_gap, rate_table, significant_transitions, tls)
 from gaugecraft.cli import main
-from gaugecraft.detect import photon_space
 from gaugecraft.hamiltonians import field_hamiltonian
 from gaugecraft.hilbert import max_abs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json

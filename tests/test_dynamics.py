@@ -13,6 +13,7 @@ from gaugecraft import (ConvergenceError, GaugeParam, ModeSet, TimeProfile, buil
                         build_time_dependent, constant_profile, evolve, linear_ramp,
                         raised_cosine_ramp, standard_space, tls)
 from gaugecraft.cli import main
+from gaugecraft.dynamics import ground_state
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
 
 pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
@@ -33,11 +34,6 @@ GRIDS = {
     "on_breakpoints": np.linspace(0.0, 12.0, 25),   # every kink is a grid point
     "straddling": np.linspace(0.3, 11.7, 20),       # every kink falls between grid points
 }
-
-
-def ground_state(td, t=0.0):
-    """Ground state of H(t) in the Fock basis."""
-    return td.basis.to_fock(np.linalg.eigh(td.matrix(t))[1][:, 0])
 
 
 def counting(td):
@@ -117,7 +113,7 @@ def test_long_horizon_keeps_the_norm(t_max):
     td = build_time_dependent(ms, tls(1.0, (1.0, 0.0, 0.0)), "multipolar",
                               raised_cosine_ramp(duration=5.0, t0=0.0), 15)
     t_grid = np.linspace(0.0, t_max, 601)
-    traj = evolve(td, ground_state(td), t_grid)
+    traj = evolve(td, ground_state(td, 0.0), t_grid)
     assert traj.stats["norm_error"] <= 1e-9
     assert np.abs(np.linalg.norm(traj.states, axis=1) - 1.0).max() <= 1e-9
 
@@ -127,7 +123,7 @@ def test_calls_do_not_grow_past_the_ramp():
     counts = []
     for t_max in (50.0, 500.0, 5000.0):
         td = build_time_dependent(TWO_MODES, EMITTER, "multipolar", profile, CUTOFFS)
-        psi0 = ground_state(td)
+        psi0 = ground_state(td, 0.0)
         times = counting(td)
         t_grid = np.concatenate([np.linspace(0.0, 8.0, 17), np.linspace(10.0, t_max, 40)])
         traj = evolve(td, psi0, t_grid)
@@ -141,7 +137,7 @@ def test_calls_do_not_grow_past_the_ramp():
 def test_calls_where_mu_dot_vanishes_are_one_per_static_piece(kind):
     profile, _ = PROFILES[kind]
     td = build_time_dependent(TWO_MODES, EMITTER, "coulomb", profile, CUTOFFS)
-    psi0 = ground_state(td)
+    psi0 = ground_state(td, 0.0)
     times = counting(td)
     traj = evolve(td, psi0, GRIDS["on_breakpoints"])
     flat = [t for t in times if profile.mu_dot(t) == 0.0]
@@ -152,7 +148,7 @@ def test_steps_reuse_hamiltonians():
     """At most four new H per attempted step plus H at the start of each dynamic piece."""
     profile, _ = PROFILES["tabulated"]
     td = build_time_dependent(TWO_MODES, EMITTER, "coulomb", profile, CUTOFFS)
-    psi0 = ground_state(td)
+    psi0 = ground_state(td, 0.0)
     calls = []
     traj = evolve(lambda t: calls.append(t) or td.matrix(t), td.basis.from_fock(psi0),
                   GRIDS["straddling"])
@@ -186,7 +182,7 @@ def test_norm_drift_raises(monkeypatch):
 
 def test_observables_match_the_einsum_form():
     td = build_time_dependent(TWO_MODES, EMITTER, "multipolar", PROFILES["linear"][0], CUTOFFS)
-    traj = evolve(td, ground_state(td), GRIDS["straddling"])
+    traj = evolve(td, ground_state(td, 0.0), GRIDS["straddling"])
     obs = dynamics.default_observables(td.space, td.generator.matrix)
     assert sorted(traj.observables) == sorted(obs) == ["X", "n0", "n1", "sz"]
     for label, m in obs.items():
@@ -198,7 +194,7 @@ def test_observables_match_the_einsum_form():
 def test_grid_must_increase(t_grid):
     td = build_time_dependent(TWO_MODES, EMITTER, "coulomb", PROFILES["linear"][0], CUTOFFS)
     with pytest.raises(ValueError, match="strictly increasing"):
-        evolve(td, ground_state(td), t_grid)
+        evolve(td, ground_state(td, 0.0), t_grid)
 
 
 # ------------------------------------------------------------------ CLI
@@ -256,6 +252,26 @@ def test_evolve_metadata_reports_top_fock_population(tmp_path):
     got = meta["diagnostics"]["top_fock_population"]
     assert len(got) == 2 and min(got) > 1e-6
     assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("gauge", ["coulomb", "multipolar"])
+def test_initial_ground_state_has_the_fock_phase_convention(tmp_path, gauge):
+    """The t = 0 state of states.json is the dense Fock-basis ground state of H(0), its
+    largest-magnitude amplitude made real and positive: no phase from the basis H(0) is
+    diagonalized in.  The ramp is under way at t = 0, so H(0) couples."""
+    out = tmp_path / "out"
+    assert run_evolve(write_scenario(tmp_path), out, f"evolve.gauge={gauge}",
+                      "time_profile.t0=-2.0") == 0
+    state = json.loads((out / "states.json").read_text(encoding="utf-8"))[0]
+    got = np.array([complex(*c) for c in state["state"]])
+    profile = raised_cosine_ramp(duration=5.0, t0=-2.0)
+    vals, vecs = np.linalg.eigh(DenseSystem(TWO_MODES, EMITTER, CUTOFFS).td_matrix(
+        gauge, profile, 0.0))
+    assert vals[1] - vals[0] > 1e-3
+    want = vecs[:, 0]
+    top = want[np.argmax(np.abs(want))]
+    want = want * (np.conj(top) / abs(top))
+    assert np.abs(got - want).max() <= 1e-10
 
 
 @pytest.mark.parametrize("overrides, key", [

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 import gaugecraft.hamiltonians as hamiltonians
 import dense_oracle
-from dense_oracle import DenseSystem
+from dense_oracle import DenseSystem, low_sector_projector
 from gaugecraft import (COULOMB, MULTIPOLAR, EmitterSpec, GaugeParam, InvariantViolation,
                         ModeSet, build_dipole, build_naive, build_time_dependent, couplings,
                         field_hamiltonian, gauge_unitary, raised_cosine_ramp, standard_space,
                         td_gauge_equivalence, tls, verify_spectral_equivalence)
-from gaugecraft.gaugecheck import low_sector_projector
 from gaugecraft.hilbert import (HermitianGenerator, HilbertSpec, KroneckerGenerator,
                                 ladder_matrix, matter_levels, max_abs, photon)
 
@@ -216,16 +215,17 @@ class TestHermiticityBeforeSymmetrization:
 
 
 class TestKroneckerGeneratorChecks:
-    def test_rejects_non_hermitian_local_term(self):
+    def test_rejects_non_hermitian_matter_matrix(self):
         space = HilbertSpec([photon(3), matter_levels(2)])
-        a = ladder_matrix(3)
         with pytest.raises(InvariantViolation):
-            KroneckerGenerator([a], np.diag([1.0, -1.0]), space)
+            KroneckerGenerator([0.5], ladder_matrix(1), space)
 
     def test_rejects_term_of_wrong_size(self):
         space = HilbertSpec([photon(3), matter_levels(2)])
-        with pytest.raises(ValueError):
-            KroneckerGenerator([np.eye(3)], np.eye(2), space)
+        with pytest.raises(ValueError, match="matter matrix"):
+            KroneckerGenerator([0.5], np.eye(3), space)
+        with pytest.raises(ValueError, match="one coupling per leading factor"):
+            KroneckerGenerator([0.5, 0.5], np.eye(2), space)
 
     def test_zero_couplings_give_identity_unitary(self):
         ms, em = random_system(1, 2, "tls")

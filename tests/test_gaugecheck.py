@@ -231,3 +231,37 @@ def test_gauge_check_command_names_a_bad_numeric_key(tmp_path, capsys, override,
             "--set", override]
     assert main(argv) == 2
     assert key in capsys.readouterr().err
+
+
+def run_gauge_check(tmp_path, em, **section):
+    """Exit code of `gauge-check` on a single-mode scenario of the emitter."""
+    ms = ModeSet.single_mode(1.0, {em.position_label: (1.0, 0.0, 0.0)})
+    doc = {"seed": 0, "modeset": modeset_to_json(ms), "emitter": emitter_to_json(em),
+           "fock_cutoffs": 20, "gauge_check": {"k": 3, **section}}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    return main(["gauge-check", "--config", str(config), "--out", str(tmp_path / "out")])
+
+
+def test_default_grid_takes_a_coupling_that_is_sigma_x_up_to_phases(tmp_path, capsys):
+    """Without an eta_grid the scan runs at |eta_eg|: a sigma_y dipole is a sigma_x one up
+    to a matter phase, so it scans like the sigma_x dipole of the same strength."""
+    reports = []
+    for axis in (PAULI_X, PAULI_Y):
+        em = EmitterSpec(np.array([0.5, -0.5]), 0.4 * np.array([axis, 0 * axis, 0 * axis]))
+        out = tmp_path / f"run{len(reports)}"
+        out.mkdir()
+        assert run_gauge_check(out, em) == 0
+        assert capsys.readouterr().out.startswith("PASS")
+        reports.append((out / "out" / "gauge_report.csv").read_text(encoding="utf-8"))
+    assert reports[0] == reports[1]
+    assert abs(float(reports[0].splitlines()[1].split(",")[0]) - 0.4 / np.sqrt(2)) <= 1e-15
+
+
+def test_default_grid_refuses_another_coupling(tmp_path, capsys):
+    diagonal = np.diag([0.3, -0.1])  # not sigma_x up to phases: the grid must be given
+    em = EmitterSpec(np.array([0.5, -0.5]), np.array([0.4 * PAULI_X + diagonal,
+                                                     np.zeros((2, 2)), np.zeros((2, 2))]))
+    assert run_gauge_check(tmp_path, em) == 2
+    assert "'gauge_check.eta_grid'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "gauge_report.csv").exists()

@@ -7,15 +7,15 @@ from gaugecraft import (COULOMB, MULTIPOLAR, ConvergenceError, Dielectric1D,
                         FockCutoffWarning, GaugeParam, InvariantViolation,
                         LongitudinalCoupling, ModeSet, build_beyond_dipole,
                         build_dipole, build_generalized_1d, build_naive,
-                        build_time_dependent, build_tls_coulomb_single,
-                        build_tls_multipolar_single, constant_profile, couplings,
+                        build_time_dependent, constant_profile, couplings,
                         raised_cosine_ramp, solve_dielectric_1d, tls,
                         tls_single_mode_modeset)
-from gaugecraft.gaugecheck import gauge_unitary, low_sector_projector
+from gaugecraft.gaugecheck import gauge_unitary
 from gaugecraft.hamiltonians import field_hamiltonian, segment_integral, standard_space
 from gaugecraft.hilbert import PAULI_X, PAULI_Y, PAULI_Z, ladder_matrix, max_abs
 
-from dense_oracle import fock_td_matrix
+from dense_oracle import (build_tls_coulomb_single, build_tls_multipolar_single, fock_td_matrix,
+                          low_sector_projector)
 
 RNG = np.random.default_rng(11)
 

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import herm_eig, matrix_exp
-from gaugecraft import (HilbertSpec, InvariantViolation, Operator, ladder, matter_levels, pauli,
-                        photon)
+from dense_oracle import herm_eig, ladder, matrix_exp, pauli
+from gaugecraft import HilbertSpec, InvariantViolation, Operator, matter_levels, photon
 from gaugecraft.hilbert import ladder_matrix, max_abs
 
 RNG = np.random.default_rng(20240817)

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from gaugecraft import (COULOMB, MULTIPOLAR, EmitterSpec, GaugeParam, HamiltonianBundle,
                         InvariantViolation, LongitudinalCoupling, ModeSet, Operator,
-                        build_beyond_dipole, build_dipole, build_naive,
-                        build_tls_coulomb_single, build_tls_multipolar_single, couplings, tls)
+                        build_beyond_dipole, build_dipole, build_naive, couplings, tls)
 from gaugecraft.cli import main
 from gaugecraft.hilbert import HilbertSpec, PAULI_X, matter_levels, max_abs, parity_labels, photon
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
+
+from dense_oracle import build_tls_coulomb_single, build_tls_multipolar_single
 
 pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
 

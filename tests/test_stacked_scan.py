@@ -17,7 +17,7 @@ from gaugecraft import (COULOMB, MULTIPOLAR, ConvergenceError, GaugeParam, Hamil
 from gaugecraft.cli import main
 from gaugecraft.gaugecheck import QuadratureFamily
 from gaugecraft.hilbert import (PAULI_X, HilbertSpec, KroneckerGenerator, _local_eig,
-                                ladder_matrix, matter_levels, max_abs, photon)
+                                fock_quadrature, ladder_matrix, matter_levels, max_abs, photon)
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
 
 pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
@@ -83,10 +83,15 @@ def test_stack_of_one_keeps_its_axis_and_eigensystem_refuses_stacks():
     assert values.shape == (1, 18)
     assert_members_close(values[0], build_dipole(ms, em, COULOMB, 8).eigenvalues(), "member")
     bundle = build_dipole(ms, em, COULOMB, 8)
-    with pytest.raises(ValueError, match="stack"):
+    with pytest.raises(ValueError, match="must be square"):
         HamiltonianBundle(bundle.H.matrix[None], bundle.space, COULOMB)
     with pytest.raises(ValueError, match="theta = 0"):
         family.blocks(0.37, [1.0], order=1)
+
+
+def test_the_family_reads_the_cached_quadrature_basis():
+    ms, em = tls_single_mode_modeset(1.0, 0.6, 1.0)
+    assert QuadratureFamily(ms, em, 12).w is fock_quadrature(12)[1]
 
 
 class TestForgedMembers:
@@ -318,8 +323,8 @@ def test_local_exponentials_match_the_complex_path(g):
     n = 30
     a = ladder_matrix(n)
     phi = g * a.conj().T + np.conj(g) * a
-    gen = KroneckerGenerator([phi], PAULI_X, HilbertSpec([photon(n), matter_levels(2)]))
-    nu, v = _local_eig(phi)
+    gen = KroneckerGenerator([g], PAULI_X, HilbertSpec([photon(n), matter_levels(2)]))
+    nu, v = _local_eig(g, n)
     assert (v.dtype.kind == "f") == (np.imag(g) == 0)
     t = np.array([[0.0, 0.3, -0.3], [1.7, -2.2, 0.3]])
     got = gen._local_exps(t)[0]

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from gaugecraft import (COULOMB, MULTIPOLAR, EmitterSpec, GaugeParam, HamiltonianBundle,
                         InvariantViolation, LongitudinalCoupling, ModeSet, build_beyond_dipole,
-                        build_dipole, build_generalized_1d, build_naive,
-                        build_tls_coulomb_single, build_tls_multipolar_single, couplings,
+                        build_dipole, build_generalized_1d, build_naive, couplings,
                         Dielectric1D, solve_dielectric_1d, tls)
 from gaugecraft.hilbert import (HilbertSpec, KroneckerGenerator, _local_eig, fock_quadrature,
                                 ladder_matrix, matter_levels, max_abs, parity_labels, photon)
+
+from dense_oracle import build_tls_coulomb_single, build_tls_multipolar_single
 
 pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
 
@@ -164,6 +165,9 @@ def test_fock_quadrature_is_scaled_hermite_roots(cutoff):
     a = ladder_matrix(cutoff).real
     assert max_abs((a + a.T) @ v - v * x) <= 1e-12 * max_abs(x)
     assert max_abs(v.T @ v - np.eye(cutoff + 1)) <= 1e-12
+    # the photon parity reverses the columns: (-1)^n v = v J
+    parity = (-1.0) ** np.arange(cutoff + 1)
+    assert max_abs(parity[:, None] * v - v[:, ::-1]) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -172,25 +176,23 @@ def test_cached_local_eigs_match_direct_eigh(cutoff, modulus, angle):
     g = modulus * np.exp(1j * angle)
     a = ladder_matrix(cutoff)
     phi = g * a.conj().T + np.conj(g) * a
-    nu, v = _local_eig(phi)
+    nu, v = _local_eig(g, cutoff)
     scale = max(1.0, max_abs(nu))
     assert max_abs(nu - np.linalg.eigvalsh(phi)) <= 1e-13 * scale
     assert max_abs(phi @ v - v * nu) <= 1e-13 * scale
     assert max_abs(v.conj().T @ v - np.eye(cutoff + 1)) <= 1e-13
 
 
-def test_local_eigs_of_zero_real_and_other_terms():
-    nu, v = _local_eig(np.zeros((5, 5), dtype=complex))
+def test_local_eigs_of_zero_and_real_couplings():
+    nu, v = _local_eig(0j, 4)
     assert np.array_equal(nu, np.zeros(5)) and np.array_equal(v, np.eye(5))
     a = ladder_matrix(6)
-    nu, v = _local_eig(-0.7 * (a + a.T))  # a real coupling keeps real eigenvectors
+    phi = -0.7 * (a + a.T)
+    nu, v = _local_eig(-0.7 + 0j, 6)  # a real coupling keeps real eigenvectors
     assert np.isrealobj(v)
-    assert max_abs(-0.7 * (a + a.T) @ v - v * nu) <= 1e-13
-    other = np.diag(np.arange(7.0)) + 0.3 * (a + a.T)  # not of the form g a^dag + g^* a
-    nu, v = _local_eig(other.astype(complex))
-    assert max_abs(nu - np.linalg.eigvalsh(other)) <= 1e-13 * max_abs(nu)
+    assert max_abs(phi @ v - v * nu) <= 1e-13
     space = HilbertSpec([photon(6), matter_levels(2)])
-    gen = KroneckerGenerator([other], np.diag([1.0, -1.0]), space)
-    want = np.linalg.eigh(np.kron(other, np.diag([1.0, -1.0])))
+    gen = KroneckerGenerator([-0.7 + 0j], np.diag([1.0, -1.0]), space)
+    want = np.linalg.eigh(np.kron(phi, np.diag([1.0, -1.0])))
     u = (want[1] * np.exp(0.4j * want[0])) @ want[1].conj().T
     assert max_abs(gen.unitary(0.4).matrix - u) <= 1e-12

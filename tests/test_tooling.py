@@ -1,8 +1,8 @@
-"""Repository hygiene: no unused imports in the package, a reversible perf tracer that
-still describes the quadrature-basis gauge-check and the matrix-free detect, a
-command-line tool that runs without scipy, a rate table that holds no D x D matrix
-of its own, repeated commands that reuse the pages their temporaries freed, and
-a failing hypothesis test that is reported as a failure."""
+"""Repository hygiene: no unused imports or orphaned private helpers in the package, a
+reversible perf tracer that still describes the quadrature-basis gauge-check and the
+matrix-free detect, a command-line tool that runs without scipy, a rate table that
+holds no D x D matrix of its own, repeated commands that reuse the pages their
+temporaries freed, and a failing hypothesis test that is reported as a failure."""
 
 import ast
 import ctypes
@@ -38,6 +38,27 @@ def test_package_modules_use_every_import():
     unused = [f"{path.stem}: {name}" for path in sorted(PACKAGE.glob("*.py"))
               if path.name != "__init__.py" for name in unused_imports(path)]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def private_helpers(trees: dict) -> list[str]:
+    """"module.name" of every module-level _private function or class."""
+    return [f"{stem}.{node.name}" for stem, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def test_package_private_helpers_are_referenced_in_the_package():
+    """A helper whose last caller moved out of the package (into the tests, say) is
+    orphaned: it has to go with its caller."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    helpers = private_helpers(trees)
+    assert len(helpers) > 20
+    orphaned = [name for name in helpers if name.split(".", 1)[1] not in used]
+    assert not orphaned, "private helpers that no module references: " + ", ".join(orphaned)
 
 
 def load_tracer(monkeypatch):
