@@ -171,6 +171,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "gauge_theta": bundle.gauge.theta,
         "couplings": [[v.real, v.imag] for v in (bundle.metadata.get("eta") or [])],
         "dimension": bundle.space.dim,
+        "basis": bundle.basis,
         "diagnostics": bundle.diagnostics,
     })
     return 0
@@ -272,6 +273,7 @@ def cmd_detect(cfg: RunConfig) -> int:
               [(r.i, r.j, r.omega_ij, r.rate_coulomb, r.rate_multipolar, r.rel_diff)
                for r in rows])
     write_metadata(cfg, {"cutoffs": list(cutoffs), "transitions": [list(t) for t in transitions],
+                         "basis": bundle_c.basis,
                          "diagnostics": {"coulomb": bundle_c.diagnostics,
                                          "multipolar": bundle_mp.diagnostics}})
     return 0

@@ -10,8 +10,8 @@ fourth-order Runge-Kutta step and an embedded step-halving error estimate;
 no step crosses a kink of mu'.  A `TimeDependentHamiltonian` is propagated
 in the eigenbasis of its generator, where it evaluates H(t): the start state
 is mapped into that basis and the recorded states back to the Fock basis.
-Static Hamiltonians are the one-static-piece case and bare callables the
-one-dynamic-piece case.  Trajectories record normalized states on the
+Static Hamiltonians are the one-static-piece case, and a bare callable is
+dynamic throughout, split only at the breakpoints it is given.  Trajectories record normalized states on the
 requested time grid, real observable series and the propagator's counters.
 `ground_state` fixes the global phase of a start state by a Fock-basis
 convention, so it does not depend on the basis H(t) is diagonalized in.
@@ -103,16 +103,18 @@ def _as_matrix_fn(h) -> tuple[Callable[[float], np.ndarray], Optional[HilbertSpe
     raise TypeError(f"cannot evolve under {type(h).__name__}")
 
 
-def _pieces(profile: Optional[TimeProfile], t0: float, t1: float) -> list:
-    """Maximal pieces (t_start, t_end, static?) of [t0, t1] between breakpoints.
+def _pieces(profile: Optional[TimeProfile], t0: float, t1: float,
+            breakpoints: Sequence[float] = ()) -> list:
+    """Maximal pieces (t_start, t_end, static?) of [t0, t1] between breakpoints: the
+    profile's, or for a bare callable the given ones.
 
-    A piece is static exactly when mu' vanishes at its midpoint; without a
-    profile (a bare callable) the whole horizon is one dynamic piece.
+    A piece is static exactly when mu' vanishes at its midpoint; every piece
+    of a bare callable is dynamic.
     """
-    if profile is None:
-        return [(t0, t1, False)]
-    edges = [t0, *(b for b in profile.breakpoints() if t0 < b < t1), t1]
-    return [(a, b, profile.mu_dot((a + b) / 2) == 0.0) for a, b in zip(edges, edges[1:])]
+    cuts = profile.breakpoints() if profile is not None else sorted(breakpoints)
+    edges = [t0, *(b for b in cuts if t0 < b < t1), t1]
+    return [(a, b, profile is not None and profile.mu_dot((a + b) / 2) == 0.0)
+            for a, b in zip(edges, edges[1:])]
 
 
 def _static_piece(m: np.ndarray, psi: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -179,22 +181,28 @@ def _interior(fn, t_start, t_end):
 
 def evolve(h, psi0: np.ndarray, t_grid: Sequence[float],
            observables: Optional[Mapping[str, np.ndarray]] = None,
-           tol: float = NORM_TOL) -> Trajectory:
+           tol: float = NORM_TOL, breakpoints: Sequence[float] = ()) -> Trajectory:
     """Propagate a normalized state over a strictly increasing `t_grid`.
 
     The horizon is split at the breakpoints of a `TimeDependentHamiltonian`'s
-    profile.  Pieces where mu'(t) = 0 (all of a static bundle, Operator or
-    ndarray) are propagated exactly: one H evaluation and one eigh per piece,
-    each grid state written from the piece's start state.  Pieces where
-    mu'(t) != 0 (all of a bare callable) integrate with adaptive RK4 at local
-    error `tol` per unit time.  psi0 and the returned states are in the Fock
-    basis.  A non-Hermitian H, static or returned by a callable, raises
+    profile, or of a bare callable at the given `breakpoints` (times where
+    its H(t) may jump; no other input takes them).  Pieces where mu'(t) = 0
+    (all of a static bundle, Operator or ndarray) are propagated exactly: one
+    H evaluation and one eigh per piece, each grid state written from the
+    piece's start state.  Pieces where mu'(t) != 0 (all of a bare callable)
+    integrate with adaptive RK4 at local error `tol` per unit time; a piece
+    that ends on a breakpoint evaluates H(t) from its own side.  psi0 and the
+    returned states are in the Fock basis (a bare callable's in its own).  A
+    non-Hermitian H, static or returned by a callable, raises
     InvariantViolation, and norms that drift by `tol` or more raise
     ConvergenceError.  `Trajectory.stats` counts H evaluations,
     accepted and rejected steps, static and dynamic pieces, and records the
     final norm error.
     """
     fn, space, profile, basis = _as_matrix_fn(h)
+    if len(breakpoints) and (profile is not None or basis is not None):
+        raise ValueError("breakpoints are given for a bare callable only; a "
+                         "TimeDependentHamiltonian takes them from its profile")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("time grid must be a non-empty 1D sequence")
@@ -221,7 +229,7 @@ def evolve(h, psi0: np.ndarray, t_grid: Sequence[float],
     states[0] = psi = psi0 if basis is None else basis.from_fock(psi0)
     filled = 1  # grid points up to the current piece's start are written
     dt = (t_grid[-1] - t_grid[0]) / max(len(t_grid) * 4, 100)
-    for t_start, t_end, piece_static in _pieces(profile, t_grid[0], t_grid[-1]):
+    for t_start, t_end, piece_static in _pieces(profile, t_grid[0], t_grid[-1], breakpoints):
         stop = int(np.searchsorted(t_grid, t_end, side="right"))
         stops = t_grid[filled:stop]
         if stops.size == 0 or stops[-1] < t_end:
@@ -231,7 +239,8 @@ def evolve(h, psi0: np.ndarray, t_grid: Sequence[float],
             out = _static_piece(counted((t_start + t_end) / 2), psi, stops - t_start)
         else:
             stats["dynamic_pieces"] += 1
-            piece_fn = counted if profile is None else _interior(counted, t_start, t_end)
+            split = profile is not None or len(breakpoints)
+            piece_fn = _interior(counted, t_start, t_end) if split else counted
             out = np.empty((stops.size, psi.shape[0]), dtype=complex)
             t, h_t = t_start, piece_fn(t_start)
             for j, t_next in enumerate(stops):

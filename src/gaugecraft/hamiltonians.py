@@ -28,7 +28,8 @@ and the gauge unitaries are assembled from Kronecker products of local
 exponentials in O(D^2), without a D x D eigendecomposition.  Couplings that
 do not factor (an N-level emitter coupled through several dipole axes) take
 the dense `HermitianGenerator` branch.  `HamiltonianBundle` checks each assembled
-matrix once for Hermiticity before it symmetrizes away the rounding.
+matrix once for Hermiticity before it symmetrizes away the rounding; a
+quadrature-basis bundle is checked on its raw blocks.
 
 The family keeps the emitter's parity at any Fock cutoff.  Let
 Pi = (-1)^(sum_mu n_mu) (x) S with S = diag(s), s_i = +-1, the signs of
@@ -53,22 +54,33 @@ an even power with an even one.  With the phases p = i^[sum_mu n_mu odd],
 p^dag H p is therefore real symmetric.  `build_dipole` (without the
 longitudinal hook), `build_naive`, the 1D builders and the beyond-dipole
 Coulomb form declare it when their inputs are real; `HamiltonianBundle`
-verifies it and solves each sector in real arithmetic.  A complex chi (a lossy grid's) or complex couplings, the
-hook and the beyond-dipole multipolar form declare nothing.
+verifies it and solves each sector in real arithmetic.  A complex chi (a
+lossy grid's) or complex couplings, the hook and the beyond-dipole
+multipolar form declare nothing.
 
-Every builder is a `CouplingSet` fed to one of two cores; the models differ
-only in their couplings.  The exact-conjugation core, `CouplingSet.generator`
-with `conjugate_photon` and `conjugate_matter`, gives `build_dipole`, the
-beyond-dipole Coulomb form (eta_mu = (eta_bar_mu / 2) sigma_x) and the 1D
-gC form (eta_mu = h_mu(x0) d_hat / sqrt(2 omega_mu)).  The canonical
-multipolar core, `multipolar_interaction` plus the matter matrix
+Every builder is a `CouplingSet` fed to one of three cores; the models
+differ only in their couplings.  The field-quadrature core,
+`QuadratureFamily`, gives `build_dipole` and the theta = 0 `build_naive` of
+a two-level emitter with a parity whose couplings factor, for any number of
+modes and per-mode cutoffs: in the eigenbasis of the truncated quadratures
+every gauge map is a diagonal phase, so H(theta) is diagonal phases around
+the fixed K = w^dag H_F w and h0, and its two parity sectors are solved
+without forming H in the Fock basis.  The exact-conjugation core,
+`CouplingSet.generator` with `conjugate_photon` and `conjugate_matter`,
+gives `build_dipole` of N-level emitters, of couplings that do not factor
+and with the longitudinal hook, the beyond-dipole Coulomb form
+(eta_mu = (eta_bar_mu / 2) sigma_x) and the 1D gC form
+(eta_mu = h_mu(x0) d_hat / sqrt(2 omega_mu)).  The canonical multipolar
+core, `multipolar_interaction` plus the matter matrix
 `polarization_squared`, gives the theta = 1 naive builder and the
-beyond-dipole and 1D multipolar forms; the theta = 0 naive builder truncates
-the commutator series of the same generator (`nested_commutators`).  H(t)
-is written in the generator's `eigenbasis`, where each gauge map is a diagonal
-phase.  No builder is written out by hand: the closed forms the cores are
-checked against (the single-mode two-level Coulomb and multipolar forms, and
-the beyond-dipole and 1D Hamiltonians term by term) live with the tests.
+beyond-dipole and 1D multipolar forms; the theta = 0 naive builder of the
+other emitters truncates the commutator series of the same generator
+(`nested_commutators`).  H(t) is written in the generator's `eigenbasis`,
+where each gauge map is a diagonal phase.  No builder is written out by
+hand: the closed forms the cores are checked against (the single-mode
+two-level Coulomb and multipolar forms, the Fock-basis Kronecker assembly of
+the two-level builds, and the beyond-dipole and 1D Hamiltonians term by
+term) live with the tests.
 
 Beyond-dipole builders for effective single-particle emitters, normal-mode
 (lossless 1D dielectric) builders in the generalized Coulomb/multipolar
@@ -78,16 +90,20 @@ Units: hbar = eps0 = 1.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, partial, reduce
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ConvergenceError, InvariantViolation
-from .hilbert import (HERMITIAN_TOL, HermitianGenerator, HilbertSpec, KroneckerGenerator,
-                      Operator, PAULI_X, PAULI_Z, hermitian_part, kron, ladder_matrix,
-                      matter_levels, max_abs, parity_labels, photon)
+from .hilbert import (HERMITIAN_TOL, Eigenbasis, HermitianGenerator, HilbertSpec,
+                      KroneckerGenerator, Operator, PAULI_X, PAULI_Z, _kron_apply,
+                      fock_quadrature, hermitian_part, kron, ladder_matrix, matter_levels,
+                      max_abs, member_max_abs, mode_phase, parity_labels, photon,
+                      verify_members)
 from .matter import EmitterSpec, TimeProfile
 from .modes import ModeSet, NormalModeSet1D
 
@@ -221,12 +237,17 @@ def couplings(ms: ModeSet, em: EmitterSpec) -> CouplingSet:
     return CouplingSet(eta, ms.chi)
 
 
-@dataclass(frozen=True)
 class HamiltonianBundle:
     """A built Hamiltonian with its space, gauge and builder metadata.
 
-    `H` is passed as assembled, a matrix or an `Operator`, checked once with
-    `hilbert.hermitian_part` and stored as an `Operator` of its Hermitian part.
+    Built from a matrix, `H` is passed as assembled, a matrix or an
+    `Operator`, checked once with `hilbert.hermitian_part` and kept as an
+    `Operator` of its Hermitian part.  A two-level emitter's dipole builds
+    come from a `QuadratureFamily` instead (`in_quadrature_basis`): the
+    bundle keeps the member's raw blocks, which the family measures when the
+    bundle is made and solves per parity sector, and `H` is formed in the
+    Fock basis only when it is read.  `basis` says which ("fock" or
+    "quadrature").
 
     A builder may declare a parity: a label +1 or -1 per basis state, the
     diagonal of an operator Pi that commutes with H.  The declaration is
@@ -242,29 +263,29 @@ class HamiltonianBundle:
     symmetric for the phases p = i^[sum_mu n_mu odd].  It is verified the same
     way, max|Im(p^dag H p)| <= HERMITIAN_TOL * max(1, max|H|), and each sector
     is then solved as the real symmetric block p^dag H p, rotated in place on
-    the sector's copy; eigenvectors are p v, phased in the one D x D result.
+    the sector's copy; eigenvectors are p v, phased as they are scattered.
 
     `diagnostics` reports the sector sizes, the measured off-block maximum
     (None without a parity) and, when time reversal is declared, the measured
-    max|Im(p^dag H p)| as "time_reversal_imag".
+    max|Im(p^dag H p)| as "time_reversal_imag"; a quadrature-basis bundle
+    reports the family's measurements of the same two symmetries.
     """
 
-    H: Union[np.ndarray, Operator]  # stored as an Operator
-    space: HilbertSpec
-    gauge: GaugeParam
-    metadata: dict = field(default_factory=dict)
-    parity: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    time_reversal: bool = field(default=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        raw = self.H.matrix if isinstance(self.H, Operator) else self.H
+    def __init__(self, H: Union[np.ndarray, Operator], space: HilbertSpec, gauge: GaugeParam,
+                 metadata: Optional[dict] = None, parity: Optional[np.ndarray] = None,
+                 time_reversal: bool = False):
+        self.space, self.gauge = space, gauge
+        self.metadata = {} if metadata is None else metadata
+        self.parity, self.time_reversal = parity, time_reversal
+        self.family = self.blocks = self._eigensystem = None
+        raw = H.matrix if isinstance(H, Operator) else H
         m = hermitian_part(raw, f"{self.metadata.get('builder', 'bundle')} Hamiltonian")
-        object.__setattr__(self, "H", Operator(m, self.space))
+        self._H = Operator(m, space)
         n = m.shape[-1]
         tol = HERMITIAN_TOL * max(1.0, max_abs(m))
         sectors, off_block = (np.arange(n),), None
-        if self.parity is not None:
-            labels = np.asarray(self.parity)
+        if parity is not None:
+            labels = np.asarray(parity)
             if labels.shape != (n,) or np.any(np.abs(labels) != 1):
                 raise ValueError("parity needs a label +1 or -1 per basis state")
             even, odd = np.flatnonzero(labels > 0), np.flatnonzero(labels < 0)
@@ -273,80 +294,116 @@ class HamiltonianBundle:
                 raise InvariantViolation(f"declared parity does not commute with H "
                                          f"(max|H[even, odd]| = {off_block:.3e})")
             sectors = tuple(s for s in (even, odd) if s.size)
-        object.__setattr__(self, "_sectors", sectors)
-        diagnostics = {"sector_sizes": [len(s) for s in sectors], "parity_off_block": off_block}
-        phases = None
-        if self.time_reversal:
-            odd_photons = parity_labels(self.space) < 0
+        self._sectors = sectors
+        self.diagnostics = {"sector_sizes": [len(s) for s in sectors],
+                            "parity_off_block": off_block}
+        self._phases = None
+        if time_reversal:
+            odd_photons = parity_labels(space) < 0
             # max|Im(p^dag H p)|: Im(H) between states of equal photon parity, Re(H) between
             # states of opposite photon parity
             imag = max_abs(np.where(odd_photons[:, None] == odd_photons, m.imag, m.real))
             if imag > tol:
                 raise InvariantViolation(f"declared time reversal does not hold "
                                          f"(max|Im(p^dag H p)| = {imag:.3e})")
-            diagnostics["time_reversal_imag"] = imag
-            phases = np.where(odd_photons, 1j, 1.0)
-        object.__setattr__(self, "_phases", phases)
-        object.__setattr__(self, "diagnostics", diagnostics)
+            self.diagnostics["time_reversal_imag"] = imag
+            self._phases = np.where(odd_photons, 1j, 1.0)
+
+    @classmethod
+    def in_quadrature_basis(cls, family: QuadratureFamily, gauge: GaugeParam, blocks: tuple,
+                            metadata: dict) -> HamiltonianBundle:
+        """The member of `family` whose raw blocks (A_0, A_1, b) are stacks of one, after
+        the family has measured them (`QuadratureFamily.measure`); it keeps (A_0, b), since
+        the verified parity makes A_1 = J A_0 J."""
+        off, imag = family.measure(*blocks)
+        bundle = cls.__new__(cls)
+        bundle.space, bundle.gauge, bundle.metadata = family.space, gauge, metadata
+        bundle.parity = parity_labels(family.space, family.parity_signs)
+        bundle.time_reversal = family.time_reversal
+        bundle.family, bundle.blocks = family, (blocks[0], blocks[2])
+        bundle._H = bundle._eigensystem = None
+        bundle.diagnostics = {"sector_sizes": [len(blocks[2][0])] * 2,
+                              "parity_off_block": float(off[0])}
+        if imag is not None:
+            bundle.diagnostics["time_reversal_imag"] = float(imag[0])
+        return bundle
+
+    @property
+    def basis(self) -> str:
+        """"quadrature" for a bundle of a `QuadratureFamily`, else "fock"."""
+        return "fock" if self.family is None else "quadrature"
+
+    @property
+    def H(self) -> Operator:
+        """H in the Fock basis, formed on first read for a quadrature-basis bundle."""
+        if self._H is None:
+            self._H = Operator(self.family.fock_matrix(self.blocks), self.space)
+        return self._H
 
     def _sector_blocks(self):
-        """(indices, block) per sector; the real symmetric p^dag H p blocks under declared
-        time reversal."""
-        m = self.H.matrix
+        """(block, place) per sector, even sector first: place(vecs, columns, v) writes
+        the block's eigenvectors v into those columns of the Fock-basis vecs.  The
+        blocks are the real symmetric p^dag H p under declared time reversal."""
+        if self.family is not None:
+            yield from self.family.sector_blocks(self.blocks)
+            return
+        m = self._H.matrix
         for s in self._sectors:
             if self._phases is None:
-                yield s, (m if len(s) == len(m) else m[s[:, None], s])
+                yield (m if len(s) == len(m) else m[s[:, None], s]), partial(_scatter, s, None)
                 continue
             block = m[s[:, None], s]
             p = self._phases[s]
             block *= p.conj()[:, None]
             block *= p
-            yield s, block.real
+            yield block.real, partial(_scatter, s, p)
 
     def eigenvalues(self, k: Optional[int] = None) -> np.ndarray:
         """Ascending eigenvalues, from the cached eigensystem when there is one,
         otherwise merged from one eigvalsh per sector."""
-        cached = self.__dict__.get("_eigensystem")
-        if cached is not None:
-            vals = cached[0]
+        if self._eigensystem is not None:
+            vals = self._eigensystem[0]
         else:
             vals = np.sort(np.concatenate([np.linalg.eigvalsh(block)
-                                           for _, block in self._sector_blocks()]))
+                                           for block, _ in self._sector_blocks()]))
         return vals[:k]
 
     def eigensystem(self):
-        """(eigenvalues, eigenvectors) of H, computed once and kept read-only.
+        """(eigenvalues, eigenvectors) of H in the Fock basis, computed once and kept
+        read-only.
 
         Columns are in ascending energy; a tie between sectors keeps the
         even sector first.
         """
-        cached = self.__dict__.get("_eigensystem")
-        if cached is None:
-            m = self.H.matrix
-            n = len(m)
-            if len(self._sectors) == 1 and self._phases is None:
-                cached = np.linalg.eigh(m)
+        if self._eigensystem is None:
+            n = self.space.dim
+            if self.family is None and len(self._sectors) == 1 and self._phases is None:
+                cached = np.linalg.eigh(self._H.matrix)
             else:
                 # allocated before the sector solves: allocated after their freed
                 # temporaries, it raised the peak RSS of `detect` at D = 882 by
                 # 5 MB (retained heap), with the same data alive
-                vecs = np.zeros((n, n), dtype=complex)
-                parts = [(s, *np.linalg.eigh(block)) for s, block in self._sector_blocks()]
+                vecs = np.zeros((n, n), dtype=complex, order="F")  # written by columns
+                parts = [(place, *np.linalg.eigh(block)) for block, place in self._sector_blocks()]
                 vals = np.concatenate([v for _, v, _ in parts])
                 order = np.argsort(vals, kind="stable")
                 column = np.empty_like(order)
                 column[order] = np.arange(n)
                 start = 0
-                for s, v, sector_vecs in parts:
-                    vecs[np.ix_(s, column[start:start + len(v)])] = sector_vecs
+                for place, v, sector_vecs in parts:
+                    place(vecs, column[start:start + len(v)], sector_vecs)
                     start += len(v)
-                if self._phases is not None:
-                    vecs *= self._phases[:, None]
                 cached = (vals[order], vecs)
             for arr in cached:
                 arr.flags.writeable = False
-            object.__setattr__(self, "_eigensystem", cached)
-        return cached
+            self._eigensystem = cached
+        return self._eigensystem
+
+
+def _scatter(rows: np.ndarray, phases: Optional[np.ndarray], vecs: np.ndarray,
+             columns: np.ndarray, v: np.ndarray):
+    """Write a sector's eigenvectors v into vecs[rows, columns], each row times its phase."""
+    vecs[np.ix_(rows, columns)] = v if phases is None else v * phases[:, None]
 
 
 def _bundle(h: np.ndarray, space: HilbertSpec, gauge: GaugeParam, meta: dict,
@@ -416,6 +473,242 @@ def _check_cutoff_headroom(cutoffs, theta: float, cs: CouplingSet):
             FockCutoffWarning, stacklevel=3)
 
 
+def _reflected_form(p: np.ndarray, q: np.ndarray, sign: int) -> np.ndarray:
+    """(p + J p J + sign (q J - J q)) / 2 for a stack, J the reversal: with (p, q, sign) =
+    (Re C, Im C, -1) the real part of (C + JCJ + i(CJ - JC)) / 2, with (Im C, Re C, +1)
+    its imaginary part."""
+    out = p + p[:, ::-1, ::-1]
+    add, subtract = (np.add, np.subtract) if sign > 0 else (np.subtract, np.add)
+    add(out, q[:, :, ::-1], out=out)
+    subtract(out, q[:, ::-1, :], out=out)
+    out *= 0.5
+    return out
+
+
+def _sectors(part: np.ndarray, anti: np.ndarray, diag: Optional[np.ndarray] = None):
+    """`part` turned in place into each parity sector in turn, epsilon = +1 then -1: epsilon
+    anti added on the antidiagonal and epsilon diag on the diagonal of every member, from
+    the entries `part` had."""
+    n = part.shape[-1]
+    i, j = np.arange(n), np.arange(n)[::-1]
+    base_diag, base_anti = part[:, i, i], part[:, i, j]
+    for eps in (1, -1):
+        part[:, i, i] = base_diag
+        part[:, i, j] = base_anti + eps * anti
+        if diag is not None:
+            part[:, i, i] += eps * diag
+        yield part
+
+
+def _half_sum_and_diff(b: np.ndarray):
+    """The real form of B J, B = diag(b): (b + Jb) / 2 on the antidiagonal and
+    i (b - Jb) / 2 on the diagonal."""
+    return (b + b[:, ::-1]) / 2, 0.5j * (b - b[:, ::-1])
+
+
+class QuadratureFamily:
+    """The gauge family of a two-level emitter at per-mode Fock cutoffs, in its
+    field-quadrature basis.
+
+    The basis is w = (x)_mu R_mu v_mu (x) U: v_mu is `fock_quadrature`'s
+    cached eigenbasis of a_mu + a_mu^dag, R_mu = diag(e^(i n arg g_mu)) (the
+    identity for g_mu = 0, whose v_mu is kept so that the photon parity is
+    the reversal J of the flattened photon index), and U holds the
+    eigenvectors of D, u_1 = S u_0.  There X = diag(nu lam_k) with
+    nu = (+)_mu |g_mu| x_mu, so in the matter-major order (k, n), with n the
+    flattened photon index, at coupling scale c
+
+        H(theta) = [[A_0, B], [B^dag, A_1]],
+        A_k = diag(e^{-i theta lam_k c nu}) K diag(e^{i theta lam_k c nu}) + h0'_kk,
+        B = h0'_01 diag(e^{i (1 - theta) (lam_0 - lam_1) c nu}),
+
+    with K = w^dag H_F w summed from local factors (`_field`) and
+    h0' = U^dag h0 U; the naive theta = 0 series cuts B's exponential to its
+    Taylor polynomial.  The parity (-1)^(sum n) (x) S is J (x) swap here,
+    with sectors C = A_0 +- B J when A_1 = J A_0 J and B J = J B^dag; the
+    even one is +.  Under time reversal, declared as by `build_dipole`, the
+    basis is real and J C J = C^*, so Q^dag C Q = (C + JCJ + i(CJ - JC)) / 2,
+    Q = (1 + iJ) / sqrt(2), is real symmetric with C's spectrum.
+    """
+
+    @classmethod
+    def of(cls, ms: ModeSet, em: EmitterSpec,
+           cutoffs: Union[int, Sequence[int]]) -> Optional[QuadratureFamily]:
+        """The family of an emitter in a mode set at these cutoffs, or None unless the
+        emitter has two levels and a parity and its couplings eta_mu = g_mu D factor and
+        are not all zero."""
+        cs, signs = couplings(ms, em), em.parity_signs
+        split = cs.common_matter_matrix()
+        if em.n_levels != 2 or signs is None or split is None or not np.any(split[0]):
+            return None
+        return cls(cs, *split, signs, em.h0, _normalize_cutoffs(cutoffs, ms.n_modes))
+
+    def __init__(self, cs: CouplingSet, g: np.ndarray, d: np.ndarray, parity_signs: np.ndarray,
+                 h0: np.ndarray, cutoffs: tuple[int, ...]):
+        self.cs, self.g, self.cutoffs = cs, g, cutoffs
+        self.space = standard_space(cutoffs, 2)
+        self.photons = _photon_part(self.space)
+        self.parity_signs = parity_signs
+        self.time_reversal = _real(cs.chi, g, d, h0)
+        lam, u = np.linalg.eigh(d.real if self.time_reversal else d)
+        self.lam = np.array([lam[0], -lam[0]])
+        self.u = np.column_stack([u[:, 0], parity_signs * u[:, 0]])
+        self.h0 = self.u.conj().T @ h0 @ self.u
+        quadratures = [fock_quadrature(n) for n in self.cutoffs]
+        self.v = tuple(v for _, v in quadratures)
+        self.x = np.ravel(reduce(np.add.outer,
+                                 [abs(g) * x for g, (x, _) in zip(self.g, quadratures)]))
+        self.k = self._field()
+
+    def _w(self, mode: int) -> np.ndarray:
+        """w_mode = R v: the mode's factor of the basis."""
+        return mode_phase(self.g[mode], len(self.v[mode]))[:, None] * self.v[mode]
+
+    @cached_property
+    def basis(self) -> Eigenbasis:
+        """X = w diag(nu (x) lam) w^dag, w = (x)_mu R_mu v_mu (x) U, photon-major; formed
+        when a bundle's eigenvectors or Fock-basis H are asked for."""
+        return Eigenbasis(np.multiply.outer(self.x, self.lam).ravel(),
+                          tuple(self._w(m) for m in range(len(self.v))) + (self.u,))
+
+    def _field(self) -> np.ndarray:
+        """K = w^dag H_F w: chi_mm v_m^T n v_m on mode m and
+        chi_mn (w_m^dag a_m w_m)^dag (x) (w_n^dag a_n w_n) on modes m != n, each a
+        Kronecker product of local matrices; real for a real chi and real couplings."""
+        chi = self.cs.chi.real if _real(self.cs.chi) else self.cs.chi
+        dims = [len(v) for v in self.v]
+        lowered = lambda m: (w := self._w(m)).conj().T @ ladder_matrix(dims[m] - 1).real @ w
+        terms = []
+        for m, n in zip(*np.nonzero(chi)):
+            if m == n:
+                local = {m: (self.v[m].T * (chi[m, m].real * np.arange(dims[m]))) @ self.v[m]}
+            else:
+                local = {m: chi[m, n] * lowered(m).conj().T, n: lowered(n)}
+            terms.append(reduce(kron, [local.get(i, np.eye(d)) for i, d in enumerate(dims)]))
+        return reduce(np.add, terms)
+
+    def blocks(self, theta: float, scales, order: Optional[int] = None):
+        """(A_0, A_1, b) of H(theta) at each coupling scale: stacks (S, n, n) and (S, n), b the
+        diagonal of B.  With `order`, the naive theta = 0 series of that order."""
+        if order is not None and theta != 0.0:
+            raise ValueError("the naive series is built at theta = 0 only")
+        t = np.multiply.outer(np.asarray(scales, dtype=float), self.x)
+        diag = np.arange(len(self.x))
+        a = []
+        for lam, h in zip(self.lam, self.h0.diagonal()):
+            p = np.exp(-1j * theta * lam * t)
+            block = p[:, :, None] * self.k
+            block *= p.conj()[:, None, :]
+            block[:, diag, diag] += h
+            a.append(block)
+        z = 1j * (self.lam[0] - self.lam[1]) * t
+        series = (np.exp((1.0 - theta) * z) if order is None
+                  else sum(z**j / math.factorial(j) for j in range(order + 1)))
+        return a[0], a[1], self.h0[0, 1] * series
+
+    def measure(self, a0: np.ndarray, a1: np.ndarray, b: np.ndarray):
+        """(parity off-block, max|Im| of the real forms or None) of every member of a stack
+        (A_0, A_1, b), measured on the raw blocks, each member against HERMITIAN_TOL *
+        max(1, its largest entry): Hermiticity, the parity, and under time reversal the
+        imaginary part of both sectors' real forms.  `InvariantViolation` names the first
+        member that fails."""
+        tol = HERMITIAN_TOL * np.maximum.reduce(
+            [np.ones(len(b)), member_max_abs(a0), member_max_abs(a1), np.abs(b).max(axis=-1)])
+        herm = [max(max_abs(p - p.conj().T), max_abs(q - q.conj().T)) for p, q in zip(a0, a1)]
+        verify_members(np.array(herm), tol,
+                       "quadrature-basis H is not Hermitian before symmetrization",
+                       "max|A_k - A_k^dag|")
+        off = np.array([max(max_abs(p - q[::-1, ::-1]), max_abs(c - c[::-1].conj()))
+                        for p, q, c in zip(a0, a1, b)])
+        verify_members(off, tol, "declared parity does not commute with H",
+                       "max|A_0 - J A_1 J|, max|b - J b^*|")
+        if not self.time_reversal:
+            return off, None
+        half_sum, half_diff = _half_sum_and_diff(b)
+        imag = np.zeros(len(b))
+        for sector in _sectors(_reflected_form(a0.imag, a0.real, +1), half_sum.imag,
+                               half_diff.imag):
+            measured = member_max_abs(sector)
+            verify_members(measured, tol, "declared time reversal does not hold",
+                           "max|Im| of a sector's real form")
+            imag = np.maximum(imag, measured)
+        return off, imag
+
+    def _sector_stack(self, a0: np.ndarray, b: np.ndarray):
+        """Each parity sector of every member, epsilon = +1 then -1, as one stack turned in
+        place: A_0 + epsilon B J, or its real form under time reversal."""
+        if not self.time_reversal:
+            return _sectors(a0.copy(), b)
+        half_sum, half_diff = _half_sum_and_diff(b)
+        return _sectors(_reflected_form(a0.real, a0.imag, -1), half_sum.real, half_diff.real)
+
+    def spectra(self, a0: np.ndarray, a1: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues (S, 2n) of a stack of members (A_0, A_1, b), after `measure`."""
+        self.measure(a0, a1, b)
+        sectors = [np.linalg.eigvalsh(s) for s in self._sector_stack(a0, b)]
+        return np.sort(np.concatenate(sectors, axis=-1), axis=-1)
+
+    def sector_blocks(self, blocks: tuple):
+        """(block, place) per parity sector of one member, blocks (A_0, b) stacks of one, the
+        even sector first, as `HamiltonianBundle` solves them; each block is turned in place
+        into the next, so solve it before asking for the next one."""
+        for eps, sector in zip((1, -1), self._sector_stack(*blocks)):
+            yield sector[0], partial(self._place, eps)
+
+    def _place(self, eps: int, vecs: np.ndarray, columns: np.ndarray, y: np.ndarray):
+        """Write eigenvectors y of sector eps into those columns of vecs, in the Fock basis.
+
+        The member's eigenvectors are [c; eps J c] / sqrt(2) with c = y, or c = Q y under
+        time reversal.  With w the photon part of the basis, w J = P w for the photon
+        parity P, so only z = w y is mapped: the Fock vector is
+        z (x) (u_0 + eps P u_1) / sqrt(2), times (1 + i P) / sqrt(2) under time reversal.
+        """
+        parity = parity_labels(self.photons)[:, None]
+        coef = (self.u[:, 0] + eps * parity * self.u[:, 1]) / np.sqrt(2)
+        if self.time_reversal:
+            coef = coef * (1 + 1j * parity) / np.sqrt(2)
+        z = _kron_apply(self.basis.factors[:-1], y).T
+        out = vecs.T.reshape(len(vecs), -1, 2)  # a view of the F-ordered vecs
+        for k in range(2):
+            out[columns, :, k] = z * coef[:, k]
+
+    def fock_matrix(self, blocks: tuple) -> np.ndarray:
+        """The member with blocks (A_0, b), stacks of one, in the Fock basis: w M w^dag
+        with M the blocks, A_1 = J A_0 J, in the photon-major order, then `hermitian_part`."""
+        a0, b = (m[0] for m in blocks)
+        n = len(b)
+        m = np.zeros((n, 2, n, 2), dtype=complex)
+        m[:, 0, :, 0], m[:, 1, :, 1] = a0, a0[::-1, ::-1]
+        i = np.arange(n)
+        m[i, 0, i, 1], m[i, 1, i, 0] = b, b.conj()
+        wm = self.basis.to_fock(m.reshape(2 * n, 2 * n))
+        return hermitian_part(self.basis.to_fock(wm.conj().T).conj().T,
+                              "quadrature-basis H in the Fock basis")
+
+    def same_basis(self, other: QuadratureFamily) -> bool:
+        """Whether two families share one basis: the cutoffs, couplings and U agree."""
+        return (self.cutoffs == other.cutoffs and np.array_equal(self.g, other.g)
+                and np.array_equal(self.u, other.u))
+
+    def residual(self, h_a: HamiltonianBundle, h_b: HamiltonianBundle,
+                 low_fraction: float) -> float:
+        """||(W H_a W^dag - H_b) P_low||_2 for two bundles in this basis: W is a diagonal
+        phase, Delta = W H_a W^dag - H_b elementwise.  Delta and P_low keep the parity
+        sectors, and R_mu and U drop out: the norm is the larger of
+        ||(Delta_00 +- Delta_01 J) ((x)_mu v_mu^T[:, low_mu])||_2."""
+        phase = np.exp(-1j * (h_b.gauge.theta - h_a.gauge.theta)
+                       * np.multiply.outer(self.lam, self.x))
+        (a0, ba), (b0, bb) = ([m[0] for m in h.blocks] for h in (h_a, h_b))
+        d0 = phase[0][:, None] * a0 * phase[0].conj() - b0
+        d01 = phase[0] * ba * phase[1].conj() - bb
+        # the Fock states with every n_mu <= fraction * N_mu, as `_low_sector_mask`
+        low = reduce(kron, [v[:int(np.floor(low_fraction * (len(v) - 1))) + 1]
+                            for v in self.v]).T
+        # ||M||_2^2 is the largest eigenvalue of M^dag M, to the same relative accuracy
+        grams = [(m := s[0] @ low).conj().T @ m for s in _sectors(d0[None], d01)]
+        return float(np.sqrt(max(np.linalg.eigvalsh(g)[-1] for g in grams)))
+
+
 @dataclass(frozen=True)
 class LongitudinalCoupling:
     """User-supplied longitudinal coupling into one auxiliary bosonic factor.
@@ -457,17 +750,23 @@ def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
     emitter's parity whenever `EmitterSpec.parity_signs` finds one; the
     auxiliary factor of the hook counts as one more photon factor in it.
     Without the hook it declares time reversal when chi, the couplings and
-    h0 are real.
+    h0 are real.  Without the hook, a system that `QuadratureFamily.of`
+    takes is built in its field-quadrature basis; other systems are
+    assembled in the Fock basis.
     """
     cutoffs = _normalize_cutoffs(cutoffs, ms.n_modes)
     cs = couplings(ms, em)
     _check_cutoff_headroom(cutoffs, g.theta, cs)
+    meta = {"builder": "build_dipole", "truncation": "correct",
+            "cutoffs": cutoffs, "theta": g.theta, "eta": _eta_summary(cs)}
+    family = QuadratureFamily.of(ms, em, cutoffs) if longitudinal is None else None
+    if family is not None:
+        return HamiltonianBundle.in_quadrature_basis(family, g, family.blocks(g.theta, [1.0]),
+                                                     meta)
     space = standard_space(cutoffs, em.n_levels)
     gen = cs.generator(space)
     h = gen.conjugate_photon(-g.theta, field_hamiltonian(ms.chi, _photon_part(space)))
     h += gen.conjugate_matter(1.0 - g.theta, em.h0)
-    meta = {"builder": "build_dipole", "truncation": "correct",
-            "cutoffs": cutoffs, "theta": g.theta, "eta": _eta_summary(cs)}
     if longitudinal is not None:
         h, space = _apply_longitudinal(h, space, em, longitudinal)
         meta["longitudinal"] = "custom"
@@ -506,8 +805,9 @@ def build_naive(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
 
     theta = 0: the minimal-coupling conjugation U H_0 U^dag is replaced by its
     Taylor series in the generator, truncated at `order` (order 1 keeps the
-    linear drive only); a factored generator sums it from its Kronecker
-    factors (`nested_commutators`).  theta = 1: the correct multipolar form
+    linear drive only): in the field-quadrature basis for the systems that
+    `QuadratureFamily.of` takes, else summed by the generator
+    (`nested_commutators`).  theta = 1: the correct multipolar form
     minus the mode-truncated polarization-squared correction.  Other theta
     values are not defined.  Parity and time reversal are declared as in
     `build_dipole`.
@@ -521,6 +821,10 @@ def build_naive(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
     space = standard_space(cutoffs, em.n_levels)
     meta = {"builder": "build_naive", "truncation": "naive", "cutoffs": cutoffs,
             "theta": g.theta, "order": order, "eta": _eta_summary(cs)}
+    family = QuadratureFamily.of(ms, em, cutoffs) if g.theta == 0.0 else None
+    if family is not None:
+        return HamiltonianBundle.in_quadrature_basis(family, g, family.blocks(0.0, [1.0], order),
+                                                     meta)
     if g.theta == 0.0:
         h = cs.generator(space).nested_commutators(em.h0, order)
         h += field_hamiltonian(ms.chi, space)

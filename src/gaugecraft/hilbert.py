@@ -41,6 +41,7 @@ from .errors import InvariantViolation
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
+HERMITIAN_CHUNK = 1 << 15  # entries of m - m^dag that `hermitian_part` holds at once
 
 
 @dataclass(frozen=True)
@@ -211,14 +212,20 @@ def verify_members(measured: np.ndarray, tol: np.ndarray, claim: str, what: str)
 def hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
     """(m + m^dag) / 2, after checking that ||m - m^dag||_max of the raw m is at
     most HERMITIAN_TOL * max(1, max|m|); `InvariantViolation` names `what`.
+
+    m^dag is copied once, into the result, and m - m^dag is measured
+    HERMITIAN_CHUNK entries at a time, so no other temporary of m's size is
+    allocated.
     """
     m = np.asarray(m, dtype=complex)
-    m_dag = _dagger(m)
-    dev = max_abs(m - m_dag)
+    out = np.conjugate(m.swapaxes(-1, -2), order="C")
+    rows = max(1, HERMITIAN_CHUNK // max(1, m.shape[-1]))
+    dev = max((max_abs(m[..., i:i + rows, :] - out[..., i:i + rows, :])
+               for i in range(0, m.shape[-2], rows)), default=0.0)
     if dev > HERMITIAN_TOL and dev > HERMITIAN_TOL * max_abs(m):  # tol * max(1, max|m|)
         raise InvariantViolation(f"{what} is not Hermitian before symmetrization "
                                  f"(||m - m^dag||_max = {dev:.3e})")
-    out = m + m_dag
+    out += m
     out *= 0.5
     return out
 
@@ -354,10 +361,17 @@ def _local_eig(g: complex, fock_cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     if g == 0:
         return np.zeros(n), np.eye(n)
     x, v = fock_quadrature(fock_cutoff)
+    return abs(g) * x, mode_phase(g, n)[:, None] * v
+
+
+def mode_phase(g: complex, n: int) -> np.ndarray:
+    """The diagonal e^(i k arg g), k = 0 .. n - 1, of the R with
+    g a^dag + g^* a = |g| R (a + a^dag) R^dag; exactly +-1 for a real g, so that a real
+    coupling keeps real matrices, and 1 for g = 0."""
     k = np.arange(n)
-    # exactly +-1 for real g, so a real coupling keeps real eigenvectors
-    phase = np.sign(g.real) ** k if g.imag == 0 else np.exp(1j * np.angle(g) * k)
-    return abs(g) * x, phase[:, None] * v
+    if np.imag(g) == 0:
+        return np.where(np.real(g) < 0, (-1.0) ** k, 1.0)
+    return np.exp(1j * np.angle(g) * k)
 
 
 def _left_multiply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -484,9 +498,11 @@ class KroneckerGenerator:
 
         With phi = sum_i phi_i, [phi (x) D, phi^j (x) C] = phi^(j+1) (x) [D, C],
         so ad_X^j(1 (x) B) = phi^j (x) ad_D^j(B) and the series is one Kronecker
-        sum over j, without a D x D product.  Kept in this form rather than
-        summed in the `eigenbasis`, where ad_X is elementwise: at order 2 and
-        D = 882 (two modes, N = 20, 2 cores) that took 116 ms against 40 ms.
+        sum over j, without a D x D product.  Two-level emitters sum it in the
+        field-quadrature basis (`hamiltonians.QuadratureFamily`); this form is
+        kept for N-level emitters, where routed through the `eigenbasis` it
+        took 116 ms against 40 ms at order 2 and D = 882 (two modes, N = 20,
+        a two-level emitter, 2 cores).
         """
         phi = self._photon_term()
         powers, terms = [np.eye(len(phi), dtype=complex)], [np.asarray(b, dtype=complex)]
@@ -513,17 +529,19 @@ class KroneckerGenerator:
     def conjugate_photon(self, s: float, a: np.ndarray) -> np.ndarray:
         """exp(i s X) (A (x) 1) exp(-i s X) = sum_k E A E^dag (x) P_k, E = E(s lam_k).
 
-        Kept in this form rather than as B Phi (B^dag (A (x) 1) B) Phi^* B^dag in the
-        `eigenbasis`: with that, and `conjugate_matter` likewise, the assembly of
-        `build_dipole` took 107 ms against 33 ms at D = 882 (two modes, N = 20,
-        theta = 0.37, 2 cores)."""
+        Two-level emitters are built in the field-quadrature basis
+        (`hamiltonians.QuadratureFamily`); this form is kept for N-level
+        emitters and the longitudinal hook, where B Phi (B^dag (A (x) 1) B) Phi^*
+        B^dag in the `eigenbasis`, with `conjugate_matter` likewise, took 107 ms
+        against 33 ms for the assembly at D = 882 (two modes, N = 20, theta =
+        0.37, a two-level emitter, 2 cores)."""
         e = self._local_exps(s * self._lam)
         return kron_sum(_dagger(_kron_apply(e, _dagger(_kron_apply(e, a)))), self._proj)
 
     def conjugate_matter(self, s: float, b: np.ndarray) -> np.ndarray:
         """exp(i s X) (1 (x) B) exp(-i s X) = sum_kl E(s (lam_k - lam_l)) (x) P_k B P_l.
 
-        Kept in this form for the reason `conjugate_photon` gives."""
+        Kept in this form, for the systems and the reason `conjugate_photon` gives."""
         b = np.asarray(b, dtype=complex)
         blocks = self._proj[:, None] @ b @ self._proj[None, :]
         out = kron_sum(reduce(kron, self._local_exps(s * self._gaps)),

@@ -9,6 +9,12 @@ independent of the Kronecker factoring that the package uses.
 normal-mode Hamiltonians out term by term, as closed forms that do not go
 through a `CouplingSet`.
 
+`kronecker_dipole` and `kronecker_naive` are the Fock-basis assembly that
+`build_dipole` and `build_naive` still use for N-level emitters and the
+longitudinal hook, applied to any system, and `kronecker_bundle` their
+bundle: the oracle of the two-level builds, which come in the
+field-quadrature basis.
+
 `nested_commutator_series` is the naive Taylor truncation of U H_0 U^dag.
 `ambiguity_scan` is the coupling scan one coupling at a time, each with its
 own three scalar cutoff ladders (`ambiguity_ladders`, `converged_ground_energy`).
@@ -38,6 +44,7 @@ import scipy.linalg
 
 from gaugecraft.errors import ConvergenceError, InvariantViolation
 from gaugecraft.gaugecheck import DEFAULT_LOW_FRACTION, AmbiguityRow, tls_single_mode_modeset
+from gaugecraft.hamiltonians import field_hamiltonian as kron_field_hamiltonian
 from gaugecraft.hamiltonians import (COULOMB, MULTIPOLAR, TLS_PARITY_SIGNS, HamiltonianBundle,
                                      _normalize_cutoffs, build_dipole, build_naive, couplings,
                                      segment_integral, standard_space)
@@ -115,6 +122,33 @@ def fock_td_matrix(tdh, t):
     """H(t) of a `TimeDependentHamiltonian` in the Fock basis, B matrix(t) B^dag."""
     b = basis_matrix(tdh.basis)
     return b @ tdh.matrix(t) @ b.conj().T
+
+
+def kronecker_dipole(ms, em, theta, cutoffs):
+    """(H(theta), space) from the factored generator's Kronecker conjugations of H_F and h0."""
+    space = standard_space(_normalize_cutoffs(cutoffs, ms.n_modes), em.n_levels)
+    gen = couplings(ms, em).generator(space)
+    h_f = kron_field_hamiltonian(ms.chi, HilbertSpec(space.factors[:-1]))
+    return gen.conjugate_photon(-theta, h_f) + gen.conjugate_matter(1.0 - theta, em.h0), space
+
+
+def kronecker_naive(ms, em, cutoffs, order):
+    """(H, space) of the naive theta = 0 series, summed by the generator's
+    `nested_commutators`."""
+    space = standard_space(_normalize_cutoffs(cutoffs, ms.n_modes), em.n_levels)
+    h = couplings(ms, em).generator(space).nested_commutators(em.h0, order)
+    return h + kron_field_hamiltonian(ms.chi, space), space
+
+
+def kronecker_bundle(ms, em, gauge, cutoffs, order=None):
+    """`build_dipole`, or with `order` the theta = 0 `build_naive`, assembled in the Fock
+    basis and declaring the parity and time reversal as the builders do."""
+    h, space = (kronecker_dipole(ms, em, gauge.theta, cutoffs) if order is None
+                else kronecker_naive(ms, em, cutoffs, order))
+    cs = couplings(ms, em)
+    real = not any(np.any(np.imag(a)) for a in (cs.chi, cs.eta_matrices, em.h0))
+    meta = {"builder": "kronecker", "cutoffs": _normalize_cutoffs(cutoffs, ms.n_modes)}
+    return HamiltonianBundle(h, space, gauge, meta, parity_labels(space, em.parity_signs), real)
 
 
 def nested_commutator_series(x, h0, order):
@@ -369,9 +403,9 @@ def ambiguity_ladders(chi, omega0, eta, start_cutoff=20, tol=1e-7, order=1):
     """{ladder: (E0, cutoff)} of one coupling's three scalar ladders (Coulomb,
     multipolar, naive Coulomb), on its own `tls_single_mode_modeset`."""
     ms, em = tls_single_mode_modeset(chi, eta, omega0)
-    builds = {"coulomb": lambda n: build_dipole(ms, em, COULOMB, n),
-              "multipolar": lambda n: build_dipole(ms, em, MULTIPOLAR, n),
-              "naive": lambda n: build_naive(ms, em, COULOMB, n, order=order)}
+    builds = {"coulomb": lambda n: kronecker_bundle(ms, em, COULOMB, n),
+              "multipolar": lambda n: kronecker_bundle(ms, em, MULTIPOLAR, n),
+              "naive": lambda n: kronecker_bundle(ms, em, COULOMB, n, order)}
     return {name: converged_ground_energy(build, tol, start_cutoff)
             for name, build in builds.items()}
 

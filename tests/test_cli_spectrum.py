@@ -66,3 +66,23 @@ def test_longitudinal_hook(tmp_path):
     want = build_dipole(TWO_MODES, EMITTER, GaugeParam(0.37), (3, 2),
                         longitudinal=LongitudinalCoupling(0.8, 0.3, 3, (1.0, 0.5, 0.0)))
     assert_same_spectrum(got, want)
+
+
+@pytest.mark.parametrize("sections, basis", [
+    ({"gauge_theta": 0.37}, "quadrature"),
+    ({"gauge_theta": 0.0, "truncation": "naive", "naive_order": 2}, "quadrature"),
+    ({"gauge_theta": 1.0, "truncation": "naive"}, "fock"),
+    ({"gauge_theta": 0.37, "longitudinal": {"omega": 0.8, "coupling": 0.3, "cutoff": 2}},
+     "fock"),
+])
+def test_metadata_records_the_basis_and_its_measured_symmetries(tmp_path, sections, basis):
+    spectrum(tmp_path, TWO_MODES, EMITTER, fock_cutoffs=[3, 2], **sections)
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text(encoding="utf-8"))
+    assert meta["basis"] == basis
+    diagnostics = meta["diagnostics"]
+    assert diagnostics["sector_sizes"] == [meta["dimension"] // 2] * 2
+    assert 0.0 <= diagnostics["parity_off_block"] <= 1e-12
+    hooked = "longitudinal" in sections
+    assert ("time_reversal_imag" in diagnostics) == (not hooked)  # real chi and couplings
+    if not hooked:
+        assert 0.0 <= diagnostics["time_reversal_imag"] <= 1e-12

@@ -109,7 +109,9 @@ def test_detect_command_diagonalizes_each_bundle_once(tmp_path, monkeypatch):
     rows = (tmp_path / "out" / "rates.csv").read_text(encoding="utf-8").splitlines()
     assert len(rows) == 4
     assert max(float(r.split(",")[-1]) for r in rows[1:]) <= 1e-8
-    diagnostics = json.loads((tmp_path / "out" / "metadata.json").read_text())["diagnostics"]
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["basis"] == "quadrature"
+    diagnostics = meta["diagnostics"]
     for gauge in ("coulomb", "multipolar"):
         assert diagnostics[gauge]["sector_sizes"] == [dim // 2, dim // 2]
         assert 0.0 <= diagnostics[gauge]["parity_off_block"] <= 1e-12

@@ -164,6 +164,25 @@ def test_steps_reuse_hamiltonians():
     assert len(times) <= 4 * attempted + s["dynamic_pieces"] + s["static_pieces"]
 
 
+def test_bare_callable_splits_at_explicit_breakpoints():
+    """The multipolar H(t) of a linear ramp jumps by mu' X at its ends: as a bare callable
+    it fails once a step lands on a jump, and with the ramp's breakpoints it matches the
+    `TimeDependentHamiltonian` it was taken from."""
+    profile = linear_ramp(3.0, 0.7)
+    td = build_time_dependent(TWO_MODES, EMITTER, "multipolar", profile, CUTOFFS)
+    psi0 = ground_state(td, 0.0)
+    t_grid = np.linspace(0.05, 7.3, 30)
+    with pytest.raises(ConvergenceError, match="step control failed"):
+        evolve(lambda t: td.matrix(t), td.basis.from_fock(psi0), t_grid)
+    traj = evolve(lambda t: td.matrix(t), td.basis.from_fock(psi0), t_grid,
+                  breakpoints=profile.breakpoints())
+    assert traj.stats["dynamic_pieces"] == 3 and traj.stats["static_pieces"] == 0
+    want = evolve(td, psi0, t_grid).states
+    assert np.abs(td.basis.to_fock(traj.states.T).T - want).max() <= 1e-6
+    with pytest.raises(ValueError, match="bare callable"):
+        evolve(td, psi0, t_grid, breakpoints=profile.breakpoints())
+
+
 def test_norm_drift_raises(monkeypatch):
     """A step that grows the norm at a rate of 1e-6 is caught by the drift check.
 

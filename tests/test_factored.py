@@ -185,13 +185,20 @@ class TestHermiticityBeforeSymmetrization:
 
     @pytest.fixture
     def skewed_field(self, monkeypatch):
+        """H_F with a non-Hermitian upper triangle, in the Fock and the quadrature basis."""
         original = hamiltonians.field_hamiltonian
+        original_k = hamiltonians.QuadratureFamily._field
 
         def skewed(chi, space):
             h = original(chi, space)
             return h + 1e-9 * np.triu(np.ones_like(h), 1)
 
+        def skewed_k(family):
+            k = original_k(family)
+            return k + 1e-9 * np.triu(np.ones_like(k), 1)
+
         monkeypatch.setattr(hamiltonians, "field_hamiltonian", skewed)
+        monkeypatch.setattr(hamiltonians.QuadratureFamily, "_field", skewed_k)
 
     def _system(self):
         return random_system(3, 2, "tls")

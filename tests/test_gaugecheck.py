@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 from gaugecraft import (COULOMB, MULTIPOLAR, FockCutoffWarning, GaugeParam, ambiguity_scan,
                         build_dipole, build_naive, couplings, gauge_unitary,
                         tls_single_mode_modeset, verify_spectral_equivalence)
 from gaugecraft import EmitterSpec, HamiltonianBundle, ModeSet, tls
 from gaugecraft.cli import main
-from gaugecraft.gaugecheck import QuadratureBundle, _climb, gauge_check_pair
+from gaugecraft.gaugecheck import _climb, gauge_check_pair
 from gaugecraft.hilbert import PAULI_X, PAULI_Y, HermitianGenerator, max_abs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
 
@@ -139,10 +140,11 @@ class TestQuadraturePair:
         ms = ModeSet.single_mode(1.3, {em.position_label: (profile, 0.0, 0.0)})
         cs = couplings(ms, em)
         h_a, h_b = gauge_check_pair(ms, em, 30, order)
-        assert isinstance(h_a, QuadratureBundle) and isinstance(h_b, QuadratureBundle)
-        fock_a = (build_dipole(ms, em, COULOMB, 30) if order is None
-                  else build_naive(ms, em, COULOMB, 30, order=order))
-        fock_b = build_dipole(ms, em, MULTIPOLAR, 30)
+        assert h_a.basis == h_b.basis == "quadrature"
+        # the same Hamiltonians assembled in the Fock basis, compared there
+        fock_a = dense_oracle.kronecker_bundle(ms, em, COULOMB, 30, order)
+        fock_b = dense_oracle.kronecker_bundle(ms, em, MULTIPOLAR, 30)
+        assert fock_a.basis == fock_b.basis == "fock"
         for fraction in (0.5, 0.3, 1.0):
             got = verify_spectral_equivalence(h_a, h_b, k=6, low_fraction=fraction, cs=cs)
             want = verify_spectral_equivalence(fock_a, fock_b, k=6, low_fraction=fraction,
@@ -161,7 +163,7 @@ class TestQuadraturePair:
         ms = ModeSet.single_mode(1.0, {em.position_label: (1.0, 1.0j, 0.0)})
         assert couplings(ms, em).common_matter_matrix() is None
         h_a, h_b = gauge_check_pair(ms, em, 20)
-        assert isinstance(h_a, HamiltonianBundle) and isinstance(h_b, HamiltonianBundle)
+        assert h_a.basis == h_b.basis == "fock"
         doc = {"seed": 0, "modeset": modeset_to_json(ms), "emitter": emitter_to_json(em),
                "fock_cutoffs": 20, "gauge_check": {"eta_grid": [0.3]}}
         config = tmp_path / "scenario.json"
@@ -178,16 +180,19 @@ class TestQuadraturePair:
         with pytest.warns(FockCutoffWarning, match="26.0"):
             build_dipole(ms, em, MULTIPOLAR, 12)
 
-    def test_residual_needs_bundles_of_one_basis(self):
+    def test_residual_of_bundles_in_different_bases_is_formed_in_the_fock_basis(self):
         ms, em = tls_single_mode_modeset(1.0, 0.5, 1.0)
-        h_a, h_b = gauge_check_pair(ms, em, 12)
-        other, _ = gauge_check_pair(ms, em, 12)
-        fock = build_dipole(ms, em, MULTIPOLAR, 12)
+        h_a, h_b = gauge_check_pair(ms, em, 12, 1)
+        other, _ = gauge_check_pair(ms, em, 12, 1)  # separate builds share one basis
+        fock = HamiltonianBundle(h_b.H, h_b.space, h_b.gauge, h_b.metadata)
+        assert fock.basis == "fock"
         cs = couplings(ms, em)
-        for a, b in ((h_a, fock), (other, h_b)):
-            with pytest.raises(ValueError, match="one basis"):
-                verify_spectral_equivalence(a, b, k=3, cs=cs)
-        assert verify_spectral_equivalence(h_a, fock, k=3).max_abs_diff < 1e-10
+        want = verify_spectral_equivalence(h_a, h_b, k=3, cs=cs).operator_residual
+        assert want > 1e-3
+        for a, b in ((other, h_b), (h_a, fock)):
+            got = verify_spectral_equivalence(a, b, k=3, cs=cs).operator_residual
+            assert abs(got / want - 1) <= 1e-10
+        assert verify_spectral_equivalence(h_a, fock, k=3).max_abs_diff > 1e-3
 
 
 class TestConvergenceProtocol:

@@ -56,12 +56,13 @@ def quadrature_systems(draw):
 @given(system=quadrature_systems(), theta=st.sampled_from((0.0, 0.37, 1.0)))
 def test_stacked_build_dipole_members_equal_their_own_builds(system, theta):
     ms, em, cutoff, scales = system
-    family = QuadratureFamily(ms, em, cutoff)
+    family = QuadratureFamily.of(ms, em, cutoff)
     assert family.time_reversal == (np.imag(ms.profile(em.position_label)[0, 0]) == 0)
     values = family.spectra(*family.blocks(theta, scales))
     assert values.shape == (len(scales), 2 * (cutoff + 1))
     for i, c in enumerate(scales):
-        single = build_dipole(scaled_modes(ms, em, c), em, GaugeParam(theta), cutoff)
+        single = dense_oracle.kronecker_bundle(scaled_modes(ms, em, c), em, GaugeParam(theta),
+                                               cutoff)
         assert_members_close(values[i], single.eigenvalues(), f"member {i} at scale {c}")
 
 
@@ -69,16 +70,17 @@ def test_stacked_build_dipole_members_equal_their_own_builds(system, theta):
 @given(system=quadrature_systems(), order=st.integers(1, 3))
 def test_stacked_build_naive_members_equal_their_own_builds(system, order):
     ms, em, cutoff, scales = system
-    family = QuadratureFamily(ms, em, cutoff)
+    family = QuadratureFamily.of(ms, em, cutoff)
     values = family.spectra(*family.blocks(0.0, scales, order))
     for i, c in enumerate(scales):
-        single = build_naive(scaled_modes(ms, em, c), em, COULOMB, cutoff, order=order)
+        single = dense_oracle.kronecker_bundle(scaled_modes(ms, em, c), em, COULOMB, cutoff,
+                                               order)
         assert_members_close(values[i], single.eigenvalues(), f"member {i} at scale {c}")
 
 
 def test_stack_of_one_keeps_its_axis_and_eigensystem_refuses_stacks():
     ms, em = tls_single_mode_modeset(1.0, 0.6, 1.0)
-    family = QuadratureFamily(ms, em, 8)
+    family = QuadratureFamily.of(ms, em, 8)
     values = family.spectra(*family.blocks(0.0, [1.0]))
     assert values.shape == (1, 18)
     assert_members_close(values[0], build_dipole(ms, em, COULOMB, 8).eigenvalues(), "member")
@@ -91,7 +93,7 @@ def test_stack_of_one_keeps_its_axis_and_eigensystem_refuses_stacks():
 
 def test_the_family_reads_the_cached_quadrature_basis():
     ms, em = tls_single_mode_modeset(1.0, 0.6, 1.0)
-    assert QuadratureFamily(ms, em, 12).w is fock_quadrature(12)[1]
+    assert QuadratureFamily.of(ms, em, 12).v[0] is fock_quadrature(12)[1]
 
 
 class TestForgedMembers:
@@ -104,7 +106,7 @@ class TestForgedMembers:
         ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
         if phase != 1.0:
             ms = scaled_modes(ms, em, phase)
-        family = QuadratureFamily(ms, em, 6)
+        family = QuadratureFamily.of(ms, em, 6)
         return family, [m.copy() for m in family.blocks(0.37, self.SCALES)]
 
     def test_non_hermitian_member_is_named(self):
@@ -225,7 +227,7 @@ def record_builds(monkeypatch):
     orig = QuadratureFamily.blocks
 
     def counted(self, theta, scales, order=None):
-        calls.append((LADDERS[theta, order], self.cutoff, np.array(scales)))
+        calls.append((LADDERS[theta, order], self.cutoffs[0], np.array(scales)))
         return orig(self, theta, scales, order)
 
     monkeypatch.setattr(QuadratureFamily, "blocks", counted)

@@ -81,6 +81,35 @@ def test_tracer_uninstall_restores_numpy(monkeypatch):
     assert np.linalg.eigh is eigh
 
 
+def test_every_name_the_tracer_wraps_resolves():
+    """Each method(cls, "attr", ...) and function(module, "attr", ...) target of
+    `perfbench/tracer.py`'s `install` exists, so that `--trace 1` does not crash on a
+    deleted or moved name (methods must be defined on the class itself)."""
+    import gaugecraft
+    from gaugecraft import cli, detect, dynamics, gaugecheck, hamiltonians, hilbert, modes
+    from gaugecraft import scenario
+
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    install = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    namespace = {"np": np, "gaugecraft": gaugecraft, "cli": cli, "detect": detect,
+                 "dynamics": dynamics, "gaugecheck": gaugecheck, "hamiltonians": hamiltonians,
+                 "hilbert": hilbert, "modes": modes, "scenario": scenario}
+    targets, missing = 0, []
+    for node in ast.walk(install):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("method", "function")):
+            continue
+        owner = eval(compile(ast.Expression(node.args[0]), "tracer.py", "eval"), namespace)
+        attr = node.args[1].value
+        targets += 1
+        found = attr in vars(owner) if node.func.id == "method" else hasattr(owner, attr)
+        if not found:
+            missing.append(f"{ast.unparse(node.args[0])}.{attr}")
+    assert targets > 20
+    assert not missing, "names the tracer wraps that do not exist: " + ", ".join(missing)
+
+
 def test_cli_import_does_not_load_scipy():
     probe = "import sys, gaugecraft.cli; print('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -111,9 +140,9 @@ def test_traced_gauge_check_spans_describe_the_stacked_builds(monkeypatch, tmp_p
     assert capsys.readouterr().out.startswith("PASS")
     names = [s.name for s in spans.spans]
     assert names.count("gaugecheck.ambiguity_scan") == 1 and names.count("gaugecheck.verify") == 1
-    # the ladders and the verify pair are solved in the field-quadrature basis: no Fock
-    # build under the scan, and no formed gauge unitary
-    assert "hamiltonians.build" not in names
+    # the ladders and the verify pair are solved in the field-quadrature basis: no build
+    # under the scan, the verify pair's two builds, and no formed gauge unitary
+    assert names.count("hamiltonians.build") == 2
     assert "gaugecheck.gauge_unitary" not in names
     assert names.count("linalg.eigvalsh") > 0
     metrics = tracer.span_metrics(spans.spans)
