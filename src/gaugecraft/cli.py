@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .detect import DetectorSpec, rate_table, significant_transitions
-from .dynamics import evolve, ground_state
+from .dynamics import NORM_TOL, evolve, ground_state
 from .errors import ConfigError, ConvergenceError, GaugecraftError, InvariantViolation
 from .gaugecheck import ambiguity_scan, gauge_check_pair, verify_spectral_equivalence
 from .hamiltonians import (COULOMB, MULTIPOLAR, build_beyond_dipole, build_dipole,
@@ -295,7 +295,9 @@ def cmd_evolve(cfg: RunConfig) -> int:
         if not 0 <= idx < n_times:
             raise ConfigError(f"'evolve.state_checkpoints[{k}]' = {idx} is outside "
                               f"[0, {n_times}) (evolve.n_times)")
-    tol = number(section.get("tol", 1e-8), "evolve.tol")
+    tol = number(section.get("tol", NORM_TOL), "evolve.tol")
+    if not 0 < tol <= NORM_TOL:  # a looser tol passes evolve, then fails the trajectory's check
+        raise ConfigError(f"'evolve.tol' must be in (0, {NORM_TOL:g}], got {tol:g}")
     gauge_label = section.get("gauge", "coulomb")
     if gauge_label not in ("coulomb", "multipolar"):
         raise ConfigError("'evolve.gauge' must be 'coulomb' or 'multipolar'")

@@ -3,16 +3,18 @@
 `evolve` is one piecewise propagator.  It splits the time grid once at the
 breakpoints of the coupling modulation (`TimeProfile.breakpoints`, where
 mu'(t) may jump).  On a piece where mu'(t) = 0, H(t) is one fixed matrix in
-either gauge: it is evaluated and diagonalized once, and the state at every
+either gauge: it is formed and diagonalized once, and the state at every
 grid point of the piece is written exactly from the piece's start state.
 Only pieces where mu'(t) != 0 (the ramp) are integrated, with the classic
 fourth-order Runge-Kutta step and an embedded step-halving error estimate;
-no step crosses a kink of mu'.  A `TimeDependentHamiltonian` is propagated
-in the eigenbasis of its generator, where it evaluates H(t): the start state
-is mapped into that basis and the recorded states back to the Fock basis.
-Static Hamiltonians are the one-static-piece case, and a bare callable is
-dynamic throughout, split only at the breakpoints it is given.  Trajectories record normalized states on the
-requested time grid, real observable series and the propagator's counters.
+no step crosses a kink of mu', and H(t) is applied there, never formed.  A
+`TimeDependentHamiltonian` is propagated in the eigenbasis of its generator,
+where it applies H(t) from two fixed matrices and diagonal phases: the start
+state is mapped into that basis and the recorded states back to the Fock
+basis.  Static Hamiltonians are the one-static-piece case, and a bare
+callable is dynamic throughout, split only at the breakpoints it is given.
+Trajectories record normalized states on the requested time grid, real
+observable series and the propagator's counters.
 `ground_state` fixes the global phase of a start state by a Fock-basis
 convention, so it does not depend on the basis H(t) is diagonalized in.
 """
@@ -20,14 +22,14 @@ convention, so it does not depend on the basis H(t) is diagonalized in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, InvariantViolation
 from .hamiltonians import (HamiltonianBundle, TimeDependentHamiltonian,
                            build_time_dependent, TD_EXTRA_TERM_SIGN)
-from .hilbert import Eigenbasis, HilbertSpec, Operator, PAULI_Z, hermitian_part
+from .hilbert import HilbertSpec, Operator, PAULI_Z, hermitian_part
 from .matter import EmitterSpec, TimeProfile, constant_profile
 from .modes import ModeSet
 
@@ -83,23 +85,24 @@ def ground_state(tdh: TimeDependentHamiltonian, t: float) -> np.ndarray:
     return psi * (np.conj(top) / abs(top))
 
 
-def _as_matrix_fn(h) -> tuple[Callable[[float], np.ndarray], Optional[HilbertSpec],
-                              Optional[TimeProfile], Optional[Eigenbasis]]:
-    """Normalize the Hamiltonian argument; returns (matrix_fn, space, profile, basis).
+def _as_hamiltonian(h) -> tuple:
+    """Normalize the Hamiltonian argument; returns (matrix_fn, operator_fn, space,
+    profile, basis): matrix_fn(t) forms H(t), operator_fn(t) is x -> H(t) x.
 
-    Static inputs carry a constant profile, a bare callable none; only a
-    `TimeDependentHamiltonian` has a basis.  Matrices are checked where they enter.
+    Static inputs carry a constant profile and no operator_fn, a bare callable
+    no matrix_fn and no profile; only a `TimeDependentHamiltonian` has a basis.
+    Matrices are checked where they enter.
     """
     if isinstance(h, HamiltonianBundle):
         m = h.H.matrix
-        return (lambda t: m), h.space, constant_profile(), None
+        return (lambda t: m), None, h.space, constant_profile(), None
     if isinstance(h, (Operator, np.ndarray)):
         m = hermitian_part(getattr(h, "matrix", h), "static Hamiltonian")
-        return (lambda t: m), getattr(h, "space", None), constant_profile(), None
+        return (lambda t: m), None, getattr(h, "space", None), constant_profile(), None
     if isinstance(h, TimeDependentHamiltonian):
-        return h.matrix, h.space, h.profile, h.basis
+        return h.matrix, h.operator, h.space, h.profile, h.basis
     if callable(h):
-        return (lambda t: hermitian_part(h(t), "H(t)")), None, None, None
+        return None, (lambda t: hermitian_part(h(t), "H(t)").__matmul__), None, None, None
     raise TypeError(f"cannot evolve under {type(h).__name__}")
 
 
@@ -124,32 +127,34 @@ def _static_piece(m: np.ndarray, psi: np.ndarray, offsets: np.ndarray) -> np.nda
     return (np.exp(-1j * np.outer(offsets, vals)) * coeff) @ vecs.T
 
 
-def _rk4_step(h_0, h_mid, h_1, psi, dt):
-    """One classic RK4 step given H at its start, midpoint and end."""
-    k1 = -1j * (h_0 @ psi)
-    k2 = -1j * (h_mid @ (psi + (dt / 2) * k1))
-    k3 = -1j * (h_mid @ (psi + (dt / 2) * k2))
-    k4 = -1j * (h_1 @ (psi + dt * k3))
+def _rk4_step(k1, h_mid, h_1, psi, dt):
+    """One classic RK4 step from its first stage k1 = -i H psi and H at its midpoint and end."""
+    k2 = -1j * h_mid(psi + (dt / 2) * k1)
+    k3 = -1j * h_mid(psi + (dt / 2) * k2)
+    k4 = -1j * h_1(psi + dt * k3)
     return psi + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _advance_adaptive(fn, t0, t1, psi, h_t0, tol_per_time, dt_init, stats):
+def _advance_adaptive(op, t0, t1, psi, h_t0, tol_per_time, dt_init, stats):
     """Integrate from t0 to t1 with step-halving error control.
 
-    `h_t0` is H(t0).  Each attempted step compares one RK4 step with two half
-    steps, which share H at the five times t, t + dt/4, ..., t + dt; an
-    accepted step hands H(t + dt) on as the next step's H(t).  Returns
-    (psi, H at the end, next step size).
+    `op(t)` is the operator x -> H(t) x and `h_t0` is op(t0).  Each attempted
+    step compares one RK4 step with two half steps, which share H at the five
+    times t, t + dt/4, ..., t + dt and the first stage -i H(t) psi: eleven
+    applications of H.  An accepted step hands H(t + dt) on as the next step's
+    H(t).  Returns (psi, H at the end, next step size).
     """
     t, dt = t0, min(dt_init, t1 - t0)
     min_step = max((t1 - t0), 1.0) * 1e-12
     while t < t1 - 1e-15 * max(1.0, abs(t1)):
         dt = min(dt, t1 - t)
         t_half = t + dt / 2
-        h_q1, h_half, h_q3, h_end = fn(t + dt / 4), fn(t_half), fn(t_half + dt / 4), fn(t + dt)
-        full = _rk4_step(h_t0, h_half, h_end, psi, dt)
-        half = _rk4_step(h_half, h_q3, h_end,
-                         _rk4_step(h_t0, h_q1, h_half, psi, dt / 2), dt / 2)
+        h_q1, h_half, h_q3, h_end = op(t + dt / 4), op(t_half), op(t_half + dt / 4), op(t + dt)
+        stats["h_evaluations"] += 4
+        k1 = -1j * h_t0(psi)
+        full = _rk4_step(k1, h_half, h_end, psi, dt)
+        first = _rk4_step(k1, h_q1, h_half, psi, dt / 2)
+        half = _rk4_step(-1j * h_half(first), h_q3, h_end, first, dt / 2)
         err = float(np.linalg.norm(full - half)) / 15.0
         tol = tol_per_time * dt
         if err <= tol or dt <= min_step:
@@ -168,7 +173,7 @@ def _advance_adaptive(fn, t0, t1, psi, h_t0, tol_per_time, dt_init, stats):
 
 
 def _interior(fn, t_start, t_end):
-    """H(t) on one piece, continued to its ends from the inside.
+    """fn(t) on one piece, continued to its ends from the inside.
 
     Evaluation times are clamped EDGE_OFFSET (relative) inside the piece, so a
     step that starts or ends on a breakpoint sees the piece's own one-sided
@@ -188,18 +193,18 @@ def evolve(h, psi0: np.ndarray, t_grid: Sequence[float],
     profile, or of a bare callable at the given `breakpoints` (times where
     its H(t) may jump; no other input takes them).  Pieces where mu'(t) = 0
     (all of a static bundle, Operator or ndarray) are propagated exactly: one
-    H evaluation and one eigh per piece, each grid state written from the
+    formed H and one eigh per piece, each grid state written from the
     piece's start state.  Pieces where mu'(t) != 0 (all of a bare callable)
-    integrate with adaptive RK4 at local error `tol` per unit time; a piece
-    that ends on a breakpoint evaluates H(t) from its own side.  psi0 and the
-    returned states are in the Fock basis (a bare callable's in its own).  A
-    non-Hermitian H, static or returned by a callable, raises
-    InvariantViolation, and norms that drift by `tol` or more raise
-    ConvergenceError.  `Trajectory.stats` counts H evaluations,
-    accepted and rejected steps, static and dynamic pieces, and records the
-    final norm error.
+    integrate with adaptive RK4 at local error `tol` per unit time, applying
+    H(t) unformed; a piece that ends on a breakpoint evaluates H(t) from its
+    own side.  psi0 and the returned states are in the Fock basis (a bare
+    callable's in its own).  A non-Hermitian H, static or returned by a
+    callable, raises InvariantViolation, and norms that drift by `tol` or
+    more raise ConvergenceError.  `Trajectory.stats` counts H evaluations
+    (formed or applied), accepted and rejected steps, static and dynamic
+    pieces, and records the final norm error.
     """
-    fn, space, profile, basis = _as_matrix_fn(h)
+    matrix, operator, space, profile, basis = _as_hamiltonian(h)
     if len(breakpoints) and (profile is not None or basis is not None):
         raise ValueError("breakpoints are given for a bare callable only; a "
                          "TimeDependentHamiltonian takes them from its profile")
@@ -221,26 +226,23 @@ def evolve(h, psi0: np.ndarray, t_grid: Sequence[float],
     stats = {"h_evaluations": 0, "accepted_steps": 0, "rejected_steps": 0,
              "static_pieces": 0, "dynamic_pieces": 0}
 
-    def counted(t):
-        stats["h_evaluations"] += 1
-        return fn(t)
-
     states = np.empty((len(t_grid), psi0.shape[0]), dtype=complex)
     states[0] = psi = psi0 if basis is None else basis.from_fock(psi0)
     filled = 1  # grid points up to the current piece's start are written
     dt = (t_grid[-1] - t_grid[0]) / max(len(t_grid) * 4, 100)
     for t_start, t_end, piece_static in _pieces(profile, t_grid[0], t_grid[-1], breakpoints):
+        stats["h_evaluations"] += 1  # H at the piece's midpoint or start; steps count theirs
         stop = int(np.searchsorted(t_grid, t_end, side="right"))
         stops = t_grid[filled:stop]
         if stops.size == 0 or stops[-1] < t_end:
             stops = np.append(stops, t_end)  # the next piece starts from here
         if piece_static:
             stats["static_pieces"] += 1
-            out = _static_piece(counted((t_start + t_end) / 2), psi, stops - t_start)
+            out = _static_piece(matrix((t_start + t_end) / 2), psi, stops - t_start)
         else:
             stats["dynamic_pieces"] += 1
             split = profile is not None or len(breakpoints)
-            piece_fn = _interior(counted, t_start, t_end) if split else counted
+            piece_fn = _interior(operator, t_start, t_end) if split else operator
             out = np.empty((stops.size, psi.shape[0]), dtype=complex)
             t, h_t = t_start, piece_fn(t_start)
             for j, t_next in enumerate(stops):

@@ -971,7 +971,7 @@ def build_generalized_1d(nm: NormalModeSet1D, em: EmitterSpec, gauge: str,
 
 
 class TimeDependentHamiltonian:
-    """H(t) for a modulated coupling mu(t), reentrant and cheap to evaluate.
+    """H(t) for a modulated coupling mu(t), reentrant and cheap to apply.
 
     Coulomb gauge:    H(t) = H_F + U(t) H_0 U(t)^dag,   U(t) = exp(+i mu(t) X)
     Multipolar gauge: H(t) = V(t) H_F V(t)^dag + H_0 + sign * mu'(t) X,
@@ -980,12 +980,15 @@ class TimeDependentHamiltonian:
     gauge condition; its sign is pinned by the gauge-equivalence of the
     resulting dynamics (see dynamics.td_gauge_equivalence).
 
-    `matrix(t)` is H(t) in the generator's eigenbasis B (`basis`), where
+    H(t) is written in the generator's eigenbasis B (`basis`), where
     X = diag(xi) and exp(i s X) is the diagonal phase Phi(s) = diag(e^(i s xi)).
-    With K = B^dag (H_F (x) 1) B and M = B^dag (1 (x) H_0) B fixed here,
+    K = B^dag (H_F (x) 1) B and M = B^dag (1 (x) H_0) B are fixed here and
+    checked for Hermiticity once, before symmetrization; then
     H_C(t) = K + Phi(mu) M Phi(mu)^* and
-    H_mp(t) = Phi(-mu) K Phi(-mu)^* + M + sign * mu'(t) diag(xi), so each
-    evaluation is elementwise work.  `basis.to_fock` maps states back.
+    H_mp(t) = Phi(-mu) K Phi(-mu)^* + M + sign * mu'(t) diag(xi).
+    `operator(t)` applies H(t) without forming it, on the propagator's dynamic
+    pieces; `matrix(t)` forms it, for static pieces and the ground state.
+    `basis.to_fock` maps states back.
     """
 
     def __init__(self, gauge: str, generator, h_field: np.ndarray,
@@ -996,26 +999,47 @@ class TimeDependentHamiltonian:
         self.gauge = gauge
         self.generator = generator
         self.basis = generator.eigenbasis()
-        k = self.basis.transform(kron(h_field, np.eye(len(h_matter))))
-        m = self.basis.transform(kron(np.eye(len(h_field)), h_matter))
+        k = hermitian_part(self.basis.transform(kron(h_field, np.eye(len(h_matter)))),
+                           "H(t) field term K")
+        m = hermitian_part(self.basis.transform(kron(np.eye(len(h_field)), h_matter)),
+                           "H(t) matter term M")
         # H(t) = Phi(sign mu) A Phi(sign mu)^* + C, plus the multipolar mu' term
         self._sign, self._a, self._c = (1.0, m, k) if gauge == "coulomb" else (-1.0, k, m)
         self.profile = profile
         self.space = space
         self.extra_term_sign = float(extra_term_sign)
 
-    def matrix(self, t: float) -> np.ndarray:
-        """H(t) in the eigenbasis of X, checked for Hermiticity before symmetrization."""
+    def _terms(self, t: float):
+        """Phi(sign mu(t)) and the diagonal of the multipolar mu'(t) term (None if zero)."""
         xi = self.basis.xi
-        phase = np.exp((1j * self._sign * self.profile.mu(t)) * xi)
+        mu_dot = self.profile.mu_dot(t) if self.gauge == "multipolar" else 0.0
+        return (np.exp((1j * self._sign * self.profile.mu(t)) * xi),
+                self.extra_term_sign * mu_dot * xi if mu_dot != 0.0 else None)
+
+    def matrix(self, t: float) -> np.ndarray:
+        """H(t) in the eigenbasis of X, formed from the checked K and M (Hermitian to rounding)."""
+        phase, diag = self._terms(t)
         h = np.multiply.outer(phase, phase.conj())  # entry (i, j) e^(i s (xi_i - xi_j))
         h *= self._a
         h += self._c
-        if self.gauge == "multipolar":
-            mu_dot = self.profile.mu_dot(t)
-            if mu_dot != 0.0:
-                h.reshape(-1)[::len(xi) + 1] += self.extra_term_sign * mu_dot * xi
-        return hermitian_part(h, "H(t)")
+        if diag is not None:
+            h.reshape(-1)[::len(phase) + 1] += diag
+        return h
+
+    def operator(self, t: float) -> Callable[[np.ndarray], np.ndarray]:
+        """x -> H(t) x in the eigenbasis of X, for a state (D,) or a block (D, k):
+        C x + Phi (A (Phi^* x)), plus the multipolar mu' term, with H(t) not formed."""
+        phase, diag = self._terms(t)
+        return partial(self._apply, phase, phase.conj(), diag)
+
+    def _apply(self, phase, conj, diag, x):
+        if x.ndim > 1:
+            return np.column_stack([self._apply(phase, conj, diag, v) for v in x.T])
+        y = self._c @ x
+        y += phase * (self._a @ (conj * x))
+        if diag is not None:
+            y += diag * x
+        return y
 
 
 def build_time_dependent(ms: ModeSet, em: EmitterSpec, gauge: str,

@@ -9,8 +9,8 @@ local factor matrices (`HilbertSpec.kron`), or sums of Kronecker terms that
 
 The package has one Hermiticity rule, `hermitian_part`, applied once to each
 matrix where it enters (generator terms, chi, overlaps, dipoles, built and
-static Hamiltonians): a non-Hermitian matrix is refused, never averaged into
-a Hermitian one.
+static Hamiltonians, the fixed K and M that H(t) is formed or applied from):
+a non-Hermitian matrix is refused, never averaged into a Hermitian one.
 
 Gauge generators come in two forms with one interface.  When the couplings
 share one Hermitian matter matrix D, X = (sum_mu phi_mu) (x) D with

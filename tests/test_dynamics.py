@@ -37,16 +37,22 @@ GRIDS = {
 
 
 def counting(td):
-    """Wrap td.matrix; returns the list of times it is evaluated at."""
-    times = []
-    original = td.matrix
+    """Wrap td.operator and td.matrix; returns the times H(t) is evaluated at, applied or
+    formed, and the times it is formed at."""
+    times, formed = [], []
+    operator, matrix = td.operator, td.matrix
 
-    def matrix(t):
+    def counted_operator(t):
         times.append(t)
-        return original(t)
+        return operator(t)
 
-    td.matrix = matrix
-    return times
+    def counted_matrix(t):
+        times.append(t)
+        formed.append(t)
+        return matrix(t)
+
+    td.operator, td.matrix = counted_operator, counted_matrix
+    return times, formed
 
 
 def dop853_reference(h, psi0, t_grid, kinks):
@@ -124,11 +130,11 @@ def test_calls_do_not_grow_past_the_ramp():
     for t_max in (50.0, 500.0, 5000.0):
         td = build_time_dependent(TWO_MODES, EMITTER, "multipolar", profile, CUTOFFS)
         psi0 = ground_state(td, 0.0)
-        times = counting(td)
+        times, formed = counting(td)
         t_grid = np.concatenate([np.linspace(0.0, 8.0, 17), np.linspace(10.0, t_max, 40)])
         traj = evolve(td, psi0, t_grid)
         assert traj.stats["h_evaluations"] == len(times)
-        assert traj.stats["static_pieces"] == 2
+        assert traj.stats["static_pieces"] == len(formed) == 2  # no H(t) formed on the ramp
         counts.append(len(times))
     assert counts[0] == counts[1] == counts[2]
 
@@ -138,10 +144,11 @@ def test_calls_where_mu_dot_vanishes_are_one_per_static_piece(kind):
     profile, _ = PROFILES[kind]
     td = build_time_dependent(TWO_MODES, EMITTER, "coulomb", profile, CUTOFFS)
     psi0 = ground_state(td, 0.0)
-    times = counting(td)
+    times, formed = counting(td)
     traj = evolve(td, psi0, GRIDS["on_breakpoints"])
     flat = [t for t in times if profile.mu_dot(t) == 0.0]
-    assert len(flat) <= traj.stats["static_pieces"]
+    assert len(flat) <= traj.stats["static_pieces"] == len(formed)
+    assert all(profile.mu_dot(t) == 0.0 for t in formed)
 
 
 def test_steps_reuse_hamiltonians():
@@ -157,9 +164,9 @@ def test_steps_reuse_hamiltonians():
     assert s["rejected_steps"] > 0  # steps across the kinks of mu' fail and shrink
     assert len(calls) == s["h_evaluations"] <= 4 * (s["accepted_steps"] + s["rejected_steps"]) + 1
 
-    times = counting(td)
+    times, formed = counting(td)
     s = evolve(td, psi0, GRIDS["straddling"]).stats
-    assert s["dynamic_pieces"] == 2 and s["static_pieces"] == 3
+    assert s["dynamic_pieces"] == 2 and s["static_pieces"] == 3 == len(formed)
     attempted = s["accepted_steps"] + s["rejected_steps"]
     assert len(times) <= 4 * attempted + s["dynamic_pieces"] + s["static_pieces"]
 
@@ -303,6 +310,10 @@ def test_initial_ground_state_has_the_fock_phase_convention(tmp_path, gauge):
     (("evolve.state_checkpoints=[-1]",), "'evolve.state_checkpoints[0]'"),
     (("evolve.n_times=abc",), "'evolve.n_times'"),
     (('evolve.state_checkpoints=["x"]',), "'evolve.state_checkpoints[0]'"),
+    # a tol above the trajectory's norm check drifts past it (exit 4), one <= 0 stalls (exit 3)
+    (("evolve.tol=1e-2", "evolve.t_max=200"), "'evolve.tol'"),
+    (("evolve.tol=0",), "'evolve.tol'"),
+    (("evolve.tol=-1e-9",), "'evolve.tol'"),
 ])
 def test_evolve_command_rejects_bad_input(tmp_path, capsys, overrides, key):
     assert run_evolve(write_scenario(tmp_path), tmp_path / "out", *overrides) == 2

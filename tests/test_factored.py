@@ -137,6 +137,29 @@ def test_time_dependent_matrix_matches_oracle(system):
                          f"{gauge} H({t})")
 
 
+@settings(max_examples=30, deadline=None)
+@given(system=systems(), seed=st.integers(0, 2**31 - 1))
+@example(system=(*random_system(11, 2, "multi_axis"), (3, 2), "multi_axis"), seed=0)
+def test_time_dependent_operator_matches_the_formed_and_dense_hamiltonian(system, seed):
+    """operator(t) on a D x 3 block equals matrix(t) x and B^dag H_dense(t) B x on either
+    generator kind, in both gauges, before, inside (where mu' != 0) and after the ramp."""
+    ms, em, cutoffs, _ = system
+    dense = DenseSystem(ms, em, cutoffs)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(dense.space.dim, 3)) + 1j * rng.normal(size=(dense.space.dim, 3))
+    assert any(RAMP.mu_dot(t) != 0.0 for t in RAMP_TIMES)
+    for gauge in ("coulomb", "multipolar"):
+        tdh = build_time_dependent(ms, em, gauge, RAMP, cutoffs)
+        b = dense_oracle.basis_matrix(tdh.basis)
+        for t in RAMP_TIMES:
+            got = tdh.operator(t)(x)
+            for want, what in ((tdh.matrix(t) @ x, "matrix(t) x"),
+                               (b.conj().T @ (dense.td_matrix(gauge, RAMP, t) @ (b @ x)),
+                                "B^dag H_dense(t) B x")):
+                dev = max_abs(got - want)
+                assert dev <= 1e-12 * max(1.0, max_abs(want)), f"{gauge} {what}, t = {t}: {dev:.3e}"
+
+
 @pytest.mark.parametrize("kind", ["tls", "multi_axis"])
 def test_eigenbasis_maps_match_the_formed_basis(kind):
     ms, em = random_system(4, 2, kind)
@@ -214,11 +237,11 @@ class TestHermiticityBeforeSymmetrization:
             build_naive(ms, em, COULOMB, (4, 3))
 
     def test_time_dependent_matrix(self, skewed_field):
+        """K and M, from which H(t) is formed or applied, are checked where they enter."""
         ms, em = self._system()
         for gauge in ("coulomb", "multipolar"):
-            tdh = build_time_dependent(ms, em, gauge, RAMP, (4, 3))
             with pytest.raises(InvariantViolation, match="before symmetrization"):
-                tdh.matrix(1.7)
+                build_time_dependent(ms, em, gauge, RAMP, (4, 3))
 
 
 class TestKroneckerGeneratorChecks:
