@@ -125,12 +125,17 @@ def _build_system(cfg: RunConfig):
     cutoffs = sc.cutoffs(ms.n_modes)
     bd = sc.section("beyond_dipole", required=False)
     if bd:
+        if not em.is_tls or em.single_particle is None:
+            raise ConfigError("'beyond_dipole' needs a two-level 'emitter' with 'q' and 'r_dip'")
         fns = _beyond_dipole_profiles(bd, ms.n_modes)
         gauge_label = "coulomb" if g.theta == 0.0 else "multipolar"
         nodes = number(bd.get("quadrature_order", 65), "beyond_dipole.quadrature_order", int)
         return ms, em, build_beyond_dipole(ms.chi, fns, em, gauge_label, cutoffs,
                                            quad_nodes=nodes)
     if sc.truncation() == "naive":
+        if g.theta not in (0.0, 1.0):
+            raise ConfigError(f"'truncation' naive is defined at 'gauge_theta' 0 and 1 only, "
+                              f"got {g.theta:g}")
         return ms, em, build_naive(ms, em, g, cutoffs, order=sc.naive_order())
     return ms, em, build_dipole(ms, em, g, cutoffs, longitudinal=sc.longitudinal())
 

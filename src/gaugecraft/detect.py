@@ -150,7 +150,7 @@ def rate_table(bundle_c: HamiltonianBundle, bundle_mp: HamiltonianBundle,
     vals_mp, vecs_mp = bundle_mp.eigensystem()
     # W |i_C> for every state a transition names, W = exp(-i (theta_mp - theta_C) X)
     states = list(dict.fromkeys(idx for pair in transitions for idx in pair))
-    targets = couplings(ms, em).generator(bundle_c.space).eigenbasis().apply(
+    targets = couplings(ms, em).generator(bundle_c.space).apply(
         bundle_c.gauge.theta - bundle_mp.gauge.theta, vecs_c[:, states])
     overlaps = np.abs(targets.conj().T @ vecs_mp)  # |<k_mp| W |i_C>|, one row per state
     pair = {}

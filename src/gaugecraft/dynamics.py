@@ -218,7 +218,8 @@ def evolve(h, psi0: np.ndarray, t_grid: Sequence[float],
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"initial state is not normalized (norm {nrm:.6f})")
     if observables is None:
-        gen = h.generator.matrix if isinstance(h, TimeDependentHamiltonian) else None
+        gen = (h.couplings.generator_matrix(h.space)
+               if isinstance(h, TimeDependentHamiltonian) else None)
         observables = default_observables(space, gen) if space is not None else {}
     obs_mats = {k: (v.matrix if isinstance(v, Operator) else np.asarray(v, dtype=complex))
                 for k, v in observables.items()}

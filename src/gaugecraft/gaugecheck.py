@@ -46,8 +46,10 @@ MAX_CUTOFF = 640
 
 def gauge_unitary(space: HilbertSpec, cs: CouplingSet,
                   theta_from: float, theta_to: float) -> Operator:
-    """W = exp(-i (theta_to - theta_from) X), exactly unitary on the truncated space."""
-    return cs.generator(space).unitary(-(theta_to - theta_from))
+    """W = exp(-i (theta_to - theta_from) X), exactly unitary on the truncated space, formed
+    in the generator's eigenbasis."""
+    return Operator(cs.generator(space).apply(-(theta_to - theta_from), np.eye(space.dim)),
+                    space)
 
 
 def _low_sector_mask(space: HilbertSpec, fraction: float = DEFAULT_LOW_FRACTION) -> np.ndarray:

@@ -22,12 +22,11 @@ When every coupling matrix is a multiple of one Hermitian matter matrix,
 eta_mu = g_mu D (always for the parity-symmetric two-level emitter of
 `matter.tls`, and for any emitter whose dipole has a single axis), the
 generator factors as X = sum_mu phi_mu (x) D with local
-phi_mu = g_mu a_mu^dag + g_mu^* a_mu.  `CouplingSet.generator` then hands
-the (g, D) of `common_matter_matrix` to a `KroneckerGenerator`, and H(theta)
-and the gauge unitaries are assembled from Kronecker products of local
-exponentials in O(D^2), without a D x D eigendecomposition.  Couplings that
+phi_mu = g_mu a_mu^dag + g_mu^* a_mu, and X is diagonal in the
+field-quadrature basis of `QuadratureFamily`, built from the (g, D) of
+`common_matter_matrix` without a D x D eigendecomposition.  Couplings that
 do not factor (an N-level emitter coupled through several dipole axes) take
-the dense `HermitianGenerator` branch.  `HamiltonianBundle` checks each assembled
+the dense `HermitianGenerator`.  `HamiltonianBundle` checks each assembled
 matrix once for Hermiticity before it symmetrizes away the rounding; a
 quadrature-basis bundle is checked on its raw blocks.
 
@@ -58,29 +57,28 @@ verifies it and solves each sector in real arithmetic.  A complex chi (a
 lossy grid's) or complex couplings, the hook and the beyond-dipole
 multipolar form declare nothing.
 
-Every builder is a `CouplingSet` fed to one of three cores; the models
-differ only in their couplings.  The field-quadrature core,
-`QuadratureFamily`, gives `build_dipole` and the theta = 0 `build_naive` of
-a two-level emitter with a parity whose couplings factor, for any number of
-modes and per-mode cutoffs: in the eigenbasis of the truncated quadratures
-every gauge map is a diagonal phase, so H(theta) is diagonal phases around
-the fixed K = w^dag H_F w and h0, and its two parity sectors are solved
-without forming H in the Fock basis.  The exact-conjugation core,
-`CouplingSet.generator` with `conjugate_photon` and `conjugate_matter`,
-gives `build_dipole` of N-level emitters, of couplings that do not factor
-and with the longitudinal hook, the beyond-dipole Coulomb form
-(eta_mu = (eta_bar_mu / 2) sigma_x) and the 1D gC form
-(eta_mu = h_mu(x0) d_hat / sqrt(2 omega_mu)).  The canonical multipolar
-core, `multipolar_interaction` plus the matter matrix
-`polarization_squared`, gives the theta = 1 naive builder and the
-beyond-dipole and 1D multipolar forms; the theta = 0 naive builder of the
-other emitters truncates the commutator series of the same generator
-(`nested_commutators`).  H(t) is written in the generator's `eigenbasis`,
-where each gauge map is a diagonal phase.  No builder is written out by
-hand: the closed forms the cores are checked against (the single-mode
-two-level Coulomb and multipolar forms, the Fock-basis Kronecker assembly of
-the two-level builds, and the beyond-dipole and 1D Hamiltonians term by
-term) live with the tests.
+Every builder is a `CouplingSet` fed to one of two cores; the models differ
+only in their couplings.  The gauge-family core, `QuadratureFamily`, gives
+every exact-conjugation member whose couplings factor, for any number of
+levels and modes and per-mode cutoffs: `build_dipole` (with or without the
+longitudinal hook), the theta = 0 `build_naive`, the beyond-dipole Coulomb
+form (eta_mu = (eta_bar_mu / 2) sigma_x) and the 1D gC form
+(eta_mu = h_mu(x0) d_hat / sqrt(2 omega_mu)).  In its basis every gauge map
+is a diagonal phase, so H(theta) is diagonal phases around the fixed
+K = w^dag H_F w and h0.  A two-level emitter with a parity is solved there
+in its two parity sectors, without forming H in the Fock basis; every other
+member is formed in the Fock basis once, where the hook appends its factor
+and the bundle verifies and solves it.  The same members of couplings that
+do not factor come from the dense `HermitianGenerator` (`conjugate`, and
+`nested_commutators` for the naive series).  The canonical multipolar core,
+`multipolar_interaction` plus the matter matrix `polarization_squared`,
+gives the theta = 1 naive builder and the beyond-dipole and 1D multipolar
+forms.  H(t) is written in the generator's eigenbasis
+(`CouplingSet.generator`), where each gauge map is a diagonal phase.  No
+builder is written out by hand: the dense forms the cores are checked
+against (the embedded-product `DenseSystem`, the single-mode two-level
+Coulomb and multipolar forms, and the beyond-dipole and 1D Hamiltonians
+term by term) live with the tests.
 
 Beyond-dipole builders for effective single-particle emitters, normal-mode
 (lossless 1D dielectric) builders in the generalized Coulomb/multipolar
@@ -100,7 +98,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InvariantViolation
 from .hilbert import (HERMITIAN_TOL, Eigenbasis, HermitianGenerator, HilbertSpec,
-                      KroneckerGenerator, Operator, PAULI_X, PAULI_Z, _kron_apply,
+                      Operator, PAULI_X, PAULI_Z, _kron_apply,
                       fock_quadrature, hermitian_part, kron, ladder_matrix, matter_levels,
                       max_abs, member_max_abs, mode_phase, parity_labels, photon,
                       verify_members)
@@ -215,18 +213,20 @@ class CouplingSet:
             return None
         return g, d
 
-    def generator(self, space: HilbertSpec):
-        """The gauge generator X on `space`, factored whenever the couplings allow it.
+    def generator(self, space: HilbertSpec) -> Eigenbasis:
+        """The eigenbasis of the gauge generator X on `space`.
 
-        Returns a `KroneckerGenerator` when `common_matter_matrix` finds one
-        matter matrix and the matter factor comes last, as in
-        `standard_space`; otherwise the dense `HermitianGenerator`.
+        When `common_matter_matrix` finds one matter matrix and the matter
+        factor comes last, as in `standard_space`, it is the basis of the
+        `QuadratureFamily` of these couplings, formed from local factors;
+        otherwise that of the dense `HermitianGenerator`.
         """
         mi = self._check_space(space)
         split = self.common_matter_matrix()
         if split is None or mi != len(space.factors) - 1:
-            return HermitianGenerator(self.generator_matrix(space), space)
-        return KroneckerGenerator(*split, space)
+            return HermitianGenerator(self.generator_matrix(space), space).eigenbasis()
+        cutoffs = tuple(f.fock_cutoff for f in space.factors[:-1])
+        return QuadratureFamily(self, *split, None, np.zeros_like(split[1]), cutoffs).basis
 
 
 def couplings(ms: ModeSet, em: EmitterSpec) -> CouplingSet:
@@ -242,12 +242,12 @@ class HamiltonianBundle:
 
     Built from a matrix, `H` is passed as assembled, a matrix or an
     `Operator`, checked once with `hilbert.hermitian_part` and kept as an
-    `Operator` of its Hermitian part.  A two-level emitter's dipole builds
-    come from a `QuadratureFamily` instead (`in_quadrature_basis`): the
-    bundle keeps the member's raw blocks, which the family measures when the
-    bundle is made and solves per parity sector, and `H` is formed in the
-    Fock basis only when it is read.  `basis` says which ("fock" or
-    "quadrature").
+    `Operator` of its Hermitian part.  The members of a `sectored`
+    `QuadratureFamily` (a two-level emitter with a parity) come from the
+    family instead (`in_quadrature_basis`): the bundle keeps the member's raw
+    blocks, which the family measures when the bundle is made and solves per
+    parity sector, and `H` is formed in the Fock basis only when it is read.
+    `basis` says which ("fock" or "quadrature").
 
     A builder may declare a parity: a label +1 or -1 per basis state, the
     diagonal of an operator Pi that commutes with H.  The declaration is
@@ -337,7 +337,11 @@ class HamiltonianBundle:
     def H(self) -> Operator:
         """H in the Fock basis, formed on first read for a quadrature-basis bundle."""
         if self._H is None:
-            self._H = Operator(self.family.fock_matrix(self.blocks), self.space)
+            a0, b = (m[0] for m in self.blocks)
+            off = np.array([[b, b], [b.conj(), b]])  # the k = l entries are unused
+            h = self.family.fock_matrix([a0, a0[::-1, ::-1]], off)
+            self._H = Operator(hermitian_part(h, "quadrature-basis H in the Fock basis"),
+                               self.space)
         return self._H
 
     def _sector_blocks(self):
@@ -507,58 +511,72 @@ def _half_sum_and_diff(b: np.ndarray):
 
 
 class QuadratureFamily:
-    """The gauge family of a two-level emitter at per-mode Fock cutoffs, in its
-    field-quadrature basis.
+    """The gauge family of an emitter whose couplings factor, eta_mu = g_mu D, at per-mode
+    Fock cutoffs, in its field-quadrature basis.
 
     The basis is w = (x)_mu R_mu v_mu (x) U: v_mu is `fock_quadrature`'s
     cached eigenbasis of a_mu + a_mu^dag, R_mu = diag(e^(i n arg g_mu)) (the
-    identity for g_mu = 0, whose v_mu is kept so that the photon parity is
-    the reversal J of the flattened photon index), and U holds the
-    eigenvectors of D, u_1 = S u_0.  There X = diag(nu lam_k) with
+    identity for g_mu = 0, where v_mu is the identity too unless the family
+    is `sectored`, which keeps it so that the photon parity is the reversal J
+    of the flattened photon index), and U holds the eigenvectors of the L x L
+    matrix D, D U = U diag(lam).  There X = diag(nu lam_k) with
     nu = (+)_mu |g_mu| x_mu, so in the matter-major order (k, n), with n the
-    flattened photon index, at coupling scale c
+    flattened photon index, at coupling scale c the blocks of H(theta) are
 
-        H(theta) = [[A_0, B], [B^dag, A_1]],
         A_k = diag(e^{-i theta lam_k c nu}) K diag(e^{i theta lam_k c nu}) + h0'_kk,
-        B = h0'_01 diag(e^{i (1 - theta) (lam_0 - lam_1) c nu}),
+        B_kl = h0'_kl diag(e^{i (1 - theta) (lam_k - lam_l) c nu}),   k != l,
 
     with K = w^dag H_F w summed from local factors (`_field`) and
-    h0' = U^dag h0 U; the naive theta = 0 series cuts B's exponential to its
-    Taylor polynomial.  The parity (-1)^(sum n) (x) S is J (x) swap here,
-    with sectors C = A_0 +- B J when A_1 = J A_0 J and B J = J B^dag; the
-    even one is +.  Under time reversal, declared as by `build_dipole`, the
-    basis is real and J C J = C^*, so Q^dag C Q = (C + JCJ + i(CJ - JC)) / 2,
-    Q = (1 + iJ) / sqrt(2), is real symmetric with C's spectrum.
+    h0' = U^dag h0 U; the naive theta = 0 series cuts B_kl's exponential to
+    its Taylor polynomial.
+
+    A two-level emitter with a parity S and couplings not all zero is solved
+    here (`sectored`): with u_1 = S u_0 the parity (-1)^(sum n) (x) S is
+    J (x) swap, with sectors C = A_0 +- B J, B = B_01, when A_1 = J A_0 J and
+    B J = J B^dag; the even one is +.  Under time reversal, declared as by
+    `build_dipole`, the basis is real and J C J = C^*, so
+    Q^dag C Q = (C + JCJ + i(CJ - JC)) / 2, Q = (1 + iJ) / sqrt(2), is real
+    symmetric with C's spectrum.  Any other emitter's member is formed in the
+    Fock basis once (`fock_matrix`), where `HamiltonianBundle` verifies its
+    declared symmetries and solves its sectors.
     """
 
     @classmethod
     def of(cls, ms: ModeSet, em: EmitterSpec,
            cutoffs: Union[int, Sequence[int]]) -> Optional[QuadratureFamily]:
-        """The family of an emitter in a mode set at these cutoffs, or None unless the
-        emitter has two levels and a parity and its couplings eta_mu = g_mu D factor and
-        are not all zero."""
-        cs, signs = couplings(ms, em), em.parity_signs
-        split = cs.common_matter_matrix()
-        if em.n_levels != 2 or signs is None or split is None or not np.any(split[0]):
-            return None
-        return cls(cs, *split, signs, em.h0, _normalize_cutoffs(cutoffs, ms.n_modes))
+        """The family of an emitter in a mode set at these cutoffs, or None unless its
+        couplings factor."""
+        return cls.of_couplings(couplings(ms, em), em.h0, em.parity_signs,
+                                _normalize_cutoffs(cutoffs, ms.n_modes))
 
-    def __init__(self, cs: CouplingSet, g: np.ndarray, d: np.ndarray, parity_signs: np.ndarray,
-                 h0: np.ndarray, cutoffs: tuple[int, ...]):
+    @classmethod
+    def of_couplings(cls, cs: CouplingSet, h0: np.ndarray, parity_signs: Optional[np.ndarray],
+                     cutoffs: tuple[int, ...]) -> Optional[QuadratureFamily]:
+        """The family of a coupling set with matter Hamiltonian h0 and the emitter's parity
+        signs (or None), or None unless `common_matter_matrix` factors the couplings."""
+        split = cs.common_matter_matrix()
+        return None if split is None else cls(cs, *split, parity_signs, h0, cutoffs)
+
+    def __init__(self, cs: CouplingSet, g: np.ndarray, d: np.ndarray,
+                 parity_signs: Optional[np.ndarray], h0: np.ndarray, cutoffs: tuple[int, ...]):
         self.cs, self.g, self.cutoffs = cs, g, cutoffs
-        self.space = standard_space(cutoffs, 2)
+        self.space = standard_space(cutoffs, len(d))
         self.photons = _photon_part(self.space)
         self.parity_signs = parity_signs
+        self.sectored = len(d) == 2 and parity_signs is not None and bool(np.any(g))
         self.time_reversal = _real(cs.chi, g, d, h0)
         lam, u = np.linalg.eigh(d.real if self.time_reversal else d)
-        self.lam = np.array([lam[0], -lam[0]])
-        self.u = np.column_stack([u[:, 0], parity_signs * u[:, 0]])
-        self.h0 = self.u.conj().T @ h0 @ self.u
+        if self.sectored:
+            lam = np.array([lam[0], -lam[0]])
+            u = np.column_stack([u[:, 0], np.asarray(parity_signs) * u[:, 0]])
+        self.lam, self.u = lam, u
+        self.h0 = u.conj().T @ h0 @ u
         quadratures = [fock_quadrature(n) for n in self.cutoffs]
-        self.v = tuple(v for _, v in quadratures)
+        # an uncoupled mode keeps the identity, unless the sectors need its parity J
+        self.v = tuple(v if g or self.sectored else np.eye(len(v))
+                       for g, (_, v) in zip(self.g, quadratures))
         self.x = np.ravel(reduce(np.add.outer,
                                  [abs(g) * x for g, (x, _) in zip(self.g, quadratures)]))
-        self.k = self._field()
 
     def _w(self, mode: int) -> np.ndarray:
         """w_mode = R v: the mode's factor of the basis."""
@@ -570,6 +588,11 @@ class QuadratureFamily:
         when a bundle's eigenvectors or Fock-basis H are asked for."""
         return Eigenbasis(np.multiply.outer(self.x, self.lam).ravel(),
                           tuple(self._w(m) for m in range(len(self.v))) + (self.u,))
+
+    @cached_property
+    def k(self) -> np.ndarray:
+        """K = w^dag H_F w, formed on first use."""
+        return self._field()
 
     def _field(self) -> np.ndarray:
         """K = w^dag H_F w: chi_mm v_m^T n v_m on mode m and
@@ -587,9 +610,10 @@ class QuadratureFamily:
             terms.append(reduce(kron, [local.get(i, np.eye(d)) for i, d in enumerate(dims)]))
         return reduce(np.add, terms)
 
-    def blocks(self, theta: float, scales, order: Optional[int] = None):
-        """(A_0, A_1, b) of H(theta) at each coupling scale: stacks (S, n, n) and (S, n), b the
-        diagonal of B.  With `order`, the naive theta = 0 series of that order."""
+    def members(self, theta: float, scales, order: Optional[int] = None):
+        """([A_k], B) of H(theta) at each coupling scale: the diagonal blocks, stacks
+        (S, n, n), and B (L, L, S, n), whose (k, l) entry is the diagonal of B_kl (its
+        k = l entries are unused).  With `order`, the naive theta = 0 series of that order."""
         if order is not None and theta != 0.0:
             raise ValueError("the naive series is built at theta = 0 only")
         t = np.multiply.outer(np.asarray(scales, dtype=float), self.x)
@@ -601,10 +625,17 @@ class QuadratureFamily:
             block *= p.conj()[:, None, :]
             block[:, diag, diag] += h
             a.append(block)
-        z = 1j * (self.lam[0] - self.lam[1]) * t
+        z = 1j * np.subtract.outer(self.lam, self.lam)[:, :, None, None] * t
         series = (np.exp((1.0 - theta) * z) if order is None
                   else sum(z**j / math.factorial(j) for j in range(order + 1)))
-        return a[0], a[1], self.h0[0, 1] * series
+        return a, self.h0[:, :, None, None] * series
+
+    def blocks(self, theta: float, scales, order: Optional[int] = None):
+        """(A_0, A_1, b) of a two-level H(theta) at each coupling scale: stacks (S, n, n) and
+        (S, n), b the diagonal of B_01.  With `order`, the naive theta = 0 series of that
+        order."""
+        a, b = self.members(theta, scales, order)
+        return a[0], a[1], b[0, 1]
 
     def measure(self, a0: np.ndarray, a1: np.ndarray, b: np.ndarray):
         """(parity off-block, max|Im| of the real forms or None) of every member of a stack
@@ -672,18 +703,21 @@ class QuadratureFamily:
         for k in range(2):
             out[columns, :, k] = z * coef[:, k]
 
-    def fock_matrix(self, blocks: tuple) -> np.ndarray:
-        """The member with blocks (A_0, b), stacks of one, in the Fock basis: w M w^dag
-        with M the blocks, A_1 = J A_0 J, in the photon-major order, then `hermitian_part`."""
-        a0, b = (m[0] for m in blocks)
-        n = len(b)
-        m = np.zeros((n, 2, n, 2), dtype=complex)
-        m[:, 0, :, 0], m[:, 1, :, 1] = a0, a0[::-1, ::-1]
+    def fock_matrix(self, a: Sequence[np.ndarray], b: np.ndarray) -> np.ndarray:
+        """w M w^dag, not symmetrized: the member M with diagonal blocks a[k] (n, n) and
+        off-diagonal blocks diag(b[k, l]), b (L, L, n) with unused k = l entries, in the
+        Fock basis, photon-major."""
+        n, levels = len(self.x), len(self.lam)
+        m = np.zeros((n, levels, n, levels), dtype=complex)
         i = np.arange(n)
-        m[i, 0, i, 1], m[i, 1, i, 0] = b, b.conj()
-        wm = self.basis.to_fock(m.reshape(2 * n, 2 * n))
-        return hermitian_part(self.basis.to_fock(wm.conj().T).conj().T,
-                              "quadrature-basis H in the Fock basis")
+        for k in range(levels):
+            m[:, k, :, k] = a[k]
+            for l in range(levels):
+                if l != k:
+                    m[i, k, i, l] = b[k, l]
+        wm = self.basis.to_fock(m.reshape(n * levels, n * levels))
+        # (w M) w^dag = (w^* (w M)^T)^T: conjugate the factors, not the D x D matrices
+        return _kron_apply([f.conj() for f in self.basis.factors], wm.T).T
 
     def same_basis(self, other: QuadratureFamily) -> bool:
         """Whether two families share one basis: the cutoffs, couplings and U agree."""
@@ -738,6 +772,35 @@ def _apply_longitudinal(h: np.ndarray, space: HilbertSpec, em: EmitterSpec,
     return h_ext, ext
 
 
+def _family_bundle(cs: CouplingSet, h0: np.ndarray, parity_signs: Optional[Sequence[int]],
+                   cutoffs: tuple[int, ...], gauge: GaugeParam, meta: dict,
+                   order: Optional[int] = None,
+                   hook: Optional[Callable] = None) -> HamiltonianBundle:
+    """The member at this gauge, or with `order` the naive theta = 0 series, of the couplings
+    cs with matter Hamiltonian h0.  A `sectored` family is solved in the quadrature basis;
+    any other member is formed in the Fock basis, from the family when the couplings
+    factor and from the dense generator otherwise, and hook(h, space) -> (h, space) appends
+    the longitudinal factor to it.  The bundle declares the parity of parity_signs, when
+    given, and without the hook time reversal when chi, the couplings and h0 are real."""
+    family = QuadratureFamily.of_couplings(cs, h0, parity_signs, cutoffs)
+    if family is not None and family.sectored and hook is None:
+        return HamiltonianBundle.in_quadrature_basis(
+            family, gauge, family.blocks(gauge.theta, [1.0], order), meta)
+    if family is not None:
+        a, b = family.members(gauge.theta, [1.0], order)
+        h, space = family.fock_matrix([block[0] for block in a], b[:, :, 0]), family.space
+    else:
+        space = standard_space(cutoffs, cs.matter_dim)
+        gen = HermitianGenerator(cs.generator_matrix(space), space)
+        h_f, h_0 = field_hamiltonian(cs.chi, space), space.kron({len(cutoffs): h0})
+        h = (h_f + gen.nested_commutators(h_0, order) if order is not None
+             else gen.conjugate(-gauge.theta, h_f) + gen.conjugate(1.0 - gauge.theta, h_0))
+    if hook is not None:
+        h, space = hook(h, space)
+    return _bundle(h, space, gauge, meta, parity_signs,
+                   hook is None and _real(cs.chi, cs.eta_matrices, h0))
+
+
 def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
                  cutoffs: Union[int, Sequence[int]],
                  longitudinal: Optional[LongitudinalCoupling] = None) -> HamiltonianBundle:
@@ -750,28 +813,20 @@ def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
     emitter's parity whenever `EmitterSpec.parity_signs` finds one; the
     auxiliary factor of the hook counts as one more photon factor in it.
     Without the hook it declares time reversal when chi, the couplings and
-    h0 are real.  Without the hook, a system that `QuadratureFamily.of`
-    takes is built in its field-quadrature basis; other systems are
-    assembled in the Fock basis.
+    h0 are real.  Couplings that factor are built from their
+    `QuadratureFamily` (`_family_bundle`), whose member the hook extends in
+    the Fock basis.
     """
     cutoffs = _normalize_cutoffs(cutoffs, ms.n_modes)
     cs = couplings(ms, em)
     _check_cutoff_headroom(cutoffs, g.theta, cs)
     meta = {"builder": "build_dipole", "truncation": "correct",
             "cutoffs": cutoffs, "theta": g.theta, "eta": _eta_summary(cs)}
-    family = QuadratureFamily.of(ms, em, cutoffs) if longitudinal is None else None
-    if family is not None:
-        return HamiltonianBundle.in_quadrature_basis(family, g, family.blocks(g.theta, [1.0]),
-                                                     meta)
-    space = standard_space(cutoffs, em.n_levels)
-    gen = cs.generator(space)
-    h = gen.conjugate_photon(-g.theta, field_hamiltonian(ms.chi, _photon_part(space)))
-    h += gen.conjugate_matter(1.0 - g.theta, em.h0)
+    hook = None
     if longitudinal is not None:
-        h, space = _apply_longitudinal(h, space, em, longitudinal)
+        hook = partial(_apply_longitudinal, em=em, lc=longitudinal)
         meta["longitudinal"] = "custom"
-    return _bundle(h, space, g, meta, em.parity_signs,
-                   longitudinal is None and _real(cs.chi, cs.eta_matrices, em.h0))
+    return _family_bundle(cs, em.h0, em.parity_signs, cutoffs, g, meta, hook=hook)
 
 
 def _eta_summary(cs: CouplingSet):
@@ -805,12 +860,11 @@ def build_naive(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
 
     theta = 0: the minimal-coupling conjugation U H_0 U^dag is replaced by its
     Taylor series in the generator, truncated at `order` (order 1 keeps the
-    linear drive only): in the field-quadrature basis for the systems that
-    `QuadratureFamily.of` takes, else summed by the generator
-    (`nested_commutators`).  theta = 1: the correct multipolar form
-    minus the mode-truncated polarization-squared correction.  Other theta
-    values are not defined.  Parity and time reversal are declared as in
-    `build_dipole`.
+    linear drive only): from the `QuadratureFamily` when the couplings factor,
+    else summed by the dense generator (`nested_commutators`).  theta = 1:
+    the correct multipolar form minus the mode-truncated polarization-squared
+    correction.  Other theta values are not defined.  Parity and time
+    reversal are declared as in `build_dipole`.
     """
     if order < 1:
         raise ValueError(f"unsupported naive order {order}")
@@ -818,19 +872,13 @@ def build_naive(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
         raise ValueError("naive builders are defined at theta = 0 and theta = 1 only")
     cutoffs = _normalize_cutoffs(cutoffs, ms.n_modes)
     cs = couplings(ms, em)
-    space = standard_space(cutoffs, em.n_levels)
     meta = {"builder": "build_naive", "truncation": "naive", "cutoffs": cutoffs,
             "theta": g.theta, "order": order, "eta": _eta_summary(cs)}
-    family = QuadratureFamily.of(ms, em, cutoffs) if g.theta == 0.0 else None
-    if family is not None:
-        return HamiltonianBundle.in_quadrature_basis(family, g, family.blocks(0.0, [1.0], order),
-                                                     meta)
     if g.theta == 0.0:
-        h = cs.generator(space).nested_commutators(em.h0, order)
-        h += field_hamiltonian(ms.chi, space)
-    else:
-        h = field_hamiltonian(ms.chi, space) + space.kron({space.matter_indices[0]: em.h0})
-        h += multipolar_interaction(cs, space)
+        return _family_bundle(cs, em.h0, em.parity_signs, cutoffs, g, meta, order)
+    space = standard_space(cutoffs, em.n_levels)
+    h = field_hamiltonian(ms.chi, space) + space.kron({space.matter_indices[0]: em.h0})
+    h += multipolar_interaction(cs, space)
     return _bundle(h, space, g, meta, em.parity_signs, _real(cs.chi, cs.eta_matrices, em.h0))
 
 
@@ -877,7 +925,8 @@ def build_beyond_dipole(chi: Union[float, np.ndarray],
     which gives per mode the segment-averaged coupling eta_bar_mu (from the
     integral over [-1, 1]) and its even-field companion g_even,mu (from the
     difference of the integrals over [0, 1] and [-1, 0]).  The Coulomb form
-    is the exact conjugation with eta_mu = (eta_bar_mu / 2) sigma_x, which
+    is the theta = 0 member of the gauge family with
+    eta_mu = (eta_bar_mu / 2) sigma_x (`QuadratureFamily`), which
     gives H_F + (omega0/2) [cos(Phi) sigma_z + sin(Phi) sigma_y],
     Phi = sum_mu eta_bar_mu a_mu^dag + H.c.  The multipolar form is the
     canonical one with eta_mu = g_even,mu 1 + (eta_bar_mu / 2) sigma_x: the
@@ -912,15 +961,15 @@ def build_beyond_dipole(chi: Union[float, np.ndarray],
     g_even = (d @ (a_int - b_int).conj().T) / (2 * np.sqrt(2 * chi_d))
 
     cutoffs = _normalize_cutoffs(cutoffs, m_modes)
-    space = standard_space(cutoffs, 2)
-    h = field_hamiltonian(chi, space)
     meta = {"builder": "build_beyond_dipole", "truncation": "correct",
             "cutoffs": cutoffs, "gauge_label": gauge,
             "eta_bar": [complex(v) for v in eta_bar]}
     half_sx = 0.5 * eta_bar[:, None, None] * PAULI_X
     if gauge == "coulomb":
-        h += CouplingSet(half_sx, chi).generator(space).conjugate_matter(1.0, h_matter)
-        return _bundle(h, space, COULOMB, meta, TLS_PARITY_SIGNS, _real(chi, eta_bar))
+        return _family_bundle(CouplingSet(half_sx, chi), h_matter, TLS_PARITY_SIGNS, cutoffs,
+                              COULOMB, meta)
+    space = standard_space(cutoffs, 2)
+    h = field_hamiltonian(chi, space)
     cs = CouplingSet(g_even[:, None, None] * np.eye(2) + half_sx, chi)
     h += multipolar_interaction(cs, space)
     h += space.kron({space.matter_indices[0]: h_matter + polarization_squared(cs)})
@@ -936,7 +985,8 @@ def build_generalized_1d(nm: NormalModeSet1D, em: EmitterSpec, gauge: str,
     The couplings are eta_mu = h_mu(x0) d_hat / sqrt(2 omega_mu) with
     chi = diag(omega), the d.f* / sqrt(2 chi) convention of `couplings`.
     gauge "gC":  H = sum_mu omega_mu a_mu^dag a_mu + U H_0 U^dag with the
-    exact truncated minimal-coupling unitary U = exp(i d.A(x0)).
+    exact truncated minimal-coupling unitary U = exp(i d.A(x0)), the theta = 0
+    member of the gauge family of these couplings (`QuadratureFamily`).
     gauge "gmp": H = H_F + H_0 + i sum_mu sqrt(omega_mu/2) h_mu(x0)
     (a_mu^dag - a_mu) (x) d_hat + polarization-squared term.  With
     truncation "correct" the polarization-squared sum runs over the kept
@@ -956,14 +1006,13 @@ def build_generalized_1d(nm: NormalModeSet1D, em: EmitterSpec, gauge: str,
                                                em.dipole[polarization_axis]), np.diag(nm.omega))
     cs = CouplingSet(every_mode.eta_matrices[:n_modes], every_mode.chi[:n_modes, :n_modes])
     cutoffs = _normalize_cutoffs(cutoffs, n_modes)
-    space = standard_space(cutoffs, em.n_levels)
-    h = field_hamiltonian(cs.chi, space)
     meta = {"builder": "build_generalized_1d", "truncation": truncation,
             "cutoffs": cutoffs, "gauge_label": gauge, "n_modes": n_modes, "x0": x0}
-    real = _real(every_mode.eta_matrices, em.h0)  # chi = diag(omega) is real
     if gauge == "gC":
-        h += cs.generator(space).conjugate_matter(1.0, em.h0)
-        return _bundle(h, space, COULOMB, meta, em.parity_signs, real)
+        return _family_bundle(cs, em.h0, em.parity_signs, cutoffs, COULOMB, meta)
+    space = standard_space(cutoffs, em.n_levels)
+    h = field_hamiltonian(cs.chi, space)
+    real = _real(every_mode.eta_matrices, em.h0)  # chi = diag(omega) is real
     p2 = polarization_squared(cs if truncation == "correct" else every_mode)
     h += multipolar_interaction(cs, space)
     h += space.kron({space.matter_indices[0]: em.h0 + p2})
@@ -980,7 +1029,8 @@ class TimeDependentHamiltonian:
     gauge condition; its sign is pinned by the gauge-equivalence of the
     resulting dynamics (see dynamics.td_gauge_equivalence).
 
-    H(t) is written in the generator's eigenbasis B (`basis`), where
+    H(t) is written in the generator's eigenbasis B (`basis`, from
+    `CouplingSet.generator`), where
     X = diag(xi) and exp(i s X) is the diagonal phase Phi(s) = diag(e^(i s xi)).
     K = B^dag (H_F (x) 1) B and M = B^dag (1 (x) H_0) B are fixed here and
     checked for Hermiticity once, before symmetrization; then
@@ -991,14 +1041,14 @@ class TimeDependentHamiltonian:
     `basis.to_fock` maps states back.
     """
 
-    def __init__(self, gauge: str, generator, h_field: np.ndarray,
+    def __init__(self, gauge: str, cs: CouplingSet, h_field: np.ndarray,
                  h_matter: np.ndarray, profile: TimeProfile, space: HilbertSpec,
                  extra_term_sign: float = TD_EXTRA_TERM_SIGN):
         if gauge not in ("coulomb", "multipolar"):
             raise ValueError(f"unknown gauge {gauge!r}")
         self.gauge = gauge
-        self.generator = generator
-        self.basis = generator.eigenbasis()
+        self.couplings = cs
+        self.basis = cs.generator(space)
         k = hermitian_part(self.basis.transform(kron(h_field, np.eye(len(h_matter)))),
                            "H(t) field term K")
         m = hermitian_part(self.basis.transform(kron(np.eye(len(h_field)), h_matter)),
@@ -1056,5 +1106,4 @@ def build_time_dependent(ms: ModeSet, em: EmitterSpec, gauge: str,
     cs = couplings(ms, em)
     space = standard_space(cutoffs, em.n_levels)
     h_field = field_hamiltonian(ms.chi, _photon_part(space))
-    return TimeDependentHamiltonian(gauge, cs.generator(space), h_field, em.h0, profile,
-                                    space, extra_term_sign)
+    return TimeDependentHamiltonian(gauge, cs, h_field, em.h0, profile, space, extra_term_sign)

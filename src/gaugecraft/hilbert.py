@@ -12,15 +12,14 @@ matrix where it enters (generator terms, chi, overlaps, dipoles, built and
 static Hamiltonians, the fixed K and M that H(t) is formed or applied from):
 a non-Hermitian matrix is refused, never averaged into a Hermitian one.
 
-Gauge generators come in two forms with one interface.  When the couplings
-share one Hermitian matter matrix D, X = (sum_mu phi_mu) (x) D with
-phi_mu = g_mu a_mu^dag + g_mu^* a_mu, and `KroneckerGenerator` keeps only
-each phi_mu's eigensystem, taken from the one `fock_quadrature` of its
-cutoff, and the n x n eigensystem of D.  Any other Hermitian generator goes
-through `HermitianGenerator`, which eigendecomposes the D x D matrix once.
-Both give the eigenbasis B of X, X = B diag(xi) B^dag, as an `Eigenbasis`
-that keeps B as Kronecker factors; there every exp(i s X) is a diagonal
-phase, and `Eigenbasis.apply` is the one way a gauge map reaches a vector.
+A gauge generator X is known by its eigenbasis B, X = B diag(xi) B^dag, an
+`Eigenbasis` that keeps B as Kronecker factors; there every exp(i s X) is a
+diagonal phase, and `Eigenbasis.apply` is the one way a gauge map reaches a
+vector.  When the couplings share one Hermitian matter matrix D, B is the
+field-quadrature basis of `hamiltonians.QuadratureFamily`, built from the
+one `fock_quadrature` of each cutoff (rotated by `mode_phase`) and the
+eigenvectors of D.  Any other Hermitian generator goes through
+`HermitianGenerator`, which eigendecomposes the D x D matrix once.
 Values are immutable after construction and safe to share across threads.
 
 Conventions: hbar = 1 and eps0 = 1 throughout the package.  Fock states are
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -83,15 +82,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product over the last two axes; leading (stack) axes broadcast."""
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
-
-
-def kron_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_k kron(left[k], right[k]) over two stacks (K, p, q) and (K, i, j), as one
-    product over k."""
-    k, p, q = left.shape
-    i, j = right.shape[1:]
-    out = left.reshape(k, p * q).T @ right.reshape(k, i * j)
-    return out.reshape(p, q, i, j).swapaxes(1, 2).reshape(p * i, q * j)
 
 
 @dataclass(frozen=True)
@@ -271,8 +261,8 @@ class HermitianGenerator:
     which `Eigenbasis.apply` applies it to vectors; repeated evaluations
     (gauge sweeps, time-dependent couplings) reuse the factorization, which
     is computed on first use and whose eigenvectors are checked to be unitary
-    then, once.  s is a float.  This is the dense form, for generators that
-    do not factor as a `KroneckerGenerator`.
+    then, once.  s is a float.  This is the dense form, for couplings that do
+    not share one matter matrix.
     """
 
     def __init__(self, matrix: np.ndarray, space: HilbertSpec):
@@ -300,19 +290,11 @@ class HermitianGenerator:
         u = self.unitary(s).matrix
         return u @ m @ _dagger(u)
 
-    def conjugate_photon(self, s: float, a: np.ndarray) -> np.ndarray:
-        """exp(i s X) (A (x) 1) exp(-i s X) for A on all factors but the last."""
-        return self.conjugate(s, kron(a, np.eye(self.space.factors[-1].dim)))
-
-    def conjugate_matter(self, s: float, b: np.ndarray) -> np.ndarray:
-        """exp(i s X) (1 (x) B) exp(-i s X) for B on the last factor."""
-        return self.conjugate(s, kron(np.eye(self.space.dim // b.shape[0]), b))
-
-    def nested_commutators(self, b: np.ndarray, order: int) -> np.ndarray:
-        """sum_{j<=order} (i^j / j!) ad_X^j(1 (x) B), ad_X(Y) = [X, Y], for B on the
-        last factor: the Taylor series of `conjugate_matter(1, B)` cut at `order`."""
+    def nested_commutators(self, m: np.ndarray, order: int) -> np.ndarray:
+        """sum_{j<=order} (i^j / j!) ad_X^j(M), ad_X(Y) = [X, Y]: the Taylor series of
+        `conjugate(1, M)` cut at `order`."""
         x = self.matrix
-        terms = [kron(np.eye(self.space.dim // b.shape[0]), b)]
+        terms = [m]
         for j in range(1, order + 1):
             terms.append((1j / j) * (x @ terms[-1] - terms[-1] @ x))
         return sum(terms)
@@ -348,20 +330,6 @@ def fock_quadrature(fock_cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     for arr in (x, kept):
         arr.flags.writeable = False
     return x, kept
-
-
-def _local_eig(g: complex, fock_cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, unitary eigenvectors) of phi = g a^dag + g^* a on |0> .. |N>.
-
-    phi = |g| R (a + a^dag) R^dag with R = diag(e^(i n arg g)), so its
-    eigensystem is (|g| x, R v) with (x, v) = `fock_quadrature`; g = 0 gives
-    the identity.  The eigenvectors are real for a real g.
-    """
-    n = fock_cutoff + 1
-    if g == 0:
-        return np.zeros(n), np.eye(n)
-    x, v = fock_quadrature(fock_cutoff)
-    return abs(g) * x, mode_phase(g, n)[:, None] * v
 
 
 def mode_phase(g: complex, n: int) -> np.ndarray:
@@ -425,130 +393,3 @@ class Eigenbasis:
         y = self.from_fock(np.asarray(x))
         phase = np.exp(1j * (s * self.xi))
         return self.to_fock(phase.reshape(phase.shape + (1,) * (y.ndim - 1)) * y)
-
-
-class KroneckerGenerator:
-    """Hermitian generator X = (sum_i phi_i) (x) D, phi_i = g_i a_i^dag + g_i^* a_i, kept
-    as local eigendecompositions.
-
-    The couplings g_i act on the leading (photon) factors of `space` and the
-    Hermitian matter matrix D on its last factor, the (g, D) that
-    `CouplingSet.common_matter_matrix` returns.  The terms act on different
-    factors and commute, so with D = sum_k lam_k P_k
-
-        exp(i s X) = sum_k E(s lam_k) (x) P_k,   E(t) = (x)_i exp(i t phi_i),
-
-    exactly on the truncated space.  Only the local and the n x n matter
-    eigendecompositions are needed, and each phi_i takes its eigensystem from
-    the one `fock_quadrature` of its cutoff, rotated by the phase of g_i
-    (`_local_eig`), so modes and gauges of one cutoff share a single
-    eigensolve.  Unitarity of the quadrature's v (once per cutoff; the
-    rotation is a diagonal of unit phases) and orthogonality and completeness
-    of the P_k are verified once, which makes every assembled exp(i s X)
-    exactly unitary; no D x D check is repeated.  The interface matches
-    `HermitianGenerator`.
-    """
-
-    def __init__(self, couplings: Sequence[complex], matter: np.ndarray,
-                 space: HilbertSpec):
-        if len(couplings) != len(space.factors) - 1:
-            raise ValueError("need one coupling per leading factor")
-        if np.shape(matter) != (space.factors[-1].dim,) * 2:
-            raise ValueError("matter matrix does not match the last factor")
-        self.space = space
-        self._couplings = list(couplings)
-        self._matter = hermitian_part(matter, "matter generator term")
-        # per leading factor (i nu, v, v^dag), v^dag contiguous for the products below
-        self._local_eigs = [(1j * nu, v, np.ascontiguousarray(_dagger(v)))
-                            for nu, v in (_local_eig(g, f.fock_cutoff)
-                                          for g, f in zip(self._couplings, space.factors))]
-        self._lam, vecs = np.linalg.eigh(self._matter)
-        _check_unitary_columns(vecs, "matter eigenprojectors are not orthogonal")
-        self._vecs = vecs
-        self._proj = np.einsum("ik,jk->kij", vecs, vecs.conj())  # P_k
-        dev = max_abs(self._proj.sum(axis=0) - np.eye(len(self._lam)))
-        if dev >= UNITARY_TOL:
-            raise InvariantViolation(f"matter eigenprojectors are not complete, dev {dev:.3e}")
-        gaps = self._lam[:, None] - self._lam[None, :]
-        self._coupled = gaps != 0  # pairs (k, l) with lam_k != lam_l
-        self._gaps = gaps[self._coupled]
-        self._leading = HilbertSpec(space.factors[:-1])
-
-    def _local_exps(self, t: np.ndarray) -> list:
-        """exp(i t phi_i) = v exp(i t nu) v^dag for every entry of t: one stack of
-        matrices per leading factor, a real product for a real v."""
-        return [_left_multiply(v, np.exp(np.multiply.outer(t, i_nu))[..., :, None] * vh)
-                for i_nu, v, vh in self._local_eigs]
-
-    def _photon_term(self) -> np.ndarray:
-        """sum_i phi_i on the leading factors."""
-        terms = []
-        for i, (g, f) in enumerate(zip(self._couplings, self._leading.factors)):
-            a = ladder_matrix(f.fock_cutoff)
-            terms.append(self._leading.kron({i: g * a.conj().T + np.conj(g) * a}))
-        return sum(terms)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """X as a dense matrix, built once on first use."""
-        return kron(self._photon_term(), self._matter)
-
-    def nested_commutators(self, b: np.ndarray, order: int) -> np.ndarray:
-        """sum_{j<=order} (i^j / j!) ad_X^j(1 (x) B), ad_X(Y) = [X, Y], B on the last factor.
-
-        With phi = sum_i phi_i, [phi (x) D, phi^j (x) C] = phi^(j+1) (x) [D, C],
-        so ad_X^j(1 (x) B) = phi^j (x) ad_D^j(B) and the series is one Kronecker
-        sum over j, without a D x D product.  Two-level emitters sum it in the
-        field-quadrature basis (`hamiltonians.QuadratureFamily`); this form is
-        kept for N-level emitters, where routed through the `eigenbasis` it
-        took 116 ms against 40 ms at order 2 and D = 882 (two modes, N = 20,
-        a two-level emitter, 2 cores).
-        """
-        phi = self._photon_term()
-        powers, terms = [np.eye(len(phi), dtype=complex)], [np.asarray(b, dtype=complex)]
-        for j in range(1, order + 1):
-            powers.append(powers[-1] @ phi)
-            # (i^j / j!) ad_D^j(B) from the previous term
-            terms.append((1j / j) * (self._matter @ terms[-1] - terms[-1] @ self._matter))
-        return kron_sum(np.array(powers), np.array(terms))
-
-    def eigenbasis(self) -> Eigenbasis:
-        """X = B diag(xi) B^dag with B = v_0 (x) v_1 (x) ... (x) W, the local eigenvectors
-        v_i and the matter eigenvectors W, and xi = (nu_0 (+) nu_1 (+) ...) (x) lam."""
-        nu = reduce(np.add.outer, [i_nu.imag for i_nu, _, _ in self._local_eigs], 0.0)
-        return Eigenbasis(np.multiply.outer(nu, self._lam).ravel(),
-                          tuple(v for _, v, _ in self._local_eigs) + (self._vecs,))
-
-    def unitary(self, s: float) -> Operator:
-        """exp(i s X) = sum_k E(s lam_k) (x) P_k, one Kronecker sum.  Kept in this form
-        rather than formed as B e^{i s xi} B^dag from the `eigenbasis`: that took
-        32 ms against 14 ms at D = 882 (two modes, N = 20, 2 cores)."""
-        w = kron_sum(reduce(kron, self._local_exps(s * self._lam)), self._proj)
-        return Operator(w, self.space)
-
-    def conjugate_photon(self, s: float, a: np.ndarray) -> np.ndarray:
-        """exp(i s X) (A (x) 1) exp(-i s X) = sum_k E A E^dag (x) P_k, E = E(s lam_k).
-
-        Two-level emitters are built in the field-quadrature basis
-        (`hamiltonians.QuadratureFamily`); this form is kept for N-level
-        emitters and the longitudinal hook, where B Phi (B^dag (A (x) 1) B) Phi^*
-        B^dag in the `eigenbasis`, with `conjugate_matter` likewise, took 107 ms
-        against 33 ms for the assembly at D = 882 (two modes, N = 20, theta =
-        0.37, a two-level emitter, 2 cores)."""
-        e = self._local_exps(s * self._lam)
-        return kron_sum(_dagger(_kron_apply(e, _dagger(_kron_apply(e, a)))), self._proj)
-
-    def conjugate_matter(self, s: float, b: np.ndarray) -> np.ndarray:
-        """exp(i s X) (1 (x) B) exp(-i s X) = sum_kl E(s (lam_k - lam_l)) (x) P_k B P_l.
-
-        Kept in this form, for the systems and the reason `conjugate_photon` gives."""
-        b = np.asarray(b, dtype=complex)
-        blocks = self._proj[:, None] @ b @ self._proj[None, :]
-        out = kron_sum(reduce(kron, self._local_exps(s * self._gaps)),
-                       blocks[self._coupled])
-        # pairs with lam_k = lam_l have E(0) = 1: add them on the photon diagonal
-        n, m = self._leading.dim, b.shape[0]
-        diagonal = np.arange(n)
-        uncoupled = blocks[~self._coupled].sum(axis=0)
-        out.reshape(-1, n, m, n, m)[:, diagonal, :, diagonal, :] += uncoupled
-        return out

@@ -12,6 +12,7 @@ two-level emitter the convention is |e> first, so sigma_z = diag(+1, -1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -77,9 +78,10 @@ class EmitterSpec:
         """Bare Hamiltonian diag(levels) in the emitter basis."""
         return np.diag(self.levels).astype(complex)
 
-    @property
+    @cached_property
     def parity_signs(self) -> Optional[np.ndarray]:
-        """+-1 per level with S d S = -d for every dipole component, or None.
+        """+-1 per level with S d S = -d for every dipole component, or None; computed
+        once per emitter and kept read-only.
 
         Levels that no dipole entry connects get +1, as does the first level
         of every connected group, so a two-level emitter has (+1, -1).
@@ -102,6 +104,7 @@ class EmitterSpec:
                         stack.append(j)
                     elif signs[j] == signs[i]:
                         return None
+        signs.flags.writeable = False
         return signs
 
     @property

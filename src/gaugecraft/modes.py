@@ -226,10 +226,6 @@ class QnmSet:
     def n_modes(self) -> int:
         return self.omega.shape[0]
 
-    @property
-    def quality(self) -> np.ndarray:
-        return self.omega / (2 * self.gamma)
-
     def overlap_at(self, freqs: np.ndarray) -> np.ndarray:
         """S(omega) sampled on `freqs`, shape (len(freqs), M, M)."""
         if self.overlap_freqs is None:

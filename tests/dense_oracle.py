@@ -1,23 +1,28 @@
-"""Dense reference assembly of the gauge family: the oracle for the factored builders.
+"""Dense reference assembly of the gauge family: the oracle for the package's builders.
 
 Every operator is embedded in the full space with `HilbertSpec.embed` and
 combined by D x D matrix products, and every exponential exp(i s X) goes
-through one D x D eigendecomposition of the generator.  This is slow, and
-independent of the Kronecker factoring that the package uses.
+through one D x D eigendecomposition of the generator (`DenseSystem`).  This
+is slow, and independent of the field-quadrature basis and the local factors
+that the package uses: no function here calls the package's gauge
+conjugation (`CouplingSet.generator`, `QuadratureFamily`,
+`HermitianGenerator`).
 
 `beyond_dipole` and `generalized_1d` write the beyond-dipole and the 1D
 normal-mode Hamiltonians out term by term, as closed forms that do not go
 through a `CouplingSet`.
 
-`kronecker_dipole` and `kronecker_naive` are the Fock-basis assembly that
-`build_dipole` and `build_naive` still use for N-level emitters and the
-longitudinal hook, applied to any system, and `kronecker_bundle` their
-bundle: the oracle of the two-level builds, which come in the
-field-quadrature basis.
+`dipole_matrix` and `naive_matrix` are H(theta) and the naive theta = 0
+series of `DenseSystem`, and `dense_bundle` their bundle, declaring the
+builders' parity and time reversal: the oracle of `build_dipole` and
+`build_naive`.
 
-`nested_commutator_series` is the naive Taylor truncation of U H_0 U^dag.
+`nested_commutator_series` is the naive Taylor truncation of U H_0 U^dag, and
+`with_longitudinal` appends the longitudinal hook's factor to a Hamiltonian.
 `ambiguity_scan` is the coupling scan one coupling at a time, each with its
-own three scalar cutoff ladders (`ambiguity_ladders`, `converged_ground_energy`).
+own three scalar cutoff ladders (`ambiguity_ladders`, `converged_ground_energy`):
+the closed Coulomb form `build_tls_coulomb_single`, and the multipolar member
+and the naive series of `dense_bundle`.
 `detection_operator` is the golden-rule operator of `detect` as one D x D
 matrix, written out with numpy.kron; `rate_table` and
 `significant_transitions` apply it, and the formed gauge unitary W of
@@ -37,17 +42,16 @@ truncated field operators A and E at a point with the residual of the
 Heisenberg identity E = i [A, H_F] between them (`field_commutator_residual`).
 """
 
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.linalg
 
 from gaugecraft.errors import ConvergenceError, InvariantViolation
 from gaugecraft.gaugecheck import DEFAULT_LOW_FRACTION, AmbiguityRow, tls_single_mode_modeset
-from gaugecraft.hamiltonians import field_hamiltonian as kron_field_hamiltonian
 from gaugecraft.hamiltonians import (COULOMB, MULTIPOLAR, TLS_PARITY_SIGNS, HamiltonianBundle,
-                                     _normalize_cutoffs, build_dipole, build_naive, couplings,
-                                     segment_integral, standard_space)
+                                     _normalize_cutoffs, couplings, segment_integral,
+                                     standard_space)
 from gaugecraft.hilbert import (HERMITIAN_TOL, HilbertSpec, Operator, PAULI_X, PAULI_Y, PAULI_Z,
                                 ladder_matrix, max_abs, parity_labels, photon)
 
@@ -86,11 +90,15 @@ class DenseSystem:
         self.h_f = field_hamiltonian(ms.chi, self.space)
         self.h_0 = self.space.embed(self.space.matter_indices[0], em.h0)
         self.x = generator_matrix(couplings(ms, em).eta_matrices, self.space)
-        self._vals, self._vecs = np.linalg.eigh(self.x)
+
+    @cached_property
+    def _eig(self):
+        return np.linalg.eigh(self.x)
 
     def unitary(self, s):
         """exp(i s X)."""
-        return (self._vecs * np.exp(1j * s * self._vals)) @ self._vecs.conj().T
+        vals, vecs = self._eig
+        return (vecs * np.exp(1j * s * vals)) @ vecs.conj().T
 
     def conjugate(self, s, m):
         u = self.unitary(s)
@@ -124,31 +132,40 @@ def fock_td_matrix(tdh, t):
     return b @ tdh.matrix(t) @ b.conj().T
 
 
-def kronecker_dipole(ms, em, theta, cutoffs):
-    """(H(theta), space) from the factored generator's Kronecker conjugations of H_F and h0."""
-    space = standard_space(_normalize_cutoffs(cutoffs, ms.n_modes), em.n_levels)
-    gen = couplings(ms, em).generator(space)
-    h_f = kron_field_hamiltonian(ms.chi, HilbertSpec(space.factors[:-1]))
-    return gen.conjugate_photon(-theta, h_f) + gen.conjugate_matter(1.0 - theta, em.h0), space
+def dipole_matrix(ms, em, theta, cutoffs):
+    """(H(theta), space) of `DenseSystem`."""
+    dense = DenseSystem(ms, em, _normalize_cutoffs(cutoffs, ms.n_modes))
+    return dense.hamiltonian(theta), dense.space
 
 
-def kronecker_naive(ms, em, cutoffs, order):
-    """(H, space) of the naive theta = 0 series, summed by the generator's
-    `nested_commutators`."""
-    space = standard_space(_normalize_cutoffs(cutoffs, ms.n_modes), em.n_levels)
-    h = couplings(ms, em).generator(space).nested_commutators(em.h0, order)
-    return h + kron_field_hamiltonian(ms.chi, space), space
+def naive_matrix(ms, em, cutoffs, order):
+    """(H, space) of the naive theta = 0 series, `nested_commutator_series` of the dense X."""
+    dense = DenseSystem(ms, em, _normalize_cutoffs(cutoffs, ms.n_modes))
+    return dense.h_f + nested_commutator_series(dense.x, dense.h_0, order), dense.space
 
 
-def kronecker_bundle(ms, em, gauge, cutoffs, order=None):
-    """`build_dipole`, or with `order` the theta = 0 `build_naive`, assembled in the Fock
-    basis and declaring the parity and time reversal as the builders do."""
-    h, space = (kronecker_dipole(ms, em, gauge.theta, cutoffs) if order is None
-                else kronecker_naive(ms, em, cutoffs, order))
+def dense_bundle(ms, em, gauge, cutoffs, order=None):
+    """`build_dipole`, or with `order` the theta = 0 `build_naive`, from `DenseSystem`,
+    declaring the parity and time reversal as the builders do."""
+    h, space = (dipole_matrix(ms, em, gauge.theta, cutoffs) if order is None
+                else naive_matrix(ms, em, cutoffs, order))
     cs = couplings(ms, em)
     real = not any(np.any(np.imag(a)) for a in (cs.chi, cs.eta_matrices, em.h0))
-    meta = {"builder": "kronecker", "cutoffs": _normalize_cutoffs(cutoffs, ms.n_modes)}
-    return HamiltonianBundle(h, space, gauge, meta, parity_labels(space, em.parity_signs), real)
+    parity = None if em.parity_signs is None else parity_labels(space, em.parity_signs)
+    meta = {"builder": "dense", "cutoffs": _normalize_cutoffs(cutoffs, ms.n_modes)}
+    return HamiltonianBundle(h, space, gauge, meta, parity, real)
+
+
+def with_longitudinal(h, em, lc):
+    """h (x) 1 + omega b^dag b + (1 (x) d_hat . direction) (x) g (b + b^dag): a
+    `LongitudinalCoupling`'s auxiliary factor appended to h on the photon and matter
+    factors, with numpy.kron."""
+    n = lc.cutoff + 1
+    b = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+    d = np.einsum("cij,c->ij", em.dipole, np.asarray(lc.direction, dtype=float))
+    photons = np.eye(len(h) // em.n_levels)
+    return (np.kron(h, np.eye(n)) + np.kron(np.eye(len(h)), lc.omega * b.T @ b)
+            + np.kron(np.kron(photons, d), lc.coupling * (b + b.T)))
 
 
 def nested_commutator_series(x, h0, order):
@@ -403,9 +420,9 @@ def ambiguity_ladders(chi, omega0, eta, start_cutoff=20, tol=1e-7, order=1):
     """{ladder: (E0, cutoff)} of one coupling's three scalar ladders (Coulomb,
     multipolar, naive Coulomb), on its own `tls_single_mode_modeset`."""
     ms, em = tls_single_mode_modeset(chi, eta, omega0)
-    builds = {"coulomb": lambda n: kronecker_bundle(ms, em, COULOMB, n),
-              "multipolar": lambda n: kronecker_bundle(ms, em, MULTIPOLAR, n),
-              "naive": lambda n: kronecker_bundle(ms, em, COULOMB, n, order)}
+    builds = {"coulomb": lambda n: build_tls_coulomb_single(chi, omega0, eta, n),
+              "multipolar": lambda n: dense_bundle(ms, em, MULTIPOLAR, n),
+              "naive": lambda n: dense_bundle(ms, em, COULOMB, n, order)}
     return {name: converged_ground_energy(build, tol, start_cutoff)
             for name, build in builds.items()}
 

@@ -49,13 +49,14 @@ def test_generator_apply_matches_the_formed_unitary(system, theta, k):
     cs = couplings(ms, em)
     space = standard_space(cutoffs, em.n_levels)
     block = random_block(k, space.dim, k)
-    # the package's generator (Kronecker-factored unless the couplings do not factor)
-    # and the dense one of the same X
-    for gen in (cs.generator(space), HermitianGenerator(cs.generator_matrix(space), space)):
-        u = gen.unitary(theta).matrix
+    # the package's generator (the family's basis unless the couplings do not factor) and
+    # the dense one of the same X, against the formed dense unitary
+    u = HermitianGenerator(cs.generator_matrix(space), space).unitary(theta).matrix
+    for basis in (cs.generator(space), HermitianGenerator(cs.generator_matrix(space),
+                                                          space).eigenbasis()):
         for x in (block[:, 0], block):
             want = u @ x
-            got = gen.eigenbasis().apply(theta, x)
+            got = basis.apply(theta, x)
             assert got.shape == want.shape
             assert max_abs(got - want) <= APPLY_TOL * max(1.0, max_abs(want))
 

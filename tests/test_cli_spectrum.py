@@ -86,3 +86,25 @@ def test_metadata_records_the_basis_and_its_measured_symmetries(tmp_path, sectio
     assert ("time_reversal_imag" in diagnostics) == (not hooked)  # real chi and couplings
     if not hooked:
         assert 0.0 <= diagnostics["time_reversal_imag"] <= 1e-12
+
+
+def run(tmp_path, ms, em, **sections):
+    """Exit code of one `spectrum` run."""
+    doc = {"seed": 0, "modeset": modeset_to_json(ms), "emitter": emitter_to_json(em),
+           **sections}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    return main(["spectrum", "--config", str(config), "--out", str(tmp_path / "out")])
+
+
+def test_beyond_dipole_section_without_single_particle_data_exits_2(tmp_path, capsys):
+    section = {"profile": {"kind": "constant", "value": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}}
+    assert run(tmp_path, TWO_MODES, EMITTER, fock_cutoffs=list(CUTOFFS),
+               beyond_dipole=section) == 2
+    assert "'q' and 'r_dip'" in capsys.readouterr().err
+
+
+def test_naive_truncation_between_the_endpoints_exits_2(tmp_path, capsys):
+    assert run(tmp_path, TWO_MODES, EMITTER, fock_cutoffs=list(CUTOFFS), gauge_theta=0.5,
+               truncation="naive") == 2
+    assert "'gauge_theta' 0 and 1 only" in capsys.readouterr().err

@@ -209,7 +209,7 @@ def test_norm_drift_raises(monkeypatch):
 def test_observables_match_the_einsum_form():
     td = build_time_dependent(TWO_MODES, EMITTER, "multipolar", PROFILES["linear"][0], CUTOFFS)
     traj = evolve(td, ground_state(td, 0.0), GRIDS["straddling"])
-    obs = dynamics.default_observables(td.space, td.generator.matrix)
+    obs = dynamics.default_observables(td.space, td.couplings.generator_matrix(td.space))
     assert sorted(traj.observables) == sorted(obs) == ["X", "n0", "n1", "sz"]
     for label, m in obs.items():
         want = np.einsum("ki,ij,kj->k", traj.states.conj(), m, traj.states).real

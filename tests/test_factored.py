@@ -1,4 +1,5 @@
-"""Kronecker-factored gauge family against the dense oracle, and its structural guards."""
+"""The factored gauge family and the dense generator against the dense oracle, and their
+structural guards."""
 
 import numpy as np
 import pytest
@@ -12,8 +13,7 @@ from gaugecraft import (COULOMB, MULTIPOLAR, EmitterSpec, GaugeParam, InvariantV
                         ModeSet, build_dipole, build_naive, build_time_dependent, couplings,
                         field_hamiltonian, gauge_unitary, raised_cosine_ramp, standard_space,
                         td_gauge_equivalence, tls, verify_spectral_equivalence)
-from gaugecraft.hilbert import (HermitianGenerator, HilbertSpec, KroneckerGenerator,
-                                ladder_matrix, matter_levels, max_abs, photon)
+from gaugecraft.hilbert import HermitianGenerator, HilbertSpec, max_abs, photon
 
 pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
 
@@ -79,16 +79,23 @@ def test_kronecker_sums_match_embedded_products(system):
     dense = DenseSystem(ms, em, cutoffs)
     assert_close(field_hamiltonian(ms.chi, dense.space), dense.h_f, "H_F")
     assert_close(couplings(ms, em).generator_matrix(dense.space), dense.x, "X")
-    assert_close(couplings(ms, em).generator(dense.space).matrix, dense.x, "generator.matrix")
+    basis = couplings(ms, em).generator(dense.space)
+    b = dense_oracle.basis_matrix(basis)
+    assert_close((b * basis.xi) @ b.conj().T, dense.x, "B diag(xi) B^dag")
+
+
+def basis_factors(n_modes, kind):
+    """Factors of the generator's eigenbasis: one per mode and the matter eigenvectors for
+    couplings that factor, the one dense eigenbasis of X otherwise."""
+    return 1 if kind == "multi_axis" else n_modes + 1
 
 
 @settings(max_examples=30, deadline=None)
 @given(system=systems())
 def test_generator_branch_follows_the_couplings(system):
     ms, em, cutoffs, kind = system
-    gen = couplings(ms, em).generator(DenseSystem(ms, em, cutoffs).space)
-    expected = HermitianGenerator if kind == "multi_axis" else KroneckerGenerator
-    assert type(gen) is expected
+    basis = couplings(ms, em).generator(DenseSystem(ms, em, cutoffs).space)
+    assert len(basis.factors) == basis_factors(ms.n_modes, kind)
 
 
 @settings(max_examples=30, deadline=None)
@@ -128,8 +135,7 @@ def test_time_dependent_matrix_matches_oracle(system):
     dense = DenseSystem(ms, em, cutoffs)
     for gauge in ("coulomb", "multipolar"):
         tdh = build_time_dependent(ms, em, gauge, RAMP, cutoffs)
-        expected = HermitianGenerator if kind == "multi_axis" else KroneckerGenerator
-        assert type(tdh.generator) is expected
+        assert len(tdh.basis.factors) == basis_factors(ms.n_modes, kind)
         b = dense_oracle.basis_matrix(tdh.basis)
         assert_close((b * tdh.basis.xi) @ b.conj().T, dense.x, "B diag(xi) B^dag")
         for t in RAMP_TIMES:
@@ -164,7 +170,7 @@ def test_time_dependent_operator_matches_the_formed_and_dense_hamiltonian(system
 def test_eigenbasis_maps_match_the_formed_basis(kind):
     ms, em = random_system(4, 2, kind)
     space = standard_space((3, 4), em.n_levels)
-    basis = couplings(ms, em).generator(space).eigenbasis()
+    basis = couplings(ms, em).generator(space)
     b = dense_oracle.basis_matrix(basis)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(space.dim, 3)) + 1j * rng.normal(size=(space.dim, 3))
@@ -244,25 +250,22 @@ class TestHermiticityBeforeSymmetrization:
                 build_time_dependent(ms, em, gauge, RAMP, (4, 3))
 
 
-class TestKroneckerGeneratorChecks:
-    def test_rejects_non_hermitian_matter_matrix(self):
-        space = HilbertSpec([photon(3), matter_levels(2)])
-        with pytest.raises(InvariantViolation):
-            KroneckerGenerator([0.5], ladder_matrix(1), space)
+def test_generator_rejects_a_space_of_the_wrong_shape():
+    cs = couplings(*random_system(1, 2, "tls"))
+    with pytest.raises(ValueError, match="matter factor dimension"):
+        cs.generator(standard_space((3, 2), 3))
+    with pytest.raises(ValueError, match="modes or matter factor"):
+        cs.generator(standard_space((3,), 2))
+    with pytest.raises(ValueError, match="modes or matter factor"):
+        cs.generator(HilbertSpec([photon(3), photon(2)]))
 
-    def test_rejects_term_of_wrong_size(self):
-        space = HilbertSpec([photon(3), matter_levels(2)])
-        with pytest.raises(ValueError, match="matter matrix"):
-            KroneckerGenerator([0.5], np.eye(3), space)
-        with pytest.raises(ValueError, match="one coupling per leading factor"):
-            KroneckerGenerator([0.5, 0.5], np.eye(2), space)
 
-    def test_zero_couplings_give_identity_unitary(self):
-        ms, em = random_system(1, 2, "tls")
-        em = tls(1.0, (0.0, 0.0, 0.0))
-        space = hamiltonians.standard_space((3, 2), 2)
-        w = gauge_unitary(space, couplings(ms, em), 0.0, 1.0)
-        assert max_abs(w.matrix - np.eye(space.dim)) < 1e-15
+def test_zero_couplings_give_identity_unitary():
+    ms, em = random_system(1, 2, "tls")
+    em = tls(1.0, (0.0, 0.0, 0.0))
+    space = hamiltonians.standard_space((3, 2), 2)
+    w = gauge_unitary(space, couplings(ms, em), 0.0, 1.0)
+    assert max_abs(w.matrix - np.eye(space.dim)) < 1e-15
 
 
 def test_masked_residual_equals_projector_form():
@@ -304,12 +307,11 @@ def test_eigensystem_is_computed_once(monkeypatch):
 @settings(max_examples=30, deadline=None)
 @given(system=systems(), order=st.integers(1, 3))
 def test_nested_commutators_match_dense_series(system, order):
-    ms, em, cutoffs, kind = system
+    ms, em, cutoffs, _ = system
     dense = DenseSystem(ms, em, cutoffs)
     want = dense_oracle.nested_commutator_series(dense.x, dense.h_0, order)
-    gen = couplings(ms, em).generator(dense.space)
-    assert type(gen) is (HermitianGenerator if kind == "multi_axis" else KroneckerGenerator)
-    dev = max_abs(gen.nested_commutators(em.h0, order) - want)
+    gen = HermitianGenerator(couplings(ms, em).generator_matrix(dense.space), dense.space)
+    dev = max_abs(gen.nested_commutators(dense.h_0, order) - want)
     assert dev <= 1e-12 * max(1.0, max_abs(want)), f"order {order}: deviation {dev:.3e}"
     h = build_naive(ms, em, COULOMB, cutoffs, order=order).H.matrix
     assert_close(h, dense.h_f + want, "naive theta = 0")

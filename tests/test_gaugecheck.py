@@ -142,8 +142,8 @@ class TestQuadraturePair:
         h_a, h_b = gauge_check_pair(ms, em, 30, order)
         assert h_a.basis == h_b.basis == "quadrature"
         # the same Hamiltonians assembled in the Fock basis, compared there
-        fock_a = dense_oracle.kronecker_bundle(ms, em, COULOMB, 30, order)
-        fock_b = dense_oracle.kronecker_bundle(ms, em, MULTIPOLAR, 30)
+        fock_a = dense_oracle.dense_bundle(ms, em, COULOMB, 30, order)
+        fock_b = dense_oracle.dense_bundle(ms, em, MULTIPOLAR, 30)
         assert fock_a.basis == fock_b.basis == "fock"
         for fraction in (0.5, 0.3, 1.0):
             got = verify_spectral_equivalence(h_a, h_b, k=6, low_fraction=fraction, cs=cs)

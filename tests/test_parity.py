@@ -105,6 +105,8 @@ def test_emitter_signs_two_colour_the_dipole_graph(kind, signs):
     if got is not None:
         s = np.diag(got)
         assert max_abs(s @ em.dipole @ s + em.dipole) == 0.0
+        # computed once per emitter and shared read-only
+        assert em.parity_signs is got and not got.flags.writeable
 
 
 def test_nonzero_dipole_diagonal_has_no_signs():

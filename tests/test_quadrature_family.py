@@ -1,5 +1,5 @@
-"""Two-level dipole builds in the field-quadrature basis against the Fock-basis Kronecker
-assembly, their tie order, and the measured checks on the raw blocks."""
+"""Two-level dipole builds in the field-quadrature basis against the dense Fock-basis
+assembly of `DenseSystem`, their tie order, and the measured checks on the raw blocks."""
 
 import numpy as np
 import pytest
@@ -55,7 +55,7 @@ def assert_matches_the_fock_assembly(bundle, h):
 @given(system=systems(), theta=st.floats(0, 1))
 def test_build_dipole_matches_the_fock_assembly(system, theta):
     ms, em, cutoffs = system
-    h, _ = dense_oracle.kronecker_dipole(ms, em, theta, cutoffs)
+    h, _ = dense_oracle.dipole_matrix(ms, em, theta, cutoffs)
     assert_matches_the_fock_assembly(build_dipole(ms, em, GaugeParam(theta), cutoffs), h)
 
 
@@ -63,7 +63,7 @@ def test_build_dipole_matches_the_fock_assembly(system, theta):
 @given(system=systems(), order=st.integers(1, 3))
 def test_build_naive_matches_the_fock_series(system, order):
     ms, em, cutoffs = system
-    h, _ = dense_oracle.kronecker_naive(ms, em, cutoffs, order)
+    h, _ = dense_oracle.naive_matrix(ms, em, cutoffs, order)
     assert_matches_the_fock_assembly(build_naive(ms, em, COULOMB, cutoffs, order=order), h)
 
 
@@ -101,7 +101,7 @@ def test_the_quadrature_path_is_taken_for_every_two_level_system_that_factors():
     assert build_dipole(zero_mode, em, COULOMB, (4, 3)).basis == "quadrature"
     uncoupled = ModeSet(ms.chi, {"emitter": np.zeros((2, 3))})
     assert build_dipole(uncoupled, em, COULOMB, (4, 3)).basis == "fock"
-    assert QuadratureFamily.of(uncoupled, em, (4, 3)) is None
+    assert not QuadratureFamily.of(uncoupled, em, (4, 3)).sectored  # formed in the Fock basis
 
 
 class TestMutations:

@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from gaugecraft import (COULOMB, MULTIPOLAR, ConvergenceError, GaugeParam, HamiltonianBundle,
-                        InvariantViolation, ModeSet, ambiguity_scan, build_dipole, build_naive,
-                        field_hamiltonian, gaugecheck, tls, tls_single_mode_modeset)
+from gaugecraft import (COULOMB, MULTIPOLAR, ConvergenceError, CouplingSet, GaugeParam,
+                        HamiltonianBundle, InvariantViolation, ModeSet, ambiguity_scan,
+                        build_dipole, build_naive, field_hamiltonian, gaugecheck, tls,
+                        tls_single_mode_modeset)
 from gaugecraft.cli import main
 from gaugecraft.gaugecheck import QuadratureFamily
-from gaugecraft.hilbert import (PAULI_X, HilbertSpec, KroneckerGenerator, _local_eig,
-                                fock_quadrature, ladder_matrix, matter_levels, max_abs, photon)
+from gaugecraft.hilbert import (PAULI_X, PAULI_Z, Eigenbasis, HilbertSpec, fock_quadrature,
+                                ladder_matrix, matter_levels, max_abs, photon)
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
 
 pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
@@ -61,8 +62,8 @@ def test_stacked_build_dipole_members_equal_their_own_builds(system, theta):
     values = family.spectra(*family.blocks(theta, scales))
     assert values.shape == (len(scales), 2 * (cutoff + 1))
     for i, c in enumerate(scales):
-        single = dense_oracle.kronecker_bundle(scaled_modes(ms, em, c), em, GaugeParam(theta),
-                                               cutoff)
+        single = dense_oracle.dense_bundle(scaled_modes(ms, em, c), em, GaugeParam(theta),
+                                           cutoff)
         assert_members_close(values[i], single.eigenvalues(), f"member {i} at scale {c}")
 
 
@@ -73,8 +74,7 @@ def test_stacked_build_naive_members_equal_their_own_builds(system, order):
     family = QuadratureFamily.of(ms, em, cutoff)
     values = family.spectra(*family.blocks(0.0, scales, order))
     for i, c in enumerate(scales):
-        single = dense_oracle.kronecker_bundle(scaled_modes(ms, em, c), em, COULOMB, cutoff,
-                                               order)
+        single = dense_oracle.dense_bundle(scaled_modes(ms, em, c), em, COULOMB, cutoff, order)
         assert_members_close(values[i], single.eigenvalues(), f"member {i} at scale {c}")
 
 
@@ -322,19 +322,24 @@ def test_field_hamiltonian_diagonal_is_bit_identical_to_the_product(n):
 
 @pytest.mark.parametrize("g", [0.7, -1.3, 0.4 - 0.9j])
 def test_local_exponentials_match_the_complex_path(g):
+    """The family's local factor w = R v of a coupling g is real for a real g, and
+    exp(i t phi) = w e^(i t nu) w^dag applied with it (a real product for a real w) equals
+    the complex product and a dense eigh of phi = g a^dag + g^* a."""
     n = 30
     a = ladder_matrix(n)
     phi = g * a.conj().T + np.conj(g) * a
-    gen = KroneckerGenerator([g], PAULI_X, HilbertSpec([photon(n), matter_levels(2)]))
-    nu, v = _local_eig(g, n)
-    assert (v.dtype.kind == "f") == (np.imag(g) == 0)
-    t = np.array([[0.0, 0.3, -0.3], [1.7, -2.2, 0.3]])
-    got = gen._local_exps(t)[0]
-    want = (v.astype(complex) * np.exp(1j * np.multiply.outer(t, nu))[..., None, :]) @ v.conj().T
-    assert max_abs(got - want) <= 1e-13
-    w, u = np.linalg.eigh(phi)
-    dense = (u * np.exp(1j * np.multiply.outer(t, w))[..., None, :]) @ u.conj().T
-    assert max_abs(got - dense) <= 1e-12
+    cs = CouplingSet(g * PAULI_X[None], [[1.0]])
+    family = QuadratureFamily(cs, np.array([g]), PAULI_X, (1, -1), PAULI_Z, (n,))
+    w = family.basis.factors[0]
+    assert (w.dtype.kind == "f") == (np.imag(g) == 0)
+    x = np.random.default_rng(0).normal(size=(n + 1, 3)) + 0j
+    vals, vecs = np.linalg.eigh(phi)
+    for t in (0.0, 0.3, -0.3, 1.7, -2.2):
+        got = Eigenbasis(family.x, (w,)).apply(t, x)
+        want = Eigenbasis(family.x, (w.astype(complex),)).apply(t, x)
+        assert max_abs(got - want) <= 1e-13 * max_abs(want)
+        dense = (vecs * np.exp(1j * t * vals)) @ (vecs.conj().T @ x)
+        assert max_abs(got - dense) <= 1e-12 * max_abs(dense)
 
 
 def test_gauge_check_report_does_not_depend_on_jobs(tmp_path):

@@ -1,17 +1,18 @@
-"""Time reversal: real-coupling bundles solve their sectors in real arithmetic, and a
-factored generator takes its local eigensystems from one Fock quadrature per cutoff."""
+"""Time reversal: real-coupling bundles solve their sectors in real arithmetic, and the
+gauge family takes its local eigensystems from one Fock quadrature per cutoff."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugecraft import (COULOMB, MULTIPOLAR, EmitterSpec, GaugeParam, HamiltonianBundle,
-                        InvariantViolation, LongitudinalCoupling, ModeSet, build_beyond_dipole,
-                        build_dipole, build_generalized_1d, build_naive, couplings,
-                        Dielectric1D, solve_dielectric_1d, tls)
-from gaugecraft.hilbert import (HilbertSpec, KroneckerGenerator, _local_eig, fock_quadrature,
-                                ladder_matrix, matter_levels, max_abs, parity_labels, photon)
+from gaugecraft import (COULOMB, MULTIPOLAR, CouplingSet, EmitterSpec, GaugeParam,
+                        HamiltonianBundle, InvariantViolation, LongitudinalCoupling, ModeSet,
+                        build_beyond_dipole, build_dipole, build_generalized_1d, build_naive,
+                        couplings, Dielectric1D, solve_dielectric_1d, tls)
+from gaugecraft.hamiltonians import TLS_PARITY_SIGNS, QuadratureFamily
+from gaugecraft.hilbert import (PAULI_X, PAULI_Z, HilbertSpec, fock_quadrature, ladder_matrix,
+                                matter_levels, max_abs, parity_labels, photon)
 
 from dense_oracle import build_tls_coulomb_single, build_tls_multipolar_single
 
@@ -170,13 +171,21 @@ def test_fock_quadrature_is_scaled_hermite_roots(cutoff):
     assert max_abs(parity[:, None] * v - v[:, ::-1]) <= 1e-12
 
 
+def local_eig(g, cutoff):
+    """(nu, w): the eigensystem of phi = g a^dag + g^* a that the gauge family of a single
+    mode with coupling g keeps, nu = |g| x and w = R v."""
+    cs = CouplingSet(g * PAULI_X[None], [[1.0]])
+    family = QuadratureFamily(cs, np.array([g]), PAULI_X, TLS_PARITY_SIGNS, PAULI_Z, (cutoff,))
+    return family.x, family.basis.factors[0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(cutoff=st.integers(1, 60), modulus=st.floats(1e-3, 3.0), angle=st.floats(-np.pi, np.pi))
 def test_cached_local_eigs_match_direct_eigh(cutoff, modulus, angle):
     g = modulus * np.exp(1j * angle)
     a = ladder_matrix(cutoff)
     phi = g * a.conj().T + np.conj(g) * a
-    nu, v = _local_eig(g, cutoff)
+    nu, v = local_eig(g, cutoff)
     scale = max(1.0, max_abs(nu))
     assert max_abs(nu - np.linalg.eigvalsh(phi)) <= 1e-13 * scale
     assert max_abs(phi @ v - v * nu) <= 1e-13 * scale
@@ -184,15 +193,15 @@ def test_cached_local_eigs_match_direct_eigh(cutoff, modulus, angle):
 
 
 def test_local_eigs_of_zero_and_real_couplings():
-    nu, v = _local_eig(0j, 4)
+    nu, v = local_eig(0j, 4)
     assert np.array_equal(nu, np.zeros(5)) and np.array_equal(v, np.eye(5))
     a = ladder_matrix(6)
     phi = -0.7 * (a + a.T)
-    nu, v = _local_eig(-0.7 + 0j, 6)  # a real coupling keeps real eigenvectors
+    nu, v = local_eig(-0.7 + 0j, 6)  # a real coupling keeps real eigenvectors
     assert np.isrealobj(v)
     assert max_abs(phi @ v - v * nu) <= 1e-13
     space = HilbertSpec([photon(6), matter_levels(2)])
-    gen = KroneckerGenerator([-0.7 + 0j], np.diag([1.0, -1.0]), space)
+    cs = CouplingSet(-0.7 * np.diag([1.0, -1.0])[None], [[1.0]])
     want = np.linalg.eigh(np.kron(phi, np.diag([1.0, -1.0])))
     u = (want[1] * np.exp(0.4j * want[0])) @ want[1].conj().T
-    assert max_abs(gen.unitary(0.4).matrix - u) <= 1e-12
+    assert max_abs(cs.generator(space).apply(0.4, np.eye(space.dim)) - u) <= 1e-12

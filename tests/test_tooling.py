@@ -1,8 +1,9 @@
-"""Repository hygiene: no unused imports or orphaned private helpers in the package, a
-reversible perf tracer that still describes the quadrature-basis gauge-check and the
-matrix-free detect, a command-line tool that runs without scipy, a rate table that
-holds no D x D matrix of its own, repeated commands that reuse the pages their
-temporaries freed, and a failing hypothesis test that is reported as a failure."""
+"""Repository hygiene: no unused imports, orphaned private helpers or unreferenced public
+functions in the package, a reversible perf tracer that still describes the
+quadrature-basis gauge-check and the matrix-free detect, a command-line tool that runs
+without scipy, a rate table that holds no D x D matrix of its own, repeated commands that
+reuse the pages their temporaries freed, and a failing hypothesis test that is reported as
+a failure."""
 
 import ast
 import ctypes
@@ -59,6 +60,69 @@ def test_package_private_helpers_are_referenced_in_the_package():
     assert len(helpers) > 20
     orphaned = [name for name in helpers if name.split(".", 1)[1] not in used]
     assert not orphaned, "private helpers that no module references: " + ", ".join(orphaned)
+
+
+# public functions and methods that no other code in the package references, each with the
+# reason it stays
+LIBRARY_API = {
+    "matter.linear_ramp": "a TimeProfile constructor of the library API",
+    "matter.raised_cosine_ramp": "a TimeProfile constructor of the library API",
+    "matter.truncated_position_function": "the even/odd position split of a single-particle "
+                                          "emitter, library API",
+    "scenario.emitter_to_json": "writes a scenario's emitter section, the inverse of "
+                                "emitter_from_json",
+    "detect.naive_rate_gap": "the photodetection claim's naive control, not yet a CLI output",
+    "dynamics.td_gauge_equivalence": "the time-dependent gauge check, not yet a CLI command",
+    "hamiltonians.build_generalized_1d": "the 1D dielectric builder, not yet a CLI source",
+}
+
+
+def public_functions(trees: dict):
+    """("module.name" or "module.Class.name", node) of every public module-level function and
+    every public method."""
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield f"{stem}.{node.name}", node
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{stem}.{node.name}.{item.name}", item
+
+
+def references(trees: dict) -> dict:
+    """{identifier: [the ids of the functions enclosing each reference]} over every Name and
+    Attribute node of the trees."""
+    refs = {}
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            refs.setdefault(node.id if isinstance(node, ast.Name) else node.attr,
+                            []).append(enclosing)
+        if isinstance(node, ast.FunctionDef):
+            enclosing = enclosing | {id(node)}
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for tree in trees.values():
+        visit(tree, frozenset())
+    return refs
+
+
+def test_package_public_functions_are_referenced_in_the_package():
+    """Every public function and method is referenced somewhere in the package other than
+    its own definition and `__init__.py`, or is library API listed with its reason; a
+    listed name that gains a reference leaves the list."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    refs = references(trees)
+    functions = list(public_functions(trees))
+    assert len(functions) > 100
+    unreferenced = {name for name, node in functions
+                    if all(id(node) in enclosing for enclosing in refs.get(node.name, []))}
+    assert unreferenced == set(LIBRARY_API), (
+        f"unreferenced and not listed: {sorted(unreferenced - set(LIBRARY_API))}; "
+        f"listed but referenced: {sorted(set(LIBRARY_API) - unreferenced)}")
 
 
 def load_tracer(monkeypatch):
