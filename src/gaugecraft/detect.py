@@ -9,11 +9,13 @@ off-diagonal structure.  All rates are reported up to one common
 density-of-states constant, which cancels in every comparison.
 
 A rate needs a few eigenstates, so the detection operators stay Kronecker
-terms and they and the gauge map W are applied to those eigenvectors only
-(W through the generator's `Eigenbasis.apply`); nothing here forms a D x D
-matrix.  The dense truncated field operators A and E, and the residual of
-the Heisenberg identity E = i [A, H_F] between them, live with the tests as
-the oracle of this construction.
+terms, applied to those eigenvectors only; nothing here forms a D x D matrix.
+Only the Coulomb bundle is diagonalized: the multipolar partner of |i_C> is
+W |i_C>, with the exact gauge unitary W applied through the generator's
+`Eigenbasis.apply` and checked by its residual against H_mp.  The dense
+truncated field operators A and E, and the residual of the Heisenberg
+identity E = i [A, H_F] between them, live with the tests as the oracle of
+this construction.
 """
 
 from __future__ import annotations
@@ -25,12 +27,11 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .hamiltonians import HamiltonianBundle, couplings
-from .hilbert import HilbertSpec, ladder_matrix
+from .hilbert import HERMITIAN_TOL, HilbertSpec, ladder_matrix, max_abs
 from .matter import EmitterSpec
 from .modes import ModeSet
 
 FREQUENCY_MATCH_TOL = 1e-6
-PAIRING_OVERLAP_MIN = 0.999
 
 
 @dataclass(frozen=True)
@@ -91,13 +92,12 @@ def _check_resonance(det: DetectorSpec, vals: np.ndarray, i: int, j: int, match_
             f"{omega_ij:g} (|i>={i}, |j>={j}); invalid resonance pairing")
 
 
-def _amplitudes_sq(bundle: HamiltonianBundle, terms: list[dict],
+def _amplitudes_sq(space: HilbertSpec, terms: list[dict], vecs: np.ndarray,
                    pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """|<i| O |j>|^2 between eigenstates of the bundle for every (i, j) in pairs, the
-    terms of O applied to the columns j only."""
-    vecs = bundle.eigensystem()[1]
+    """|<i| O |j>|^2 between columns of vecs for every (i, j) in pairs, the terms of O
+    applied to the columns j only."""
     i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
-    o_j = bundle.space.apply(terms, vecs[:, j])
+    o_j = space.apply(terms, vecs[:, j])
     return np.abs(np.einsum("dk,dk->k", vecs[:, i].conj(), o_j)) ** 2
 
 
@@ -116,10 +116,11 @@ def naive_rate_gap(bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec,
     eigenstates; only the profile family differs (f' versus f), so the gap is
     exactly zero for diagonal chi.
     """
-    _check_resonance(det, bundle.eigensystem()[0], i, j, match_tol)
+    vals, vecs = bundle.eigensystem()
+    _check_resonance(det, vals, i, j, match_tol)
     w_mu = 1j * np.sqrt(ms.chi_diag / 2)
-    r_c, r_n = (float(_amplitudes_sq(bundle, _mode_sum(bundle.space, w_mu * (f @ det.d_d)),
-                                     [(i, j)])[0])
+    r_c, r_n = (float(_amplitudes_sq(bundle.space, _mode_sum(bundle.space, w_mu * (f @ det.d_d)),
+                                     vecs, [(i, j)])[0])
                 for f in (ms.derived_profile(det.r_d), ms.profile(det.r_d)))
     rel = abs(r_c - r_n) / r_c if r_c > 0 else (0.0 if r_n == 0 else float("inf"))
     return RateGap(r_c, r_n, rel)
@@ -137,38 +138,36 @@ class RateRow:
 
 def rate_table(bundle_c: HamiltonianBundle, bundle_mp: HamiltonianBundle,
                ms: ModeSet, em: EmitterSpec, det: DetectorSpec,
-               transitions: Sequence[tuple[int, int]],
-               overlap_min: float = PAIRING_OVERLAP_MIN) -> list[RateRow]:
+               transitions: Sequence[tuple[int, int]]) -> list[RateRow]:
     """Cross-gauge rate comparison over transitions indexed in the Coulomb gauge.
 
-    Multipolar eigenstates are paired through the connecting gauge unitary:
-    the partner of |i_C> is the multipolar eigenvector of maximal overlap with
-    W |i_C>, required to exceed `overlap_min` (resolves degenerate levels by
-    maximal-overlap assignment).
+    Only the Coulomb bundle is diagonalized.  The multipolar rate of (i, j) is
+    read between the partners t = W |i_C>, W |j_C>, W = exp(-i (theta_mp -
+    theta_C) X) the exact gauge unitary.  Each partner must be an eigenvector
+    of H_mp at E_i^C, max|H_mp t - E_i^C t| <= HERMITIAN_TOL * max(1, max|E^C|),
+    or `InvariantViolation` is raised; degenerate levels need no pairing.
     """
     vals_c, vecs_c = bundle_c.eigensystem()
-    vals_mp, vecs_mp = bundle_mp.eigensystem()
-    # W |i_C> for every state a transition names, W = exp(-i (theta_mp - theta_C) X)
+    # W |i_C> for every state a transition names
     states = list(dict.fromkeys(idx for pair in transitions for idx in pair))
     targets = couplings(ms, em).generator(bundle_c.space).apply(
         bundle_c.gauge.theta - bundle_mp.gauge.theta, vecs_c[:, states])
-    overlaps = np.abs(targets.conj().T @ vecs_mp)  # |<k_mp| W |i_C>|, one row per state
-    pair = {}
-    for idx, row in zip(states, overlaps):
-        k = int(np.argmax(row))
-        if row[k] < overlap_min:
-            raise InvariantViolation(
-                f"gauge pairing of eigenstate {idx} failed (overlap {row[k]:.4f})")
-        pair[idx] = k
-    paired = [(pair[i], pair[j]) for i, j in transitions]
+    residual = max_abs(bundle_mp.apply(targets) - targets * vals_c[states])
+    scale = max(1.0, abs(float(vals_c[0])), abs(float(vals_c[-1])))
+    if residual > HERMITIAN_TOL * scale:
+        raise InvariantViolation(f"gauge pairing failed: W|i_C> is not an eigenvector of "
+                                 f"H_mp at E_i^C (residual {residual:.3e})")
+    column = {idx: k for k, idx in enumerate(states)}
     unit = replace(det, omega_d=1.0)
-    amp_c = _amplitudes_sq(bundle_c, detection_operator(bundle_c, ms, unit, em), transitions)
-    amp_mp = _amplitudes_sq(bundle_mp, detection_operator(bundle_mp, ms, unit, em), paired)
+    amp_c = _amplitudes_sq(bundle_c.space, detection_operator(bundle_c, ms, unit, em), vecs_c,
+                           transitions)
+    amp_mp = _amplitudes_sq(bundle_mp.space, detection_operator(bundle_mp, ms, unit, em),
+                            targets, [(column[i], column[j]) for i, j in transitions])
     rows = []
-    for (i, j), (k, l), a_c, a_mp in zip(transitions, paired, amp_c, amp_mp):
+    for (i, j), a_c, a_mp in zip(transitions, amp_c, amp_mp):
         omega_ij = float(vals_c[j] - vals_c[i])
         r_c = _frequency_factor(bundle_c, omega_ij) ** 2 * float(a_c)
-        r_mp = _frequency_factor(bundle_mp, float(vals_mp[l] - vals_mp[k])) ** 2 * float(a_mp)
+        r_mp = _frequency_factor(bundle_mp, omega_ij) ** 2 * float(a_mp)
         rel = abs(r_c - r_mp) / r_c if r_c > 0 else (0.0 if r_mp == 0 else float("inf"))
         rows.append(RateRow(i, j, omega_ij, r_c, r_mp, rel))
     return rows

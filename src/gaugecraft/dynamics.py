@@ -3,8 +3,9 @@
 `evolve` is one piecewise propagator.  It splits the time grid once at the
 breakpoints of the coupling modulation (`TimeProfile.breakpoints`, where
 mu'(t) may jump).  On a piece where mu'(t) = 0, H(t) is one fixed matrix in
-either gauge: it is formed and diagonalized once, and the state at every
-grid point of the piece is written exactly from the piece's start state.
+either gauge: it is diagonalized once, sharing `ground_state`'s eigh at the
+same coupling, and every grid state of the piece is written exactly from the
+piece's start state.
 Only pieces where mu'(t) != 0 (the ramp) are integrated, with the classic
 fourth-order Runge-Kutta step and an embedded step-halving error estimate;
 no step crosses a kink of mu', and H(t) is applied there, never formed.  A
@@ -80,27 +81,26 @@ def ground_state(tdh: TimeDependentHamiltonian, t: float) -> np.ndarray:
     """The ground state of H(t) in the Fock basis, with its global phase fixed: the
     largest-magnitude Fock amplitude (the first one on a tie) is real and positive,
     whatever basis H(t) was diagonalized in."""
-    psi = tdh.basis.to_fock(np.linalg.eigh(tdh.matrix(t))[1][:, 0])
+    psi = tdh.basis.to_fock(tdh.eigensystem(t)[1][:, 0])
     top = psi[np.argmax(np.abs(psi))]
     return psi * (np.conj(top) / abs(top))
 
 
 def _as_hamiltonian(h) -> tuple:
-    """Normalize the Hamiltonian argument; returns (matrix_fn, operator_fn, space,
-    profile, basis): matrix_fn(t) forms H(t), operator_fn(t) is x -> H(t) x.
+    """Normalize the Hamiltonian argument; returns (eigh_fn, operator_fn, space,
+    profile, basis): eigh_fn(t) diagonalizes H(t), operator_fn(t) is x -> H(t) x.
 
     Static inputs carry a constant profile and no operator_fn, a bare callable
-    no matrix_fn and no profile; only a `TimeDependentHamiltonian` has a basis.
+    no eigh_fn and no profile; only a `TimeDependentHamiltonian` has a basis.
     Matrices are checked where they enter.
     """
     if isinstance(h, HamiltonianBundle):
-        m = h.H.matrix
-        return (lambda t: m), None, h.space, constant_profile(), None
+        return (lambda t: h.eigensystem()), None, h.space, constant_profile(), None
     if isinstance(h, (Operator, np.ndarray)):
-        m = hermitian_part(getattr(h, "matrix", h), "static Hamiltonian")
-        return (lambda t: m), None, getattr(h, "space", None), constant_profile(), None
+        eig = np.linalg.eigh(hermitian_part(getattr(h, "matrix", h), "static Hamiltonian"))
+        return (lambda t: eig), None, getattr(h, "space", None), constant_profile(), None
     if isinstance(h, TimeDependentHamiltonian):
-        return h.matrix, h.operator, h.space, h.profile, h.basis
+        return h.eigensystem, h.operator, h.space, h.profile, h.basis
     if callable(h):
         return None, (lambda t: hermitian_part(h(t), "H(t)").__matmul__), None, None, None
     raise TypeError(f"cannot evolve under {type(h).__name__}")
@@ -120,9 +120,9 @@ def _pieces(profile: Optional[TimeProfile], t0: float, t1: float,
             for a, b in zip(edges, edges[1:])]
 
 
-def _static_piece(m: np.ndarray, psi: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def _static_piece(vals: np.ndarray, vecs: np.ndarray, psi: np.ndarray,
+                  offsets: np.ndarray) -> np.ndarray:
     """States V exp(-i Lambda tau) V^dag psi at each offset tau from the piece start."""
-    vals, vecs = np.linalg.eigh(m)
     coeff = vecs.conj().T @ psi
     return (np.exp(-1j * np.outer(offsets, vals)) * coeff) @ vecs.T
 
@@ -193,7 +193,7 @@ def evolve(h, psi0: np.ndarray, t_grid: Sequence[float],
     profile, or of a bare callable at the given `breakpoints` (times where
     its H(t) may jump; no other input takes them).  Pieces where mu'(t) = 0
     (all of a static bundle, Operator or ndarray) are propagated exactly: one
-    formed H and one eigh per piece, each grid state written from the
+    eigh of H per piece, each grid state written from the
     piece's start state.  Pieces where mu'(t) != 0 (all of a bare callable)
     integrate with adaptive RK4 at local error `tol` per unit time, applying
     H(t) unformed; a piece that ends on a breakpoint evaluates H(t) from its
@@ -204,7 +204,7 @@ def evolve(h, psi0: np.ndarray, t_grid: Sequence[float],
     (formed or applied), accepted and rejected steps, static and dynamic
     pieces, and records the final norm error.
     """
-    matrix, operator, space, profile, basis = _as_hamiltonian(h)
+    eigh, operator, space, profile, basis = _as_hamiltonian(h)
     if len(breakpoints) and (profile is not None or basis is not None):
         raise ValueError("breakpoints are given for a bare callable only; a "
                          "TimeDependentHamiltonian takes them from its profile")
@@ -239,7 +239,7 @@ def evolve(h, psi0: np.ndarray, t_grid: Sequence[float],
             stops = np.append(stops, t_end)  # the next piece starts from here
         if piece_static:
             stats["static_pieces"] += 1
-            out = _static_piece(matrix((t_start + t_end) / 2), psi, stops - t_start)
+            out = _static_piece(*eigh((t_start + t_end) / 2), psi, stops - t_start)
         else:
             stats["dynamic_pieces"] += 1
             split = profile is not None or len(breakpoints)

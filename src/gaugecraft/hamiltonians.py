@@ -337,12 +337,15 @@ class HamiltonianBundle:
     def H(self) -> Operator:
         """H in the Fock basis, formed on first read for a quadrature-basis bundle."""
         if self._H is None:
-            a0, b = (m[0] for m in self.blocks)
-            off = np.array([[b, b], [b.conj(), b]])  # the k = l entries are unused
-            h = self.family.fock_matrix([a0, a0[::-1, ::-1]], off)
+            h = self.family.member_matrix(self.blocks)
             self._H = Operator(hermitian_part(h, "quadrature-basis H in the Fock basis"),
                                self.space)
         return self._H
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """H x in the Fock basis for a vector (D,) or a block (D, k); a quadrature-basis
+        bundle applies its member unformed (`QuadratureFamily.apply_member`)."""
+        return self.H.matrix @ x if self.family is None else self.family.apply_member(self.blocks, x)
 
     def _sector_blocks(self):
         """(block, place) per sector, even sector first: place(vecs, columns, v) writes
@@ -703,6 +706,22 @@ class QuadratureFamily:
         for k in range(2):
             out[columns, :, k] = z * coef[:, k]
 
+    def member_matrix(self, blocks: tuple) -> np.ndarray:
+        """`fock_matrix` of one member, blocks (A_0, b) stacks of one, with A_1 = J A_0 J."""
+        a0, b = (m[0] for m in blocks)
+        return self.fock_matrix([a0, a0[::-1, ::-1]], np.array([[b, b], [b.conj(), b]]))
+
+    def apply_member(self, blocks: tuple, x: np.ndarray) -> np.ndarray:
+        """H x in the Fock basis for one member, blocks (A_0, b) stacks of one, and x a
+        vector (D,) or a block (D, k): H = [[A_0, B], [B^*, J A_0 J]], B = diag(b), is
+        applied in this basis, photon-major, and never formed."""
+        a0, b = (m[0] for m in blocks)
+        y = self.basis.from_fock(x).reshape((len(b), 2) + x.shape[1:])
+        b = b.reshape(b.shape + (1,) * (x.ndim - 1))
+        z = np.stack([a0 @ y[:, 0] + b * y[:, 1],
+                      (a0 @ y[::-1, 1])[::-1] + b.conj() * y[:, 0]], axis=1)
+        return self.basis.to_fock(z.reshape(x.shape))
+
     def fock_matrix(self, a: Sequence[np.ndarray], b: np.ndarray) -> np.ndarray:
         """w M w^dag, not symmetrized: the member M with diagonal blocks a[k] (n, n) and
         off-diagonal blocks diag(b[k, l]), b (L, L, n) with unused k = l entries, in the
@@ -1037,8 +1056,8 @@ class TimeDependentHamiltonian:
     H_C(t) = K + Phi(mu) M Phi(mu)^* and
     H_mp(t) = Phi(-mu) K Phi(-mu)^* + M + sign * mu'(t) diag(xi).
     `operator(t)` applies H(t) without forming it, on the propagator's dynamic
-    pieces; `matrix(t)` forms it, for static pieces and the ground state.
-    `basis.to_fock` maps states back.
+    pieces; `matrix(t)` forms it, and `eigensystem(t)` diagonalizes it for static
+    pieces and the ground state.  `basis.to_fock` maps states back.
     """
 
     def __init__(self, gauge: str, cs: CouplingSet, h_field: np.ndarray,
@@ -1058,6 +1077,7 @@ class TimeDependentHamiltonian:
         self.profile = profile
         self.space = space
         self.extra_term_sign = float(extra_term_sign)
+        self._eig = None
 
     def _terms(self, t: float):
         """Phi(sign mu(t)) and the diagonal of the multipolar mu'(t) term (None if zero)."""
@@ -1065,6 +1085,17 @@ class TimeDependentHamiltonian:
         mu_dot = self.profile.mu_dot(t) if self.gauge == "multipolar" else 0.0
         return (np.exp((1j * self._sign * self.profile.mu(t)) * xi),
                 self.extra_term_sign * mu_dot * xi if mu_dot != 0.0 else None)
+
+    def eigensystem(self, t: float):
+        """np.linalg.eigh of `matrix(t)`, read-only and kept for the last (mu(t), mu'(t))
+        asked: the ground state and a static piece at the same coupling share one eigh."""
+        key = (self.profile.mu(t), self.profile.mu_dot(t))
+        if self._eig is None or self._eig[0] != key:
+            eig = np.linalg.eigh(self.matrix(t))
+            for arr in eig:
+                arr.flags.writeable = False
+            self._eig = (key, eig)
+        return self._eig[1]
 
     def matrix(self, t: float) -> np.ndarray:
         """H(t) in the eigenbasis of X, formed from the checked K and M (Hermitian to rounding)."""

@@ -292,41 +292,37 @@ def detection_operator(bundle, ms, det, em=None):
     return m + m.conj().T
 
 
-def _rate(bundle, op, i, j):
-    """Golden-rule rate of |i> -> |j> with the operator at omega_d = 1: the
-    Coulomb operator scales with the transition frequency, the multipolar one not."""
-    vals, vecs = bundle.eigensystem()
-    omega = vals[j] - vals[i]
-    return (omega ** 2 if bundle.gauge.theta == 0.0 else 1.0) * abs(
-        vecs[:, i].conj() @ op @ vecs[:, j]) ** 2
+def _rate(theta, omega, op, u, v):
+    """Golden-rule rate between states u and v with the operator at omega_d = 1: the
+    Coulomb operator scales with the transition frequency omega, the multipolar one not."""
+    return (omega ** 2 if theta == 0.0 else 1.0) * abs(u.conj() @ op @ v) ** 2
 
 
 def rate_table(bundle_a, bundle_b, ms, em, det, transitions):
-    """(rates in a, rates in b, smallest pairing overlap) over transitions indexed in
-    gauge a; each eigenstate is paired with the b eigenvector of largest overlap with
-    W |i_a>, W the formed exp(-i (theta_b - theta_a) X) of `DenseSystem`."""
+    """(rates in a, rates in b) over transitions indexed in gauge a, at a's transition
+    frequencies; the rates in b are read between the partners W |i_a>, W |j_a>, with W
+    the formed exp(-i (theta_b - theta_a) X) of `DenseSystem` times a's eigenvectors."""
     unit = type(det)(1.0, det.d_d, det.r_d)
     op_a, op_b = (detection_operator(b, ms, unit, em) for b in (bundle_a, bundle_b))
     w = DenseSystem(ms, em, bundle_a.metadata["cutoffs"]).gauge_unitary(
         bundle_a.gauge.theta, bundle_b.gauge.theta)
-    vecs_a, vecs_b = bundle_a.eigensystem()[1], bundle_b.eigensystem()[1]
-    rates_a, rates_b, worst = [], [], 1.0
+    vals, vecs = bundle_a.eigensystem()
+    partners = w @ vecs
+    rates_a, rates_b = [], []
     for i, j in transitions:
-        overlaps = [np.abs(vecs_b.conj().T @ w @ vecs_a[:, n]) for n in (i, j)]
-        worst = min([worst] + [float(o.max()) for o in overlaps])
-        k, l = (int(np.argmax(o)) for o in overlaps)
-        rates_a.append(_rate(bundle_a, op_a, i, j))
-        rates_b.append(_rate(bundle_b, op_b, k, l))
-    return np.array(rates_a), np.array(rates_b), worst
+        omega = vals[j] - vals[i]
+        rates_a.append(_rate(bundle_a.gauge.theta, omega, op_a, vecs[:, i], vecs[:, j]))
+        rates_b.append(_rate(bundle_b.gauge.theta, omega, op_b, partners[:, i], partners[:, j]))
+    return np.array(rates_a), np.array(rates_b)
 
 
 def significant_transitions(bundle, ms, det, count, i=0, em=None, floor=1e-10):
     """The first `count` upward transitions out of |i>, among the next 39 states,
     whose rate exceeds `floor` times the largest, one dense matrix element each."""
-    vals = bundle.eigenvalues()
+    vals, vecs = bundle.eigensystem()
     op = detection_operator(bundle, ms, type(det)(1.0, det.d_d, det.r_d), em)
-    rates = {j: _rate(bundle, op, i, j) for j in range(i + 1, min(len(vals), i + 40))
-             if vals[j] > vals[i]}
+    rates = {j: _rate(bundle.gauge.theta, vals[j] - vals[i], op, vecs[:, i], vecs[:, j])
+             for j in range(i + 1, min(len(vals), i + 40)) if vals[j] > vals[i]}
     if not rates:
         return []
     top = max(rates.values())

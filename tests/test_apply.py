@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from gaugecraft import (DetectorSpec, GaugeParam, InvariantViolation, ModeSet, build_dipole,
+from gaugecraft import (DetectorSpec, GaugeParam, HamiltonianBundle, ModeSet, build_dipole,
                         couplings, rate_table, significant_transitions)
-from gaugecraft.detect import PAIRING_OVERLAP_MIN, detection_operator
+from gaugecraft.detect import detection_operator
 from gaugecraft.hamiltonians import standard_space
 from gaugecraft.hilbert import HermitianGenerator, max_abs
 from test_factored import KINDS, random_system
@@ -109,23 +109,45 @@ def test_detection_terms_sum_to_the_dense_operator(system, theta):
 @given(system=systems(), thetas=st.sampled_from(ENDPOINTS), k=st.integers(1, 5),
        seed=st.integers(0, 2**31 - 1))
 def test_rate_table_matches_dense_oracle(system, thetas, k, seed):
+    """Degenerate levels included: the partners W |i_a> need no pairing."""
     ms, em, cutoffs = system
     a, b = (build_dipole(ms, em, GaugeParam(t), cutoffs) for t in thetas)
     rng = np.random.default_rng(seed)
     transitions = [tuple(int(n) for n in np.sort(rng.choice(a.space.dim, 2, replace=False)))
                    for _ in range(k)]
-    want_a, want_b, worst = dense_oracle.rate_table(a, b, ms, em, DETECTOR, transitions)
-    if worst < PAIRING_OVERLAP_MIN:
-        with pytest.raises(InvariantViolation, match="gauge pairing"):
-            rate_table(a, b, ms, em, DETECTOR, transitions)
-        return
+    want_a, want_b = dense_oracle.rate_table(a, b, ms, em, DETECTOR, transitions)
     rows = rate_table(a, b, ms, em, DETECTOR, transitions)
     assert [(r.i, r.j) for r in rows] == transitions
     # a table of parity-forbidden transitions alone has rates at rounding level
     scale = max(want_a.max(), want_b.max(), 1e-12)
-    for got, want in (([r.rate_coulomb for r in rows], want_a),
-                      ([r.rate_multipolar for r in rows], want_b)):
-        assert max_abs(np.array(got) - want) <= RATE_TOL * scale
+    assert max_abs(np.array([r.rate_coulomb for r in rows]) - want_a) <= RATE_TOL * scale
+    # the partners W |i_a> are formed here and applied there, so the b column agrees in
+    # amplitude, sqrt(rate) = f |<i| O_b |j>|, to RATE_TOL f ||O_b||_2: next to a large
+    # ||O_b|| a tiny rate's rounding exceeds RATE_TOL of the table's largest rate
+    unit = DetectorSpec(1.0, DETECTOR.d_d, DETECTOR.r_d)
+    norm_b = np.linalg.norm(dense_oracle.detection_operator(b, ms, unit, em), 2)
+    factor = np.array([abs(r.omega_ij) if b.gauge.theta == 0.0 else 1.0 for r in rows])
+    got_b = np.sqrt([r.rate_multipolar for r in rows])
+    assert np.all(np.abs(got_b - np.sqrt(want_b)) <= RATE_TOL * factor * norm_b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=systems(), theta=st.floats(0.0, 1.0), k=st.integers(1, 5))
+def test_bundle_apply_matches_the_formed_hamiltonian(system, theta, k):
+    """A quadrature-basis bundle (a two-level emitter with a parity) and a Fock-basis
+    bundle of the same H."""
+    ms, em, cutoffs = system
+    bundle = build_dipole(ms, em, GaugeParam(theta), cutoffs)
+    block = random_block(k, bundle.space.dim, k)
+    h = bundle.H.matrix
+    for b in (bundle, HamiltonianBundle(h, bundle.space, bundle.gauge)):
+        for x in (block[:, 0], block):
+            want = h @ x
+            got = b.apply(x)
+            assert got.shape == want.shape
+            # a matvec rounds to about max|H| times the largest column sum of |x|
+            tol = APPLY_TOL * max(1.0, max_abs(h)) * np.abs(x).sum(axis=0).max()
+            assert max_abs(got - want) <= tol
 
 
 @settings(max_examples=30, deadline=None)

@@ -80,9 +80,8 @@ def test_detect_matches_the_dense_oracle(tmp_path):
     assert len(rows) == 3
     transitions = [(int(r["i"]), int(r["j"])) for r in rows]
     bundles = [dense_oracle.dense_bundle(MS, ONE_AXIS, g, CUTOFFS) for g in (COULOMB, MULTIPOLAR)]
-    want_c, want_mp, worst = dense_oracle.rate_table(
+    want_c, want_mp = dense_oracle.rate_table(
         *bundles, MS, ONE_AXIS, DetectorSpec(1.0, det["dipole"], "detector"), transitions)
-    assert worst > 0.9
     assert_close([float(r["R_coulomb"]) for r in rows], want_c, "Coulomb rates")
     assert_close([float(r["R_multipolar"]) for r in rows], want_mp, "multipolar rates")
 

@@ -8,11 +8,11 @@ import pytest
 import dense_oracle
 from dense_oracle import (field_commutator_residual, photon_space, truncated_E_operator,
                           vector_potential_operator)
-from gaugecraft import (COULOMB, MULTIPOLAR, DetectorSpec, ModeSet, build_dipole,
-                        naive_rate_gap, rate_table, significant_transitions, tls)
+from gaugecraft import (COULOMB, MULTIPOLAR, DetectorSpec, InvariantViolation, ModeSet,
+                        build_dipole, naive_rate_gap, rate_table, significant_transitions, tls)
 from gaugecraft.cli import main
 from gaugecraft.hamiltonians import field_hamiltonian
-from gaugecraft.hilbert import max_abs
+from gaugecraft.hilbert import Eigenbasis, max_abs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
 
 pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
@@ -85,7 +85,24 @@ def test_field_commutator_residual_matches_projected_form():
         assert (got > 1e-3) == naive
 
 
-def test_detect_command_diagonalizes_each_bundle_once(tmp_path, monkeypatch):
+def test_rate_table_refuses_partners_that_are_not_multipolar_eigenvectors(monkeypatch):
+    """A multipolar bundle of other couplings, and the gauge map with the wrong sign,
+    each fail the residual check that pairs the gauges."""
+    ms, em = two_mode_system(OFF_DIAGONAL_CHI)
+    b_c = build_dipole(ms, em, COULOMB, CUTOFFS)
+    b_mp = build_dipole(ms, em, MULTIPOLAR, CUTOFFS)
+    transitions = significant_transitions(b_c, ms, detector(), 3, em=em)
+    assert len(rate_table(b_c, b_mp, ms, em, detector(), transitions)) == 3
+    other = build_dipole(ms, tls(1.0, (0.5, -0.4, 0.2)), MULTIPOLAR, CUTOFFS)
+    with pytest.raises(InvariantViolation, match="gauge pairing"):
+        rate_table(b_c, other, ms, em, detector(), transitions)
+    apply = Eigenbasis.apply
+    monkeypatch.setattr(Eigenbasis, "apply", lambda basis, s, x: apply(basis, -s, x))
+    with pytest.raises(InvariantViolation, match="gauge pairing"):
+        rate_table(b_c, b_mp, ms, em, detector(), transitions)
+
+
+def test_detect_command_diagonalizes_only_the_coulomb_bundle(tmp_path, monkeypatch):
     ms, em = two_mode_system(OFF_DIAGONAL_CHI)
     doc = {"seed": 0, "modeset": modeset_to_json(ms), "emitter": emitter_to_json(em),
            "fock_cutoffs": list(CUTOFFS),
@@ -103,9 +120,10 @@ def test_detect_command_diagonalizes_each_bundle_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     assert main(["detect", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    # the Coulomb and the multipolar bundle, once each, as two parity sectors
+    # the Coulomb bundle, once, as two parity sectors; the multipolar partners are
+    # W |i_C>, checked against H_mp without diagonalizing it
     assert sizes.count(dim) == 0
-    assert sizes.count(dim // 2) == 4
+    assert sizes.count(dim // 2) == 2
     rows = (tmp_path / "out" / "rates.csv").read_text(encoding="utf-8").splitlines()
     assert len(rows) == 4
     assert max(float(r.split(",")[-1]) for r in rows[1:]) <= 1e-8

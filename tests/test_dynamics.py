@@ -37,22 +37,28 @@ GRIDS = {
 
 
 def counting(td):
-    """Wrap td.operator and td.matrix; returns the times H(t) is evaluated at, applied or
-    formed, and the times it is formed at."""
-    times, formed = [], []
-    operator, matrix = td.operator, td.matrix
+    """Wrap td.operator, td.eigensystem and td.matrix; returns the times H(t) is evaluated
+    at (applied or diagonalized), the times it is diagonalized at, and the times it is
+    formed at.  `eigensystem` forms H through `td.matrix`, so every formed H is counted,
+    whoever forms it; a piece that shares the ground state's eigh forms none."""
+    times, diagonalized, formed = [], [], []
+    operator, eigensystem, matrix = td.operator, td.eigensystem, td.matrix
 
     def counted_operator(t):
         times.append(t)
         return operator(t)
 
-    def counted_matrix(t):
+    def counted_eigensystem(t):
         times.append(t)
+        diagonalized.append(t)
+        return eigensystem(t)
+
+    def counted_matrix(t):
         formed.append(t)
         return matrix(t)
 
-    td.operator, td.matrix = counted_operator, counted_matrix
-    return times, formed
+    td.operator, td.eigensystem, td.matrix = counted_operator, counted_eigensystem, counted_matrix
+    return times, diagonalized, formed
 
 
 def dop853_reference(h, psi0, t_grid, kinks):
@@ -130,11 +136,13 @@ def test_calls_do_not_grow_past_the_ramp():
     for t_max in (50.0, 500.0, 5000.0):
         td = build_time_dependent(TWO_MODES, EMITTER, "multipolar", profile, CUTOFFS)
         psi0 = ground_state(td, 0.0)
-        times, formed = counting(td)
+        times, diagonalized, formed = counting(td)
         t_grid = np.concatenate([np.linspace(0.0, 8.0, 17), np.linspace(10.0, t_max, 40)])
         traj = evolve(td, psi0, t_grid)
         assert traj.stats["h_evaluations"] == len(times)
-        assert traj.stats["static_pieces"] == len(formed) == 2  # no H(t) formed on the ramp
+        assert traj.stats["static_pieces"] == len(diagonalized) == 2
+        # no H(t) formed on the ramp; the first piece shares the ground state's H(0)
+        assert formed == diagonalized[1:]
         counts.append(len(times))
     assert counts[0] == counts[1] == counts[2]
 
@@ -144,11 +152,32 @@ def test_calls_where_mu_dot_vanishes_are_one_per_static_piece(kind):
     profile, _ = PROFILES[kind]
     td = build_time_dependent(TWO_MODES, EMITTER, "coulomb", profile, CUTOFFS)
     psi0 = ground_state(td, 0.0)
-    times, formed = counting(td)
+    times, diagonalized, formed = counting(td)
     traj = evolve(td, psi0, GRIDS["on_breakpoints"])
     flat = [t for t in times if profile.mu_dot(t) == 0.0]
-    assert len(flat) <= traj.stats["static_pieces"] == len(formed)
-    assert all(profile.mu_dot(t) == 0.0 for t in formed)
+    assert len(flat) <= traj.stats["static_pieces"] == len(diagonalized)
+    assert all(profile.mu_dot(t) == 0.0 for t in diagonalized)
+    assert formed == diagonalized[1:]  # the first piece shares the ground state's H(0)
+
+
+@pytest.mark.parametrize("gauge", ["coulomb", "multipolar"])
+def test_ground_state_and_the_first_static_piece_share_one_eigh(gauge, monkeypatch):
+    """t = 0 lies in the profile's first static piece: H(0) is diagonalized once for the
+    start state and that piece, and the states are those of separate solves."""
+    profile, _ = PROFILES["tabulated"]
+    build = lambda: build_time_dependent(TWO_MODES, EMITTER, gauge, profile, CUTOFFS)
+    td, fresh = build(), build()
+    psi0 = ground_state(fresh, 0.0)
+    fresh.eigensystem(11.0)  # drops the kept H(0): the first piece solves its own
+    want = evolve(fresh, psi0, GRIDS["on_breakpoints"])
+    sizes = []
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda m, *a, **k: sizes.append(len(m)) or original(m, *a, **k))
+    got = evolve(td, ground_state(td, 0.0), GRIDS["on_breakpoints"])
+    assert sizes == [td.space.dim] * got.stats["static_pieces"]
+    assert got.stats == want.stats
+    assert np.array_equal(got.states, want.states)
 
 
 def test_steps_reuse_hamiltonians():
@@ -164,9 +193,10 @@ def test_steps_reuse_hamiltonians():
     assert s["rejected_steps"] > 0  # steps across the kinks of mu' fail and shrink
     assert len(calls) == s["h_evaluations"] <= 4 * (s["accepted_steps"] + s["rejected_steps"]) + 1
 
-    times, formed = counting(td)
+    times, diagonalized, formed = counting(td)
     s = evolve(td, psi0, GRIDS["straddling"]).stats
-    assert s["dynamic_pieces"] == 2 and s["static_pieces"] == 3 == len(formed)
+    assert s["dynamic_pieces"] == 2 and s["static_pieces"] == 3 == len(diagonalized)
+    assert formed == diagonalized[1:]
     attempted = s["accepted_steps"] + s["rejected_steps"]
     assert len(times) <= 4 * attempted + s["dynamic_pieces"] + s["static_pieces"]
 

@@ -1,6 +1,5 @@
 """Gauge unitaries, spectral-equivalence reports, and the coupling-grid scan."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -9,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from gaugecraft import (COULOMB, MULTIPOLAR, FockCutoffWarning, GaugeParam, ambiguity_scan,
-                        build_dipole, build_naive, couplings, gauge_unitary,
+from gaugecraft import (COULOMB, MULTIPOLAR, FockCutoffWarning, ambiguity_scan, build_dipole,
+                        build_naive, couplings, gauge_unitary,
                         tls_single_mode_modeset, verify_spectral_equivalence)
 from gaugecraft import EmitterSpec, HamiltonianBundle, ModeSet, tls
 from gaugecraft.cli import main

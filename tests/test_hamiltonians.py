@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from gaugecraft import (COULOMB, MULTIPOLAR, ConvergenceError, Dielectric1D,
-                        FockCutoffWarning, GaugeParam, InvariantViolation,
+                        FockCutoffWarning, GaugeParam,
                         LongitudinalCoupling, ModeSet, build_beyond_dipole,
                         build_dipole, build_generalized_1d, build_naive,
                         build_time_dependent, constant_profile, couplings,
                         raised_cosine_ramp, solve_dielectric_1d, tls,
                         tls_single_mode_modeset)
 from gaugecraft.gaugecheck import gauge_unitary
-from gaugecraft.hamiltonians import field_hamiltonian, segment_integral, standard_space
+from gaugecraft.hamiltonians import field_hamiltonian
 from gaugecraft.hilbert import PAULI_X, PAULI_Y, PAULI_Z, ladder_matrix, max_abs
 
 from dense_oracle import (build_tls_coulomb_single, build_tls_multipolar_single, fock_td_matrix,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugecraft import (EmitterSpec, InvariantViolation, SingleParticle, TimeProfile,
+from gaugecraft import (EmitterSpec, InvariantViolation, TimeProfile,
                         constant_profile, linear_ramp, raised_cosine_ramp, tls,
                         truncated_position_function)
 from gaugecraft.hilbert import PAULI_X, max_abs

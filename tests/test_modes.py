@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.integrate
 
 from gaugecraft import (ConvergenceError, Dielectric1D, InvariantViolation, ModeSet,
                         PolaritonGrid, QnmSet, build_from_grid, chi_from_qnm,

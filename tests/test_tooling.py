@@ -41,6 +41,14 @@ def test_package_modules_use_every_import():
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
+def test_test_modules_use_every_import():
+    """No module here takes a pytest fixture or `importorskip` by import: each would be
+    listed with its reason."""
+    unused = [f"{path.stem}: {name}" for path in sorted((ROOT / "tests").glob("*.py"))
+              for name in unused_imports(path)]
+    assert not unused, "unused imports: " + ", ".join(unused)
+
+
 def private_helpers(trees: dict) -> list[str]:
     """"module.name" of every module-level _private function or class."""
     return [f"{stem}.{node.name}" for stem, tree in trees.items() for node in tree.body
@@ -248,8 +256,7 @@ def test_rate_table_peaks_below_one_dense_matrix():
     bundle_mp = build_dipole(ms, em, MULTIPOLAR, (16, 16))
     dim = bundle_c.space.dim
     assert dim == 578
-    for bundle in (bundle_c, bundle_mp):
-        bundle.eigensystem()  # cached: the table reads it, as the detect command does
+    bundle_c.eigensystem()  # cached: the table reads it, as the detect command does
     transitions = significant_transitions(bundle_c, ms, detector(), 3, em=em)
     tracemalloc.start()
     try:
