@@ -24,7 +24,6 @@ from .gaugecheck import (AmbiguityRow, EquivalenceReport, ambiguity_scan, gauge_
                          tls_single_mode_modeset, verify_spectral_equivalence)
 from .detect import (DetectorSpec, RateGap, RateRow, naive_rate_gap, rate_table,
                      significant_transitions)
-from .dynamics import (TdEquivalenceResult, Trajectory, default_observables, evolve,
-                       td_gauge_equivalence)
+from .dynamics import TdEquivalenceResult, Trajectory, evolve, td_gauge_equivalence
 
 __version__ = "0.1.0"

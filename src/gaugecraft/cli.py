@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .detect import DetectorSpec, rate_table, significant_transitions
-from .dynamics import NORM_TOL, evolve, ground_state
+from .dynamics import NORM_TOL, evolve, factor_populations, ground_state
 from .errors import ConfigError, ConvergenceError, GaugecraftError, InvariantViolation
 from .gaugecheck import ambiguity_scan, gauge_check_pair, verify_spectral_equivalence
 from .hamiltonians import (COULOMB, MULTIPOLAR, build_beyond_dipole, build_dipole,
@@ -330,9 +330,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
             json.dumps(dump, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n")
     stats = dict(traj.stats)
     # per mode, the largest population of its top Fock level over the recorded states
-    probs = np.abs(traj.states.reshape((n_times,) + tuple(f.dim for f in tdh.space.factors))) ** 2
-    top = [float(probs.take(-1, axis=1 + fi).reshape(n_times, -1).sum(axis=1).max())
-           for fi in tdh.space.photon_indices]
+    pops = factor_populations(tdh.space, traj.states)
+    top = [float(pops[fi][:, -1].max()) for fi in tdh.space.photon_indices]
     write_metadata(cfg, {"cutoffs": list(cutoffs), "gauge": gauge_label,
                          "t_max": t_max, "n_times": n_times,
                          "profile_kind": profile.kind,

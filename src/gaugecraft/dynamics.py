@@ -1,21 +1,23 @@
 """Unitary time evolution and time-dependent gauge-equivalence checks.
 
-`evolve` is one piecewise propagator.  It splits the time grid once at the
-breakpoints of the coupling modulation (`TimeProfile.breakpoints`, where
+`evolve` is one piecewise propagator of a `TimeDependentHamiltonian`, the
+H_C(t) or H_mp(t) of a coupling modulated by mu(t).  It splits the time grid
+once at the breakpoints of the profile (`TimeProfile.breakpoints`, where
 mu'(t) may jump).  On a piece where mu'(t) = 0, H(t) is one fixed matrix in
 either gauge: it is diagonalized once, sharing `ground_state`'s eigh at the
 same coupling, and every grid state of the piece is written exactly from the
 piece's start state.
 Only pieces where mu'(t) != 0 (the ramp) are integrated, with the classic
 fourth-order Runge-Kutta step and an embedded step-halving error estimate;
-no step crosses a kink of mu', and H(t) is applied there, never formed.  A
-`TimeDependentHamiltonian` is propagated in the eigenbasis of its generator,
-where it applies H(t) from two fixed matrices and diagonal phases: the start
-state is mapped into that basis and the recorded states back to the Fock
-basis.  Static Hamiltonians are the one-static-piece case, and a bare
-callable is dynamic throughout, split only at the breakpoints it is given.
+no step crosses a kink of mu', and H(t) is applied there, never formed.  The
+state is propagated in the eigenbasis of the generator X, where H(t) applies
+from two fixed matrices and diagonal phases: the start state is mapped into
+that basis and the recorded states back to the Fock basis.
 Trajectories record normalized states on the requested time grid, real
-observable series and the propagator's counters.
+observable series and the propagator's counters.  Every observable is read
+from a diagonal, so no D x D observable is formed: photon numbers and
+sigma_z from each factor's Fock populations, and <X> from the populations
+of X's eigenbasis.
 `ground_state` fixes the global phase of a start state by a Fock-basis
 convention, so it does not depend on the basis H(t) is diagonalized in.
 """
@@ -23,15 +25,14 @@ convention, so it does not depend on the basis H(t) is diagonalized in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, InvariantViolation
-from .hamiltonians import (HamiltonianBundle, TimeDependentHamiltonian,
-                           build_time_dependent, TD_EXTRA_TERM_SIGN)
-from .hilbert import HilbertSpec, Operator, PAULI_Z, hermitian_part
-from .matter import EmitterSpec, TimeProfile, constant_profile
+from .hamiltonians import TimeDependentHamiltonian, build_time_dependent, TD_EXTRA_TERM_SIGN
+from .hilbert import HilbertSpec
+from .matter import EmitterSpec, TimeProfile
 from .modes import ModeSet
 
 NORM_TOL = 1e-8
@@ -60,21 +61,12 @@ class Trajectory:
             raise InvariantViolation(f"trajectory norm drift {worst:.3e} exceeds {NORM_TOL:g}")
 
 
-def default_observables(space: HilbertSpec,
-                        generator: Optional[np.ndarray] = None) -> dict:
-    """Photon numbers per mode, sigma_z for a two-level matter factor, and
-    (when available) the coupling generator X.  The sigma_z and X series are
-    gauge-relative quantities: meaningful within one gauge, not across
-    gauges."""
-    obs = {}
-    for k, fi in enumerate(space.photon_indices):
-        obs[f"n{k}"] = space.embed(fi, np.diag(np.arange(space.factors[fi].dim)))
-    for fi in space.matter_indices:
-        if space.factors[fi].dim == 2:
-            obs["sz"] = space.embed(fi, PAULI_Z)
-    if generator is not None:
-        obs["X"] = generator
-    return obs
+def factor_populations(space: HilbertSpec, states: np.ndarray) -> list:
+    """Per factor of `space`, the populations of its levels in each Fock-basis state:
+    one (n_states, factor dim) array per factor, summed over the other factors."""
+    probs = np.abs(states.reshape((len(states),) + tuple(f.dim for f in space.factors))) ** 2
+    axes = range(1, probs.ndim)
+    return [probs.sum(axis=tuple(a for a in axes if a != k)) for k in axes]
 
 
 def ground_state(tdh: TimeDependentHamiltonian, t: float) -> np.ndarray:
@@ -86,38 +78,11 @@ def ground_state(tdh: TimeDependentHamiltonian, t: float) -> np.ndarray:
     return psi * (np.conj(top) / abs(top))
 
 
-def _as_hamiltonian(h) -> tuple:
-    """Normalize the Hamiltonian argument; returns (eigh_fn, operator_fn, space,
-    profile, basis): eigh_fn(t) diagonalizes H(t), operator_fn(t) is x -> H(t) x.
-
-    Static inputs carry a constant profile and no operator_fn, a bare callable
-    no eigh_fn and no profile; only a `TimeDependentHamiltonian` has a basis.
-    Matrices are checked where they enter.
-    """
-    if isinstance(h, HamiltonianBundle):
-        return (lambda t: h.eigensystem()), None, h.space, constant_profile(), None
-    if isinstance(h, (Operator, np.ndarray)):
-        eig = np.linalg.eigh(hermitian_part(getattr(h, "matrix", h), "static Hamiltonian"))
-        return (lambda t: eig), None, getattr(h, "space", None), constant_profile(), None
-    if isinstance(h, TimeDependentHamiltonian):
-        return h.eigensystem, h.operator, h.space, h.profile, h.basis
-    if callable(h):
-        return None, (lambda t: hermitian_part(h(t), "H(t)").__matmul__), None, None, None
-    raise TypeError(f"cannot evolve under {type(h).__name__}")
-
-
-def _pieces(profile: Optional[TimeProfile], t0: float, t1: float,
-            breakpoints: Sequence[float] = ()) -> list:
-    """Maximal pieces (t_start, t_end, static?) of [t0, t1] between breakpoints: the
-    profile's, or for a bare callable the given ones.
-
-    A piece is static exactly when mu' vanishes at its midpoint; every piece
-    of a bare callable is dynamic.
-    """
-    cuts = profile.breakpoints() if profile is not None else sorted(breakpoints)
-    edges = [t0, *(b for b in cuts if t0 < b < t1), t1]
-    return [(a, b, profile is not None and profile.mu_dot((a + b) / 2) == 0.0)
-            for a, b in zip(edges, edges[1:])]
+def _pieces(profile: TimeProfile, t0: float, t1: float) -> list:
+    """Maximal pieces (t_start, t_end, static?) of [t0, t1] between the profile's
+    breakpoints; a piece is static exactly when mu' vanishes at its midpoint."""
+    edges = [t0, *(b for b in profile.breakpoints() if t0 < b < t1), t1]
+    return [(a, b, profile.mu_dot((a + b) / 2) == 0.0) for a, b in zip(edges, edges[1:])]
 
 
 def _static_piece(vals: np.ndarray, vecs: np.ndarray, psi: np.ndarray,
@@ -184,54 +149,45 @@ def _interior(fn, t_start, t_end):
     return lambda t: fn(min(max(t, lo), hi))
 
 
-def evolve(h, psi0: np.ndarray, t_grid: Sequence[float],
-           observables: Optional[Mapping[str, np.ndarray]] = None,
-           tol: float = NORM_TOL, breakpoints: Sequence[float] = ()) -> Trajectory:
-    """Propagate a normalized state over a strictly increasing `t_grid`.
+def evolve(h: TimeDependentHamiltonian, psi0: np.ndarray, t_grid: Sequence[float],
+           tol: float = NORM_TOL) -> Trajectory:
+    """Propagate a normalized state under H(t) over a strictly increasing `t_grid`.
 
-    The horizon is split at the breakpoints of a `TimeDependentHamiltonian`'s
-    profile, or of a bare callable at the given `breakpoints` (times where
-    its H(t) may jump; no other input takes them).  Pieces where mu'(t) = 0
-    (all of a static bundle, Operator or ndarray) are propagated exactly: one
-    eigh of H per piece, each grid state written from the
-    piece's start state.  Pieces where mu'(t) != 0 (all of a bare callable)
+    The horizon is split at the breakpoints of `h.profile`.  Pieces where
+    mu'(t) = 0 are propagated exactly: one eigh of H per piece, each grid
+    state written from the piece's start state.  Pieces where mu'(t) != 0
     integrate with adaptive RK4 at local error `tol` per unit time, applying
     H(t) unformed; a piece that ends on a breakpoint evaluates H(t) from its
-    own side.  psi0 and the returned states are in the Fock basis (a bare
-    callable's in its own).  A non-Hermitian H, static or returned by a
-    callable, raises InvariantViolation, and norms that drift by `tol` or
-    more raise ConvergenceError.  `Trajectory.stats` counts H evaluations
-    (formed or applied), accepted and rejected steps, static and dynamic
-    pieces, and records the final norm error.
+    own side.  psi0 and the returned states are in the Fock basis.  Norms
+    that drift by `tol` or more raise ConvergenceError.
+
+    The observables are the photon number n<k> of each mode, sigma_z of a
+    two-level emitter and the generator X ("X"); the sigma_z and X series
+    are gauge-relative, meaningful within one gauge, not across gauges.
+    `Trajectory.stats` counts H evaluations (formed or applied), accepted and
+    rejected steps, static and dynamic pieces, and records the final norm
+    error.
     """
-    eigh, operator, space, profile, basis = _as_hamiltonian(h)
-    if len(breakpoints) and (profile is not None or basis is not None):
-        raise ValueError("breakpoints are given for a bare callable only; a "
-                         "TimeDependentHamiltonian takes them from its profile")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("time grid must be a non-empty 1D sequence")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must be strictly increasing")
     psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (h.space.dim,):
+        raise ValueError(f"initial state has shape {psi0.shape}, the space has D = {h.space.dim}")
     nrm = np.linalg.norm(psi0)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"initial state is not normalized (norm {nrm:.6f})")
-    if observables is None:
-        gen = (h.couplings.generator_matrix(h.space)
-               if isinstance(h, TimeDependentHamiltonian) else None)
-        observables = default_observables(space, gen) if space is not None else {}
-    obs_mats = {k: (v.matrix if isinstance(v, Operator) else np.asarray(v, dtype=complex))
-                for k, v in observables.items()}
 
     stats = {"h_evaluations": 0, "accepted_steps": 0, "rejected_steps": 0,
              "static_pieces": 0, "dynamic_pieces": 0}
 
     states = np.empty((len(t_grid), psi0.shape[0]), dtype=complex)
-    states[0] = psi = psi0 if basis is None else basis.from_fock(psi0)
+    states[0] = psi = h.basis.from_fock(psi0)
     filled = 1  # grid points up to the current piece's start are written
     dt = (t_grid[-1] - t_grid[0]) / max(len(t_grid) * 4, 100)
-    for t_start, t_end, piece_static in _pieces(profile, t_grid[0], t_grid[-1], breakpoints):
+    for t_start, t_end, piece_static in _pieces(h.profile, t_grid[0], t_grid[-1]):
         stats["h_evaluations"] += 1  # H at the piece's midpoint or start; steps count theirs
         stop = int(np.searchsorted(t_grid, t_end, side="right"))
         stops = t_grid[filled:stop]
@@ -239,11 +195,10 @@ def evolve(h, psi0: np.ndarray, t_grid: Sequence[float],
             stops = np.append(stops, t_end)  # the next piece starts from here
         if piece_static:
             stats["static_pieces"] += 1
-            out = _static_piece(*eigh((t_start + t_end) / 2), psi, stops - t_start)
+            out = _static_piece(*h.eigensystem((t_start + t_end) / 2), psi, stops - t_start)
         else:
             stats["dynamic_pieces"] += 1
-            split = profile is not None or len(breakpoints)
-            piece_fn = _interior(operator, t_start, t_end) if split else operator
+            piece_fn = _interior(h.operator, t_start, t_end)
             out = np.empty((stops.size, psi.shape[0]), dtype=complex)
             t, h_t = t_start, piece_fn(t_start)
             for j, t_next in enumerate(stops):
@@ -252,16 +207,21 @@ def evolve(h, psi0: np.ndarray, t_grid: Sequence[float],
                 t = t_next
         states[filled:stop] = out[:stop - filled]
         psi, filled = out[-1], stop
-    if basis is not None:
-        states = basis.to_fock(states.T).T
+    obs = {"X": np.abs(states) ** 2 @ h.basis.xi}  # <X> = sum_i xi_i |y_i|^2
+    states = h.basis.to_fock(states.T).T
     # RK4 does not conserve the norm: refuse a trajectory that drifted too far
     drift = np.abs(np.linalg.norm(states, axis=1) - 1.0).max()
     if drift >= tol:
         raise ConvergenceError(f"norm drift {drift:.3e} exceeds tolerance {tol:g}")
     stats["norm_error"] = float(abs(np.linalg.norm(states[-1]) - 1.0))
 
-    obs = {label: ((states.conj() @ m) * states).sum(axis=1).real
-           for label, m in obs_mats.items()}
+    space = h.space
+    pops = factor_populations(space, states)
+    for k, fi in enumerate(space.photon_indices):
+        obs[f"n{k}"] = pops[fi] @ np.arange(space.factors[fi].dim)
+    for fi in space.matter_indices:
+        if space.factors[fi].dim == 2:  # sigma_z = diag(+1, -1) on |e>, |g>
+            obs["sz"] = pops[fi][:, 0] - pops[fi][:, 1]
     return Trajectory(t_grid, states, obs, stats)
 
 

@@ -1066,7 +1066,6 @@ class TimeDependentHamiltonian:
         if gauge not in ("coulomb", "multipolar"):
             raise ValueError(f"unknown gauge {gauge!r}")
         self.gauge = gauge
-        self.couplings = cs
         self.basis = cs.generator(space)
         k = hermitian_part(self.basis.transform(kron(h_field, np.eye(len(h_matter)))),
                            "H(t) field term K")
@@ -1108,14 +1107,12 @@ class TimeDependentHamiltonian:
         return h
 
     def operator(self, t: float) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> H(t) x in the eigenbasis of X, for a state (D,) or a block (D, k):
+        """x -> H(t) x in the eigenbasis of X, for a state x of shape (D,):
         C x + Phi (A (Phi^* x)), plus the multipolar mu' term, with H(t) not formed."""
         phase, diag = self._terms(t)
         return partial(self._apply, phase, phase.conj(), diag)
 
     def _apply(self, phase, conj, diag, x):
-        if x.ndim > 1:
-            return np.column_stack([self._apply(phase, conj, diag, v) for v in x.T])
         y = self._c @ x
         y += phase * (self._a @ (conj * x))
         if diag is not None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .hamiltonians import GaugeParam, LongitudinalCoupling
-from .matter import EmitterSpec, SingleParticle, TimeProfile
+from .matter import EmitterSpec, SingleParticle, TimeProfile, constant_profile
 from .modes import Dielectric1D, ModeSet, PolaritonGrid, QnmSet
 
 
@@ -156,7 +156,7 @@ def time_profile_from_json(doc: Mapping, path: str = "time_profile") -> TimeProf
     kind = _get(doc, "kind", path)
     try:
         if kind == "constant":
-            return TimeProfile("constant", value=float(doc.get("value", 1.0)))
+            return constant_profile(float(doc.get("value", 1.0)))
         if kind in ("linear", "raised_cosine"):
             return TimeProfile(kind,
                                start=float(doc.get("start", 0.0)),
@@ -319,7 +319,7 @@ class Scenario:
     def time_profile(self) -> TimeProfile:
         section = self.doc.get("time_profile")
         if section is None:
-            return TimeProfile("constant", value=1.0)
+            return constant_profile()
         return time_profile_from_json(section)
 
     def section(self, key: str, required: bool = True) -> Mapping:

@@ -8,10 +8,10 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import gaugecraft.dynamics as dynamics
-from dense_oracle import DenseSystem, fock_td_matrix
-from gaugecraft import (ConvergenceError, GaugeParam, ModeSet, TimeProfile, build_dipole,
-                        build_time_dependent, constant_profile, evolve, linear_ramp,
-                        raised_cosine_ramp, standard_space, tls)
+from dense_oracle import DenseSystem, fock_td_matrix, generator_matrix, ladder, pauli
+from gaugecraft import (ConvergenceError, ModeSet, TimeProfile, build_time_dependent,
+                        constant_profile, couplings, evolve, linear_ramp, raised_cosine_ramp,
+                        standard_space, tls)
 from gaugecraft.cli import main
 from gaugecraft.dynamics import ground_state
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
@@ -110,15 +110,6 @@ def test_constant_profile_is_exact():
     assert traj.stats["h_evaluations"] == 1
 
 
-def test_static_bundle_is_one_static_piece():
-    bundle = build_dipole(TWO_MODES, EMITTER, GaugeParam(0.37), CUTOFFS)
-    psi0 = np.linalg.eigh(bundle.H.matrix)[1][:, 3].astype(complex)
-    traj = evolve(bundle, psi0, np.linspace(0.0, 5.0, 6))
-    phase = np.vdot(psi0, traj.states[-1])
-    assert abs(abs(phase) - 1.0) <= 1e-12
-    assert traj.stats["static_pieces"] == 1 and traj.stats["h_evaluations"] == 1
-
-
 @pytest.mark.parametrize("t_max", [3000.0, 6000.0])
 def test_long_horizon_keeps_the_norm(t_max):
     ms = ModeSet(np.array([[1.0]]), {"emitter": [(0.7, 0.0, 0.0)]})
@@ -181,43 +172,35 @@ def test_ground_state_and_the_first_static_piece_share_one_eigh(gauge, monkeypat
 
 
 def test_steps_reuse_hamiltonians():
-    """At most four new H per attempted step plus H at the start of each dynamic piece."""
+    """At most four new H per attempted step plus H at the start of each piece, and the
+    first H(t) of a piece that shares the ground state's eigh is not formed again."""
     profile, _ = PROFILES["tabulated"]
     td = build_time_dependent(TWO_MODES, EMITTER, "coulomb", profile, CUTOFFS)
     psi0 = ground_state(td, 0.0)
-    calls = []
-    traj = evolve(lambda t: calls.append(t) or td.matrix(t), td.basis.from_fock(psi0),
-                  GRIDS["straddling"])
-    s = traj.stats
-    assert s["dynamic_pieces"] == 1 and s["static_pieces"] == 0
-    assert s["rejected_steps"] > 0  # steps across the kinks of mu' fail and shrink
-    assert len(calls) == s["h_evaluations"] <= 4 * (s["accepted_steps"] + s["rejected_steps"]) + 1
-
     times, diagonalized, formed = counting(td)
     s = evolve(td, psi0, GRIDS["straddling"]).stats
     assert s["dynamic_pieces"] == 2 and s["static_pieces"] == 3 == len(diagonalized)
+    assert s["rejected_steps"] > 0  # too long a step fails and shrinks
     assert formed == diagonalized[1:]
     attempted = s["accepted_steps"] + s["rejected_steps"]
+    assert len(times) == s["h_evaluations"]
     assert len(times) <= 4 * attempted + s["dynamic_pieces"] + s["static_pieces"]
 
 
-def test_bare_callable_splits_at_explicit_breakpoints():
-    """The multipolar H(t) of a linear ramp jumps by mu' X at its ends: as a bare callable
-    it fails once a step lands on a jump, and with the ramp's breakpoints it matches the
-    `TimeDependentHamiltonian` it was taken from."""
+def test_step_control_failure_raises_and_exits_3(tmp_path, monkeypatch, capsys):
+    """The multipolar H(t) of a linear ramp jumps by mu' X at the ramp's ends.  Integrated
+    as one dynamic piece, unsplit at those jumps, a step that lands on one cannot meet the
+    tolerance at any step size: `evolve` raises, and the command exits 3."""
     profile = linear_ramp(3.0, 0.7)
     td = build_time_dependent(TWO_MODES, EMITTER, "multipolar", profile, CUTOFFS)
     psi0 = ground_state(td, 0.0)
-    t_grid = np.linspace(0.05, 7.3, 30)
+    config = write_scenario(tmp_path, {"kind": "linear", "t0": 0.7, "duration": 3.0})
+    assert run_evolve(config, tmp_path / "split", "evolve.t_max=7.3") == 0
+    monkeypatch.setattr(dynamics, "_pieces", lambda profile, t0, t1: [(t0, t1, False)])
     with pytest.raises(ConvergenceError, match="step control failed"):
-        evolve(lambda t: td.matrix(t), td.basis.from_fock(psi0), t_grid)
-    traj = evolve(lambda t: td.matrix(t), td.basis.from_fock(psi0), t_grid,
-                  breakpoints=profile.breakpoints())
-    assert traj.stats["dynamic_pieces"] == 3 and traj.stats["static_pieces"] == 0
-    want = evolve(td, psi0, t_grid).states
-    assert np.abs(td.basis.to_fock(traj.states.T).T - want).max() <= 1e-6
-    with pytest.raises(ValueError, match="bare callable"):
-        evolve(td, psi0, t_grid, breakpoints=profile.breakpoints())
+        evolve(td, psi0, np.linspace(0.05, 7.3, 30))
+    assert run_evolve(config, tmp_path / "whole", "evolve.t_max=7.3") == 3
+    assert "step control failed" in capsys.readouterr().err
 
 
 def test_norm_drift_raises(monkeypatch):
@@ -230,17 +213,33 @@ def test_norm_drift_raises(monkeypatch):
         return rk4_step(h_0, h_mid, h_1, psi, dt) * (1 + 1e-6 * dt)
 
     monkeypatch.setattr(dynamics, "_rk4_step", growing)
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    hermitian = np.array([[1.0, 0.2], [0.2, -1.0]])
+    td = build_time_dependent(ModeSet(np.array([[1.0]]), {"emitter": [(0.7, 0.0, 0.0)]}),
+                              tls(1.0, (1.0, 0.0, 0.0)), "coulomb", linear_ramp(2.0), 1)
     with pytest.raises(ConvergenceError, match="norm drift"):
-        evolve(lambda t: hermitian, psi0, [0.0, 1.0, 2.0])
+        evolve(td, ground_state(td, 0.0), [0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("length", [9, 16])
+def test_start_state_of_the_wrong_length_is_refused(length):
+    td = build_time_dependent(ModeSet(np.array([[1.0]]), {"emitter": [(0.7, 0.0, 0.0)]}),
+                              tls(1.0, (1.0, 0.0, 0.0)), "coulomb", linear_ramp(2.0), 3)
+    assert td.space.dim == 8
+    psi0 = np.zeros(length, dtype=complex)
+    psi0[0] = 1.0
+    with pytest.raises(ValueError, match=rf"shape \({length},\).*D = 8"):
+        evolve(td, psi0, [0.0, 1.0])
 
 
 def test_observables_match_the_einsum_form():
+    """Each series read from a diagonal equals <psi|O|psi> of its dense matrix."""
     td = build_time_dependent(TWO_MODES, EMITTER, "multipolar", PROFILES["linear"][0], CUTOFFS)
     traj = evolve(td, ground_state(td, 0.0), GRIDS["straddling"])
-    obs = dynamics.default_observables(td.space, td.couplings.generator_matrix(td.space))
-    assert sorted(traj.observables) == sorted(obs) == ["X", "n0", "n1", "sz"]
+    space = td.space
+    a = [ladder(space, k).matrix for k in range(2)]
+    obs = {"n0": a[0].conj().T @ a[0], "n1": a[1].conj().T @ a[1],
+           "sz": pauli(space, 0)[2].matrix,
+           "X": generator_matrix(couplings(TWO_MODES, EMITTER).eta_matrices, space)}
+    assert sorted(traj.observables) == ["X", "n0", "n1", "sz"]
     for label, m in obs.items():
         want = np.einsum("ki,ij,kj->k", traj.states.conj(), m, traj.states).real
         assert np.abs(traj.observables[label] - want).max() <= 1e-13
@@ -255,12 +254,12 @@ def test_grid_must_increase(t_grid):
 
 # ------------------------------------------------------------------ CLI
 
-def write_scenario(tmp_path):
+def write_scenario(tmp_path, profile=None):
     section = {"t_max": 20.0, "n_times": 41, "gauge": "multipolar",
                "state_checkpoints": [0, 10, 40]}
     doc = {"seed": 0, "modeset": modeset_to_json(TWO_MODES), "emitter": emitter_to_json(EMITTER),
            "fock_cutoffs": list(CUTOFFS), "evolve": section,
-           "time_profile": {"kind": "raised_cosine", "t0": 1.0, "duration": 5.0}}
+           "time_profile": profile or {"kind": "raised_cosine", "t0": 1.0, "duration": 5.0}}
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     return config
@@ -348,3 +347,38 @@ def test_initial_ground_state_has_the_fock_phase_convention(tmp_path, gauge):
 def test_evolve_command_rejects_bad_input(tmp_path, capsys, overrides, key):
     assert run_evolve(write_scenario(tmp_path), tmp_path / "out", *overrides) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, profile", [
+    ({"kind": "constant", "value": 0.8}, constant_profile(0.8)),
+    ({"kind": "linear", "t0": 1.0, "duration": 5.0}, linear_ramp(5.0, 1.0)),
+    ({"kind": "tabulated", "times": [1.0, 2.0, 3.5, 6.0], "values": [0.0, 0.5, 0.5, 1.0]},
+     PROFILES["tabulated"][0]),
+])
+def test_evolve_command_reads_each_time_profile(tmp_path, doc, profile):
+    """The command's trajectory and states equal the library's under the same profile."""
+    out = tmp_path / "out"
+    assert run_evolve(write_scenario(tmp_path, doc), out) == 0
+    td = build_time_dependent(TWO_MODES, EMITTER, "multipolar", profile, CUTOFFS)
+    want = evolve(td, ground_state(td, 0.0), np.linspace(0.0, 20.0, 41))
+    header, *rows = [line.split(",") for line in
+                     (out / "trajectory.csv").read_text(encoding="utf-8").splitlines()]
+    got = np.array(rows, dtype=float)
+    assert header == ["time"] + sorted(want.observables)
+    assert np.abs(got[:, 0] - want.times).max() <= 1e-12
+    for k, label in enumerate(header[1:], start=1):
+        assert np.abs(got[:, k] - want.observables[label]).max() <= 1e-12
+    for state in json.loads((out / "states.json").read_text(encoding="utf-8")):
+        psi = np.array([complex(*c) for c in state["state"]])
+        assert np.abs(psi - want.states[round(state["time"] * 2)]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "cubic", "duration": 5.0}, "'time_profile.kind' must be one of"),
+    ({"kind": "linear", "t0": 1.0}, "missing key 'time_profile.duration'"),
+    ({"kind": "tabulated", "times": [1.0, 3.0, 2.0], "values": [0.0, 0.5, 1.0]},
+     "tabulated times must be strictly increasing"),
+])
+def test_evolve_command_rejects_a_bad_time_profile(tmp_path, capsys, doc, message):
+    assert run_evolve(write_scenario(tmp_path, doc), tmp_path / "out") == 2
+    assert message in capsys.readouterr().err

@@ -147,8 +147,9 @@ def test_time_dependent_matrix_matches_oracle(system):
 @given(system=systems(), seed=st.integers(0, 2**31 - 1))
 @example(system=(*random_system(11, 2, "multi_axis"), (3, 2), "multi_axis"), seed=0)
 def test_time_dependent_operator_matches_the_formed_and_dense_hamiltonian(system, seed):
-    """operator(t) on a D x 3 block equals matrix(t) x and B^dag H_dense(t) B x on either
-    generator kind, in both gauges, before, inside (where mu' != 0) and after the ramp."""
+    """operator(t), applied to each column of a D x 3 block x, equals matrix(t) x and
+    B^dag H_dense(t) B x on either generator kind, in both gauges, before, inside (where
+    mu' != 0) and after the ramp."""
     ms, em, cutoffs, _ = system
     dense = DenseSystem(ms, em, cutoffs)
     rng = np.random.default_rng(seed)
@@ -158,7 +159,8 @@ def test_time_dependent_operator_matches_the_formed_and_dense_hamiltonian(system
         tdh = build_time_dependent(ms, em, gauge, RAMP, cutoffs)
         b = dense_oracle.basis_matrix(tdh.basis)
         for t in RAMP_TIMES:
-            got = tdh.operator(t)(x)
+            apply = tdh.operator(t)
+            got = np.column_stack([apply(v) for v in x.T])
             for want, what in ((tdh.matrix(t) @ x, "matrix(t) x"),
                                (b.conj().T @ (dense.td_matrix(gauge, RAMP, t) @ (b @ x)),
                                 "B^dag H_dense(t) B x")):

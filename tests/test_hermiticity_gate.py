@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from gaugecraft import (COULOMB, EmitterSpec, HamiltonianBundle, HermitianGenerator,
-                        InvariantViolation, ModeSet, Operator, QnmSet, build_dipole, evolve, tls)
+                        InvariantViolation, ModeSet, Operator, QnmSet)
 from gaugecraft.hilbert import HERMITIAN_TOL, HilbertSpec, hermitian_part, matter_levels, photon
 
 RNG = np.random.default_rng(7)
-LOSSY = np.array([[1 - 1e-3j, 0.2], [0.2, -1.0]])  # a decaying level: not Hermitian
-PSI0 = np.array([1.0, 0.0], dtype=complex)
 
 
 def random_hermitian(n, scale=1.0):
@@ -42,37 +40,6 @@ class TestHermitianPart:
         hermitian_part(big + anti_hermitian(4, 1e-9), "big")  # 1e-9 < 1e-12 * max|m|
         with pytest.raises(InvariantViolation, match="small is not Hermitian before"):
             hermitian_part(random_hermitian(4, scale=1e-3) + anti_hermitian(4, 1e-11), "small")
-
-
-class TestEvolveRefusesNonHermitianStaticInput:
-    def test_ndarray(self):
-        with pytest.raises(InvariantViolation, match="static Hamiltonian"):
-            evolve(LOSSY, PSI0, [0.0, 1.0, 2.0])
-
-    def test_operator(self):
-        op = Operator(LOSSY, HilbertSpec([matter_levels(2)]))
-        with pytest.raises(InvariantViolation, match="static Hamiltonian"):
-            evolve(op, PSI0, [0.0, 1.0, 2.0])
-
-    def test_perturbed_bundle_matrix(self):
-        bundle = build_dipole(ModeSet.single_mode(1.0, {"emitter": [1.0, 0, 0]}),
-                              tls(1.0, (0.3, 0, 0)), COULOMB, 12)
-        h = bundle.H.matrix + anti_hermitian(bundle.space.dim, 1e-6)
-        psi0 = np.zeros(bundle.space.dim, dtype=complex)
-        psi0[0] = 1.0
-        with pytest.raises(InvariantViolation, match="before symmetrization"):
-            evolve(h, psi0, [0.0, 1.0])
-        # the same matrix within tolerance evolves like the bundle itself
-        ok = bundle.H.matrix + anti_hermitian(bundle.space.dim, 1e-14)
-        got = evolve(ok, psi0, [0.0, 1.0], observables={}).states
-        want = evolve(bundle, psi0, [0.0, 1.0], observables={}).states
-        assert np.abs(got - want).max() < 1e-12
-
-
-def test_evolve_refuses_a_non_hermitian_callable():
-    """A bare callable's H(t) passes the same gate as a static matrix, at every evaluation."""
-    with pytest.raises(InvariantViolation, match=r"H\(t\) is not Hermitian before symmetrization"):
-        evolve(lambda t: LOSSY, PSI0, [0.0, 1.0, 2.0])
 
 
 class TestBundleGate:

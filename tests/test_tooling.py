@@ -82,6 +82,8 @@ LIBRARY_API = {
     "detect.naive_rate_gap": "the photodetection claim's naive control, not yet a CLI output",
     "dynamics.td_gauge_equivalence": "the time-dependent gauge check, not yet a CLI command",
     "hamiltonians.build_generalized_1d": "the 1D dielectric builder, not yet a CLI source",
+    "hilbert.HilbertSpec.embed": "wrapped by perfbench/tracer.py as hilbert.embed; goes with "
+                                 "that wrap once the tracer reads stage timers",
 }
 
 
