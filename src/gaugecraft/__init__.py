@@ -9,7 +9,7 @@ frequencies in a common reference unit.
 """
 
 from .errors import ConfigError, ConvergenceError, GaugecraftError, InvariantViolation
-from .hilbert import Factor, HermitianGenerator, HilbertSpec, Operator, matter_levels, photon
+from .hilbert import Factor, HermitianGenerator, HilbertSpec, matter_levels, photon
 from .modes import (Dielectric1D, ModeSet, NormalModeSet1D, PolaritonGrid, QnmChiResult,
                     QnmSet, build_from_grid, chi_from_qnm, completeness_residual,
                     qnm_frequency_grid, solve_dielectric_1d)

@@ -29,8 +29,9 @@ from .gaugecheck import ambiguity_scan, gauge_check_pair, verify_spectral_equiva
 from .hamiltonians import (COULOMB, MULTIPOLAR, build_beyond_dipole, build_dipole,
                            build_naive, build_time_dependent, couplings, standard_space)
 from .modes import build_from_grid, chi_from_qnm, completeness_residual, qnm_frequency_grid, solve_dielectric_1d
-from .scenario import (Scenario, decode_complex_matrix, dielectric_from_json, number,
-                       number_list, polariton_grid_from_json, qnm_from_json, save_modeset)
+from .scenario import (Scenario, _decoding, decode_complex_matrix, dielectric_from_json,
+                       number, number_list, polariton_grid_from_json, qnm_from_json,
+                       save_modeset)
 
 COMMANDS = ("spectrum", "gauge-check", "detect", "evolve", "modes")
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
@@ -146,21 +147,22 @@ def _beyond_dipole_profiles(section, n_modes):
         raise ConfigError("missing key 'beyond_dipole.profile'")
     if isinstance(descriptors, dict):
         descriptors = [descriptors] * n_modes
-    if len(descriptors) != n_modes:
-        raise ConfigError(f"'beyond_dipole.profile' needs {n_modes} descriptors")
     fns = []
-    for k, desc in enumerate(descriptors):
-        kind = desc.get("kind")
-        path = f"beyond_dipole.profile[{k}]"
-        if kind == "constant":
-            value = decode_complex_matrix(desc.get("value"), f"{path}.value", (3,))
-            fns.append(lambda x, v=value: v)
-        elif kind == "cosine":
-            amp = decode_complex_matrix(desc.get("amplitude"), f"{path}.amplitude", (3,))
-            kvec = np.asarray(desc.get("k"), dtype=float).reshape(3)
-            fns.append(lambda x, a=amp, kv=kvec: a * np.cos(kv @ np.asarray(x, dtype=float)))
-        else:
-            raise ConfigError(f"'{path}.kind' must be 'constant' or 'cosine'")
+    with _decoding("beyond_dipole.profile", "profile"):
+        if len(descriptors) != n_modes:
+            raise ConfigError(f"'beyond_dipole.profile' needs {n_modes} descriptors")
+        for k, desc in enumerate(descriptors):
+            kind = desc.get("kind")
+            path = f"beyond_dipole.profile[{k}]"
+            if kind == "constant":
+                value = decode_complex_matrix(desc.get("value"), f"{path}.value", (3,))
+                fns.append(lambda x, v=value: v)
+            elif kind == "cosine":
+                amp = decode_complex_matrix(desc.get("amplitude"), f"{path}.amplitude", (3,))
+                kvec = np.asarray(desc.get("k"), dtype=float).reshape(3)
+                fns.append(lambda x, a=amp, kv=kvec: a * np.cos(kv @ np.asarray(x, dtype=float)))
+            else:
+                raise ConfigError(f"'{path}.kind' must be 'constant' or 'cosine'")
     return fns
 
 
@@ -268,6 +270,8 @@ def cmd_detect(cfg: RunConfig) -> int:
         if any(not 0 <= idx < dim for pair in transitions for idx in pair):
             raise ConfigError(f"'detector.transitions' indices must lie in [0, D), D = {dim}")
     count = number(section.get("count", 3), "detector.count", int)
+    if count < 0:
+        raise ConfigError(f"'detector.count' must be >= 0, got {count}")
     bundle_c = build_dipole(ms, em, COULOMB, cutoffs)
     bundle_mp = build_dipole(ms, em, MULTIPOLAR, cutoffs)
     if transitions is None:
@@ -327,7 +331,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
                  "state": [[float(c.real), float(c.imag)] for c in traj.states[idx]]}
                 for idx in checkpoints]
         (cfg.out_dir / "states.json").write_text(
-            json.dumps(dump, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n")
+            json.dumps(dump, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
     stats = dict(traj.stats)
     # per mode, the largest population of its top Fock level over the recorded states
     pops = factor_populations(tdh.space, traj.states)
@@ -346,17 +350,17 @@ def cmd_modes(cfg: RunConfig) -> int:
     section = sc.section("modes")
     meta = {}
     if "grid" in section:
-        grid = polariton_grid_from_json(section["grid"])
-        profile_points = {}
-        for label, pairs in section.get("profile_points", {}).items():
-            profile_points[label] = decode_complex_matrix(
-                pairs, f"modes.profile_points.{label}", (grid.n_modes, 3))
+        grid = polariton_grid_from_json(section["grid"], "modes.grid")
+        with _decoding("modes.profile_points", "map of profile points"):
+            profile_points = {label: decode_complex_matrix(pairs, f"modes.profile_points.{label}",
+                                                           (grid.n_modes, 3))
+                              for label, pairs in section.get("profile_points", {}).items()}
         ms = build_from_grid(grid, profile_points)
         save_modeset(ms, cfg.out_dir / "modeset.json")
         meta["completeness_residual"] = completeness_residual(ms, grid)
         meta["n_modes"] = ms.n_modes
     elif "qnm" in section:
-        qnm = qnm_from_json(section["qnm"])
+        qnm = qnm_from_json(section["qnm"], "modes.qnm")
         grid_opts = section.get("frequency_grid", {})
         path = "modes.frequency_grid"
         freq_grid = qnm_frequency_grid(

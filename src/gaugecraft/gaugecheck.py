@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .hamiltonians import (COULOMB, MULTIPOLAR, CouplingSet, QuadratureFamily, build_dipole,
                            build_naive)
-from .hilbert import HilbertSpec, Operator
+from .hilbert import HilbertSpec
 from .matter import EmitterSpec, tls
 from .modes import ModeSet
 
@@ -45,11 +45,10 @@ MAX_CUTOFF = 640
 
 
 def gauge_unitary(space: HilbertSpec, cs: CouplingSet,
-                  theta_from: float, theta_to: float) -> Operator:
+                  theta_from: float, theta_to: float) -> np.ndarray:
     """W = exp(-i (theta_to - theta_from) X), exactly unitary on the truncated space, formed
     in the generator's eigenbasis."""
-    return Operator(cs.generator(space).apply(-(theta_to - theta_from), np.eye(space.dim)),
-                    space)
+    return cs.generator(space).apply(-(theta_to - theta_from), np.eye(space.dim))
 
 
 def _low_sector_mask(space: HilbertSpec, fraction: float = DEFAULT_LOW_FRACTION) -> np.ndarray:
@@ -114,10 +113,10 @@ def verify_spectral_equivalence(h_a, h_b, k: int = 5,
         if h_a.family is not None and h_b.family is not None and h_a.family.same_basis(h_b.family):
             residual = h_a.family.residual(h_a, h_b, low_fraction)
         else:
-            w = gauge_unitary(h_a.space, cs, h_a.gauge.theta, h_b.gauge.theta).matrix
+            w = gauge_unitary(h_a.space, cs, h_a.gauge.theta, h_b.gauge.theta)
             keep = _low_sector_mask(h_a.space, low_fraction)
             # (W H_a W^dag - H_b) P_low keeps exactly the columns of the low sector
-            delta = (w @ h_a.H.matrix @ w[keep].conj().T) - h_b.H.matrix[:, keep]
+            delta = (w @ h_a.H @ w[keep].conj().T) - h_b.H[:, keep]
             residual = float(np.linalg.norm(delta, 2))
     max_diff = float(per_level.max())
     cutoffs = tuple(h_a.metadata.get("cutoffs", ()))

@@ -71,14 +71,14 @@ member is formed in the Fock basis once, where the hook appends its factor
 and the bundle verifies and solves it.  The same members of couplings that
 do not factor come from the dense `HermitianGenerator` (`conjugate`, and
 `nested_commutators` for the naive series).  The canonical multipolar core,
-`multipolar_interaction` plus the matter matrix `polarization_squared`,
-gives the theta = 1 naive builder and the beyond-dipole and 1D multipolar
-forms.  H(t) is written in the generator's eigenbasis
-(`CouplingSet.generator`), where each gauge map is a diagonal phase.  No
-builder is written out by hand: the dense forms the cores are checked
-against (the embedded-product `DenseSystem`, the single-mode two-level
-Coulomb and multipolar forms, and the beyond-dipole and 1D Hamiltonians
-term by term) live with the tests.
+`_multipolar_bundle`, sums H_F, `multipolar_interaction` and a matter term
+(h0, with `polarization_squared` or without) for the theta = 1 naive builder
+and the beyond-dipole and 1D multipolar forms.  H(t) is written in the
+generator's eigenbasis (`CouplingSet.generator`), where each gauge map is a
+diagonal phase.  No builder is written out by hand: the dense forms the cores
+are checked against (the embedded-product `DenseSystem`, the single-mode
+two-level Coulomb and multipolar forms, and the beyond-dipole and 1D
+Hamiltonians term by term) live with the tests.
 
 Beyond-dipole builders for effective single-particle emitters, normal-mode
 (lossless 1D dielectric) builders in the generalized Coulomb/multipolar
@@ -97,11 +97,10 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConvergenceError, InvariantViolation
-from .hilbert import (HERMITIAN_TOL, Eigenbasis, HermitianGenerator, HilbertSpec,
-                      Operator, PAULI_X, PAULI_Z, _kron_apply,
-                      fock_quadrature, hermitian_part, kron, ladder_matrix, matter_levels,
-                      max_abs, member_max_abs, mode_phase, parity_labels, photon,
-                      verify_members)
+from .hilbert import (HERMITIAN_TOL, Eigenbasis, HermitianGenerator, HilbertSpec, PAULI_X,
+                      PAULI_Z, _kron_apply, fock_quadrature, hermitian_part, kron,
+                      ladder_matrix, matter_levels, max_abs, member_max_abs, mode_phase,
+                      parity_labels, photon, verify_members)
 from .matter import EmitterSpec, TimeProfile
 from .modes import ModeSet, NormalModeSet1D
 
@@ -240,9 +239,9 @@ def couplings(ms: ModeSet, em: EmitterSpec) -> CouplingSet:
 class HamiltonianBundle:
     """A built Hamiltonian with its space, gauge and builder metadata.
 
-    Built from a matrix, `H` is passed as assembled, a matrix or an
-    `Operator`, checked once with `hilbert.hermitian_part` and kept as an
-    `Operator` of its Hermitian part.  The members of a `sectored`
+    Built from a matrix, `H` is the assembled D x D ndarray of `space` (any
+    other shape is a `ValueError`), checked once with `hilbert.hermitian_part`
+    and kept as its Hermitian part, an ndarray.  The members of a `sectored`
     `QuadratureFamily` (a two-level emitter with a parity) come from the
     family instead (`in_quadrature_basis`): the bundle keeps the member's raw
     blocks, which the family measures when the bundle is made and solves per
@@ -271,16 +270,17 @@ class HamiltonianBundle:
     reports the family's measurements of the same two symmetries.
     """
 
-    def __init__(self, H: Union[np.ndarray, Operator], space: HilbertSpec, gauge: GaugeParam,
+    def __init__(self, H: np.ndarray, space: HilbertSpec, gauge: GaugeParam,
                  metadata: Optional[dict] = None, parity: Optional[np.ndarray] = None,
                  time_reversal: bool = False):
+        if np.shape(H) != (space.dim,) * 2:
+            raise ValueError(f"H must be square, (D, D) with D = {space.dim} for its space, "
+                             f"got shape {np.shape(H)}")
         self.space, self.gauge = space, gauge
         self.metadata = {} if metadata is None else metadata
         self.parity, self.time_reversal = parity, time_reversal
         self.family = self.blocks = self._eigensystem = None
-        raw = H.matrix if isinstance(H, Operator) else H
-        m = hermitian_part(raw, f"{self.metadata.get('builder', 'bundle')} Hamiltonian")
-        self._H = Operator(m, space)
+        m = self._H = hermitian_part(H, f"{self.metadata.get('builder', 'bundle')} Hamiltonian")
         n = m.shape[-1]
         tol = HERMITIAN_TOL * max(1.0, max_abs(m))
         sectors, off_block = (np.arange(n),), None
@@ -334,18 +334,17 @@ class HamiltonianBundle:
         return "fock" if self.family is None else "quadrature"
 
     @property
-    def H(self) -> Operator:
+    def H(self) -> np.ndarray:
         """H in the Fock basis, formed on first read for a quadrature-basis bundle."""
         if self._H is None:
-            h = self.family.member_matrix(self.blocks)
-            self._H = Operator(hermitian_part(h, "quadrature-basis H in the Fock basis"),
-                               self.space)
+            self._H = hermitian_part(self.family.member_matrix(self.blocks),
+                                     "quadrature-basis H in the Fock basis")
         return self._H
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """H x in the Fock basis for a vector (D,) or a block (D, k); a quadrature-basis
         bundle applies its member unformed (`QuadratureFamily.apply_member`)."""
-        return self.H.matrix @ x if self.family is None else self.family.apply_member(self.blocks, x)
+        return self.H @ x if self.family is None else self.family.apply_member(self.blocks, x)
 
     def _sector_blocks(self):
         """(block, place) per sector, even sector first: place(vecs, columns, v) writes
@@ -354,7 +353,7 @@ class HamiltonianBundle:
         if self.family is not None:
             yield from self.family.sector_blocks(self.blocks)
             return
-        m = self._H.matrix
+        m = self._H
         for s in self._sectors:
             if self._phases is None:
                 yield (m if len(s) == len(m) else m[s[:, None], s]), partial(_scatter, s, None)
@@ -385,7 +384,7 @@ class HamiltonianBundle:
         if self._eigensystem is None:
             n = self.space.dim
             if self.family is None and len(self._sectors) == 1 and self._phases is None:
-                cached = np.linalg.eigh(self._H.matrix)
+                cached = np.linalg.eigh(self._H)
             else:
                 # allocated before the sector solves: allocated after their freed
                 # temporaries, it raised the peak RSS of `detect` at D = 882 by
@@ -610,7 +609,7 @@ class QuadratureFamily:
                 local = {m: (self.v[m].T * (chi[m, m].real * np.arange(dims[m]))) @ self.v[m]}
             else:
                 local = {m: chi[m, n] * lowered(m).conj().T, n: lowered(n)}
-            terms.append(reduce(kron, [local.get(i, np.eye(d)) for i, d in enumerate(dims)]))
+            terms.append(self.photons.kron(local))
         return reduce(np.add, terms)
 
     def members(self, theta: float, scales, order: Optional[int] = None):
@@ -873,6 +872,19 @@ def polarization_squared(cs: CouplingSet) -> np.ndarray:
     return np.einsum("mn,mji,njk->ik", cs.chi, eta.conj(), eta)
 
 
+def _multipolar_bundle(cs: CouplingSet, matter: np.ndarray, cutoffs: tuple[int, ...],
+                       meta: dict, parity_signs: Optional[Sequence[int]] = None,
+                       time_reversal: bool = False) -> HamiltonianBundle:
+    """The canonical multipolar H = H_F + `multipolar_interaction` + matter at theta = 1, the
+    matter term (h0, with the P^2 term or without it) on the matter factor of the
+    `standard_space` of the cutoffs; parity and time reversal declared as in `_bundle`."""
+    space = standard_space(cutoffs, cs.matter_dim)
+    h = field_hamiltonian(cs.chi, space)
+    h += multipolar_interaction(cs, space)
+    h += space.kron({space.matter_indices[0]: matter})
+    return _bundle(h, space, MULTIPOLAR, meta, parity_signs, time_reversal)
+
+
 def build_naive(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
                 cutoffs: Union[int, Sequence[int]], order: int = 1) -> HamiltonianBundle:
     """Gauge-violating reference Hamiltonians from direct (naive) truncation.
@@ -895,10 +907,8 @@ def build_naive(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
             "theta": g.theta, "order": order, "eta": _eta_summary(cs)}
     if g.theta == 0.0:
         return _family_bundle(cs, em.h0, em.parity_signs, cutoffs, g, meta, order)
-    space = standard_space(cutoffs, em.n_levels)
-    h = field_hamiltonian(ms.chi, space) + space.kron({space.matter_indices[0]: em.h0})
-    h += multipolar_interaction(cs, space)
-    return _bundle(h, space, g, meta, em.parity_signs, _real(cs.chi, cs.eta_matrices, em.h0))
+    return _multipolar_bundle(cs, em.h0, cutoffs, meta, em.parity_signs,
+                              _real(cs.chi, cs.eta_matrices, em.h0))
 
 
 def simpson_segment(fn: Callable[[float], np.ndarray], lo: float, hi: float,
@@ -987,12 +997,8 @@ def build_beyond_dipole(chi: Union[float, np.ndarray],
     if gauge == "coulomb":
         return _family_bundle(CouplingSet(half_sx, chi), h_matter, TLS_PARITY_SIGNS, cutoffs,
                               COULOMB, meta)
-    space = standard_space(cutoffs, 2)
-    h = field_hamiltonian(chi, space)
     cs = CouplingSet(g_even[:, None, None] * np.eye(2) + half_sx, chi)
-    h += multipolar_interaction(cs, space)
-    h += space.kron({space.matter_indices[0]: h_matter + polarization_squared(cs)})
-    return _bundle(h, space, MULTIPOLAR, meta)
+    return _multipolar_bundle(cs, h_matter + polarization_squared(cs), cutoffs, meta)
 
 
 def build_generalized_1d(nm: NormalModeSet1D, em: EmitterSpec, gauge: str,
@@ -1029,13 +1035,9 @@ def build_generalized_1d(nm: NormalModeSet1D, em: EmitterSpec, gauge: str,
             "cutoffs": cutoffs, "gauge_label": gauge, "n_modes": n_modes, "x0": x0}
     if gauge == "gC":
         return _family_bundle(cs, em.h0, em.parity_signs, cutoffs, COULOMB, meta)
-    space = standard_space(cutoffs, em.n_levels)
-    h = field_hamiltonian(cs.chi, space)
-    real = _real(every_mode.eta_matrices, em.h0)  # chi = diag(omega) is real
     p2 = polarization_squared(cs if truncation == "correct" else every_mode)
-    h += multipolar_interaction(cs, space)
-    h += space.kron({space.matter_indices[0]: em.h0 + p2})
-    return _bundle(h, space, MULTIPOLAR, meta, em.parity_signs, real)
+    return _multipolar_bundle(cs, em.h0 + p2, cutoffs, meta, em.parity_signs,
+                              _real(every_mode.eta_matrices, em.h0))  # chi = diag(omega) is real
 
 
 class TimeDependentHamiltonian:

@@ -1,11 +1,11 @@
 """Operator algebra over tensor-product Hilbert spaces.
 
-Provides the ordered tensor-factor layout (`HilbertSpec`), dense complex
-matrices bound to it (`Operator`), the truncated ladder and Pauli matrices,
-and the gauge generators.  Operators on the full space are either dense
-matrices for desk-scale D (up to ~10^4), assembled as Kronecker products of
-local factor matrices (`HilbertSpec.kron`), or sums of Kronecker terms that
-`HilbertSpec.apply` applies factor by factor.
+Provides the ordered tensor-factor layout (`HilbertSpec`), the truncated
+ladder and Pauli matrices, and the gauge generators.  A dense operator on the
+full space is a bare D x D ndarray, for desk-scale D (up to ~10^4).  Products
+of local factor matrices have one Kronecker engine: `HilbertSpec.kron` forms
+one with identities filled in, and `_kron_apply` is the one apply, factor by
+factor, which `HilbertSpec.apply` sums over the terms of an operator.
 
 The package has one Hermiticity rule, `hermitian_part`, applied once to each
 matrix where it enters (generator terms, chi, overlaps, dipoles, built and
@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property, lru_cache, reduce
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -111,46 +111,30 @@ class HilbertSpec:
     def matter_indices(self) -> tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.factors) if f.kind == "matter")
 
-    def _checked(self, local: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
-        """One Kronecker term's local matrices in factor order, each checked against its factor."""
-        out = {i: np.asarray(local[i], dtype=complex) for i in sorted(local)}
-        for i, m in out.items():
+    def _checked(self, local: Mapping[int, np.ndarray], identity: Callable) -> list:
+        """One Kronecker term's local matrices in factor order, each checked against its
+        factor and copied in its own dtype (so that `kron` on one factor returns no alias),
+        with identity(dim) on the factors it leaves out."""
+        for i in sorted(local):
             if not 0 <= i < len(self.factors):
                 raise IndexError(f"factor index {i} out of range")
-            if m.shape != (self.factors[i].dim,) * 2:
+            if np.shape(local[i]) != (self.factors[i].dim,) * 2:
                 raise ValueError("local matrix does not match factor dimension")
-        return out
+        return [np.array(local[i]) if i in local else identity(f.dim)
+                for i, f in enumerate(self.factors)]
 
     def kron(self, local: Mapping[int, np.ndarray]) -> np.ndarray:
         """Kronecker product of local matrices on the given factors, identity elsewhere."""
-        local = self._checked(local)
-        out = np.ones((1, 1), dtype=complex)
-        idle = 1  # dimension of the run of identity factors not yet multiplied in
-        for i, f in enumerate(self.factors):
-            if i not in local:
-                idle *= f.dim
-                continue
-            if idle > 1:
-                out = kron(out, np.eye(idle))
-                idle = 1
-            out = kron(out, local[i])
-        return kron(out, np.eye(idle)) if idle > 1 else out
+        return reduce(kron, self._checked(local, np.eye))
 
     def apply(self, terms: Iterable[Mapping[int, np.ndarray]], x: np.ndarray) -> np.ndarray:
-        """(sum_t kron(t)) @ x for a vector or a D x K block x, one factor at a time;
-        each term t is a {factor: local matrix} map, as `kron` takes."""
+        """(sum_t kron(t)) @ x for a vector or a D x K block x, each term applied factor by
+        factor by `_kron_apply`; each term t is a {factor: local matrix} map, as `kron` takes."""
         x = np.asarray(x)
         if x.shape[0] != self.dim:
             raise ValueError(f"vector dimension {x.shape[0]} != space dimension {self.dim}")
-        block = x.reshape(self.dim, -1)
-        out = np.zeros(block.shape, dtype=complex)
-        for term in terms:
-            y = block
-            for i, m in self._checked(term).items():
-                before = int(np.prod([f.dim for f in self.factors[:i]]))
-                y = _left_multiply(m, y.reshape(before, len(m), -1))
-            out += y.reshape(block.shape)
-        return out.reshape(x.shape)
+        return sum((_kron_apply(self._checked(term, int), x) for term in terms),
+                   np.zeros(x.shape, dtype=complex))
 
     def embed(self, index: int, local: np.ndarray) -> np.ndarray:
         """Embed a single-factor matrix into the full space by Kronecker products."""
@@ -222,7 +206,11 @@ def hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense complex matrix bound to a HilbertSpec."""
+    """Dense complex matrix bound to a HilbertSpec.
+
+    The package builds none: its dense operators are bare ndarrays.  The class
+    stays as the target whose `__post_init__` `perfbench/tracer.py` wraps.
+    """
 
     matrix: np.ndarray
     space: HilbertSpec
@@ -280,14 +268,14 @@ class HermitianGenerator:
         vals, vecs = self._eig
         return Eigenbasis(vals, (vecs,))
 
-    def unitary(self, s: float) -> Operator:
+    def unitary(self, s: float) -> np.ndarray:
         """exp(i s X) = (V e^{i s Lambda}) V^dag."""
         vals, vecs = self._eig
-        return Operator((vecs * np.exp(1j * (s * vals))) @ vecs.conj().T, self.space)
+        return (vecs * np.exp(1j * (s * vals))) @ vecs.conj().T
 
     def conjugate(self, s: float, m: np.ndarray) -> np.ndarray:
-        """exp(i s X) M exp(-i s X) as a plain matrix."""
-        u = self.unitary(s).matrix
+        """exp(i s X) M exp(-i s X)."""
+        u = self.unitary(s)
         return u @ m @ _dagger(u)
 
     def nested_commutators(self, m: np.ndarray, order: int) -> np.ndarray:
@@ -350,17 +338,21 @@ def _left_multiply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a @ x
 
 
-def _kron_apply(local: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+def _kron_apply(local: Sequence, x: np.ndarray) -> np.ndarray:
     """(A_0 (x) A_1 (x) ...) @ x one factor at a time, never forming the product.
 
     x is a vector or a block; each A_i may be a stack of matrices, whose
-    stack axes broadcast against a block's.
+    stack axes broadcast against a block's, or an int, the dimension of an
+    identity factor, which is skipped.
     """
     if x.ndim == 1:
         return _kron_apply(local, x[:, None])[:, 0]
     rows, cols = x.shape[-2:]
     before = 1
     for a in local:
+        if isinstance(a, int):
+            before *= a
+            continue
         n = a.shape[-1]
         x = _left_multiply(a[..., None, :, :], x.reshape(x.shape[:-2] + (before, n, -1)))
         x = x.reshape(x.shape[:-3] + (rows, cols))

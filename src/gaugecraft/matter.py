@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .hilbert import HilbertSpec, Operator, PAULI_X, hermitian_part, matter_levels
+from .hilbert import PAULI_X, hermitian_part
 
 
 @dataclass(frozen=True)
@@ -132,11 +132,11 @@ def tls(omega0: float, d: Sequence[float], position_label: str = "emitter",
                        position_label=position_label, single_particle=sp)
 
 
-def truncated_position_function(f: Callable, spec: EmitterSpec):
+def truncated_position_function(f: Callable, spec: EmitterSpec) -> np.ndarray:
     """Even/odd decomposition of f(r) over the two-state position operator.
 
     Returns [f(r) + f(-r)]/2 * 1 + [f(r) - f(-r)]/2 * sigma_x evaluated at
-    r = r_dip.  For scalar-valued f the result is a 2x2 `Operator`; for
+    r = r_dip.  For scalar-valued f the result is the 2x2 matrix; for
     array-valued f an array with two trailing matrix axes is returned, one
     2x2 block per component.  The result always commutes with sigma_x and is
     linear in f.
@@ -150,11 +150,7 @@ def truncated_position_function(f: Callable, spec: EmitterSpec):
         raise ValueError("f must return arrays of one fixed shape")
     even = (fp + fm) / 2
     odd = (fp - fm) / 2
-    block = (even[..., None, None] * np.eye(2, dtype=complex)
-             + odd[..., None, None] * PAULI_X)
-    if fp.shape == ():
-        return Operator(block.reshape(2, 2), HilbertSpec([matter_levels(2)]))
-    return block
+    return even[..., None, None] * np.eye(2, dtype=complex) + odd[..., None, None] * PAULI_X
 
 
 PROFILE_KINDS = ("constant", "linear", "raised_cosine", "tabulated")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -78,6 +79,18 @@ def _subpath(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
+@contextmanager
+def _decoding(path: str, what: str):
+    """Run a decoder's body: a `ConfigError` passes, any other error becomes one,
+    "'<path>' is not a valid <what>: <error>"."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise ConfigError(f"'{path}' is not a valid {what}: {exc}") from exc
+
+
 # ---------------------------------------------------------------- mode sets
 
 def modeset_to_json(ms: ModeSet) -> dict:
@@ -90,22 +103,21 @@ def modeset_to_json(ms: ModeSet) -> dict:
 
 
 def modeset_from_json(doc: Mapping, path: str = "modeset") -> ModeSet:
-    chi = decode_complex_matrix(_get(doc, "chi", path), _subpath(path, "chi"))
-    m = chi.shape[0]
-    profiles = {}
-    for label, pairs in _get(doc, "profiles", path, required=False, default={}).items():
-        profiles[label] = decode_complex_matrix(pairs, f"{path}.profiles.{label}", (m, 3))
-    derived = None
-    if "derived_profiles" in doc and doc["derived_profiles"]:
-        derived = {label: decode_complex_matrix(pairs, f"{path}.derived_profiles.{label}", (m, 3))
-                   for label, pairs in doc["derived_profiles"].items()}
-        for label in profiles:
-            if label not in derived:
-                raise ConfigError(f"'{path}.derived_profiles' is missing point {label!r}")
-    try:
+    with _decoding(path, "mode set"):
+        chi = decode_complex_matrix(_get(doc, "chi", path), _subpath(path, "chi"))
+        m = chi.shape[0]
+        profiles = {}
+        for label, pairs in _get(doc, "profiles", path, required=False, default={}).items():
+            profiles[label] = decode_complex_matrix(pairs, f"{path}.profiles.{label}", (m, 3))
+        derived = None
+        if "derived_profiles" in doc and doc["derived_profiles"]:
+            derived = {label: decode_complex_matrix(pairs, f"{path}.derived_profiles.{label}",
+                                                    (m, 3))
+                       for label, pairs in doc["derived_profiles"].items()}
+            for label in profiles:
+                if label not in derived:
+                    raise ConfigError(f"'{path}.derived_profiles' is missing point {label!r}")
         return ModeSet(chi, profiles, derived)
-    except Exception as exc:
-        raise ConfigError(f"'{path}' is not a valid mode set: {exc}") from exc
 
 
 def save_modeset(ms: ModeSet, path: Path):
@@ -130,31 +142,29 @@ def emitter_to_json(em: EmitterSpec) -> dict:
 
 
 def emitter_from_json(doc: Mapping, path: str = "emitter") -> EmitterSpec:
-    levels = np.asarray(_get(doc, "levels", path), dtype=float)
-    n = levels.shape[0]
-    dipole = np.array([
-        decode_complex_matrix(_get(doc, key, path), _subpath(path, key), (n, n))
-        for key in ("dipole_x", "dipole_y", "dipole_z")
-    ])
-    label = _get(doc, "position_label", path, required=False, default="emitter")
-    sp = None
-    if "q" in doc or "r_dip" in doc:
-        q = _get(doc, "q", path)
-        r_dip = np.asarray(_get(doc, "r_dip", path), dtype=float)
-        if r_dip.shape != (3,):
-            raise ConfigError(f"'{path}.r_dip' must be a 3-vector")
-        sp = SingleParticle(float(q), r_dip)
-    try:
+    with _decoding(path, "emitter"):
+        levels = np.asarray(_get(doc, "levels", path), dtype=float)
+        n = levels.shape[0]
+        dipole = np.array([
+            decode_complex_matrix(_get(doc, key, path), _subpath(path, key), (n, n))
+            for key in ("dipole_x", "dipole_y", "dipole_z")
+        ])
+        label = _get(doc, "position_label", path, required=False, default="emitter")
+        sp = None
+        if "q" in doc or "r_dip" in doc:
+            q = _get(doc, "q", path)
+            r_dip = np.asarray(_get(doc, "r_dip", path), dtype=float)
+            if r_dip.shape != (3,):
+                raise ConfigError(f"'{path}.r_dip' must be a 3-vector")
+            sp = SingleParticle(float(q), r_dip)
         return EmitterSpec(levels, dipole, position_label=label, single_particle=sp)
-    except Exception as exc:
-        raise ConfigError(f"'{path}' is not a valid emitter: {exc}") from exc
 
 
 # ------------------------------------------------------------ other inputs
 
 def time_profile_from_json(doc: Mapping, path: str = "time_profile") -> TimeProfile:
-    kind = _get(doc, "kind", path)
-    try:
+    with _decoding(path, "time profile"):
+        kind = _get(doc, "kind", path)
         if kind == "constant":
             return constant_profile(float(doc.get("value", 1.0)))
         if kind in ("linear", "raised_cosine"):
@@ -167,47 +177,37 @@ def time_profile_from_json(doc: Mapping, path: str = "time_profile") -> TimeProf
             return TimeProfile("tabulated",
                                times=np.asarray(_get(doc, "times", path), dtype=float),
                                values=np.asarray(_get(doc, "values", path), dtype=float))
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"'{path}' is not a valid time profile: {exc}") from exc
     raise ConfigError(f"'{path}.kind' must be one of constant, linear, raised_cosine, tabulated")
 
 
 def dielectric_from_json(doc: Mapping, path: str = "dielectric") -> Dielectric1D:
-    eps = np.asarray(_get(doc, "epsilon", path), dtype=float)
-    n_points = doc.get("n_points")
-    if n_points is not None and int(n_points) != eps.shape[0]:
-        raise ConfigError(f"'{path}.n_points' = {n_points} does not match epsilon length {eps.shape[0]}")
-    try:
-        return Dielectric1D(float(_get(doc, "length", path)), eps,
-                            c=float(doc.get("c", 1.0)))
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"'{path}' is not a valid dielectric: {exc}") from exc
+    with _decoding(path, "dielectric"):
+        eps = np.asarray(_get(doc, "epsilon", path), dtype=float)
+        n_points = doc.get("n_points")
+        if n_points is not None and int(n_points) != eps.shape[0]:
+            raise ConfigError(f"'{path}.n_points' = {n_points} does not match epsilon length "
+                              f"{eps.shape[0]}")
+        return Dielectric1D(float(_get(doc, "length", path)), eps, c=float(doc.get("c", 1.0)))
 
 
 def polariton_grid_from_json(doc: Mapping, path: str = "grid") -> PolaritonGrid:
-    omega = np.asarray(_get(doc, "omega", path), dtype=float)
-    weight = np.asarray(_get(doc, "weight", path), dtype=float)
-    labels = doc.get("labels", [str(k) for k in range(omega.shape[0])])
-    k = omega.shape[0]
-    proj_pairs = _get(doc, "projections", path)
-    proj = np.array([decode_complex_matrix(row, f"{path}.projections[{m}]", (k,))
-                     for m, row in enumerate(proj_pairs)])
-    try:
+    with _decoding(path, "polariton grid"):
+        omega = np.asarray(_get(doc, "omega", path), dtype=float)
+        weight = np.asarray(_get(doc, "weight", path), dtype=float)
+        labels = doc.get("labels", [str(k) for k in range(omega.shape[0])])
+        k = omega.shape[0]
+        proj_pairs = _get(doc, "projections", path)
+        proj = np.array([decode_complex_matrix(row, f"{path}.projections[{m}]", (k,))
+                         for m, row in enumerate(proj_pairs)])
         return PolaritonGrid(tuple(labels), omega, weight, proj)
-    except Exception as exc:
-        raise ConfigError(f"'{path}' is not a valid polariton grid: {exc}") from exc
 
 
 def qnm_from_json(doc: Mapping, path: str = "qnm") -> QnmSet:
-    omega = np.asarray(_get(doc, "omega", path), dtype=float)
-    gamma = np.asarray(_get(doc, "gamma", path), dtype=float)
-    m = omega.shape[0]
-    overlap_doc = _get(doc, "overlap", path)
-    try:
+    with _decoding(path, "QNM set"):
+        omega = np.asarray(_get(doc, "omega", path), dtype=float)
+        gamma = np.asarray(_get(doc, "gamma", path), dtype=float)
+        m = omega.shape[0]
+        overlap_doc = _get(doc, "overlap", path)
         if isinstance(overlap_doc, Mapping):
             freqs = np.asarray(_get(overlap_doc, "freqs", _subpath(path, "overlap")), dtype=float)
             sample_pairs = _get(overlap_doc, "samples", _subpath(path, "overlap"))
@@ -217,10 +217,6 @@ def qnm_from_json(doc: Mapping, path: str = "qnm") -> QnmSet:
             return QnmSet(omega, gamma, samples, overlap_freqs=freqs)
         return QnmSet(omega, gamma, decode_complex_matrix(overlap_doc,
                                                           _subpath(path, "overlap"), (m, m)))
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"'{path}' is not a valid QNM set: {exc}") from exc
 
 
 # ------------------------------------------------------------- full document
@@ -259,10 +255,11 @@ class Scenario:
     def modeset(self) -> ModeSet:
         section = _get(self.doc, "modeset", "")
         if isinstance(section, Mapping) and "file" in section:
-            ref = self.base_dir / section["file"]
-            if not ref.exists():
-                raise ConfigError(f"'modeset.file' references missing file {ref}")
-            return modeset_from_json(json.loads(ref.read_text(encoding="utf-8")))
+            with _decoding("modeset.file", "mode set file"):
+                ref = self.base_dir / section["file"]
+                if not ref.exists():
+                    raise ConfigError(f"'modeset.file' references missing file {ref}")
+                section = json.loads(ref.read_text(encoding="utf-8"))
         return modeset_from_json(section)
 
     def emitter(self) -> EmitterSpec:
@@ -272,20 +269,17 @@ class Scenario:
         theta = self.doc.get("gauge_theta", 0.0)
         if not isinstance(theta, (int, float)):
             raise ConfigError("'gauge_theta' must be a number")
-        try:
+        with _decoding("gauge_theta", "gauge parameter"):
             return GaugeParam(float(theta))
-        except ValueError as exc:
-            raise ConfigError(f"'gauge_theta': {exc}") from exc
 
     def cutoffs(self, n_modes: int):
         raw = _get(self.doc, "fock_cutoffs", "")
-        if isinstance(raw, int):
-            return (raw,) * n_modes
-        if isinstance(raw, list) and all(isinstance(v, int) for v in raw):
-            if len(raw) != n_modes:
-                raise ConfigError(f"'fock_cutoffs' has {len(raw)} entries, need {n_modes}")
-            return tuple(raw)
-        raise ConfigError("'fock_cutoffs' must be an integer or a list of integers")
+        cutoffs = [raw] * n_modes if isinstance(raw, int) else raw
+        if not isinstance(cutoffs, list) or not all(isinstance(v, int) and v >= 0 for v in cutoffs):
+            raise ConfigError("'fock_cutoffs' must be an integer >= 0 or a list of them")
+        if len(cutoffs) != n_modes:
+            raise ConfigError(f"'fock_cutoffs' has {len(cutoffs)} entries, need {n_modes}")
+        return tuple(cutoffs)
 
     def truncation(self) -> str:
         val = self.doc.get("truncation", "correct")
@@ -305,16 +299,12 @@ class Scenario:
             return None
         if not isinstance(section, Mapping):
             raise ConfigError("'longitudinal' must be 'off' or an object")
-        try:
+        with _decoding("longitudinal", "longitudinal coupling"):
             return LongitudinalCoupling(
                 omega=float(_get(section, "omega", "longitudinal")),
                 coupling=float(_get(section, "coupling", "longitudinal")),
                 cutoff=int(_get(section, "cutoff", "longitudinal")),
                 direction=tuple(section.get("direction", (1.0, 0.0, 0.0))))
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"'longitudinal' is invalid: {exc}") from exc
 
     def time_profile(self) -> TimeProfile:
         section = self.doc.get("time_profile")

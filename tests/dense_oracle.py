@@ -31,7 +31,7 @@ matrix, written out with numpy.kron; `rate_table` and
 `fock_td_matrix` maps H(t), which the package writes in that basis, back to
 the Fock basis.
 `herm_eig` and `matrix_exp` are the general dense eigendecomposition and
-exponential of an `Operator`, and `dielectric_modes` solves the 1D dielectric
+exponential of a matrix, and `dielectric_modes` solves the 1D dielectric
 finite-difference problem with scipy's generalized symmetric eigensolver.
 
 The rest are the dense forms the package itself no longer needs: the embedded
@@ -52,7 +52,7 @@ from gaugecraft.gaugecheck import DEFAULT_LOW_FRACTION, AmbiguityRow, tls_single
 from gaugecraft.hamiltonians import (COULOMB, MULTIPOLAR, TLS_PARITY_SIGNS, HamiltonianBundle,
                                      _normalize_cutoffs, couplings, segment_integral,
                                      standard_space)
-from gaugecraft.hilbert import (HERMITIAN_TOL, HilbertSpec, Operator, PAULI_X, PAULI_Y, PAULI_Z,
+from gaugecraft.hilbert import (HERMITIAN_TOL, HilbertSpec, PAULI_X, PAULI_Y, PAULI_Z,
                                 ladder_matrix, max_abs, parity_labels, photon)
 
 EIG_RESIDUAL_TOL = 1e-10
@@ -336,14 +336,13 @@ def _verified(m, deviation, claim, tol=1e-12):
     return m
 
 
-def herm_eig(op, tol=HERMITIAN_TOL):
-    """Eigendecomposition of a Hermitian operator.
+def herm_eig(m, tol=HERMITIAN_TOL):
+    """Eigendecomposition of a Hermitian matrix.
 
     Returns eigenvalues in ascending order and the unitary of column
     eigenvectors; the reconstruction residual ||M V - V diag(lam)||_max is
     checked against 1e-10.  Non-Hermitian input is rejected.
     """
-    m = op.matrix
     dev = max_abs(m - m.conj().T)
     if dev >= tol:
         raise InvariantViolation(f"herm_eig requires Hermitian input, ||M - M^dag||_max = {dev:.3e}")
@@ -352,18 +351,16 @@ def herm_eig(op, tol=HERMITIAN_TOL):
     scale = max(1.0, float(np.abs(vals).max()) if vals.size else 1.0)
     if resid >= EIG_RESIDUAL_TOL * scale:
         raise InvariantViolation(f"eigendecomposition residual {resid:.3e} too large")
-    return vals, Operator(_verified(vecs, vecs.conj().T @ vecs - np.eye(len(vals)), "unitary"),
-                          op.space)
+    return vals, _verified(vecs, vecs.conj().T @ vecs - np.eye(len(vals)), "unitary")
 
 
-def matrix_exp(op):
+def matrix_exp(m):
     """Matrix exponential exp(M).
 
     Hermitian and anti-Hermitian inputs go through an eigendecomposition
     (the output is verified Hermitian or unitary, respectively); everything
     else uses scaling-and-squaring Pade.
     """
-    m = op.matrix
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix_exp: non-finite entries")
     herm_dev = max_abs(m - m.conj().T)
@@ -374,13 +371,13 @@ def matrix_exp(op):
         h = (-1j * m + (-1j * m).conj().T) / 2
         vals, vecs = np.linalg.eigh(h)
         e = (vecs * np.exp(1j * vals)) @ vecs.conj().T
-        return Operator(_verified(e, e.conj().T @ e - np.eye(len(e)), "unitary"), op.space)
+        return _verified(e, e.conj().T @ e - np.eye(len(e)), "unitary")
     if herm_dev < HERMITIAN_TOL * scale:
         h = (m + m.conj().T) / 2
         vals, vecs = np.linalg.eigh(h)
         e = (vecs * np.exp(vals)) @ vecs.conj().T
-        return Operator(_verified(e, e - e.conj().T, "Hermitian"), op.space)
-    return Operator(scipy.linalg.expm(m), op.space)
+        return _verified(e, e - e.conj().T, "Hermitian")
+    return scipy.linalg.expm(m)
 
 
 def dielectric_modes(d, n_modes):
@@ -446,7 +443,7 @@ def ladder(space, mode_index):
     if not 0 <= mode_index < len(photon_idx):
         raise IndexError(f"mode index {mode_index} out of range (have {len(photon_idx)} photon factors)")
     fi = photon_idx[mode_index]
-    return Operator(space.embed(fi, ladder_matrix(space.factors[fi].fock_cutoff)), space)
+    return space.embed(fi, ladder_matrix(space.factors[fi].fock_cutoff))
 
 
 def pauli(space, matter_index):
@@ -460,7 +457,7 @@ def pauli(space, matter_index):
     fi = matter_idx[matter_index]
     if space.factors[fi].dim != 2:
         raise ValueError(f"matter factor has dim {space.factors[fi].dim}, need 2 for Pauli algebra")
-    return tuple(Operator(space.embed(fi, p), space) for p in (PAULI_X, PAULI_Y, PAULI_Z))
+    return tuple(space.embed(fi, p) for p in (PAULI_X, PAULI_Y, PAULI_Z))
 
 
 def _photon_diagonal(space, keep):
@@ -537,9 +534,9 @@ def _field_components(ms, cutoffs, profile, weights):
     space = photon_space(ms, cutoffs)
     out = []
     for c in range(3):
-        m = sum(w * p * a.matrix for w, p, a in
+        m = sum(w * p * a for w, p, a in
                 zip(weights, profile[:, c], (ladder(space, mu) for mu in range(ms.n_modes))))
-        out.append(Operator(m + m.conj().T, space))
+        out.append(m + m.conj().T)
     return out
 
 
@@ -582,6 +579,6 @@ def field_commutator_residual(ms, point, cutoffs, naive=False):
     worst = 0.0
     for a_c, e_c in zip(vector_potential_operator(ms, point, cutoffs),
                         truncated_E_operator(ms, point, cutoffs, naive=naive)):
-        comm = 1j * (a_c.matrix @ h_f - h_f @ a_c.matrix)
-        worst = max(worst, max_abs((e_c.matrix - comm)[interior]))
+        comm = 1j * (a_c @ h_f - h_f @ a_c)
+        worst = max(worst, max_abs((e_c - comm)[interior]))
     return worst

@@ -51,7 +51,7 @@ def test_generator_apply_matches_the_formed_unitary(system, theta, k):
     block = random_block(k, space.dim, k)
     # the package's generator (the family's basis unless the couplings do not factor) and
     # the dense one of the same X, against the formed dense unitary
-    u = HermitianGenerator(cs.generator_matrix(space), space).unitary(theta).matrix
+    u = HermitianGenerator(cs.generator_matrix(space), space).unitary(theta)
     for basis in (cs.generator(space), HermitianGenerator(cs.generator_matrix(space),
                                                           space).eigenbasis()):
         for x in (block[:, 0], block):
@@ -67,7 +67,7 @@ def test_dense_unitary_matches_apply_to_the_identity(system, theta):
     ms, em, cutoffs = system
     space = standard_space(cutoffs, em.n_levels)
     gen = HermitianGenerator(couplings(ms, em).generator_matrix(space), space)
-    got = gen.unitary(theta).matrix
+    got = gen.unitary(theta)
     want = gen.eigenbasis().apply(theta, np.eye(space.dim))
     assert got.shape == (space.dim, space.dim)
     assert max_abs(got - want) <= APPLY_TOL
@@ -139,7 +139,7 @@ def test_bundle_apply_matches_the_formed_hamiltonian(system, theta, k):
     ms, em, cutoffs = system
     bundle = build_dipole(ms, em, GaugeParam(theta), cutoffs)
     block = random_block(k, bundle.space.dim, k)
-    h = bundle.H.matrix
+    h = bundle.H
     for b in (bundle, HamiltonianBundle(h, bundle.space, bundle.gauge)):
         for x in (block[:, 0], block):
             want = h @ x

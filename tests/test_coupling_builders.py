@@ -21,7 +21,7 @@ NM = solve_dielectric_1d(Dielectric1D(np.pi, 1.0 + 0.8 * np.exp(-(np.linspace(0,
 
 
 def assert_matches(bundle, want, meta, parity_signs):
-    dev = max_abs(bundle.H.matrix - want)
+    dev = max_abs(bundle.H - want)
     assert dev <= REL_TOL * max(1.0, max_abs(want)), f"deviation {dev:.3e}"
     assert bundle.metadata == meta
     if parity_signs is None:

@@ -235,9 +235,9 @@ def test_observables_match_the_einsum_form():
     td = build_time_dependent(TWO_MODES, EMITTER, "multipolar", PROFILES["linear"][0], CUTOFFS)
     traj = evolve(td, ground_state(td, 0.0), GRIDS["straddling"])
     space = td.space
-    a = [ladder(space, k).matrix for k in range(2)]
+    a = [ladder(space, k) for k in range(2)]
     obs = {"n0": a[0].conj().T @ a[0], "n1": a[1].conj().T @ a[1],
-           "sz": pauli(space, 0)[2].matrix,
+           "sz": pauli(space, 0)[2],
            "X": generator_matrix(couplings(TWO_MODES, EMITTER).eta_matrices, space)}
     assert sorted(traj.observables) == ["X", "n0", "n1", "sz"]
     for label, m in obs.items():

@@ -104,7 +104,7 @@ def test_build_dipole_matches_dense_oracle(system):
     ms, em, cutoffs, _ = system
     dense = DenseSystem(ms, em, cutoffs)
     for theta in (0.0, 0.37, 1.0):
-        h = build_dipole(ms, em, GaugeParam(theta), cutoffs).H.matrix
+        h = build_dipole(ms, em, GaugeParam(theta), cutoffs).H
         want = dense.hamiltonian(theta)
         assert_close(h, want, f"H({theta})")
         assert_close(np.linalg.eigvalsh(h), np.linalg.eigvalsh(want), f"spectrum({theta})")
@@ -118,11 +118,11 @@ def test_gauge_unitary_matches_oracle_and_composes(system, thetas):
     dense = DenseSystem(ms, em, cutoffs)
     cs = couplings(ms, em)
     w_ab = gauge_unitary(dense.space, cs, a, b)
-    assert max_abs(w_ab.matrix.conj().T @ w_ab.matrix - np.eye(dense.space.dim)) < 1e-12
-    assert_close(w_ab.matrix, dense.gauge_unitary(a, b), "W")
-    w_ac = gauge_unitary(dense.space, cs, a, c).matrix
-    w_bc = gauge_unitary(dense.space, cs, b, c).matrix
-    assert max_abs(w_ab.matrix @ w_bc - w_ac) < 1e-12
+    assert max_abs(w_ab.conj().T @ w_ab - np.eye(dense.space.dim)) < 1e-12
+    assert_close(w_ab, dense.gauge_unitary(a, b), "W")
+    w_ac = gauge_unitary(dense.space, cs, a, c)
+    w_bc = gauge_unitary(dense.space, cs, b, c)
+    assert max_abs(w_ab @ w_bc - w_ac) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -267,7 +267,7 @@ def test_zero_couplings_give_identity_unitary():
     em = tls(1.0, (0.0, 0.0, 0.0))
     space = hamiltonians.standard_space((3, 2), 2)
     w = gauge_unitary(space, couplings(ms, em), 0.0, 1.0)
-    assert max_abs(w.matrix - np.eye(space.dim)) < 1e-15
+    assert max_abs(w - np.eye(space.dim)) < 1e-15
 
 
 def test_masked_residual_equals_projector_form():
@@ -276,9 +276,9 @@ def test_masked_residual_equals_projector_form():
     naive = build_naive(ms, em, COULOMB, 16)
     correct = build_dipole(ms, em, MULTIPOLAR, 16)
     rep = verify_spectral_equivalence(naive, correct, k=3, cs=cs)
-    w = gauge_unitary(naive.space, cs, 0.0, 1.0).matrix
+    w = gauge_unitary(naive.space, cs, 0.0, 1.0)
     p_low = low_sector_projector(naive.space)
-    delta = (w @ naive.H.matrix @ w.conj().T - correct.H.matrix) @ p_low
+    delta = (w @ naive.H @ w.conj().T - correct.H) @ p_low
     assert rep.operator_residual > 1e-3
     assert abs(rep.operator_residual - np.linalg.norm(delta, 2)) < 1e-12 * rep.operator_residual
 
@@ -315,7 +315,7 @@ def test_nested_commutators_match_dense_series(system, order):
     gen = HermitianGenerator(couplings(ms, em).generator_matrix(dense.space), dense.space)
     dev = max_abs(gen.nested_commutators(dense.h_0, order) - want)
     assert dev <= 1e-12 * max(1.0, max_abs(want)), f"order {order}: deviation {dev:.3e}"
-    h = build_naive(ms, em, COULOMB, cutoffs, order=order).H.matrix
+    h = build_naive(ms, em, COULOMB, cutoffs, order=order).H
     assert_close(h, dense.h_f + want, "naive theta = 0")
 
 

@@ -74,7 +74,7 @@ def assert_matches(bundle, h, real, hook=False):
     got = bundle.eigenvalues()
     want = np.linalg.eigvalsh(h)
     assert max_abs(got - want) <= REL_TOL * max_abs(want)
-    assert max_abs(bundle.H.matrix - h) <= REL_TOL * max(1.0, max_abs(h))
+    assert max_abs(bundle.H - h) <= REL_TOL * max(1.0, max_abs(h))
     assert (bundle.diagnostics["parity_off_block"] is None) == (bundle.parity is None)
     assert bundle.time_reversal == (real and not hook)
     assert ("time_reversal_imag" in bundle.diagnostics) == bundle.time_reversal

@@ -95,7 +95,7 @@ class TestBuildDipole:
         ms, em = tls_single_mode_modeset(1.0, 0.4, 1.0)
         b = build_dipole(ms, em, COULOMB, 30)
         explicit = explicit_coulomb_matrix(1.0, 1.0, 0.4, 30)
-        assert max_abs(b.H.matrix - explicit) < 1e-12
+        assert max_abs(b.H - explicit) < 1e-12
 
     def test_theta_family_shares_spectrum_exactly(self):
         ms, em = tls_single_mode_modeset(1.0, 0.8, 1.0)
@@ -109,16 +109,16 @@ class TestBuildDipole:
         theta = 0.6
         b0 = build_dipole(ms, em, COULOMB, 24)
         bt = build_dipole(ms, em, GaugeParam(theta), 24)
-        w = gauge_unitary(b0.space, couplings(ms, em), 0.0, theta).matrix
+        w = gauge_unitary(b0.space, couplings(ms, em), 0.0, theta)
         p_low = low_sector_projector(b0.space)
-        resid = np.linalg.norm((w @ b0.H.matrix @ w.conj().T - bt.H.matrix) @ p_low, 2)
+        resid = np.linalg.norm((w @ b0.H @ w.conj().T - bt.H) @ p_low, 2)
         assert resid < 1e-12
 
     def test_every_output_hermitian(self):
         ms, em = tls_single_mode_modeset(1.3, 0.7, 0.9)
         for theta in (0.0, 0.5, 1.0):
             b = build_dipole(ms, em, GaugeParam(theta), 20)
-            assert max_abs(b.H.matrix - b.H.matrix.conj().T) < 1e-12
+            assert max_abs(b.H - b.H.conj().T) < 1e-12
 
     def test_small_cutoff_warns(self):
         ms, em = tls_single_mode_modeset(1.0, 1.5, 1.0)
@@ -178,7 +178,7 @@ class TestBuildNaive:
         ms, em = tls_single_mode_modeset(1.0, 0.0, 1.0)
         naive = build_naive(ms, em, COULOMB, 15, order=1)
         correct = build_dipole(ms, em, COULOMB, 15)
-        assert max_abs(naive.H.matrix - correct.H.matrix) < 1e-13
+        assert max_abs(naive.H - correct.H) < 1e-13
 
     def test_order_one_form(self):
         ms, em = tls_single_mode_modeset(1.0, 0.3, 1.0)
@@ -188,7 +188,7 @@ class TestBuildNaive:
         expected = (np.kron(a.conj().T @ a, np.eye(2))
                     + 0.5 * np.kron(np.eye(13), PAULI_Z)
                     + 1.0 * np.kron(phi, PAULI_Y))
-        assert max_abs(naive.H.matrix - expected) < 1e-13
+        assert max_abs(naive.H - expected) < 1e-13
 
     def test_high_order_approaches_correct(self):
         ms, em = tls_single_mode_modeset(1.0, 0.2, 1.0)
@@ -214,7 +214,7 @@ class TestBuildNaive:
         naive = build_naive(ms, em, MULTIPOLAR, 20)
         explicit = explicit_multipolar_matrix(1.0, 1.0, 0.4, 20)
         # for a two-level emitter the dropped correction is the c-number chi |eta|^2
-        delta = explicit - naive.H.matrix
+        delta = explicit - naive.H
         assert max_abs(delta - 0.16 * np.eye(42)) < 1e-13
 
     def test_unsupported_order(self):
@@ -242,7 +242,7 @@ class TestLongitudinalHook:
         ms, em = tls_single_mode_modeset(1.0, 0.3, 1.0)
         hooked = build_dipole(ms, em, COULOMB, 12,
                               longitudinal=LongitudinalCoupling(0.8, 0.2, 3))
-        assert max_abs(hooked.H.matrix - hooked.H.matrix.conj().T) < 1e-12
+        assert max_abs(hooked.H - hooked.H.conj().T) < 1e-12
         base = build_dipole(ms, em, COULOMB, 12,
                             longitudinal=LongitudinalCoupling(0.8, 0.0, 3))
         assert abs(hooked.eigenvalues(1)[0] - base.eigenvalues(1)[0]) > 1e-6
@@ -262,13 +262,13 @@ class TestBeyondDipole:
         b = build_beyond_dipole(self.chi, [constant_fn((1.0, 0, 0))], self.em,
                                 "coulomb", 30)
         dipole = build_tls_coulomb_single(1.0, 1.0, 0.5, 30)
-        assert max_abs(b.H.matrix - dipole.H.matrix) < 1e-12
+        assert max_abs(b.H - dipole.H) < 1e-12
 
     def test_constant_profile_reduces_to_dipole_multipolar(self):
         b = build_beyond_dipole(self.chi, [constant_fn((1.0, 0, 0))], self.em,
                                 "multipolar", 30)
         dipole = build_tls_multipolar_single(1.0, 1.0, 0.5, 30)
-        assert max_abs(b.H.matrix - dipole.H.matrix) < 1e-12
+        assert max_abs(b.H - dipole.H) < 1e-12
 
     def test_even_profile_drops_sigma_x_free_drive(self):
         # parity (-1)^n (x) sigma_z commutes with H exactly when the
@@ -278,9 +278,9 @@ class TestBeyondDipole:
         cutoff = 16
         parity = np.kron(np.diag((-1.0) ** np.arange(cutoff + 1)), PAULI_Z)
         b_even = build_beyond_dipole(self.chi, [even], self.em, "multipolar", cutoff)
-        assert max_abs(b_even.H.matrix @ parity - parity @ b_even.H.matrix) < 1e-12
+        assert max_abs(b_even.H @ parity - parity @ b_even.H) < 1e-12
         b_skew = build_beyond_dipole(self.chi, [skew], self.em, "multipolar", cutoff)
-        assert max_abs(b_skew.H.matrix @ parity - parity @ b_skew.H.matrix) > 1e-6
+        assert max_abs(b_skew.H @ parity - parity @ b_skew.H) > 1e-6
 
     def test_sinc_suppression_matches_adaptive_quadrature_oracle(self):
         r = self.em.single_particle.r_dip[0]
@@ -344,7 +344,7 @@ class TestGeneralized1D:
         em = self._emitter(0.4, x0)
         b_c = build_generalized_1d(self.nm, em, "gmp", 2, (8, 8), x0)
         b_n = build_generalized_1d(self.nm, em, "gmp", 2, (8, 8), x0, truncation="naive")
-        delta = b_n.H.matrix - b_c.H.matrix
+        delta = b_n.H - b_c.H
         ph_dim = 81
         block = delta[:2, :2]
         assert max_abs(delta - np.kron(np.eye(ph_dim), block)) < 1e-12
@@ -371,10 +371,10 @@ class TestTimeDependent:
         ms, em = tls_single_mode_modeset(1.0, 0.4, 1.0)
         tdh = build_time_dependent(ms, em, "coulomb", constant_profile(1.0), 20)
         static = build_dipole(ms, em, COULOMB, 20)
-        assert max_abs(fock_td_matrix(tdh, 3.7) - static.H.matrix) < 1e-12
+        assert max_abs(fock_td_matrix(tdh, 3.7) - static.H) < 1e-12
         tdh_mp = build_time_dependent(ms, em, "multipolar", constant_profile(1.0), 20)
         static_mp = build_dipole(ms, em, MULTIPOLAR, 20)
-        assert max_abs(fock_td_matrix(tdh_mp, 0.1) - static_mp.H.matrix) < 1e-12
+        assert max_abs(fock_td_matrix(tdh_mp, 0.1) - static_mp.H) < 1e-12
 
     def test_zero_profile_decouples(self):
         ms, em = tls_single_mode_modeset(1.0, 0.4, 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaugecraft import (COULOMB, EmitterSpec, HamiltonianBundle, HermitianGenerator,
-                        InvariantViolation, ModeSet, Operator, QnmSet)
+                        InvariantViolation, ModeSet, QnmSet)
 from gaugecraft.hilbert import HERMITIAN_TOL, HilbertSpec, hermitian_part, matter_levels, photon
 
 RNG = np.random.default_rng(7)
@@ -53,17 +53,20 @@ class TestBundleGate:
     def test_builder_name_in_message(self):
         h = random_hermitian(6) + anti_hermitian(6, 1e-8)
         with pytest.raises(InvariantViolation, match="my_builder Hamiltonian"):
-            HamiltonianBundle(Operator(h, self.SPACE), self.SPACE, COULOMB,
-                              {"builder": "my_builder"})
+            HamiltonianBundle(h, self.SPACE, COULOMB, {"builder": "my_builder"})
 
-    @pytest.mark.parametrize("wrap", [lambda h, s: h, Operator])
-    def test_stores_an_exactly_hermitian_matrix_within_tolerance(self, wrap):
+    @pytest.mark.parametrize("shape", [(4, 4), (6, 4), (1, 6, 6), (6,)])
+    def test_refuses_a_matrix_that_is_not_d_by_d_for_its_space(self, shape):
+        with pytest.raises(ValueError, match="must be square"):
+            HamiltonianBundle(np.zeros(shape, dtype=complex), self.SPACE, COULOMB)
+
+    def test_stores_an_exactly_hermitian_matrix_within_tolerance(self):
         h = random_hermitian(6)
         raw = h + anti_hermitian(6, 1e-14)
-        bundle = HamiltonianBundle(wrap(raw, self.SPACE), self.SPACE, COULOMB)
-        assert isinstance(bundle.H, Operator)
-        assert_exactly_hermitian(bundle.H.matrix)
-        assert np.abs(bundle.H.matrix - h).max() <= 1e-14
+        bundle = HamiltonianBundle(raw, self.SPACE, COULOMB)
+        assert isinstance(bundle.H, np.ndarray)
+        assert_exactly_hermitian(bundle.H)
+        assert np.abs(bundle.H - h).max() <= 1e-14
         assert np.abs(bundle.eigenvalues() - np.linalg.eigvalsh(h)).max() < 1e-12
 
 

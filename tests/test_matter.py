@@ -67,13 +67,13 @@ class TestTruncatedPositionFunction:
         for c in range(3):
             op = truncated_position_function(lambda r, c=c: r[c], em)
             expected = em.single_particle.r_dip[c] * PAULI_X
-            assert max_abs(op.matrix - expected) < 1e-15
+            assert max_abs(op - expected) < 1e-15
 
     def test_even_function_gives_identity(self):
         em = _sp_emitter((0.4, 0.2, -0.1))
         op = truncated_position_function(lambda r: float(r @ r), em)
         r2 = float(em.single_particle.r_dip @ em.single_particle.r_dip)
-        assert max_abs(op.matrix - r2 * np.eye(2)) < 1e-15
+        assert max_abs(op - r2 * np.eye(2)) < 1e-15
 
     def test_plane_wave_matches_two_point_oracle(self):
         em = _sp_emitter((0.3, 0.1, 0.0))
@@ -81,12 +81,12 @@ class TestTruncatedPositionFunction:
         op = truncated_position_function(lambda r: np.exp(1j * (k @ r)), em)
         kr = k @ em.single_particle.r_dip
         expected = np.cos(kr) * np.eye(2) + 1j * np.sin(kr) * PAULI_X
-        assert max_abs(op.matrix - expected) < 1e-14
+        assert max_abs(op - expected) < 1e-14
         # oracle: direct two-point evaluation
         fp = np.exp(1j * kr)
         fm = np.exp(-1j * kr)
         direct = (fp + fm) / 2 * np.eye(2) + (fp - fm) / 2 * PAULI_X
-        assert max_abs(op.matrix - direct) < 1e-15
+        assert max_abs(op - direct) < 1e-15
 
     def test_vector_valued_function(self):
         em = _sp_emitter((0.2, 0.5, 0.0))
@@ -110,11 +110,11 @@ class TestTruncatedPositionFunction:
             x = r[0]
             return c0 + c1 * x + c2 * x**2 + c3 * x**3
 
-        op = truncated_position_function(poly, em).matrix
+        op = truncated_position_function(poly, em)
         assert max_abs(op @ PAULI_X - PAULI_X @ op) < 1e-12
         # linearity: poly = even part + odd part evaluated separately
-        op_even = truncated_position_function(lambda r: c0 + c2 * r[0] ** 2, em).matrix
-        op_odd = truncated_position_function(lambda r: c1 * r[0] + c3 * r[0] ** 3, em).matrix
+        op_even = truncated_position_function(lambda r: c0 + c2 * r[0] ** 2, em)
+        op_odd = truncated_position_function(lambda r: c1 * r[0] + c3 * r[0] ** 3, em)
         assert max_abs(op - op_even - op_odd) < 1e-12
 
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugecraft import (COULOMB, MULTIPOLAR, EmitterSpec, GaugeParam, HamiltonianBundle,
-                        InvariantViolation, LongitudinalCoupling, ModeSet, Operator,
-                        build_beyond_dipole, build_dipole, build_naive, couplings, tls)
+                        InvariantViolation, LongitudinalCoupling, ModeSet, build_beyond_dipole,
+                        build_dipole, build_naive, couplings, tls)
 from gaugecraft.cli import main
 from gaugecraft.hilbert import HilbertSpec, PAULI_X, matter_levels, max_abs, parity_labels, photon
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
@@ -71,7 +71,7 @@ def bundles(ms, em, cutoffs):
 
 
 def assert_sectors_solve(bundle):
-    h = bundle.H.matrix
+    h = bundle.H
     want = np.linalg.eigvalsh(h)
     scale = max(1.0, max_abs(want))
     assert max_abs(bundle.eigenvalues() - want) <= REL_TOL * scale
@@ -142,13 +142,12 @@ def test_injected_parity_breaking_entry_raises():
     bundle = build_dipole(ms, em, COULOMB, (4, 3))
     even = int(np.flatnonzero(bundle.parity > 0)[0])
     odd = int(np.flatnonzero(bundle.parity < 0)[0])
-    h = bundle.H.matrix.copy()
+    h = bundle.H.copy()
     h[even, odd] += 1e-6
     h[odd, even] += 1e-6
     assert max_abs(h - h.conj().T) == 0.0
     with pytest.raises(InvariantViolation, match="parity"):
-        HamiltonianBundle(Operator(h, bundle.space), bundle.space,
-                          bundle.gauge, {}, bundle.parity)
+        HamiltonianBundle(h, bundle.space, bundle.gauge, {}, bundle.parity)
 
 
 def test_beyond_dipole_with_skew_profile_declares_no_parity():
@@ -174,5 +173,5 @@ def test_spectrum_command_reports_sector_diagnostics(tmp_path):
     assert 0.0 <= meta["diagnostics"]["parity_off_block"] <= 1e-12
     energies = [float(r.split(",")[1])
                 for r in (out / "eigenvalues.csv").read_text(encoding="utf-8").splitlines()[1:]]
-    want = np.linalg.eigvalsh(build_dipole(ms, em, GaugeParam(0.37), (4, 3)).H.matrix)
+    want = np.linalg.eigvalsh(build_dipole(ms, em, GaugeParam(0.37), (4, 3)).H)
     assert max_abs(np.array(energies) - want) <= REL_TOL * max(1.0, max_abs(want))

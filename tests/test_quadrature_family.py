@@ -1,6 +1,8 @@
 """Two-level dipole builds in the field-quadrature basis against the dense Fock-basis
 assembly of `DenseSystem`, their tie order, and the measured checks on the raw blocks."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 import dense_oracle
 from gaugecraft import (COULOMB, GaugeParam, HamiltonianBundle, InvariantViolation, ModeSet,
-                        build_dipole, build_naive, couplings, tls, verify_spectral_equivalence)
+                        build_dipole, build_naive, couplings, field_hamiltonian, tls,
+                        verify_spectral_equivalence)
 from gaugecraft.hamiltonians import QuadratureFamily
 from gaugecraft.hilbert import max_abs, parity_labels
 
@@ -48,7 +51,19 @@ def assert_matches_the_fock_assembly(bundle, h):
     assert max_abs(vals - want) <= 1e-12 * scale
     assert np.linalg.norm(h @ vecs - vecs * vals, axis=0).max() <= 1e-10 * max(1.0, max_abs(h))
     assert max_abs(vecs.conj().T @ vecs - np.eye(len(vals))) <= 1e-12
-    assert max_abs(bundle.H.matrix - h) <= 1e-12 * max(1.0, max_abs(h))
+    assert max_abs(bundle.H - h) <= 1e-12 * max(1.0, max_abs(h))
+
+
+@pytest.mark.parametrize("chi", [[[1.0]], [[1.0, 0.2], [0.2, 1.4]]])
+def test_the_field_block_of_real_couplings_is_real_and_is_w_dag_h_f_w(chi):
+    """K, assembled through `HilbertSpec.kron` on the photon factors, keeps the real dtype
+    of a real chi and real couplings, so that the sector solves stay real."""
+    ms = ModeSet(chi, {"emitter": [(0.4, 0.1, 0.0), (-0.3, 0.2, 0.0)][:len(chi)]})
+    family = QuadratureFamily.of(ms, tls(1.0, (1.0, 0.0, 0.0)), (6, 5)[:len(chi)])
+    assert family.k.dtype.kind == "f"
+    w = reduce(np.kron, family.basis.factors[:-1])
+    want = w.conj().T @ field_hamiltonian(ms.chi, family.photons) @ w
+    assert max_abs(family.k - want) <= 1e-12 * max_abs(want)
 
 
 @settings(max_examples=40, deadline=None)

@@ -56,7 +56,7 @@ def systems(draw):
 
 
 def assert_real_solve_matches_complex(bundle):
-    h = bundle.H.matrix
+    h = bundle.H
     want = np.linalg.eigvalsh(h)
     scale = max(1.0, max_abs(want))
     assert max_abs(bundle.eigenvalues() - want) <= 1e-12 * scale
@@ -75,7 +75,7 @@ def test_real_sector_solves_match_complex_eigensolves(system, theta):
                    build_naive(ms, em, MULTIPOLAR, cutoffs)):
         assert bundle.time_reversal
         assert 0.0 <= bundle.diagnostics["time_reversal_imag"] <= 1e-12 * max(
-            1.0, max_abs(bundle.H.matrix))
+            1.0, max_abs(bundle.H))
         assert_real_solve_matches_complex(bundle)
 
 
@@ -125,7 +125,7 @@ def test_forged_declaration_raises():
     j, k = 0, 2 * 4 * 2
     assert parity_labels(bundle.space)[[j, k]].tolist() == [1, 1]
     assert bundle.parity[j] == bundle.parity[k]
-    h = bundle.H.matrix.copy()
+    h = bundle.H.copy()
     h[j, k] += 1e-6j
     h[k, j] -= 1e-6j
     assert max_abs(h - h.conj().T) == 0.0

@@ -1,9 +1,9 @@
 """Repository hygiene: no unused imports, orphaned private helpers or unreferenced public
-functions in the package, a reversible perf tracer that still describes the
-quadrature-basis gauge-check and the matrix-free detect, a command-line tool that runs
-without scipy, a rate table that holds no D x D matrix of its own, repeated commands that
-reuse the pages their temporaries freed, and a failing hypothesis test that is reported as
-a failure."""
+functions in the package, no `Operator` built by it, a reversible perf tracer that still
+describes the quadrature-basis gauge-check and the matrix-free detect, a command-line tool
+that runs without scipy, a rate table that holds no D x D matrix of its own, repeated
+commands that reuse the pages their temporaries freed, and a failing hypothesis test that
+is reported as a failure."""
 
 import ast
 import ctypes
@@ -85,6 +85,16 @@ LIBRARY_API = {
     "hilbert.HilbertSpec.embed": "wrapped by perfbench/tracer.py as hilbert.embed; goes with "
                                  "that wrap once the tracer reads stage timers",
 }
+
+
+def test_package_modules_construct_no_operator():
+    """Dense operators are bare ndarrays: `hilbert.Operator` stays only as the class whose
+    `__post_init__` perfbench/tracer.py wraps, and no package module calls it."""
+    calls = [f"{path.stem}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and "Operator" in (getattr(node.func, "id", None),
+                                                              getattr(node.func, "attr", None))]
+    assert not calls, "Operator(...) called at " + ", ".join(calls)
 
 
 def public_functions(trees: dict):
