@@ -13,13 +13,14 @@ diagonal and every gauge map is a diagonal phase; two bundles of one such
 basis are compared there, without forming W or H, and any other pair in the
 Fock basis.  The parity sectors of a member are blocks A_0 +- B J with J the
 reversal, and every member of the family, correct or naive, is elementwise
-work around one fixed matrix.  The scan's ladders double the
-cutoff until a coupling's ground energy moves by less than the tolerance,
-rung-major: at each rung every coupling still climbing is one member of a
-stack (X(eta) = eta X_1 scales the quadrature), in chunks of
-`stack_chunk(N + 1)` members so that a chunk's real (N+1) x (N+1) blocks
-take at most STACK_BYTES.  A naive ladder still climbing at the top rung
-gives a row marked not converged; a correct one raises `ConvergenceError`.
+work around one fixed matrix.  The scan's ladders double the cutoff until a coupling's
+ground energy moves by less than the tolerance, rung-major: at each rung every coupling
+still climbing is one member of a stack (X(eta) = eta X_1 scales the quadrature), in
+chunks of `stack_chunk(N + 1)` members so that a chunk's real (N+1) x (N+1) blocks take at
+most STACK_BYTES.  A rung solves the parity sector of the uncoupled ground state and
+certifies the other by a Cholesky factorization (`QuadratureFamily.ground_energies`).  A
+naive ladder still climbing at the top rung gives a row marked not converged; a correct
+one raises `ConvergenceError`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .modes import ModeSet
 DEFAULT_SPECTRAL_TOL = 1e-6
 DEFAULT_LOW_FRACTION = 0.5
 STACK_BYTES = 8_000_000  # real blocks held at once by one stacked ladder solve
-MEMBER_BLOCKS = 6  # real (N+1)^2 blocks a member holds: complex A_0 and A_1, two real forms
+MEMBER_BLOCKS = 6  # real (N+1)^2 blocks per member: complex A_0, A_1, a sector, one temporary
 MAX_CUTOFF = 640
 
 
@@ -134,11 +135,11 @@ def _climb(solve: Callable[[int, np.ndarray], np.ndarray], members: int, tol: fl
            start_cutoff: int, max_cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(E0, cutoff, converged) of `members` doubling-cutoff ladders, climbed rung-major.
 
-    `solve(n, idx)` returns the ground energies of the members `idx` at cutoff n,
-    at most `stack_chunk(n + 1)` of them.  A member converges at the first rung whose ground
-    energy differs from the previous rung's by less than tol, and leaves the stack;
-    one still climbing past `max_cutoff` keeps its last rung's E0 and cutoff and is
-    reported as not converged.
+    `solve(n, idx)` returns the ground energies of the members `idx` at cutoff n, at most
+    `stack_chunk(n + 1)` of them; the scan's solve diagonalizes one parity sector and
+    certifies the other.  A member converges at the first rung whose ground energy differs
+    from the previous rung's by less than tol, and leaves the stack; one still climbing
+    past `max_cutoff` keeps its last rung's E0 and cutoff and is reported as not converged.
     """
     e0 = np.full(members, np.nan)
     cutoff = np.zeros(members, dtype=int)
@@ -155,11 +156,6 @@ def _climb(solve: Callable[[int, np.ndarray], np.ndarray], members: int, tol: fl
     converged = np.ones(members, dtype=bool)
     converged[live] = False
     return e0, cutoff, converged
-
-
-def _require(converged: np.ndarray, max_cutoff: int):
-    if not converged.all():
-        raise ConvergenceError(f"ground energy not converged at cutoff {max_cutoff}")
 
 
 @dataclass(frozen=True)
@@ -190,13 +186,12 @@ def ambiguity_scan(chi: float, omega0: float, eta_grid: Sequence[float],
     def ladder(theta, naive_order=None):
         def solve(n, idx):
             f = family(n)
-            return f.spectra(*f.blocks(theta, etas[idx], naive_order))[:, 0]
+            return f.ground_energies(*f.blocks(theta, etas[idx], naive_order))
         return _climb(solve, len(etas), tol, start_cutoff, MAX_CUTOFF)
 
-    e0_c, n_c, converged = ladder(0.0)
-    _require(converged, MAX_CUTOFF)
-    e0_mp, n_mp, converged = ladder(1.0)
-    _require(converged, MAX_CUTOFF)
+    (e0_c, n_c, ok_c), (e0_mp, n_mp, ok_mp) = ladder(0.0), ladder(1.0)
+    if not (ok_c.all() and ok_mp.all()):
+        raise ConvergenceError(f"ground energy not converged at cutoff {MAX_CUTOFF}")
     e0_naive, n_nv, converged = ladder(0.0, order)
     cutoffs = np.maximum(np.maximum(n_c, n_mp), n_nv)
     return [AmbiguityRow(eta=float(eta), naive_gap=float(abs(nv - mp)),

@@ -491,14 +491,14 @@ def _reflected_form(p: np.ndarray, q: np.ndarray, sign: int) -> np.ndarray:
     return out
 
 
-def _sectors(part: np.ndarray, anti: np.ndarray, diag: Optional[np.ndarray] = None):
-    """`part` turned in place into each parity sector in turn, epsilon = +1 then -1: epsilon
-    anti added on the antidiagonal and epsilon diag on the diagonal of every member, from
-    the entries `part` had."""
+def _sectors(part: np.ndarray, anti: np.ndarray, diag: Optional[np.ndarray] = None, first=1):
+    """`part` turned in place into each parity sector in turn, epsilon = first then -first:
+    epsilon anti added on the antidiagonal and epsilon diag on the diagonal of every member,
+    from the entries `part` had."""
     n = part.shape[-1]
     i, j = np.arange(n), np.arange(n)[::-1]
     base_diag, base_anti = part[:, i, i], part[:, i, j]
-    for eps in (1, -1):
+    for eps in (first, -first):
         part[:, i, i] = base_diag
         part[:, i, j] = base_anti + eps * anti
         if diag is not None:
@@ -535,12 +535,12 @@ class QuadratureFamily:
     A two-level emitter with a parity S and couplings not all zero is solved
     here (`sectored`): with u_1 = S u_0 the parity (-1)^(sum n) (x) S is
     J (x) swap, with sectors C = A_0 +- B J, B = B_01, when A_1 = J A_0 J and
-    B J = J B^dag; the even one is +.  Under time reversal, declared as by
-    `build_dipole`, the basis is real and J C J = C^*, so
-    Q^dag C Q = (C + JCJ + i(CJ - JC)) / 2, Q = (1 + iJ) / sqrt(2), is real
-    symmetric with C's spectrum.  Any other emitter's member is formed in the
-    Fock basis once (`fock_matrix`), where `HamiltonianBundle` verifies its
-    declared symmetries and solves its sectors.
+    B J = J B^dag; the even one is +, and `ground_parity` is the sign of the one holding
+    vacuum (x) h0's lowest level.  Under time reversal, declared as by `build_dipole`, the
+    basis is real and J C J = C^*, so Q^dag C Q = (C + JCJ + i(CJ - JC)) / 2 with
+    Q = (1 + iJ) / sqrt(2) is real symmetric with C's spectrum.  Any other emitter's member
+    is formed in the Fock basis once (`fock_matrix`), where `HamiltonianBundle` verifies
+    its declared symmetries and solves its sectors.
     """
 
     @classmethod
@@ -566,6 +566,7 @@ class QuadratureFamily:
         self.photons = _photon_part(self.space)
         self.parity_signs = parity_signs
         self.sectored = len(d) == 2 and parity_signs is not None and bool(np.any(g))
+        self.ground_parity = parity_signs[np.argmin(h0.diagonal().real)] if self.sectored else 1
         self.time_reversal = _real(cs.chi, g, d, h0)
         lam, u = np.linalg.eigh(d.real if self.time_reversal else d)
         if self.sectored:
@@ -667,19 +668,30 @@ class QuadratureFamily:
             imag = np.maximum(imag, measured)
         return off, imag
 
-    def _sector_stack(self, a0: np.ndarray, b: np.ndarray):
-        """Each parity sector of every member, epsilon = +1 then -1, as one stack turned in
-        place: A_0 + epsilon B J, or its real form under time reversal."""
+    def _sector_stack(self, a0: np.ndarray, b: np.ndarray, first: int = 1):
+        """Each parity sector of every member, epsilon = first then -first, as one stack
+        turned in place: A_0 + epsilon B J, or its real form under time reversal."""
         if not self.time_reversal:
-            return _sectors(a0.copy(), b)
+            return _sectors(a0.copy(), b, first=first)
         half_sum, half_diff = _half_sum_and_diff(b)
-        return _sectors(_reflected_form(a0.real, a0.imag, -1), half_sum.real, half_diff.real)
+        return _sectors(_reflected_form(a0.real, a0.imag, -1), half_sum.real, half_diff.real, first)
 
-    def spectra(self, a0: np.ndarray, a1: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Ascending eigenvalues (S, 2n) of a stack of members (A_0, A_1, b), after `measure`."""
+    def ground_energies(self, a0: np.ndarray, a1: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Ground energies (S,) of a stack (A_0, A_1, b), after `measure`: E0 of the sector
+        `ground_parity` once a Cholesky factorization of the other sector minus E0 proves
+        that sector's levels lie above it, else the lower ground level of the two."""
         self.measure(a0, a1, b)
-        sectors = [np.linalg.eigvalsh(s) for s in self._sector_stack(a0, b)]
-        return np.sort(np.concatenate(sectors, axis=-1), axis=-1)
+        sectors = self._sector_stack(a0, b, self.ground_parity)
+        e0 = np.linalg.eigvalsh(next(sectors))[:, 0]
+        other, i = next(sectors), np.arange(b.shape[-1])
+        diag = other[:, i, i]
+        other[:, i, i] -= e0[:, None]
+        try:
+            np.linalg.cholesky(other)  # its factor takes the place of `measure`'s temporaries
+        except np.linalg.LinAlgError:
+            other[:, i, i] = diag
+            e0 = np.minimum(e0, np.linalg.eigvalsh(other)[:, 0])
+        return e0
 
     def sector_blocks(self, blocks: tuple):
         """(block, place) per parity sector of one member, blocks (A_0, b) stacks of one, the

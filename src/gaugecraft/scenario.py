@@ -55,12 +55,12 @@ def _get(doc: Mapping, key: str, path: str, required: bool = True, default=None)
 def number(value, path: str, kind=float):
     """`value` converted by `kind` (float or int); ConfigError naming `path` otherwise.
 
-    An int is refused where the value has a fractional part, rather than
-    truncated.
+    A boolean is refused, and an int where the value has a fractional part, rather
+    than truncated.
     """
     try:
         out = kind(value)
-        if kind is int and out != float(value):
+        if isinstance(value, bool) or kind is int and out != float(value):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"'{path}' must be {'an integer' if kind is int else 'a number'}, "
@@ -143,7 +143,7 @@ def emitter_to_json(em: EmitterSpec) -> dict:
 
 def emitter_from_json(doc: Mapping, path: str = "emitter") -> EmitterSpec:
     with _decoding(path, "emitter"):
-        levels = np.asarray(_get(doc, "levels", path), dtype=float)
+        levels = np.array(number_list(_get(doc, "levels", path), _subpath(path, "levels")))
         n = levels.shape[0]
         dipole = np.array([
             decode_complex_matrix(_get(doc, key, path), _subpath(path, key), (n, n))
@@ -152,11 +152,10 @@ def emitter_from_json(doc: Mapping, path: str = "emitter") -> EmitterSpec:
         label = _get(doc, "position_label", path, required=False, default="emitter")
         sp = None
         if "q" in doc or "r_dip" in doc:
-            q = _get(doc, "q", path)
-            r_dip = np.asarray(_get(doc, "r_dip", path), dtype=float)
+            r_dip = np.array(number_list(_get(doc, "r_dip", path), _subpath(path, "r_dip")))
             if r_dip.shape != (3,):
                 raise ConfigError(f"'{path}.r_dip' must be a 3-vector")
-            sp = SingleParticle(float(q), r_dip)
+            sp = SingleParticle(number(_get(doc, "q", path), _subpath(path, "q")), r_dip)
         return EmitterSpec(levels, dipole, position_label=label, single_particle=sp)
 
 
@@ -166,13 +165,13 @@ def time_profile_from_json(doc: Mapping, path: str = "time_profile") -> TimeProf
     with _decoding(path, "time profile"):
         kind = _get(doc, "kind", path)
         if kind == "constant":
-            return constant_profile(float(doc.get("value", 1.0)))
+            return constant_profile(number(doc.get("value", 1.0), f"{path}.value"))
         if kind in ("linear", "raised_cosine"):
             return TimeProfile(kind,
-                               start=float(doc.get("start", 0.0)),
-                               stop=float(doc.get("stop", 1.0)),
-                               t0=float(doc.get("t0", 0.0)),
-                               duration=float(_get(doc, "duration", path)))
+                               start=number(doc.get("start", 0.0), f"{path}.start"),
+                               stop=number(doc.get("stop", 1.0), f"{path}.stop"),
+                               t0=number(doc.get("t0", 0.0), f"{path}.t0"),
+                               duration=number(_get(doc, "duration", path), f"{path}.duration"))
         if kind == "tabulated":
             return TimeProfile("tabulated",
                                times=np.asarray(_get(doc, "times", path), dtype=float),
@@ -248,13 +247,15 @@ class Scenario:
     @property
     def seed(self) -> int:
         seed = self.doc.get("seed", 0)
-        if not isinstance(seed, int):
+        if type(seed) is not int:
             raise ConfigError("'seed' must be an integer")
         return seed
 
     def modeset(self) -> ModeSet:
         section = _get(self.doc, "modeset", "")
         if isinstance(section, Mapping) and "file" in section:
+            if not isinstance(section["file"], str):
+                raise ConfigError(f"'modeset.file' must be a string, got {section['file']!r}")
             with _decoding("modeset.file", "mode set file"):
                 ref = self.base_dir / section["file"]
                 if not ref.exists():
@@ -267,15 +268,15 @@ class Scenario:
 
     def gauge(self) -> GaugeParam:
         theta = self.doc.get("gauge_theta", 0.0)
-        if not isinstance(theta, (int, float)):
+        if type(theta) not in (int, float):
             raise ConfigError("'gauge_theta' must be a number")
         with _decoding("gauge_theta", "gauge parameter"):
             return GaugeParam(float(theta))
 
     def cutoffs(self, n_modes: int):
         raw = _get(self.doc, "fock_cutoffs", "")
-        cutoffs = [raw] * n_modes if isinstance(raw, int) else raw
-        if not isinstance(cutoffs, list) or not all(isinstance(v, int) and v >= 0 for v in cutoffs):
+        cutoffs = [raw] * n_modes if type(raw) is int else raw
+        if not isinstance(cutoffs, list) or not all(type(v) is int and v >= 0 for v in cutoffs):
             raise ConfigError("'fock_cutoffs' must be an integer >= 0 or a list of them")
         if len(cutoffs) != n_modes:
             raise ConfigError(f"'fock_cutoffs' has {len(cutoffs)} entries, need {n_modes}")
@@ -289,7 +290,7 @@ class Scenario:
 
     def naive_order(self) -> int:
         order = self.doc.get("naive_order", 1)
-        if not isinstance(order, int) or order < 1:
+        if type(order) is not int or order < 1:
             raise ConfigError("'naive_order' must be a positive integer")
         return order
 
@@ -301,9 +302,9 @@ class Scenario:
             raise ConfigError("'longitudinal' must be 'off' or an object")
         with _decoding("longitudinal", "longitudinal coupling"):
             return LongitudinalCoupling(
-                omega=float(_get(section, "omega", "longitudinal")),
-                coupling=float(_get(section, "coupling", "longitudinal")),
-                cutoff=int(_get(section, "cutoff", "longitudinal")),
+                omega=number(_get(section, "omega", "longitudinal"), "longitudinal.omega"),
+                coupling=number(_get(section, "coupling", "longitudinal"), "longitudinal.coupling"),
+                cutoff=number(_get(section, "cutoff", "longitudinal"), "longitudinal.cutoff", int),
                 direction=tuple(section.get("direction", (1.0, 0.0, 0.0))))
 
     def time_profile(self) -> TimeProfile:

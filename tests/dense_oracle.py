@@ -6,7 +6,9 @@ through one D x D eigendecomposition of the generator (`DenseSystem`).  This
 is slow, and independent of the field-quadrature basis and the local factors
 that the package uses: no function here calls the package's gauge
 conjugation (`CouplingSet.generator`, `QuadratureFamily`,
-`HermitianGenerator`).
+`HermitianGenerator`), but for one: `spectra` solves both parity sectors of a
+stack of `QuadratureFamily` members in full, the oracle of
+`QuadratureFamily.ground_energies`, which solves one and certifies the other.
 
 `beyond_dipole` and `generalized_1d` write the beyond-dipole and the 1D
 normal-mode Hamiltonians out term by term, as closed forms that do not go
@@ -19,10 +21,10 @@ builders' parity and time reversal: the oracle of `build_dipole` and
 
 `nested_commutator_series` is the naive Taylor truncation of U H_0 U^dag, and
 `with_longitudinal` appends the longitudinal hook's factor to a Hamiltonian.
-`ambiguity_scan` is the coupling scan one coupling at a time, each with its
-own three scalar cutoff ladders (`ambiguity_ladders`, `converged_ground_energy`):
-the closed Coulomb form `build_tls_coulomb_single`, and the multipolar member
-and the naive series of `dense_bundle`.
+`ambiguity_row` is a row of the coupling scan from one coupling's own three
+scalar cutoff ladders (`ambiguity_ladders`, `converged_ground_energy`): the
+closed Coulomb form `build_tls_coulomb_single`, and the multipolar member and
+the naive series of `dense_bundle`.
 `detection_operator` is the golden-rule operator of `detect` as one D x D
 matrix, written out with numpy.kron; `rate_table` and
 `significant_transitions` apply it, and the formed gauge unitary W of
@@ -58,7 +60,7 @@ from gaugecraft.hilbert import (HERMITIAN_TOL, HilbertSpec, PAULI_X, PAULI_Y, PA
 EIG_RESIDUAL_TOL = 1e-10
 
 
-def field_hamiltonian(chi, space):
+def _field_hamiltonian(chi, space):
     """H_F = sum_{mu nu} chi_{mu nu} a_mu^dag a_nu from embedded ladders."""
     chi = np.atleast_2d(np.asarray(chi, dtype=complex))
     ph = space.photon_indices
@@ -87,7 +89,7 @@ class DenseSystem:
 
     def __init__(self, ms, em, cutoffs):
         self.space = standard_space(tuple(cutoffs), em.n_levels)
-        self.h_f = field_hamiltonian(ms.chi, self.space)
+        self.h_f = _field_hamiltonian(ms.chi, self.space)
         self.h_0 = self.space.embed(self.space.matter_indices[0], em.h0)
         self.x = generator_matrix(couplings(ms, em).eta_matrices, self.space)
 
@@ -210,7 +212,7 @@ def beyond_dipole(chi, profile_fns, em, gauge, cutoffs, quad_nodes=65, quad_tol=
 
     space = standard_space(tuple(cutoffs), 2)
     mi = space.matter_indices[0]
-    h_f = field_hamiltonian(chi, space)
+    h_f = _field_hamiltonian(chi, space)
     meta = {"builder": "build_beyond_dipole", "truncation": "correct",
             "cutoffs": tuple(cutoffs), "gauge_label": gauge,
             "eta_bar": [complex(v) for v in eta_bar]}
@@ -248,7 +250,7 @@ def generalized_1d(nm, em, gauge, n_modes, cutoffs, x0, truncation="correct",
     mi = space.matter_indices[0]
     d_hat = space.embed(mi, em.dipole[polarization_axis])
     h_0 = space.embed(mi, em.h0)
-    h = field_hamiltonian(np.diag(omega), space)
+    h = _field_hamiltonian(np.diag(omega), space)
     a = _ladders(space)
     meta = {"builder": "build_generalized_1d", "truncation": truncation,
             "cutoffs": tuple(cutoffs), "gauge_label": gauge, "n_modes": n_modes, "x0": x0}
@@ -396,6 +398,15 @@ def dielectric_modes(d, n_modes):
             profiles * np.sign(profiles[:, :1]))
 
 
+def spectra(family, a0, a1, b):
+    """Ascending eigenvalues (S, 2n) of a stack of `QuadratureFamily` members (A_0, A_1, b),
+    after `measure`: both parity sectors solved in full, as the scan's ladders did before
+    `QuadratureFamily.ground_energies` solved one and certified the other."""
+    family.measure(a0, a1, b)
+    sectors = [np.linalg.eigvalsh(s) for s in family._sector_stack(a0, b)]
+    return np.sort(np.concatenate(sectors, axis=-1), axis=-1)
+
+
 def converged_ground_energy(build, tol=1e-7, start_cutoff=20, max_cutoff=640):
     """(E0, cutoff) of one scalar doubling ladder: build(n) at n = start_cutoff,
     2 start_cutoff, ... until two successive ground energies differ by < tol."""
@@ -425,13 +436,6 @@ def ambiguity_row(eta, e0):
     return AmbiguityRow(eta=float(eta), naive_gap=abs(e0["naive"][0] - e0["multipolar"][0]),
                         correct_gap=abs(e0["coulomb"][0] - e0["multipolar"][0]),
                         cutoff=max(n for _, n in e0.values()), converged=True)
-
-
-def ambiguity_scan(chi, omega0, eta_grid, start_cutoff=20, tol=1e-7, order=1):
-    """The naive-versus-correct scan one coupling at a time, each build a single
-    Hamiltonian, as the package ran it before its ladders climbed as stacks."""
-    return [ambiguity_row(eta, ambiguity_ladders(chi, omega0, eta, start_cutoff, tol, order))
-            for eta in eta_grid]
 
 
 def ladder(space, mode_index):
@@ -573,7 +577,7 @@ def field_commutator_residual(ms, point, cutoffs, naive=False):
     entries).
     """
     space = photon_space(ms, cutoffs)
-    h_f = field_hamiltonian(ms.chi, space)
+    h_f = _field_hamiltonian(ms.chi, space)
     below_top = _photon_diagonal(space, lambda n, top: n < top).astype(bool)
     interior = np.ix_(below_top, below_top)
     worst = 0.0

@@ -50,13 +50,22 @@ def with_emitter(key, value):
 @pytest.mark.parametrize("command, doc, path", [
     ("spectrum", scenario(modeset={"file": 5}), "modeset.file"),
     ("spectrum", scenario(modeset={"file": "not_json.txt"}), "modeset.file"),
-    ("spectrum", with_emitter("levels", ["a", "b"]), "emitter"),
+    ("spectrum", with_emitter("levels", ["a", "b"]), "emitter.levels[0]"),
     ("spectrum", scenario(fock_cutoffs=-1), "fock_cutoffs"),
+    ("spectrum", scenario(fock_cutoffs=True), "fock_cutoffs"),
+    ("spectrum", scenario(fock_cutoffs=[True, 2]), "fock_cutoffs"),
+    ("spectrum", scenario(gauge_theta=True), "gauge_theta"),
+    ("spectrum", scenario(seed=True), "seed"),
+    ("spectrum", scenario(truncation="naive", naive_order=True), "naive_order"),
+    ("spectrum", scenario(longitudinal={"omega": 1.0, "coupling": 0.1, "cutoff": True}),
+     "longitudinal.cutoff"),
     ("spectrum", scenario(beyond_dipole={"profile": 5}), "beyond_dipole.profile"),
     ("spectrum", scenario(beyond_dipole={"profile": {"kind": "cosine",
                                                       "amplitude": CONSTANT["value"]}}),
      "beyond_dipole.profile"),
     ("detect", scenario(detector={"position_label": "detector", "count": -1}),
+     "detector.count"),
+    ("detect", scenario(detector={"position_label": "detector", "count": True}),
      "detector.count"),
     ("modes", {"modes": {"grid": {**GRID, "omega": ["x"]}}}, "modes.grid"),
     ("modes", {"modes": {"grid": GRID, "profile_points": [[1.0, 0.0]]}},
@@ -66,14 +75,25 @@ def with_emitter(key, value):
     ("modes", {"modes": {"qnm": {"omega": ["a"], "gamma": [0.1], "overlap": [[1.0, 0.0]]}}},
      "modes.qnm"),
 ], ids=["modeset-file-not-a-string", "modeset-file-not-json", "emitter-levels",
-        "negative-cutoff", "beyond-dipole-profile-not-an-object", "cosine-profile-without-k",
-        "negative-detector-count", "grid-omega", "profile-points-list", "dielectric-epsilon",
-        "qnm-omega"])
+        "negative-cutoff", "boolean-cutoff", "boolean-cutoff-in-a-list", "boolean-theta",
+        "boolean-seed", "boolean-naive-order", "boolean-longitudinal-cutoff",
+        "beyond-dipole-profile-not-an-object", "cosine-profile-without-k",
+        "negative-detector-count", "boolean-detector-count", "grid-omega",
+        "profile-points-list", "dielectric-epsilon", "qnm-omega"])
 def test_malformed_value_exits_2_naming_its_key_path(tmp_path, capsys, command, doc, path):
     (tmp_path / "not_json.txt").write_text("not json", encoding="utf-8")
     assert run(tmp_path, command, doc) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and f"'{path}" in err
+    assert err.startswith("config error:") and f"'{path}'" in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    (scenario(modeset={"file": 5}), "'modeset.file' must be a string, got 5"),
+    (with_emitter("levels", ["a", "b"]), "'emitter.levels[0]' must be a number, got 'a'"),
+], ids=["modeset-file-not-a-string", "emitter-levels"])
+def test_a_key_inside_a_section_is_named_in_a_plain_message(tmp_path, capsys, doc, message):
+    assert run(tmp_path, "spectrum", doc) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_mode_set_by_file_equals_the_same_mode_set_inline(tmp_path):

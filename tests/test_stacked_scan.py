@@ -59,7 +59,7 @@ def test_stacked_build_dipole_members_equal_their_own_builds(system, theta):
     ms, em, cutoff, scales = system
     family = QuadratureFamily.of(ms, em, cutoff)
     assert family.time_reversal == (np.imag(ms.profile(em.position_label)[0, 0]) == 0)
-    values = family.spectra(*family.blocks(theta, scales))
+    values = dense_oracle.spectra(family, *family.blocks(theta, scales))
     assert values.shape == (len(scales), 2 * (cutoff + 1))
     for i, c in enumerate(scales):
         single = dense_oracle.dense_bundle(scaled_modes(ms, em, c), em, GaugeParam(theta),
@@ -72,16 +72,85 @@ def test_stacked_build_dipole_members_equal_their_own_builds(system, theta):
 def test_stacked_build_naive_members_equal_their_own_builds(system, order):
     ms, em, cutoff, scales = system
     family = QuadratureFamily.of(ms, em, cutoff)
-    values = family.spectra(*family.blocks(0.0, scales, order))
+    values = dense_oracle.spectra(family, *family.blocks(0.0, scales, order))
     for i, c in enumerate(scales):
         single = dense_oracle.dense_bundle(scaled_modes(ms, em, c), em, COULOMB, cutoff, order)
         assert_members_close(values[i], single.eigenvalues(), f"member {i} at scale {c}")
 
 
+@settings(max_examples=40, deadline=None)
+@given(system=quadrature_systems(),
+       ladder=st.sampled_from([(0.0, None), (0.37, None), (1.0, None), (0.0, 1), (0.0, 2),
+                               (0.0, 3)]))
+def test_ground_energies_are_the_lowest_level_of_both_sectors(system, ladder):
+    ms, em, cutoff, scales = system
+    family = QuadratureFamily.of(ms, em, cutoff)
+    a0, a1, b = family.blocks(ladder[0], scales, ladder[1])
+    want = dense_oracle.spectra(family, a0, a1, b)
+    assert_members_close(family.ground_energies(a0, a1, b), want[:, 0], f"{ladder}")
+    # (A_0, A_1, -b) swaps the two sectors: where the certificate held, it fails there, and
+    # the other sector is solved too
+    assert_members_close(dense_oracle.spectra(family, a0, a1, -b), want, f"{ladder} swapped")
+    assert_members_close(family.ground_energies(a0, a1, -b), want[:, 0], f"{ladder} swapped")
+
+
+def count_solves(monkeypatch):
+    """The shapes of the arrays that `numpy.linalg.eigvalsh` and `numpy.linalg.cholesky` are
+    called on, (eigvalsh, cholesky)."""
+    shapes = ([], [])
+    for name, seen in zip(("eigvalsh", "cholesky"), shapes):
+        def counted(m, *args, original=getattr(np.linalg, name), seen=seen, **kwargs):
+            seen.append(np.shape(m))
+            return original(m, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return shapes
+
+
+def test_swapped_sectors_fall_back_to_solving_both(monkeypatch):
+    ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
+    family = QuadratureFamily.of(ms, em, 20)
+    a0, a1, b = family.blocks(0.0, [0.3, 1.1, 2.4])
+    want = dense_oracle.spectra(family, a0, a1, b)[:, 0]
+    eigvalsh, cholesky = count_solves(monkeypatch)
+    assert np.array_equal(family.ground_energies(a0, a1, b), want)
+    assert eigvalsh == cholesky == [(3, 21, 21)]  # one sector solved, the other certified
+    del eigvalsh[:], cholesky[:]
+    assert np.array_equal(family.ground_energies(a0, a1, -b), want)
+    assert eigvalsh == [(3, 21, 21)] * 2 and cholesky == [(3, 21, 21)]  # the fallback
+
+
+def test_gauge_check_solves_one_sector_and_certifies_the_other_per_rung(tmp_path,
+                                                                        monkeypatch):
+    ms, em = tls_single_mode_modeset(1.0, 0.6, 1.0)
+    grid = np.linspace(0.05, 2.5, 12).tolist()
+    doc = {"seed": 0, "modeset": modeset_to_json(ms), "emitter": emitter_to_json(em),
+           "fock_cutoffs": 20, "gauge_check": {"eta_grid": grid}}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    solves = []
+    original = QuadratureFamily.ground_energies
+
+    def counted(family, a0, a1, b):
+        solves.append(a0.shape)
+        return original(family, a0, a1, b)
+
+    monkeypatch.setattr(QuadratureFamily, "ground_energies", counted)
+    eigvalsh, cholesky = count_solves(monkeypatch)
+    assert main(["gauge-check", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "gauge_report.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == len(grid) + 1 and max(int(r.split(",")[3]) for r in rows[1:]) >= 80
+    # every rung solve of the three ladders: one sector's eigvalsh and one Cholesky
+    # factorization of the other, on the solve's whole stack; the fallback never runs.
+    # The verify pair's sector blocks and Gram matrices are single matrices.
+    assert len(solves) >= 9
+    assert [s for s in eigvalsh if len(s) == 3] == solves
+    assert cholesky == solves
+
+
 def test_stack_of_one_keeps_its_axis_and_eigensystem_refuses_stacks():
     ms, em = tls_single_mode_modeset(1.0, 0.6, 1.0)
     family = QuadratureFamily.of(ms, em, 8)
-    values = family.spectra(*family.blocks(0.0, [1.0]))
+    values = dense_oracle.spectra(family, *family.blocks(0.0, [1.0]))
     assert values.shape == (1, 18)
     assert_members_close(values[0], build_dipole(ms, em, COULOMB, 8).eigenvalues(), "member")
     bundle = build_dipole(ms, em, COULOMB, 8)
@@ -111,21 +180,21 @@ class TestForgedMembers:
 
     def test_non_hermitian_member_is_named(self):
         family, (a0, a1, b) = self.stack()
-        family.spectra(a0, a1, b)
+        family.ground_energies(a0, a1, b)
         a0[2, 0, 3] += 1e-8  # an asymmetric entry
         with pytest.raises(InvariantViolation,
                            match="not Hermitian before symmetrization in stack member 2 "):
-            family.spectra(a0, a1, b)
+            family.ground_energies(a0, a1, b)
 
     def test_each_member_is_held_to_its_own_scale(self):
         family, (a0, a1, b) = self.stack()
         for m in (a0, a1, b):
             m[0] *= 1e6
         a0[0, 0, 2] += 1e-8  # within 1e-12 * 1e6 of the large member
-        family.spectra(a0, a1, b)
+        family.ground_energies(a0, a1, b)
         a0[1, 0, 2] += 1e-8  # beyond 1e-12 * max(1, max|A_1|) of a small one
         with pytest.raises(InvariantViolation, match="stack member 1"):
-            family.spectra(a0, a1, b)
+            family.ground_energies(a0, a1, b)
 
     def test_parity_breaking_member_is_named(self):
         family, blocks = self.stack()
@@ -133,11 +202,11 @@ class TestForgedMembers:
         a1[3, 1, 2] += 1e-6  # a Hermitian change to A_1 alone breaks the reflection
         a1[3, 2, 1] += 1e-6
         with pytest.raises(InvariantViolation, match="parity .* in stack member 3"):
-            family.spectra(a0, a1, b)
+            family.ground_energies(a0, a1, b)
         a0, a1, b = (m.copy() for m in blocks)
         b[1, 0] += 1e-6  # so does one entry of B: B J != J B^dag
         with pytest.raises(InvariantViolation, match="parity .* in stack member 1"):
-            family.spectra(a0, a1, b)
+            family.ground_energies(a0, a1, b)
 
     def test_time_reversal_breaking_member_is_named(self):
         family, (a0, a1, b) = self.stack()
@@ -147,12 +216,12 @@ class TestForgedMembers:
         a0[1] += e
         a1[1] += e[::-1, ::-1]  # keeps A_0 = J A_1 J
         with pytest.raises(InvariantViolation, match="time reversal .* in stack member 1"):
-            family.spectra(a0, a1, b)
+            family.ground_energies(a0, a1, b)
         complex_family, (c0, c1, cb) = self.stack(phase=np.exp(0.4j))
         assert not complex_family.time_reversal
         c0[1] += e
         c1[1] += e[::-1, ::-1]
-        complex_family.spectra(c0, c1, cb)  # nothing declared, nothing to break
+        complex_family.ground_energies(c0, c1, cb)  # nothing declared, nothing to break
 
     def test_diagnostics_report_the_worst_member(self):
         ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)

@@ -1,9 +1,9 @@
 """Repository hygiene: no unused imports, orphaned private helpers or unreferenced public
-functions in the package, no `Operator` built by it, a reversible perf tracer that still
-describes the quadrature-basis gauge-check and the matrix-free detect, a command-line tool
-that runs without scipy, a rate table that holds no D x D matrix of its own, repeated
-commands that reuse the pages their temporaries freed, and a failing hypothesis test that
-is reported as a failure."""
+functions in the package, no `Operator` built by it, no dense oracle that no test reads, a
+reversible perf tracer that still describes the quadrature-basis gauge-check and the
+matrix-free detect, a command-line tool that runs without scipy, a rate table that holds no
+D x D matrix of its own, repeated commands that reuse the pages their temporaries freed,
+and a failing hypothesis test that is reported as a failure."""
 
 import ast
 import ctypes
@@ -143,6 +143,25 @@ def test_package_public_functions_are_referenced_in_the_package():
     assert unreferenced == set(LIBRARY_API), (
         f"unreferenced and not listed: {sorted(unreferenced - set(LIBRARY_API))}; "
         f"listed but referenced: {sorted(set(LIBRARY_API) - unreferenced)}")
+
+
+def test_every_dense_oracle_is_read_by_a_test_module():
+    """Each public function and class of tests/dense_oracle.py is imported from it or read as
+    `dense_oracle.<name>` by some tests/test_*.py, so that an oracle whose package form is
+    gone (`spectra`, say) cannot rot unseen."""
+    oracle = ast.parse((ROOT / "tests" / "dense_oracle.py").read_text(encoding="utf-8"))
+    names = {node.name for node in oracle.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    read = set()
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "dense_oracle":
+                read.update(a.name for a in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "dense_oracle"):
+                read.add(node.attr)
+    assert len(names) >= 30
+    assert not names - read, f"oracles no test reads: {sorted(names - read)}"
 
 
 def load_tracer(monkeypatch):
