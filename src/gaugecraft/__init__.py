@@ -18,8 +18,8 @@ from .matter import (EmitterSpec, SingleParticle, TimeProfile, constant_profile,
 from .hamiltonians import (COULOMB, MULTIPOLAR, CouplingSet, FockCutoffWarning,
                            GaugeParam, HamiltonianBundle, LongitudinalCoupling,
                            TimeDependentHamiltonian, build_beyond_dipole, build_dipole,
-                           build_generalized_1d, build_naive, build_time_dependent,
-                           couplings, field_hamiltonian, standard_space)
+                           build_gauge_pair, build_generalized_1d, build_naive,
+                           build_time_dependent, couplings, field_hamiltonian, standard_space)
 from .gaugecheck import (AmbiguityRow, EquivalenceReport, ambiguity_scan, gauge_unitary,
                          tls_single_mode_modeset, verify_spectral_equivalence)
 from .detect import (DetectorSpec, RateGap, RateRow, naive_rate_gap, rate_table,

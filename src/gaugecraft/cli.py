@@ -25,9 +25,9 @@ from . import __version__
 from .detect import DetectorSpec, rate_table, significant_transitions
 from .dynamics import NORM_TOL, evolve, factor_populations, ground_state
 from .errors import ConfigError, ConvergenceError, GaugecraftError, InvariantViolation
-from .gaugecheck import ambiguity_scan, gauge_check_pair, verify_spectral_equivalence
-from .hamiltonians import (COULOMB, MULTIPOLAR, build_beyond_dipole, build_dipole,
-                           build_naive, build_time_dependent, couplings, standard_space)
+from .gaugecheck import ambiguity_scan, verify_spectral_equivalence
+from .hamiltonians import (build_beyond_dipole, build_dipole, build_gauge_pair, build_naive,
+                           build_time_dependent, couplings, standard_space)
 from .modes import build_from_grid, chi_from_qnm, completeness_residual, qnm_frequency_grid, solve_dielectric_1d
 from .scenario import (Scenario, _decoding, decode_complex_matrix, dielectric_from_json,
                        number, number_list, polariton_grid_from_json, qnm_from_json,
@@ -221,7 +221,7 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
               ("eta", "naive_gap", "correct_gap", "cutoff", "converged"),
               [(r.eta, r.naive_gap, r.correct_gap, r.cutoff, r.converged) for r in rows])
 
-    h_a, h_b = gauge_check_pair(ms, em, cutoffs[0],
+    h_a, h_b = build_gauge_pair(ms, em, cutoffs,
                                 order if sc.truncation() == "naive" else None)
     rep = verify_spectral_equivalence(h_a, h_b, k=k, tol=spectral_tol,
                                       cs=couplings(ms, em))
@@ -272,8 +272,7 @@ def cmd_detect(cfg: RunConfig) -> int:
     count = number(section.get("count", 3), "detector.count", int)
     if count < 0:
         raise ConfigError(f"'detector.count' must be >= 0, got {count}")
-    bundle_c = build_dipole(ms, em, COULOMB, cutoffs)
-    bundle_mp = build_dipole(ms, em, MULTIPOLAR, cutoffs)
+    bundle_c, bundle_mp = build_gauge_pair(ms, em, cutoffs)
     if transitions is None:
         transitions = significant_transitions(bundle_c, ms, det, count, em=em)
     rows = rate_table(bundle_c, bundle_mp, ms, em, det, transitions)

@@ -9,10 +9,15 @@ off-diagonal structure.  All rates are reported up to one common
 density-of-states constant, which cancels in every comparison.
 
 A rate needs a few eigenstates, so the detection operators stay Kronecker
-terms, applied to those eigenvectors only; nothing here forms a D x D matrix.
-Only the Coulomb bundle is diagonalized: the multipolar partner of |i_C> is
-W |i_C>, with the exact gauge unitary W applied through the generator's
-`Eigenbasis.apply` and checked by its residual against H_mp.  The dense
+terms, applied to those eigenvectors only, and nothing here forms a D x D
+matrix: each function asks `HamiltonianBundle.eigensystem` for the columns it
+reads (|i> and the 39 states above it, the states a rate table names, or
+the pair |i>, |j>), which places only those into the Fock basis from the
+kept sector solves.  Only the Coulomb bundle is diagonalized: the multipolar
+partner of |i_C> is W |i_C>, with the exact gauge unitary W applied through
+the generator's `Eigenbasis.apply` and checked by its residual against H_mp.
+The detect command builds the two bundles as one gauge pair
+(`build_gauge_pair`), members of one family that forms K once.  The dense
 truncated field operators A and E, and the residual of the Heisenberg
 identity E = i [A, H_F] between them, live with the tests as the oracle of
 this construction.
@@ -116,11 +121,11 @@ def naive_rate_gap(bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec,
     eigenstates; only the profile family differs (f' versus f), so the gap is
     exactly zero for diagonal chi.
     """
-    vals, vecs = bundle.eigensystem()
+    vals, vecs = bundle.eigensystem([i, j])
     _check_resonance(det, vals, i, j, match_tol)
     w_mu = 1j * np.sqrt(ms.chi_diag / 2)
     r_c, r_n = (float(_amplitudes_sq(bundle.space, _mode_sum(bundle.space, w_mu * (f @ det.d_d)),
-                                     vecs, [(i, j)])[0])
+                                     vecs, [(0, 1)])[0])
                 for f in (ms.derived_profile(det.r_d), ms.profile(det.r_d)))
     rel = abs(r_c - r_n) / r_c if r_c > 0 else (0.0 if r_n == 0 else float("inf"))
     return RateGap(r_c, r_n, rel)
@@ -147,22 +152,23 @@ def rate_table(bundle_c: HamiltonianBundle, bundle_mp: HamiltonianBundle,
     of H_mp at E_i^C, max|H_mp t - E_i^C t| <= HERMITIAN_TOL * max(1, max|E^C|),
     or `InvariantViolation` is raised; degenerate levels need no pairing.
     """
-    vals_c, vecs_c = bundle_c.eigensystem()
-    # W |i_C> for every state a transition names
+    # |i_C> and W |i_C> for every state a transition names
     states = list(dict.fromkeys(idx for pair in transitions for idx in pair))
+    vals_c, vecs_c = bundle_c.eigensystem(states)
     targets = couplings(ms, em).generator(bundle_c.space).apply(
-        bundle_c.gauge.theta - bundle_mp.gauge.theta, vecs_c[:, states])
+        bundle_c.gauge.theta - bundle_mp.gauge.theta, vecs_c)
     residual = max_abs(bundle_mp.apply(targets) - targets * vals_c[states])
     scale = max(1.0, abs(float(vals_c[0])), abs(float(vals_c[-1])))
     if residual > HERMITIAN_TOL * scale:
         raise InvariantViolation(f"gauge pairing failed: W|i_C> is not an eigenvector of "
                                  f"H_mp at E_i^C (residual {residual:.3e})")
     column = {idx: k for k, idx in enumerate(states)}
+    pairs = [(column[i], column[j]) for i, j in transitions]
     unit = replace(det, omega_d=1.0)
     amp_c = _amplitudes_sq(bundle_c.space, detection_operator(bundle_c, ms, unit, em), vecs_c,
-                           transitions)
+                           pairs)
     amp_mp = _amplitudes_sq(bundle_mp.space, detection_operator(bundle_mp, ms, unit, em),
-                            targets, [(column[i], column[j]) for i, j in transitions])
+                            targets, pairs)
     rows = []
     for (i, j), a_c, a_mp in zip(transitions, amp_c, amp_mp):
         omega_ij = float(vals_c[j] - vals_c[i])
@@ -182,11 +188,11 @@ def significant_transitions(bundle: HamiltonianBundle, ms: ModeSet, det: Detecto
     skipped (threshold: `floor` relative to the largest rate found), as are
     transitions that are not upward in energy.
     """
-    vals, vecs = bundle.eigensystem()
     terms = detection_operator(bundle, ms, replace(det, omega_d=1.0), em)
     stop = min(bundle.space.dim, i + 40)
+    vals, vecs = bundle.eigensystem(range(i, stop))  # |i>, then every candidate |j>
     # <i| O |j> = (O |i>)^dag |j> for every candidate j, O Hermitian: one apply
-    amp_sq = np.abs(bundle.space.apply(terms, vecs[:, i]).conj() @ vecs[:, i + 1:stop]) ** 2
+    amp_sq = np.abs(bundle.space.apply(terms, vecs[:, 0]).conj() @ vecs[:, 1:]) ** 2
     rates = []
     for j, a_sq in zip(range(i + 1, stop), amp_sq):
         omega = float(vals[j] - vals[i])

@@ -32,10 +32,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError
-from .hamiltonians import (COULOMB, MULTIPOLAR, CouplingSet, QuadratureFamily, build_dipole,
-                           build_naive)
+from .hamiltonians import CouplingSet, QuadratureFamily
 from .hilbert import HilbertSpec
-from .matter import EmitterSpec, tls
+from .matter import tls
 from .modes import ModeSet
 
 DEFAULT_SPECTRAL_TOL = 1e-6
@@ -78,15 +77,6 @@ class EquivalenceReport:
     def __post_init__(self):
         if np.any(np.asarray(self.per_level) < 0):
             raise ValueError("per-level differences must be nonnegative")
-
-
-def gauge_check_pair(ms: ModeSet, em: EmitterSpec, cutoff: int,
-                     naive_order: Optional[int] = None):
-    """gauge-check's Coulomb (correct, or naive of `naive_order`) and multipolar
-    Hamiltonians."""
-    coulomb = (build_dipole(ms, em, COULOMB, cutoff) if naive_order is None
-               else build_naive(ms, em, COULOMB, cutoff, order=naive_order))
-    return coulomb, build_dipole(ms, em, MULTIPOLAR, cutoff)
 
 
 def verify_spectral_equivalence(h_a, h_b, k: int = 5,

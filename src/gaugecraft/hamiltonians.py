@@ -68,12 +68,14 @@ is a diagonal phase, so H(theta) is diagonal phases around the fixed
 K = w^dag H_F w and h0.  A two-level emitter with a parity is solved there
 in its two parity sectors, without forming H in the Fock basis; every other
 member is formed in the Fock basis once, where the hook appends its factor
-and the bundle verifies and solves it.  The same members of couplings that
-do not factor come from the dense `HermitianGenerator` (`conjugate`, and
-`nested_commutators` for the naive series).  The canonical multipolar core,
-`_multipolar_bundle`, sums H_F, `multipolar_interaction` and a matter term
-(h0, with `polarization_squared` or without) for the theta = 1 naive builder
-and the beyond-dipole and 1D multipolar forms.  H(t) is written in the
+and the bundle verifies and solves it.  `build_gauge_pair` gives a
+command's Coulomb and multipolar bundles as members of one family, so the
+couplings are split and K is formed once.  The same members of couplings
+that do not factor come from the dense `HermitianGenerator` (`conjugate`,
+and `nested_commutators` for the naive series).  The canonical multipolar
+core, `_multipolar_bundle`, sums H_F, `multipolar_interaction` and a matter
+term (h0, with `polarization_squared` or without) for the theta = 1 naive
+builder and the beyond-dipole and 1D multipolar forms.  H(t) is written in the
 generator's eigenbasis (`CouplingSet.generator`), where each gauge map is a
 diagonal phase.  No builder is written out by hand: the dense forms the cores
 are checked against (the embedded-product `DenseSystem`, the single-mode
@@ -99,14 +101,17 @@ import numpy as np
 from .errors import ConvergenceError, InvariantViolation
 from .hilbert import (HERMITIAN_TOL, Eigenbasis, HermitianGenerator, HilbertSpec, PAULI_X,
                       PAULI_Z, _kron_apply, fock_quadrature, hermitian_part, kron,
-                      ladder_matrix, matter_levels, max_abs, member_max_abs, mode_phase,
-                      parity_labels, photon, verify_members)
+                      ladder_matrix, matter_levels, max_abs, max_abs_diff, member_max_abs,
+                      mode_phase, parity_labels, photon, verify_members)
 from .matter import EmitterSpec, TimeProfile
 from .modes import ModeSet, NormalModeSet1D
 
 TD_EXTRA_TERM_SIGN = +1.0
 FACTOR_TOL = 1e-12
 TLS_PARITY_SIGNS = (1, -1)  # sigma_z in the |e>, |g> order: S sigma_x S = -sigma_x
+# `QuadratureFamily.measure` reads a block of more entries than this in row chunks: past
+# about 320 x 320 complex a block leaves the cache, and reading it transposed is 2-3x slower
+CHUNKED_BLOCK_ENTRIES = 100_000
 
 
 class FockCutoffWarning(UserWarning):
@@ -253,9 +258,9 @@ class HamiltonianBundle:
     verified here, max|H[even, odd]| <= HERMITIAN_TOL * max(1, max|H|), and a
     wrong one raises `InvariantViolation`; it is never dropped silently.  The
     spectrum is then solved in the even and the odd sector separately, so two
-    (D/2)^3 eigensolves replace one D^3 solve, and eigenvectors are scattered
-    back into the full basis in ascending energy.  A bundle without a parity
-    is the one-sector case.
+    (D/2)^3 eigensolves replace one D^3 solve.  The sector solves are kept, and
+    `eigensystem` places into the full basis only the eigenvectors asked for,
+    in ascending energy.  A bundle without a parity is the one-sector case.
 
     A builder may also declare time reversal: that (-1)^(sum_mu n_mu) K, with
     K complex conjugation, commutes with H, so that p^dag H p is real
@@ -279,7 +284,7 @@ class HamiltonianBundle:
         self.space, self.gauge = space, gauge
         self.metadata = {} if metadata is None else metadata
         self.parity, self.time_reversal = parity, time_reversal
-        self.family = self.blocks = self._eigensystem = None
+        self.family = self.blocks = self._solution = self._vecs = None
         m = self._H = hermitian_part(H, f"{self.metadata.get('builder', 'bundle')} Hamiltonian")
         n = m.shape[-1]
         tol = HERMITIAN_TOL * max(1.0, max_abs(m))
@@ -321,7 +326,7 @@ class HamiltonianBundle:
         bundle.parity = parity_labels(family.space, family.parity_signs)
         bundle.time_reversal = family.time_reversal
         bundle.family, bundle.blocks = family, (blocks[0], blocks[2])
-        bundle._H = bundle._eigensystem = None
+        bundle._H = bundle._solution = bundle._vecs = None
         bundle.diagnostics = {"sector_sizes": [len(blocks[2][0])] * 2,
                               "parity_off_block": float(off[0])}
         if imag is not None:
@@ -348,7 +353,7 @@ class HamiltonianBundle:
 
     def _sector_blocks(self):
         """(block, place) per sector, even sector first: place(vecs, columns, v) writes
-        the block's eigenvectors v into those columns of the Fock-basis vecs.  The
+        eigenvectors v of the block into those columns of the Fock-basis vecs.  The
         blocks are the real symmetric p^dag H p under declared time reversal."""
         if self.family is not None:
             yield from self.family.sector_blocks(self.blocks)
@@ -364,46 +369,56 @@ class HamiltonianBundle:
             block *= p
             yield block.real, partial(_scatter, s, p)
 
+    def _solve(self):
+        """(vals, parts, order), computed once and kept: the ascending eigenvalues,
+        read-only; (place, eigenvalues, eigenvectors) per sector from one eigh, even sector
+        first; and the stable argsort of the sectors' concatenated eigenvalues, so that a
+        tie between sectors keeps the even sector first."""
+        if self._solution is None:
+            parts = [(place, *np.linalg.eigh(block)) for block, place in self._sector_blocks()]
+            vals = np.concatenate([v for _, v, _ in parts])
+            order = np.argsort(vals, kind="stable")
+            vals = vals[order]
+            vals.flags.writeable = False
+            self._solution = vals, parts, order
+        return self._solution
+
     def eigenvalues(self, k: Optional[int] = None) -> np.ndarray:
-        """Ascending eigenvalues, from the cached eigensystem when there is one,
+        """Ascending eigenvalues, from the kept sector solves when there are some,
         otherwise merged from one eigvalsh per sector."""
-        if self._eigensystem is not None:
-            vals = self._eigensystem[0]
+        if self._solution is not None:
+            vals = self._solution[0]
         else:
             vals = np.sort(np.concatenate([np.linalg.eigvalsh(block)
                                            for block, _ in self._sector_blocks()]))
         return vals[:k]
 
-    def eigensystem(self):
-        """(eigenvalues, eigenvectors) of H in the Fock basis, computed once and kept
-        read-only.
+    def eigensystem(self, columns: Optional[Sequence[int]] = None):
+        """(eigenvalues, eigenvectors) of H: every eigenvalue, ascending, and the
+        eigenvectors of those columns of the ascending order, in the Fock basis.
 
-        Columns are in ascending energy; a tie between sectors keeps the
-        even sector first.
+        Each sector is solved once by eigh (`_solve`); its eigenvectors are kept in
+        the sector's basis, and only the columns asked for are placed into the Fock
+        basis, as a new (D, len(columns)) array.  Without columns every column is
+        placed once, and that D x D matrix is kept read-only.  A tie between sectors
+        keeps the even sector first.
         """
-        if self._eigensystem is None:
-            n = self.space.dim
-            if self.family is None and len(self._sectors) == 1 and self._phases is None:
-                cached = np.linalg.eigh(self._H)
-            else:
-                # allocated before the sector solves: allocated after their freed
-                # temporaries, it raised the peak RSS of `detect` at D = 882 by
-                # 5 MB (retained heap), with the same data alive
-                vecs = np.zeros((n, n), dtype=complex, order="F")  # written by columns
-                parts = [(place, *np.linalg.eigh(block)) for block, place in self._sector_blocks()]
-                vals = np.concatenate([v for _, v, _ in parts])
-                order = np.argsort(vals, kind="stable")
-                column = np.empty_like(order)
-                column[order] = np.arange(n)
-                start = 0
-                for place, v, sector_vecs in parts:
-                    place(vecs, column[start:start + len(v)], sector_vecs)
-                    start += len(v)
-                cached = (vals[order], vecs)
-            for arr in cached:
-                arr.flags.writeable = False
-            self._eigensystem = cached
-        return self._eigensystem
+        vals, parts, order = self._solve()
+        if columns is None and self._vecs is not None:
+            return vals, self._vecs
+        # the position of each column asked for among the sectors' concatenated solutions
+        wanted = order if columns is None else order[np.asarray(columns, dtype=int)]
+        vecs = np.zeros((self.space.dim, len(wanted)), dtype=complex, order="F")
+        start = 0
+        for place, v, sector_vecs in parts:
+            hit = np.flatnonzero((wanted >= start) & (wanted < start + len(v)))
+            if hit.size:
+                place(vecs, hit, sector_vecs[:, wanted[hit] - start])
+            start += len(v)
+        if columns is None:
+            vecs.flags.writeable = False
+            self._vecs = vecs
+        return vals, vecs
 
 
 def _scatter(rows: np.ndarray, phases: Optional[np.ndarray], vecs: np.ndarray,
@@ -604,14 +619,18 @@ class QuadratureFamily:
         chi = self.cs.chi.real if _real(self.cs.chi) else self.cs.chi
         dims = [len(v) for v in self.v]
         lowered = lambda m: (w := self._w(m)).conj().T @ ladder_matrix(dims[m] - 1).real @ w
-        terms = []
+        k = None
         for m, n in zip(*np.nonzero(chi)):
             if m == n:
                 local = {m: (self.v[m].T * (chi[m, m].real * np.arange(dims[m]))) @ self.v[m]}
             else:
                 local = {m: chi[m, n] * lowered(m).conj().T, n: lowered(n)}
-            terms.append(self.photons.kron(local))
-        return reduce(np.add, terms)
+            term = self.photons.kron(local)
+            # summed as formed, in place unless a complex term follows a real sum: a list of
+            # every term held M^2 matrices of K's size at once
+            k = term if k is None else np.add(
+                k, term, out=k if np.can_cast(term.dtype, k.dtype) else None)
+        return k
 
     def members(self, theta: float, scales, order: Optional[int] = None):
         """([A_k], B) of H(theta) at each coupling scale: the diagonal blocks, stacks
@@ -645,14 +664,20 @@ class QuadratureFamily:
         (A_0, A_1, b), measured on the raw blocks, each member against HERMITIAN_TOL *
         max(1, its largest entry): Hermiticity, the parity, and under time reversal the
         imaginary part of both sectors' real forms.  `InvariantViolation` names the first
-        member that fails."""
+        member that fails.  Blocks of more than CHUNKED_BLOCK_ENTRIES entries are compared
+        by `max_abs_diff`, A_k against a C-ordered copy of A_k^dag, so that no difference
+        of a block's size is formed."""
         tol = HERMITIAN_TOL * np.maximum.reduce(
             [np.ones(len(b)), member_max_abs(a0), member_max_abs(a1), np.abs(b).max(axis=-1)])
-        herm = [max(max_abs(p - p.conj().T), max_abs(q - q.conj().T)) for p, q in zip(a0, a1)]
+        if a0.shape[-1] ** 2 > CHUNKED_BLOCK_ENTRIES:  # row chunks against a C-ordered A^dag
+            diff, dagger = max_abs_diff, lambda p: np.conjugate(p.T, order="C")
+        else:  # a small member is read whole, transposed in place
+            diff, dagger = (lambda p, q: max_abs(p - q)), lambda p: p.conj().T
+        herm = [max(diff(p, dagger(p)), diff(q, dagger(q))) for p, q in zip(a0, a1)]
         verify_members(np.array(herm), tol,
                        "quadrature-basis H is not Hermitian before symmetrization",
                        "max|A_k - A_k^dag|")
-        off = np.array([max(max_abs(p - q[::-1, ::-1]), max_abs(c - c[::-1].conj()))
+        off = np.array([max(diff(p, q[::-1, ::-1]), max_abs(c - c[::-1].conj()))
                         for p, q, c in zip(a0, a1, b)])
         verify_members(off, tol, "declared parity does not commute with H",
                        "max|A_0 - J A_1 J|, max|b - J b^*|")
@@ -707,13 +732,16 @@ class QuadratureFamily:
         time reversal.  With w the photon part of the basis, w J = P w for the photon
         parity P, so only z = w y is mapped: the Fock vector is
         z (x) (u_0 + eps P u_1) / sqrt(2), times (1 + i P) / sqrt(2) under time reversal.
+        Each column of y is mapped on its own, so its bits do not depend on which other
+        columns are placed with it: one product over all of them rounds a column
+        differently as their number changes.
         """
         parity = parity_labels(self.photons)[:, None]
         coef = (self.u[:, 0] + eps * parity * self.u[:, 1]) / np.sqrt(2)
         if self.time_reversal:
             coef = coef * (1 + 1j * parity) / np.sqrt(2)
-        z = _kron_apply(self.basis.factors[:-1], y).T
-        out = vecs.T.reshape(len(vecs), -1, 2)  # a view of the F-ordered vecs
+        z = _kron_apply(self.basis.factors[:-1], y.T[:, :, None])[:, :, 0]
+        out = vecs.T.reshape(vecs.shape[1], -1, 2)  # a view of the F-ordered vecs
         for k in range(2):
             out[columns, :, k] = z * coef[:, k]
 
@@ -804,15 +832,20 @@ def _apply_longitudinal(h: np.ndarray, space: HilbertSpec, em: EmitterSpec,
 
 def _family_bundle(cs: CouplingSet, h0: np.ndarray, parity_signs: Optional[Sequence[int]],
                    cutoffs: tuple[int, ...], gauge: GaugeParam, meta: dict,
-                   order: Optional[int] = None,
-                   hook: Optional[Callable] = None) -> HamiltonianBundle:
+                   order: Optional[int] = None, hook: Optional[Callable] = None,
+                   family: Optional[QuadratureFamily] = None) -> HamiltonianBundle:
     """The member at this gauge, or with `order` the naive theta = 0 series, of the couplings
-    cs with matter Hamiltonian h0.  A `sectored` family is solved in the quadrature basis;
-    any other member is formed in the Fock basis, from the family when the couplings
-    factor and from the dense generator otherwise, and hook(h, space) -> (h, space) appends
-    the longitudinal factor to it.  The bundle declares the parity of parity_signs, when
-    given, and without the hook time reversal when chi, the couplings and h0 are real."""
-    family = QuadratureFamily.of_couplings(cs, h0, parity_signs, cutoffs)
+    cs with matter Hamiltonian h0.  The couplings are split into a `QuadratureFamily` unless
+    a family of them is given.  A `sectored` family is solved in the quadrature basis; any
+    other member is formed in the Fock basis, from the family when the couplings factor and
+    from the dense generator otherwise, and hook(h, space) -> (h, space) appends the
+    longitudinal factor to it.  The bundle declares the parity of parity_signs, when given,
+    and without the hook time reversal when chi, the couplings and h0 are real."""
+    if family is None:
+        family = QuadratureFamily.of_couplings(cs, h0, parity_signs, cutoffs)
+    elif family.cutoffs != cutoffs or not (np.array_equal(family.cs.eta_matrices, cs.eta_matrices)
+                                           and np.array_equal(family.cs.chi, cs.chi)):
+        raise ValueError("the family given is not of these couplings and cutoffs")
     if family is not None and family.sectored and hook is None:
         return HamiltonianBundle.in_quadrature_basis(
             family, gauge, family.blocks(gauge.theta, [1.0], order), meta)
@@ -833,7 +866,8 @@ def _family_bundle(cs: CouplingSet, h0: np.ndarray, parity_signs: Optional[Seque
 
 def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
                  cutoffs: Union[int, Sequence[int]],
-                 longitudinal: Optional[LongitudinalCoupling] = None) -> HamiltonianBundle:
+                 longitudinal: Optional[LongitudinalCoupling] = None, *,
+                 family: Optional[QuadratureFamily] = None) -> HamiltonianBundle:
     """Dipole-approximation Hamiltonian at gauge parameter theta.
 
     H = V H_F V^dag + U H_0 U^dag with V = exp(-i theta X) and
@@ -845,7 +879,9 @@ def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
     Without the hook it declares time reversal when chi, the couplings and
     h0 are real.  Couplings that factor are built from their
     `QuadratureFamily` (`_family_bundle`), whose member the hook extends in
-    the Fock basis.
+    the Fock basis; `family`, `QuadratureFamily.of(ms, em, cutoffs)` when the
+    caller already has it (`build_gauge_pair`), is used instead of splitting
+    the couplings again.
     """
     cutoffs = _normalize_cutoffs(cutoffs, ms.n_modes)
     cs = couplings(ms, em)
@@ -856,7 +892,21 @@ def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
     if longitudinal is not None:
         hook = partial(_apply_longitudinal, em=em, lc=longitudinal)
         meta["longitudinal"] = "custom"
-    return _family_bundle(cs, em.h0, em.parity_signs, cutoffs, g, meta, hook=hook)
+    return _family_bundle(cs, em.h0, em.parity_signs, cutoffs, g, meta, hook=hook,
+                          family=family)
+
+
+def build_gauge_pair(ms: ModeSet, em: EmitterSpec, cutoffs: Union[int, Sequence[int]],
+                     naive_order: Optional[int] = None) -> tuple[HamiltonianBundle,
+                                                                 HamiltonianBundle]:
+    """The Coulomb and the multipolar bundle of `build_dipole`, the Coulomb one
+    `build_naive`'s theta = 0 series of `naive_order` when that is given.  Couplings that
+    factor are split once, and both bundles are members of that one `QuadratureFamily`,
+    so K is formed once; others are built in the Fock basis, each on its own."""
+    family = QuadratureFamily.of(ms, em, cutoffs)
+    coulomb = (build_dipole(ms, em, COULOMB, cutoffs, family=family) if naive_order is None
+               else build_naive(ms, em, COULOMB, cutoffs, naive_order, family=family))
+    return coulomb, build_dipole(ms, em, MULTIPOLAR, cutoffs, family=family)
 
 
 def _eta_summary(cs: CouplingSet):
@@ -898,7 +948,8 @@ def _multipolar_bundle(cs: CouplingSet, matter: np.ndarray, cutoffs: tuple[int, 
 
 
 def build_naive(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
-                cutoffs: Union[int, Sequence[int]], order: int = 1) -> HamiltonianBundle:
+                cutoffs: Union[int, Sequence[int]], order: int = 1, *,
+                family: Optional[QuadratureFamily] = None) -> HamiltonianBundle:
     """Gauge-violating reference Hamiltonians from direct (naive) truncation.
 
     theta = 0: the minimal-coupling conjugation U H_0 U^dag is replaced by its
@@ -907,7 +958,7 @@ def build_naive(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
     else summed by the dense generator (`nested_commutators`).  theta = 1:
     the correct multipolar form minus the mode-truncated polarization-squared
     correction.  Other theta values are not defined.  Parity and time
-    reversal are declared as in `build_dipole`.
+    reversal are declared, and `family` taken, as in `build_dipole`.
     """
     if order < 1:
         raise ValueError(f"unsupported naive order {order}")
@@ -918,7 +969,8 @@ def build_naive(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
     meta = {"builder": "build_naive", "truncation": "naive", "cutoffs": cutoffs,
             "theta": g.theta, "order": order, "eta": _eta_summary(cs)}
     if g.theta == 0.0:
-        return _family_bundle(cs, em.h0, em.parity_signs, cutoffs, g, meta, order)
+        return _family_bundle(cs, em.h0, em.parity_signs, cutoffs, g, meta, order,
+                              family=family)
     return _multipolar_bundle(cs, em.h0, cutoffs, meta, em.parity_signs,
                               _real(cs.chi, cs.eta_matrices, em.h0))
 

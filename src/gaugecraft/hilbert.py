@@ -170,6 +170,15 @@ def member_max_abs(m: np.ndarray) -> np.ndarray:
     return np.abs(m).max(axis=(-2, -1)) if m.size else np.zeros(m.shape[:-2])
 
 
+def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """max|a - b| for two arrays (..., n, m) of one shape, with a - b formed
+    HERMITIAN_CHUNK entries at a time, so that no temporary of their size is made; zero
+    when they are empty."""
+    rows = max(1, HERMITIAN_CHUNK // max(1, a.shape[-1]))
+    return max((max_abs(a[..., i:i + rows, :] - b[..., i:i + rows, :])
+                for i in range(0, a.shape[-2], rows)), default=0.0)
+
+
 def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
@@ -187,15 +196,12 @@ def hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
     """(m + m^dag) / 2, after checking that ||m - m^dag||_max of the raw m is at
     most HERMITIAN_TOL * max(1, max|m|); `InvariantViolation` names `what`.
 
-    m^dag is copied once, into the result, and m - m^dag is measured
-    HERMITIAN_CHUNK entries at a time, so no other temporary of m's size is
-    allocated.
+    m^dag is copied once, into the result, and m - m^dag is measured by
+    `max_abs_diff`, so no other temporary of m's size is allocated.
     """
     m = np.asarray(m, dtype=complex)
     out = np.conjugate(m.swapaxes(-1, -2), order="C")
-    rows = max(1, HERMITIAN_CHUNK // max(1, m.shape[-1]))
-    dev = max((max_abs(m[..., i:i + rows, :] - out[..., i:i + rows, :])
-               for i in range(0, m.shape[-2], rows)), default=0.0)
+    dev = max_abs_diff(m, out)
     if dev > HERMITIAN_TOL and dev > HERMITIAN_TOL * max_abs(m):  # tol * max(1, max|m|)
         raise InvariantViolation(f"{what} is not Hermitian before symmetrization "
                                  f"(||m - m^dag||_max = {dev:.3e})")

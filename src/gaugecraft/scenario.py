@@ -55,12 +55,14 @@ def _get(doc: Mapping, key: str, path: str, required: bool = True, default=None)
 def number(value, path: str, kind=float):
     """`value` converted by `kind` (float or int); ConfigError naming `path` otherwise.
 
-    A boolean is refused, and an int where the value has a fractional part, rather
-    than truncated.
+    A boolean, a string (even a numeric one) and a non-finite value are refused: NaN and
+    Infinity are no JSON numbers, though Python's json reads them.  So is an int where the
+    value has a fractional part, rather than truncated.
     """
     try:
         out = kind(value)
-        if isinstance(value, bool) or kind is int and out != float(value):
+        if (isinstance(value, (bool, str)) or not math.isfinite(out)
+                or kind is int and out != float(value)):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"'{path}' must be {'an integer' if kind is int else 'a number'}, "
@@ -77,6 +79,11 @@ def number_list(values, path: str, kind=float) -> list:
 
 def _subpath(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
+
+
+def _numbers(doc: Mapping, key: str, path: str) -> np.ndarray:
+    """The required list doc[key] as a float array, each entry through `number`."""
+    return np.array(number_list(_get(doc, key, path), _subpath(path, key)), dtype=float)
 
 
 @contextmanager
@@ -173,26 +180,25 @@ def time_profile_from_json(doc: Mapping, path: str = "time_profile") -> TimeProf
                                t0=number(doc.get("t0", 0.0), f"{path}.t0"),
                                duration=number(_get(doc, "duration", path), f"{path}.duration"))
         if kind == "tabulated":
-            return TimeProfile("tabulated",
-                               times=np.asarray(_get(doc, "times", path), dtype=float),
-                               values=np.asarray(_get(doc, "values", path), dtype=float))
+            return TimeProfile("tabulated", times=_numbers(doc, "times", path),
+                               values=_numbers(doc, "values", path))
     raise ConfigError(f"'{path}.kind' must be one of constant, linear, raised_cosine, tabulated")
 
 
 def dielectric_from_json(doc: Mapping, path: str = "dielectric") -> Dielectric1D:
     with _decoding(path, "dielectric"):
-        eps = np.asarray(_get(doc, "epsilon", path), dtype=float)
+        eps = _numbers(doc, "epsilon", path)
         n_points = doc.get("n_points")
-        if n_points is not None and int(n_points) != eps.shape[0]:
+        if n_points is not None and number(n_points, f"{path}.n_points", int) != eps.shape[0]:
             raise ConfigError(f"'{path}.n_points' = {n_points} does not match epsilon length "
                               f"{eps.shape[0]}")
-        return Dielectric1D(float(_get(doc, "length", path)), eps, c=float(doc.get("c", 1.0)))
+        return Dielectric1D(number(_get(doc, "length", path), f"{path}.length"), eps,
+                            c=number(doc.get("c", 1.0), f"{path}.c"))
 
 
 def polariton_grid_from_json(doc: Mapping, path: str = "grid") -> PolaritonGrid:
     with _decoding(path, "polariton grid"):
-        omega = np.asarray(_get(doc, "omega", path), dtype=float)
-        weight = np.asarray(_get(doc, "weight", path), dtype=float)
+        omega, weight = _numbers(doc, "omega", path), _numbers(doc, "weight", path)
         labels = doc.get("labels", [str(k) for k in range(omega.shape[0])])
         k = omega.shape[0]
         proj_pairs = _get(doc, "projections", path)
@@ -203,12 +209,11 @@ def polariton_grid_from_json(doc: Mapping, path: str = "grid") -> PolaritonGrid:
 
 def qnm_from_json(doc: Mapping, path: str = "qnm") -> QnmSet:
     with _decoding(path, "QNM set"):
-        omega = np.asarray(_get(doc, "omega", path), dtype=float)
-        gamma = np.asarray(_get(doc, "gamma", path), dtype=float)
+        omega, gamma = _numbers(doc, "omega", path), _numbers(doc, "gamma", path)
         m = omega.shape[0]
         overlap_doc = _get(doc, "overlap", path)
         if isinstance(overlap_doc, Mapping):
-            freqs = np.asarray(_get(overlap_doc, "freqs", _subpath(path, "overlap")), dtype=float)
+            freqs = _numbers(overlap_doc, "freqs", _subpath(path, "overlap"))
             sample_pairs = _get(overlap_doc, "samples", _subpath(path, "overlap"))
             samples = np.array([
                 decode_complex_matrix(s, f"{path}.overlap.samples[{k}]", (m, m))

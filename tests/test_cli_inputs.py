@@ -67,13 +67,13 @@ def with_emitter(key, value):
      "detector.count"),
     ("detect", scenario(detector={"position_label": "detector", "count": True}),
      "detector.count"),
-    ("modes", {"modes": {"grid": {**GRID, "omega": ["x"]}}}, "modes.grid"),
+    ("modes", {"modes": {"grid": {**GRID, "omega": ["x"]}}}, "modes.grid.omega[0]"),
     ("modes", {"modes": {"grid": GRID, "profile_points": [[1.0, 0.0]]}},
      "modes.profile_points"),
     ("modes", {"modes": {"dielectric": {"length": 1.0, "epsilon": "abc"}}},
-     "modes.dielectric"),
+     "modes.dielectric.epsilon"),
     ("modes", {"modes": {"qnm": {"omega": ["a"], "gamma": [0.1], "overlap": [[1.0, 0.0]]}}},
-     "modes.qnm"),
+     "modes.qnm.omega[0]"),
 ], ids=["modeset-file-not-a-string", "modeset-file-not-json", "emitter-levels",
         "negative-cutoff", "boolean-cutoff", "boolean-cutoff-in-a-list", "boolean-theta",
         "boolean-seed", "boolean-naive-order", "boolean-longitudinal-cutoff",
@@ -139,3 +139,57 @@ def test_constant_beyond_dipole_profile_equals_the_cosine_profile_at_k_0(tmp_pat
         assert run(work, "spectrum", doc) == 0
         spectra.append(eigenvalues(work / "out"))
     assert np.array_equal(*spectra)
+
+
+SINGLE_MODE = ModeSet.single_mode(1.0, {EMITTER.position_label: (1.0, 0.0, 0.0)})
+QNM = {"omega": [1.0, 1.4], "gamma": [0.05, 0.08],
+       "overlap": {"freqs": [0.0, 2.0, 4.0],
+                   "samples": [encode_complex_matrix(np.eye(2))] * 3}}
+TABULATED = {"kind": "tabulated", "times": [0.0, 1.0, 2.0], "values": [0.0, 0.5, 1.0]}
+
+
+def gauge_check(**section):
+    return scenario(modeset=modeset_to_json(SINGLE_MODE), fock_cutoffs=12,
+                    gauge_check={"eta_grid": [0.3], **section})
+
+
+def with_key(section, key, value):
+    return {**section, key: value}
+
+
+@pytest.mark.parametrize("command, doc, path", [
+    ("gauge-check", gauge_check(k="3"), "gauge_check.k"),
+    ("gauge-check", gauge_check(spectral_tol=float("nan")), "gauge_check.spectral_tol"),
+    ("gauge-check", gauge_check(ground_tol=float("nan")), "gauge_check.ground_tol"),
+    ("gauge-check", gauge_check(ground_tol=float("inf")), "gauge_check.ground_tol"),
+    ("modes", {"modes": {"dielectric": {"length": 1.0, "epsilon": [1.0, 2.0, 1.5, True]}}},
+     "modes.dielectric.epsilon[3]"),
+    ("modes", {"modes": {"dielectric": {"length": 1.0, "epsilon": [1.0, "1.5"]}}},
+     "modes.dielectric.epsilon[1]"),
+    ("modes", {"modes": {"dielectric": {"length": 1.0, "epsilon": ["abc"]}}},
+     "modes.dielectric.epsilon[0]"),
+    ("modes", {"modes": {"grid": with_key(GRID, "omega", [1.0, float("nan")])}},
+     "modes.grid.omega[1]"),
+    ("modes", {"modes": {"grid": with_key(GRID, "weight", ["1.0", 1.0])}},
+     "modes.grid.weight[0]"),
+    ("modes", {"modes": {"qnm": with_key(QNM, "omega", [1.0, True])}}, "modes.qnm.omega[1]"),
+    ("modes", {"modes": {"qnm": with_key(QNM, "gamma", ["0.05", 0.08])}}, "modes.qnm.gamma[0]"),
+    ("modes", {"modes": {"qnm": with_key(QNM, "overlap", with_key(QNM["overlap"], "freqs",
+                                                                  [0.0, "x", 4.0]))}},
+     "modes.qnm.overlap.freqs[1]"),
+    ("evolve", scenario(evolve={}, time_profile=with_key(TABULATED, "times", [0.0, "x", 2.0])),
+     "time_profile.times[1]"),
+    ("evolve", scenario(evolve={}, time_profile=with_key(TABULATED, "values", [0.0, True, 1.0])),
+     "time_profile.values[1]"),
+], ids=["numeric-string-k", "nan-spectral-tol", "nan-ground-tol", "infinite-ground-tol",
+        "boolean-epsilon", "numeric-string-epsilon", "string-epsilon", "nan-grid-omega",
+        "numeric-string-grid-weight", "boolean-qnm-omega", "numeric-string-qnm-gamma",
+        "string-qnm-freq", "string-profile-time", "boolean-profile-value"])
+def test_strings_booleans_and_non_finite_values_exit_2_naming_their_index(tmp_path, capsys,
+                                                                          command, doc, path):
+    """Python's json reads NaN and Infinity, and np.asarray(..., dtype=float) would take
+    True and "1.5": each is refused, and the message names the entry's key path."""
+    assert run(tmp_path, command, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'{path}' must be " in err
+    assert not (tmp_path / "out" / "metadata.json").exists()

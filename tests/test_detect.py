@@ -1,6 +1,7 @@
 """Detection operators, cross-gauge rates, the naive-field gap and the detect command."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from dense_oracle import (field_commutator_residual, photon_space, truncated_E_o
 from gaugecraft import (COULOMB, MULTIPOLAR, DetectorSpec, InvariantViolation, ModeSet,
                         build_dipole, naive_rate_gap, rate_table, significant_transitions, tls)
 from gaugecraft.cli import main
-from gaugecraft.hamiltonians import field_hamiltonian
+from gaugecraft.hamiltonians import build_gauge_pair, field_hamiltonian
 from gaugecraft.hilbert import Eigenbasis, max_abs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
 
@@ -133,6 +134,25 @@ def test_detect_command_diagonalizes_only_the_coulomb_bundle(tmp_path, monkeypat
     for gauge in ("coulomb", "multipolar"):
         assert diagnostics[gauge]["sector_sizes"] == [dim // 2, dim // 2]
         assert 0.0 <= diagnostics[gauge]["parity_off_block"] <= 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [16, 20])  # D = 578 and 882
+def test_detect_path_holds_less_than_1_6_dense_matrices(cutoff):
+    """Building both bundles, then the transitions and the rate table: the D x D eigenvector
+    matrix is never placed, and the pair's one family forms K once, so the traced peak
+    stays below 1.6 complex D x D matrices (2.4 when both were formed)."""
+    ms, em = two_mode_system(OFF_DIAGONAL_CHI)
+    dim = 2 * (cutoff + 1) ** 2
+    tracemalloc.start()
+    try:
+        b_c, b_mp = build_gauge_pair(ms, em, (cutoff, cutoff))
+        transitions = significant_transitions(b_c, ms, detector(), 3, em=em)
+        rows = rate_table(b_c, b_mp, ms, em, detector(), transitions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 3 and max(r.rel_diff for r in rows) <= 1e-8
+    assert peak < 1.6 * 16 * dim**2, f"traced peak {peak / (16 * dim**2):.2f} x 16 D^2"
 
 
 @pytest.mark.parametrize("pair", [[0, 500], [0, -1]])

@@ -10,10 +10,12 @@ import gaugecraft.hamiltonians as hamiltonians
 import dense_oracle
 from dense_oracle import DenseSystem, low_sector_projector
 from gaugecraft import (COULOMB, MULTIPOLAR, EmitterSpec, GaugeParam, InvariantViolation,
-                        ModeSet, build_dipole, build_naive, build_time_dependent, couplings,
-                        field_hamiltonian, gauge_unitary, raised_cosine_ramp, standard_space,
-                        td_gauge_equivalence, tls, verify_spectral_equivalence)
+                        LongitudinalCoupling, ModeSet, build_dipole, build_naive,
+                        build_time_dependent, couplings, field_hamiltonian, gauge_unitary,
+                        raised_cosine_ramp, standard_space, td_gauge_equivalence, tls,
+                        verify_spectral_equivalence)
 from gaugecraft.hilbert import HermitianGenerator, HilbertSpec, max_abs, photon
+from test_time_reversal import real_system
 
 pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
 
@@ -303,6 +305,67 @@ def test_eigensystem_is_computed_once(monkeypatch):
     assert calls == ["eigh", "eigh"]
     with pytest.raises(ValueError):
         vals[0] = 0.0
+
+
+ROUTES = {  # kind -> (basis, sector count, time reversal) of its Coulomb bundle
+    "tls": ("quadrature", 2, False), "real tls": ("quadrature", 2, True),
+    "hook": ("fock", 2, False), "real ladder": ("fock", 2, True),
+    "multi_axis": ("fock", 1, False), "real multi_axis": ("fock", 1, True)}
+
+
+def route_bundle(kind, seed, theta, cutoffs):
+    """A bundle of the given kind of `ROUTES`: a quadrature-basis member, or a Fock-basis one
+    with two parity sectors or one, each with time reversal and without."""
+    if kind.startswith("real "):
+        ms, em = real_system(seed, len(cutoffs), kind[5:])
+    else:
+        ms, em = random_system(seed, len(cutoffs), "tls" if kind == "hook" else kind)
+    hook = LongitudinalCoupling(0.8, 0.1, 2) if kind == "hook" else None
+    return build_dipole(ms, em, GaugeParam(theta), cutoffs, longitudinal=hook)
+
+
+@pytest.mark.parametrize("kind", sorted(ROUTES))
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), theta=st.sampled_from((0.0, 0.37, 1.0)),
+       cutoffs=st.sampled_from(((6,), (9,), (3, 2), (2, 4))), data=st.data())
+def test_eigensystem_columns_are_those_of_the_full_matrix(kind, seed, theta, cutoffs, data):
+    """Each column is placed on its own, so the columns asked for before the full matrix
+    is placed equal its columns bit for bit (at most 1e-13 is the gate)."""
+    bundle = route_bundle(kind, seed, theta, cutoffs)
+    assert (bundle.basis, len(bundle.diagnostics["sector_sizes"]),
+            bundle.time_reversal) == ROUTES[kind]
+    n = bundle.space.dim
+    columns = data.draw(st.lists(st.integers(-n, n - 1), max_size=12))
+    vals, part = bundle.eigensystem(columns)
+    assert part.shape == (n, len(columns)) and part.flags.writeable
+    full_vals, full = bundle.eigensystem()
+    assert vals is full_vals and not full.flags.writeable
+    assert max_abs(part - full[:, columns]) <= 1e-13
+    assert np.array_equal(part, full[:, columns])
+    assert max_abs(bundle.H @ part - part * vals[columns]) <= 1e-10 * max(1.0, max_abs(vals))
+
+
+def test_eigh_runs_once_per_sector_whatever_columns_are_read(monkeypatch):
+    """The sector solves are kept: column subsets, the full matrix and the eigenvalues read
+    after them cost no further eigh or eigvalsh."""
+    bundles = [route_bundle(kind, 3, 0.37, (3, 2)) for kind in sorted(ROUTES)]
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(m, *args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for bundle in bundles:
+        first = bundle.eigensystem([0, 5])
+        assert bundle.eigensystem(range(3, 9))[0] is first[0]
+        bundle.eigensystem([])
+        bundle.eigensystem()
+        bundle.eigensystem([1])
+        assert np.array_equal(bundle.eigenvalues(3), first[0][:3])
+    assert calls == ["eigh"] * sum(len(b.diagnostics["sector_sizes"]) for b in bundles)
 
 
 

@@ -13,7 +13,8 @@ from gaugecraft import (COULOMB, MULTIPOLAR, FockCutoffWarning, ambiguity_scan, 
                         tls_single_mode_modeset, verify_spectral_equivalence)
 from gaugecraft import EmitterSpec, HamiltonianBundle, ModeSet, tls
 from gaugecraft.cli import main
-from gaugecraft.gaugecheck import _climb, gauge_check_pair
+from gaugecraft.gaugecheck import _climb
+from gaugecraft.hamiltonians import QuadratureFamily, build_gauge_pair
 from gaugecraft.hilbert import PAULI_X, PAULI_Y, HermitianGenerator, max_abs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
 
@@ -138,7 +139,7 @@ class TestQuadraturePair:
         em = tls(1.0, (0.9, 0.0, 0.0))
         ms = ModeSet.single_mode(1.3, {em.position_label: (profile, 0.0, 0.0)})
         cs = couplings(ms, em)
-        h_a, h_b = gauge_check_pair(ms, em, 30, order)
+        h_a, h_b = build_gauge_pair(ms, em, 30, order)
         assert h_a.basis == h_b.basis == "quadrature"
         # the same Hamiltonians assembled in the Fock basis, compared there
         fock_a = dense_oracle.dense_bundle(ms, em, COULOMB, 30, order)
@@ -161,7 +162,7 @@ class TestQuadraturePair:
         em = EmitterSpec(np.array([0.5, -0.5]), 0.3 * np.array([PAULI_X, PAULI_Y, 0 * PAULI_X]))
         ms = ModeSet.single_mode(1.0, {em.position_label: (1.0, 1.0j, 0.0)})
         assert couplings(ms, em).common_matter_matrix() is None
-        h_a, h_b = gauge_check_pair(ms, em, 20)
+        h_a, h_b = build_gauge_pair(ms, em, 20)
         assert h_a.basis == h_b.basis == "fock"
         doc = {"seed": 0, "modeset": modeset_to_json(ms), "emitter": emitter_to_json(em),
                "fock_cutoffs": 20, "gauge_check": {"eta_grid": [0.3]}}
@@ -172,17 +173,40 @@ class TestQuadraturePair:
         meta = json.loads((tmp_path / "out" / "metadata.json").read_text(encoding="utf-8"))
         assert meta["operator_residual"] <= 1e-10
 
+    @pytest.mark.parametrize("order", [None, 2])
+    def test_the_pair_shares_one_family_and_forms_k_once(self, monkeypatch, order):
+        ms, em = tls_single_mode_modeset(1.0, 0.5, 1.0)
+        fields = []
+        field = QuadratureFamily._field
+        monkeypatch.setattr(QuadratureFamily, "_field",
+                            lambda family: fields.append(family) or field(family))
+        h_a, h_b = build_gauge_pair(ms, em, 14, order)
+        assert h_a.family is h_b.family and fields == [h_a.family]
+        want_a = (build_dipole(ms, em, COULOMB, 14) if order is None
+                  else build_naive(ms, em, COULOMB, 14, order=order))
+        for got, want in ((h_a, want_a), (h_b, build_dipole(ms, em, MULTIPOLAR, 14))):
+            assert got.metadata == want.metadata and got.gauge == want.gauge
+            assert np.array_equal(got.H, want.H)
+
+    def test_a_family_of_other_inputs_is_refused(self):
+        ms, em = tls_single_mode_modeset(1.0, 0.5, 1.0)
+        family = QuadratureFamily.of(ms, em, 14)
+        with pytest.raises(ValueError, match="not of these couplings"):
+            build_dipole(ms, em, COULOMB, 12, family=family)
+        with pytest.raises(ValueError, match="not of these couplings"):
+            build_naive(*tls_single_mode_modeset(1.0, 0.7, 1.0), COULOMB, 14, family=family)
+
     def test_a_short_cutoff_warns_as_the_fock_build_does(self):
         ms, em = tls_single_mode_modeset(1.0, 2.0, 1.0)  # heuristic 4 * 2^2 + 10 = 26
         with pytest.warns(FockCutoffWarning, match="26.0"):
-            gauge_check_pair(ms, em, 12)
+            build_gauge_pair(ms, em, 12)
         with pytest.warns(FockCutoffWarning, match="26.0"):
             build_dipole(ms, em, MULTIPOLAR, 12)
 
     def test_residual_of_bundles_in_different_bases_is_formed_in_the_fock_basis(self):
         ms, em = tls_single_mode_modeset(1.0, 0.5, 1.0)
-        h_a, h_b = gauge_check_pair(ms, em, 12, 1)
-        other, _ = gauge_check_pair(ms, em, 12, 1)  # separate builds share one basis
+        h_a, h_b = build_gauge_pair(ms, em, 12, 1)
+        other, _ = build_gauge_pair(ms, em, 12, 1)  # separate builds share one basis
         fock = HamiltonianBundle(h_b.H, h_b.space, h_b.gauge, h_b.metadata)
         assert fock.basis == "fock"
         cs = couplings(ms, em)

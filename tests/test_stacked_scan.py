@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 import dense_oracle
 from gaugecraft import (COULOMB, MULTIPOLAR, ConvergenceError, CouplingSet, GaugeParam,
                         HamiltonianBundle, InvariantViolation, ModeSet, ambiguity_scan,
-                        build_dipole, build_naive, field_hamiltonian, gaugecheck, tls,
-                        tls_single_mode_modeset)
+                        build_dipole, build_naive, field_hamiltonian, gaugecheck, hamiltonians,
+                        tls, tls_single_mode_modeset)
 from gaugecraft.cli import main
 from gaugecraft.gaugecheck import QuadratureFamily
 from gaugecraft.hilbert import (PAULI_X, PAULI_Z, Eigenbasis, HilbertSpec, fock_quadrature,
-                                ladder_matrix, matter_levels, max_abs, photon)
+                                ladder_matrix, matter_levels, max_abs, max_abs_diff, photon)
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
 
 pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
@@ -222,6 +222,30 @@ class TestForgedMembers:
         c0[1] += e
         c1[1] += e[::-1, ::-1]
         complex_family.ground_energies(c0, c1, cb)  # nothing declared, nothing to break
+
+    @pytest.mark.parametrize("cutoff, chunked", [(6, False), (340, True)])
+    def test_large_blocks_are_read_in_row_chunks_and_name_the_same_member(self, monkeypatch,
+                                                                        cutoff, chunked):
+        """Past CHUNKED_BLOCK_ENTRIES a member is compared in row chunks; its checks still
+        name the first failing member."""
+        ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
+        family = QuadratureFamily.of(ms, em, cutoff)
+        blocks = [m.copy() for m in family.blocks(0.37, self.SCALES[:3])]
+        calls = []
+        monkeypatch.setattr(hamiltonians, "max_abs_diff",
+                            lambda a, b: calls.append(a.shape) or max_abs_diff(a, b))
+        family.measure(*blocks)
+        assert bool(calls) == chunked
+        n = cutoff + 1
+        a0, a1, b = (m.copy() for m in blocks)
+        a0[2, 0, n - 1] += 1e-8  # an asymmetric entry at the far corner
+        with pytest.raises(InvariantViolation, match="not Hermitian .* in stack member 2 "):
+            family.measure(a0, a1, b)
+        a0, a1, b = (m.copy() for m in blocks)
+        a1[1, n - 2, 1] += 1e-6  # a Hermitian change to A_1 alone breaks the reflection
+        a1[1, 1, n - 2] += 1e-6
+        with pytest.raises(InvariantViolation, match="parity .* in stack member 1"):
+            family.measure(a0, a1, b)
 
     def test_diagnostics_report_the_worst_member(self):
         ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
