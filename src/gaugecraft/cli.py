@@ -159,7 +159,7 @@ def _beyond_dipole_profiles(section, n_modes):
                 fns.append(lambda x, v=value: v)
             elif kind == "cosine":
                 amp = decode_complex_matrix(desc.get("amplitude"), f"{path}.amplitude", (3,))
-                kvec = np.asarray(desc.get("k"), dtype=float).reshape(3)
+                kvec = np.array(number_list(desc.get("k"), f"{path}.k", length=3))
                 fns.append(lambda x, a=amp, kv=kvec: a * np.cos(kv @ np.asarray(x, dtype=float)))
             else:
                 raise ConfigError(f"'{path}.kind' must be 'constant' or 'cosine'")

@@ -70,10 +70,12 @@ def number(value, path: str, kind=float):
     return out
 
 
-def number_list(values, path: str, kind=float) -> list:
-    """Each entry of a JSON list through `number`, its index in the key path."""
-    if not isinstance(values, list):
-        raise ConfigError(f"'{path}' must be a list, got {values!r}")
+def number_list(values, path: str, kind=float, length: Optional[int] = None) -> list:
+    """Each entry of a JSON list (of `length` entries, if given) through `number`, its
+    index in the key path."""
+    if not isinstance(values, list) or length is not None and len(values) != length:
+        of = f" of {length} numbers" if length is not None else ""
+        raise ConfigError(f"'{path}' must be a list{of}, got {values!r}")
     return [number(v, f"{path}[{k}]", kind) for k, v in enumerate(values)]
 
 
@@ -310,7 +312,8 @@ class Scenario:
                 omega=number(_get(section, "omega", "longitudinal"), "longitudinal.omega"),
                 coupling=number(_get(section, "coupling", "longitudinal"), "longitudinal.coupling"),
                 cutoff=number(_get(section, "cutoff", "longitudinal"), "longitudinal.cutoff", int),
-                direction=tuple(section.get("direction", (1.0, 0.0, 0.0))))
+                direction=tuple(number_list(section.get("direction", [1.0, 0.0, 0.0]),
+                                            "longitudinal.direction", length=3)))
 
     def time_profile(self) -> TimeProfile:
         section = self.doc.get("time_profile")

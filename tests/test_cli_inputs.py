@@ -62,7 +62,25 @@ def with_emitter(key, value):
     ("spectrum", scenario(beyond_dipole={"profile": 5}), "beyond_dipole.profile"),
     ("spectrum", scenario(beyond_dipole={"profile": {"kind": "cosine",
                                                       "amplitude": CONSTANT["value"]}}),
-     "beyond_dipole.profile"),
+     "beyond_dipole.profile[0].k"),
+    ("spectrum", scenario(beyond_dipole={"profile": {"kind": "cosine", "k": ["1", True, 0],
+                                                      "amplitude": CONSTANT["value"]}}),
+     "beyond_dipole.profile[0].k[0]"),
+    ("spectrum", scenario(beyond_dipole={"profile": {"kind": "cosine", "k": [1.0, True, 0],
+                                                      "amplitude": CONSTANT["value"]}}),
+     "beyond_dipole.profile[0].k[1]"),
+    ("spectrum", scenario(beyond_dipole={"profile": {"kind": "cosine", "k": [1.0, 0.0],
+                                                      "amplitude": CONSTANT["value"]}}),
+     "beyond_dipole.profile[0].k"),
+    ("spectrum", scenario(longitudinal={"omega": 1.0, "coupling": 0.1, "cutoff": 2,
+                                        "direction": ["1", True, 0]}),
+     "longitudinal.direction[0]"),
+    ("spectrum", scenario(longitudinal={"omega": 1.0, "coupling": 0.1, "cutoff": 2,
+                                        "direction": [1.0, True, 0]}),
+     "longitudinal.direction[1]"),
+    ("spectrum", scenario(longitudinal={"omega": 1.0, "coupling": 0.1, "cutoff": 2,
+                                        "direction": [1.0, 0.0]}),
+     "longitudinal.direction"),
     ("detect", scenario(detector={"position_label": "detector", "count": -1}),
      "detector.count"),
     ("detect", scenario(detector={"position_label": "detector", "count": True}),
@@ -78,6 +96,9 @@ def with_emitter(key, value):
         "negative-cutoff", "boolean-cutoff", "boolean-cutoff-in-a-list", "boolean-theta",
         "boolean-seed", "boolean-naive-order", "boolean-longitudinal-cutoff",
         "beyond-dipole-profile-not-an-object", "cosine-profile-without-k",
+        "cosine-profile-k-string", "cosine-profile-k-boolean", "cosine-profile-k-too-short",
+        "longitudinal-direction-string", "longitudinal-direction-boolean",
+        "longitudinal-direction-too-short",
         "negative-detector-count", "boolean-detector-count", "grid-omega",
         "profile-points-list", "dielectric-epsilon", "qnm-omega"])
 def test_malformed_value_exits_2_naming_its_key_path(tmp_path, capsys, command, doc, path):

@@ -19,6 +19,7 @@ from gaugecraft.scenario import emitter_to_json, modeset_to_json
 pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
 
 TOL = 1e-8
+STAGES = len(dynamics._C)  # stages per Runge-Kutta step
 CHI = np.array([[1.0, 0.15], [0.15, 1.3]])
 TWO_MODES = ModeSet(CHI, {"emitter": [(0.5, 0.2, 0.0), (0.3, -0.3, 0.1)]})
 EMITTER = tls(1.0, (0.6, 0.2, 0.0))
@@ -38,15 +39,17 @@ GRIDS = {
 
 def counting(td):
     """Wrap td.operator, td.eigensystem and td.matrix; returns the times H(t) is evaluated
-    at (applied or diagonalized), the times it is diagonalized at, and the times it is
-    formed at.  `eigensystem` forms H through `td.matrix`, so every formed H is counted,
-    whoever forms it; a piece that shares the ground state's eigh forms none."""
-    times, diagonalized, formed = [], [], []
+    at (applied or diagonalized), the times it is diagonalized at, the times it is
+    formed at, and the times an operator H(t) is applied at, once per application.
+    `eigensystem` forms H through `td.matrix`, so every formed H is counted, whoever
+    forms it; a piece that shares the ground state's eigh forms none."""
+    times, diagonalized, formed, applied = [], [], [], []
     operator, eigensystem, matrix = td.operator, td.eigensystem, td.matrix
 
     def counted_operator(t):
         times.append(t)
-        return operator(t)
+        h = operator(t)
+        return lambda x: applied.append(t) or h(x)
 
     def counted_eigensystem(t):
         times.append(t)
@@ -58,7 +61,7 @@ def counting(td):
         return matrix(t)
 
     td.operator, td.eigensystem, td.matrix = counted_operator, counted_eigensystem, counted_matrix
-    return times, diagonalized, formed
+    return times, diagonalized, formed, applied
 
 
 def dop853_reference(h, psi0, t_grid, kinks):
@@ -127,7 +130,7 @@ def test_calls_do_not_grow_past_the_ramp():
     for t_max in (50.0, 500.0, 5000.0):
         td = build_time_dependent(TWO_MODES, EMITTER, "multipolar", profile, CUTOFFS)
         psi0 = ground_state(td, 0.0)
-        times, diagonalized, formed = counting(td)
+        times, diagonalized, formed, _ = counting(td)
         t_grid = np.concatenate([np.linspace(0.0, 8.0, 17), np.linspace(10.0, t_max, 40)])
         traj = evolve(td, psi0, t_grid)
         assert traj.stats["h_evaluations"] == len(times)
@@ -143,7 +146,7 @@ def test_calls_where_mu_dot_vanishes_are_one_per_static_piece(kind):
     profile, _ = PROFILES[kind]
     td = build_time_dependent(TWO_MODES, EMITTER, "coulomb", profile, CUTOFFS)
     psi0 = ground_state(td, 0.0)
-    times, diagonalized, formed = counting(td)
+    times, diagonalized, formed, _ = counting(td)
     traj = evolve(td, psi0, GRIDS["on_breakpoints"])
     flat = [t for t in times if profile.mu_dot(t) == 0.0]
     assert len(flat) <= traj.stats["static_pieces"] == len(diagonalized)
@@ -172,19 +175,77 @@ def test_ground_state_and_the_first_static_piece_share_one_eigh(gauge, monkeypat
 
 
 def test_steps_reuse_hamiltonians():
-    """At most four new H per attempted step plus H at the start of each piece, and the
-    first H(t) of a piece that shares the ground state's eigh is not formed again."""
+    """One new H per stage after the first of each attempted step (the first reuses the
+    previous step's last) plus H at the start of each piece, and the first H(t) of a
+    piece that shares the ground state's eigh is not formed again.  The start state
+    spreads over the whole spectrum, so the first step of a piece is too long."""
     profile, _ = PROFILES["tabulated"]
     td = build_time_dependent(TWO_MODES, EMITTER, "coulomb", profile, CUTOFFS)
-    psi0 = ground_state(td, 0.0)
-    times, diagonalized, formed = counting(td)
+    ground_state(td, 0.0)  # the first static piece shares this eigh of H(0)
+    psi0 = np.full(td.space.dim, td.space.dim ** -0.5, dtype=complex)
+    times, diagonalized, formed, _ = counting(td)
     s = evolve(td, psi0, GRIDS["straddling"]).stats
     assert s["dynamic_pieces"] == 2 and s["static_pieces"] == 3 == len(diagonalized)
     assert s["rejected_steps"] > 0  # too long a step fails and shrinks
     assert formed == diagonalized[1:]
     attempted = s["accepted_steps"] + s["rejected_steps"]
     assert len(times) == s["h_evaluations"]
-    assert len(times) <= 4 * attempted + s["dynamic_pieces"] + s["static_pieces"]
+    assert len(times) == (STAGES - 1) * attempted + s["dynamic_pieces"] + s["static_pieces"]
+
+
+@pytest.mark.parametrize("start", ["ground", "spread"])
+def test_applications_are_one_per_stage(start):
+    """Each attempted step applies H once per stage after the first; an accepted step's
+    last H, H(t + dt), is applied once more to the new state as the next step's first
+    stage (first same as last).  The piece's first stage is applied at its start, and
+    its last step's, which no step needs, is not."""
+    profile, _ = PROFILES["raised_cosine"]
+    td = build_time_dependent(TWO_MODES, EMITTER, "multipolar", profile, CUTOFFS)
+    psi0 = ground_state(td, 0.0)
+    if start == "spread":
+        psi0 = np.full(td.space.dim, td.space.dim ** -0.5, dtype=complex)
+    _, _, _, applied = counting(td)
+    s = evolve(td, psi0, GRIDS["straddling"]).stats
+    attempted = s["accepted_steps"] + s["rejected_steps"]
+    assert s["dynamic_pieces"] == 1 and (s["rejected_steps"] > 0) == (start == "spread")
+    assert s["h_applications"] == len(applied)
+    assert len(applied) == (STAGES - 1) * attempted + s["accepted_steps"]
+    assert all(profile.mu_dot(t) != 0.0 for t in applied)
+
+
+def test_tableau_order_conditions():
+    """Each stage's weights sum to its time, the 8th-order weights integrate t^q exactly
+    for q <= 7, and both error weights annihilate a constant."""
+    assert STAGES == 12
+    assert np.abs(dynamics._A.sum(axis=1) - dynamics._C).max() <= 4e-15
+    assert np.array_equal(dynamics._A, np.tril(dynamics._A, -1))
+    for q in range(8):
+        assert abs(dynamics._B @ dynamics._C ** q - 1 / (q + 1)) <= 4e-15
+    assert abs(dynamics._B @ dynamics._C ** 8 - 1 / 9) > 1e-6  # order 8, not 9
+    assert abs(dynamics._E5.sum()) <= 4e-15 and abs(dynamics._E3.sum()) <= 4e-15
+
+
+def test_one_step_error_is_of_ninth_order():
+    """One step on a smooth 2 x 2 H(t): a spin in a field rotating at rate w, solved
+    exactly in the co-rotating frame.  Halving dt shrinks the local error by 2^9."""
+    sx, sy, sz = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])
+    delta, rabi, w = 0.7, 0.9, 1.3
+    h = lambda t: 0.5 * delta * sz + rabi * (np.cos(w * t) * sx + np.sin(w * t) * sy)
+    frame = lambda t: np.diag(np.exp([-0.5j * w * t, 0.5j * w * t]))
+    h_rot = 0.5 * (delta - w) * sz + rabi * sx
+    t0, psi = 0.3, np.array([0.6, 0.8j])
+
+    def error(dt):
+        k = np.empty((STAGES, 2), dtype=complex)
+        k[0] = -1j * h(t0) @ psi
+        got, _, _ = dynamics._dop853_step(lambda t: lambda x: h(t) @ x, t0, psi, dt, k)
+        want = (frame(t0 + dt) @ expm(-1j * h_rot * dt) @ frame(t0).conj().T) @ psi
+        return np.linalg.norm(got - want)
+
+    errors = [error(dt) for dt in (0.8, 0.4, 0.2)]
+    assert errors[-1] > 1e-13  # above rounding
+    for big, small in zip(errors, errors[1:]):
+        assert 2 ** 8.5 <= big / small <= 2 ** 9.5
 
 
 def test_step_control_failure_raises_and_exits_3(tmp_path, monkeypatch, capsys):
@@ -206,13 +267,15 @@ def test_step_control_failure_raises_and_exits_3(tmp_path, monkeypatch, capsys):
 def test_norm_drift_raises(monkeypatch):
     """A step that grows the norm at a rate of 1e-6 is caught by the drift check.
 
-    The growth is proportional to the step, so step halving does not see it."""
-    rk4_step = dynamics._rk4_step
+    The growth scales the step's result, not its stages, so the embedded error
+    estimate does not see it."""
+    step = dynamics._dop853_step
 
-    def growing(h_0, h_mid, h_1, psi, dt):
-        return rk4_step(h_0, h_mid, h_1, psi, dt) * (1 + 1e-6 * dt)
+    def growing(op, t, psi, dt, k):
+        new, h_end, rate = step(op, t, psi, dt, k)
+        return new * (1 + 1e-6 * dt), h_end, rate
 
-    monkeypatch.setattr(dynamics, "_rk4_step", growing)
+    monkeypatch.setattr(dynamics, "_dop853_step", growing)
     td = build_time_dependent(ModeSet(np.array([[1.0]]), {"emitter": [(0.7, 0.0, 0.0)]}),
                               tls(1.0, (1.0, 0.0, 0.0)), "coulomb", linear_ramp(2.0), 1)
     with pytest.raises(ConvergenceError, match="norm drift"):
@@ -279,8 +342,9 @@ def test_evolve_command_golden(tmp_path):
     counters = meta["counters"]
     assert counters["static_pieces"] == 2 and counters["dynamic_pieces"] == 1
     assert counters["accepted_steps"] > 0 and counters["rejected_steps"] >= 0
-    assert counters["h_evaluations"] <= 4 * (counters["accepted_steps"]
-                                             + counters["rejected_steps"]) + 3
+    attempted = counters["accepted_steps"] + counters["rejected_steps"]
+    assert counters["h_evaluations"] == (STAGES - 1) * attempted + 3
+    assert counters["h_applications"] == (STAGES - 1) * attempted + counters["accepted_steps"]
     assert 0.0 <= meta["diagnostics"]["norm_error"] <= TOL
     states = json.loads((out / "states.json").read_text(encoding="utf-8"))
     assert [s["time"] for s in states] == [0.0, 5.0, 20.0]

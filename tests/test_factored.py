@@ -211,6 +211,8 @@ def test_td_gauge_equivalence_bound_and_sign_control():
     assert good.max_deviation < 1e-8
     flipped = td_gauge_equivalence(ms, em, profile, t_grid, (4, 3), extra_term_sign=-1.0)
     assert flipped.max_deviation > 1e-3
+    dropped = td_gauge_equivalence(ms, em, profile, t_grid, (4, 3), extra_term_sign=0.0)
+    assert dropped.max_deviation > 1e-3
 
 
 class TestHermiticityBeforeSymmetrization:
