@@ -21,7 +21,7 @@ from .hamiltonians import (COULOMB, MULTIPOLAR, CouplingSet, FockCutoffWarning,
                            build_gauge_pair, build_generalized_1d, build_naive,
                            build_time_dependent, couplings, field_hamiltonian, standard_space)
 from .gaugecheck import (AmbiguityRow, EquivalenceReport, ambiguity_scan, gauge_unitary,
-                         tls_single_mode_modeset, verify_spectral_equivalence)
+                         verify_spectral_equivalence)
 from .detect import (DetectorSpec, RateGap, RateRow, naive_rate_gap, rate_table,
                      significant_transitions)
 from .dynamics import TdEquivalenceResult, Trajectory, evolve, td_gauge_equivalence

@@ -15,6 +15,7 @@ import argparse
 import ctypes
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,9 +26,9 @@ from . import __version__
 from .detect import DetectorSpec, rate_table, significant_transitions
 from .dynamics import NORM_TOL, evolve, factor_populations, ground_state
 from .errors import ConfigError, ConvergenceError, GaugecraftError, InvariantViolation
-from .gaugecheck import ambiguity_scan, verify_spectral_equivalence
-from .hamiltonians import (build_beyond_dipole, build_dipole, build_gauge_pair, build_naive,
-                           build_time_dependent, couplings, standard_space)
+from .gaugecheck import ambiguity_scan, pair_bytes, scan_cutoffs, verify_spectral_equivalence
+from .hamiltonians import (QuadratureFamily, build_beyond_dipole, build_dipole, build_gauge_pair,
+                           build_naive, build_time_dependent, couplings, standard_space)
 from .modes import build_from_grid, chi_from_qnm, completeness_residual, qnm_frequency_grid, solve_dielectric_1d
 from .scenario import (Scenario, _decoding, decode_complex_matrix, dielectric_from_json,
                        number, number_list, polariton_grid_from_json, qnm_from_json,
@@ -184,39 +185,33 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def _scan_coupling(eta: np.ndarray) -> float:
-    """|eta_eg| when a matter phase, which commutes with h0, turns the two-level coupling
-    eta into a phase times sigma_x: then the scan's sigma_x surrogate is equivalent to it."""
-    if max(abs(eta[0, 0]), abs(eta[1, 1]), abs(abs(eta[0, 1]) - abs(eta[1, 0]))) > 1e-12:
-        raise ConfigError("'gauge_check.eta_grid' is required: the coupling matrix is not "
-                          "sigma_x up to phases")
-    return float(abs(eta[0, 1]))
-
-
 def cmd_gauge_check(cfg: RunConfig) -> int:
     sc = cfg.scenario
     ms, em = sc.modeset(), sc.emitter()
-    if em.n_levels != 2:
-        raise ConfigError("'emitter' must be a two-level system for gauge-check")
     section = sc.section("gauge_check", required=False)
     chi = float(ms.chi_diag[0])
-    if ms.n_modes != 1:
-        raise ConfigError("gauge-check runs on single-mode scenarios")
-    omega0 = float(em.levels[0] - em.levels[1])
     spectral_tol = number(section.get("spectral_tol", 1e-6), "gauge_check.spectral_tol") * chi
     ground_tol = number(section.get("ground_tol", 1e-7), "gauge_check.ground_tol") * chi
     k = number(section.get("k", 5), "gauge_check.k", int)
-    cutoffs = sc.cutoffs(1)
-    if not 1 <= k <= 2 * (cutoffs[0] + 1):
-        raise ConfigError(f"'gauge_check.k' = {k} is outside [1, {2 * (cutoffs[0] + 1)}], "
-                          f"the dimension at fock_cutoffs {cutoffs[0]}")
+    cutoffs = sc.cutoffs(ms.n_modes)
+    dim = standard_space(cutoffs, em.n_levels).dim
+    if not 1 <= k <= dim:
+        raise ConfigError(f"'gauge_check.k' = {k} is outside [1, {dim}], the dimension at "
+                          f"fock_cutoffs {list(cutoffs)}")
+    # the scan's route as well: scaling the couplings keeps a family sectored or not
+    family = QuadratureFamily.of(ms, em, cutoffs)
+    sectored = family is not None and family.sectored
+    need = pair_bytes(dim, sectored)
+    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2
+    if need > budget:
+        raise ConfigError(f"the verify pair at fock_cutoffs {list(cutoffs)} (D = {dim}) needs "
+                          f"about {need / 1e9:.1f} GB, more than half of physical memory "
+                          f"({budget / 1e9:.1f} GB)")
     eta_grid = section.get("eta_grid")
-    if eta_grid is None:
-        eta_grid = [_scan_coupling(couplings(ms, em).eta_matrices[0])]
-    else:
+    if eta_grid is not None:
         eta_grid = number_list(eta_grid, "gauge_check.eta_grid")
     order = sc.naive_order()
-    rows = ambiguity_scan(chi, omega0, eta_grid, tol=ground_tol, order=order)
+    rows = ambiguity_scan(ms, em, eta_grid, tol=ground_tol, order=order)
     write_csv(cfg.out_dir / "gauge_report.csv",
               ("eta", "naive_gap", "correct_gap", "cutoff", "converged"),
               [(r.eta, r.naive_gap, r.correct_gap, r.cutoff, r.converged) for r in rows])
@@ -239,6 +234,12 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
         "operator_residual": rep.operator_residual,
         "spectral_tol": spectral_tol,
         "truncation": sc.truncation(),
+        "cutoffs": list(cutoffs),
+        "dimension": dim,
+        "basis": h_a.basis,
+        "diagnostics": {"coulomb": h_a.diagnostics, "multipolar": h_b.diagnostics},
+        "ladder": {"start_cutoff": scan_cutoffs(ms.n_modes, em.n_levels)[0],
+                   "route": "stacked sectors" if sectored else "per-member builds"},
     })
     return 0
 

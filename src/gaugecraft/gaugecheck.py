@@ -13,14 +13,14 @@ diagonal and every gauge map is a diagonal phase; two bundles of one such
 basis are compared there, without forming W or H, and any other pair in the
 Fock basis.  The parity sectors of a member are blocks A_0 +- B J with J the
 reversal, and every member of the family, correct or naive, is elementwise
-work around one fixed matrix.  The scan's ladders double the cutoff until a coupling's
-ground energy moves by less than the tolerance, rung-major: at each rung every coupling
-still climbing is one member of a stack (X(eta) = eta X_1 scales the quadrature), in
-chunks of `stack_chunk(N + 1)` members so that a chunk's real (N+1) x (N+1) blocks take at
-most STACK_BYTES.  A rung solves the parity sector of the uncoupled ground state and
-certifies the other by a Cholesky factorization (`QuadratureFamily.ground_energies`).  A
-naive ladder still climbing at the top rung gives a row marked not converged; a correct
-one raises `ConvergenceError`.
+work around one fixed matrix.  The scan climbs the scenario's own family, its couplings
+scaled to each strength of the grid (X(c) = c X).  Its ladders double every per-mode
+cutoff (`scan_cutoffs`) until a ground energy moves by less than the tolerance,
+rung-major: every coupling still climbing is one member of a stack.  A `sectored` family
+solves it in chunks of `stack_chunk` members within STACK_BYTES, one parity sector per
+member, and certifies the other by a Cholesky factorization (`ground_energies`); any other
+system builds each member on its own.  A naive ladder still climbing at the top rung gives
+a row marked not converged; a correct one raises `ConvergenceError`.
 """
 
 from __future__ import annotations
@@ -31,17 +31,21 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError
-from .hamiltonians import CouplingSet, QuadratureFamily
-from .hilbert import HilbertSpec
-from .matter import tls
-from .modes import ModeSet
+from .errors import ConfigError, ConvergenceError
+from .hamiltonians import CouplingSet, GaugeParam, QuadratureFamily, _family_bundle, couplings
+from .hilbert import HilbertSpec, max_abs
 
 DEFAULT_SPECTRAL_TOL = 1e-6
 DEFAULT_LOW_FRACTION = 0.5
-STACK_BYTES = 8_000_000  # real blocks held at once by one stacked ladder solve
-MEMBER_BLOCKS = 6  # real (N+1)^2 blocks per member: complex A_0, A_1, a sector, one temporary
-MAX_CUTOFF = 640
+STACK_BYTES = 8_000_000  # bytes of blocks held at once by one stacked ladder solve
+# real n x n blocks a member holds at once, by time reversal: its complex A_0 and A_1 (4),
+# then one sector and the Cholesky factor of the other, real under time reversal (2), else
+# complex (4), plus one for its vectors (b, phases, the B series: about 130 n bytes, under
+# 8 n^2 at every stacked size, n >= 21).  The real count leaves the vectors out: it sets
+# the chunks of the single-mode scan, measured at 6.2-6.8 blocks for n = 81-21.
+MEMBER_BLOCKS = {True: 6, False: 9}
+MIN_DIM = 42  # member dimension of the scan's first rung: N = 20 for one mode, two levels
+MAX_DIM = 1282  # largest member dimension of a rung: N = 640 for one mode, two levels
 
 
 def gauge_unitary(space: HilbertSpec, cs: CouplingSet,
@@ -115,34 +119,49 @@ def verify_spectral_equivalence(h_a, h_b, k: int = 5,
     return EquivalenceReport(k, max_diff, per_level, residual, cutoffs, converged)
 
 
-def stack_chunk(n: int) -> int:
-    """Members of one stacked ladder solve at block size n = N + 1: the MEMBER_BLOCKS real
-    n x n blocks each member holds at once take at most STACK_BYTES, and at least one."""
-    return max(1, STACK_BYTES // (MEMBER_BLOCKS * 8 * n * n))
+def stack_chunk(n: int, time_reversal: bool) -> int:
+    """Members of one stacked ladder solve at sector size n: the MEMBER_BLOCKS real n x n
+    blocks each member holds at once take at most STACK_BYTES, and at least one."""
+    return max(1, STACK_BYTES // (MEMBER_BLOCKS[time_reversal] * 8 * n * n))
+
+
+def scan_cutoffs(n_modes: int, levels: int) -> list[int]:
+    """The per-mode cutoffs of the scan's rungs: from the smallest N >= 1 whose member
+    dimension L (N + 1)^M is at least MIN_DIM, doubled while it is at most MAX_DIM."""
+    n = 1
+    while levels * (n + 1) ** n_modes < MIN_DIM:
+        n += 1
+    return [n << k for k in range(MAX_DIM.bit_length())
+            if levels * ((n << k) + 1) ** n_modes <= MAX_DIM]
+
+
+def pair_bytes(dim: int, sectored: bool) -> float:
+    """Peak bytes of the verify pair (`build_gauge_pair`, then `verify_spectral_equivalence`)
+    at Hilbert dimension dim, as measured: at most 1.6 x 16 D^2 for the pair of a `sectored`
+    family, solved in the quadrature basis, and 10 x 16 D^2 for a Fock-basis pair."""
+    return (1.6 if sectored else 10.0) * 16 * dim * dim
 
 
 def _climb(solve: Callable[[int, np.ndarray], np.ndarray], members: int, tol: float,
-           start_cutoff: int, max_cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+           rungs: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(E0, cutoff, converged) of `members` doubling-cutoff ladders, climbed rung-major.
 
-    `solve(n, idx)` returns the ground energies of the members `idx` at cutoff n, at most
-    `stack_chunk(n + 1)` of them; the scan's solve diagonalizes one parity sector and
-    certifies the other.  A member converges at the first rung whose ground energy differs
-    from the previous rung's by less than tol, and leaves the stack; one still climbing
-    past `max_cutoff` keeps its last rung's E0 and cutoff and is reported as not converged.
+    `solve(n, idx)` returns the ground energies of the members `idx` at per-mode cutoff n.
+    A member converges at the first rung whose ground energy differs from the previous
+    rung's by less than tol, and leaves the stack; one still climbing at the last rung
+    keeps that rung's E0 and cutoff and is reported as not converged.
     """
     e0 = np.full(members, np.nan)
     cutoff = np.zeros(members, dtype=int)
     live = np.arange(members)
-    n = start_cutoff
-    while live.size and n <= max_cutoff:
-        size = stack_chunk(n + 1)
-        now = np.concatenate([solve(n, live[i:i + size]) for i in range(0, live.size, size)])
+    for n in rungs:
+        if not live.size:
+            break
+        now = solve(n, live)
         done = np.abs(now - e0[live]) < tol  # false on the first rung, where e0 is nan
         e0[live] = now
         cutoff[live] = n
         live = live[~done]
-        n *= 2
     converged = np.ones(members, dtype=bool)
     converged[live] = False
     return e0, cutoff, converged
@@ -157,40 +176,47 @@ class AmbiguityRow:
     converged: bool
 
 
-def ambiguity_scan(chi: float, omega0: float, eta_grid: Sequence[float],
-                   start_cutoff: int = 20, tol: float = 1e-7,
+def ambiguity_scan(ms, em, eta_grid: Optional[Sequence[float]] = None, tol: float = 1e-7,
                    order: int = 1) -> list[AmbiguityRow]:
-    """Naive-vs-correct ground-energy gaps for a single-mode two-level scenario.
+    """Naive-vs-correct ground-energy gaps of an emitter in a mode set, per coupling strength.
 
-    Per coupling eta: correct_gap = |E0(theta=0) - E0(theta=1)| (expected to
-    vanish) and naive_gap = |E0(naive Coulomb, given order) - E0(multipolar)|.
-    Cutoffs are doubled until each ground energy is stable to `tol`; the three
-    ladders (Coulomb, multipolar, naive) each climb every coupling of the grid
-    at once, as stacks over the unit-coupling `QuadratureFamily` of each
-    cutoff.  A row is converged when its naive ladder is; `ConvergenceError`
-    when a correct ladder is not.
+    A grid entry eta scales the couplings to max|eta_mu| = |eta|, times the sign of eta;
+    without a grid the scan runs at their own strength.  Per entry: correct_gap =
+    |E0(theta=0) - E0(theta=1)| (expected to vanish) and naive_gap = |E0(naive Coulomb,
+    given order) - E0(multipolar)|.  The three ladders climb the rungs of `scan_cutoffs`
+    until each ground energy is stable to `tol`: as stacks over the family of the couplings
+    at strength 1 when it is `sectored`, else member by member (`_family_bundle`).  A row is
+    converged when its naive ladder is; `ConvergenceError` when a correct ladder is not.
     """
-    etas = np.array([float(eta) for eta in eta_grid])
-    family = cache(lambda n: QuadratureFamily.of(*tls_single_mode_modeset(chi, 1.0, omega0), n))
+    cs = couplings(ms, em)
+    strength = max_abs(cs.eta_matrices)
+    etas = np.array([strength] if eta_grid is None else [float(eta) for eta in eta_grid])
+    if strength == 0.0 and np.any(etas):
+        raise ConfigError("the couplings are all zero: no strength but 0 scales them")
+    unit, rungs = cs.eta_matrices / (strength or 1.0), scan_cutoffs(cs.n_modes, cs.matter_dim)
+    if not rungs:
+        raise ConfigError(f"no cutoff ladder: every member dimension exceeds {MAX_DIM}")
+    family = cache(lambda n: QuadratureFamily.of_couplings(
+        CouplingSet(unit, cs.chi), em.h0, em.parity_signs, (n,) * cs.n_modes))
 
     def ladder(theta, naive_order=None):
         def solve(n, idx):
             f = family(n)
-            return f.ground_energies(*f.blocks(theta, etas[idx], naive_order))
-        return _climb(solve, len(etas), tol, start_cutoff, MAX_CUTOFF)
+            if not getattr(f, "sectored", False):  # None: the couplings do not factor
+                return np.array([_family_bundle(
+                    CouplingSet(eta * unit, cs.chi), em.h0, em.parity_signs, (n,) * cs.n_modes,
+                    GaugeParam(theta), {}, naive_order).eigenvalues(1)[0] for eta in etas[idx]])
+            size = stack_chunk(len(f.x), f.time_reversal)
+            chunks = [etas[idx[i:i + size]] for i in range(0, idx.size, size)]
+            return np.concatenate([f.ground_energies(*f.blocks(theta, c, naive_order))
+                                   for c in chunks])
+        return _climb(solve, len(etas), tol, rungs)
 
     (e0_c, n_c, ok_c), (e0_mp, n_mp, ok_mp) = ladder(0.0), ladder(1.0)
     if not (ok_c.all() and ok_mp.all()):
-        raise ConvergenceError(f"ground energy not converged at cutoff {MAX_CUTOFF}")
+        raise ConvergenceError(f"ground energy not converged at cutoff {rungs[-1]}")
     e0_naive, n_nv, converged = ladder(0.0, order)
     cutoffs = np.maximum(np.maximum(n_c, n_mp), n_nv)
     return [AmbiguityRow(eta=float(eta), naive_gap=float(abs(nv - mp)),
                          correct_gap=float(abs(c - mp)), cutoff=int(n), converged=bool(ok))
             for eta, c, mp, nv, n, ok in zip(etas, e0_c, e0_mp, e0_naive, cutoffs, converged)]
-
-
-def tls_single_mode_modeset(chi: float, eta: float, omega0: float):
-    """Single-mode mode set plus two-level emitter realizing a given scalar eta."""
-    em = tls(omega0, (float(eta) * np.sqrt(2 * chi), 0.0, 0.0))
-    ms = ModeSet.single_mode(chi, {em.position_label: (1.0, 0.0, 0.0)})
-    return ms, em

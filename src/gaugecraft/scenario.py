@@ -323,6 +323,6 @@ class Scenario:
 
     def section(self, key: str, required: bool = True) -> Mapping:
         val = _get(self.doc, key, "", required=required, default={})
-        if val and not isinstance(val, Mapping):
+        if not isinstance(val, Mapping):
             raise ConfigError(f"'{key}' must be an object")
         return val

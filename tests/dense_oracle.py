@@ -36,6 +36,8 @@ the Fock basis.
 exponential of a matrix, and `dielectric_modes` solves the 1D dielectric
 finite-difference problem with scipy's generalized symmetric eigensolver.
 
+`tls_single_mode_modeset` is the single-mode two-level system most tests start from.
+
 The rest are the dense forms the package itself no longer needs: the embedded
 `ladder` and `pauli` operators, the low-sector projector P_low, the explicit
 single-mode two-level Coulomb and multipolar Hamiltonians
@@ -50,12 +52,14 @@ import numpy as np
 import scipy.linalg
 
 from gaugecraft.errors import ConvergenceError, InvariantViolation
-from gaugecraft.gaugecheck import DEFAULT_LOW_FRACTION, AmbiguityRow, tls_single_mode_modeset
+from gaugecraft.gaugecheck import DEFAULT_LOW_FRACTION, AmbiguityRow
 from gaugecraft.hamiltonians import (COULOMB, MULTIPOLAR, TLS_PARITY_SIGNS, HamiltonianBundle,
                                      _normalize_cutoffs, couplings, segment_integral,
                                      standard_space)
 from gaugecraft.hilbert import (HERMITIAN_TOL, HilbertSpec, PAULI_X, PAULI_Y, PAULI_Z,
                                 ladder_matrix, max_abs, parity_labels, photon)
+from gaugecraft.matter import tls
+from gaugecraft.modes import ModeSet
 
 EIG_RESIDUAL_TOL = 1e-10
 
@@ -405,6 +409,13 @@ def spectra(family, a0, a1, b):
     family.measure(a0, a1, b)
     sectors = [np.linalg.eigvalsh(s) for s in family._sector_stack(a0, b)]
     return np.sort(np.concatenate(sectors, axis=-1), axis=-1)
+
+
+def tls_single_mode_modeset(chi, eta, omega0):
+    """Single-mode mode set (chi, unit profile along x) and a two-level emitter of
+    frequency omega0 whose sigma_x coupling is eta."""
+    em = tls(omega0, (float(eta) * np.sqrt(2 * chi), 0.0, 0.0))
+    return ModeSet.single_mode(chi, {em.position_label: (1.0, 0.0, 0.0)}), em
 
 
 def converged_ground_energy(build, tol=1e-7, start_cutoff=20, max_cutoff=640):

@@ -214,3 +214,18 @@ def test_strings_booleans_and_non_finite_values_exit_2_naming_their_index(tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"'{path}' must be " in err
     assert not (tmp_path / "out" / "metadata.json").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("gauge-check", "gauge_check", False), ("gauge-check", "gauge_check", []),
+    ("gauge-check", "gauge_check", 0), ("gauge-check", "gauge_check", ""),
+    ("detect", "detector", 0), ("evolve", "evolve", False),
+    ("spectrum", "beyond_dipole", []), ("spectrum", "beyond_dipole", False),
+])
+def test_a_section_that_is_not_an_object_exits_2_naming_it(tmp_path, capsys, command, key,
+                                                           value):
+    """A falsy section is refused like any other non-object, not read as an empty one."""
+    assert run(tmp_path, command, scenario(**{key: value})) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'{key}' must be an object" in err
+    assert not (tmp_path / "out" / "metadata.json").exists()

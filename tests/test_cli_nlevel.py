@@ -107,3 +107,29 @@ def test_evolve_matches_the_dense_propagator(tmp_path):
     for row, psi in zip(rows, want):
         assert_close(float(row["n0"]), (psi.conj() @ n0 @ psi).real, "n0")
         assert_close(float(row["X"]), (psi.conj() @ dense.x @ psi).real, "X")
+
+
+@pytest.mark.parametrize("em", [ONE_AXIS, TWO_AXES], ids=["one_axis", "two_axes"])
+def test_gauge_check_scan_equals_the_per_coupling_dense_ladders(tmp_path, em):
+    """The scan builds each member of a three-level emitter on its own.  Each row equals the
+    three doubling ladders of the dense oracle at the couplings scaled to |eta|: per-mode
+    cutoffs 3, 6, 12, since 3 (N + 1)^2 >= 42 from N = 3 and exceeds 1282 at N = 24."""
+    grid = [0.15, -0.3]
+    out = run(tmp_path, "gauge-check", em, gauge_check={"eta_grid": grid, "k": 4})
+    rows = read_rows(out / "gauge_report.csv")
+    meta = json.loads((out / "metadata.json").read_text(encoding="utf-8"))
+    assert meta["ladder"] == {"start_cutoff": 3, "route": "per-member builds"}
+    assert meta["basis"] == "fock" and meta["verdict"] == "PASS"
+    strength = np.abs(couplings(MS, em).eta_matrices).max()
+    for eta, row in zip(grid, rows):
+        scaled = ModeSet(CHI, {"emitter": eta / strength * np.array(PROFILES["emitter"])})
+        e0 = {name: dense_oracle.converged_ground_energy(
+                  lambda n: dense_oracle.dense_bundle(scaled, em, g, n, order), 1e-7, 3, 12)
+              for name, g, order in (("coulomb", COULOMB, None), ("multipolar", MULTIPOLAR, None),
+                                     ("naive", COULOMB, 1))}
+        want = dense_oracle.ambiguity_row(eta, e0)
+        assert float(row["eta"]) == eta and row["converged"] == "True"
+        assert int(row["cutoff"]) == want.cutoff
+        assert_close(float(row["naive_gap"]), want.naive_gap, "naive gap")
+        assert_close(float(row["correct_gap"]), want.correct_gap, "correct gap")
+        assert want.naive_gap > 1e-4

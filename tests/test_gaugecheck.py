@@ -1,6 +1,11 @@
 """Gauge unitaries, spectral-equivalence reports, and the coupling-grid scan."""
 
+import importlib
 import json
+import os
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
+from dense_oracle import tls_single_mode_modeset
 from gaugecraft import (COULOMB, MULTIPOLAR, FockCutoffWarning, ambiguity_scan, build_dipole,
-                        build_naive, couplings, gauge_unitary,
-                        tls_single_mode_modeset, verify_spectral_equivalence)
-from gaugecraft import EmitterSpec, HamiltonianBundle, ModeSet, tls
+                        build_naive, couplings, gauge_unitary, verify_spectral_equivalence)
+from gaugecraft import ConfigError, EmitterSpec, HamiltonianBundle, ModeSet, tls
 from gaugecraft.cli import main
-from gaugecraft.gaugecheck import _climb
+from gaugecraft.gaugecheck import _climb, scan_cutoffs
 from gaugecraft.hamiltonians import QuadratureFamily, build_gauge_pair
 from gaugecraft.hilbert import PAULI_X, PAULI_Y, HermitianGenerator, max_abs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
@@ -222,7 +227,8 @@ class TestConvergenceProtocol:
     def test_ground_energy_doubling(self):
         ms, em = tls_single_mode_modeset(1.0, 0.5, 1.0)
         (e0,), (cutoff,), (converged,) = _climb(
-            lambda n, _: build_dipole(ms, em, MULTIPOLAR, n).eigenvalues(1), 1, 1e-7, 20, 640)
+            lambda n, _: build_dipole(ms, em, MULTIPOLAR, n).eigenvalues(1), 1, 1e-7,
+            scan_cutoffs(1, 2))
         assert converged
         e_ref = build_dipole(ms, em, MULTIPOLAR, 4 * cutoff).eigenvalues(1)[0]
         assert abs(e0 - e_ref) < 1e-6
@@ -230,12 +236,28 @@ class TestConvergenceProtocol:
 
 class TestAmbiguityScan:
     def test_zero_coupling_row(self):
-        rows = ambiguity_scan(1.0, 1.0, [0.0])
+        rows = ambiguity_scan(*tls_single_mode_modeset(1.0, 1.0, 1.0), [0.0])
         assert rows[0].naive_gap < 1e-10
         assert rows[0].correct_gap < 1e-10
 
+    def test_rungs_follow_the_member_dimension(self):
+        """From the smallest N with L (N + 1)^M >= 42, doubled while it is <= 1282."""
+        assert scan_cutoffs(1, 2) == [20, 40, 80, 160, 320, 640]
+        assert scan_cutoffs(2, 2) == [4, 8, 16]
+        assert scan_cutoffs(1, 3) == [13, 26, 52, 104, 208, 416]
+        assert scan_cutoffs(10, 2) == []
+
+    def test_a_scan_without_a_ladder_or_a_scale_is_refused(self):
+        ms, em = tls_single_mode_modeset(1.0, 0.0, 1.0)
+        assert ambiguity_scan(ms, em)[0].eta == 0.0  # the uncoupled system's own strength
+        with pytest.raises(ConfigError, match="couplings are all zero"):
+            ambiguity_scan(ms, em, [0.3])
+        ten_modes = ModeSet(np.eye(10), {em.position_label: np.full((10, 3), 0.1)})
+        with pytest.raises(ConfigError, match="no cutoff ladder"):
+            ambiguity_scan(ten_modes, tls(1.0, (0.5, 0.0, 0.0)), [0.3])
+
     def test_gap_growth_and_correct_flatness(self):
-        rows = ambiguity_scan(1.0, 1.0, [0.1, 0.3, 0.5, 1.0])
+        rows = ambiguity_scan(*tls_single_mode_modeset(1.0, 1.0, 1.0), [0.1, 0.3, 0.5, 1.0])
         naive = [r.naive_gap for r in rows]
         assert all(naive[i + 1] > naive[i] for i in range(3))
         assert all(r.correct_gap < 1e-6 for r in rows)
@@ -272,8 +294,9 @@ def run_gauge_check(tmp_path, em, **section):
 
 
 def test_default_grid_takes_a_coupling_that_is_sigma_x_up_to_phases(tmp_path, capsys):
-    """Without an eta_grid the scan runs at |eta_eg|: a sigma_y dipole is a sigma_x one up
-    to a matter phase, so it scans like the sigma_x dipole of the same strength."""
+    """Without an eta_grid the scan runs at the couplings' own strength max|eta_mu|.  A sigma_y
+    dipole is a sigma_x one up to a matter phase; its scan climbs its own complex family,
+    so its gaps equal the sigma_x dipole's to rounding (2.7e-14 measured), not bitwise."""
     reports = []
     for axis in (PAULI_X, PAULI_Y):
         em = EmitterSpec(np.array([0.5, -0.5]), 0.4 * np.array([axis, 0 * axis, 0 * axis]))
@@ -281,15 +304,103 @@ def test_default_grid_takes_a_coupling_that_is_sigma_x_up_to_phases(tmp_path, ca
         out.mkdir()
         assert run_gauge_check(out, em) == 0
         assert capsys.readouterr().out.startswith("PASS")
-        reports.append((out / "out" / "gauge_report.csv").read_text(encoding="utf-8"))
-    assert reports[0] == reports[1]
-    assert abs(float(reports[0].splitlines()[1].split(",")[0]) - 0.4 / np.sqrt(2)) <= 1e-15
+        lines = (out / "out" / "gauge_report.csv").read_text(encoding="utf-8").splitlines()
+        reports.append(lines[1].split(","))
+    (eta_x, *gaps_x, cutoff_x, ok_x), (eta_y, *gaps_y, cutoff_y, ok_y) = reports
+    assert abs(float(eta_x) - 0.4 / np.sqrt(2)) <= 1e-15 and float(eta_y) == float(eta_x)
+    assert (cutoff_x, ok_x) == (cutoff_y, ok_y) == ("40", "True")
+    assert max(abs(float(x) - float(y)) for x, y in zip(gaps_x, gaps_y)) <= 1e-12
 
 
-def test_default_grid_refuses_another_coupling(tmp_path, capsys):
-    diagonal = np.diag([0.3, -0.1])  # not sigma_x up to phases: the grid must be given
-    em = EmitterSpec(np.array([0.5, -0.5]), np.array([0.4 * PAULI_X + diagonal,
-                                                     np.zeros((2, 2)), np.zeros((2, 2))]))
-    assert run_gauge_check(tmp_path, em) == 2
-    assert "'gauge_check.eta_grid'" in capsys.readouterr().err
+def test_default_grid_scans_the_scenarios_own_coupling(tmp_path, capsys):
+    """A sigma_x dipole plus a diagonal part is another system than the sigma_x dipole: at
+    the same eta its scan gives other gaps."""
+    reports = []
+    for diagonal in (np.zeros((2, 2)), np.diag([0.3, -0.1])):
+        em = EmitterSpec(np.array([0.5, -0.5]), np.array([0.4 * PAULI_X + diagonal,
+                                                         np.zeros((2, 2)), np.zeros((2, 2))]))
+        out = tmp_path / f"run{len(reports)}"
+        out.mkdir()
+        assert run_gauge_check(out, em, eta_grid=[0.2828]) == 0
+        assert capsys.readouterr().out.startswith("PASS")
+        lines = (out / "out" / "gauge_report.csv").read_text(encoding="utf-8").splitlines()
+        reports.append([float(v) for v in lines[1].split(",")[:3]])
+    (eta_x, naive_x, correct_x), (eta_d, naive_d, correct_d) = reports
+    assert eta_x == eta_d == 0.2828
+    assert correct_x <= 1e-9 and correct_d <= 1e-9
+    assert abs(naive_d - naive_x) > 1e-3 * naive_x
+
+
+def write_config(tmp_path, doc):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    return config
+
+
+def test_metadata_records_the_pair_and_the_ladder(tmp_path, capsys):
+    ms, em = tls_single_mode_modeset(1.0, 0.5, 1.0)
+    config = write_config(tmp_path, {"seed": 0, "modeset": modeset_to_json(ms),
+                                     "emitter": emitter_to_json(em), "fock_cutoffs": 24,
+                                     "gauge_check": {"eta_grid": [0.3]}})
+    assert main(["gauge-check", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text(encoding="utf-8"))
+    assert meta["cutoffs"] == [24] and meta["dimension"] == 50 and meta["basis"] == "quadrature"
+    assert meta["ladder"] == {"start_cutoff": 20, "route": "stacked sectors"}
+    for gauge in ("coulomb", "multipolar"):
+        diagnostics = meta["diagnostics"][gauge]
+        assert diagnostics["sector_sizes"] == [25, 25]
+        assert 0.0 <= diagnostics["parity_off_block"] <= 1e-12
+        assert 0.0 <= diagnostics["time_reversal_imag"] <= 1e-12
+
+
+@pytest.fixture
+def bench_inputs(monkeypatch):
+    """perfbench/inputs.py, imported read-only and forgotten afterwards."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    yield importlib.import_module("inputs")
+    sys.modules.pop("inputs", None)
+
+
+@pytest.mark.parametrize("truncation, verdict", [("correct", "PASS"), ("naive", "FAIL")])
+def test_the_multimode_workloads_own_system_is_gauge_checked(bench_inputs, tmp_path, capsys,
+                                                             truncation, verdict):
+    """The two-mode system with complex off-diagonal chi of the `multimode` benchmark: the
+    scan climbs its own family at its own strength, from per-mode cutoff 4."""
+    md = bench_inputs.polariton_modes(2, 64)
+    config = write_config(tmp_path, bench_inputs.scenario(md, [20, 20], truncation=truncation))
+    out = tmp_path / "out"
+    assert main(["gauge-check", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(verdict)
+    (header, row) = (out / "gauge_report.csv").read_text(encoding="utf-8").splitlines()
+    eta, naive_gap, correct_gap, cutoff, converged = row.split(",")
+    assert float(eta) == pytest.approx(max(bench_inputs.MULTIMODE_ETA), rel=1e-12)
+    assert (cutoff, converged) == ("16", "True")
+    assert float(correct_gap) <= 1e-9 and float(naive_gap) > 0.1
+    meta = json.loads((out / "metadata.json").read_text(encoding="utf-8"))
+    assert meta["ladder"] == {"start_cutoff": 4, "route": "stacked sectors"}
+    assert meta["dimension"] == 882 and meta["basis"] == "quadrature"
+    assert "time_reversal_imag" not in meta["diagnostics"]["coulomb"]
+
+
+def test_an_oversized_verify_pair_is_refused_up_front(tmp_path, capsys, monkeypatch):
+    """Three modes at N = 20 give D = 18522: the quadrature pair alone needs about 8.8 GB,
+    more than half of a 16 GiB machine, so the command exits 2 before it allocates."""
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (16 << 30) // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    em = tls(1.0, (0.5, 0.0, 0.0))
+    ms = ModeSet(np.diag([1.0, 1.1, 1.2]),
+                 {em.position_label: [(0.3, 0.0, 0.0), (0.2, 0.0, 0.0), (0.1, 0.0, 0.0)]})
+    config = write_config(tmp_path, {"seed": 0, "modeset": modeset_to_json(ms),
+                                     "emitter": emitter_to_json(em), "fock_cutoffs": 20})
+    tracemalloc.start()
+    try:
+        code = main(["gauge-check", "--config", str(config), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "fock_cutoffs [20, 20, 20]" in err and "D = 18522" in err
+    assert peak < 10_000_000
     assert not (tmp_path / "out" / "gauge_report.csv").exists()

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
+from dense_oracle import tls_single_mode_modeset
 from gaugecraft import (COULOMB, MULTIPOLAR, ConvergenceError, CouplingSet, GaugeParam,
                         HamiltonianBundle, InvariantViolation, ModeSet, ambiguity_scan,
                         build_dipole, build_naive, field_hamiltonian, gaugecheck, hamiltonians,
-                        tls, tls_single_mode_modeset)
+                        tls)
 from gaugecraft.cli import main
 from gaugecraft.gaugecheck import QuadratureFamily
 from gaugecraft.hilbert import (PAULI_X, PAULI_Z, Eigenbasis, HilbertSpec, fock_quadrature,
@@ -269,7 +270,7 @@ def test_stacked_scan_matches_the_per_eta_oracle(data, order):
     # the order-2 naive energy is unbounded below from eta ~ 0.5 on; see the next test
     grid = data.draw(eta_grids(1.2 if order == 1 else 0.4))
     ladders = [dense_oracle.ambiguity_ladders(1.0, 1.0, eta, order=order) for eta in grid]
-    rows = ambiguity_scan(1.0, 1.0, grid, order=order)
+    rows = ambiguity_scan(*tls_single_mode_modeset(1.0, 1.0, 1.0), grid, order=order)
     want = [dense_oracle.ambiguity_row(eta, e0) for eta, e0 in zip(grid, ladders)]
     assert [r.eta for r in rows] == [float(eta) for eta in grid]
     for row, ref, e0 in zip(rows, want, ladders):
@@ -285,7 +286,7 @@ def test_scan_raises_where_the_per_eta_ladder_does_not_converge():
         dense_oracle.ambiguity_ladders(1.0, 1.0, 0.8, order=2)
     # the order-2 naive ladder of eta = 0.8 is still falling at the top rung: its row is
     # reported as not converged, with the gap of that rung, and the others are unchanged
-    rows = ambiguity_scan(1.0, 1.0, [0.2, 0.8, 0.1], order=2)
+    rows = ambiguity_scan(*tls_single_mode_modeset(1.0, 1.0, 1.0), [0.2, 0.8, 0.1], order=2)
     assert [r.converged for r in rows] == [True, False, True]
     assert rows[1].cutoff == 640
     ms, em = tls_single_mode_modeset(1.0, 0.8, 1.0)
@@ -334,13 +335,13 @@ def test_one_stacked_build_per_ladder_rung_and_chunk(monkeypatch, budget):
     # the second: 4 members at N = 20, 1 from N = 40 on
     monkeypatch.setattr(gaugecheck, "STACK_BYTES", budget)
     calls = record_builds(monkeypatch)
-    ambiguity_scan(1.0, 1.0, grid)
+    ambiguity_scan(*tls_single_mode_modeset(1.0, 1.0, 1.0), grid)
     for ladder in ("coulomb", "multipolar", "naive"):
         cutoffs = np.array([e0[ladder][1] for e0 in ladders])
         n, expected = 20, []
         while n <= cutoffs.max():
             live = np.flatnonzero(cutoffs >= n)  # members still climbing at rung n
-            size = gaugecheck.stack_chunk(n + 1)
+            size = gaugecheck.stack_chunk(n + 1, True)
             expected += [(n, np.array(grid)[live[i:i + size]])
                          for i in range(0, live.size, size)]
             n *= 2
@@ -351,19 +352,43 @@ def test_one_stacked_build_per_ladder_rung_and_chunk(monkeypatch, budget):
 
 
 def test_chunk_sizes_bound_a_stack_to_the_budget():
-    sizes = [gaugecheck.stack_chunk(n + 1) for n in (20, 40, 80, 160, 320, 640)]
+    sizes = [gaugecheck.stack_chunk(n + 1, True) for n in (20, 40, 80, 160, 320, 640)]
     assert sizes == [377, 99, 25, 6, 1, 1]
-    assert gaugecheck.stack_chunk(10**5) == 1
+    assert gaugecheck.stack_chunk(10**5, True) == gaugecheck.stack_chunk(10**5, False) == 1
+
+
+@pytest.mark.parametrize("cutoffs", [(4, 4), (8, 8)])
+def test_a_complex_chunk_stays_within_the_budget(cutoffs):
+    """Without time reversal a member's sectors are complex: a chunk of `stack_chunk`
+    members of a two-mode family with complex chi solves within STACK_BYTES.  Counted as a
+    real member, the 25 members at N = 8 peaked at 10.75 MB."""
+    em = tls(1.0, (1.0, 0.0, 0.0))
+    ms = ModeSet(np.array([[1.0, 0.2j], [-0.2j, 1.3]]),
+                 {em.position_label: [(0.5, 0.0, 0.0), (0.3, 0.0, 0.0)]})
+    family = QuadratureFamily.of(ms, em, cutoffs)
+    assert family.sectored and not family.time_reversal
+    size = gaugecheck.stack_chunk(len(family.x), False)
+    assert size < gaugecheck.stack_chunk(len(family.x), True)
+    family.k  # formed once per family, outside the chunks
+    for theta, order in ((0.0, None), (1.0, None), (0.0, 1)):
+        tracemalloc.start()
+        try:
+            family.ground_energies(*family.blocks(theta, np.linspace(0.1, 2.0, size), order))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= gaugecheck.STACK_BYTES, f"{theta}, {order}: {peak} bytes"
 
 
 def test_strong_coupling_grid_climbs_in_bounded_memory(monkeypatch):
     # chi = 1/4: every coupling of the grid climbs to N = 320 under the default tol
     chi, grid = 0.25, np.linspace(2.0, 2.5, 40)
-    ambiguity_scan(chi, 1.0, [2.0])  # fill the Fock quadrature caches outside the trace
+    ms, em = tls_single_mode_modeset(chi, 1.0, 1.0)
+    ambiguity_scan(ms, em, [2.0])  # fill the Fock quadrature caches outside the trace
     calls = record_builds(monkeypatch)
     tracemalloc.start()
     try:
-        rows = ambiguity_scan(chi, 1.0, grid)
+        rows = ambiguity_scan(ms, em, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -380,11 +405,11 @@ def test_converged_ground_energy_is_the_one_member_ladder():
     for g in (COULOMB, MULTIPOLAR):
         build = lambda n: build_dipole(ms, em, g, n)
         e0, cutoff, converged = gaugecheck._climb(lambda n, _: build(n).eigenvalues(1), 1,
-                                                  1e-7, 20, 640)
+                                                  1e-7, gaugecheck.scan_cutoffs(1, 2))
         assert (e0[0], cutoff[0]) == dense_oracle.converged_ground_energy(build) and converged[0]
     # a ladder that cannot converge reports its last rung
     e0, cutoff, converged = gaugecheck._climb(
-        lambda n, _: build_dipole(ms, em, COULOMB, n).eigenvalues(1), 1, 0.0, 20, 40)
+        lambda n, _: build_dipole(ms, em, COULOMB, n).eigenvalues(1), 1, 0.0, [20, 40])
     assert cutoff[0] == 40 and not converged[0]
     assert e0[0] == build_dipole(ms, em, COULOMB, 40).eigenvalues(1)[0]
 

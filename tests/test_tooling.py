@@ -82,6 +82,8 @@ LIBRARY_API = {
     "detect.naive_rate_gap": "the photodetection claim's naive control, not yet a CLI output",
     "dynamics.td_gauge_equivalence": "the time-dependent gauge check, not yet a CLI command",
     "hamiltonians.build_generalized_1d": "the 1D dielectric builder, not yet a CLI source",
+    "matter.tls": "the two-level emitter constructor of the library API",
+    "modes.ModeSet.single_mode": "the single-mode ModeSet constructor of the library API",
     "hilbert.HilbertSpec.embed": "wrapped by perfbench/tracer.py as hilbert.embed; goes with "
                                  "that wrap once the tracer reads stage timers",
 }
@@ -223,7 +225,8 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_traced_gauge_check_spans_describe_the_stacked_builds(monkeypatch, tmp_path, capsys):
-    from gaugecraft import cli, tls_single_mode_modeset
+    from dense_oracle import tls_single_mode_modeset
+    from gaugecraft import cli
     from gaugecraft.scenario import emitter_to_json, modeset_to_json
 
     ms, em = tls_single_mode_modeset(1.0, 0.5, 1.0)
@@ -303,7 +306,8 @@ FAULT_PROBE = """
 import io, json, resource, sys
 from contextlib import redirect_stdout
 from pathlib import Path
-from gaugecraft import cli, tls_single_mode_modeset
+from dense_oracle import tls_single_mode_modeset
+from gaugecraft import cli
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
 ms, em = tls_single_mode_modeset(1.0, 0.6, 1.0)
 tmp = Path(sys.argv[1])
@@ -326,7 +330,8 @@ def test_repeated_commands_reuse_the_freed_pages(tmp_path):
     # a spectrum at D = 402 frees about 15 MB of temporaries; the runs after the first
     # find them in the heap instead of page-faulting them in again (about 3000 faults)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        [str(ROOT / "src"), str(ROOT / "tests")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True)
     faults = json.loads(out.stdout)
