@@ -36,6 +36,12 @@ from .scenario import (Scenario, _decoding, decode_complex_matrix, dielectric_fr
 
 COMMANDS = ("spectrum", "gauge-check", "detect", "evolve", "modes")
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
+# peak of a command's Hamiltonians in complex D x D matrices (16 D^2 bytes), for a `sectored`
+# family and for a Fock-basis build.  A sectored spectrum holds K, one sector and LAPACK's
+# copy of it, 3 blocks of (D/2)^2; detect holds K, the sector and eigh's 4.  Fock-basis
+# builds peaked at 9 (spectrum) and 10 (detect) traced on the dense-generator route, before
+# LAPACK's untraced copies of a D x D sector (1 for eigvalsh, 3 more for eigh).
+COMMAND_MATRICES = {"spectrum": (0.75, 10.0), "detect": (1.5, 14.0)}
 
 
 @dataclass(frozen=True)
@@ -126,20 +132,45 @@ def _build_system(cfg: RunConfig):
     g = sc.gauge()
     cutoffs = sc.cutoffs(ms.n_modes)
     bd = sc.section("beyond_dipole", required=False)
+    if bd and (not em.is_tls or em.single_particle is None):
+        raise ConfigError("'beyond_dipole' needs a two-level 'emitter' with 'q' and 'r_dip'")
+    naive = not bd and sc.truncation() == "naive"
+    if naive and g.theta not in (0.0, 1.0):
+        raise ConfigError(f"'truncation' naive is defined at 'gauge_theta' 0 and 1 only, "
+                          f"got {g.theta:g}")
+    lc = None if bd or naive else sc.longitudinal()
+    family = QuadratureFamily.of(ms, em, cutoffs)
+    # every member but a theta = 1 canonical form and the hook's comes from the family of the
+    # couplings (for the beyond-dipole Coulomb form, of its sigma_x couplings, sectored alike)
+    sectored = (lc is None and (g.theta == 0.0 or not (bd or naive))
+                and getattr(family, "sectored", False))
+    dim = standard_space(cutoffs, em.n_levels).dim * (1 if lc is None else lc.cutoff + 1)
+    _refuse_oversized("the spectrum", cutoffs, dim, command_bytes("spectrum", dim, sectored))
     if bd:
-        if not em.is_tls or em.single_particle is None:
-            raise ConfigError("'beyond_dipole' needs a two-level 'emitter' with 'q' and 'r_dip'")
         fns = _beyond_dipole_profiles(bd, ms.n_modes)
         gauge_label = "coulomb" if g.theta == 0.0 else "multipolar"
         nodes = number(bd.get("quadrature_order", 65), "beyond_dipole.quadrature_order", int)
         return ms, em, build_beyond_dipole(ms.chi, fns, em, gauge_label, cutoffs,
                                            quad_nodes=nodes)
-    if sc.truncation() == "naive":
-        if g.theta not in (0.0, 1.0):
-            raise ConfigError(f"'truncation' naive is defined at 'gauge_theta' 0 and 1 only, "
-                              f"got {g.theta:g}")
-        return ms, em, build_naive(ms, em, g, cutoffs, order=sc.naive_order())
-    return ms, em, build_dipole(ms, em, g, cutoffs, longitudinal=sc.longitudinal())
+    if naive:
+        return ms, em, build_naive(ms, em, g, cutoffs, order=sc.naive_order(), family=family)
+    return ms, em, build_dipole(ms, em, g, cutoffs, longitudinal=lc, family=family)
+
+
+def command_bytes(command: str, dim: int, sectored: bool) -> float:
+    """Peak bytes of the Hamiltonians of `spectrum` or `detect` at Hilbert dimension dim:
+    COMMAND_MATRICES complex D x D matrices, of a `sectored` family or of a Fock-basis build."""
+    return COMMAND_MATRICES[command][0 if sectored else 1] * 16 * dim * dim
+
+
+def _refuse_oversized(what: str, cutoffs, dim: int, need: float):
+    """`ConfigError` when `need` bytes exceed half of physical memory, before anything of
+    that size is allocated, naming the cutoffs, D and the estimate."""
+    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2
+    if need > budget:
+        raise ConfigError(f"{what} at fock_cutoffs {list(cutoffs)} (D = {dim}) needs about "
+                          f"{need / 1e9:.1f} GB, more than half of physical memory "
+                          f"({budget / 1e9:.1f} GB)")
 
 
 def _beyond_dipole_profiles(section, n_modes):
@@ -200,13 +231,8 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
                           f"fock_cutoffs {list(cutoffs)}")
     # the scan's route as well: scaling the couplings keeps a family sectored or not
     family = QuadratureFamily.of(ms, em, cutoffs)
-    sectored = family is not None and family.sectored
-    need = pair_bytes(dim, sectored)
-    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2
-    if need > budget:
-        raise ConfigError(f"the verify pair at fock_cutoffs {list(cutoffs)} (D = {dim}) needs "
-                          f"about {need / 1e9:.1f} GB, more than half of physical memory "
-                          f"({budget / 1e9:.1f} GB)")
+    sectored = getattr(family, "sectored", False)
+    _refuse_oversized("the verify pair", cutoffs, dim, pair_bytes(dim, sectored))
     eta_grid = section.get("eta_grid")
     if eta_grid is not None:
         eta_grid = number_list(eta_grid, "gauge_check.eta_grid")
@@ -216,8 +242,8 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
               ("eta", "naive_gap", "correct_gap", "cutoff", "converged"),
               [(r.eta, r.naive_gap, r.correct_gap, r.cutoff, r.converged) for r in rows])
 
-    h_a, h_b = build_gauge_pair(ms, em, cutoffs,
-                                order if sc.truncation() == "naive" else None)
+    h_a, h_b = build_gauge_pair(ms, em, cutoffs, order if sc.truncation() == "naive" else None,
+                                family=family)
     rep = verify_spectral_equivalence(h_a, h_b, k=k, tol=spectral_tol,
                                       cs=couplings(ms, em))
     worst_correct = max(r.correct_gap for r in rows)
@@ -273,7 +299,10 @@ def cmd_detect(cfg: RunConfig) -> int:
     count = number(section.get("count", 3), "detector.count", int)
     if count < 0:
         raise ConfigError(f"'detector.count' must be >= 0, got {count}")
-    bundle_c, bundle_mp = build_gauge_pair(ms, em, cutoffs)
+    dim, family = standard_space(cutoffs, em.n_levels).dim, QuadratureFamily.of(ms, em, cutoffs)
+    _refuse_oversized("the detect pair", cutoffs, dim,
+                      command_bytes("detect", dim, getattr(family, "sectored", False)))
+    bundle_c, bundle_mp = build_gauge_pair(ms, em, cutoffs, family=family)
     if transitions is None:
         transitions = significant_transitions(bundle_c, ms, det, count, em=em)
     rows = rate_table(bundle_c, bundle_mp, ms, em, det, transitions)

@@ -37,13 +37,14 @@ from .hilbert import HilbertSpec, max_abs
 
 DEFAULT_SPECTRAL_TOL = 1e-6
 DEFAULT_LOW_FRACTION = 0.5
-STACK_BYTES = 8_000_000  # bytes of blocks held at once by one stacked ladder solve
-# real n x n blocks a member holds at once, by time reversal: its complex A_0 and A_1 (4),
-# then one sector and the Cholesky factor of the other, real under time reversal (2), else
-# complex (4), plus one for its vectors (b, phases, the B series: about 130 n bytes, under
-# 8 n^2 at every stacked size, n >= 21).  The real count leaves the vectors out: it sets
-# the chunks of the single-mode scan, measured at 6.2-6.8 blocks for n = 81-21.
-MEMBER_BLOCKS = {True: 6, False: 9}
+STACK_BYTES = 8_000_000  # bytes held at once by one stacked ladder solve
+# real n x n blocks a member holds at once, by time reversal: its complex A_0 (2), then
+# one sector and the Cholesky factor of the other, real under time reversal (2), else
+# complex (4); A_1 is formed from K in chunks.  Its O(n) vectors (b, the phases, the real
+# form of B J, a sector's saved diagonals) measured 80 n bytes (72 n complex) for
+# n = 21-161; counting 96 n leaves room for the chunk's fixed temporaries, about 11 KB.
+MEMBER_BLOCKS = {True: 4, False: 6}
+MEMBER_VECTOR_BYTES = 96
 MIN_DIM = 42  # member dimension of the scan's first rung: N = 20 for one mode, two levels
 MAX_DIM = 1282  # largest member dimension of a rung: N = 640 for one mode, two levels
 
@@ -121,8 +122,10 @@ def verify_spectral_equivalence(h_a, h_b, k: int = 5,
 
 def stack_chunk(n: int, time_reversal: bool) -> int:
     """Members of one stacked ladder solve at sector size n: the MEMBER_BLOCKS real n x n
-    blocks each member holds at once take at most STACK_BYTES, and at least one."""
-    return max(1, STACK_BYTES // (MEMBER_BLOCKS[time_reversal] * 8 * n * n))
+    blocks and MEMBER_VECTOR_BYTES n bytes each member holds at once take at most
+    STACK_BYTES, and at least one."""
+    member = MEMBER_BLOCKS[time_reversal] * 8 * n * n + MEMBER_VECTOR_BYTES * n
+    return max(1, STACK_BYTES // member)
 
 
 def scan_cutoffs(n_modes: int, levels: int) -> list[int]:
@@ -185,27 +188,30 @@ def ambiguity_scan(ms, em, eta_grid: Optional[Sequence[float]] = None, tol: floa
     |E0(theta=0) - E0(theta=1)| (expected to vanish) and naive_gap = |E0(naive Coulomb,
     given order) - E0(multipolar)|.  The three ladders climb the rungs of `scan_cutoffs`
     until each ground energy is stable to `tol`: as stacks over the family of the couplings
-    at strength 1 when it is `sectored`, else member by member (`_family_bundle`).  A row is
-    converged when its naive ladder is; `ConvergenceError` when a correct ladder is not.
+    at strength 1 when it is `sectored`, else member by member (`_family_bundle`), from
+    that family at scale eta when the couplings factor, so that K is formed once per
+    cutoff.  A row is converged when its naive ladder is; `ConvergenceError` when a correct
+    ladder is not.
     """
     cs = couplings(ms, em)
     strength = max_abs(cs.eta_matrices)
     etas = np.array([strength] if eta_grid is None else [float(eta) for eta in eta_grid])
     if strength == 0.0 and np.any(etas):
         raise ConfigError("the couplings are all zero: no strength but 0 scales them")
-    unit, rungs = cs.eta_matrices / (strength or 1.0), scan_cutoffs(cs.n_modes, cs.matter_dim)
+    unit = CouplingSet(cs.eta_matrices / (strength or 1.0), cs.chi)
+    rungs = scan_cutoffs(cs.n_modes, cs.matter_dim)
     if not rungs:
         raise ConfigError(f"no cutoff ladder: every member dimension exceeds {MAX_DIM}")
-    family = cache(lambda n: QuadratureFamily.of_couplings(
-        CouplingSet(unit, cs.chi), em.h0, em.parity_signs, (n,) * cs.n_modes))
+    family = cache(lambda n: QuadratureFamily.of_couplings(unit, em.h0, em.parity_signs,
+                                                           (n,) * cs.n_modes))
 
     def ladder(theta, naive_order=None):
         def solve(n, idx):
             f = family(n)
             if not getattr(f, "sectored", False):  # None: the couplings do not factor
                 return np.array([_family_bundle(
-                    CouplingSet(eta * unit, cs.chi), em.h0, em.parity_signs, (n,) * cs.n_modes,
-                    GaugeParam(theta), {}, naive_order).eigenvalues(1)[0] for eta in etas[idx]])
+                    unit, em.h0, em.parity_signs, (n,) * cs.n_modes, GaugeParam(theta), {},
+                    naive_order, family=f, scale=eta).eigenvalues(1)[0] for eta in etas[idx]])
             size = stack_chunk(len(f.x), f.time_reversal)
             chunks = [etas[idx[i:i + size]] for i in range(0, idx.size, size)]
             return np.concatenate([f.ground_energies(*f.blocks(theta, c, naive_order))

@@ -99,19 +99,23 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConvergenceError, InvariantViolation
-from .hilbert import (HERMITIAN_TOL, Eigenbasis, HermitianGenerator, HilbertSpec, PAULI_X,
-                      PAULI_Z, _kron_apply, fock_quadrature, hermitian_part, kron,
-                      ladder_matrix, matter_levels, max_abs, max_abs_diff, member_max_abs,
-                      mode_phase, parity_labels, photon, verify_members)
+from .hilbert import (HERMITIAN_CHUNK, HERMITIAN_TOL, Eigenbasis, HermitianGenerator,
+                      HilbertSpec, PAULI_X, PAULI_Z, _dagger, _kron_apply, _left_multiply,
+                      fock_quadrature, hermitian_part, kron, ladder_matrix, matter_levels,
+                      max_abs, member_max_abs, mode_phase, parity_labels, photon,
+                      verify_members)
 from .matter import EmitterSpec, TimeProfile
 from .modes import ModeSet, NormalModeSet1D
 
 TD_EXTRA_TERM_SIGN = +1.0
 FACTOR_TOL = 1e-12
 TLS_PARITY_SIGNS = (1, -1)  # sigma_z in the |e>, |g> order: S sigma_x S = -sigma_x
-# `QuadratureFamily.measure` reads a block of more entries than this in row chunks: past
-# about 320 x 320 complex a block leaves the cache, and reading it transposed is 2-3x slower
-CHUNKED_BLOCK_ENTRIES = 100_000
+# entries of a `_row_chunks` chunk of rows: `QuadratureFamily.measure` holds about four
+# temporaries of a chunk's size at once, so together they stay near HERMITIAN_CHUNK
+CHUNK_ENTRIES = HERMITIAN_CHUNK // 4
+# blocks of up to this many entries (n <= 256, 1 MB complex) are read whole, several
+# members at a time: row chunks of them cost more in calls than they save in memory
+WHOLE_BLOCK_ENTRIES = 1 << 16
 
 
 class FockCutoffWarning(UserWarning):
@@ -244,14 +248,16 @@ def couplings(ms: ModeSet, em: EmitterSpec) -> CouplingSet:
 class HamiltonianBundle:
     """A built Hamiltonian with its space, gauge and builder metadata.
 
-    Built from a matrix, `H` is the assembled D x D ndarray of `space` (any
-    other shape is a `ValueError`), checked once with `hilbert.hermitian_part`
-    and kept as its Hermitian part, an ndarray.  The members of a `sectored`
-    `QuadratureFamily` (a two-level emitter with a parity) come from the
-    family instead (`in_quadrature_basis`): the bundle keeps the member's raw
-    blocks, which the family measures when the bundle is made and solves per
-    parity sector, and `H` is formed in the Fock basis only when it is read.
-    `basis` says which ("fock" or "quadrature").
+    What a bundle holds depends on its `basis`.  Built from a matrix ("fock"),
+    `H` is the assembled D x D ndarray of `space` (any other shape is a
+    `ValueError`), checked once with `hilbert.hermitian_part` and kept as its
+    Hermitian part, an ndarray.  A member of a `sectored` `QuadratureFamily` (a
+    two-level emitter with a parity) comes from the family instead
+    (`in_quadrature_basis`, "quadrature"): the bundle holds the family, whose K
+    is the only (D/2) x (D/2) block, and the member's `MemberRecipe`, O(D) numbers.
+    The family measures the member's raw blocks when the bundle is made, then
+    lets them go; each parity sector is formed from K when it is solved, `apply`
+    works from K, and `H` is formed in the Fock basis only when it is read.
 
     A builder may declare a parity: a label +1 or -1 per basis state, the
     diagonal of an operator Pi that commutes with H.  The declaration is
@@ -284,7 +290,7 @@ class HamiltonianBundle:
         self.space, self.gauge = space, gauge
         self.metadata = {} if metadata is None else metadata
         self.parity, self.time_reversal = parity, time_reversal
-        self.family = self.blocks = self._solution = self._vecs = None
+        self.family = self.recipe = self._solution = self._vecs = None
         m = self._H = hermitian_part(H, f"{self.metadata.get('builder', 'bundle')} Hamiltonian")
         n = m.shape[-1]
         tol = HERMITIAN_TOL * max(1.0, max_abs(m))
@@ -315,19 +321,19 @@ class HamiltonianBundle:
             self._phases = np.where(odd_photons, 1j, 1.0)
 
     @classmethod
-    def in_quadrature_basis(cls, family: QuadratureFamily, gauge: GaugeParam, blocks: tuple,
-                            metadata: dict) -> HamiltonianBundle:
-        """The member of `family` whose raw blocks (A_0, A_1, b) are stacks of one, after
-        the family has measured them (`QuadratureFamily.measure`); it keeps (A_0, b), since
-        the verified parity makes A_1 = J A_0 J."""
-        off, imag = family.measure(*blocks)
+    def in_quadrature_basis(cls, family: QuadratureFamily, gauge: GaugeParam,
+                            recipe: MemberRecipe, metadata: dict) -> HamiltonianBundle:
+        """The member of `family` of a recipe of one (`QuadratureFamily.recipe`), after the
+        family has measured it (`QuadratureFamily.measure`, on an A_0 formed for it and then
+        let go); the bundle keeps the recipe."""
+        off, imag = family.measure(family.diagonal(recipe), recipe)
         bundle = cls.__new__(cls)
         bundle.space, bundle.gauge, bundle.metadata = family.space, gauge, metadata
         bundle.parity = parity_labels(family.space, family.parity_signs)
         bundle.time_reversal = family.time_reversal
-        bundle.family, bundle.blocks = family, (blocks[0], blocks[2])
+        bundle.family, bundle.recipe = family, recipe
         bundle._H = bundle._solution = bundle._vecs = None
-        bundle.diagnostics = {"sector_sizes": [len(blocks[2][0])] * 2,
+        bundle.diagnostics = {"sector_sizes": [recipe.b.shape[-1]] * 2,
                               "parity_off_block": float(off[0])}
         if imag is not None:
             bundle.diagnostics["time_reversal_imag"] = float(imag[0])
@@ -342,21 +348,21 @@ class HamiltonianBundle:
     def H(self) -> np.ndarray:
         """H in the Fock basis, formed on first read for a quadrature-basis bundle."""
         if self._H is None:
-            self._H = hermitian_part(self.family.member_matrix(self.blocks),
+            self._H = hermitian_part(self.family.member_matrix(self.recipe),
                                      "quadrature-basis H in the Fock basis")
         return self._H
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """H x in the Fock basis for a vector (D,) or a block (D, k); a quadrature-basis
-        bundle applies its member unformed (`QuadratureFamily.apply_member`)."""
-        return self.H @ x if self.family is None else self.family.apply_member(self.blocks, x)
+        bundle applies its member from K (`QuadratureFamily.apply_member`)."""
+        return self.H @ x if self.family is None else self.family.apply_member(self.recipe, x)
 
     def _sector_blocks(self):
         """(block, place) per sector, even sector first: place(vecs, columns, v) writes
         eigenvectors v of the block into those columns of the Fock-basis vecs.  The
         blocks are the real symmetric p^dag H p under declared time reversal."""
         if self.family is not None:
-            yield from self.family.sector_blocks(self.blocks)
+            yield from self.family.sector_blocks(self.recipe)
             return
         m = self._H
         for s in self._sectors:
@@ -369,18 +375,21 @@ class HamiltonianBundle:
             block *= p
             yield block.real, partial(_scatter, s, p)
 
-    def _solve(self):
-        """(vals, parts, order), computed once and kept: the ascending eigenvalues,
-        read-only; (place, eigenvalues, eigenvectors) per sector from one eigh, even sector
-        first; and the stable argsort of the sectors' concatenated eigenvalues, so that a
-        tie between sectors keeps the even sector first."""
-        if self._solution is None:
-            parts = [(place, *np.linalg.eigh(block)) for block, place in self._sector_blocks()]
+    def _solve(self, keep: Optional[int] = None):
+        """(vals, parts, order, kept), from one eigh per sector, kept until a call needs
+        eigenvectors that were not kept: the ascending eigenvalues, read-only;
+        (place, eigenvalues, eigenvectors) per sector, even sector first, with the lowest
+        `keep` eigenvectors of each kept (every one without keep, kept = None); and the
+        stable argsort of the sectors' concatenated eigenvalues, so that a tie between
+        sectors keeps the even sector first."""
+        kept = None if self._solution is None else self._solution[3]
+        if self._solution is None or (kept is not None and (keep is None or keep > kept)):
+            parts = [(place, *_lowest_eigh(block, keep)) for block, place in self._sector_blocks()]
             vals = np.concatenate([v for _, v, _ in parts])
             order = np.argsort(vals, kind="stable")
             vals = vals[order]
             vals.flags.writeable = False
-            self._solution = vals, parts, order
+            self._solution = vals, parts, order, keep
         return self._solution
 
     def eigenvalues(self, k: Optional[int] = None) -> np.ndarray:
@@ -397,17 +406,21 @@ class HamiltonianBundle:
         """(eigenvalues, eigenvectors) of H: every eigenvalue, ascending, and the
         eigenvectors of those columns of the ascending order, in the Fock basis.
 
-        Each sector is solved once by eigh (`_solve`); its eigenvectors are kept in
-        the sector's basis, and only the columns asked for are placed into the Fock
-        basis, as a new (D, len(columns)) array.  Without columns every column is
-        placed once, and that D x D matrix is kept read-only.  A tie between sectors
-        keeps the even sector first.
+        Each sector is solved by eigh (`_solve`).  The j-th level of a sector has a
+        global index of at least j, so with columns only the lowest max(columns) + 1
+        eigenvectors of each sector are kept, in the sector's basis; a later call that
+        asks for a higher column solves again.  Only the columns asked for are placed
+        into the Fock basis, as a new (D, len(columns)) array.  Without columns every
+        eigenvector is kept and every column placed once, and that D x D matrix is kept
+        read-only.  A tie between sectors keeps the even sector first.
         """
-        vals, parts, order = self._solve()
-        if columns is None and self._vecs is not None:
+        wanted = None if columns is None else np.asarray(columns, dtype=int)
+        vals, parts, order, _ = self._solve(
+            None if wanted is None else int(np.max(wanted % self.space.dim, initial=-1)) + 1)
+        if wanted is None and self._vecs is not None:
             return vals, self._vecs
         # the position of each column asked for among the sectors' concatenated solutions
-        wanted = order if columns is None else order[np.asarray(columns, dtype=int)]
+        wanted = order if wanted is None else order[wanted]
         vecs = np.zeros((self.space.dim, len(wanted)), dtype=complex, order="F")
         start = 0
         for place, v, sector_vecs in parts:
@@ -419,6 +432,13 @@ class HamiltonianBundle:
             vecs.flags.writeable = False
             self._vecs = vecs
         return vals, vecs
+
+
+def _lowest_eigh(block: np.ndarray, keep: Optional[int]):
+    """np.linalg.eigh of a block, with only its lowest `keep` eigenvectors (all without
+    keep) copied out, so that the others are freed at once."""
+    vals, vecs = np.linalg.eigh(block)
+    return vals, vecs if keep is None else vecs[:, :keep].copy()
 
 
 def _scatter(rows: np.ndarray, phases: Optional[np.ndarray], vecs: np.ndarray,
@@ -494,37 +514,68 @@ def _check_cutoff_headroom(cutoffs, theta: float, cs: CouplingSet):
             FockCutoffWarning, stacklevel=3)
 
 
-def _reflected_form(p: np.ndarray, q: np.ndarray, sign: int) -> np.ndarray:
-    """(p + J p J + sign (q J - J q)) / 2 for a stack, J the reversal: with (p, q, sign) =
-    (Re C, Im C, -1) the real part of (C + JCJ + i(CJ - JC)) / 2, with (Im C, Re C, +1)
-    its imaginary part."""
-    out = p + p[:, ::-1, ::-1]
-    add, subtract = (np.add, np.subtract) if sign > 0 else (np.subtract, np.add)
-    add(out, q[:, :, ::-1], out=out)
-    subtract(out, q[:, ::-1, :], out=out)
+def _reflected_form(rows: np.ndarray, mirror: np.ndarray, imag: bool = False,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rows of the real part, or with `imag` the imaginary part, of (C + JCJ + i(CJ - JC)) / 2
+    for a stack, J the reversal, from those rows of C and the same rows of JC (the mirrored
+    rows of C): (p + J p J + sign (q J - J q)) / 2 with (p, q, sign) = (Re C, Im C, -1), or
+    (Im C, Re C, +1) with `imag`."""
+    p, pm, q, qm = ((rows.imag, mirror.imag, rows.real, mirror.real) if imag
+                    else (rows.real, mirror.real, rows.imag, mirror.imag))
+    out = np.add(p, pm[..., ::-1], out=out)
+    add, subtract = (np.add, np.subtract) if imag else (np.subtract, np.add)
+    add(out, q[..., ::-1], out=out)
+    subtract(out, qm, out=out)
     out *= 0.5
     return out
 
 
-def _sectors(part: np.ndarray, anti: np.ndarray, diag: Optional[np.ndarray] = None, first=1):
-    """`part` turned in place into each parity sector in turn, epsilon = first then -first:
-    epsilon anti added on the antidiagonal and epsilon diag on the diagonal of every member,
-    from the entries `part` had."""
-    n = part.shape[-1]
-    i, j = np.arange(n), np.arange(n)[::-1]
-    base_diag, base_anti = part[:, i, i], part[:, i, j]
+def _sectors(part: np.ndarray, anti: np.ndarray, diag: Optional[np.ndarray] = None, first=1,
+             start: int = 0):
+    """`part`, rows start.. of a stack, turned in place into each parity sector in turn,
+    epsilon = first then -first: epsilon anti added on the antidiagonal and epsilon diag on
+    the diagonal of every member, from the entries `part` had."""
+    rows = np.arange(part.shape[-2])
+    i = start + rows
+    j = part.shape[-1] - 1 - i
+    base_diag, base_anti = part[..., rows, i], part[..., rows, j]
     for eps in (first, -first):
-        part[:, i, i] = base_diag
-        part[:, i, j] = base_anti + eps * anti
+        part[..., rows, i] = base_diag
+        part[..., rows, j] = base_anti + eps * anti[..., i]
         if diag is not None:
-            part[:, i, i] += eps * diag
+            part[..., rows, i] += eps * diag[..., i]
         yield part
+
+
+def _row_chunks(n: int, members: int = 1):
+    """(members, rows) slices that cover a stack of n x n blocks: whole blocks, as many
+    members as fit in WHOLE_BLOCK_ENTRIES, when one does, else CHUNK_ENTRIES entries of one
+    member's rows at a time."""
+    if n * n <= WHOLE_BLOCK_ENTRIES:
+        per = WHOLE_BLOCK_ENTRIES // (n * n)
+        return [(slice(s, s + per), slice(0, n)) for s in range(0, members, per)]
+    rows = max(1, CHUNK_ENTRIES // n)
+    return [(slice(s, s + 1), slice(r, min(n, r + rows)))
+            for s in range(members) for r in range(0, n, rows)]
 
 
 def _half_sum_and_diff(b: np.ndarray):
     """The real form of B J, B = diag(b): (b + Jb) / 2 on the antidiagonal and
     i (b - Jb) / 2 on the diagonal."""
     return (b + b[:, ::-1]) / 2, 0.5j * (b - b[:, ::-1])
+
+
+@dataclass(frozen=True, eq=False)
+class MemberRecipe:
+    """Members of a `sectored` `QuadratureFamily`, kept without their blocks: H(theta), or
+    with `order` the naive theta = 0 series of that order, at each coupling scale (S,),
+    and b (S, n), the diagonal of B_01 of each.  The family forms A_0 and A_1 from its K
+    and the phases of theta and the scale wherever they are read."""
+
+    theta: float
+    scales: np.ndarray
+    order: Optional[int]
+    b: np.ndarray
 
 
 class QuadratureFamily:
@@ -556,6 +607,13 @@ class QuadratureFamily:
     Q = (1 + iJ) / sqrt(2) is real symmetric with C's spectrum.  Any other emitter's member
     is formed in the Fock basis once (`fock_matrix`), where `HamiltonianBundle` verifies
     its declared symmetries and solves its sectors.
+
+    What a `sectored` family holds: K, its only n x n block (n = D/2), formed on first use,
+    and the O(n) vectors of its basis.  Its members are `MemberRecipe`s; `measure`,
+    `sector_blocks`, `apply_member`, `member_matrix` and `residual` form the blocks they
+    read from K and the phases, entry by entry as `_block` does, so that a sector handed
+    to LAPACK is the one n x n block a solve adds.  Stacked ladders (`blocks`,
+    `ground_energies`) hold A_0 per member and form A_1 from K in chunks.
     """
 
     @classmethod
@@ -626,89 +684,147 @@ class QuadratureFamily:
             else:
                 local = {m: chi[m, n] * lowered(m).conj().T, n: lowered(n)}
             term = self.photons.kron(local)
-            # summed as formed, in place unless a complex term follows a real sum: a list of
-            # every term held M^2 matrices of K's size at once
-            k = term if k is None else np.add(
-                k, term, out=k if np.can_cast(term.dtype, k.dtype) else None)
+            # summed in place as formed, a complex term after a real sum taking the sum
+            # (a + b = b + a exactly), and let go before the next is formed: a list of every
+            # term held M^2 matrices of K's size at once
+            if k is None or not np.can_cast(term.dtype, k.dtype):
+                k = term if k is None else np.add(term, k, out=term)
+            else:
+                np.add(k, term, out=k)
+            del term
         return k
 
-    def members(self, theta: float, scales, order: Optional[int] = None):
-        """([A_k], B) of H(theta) at each coupling scale: the diagonal blocks, stacks
-        (S, n, n), and B (L, L, S, n), whose (k, l) entry is the diagonal of B_kl (its
-        k = l entries are unused).  With `order`, the naive theta = 0 series of that order."""
+    def _phases(self, theta: float, scales, k: int) -> np.ndarray:
+        """e^(-i theta lam_k c nu) of every member at its coupling scale c, (S, n)."""
+        t = np.multiply.outer(np.asarray(scales, dtype=float), self.x)
+        return np.exp(-1j * theta * self.lam[k] * t)
+
+    def _block(self, p: np.ndarray, k: int, rows: slice = slice(None),
+               cols: slice = slice(None)) -> np.ndarray:
+        """Those rows and columns of A_k = diag(p) K diag(p)^* + h0'_kk of every member,
+        (S, r, c), with p (S, n) the phases of block k: formed from K entry by entry, so a
+        chunk has the bits of the whole block."""
+        block = p[:, rows, None] * self.k[rows, cols]
+        block *= p.conj()[:, None, cols]
+        r, c = range(len(self.x))[rows], range(len(self.x))[cols]
+        on = np.arange(max(r.start, c.start), min(r.stop, c.stop))
+        block[:, on - r.start, on - c.start] += self.h0[k, k]
+        return block
+
+    def _off_diagonal(self, theta: float, scales, order: Optional[int]) -> np.ndarray:
+        """B (L, L, S, n), whose (k, l) entry is the diagonal of B_kl at each coupling scale
+        (its k = l entries are unused).  With `order`, the naive theta = 0 series of that
+        order."""
         if order is not None and theta != 0.0:
             raise ValueError("the naive series is built at theta = 0 only")
         t = np.multiply.outer(np.asarray(scales, dtype=float), self.x)
-        diag = np.arange(len(self.x))
-        a = []
-        for lam, h in zip(self.lam, self.h0.diagonal()):
-            p = np.exp(-1j * theta * lam * t)
-            block = p[:, :, None] * self.k
-            block *= p.conj()[:, None, :]
-            block[:, diag, diag] += h
-            a.append(block)
         z = 1j * np.subtract.outer(self.lam, self.lam)[:, :, None, None] * t
         series = (np.exp((1.0 - theta) * z) if order is None
                   else sum(z**j / math.factorial(j) for j in range(order + 1)))
-        return a, self.h0[:, :, None, None] * series
+        return self.h0[:, :, None, None] * series
+
+    def members(self, theta: float, scales, order: Optional[int] = None):
+        """([A_k], B) of H(theta) at each coupling scale: the diagonal blocks, stacks
+        (S, n, n), and B (`_off_diagonal`).  With `order`, the naive theta = 0 series of that
+        order."""
+        b = self._off_diagonal(theta, scales, order)
+        return [self._block(self._phases(theta, scales, k), k) for k in range(len(self.lam))], b
+
+    def recipe(self, theta: float, scales, order: Optional[int] = None) -> MemberRecipe:
+        """The recipe of a two-level H(theta) at each coupling scale, or with `order` of the
+        naive theta = 0 series of that order: b holds no n x n block."""
+        scales = np.asarray(scales, dtype=float)
+        return MemberRecipe(theta, scales, order,
+                            self._off_diagonal(theta, scales, order)[0, 1].copy())
+
+    def diagonal(self, recipe: MemberRecipe) -> np.ndarray:
+        """A_0 of every member of a recipe, a stack (S, n, n) formed from K."""
+        return self._block(self._phases(recipe.theta, recipe.scales, 0), 0)
 
     def blocks(self, theta: float, scales, order: Optional[int] = None):
-        """(A_0, A_1, b) of a two-level H(theta) at each coupling scale: stacks (S, n, n) and
-        (S, n), b the diagonal of B_01.  With `order`, the naive theta = 0 series of that
-        order."""
-        a, b = self.members(theta, scales, order)
-        return a[0], a[1], b[0, 1]
+        """(A_0, recipe) of a two-level H(theta) at each coupling scale: the stack (S, n, n)
+        of A_0 and the `recipe`, from which `measure` forms A_1.  With `order`, the naive
+        theta = 0 series of that order."""
+        recipe = self.recipe(theta, scales, order)
+        return self.diagonal(recipe), recipe
 
-    def measure(self, a0: np.ndarray, a1: np.ndarray, b: np.ndarray):
-        """(parity off-block, max|Im| of the real forms or None) of every member of a stack
-        (A_0, A_1, b), measured on the raw blocks, each member against HERMITIAN_TOL *
-        max(1, its largest entry): Hermiticity, the parity, and under time reversal the
-        imaginary part of both sectors' real forms.  `InvariantViolation` names the first
-        member that fails.  Blocks of more than CHUNKED_BLOCK_ENTRIES entries are compared
-        by `max_abs_diff`, A_k against a C-ordered copy of A_k^dag, so that no difference
-        of a block's size is formed."""
+    def measure(self, a0: np.ndarray, recipe: MemberRecipe):
+        """(parity off-block, max|Im| of the real forms or None) of every member of a stack,
+        its A_0 (S, n, n) and its recipe, measured on the raw blocks, each member against
+        HERMITIAN_TOL * max(1, its largest entry): the Hermiticity of A_0 and A_1, the parity
+        (A_1 = J A_0 J and b = J b^*), and under time reversal the imaginary part of both
+        sectors' real forms.  `InvariantViolation` names the first member that fails.
+
+        The stack is read in `_row_chunks`: A_1 is formed from K a chunk of rows and the
+        same columns at a time, A_0 is compared with A_0^dag read transposed, and the real
+        forms are taken from those rows and their mirrors, so no temporary of a block's size
+        is made past WHOLE_BLOCK_ENTRIES."""
+        members, n = a0.shape[:2]
+        b = recipe.b
+        p1 = self._phases(recipe.theta, recipe.scales, 1)
+        herm, largest, off, imag = (np.zeros(members), np.zeros((2, members)), np.zeros(members),
+                                    np.zeros((2, members)))
+        half_sum, half_diff = _half_sum_and_diff(b)
+        for m, r in _row_chunks(n, members):
+            a1 = self._block(p1[m], 1, r)
+            # the same columns of A_1: the chunk itself when it holds whole blocks
+            a1_cols = a1 if r.stop - r.start == n else self._block(p1[m], 1, slice(None), r)
+            mirror = a0[m, ::-1][:, r]  # those rows of J A_0
+            found = [member_max_abs(a0[m, r] - _dagger(a0[m, :, r])),
+                     member_max_abs(a1 - _dagger(a1_cols))]
+            herm[m] = np.maximum.reduce([herm[m]] + found)
+            largest[:, m] = np.maximum(largest[:, m], [member_max_abs(a0[m, r]),
+                                                       member_max_abs(a1)])
+            off[m] = np.maximum(off[m], member_max_abs(mirror[..., ::-1] - a1))
+            if self.time_reversal:
+                part = _reflected_form(a0[m, r], mirror, imag=True)
+                for k, sector in enumerate(_sectors(part, half_sum.imag[m], half_diff.imag[m],
+                                                    start=r.start)):
+                    imag[k, m] = np.maximum(imag[k, m], member_max_abs(sector))
         tol = HERMITIAN_TOL * np.maximum.reduce(
-            [np.ones(len(b)), member_max_abs(a0), member_max_abs(a1), np.abs(b).max(axis=-1)])
-        if a0.shape[-1] ** 2 > CHUNKED_BLOCK_ENTRIES:  # row chunks against a C-ordered A^dag
-            diff, dagger = max_abs_diff, lambda p: np.conjugate(p.T, order="C")
-        else:  # a small member is read whole, transposed in place
-            diff, dagger = (lambda p, q: max_abs(p - q)), lambda p: p.conj().T
-        herm = [max(diff(p, dagger(p)), diff(q, dagger(q))) for p, q in zip(a0, a1)]
-        verify_members(np.array(herm), tol,
-                       "quadrature-basis H is not Hermitian before symmetrization",
+            [np.ones(members), *largest, np.abs(b).max(axis=-1)])
+        verify_members(herm, tol, "quadrature-basis H is not Hermitian before symmetrization",
                        "max|A_k - A_k^dag|")
-        off = np.array([max(diff(p, q[::-1, ::-1]), max_abs(c - c[::-1].conj()))
-                        for p, q, c in zip(a0, a1, b)])
+        off = np.maximum(off, np.abs(b - b[:, ::-1].conj()).max(axis=-1))
         verify_members(off, tol, "declared parity does not commute with H",
                        "max|A_0 - J A_1 J|, max|b - J b^*|")
         if not self.time_reversal:
             return off, None
-        half_sum, half_diff = _half_sum_and_diff(b)
-        imag = np.zeros(len(b))
-        for sector in _sectors(_reflected_form(a0.imag, a0.real, +1), half_sum.imag,
-                               half_diff.imag):
-            measured = member_max_abs(sector)
+        for measured in imag:
             verify_members(measured, tol, "declared time reversal does not hold",
                            "max|Im| of a sector's real form")
-            imag = np.maximum(imag, measured)
-        return off, imag
+        return off, imag.max(axis=0)
 
-    def _sector_stack(self, a0: np.ndarray, b: np.ndarray, first: int = 1):
+    def _sector_stack(self, recipe: MemberRecipe, a0: Optional[np.ndarray] = None,
+                      first: int = 1):
         """Each parity sector of every member, epsilon = first then -first, as one stack
-        turned in place: A_0 + epsilon B J, or its real form under time reversal."""
+        turned in place: A_0 + epsilon B J, or its real form under time reversal.  A stack
+        A_0 that is given is read, not changed; without one, A_0 is formed from K into the
+        stack itself, or under time reversal into the real form a chunk of rows at a time."""
+        b, n = recipe.b, recipe.b.shape[-1]
+        if a0 is None:
+            rows = partial(self._block, self._phases(recipe.theta, recipe.scales, 0), 0)
+            chunks = [r for _, r in _row_chunks(n)]
+        else:
+            rows, chunks = (lambda r: a0[:, r]), [slice(0, n)]
         if not self.time_reversal:
-            return _sectors(a0.copy(), b, first=first)
+            return _sectors(rows(slice(None)) if a0 is None else a0.copy(), b, first=first)
+        part = np.empty(b.shape + (n,))
+        for r in chunks:
+            c = rows(r)  # the mirrored rows are those of c when c holds whole blocks
+            mirror = c if r.stop - r.start == n else rows(slice(n - r.stop, n - r.start))
+            _reflected_form(c, mirror[:, ::-1], out=part[:, r])
         half_sum, half_diff = _half_sum_and_diff(b)
-        return _sectors(_reflected_form(a0.real, a0.imag, -1), half_sum.real, half_diff.real, first)
+        return _sectors(part, half_sum.real, half_diff.real, first)
 
-    def ground_energies(self, a0: np.ndarray, a1: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Ground energies (S,) of a stack (A_0, A_1, b), after `measure`: E0 of the sector
-        `ground_parity` once a Cholesky factorization of the other sector minus E0 proves
-        that sector's levels lie above it, else the lower ground level of the two."""
-        self.measure(a0, a1, b)
-        sectors = self._sector_stack(a0, b, self.ground_parity)
+    def ground_energies(self, a0: np.ndarray, recipe: MemberRecipe) -> np.ndarray:
+        """Ground energies (S,) of a stack, its A_0 and its recipe, after `measure`: E0 of the
+        sector `ground_parity` once a Cholesky factorization of the other sector minus E0
+        proves that sector's levels lie above it, else the lower ground level of the two."""
+        self.measure(a0, recipe)
+        sectors = self._sector_stack(recipe, a0, self.ground_parity)
         e0 = np.linalg.eigvalsh(next(sectors))[:, 0]
-        other, i = next(sectors), np.arange(b.shape[-1])
+        other, i = next(sectors), np.arange(a0.shape[-1])
         diag = other[:, i, i]
         other[:, i, i] -= e0[:, None]
         try:
@@ -718,11 +834,11 @@ class QuadratureFamily:
             e0 = np.minimum(e0, np.linalg.eigvalsh(other)[:, 0])
         return e0
 
-    def sector_blocks(self, blocks: tuple):
-        """(block, place) per parity sector of one member, blocks (A_0, b) stacks of one, the
-        even sector first, as `HamiltonianBundle` solves them; each block is turned in place
-        into the next, so solve it before asking for the next one."""
-        for eps, sector in zip((1, -1), self._sector_stack(*blocks)):
+    def sector_blocks(self, recipe: MemberRecipe):
+        """(block, place) per parity sector of the member of a recipe of one, the even sector
+        first, as `HamiltonianBundle` solves them: one block formed from K and turned in
+        place into the next, so solve it before asking for the next one."""
+        for eps, sector in zip((1, -1), self._sector_stack(recipe)):
             yield sector[0], partial(self._place, eps)
 
     def _place(self, eps: int, vecs: np.ndarray, columns: np.ndarray, y: np.ndarray):
@@ -745,20 +861,22 @@ class QuadratureFamily:
         for k in range(2):
             out[columns, :, k] = z * coef[:, k]
 
-    def member_matrix(self, blocks: tuple) -> np.ndarray:
-        """`fock_matrix` of one member, blocks (A_0, b) stacks of one, with A_1 = J A_0 J."""
-        a0, b = (m[0] for m in blocks)
+    def member_matrix(self, recipe: MemberRecipe) -> np.ndarray:
+        """`fock_matrix` of the member of a recipe of one, with A_1 = J A_0 J."""
+        a0, b = self.diagonal(recipe)[0], recipe.b[0]
         return self.fock_matrix([a0, a0[::-1, ::-1]], np.array([[b, b], [b.conj(), b]]))
 
-    def apply_member(self, blocks: tuple, x: np.ndarray) -> np.ndarray:
-        """H x in the Fock basis for one member, blocks (A_0, b) stacks of one, and x a
-        vector (D,) or a block (D, k): H = [[A_0, B], [B^*, J A_0 J]], B = diag(b), is
-        applied in this basis, photon-major, and never formed."""
-        a0, b = (m[0] for m in blocks)
-        y = self.basis.from_fock(x).reshape((len(b), 2) + x.shape[1:])
-        b = b.reshape(b.shape + (1,) * (x.ndim - 1))
-        z = np.stack([a0 @ y[:, 0] + b * y[:, 1],
-                      (a0 @ y[::-1, 1])[::-1] + b.conj() * y[:, 0]], axis=1)
+    def apply_member(self, recipe: MemberRecipe, x: np.ndarray) -> np.ndarray:
+        """H x in the Fock basis for the member of a recipe of one, x a vector (D,) or a
+        block (D, k): H = [[A_0, B], [B^*, J A_0 J]], B = diag(b), is applied in this basis,
+        photon-major, with A_0 v = p (K (p^* v)) + h0'_00 v for its phases p, so that neither
+        H nor A_0 is formed."""
+        p = self._phases(recipe.theta, recipe.scales, 0)[0][:, None]
+        b = recipe.b[0][:, None]
+        a0 = lambda v: p * _left_multiply(self.k, p.conj() * v) + self.h0[0, 0] * v
+        y = self.basis.from_fock(x).reshape(len(b), 2, -1)
+        z = np.stack([a0(y[:, 0]) + b * y[:, 1], a0(y[::-1, 1])[::-1] + b.conj() * y[:, 0]],
+                     axis=1)
         return self.basis.to_fock(z.reshape(x.shape))
 
     def fock_matrix(self, a: Sequence[np.ndarray], b: np.ndarray) -> np.ndarray:
@@ -787,12 +905,16 @@ class QuadratureFamily:
         """||(W H_a W^dag - H_b) P_low||_2 for two bundles in this basis: W is a diagonal
         phase, Delta = W H_a W^dag - H_b elementwise.  Delta and P_low keep the parity
         sectors, and R_mu and U drop out: the norm is the larger of
-        ||(Delta_00 +- Delta_01 J) ((x)_mu v_mu^T[:, low_mu])||_2."""
+        ||(Delta_00 +- Delta_01 J) ((x)_mu v_mu^T[:, low_mu])||_2.  Delta_00 is formed a
+        chunk of rows at a time from both bundles' K."""
         phase = np.exp(-1j * (h_b.gauge.theta - h_a.gauge.theta)
                        * np.multiply.outer(self.lam, self.x))
-        (a0, ba), (b0, bb) = ([m[0] for m in h.blocks] for h in (h_a, h_b))
-        d0 = phase[0][:, None] * a0 * phase[0].conj() - b0
-        d01 = phase[0] * ba * phase[1].conj() - bb
+        rows = [partial(h.family._block, h.family._phases(h.recipe.theta, h.recipe.scales, 0), 0)
+                for h in (h_a, h_b)]
+        d0 = np.empty((len(self.x),) * 2, dtype=complex)
+        for _, r in _row_chunks(len(self.x)):
+            d0[r] = phase[0][r, None] * rows[0](r)[0] * phase[0].conj() - rows[1](r)[0]
+        d01 = phase[0] * h_a.recipe.b[0] * phase[1].conj() - h_b.recipe.b[0]
         # the Fock states with every n_mu <= fraction * N_mu, as `_low_sector_mask`
         low = reduce(kron, [v[:int(np.floor(low_fraction * (len(v) - 1))) + 1]
                             for v in self.v]).T
@@ -833,14 +955,16 @@ def _apply_longitudinal(h: np.ndarray, space: HilbertSpec, em: EmitterSpec,
 def _family_bundle(cs: CouplingSet, h0: np.ndarray, parity_signs: Optional[Sequence[int]],
                    cutoffs: tuple[int, ...], gauge: GaugeParam, meta: dict,
                    order: Optional[int] = None, hook: Optional[Callable] = None,
-                   family: Optional[QuadratureFamily] = None) -> HamiltonianBundle:
+                   family: Optional[QuadratureFamily] = None,
+                   scale: float = 1.0) -> HamiltonianBundle:
     """The member at this gauge, or with `order` the naive theta = 0 series, of the couplings
-    cs with matter Hamiltonian h0.  The couplings are split into a `QuadratureFamily` unless
-    a family of them is given.  A `sectored` family is solved in the quadrature basis; any
-    other member is formed in the Fock basis, from the family when the couplings factor and
-    from the dense generator otherwise, and hook(h, space) -> (h, space) appends the
-    longitudinal factor to it.  The bundle declares the parity of parity_signs, when given,
-    and without the hook time reversal when chi, the couplings and h0 are real."""
+    scale * cs with matter Hamiltonian h0.  The couplings cs are split into a
+    `QuadratureFamily` unless a family of them is given, whose member at coupling scale
+    `scale` it is.  A `sectored` family is solved in the quadrature basis; any other member
+    is formed in the Fock basis, from the family when the couplings factor and from the
+    dense generator otherwise, and hook(h, space) -> (h, space) appends the longitudinal
+    factor to it.  The bundle declares the parity of parity_signs, when given, and without
+    the hook time reversal when chi, the couplings and h0 are real."""
     if family is None:
         family = QuadratureFamily.of_couplings(cs, h0, parity_signs, cutoffs)
     elif family.cutoffs != cutoffs or not (np.array_equal(family.cs.eta_matrices, cs.eta_matrices)
@@ -848,11 +972,12 @@ def _family_bundle(cs: CouplingSet, h0: np.ndarray, parity_signs: Optional[Seque
         raise ValueError("the family given is not of these couplings and cutoffs")
     if family is not None and family.sectored and hook is None:
         return HamiltonianBundle.in_quadrature_basis(
-            family, gauge, family.blocks(gauge.theta, [1.0], order), meta)
+            family, gauge, family.recipe(gauge.theta, [scale], order), meta)
     if family is not None:
-        a, b = family.members(gauge.theta, [1.0], order)
+        a, b = family.members(gauge.theta, [scale], order)
         h, space = family.fock_matrix([block[0] for block in a], b[:, :, 0]), family.space
     else:
+        cs = cs if scale == 1.0 else CouplingSet(scale * cs.eta_matrices, cs.chi)
         space = standard_space(cutoffs, cs.matter_dim)
         gen = HermitianGenerator(cs.generator_matrix(space), space)
         h_f, h_0 = field_hamiltonian(cs.chi, space), space.kron({len(cutoffs): h0})
@@ -897,13 +1022,16 @@ def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
 
 
 def build_gauge_pair(ms: ModeSet, em: EmitterSpec, cutoffs: Union[int, Sequence[int]],
-                     naive_order: Optional[int] = None) -> tuple[HamiltonianBundle,
-                                                                 HamiltonianBundle]:
+                     naive_order: Optional[int] = None, *,
+                     family: Optional[QuadratureFamily] = None) -> tuple[HamiltonianBundle,
+                                                                          HamiltonianBundle]:
     """The Coulomb and the multipolar bundle of `build_dipole`, the Coulomb one
     `build_naive`'s theta = 0 series of `naive_order` when that is given.  Couplings that
-    factor are split once, and both bundles are members of that one `QuadratureFamily`,
-    so K is formed once; others are built in the Fock basis, each on its own."""
-    family = QuadratureFamily.of(ms, em, cutoffs)
+    factor are split once, unless the caller gives `QuadratureFamily.of(ms, em, cutoffs)`,
+    and both bundles are members of that one family, so K is formed once; others are built
+    in the Fock basis, each on its own."""
+    if family is None:
+        family = QuadratureFamily.of(ms, em, cutoffs)
     coulomb = (build_dipole(ms, em, COULOMB, cutoffs, family=family) if naive_order is None
                else build_naive(ms, em, COULOMB, cutoffs, naive_order, family=family))
     return coulomb, build_dipole(ms, em, MULTIPOLAR, cutoffs, family=family)

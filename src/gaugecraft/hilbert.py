@@ -79,8 +79,10 @@ def matter_levels(dim: int) -> Factor:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product over the last two axes; leading (stack) axes broadcast."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    """Kronecker product over the last two axes; leading (stack) axes broadcast.  The
+    product is formed in C order, so that the reshape is a view: a transposed factor would
+    otherwise order it by its strides and the reshape copy it."""
+    out = np.multiply(a[..., :, None, :, None], b[..., None, :, None, :], order="C")
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 

@@ -402,12 +402,12 @@ def dielectric_modes(d, n_modes):
             profiles * np.sign(profiles[:, :1]))
 
 
-def spectra(family, a0, a1, b):
-    """Ascending eigenvalues (S, 2n) of a stack of `QuadratureFamily` members (A_0, A_1, b),
-    after `measure`: both parity sectors solved in full, as the scan's ladders did before
-    `QuadratureFamily.ground_energies` solved one and certified the other."""
-    family.measure(a0, a1, b)
-    sectors = [np.linalg.eigvalsh(s) for s in family._sector_stack(a0, b)]
+def spectra(family, a0, recipe):
+    """Ascending eigenvalues (S, 2n) of a stack of `QuadratureFamily` members, its A_0 and
+    its recipe, after `measure`: both parity sectors solved in full, as the scan's ladders
+    did before `QuadratureFamily.ground_energies` solved one and certified the other."""
+    family.measure(a0, recipe)
+    sectors = [np.linalg.eigvalsh(s) for s in family._sector_stack(recipe, a0)]
     return np.sort(np.concatenate(sectors, axis=-1), axis=-1)
 
 

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from gaugecraft import (DetectorSpec, GaugeParam, HamiltonianBundle, ModeSet, build_dipole,
-                        couplings, rate_table, significant_transitions)
+from gaugecraft import (COULOMB, MULTIPOLAR, DetectorSpec, GaugeParam, HamiltonianBundle,
+                        ModeSet, build_dipole, build_naive, couplings, rate_table,
+                        significant_transitions, verify_spectral_equivalence)
 from gaugecraft.detect import detection_operator
 from gaugecraft.hamiltonians import standard_space
 from gaugecraft.hilbert import HermitianGenerator, max_abs
 from test_factored import KINDS, random_system
+from test_time_reversal import real_system
 
 pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
 
@@ -148,6 +150,41 @@ def test_bundle_apply_matches_the_formed_hamiltonian(system, theta, k):
             # a matvec rounds to about max|H| times the largest column sum of |x|
             tol = APPLY_TOL * max(1.0, max_abs(h)) * np.abs(x).sum(axis=0).max()
             assert max_abs(got - want) <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n_modes=st.sampled_from((1, 2)),
+       real=st.booleans(), theta=st.floats(0.0, 1.0), order=st.sampled_from((None, 1, 3)),
+       k=st.integers(1, 4))
+def test_quadrature_bundle_reads_from_k_equal_the_dense_oracle(seed, n_modes, real, theta,
+                                                                 order, k):
+    """A two-level member keeps only its recipe: `apply` works as Phi (K (Phi^* x)), and `H`
+    and the pair's operator residual form what they read from K and the phases.  Each
+    equals the embedded-product oracle, with and without time reversal."""
+    ms, em = (real_system if real else random_system)(seed, n_modes, "tls")
+    cutoffs = (7,) if n_modes == 1 else (4, 3)
+    gauge = COULOMB if order is not None else GaugeParam(theta)
+    bundle = (build_dipole(ms, em, gauge, cutoffs) if order is None
+              else build_naive(ms, em, COULOMB, cutoffs, order=order))
+    dense = dense_oracle.dense_bundle(ms, em, gauge, cutoffs, order)
+    assert bundle.basis == "quadrature" and bundle.time_reversal == real
+    h = dense.H
+    scale = max(1.0, max_abs(h))
+    assert max_abs(bundle.H - h) <= 1e-12 * scale
+    block = random_block(seed, bundle.space.dim, k)
+    for x in (block[:, 0], block):
+        tol = APPLY_TOL * scale * np.abs(x).sum(axis=0).max()
+        assert max_abs(bundle.apply(x) - h @ x) <= tol
+    partner = build_dipole(ms, em, MULTIPOLAR, cutoffs)
+    cs = couplings(ms, em)
+    got = verify_spectral_equivalence(bundle, partner, k=3, cs=cs).operator_residual
+    want = verify_spectral_equivalence(dense, dense_oracle.dense_bundle(ms, em, MULTIPOLAR,
+                                                                        cutoffs),
+                                       k=3, cs=cs).operator_residual
+    if order is None:
+        assert got <= 1e-10 and want <= 1e-10
+    else:
+        assert abs(got / want - 1) <= 1e-10
 
 
 @settings(max_examples=30, deadline=None)

@@ -11,7 +11,7 @@ import pytest
 
 import dense_oracle
 from gaugecraft import (COULOMB, MULTIPOLAR, DetectorSpec, EmitterSpec, GaugeParam, ModeSet,
-                        couplings, standard_space)
+                        ambiguity_scan, couplings, hamiltonians, standard_space)
 from gaugecraft.cli import main
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
 
@@ -133,3 +133,18 @@ def test_gauge_check_scan_equals_the_per_coupling_dense_ladders(tmp_path, em):
         assert_close(float(row["naive_gap"]), want.naive_gap, "naive gap")
         assert_close(float(row["correct_gap"]), want.correct_gap, "correct gap")
         assert want.naive_gap > 1e-4
+
+
+def test_the_per_member_scan_forms_k_once_per_cutoff(monkeypatch):
+    """A three-level ladder's couplings factor but are not sectored: each member is formed
+    in the Fock basis from the cached family of the couplings at strength 1, at scale eta,
+    so the couplings are split and K formed once per distinct cutoff of the ladders."""
+    calls = {"K": [], "split": 0}
+    field, split = hamiltonians.QuadratureFamily._field, hamiltonians.CouplingSet.common_matter_matrix
+    monkeypatch.setattr(hamiltonians.QuadratureFamily, "_field",
+                        lambda self: calls["K"].append(self.cutoffs) or field(self))
+    monkeypatch.setattr(hamiltonians.CouplingSet, "common_matter_matrix",
+                        lambda self: calls.__setitem__("split", calls["split"] + 1) or split(self))
+    rows = ambiguity_scan(MS, ONE_AXIS, [0.1, 0.2])
+    assert {r.cutoff for r in rows} == {6}  # the rungs 3 and 6
+    assert sorted(calls["K"]) == [(3, 3), (6, 6)] and calls["split"] == 2

@@ -3,6 +3,8 @@ endpoints, a beyond-dipole section and a longitudinal hook, each against the lib
 builder it calls."""
 
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,3 +110,79 @@ def test_naive_truncation_between_the_endpoints_exits_2(tmp_path, capsys):
     assert run(tmp_path, TWO_MODES, EMITTER, fock_cutoffs=list(CUTOFFS), gauge_theta=0.5,
                truncation="naive") == 2
     assert "'gauge_theta' 0 and 1 only" in capsys.readouterr().err
+
+
+SEVEN_GIB = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (7 << 30) // 4096}
+
+
+def three_mode_config(tmp_path, cutoff):
+    em = tls(1.0, (0.5, 0.0, 0.0))
+    ms = ModeSet(np.diag([1.0, 1.1, 1.2]),
+                 {em.position_label: [(0.3, 0.0, 0.0), (0.2, 0.0, 0.0), (0.1, 0.0, 0.0)],
+                  "detector": [(0.4, 0.0, 0.0), (0.1, 0.0, 0.0), (0.3, 0.0, 0.0)]})
+    doc = {"seed": 0, "modeset": modeset_to_json(ms), "emitter": emitter_to_json(em),
+           "fock_cutoffs": cutoff, "detector": {"dipole": [1.0, 0.0, 0.0]}}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    return config
+
+
+@pytest.mark.parametrize("command", ["spectrum", "detect"])
+def test_an_oversized_command_is_refused_up_front(tmp_path, capsys, monkeypatch, command):
+    """Three modes at N = 20 give D = 18522, so one (D/2)^2 block takes 1.37 GB: a sectored
+    spectrum needs about 4.1 GB (K, one sector and LAPACK's copy of it) and detect about
+    8.2 GB (K, the sector and eigh's four), each more than half of a 7 GiB machine.  Both
+    exit 2 before they allocate; without the refusal this scenario would run out of
+    memory, so it is never run without it."""
+    monkeypatch.setattr(os, "sysconf", SEVEN_GIB.__getitem__)
+    config = three_mode_config(tmp_path, 20)
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    need = {"spectrum": "4.1 GB", "detect": "8.2 GB"}[command]
+    assert "fock_cutoffs [20, 20, 20]" in err and "D = 18522" in err and need in err
+    assert peak < 10_000_000
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["spectrum", "detect"])
+def test_a_command_within_the_budget_runs(tmp_path, monkeypatch, command):
+    monkeypatch.setattr(os, "sysconf", SEVEN_GIB.__getitem__)
+    config = three_mode_config(tmp_path, 4)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text(encoding="utf-8"))
+    assert meta["basis"] == "quadrature" and meta["cutoffs"] == [4, 4, 4]
+
+
+@pytest.mark.parametrize("command, blocks", [("spectrum", 2.5), ("detect", 3.5)])
+def test_a_sectored_command_holds_a_few_member_blocks(tmp_path, command, blocks):
+    """Two modes at N = 20 with complex chi and couplings (D = 882, complex sectors of
+    n = 441, B = 16 n^2 bytes): the family's K is the only block it keeps.  spectrum holds
+    K and one sector at a time (2.2 B traced), and detect K, the sector and eigh's
+    eigenvectors, of which it keeps the lowest 40 (3.2 B traced).  LAPACK's copy of the
+    sector and eigh's workspace are not traced: about 1 B and 3 B more."""
+    em = tls(1.0, (0.6, 0.2, 0.0))
+    ms = ModeSet(np.array([[1.0, 0.1 - 0.05j], [0.1 + 0.05j, 1.2]]),
+                 {em.position_label: [(0.5, 0.2j, 0.0), (0.3, -0.3, 0.1j)],
+                  "detector": [(0.4, 0.0, 0.1), (0.1, 0.2j, 0.3)]})
+    doc = {"seed": 0, "modeset": modeset_to_json(ms), "emitter": emitter_to_json(em),
+           "fock_cutoffs": 20, "gauge_theta": 0.37, "detector": {"dipole": [1.0, 0.0, 0.0]}}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0  # the Fock quadrature caches are filled outside the trace
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text(encoding="utf-8"))
+    assert meta["basis"] == "quadrature" and "time_reversal_imag" not in str(meta)
+    assert peak <= blocks * 16 * 441**2, f"{peak / (16 * 441**2):.2f} B"

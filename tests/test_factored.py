@@ -332,24 +332,29 @@ def route_bundle(kind, seed, theta, cutoffs):
        cutoffs=st.sampled_from(((6,), (9,), (3, 2), (2, 4))), data=st.data())
 def test_eigensystem_columns_are_those_of_the_full_matrix(kind, seed, theta, cutoffs, data):
     """Each column is placed on its own, so the columns asked for before the full matrix
-    is placed equal its columns bit for bit (at most 1e-13 is the gate)."""
+    is placed equal its columns bit for bit, and so do those of a later call that asks for
+    columns above the eigenvectors the first one kept."""
     bundle = route_bundle(kind, seed, theta, cutoffs)
     assert (bundle.basis, len(bundle.diagnostics["sector_sizes"]),
             bundle.time_reversal) == ROUTES[kind]
     n = bundle.space.dim
     columns = data.draw(st.lists(st.integers(-n, n - 1), max_size=12))
+    higher = data.draw(st.lists(st.integers(0, n - 1), max_size=12))
     vals, part = bundle.eigensystem(columns)
     assert part.shape == (n, len(columns)) and part.flags.writeable
+    later_vals, later = bundle.eigensystem(higher)
     full_vals, full = bundle.eigensystem()
-    assert vals is full_vals and not full.flags.writeable
-    assert max_abs(part - full[:, columns]) <= 1e-13
+    assert np.array_equal(vals, full_vals) and np.array_equal(later_vals, full_vals)
+    assert not full.flags.writeable
     assert np.array_equal(part, full[:, columns])
+    assert np.array_equal(later, full[:, higher])
     assert max_abs(bundle.H @ part - part * vals[columns]) <= 1e-10 * max(1.0, max_abs(vals))
 
 
-def test_eigh_runs_once_per_sector_whatever_columns_are_read(monkeypatch):
-    """The sector solves are kept: column subsets, the full matrix and the eigenvalues read
-    after them cost no further eigh or eigvalsh."""
+def test_eigh_runs_once_per_sector_until_a_higher_column_is_read(monkeypatch):
+    """The sector solves are kept with the lowest max(columns) + 1 eigenvectors of each
+    sector: columns within those, and the eigenvalues, cost no further eigh or eigvalsh; a
+    higher column, or the full matrix, solves each sector once more."""
     bundles = [route_bundle(kind, 3, 0.37, (3, 2)) for kind in sorted(ROUTES)]
     calls = []
     for name in ("eigh", "eigvalsh"):
@@ -360,14 +365,21 @@ def test_eigh_runs_once_per_sector_whatever_columns_are_read(monkeypatch):
             return _original(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    for bundle in bundles:
-        first = bundle.eigensystem([0, 5])
-        assert bundle.eigensystem(range(3, 9))[0] is first[0]
+    solves = sum(len(b.diagnostics["sector_sizes"]) for b in bundles)
+    firsts = [bundle.eigensystem([0, 5])[0] for bundle in bundles]
+    for bundle, first in zip(bundles, firsts):
+        assert bundle.eigensystem(range(3, 6))[0] is first
         bundle.eigensystem([])
-        bundle.eigensystem()
+        assert np.array_equal(bundle.eigenvalues(3), first[:3])
+    assert calls == ["eigh"] * solves
+    for bundle, first in zip(bundles, firsts):
+        assert np.array_equal(bundle.eigensystem(range(3, 9))[0], first)
+    assert calls == ["eigh"] * 2 * solves
+    for bundle in bundles:
+        full = bundle.eigensystem()
         bundle.eigensystem([1])
-        assert np.array_equal(bundle.eigenvalues(3), first[0][:3])
-    assert calls == ["eigh"] * sum(len(b.diagnostics["sector_sizes"]) for b in bundles)
+        assert bundle.eigensystem()[1] is full[1]
+    assert calls == ["eigh"] * 3 * solves
 
 
 

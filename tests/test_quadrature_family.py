@@ -120,37 +120,42 @@ def test_the_quadrature_path_is_taken_for_every_two_level_system_that_factors():
 
 
 class TestMutations:
-    """A two-mode build's raw blocks with one injected entry: each measured check raises."""
+    """A two-mode family whose K carries one injected entry: the member's blocks are formed
+    from K when it is measured, and each measured check raises."""
 
     def build(self, complex_chi=True):
         family = QuadratureFamily.of(*two_modes(complex_chi), (4, 3))
-        blocks = [m.copy() for m in family.blocks(0.37, [1.0])]
-        HamiltonianBundle.in_quadrature_basis(family, GaugeParam(0.37), blocks, {})
-        return family, blocks
+        HamiltonianBundle.in_quadrature_basis(family, GaugeParam(0.37),
+                                              family.recipe(0.37, [1.0]), {})
+        return family
+
+    def measured(self, family):
+        return HamiltonianBundle.in_quadrature_basis(family, GaugeParam(0.37),
+                                                     family.recipe(0.37, [1.0]), {})
 
     def test_hermiticity(self):
-        family, (a0, a1, b) = self.build()
-        a0[0, 1, 3] += 1e-8  # an asymmetric entry
+        family = self.build()
+        family.k[1, 3] += 1e-8  # an asymmetric entry
         with pytest.raises(InvariantViolation, match="not Hermitian before symmetrization"):
-            HamiltonianBundle.in_quadrature_basis(family, GaugeParam(0.37), (a0, a1, b), {})
+            self.measured(family)
 
     def test_parity(self):
-        family, (a0, a1, b) = self.build()
-        a1[0, 1, 3] += 1e-8  # Hermitian, but A_0 != J A_1 J
-        a1[0, 3, 1] += 1e-8
+        family = self.build()
+        family.k[1, 3] += 1e-8  # Hermitian, but K != J K J, so A_0 != J A_1 J
+        family.k[3, 1] += 1e-8
         with pytest.raises(InvariantViolation, match="parity"):
-            HamiltonianBundle.in_quadrature_basis(family, GaugeParam(0.37), (a0, a1, b), {})
+            self.measured(family)
 
     def test_time_reversal(self):
-        family, (a0, a1, b) = self.build(complex_chi=False)
-        assert family.time_reversal
-        n = a0.shape[-1]
-        a0[0, 1, 3] += 1e-8j  # Hermitian and imaginary, mirrored to keep the parity
-        a0[0, 3, 1] -= 1e-8j
-        a1[0, n - 2, n - 4] += 1e-8j
-        a1[0, n - 4, n - 2] -= 1e-8j
+        family = self.build(complex_chi=False)
+        assert family.time_reversal and family.k.dtype.kind == "f"
+        n = len(family.x)
+        e = np.zeros((n, n), dtype=complex)
+        e[1, 3], e[3, 1] = 1e-8j, -1e-8j  # Hermitian and imaginary, mirrored to keep the parity
+        e[n - 2, n - 4], e[n - 4, n - 2] = 1e-8j, -1e-8j
+        family.k = family.k + e
         with pytest.raises(InvariantViolation, match="time reversal"):
-            HamiltonianBundle.in_quadrature_basis(family, GaugeParam(0.37), (a0, a1, b), {})
+            self.measured(family)
 
 
 @pytest.mark.parametrize("order", [None, 2])

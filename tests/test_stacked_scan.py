@@ -4,6 +4,7 @@ one-coupling-at-a-time Fock-basis oracles."""
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from gaugecraft import (COULOMB, MULTIPOLAR, ConvergenceError, CouplingSet, Gaug
 from gaugecraft.cli import main
 from gaugecraft.gaugecheck import QuadratureFamily
 from gaugecraft.hilbert import (PAULI_X, PAULI_Z, Eigenbasis, HilbertSpec, fock_quadrature,
-                                ladder_matrix, matter_levels, max_abs, max_abs_diff, photon)
+                                ladder_matrix, matter_levels, max_abs, photon)
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
 
 pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
@@ -86,13 +87,14 @@ def test_stacked_build_naive_members_equal_their_own_builds(system, order):
 def test_ground_energies_are_the_lowest_level_of_both_sectors(system, ladder):
     ms, em, cutoff, scales = system
     family = QuadratureFamily.of(ms, em, cutoff)
-    a0, a1, b = family.blocks(ladder[0], scales, ladder[1])
-    want = dense_oracle.spectra(family, a0, a1, b)
-    assert_members_close(family.ground_energies(a0, a1, b), want[:, 0], f"{ladder}")
-    # (A_0, A_1, -b) swaps the two sectors: where the certificate held, it fails there, and
-    # the other sector is solved too
-    assert_members_close(dense_oracle.spectra(family, a0, a1, -b), want, f"{ladder} swapped")
-    assert_members_close(family.ground_energies(a0, a1, -b), want[:, 0], f"{ladder} swapped")
+    a0, recipe = family.blocks(ladder[0], scales, ladder[1])
+    want = dense_oracle.spectra(family, a0, recipe)
+    assert_members_close(family.ground_energies(a0, recipe), want[:, 0], f"{ladder}")
+    # -b swaps the two sectors: where the certificate held, it fails there, and the other
+    # sector is solved too
+    swapped = replace(recipe, b=-recipe.b)
+    assert_members_close(dense_oracle.spectra(family, a0, swapped), want, f"{ladder} swapped")
+    assert_members_close(family.ground_energies(a0, swapped), want[:, 0], f"{ladder} swapped")
 
 
 def count_solves(monkeypatch):
@@ -110,13 +112,13 @@ def count_solves(monkeypatch):
 def test_swapped_sectors_fall_back_to_solving_both(monkeypatch):
     ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
     family = QuadratureFamily.of(ms, em, 20)
-    a0, a1, b = family.blocks(0.0, [0.3, 1.1, 2.4])
-    want = dense_oracle.spectra(family, a0, a1, b)[:, 0]
+    a0, recipe = family.blocks(0.0, [0.3, 1.1, 2.4])
+    want = dense_oracle.spectra(family, a0, recipe)[:, 0]
     eigvalsh, cholesky = count_solves(monkeypatch)
-    assert np.array_equal(family.ground_energies(a0, a1, b), want)
+    assert np.array_equal(family.ground_energies(a0, recipe), want)
     assert eigvalsh == cholesky == [(3, 21, 21)]  # one sector solved, the other certified
     del eigvalsh[:], cholesky[:]
-    assert np.array_equal(family.ground_energies(a0, a1, -b), want)
+    assert np.array_equal(family.ground_energies(a0, replace(recipe, b=-recipe.b)), want)
     assert eigvalsh == [(3, 21, 21)] * 2 and cholesky == [(3, 21, 21)]  # the fallback
 
 
@@ -131,9 +133,9 @@ def test_gauge_check_solves_one_sector_and_certifies_the_other_per_rung(tmp_path
     solves = []
     original = QuadratureFamily.ground_energies
 
-    def counted(family, a0, a1, b):
+    def counted(family, a0, recipe):
         solves.append(a0.shape)
-        return original(family, a0, a1, b)
+        return original(family, a0, recipe)
 
     monkeypatch.setattr(QuadratureFamily, "ground_energies", counted)
     eigvalsh, cholesky = count_solves(monkeypatch)
@@ -168,7 +170,8 @@ def test_the_family_reads_the_cached_quadrature_basis():
 
 class TestForgedMembers:
     """Each check of a stacked quadrature-basis solve is made on every member's raw blocks,
-    at that member's scale, and names the first failing member."""
+    at that member's scale, and names the first failing member.  A member's A_0 is held in
+    the stack and its A_1 formed from the family's K, which every member shares."""
 
     SCALES = [0.2, 0.5, 0.9, 1.3]
 
@@ -177,76 +180,81 @@ class TestForgedMembers:
         if phase != 1.0:
             ms = scaled_modes(ms, em, phase)
         family = QuadratureFamily.of(ms, em, 6)
-        return family, [m.copy() for m in family.blocks(0.37, self.SCALES)]
+        a0, recipe = family.blocks(0.37, self.SCALES)
+        return family, a0, recipe
+
+    @staticmethod
+    def copies(a0, recipe):
+        return a0.copy(), replace(recipe, b=recipe.b.copy())
 
     def test_non_hermitian_member_is_named(self):
-        family, (a0, a1, b) = self.stack()
-        family.ground_energies(a0, a1, b)
+        family, a0, recipe = self.stack()
+        family.ground_energies(a0, recipe)
         a0[2, 0, 3] += 1e-8  # an asymmetric entry
         with pytest.raises(InvariantViolation,
                            match="not Hermitian before symmetrization in stack member 2 "):
-            family.ground_energies(a0, a1, b)
+            family.ground_energies(a0, recipe)
 
     def test_each_member_is_held_to_its_own_scale(self):
-        family, (a0, a1, b) = self.stack()
-        for m in (a0, a1, b):
-            m[0] *= 1e6
-        a0[0, 0, 2] += 1e-8  # within 1e-12 * 1e6 of the large member
-        family.ground_energies(a0, a1, b)
-        a0[1, 0, 2] += 1e-8  # beyond 1e-12 * max(1, max|A_1|) of a small one
+        family, a0, recipe = self.stack()
+        recipe.b[0] *= 1e6  # keeps b = J b^*, and raises member 0's largest entry
+        a0[0, 0, 2] += 1e-8  # within 1e-12 * 1e6 |b| of the large member
+        family.ground_energies(a0, recipe)
+        a0[1, 0, 2] += 1e-8  # beyond 1e-12 * max(1, max|A_k|, max|b|) of a small one
         with pytest.raises(InvariantViolation, match="stack member 1"):
-            family.ground_energies(a0, a1, b)
+            family.ground_energies(a0, recipe)
 
     def test_parity_breaking_member_is_named(self):
-        family, blocks = self.stack()
-        a0, a1, b = (m.copy() for m in blocks)
-        a1[3, 1, 2] += 1e-6  # a Hermitian change to A_1 alone breaks the reflection
-        a1[3, 2, 1] += 1e-6
+        family, *blocks = self.stack()
+        a0, recipe = self.copies(*blocks)
+        a0[3, 1, 2] += 1e-6  # a Hermitian change to A_0 alone breaks the reflection
+        a0[3, 2, 1] += 1e-6
         with pytest.raises(InvariantViolation, match="parity .* in stack member 3"):
-            family.ground_energies(a0, a1, b)
-        a0, a1, b = (m.copy() for m in blocks)
-        b[1, 0] += 1e-6  # so does one entry of B: B J != J B^dag
+            family.ground_energies(a0, recipe)
+        a0, recipe = self.copies(*blocks)
+        recipe.b[1, 0] += 1e-6  # so does one entry of B: B J != J B^dag
         with pytest.raises(InvariantViolation, match="parity .* in stack member 1"):
-            family.ground_energies(a0, a1, b)
+            family.ground_energies(a0, recipe)
 
-    def test_time_reversal_breaking_member_is_named(self):
-        family, (a0, a1, b) = self.stack()
+    def test_time_reversal_breaking_field_block_is_found(self):
+        """A change that keeps the parity must keep A_1 = J A_0 J, so it reaches every
+        member through K: each member's A_0 is formed from the changed K."""
+        family, a0, _ = self.stack()
         n = a0.shape[-1]
         e = np.zeros((n, n), dtype=complex)
         e[0, 1], e[1, 0] = 1e-6j, -1e-6j  # Hermitian and imaginary
-        a0[1] += e
-        a1[1] += e[::-1, ::-1]  # keeps A_0 = J A_1 J
-        with pytest.raises(InvariantViolation, match="time reversal .* in stack member 1"):
-            family.ground_energies(a0, a1, b)
-        complex_family, (c0, c1, cb) = self.stack(phase=np.exp(0.4j))
+        family.k = family.k + e + e[::-1, ::-1]  # keeps K = J K J
+        with pytest.raises(InvariantViolation, match="time reversal .* in stack member 0"):
+            family.ground_energies(*family.blocks(0.37, self.SCALES))
+        complex_family, *_ = self.stack(phase=np.exp(0.4j))
         assert not complex_family.time_reversal
-        c0[1] += e
-        c1[1] += e[::-1, ::-1]
-        complex_family.ground_energies(c0, c1, cb)  # nothing declared, nothing to break
+        complex_family.k = complex_family.k + e + e[::-1, ::-1]
+        # nothing declared, nothing to break
+        complex_family.ground_energies(*complex_family.blocks(0.37, self.SCALES))
 
     @pytest.mark.parametrize("cutoff, chunked", [(6, False), (340, True)])
     def test_large_blocks_are_read_in_row_chunks_and_name_the_same_member(self, monkeypatch,
                                                                         cutoff, chunked):
-        """Past CHUNKED_BLOCK_ENTRIES a member is compared in row chunks; its checks still
-        name the first failing member."""
+        """A small member is read whole, several at a time; past HERMITIAN_CHUNK entries a
+        member is read in row chunks.  Its checks still name the first failing member."""
         ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
         family = QuadratureFamily.of(ms, em, cutoff)
-        blocks = [m.copy() for m in family.blocks(0.37, self.SCALES[:3])]
-        calls = []
-        monkeypatch.setattr(hamiltonians, "max_abs_diff",
-                            lambda a, b: calls.append(a.shape) or max_abs_diff(a, b))
-        family.measure(*blocks)
-        assert bool(calls) == chunked
+        a0, recipe = family.blocks(0.37, self.SCALES[:3])
         n = cutoff + 1
-        a0, a1, b = (m.copy() for m in blocks)
+        chunks, original = [], hamiltonians._row_chunks
+        monkeypatch.setattr(hamiltonians, "_row_chunks",
+                            lambda *args: chunks.append(original(*args)) or chunks[-1])
+        family.measure(a0, recipe)
+        rows = {(r.start, r.stop) for _, r in chunks[0]}
+        assert (rows != {(0, n)}) == chunked
         a0[2, 0, n - 1] += 1e-8  # an asymmetric entry at the far corner
         with pytest.raises(InvariantViolation, match="not Hermitian .* in stack member 2 "):
-            family.measure(a0, a1, b)
-        a0, a1, b = (m.copy() for m in blocks)
-        a1[1, n - 2, 1] += 1e-6  # a Hermitian change to A_1 alone breaks the reflection
-        a1[1, 1, n - 2] += 1e-6
+            family.measure(a0, recipe)
+        a0, recipe = family.blocks(0.37, self.SCALES[:3])
+        a0[1, n - 2, 1] += 1e-6  # a Hermitian change to A_0 alone breaks the reflection
+        a0[1, 1, n - 2] += 1e-6
         with pytest.raises(InvariantViolation, match="parity .* in stack member 1"):
-            family.measure(a0, a1, b)
+            family.measure(a0, recipe)
 
     def test_diagnostics_report_the_worst_member(self):
         ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
@@ -332,7 +340,7 @@ def record_builds(monkeypatch):
 def test_one_stacked_build_per_ladder_rung_and_chunk(monkeypatch, budget):
     grid = [1.4, 0.1, 0.9, 0.3, 1.4, 0.6, 1.1]
     ladders = [dense_oracle.ambiguity_ladders(1.0, 1.0, eta) for eta in grid]
-    # the second: 4 members at N = 20, 1 from N = 40 on
+    # the second: 5 members at N = 20, 1 from N = 40 on
     monkeypatch.setattr(gaugecheck, "STACK_BYTES", budget)
     calls = record_builds(monkeypatch)
     ambiguity_scan(*tls_single_mode_modeset(1.0, 1.0, 1.0), grid)
@@ -353,8 +361,37 @@ def test_one_stacked_build_per_ladder_rung_and_chunk(monkeypatch, budget):
 
 def test_chunk_sizes_bound_a_stack_to_the_budget():
     sizes = [gaugecheck.stack_chunk(n + 1, True) for n in (20, 40, 80, 160, 320, 640)]
-    assert sizes == [377, 99, 25, 6, 1, 1]
+    assert sizes == [496, 138, 36, 9, 2, 1]
+    assert [gaugecheck.stack_chunk(n + 1, False) for n in (20, 40, 80, 160)] == [345, 94, 24, 6]
+    # the rungs of the `coupling-scan` benchmark (40 couplings) each fit in one chunk: the
+    # correct ladders climb 40, 40, 17 and 2 members at N = 20 .. 160, the naive 40, 40, 7
+    assert all(size >= live for size, live in zip(sizes, (40, 40, 17, 2)))
     assert gaugecheck.stack_chunk(10**5, True) == gaugecheck.stack_chunk(10**5, False) == 1
+
+
+@pytest.mark.parametrize("n", [21, 41, 81])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_one_chunk_of_a_single_mode_family_stays_within_the_budget(n, real):
+    """A chunk of `stack_chunk` members, from `blocks` through `ground_energies`, holds at
+    most STACK_BYTES traced: its A_0 stack, sectors and Cholesky factors, its O(n) vectors
+    and the chunk's fixed temporaries, for real and complex couplings.  LAPACK copies one
+    member at a time, outside the trace."""
+    ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
+    if not real:
+        ms = scaled_modes(ms, em, np.exp(0.4j))
+    family = QuadratureFamily.of(ms, em, n - 1)
+    assert family.time_reversal == real
+    size = gaugecheck.stack_chunk(n, real)
+    family.k  # formed once per family, outside the chunks
+    for theta, order in ((0.0, None), (1.0, None), (0.0, 1)):
+        tracemalloc.start()
+        try:
+            family.ground_energies(*family.blocks(theta, np.linspace(0.1, 2.0, size), order))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= gaugecheck.STACK_BYTES, f"{theta}, {order}: {peak} bytes"
+        assert peak >= 0.9 * gaugecheck.STACK_BYTES  # the count is not loose either
 
 
 @pytest.mark.parametrize("cutoffs", [(4, 4), (8, 8)])
@@ -393,9 +430,9 @@ def test_strong_coupling_grid_climbs_in_bounded_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert {r.cutoff for r in rows} == {320}
-    assert max(len(s) for _, n, s in calls if n == 160) == 6  # n = 161 climbs 6 at a time
+    assert max(len(s) for _, n, s in calls if n == 160) == 9  # n = 161 climbs 9 at a time
     top = [s for _, n, s in calls if n == 320]
-    assert all(len(s) == 1 for s in top)  # n = 321: one member per build
+    assert all(len(s) == 2 for s in top)  # n = 321: two members per build
     assert set(np.concatenate(top)) == set(grid)
     assert peak <= 2 * gaugecheck.STACK_BYTES
 
