@@ -38,10 +38,12 @@ COMMANDS = ("spectrum", "gauge-check", "detect", "evolve", "modes")
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 # peak of a command's Hamiltonians in complex D x D matrices (16 D^2 bytes), for a `sectored`
 # family and for a Fock-basis build.  A sectored spectrum holds K, one sector and LAPACK's
-# copy of it, 3 blocks of (D/2)^2; detect holds K, the sector and eigh's 4.  Fock-basis
+# copy of it, 3 blocks of (D/2)^2, and measured 0.755; detect holds K, the sector, eigh's
+# eigenvectors and its copy and workspace, and measured 1.28 (two complex modes, D = 882,
+# counting LAPACK's untraced arrays as the traced memory when it is called).  Fock-basis
 # builds peaked at 9 (spectrum) and 10 (detect) traced on the dense-generator route, before
 # LAPACK's untraced copies of a D x D sector (1 for eigvalsh, 3 more for eigh).
-COMMAND_MATRICES = {"spectrum": (0.75, 10.0), "detect": (1.5, 14.0)}
+COMMAND_MATRICES = {"spectrum": (0.76, 10.0), "detect": (1.3, 14.0)}
 
 
 @dataclass(frozen=True)

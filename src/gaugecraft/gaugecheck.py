@@ -11,16 +11,21 @@ The builders return a two-level emitter's Hamiltonians in the
 field-quadrature basis of `hamiltonians.QuadratureFamily`, where X is
 diagonal and every gauge map is a diagonal phase; two bundles of one such
 basis are compared there, without forming W or H, and any other pair in the
-Fock basis.  The parity sectors of a member are blocks A_0 +- B J with J the
-reversal, and every member of the family, correct or naive, is elementwise
-work around one fixed matrix.  The scan climbs the scenario's own family, its couplings
-scaled to each strength of the grid (X(c) = c X).  Its ladders double every per-mode
-cutoff (`scan_cutoffs`) until a ground energy moves by less than the tolerance,
-rung-major: every coupling still climbing is one member of a stack.  A `sectored` family
-solves it in chunks of `stack_chunk` members within STACK_BYTES, one parity sector per
-member, and certifies the other by a Cholesky factorization (`ground_energies`); any other
-system builds each member on its own.  A naive ladder still climbing at the top rung gives
-a row marked not converged; a correct one raises `ConvergenceError`.
+Fock basis.  The gauge phases act only on vectors: the parity sectors of every
+member, correct or naive, are M0 +- diag(beta) J around the family's one
+theta-free M0 = K + h0'_00, J the reversal, and a member adds only its O(n)
+vector beta, the same for every correct member at one coupling scale.  So the
+residual of two members of one M0 is their beta difference on the low sector.
+The scan climbs the scenario's own family, its couplings scaled to each
+strength of the grid (X(c) = c X).  Its ladders double every per-mode cutoff
+(`scan_cutoffs`) until a ground energy moves by less than the tolerance,
+rung-major: every coupling still climbing is one member of a stack.  A
+`sectored` family solves it in chunks of `stack_chunk` members within
+STACK_BYTES, each a copy of M0 plus O(n) writes: one parity sector per member
+is solved and the other certified by a Cholesky factorization
+(`ground_energies`).  Any other system builds each member on its own.  A naive
+ladder still climbing at the top rung gives a row marked not converged; a
+correct one raises `ConvergenceError`.
 """
 
 from __future__ import annotations
@@ -38,12 +43,12 @@ from .hilbert import HilbertSpec, max_abs
 DEFAULT_SPECTRAL_TOL = 1e-6
 DEFAULT_LOW_FRACTION = 0.5
 STACK_BYTES = 8_000_000  # bytes held at once by one stacked ladder solve
-# real n x n blocks a member holds at once, by time reversal: its complex A_0 (2), then
-# one sector and the Cholesky factor of the other, real under time reversal (2), else
-# complex (4); A_1 is formed from K in chunks.  Its O(n) vectors (b, the phases, the real
-# form of B J, a sector's saved diagonals) measured 80 n bytes (72 n complex) for
-# n = 21-161; counting 96 n leaves room for the chunk's fixed temporaries, about 11 KB.
-MEMBER_BLOCKS = {True: 4, False: 6}
+# real n x n blocks a member holds at once, by time reversal: its copy of M0, turned from
+# one sector into the other, and the Cholesky factor of that one, real under time reversal
+# (1 + 1), else complex (2 + 2).  Its O(n) vectors (beta, the real form of diag(beta) J, a
+# sector's saved diagonals) measured 82-92 n bytes (74-82 n complex) for n = 21-161 at 16
+# members; counting 96 n leaves room for the chunk's fixed temporaries.
+MEMBER_BLOCKS = {True: 2, False: 4}
 MEMBER_VECTOR_BYTES = 96
 MIN_DIM = 42  # member dimension of the scan's first rung: N = 20 for one mode, two levels
 MAX_DIM = 1282  # largest member dimension of a rung: N = 640 for one mode, two levels
@@ -140,9 +145,10 @@ def scan_cutoffs(n_modes: int, levels: int) -> list[int]:
 
 def pair_bytes(dim: int, sectored: bool) -> float:
     """Peak bytes of the verify pair (`build_gauge_pair`, then `verify_spectral_equivalence`)
-    at Hilbert dimension dim, as measured: at most 1.6 x 16 D^2 for the pair of a `sectored`
-    family, solved in the quadrature basis, and 10 x 16 D^2 for a Fock-basis pair."""
-    return (1.6 if sectored else 10.0) * 16 * dim * dim
+    at Hilbert dimension dim, as measured: 0.76 x 16 D^2 for the pair of a `sectored` family,
+    solved in the quadrature basis (its K, one sector and LAPACK's copy of that, each
+    (D/2)^2), and 10 x 16 D^2 for a Fock-basis pair."""
+    return (0.76 if sectored else 10.0) * 16 * dim * dim
 
 
 def _climb(solve: Callable[[int, np.ndarray], np.ndarray], members: int, tol: float,
@@ -214,7 +220,7 @@ def ambiguity_scan(ms, em, eta_grid: Optional[Sequence[float]] = None, tol: floa
                     naive_order, family=f, scale=eta).eigenvalues(1)[0] for eta in etas[idx]])
             size = stack_chunk(len(f.x), f.time_reversal)
             chunks = [etas[idx[i:i + size]] for i in range(0, idx.size, size)]
-            return np.concatenate([f.ground_energies(*f.blocks(theta, c, naive_order))
+            return np.concatenate([f.ground_energies(f.recipe(theta, c, naive_order))
                                    for c in chunks])
         return _climb(solve, len(etas), tol, rungs)
 

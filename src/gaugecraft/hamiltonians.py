@@ -64,15 +64,19 @@ levels and modes and per-mode cutoffs: `build_dipole` (with or without the
 longitudinal hook), the theta = 0 `build_naive`, the beyond-dipole Coulomb
 form (eta_mu = (eta_bar_mu / 2) sigma_x) and the 1D gC form
 (eta_mu = h_mu(x0) d_hat / sqrt(2 omega_mu)).  In its basis every gauge map
-is a diagonal phase, so H(theta) is diagonal phases around the fixed
-K = w^dag H_F w and h0.  A two-level emitter with a parity is solved there
-in its two parity sectors, without forming H in the Fock basis; every other
-member is formed in the Fock basis once, where the hook appends its factor
-and the bundle verifies and solves it.  `build_gauge_pair` gives a
-command's Coulomb and multipolar bundles as members of one family, so the
-couplings are split and K is formed once.  The same members of couplings
-that do not factor come from the dense `HermitianGenerator` (`conjugate`,
-and `nested_commutators` for the naive series).  The canonical multipolar
+is a diagonal phase P_theta, and H(theta) = P_theta M' P_theta^dag around one
+theta-free M', whose diagonal blocks are K + h0'_kk with K = w^dag H_F w and
+whose off-diagonal blocks are diagonals beta_kl; the naive series changes
+only beta.  A two-level emitter with a parity is solved there in its two
+parity sectors M0 +- diag(beta) J, M0 = K + h0'_00, without forming H in the
+Fock basis: a member is beta and its phases, and the gauge phases act only on
+vectors.  Every other member is formed in the Fock basis once, from the same
+M', where the hook appends its factor and the bundle verifies and solves it.
+`build_gauge_pair` gives a command's Coulomb and multipolar bundles as
+members of one family, so the couplings are split and K is formed once.  The
+same members of couplings that do not factor come from the dense
+`HermitianGenerator` (`conjugate`, and `nested_commutators` for the naive
+series).  The canonical multipolar
 core, `_multipolar_bundle`, sums H_F, `multipolar_interaction` and a matter
 term (h0, with `polarization_squared` or without) for the theta = 1 naive
 builder and the beyond-dipole and 1D multipolar forms.  H(t) is written in the
@@ -100,22 +104,15 @@ import numpy as np
 
 from .errors import ConvergenceError, InvariantViolation
 from .hilbert import (HERMITIAN_CHUNK, HERMITIAN_TOL, Eigenbasis, HermitianGenerator,
-                      HilbertSpec, PAULI_X, PAULI_Z, _dagger, _kron_apply, _left_multiply,
+                      HilbertSpec, PAULI_X, PAULI_Z, _kron_apply, _left_multiply,
                       fock_quadrature, hermitian_part, kron, ladder_matrix, matter_levels,
-                      max_abs, member_max_abs, mode_phase, parity_labels, photon,
-                      verify_members)
+                      max_abs, mode_phase, parity_labels, photon, verify_members)
 from .matter import EmitterSpec, TimeProfile
 from .modes import ModeSet, NormalModeSet1D
 
 TD_EXTRA_TERM_SIGN = +1.0
 FACTOR_TOL = 1e-12
 TLS_PARITY_SIGNS = (1, -1)  # sigma_z in the |e>, |g> order: S sigma_x S = -sigma_x
-# entries of a `_row_chunks` chunk of rows: `QuadratureFamily.measure` holds about four
-# temporaries of a chunk's size at once, so together they stay near HERMITIAN_CHUNK
-CHUNK_ENTRIES = HERMITIAN_CHUNK // 4
-# blocks of up to this many entries (n <= 256, 1 MB complex) are read whole, several
-# members at a time: row chunks of them cost more in calls than they save in memory
-WHOLE_BLOCK_ENTRIES = 1 << 16
 
 
 class FockCutoffWarning(UserWarning):
@@ -254,9 +251,11 @@ class HamiltonianBundle:
     Hermitian part, an ndarray.  A member of a `sectored` `QuadratureFamily` (a
     two-level emitter with a parity) comes from the family instead
     (`in_quadrature_basis`, "quadrature"): the bundle holds the family, whose K
-    is the only (D/2) x (D/2) block, and the member's `MemberRecipe`, O(D) numbers.
-    The family measures the member's raw blocks when the bundle is made, then
-    lets them go; each parity sector is formed from K when it is solved, `apply`
+    is the only (D/2) x (D/2) block, and the member's `MemberRecipe`, O(D) numbers:
+    its beta, which with the family's M0 = K + h0'_00 gives its parity sectors
+    M0 +- diag(beta) J, and its phases p.  The family checks K once and the
+    member's beta when the bundle is made; each sector is a copy of M0 plus O(D)
+    writes when it is solved, its eigenvectors take p as they are placed, `apply`
     works from K, and `H` is formed in the Fock basis only when it is read.
 
     A builder may declare a parity: a label +1 or -1 per basis state, the
@@ -278,7 +277,8 @@ class HamiltonianBundle:
     `diagnostics` reports the sector sizes, the measured off-block maximum
     (None without a parity) and, when time reversal is declared, the measured
     max|Im(p^dag H p)| as "time_reversal_imag"; a quadrature-basis bundle
-    reports the family's measurements of the same two symmetries.
+    reports the family's measurements of the same two symmetries, the larger of
+    K's and the member's (`QuadratureFamily.measure`).
     """
 
     def __init__(self, H: np.ndarray, space: HilbertSpec, gauge: GaugeParam,
@@ -324,16 +324,16 @@ class HamiltonianBundle:
     def in_quadrature_basis(cls, family: QuadratureFamily, gauge: GaugeParam,
                             recipe: MemberRecipe, metadata: dict) -> HamiltonianBundle:
         """The member of `family` of a recipe of one (`QuadratureFamily.recipe`), after the
-        family has measured it (`QuadratureFamily.measure`, on an A_0 formed for it and then
-        let go); the bundle keeps the recipe."""
-        off, imag = family.measure(family.diagonal(recipe), recipe)
+        family has measured it (`QuadratureFamily.measure`: K once per family, the member's
+        beta); the bundle keeps the recipe."""
+        off, imag = family.measure(recipe)
         bundle = cls.__new__(cls)
         bundle.space, bundle.gauge, bundle.metadata = family.space, gauge, metadata
         bundle.parity = parity_labels(family.space, family.parity_signs)
         bundle.time_reversal = family.time_reversal
         bundle.family, bundle.recipe = family, recipe
         bundle._H = bundle._solution = bundle._vecs = None
-        bundle.diagnostics = {"sector_sizes": [recipe.b.shape[-1]] * 2,
+        bundle.diagnostics = {"sector_sizes": [recipe.beta.shape[-1]] * 2,
                               "parity_off_block": float(off[0])}
         if imag is not None:
             bundle.diagnostics["time_reversal_imag"] = float(imag[0])
@@ -348,7 +348,8 @@ class HamiltonianBundle:
     def H(self) -> np.ndarray:
         """H in the Fock basis, formed on first read for a quadrature-basis bundle."""
         if self._H is None:
-            self._H = hermitian_part(self.family.member_matrix(self.recipe),
+            r = self.recipe
+            self._H = hermitian_part(self.family.fock_matrix(r.theta, r.scales[0], r.order),
                                      "quadrature-basis H in the Fock basis")
         return self._H
 
@@ -514,68 +515,38 @@ def _check_cutoff_headroom(cutoffs, theta: float, cs: CouplingSet):
             FockCutoffWarning, stacklevel=3)
 
 
-def _reflected_form(rows: np.ndarray, mirror: np.ndarray, imag: bool = False,
-                    out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Rows of the real part, or with `imag` the imaginary part, of (C + JCJ + i(CJ - JC)) / 2
-    for a stack, J the reversal, from those rows of C and the same rows of JC (the mirrored
-    rows of C): (p + J p J + sign (q J - J q)) / 2 with (p, q, sign) = (Re C, Im C, -1), or
-    (Im C, Re C, +1) with `imag`."""
-    p, pm, q, qm = ((rows.imag, mirror.imag, rows.real, mirror.real) if imag
-                    else (rows.real, mirror.real, rows.imag, mirror.imag))
-    out = np.add(p, pm[..., ::-1], out=out)
-    add, subtract = (np.add, np.subtract) if imag else (np.subtract, np.add)
-    add(out, q[..., ::-1], out=out)
-    subtract(out, qm, out=out)
-    out *= 0.5
-    return out
-
-
-def _sectors(part: np.ndarray, anti: np.ndarray, diag: Optional[np.ndarray] = None, first=1,
-             start: int = 0):
-    """`part`, rows start.. of a stack, turned in place into each parity sector in turn,
+def _sectors(part: np.ndarray, anti: np.ndarray, diag: Optional[np.ndarray] = None, first=1):
+    """`part`, a stack of copies of M0, turned in place into each parity sector in turn,
     epsilon = first then -first: epsilon anti added on the antidiagonal and epsilon diag on
     the diagonal of every member, from the entries `part` had."""
-    rows = np.arange(part.shape[-2])
-    i = start + rows
-    j = part.shape[-1] - 1 - i
-    base_diag, base_anti = part[..., rows, i], part[..., rows, j]
+    i = np.arange(part.shape[-1])
+    base_diag, base_anti = part[..., i, i], part[..., i, i[::-1]]
     for eps in (first, -first):
-        part[..., rows, i] = base_diag
-        part[..., rows, j] = base_anti + eps * anti[..., i]
+        part[..., i, i] = base_diag
+        part[..., i, i[::-1]] = base_anti + eps * anti
         if diag is not None:
-            part[..., rows, i] += eps * diag[..., i]
+            part[..., i, i] += eps * diag
         yield part
 
 
-def _row_chunks(n: int, members: int = 1):
-    """(members, rows) slices that cover a stack of n x n blocks: whole blocks, as many
-    members as fit in WHOLE_BLOCK_ENTRIES, when one does, else CHUNK_ENTRIES entries of one
-    member's rows at a time."""
-    if n * n <= WHOLE_BLOCK_ENTRIES:
-        per = WHOLE_BLOCK_ENTRIES // (n * n)
-        return [(slice(s, s + per), slice(0, n)) for s in range(0, members, per)]
-    rows = max(1, CHUNK_ENTRIES // n)
-    return [(slice(s, s + 1), slice(r, min(n, r + rows)))
-            for s in range(members) for r in range(0, n, rows)]
-
-
-def _half_sum_and_diff(b: np.ndarray):
-    """The real form of B J, B = diag(b): (b + Jb) / 2 on the antidiagonal and
-    i (b - Jb) / 2 on the diagonal."""
-    return (b + b[:, ::-1]) / 2, 0.5j * (b - b[:, ::-1])
+def _half_sum_and_diff(beta: np.ndarray):
+    """The real form of diag(beta) J: (beta + J beta) / 2 on the antidiagonal and
+    i (beta - J beta) / 2 on the diagonal."""
+    return (beta + beta[:, ::-1]) / 2, 0.5j * (beta - beta[:, ::-1])
 
 
 @dataclass(frozen=True, eq=False)
 class MemberRecipe:
-    """Members of a `sectored` `QuadratureFamily`, kept without their blocks: H(theta), or
-    with `order` the naive theta = 0 series of that order, at each coupling scale (S,),
-    and b (S, n), the diagonal of B_01 of each.  The family forms A_0 and A_1 from its K
-    and the phases of theta and the scale wherever they are read."""
+    """Members of a `sectored` `QuadratureFamily`, kept without a block: H(theta), or with
+    `order` the naive theta = 0 series of that order, at each coupling scale c (S,).  A
+    member's parity sectors are P (M0 +- diag(beta) J) P^dag, P = diag(p), with the
+    family's M0: beta (S, n), free of theta for a correct member, is all a member adds, and
+    its phases p = e^(-i theta lam_0 c nu) follow from theta and c."""
 
     theta: float
     scales: np.ndarray
     order: Optional[int]
-    b: np.ndarray
+    beta: np.ndarray
 
 
 class QuadratureFamily:
@@ -589,31 +560,36 @@ class QuadratureFamily:
     of the flattened photon index), and U holds the eigenvectors of the L x L
     matrix D, D U = U diag(lam).  There X = diag(nu lam_k) with
     nu = (+)_mu |g_mu| x_mu, so in the matter-major order (k, n), with n the
-    flattened photon index, at coupling scale c the blocks of H(theta) are
+    flattened photon index, the gauge map W_theta at coupling scale c is the diagonal
+    phase P_theta = diag(p_k), p_k = e^(-i theta lam_k c nu), and
+    H(theta) = P_theta M' P_theta^dag with a theta-free M':
 
-        A_k = diag(e^{-i theta lam_k c nu}) K diag(e^{i theta lam_k c nu}) + h0'_kk,
-        B_kl = h0'_kl diag(e^{i (1 - theta) (lam_k - lam_l) c nu}),   k != l,
+        M'_kk = K + h0'_kk,   M'_kl = diag(beta_kl),   beta_kl = h0'_kl e^(i (lam_k - lam_l) c nu),
 
-    with K = w^dag H_F w summed from local factors (`_field`) and
-    h0' = U^dag h0 U; the naive theta = 0 series cuts B_kl's exponential to
-    its Taylor polynomial.
+    with K = w^dag H_F w summed from local factors (`_field`) and h0' = U^dag h0 U; the
+    naive theta = 0 series cuts beta_kl's exponential to its Taylor polynomial.  So the
+    members of a family differ only in O(n) numbers: their phases and beta
+    (`_off_diagonal`).
 
-    A two-level emitter with a parity S and couplings not all zero is solved
-    here (`sectored`): with u_1 = S u_0 the parity (-1)^(sum n) (x) S is
-    J (x) swap, with sectors C = A_0 +- B J, B = B_01, when A_1 = J A_0 J and
-    B J = J B^dag; the even one is +, and `ground_parity` is the sign of the one holding
-    vacuum (x) h0's lowest level.  Under time reversal, declared as by `build_dipole`, the
-    basis is real and J C J = C^*, so Q^dag C Q = (C + JCJ + i(CJ - JC)) / 2 with
-    Q = (1 + iJ) / sqrt(2) is real symmetric with C's spectrum.  Any other emitter's member
-    is formed in the Fock basis once (`fock_matrix`), where `HamiltonianBundle` verifies
-    its declared symmetries and solves its sectors.
+    A two-level emitter with a parity S and couplings not all zero is solved here
+    (`sectored`): with u_1 = S u_0 the parity (-1)^(sum n) (x) S is J (x) swap, and
+    J nu = -nu gives p_1 = p_0^* = J p_0.  With M0 = K + h0'_00, beta = beta_01 and
+    P = diag(p_0), a member's parity sectors are P (M0 +- diag(beta) J) P^dag when K = J K J,
+    h0'_11 = h0'_00 and beta = J beta^* (b = J b^* for the B_01 = diag(b), b = beta p_0^2,
+    of H); the even one is +, and `ground_parity` is the sign of the one holding vacuum (x)
+    h0's lowest level.  Under time reversal, declared as by `build_dipole`, the basis and K
+    are real and J C J = C^* for C = M0 +- diag(beta) J, so Q^dag C Q =
+    M0 +- (diag(Re beta) J - diag(Im beta)) with Q = (1 + iJ) / sqrt(2) is real symmetric
+    with C's spectrum.  Any other emitter's member is formed in the Fock basis once
+    (`fock_matrix`), where `HamiltonianBundle` verifies its declared symmetries and solves
+    its sectors.
 
     What a `sectored` family holds: K, its only n x n block (n = D/2), formed on first use,
-    and the O(n) vectors of its basis.  Its members are `MemberRecipe`s; `measure`,
-    `sector_blocks`, `apply_member`, `member_matrix` and `residual` form the blocks they
-    read from K and the phases, entry by entry as `_block` does, so that a sector handed
-    to LAPACK is the one n x n block a solve adds.  Stacked ladders (`blocks`,
-    `ground_energies`) hold A_0 per member and form A_1 from K in chunks.
+    and the O(n) vectors of its basis.  Its members are `MemberRecipe`s: `measure` checks K
+    once per family and each member's beta; a sector handed to LAPACK (`sector_blocks`, or
+    a stack of them in `ground_energies`) is a copy of M0 plus O(n) writes; eigenvectors
+    take p on the way out (`_place`); `apply_member` works from K; and `residual` compares
+    two members by their beta alone.
     """
 
     @classmethod
@@ -694,141 +670,113 @@ class QuadratureFamily:
             del term
         return k
 
-    def _phases(self, theta: float, scales, k: int) -> np.ndarray:
-        """e^(-i theta lam_k c nu) of every member at its coupling scale c, (S, n)."""
+    def _phases(self, theta: float, scales) -> np.ndarray:
+        """The diagonal of P_theta of every member at its coupling scale c, (S, n, L):
+        e^(-i theta lam_k c nu), photon-major."""
         t = np.multiply.outer(np.asarray(scales, dtype=float), self.x)
-        return np.exp(-1j * theta * self.lam[k] * t)
-
-    def _block(self, p: np.ndarray, k: int, rows: slice = slice(None),
-               cols: slice = slice(None)) -> np.ndarray:
-        """Those rows and columns of A_k = diag(p) K diag(p)^* + h0'_kk of every member,
-        (S, r, c), with p (S, n) the phases of block k: formed from K entry by entry, so a
-        chunk has the bits of the whole block."""
-        block = p[:, rows, None] * self.k[rows, cols]
-        block *= p.conj()[:, None, cols]
-        r, c = range(len(self.x))[rows], range(len(self.x))[cols]
-        on = np.arange(max(r.start, c.start), min(r.stop, c.stop))
-        block[:, on - r.start, on - c.start] += self.h0[k, k]
-        return block
+        return np.exp(-1j * theta * np.multiply.outer(t, self.lam))
 
     def _off_diagonal(self, theta: float, scales, order: Optional[int]) -> np.ndarray:
-        """B (L, L, S, n), whose (k, l) entry is the diagonal of B_kl at each coupling scale
-        (its k = l entries are unused).  With `order`, the naive theta = 0 series of that
-        order."""
+        """beta (L, L, S, n), whose (k, l) entry is the diagonal of M'_kl at each coupling
+        scale (its k = l entries are unused); with `order`, of the naive theta = 0 series of
+        that order.  It does not depend on theta, which is read only to refuse a naive
+        series at any other theta."""
         if order is not None and theta != 0.0:
             raise ValueError("the naive series is built at theta = 0 only")
         t = np.multiply.outer(np.asarray(scales, dtype=float), self.x)
         z = 1j * np.subtract.outer(self.lam, self.lam)[:, :, None, None] * t
-        series = (np.exp((1.0 - theta) * z) if order is None
+        series = (np.exp(z) if order is None
                   else sum(z**j / math.factorial(j) for j in range(order + 1)))
         return self.h0[:, :, None, None] * series
 
-    def members(self, theta: float, scales, order: Optional[int] = None):
-        """([A_k], B) of H(theta) at each coupling scale: the diagonal blocks, stacks
-        (S, n, n), and B (`_off_diagonal`).  With `order`, the naive theta = 0 series of that
-        order."""
-        b = self._off_diagonal(theta, scales, order)
-        return [self._block(self._phases(theta, scales, k), k) for k in range(len(self.lam))], b
-
     def recipe(self, theta: float, scales, order: Optional[int] = None) -> MemberRecipe:
         """The recipe of a two-level H(theta) at each coupling scale, or with `order` of the
-        naive theta = 0 series of that order: b holds no n x n block."""
+        naive theta = 0 series of that order: beta holds no n x n block."""
         scales = np.asarray(scales, dtype=float)
         return MemberRecipe(theta, scales, order,
                             self._off_diagonal(theta, scales, order)[0, 1].copy())
 
-    def diagonal(self, recipe: MemberRecipe) -> np.ndarray:
-        """A_0 of every member of a recipe, a stack (S, n, n) formed from K."""
-        return self._block(self._phases(recipe.theta, recipe.scales, 0), 0)
-
-    def blocks(self, theta: float, scales, order: Optional[int] = None):
-        """(A_0, recipe) of a two-level H(theta) at each coupling scale: the stack (S, n, n)
-        of A_0 and the `recipe`, from which `measure` forms A_1.  With `order`, the naive
-        theta = 0 series of that order."""
-        recipe = self.recipe(theta, scales, order)
-        return self.diagonal(recipe), recipe
-
-    def measure(self, a0: np.ndarray, recipe: MemberRecipe):
-        """(parity off-block, max|Im| of the real forms or None) of every member of a stack,
-        its A_0 (S, n, n) and its recipe, measured on the raw blocks, each member against
-        HERMITIAN_TOL * max(1, its largest entry): the Hermiticity of A_0 and A_1, the parity
-        (A_1 = J A_0 J and b = J b^*), and under time reversal the imaginary part of both
-        sectors' real forms.  `InvariantViolation` names the first member that fails.
-
-        The stack is read in `_row_chunks`: A_1 is formed from K a chunk of rows and the
-        same columns at a time, A_0 is compared with A_0^dag read transposed, and the real
-        forms are taken from those rows and their mirrors, so no temporary of a block's size
-        is made past WHOLE_BLOCK_ENTRIES."""
-        members, n = a0.shape[:2]
-        b = recipe.b
-        p1 = self._phases(recipe.theta, recipe.scales, 1)
-        herm, largest, off, imag = (np.zeros(members), np.zeros((2, members)), np.zeros(members),
-                                    np.zeros((2, members)))
-        half_sum, half_diff = _half_sum_and_diff(b)
-        for m, r in _row_chunks(n, members):
-            a1 = self._block(p1[m], 1, r)
-            # the same columns of A_1: the chunk itself when it holds whole blocks
-            a1_cols = a1 if r.stop - r.start == n else self._block(p1[m], 1, slice(None), r)
-            mirror = a0[m, ::-1][:, r]  # those rows of J A_0
-            found = [member_max_abs(a0[m, r] - _dagger(a0[m, :, r])),
-                     member_max_abs(a1 - _dagger(a1_cols))]
-            herm[m] = np.maximum.reduce([herm[m]] + found)
-            largest[:, m] = np.maximum(largest[:, m], [member_max_abs(a0[m, r]),
-                                                       member_max_abs(a1)])
-            off[m] = np.maximum(off[m], member_max_abs(mirror[..., ::-1] - a1))
+    @cached_property
+    def _k_checks(self) -> tuple[float, float, float]:
+        """(max|M0|, max|M0 - J M0 J|, max|Im| of K's real form, 0 without time reversal) of
+        a `sectored` family, measured once on the raw K, HERMITIAN_CHUNK entries at a time,
+        and each held to HERMITIAN_TOL * max(1, max|M0|): K is Hermitian, K = J K J and
+        h0'_11 = h0'_00, and under time reversal (K + JKJ + i(KJ - JK)) / 2 is real."""
+        k, n = self.k, len(self.x)
+        jk = k[::-1]  # J K; K J is k[:, ::-1] and J K J is jk[:, ::-1]
+        largest = max_abs(k.diagonal() + self.h0[0, 0])
+        herm = off = imag = 0.0
+        rows = max(1, HERMITIAN_CHUNK // n)
+        for r in (slice(i, i + rows) for i in range(0, n, rows)):
+            largest = max(largest, max_abs(k[r]))
+            herm = max(herm, max_abs(k[r] - k[:, r].T.conj()))
+            off = max(off, max_abs(k[r] - jk[r, ::-1]))
             if self.time_reversal:
-                part = _reflected_form(a0[m, r], mirror, imag=True)
-                for k, sector in enumerate(_sectors(part, half_sum.imag[m], half_diff.imag[m],
-                                                    start=r.start)):
-                    imag[k, m] = np.maximum(imag[k, m], member_max_abs(sector))
-        tol = HERMITIAN_TOL * np.maximum.reduce(
-            [np.ones(members), *largest, np.abs(b).max(axis=-1)])
-        verify_members(herm, tol, "quadrature-basis H is not Hermitian before symmetrization",
-                       "max|A_k - A_k^dag|")
-        off = np.maximum(off, np.abs(b - b[:, ::-1].conj()).max(axis=-1))
+                imag = max(imag, max_abs(np.imag(k[r]) + np.imag(jk[r, ::-1])
+                                         + np.real(k[r, ::-1]) - np.real(jk[r])) / 2)
+        off = max(off, abs(self.h0[1, 1] - self.h0[0, 0]))
+        tol = HERMITIAN_TOL * max(1.0, largest)
+        for value, claim, what in (
+                (herm, "quadrature-basis K is not Hermitian before symmetrization",
+                 "max|K - K^dag|"),
+                (off, "declared parity does not commute with H", "max|M0 - J M0 J|"),
+                (imag, "declared time reversal does not hold", "max|Im| of K's real form")):
+            if value > tol:
+                raise InvariantViolation(f"{claim} ({what} = {value:.3e})")
+        return largest, off, imag
+
+    def measure(self, recipe: MemberRecipe):
+        """(parity off-block, max|Im| of the real forms or None) of every member of a recipe.
+
+        K is checked once per family (`_k_checks`), and each member only by its beta, held to
+        HERMITIAN_TOL * max(1, max|M0|, its max|beta|): the parity beta = J beta^* (the same
+        as b = J b^*, since b = beta p^2 and J p = p^*).  `InvariantViolation` names the
+        first member that fails.  Under time reversal the imaginary part of the real form of
+        diag(beta) J is the real and the imaginary part of (beta - J beta^*) / 2, so the
+        parity check holds it too: it is reported, not checked again.  A value reported is
+        the larger of K's and the member's."""
+        largest, k_off, k_imag = self._k_checks
+        beta = recipe.beta
+        tol = HERMITIAN_TOL * np.maximum(max(1.0, largest), np.abs(beta).max(axis=-1))
+        off = np.maximum(k_off, np.abs(beta - beta[:, ::-1].conj()).max(axis=-1))
         verify_members(off, tol, "declared parity does not commute with H",
-                       "max|A_0 - J A_1 J|, max|b - J b^*|")
+                       "max|M0 - J M0 J|, max|beta - J beta^*|")
         if not self.time_reversal:
             return off, None
-        for measured in imag:
-            verify_members(measured, tol, "declared time reversal does not hold",
-                           "max|Im| of a sector's real form")
-        return off, imag.max(axis=0)
+        half_sum, half_diff = _half_sum_and_diff(beta)
+        return off, np.maximum(k_imag, np.maximum(np.abs(half_sum.imag),
+                                                  np.abs(half_diff.imag)).max(axis=-1))
 
-    def _sector_stack(self, recipe: MemberRecipe, a0: Optional[np.ndarray] = None,
-                      first: int = 1):
+    def _sector_stack(self, recipe: MemberRecipe, first: int = 1):
         """Each parity sector of every member, epsilon = first then -first, as one stack
-        turned in place: A_0 + epsilon B J, or its real form under time reversal.  A stack
-        A_0 that is given is read, not changed; without one, A_0 is formed from K into the
-        stack itself, or under time reversal into the real form a chunk of rows at a time."""
-        b, n = recipe.b, recipe.b.shape[-1]
-        if a0 is None:
-            rows = partial(self._block, self._phases(recipe.theta, recipe.scales, 0), 0)
-            chunks = [r for _, r in _row_chunks(n)]
-        else:
-            rows, chunks = (lambda r: a0[:, r]), [slice(0, n)]
+        (S, n, n) turned in place: a copy of M0 per member with epsilon beta on its
+        antidiagonal, or under time reversal its real form, epsilon Re beta there and
+        -epsilon Im beta on the diagonal."""
+        beta, n = recipe.beta, recipe.beta.shape[-1]
+        i = np.arange(n)
         if not self.time_reversal:
-            return _sectors(rows(slice(None)) if a0 is None else a0.copy(), b, first=first)
-        part = np.empty(b.shape + (n,))
-        for r in chunks:
-            c = rows(r)  # the mirrored rows are those of c when c holds whole blocks
-            mirror = c if r.stop - r.start == n else rows(slice(n - r.stop, n - r.start))
-            _reflected_form(c, mirror[:, ::-1], out=part[:, r])
-        half_sum, half_diff = _half_sum_and_diff(b)
-        return _sectors(part, half_sum.real, half_diff.real, first)
+            stack = np.empty(beta.shape + (n,), dtype=complex)
+            stack[...] = self.k
+            stack[..., i, i] += self.h0[0, 0]
+            return _sectors(stack, beta, first=first)
+        stack = np.empty(beta.shape + (n,))
+        stack[...] = np.real(self.k)
+        stack[..., i, i] += self.h0[0, 0].real
+        half_sum, half_diff = _half_sum_and_diff(beta)
+        return _sectors(stack, half_sum.real, half_diff.real, first)
 
-    def ground_energies(self, a0: np.ndarray, recipe: MemberRecipe) -> np.ndarray:
-        """Ground energies (S,) of a stack, its A_0 and its recipe, after `measure`: E0 of the
+    def ground_energies(self, recipe: MemberRecipe) -> np.ndarray:
+        """Ground energies (S,) of every member of a recipe, after `measure`: E0 of the
         sector `ground_parity` once a Cholesky factorization of the other sector minus E0
         proves that sector's levels lie above it, else the lower ground level of the two."""
-        self.measure(a0, recipe)
-        sectors = self._sector_stack(recipe, a0, self.ground_parity)
+        self.measure(recipe)
+        sectors = self._sector_stack(recipe, self.ground_parity)
         e0 = np.linalg.eigvalsh(next(sectors))[:, 0]
-        other, i = next(sectors), np.arange(a0.shape[-1])
+        other, i = next(sectors), np.arange(recipe.beta.shape[-1])
         diag = other[:, i, i]
         other[:, i, i] -= e0[:, None]
         try:
-            np.linalg.cholesky(other)  # its factor takes the place of `measure`'s temporaries
+            np.linalg.cholesky(other)
         except np.linalg.LinAlgError:
             other[:, i, i] = diag
             e0 = np.minimum(e0, np.linalg.eigvalsh(other)[:, 0])
@@ -836,91 +784,88 @@ class QuadratureFamily:
 
     def sector_blocks(self, recipe: MemberRecipe):
         """(block, place) per parity sector of the member of a recipe of one, the even sector
-        first, as `HamiltonianBundle` solves them: one block formed from K and turned in
-        place into the next, so solve it before asking for the next one."""
+        first, as `HamiltonianBundle` solves them: one copy of M0 turned in place into the
+        next, so solve it before asking for the next one."""
+        p = self._phases(recipe.theta, recipe.scales)[0, :, 0]
         for eps, sector in zip((1, -1), self._sector_stack(recipe)):
-            yield sector[0], partial(self._place, eps)
+            yield sector[0], partial(self._place, eps, p)
 
-    def _place(self, eps: int, vecs: np.ndarray, columns: np.ndarray, y: np.ndarray):
+    def _place(self, eps: int, p: np.ndarray, vecs: np.ndarray, columns: np.ndarray,
+               y: np.ndarray):
         """Write eigenvectors y of sector eps into those columns of vecs, in the Fock basis.
 
-        The member's eigenvectors are [c; eps J c] / sqrt(2) with c = y, or c = Q y under
-        time reversal.  With w the photon part of the basis, w J = P w for the photon
-        parity P, so only z = w y is mapped: the Fock vector is
-        z (x) (u_0 + eps P u_1) / sqrt(2), times (1 + i P) / sqrt(2) under time reversal.
-        Each column of y is mapped on its own, so its bits do not depend on which other
-        columns are placed with it: one product over all of them rounds a column
-        differently as their number changes.
+        The member's eigenvectors are [c; eps J c] / sqrt(2) with c = p y, or c = p Q y under
+        time reversal: diag(p) takes the sector's eigenvectors to the member's.  With w the
+        photon part of the basis, w J = P w for the photon parity P, so only z = w c is
+        mapped: the Fock vector is z (x) (u_0 + eps P u_1) / sqrt(2).  Each column of y is
+        mapped on its own, so its bits do not depend on which other columns are placed with
+        it: one product over all of them rounds a column differently as their number
+        changes.
         """
         parity = parity_labels(self.photons)[:, None]
         coef = (self.u[:, 0] + eps * parity * self.u[:, 1]) / np.sqrt(2)
-        if self.time_reversal:
-            coef = coef * (1 + 1j * parity) / np.sqrt(2)
-        z = _kron_apply(self.basis.factors[:-1], y.T[:, :, None])[:, :, 0]
+        c = (y + 1j * y[::-1]) / np.sqrt(2) if self.time_reversal else y
+        c = c * p[:, None]
+        z = _kron_apply(self.basis.factors[:-1], c.T[:, :, None])[:, :, 0]
         out = vecs.T.reshape(vecs.shape[1], -1, 2)  # a view of the F-ordered vecs
         for k in range(2):
             out[columns, :, k] = z * coef[:, k]
 
-    def member_matrix(self, recipe: MemberRecipe) -> np.ndarray:
-        """`fock_matrix` of the member of a recipe of one, with A_1 = J A_0 J."""
-        a0, b = self.diagonal(recipe)[0], recipe.b[0]
-        return self.fock_matrix([a0, a0[::-1, ::-1]], np.array([[b, b], [b.conj(), b]]))
-
     def apply_member(self, recipe: MemberRecipe, x: np.ndarray) -> np.ndarray:
         """H x in the Fock basis for the member of a recipe of one, x a vector (D,) or a
-        block (D, k): H = [[A_0, B], [B^*, J A_0 J]], B = diag(b), is applied in this basis,
-        photon-major, with A_0 v = p (K (p^* v)) + h0'_00 v for its phases p, so that neither
-        H nor A_0 is formed."""
-        p = self._phases(recipe.theta, recipe.scales, 0)[0][:, None]
-        b = recipe.b[0][:, None]
-        a0 = lambda v: p * _left_multiply(self.k, p.conj() * v) + self.h0[0, 0] * v
-        y = self.basis.from_fock(x).reshape(len(b), 2, -1)
-        z = np.stack([a0(y[:, 0]) + b * y[:, 1], a0(y[::-1, 1])[::-1] + b.conj() * y[:, 0]],
-                     axis=1)
-        return self.basis.to_fock(z.reshape(x.shape))
+        block (D, k): H = P M' P^dag, M' = [[M0, diag(beta)], [diag(beta^*), M0]], is applied
+        in this basis, photon-major, as P (M' (P^* v)), so that neither H nor M0 is formed."""
+        p = self._phases(recipe.theta, recipe.scales)[0][:, :, None]
+        beta = recipe.beta[0][:, None]
+        n = len(beta)
+        y = self.basis.from_fock(x).reshape(n, 2, -1) * p.conj()
+        z = _left_multiply(self.k, y.reshape(n, -1)).reshape(y.shape) + self.h0[0, 0] * y
+        z[:, 0] += beta * y[:, 1]
+        z[:, 1] += beta.conj() * y[:, 0]
+        return self.basis.to_fock((p * z).reshape(x.shape))
 
-    def fock_matrix(self, a: Sequence[np.ndarray], b: np.ndarray) -> np.ndarray:
-        """w M w^dag, not symmetrized: the member M with diagonal blocks a[k] (n, n) and
-        off-diagonal blocks diag(b[k, l]), b (L, L, n) with unused k = l entries, in the
-        Fock basis, photon-major."""
+    def fock_matrix(self, theta: float, scale: float, order: Optional[int] = None) -> np.ndarray:
+        """w P_theta M' P_theta^dag w^dag, not symmetrized: H(theta), or with `order` the
+        naive theta = 0 series of that order, at one coupling scale, in the Fock basis,
+        photon-major."""
         n, levels = len(self.x), len(self.lam)
+        beta = self._off_diagonal(theta, [scale], order)[:, :, 0]
         m = np.zeros((n, levels, n, levels), dtype=complex)
         i = np.arange(n)
         for k in range(levels):
-            m[:, k, :, k] = a[k]
+            m[:, k, :, k] = self.k
+            m[i, k, i, k] += self.h0[k, k]
             for l in range(levels):
                 if l != k:
-                    m[i, k, i, l] = b[k, l]
+                    m[i, k, i, l] = beta[k, l]
+        p = self._phases(theta, [scale])[0]
+        m *= p[:, :, None, None]
+        m *= p.conj()
         wm = self.basis.to_fock(m.reshape(n * levels, n * levels))
         # (w M) w^dag = (w^* (w M)^T)^T: conjugate the factors, not the D x D matrices
         return _kron_apply([f.conj() for f in self.basis.factors], wm.T).T
 
     def same_basis(self, other: QuadratureFamily) -> bool:
-        """Whether two families share one basis: the cutoffs, couplings and U agree."""
+        """Whether two families share one basis and one M': the cutoffs, couplings, U, chi
+        and h0 agree."""
         return (self.cutoffs == other.cutoffs and np.array_equal(self.g, other.g)
-                and np.array_equal(self.u, other.u))
+                and np.array_equal(self.u, other.u)
+                and np.array_equal(self.cs.chi, other.cs.chi)
+                and np.array_equal(self.h0, other.h0))
 
     def residual(self, h_a: HamiltonianBundle, h_b: HamiltonianBundle,
                  low_fraction: float) -> float:
-        """||(W H_a W^dag - H_b) P_low||_2 for two bundles in this basis: W is a diagonal
-        phase, Delta = W H_a W^dag - H_b elementwise.  Delta and P_low keep the parity
-        sectors, and R_mu and U drop out: the norm is the larger of
-        ||(Delta_00 +- Delta_01 J) ((x)_mu v_mu^T[:, low_mu])||_2.  Delta_00 is formed a
-        chunk of rows at a time from both bundles' K."""
-        phase = np.exp(-1j * (h_b.gauge.theta - h_a.gauge.theta)
-                       * np.multiply.outer(self.lam, self.x))
-        rows = [partial(h.family._block, h.family._phases(h.recipe.theta, h.recipe.scales, 0), 0)
-                for h in (h_a, h_b)]
-        d0 = np.empty((len(self.x),) * 2, dtype=complex)
-        for _, r in _row_chunks(len(self.x)):
-            d0[r] = phase[0][r, None] * rows[0](r)[0] * phase[0].conj() - rows[1](r)[0]
-        d01 = phase[0] * h_a.recipe.b[0] * phase[1].conj() - h_b.recipe.b[0]
+        """||(W H_a W^dag - H_b) P_low||_2 for two bundles of one M' (`same_basis`), both at
+        coupling scale 1.  W P_a = P_b, so W H_a W^dag - H_b = P_b (M'_a - M'_b) P_b^dag,
+        whose only blocks are diag(beta_a - beta_b) and its adjoint.  P_b and those diagonals
+        drop out of the norm but for |beta_a - beta_b|, and R_mu and U drop out of P_low:
+        the norm is ||diag(|beta_a - beta_b|) ((x)_mu v_mu^T[:, low_mu])||_2."""
         # the Fock states with every n_mu <= fraction * N_mu, as `_low_sector_mask`
         low = reduce(kron, [v[:int(np.floor(low_fraction * (len(v) - 1))) + 1]
                             for v in self.v]).T
-        # ||M||_2^2 is the largest eigenvalue of M^dag M, to the same relative accuracy
-        grams = [(m := s[0] @ low).conj().T @ m for s in _sectors(d0[None], d01)]
-        return float(np.sqrt(max(np.linalg.eigvalsh(g)[-1] for g in grams)))
+        m = np.abs(h_a.recipe.beta[0] - h_b.recipe.beta[0])[:, None] * low
+        # ||M||_2^2 is the largest eigenvalue of M^T M, to the same relative accuracy
+        return float(np.sqrt(np.linalg.eigvalsh(m.T @ m)[-1]))
 
 
 @dataclass(frozen=True)
@@ -974,8 +919,7 @@ def _family_bundle(cs: CouplingSet, h0: np.ndarray, parity_signs: Optional[Seque
         return HamiltonianBundle.in_quadrature_basis(
             family, gauge, family.recipe(gauge.theta, [scale], order), meta)
     if family is not None:
-        a, b = family.members(gauge.theta, [scale], order)
-        h, space = family.fock_matrix([block[0] for block in a], b[:, :, 0]), family.space
+        h, space = family.fock_matrix(gauge.theta, scale, order), family.space
     else:
         cs = cs if scale == 1.0 else CouplingSet(scale * cs.eta_matrices, cs.chi)
         space = standard_space(cutoffs, cs.matter_dim)

@@ -167,11 +167,6 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
 
 
-def member_max_abs(m: np.ndarray) -> np.ndarray:
-    """Entrywise max-abs norm of each matrix of a stack (..., D, D), zero when empty."""
-    return np.abs(m).max(axis=(-2, -1)) if m.size else np.zeros(m.shape[:-2])
-
-
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     """max|a - b| for two arrays (..., n, m) of one shape, with a - b formed
     HERMITIAN_CHUNK entries at a time, so that no temporary of their size is made; zero

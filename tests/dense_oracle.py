@@ -6,9 +6,11 @@ through one D x D eigendecomposition of the generator (`DenseSystem`).  This
 is slow, and independent of the field-quadrature basis and the local factors
 that the package uses: no function here calls the package's gauge
 conjugation (`CouplingSet.generator`, `QuadratureFamily`,
-`HermitianGenerator`), but for one: `spectra` solves both parity sectors of a
-stack of `QuadratureFamily` members in full, the oracle of
-`QuadratureFamily.ground_energies`, which solves one and certifies the other.
+`HermitianGenerator`), but for one: `spectra` reads a `QuadratureFamily`'s K,
+h0', lam and nu, forms every member of a recipe with its gauge phases entry
+by entry as a whole 2n x 2n matrix and solves it, the oracle of the family's
+theta-free parity sectors (`QuadratureFamily.ground_energies`, which solves
+one sector and certifies the other).
 
 `beyond_dipole` and `generalized_1d` write the beyond-dipole and the 1D
 normal-mode Hamiltonians out term by term, as closed forms that do not go
@@ -46,6 +48,7 @@ truncated field operators A and E at a point with the residual of the
 Heisenberg identity E = i [A, H_F] between them (`field_commutator_residual`).
 """
 
+import math
 from functools import cached_property, reduce
 
 import numpy as np
@@ -402,13 +405,26 @@ def dielectric_modes(d, n_modes):
             profiles * np.sign(profiles[:, :1]))
 
 
-def spectra(family, a0, recipe):
-    """Ascending eigenvalues (S, 2n) of a stack of `QuadratureFamily` members, its A_0 and
-    its recipe, after `measure`: both parity sectors solved in full, as the scan's ladders
-    did before `QuadratureFamily.ground_energies` solved one and certified the other."""
-    family.measure(a0, recipe)
-    sectors = [np.linalg.eigvalsh(s) for s in family._sector_stack(recipe, a0)]
-    return np.sort(np.concatenate(sectors, axis=-1), axis=-1)
+def spectra(family, recipe):
+    """Ascending eigenvalues (S, 2n) of every member of a recipe of a two-level
+    `QuadratureFamily`, each solved whole: in the family's basis, matter-major, the member
+    at coupling scale c is [[A_0, B], [B^dag, A_1]] with the phased blocks
+    A_k = diag(p_k) K diag(p_k)^* + h0'_kk, p_k = e^(-i theta lam_k c nu), and
+    B = h0'_01 diag(e^(i (1 - theta) (lam_0 - lam_1) c nu)), whose exponential the naive
+    series of the recipe's order cuts to its Taylor polynomial."""
+    n = len(family.x)
+    values = []
+    for c in recipe.scales:
+        t = c * family.x
+        a = [np.exp(-1j * recipe.theta * lam * t)[:, None] * family.k
+             * np.exp(1j * recipe.theta * lam * t) + family.h0[k, k] * np.eye(n)
+             for k, lam in enumerate(family.lam)]
+        z = 1j * (family.lam[0] - family.lam[1]) * t
+        series = (np.exp((1.0 - recipe.theta) * z) if recipe.order is None
+                  else sum(z**j / math.factorial(j) for j in range(recipe.order + 1)))
+        b = np.diag(family.h0[0, 1] * series)
+        values.append(np.linalg.eigvalsh(np.block([[a[0], b], [b.conj().T, a[1]]])))
+    return np.array(values)
 
 
 def tls_single_mode_modeset(chi, eta, omega0):

@@ -158,9 +158,9 @@ def test_bundle_apply_matches_the_formed_hamiltonian(system, theta, k):
        k=st.integers(1, 4))
 def test_quadrature_bundle_reads_from_k_equal_the_dense_oracle(seed, n_modes, real, theta,
                                                                  order, k):
-    """A two-level member keeps only its recipe: `apply` works as Phi (K (Phi^* x)), and `H`
-    and the pair's operator residual form what they read from K and the phases.  Each
-    equals the embedded-product oracle, with and without time reversal."""
+    """A two-level member keeps only its recipe: `apply` works as P (M' (P^* x)) from K,
+    `H` is formed from K, beta and the phases P, and the pair's operator residual from
+    beta.  Each equals the embedded-product oracle, with and without time reversal."""
     ms, em = (real_system if real else random_system)(seed, n_modes, "tls")
     cutoffs = (7,) if n_modes == 1 else (4, 3)
     gauge = COULOMB if order is not None else GaugeParam(theta)

@@ -16,7 +16,7 @@ import dense_oracle
 from dense_oracle import tls_single_mode_modeset
 from gaugecraft import (COULOMB, MULTIPOLAR, FockCutoffWarning, ambiguity_scan, build_dipole,
                         build_naive, couplings, gauge_unitary, verify_spectral_equivalence)
-from gaugecraft import ConfigError, EmitterSpec, HamiltonianBundle, ModeSet, tls
+from gaugecraft import ConfigError, EmitterSpec, HamiltonianBundle, ModeSet, gaugecheck, tls
 from gaugecraft.cli import main
 from gaugecraft.gaugecheck import _climb, scan_cutoffs
 from gaugecraft.hamiltonians import QuadratureFamily, build_gauge_pair
@@ -384,9 +384,9 @@ def test_the_multimode_workloads_own_system_is_gauge_checked(bench_inputs, tmp_p
 
 
 def test_an_oversized_verify_pair_is_refused_up_front(tmp_path, capsys, monkeypatch):
-    """Three modes at N = 20 give D = 18522: the quadrature pair alone needs about 8.8 GB,
-    more than half of a 16 GiB machine, so the command exits 2 before it allocates."""
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (16 << 30) // 4096}
+    """Three modes at N = 20 give D = 18522: the quadrature pair alone needs about 4.2 GB,
+    more than half of a 7 GiB machine, so the command exits 2 before it allocates."""
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (7 << 30) // 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     em = tls(1.0, (0.5, 0.0, 0.0))
     ms = ModeSet(np.diag([1.0, 1.1, 1.2]),
@@ -401,6 +401,34 @@ def test_an_oversized_verify_pair_is_refused_up_front(tmp_path, capsys, monkeypa
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert "fock_cutoffs [20, 20, 20]" in err and "D = 18522" in err
+    assert "fock_cutoffs [20, 20, 20]" in err and "D = 18522" in err and "4.2 GB" in err
     assert peak < 10_000_000
     assert not (tmp_path / "out" / "gauge_report.csv").exists()
+
+
+def test_a_sectored_verify_pair_peaks_at_pair_bytes(monkeypatch):
+    """Two modes at N = 20 with complex chi (D = 882, complex sectors of n = 441): the pair
+    holds the family's K and one sector at a time, traced, and LAPACK copies the sector
+    outside the trace.  Counting that copy as traced memory while LAPACK holds it, the
+    pair peaks at `pair_bytes`, and the estimate is not loose either."""
+    em = tls(1.0, (1.0, 0.0, 0.0))
+    ms = ModeSet(np.array([[1.0, 0.2j], [-0.2j, 1.3]]),
+                 {em.position_label: [(0.5, 0.0, 0.0), (0.3, 0.0, 0.0)]})
+    build_gauge_pair(ms, em, 20)  # fills the Fock quadrature caches outside the trace
+    at_solves = []
+
+    def counted(m, *args, original=np.linalg.eigvalsh, **kwargs):
+        at_solves.append(tracemalloc.get_traced_memory()[0] + m.nbytes)
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    tracemalloc.start()
+    try:
+        h_a, h_b = build_gauge_pair(ms, em, 20)
+        rep = verify_spectral_equivalence(h_a, h_b, k=5, cs=couplings(ms, em))
+        peak = max(tracemalloc.get_traced_memory()[1], *at_solves)
+    finally:
+        tracemalloc.stop()
+    assert h_a.basis == "quadrature" and rep.max_abs_diff <= 1e-12
+    budget = gaugecheck.pair_bytes(882, True)
+    assert 0.9 * budget <= peak <= budget, f"{peak / (16 * 882**2):.3f} x 16 D^2"

@@ -120,14 +120,12 @@ def test_the_quadrature_path_is_taken_for_every_two_level_system_that_factors():
 
 
 class TestMutations:
-    """A two-mode family whose K carries one injected entry: the member's blocks are formed
-    from K when it is measured, and each measured check raises."""
+    """A two-mode family whose K carries one injected entry before K is first checked: K is
+    checked once per family when a member is first measured, and each check raises."""
 
     def build(self, complex_chi=True):
-        family = QuadratureFamily.of(*two_modes(complex_chi), (4, 3))
-        HamiltonianBundle.in_quadrature_basis(family, GaugeParam(0.37),
-                                              family.recipe(0.37, [1.0]), {})
-        return family
+        self.measured(QuadratureFamily.of(*two_modes(complex_chi), (4, 3)))  # passes intact
+        return QuadratureFamily.of(*two_modes(complex_chi), (4, 3))
 
     def measured(self, family):
         return HamiltonianBundle.in_quadrature_basis(family, GaugeParam(0.37),
@@ -141,7 +139,7 @@ class TestMutations:
 
     def test_parity(self):
         family = self.build()
-        family.k[1, 3] += 1e-8  # Hermitian, but K != J K J, so A_0 != J A_1 J
+        family.k[1, 3] += 1e-8  # Hermitian, but K != J K J
         family.k[3, 1] += 1e-8
         with pytest.raises(InvariantViolation, match="parity"):
             self.measured(family)
@@ -176,3 +174,22 @@ def test_two_mode_residual_equals_the_fock_basis_residual(order):
             assert got.operator_residual <= 1e-10 and want.operator_residual <= 1e-10
         else:
             assert abs(got.operator_residual / want.operator_residual - 1) <= 1e-10
+
+
+@pytest.mark.parametrize("differ", ["chi", "h0"])
+def test_families_of_one_basis_but_another_k_take_the_fock_basis_residual(differ):
+    """Two families with equal couplings and cutoffs, so one basis, but another chi (so
+    another K) or another h0: the beta difference alone would miss the rest of
+    W H_a W^dag - H_b, so the pair's residual is the one of the formed W and both H."""
+    ms, em = two_modes()
+    other_ms, other_em = ((two_modes(complex_chi=False)[0], em) if differ == "chi"
+                          else (ms, tls(1.4, (0.6, 0.2, 0.0))))
+    cs = couplings(ms, em)
+    assert np.array_equal(couplings(other_ms, other_em).eta_matrices, cs.eta_matrices)
+    h_a = build_dipole(ms, em, COULOMB, (4, 3))
+    h_b = build_dipole(other_ms, other_em, GaugeParam(1.0), (4, 3))
+    assert not h_a.family.same_basis(h_b.family) and h_a.family.same_basis(h_a.family)
+    fock = [HamiltonianBundle(h.H, h.space, h.gauge, h.metadata) for h in (h_a, h_b)]
+    got = verify_spectral_equivalence(h_a, h_b, k=4, cs=cs).operator_residual
+    want = verify_spectral_equivalence(*fock, k=4, cs=cs).operator_residual
+    assert want > 1e-2 and abs(got / want - 1) <= 1e-12

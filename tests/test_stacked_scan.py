@@ -15,8 +15,7 @@ import dense_oracle
 from dense_oracle import tls_single_mode_modeset
 from gaugecraft import (COULOMB, MULTIPOLAR, ConvergenceError, CouplingSet, GaugeParam,
                         HamiltonianBundle, InvariantViolation, ModeSet, ambiguity_scan,
-                        build_dipole, build_naive, field_hamiltonian, gaugecheck, hamiltonians,
-                        tls)
+                        build_dipole, build_naive, field_hamiltonian, gaugecheck, tls)
 from gaugecraft.cli import main
 from gaugecraft.gaugecheck import QuadratureFamily
 from gaugecraft.hilbert import (PAULI_X, PAULI_Z, Eigenbasis, HilbertSpec, fock_quadrature,
@@ -31,6 +30,14 @@ LADDERS = {(0.0, None): "coulomb", (1.0, None): "multipolar", (0.0, 1): "naive"}
 def assert_members_close(got, want, what, rel=1e-12):
     dev = max_abs(got - want)
     assert dev <= rel * max(1.0, max_abs(want)), f"{what}: deviation {dev:.3e}"
+
+
+def sector_spectra(family, recipe):
+    """Ascending eigenvalues (S, 2n) of every member of a recipe from the family's own
+    theta-free parity sectors, both solved in full, after `measure`."""
+    family.measure(recipe)
+    sectors = [np.linalg.eigvalsh(s) for s in family._sector_stack(recipe)]
+    return np.sort(np.concatenate(sectors, axis=-1), axis=-1)
 
 
 def scaled_modes(ms, em, c):
@@ -61,8 +68,10 @@ def test_stacked_build_dipole_members_equal_their_own_builds(system, theta):
     ms, em, cutoff, scales = system
     family = QuadratureFamily.of(ms, em, cutoff)
     assert family.time_reversal == (np.imag(ms.profile(em.position_label)[0, 0]) == 0)
-    values = dense_oracle.spectra(family, *family.blocks(theta, scales))
+    recipe = family.recipe(theta, scales)
+    values = sector_spectra(family, recipe)
     assert values.shape == (len(scales), 2 * (cutoff + 1))
+    assert_members_close(values, dense_oracle.spectra(family, recipe), "phased blocks")
     for i, c in enumerate(scales):
         single = dense_oracle.dense_bundle(scaled_modes(ms, em, c), em, GaugeParam(theta),
                                            cutoff)
@@ -74,7 +83,9 @@ def test_stacked_build_dipole_members_equal_their_own_builds(system, theta):
 def test_stacked_build_naive_members_equal_their_own_builds(system, order):
     ms, em, cutoff, scales = system
     family = QuadratureFamily.of(ms, em, cutoff)
-    values = dense_oracle.spectra(family, *family.blocks(0.0, scales, order))
+    recipe = family.recipe(0.0, scales, order)
+    values = sector_spectra(family, recipe)
+    assert_members_close(values, dense_oracle.spectra(family, recipe), "phased blocks")
     for i, c in enumerate(scales):
         single = dense_oracle.dense_bundle(scaled_modes(ms, em, c), em, COULOMB, cutoff, order)
         assert_members_close(values[i], single.eigenvalues(), f"member {i} at scale {c}")
@@ -87,14 +98,14 @@ def test_stacked_build_naive_members_equal_their_own_builds(system, order):
 def test_ground_energies_are_the_lowest_level_of_both_sectors(system, ladder):
     ms, em, cutoff, scales = system
     family = QuadratureFamily.of(ms, em, cutoff)
-    a0, recipe = family.blocks(ladder[0], scales, ladder[1])
-    want = dense_oracle.spectra(family, a0, recipe)
-    assert_members_close(family.ground_energies(a0, recipe), want[:, 0], f"{ladder}")
-    # -b swaps the two sectors: where the certificate held, it fails there, and the other
-    # sector is solved too
-    swapped = replace(recipe, b=-recipe.b)
-    assert_members_close(dense_oracle.spectra(family, a0, swapped), want, f"{ladder} swapped")
-    assert_members_close(family.ground_energies(a0, swapped), want[:, 0], f"{ladder} swapped")
+    recipe = family.recipe(ladder[0], scales, ladder[1])
+    want = dense_oracle.spectra(family, recipe)
+    assert_members_close(family.ground_energies(recipe), want[:, 0], f"{ladder}")
+    # -beta swaps the two sectors: where the certificate held, it fails there, and the
+    # other sector is solved too
+    swapped = replace(recipe, beta=-recipe.beta)
+    assert_members_close(sector_spectra(family, swapped), want, f"{ladder} swapped")
+    assert_members_close(family.ground_energies(swapped), want[:, 0], f"{ladder} swapped")
 
 
 def count_solves(monkeypatch):
@@ -112,13 +123,14 @@ def count_solves(monkeypatch):
 def test_swapped_sectors_fall_back_to_solving_both(monkeypatch):
     ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
     family = QuadratureFamily.of(ms, em, 20)
-    a0, recipe = family.blocks(0.0, [0.3, 1.1, 2.4])
-    want = dense_oracle.spectra(family, a0, recipe)[:, 0]
+    recipe = family.recipe(0.0, [0.3, 1.1, 2.4])
+    want = sector_spectra(family, recipe)[:, 0]
+    assert_members_close(want, dense_oracle.spectra(family, recipe)[:, 0], "phased blocks")
     eigvalsh, cholesky = count_solves(monkeypatch)
-    assert np.array_equal(family.ground_energies(a0, recipe), want)
+    assert np.array_equal(family.ground_energies(recipe), want)
     assert eigvalsh == cholesky == [(3, 21, 21)]  # one sector solved, the other certified
     del eigvalsh[:], cholesky[:]
-    assert np.array_equal(family.ground_energies(a0, replace(recipe, b=-recipe.b)), want)
+    assert np.array_equal(family.ground_energies(replace(recipe, beta=-recipe.beta)), want)
     assert eigvalsh == [(3, 21, 21)] * 2 and cholesky == [(3, 21, 21)]  # the fallback
 
 
@@ -133,9 +145,9 @@ def test_gauge_check_solves_one_sector_and_certifies_the_other_per_rung(tmp_path
     solves = []
     original = QuadratureFamily.ground_energies
 
-    def counted(family, a0, recipe):
-        solves.append(a0.shape)
-        return original(family, a0, recipe)
+    def counted(family, recipe):
+        solves.append(recipe.beta.shape + recipe.beta.shape[-1:])
+        return original(family, recipe)
 
     monkeypatch.setattr(QuadratureFamily, "ground_energies", counted)
     eigvalsh, cholesky = count_solves(monkeypatch)
@@ -153,14 +165,14 @@ def test_gauge_check_solves_one_sector_and_certifies_the_other_per_rung(tmp_path
 def test_stack_of_one_keeps_its_axis_and_eigensystem_refuses_stacks():
     ms, em = tls_single_mode_modeset(1.0, 0.6, 1.0)
     family = QuadratureFamily.of(ms, em, 8)
-    values = dense_oracle.spectra(family, *family.blocks(0.0, [1.0]))
+    values = sector_spectra(family, family.recipe(0.0, [1.0]))
     assert values.shape == (1, 18)
     assert_members_close(values[0], build_dipole(ms, em, COULOMB, 8).eigenvalues(), "member")
     bundle = build_dipole(ms, em, COULOMB, 8)
     with pytest.raises(ValueError, match="must be square"):
         HamiltonianBundle(bundle.H[None], bundle.space, COULOMB)
     with pytest.raises(ValueError, match="theta = 0"):
-        family.blocks(0.37, [1.0], order=1)
+        family.recipe(0.37, [1.0], order=1)
 
 
 def test_the_family_reads_the_cached_quadrature_basis():
@@ -169,92 +181,98 @@ def test_the_family_reads_the_cached_quadrature_basis():
 
 
 class TestForgedMembers:
-    """Each check of a stacked quadrature-basis solve is made on every member's raw blocks,
-    at that member's scale, and names the first failing member.  A member's A_0 is held in
-    the stack and its A_1 formed from the family's K, which every member shares."""
+    """The checks of a stacked quadrature-basis solve: K, which every member shares, once per
+    family, and each member's beta at that member's scale, naming the first failing member.
+    A forged K is injected before the family first checks it."""
 
     SCALES = [0.2, 0.5, 0.9, 1.3]
 
-    def stack(self, phase=1.0):
+    def stack(self, phase=1.0, cutoff=6, scales=SCALES):
         ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
         if phase != 1.0:
             ms = scaled_modes(ms, em, phase)
-        family = QuadratureFamily.of(ms, em, 6)
-        a0, recipe = family.blocks(0.37, self.SCALES)
-        return family, a0, recipe
+        family = QuadratureFamily.of(ms, em, cutoff)
+        return family, family.recipe(0.37, scales)
 
-    @staticmethod
-    def copies(a0, recipe):
-        return a0.copy(), replace(recipe, b=recipe.b.copy())
+    def forged(self, entries, **kwargs):
+        """A family whose K gets these {(i, j): value} entries added before its first check,
+        with negative indices counted from the end, and its recipe."""
+        family, recipe = self.stack(**kwargs)
+        e = np.zeros(family.k.shape, dtype=complex)
+        for index, value in entries.items():
+            e[index] += value
+        family.k = family.k + e
+        return family, recipe
 
-    def test_non_hermitian_member_is_named(self):
-        family, a0, recipe = self.stack()
-        family.ground_energies(a0, recipe)
-        a0[2, 0, 3] += 1e-8  # an asymmetric entry
+    def test_non_hermitian_k_is_found(self):
+        self.stack()[0].ground_energies(self.stack()[1])
+        # asymmetric, and kept J-symmetric so that only the Hermiticity check can see it
+        family, recipe = self.forged({(0, 3): 1e-8, (-1, -4): 1e-8})
         with pytest.raises(InvariantViolation,
-                           match="not Hermitian before symmetrization in stack member 2 "):
-            family.ground_energies(a0, recipe)
+                           match="K is not Hermitian before symmetrization"):
+            family.ground_energies(recipe)
 
     def test_each_member_is_held_to_its_own_scale(self):
-        family, a0, recipe = self.stack()
-        recipe.b[0] *= 1e6  # keeps b = J b^*, and raises member 0's largest entry
-        a0[0, 0, 2] += 1e-8  # within 1e-12 * 1e6 |b| of the large member
-        family.ground_energies(a0, recipe)
-        a0[1, 0, 2] += 1e-8  # beyond 1e-12 * max(1, max|A_k|, max|b|) of a small one
-        with pytest.raises(InvariantViolation, match="stack member 1"):
-            family.ground_energies(a0, recipe)
+        family, recipe = self.stack()
+        recipe.beta[0] *= 1e6  # keeps beta = J beta^*, and raises member 0's largest entry
+        recipe.beta[0, 2] += 1e-8  # breaks it within 1e-12 * 1e6 |beta| of the large member
+        family.ground_energies(recipe)
+        recipe.beta[1, 2] += 1e-8  # beyond 1e-12 * max(1, max|M0|, max|beta|) of a small one
+        with pytest.raises(InvariantViolation, match="parity .* in stack member 1"):
+            family.ground_energies(recipe)
 
     def test_parity_breaking_member_is_named(self):
-        family, *blocks = self.stack()
-        a0, recipe = self.copies(*blocks)
-        a0[3, 1, 2] += 1e-6  # a Hermitian change to A_0 alone breaks the reflection
-        a0[3, 2, 1] += 1e-6
+        family, recipe = self.stack()
+        recipe.beta[3, 1] += 1e-6  # one entry of beta breaks b = J b^*: B J != J B^dag
         with pytest.raises(InvariantViolation, match="parity .* in stack member 3"):
-            family.ground_energies(a0, recipe)
-        a0, recipe = self.copies(*blocks)
-        recipe.b[1, 0] += 1e-6  # so does one entry of B: B J != J B^dag
-        with pytest.raises(InvariantViolation, match="parity .* in stack member 1"):
-            family.ground_energies(a0, recipe)
+            family.ground_energies(recipe)
+        # a Hermitian change to K that breaks K = J K J reaches every member
+        family, recipe = self.forged({(1, 2): 1e-6, (2, 1): 1e-6})
+        with pytest.raises(InvariantViolation, match="parity .*max.M0 - J M0 J"):
+            family.ground_energies(recipe)
 
     def test_time_reversal_breaking_field_block_is_found(self):
-        """A change that keeps the parity must keep A_1 = J A_0 J, so it reaches every
-        member through K: each member's A_0 is formed from the changed K."""
-        family, a0, _ = self.stack()
-        n = a0.shape[-1]
-        e = np.zeros((n, n), dtype=complex)
-        e[0, 1], e[1, 0] = 1e-6j, -1e-6j  # Hermitian and imaginary
-        family.k = family.k + e + e[::-1, ::-1]  # keeps K = J K J
-        with pytest.raises(InvariantViolation, match="time reversal .* in stack member 0"):
-            family.ground_energies(*family.blocks(0.37, self.SCALES))
-        complex_family, *_ = self.stack(phase=np.exp(0.4j))
+        """A Hermitian, imaginary change to K that keeps K = J K J breaks only time
+        reversal."""
+        entries = {(0, 1): 1e-6j, (1, 0): -1e-6j, (-1, -2): 1e-6j, (-2, -1): -1e-6j}
+        family, recipe = self.forged(entries)
+        with pytest.raises(InvariantViolation, match="time reversal .*K's real form"):
+            family.ground_energies(recipe)
+        complex_family, recipe = self.forged(entries, phase=np.exp(0.4j))
         assert not complex_family.time_reversal
-        complex_family.k = complex_family.k + e + e[::-1, ::-1]
-        # nothing declared, nothing to break
-        complex_family.ground_energies(*complex_family.blocks(0.37, self.SCALES))
+        complex_family.ground_energies(recipe)  # nothing declared, nothing to break
 
-    @pytest.mark.parametrize("cutoff, chunked", [(6, False), (340, True)])
-    def test_large_blocks_are_read_in_row_chunks_and_name_the_same_member(self, monkeypatch,
-                                                                        cutoff, chunked):
-        """A small member is read whole, several at a time; past HERMITIAN_CHUNK entries a
-        member is read in row chunks.  Its checks still name the first failing member."""
-        ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
-        family = QuadratureFamily.of(ms, em, cutoff)
-        a0, recipe = family.blocks(0.37, self.SCALES[:3])
-        n = cutoff + 1
-        chunks, original = [], hamiltonians._row_chunks
-        monkeypatch.setattr(hamiltonians, "_row_chunks",
-                            lambda *args: chunks.append(original(*args)) or chunks[-1])
-        family.measure(a0, recipe)
-        rows = {(r.start, r.stop) for _, r in chunks[0]}
-        assert (rows != {(0, n)}) == chunked
-        a0[2, 0, n - 1] += 1e-8  # an asymmetric entry at the far corner
-        with pytest.raises(InvariantViolation, match="not Hermitian .* in stack member 2 "):
-            family.measure(a0, recipe)
-        a0, recipe = family.blocks(0.37, self.SCALES[:3])
-        a0[1, n - 2, 1] += 1e-6  # a Hermitian change to A_0 alone breaks the reflection
-        a0[1, 1, n - 2] += 1e-6
-        with pytest.raises(InvariantViolation, match="parity .* in stack member 1"):
-            family.measure(a0, recipe)
+    def test_h0_the_parity_does_not_keep_is_found(self):
+        """h0 = sigma_z + 0.3 sigma_x is not even under S = sigma_z: h0'_11 != h0'_00, while
+        beta = J beta^* still holds."""
+        cs = CouplingSet(0.7 * PAULI_X[None], [[1.0]])
+        for h0, breaks in ((PAULI_Z, False), (PAULI_Z + 0.3 * PAULI_X, True)):
+            family = QuadratureFamily(cs, np.array([0.7]), PAULI_X, (1, -1), h0, (6,))
+            recipe = family.recipe(0.37, [1.0])
+            assert max_abs(recipe.beta - recipe.beta[:, ::-1].conj()) <= 1e-15
+            if not breaks:
+                family.measure(recipe)
+                continue
+            with pytest.raises(InvariantViolation, match="parity .*max.M0 - J M0 J"):
+                family.measure(recipe)
+
+    @pytest.mark.parametrize("cutoff", [6, 340])
+    def test_far_corner_changes_are_found_and_name_the_same_member(self, cutoff):
+        """K is checked a chunk of rows at a time past HERMITIAN_CHUNK entries; a change at
+        its far corner is still found, and a member's beta still names that member."""
+        kwargs = {"cutoff": cutoff, "scales": self.SCALES[:3]}
+        family, recipe = self.stack(**kwargs)
+        family.measure(recipe)
+        recipe.beta[2, -1] += 1e-8
+        with pytest.raises(InvariantViolation, match="parity .* in stack member 2"):
+            family.measure(recipe)
+        family, recipe = self.forged({(0, -1): 1e-8}, **kwargs)  # an asymmetric entry
+        with pytest.raises(InvariantViolation, match="not Hermitian"):
+            family.measure(recipe)
+        # Hermitian, but its reflection (1, -1), (-1, 1) is not changed
+        family, recipe = self.forged({(-2, 0): 1e-6, (0, -2): 1e-6}, **kwargs)
+        with pytest.raises(InvariantViolation, match="parity"):
+            family.measure(recipe)
 
     def test_diagnostics_report_the_worst_member(self):
         ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
@@ -324,23 +342,23 @@ def test_unconverged_naive_row_is_written_not_fatal(tmp_path, capsys):
 
 
 def record_builds(monkeypatch):
-    """Count the scan's stacked builds through `QuadratureFamily.blocks`: (ladder, n, scales)."""
+    """Count the scan's stacked builds through `QuadratureFamily.recipe`: (ladder, n, scales)."""
     calls = []
-    orig = QuadratureFamily.blocks
+    orig = QuadratureFamily.recipe
 
     def counted(self, theta, scales, order=None):
         calls.append((LADDERS[theta, order], self.cutoffs[0], np.array(scales)))
         return orig(self, theta, scales, order)
 
-    monkeypatch.setattr(QuadratureFamily, "blocks", counted)
+    monkeypatch.setattr(QuadratureFamily, "recipe", counted)
     return calls
 
 
-@pytest.mark.parametrize("budget", [gaugecheck.STACK_BYTES, 3 * 16 * 42**2])
+@pytest.mark.parametrize("budget", [gaugecheck.STACK_BYTES, 5 * 9072])
 def test_one_stacked_build_per_ladder_rung_and_chunk(monkeypatch, budget):
     grid = [1.4, 0.1, 0.9, 0.3, 1.4, 0.6, 1.1]
     ladders = [dense_oracle.ambiguity_ladders(1.0, 1.0, eta) for eta in grid]
-    # the second: 5 members at N = 20, 1 from N = 40 on
+    # the second: 5 members of 9072 bytes at N = 20, 1 from N = 40 on
     monkeypatch.setattr(gaugecheck, "STACK_BYTES", budget)
     calls = record_builds(monkeypatch)
     ambiguity_scan(*tls_single_mode_modeset(1.0, 1.0, 1.0), grid)
@@ -361,8 +379,8 @@ def test_one_stacked_build_per_ladder_rung_and_chunk(monkeypatch, budget):
 
 def test_chunk_sizes_bound_a_stack_to_the_budget():
     sizes = [gaugecheck.stack_chunk(n + 1, True) for n in (20, 40, 80, 160, 320, 640)]
-    assert sizes == [496, 138, 36, 9, 2, 1]
-    assert [gaugecheck.stack_chunk(n + 1, False) for n in (20, 40, 80, 160)] == [345, 94, 24, 6]
+    assert sizes == [881, 259, 70, 18, 4, 1]
+    assert [gaugecheck.stack_chunk(n + 1, False) for n in (20, 40, 80, 160)] == [496, 138, 36, 9]
     # the rungs of the `coupling-scan` benchmark (40 couplings) each fit in one chunk: the
     # correct ladders climb 40, 40, 17 and 2 members at N = 20 .. 160, the naive 40, 40, 7
     assert all(size >= live for size, live in zip(sizes, (40, 40, 17, 2)))
@@ -372,8 +390,8 @@ def test_chunk_sizes_bound_a_stack_to_the_budget():
 @pytest.mark.parametrize("n", [21, 41, 81])
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_one_chunk_of_a_single_mode_family_stays_within_the_budget(n, real):
-    """A chunk of `stack_chunk` members, from `blocks` through `ground_energies`, holds at
-    most STACK_BYTES traced: its A_0 stack, sectors and Cholesky factors, its O(n) vectors
+    """A chunk of `stack_chunk` members, from `recipe` through `ground_energies`, holds at
+    most STACK_BYTES traced: its stack of sectors and Cholesky factors, its O(n) vectors
     and the chunk's fixed temporaries, for real and complex couplings.  LAPACK copies one
     member at a time, outside the trace."""
     ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
@@ -386,7 +404,7 @@ def test_one_chunk_of_a_single_mode_family_stays_within_the_budget(n, real):
     for theta, order in ((0.0, None), (1.0, None), (0.0, 1)):
         tracemalloc.start()
         try:
-            family.ground_energies(*family.blocks(theta, np.linspace(0.1, 2.0, size), order))
+            family.ground_energies(family.recipe(theta, np.linspace(0.1, 2.0, size), order))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -410,7 +428,7 @@ def test_a_complex_chunk_stays_within_the_budget(cutoffs):
     for theta, order in ((0.0, None), (1.0, None), (0.0, 1)):
         tracemalloc.start()
         try:
-            family.ground_energies(*family.blocks(theta, np.linspace(0.1, 2.0, size), order))
+            family.ground_energies(family.recipe(theta, np.linspace(0.1, 2.0, size), order))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -430,9 +448,9 @@ def test_strong_coupling_grid_climbs_in_bounded_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert {r.cutoff for r in rows} == {320}
-    assert max(len(s) for _, n, s in calls if n == 160) == 9  # n = 161 climbs 9 at a time
+    assert max(len(s) for _, n, s in calls if n == 160) == 18  # n = 161 climbs 18 at a time
     top = [s for _, n, s in calls if n == 320]
-    assert all(len(s) == 2 for s in top)  # n = 321: two members per build
+    assert all(len(s) == 4 for s in top)  # n = 321: four members per build
     assert set(np.concatenate(top)) == set(grid)
     assert peak <= 2 * gaugecheck.STACK_BYTES
 
