@@ -4,9 +4,14 @@
                --config PATH --out DIR [--jobs N] [--set key=value ...]
 
 Configs and metadata are JSON, tabular results are CSV (UTF-8, LF, header
-row).  Runs are deterministic given (config, seed); every metadata file
-carries the sha256 of the resolved config.  Exit codes: 0 success, 2 config
-error, 3 numerical non-convergence, 4 internal invariant violation.
+row).  The config, each --set applied, is checked against the table of
+scenario keys in `scenario.py` before any command starts: an unknown key, a
+value of the wrong kind or out of range exits 2 naming its key path.  Commands
+read typed, default-filled values from the checked config; they check only
+the sections they require and the rules that tie values to one another.
+Runs are deterministic given (config, seed); every metadata file carries the
+sha256 of the config as given, --set applied.  Exit codes: 0 success, 2
+config error, 3 numerical non-convergence, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -24,15 +29,14 @@ import numpy as np
 
 from . import __version__
 from .detect import DetectorSpec, rate_table, significant_transitions
-from .dynamics import NORM_TOL, evolve, factor_populations, ground_state
+from .dynamics import evolve, factor_populations, ground_state
 from .errors import ConfigError, ConvergenceError, GaugecraftError, InvariantViolation
 from .gaugecheck import ambiguity_scan, pair_bytes, scan_cutoffs, verify_spectral_equivalence
-from .hamiltonians import (QuadratureFamily, build_beyond_dipole, build_dipole, build_gauge_pair,
-                           build_naive, build_time_dependent, couplings, standard_space)
+from .hamiltonians import (GaugeParam, QuadratureFamily, build_beyond_dipole, build_dipole,
+                           build_gauge_pair, build_naive, build_time_dependent, couplings,
+                           standard_space)
 from .modes import build_from_grid, chi_from_qnm, completeness_residual, qnm_frequency_grid, solve_dielectric_1d
-from .scenario import (Scenario, _decoding, decode_complex_matrix, dielectric_from_json,
-                       number, number_list, polariton_grid_from_json, qnm_from_json,
-                       save_modeset)
+from .scenario import Scenario, decode_complex_matrix, save_modeset
 
 COMMANDS = ("spectrum", "gauge-check", "detect", "evolve", "modes")
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
@@ -49,10 +53,8 @@ COMMAND_MATRICES = {"spectrum": (0.76, 10.0), "detect": (1.3, 14.0)}
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    config_path: Path
     out_dir: Path
     jobs: int
-    overrides: tuple
     scenario: Scenario
     config_hash: str
 
@@ -75,30 +77,13 @@ def write_metadata(cfg: RunConfig, extra: dict):
         "version": __version__,
         "command": cfg.command,
         "config_hash": cfg.config_hash,
-        "seed": cfg.scenario.seed,
+        "seed": cfg.scenario.values["seed"],
         "jobs": cfg.jobs,
     }
     meta.update(extra)
     (cfg.out_dir / "metadata.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2, default=str) + "\n",
         encoding="utf-8", newline="\n")
-
-
-def apply_override(doc: dict, key: str, raw: str):
-    """Set a dotted key path; values parse as JSON, falling back to string."""
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    parts = key.split(".")
-    node = doc
-    for p in parts[:-1]:
-        if not isinstance(node, dict):
-            raise ConfigError(f"override '{key}': '{p}' is not an object")
-        node = node.setdefault(p, {})
-    if not isinstance(node, dict):
-        raise ConfigError(f"override '{key}' does not address an object")
-    node[parts[-1]] = value
 
 
 def parse_args(argv) -> RunConfig:
@@ -114,33 +99,26 @@ def parse_args(argv) -> RunConfig:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
-    scenario = Scenario.load(args.config)
-    for item in args.overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
-        key, raw = item.split("=", 1)
-        apply_override(scenario.doc, key, raw)
+    scenario = Scenario.load(args.config, args.overrides)
     digest = hashlib.sha256(
         json.dumps(scenario.doc, sort_keys=True).encode("utf-8")).hexdigest()
     args.out.mkdir(parents=True, exist_ok=True)
-    return RunConfig(args.command, args.config, args.out, args.jobs,
-                     tuple(args.overrides), scenario, digest)
+    return RunConfig(args.command, args.out, args.jobs, scenario, digest)
 
 
 def _build_system(cfg: RunConfig):
     sc = cfg.scenario
-    ms = sc.modeset()
-    em = sc.emitter()
-    g = sc.gauge()
+    ms, em, g = sc.modeset(), sc.section("emitter"), GaugeParam(sc.values["gauge_theta"])
     cutoffs = sc.cutoffs(ms.n_modes)
-    bd = sc.section("beyond_dipole", required=False)
+    bd = sc.values["beyond_dipole"]
     if bd and (not em.is_tls or em.single_particle is None):
         raise ConfigError("'beyond_dipole' needs a two-level 'emitter' with 'q' and 'r_dip'")
-    naive = not bd and sc.truncation() == "naive"
+    naive = not bd and sc.values["truncation"] == "naive"
     if naive and g.theta not in (0.0, 1.0):
         raise ConfigError(f"'truncation' naive is defined at 'gauge_theta' 0 and 1 only, "
                           f"got {g.theta:g}")
-    lc = None if bd or naive else sc.longitudinal()
+    lc = sc.values["longitudinal"]
+    lc = None if bd or naive or lc == "off" else lc
     family = QuadratureFamily.of(ms, em, cutoffs)
     # every member but a theta = 1 canonical form and the hook's comes from the family of the
     # couplings (for the beyond-dipole Coulomb form, of its sigma_x couplings, sectored alike)
@@ -149,13 +127,13 @@ def _build_system(cfg: RunConfig):
     dim = standard_space(cutoffs, em.n_levels).dim * (1 if lc is None else lc.cutoff + 1)
     _refuse_oversized("the spectrum", cutoffs, dim, command_bytes("spectrum", dim, sectored))
     if bd:
-        fns = _beyond_dipole_profiles(bd, ms.n_modes)
+        fns = _beyond_dipole_profiles(bd["profile"], ms.n_modes)
         gauge_label = "coulomb" if g.theta == 0.0 else "multipolar"
-        nodes = number(bd.get("quadrature_order", 65), "beyond_dipole.quadrature_order", int)
         return ms, em, build_beyond_dipole(ms.chi, fns, em, gauge_label, cutoffs,
-                                           quad_nodes=nodes)
+                                           quad_nodes=bd["quadrature_order"])
     if naive:
-        return ms, em, build_naive(ms, em, g, cutoffs, order=sc.naive_order(), family=family)
+        return ms, em, build_naive(ms, em, g, cutoffs, order=sc.values["naive_order"],
+                                   family=family)
     return ms, em, build_dipole(ms, em, g, cutoffs, longitudinal=lc, family=family)
 
 
@@ -175,28 +153,22 @@ def _refuse_oversized(what: str, cutoffs, dim: int, need: float):
                           f"({budget / 1e9:.1f} GB)")
 
 
-def _beyond_dipole_profiles(section, n_modes):
-    descriptors = section.get("profile")
-    if descriptors is None:
-        raise ConfigError("missing key 'beyond_dipole.profile'")
+def _beyond_dipole_profiles(descriptors, n_modes):
+    """One profile function per mode; a single descriptor stands for every mode's."""
     if isinstance(descriptors, dict):
         descriptors = [descriptors] * n_modes
+    if len(descriptors) != n_modes:
+        raise ConfigError(f"'beyond_dipole.profile' needs {n_modes} descriptors")
     fns = []
-    with _decoding("beyond_dipole.profile", "profile"):
-        if len(descriptors) != n_modes:
-            raise ConfigError(f"'beyond_dipole.profile' needs {n_modes} descriptors")
-        for k, desc in enumerate(descriptors):
-            kind = desc.get("kind")
-            path = f"beyond_dipole.profile[{k}]"
-            if kind == "constant":
-                value = decode_complex_matrix(desc.get("value"), f"{path}.value", (3,))
-                fns.append(lambda x, v=value: v)
-            elif kind == "cosine":
-                amp = decode_complex_matrix(desc.get("amplitude"), f"{path}.amplitude", (3,))
-                kvec = np.array(number_list(desc.get("k"), f"{path}.k", length=3))
-                fns.append(lambda x, a=amp, kv=kvec: a * np.cos(kv @ np.asarray(x, dtype=float)))
-            else:
-                raise ConfigError(f"'{path}.kind' must be 'constant' or 'cosine'")
+    for k, desc in enumerate(descriptors):
+        path = f"beyond_dipole.profile[{k}]"
+        if desc["kind"] == "constant":
+            value = decode_complex_matrix(desc["value"], f"{path}.value", (3,))
+            fns.append(lambda x, v=value: v)
+        else:
+            amp = decode_complex_matrix(desc["amplitude"], f"{path}.amplitude", (3,))
+            fns.append(lambda x, a=amp, kv=np.array(desc["k"]):
+                       a * np.cos(kv @ np.asarray(x, dtype=float)))
     return fns
 
 
@@ -220,33 +192,28 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_gauge_check(cfg: RunConfig) -> int:
     sc = cfg.scenario
-    ms, em = sc.modeset(), sc.emitter()
-    section = sc.section("gauge_check", required=False)
+    ms, em = sc.modeset(), sc.section("emitter")
+    section = sc.section("gauge_check")
     chi = float(ms.chi_diag[0])
-    spectral_tol = number(section.get("spectral_tol", 1e-6), "gauge_check.spectral_tol") * chi
-    ground_tol = number(section.get("ground_tol", 1e-7), "gauge_check.ground_tol") * chi
-    k = number(section.get("k", 5), "gauge_check.k", int)
+    spectral_tol, ground_tol = section["spectral_tol"] * chi, section["ground_tol"] * chi
     cutoffs = sc.cutoffs(ms.n_modes)
     dim = standard_space(cutoffs, em.n_levels).dim
-    if not 1 <= k <= dim:
-        raise ConfigError(f"'gauge_check.k' = {k} is outside [1, {dim}], the dimension at "
-                          f"fock_cutoffs {list(cutoffs)}")
+    if section["k"] > dim:
+        raise ConfigError(f"'gauge_check.k' = {section['k']} is outside [1, {dim}], the "
+                          f"dimension at fock_cutoffs {list(cutoffs)}")
     # the scan's route as well: scaling the couplings keeps a family sectored or not
     family = QuadratureFamily.of(ms, em, cutoffs)
     sectored = getattr(family, "sectored", False)
     _refuse_oversized("the verify pair", cutoffs, dim, pair_bytes(dim, sectored))
-    eta_grid = section.get("eta_grid")
-    if eta_grid is not None:
-        eta_grid = number_list(eta_grid, "gauge_check.eta_grid")
-    order = sc.naive_order()
-    rows = ambiguity_scan(ms, em, eta_grid, tol=ground_tol, order=order)
+    order, truncation = sc.values["naive_order"], sc.values["truncation"]
+    rows = ambiguity_scan(ms, em, section["eta_grid"], tol=ground_tol, order=order)
     write_csv(cfg.out_dir / "gauge_report.csv",
               ("eta", "naive_gap", "correct_gap", "cutoff", "converged"),
               [(r.eta, r.naive_gap, r.correct_gap, r.cutoff, r.converged) for r in rows])
 
-    h_a, h_b = build_gauge_pair(ms, em, cutoffs, order if sc.truncation() == "naive" else None,
+    h_a, h_b = build_gauge_pair(ms, em, cutoffs, order if truncation == "naive" else None,
                                 family=family)
-    rep = verify_spectral_equivalence(h_a, h_b, k=k, tol=spectral_tol,
+    rep = verify_spectral_equivalence(h_a, h_b, k=section["k"], tol=spectral_tol,
                                       cs=couplings(ms, em))
     worst_correct = max(r.correct_gap for r in rows)
     passed = rep.max_abs_diff < spectral_tol and worst_correct < spectral_tol
@@ -261,7 +228,7 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
         "max_abs_diff": rep.max_abs_diff,
         "operator_residual": rep.operator_residual,
         "spectral_tol": spectral_tol,
-        "truncation": sc.truncation(),
+        "truncation": truncation,
         "cutoffs": list(cutoffs),
         "dimension": dim,
         "basis": h_a.basis,
@@ -274,39 +241,23 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
 
 def cmd_detect(cfg: RunConfig) -> int:
     sc = cfg.scenario
-    ms, em = sc.modeset(), sc.emitter()
+    ms, em = sc.modeset(), sc.section("emitter")
     cutoffs = sc.cutoffs(ms.n_modes)
     section = sc.section("detector")
-    d_d = number_list(section.get("dipole", [0.0, 0.0, 0.0]), "detector.dipole")
-    if len(d_d) != 3:
-        raise ConfigError("'detector.dipole' must be a 3-vector")
-    r_d = section.get("position_label", "detector")
+    r_d = section["position_label"]
     if r_d not in ms.profiles:
         raise ConfigError(f"'detector.position_label' {r_d!r} has no stored profiles")
-    omega_d = number(section.get("omega_d", 1.0), "detector.omega_d")
-    if not omega_d > 0:
-        raise ConfigError(f"'detector.omega_d' must be positive, got {omega_d:g}")
-    det = DetectorSpec(omega_d, d_d, r_d)
-    transitions = section.get("transitions")
-    if transitions is not None:
-        if not isinstance(transitions, list):
-            raise ConfigError("'detector.transitions' must be a list of [i, j] pairs")
-        transitions = [tuple(number_list(pair, f"detector.transitions[{k}]", int))
-                       for k, pair in enumerate(transitions)]
-        if any(len(pair) != 2 for pair in transitions):
-            raise ConfigError("'detector.transitions' must be a list of [i, j] pairs")
-        dim = standard_space(cutoffs, em.n_levels).dim
-        if any(not 0 <= idx < dim for pair in transitions for idx in pair):
-            raise ConfigError(f"'detector.transitions' indices must lie in [0, D), D = {dim}")
-    count = number(section.get("count", 3), "detector.count", int)
-    if count < 0:
-        raise ConfigError(f"'detector.count' must be >= 0, got {count}")
-    dim, family = standard_space(cutoffs, em.n_levels).dim, QuadratureFamily.of(ms, em, cutoffs)
+    det = DetectorSpec(section["omega_d"], section["dipole"], r_d)
+    dim = standard_space(cutoffs, em.n_levels).dim
+    transitions = section["transitions"]
+    if transitions is not None and any(not 0 <= i < dim for pair in transitions for i in pair):
+        raise ConfigError(f"'detector.transitions' indices must lie in [0, D), D = {dim}")
+    family = QuadratureFamily.of(ms, em, cutoffs)
     _refuse_oversized("the detect pair", cutoffs, dim,
                       command_bytes("detect", dim, getattr(family, "sectored", False)))
     bundle_c, bundle_mp = build_gauge_pair(ms, em, cutoffs, family=family)
     if transitions is None:
-        transitions = significant_transitions(bundle_c, ms, det, count, em=em)
+        transitions = significant_transitions(bundle_c, ms, det, section["count"], em=em)
     rows = rate_table(bundle_c, bundle_mp, ms, em, det, transitions)
     write_csv(cfg.out_dir / "rates.csv",
               ("i", "j", "omega_ij", "R_coulomb", "R_multipolar", "rel_diff"),
@@ -321,38 +272,24 @@ def cmd_detect(cfg: RunConfig) -> int:
 
 def cmd_evolve(cfg: RunConfig) -> int:
     sc = cfg.scenario
-    ms, em = sc.modeset(), sc.emitter()
+    ms, em = sc.modeset(), sc.section("emitter")
     cutoffs = sc.cutoffs(ms.n_modes)
     section = sc.section("evolve")
-    t_max = number(section.get("t_max", 10.0), "evolve.t_max")
-    if not t_max > 0:
-        raise ConfigError(f"'evolve.t_max' must be positive, got {t_max:g}")
-    n_times = number(section.get("n_times", 101), "evolve.n_times", int)
-    if n_times < 2:
-        raise ConfigError(f"'evolve.n_times' must be at least 2, got {n_times}")
-    checkpoints = number_list(section.get("state_checkpoints", []), "evolve.state_checkpoints", int)
+    t_max, n_times, gauge_label = section["t_max"], section["n_times"], section["gauge"]
+    checkpoints = section["state_checkpoints"]
     for k, idx in enumerate(checkpoints):
         if not 0 <= idx < n_times:
             raise ConfigError(f"'evolve.state_checkpoints[{k}]' = {idx} is outside "
                               f"[0, {n_times}) (evolve.n_times)")
-    tol = number(section.get("tol", NORM_TOL), "evolve.tol")
-    if not 0 < tol <= NORM_TOL:  # a looser tol passes evolve, then fails the trajectory's check
-        raise ConfigError(f"'evolve.tol' must be in (0, {NORM_TOL:g}], got {tol:g}")
-    gauge_label = section.get("gauge", "coulomb")
-    if gauge_label not in ("coulomb", "multipolar"):
-        raise ConfigError("'evolve.gauge' must be 'coulomb' or 'multipolar'")
-    profile = sc.time_profile()
+    profile = sc.values["time_profile"]
     tdh = build_time_dependent(ms, em, gauge_label, profile, cutoffs)
     t_grid = np.linspace(0.0, t_max, n_times)
-    initial = section.get("initial", "ground")
-    if initial == "ground":
+    if section["initial"] == "ground":
         psi0 = ground_state(tdh, 0.0)
-    elif initial == "vacuum":
+    else:
         psi0 = np.zeros(tdh.space.dim, dtype=complex)
         psi0[0] = 1.0  # |0...0> (x) first matter level
-    else:
-        raise ConfigError("'evolve.initial' must be 'ground' or 'vacuum'")
-    traj = evolve(tdh, psi0, t_grid, tol=tol)
+    traj = evolve(tdh, psi0, t_grid, tol=section["tol"])
     labels = sorted(traj.observables)
     write_csv(cfg.out_dir / "trajectory.csv", ["time"] + labels,
               [[float(t)] + [float(traj.observables[l][k]) for l in labels]
@@ -380,28 +317,18 @@ def cmd_modes(cfg: RunConfig) -> int:
     sc = cfg.scenario
     section = sc.section("modes")
     meta = {}
-    if "grid" in section:
-        grid = polariton_grid_from_json(section["grid"], "modes.grid")
-        with _decoding("modes.profile_points", "map of profile points"):
-            profile_points = {label: decode_complex_matrix(pairs, f"modes.profile_points.{label}",
-                                                           (grid.n_modes, 3))
-                              for label, pairs in section.get("profile_points", {}).items()}
+    if section["grid"] is not None:
+        grid = section["grid"]
+        profile_points = {label: decode_complex_matrix(pairs, f"modes.profile_points.{label}",
+                                                       (grid.n_modes, 3))
+                          for label, pairs in section["profile_points"].items()}
         ms = build_from_grid(grid, profile_points)
         save_modeset(ms, cfg.out_dir / "modeset.json")
         meta["completeness_residual"] = completeness_residual(ms, grid)
         meta["n_modes"] = ms.n_modes
-    elif "qnm" in section:
-        qnm = qnm_from_json(section["qnm"], "modes.qnm")
-        grid_opts = section.get("frequency_grid", {})
-        path = "modes.frequency_grid"
-        freq_grid = qnm_frequency_grid(
-            qnm,
-            span_factor=number(grid_opts.get("span_factor", 3.0), f"{path}.span_factor"),
-            points_per_gamma=number(grid_opts.get("points_per_gamma", 40.0),
-                                    f"{path}.points_per_gamma"),
-            pole_halfwidth=number(grid_opts.get("pole_halfwidth", 50.0), f"{path}.pole_halfwidth"),
-            n_background=number(grid_opts.get("n_background", 4001), f"{path}.n_background", int))
-        result = chi_from_qnm(qnm, freq_grid)
+    elif section["qnm"] is not None:
+        qnm = section["qnm"]
+        result = chi_from_qnm(qnm, qnm_frequency_grid(qnm, **section["frequency_grid"]))
         save_modeset(result.modeset, cfg.out_dir / "modeset.json")
         write_csv(cfg.out_dir / "qnm_deviation.csv",
                   ("mode", "omega", "chi_diag", "rel_deviation"),
@@ -410,9 +337,11 @@ def cmd_modes(cfg: RunConfig) -> int:
                    for mu in range(qnm.n_modes)])
         meta["max_rel_deviation"] = float(result.relative_deviation.max())
         meta["n_modes"] = qnm.n_modes
-    elif "dielectric" in section:
-        diel = dielectric_from_json(section["dielectric"], "modes.dielectric")
-        n_modes = number(section.get("n_modes", 5), "modes.n_modes", int)
+    elif section["dielectric"] is not None:
+        diel, n_modes = section["dielectric"], section["n_modes"]
+        if n_modes > diel.n_points - 2:
+            raise ConfigError(f"'modes.n_modes' = {n_modes} exceeds the {diel.n_points - 2} "
+                              f"interior points of 'modes.dielectric.epsilon'")
         nm = solve_dielectric_1d(diel, n_modes)
         write_csv(cfg.out_dir / "modes1d.csv", ("mode", "omega"),
                   [(mu, float(nm.omega[mu])) for mu in range(nm.n_modes)])

@@ -1,4 +1,5 @@
-"""The benchmark's own correctness gates on the toy-size `coupling-scan` main block.
+"""The benchmark's own correctness gates on the toy-size `coupling-scan` main block, and
+the table of scenario keys on every config the workloads write.
 
 `perfbench/workloads.py` writes the scenario and its steps; `perfbench/oracles.py`
 checks what the steps wrote.  Both are imported read-only, and each step runs
@@ -51,3 +52,18 @@ def test_coupling_scan_main_block_passes_the_benchmark_oracles(bench, tmp_path, 
         rows = list(csv.DictReader(fh))
     assert len(rows) == workloads.TOY.scan_points
     assert max(float(r["correct_gap"]) for r in rows) <= oracles.GAP_TOL
+
+
+@pytest.mark.parametrize("name", ["multimode", "coupling-scan", "ramp-evolve"])
+def test_every_config_a_workload_writes_passes_the_table(bench, tmp_path, name):
+    """Each step's config, its --set overrides applied, loads as a `Scenario`: it holds no
+    key the table lacks and no value of the wrong kind or out of range."""
+    from gaugecraft.scenario import Scenario
+
+    workloads, _ = bench
+    assert name in workloads.WORKLOADS
+    plan = workloads.build_plan(name, tmp_path, 1, workloads.TOY)
+    steps = plan.main.steps + plan.companion.steps
+    assert len(steps) >= 5
+    for step in steps:
+        Scenario.load(step.config, step.overrides)

@@ -1,5 +1,6 @@
 """Repository hygiene: no unused imports, orphaned private helpers or unreferenced public
-functions in the package, no `Operator` built by it, no dense oracle that no test reads, a
+functions in the package, no scenario value read past the table of scenario keys, no
+`Operator` built by it, no dense oracle that no test reads, a
 reversible perf tracer that still describes the quadrature-basis gauge-check and the
 matrix-free detect, a command-line tool that runs without scipy, a rate table that holds no
 D x D matrix of its own, repeated commands that reuse the pages their temporaries freed,
@@ -73,12 +74,13 @@ def test_package_private_helpers_are_referenced_in_the_package():
 # public functions and methods that no other code in the package references, each with the
 # reason it stays
 LIBRARY_API = {
+    "matter.constant_profile": "a TimeProfile constructor of the library API",
     "matter.linear_ramp": "a TimeProfile constructor of the library API",
     "matter.raised_cosine_ramp": "a TimeProfile constructor of the library API",
     "matter.truncated_position_function": "the even/odd position split of a single-particle "
                                           "emitter, library API",
     "scenario.emitter_to_json": "writes a scenario's emitter section, the inverse of "
-                                "emitter_from_json",
+                                "reading it through the table",
     "detect.naive_rate_gap": "the photodetection claim's naive control, not yet a CLI output",
     "dynamics.td_gauge_equivalence": "the time-dependent gauge check, not yet a CLI command",
     "hamiltonians.build_generalized_1d": "the 1D dielectric builder, not yet a CLI source",
@@ -87,6 +89,34 @@ LIBRARY_API = {
     "hilbert.HilbertSpec.embed": "wrapped by perfbench/tracer.py as hilbert.embed; goes with "
                                  "that wrap once the tracer reads stage timers",
 }
+
+
+def table_keys(kind) -> set:
+    """Every key name of the scenario table under `kind`."""
+    keys = set(getattr(kind, "keys", {}))
+    subs = [*getattr(kind, "keys", {}).values(), *getattr(kind, "options", ()),
+            getattr(kind, "item", None), getattr(kind, "each", None)]
+    return keys.union(*(table_keys(sub) for sub in subs if sub is not None))
+
+
+def test_cli_reads_scenario_values_only_from_the_table():
+    """`scenario.SCENARIO` is the one place that holds a key's kind, default and range: the
+    command-line module converts no value itself and gives no scenario key a default."""
+    from gaugecraft.scenario import SCENARIO
+
+    keys = table_keys(SCENARIO)
+    assert {"spectral_tol", "t_max", "n_background", "position_label"} <= keys
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name in ("number", "number_list"):
+            found.append(f"{name}() at line {node.lineno}")
+        elif (name == "get" and len(node.args) + len(node.keywords) >= 2
+              and isinstance(node.args[0], ast.Constant) and node.args[0].value in keys):
+            found.append(f".get({node.args[0].value!r}, ...) at line {node.lineno}")
+    assert not found, "cli.py reads scenario values itself: " + ", ".join(found)
 
 
 def test_package_modules_construct_no_operator():
