@@ -6,7 +6,8 @@
 Configs and metadata are JSON, tabular results are CSV (UTF-8, LF, header
 row).  The config, each --set applied, is checked against the table of
 scenario keys in `scenario.py` before any command starts: an unknown key, a
-value of the wrong kind or out of range exits 2 naming its key path.  Commands
+value of the wrong kind or out of range, or a model key the command does not
+read (`UNREAD`) set away from its default exits 2 naming its key path.  Commands
 read typed, default-filled values from the checked config; they check only
 the sections they require and the rules that tie values to one another.
 Runs are deterministic given (config, seed); every metadata file carries the
@@ -48,6 +49,10 @@ M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 # builds peaked at 9 (spectrum) and 10 (detect) traced on the dense-generator route, before
 # LAPACK's untraced copies of a D x D sector (1 for eigvalsh, 3 more for eigh).
 COMMAND_MATRICES = {"spectrum": (0.76, 10.0), "detect": (1.3, 14.0)}
+# the model keys each command builds without: refused unless at their defaults
+UNREAD = {"gauge-check": ("gauge_theta", "longitudinal", "beyond_dipole"),
+          "detect": ("gauge_theta", "longitudinal", "beyond_dipole", "truncation"),
+          "evolve": ("gauge_theta", "longitudinal", "beyond_dipole", "truncation")}
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,7 @@ def parse_args(argv) -> RunConfig:
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
     scenario = Scenario.load(args.config, args.overrides)
+    scenario.refuse(args.command, UNREAD.get(args.command, ()))
     digest = hashlib.sha256(
         json.dumps(scenario.doc, sort_keys=True).encode("utf-8")).hexdigest()
     args.out.mkdir(parents=True, exist_ok=True)

@@ -8,14 +8,16 @@ the naively-truncated field (f in place of f') do not whenever chi has
 off-diagonal structure.  All rates are reported up to one common
 density-of-states constant, which cancels in every comparison.
 
-A rate needs a few eigenstates, so the detection operators stay Kronecker
-terms, applied to those eigenvectors only, and nothing here forms a D x D
-matrix: each function asks `HamiltonianBundle.eigensystem` for the columns it
-reads (|i> and the 39 states above it, the states a rate table names, or
-the pair |i>, |j>), which places only those into the Fock basis from the
-kept sector solves.  Only the Coulomb bundle is diagonalized: the multipolar
-partner of |i_C> is W |i_C>, with the exact gauge unitary W applied through
-the generator's `Eigenbasis.apply` and checked by its residual against H_mp.
+A rate needs a few eigenstates, so the detection operators stay lists of
+Kronecker terms, the photon-only mode drives of `hamiltonians.drive_terms`
+(one term per mode) plus a matter term, applied to those eigenvectors only
+by `HilbertSpec.apply`; nothing here forms a D x D matrix.  Each function
+asks `HamiltonianBundle.eigensystem` for the columns it reads (|i> and the
+39 states above it, the states a rate table names, or the pair |i>, |j>),
+which places only those into the Fock basis from the kept sector solves.
+Only the Coulomb bundle is diagonalized: the multipolar partner of |i_C> is
+W |i_C>, with the exact gauge unitary W applied through the generator's
+`Eigenbasis.apply` and checked by its residual against H_mp.
 The detect command builds the two bundles as one gauge pair
 (`build_gauge_pair`), members of one family that forms K once.  The dense
 truncated field operators A and E, and the residual of the Heisenberg
@@ -31,8 +33,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .hamiltonians import HamiltonianBundle, couplings
-from .hilbert import HERMITIAN_TOL, HilbertSpec, ladder_matrix, max_abs
+from .hamiltonians import HamiltonianBundle, couplings, drive_terms
+from .hilbert import HERMITIAN_TOL, HilbertSpec, max_abs
 from .matter import EmitterSpec
 from .modes import ModeSet
 
@@ -53,13 +55,6 @@ class DetectorSpec:
         object.__setattr__(self, "d_d", np.asarray(self.d_d, dtype=float).reshape(3))
 
 
-def _mode_sum(space: HilbertSpec, coeffs) -> list[dict]:
-    """sum_mu c_mu a_mu + H.c. over the photon factors of `space`, one Kronecker term per mode."""
-    scaled = [(fi, c * ladder_matrix(space.factors[fi].fock_cutoff))
-              for c, fi in zip(coeffs, space.photon_indices)]
-    return [{fi: m + m.conj().T} for fi, m in scaled]
-
-
 def _frequency_factor(bundle: HamiltonianBundle, omega_d: float) -> float:
     """How the detection operator scales with the detector frequency in the bundle's gauge."""
     return omega_d if bundle.gauge.theta == 0.0 else 1.0
@@ -78,7 +73,7 @@ def detection_operator(bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec
     # eta_d*_mu = f_mu(r_d) . d_d / sqrt(2 chi_mm), also the mode coefficients of d_d . A(r_d)
     eta_d_conj = (ms.profile(det.r_d) @ det.d_d) / np.sqrt(2 * ms.chi_diag)
     if bundle.gauge.theta == 0.0:
-        return _mode_sum(space, det.omega_d * eta_d_conj)
+        return drive_terms(space, det.omega_d * eta_d_conj)
     if bundle.gauge.theta != 1.0:
         raise ValueError("detection rates are defined at the gauge endpoints theta = 0, 1")
     # sum_mu c_mu a'_mu + H.c. with c_mu = i sum_nu chi*_{mu nu} eta_d*_nu
@@ -86,7 +81,7 @@ def detection_operator(bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec
         raise ValueError("multipolar rate needs the system emitter (pass em=...)")
     c = 1j * ms.chi.conj() @ eta_d_conj
     matter = 1j * np.einsum("m,mij->ij", c, couplings(ms, em).eta_matrices)
-    return _mode_sum(space, c) + [{space.matter_indices[0]: matter + matter.conj().T}]
+    return drive_terms(space, c) + [{space.matter_indices[0]: matter + matter.conj().T}]
 
 
 def _check_resonance(det: DetectorSpec, vals: np.ndarray, i: int, j: int, match_tol: float):
@@ -124,7 +119,7 @@ def naive_rate_gap(bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec,
     vals, vecs = bundle.eigensystem([i, j])
     _check_resonance(det, vals, i, j, match_tol)
     w_mu = 1j * np.sqrt(ms.chi_diag / 2)
-    r_c, r_n = (float(_amplitudes_sq(bundle.space, _mode_sum(bundle.space, w_mu * (f @ det.d_d)),
+    r_c, r_n = (float(_amplitudes_sq(bundle.space, drive_terms(bundle.space, w_mu * (f @ det.d_d)),
                                      vecs, [(0, 1)])[0])
                 for f in (ms.derived_profile(det.r_d), ms.profile(det.r_d)))
     rel = abs(r_c - r_n) / r_c if r_c > 0 else (0.0 if r_n == 0 else float("inf"))

@@ -53,9 +53,22 @@ an even power with an even one.  With the phases p = i^[sum_mu n_mu odd],
 p^dag H p is therefore real symmetric.  `build_dipole` (without the
 longitudinal hook), `build_naive`, the 1D builders and the beyond-dipole
 Coulomb form declare it when their inputs are real; `HamiltonianBundle`
-verifies it and solves each sector in real arithmetic.  A complex chi (a
-lossy grid's) or complex couplings, the hook and the beyond-dipole
-multipolar form declare nothing.
+verifies it and solves each sector in real arithmetic.  A member solved in
+the quadrature basis (of a `sectored` family) declares more: its basis
+rotates each mode by R_mu = diag(e^(i n arg g_mu)), and
+R_mu^dag a_mu R_mu = g^_mu a_mu with g^ = g / |g|, so with R = (x)_mu R_mu
+the symmetry R P K R^dag holds whenever the rotated
+chi~_mn = chi_mn g^_m^* g^_n is exactly real (always for one mode) and D and
+h0 are real.  Otherwise a complex chi (a lossy grid's) or complex couplings,
+the hook and the beyond-dipole multipolar form declare nothing.
+
+Every operator a builder sums is a list of Kronecker terms on one
+tensor-product space, and `HilbertSpec.dense` is the only place where such a
+list becomes a matrix: `field_terms` gives H_F, and `drive_terms` a mode
+drive sum_mu a_mu (x) b_mu + H.c. (the generator X with b_mu = eta_mu^dag,
+`multipolar_interaction` with b_mu = B_mu, and with scalar b_mu the
+photon-only fields of `detect`).  The longitudinal hook's terms are the same
+two lists on its auxiliary factor.
 
 Every builder is a `CouplingSet` fed to one of two cores; the models differ
 only in their couplings.  The gauge-family core, `QuadratureFamily`, gives
@@ -65,7 +78,8 @@ longitudinal hook), the theta = 0 `build_naive`, the beyond-dipole Coulomb
 form (eta_mu = (eta_bar_mu / 2) sigma_x) and the 1D gC form
 (eta_mu = h_mu(x0) d_hat / sqrt(2 omega_mu)).  In its basis every gauge map
 is a diagonal phase P_theta, and H(theta) = P_theta M' P_theta^dag around one
-theta-free M', whose diagonal blocks are K + h0'_kk with K = w^dag H_F w and
+theta-free M', whose diagonal blocks are K + h0'_kk with K = w^dag H_F w (the
+`field_terms` of chi~, each local factor in the quadrature basis) and
 whose off-diagonal blocks are diagonals beta_kl; the naive series changes
 only beta.  A two-level emitter with a parity is solved there in its two
 parity sectors M0 +- diag(beta) J, M0 = K + h0'_00, without forming H in the
@@ -76,9 +90,9 @@ M', where the hook appends its factor and the bundle verifies and solves it.
 members of one family, so the couplings are split and K is formed once.  The
 same members of couplings that do not factor come from the dense
 `HermitianGenerator` (`conjugate`, and `nested_commutators` for the naive
-series).  The canonical multipolar
-core, `_multipolar_bundle`, sums H_F, `multipolar_interaction` and a matter
-term (h0, with `polarization_squared` or without) for the theta = 1 naive
+series).  The canonical multipolar core, `_multipolar_bundle`, sums the
+terms of H_F, `multipolar_interaction` and a matter term (h0, with
+`polarization_squared` or without) in one `dense` for the theta = 1 naive
 builder and the beyond-dipole and 1D multipolar forms.  H(t) is written in the
 generator's eigenbasis (`CouplingSet.generator`), where each gauge map is a
 diagonal phase.  No builder is written out by hand: the dense forms the cores
@@ -188,13 +202,10 @@ class CouplingSet:
         return mi
 
     def generator_matrix(self, space: HilbertSpec) -> np.ndarray:
-        """X = sum_mu (a_mu^dag (x) eta_mu + a_mu (x) eta_mu^dag) on `space`."""
-        mi = self._check_space(space)
-        x = np.zeros((space.dim, space.dim), dtype=complex)
-        for mu, fi in enumerate(space.photon_indices):
-            adag = ladder_matrix(space.factors[fi].fock_cutoff).conj().T
-            x += space.kron({fi: adag, mi: self.eta_matrices[mu]})
-        return x + x.conj().T
+        """X = sum_mu (a_mu^dag (x) eta_mu + a_mu (x) eta_mu^dag) on `space`: the drive
+        `drive_terms` of b_mu = eta_mu^dag."""
+        self._check_space(space)
+        return space.dense(drive_terms(space, self.eta_matrices.conj().swapaxes(1, 2)))
 
     def common_matter_matrix(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """(g, D) with eta_mu = g_mu D for one Hermitian D, or None if there is none.
@@ -272,7 +283,10 @@ class HamiltonianBundle:
     symmetric for the phases p = i^[sum_mu n_mu odd].  It is verified the same
     way, max|Im(p^dag H p)| <= HERMITIAN_TOL * max(1, max|H|), and each sector
     is then solved as the real symmetric block p^dag H p, rotated in place on
-    the sector's copy; eigenvectors are p v, phased as they are scattered.
+    the sector's copy; eigenvectors are p v, phased as they are scattered.  A
+    quadrature-basis bundle takes its family's declaration instead,
+    R P K R^dag with the family's mode rotation R (`QuadratureFamily`), which
+    the family verifies on K's real form.
 
     `diagnostics` reports the sector sizes, the measured off-block maximum
     (None without a parity) and, when time reversal is declared, the measured
@@ -478,30 +492,45 @@ def standard_space(cutoffs: Sequence[int], matter_dim: int) -> HilbertSpec:
     return HilbertSpec([photon(n) for n in cutoffs] + [matter_levels(matter_dim)])
 
 
-def field_hamiltonian(chi: np.ndarray, space: HilbertSpec) -> np.ndarray:
-    """H_F = sum_{mu nu} chi_{mu nu} a_mu^dag a_nu on `space`, as a sum of Kronecker products."""
-    chi = np.atleast_2d(np.asarray(chi, dtype=complex))
+def field_terms(chi: np.ndarray, space: HilbertSpec):
+    """The Kronecker terms of H_F = sum_{mu nu} chi_{mu nu} a_mu^dag a_nu over the photon
+    factors of `space`, one per nonzero chi_{mu nu}: chi_mm n on mode m, rounded as the
+    diagonal of (chi_mm a^dag) @ a, and chi_mn a_m^dag (x) a_n; real for a real chi.  Each
+    is formed as it is asked for, so that a sum of them holds one at a time."""
+    chi = np.atleast_2d(np.asarray(chi))
     ph = space.photon_indices
     if chi.shape != (len(ph),) * 2:
         raise ValueError("chi shape does not match photon factor count")
-    a = [ladder_matrix(space.factors[fi].fock_cutoff) for fi in ph]
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    for m, fm in enumerate(ph):
-        for n, fn in enumerate(ph):
-            if chi[m, n] == 0:
-                continue
-            if m == n:
-                # the diagonal of (chi a^dag) @ a, rounded in the same order
-                root_n = np.sqrt(np.arange(space.factors[fm].dim))
-                h += space.kron({fm: np.diag((chi[m, m] * root_n) * root_n)})
-            else:
-                h += space.kron({fm: chi[m, n] * a[m].conj().T, fn: a[n]})
-    return h
+    chi = chi if np.any(np.imag(chi)) else chi.real
+    a = lambda m: ladder_matrix(space.factors[ph[m]].fock_cutoff).real
+    for m, n in zip(*np.nonzero(chi)):
+        if m == n:
+            root_n = np.sqrt(np.arange(space.factors[ph[m]].dim))
+            yield {ph[m]: np.diag((chi[m, m] * root_n) * root_n)}
+        else:
+            yield {ph[m]: chi[m, n] * a(m).T, ph[n]: a(n)}
 
 
-def _photon_part(space: HilbertSpec) -> HilbertSpec:
-    """The photon factors of a `standard_space`, which precede the matter factor."""
-    return HilbertSpec(space.factors[:-1])
+def drive_terms(space: HilbertSpec, b) -> list[dict]:
+    """The Kronecker terms of sum_mu a_mu (x) b_mu + H.c. over the photon factors of `space`:
+    a_mu (x) b_mu and its adjoint for a matrix b_mu on the matter factor, or one term
+    b_mu a_mu + H.c. for a scalar b_mu, a photon-only drive.  A zero b_mu gives no term."""
+    terms = []
+    for b_mu, fi in zip(b, space.photon_indices):
+        if not np.any(b_mu):
+            continue
+        a = ladder_matrix(space.factors[fi].fock_cutoff).real
+        if np.ndim(b_mu) == 0:
+            terms.append({fi: (m := b_mu * a) + m.conj().T})
+        else:
+            mi = space.matter_indices[0]
+            terms += [{fi: a, mi: b_mu}, {fi: a.T, mi: np.conj(b_mu).T}]
+    return terms
+
+
+def field_hamiltonian(chi: np.ndarray, space: HilbertSpec) -> np.ndarray:
+    """H_F on `space`, the sum of its `field_terms`."""
+    return space.dense(field_terms(chi, space))
 
 
 def _check_cutoff_headroom(cutoffs, theta: float, cs: CouplingSet):
@@ -566,10 +595,12 @@ class QuadratureFamily:
 
         M'_kk = K + h0'_kk,   M'_kl = diag(beta_kl),   beta_kl = h0'_kl e^(i (lam_k - lam_l) c nu),
 
-    with K = w^dag H_F w summed from local factors (`_field`) and h0' = U^dag h0 U; the
-    naive theta = 0 series cuts beta_kl's exponential to its Taylor polynomial.  So the
-    members of a family differ only in O(n) numbers: their phases and beta
-    (`_off_diagonal`).
+    with K = w^dag H_F w and h0' = U^dag h0 U.  K is summed from local factors (`_field`): as
+    R_mu^dag a_mu R_mu = g^_mu a_mu with g^ = g / |g| (+-1 for a real g, 1 for g = 0), it
+    is v^T H_F(chi~) v, the `field_terms` of the rotated chi~_mn = chi_mn g^_m^* g^_n with
+    each local matrix L taken to v_mu^T L v_mu.  The naive theta = 0 series cuts beta_kl's
+    exponential to its Taylor polynomial.  So the members of a family differ only in O(n)
+    numbers: their phases and beta (`_off_diagonal`).
 
     A two-level emitter with a parity S and couplings not all zero is solved here
     (`sectored`): with u_1 = S u_0 the parity (-1)^(sum n) (x) S is J (x) swap, and
@@ -577,8 +608,10 @@ class QuadratureFamily:
     P = diag(p_0), a member's parity sectors are P (M0 +- diag(beta) J) P^dag when K = J K J,
     h0'_11 = h0'_00 and beta = J beta^* (b = J b^* for the B_01 = diag(b), b = beta p_0^2,
     of H); the even one is +, and `ground_parity` is the sign of the one holding vacuum (x)
-    h0's lowest level.  Under time reversal, declared as by `build_dipole`, the basis and K
-    are real and J C J = C^* for C = M0 +- diag(beta) J, so Q^dag C Q =
+    h0's lowest level.  Time reversal is R P K R^dag here, with R = (x)_mu R_mu, P the photon
+    parity and K complex conjugation: it is declared when chi~ is exactly real and D and h0
+    are real (a single mode's chi~ = chi_00 is real for any phase of g), and then v, U and
+    K are real and J C J = C^* for C = M0 +- diag(beta) J, so Q^dag C Q =
     M0 +- (diag(Re beta) J - diag(Im beta)) with Q = (1 + iJ) / sqrt(2) is real symmetric
     with C's spectrum.  Any other emitter's member is formed in the Fock basis once
     (`fock_matrix`), where `HamiltonianBundle` verifies its declared symmetries and solves
@@ -612,11 +645,15 @@ class QuadratureFamily:
                  parity_signs: Optional[np.ndarray], h0: np.ndarray, cutoffs: tuple[int, ...]):
         self.cs, self.g, self.cutoffs = cs, g, cutoffs
         self.space = standard_space(cutoffs, len(d))
-        self.photons = _photon_part(self.space)
+        self.photons = HilbertSpec(self.space.factors[:-1])  # they precede the matter factor
         self.parity_signs = parity_signs
         self.sectored = len(d) == 2 and parity_signs is not None and bool(np.any(g))
         self.ground_parity = parity_signs[np.argmin(h0.diagonal().real)] if self.sectored else 1
-        self.time_reversal = _real(cs.chi, g, d, h0)
+        unit = np.divide(g, abs(g), out=np.ones_like(g), where=g != 0)  # g^ = g / |g|, or 1
+        rotation = np.multiply.outer(unit.conj(), unit)
+        np.fill_diagonal(rotation, 1.0)  # |g^_m|^2 = 1 exactly, which the product rounds
+        self.chi_tilde = cs.chi * rotation
+        self.time_reversal = _real(self.chi_tilde, d, h0)
         lam, u = np.linalg.eigh(d.real if self.time_reversal else d)
         if self.sectored:
             lam = np.array([lam[0], -lam[0]])
@@ -647,28 +684,12 @@ class QuadratureFamily:
         return self._field()
 
     def _field(self) -> np.ndarray:
-        """K = w^dag H_F w: chi_mm v_m^T n v_m on mode m and
-        chi_mn (w_m^dag a_m w_m)^dag (x) (w_n^dag a_n w_n) on modes m != n, each a
-        Kronecker product of local matrices; real for a real chi and real couplings."""
-        chi = self.cs.chi.real if _real(self.cs.chi) else self.cs.chi
-        dims = [len(v) for v in self.v]
-        lowered = lambda m: (w := self._w(m)).conj().T @ ladder_matrix(dims[m] - 1).real @ w
-        k = None
-        for m, n in zip(*np.nonzero(chi)):
-            if m == n:
-                local = {m: (self.v[m].T * (chi[m, m].real * np.arange(dims[m]))) @ self.v[m]}
-            else:
-                local = {m: chi[m, n] * lowered(m).conj().T, n: lowered(n)}
-            term = self.photons.kron(local)
-            # summed in place as formed, a complex term after a real sum taking the sum
-            # (a + b = b + a exactly), and let go before the next is formed: a list of every
-            # term held M^2 matrices of K's size at once
-            if k is None or not np.can_cast(term.dtype, k.dtype):
-                k = term if k is None else np.add(term, k, out=term)
-            else:
-                np.add(k, term, out=k)
-            del term
-        return k
+        """K = w^dag H_F w, the `field_terms` of the rotated chi~ summed on the photon factors,
+        each local matrix L conjugated to v_mu^T L v_mu: w_mu = R_mu v_mu and
+        R_mu^dag a_mu R_mu = g^_mu a_mu, so w^dag H_F(chi) w = v^T H_F(chi~) v.  Real when
+        chi~ is."""
+        rotated = lambda t: {f: self.v[f].T @ local @ self.v[f] for f, local in t.items()}
+        return self.photons.dense(map(rotated, field_terms(self.chi_tilde, self.photons)))
 
     def _phases(self, theta: float, scales) -> np.ndarray:
         """The diagonal of P_theta of every member at its coupling scale c, (S, n, L):
@@ -885,16 +906,14 @@ class LongitudinalCoupling:
 
 def _apply_longitudinal(h: np.ndarray, space: HilbertSpec, em: EmitterSpec,
                         lc: LongitudinalCoupling):
+    """h (x) 1 plus the hook's field and drive terms on the auxiliary factor, the last photon
+    factor of the extended space (the other modes' chi and b are zero: they give no term)."""
     ext = HilbertSpec(list(space.factors) + [photon(lc.cutoff)])
-    aux_fi = len(ext.factors) - 1
-    b = ladder_matrix(lc.cutoff)
-    mi = ext.matter_indices[0]
-    direction = np.asarray(lc.direction, dtype=float).reshape(3)
-    d_mat = np.einsum("cij,c->ij", em.dipole, direction)
-    h_ext = (kron(h, np.eye(lc.cutoff + 1))
-             + ext.kron({aux_fi: lc.omega * b.conj().T @ b})
-             + ext.kron({mi: d_mat, aux_fi: lc.coupling * (b + b.conj().T)}))
-    return h_ext, ext
+    d_mat = np.einsum("cij,c->ij", em.dipole, np.asarray(lc.direction, dtype=float).reshape(3))
+    pad = [0.0] * len(space.photon_indices)
+    aux = ext.dense([*field_terms(np.diag(pad + [lc.omega]), ext),
+                     *drive_terms(ext, pad + [lc.coupling * d_mat])])
+    return kron(h, np.eye(lc.cutoff + 1)) + aux, ext
 
 
 def _family_bundle(cs: CouplingSet, h0: np.ndarray, parity_signs: Optional[Sequence[int]],
@@ -924,7 +943,7 @@ def _family_bundle(cs: CouplingSet, h0: np.ndarray, parity_signs: Optional[Seque
         cs = cs if scale == 1.0 else CouplingSet(scale * cs.eta_matrices, cs.chi)
         space = standard_space(cutoffs, cs.matter_dim)
         gen = HermitianGenerator(cs.generator_matrix(space), space)
-        h_f, h_0 = field_hamiltonian(cs.chi, space), space.kron({len(cutoffs): h0})
+        h_f, h_0 = field_hamiltonian(cs.chi, space), space.dense([{len(cutoffs): h0}])
         h = (h_f + gen.nested_commutators(h_0, order) if order is not None
              else gen.conjugate(-gauge.theta, h_f) + gen.conjugate(1.0 - gauge.theta, h_0))
     if hook is not None:
@@ -989,15 +1008,12 @@ def _eta_summary(cs: CouplingSet):
         return None
 
 
-def multipolar_interaction(cs: CouplingSet, space: HilbertSpec) -> np.ndarray:
-    """-i sum_{mu nu} chi*_{mu nu} a_mu (x) eta_nu^dag + H.c., the canonical multipolar drive,
-    as sum_mu a_mu (x) B_mu + H.c. with B_mu = -i sum_nu chi*_{mu nu} eta_nu^dag."""
-    mi = space.matter_indices[0]
-    b = -1j * np.einsum("mn,nji->mij", cs.chi.conj(), cs.eta_matrices.conj())
-    inter = np.zeros((space.dim, space.dim), dtype=complex)
-    for b_mu, fi in zip(b, space.photon_indices):
-        inter += space.kron({fi: ladder_matrix(space.factors[fi].fock_cutoff), mi: b_mu})
-    return inter + inter.conj().T
+def multipolar_interaction(cs: CouplingSet, space: HilbertSpec) -> list[dict]:
+    """The Kronecker terms of -i sum_{mu nu} chi*_{mu nu} a_mu (x) eta_nu^dag + H.c., the
+    canonical multipolar drive: `drive_terms` of b_mu = B_mu = -i sum_nu chi*_{mu nu}
+    eta_nu^dag."""
+    return drive_terms(space, -1j * np.einsum("mn,nji->mij", cs.chi.conj(),
+                                              cs.eta_matrices.conj()))
 
 
 def polarization_squared(cs: CouplingSet) -> np.ndarray:
@@ -1011,11 +1027,11 @@ def _multipolar_bundle(cs: CouplingSet, matter: np.ndarray, cutoffs: tuple[int, 
                        time_reversal: bool = False) -> HamiltonianBundle:
     """The canonical multipolar H = H_F + `multipolar_interaction` + matter at theta = 1, the
     matter term (h0, with the P^2 term or without it) on the matter factor of the
-    `standard_space` of the cutoffs; parity and time reversal declared as in `_bundle`."""
+    `standard_space` of the cutoffs, summed from their terms at once; parity and time
+    reversal declared as in `_bundle`."""
     space = standard_space(cutoffs, cs.matter_dim)
-    h = field_hamiltonian(cs.chi, space)
-    h += multipolar_interaction(cs, space)
-    h += space.kron({space.matter_indices[0]: matter})
+    h = space.dense([*field_terms(cs.chi, space), *multipolar_interaction(cs, space),
+                     {space.matter_indices[0]: matter}])
     return _bundle(h, space, MULTIPOLAR, meta, parity_signs, time_reversal)
 
 
@@ -1189,7 +1205,8 @@ class TimeDependentHamiltonian:
     H(t) is written in the generator's eigenbasis B (`basis`, from
     `CouplingSet.generator`), where
     X = diag(xi) and exp(i s X) is the diagonal phase Phi(s) = diag(e^(i s xi)).
-    K = B^dag (H_F (x) 1) B and M = B^dag (1 (x) H_0) B are fixed here and
+    K = B^dag (H_F (x) 1) B and M = B^dag (1 (x) H_0) B (H_F (x) 1 is given on
+    `space`, 1 (x) H_0 is formed from its one term) are fixed here and
     checked for Hermiticity once, before symmetrization; then
     H_C(t) = K + Phi(mu) M Phi(mu)^* and
     H_mp(t) = Phi(-mu) K Phi(-mu)^* + M + sign * mu'(t) diag(xi).
@@ -1205,10 +1222,9 @@ class TimeDependentHamiltonian:
             raise ValueError(f"unknown gauge {gauge!r}")
         self.gauge = gauge
         self.basis = cs.generator(space)
-        k = hermitian_part(self.basis.transform(kron(h_field, np.eye(len(h_matter)))),
-                           "H(t) field term K")
-        m = hermitian_part(self.basis.transform(kron(np.eye(len(h_field)), h_matter)),
-                           "H(t) matter term M")
+        k = hermitian_part(self.basis.transform(h_field), "H(t) field term K")
+        h_0 = space.dense([{space.matter_indices[0]: h_matter}])
+        m = hermitian_part(self.basis.transform(h_0), "H(t) matter term M")
         # H(t) = Phi(sign mu) A Phi(sign mu)^* + C, plus the multipolar mu' term
         self._sign, self._a, self._c = (1.0, m, k) if gauge == "coulomb" else (-1.0, k, m)
         self.profile = profile
@@ -1271,5 +1287,5 @@ def build_time_dependent(ms: ModeSet, em: EmitterSpec, gauge: str,
     cutoffs = _normalize_cutoffs(cutoffs, ms.n_modes)
     cs = couplings(ms, em)
     space = standard_space(cutoffs, em.n_levels)
-    h_field = field_hamiltonian(ms.chi, _photon_part(space))
-    return TimeDependentHamiltonian(gauge, cs, h_field, em.h0, profile, space, extra_term_sign)
+    return TimeDependentHamiltonian(gauge, cs, field_hamiltonian(ms.chi, space), em.h0, profile,
+                                    space, extra_term_sign)

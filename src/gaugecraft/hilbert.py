@@ -3,9 +3,12 @@
 Provides the ordered tensor-factor layout (`HilbertSpec`), the truncated
 ladder and Pauli matrices, and the gauge generators.  A dense operator on the
 full space is a bare D x D ndarray, for desk-scale D (up to ~10^4).  Products
-of local factor matrices have one Kronecker engine: `HilbertSpec.kron` forms
-one with identities filled in, and `_kron_apply` is the one apply, factor by
-factor, which `HilbertSpec.apply` sums over the terms of an operator.
+of local factor matrices have one Kronecker engine.  An operator is a list of
+Kronecker terms, each a {factor: local matrix} map with identities on the
+factors it leaves out: `HilbertSpec.dense` is the one place where such a list
+becomes a D x D matrix (by `HilbertSpec.kron`, one term at a time, summed in
+place and real while every term is), and `_kron_apply` is the one apply,
+factor by factor, which `HilbertSpec.apply` sums over the terms.
 
 The package has one Hermiticity rule, `hermitian_part`, applied once to each
 matrix where it enters (generator terms, chi, overlaps, dipoles, built and
@@ -115,19 +118,33 @@ class HilbertSpec:
 
     def _checked(self, local: Mapping[int, np.ndarray], identity: Callable) -> list:
         """One Kronecker term's local matrices in factor order, each checked against its
-        factor and copied in its own dtype (so that `kron` on one factor returns no alias),
-        with identity(dim) on the factors it leaves out."""
+        factor, with identity(dim) on the factors it leaves out."""
         for i in sorted(local):
             if not 0 <= i < len(self.factors):
                 raise IndexError(f"factor index {i} out of range")
             if np.shape(local[i]) != (self.factors[i].dim,) * 2:
                 raise ValueError("local matrix does not match factor dimension")
-        return [np.array(local[i]) if i in local else identity(f.dim)
+        return [np.asarray(local[i]) if i in local else identity(f.dim)
                 for i, f in enumerate(self.factors)]
 
     def kron(self, local: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Kronecker product of local matrices on the given factors, identity elsewhere."""
-        return reduce(kron, self._checked(local, np.eye))
+        """Kronecker product of local matrices on the given factors, identity elsewhere; a new
+        array, a copy of the one local matrix of a one-factor space."""
+        factors = self._checked(local, np.eye)
+        return reduce(kron, factors) if len(factors) > 1 else factors[0].copy()
+
+    def dense(self, terms: Iterable[Mapping[int, np.ndarray]]) -> np.ndarray:
+        """sum_t kron(t) as one D x D matrix, each term t a {factor: local matrix} map, as
+        `apply` takes.  Each term is added into the sum as it is formed and let go before the
+        next is formed, so that the sum and one term are all that is held.  The sum starts
+        as the real zero matrix and stays real while every term is; a complex term added to
+        a real sum takes the sum in its own buffer (a + b = b + a exactly)."""
+        total = np.zeros((self.dim, self.dim))
+        for term in terms:
+            m = self.kron(term)
+            total = np.add(total, m, out=total if np.can_cast(m.dtype, total.dtype) else m)
+            del m
+        return total
 
     def apply(self, terms: Iterable[Mapping[int, np.ndarray]], x: np.ndarray) -> np.ndarray:
         """(sum_t kron(t)) @ x for a vector or a D x K block x, each term applied factor by

@@ -372,6 +372,13 @@ class Scenario:
             apply_override(doc, item)
         return cls(doc, base_dir=path.parent)
 
+    def refuse(self, command: str, keys: Sequence[str]):
+        """`ConfigError` naming the first of these top-level keys whose value is not its
+        default: a command that does not read a key refuses it rather than run without it."""
+        for key in keys:
+            if self.values[key] != SCENARIO.keys[key].default:
+                raise ConfigError(f"'{key}' is not read by {command}: leave it out")
+
     def section(self, key: str) -> dict:
         """The checked top-level entry `key`; ConfigError if the document has none."""
         if self.values[key] is None:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaugecraft import ModeSet, QnmSet, chi_from_qnm, tls
-from gaugecraft.cli import main
+from gaugecraft.cli import UNREAD, main
 from gaugecraft.hilbert import max_abs
 from gaugecraft.scenario import (SCENARIO, Either, ListOf, Scenario, Section, emitter_to_json,
                                  encode_complex_matrix, modeset_from_json, modeset_to_json)
@@ -293,6 +293,32 @@ def test_a_misspelled_key_exits_2_naming_it(tmp_path, capsys, command, doc, path
     assert run(tmp_path, command, doc) == 2
     assert capsys.readouterr().err == f"config error: unknown key '{path}'\n"
     assert not (tmp_path / "out" / "metadata.json").exists()
+
+
+MODEL_KEYS = {"gauge_theta": 0.5, "longitudinal": {"omega": 0.8, "coupling": 0.1, "cutoff": 2},
+              "beyond_dipole": {"profile": CONSTANT}, "truncation": "naive"}
+RUNNABLE = {"gauge-check": gauge_check(), "detect": scenario(detector={}),
+            "evolve": scenario(evolve={})}
+
+
+@pytest.mark.parametrize("command, key", [
+    ("gauge-check", "gauge_theta"), ("gauge-check", "longitudinal"),
+    ("gauge-check", "beyond_dipole"),
+    ("detect", "gauge_theta"), ("detect", "longitudinal"), ("detect", "beyond_dipole"),
+    ("detect", "truncation"),
+    ("evolve", "gauge_theta"), ("evolve", "longitudinal"), ("evolve", "beyond_dipole"),
+    ("evolve", "truncation"),
+])
+def test_a_model_key_the_command_does_not_read_exits_2_naming_it(tmp_path, capsys, command,
+                                                                 key):
+    """gauge-check, detect and evolve used to run with these keys ignored; each is refused
+    at load, before the output directory is made, unless it is at its default."""
+    assert run(tmp_path, command, {**RUNNABLE[command], key: MODEL_KEYS[key]}) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: '{key}' is not read by {command}: leave it out\n"
+    assert not (tmp_path / "out").exists()
+    defaults = {"gauge_theta": 0, "longitudinal": "off", "truncation": "correct"}
+    Scenario({**RUNNABLE[command], **defaults}).refuse(command, UNREAD[command])
 
 
 def test_an_override_goes_through_the_same_table(tmp_path, capsys):

@@ -171,7 +171,9 @@ def test_a_sectored_command_holds_a_few_member_blocks(tmp_path, command, blocks)
                  {em.position_label: [(0.5, 0.2j, 0.0), (0.3, -0.3, 0.1j)],
                   "detector": [(0.4, 0.0, 0.1), (0.1, 0.2j, 0.3)]})
     doc = {"seed": 0, "modeset": modeset_to_json(ms), "emitter": emitter_to_json(em),
-           "fock_cutoffs": 20, "gauge_theta": 0.37, "detector": {"dipole": [1.0, 0.0, 0.0]}}
+           "fock_cutoffs": 20, "detector": {"dipole": [1.0, 0.0, 0.0]}}
+    if command == "spectrum":  # detect builds both gauge endpoints and refuses gauge_theta
+        doc["gauge_theta"] = 0.37
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]

@@ -335,8 +335,11 @@ def test_eigensystem_columns_are_those_of_the_full_matrix(kind, seed, theta, cut
     is placed equal its columns bit for bit, and so do those of a later call that asks for
     columns above the eigenvectors the first one kept."""
     bundle = route_bundle(kind, seed, theta, cutoffs)
+    basis, sectors, reversal = ROUTES[kind]
+    # a single mode's rotated chi~ = chi_00 is real whatever the phase of its coupling
+    reversal = reversal or (kind == "tls" and len(cutoffs) == 1)
     assert (bundle.basis, len(bundle.diagnostics["sector_sizes"]),
-            bundle.time_reversal) == ROUTES[kind]
+            bundle.time_reversal) == (basis, sectors, reversal)
     n = bundle.space.dim
     columns = data.draw(st.lists(st.integers(-n, n - 1), max_size=12))
     higher = data.draw(st.lists(st.integers(0, n - 1), max_size=12))

@@ -108,14 +108,17 @@ def test_build_naive_matches_the_dense_series(system, order):
 @given(system=systems())
 def test_beyond_dipole_coulomb_matches_the_dense_oracle(system):
     """Constant profiles: the segment-averaged coupling is the dipole coupling, so the
-    Coulomb form is the dipole Coulomb member of a two-level emitter with charge."""
+    Coulomb form is the dipole Coulomb member of a two-level emitter with charge.  Its
+    sigma_x is real, so a single mode's member declares time reversal for a complex
+    coupling too: its rotated chi~ = chi_00 is real."""
     ms, _, cutoffs = system
     em = tls(1.3, (0.7, -0.2, 0.4), charge=2.0)
     f = ms.profile("emitter")
     bundle = build_beyond_dipole(ms.chi, [lambda x, v=v: v for v in f], em, "coulomb", cutoffs)
     assert bundle.basis == ("quadrature" if max_abs(f) > 0 else "fock")
     ms = ModeSet(ms.chi, {"emitter": f})
-    assert_matches(bundle, DenseSystem(ms, em, cutoffs).hamiltonian(0.0), real(ms, em))
+    assert_matches(bundle, DenseSystem(ms, em, cutoffs).hamiltonian(0.0),
+                   real(ms, em) or ms.n_modes == 1)
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,4 +1,7 @@
-"""Tensor-space operator algebra: ladders, Paulis, eigensolves, exponentials."""
+"""Tensor-space operator algebra: ladders, Paulis, Kronecker sums, eigensolves,
+exponentials."""
+
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -203,3 +206,28 @@ def test_ladder_matrix_is_bit_identical_to_the_loop(cutoff):
         want[n - 1, n] = np.sqrt(n)
     got = ladder_matrix(cutoff)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       kinds=st.lists(st.booleans(), max_size=5), seed=st.integers(0, 2**31 - 1))
+def test_dense_is_the_sum_of_its_kronecker_terms(dims, kinds, seed):
+    """`HilbertSpec.dense` equals sum_t kron(t), formed by np.kron, to 1e-15; it is float64
+    exactly when every term is real, whichever order real and complex terms come in, and
+    it leaves the local matrices it is given as they were."""
+    space = HilbertSpec([photon(d - 1) for d in dims])
+    rng = np.random.default_rng(seed)
+    terms = []
+    for real in kinds:  # random local matrices on a random subset of the factors
+        on = rng.random(len(dims)) < 0.6
+        terms.append({i: rng.normal(size=(d, d)) + (0 if real else 1j * rng.normal(size=(d, d)))
+                      for i, d in enumerate(dims) if on[i]})
+    kept = [{i: m.copy() for i, m in t.items()} for t in terms]
+    want = sum((reduce(np.kron, [t.get(i, np.eye(d)) for i, d in enumerate(dims)])
+                for t in terms), np.zeros((space.dim, space.dim)))
+    got = space.dense(terms)
+    assert got.shape == want.shape
+    assert max_abs(got - want) <= 1e-15 * max(1.0, max_abs(want))
+    real = all(np.isrealobj(m) for t in terms for m in t.values())
+    assert got.dtype == (np.float64 if real else np.complex128)
+    assert all(np.array_equal(t[i], k[i]) for t, k in zip(terms, kept) for i in t)

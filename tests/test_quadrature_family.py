@@ -1,6 +1,7 @@
 """Two-level dipole builds in the field-quadrature basis against the dense Fock-basis
 assembly of `DenseSystem`, their tie order, and the measured checks on the raw blocks."""
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -64,6 +65,26 @@ def test_the_field_block_of_real_couplings_is_real_and_is_w_dag_h_f_w(chi):
     w = reduce(np.kron, family.basis.factors[:-1])
     want = w.conj().T @ field_hamiltonian(ms.chi, family.photons) @ w
     assert max_abs(family.k - want) <= 1e-12 * max_abs(want)
+
+
+def test_forming_k_holds_k_and_one_term():
+    """K of two complex modes at N = 20 (n = 441, the size of the `multimode` benchmark's)
+    is summed one term at a time by `HilbertSpec.dense`.  Its traced peak is K, one term of
+    K's size, numpy's ufunc buffers and a few local matrices: no more than the 2.09 K
+    (6.50 MB) that the loop it replaced peaked at on this system."""
+    em = tls(1.0, (0.8, 0.0, 0.0))
+    ms = ModeSet(np.array([[1.0, 0.2 + 0.15j], [0.2 - 0.15j, 1.3]]),
+                 {em.position_label: [(0.5, 0.0, 0.0), (0.3j, 0.0, 0.0)]})
+    family = QuadratureFamily.of(ms, em, (20, 20))
+    assert not family.time_reversal
+    tracemalloc.start()
+    try:
+        k = family.k
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k.shape == (441, 441) and k.dtype == np.complex128
+    assert peak <= 2.09 * k.nbytes
 
 
 @settings(max_examples=40, deadline=None)

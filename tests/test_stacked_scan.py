@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 import dense_oracle
 from dense_oracle import tls_single_mode_modeset
-from gaugecraft import (COULOMB, MULTIPOLAR, ConvergenceError, CouplingSet, GaugeParam,
-                        HamiltonianBundle, InvariantViolation, ModeSet, ambiguity_scan,
-                        build_dipole, build_naive, field_hamiltonian, gaugecheck, tls)
+from gaugecraft import (COULOMB, MULTIPOLAR, ConvergenceError, CouplingSet, EmitterSpec,
+                        GaugeParam, HamiltonianBundle, InvariantViolation, ModeSet,
+                        ambiguity_scan, build_dipole, build_naive, field_hamiltonian, gaugecheck,
+                        tls)
 from gaugecraft.cli import main
 from gaugecraft.gaugecheck import QuadratureFamily
-from gaugecraft.hilbert import (PAULI_X, PAULI_Z, Eigenbasis, HilbertSpec, fock_quadrature,
+from gaugecraft.hilbert import (PAULI_X, PAULI_Y, PAULI_Z, Eigenbasis, HilbertSpec, fock_quadrature,
                                 ladder_matrix, matter_levels, max_abs, photon)
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
 
@@ -46,14 +47,22 @@ def scaled_modes(ms, em, c):
     return ModeSet(ms.chi, {em.position_label: c * ms.profile(em.position_label)})
 
 
+def sigma_y(em):
+    """A two-level emitter with its d sigma_x dipole turned into d sigma_y: the same parity,
+    and a complex matter matrix D, so that its family declares no time reversal."""
+    return EmitterSpec(em.levels, em.dipole[:, 0, 1].real[:, None, None] * PAULI_Y,
+                       position_label=em.position_label)
+
+
 @st.composite
 def quadrature_systems(draw):
     """A single-mode two-level system at |eta| = 1 with a real or a complex-phase
-    coupling, a cutoff in [1, 80] and a stack of scales in [-2.5, 2.5] with a zero and
-    a duplicate."""
+    coupling through sigma_x or sigma_y, a cutoff in [1, 80] and a stack of scales in
+    [-2.5, 2.5] with a zero and a duplicate."""
     phase = draw(st.just(0.0) | st.floats(-np.pi, np.pi))
     chi, omega0 = draw(st.floats(0.5, 2.0)), draw(st.floats(0.3, 2.0))
     em = tls(omega0, (np.sqrt(2 * chi), 0.0, 0.0))
+    em = sigma_y(em) if draw(st.booleans()) else em
     ms = ModeSet.single_mode(chi, {em.position_label: (np.exp(-1j * phase), 0.0, 0.0)})
     # rounded: a subnormal scale makes the oracle's scaled profile underflow
     base = draw(st.lists(st.floats(-2.5, 2.5).map(lambda c: round(c, 3)), min_size=1,
@@ -67,7 +76,9 @@ def quadrature_systems(draw):
 def test_stacked_build_dipole_members_equal_their_own_builds(system, theta):
     ms, em, cutoff, scales = system
     family = QuadratureFamily.of(ms, em, cutoff)
-    assert family.time_reversal == (np.imag(ms.profile(em.position_label)[0, 0]) == 0)
+    # a single mode's rotated chi~ = chi_00 is real whatever the phase of its coupling: only
+    # the complex D of sigma_y breaks time reversal
+    assert family.time_reversal == (not np.any(np.imag(em.dipole)))
     recipe = family.recipe(theta, scales)
     values = sector_spectra(family, recipe)
     assert values.shape == (len(scales), 2 * (cutoff + 1))
@@ -187,11 +198,9 @@ class TestForgedMembers:
 
     SCALES = [0.2, 0.5, 0.9, 1.3]
 
-    def stack(self, phase=1.0, cutoff=6, scales=SCALES):
+    def stack(self, cutoff=6, scales=SCALES, complex_d=False):
         ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
-        if phase != 1.0:
-            ms = scaled_modes(ms, em, phase)
-        family = QuadratureFamily.of(ms, em, cutoff)
+        family = QuadratureFamily.of(ms, sigma_y(em) if complex_d else em, cutoff)
         return family, family.recipe(0.37, scales)
 
     def forged(self, entries, **kwargs):
@@ -238,7 +247,7 @@ class TestForgedMembers:
         family, recipe = self.forged(entries)
         with pytest.raises(InvariantViolation, match="time reversal .*K's real form"):
             family.ground_energies(recipe)
-        complex_family, recipe = self.forged(entries, phase=np.exp(0.4j))
+        complex_family, recipe = self.forged(entries, complex_d=True)
         assert not complex_family.time_reversal
         complex_family.ground_energies(recipe)  # nothing declared, nothing to break
 
@@ -396,7 +405,7 @@ def test_one_chunk_of_a_single_mode_family_stays_within_the_budget(n, real):
     member at a time, outside the trace."""
     ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
     if not real:
-        ms = scaled_modes(ms, em, np.exp(0.4j))
+        em = sigma_y(em)
     family = QuadratureFamily.of(ms, em, n - 1)
     assert family.time_reversal == real
     size = gaugecheck.stack_chunk(n, real)

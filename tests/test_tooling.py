@@ -1,6 +1,7 @@
 """Repository hygiene: no unused imports, orphaned private helpers or unreferenced public
 functions in the package, no scenario value read past the table of scenario keys, no
-`Operator` built by it, no dense oracle that no test reads, a
+`Operator` built by it, no Kronecker sum formed outside `hilbert`, no dense oracle that no
+test reads, a
 reversible perf tracer that still describes the quadrature-basis gauge-check and the
 matrix-free detect, a command-line tool that runs without scipy, a rate table that holds no
 D x D matrix of its own, repeated commands that reuse the pages their temporaries freed,
@@ -127,6 +128,17 @@ def test_package_modules_construct_no_operator():
              if isinstance(node, ast.Call) and "Operator" in (getattr(node.func, "id", None),
                                                               getattr(node.func, "attr", None))]
     assert not calls, "Operator(...) called at " + ", ".join(calls)
+
+
+def test_only_hilbert_forms_kronecker_terms():
+    """`HilbertSpec.dense` is the one place where a list of Kronecker terms becomes a matrix:
+    no package module but `hilbert` calls `HilbertSpec.kron`, so none sums its own
+    products."""
+    calls = [f"{path.stem}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "hilbert.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "kron"]
+    assert not calls, "HilbertSpec.kron called at " + ", ".join(calls)
 
 
 def public_functions(trees: dict):
