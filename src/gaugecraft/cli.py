@@ -32,7 +32,7 @@ from . import __version__
 from .detect import DetectorSpec, rate_table, significant_transitions
 from .dynamics import evolve, factor_populations, ground_state
 from .errors import ConfigError, ConvergenceError, GaugecraftError, InvariantViolation
-from .gaugecheck import ambiguity_scan, pair_bytes, scan_cutoffs, verify_spectral_equivalence
+from .gaugecheck import ambiguity_scan, scan_cutoffs, verify_spectral_equivalence
 from .hamiltonians import (GaugeParam, QuadratureFamily, build_beyond_dipole, build_dipole,
                            build_gauge_pair, build_naive, build_time_dependent, couplings,
                            standard_space)
@@ -45,10 +45,14 @@ M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 # family and for a Fock-basis build.  A sectored spectrum holds K, one sector and LAPACK's
 # copy of it, 3 blocks of (D/2)^2, and measured 0.755; detect holds K, the sector, eigh's
 # eigenvectors and its copy and workspace, and measured 1.28 (two complex modes, D = 882,
-# counting LAPACK's untraced arrays as the traced memory when it is called).  Fock-basis
-# builds peaked at 9 (spectrum) and 10 (detect) traced on the dense-generator route, before
-# LAPACK's untraced copies of a D x D sector (1 for eigvalsh, 3 more for eigh).
-COMMAND_MATRICES = {"spectrum": (0.76, 10.0), "detect": (1.3, 14.0)}
+# counting LAPACK's untraced arrays as the traced memory when it is called).  The
+# Fock-basis estimates, 10 and 14, hold LAPACK's untraced copies of a D x D sector (1 for
+# eigvalsh, 3 more for eigh) on top of the traced peak of the dense route, whose
+# `EigenbasisFamily` measured 6.5 (spectrum), 7.5 (detect) and 8.0 (gauge-check) for two
+# modes at L = 3, D = 507.  The gauge-check's verify pair (`build_gauge_pair`, then
+# `verify_spectral_equivalence`) peaks as a spectrum does: the sectored pair holds K and
+# one sector at a time.
+COMMAND_MATRICES = {"spectrum": (0.76, 10.0), "gauge-check": (0.76, 10.0), "detect": (1.3, 14.0)}
 # the model keys each command builds without: refused unless at their defaults
 UNREAD = {"gauge-check": ("gauge_theta", "longitudinal", "beyond_dipole"),
           "detect": ("gauge_theta", "longitudinal", "beyond_dipole", "truncation"),
@@ -128,8 +132,7 @@ def _build_system(cfg: RunConfig):
     family = QuadratureFamily.of(ms, em, cutoffs)
     # every member but a theta = 1 canonical form and the hook's comes from the family of the
     # couplings (for the beyond-dipole Coulomb form, of its sigma_x couplings, sectored alike)
-    sectored = (lc is None and (g.theta == 0.0 or not (bd or naive))
-                and getattr(family, "sectored", False))
+    sectored = lc is None and (g.theta == 0.0 or not (bd or naive)) and family.sectored
     dim = standard_space(cutoffs, em.n_levels).dim * (1 if lc is None else lc.cutoff + 1)
     _refuse_oversized("the spectrum", cutoffs, dim, command_bytes("spectrum", dim, sectored))
     if bd:
@@ -144,8 +147,9 @@ def _build_system(cfg: RunConfig):
 
 
 def command_bytes(command: str, dim: int, sectored: bool) -> float:
-    """Peak bytes of the Hamiltonians of `spectrum` or `detect` at Hilbert dimension dim:
-    COMMAND_MATRICES complex D x D matrices, of a `sectored` family or of a Fock-basis build."""
+    """Peak bytes of the Hamiltonians of `spectrum`, the gauge-check's verify pair or `detect`
+    at Hilbert dimension dim: COMMAND_MATRICES complex D x D matrices, of a `sectored` family
+    or of a Fock-basis build."""
     return COMMAND_MATRICES[command][0 if sectored else 1] * 16 * dim * dim
 
 
@@ -209,8 +213,8 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
                           f"dimension at fock_cutoffs {list(cutoffs)}")
     # the scan's route as well: scaling the couplings keeps a family sectored or not
     family = QuadratureFamily.of(ms, em, cutoffs)
-    sectored = getattr(family, "sectored", False)
-    _refuse_oversized("the verify pair", cutoffs, dim, pair_bytes(dim, sectored))
+    _refuse_oversized("the verify pair", cutoffs, dim,
+                      command_bytes("gauge-check", dim, family.sectored))
     order, truncation = sc.values["naive_order"], sc.values["truncation"]
     rows = ambiguity_scan(ms, em, section["eta_grid"], tol=ground_tol, order=order)
     write_csv(cfg.out_dir / "gauge_report.csv",
@@ -240,7 +244,7 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
         "basis": h_a.basis,
         "diagnostics": {"coulomb": h_a.diagnostics, "multipolar": h_b.diagnostics},
         "ladder": {"start_cutoff": scan_cutoffs(ms.n_modes, em.n_levels)[0],
-                   "route": "stacked sectors" if sectored else "per-member builds"},
+                   "route": "stacked sectors" if family.sectored else "per-member builds"},
     })
     return 0
 
@@ -260,7 +264,7 @@ def cmd_detect(cfg: RunConfig) -> int:
         raise ConfigError(f"'detector.transitions' indices must lie in [0, D), D = {dim}")
     family = QuadratureFamily.of(ms, em, cutoffs)
     _refuse_oversized("the detect pair", cutoffs, dim,
-                      command_bytes("detect", dim, getattr(family, "sectored", False)))
+                      command_bytes("detect", dim, family.sectored))
     bundle_c, bundle_mp = build_gauge_pair(ms, em, cutoffs, family=family)
     if transitions is None:
         transitions = significant_transitions(bundle_c, ms, det, section["count"], em=em)

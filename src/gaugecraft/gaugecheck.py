@@ -23,7 +23,9 @@ rung-major: every coupling still climbing is one member of a stack.  A
 `sectored` family solves it in chunks of `stack_chunk` members within
 STACK_BYTES, each a copy of M0 plus O(n) writes: one parity sector per member
 is solved and the other certified by a Cholesky factorization
-(`ground_energies`).  Any other system builds each member on its own.  A naive
+(`ground_energies`).  Any other system builds each member on its own, from the
+rung's one family: for couplings that do not factor an `EigenbasisFamily`, whose
+members share one eigendecomposition of X.  A naive
 ladder still climbing at the top rung gives a row marked not converged; a
 correct one raises `ConvergenceError`.
 """
@@ -143,14 +145,6 @@ def scan_cutoffs(n_modes: int, levels: int) -> list[int]:
             if levels * ((n << k) + 1) ** n_modes <= MAX_DIM]
 
 
-def pair_bytes(dim: int, sectored: bool) -> float:
-    """Peak bytes of the verify pair (`build_gauge_pair`, then `verify_spectral_equivalence`)
-    at Hilbert dimension dim, as measured: 0.76 x 16 D^2 for the pair of a `sectored` family,
-    solved in the quadrature basis (its K, one sector and LAPACK's copy of that, each
-    (D/2)^2), and 10 x 16 D^2 for a Fock-basis pair."""
-    return (0.76 if sectored else 10.0) * 16 * dim * dim
-
-
 def _climb(solve: Callable[[int, np.ndarray], np.ndarray], members: int, tol: float,
            rungs: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(E0, cutoff, converged) of `members` doubling-cutoff ladders, climbed rung-major.
@@ -193,11 +187,11 @@ def ambiguity_scan(ms, em, eta_grid: Optional[Sequence[float]] = None, tol: floa
     without a grid the scan runs at their own strength.  Per entry: correct_gap =
     |E0(theta=0) - E0(theta=1)| (expected to vanish) and naive_gap = |E0(naive Coulomb,
     given order) - E0(multipolar)|.  The three ladders climb the rungs of `scan_cutoffs`
-    until each ground energy is stable to `tol`: as stacks over the family of the couplings
-    at strength 1 when it is `sectored`, else member by member (`_family_bundle`), from
-    that family at scale eta when the couplings factor, so that K is formed once per
-    cutoff.  A row is converged when its naive ladder is; `ConvergenceError` when a correct
-    ladder is not.
+    until each ground energy is stable to `tol`, over one family of the couplings at
+    strength 1 per rung: as stacks when it is `sectored`, else member by member
+    (`_family_bundle`) at scale eta, so that K is formed once per rung, and for couplings
+    that do not factor X is eigendecomposed once per rung.  A row is converged when its
+    naive ladder is; `ConvergenceError` when a correct ladder is not.
     """
     cs = couplings(ms, em)
     strength = max_abs(cs.eta_matrices)
@@ -214,7 +208,7 @@ def ambiguity_scan(ms, em, eta_grid: Optional[Sequence[float]] = None, tol: floa
     def ladder(theta, naive_order=None):
         def solve(n, idx):
             f = family(n)
-            if not getattr(f, "sectored", False):  # None: the couplings do not factor
+            if not f.sectored:
                 return np.array([_family_bundle(
                     unit, em.h0, em.parity_signs, (n,) * cs.n_modes, GaugeParam(theta), {},
                     naive_order, family=f, scale=eta).eigenvalues(1)[0] for eta in etas[idx]])

@@ -26,7 +26,8 @@ phi_mu = g_mu a_mu^dag + g_mu^* a_mu, and X is diagonal in the
 field-quadrature basis of `QuadratureFamily`, built from the (g, D) of
 `common_matter_matrix` without a D x D eigendecomposition.  Couplings that
 do not factor (an N-level emitter coupled through several dipole axes) take
-the dense `HermitianGenerator`.  `HamiltonianBundle` checks each assembled
+the eigenbasis of the dense `HermitianGenerator`, one D x D eigendecomposition
+per family.  `HamiltonianBundle` checks each assembled
 matrix once for Hermiticity before it symmetrizes away the rounding; a
 quadrature-basis bundle is checked on its raw blocks.
 
@@ -58,9 +59,10 @@ the quadrature basis (of a `sectored` family) declares more: its basis
 rotates each mode by R_mu = diag(e^(i n arg g_mu)), and
 R_mu^dag a_mu R_mu = g^_mu a_mu with g^ = g / |g|, so with R = (x)_mu R_mu
 the symmetry R P K R^dag holds whenever the rotated
-chi~_mn = chi_mn g^_m^* g^_n is exactly real (always for one mode) and D and
-h0 are real.  Otherwise a complex chi (a lossy grid's) or complex couplings,
-the hook and the beyond-dipole multipolar form declare nothing.
+chi~_mn = chi_mn g^_m^* g^_n is real (always for one mode, and for modes that
+share one coupling phase) and D and h0 are real.  Otherwise a complex chi (a
+lossy grid's) or complex couplings, the hook and the beyond-dipole multipolar
+form declare nothing.
 
 Every operator a builder sums is a list of Kronecker terms on one
 tensor-product space, and `HilbertSpec.dense` is the only place where such a
@@ -88,14 +90,20 @@ vectors.  Every other member is formed in the Fock basis once, from the same
 M', where the hook appends its factor and the bundle verifies and solves it.
 `build_gauge_pair` gives a command's Coulomb and multipolar bundles as
 members of one family, so the couplings are split and K is formed once.  The
-same members of couplings that do not factor come from the dense
-`HermitianGenerator` (`conjugate`, and `nested_commutators` for the naive
-series).  The canonical multipolar core, `_multipolar_bundle`, sums the
-terms of H_F, `multipolar_interaction` and a matter term (h0, with
-`polarization_squared` or without) in one `dense` for the theta = 1 naive
-builder and the beyond-dipole and 1D multipolar forms.  H(t) is written in the
-generator's eigenbasis (`CouplingSet.generator`), where each gauge map is a
-diagonal phase.  No builder is written out by hand: the dense forms the cores
+same members of couplings that do not factor come from their
+`EigenbasisFamily`, written in the eigenbasis B of X (`CouplingSet.generator`):
+H(theta, c) = Q K Q^dag + R M R^dag with K and M the field and matter terms
+in B and the diagonal phases Q = e^(-i theta c xi), R = e^(i (1 - theta) c xi),
+formed in the Fock basis as B H B^dag; the pair, and every member of a scan
+rung, share one eigendecomposition of X.  The naive series there is
+H_F + `nested_commutators` of c X.  So no gauge exponential is a matrix: every
+one is a phase in an eigenbasis of X.  The canonical multipolar core,
+`_multipolar_bundle`, sums the terms of H_F, `multipolar_interaction` and a
+matter term (h0, with `polarization_squared` or without) in one `dense` for the
+theta = 1 naive builder and the beyond-dipole and 1D multipolar forms.  H(t)
+is the `EigenbasisFamily` member at theta = 0 or 1 and coupling scale mu(t),
+for couplings that factor or not, plus its mu' term.  No builder is written
+out by hand: the dense forms the cores
 are checked against (the embedded-product `DenseSystem`, the single-mode
 two-level Coulomb and multipolar forms, and the beyond-dipole and 1D
 Hamiltonians term by term) live with the tests.
@@ -125,6 +133,7 @@ from .matter import EmitterSpec, TimeProfile
 from .modes import ModeSet, NormalModeSet1D
 
 TD_EXTRA_TERM_SIGN = +1.0
+GaugeFamily = Union["QuadratureFamily", "EigenbasisFamily"]  # as `of_couplings` returns it
 FACTOR_TOL = 1e-12
 TLS_PARITY_SIGNS = (1, -1)  # sigma_z in the |e>, |g> order: S sigma_x S = -sigma_x
 
@@ -235,7 +244,7 @@ class CouplingSet:
         When `common_matter_matrix` finds one matter matrix and the matter
         factor comes last, as in `standard_space`, it is the basis of the
         `QuadratureFamily` of these couplings, formed from local factors;
-        otherwise that of the dense `HermitianGenerator`.
+        otherwise that of the dense `HermitianGenerator`, one D x D eigendecomposition.
         """
         mi = self._check_space(space)
         split = self.common_matter_matrix()
@@ -609,13 +618,14 @@ class QuadratureFamily:
     h0'_11 = h0'_00 and beta = J beta^* (b = J b^* for the B_01 = diag(b), b = beta p_0^2,
     of H); the even one is +, and `ground_parity` is the sign of the one holding vacuum (x)
     h0's lowest level.  Time reversal is R P K R^dag here, with R = (x)_mu R_mu, P the photon
-    parity and K complex conjugation: it is declared when chi~ is exactly real and D and h0
-    are real (a single mode's chi~ = chi_00 is real for any phase of g), and then v, U and
-    K are real and J C J = C^* for C = M0 +- diag(beta) J, so Q^dag C Q =
-    M0 +- (diag(Re beta) J - diag(Im beta)) with Q = (1 + iJ) / sqrt(2) is real symmetric
-    with C's spectrum.  Any other emitter's member is formed in the Fock basis once
-    (`fock_matrix`), where `HamiltonianBundle` verifies its declared symmetries and solves
-    its sectors.
+    parity and K complex conjugation: it is declared when D and h0 are real and
+    max|Im chi~| <= HERMITIAN_TOL * max(1, max|chi~|) (a single mode's chi~ = chi_00 is real
+    for any phase of g, and modes that share one phase have a chi~ real to rounding), and
+    then K is formed from Re chi~, v, U and K are real and J C J = C^* for
+    C = M0 +- diag(beta) J, so Q^dag C Q = M0 +- (diag(Re beta) J - diag(Im beta)) with
+    Q = (1 + iJ) / sqrt(2) is real symmetric with C's spectrum.  Any other emitter's member
+    is formed in the Fock basis once (`fock_matrix`), where `HamiltonianBundle` verifies its
+    declared symmetries and solves its sectors.
 
     What a `sectored` family holds: K, its only n x n block (n = D/2), formed on first use,
     and the O(n) vectors of its basis.  Its members are `MemberRecipe`s: `measure` checks K
@@ -627,19 +637,21 @@ class QuadratureFamily:
 
     @classmethod
     def of(cls, ms: ModeSet, em: EmitterSpec,
-           cutoffs: Union[int, Sequence[int]]) -> Optional[QuadratureFamily]:
-        """The family of an emitter in a mode set at these cutoffs, or None unless its
-        couplings factor."""
+           cutoffs: Union[int, Sequence[int]]) -> GaugeFamily:
+        """The gauge family of an emitter in a mode set at these cutoffs (`of_couplings`)."""
         return cls.of_couplings(couplings(ms, em), em.h0, em.parity_signs,
                                 _normalize_cutoffs(cutoffs, ms.n_modes))
 
     @classmethod
     def of_couplings(cls, cs: CouplingSet, h0: np.ndarray, parity_signs: Optional[np.ndarray],
-                     cutoffs: tuple[int, ...]) -> Optional[QuadratureFamily]:
-        """The family of a coupling set with matter Hamiltonian h0 and the emitter's parity
-        signs (or None), or None unless `common_matter_matrix` factors the couplings."""
+                     cutoffs: tuple[int, ...]) -> GaugeFamily:
+        """The gauge family of a coupling set with matter Hamiltonian h0 and the emitter's
+        parity signs (or None): a `QuadratureFamily` when `common_matter_matrix` factors the
+        couplings, else their `EigenbasisFamily`.  Neither forms a D x D matrix here."""
         split = cs.common_matter_matrix()
-        return None if split is None else cls(cs, *split, parity_signs, h0, cutoffs)
+        if split is None:
+            return EigenbasisFamily(cs, h0, cutoffs)
+        return cls(cs, *split, parity_signs, h0, cutoffs)
 
     def __init__(self, cs: CouplingSet, g: np.ndarray, d: np.ndarray,
                  parity_signs: Optional[np.ndarray], h0: np.ndarray, cutoffs: tuple[int, ...]):
@@ -652,8 +664,12 @@ class QuadratureFamily:
         unit = np.divide(g, abs(g), out=np.ones_like(g), where=g != 0)  # g^ = g / |g|, or 1
         rotation = np.multiply.outer(unit.conj(), unit)
         np.fill_diagonal(rotation, 1.0)  # |g^_m|^2 = 1 exactly, which the product rounds
-        self.chi_tilde = cs.chi * rotation
-        self.time_reversal = _real(self.chi_tilde, d, h0)
+        chi_tilde = cs.chi * rotation
+        # max|Im chi~|: 0 for one mode, rounding for modes that share a phase (inf if D or h0
+        # is complex, which declares nothing)
+        self._chi_imag = max_abs(chi_tilde.imag) if _real(d, h0) else np.inf
+        self.time_reversal = self._chi_imag <= HERMITIAN_TOL * max(1.0, max_abs(chi_tilde))
+        self.chi_tilde = chi_tilde.real if self.time_reversal else chi_tilde
         lam, u = np.linalg.eigh(d.real if self.time_reversal else d)
         if self.sectored:
             lam = np.array([lam[0], -lam[0]])
@@ -686,9 +702,13 @@ class QuadratureFamily:
     def _field(self) -> np.ndarray:
         """K = w^dag H_F w, the `field_terms` of the rotated chi~ summed on the photon factors,
         each local matrix L conjugated to v_mu^T L v_mu: w_mu = R_mu v_mu and
-        R_mu^dag a_mu R_mu = g^_mu a_mu, so w^dag H_F(chi) w = v^T H_F(chi~) v.  Real when
-        chi~ is."""
-        rotated = lambda t: {f: self.v[f].T @ local @ self.v[f] for f, local in t.items()}
+        R_mu^dag a_mu R_mu = g^_mu a_mu, so w^dag H_F(chi) w = v^T H_F(chi~) v.  The one-factor
+        term chi_mm n is diagonal, L = diag(l), and takes one product, (v^T * l) v, with
+        v^T * l laid out in C order as v^T L is, so that the product rounds as v^T L v does.
+        Real when chi~ is."""
+        rotated = lambda t: {f: (np.multiply(self.v[f].T, local.diagonal(), order="C")
+                                 if len(t) == 1 else self.v[f].T @ local) @ self.v[f]
+                             for f, local in t.items()}
         return self.photons.dense(map(rotated, field_terms(self.chi_tilde, self.photons)))
 
     def _phases(self, theta: float, scales) -> np.ndarray:
@@ -698,8 +718,8 @@ class QuadratureFamily:
         return np.exp(-1j * theta * np.multiply.outer(t, self.lam))
 
     def _off_diagonal(self, theta: float, scales, order: Optional[int]) -> np.ndarray:
-        """beta (L, L, S, n), whose (k, l) entry is the diagonal of M'_kl at each coupling
-        scale (its k = l entries are unused); with `order`, of the naive theta = 0 series of
+        """beta (L, L, S, n), whose (k, l) entry is the diagonal of M'_kl - delta_kl K at each
+        coupling scale (beta_kk = h0'_kk); with `order`, of the naive theta = 0 series of
         that order.  It does not depend on theta, which is read only to refuse a naive
         series at any other theta."""
         if order is not None and theta != 0.0:
@@ -719,14 +739,16 @@ class QuadratureFamily:
 
     @cached_property
     def _k_checks(self) -> tuple[float, float, float]:
-        """(max|M0|, max|M0 - J M0 J|, max|Im| of K's real form, 0 without time reversal) of
-        a `sectored` family, measured once on the raw K, HERMITIAN_CHUNK entries at a time,
-        and each held to HERMITIAN_TOL * max(1, max|M0|): K is Hermitian, K = J K J and
-        h0'_11 = h0'_00, and under time reversal (K + JKJ + i(KJ - JK)) / 2 is real."""
+        """(max|M0|, max|M0 - J M0 J|, max|Im| of K's real form and of chi~, 0 without time
+        reversal) of a `sectored` family, measured once on the raw K, HERMITIAN_CHUNK entries
+        at a time, and each held to HERMITIAN_TOL * max(1, max|M0|): K is Hermitian,
+        K = J K J and h0'_11 = h0'_00, and under time reversal (K + JKJ + i(KJ - JK)) / 2 is
+        real."""
         k, n = self.k, len(self.x)
         jk = k[::-1]  # J K; K J is k[:, ::-1] and J K J is jk[:, ::-1]
         largest = max_abs(k.diagonal() + self.h0[0, 0])
-        herm = off = imag = 0.0
+        herm = off = 0.0
+        imag = self._chi_imag if self.time_reversal else 0.0  # K was formed from Re chi~
         rows = max(1, HERMITIAN_CHUNK // n)
         for r in (slice(i, i + rows) for i in range(0, n, rows)):
             largest = max(largest, max_abs(k[r]))
@@ -850,21 +872,14 @@ class QuadratureFamily:
         naive theta = 0 series of that order, at one coupling scale, in the Fock basis,
         photon-major."""
         n, levels = len(self.x), len(self.lam)
-        beta = self._off_diagonal(theta, [scale], order)[:, :, 0]
-        m = np.zeros((n, levels, n, levels), dtype=complex)
+        m = kron(self.k, np.eye(levels, dtype=complex)).reshape(n, levels, n, levels)
         i = np.arange(n)
-        for k in range(levels):
-            m[:, k, :, k] = self.k
-            m[i, k, i, k] += self.h0[k, k]
-            for l in range(levels):
-                if l != k:
-                    m[i, k, i, l] = beta[k, l]
+        # the diagonals beta_kl of every block; beta_kk = h0'_kk, its exponent being zero
+        m[i, :, i, :] += np.moveaxis(self._off_diagonal(theta, [scale], order)[:, :, 0], -1, 0)
         p = self._phases(theta, [scale])[0]
         m *= p[:, :, None, None]
         m *= p.conj()
-        wm = self.basis.to_fock(m.reshape(n * levels, n * levels))
-        # (w M) w^dag = (w^* (w M)^T)^T: conjugate the factors, not the D x D matrices
-        return _kron_apply([f.conj() for f in self.basis.factors], wm.T).T
+        return self.basis.fock_matrix(m.reshape(n * levels, n * levels))
 
     def same_basis(self, other: QuadratureFamily) -> bool:
         """Whether two families share one basis and one M': the cutoffs, couplings, U, chi
@@ -887,6 +902,96 @@ class QuadratureFamily:
         m = np.abs(h_a.recipe.beta[0] - h_b.recipe.beta[0])[:, None] * low
         # ||M||_2^2 is the largest eigenvalue of M^T M, to the same relative accuracy
         return float(np.sqrt(np.linalg.eigvalsh(m.T @ m)[-1]))
+
+
+class EigenbasisFamily:
+    """The gauge family of any coupling set, in the eigenbasis B of its generator X
+    (`CouplingSet.generator`), X = B diag(xi) B^dag, where every gauge exponential exp(i s X)
+    is the diagonal phase e^(i s xi).
+
+    The family holds K = B^dag (H_F (x) 1) B and M = B^dag (1 (x) h0) B, each formed on first
+    use and checked once by `hermitian_part`.  Its member at gauge theta and coupling scale c
+    is H'(theta, c) = Q K Q^dag + R M R^dag, Q = e^(-i theta c xi), R = e^(i (1 - theta) c xi):
+    `member` gives its phases (with a drive d xi for H(t)'s mu' term), `matrix` forms H',
+    `apply` applies it, and `fock_matrix` gives B H' B^dag, the members of couplings that do
+    not factor.  A phase whose gauge weight (theta for Q, 1 - theta for R) is zero is not
+    formed.  The naive theta = 0 series is H_F + `nested_commutators` of c X in the Fock
+    basis, with X formed once per family.  Such a family is never `sectored`.
+    """
+
+    sectored = False
+
+    def __init__(self, cs: CouplingSet, h0: np.ndarray, cutoffs: tuple[int, ...]):
+        self.cs, self.h0, self.cutoffs = cs, h0, cutoffs
+        self.space = standard_space(cutoffs, cs.matter_dim)
+
+    @cached_property
+    def basis(self) -> Eigenbasis:
+        """B, X's eigenbasis, formed on first use."""
+        return self.cs.generator(self.space)
+
+    @cached_property
+    def k(self) -> np.ndarray:
+        """K = B^dag (H_F (x) 1) B, Hermitian."""
+        return hermitian_part(self.basis.transform(field_hamiltonian(self.cs.chi, self.space)),
+                              "eigenbasis field term K")
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        """M = B^dag (1 (x) h0) B, Hermitian."""
+        return hermitian_part(self.basis.transform(self._matter()), "eigenbasis matter term M")
+
+    def _matter(self) -> np.ndarray:
+        """1 (x) h0 on the family's space, in the Fock basis."""
+        return self.space.dense([{self.space.matter_indices[0]: self.h0}])
+
+    @cached_property
+    def _generator(self) -> HermitianGenerator:
+        """X in the Fock basis, for the naive series; never eigendecomposed."""
+        return HermitianGenerator(self.cs.generator_matrix(self.space), self.space)
+
+    def member(self, theta: float, scale: float, drive: float = 0.0):
+        """H'(theta, c) + diag(d), d = drive xi (None for a zero drive), as the flat tuple
+        (b, p, p^*, c, q, q^*, d) that `matrix` and `apply` take: the terms (block, phase,
+        its conjugate) of K and of M, the one whose gauge weight is zero (its phase None)
+        first.  theta and 1 - theta are not both zero, so the second term always has a
+        phase.  Each phase is exp((i w c) xi) for the weight w = -theta or 1 - theta,
+        evaluated in that order."""
+        xi = self.basis.xi
+        q = None if theta == 0.0 else np.exp((1j * -theta * scale) * xi)
+        r = None if theta == 1.0 else np.exp((1j * (1 - theta) * scale) * xi)
+        k, m = (self.k, q, q if q is None else q.conj()), (self.m, r, r if r is None else r.conj())
+        return (k + m if q is None else m + k) + (drive * xi if drive else None,)
+
+    def matrix(self, member) -> np.ndarray:
+        """H' of a `member` in the eigenbasis of X, Hermitian to rounding: the phased block of
+        the second term formed in place, and the first term added."""
+        b, p, p_conj, c, q, q_conj, d = member
+        h = np.multiply.outer(q, q_conj)  # entry (i, j) e^(i w c (xi_i - xi_j))
+        h *= c
+        h += b if p is None else np.multiply.outer(p, p_conj) * b
+        if d is not None:
+            h.reshape(-1)[::len(h) + 1] += d
+        return h
+
+    def apply(self, member, x: np.ndarray) -> np.ndarray:
+        """H' x in the eigenbasis of X for a state x (D,) of a `member`, with H' not formed: a
+        block without a phase is one product, a phased one P (block (P^* x))."""
+        b, p, p_conj, c, q, q_conj, d = member
+        y = b @ x if p is None else p * (b @ (p_conj * x))
+        y += q * (c @ (q_conj * x))
+        if d is not None:
+            y += d * x
+        return y
+
+    def fock_matrix(self, theta: float, scale: float, order: Optional[int] = None) -> np.ndarray:
+        """B H'(theta, c) B^dag, not symmetrized, or with `order` the naive theta = 0 series of
+        that order, H_F + sum_{j <= order} ((i c)^j / j!) ad_X^j(1 (x) h0), in the Fock basis
+        (`build_naive` and the scan ask for it at theta = 0 only)."""
+        if order is None:
+            return self.basis.fock_matrix(self.matrix(self.member(theta, scale)))
+        return (field_hamiltonian(self.cs.chi, self.space)
+                + self._generator.nested_commutators(self._matter(), order, scale))
 
 
 @dataclass(frozen=True)
@@ -919,14 +1024,13 @@ def _apply_longitudinal(h: np.ndarray, space: HilbertSpec, em: EmitterSpec,
 def _family_bundle(cs: CouplingSet, h0: np.ndarray, parity_signs: Optional[Sequence[int]],
                    cutoffs: tuple[int, ...], gauge: GaugeParam, meta: dict,
                    order: Optional[int] = None, hook: Optional[Callable] = None,
-                   family: Optional[QuadratureFamily] = None,
+                   family: Optional[GaugeFamily] = None,
                    scale: float = 1.0) -> HamiltonianBundle:
     """The member at this gauge, or with `order` the naive theta = 0 series, of the couplings
-    scale * cs with matter Hamiltonian h0.  The couplings cs are split into a
-    `QuadratureFamily` unless a family of them is given, whose member at coupling scale
-    `scale` it is.  A `sectored` family is solved in the quadrature basis; any other member
-    is formed in the Fock basis, from the family when the couplings factor and from the
-    dense generator otherwise, and hook(h, space) -> (h, space) appends the longitudinal
+    scale * cs with matter Hamiltonian h0: the member at coupling scale `scale` of the family
+    of cs (`QuadratureFamily.of_couplings`), unless a family of them is given.  A `sectored`
+    family is solved in the quadrature basis; any other member is formed in the Fock basis
+    by its family (`fock_matrix`), and hook(h, space) -> (h, space) appends the longitudinal
     factor to it.  The bundle declares the parity of parity_signs, when given, and without
     the hook time reversal when chi, the couplings and h0 are real."""
     if family is None:
@@ -934,18 +1038,10 @@ def _family_bundle(cs: CouplingSet, h0: np.ndarray, parity_signs: Optional[Seque
     elif family.cutoffs != cutoffs or not (np.array_equal(family.cs.eta_matrices, cs.eta_matrices)
                                            and np.array_equal(family.cs.chi, cs.chi)):
         raise ValueError("the family given is not of these couplings and cutoffs")
-    if family is not None and family.sectored and hook is None:
+    if family.sectored and hook is None:
         return HamiltonianBundle.in_quadrature_basis(
             family, gauge, family.recipe(gauge.theta, [scale], order), meta)
-    if family is not None:
-        h, space = family.fock_matrix(gauge.theta, scale, order), family.space
-    else:
-        cs = cs if scale == 1.0 else CouplingSet(scale * cs.eta_matrices, cs.chi)
-        space = standard_space(cutoffs, cs.matter_dim)
-        gen = HermitianGenerator(cs.generator_matrix(space), space)
-        h_f, h_0 = field_hamiltonian(cs.chi, space), space.dense([{len(cutoffs): h0}])
-        h = (h_f + gen.nested_commutators(h_0, order) if order is not None
-             else gen.conjugate(-gauge.theta, h_f) + gen.conjugate(1.0 - gauge.theta, h_0))
+    h, space = family.fock_matrix(gauge.theta, scale, order), family.space
     if hook is not None:
         h, space = hook(h, space)
     return _bundle(h, space, gauge, meta, parity_signs,
@@ -955,21 +1051,21 @@ def _family_bundle(cs: CouplingSet, h0: np.ndarray, parity_signs: Optional[Seque
 def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
                  cutoffs: Union[int, Sequence[int]],
                  longitudinal: Optional[LongitudinalCoupling] = None, *,
-                 family: Optional[QuadratureFamily] = None) -> HamiltonianBundle:
+                 family: Optional[GaugeFamily] = None) -> HamiltonianBundle:
     """Dipole-approximation Hamiltonian at gauge parameter theta.
 
     H = V H_F V^dag + U H_0 U^dag with V = exp(-i theta X) and
-    U = exp(+i (1 - theta) X), both exact matrix exponentials on the
-    truncated space.  The medium-assisted longitudinal term is off unless a
+    U = exp(+i (1 - theta) X), both exact on the truncated space: diagonal
+    phases in an eigenbasis of X.  The medium-assisted longitudinal term is off unless a
     `LongitudinalCoupling` hook is supplied.  The bundle declares the
     emitter's parity whenever `EmitterSpec.parity_signs` finds one; the
     auxiliary factor of the hook counts as one more photon factor in it.
     Without the hook it declares time reversal when chi, the couplings and
-    h0 are real.  Couplings that factor are built from their
-    `QuadratureFamily` (`_family_bundle`), whose member the hook extends in
-    the Fock basis; `family`, `QuadratureFamily.of(ms, em, cutoffs)` when the
-    caller already has it (`build_gauge_pair`), is used instead of splitting
-    the couplings again.
+    h0 are real.  The member comes from the gauge family of the couplings
+    (`_family_bundle`: a `QuadratureFamily` when they factor, else an
+    `EigenbasisFamily`), and the hook extends it in the Fock basis;
+    `family`, `QuadratureFamily.of(ms, em, cutoffs)` when the caller already
+    has it (`build_gauge_pair`), is used instead of making it again.
     """
     cutoffs = _normalize_cutoffs(cutoffs, ms.n_modes)
     cs = couplings(ms, em)
@@ -986,13 +1082,13 @@ def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
 
 def build_gauge_pair(ms: ModeSet, em: EmitterSpec, cutoffs: Union[int, Sequence[int]],
                      naive_order: Optional[int] = None, *,
-                     family: Optional[QuadratureFamily] = None) -> tuple[HamiltonianBundle,
-                                                                          HamiltonianBundle]:
+                     family: Optional[GaugeFamily] = None
+                     ) -> tuple[HamiltonianBundle, HamiltonianBundle]:
     """The Coulomb and the multipolar bundle of `build_dipole`, the Coulomb one
-    `build_naive`'s theta = 0 series of `naive_order` when that is given.  Couplings that
-    factor are split once, unless the caller gives `QuadratureFamily.of(ms, em, cutoffs)`,
-    and both bundles are members of that one family, so K is formed once; others are built
-    in the Fock basis, each on its own."""
+    `build_naive`'s theta = 0 series of `naive_order` when that is given.  Both bundles are
+    members of one gauge family of the couplings, `QuadratureFamily.of(ms, em, cutoffs)`
+    unless the caller gives it: K is formed once when the couplings factor, and X is
+    eigendecomposed once when they do not."""
     if family is None:
         family = QuadratureFamily.of(ms, em, cutoffs)
     coulomb = (build_dipole(ms, em, COULOMB, cutoffs, family=family) if naive_order is None
@@ -1037,13 +1133,13 @@ def _multipolar_bundle(cs: CouplingSet, matter: np.ndarray, cutoffs: tuple[int, 
 
 def build_naive(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
                 cutoffs: Union[int, Sequence[int]], order: int = 1, *,
-                family: Optional[QuadratureFamily] = None) -> HamiltonianBundle:
+                family: Optional[GaugeFamily] = None) -> HamiltonianBundle:
     """Gauge-violating reference Hamiltonians from direct (naive) truncation.
 
     theta = 0: the minimal-coupling conjugation U H_0 U^dag is replaced by its
     Taylor series in the generator, truncated at `order` (order 1 keeps the
     linear drive only): from the `QuadratureFamily` when the couplings factor,
-    else summed by the dense generator (`nested_commutators`).  theta = 1:
+    else summed by their `EigenbasisFamily` (`nested_commutators`).  theta = 1:
     the correct multipolar form minus the mode-truncated polarization-squared
     correction.  Other theta values are not defined.  Parity and time
     reversal are declared, and `family` taken, as in `build_dipole`.
@@ -1202,42 +1298,32 @@ class TimeDependentHamiltonian:
     gauge condition; its sign is pinned by the gauge-equivalence of the
     resulting dynamics (see dynamics.td_gauge_equivalence).
 
-    H(t) is written in the generator's eigenbasis B (`basis`, from
-    `CouplingSet.generator`), where
-    X = diag(xi) and exp(i s X) is the diagonal phase Phi(s) = diag(e^(i s xi)).
-    K = B^dag (H_F (x) 1) B and M = B^dag (1 (x) H_0) B (H_F (x) 1 is given on
-    `space`, 1 (x) H_0 is formed from its one term) are fixed here and
-    checked for Hermiticity once, before symmetrization; then
-    H_C(t) = K + Phi(mu) M Phi(mu)^* and
-    H_mp(t) = Phi(-mu) K Phi(-mu)^* + M + sign * mu'(t) diag(xi).
-    `operator(t)` applies H(t) without forming it, on the propagator's dynamic
-    pieces; `matrix(t)` forms it, and `eigensystem(t)` diagonalizes it for static
-    pieces and the ground state.  `basis.to_fock` maps states back.
+    H(t) is the member of an `EigenbasisFamily` at theta = 0 (Coulomb) or
+    theta = 1 (multipolar) and coupling scale c = mu(t), plus the drive
+    sign * mu'(t) xi, all in the generator's eigenbasis B (`basis`), where
+    X = diag(xi): H_C(t) = K + R M R^dag and H_mp(t) = Q K Q^dag + M +
+    sign * mu'(t) diag(xi), with the family's checked K and M and its phases
+    R = e^(i mu xi), Q = e^(-i mu xi).  `operator(t)` applies H(t) without
+    forming it, on the propagator's dynamic pieces; `matrix(t)` forms it, and
+    `eigensystem(t)` diagonalizes it for static pieces and the ground state.
+    `basis.to_fock` maps states back.
     """
 
-    def __init__(self, gauge: str, cs: CouplingSet, h_field: np.ndarray,
-                 h_matter: np.ndarray, profile: TimeProfile, space: HilbertSpec,
+    def __init__(self, gauge: str, family: EigenbasisFamily, profile: TimeProfile,
                  extra_term_sign: float = TD_EXTRA_TERM_SIGN):
         if gauge not in ("coulomb", "multipolar"):
             raise ValueError(f"unknown gauge {gauge!r}")
-        self.gauge = gauge
-        self.basis = cs.generator(space)
-        k = hermitian_part(self.basis.transform(h_field), "H(t) field term K")
-        h_0 = space.dense([{space.matter_indices[0]: h_matter}])
-        m = hermitian_part(self.basis.transform(h_0), "H(t) matter term M")
-        # H(t) = Phi(sign mu) A Phi(sign mu)^* + C, plus the multipolar mu' term
-        self._sign, self._a, self._c = (1.0, m, k) if gauge == "coulomb" else (-1.0, k, m)
-        self.profile = profile
-        self.space = space
+        self.gauge, self.family, self.profile = gauge, family, profile
+        self.theta = 0.0 if gauge == "coulomb" else 1.0
+        self.space, self.basis = family.space, family.basis  # X's eigenbasis, formed here
         self.extra_term_sign = float(extra_term_sign)
         self._eig = None
 
-    def _terms(self, t: float):
-        """Phi(sign mu(t)) and the diagonal of the multipolar mu'(t) term (None if zero)."""
-        xi = self.basis.xi
-        mu_dot = self.profile.mu_dot(t) if self.gauge == "multipolar" else 0.0
-        return (np.exp((1j * self._sign * self.profile.mu(t)) * xi),
-                self.extra_term_sign * mu_dot * xi if mu_dot != 0.0 else None)
+    def _member(self, t: float):
+        """The family's member at mu(t), with the drive sign * mu'(t) in the multipolar gauge
+        (theta = 1), none in the Coulomb gauge (theta = 0)."""
+        mu_dot = self.profile.mu_dot(t) if self.theta else 0.0
+        return self.family.member(self.theta, self.profile.mu(t), self.extra_term_sign * mu_dot)
 
     def eigensystem(self, t: float):
         """np.linalg.eigh of `matrix(t)`, read-only and kept for the last (mu(t), mu'(t))
@@ -1252,26 +1338,12 @@ class TimeDependentHamiltonian:
 
     def matrix(self, t: float) -> np.ndarray:
         """H(t) in the eigenbasis of X, formed from the checked K and M (Hermitian to rounding)."""
-        phase, diag = self._terms(t)
-        h = np.multiply.outer(phase, phase.conj())  # entry (i, j) e^(i s (xi_i - xi_j))
-        h *= self._a
-        h += self._c
-        if diag is not None:
-            h.reshape(-1)[::len(phase) + 1] += diag
-        return h
+        return self.family.matrix(self._member(t))
 
     def operator(self, t: float) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> H(t) x in the eigenbasis of X, for a state x of shape (D,):
-        C x + Phi (A (Phi^* x)), plus the multipolar mu' term, with H(t) not formed."""
-        phase, diag = self._terms(t)
-        return partial(self._apply, phase, phase.conj(), diag)
-
-    def _apply(self, phase, conj, diag, x):
-        y = self._c @ x
-        y += phase * (self._a @ (conj * x))
-        if diag is not None:
-            y += diag * x
-        return y
+        """x -> H(t) x in the eigenbasis of X, for a state x of shape (D,), with H(t) not
+        formed: two matrix-vector products and O(D) phase products (`EigenbasisFamily.apply`)."""
+        return partial(self.family.apply, self._member(t))
 
 
 def build_time_dependent(ms: ModeSet, em: EmitterSpec, gauge: str,
@@ -1284,8 +1356,5 @@ def build_time_dependent(ms: ModeSet, em: EmitterSpec, gauge: str,
     term can be negated as a control; the default is the physically-correct
     choice.
     """
-    cutoffs = _normalize_cutoffs(cutoffs, ms.n_modes)
-    cs = couplings(ms, em)
-    space = standard_space(cutoffs, em.n_levels)
-    return TimeDependentHamiltonian(gauge, cs, field_hamiltonian(ms.chi, space), em.h0, profile,
-                                    space, extra_term_sign)
+    family = EigenbasisFamily(couplings(ms, em), em.h0, _normalize_cutoffs(cutoffs, ms.n_modes))
+    return TimeDependentHamiltonian(gauge, family, profile, extra_term_sign)

@@ -17,12 +17,14 @@ a non-Hermitian matrix is refused, never averaged into a Hermitian one.
 
 A gauge generator X is known by its eigenbasis B, X = B diag(xi) B^dag, an
 `Eigenbasis` that keeps B as Kronecker factors; there every exp(i s X) is a
-diagonal phase, and `Eigenbasis.apply` is the one way a gauge map reaches a
-vector.  When the couplings share one Hermitian matter matrix D, B is the
-field-quadrature basis of `hamiltonians.QuadratureFamily`, built from the
-one `fock_quadrature` of each cutoff (rotated by `mode_phase`) and the
-eigenvectors of D.  Any other Hermitian generator goes through
-`HermitianGenerator`, which eigendecomposes the D x D matrix once.
+diagonal phase, so no gauge exponential is formed as a matrix: `Eigenbasis.apply`
+is the one way a gauge map reaches a vector, and `transform` and `fock_matrix`
+take a matrix into B and back.  When the couplings share one Hermitian matter
+matrix D, B is the field-quadrature basis of `hamiltonians.QuadratureFamily`,
+built from the one `fock_quadrature` of each cutoff (rotated by `mode_phase`)
+and the eigenvectors of D.  Any other Hermitian generator goes through
+`HermitianGenerator`, which eigendecomposes the D x D matrix once; the
+package reads only its eigenbasis and its `nested_commutators`.
 Values are immutable after construction and safe to share across threads.
 
 Conventions: hbar = 1 and eps0 = 1 throughout the package.  Fock states are
@@ -214,7 +216,7 @@ def hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
     `max_abs_diff`, so no other temporary of m's size is allocated.
     """
     m = np.asarray(m, dtype=complex)
-    out = np.conjugate(m.swapaxes(-1, -2), order="C")
+    out = np.conj(m.swapaxes(-1, -2), order="C")
     dev = max_abs_diff(m, out)
     if dev > HERMITIAN_TOL and dev > HERMITIAN_TOL * max_abs(m):  # tol * max(1, max|m|)
         raise InvariantViolation(f"{what} is not Hermitian before symmetrization "
@@ -265,12 +267,15 @@ def _check_unitary_columns(v: np.ndarray, what: str):
 class HermitianGenerator:
     """Cached eigendecomposition of a Hermitian generator X.
 
-    unitary(s) returns the matrix exp(i s X), and `eigenbasis` the basis in
-    which `Eigenbasis.apply` applies it to vectors; repeated evaluations
+    `eigenbasis` is the basis in which every exp(i s X) is a diagonal phase
+    (`Eigenbasis.apply`, `hamiltonians.EigenbasisFamily`); repeated evaluations
     (gauge sweeps, time-dependent couplings) reuse the factorization, which
     is computed on first use and whose eigenvectors are checked to be unitary
-    then, once.  s is a float.  This is the dense form, for couplings that do
-    not share one matter matrix.
+    then, once, in real arithmetic when X is real.  s is a float.  This is the
+    dense form, for couplings that do not share one matter matrix.
+    `unitary(s)`, the matrix exp(i s X), and `conjugate` stay for the tests'
+    oracles and the perf tracer, which wraps both by name; no other module
+    calls either.
     """
 
     def __init__(self, matrix: np.ndarray, space: HilbertSpec):
@@ -279,7 +284,9 @@ class HermitianGenerator:
 
     @cached_property
     def _eig(self):
-        vals, vecs = np.linalg.eigh(self.matrix)
+        """eigh of X, in real arithmetic when X is real (real couplings): then B is real, and
+        a real matrix is taken into B and back by real products."""
+        vals, vecs = np.linalg.eigh(self.matrix if np.any(self.matrix.imag) else self.matrix.real)
         _check_unitary_columns(vecs, "generator eigenvectors are not unitary")
         return vals, vecs
 
@@ -298,13 +305,13 @@ class HermitianGenerator:
         u = self.unitary(s)
         return u @ m @ _dagger(u)
 
-    def nested_commutators(self, m: np.ndarray, order: int) -> np.ndarray:
-        """sum_{j<=order} (i^j / j!) ad_X^j(M), ad_X(Y) = [X, Y]: the Taylor series of
-        `conjugate(1, M)` cut at `order`."""
+    def nested_commutators(self, m: np.ndarray, order: int, s: float = 1.0) -> np.ndarray:
+        """sum_{j<=order} ((i s)^j / j!) ad_X^j(M), ad_X(Y) = [X, Y]: the Taylor series of
+        `conjugate(s, M)` cut at `order`."""
         x = self.matrix
         terms = [m]
         for j in range(1, order + 1):
-            terms.append((1j / j) * (x @ terms[-1] - terms[-1] @ x))
+            terms.append((1j * s / j) * (x @ terms[-1] - terms[-1] @ x))
         return sum(terms)
 
 
@@ -399,6 +406,11 @@ class Eigenbasis:
     def transform(self, m: np.ndarray) -> np.ndarray:
         """B^dag M B, not symmetrized."""
         return self.from_fock(_dagger(self.from_fock(_dagger(m))))
+
+    def fock_matrix(self, m: np.ndarray) -> np.ndarray:
+        """B M B^dag, not symmetrized: the inverse of `transform`.  (B M) B^dag =
+        (B^* (B M)^T)^T, so the factors are conjugated, not the D x D matrices."""
+        return _kron_apply([f.conj() for f in self.factors], self.to_fock(m).T).T
 
     def apply(self, s: float, x: np.ndarray) -> np.ndarray:
         """exp(i s X) x = B e^{i s xi} B^dag x for a vector or a D x K block x."""

@@ -1,18 +1,22 @@
 """The commands on three-level emitters, against the dense oracle: a ladder with one dipole
 axis, whose couplings factor and whose members are formed in the Fock basis from the gauge
 family, and an emitter coupled through two axes, whose couplings do not factor and take
-the dense generator."""
+their `EigenbasisFamily` (the dense route), for static members and for H(t) alike."""
 
 import csv
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import dense_oracle
 from gaugecraft import (COULOMB, MULTIPOLAR, DetectorSpec, EmitterSpec, GaugeParam, ModeSet,
-                        ambiguity_scan, couplings, hamiltonians, standard_space)
+                        ambiguity_scan, build_dipole, build_gauge_pair, build_time_dependent,
+                        constant_profile, couplings, hamiltonians, standard_space)
 from gaugecraft.cli import main
+from gaugecraft.gaugecheck import scan_cutoffs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
 
 pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
@@ -148,3 +152,64 @@ def test_the_per_member_scan_forms_k_once_per_cutoff(monkeypatch):
     rows = ambiguity_scan(MS, ONE_AXIS, [0.1, 0.2])
     assert {r.cutoff for r in rows} == {6}  # the rungs 3 and 6
     assert sorted(calls["K"]) == [(3, 3), (6, 6)] and calls["split"] == 2
+
+
+def count_eigh_sizes(monkeypatch) -> list:
+    """The size of every matrix np.linalg.eigh is called on from now on."""
+    sizes, original = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda m, *a, **k: sizes.append(np.shape(m)[-1]) or original(m, *a, **k))
+    return sizes
+
+
+def test_the_dense_route_eigendecomposes_x_once_per_pair_and_per_rung(monkeypatch):
+    """The gauge pair's members share one `EigenbasisFamily`, and so do every coupling and
+    every ladder of a scan rung: X is eigendecomposed (D x D eigh) once per pair, naive or
+    not, and once per rung the scan visits.  The naive series takes no eigh, and the
+    members' sectors are solved by eigvalsh."""
+    sizes = count_eigh_sizes(monkeypatch)
+    for naive_order in (None, 2):
+        build_gauge_pair(MS, TWO_AXES, CUTOFFS, naive_order)
+        assert sizes == [standard_space(CUTOFFS, 3).dim]
+        sizes.clear()
+    rows = ambiguity_scan(MS, TWO_AXES, [0.1, 0.2, 0.3, 0.4])
+    visited = [n for n in scan_cutoffs(2, 3) if n <= max(r.cutoff for r in rows)]
+    assert len(visited) >= 2 and sizes == [3 * (n + 1) ** 2 for n in visited]
+
+
+@pytest.mark.parametrize("gauge, theta", [("coulomb", COULOMB), ("multipolar", MULTIPOLAR)])
+def test_h_t_at_a_constant_coupling_is_the_static_member(gauge, theta):
+    """At mu = 1 and mu' = 0, H(t) is the family's member at theta = 0 or 1: B H(t) B^dag is
+    `build_dipole`'s H of the two-axis emitter."""
+    tdh = build_time_dependent(MS, TWO_AXES, gauge, constant_profile(1.0), CUTOFFS)
+    b = dense_oracle.basis_matrix(tdh.basis)
+    assert_close(b @ tdh.matrix(0.7) @ b.conj().T, build_dipole(MS, TWO_AXES, theta, CUTOFFS).H,
+                 f"{gauge} H(t) at mu = 1")
+
+
+SEVEN_GIB = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (7 << 30) // 4096}
+
+
+@pytest.mark.parametrize("command, need", [("spectrum", "4.1 GB"), ("detect", "5.7 GB")])
+def test_an_oversized_dense_route_command_is_refused_before_the_family_forms(
+        tmp_path, capsys, monkeypatch, command, need):
+    """The two-axis emitter at N = 40 (D = 5043) needs 10 (spectrum) and 14 (detect) complex
+    D x D matrices on the dense route, more than half of a 7 GiB machine: both exit 2 before
+    the family forms X, its eigenbasis, K or M."""
+    monkeypatch.setattr(os, "sysconf", SEVEN_GIB.__getitem__)
+    doc = {"seed": 0, "modeset": modeset_to_json(MS), "emitter": emitter_to_json(TWO_AXES),
+           "fock_cutoffs": [40, 40],
+           "detector": {"dipole": [0.3, 0.9, 0.2], "position_label": "detector"}}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "fock_cutoffs [40, 40]" in err and "D = 5043" in err and need in err
+    assert peak < 10_000_000
+    assert list((tmp_path / "out").iterdir()) == []

@@ -249,11 +249,14 @@ class TestHermiticityBeforeSymmetrization:
             build_naive(ms, em, COULOMB, (4, 3))
 
     def test_time_dependent_matrix(self, skewed_field):
-        """K and M, from which H(t) is formed or applied, are checked where they enter."""
+        """K and M, from which H(t) is formed or applied, are checked where they enter: at
+        the first H(t) formed or applied."""
         ms, em = self._system()
         for gauge in ("coulomb", "multipolar"):
-            with pytest.raises(InvariantViolation, match="before symmetrization"):
-                build_time_dependent(ms, em, gauge, RAMP, (4, 3))
+            for first_use in ("matrix", "operator"):
+                tdh = build_time_dependent(ms, em, gauge, RAMP, (4, 3))
+                with pytest.raises(InvariantViolation, match="before symmetrization"):
+                    getattr(tdh, first_use)(0.5)
 
 
 def test_generator_rejects_a_space_of_the_wrong_shape():

@@ -2,8 +2,9 @@
 and without the longitudinal hook, the theta = 0 `build_naive`, the beyond-dipole Coulomb
 form and the 1D gC form, over L-level emitters with and without a parity, one or two
 modes, per-mode cutoffs, real and complex couplings.  Each route (the quadrature-basis
-sector solve, the family's member formed in the Fock basis, the hook and the dense
-generator) verifies the symmetries it declares: a forged entry makes it raise."""
+sector solve, the family's member formed in the Fock basis, the hook and the eigenbasis
+family of couplings that do not factor) verifies the symmetries it declares: a forged
+entry makes it raise."""
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from dense_oracle import DenseSystem, nested_commutator_series, with_longitudina
 from gaugecraft import (COULOMB, Dielectric1D, EmitterSpec, GaugeParam, InvariantViolation,
                         LongitudinalCoupling, ModeSet, build_beyond_dipole, build_dipole,
                         build_generalized_1d, build_naive, couplings, solve_dielectric_1d, tls)
-from gaugecraft.hilbert import HermitianGenerator, max_abs
+from gaugecraft.hilbert import max_abs
 
 pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
 
@@ -186,8 +187,12 @@ def test_a_forged_hook_member_breaks_the_declared_parity(monkeypatch):
 @pytest.mark.parametrize("entries, claim", [(PARITY_BREAKING, "parity"),
                                             (TIME_REVERSAL_BREAKING, "time reversal")])
 def test_a_forged_dense_route_member_raises(monkeypatch, entries, claim):
+    """Couplings that do not factor form each member from their `EigenbasisFamily`: a forged
+    formation breaks the declared symmetry, for the exact member and the naive series."""
     assert couplings(TWO_MODES, TWO_AXES).common_matter_matrix() is None
     build_dipole(TWO_MODES, TWO_AXES, GaugeParam(0.37), (3, 2))
-    forge(monkeypatch, HermitianGenerator, "conjugate", entries)
+    forge(monkeypatch, hamiltonians.EigenbasisFamily, "fock_matrix", entries)
     with pytest.raises(InvariantViolation, match=claim):
         build_dipole(TWO_MODES, TWO_AXES, GaugeParam(0.37), (3, 2))
+    with pytest.raises(InvariantViolation, match=claim):
+        build_naive(TWO_MODES, TWO_AXES, COULOMB, (3, 2), order=2)

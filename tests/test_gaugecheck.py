@@ -16,8 +16,8 @@ import dense_oracle
 from dense_oracle import tls_single_mode_modeset
 from gaugecraft import (COULOMB, MULTIPOLAR, FockCutoffWarning, ambiguity_scan, build_dipole,
                         build_naive, couplings, gauge_unitary, verify_spectral_equivalence)
-from gaugecraft import ConfigError, EmitterSpec, HamiltonianBundle, ModeSet, gaugecheck, tls
-from gaugecraft.cli import main
+from gaugecraft import ConfigError, EmitterSpec, HamiltonianBundle, ModeSet, tls
+from gaugecraft.cli import command_bytes, main
 from gaugecraft.gaugecheck import _climb, scan_cutoffs
 from gaugecraft.hamiltonians import QuadratureFamily, build_gauge_pair
 from gaugecraft.hilbert import PAULI_X, PAULI_Y, HermitianGenerator, max_abs
@@ -406,11 +406,11 @@ def test_an_oversized_verify_pair_is_refused_up_front(tmp_path, capsys, monkeypa
     assert not (tmp_path / "out" / "gauge_report.csv").exists()
 
 
-def test_a_sectored_verify_pair_peaks_at_pair_bytes(monkeypatch):
+def test_a_sectored_verify_pair_peaks_at_its_command_bytes(monkeypatch):
     """Two modes at N = 20 with complex chi (D = 882, complex sectors of n = 441): the pair
     holds the family's K and one sector at a time, traced, and LAPACK copies the sector
     outside the trace.  Counting that copy as traced memory while LAPACK holds it, the
-    pair peaks at `pair_bytes`, and the estimate is not loose either."""
+    pair peaks at the gauge-check's `command_bytes`, and the estimate is not loose either."""
     em = tls(1.0, (1.0, 0.0, 0.0))
     ms = ModeSet(np.array([[1.0, 0.2j], [-0.2j, 1.3]]),
                  {em.position_label: [(0.5, 0.0, 0.0), (0.3, 0.0, 0.0)]})
@@ -430,5 +430,5 @@ def test_a_sectored_verify_pair_peaks_at_pair_bytes(monkeypatch):
     finally:
         tracemalloc.stop()
     assert h_a.basis == "quadrature" and rep.max_abs_diff <= 1e-12
-    budget = gaugecheck.pair_bytes(882, True)
+    budget = command_bytes("gauge-check", 882, True)
     assert 0.9 * budget <= peak <= budget, f"{peak / (16 * 882**2):.3f} x 16 D^2"

@@ -95,17 +95,46 @@ def test_explicit_and_1d_builders_declare_time_reversal_for_real_couplings():
         assert_real_solve_matches_complex(bundle)
 
 
+def shared_phase_modes(spread: float = 0.0):
+    """real_system(3, 2, "tls") with both profiles times e^(0.3i), the second one's phase
+    off by `spread`: max|Im chi~| = |chi_01 sin(spread)|, plus rounding."""
+    ms, em = real_system(3, 2, "tls")
+    phases = np.exp(1j * np.array([[0.3], [0.3 + spread]]))
+    return ModeSet(ms.chi, {"emitter": ms.profiles["emitter"] * phases}), em
+
+
+def test_modes_that_share_a_coupling_phase_declare_time_reversal():
+    """Two modes of one coupling phase have a rotated chi~ that is real in exact arithmetic;
+    in floating point max|Im chi~| is 7.4e-17 here, below HERMITIAN_TOL, so R P K R^dag is
+    declared and K is formed from Re chi~.  The measured value is reported, and the real
+    sector solves match complex ones and the spectrum of the real profiles."""
+    ms, em = shared_phase_modes()
+    family = QuadratureFamily.of(ms, em, (4, 3))
+    unit = family.g / np.abs(family.g)
+    imag = max_abs(np.imag(ms.chi * np.multiply.outer(unit.conj(), unit)))  # Im chi~
+    assert 0.0 < imag <= 1e-15
+    bundle = build_dipole(ms, em, GaugeParam(0.37), (4, 3))
+    assert bundle.time_reversal and bundle.family.k.dtype == np.float64
+    assert imag <= bundle.diagnostics["time_reversal_imag"] <= 1e-12
+    assert_real_solve_matches_complex(bundle)
+    want = build_dipole(*real_system(3, 2, "tls"), GaugeParam(0.37), (4, 3)).eigenvalues()
+    assert max_abs(bundle.eigenvalues() - want) <= 1e-12 * max_abs(want)
+
+
 def test_complex_inputs_declare_nothing():
-    """complex_eta's two modes share one phase, so its rotated chi~ is real in exact
-    arithmetic but not in floating point, and it declares nothing: the rule is exact."""
+    """A complex chi, modes whose coupling phases differ (by 1.7e-6 rad: max|Im chi~| is
+    about 1e-6, far above rounding), the hook, complex single-mode couplings and the
+    canonical multipolar form of complex couplings declare nothing."""
     ms, em = real_system(3, 2, "tls")
     chi = ms.chi + np.array([[0.0, 0.1j], [-0.1j, 0.0]])
     complex_chi = ModeSet(chi, ms.profiles)
-    complex_eta = ModeSet(ms.chi, {"emitter": ms.profiles["emitter"] * np.exp(0.3j)})
+    complex_eta, _ = shared_phase_modes()
+    near_shared = shared_phase_modes(1.7e-6)[0]
+    assert 0.9e-6 <= max_abs(QuadratureFamily.of(near_shared, em, (4, 3)).chi_tilde.imag) <= 1.1e-6
     hook = LongitudinalCoupling(omega=0.8, coupling=0.3, cutoff=2)
     em1 = tls(1.0, (0.5 * np.sqrt(2), 0.0, 0.0), charge=1.0)
     bundles = [build_dipole(complex_chi, em, GaugeParam(0.37), (4, 3)),
-               build_dipole(complex_eta, em, GaugeParam(0.37), (4, 3)),
+               build_dipole(near_shared, em, GaugeParam(0.37), (4, 3)),
                build_naive(complex_chi, em, COULOMB, (4, 3)),
                build_naive(complex_eta, em, MULTIPOLAR, (4, 3)),
                build_dipole(ms, em, COULOMB, (3, 2), longitudinal=hook),

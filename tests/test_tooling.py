@@ -1,11 +1,11 @@
 """Repository hygiene: no unused imports, orphaned private helpers or unreferenced public
 functions in the package, no scenario value read past the table of scenario keys, no
-`Operator` built by it, no Kronecker sum formed outside `hilbert`, no dense oracle that no
-test reads, a
-reversible perf tracer that still describes the quadrature-basis gauge-check and the
-matrix-free detect, a command-line tool that runs without scipy, a rate table that holds no
-D x D matrix of its own, repeated commands that reuse the pages their temporaries freed,
-and a failing hypothesis test that is reported as a failure."""
+`Operator` built by it, no Kronecker sum formed and no gauge exponential named outside
+`hilbert`, no dense oracle that no test reads, a reversible perf tracer that still
+describes the quadrature-basis gauge-check and the matrix-free detect, a command-line tool
+that runs without scipy, a rate table that holds no D x D matrix of its own, repeated
+commands that reuse the pages their temporaries freed, and a failing hypothesis test that
+is reported as a failure."""
 
 import ast
 import ctypes
@@ -89,6 +89,8 @@ LIBRARY_API = {
     "modes.ModeSet.single_mode": "the single-mode ModeSet constructor of the library API",
     "hilbert.HilbertSpec.embed": "wrapped by perfbench/tracer.py as hilbert.embed; goes with "
                                  "that wrap once the tracer reads stage timers",
+    "hilbert.HermitianGenerator.conjugate": "perfbench/tracer.py wraps it by name; delete with "
+                                            "ROADMAP item 2 step B",
 }
 
 
@@ -139,6 +141,17 @@ def test_only_hilbert_forms_kronecker_terms():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "kron"]
     assert not calls, "HilbertSpec.kron called at " + ", ".join(calls)
+
+
+def test_only_hilbert_names_a_gauge_exponential_matrix():
+    """Every gauge exponential is a diagonal phase in an eigenbasis of X: no package module
+    but `hilbert` references an attribute named `conjugate` or `unitary`, so none forms
+    exp(i s X) as a D x D matrix through `HermitianGenerator`."""
+    found = [f"{path.stem}:{node.lineno} .{node.attr}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "hilbert.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in ("conjugate", "unitary")]
+    assert not found, "gauge exponential matrices named at " + ", ".join(found)
 
 
 def public_functions(trees: dict):
