@@ -224,7 +224,7 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
     h_a, h_b = build_gauge_pair(ms, em, cutoffs, order if truncation == "naive" else None,
                                 family=family)
     rep = verify_spectral_equivalence(h_a, h_b, k=section["k"], tol=spectral_tol,
-                                      cs=couplings(ms, em))
+                                      cs=couplings(ms, em), basis=family.basis)
     worst_correct = max(r.correct_gap for r in rows)
     passed = rep.max_abs_diff < spectral_tol and worst_correct < spectral_tol
     verdict = "PASS" if passed else "FAIL"
@@ -244,7 +244,9 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
         "basis": h_a.basis,
         "diagnostics": {"coulomb": h_a.diagnostics, "multipolar": h_b.diagnostics},
         "ladder": {"start_cutoff": scan_cutoffs(ms.n_modes, em.n_levels)[0],
-                   "route": "stacked sectors" if family.sectored else "per-member builds"},
+                   "route": "stacked sectors" if family.sectored else "per-member builds",
+                   "ladders": (["correct", "naive"] if family.sectored
+                               else ["coulomb", "multipolar", "naive"])},
     })
     return 0
 
@@ -268,7 +270,7 @@ def cmd_detect(cfg: RunConfig) -> int:
     bundle_c, bundle_mp = build_gauge_pair(ms, em, cutoffs, family=family)
     if transitions is None:
         transitions = significant_transitions(bundle_c, ms, det, section["count"], em=em)
-    rows = rate_table(bundle_c, bundle_mp, ms, em, det, transitions)
+    rows = rate_table(bundle_c, bundle_mp, ms, em, det, transitions, family.basis)
     write_csv(cfg.out_dir / "rates.csv",
               ("i", "j", "omega_ij", "R_coulomb", "R_multipolar", "rel_diff"),
               [(r.i, r.j, r.omega_ij, r.rate_coulomb, r.rate_multipolar, r.rel_diff)

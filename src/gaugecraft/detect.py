@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .hamiltonians import HamiltonianBundle, couplings, drive_terms
-from .hilbert import HERMITIAN_TOL, HilbertSpec, max_abs
+from .hilbert import HERMITIAN_TOL, Eigenbasis, HilbertSpec, max_abs
 from .matter import EmitterSpec
 from .modes import ModeSet
 
@@ -138,19 +138,22 @@ class RateRow:
 
 def rate_table(bundle_c: HamiltonianBundle, bundle_mp: HamiltonianBundle,
                ms: ModeSet, em: EmitterSpec, det: DetectorSpec,
-               transitions: Sequence[tuple[int, int]]) -> list[RateRow]:
+               transitions: Sequence[tuple[int, int]],
+               basis: Optional[Eigenbasis] = None) -> list[RateRow]:
     """Cross-gauge rate comparison over transitions indexed in the Coulomb gauge.
 
     Only the Coulomb bundle is diagonalized.  The multipolar rate of (i, j) is
     read between the partners t = W |i_C>, W |j_C>, W = exp(-i (theta_mp -
-    theta_C) X) the exact gauge unitary.  Each partner must be an eigenvector
-    of H_mp at E_i^C, max|H_mp t - E_i^C t| <= HERMITIAN_TOL * max(1, max|E^C|),
-    or `InvariantViolation` is raised; degenerate levels need no pairing.
+    theta_C) X) the exact gauge unitary, applied in X's eigenbasis: `basis` when the
+    caller has it (the pair's family's), else `CouplingSet.generator`.  Each partner
+    must be an eigenvector of H_mp at E_i^C, max|H_mp t - E_i^C t| <= HERMITIAN_TOL *
+    max(1, max|E^C|), or `InvariantViolation` is raised; degenerate levels need no
+    pairing.
     """
     # |i_C> and W |i_C> for every state a transition names
     states = list(dict.fromkeys(idx for pair in transitions for idx in pair))
     vals_c, vecs_c = bundle_c.eigensystem(states)
-    targets = couplings(ms, em).generator(bundle_c.space).apply(
+    targets = (basis or couplings(ms, em).generator(bundle_c.space)).apply(
         bundle_c.gauge.theta - bundle_mp.gauge.theta, vecs_c)
     residual = max_abs(bundle_mp.apply(targets) - targets * vals_c[states])
     scale = max(1.0, abs(float(vals_c[0])), abs(float(vals_c[-1])))

@@ -14,16 +14,22 @@ basis are compared there, without forming W or H, and any other pair in the
 Fock basis.  The gauge phases act only on vectors: the parity sectors of every
 member, correct or naive, are M0 +- diag(beta) J around the family's one
 theta-free M0 = K + h0'_00, J the reversal, and a member adds only its O(n)
-vector beta, the same for every correct member at one coupling scale.  So the
-residual of two members of one M0 is their beta difference on the low sector.
+vector beta, which does not read theta.  So the residual of two members of one
+M0 is their beta difference on the low sector, and a correct member is one
+recipe and one sector solve whatever its theta: for a `sectored` family the
+Coulomb and the multipolar member are the same sectors, and `correct_gap` and
+the correct verify pair's eigenvalue difference and residual are 0 by
+construction.  The tests that form both members in the Fock basis with the
+dense oracle guard their gauge equivalence.
 The scan climbs the scenario's own family, its couplings scaled to each
 strength of the grid (X(c) = c X).  Its ladders double every per-mode cutoff
 (`scan_cutoffs`) until a ground energy moves by less than the tolerance,
 rung-major: every coupling still climbing is one member of a stack.  A
-`sectored` family solves it in chunks of `stack_chunk` members within
-STACK_BYTES, each a copy of M0 plus O(n) writes: one parity sector per member
-is solved and the other certified by a Cholesky factorization
-(`ground_energies`).  Any other system builds each member on its own, from the
+`sectored` family climbs one correct and one naive ladder, in chunks of
+`stack_chunk` members within STACK_BYTES, each a copy of M0 plus O(n) writes:
+one parity sector per member is solved and the other certified by a Cholesky
+factorization (`ground_energies`).  Any other system climbs a Coulomb, a
+multipolar and a naive ladder and builds each member on its own, from the
 rung's one family: for couplings that do not factor an `EigenbasisFamily`, whose
 members share one eigendecomposition of X.  A naive
 ladder still climbing at the top rung gives a row marked not converged; a
@@ -40,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError
 from .hamiltonians import CouplingSet, GaugeParam, QuadratureFamily, _family_bundle, couplings
-from .hilbert import HilbertSpec, max_abs
+from .hilbert import Eigenbasis, HilbertSpec, max_abs
 
 DEFAULT_SPECTRAL_TOL = 1e-6
 DEFAULT_LOW_FRACTION = 0.5
@@ -56,11 +62,12 @@ MIN_DIM = 42  # member dimension of the scan's first rung: N = 20 for one mode, 
 MAX_DIM = 1282  # largest member dimension of a rung: N = 640 for one mode, two levels
 
 
-def gauge_unitary(space: HilbertSpec, cs: CouplingSet,
-                  theta_from: float, theta_to: float) -> np.ndarray:
+def gauge_unitary(space: HilbertSpec, cs: CouplingSet, theta_from: float, theta_to: float,
+                  basis: Optional[Eigenbasis] = None) -> np.ndarray:
     """W = exp(-i (theta_to - theta_from) X), exactly unitary on the truncated space, formed
-    in the generator's eigenbasis."""
-    return cs.generator(space).apply(-(theta_to - theta_from), np.eye(space.dim))
+    in the generator's eigenbasis: `basis` when the caller has it (a gauge family's), else
+    `cs.generator(space)`."""
+    return (basis or cs.generator(space)).apply(-(theta_to - theta_from), np.eye(space.dim))
 
 
 def _low_sector_mask(space: HilbertSpec, fraction: float = DEFAULT_LOW_FRACTION) -> np.ndarray:
@@ -94,14 +101,19 @@ class EquivalenceReport:
 def verify_spectral_equivalence(h_a, h_b, k: int = 5,
                                 low_fraction: float = DEFAULT_LOW_FRACTION,
                                 tol: Optional[float] = DEFAULT_SPECTRAL_TOL,
-                                cs: Optional[CouplingSet] = None) -> EquivalenceReport:
+                                cs: Optional[CouplingSet] = None,
+                                basis: Optional[Eigenbasis] = None) -> EquivalenceReport:
     """Compare the lowest k eigenvalues of two bundles on the same space.
 
     When the coupling set the bundles were built from is supplied, the
     operator residual ||(W H_a W^dag - H_b) P_low||_2 is evaluated with the
     connecting gauge unitary W, a diagonal phase for two bundles in one
     quadrature basis (`QuadratureFamily.same_basis`), else formed in the Fock
-    basis; without it the residual is reported as nan.
+    basis from X's eigenbasis (`gauge_unitary`, given the pair's family `basis`);
+    without it the residual is reported as nan.  The correct pair of a `sectored` family
+    shares one recipe and one sector solve (`build_gauge_pair`), so its eigenvalue
+    difference and residual are 0 by construction: the dense-oracle tests, which form
+    both members in the Fock basis, guard its gauge equivalence.
     """
     if h_a.space != h_b.space:
         raise ValueError("bundles live on different spaces")
@@ -116,7 +128,7 @@ def verify_spectral_equivalence(h_a, h_b, k: int = 5,
         if h_a.family is not None and h_b.family is not None and h_a.family.same_basis(h_b.family):
             residual = h_a.family.residual(h_a, h_b, low_fraction)
         else:
-            w = gauge_unitary(h_a.space, cs, h_a.gauge.theta, h_b.gauge.theta)
+            w = gauge_unitary(h_a.space, cs, h_a.gauge.theta, h_b.gauge.theta, basis)
             keep = _low_sector_mask(h_a.space, low_fraction)
             # (W H_a W^dag - H_b) P_low keeps exactly the columns of the low sector
             delta = (w @ h_a.H @ w[keep].conj().T) - h_b.H[:, keep]
@@ -186,12 +198,15 @@ def ambiguity_scan(ms, em, eta_grid: Optional[Sequence[float]] = None, tol: floa
     A grid entry eta scales the couplings to max|eta_mu| = |eta|, times the sign of eta;
     without a grid the scan runs at their own strength.  Per entry: correct_gap =
     |E0(theta=0) - E0(theta=1)| (expected to vanish) and naive_gap = |E0(naive Coulomb,
-    given order) - E0(multipolar)|.  The three ladders climb the rungs of `scan_cutoffs`
+    given order) - E0(multipolar)|.  The ladders climb the rungs of `scan_cutoffs`
     until each ground energy is stable to `tol`, over one family of the couplings at
-    strength 1 per rung: as stacks when it is `sectored`, else member by member
-    (`_family_bundle`) at scale eta, so that K is formed once per rung, and for couplings
-    that do not factor X is eigendecomposed once per rung.  A row is converged when its
-    naive ladder is; `ConvergenceError` when a correct ladder is not.
+    strength 1 per rung.  A `sectored` family climbs as stacks, and its correct members'
+    recipes do not read theta, so one correct ladder gives E0 at theta = 0 and 1 and
+    correct_gap is 0 by construction (the dense-oracle tests guard it); with the naive
+    ladder that makes two.  Any other family climbs the Coulomb and the multipolar ladder
+    apart, member by member (`_family_bundle`) at scale eta, so that K is formed once per
+    rung, and for couplings that do not factor X is eigendecomposed once per rung.  A row
+    is converged when its naive ladder is; `ConvergenceError` when a correct ladder is not.
     """
     cs = couplings(ms, em)
     strength = max_abs(cs.eta_matrices)
@@ -204,21 +219,22 @@ def ambiguity_scan(ms, em, eta_grid: Optional[Sequence[float]] = None, tol: floa
         raise ConfigError(f"no cutoff ladder: every member dimension exceeds {MAX_DIM}")
     family = cache(lambda n: QuadratureFamily.of_couplings(unit, em.h0, em.parity_signs,
                                                            (n,) * cs.n_modes))
+    sectored = family(rungs[0]).sectored
 
     def ladder(theta, naive_order=None):
         def solve(n, idx):
             f = family(n)
-            if not f.sectored:
+            if not sectored:
                 return np.array([_family_bundle(
                     unit, em.h0, em.parity_signs, (n,) * cs.n_modes, GaugeParam(theta), {},
                     naive_order, family=f, scale=eta).eigenvalues(1)[0] for eta in etas[idx]])
             size = stack_chunk(len(f.x), f.time_reversal)
             chunks = [etas[idx[i:i + size]] for i in range(0, idx.size, size)]
-            return np.concatenate([f.ground_energies(f.recipe(theta, c, naive_order))
-                                   for c in chunks])
+            return np.concatenate([f.ground_energies(f.recipe(c, naive_order)) for c in chunks])
         return _climb(solve, len(etas), tol, rungs)
 
-    (e0_c, n_c, ok_c), (e0_mp, n_mp, ok_mp) = ladder(0.0), ladder(1.0)
+    e0_c, n_c, ok_c = correct = ladder(0.0)
+    e0_mp, n_mp, ok_mp = correct if sectored else ladder(1.0)
     if not (ok_c.all() and ok_mp.all()):
         raise ConvergenceError(f"ground energy not converged at cutoff {rungs[-1]}")
     e0_naive, n_nv, converged = ladder(0.0, order)

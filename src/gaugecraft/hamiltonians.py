@@ -118,7 +118,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from typing import Callable, Optional, Sequence, Union
 
@@ -273,19 +273,22 @@ class HamiltonianBundle:
     (`in_quadrature_basis`, "quadrature"): the bundle holds the family, whose K
     is the only (D/2) x (D/2) block, and the member's `MemberRecipe`, O(D) numbers:
     its beta, which with the family's M0 = K + h0'_00 gives its parity sectors
-    M0 +- diag(beta) J, and its phases p.  The family checks K once and the
-    member's beta when the bundle is made; each sector is a copy of M0 plus O(D)
-    writes when it is solved, its eigenvectors take p as they are placed, `apply`
-    works from K, and `H` is formed in the Fock basis only when it is read.
+    M0 +- diag(beta) J.  Its phases p follow from the bundle's gauge.  The family
+    checks K once and the member's beta when the bundle is made; each sector is a
+    copy of M0 plus O(D) writes when it is solved, its eigenvectors take p as they
+    are placed, `apply` works from K, and `H` is formed in the Fock basis only when
+    it is read.  The recipe does not read theta, so the bundles of one recipe (a
+    correct gauge pair, `build_gauge_pair`) share its sector solves.
 
     A builder may declare a parity: a label +1 or -1 per basis state, the
     diagonal of an operator Pi that commutes with H.  The declaration is
     verified here, max|H[even, odd]| <= HERMITIAN_TOL * max(1, max|H|), and a
     wrong one raises `InvariantViolation`; it is never dropped silently.  The
     spectrum is then solved in the even and the odd sector separately, so two
-    (D/2)^3 eigensolves replace one D^3 solve.  The sector solves are kept, and
-    `eigensystem` places into the full basis only the eigenvectors asked for,
-    in ascending energy.  A bundle without a parity is the one-sector case.
+    (D/2)^3 eigensolves replace one D^3 solve.  The sector solves are kept (by
+    eigvalsh while only eigenvalues are asked for), and `eigensystem` places into
+    the full basis only the eigenvectors asked for, in ascending energy.  A bundle
+    without a parity is the one-sector case.
 
     A builder may also declare time reversal: that (-1)^(sum_mu n_mu) K, with
     K complex conjugation, commutes with H, so that p^dag H p is real
@@ -313,7 +316,7 @@ class HamiltonianBundle:
         self.space, self.gauge = space, gauge
         self.metadata = {} if metadata is None else metadata
         self.parity, self.time_reversal = parity, time_reversal
-        self.family = self.recipe = self._solution = self._vecs = None
+        self.family = self.recipe = self.solution = self._vecs = None
         m = self._H = hermitian_part(H, f"{self.metadata.get('builder', 'bundle')} Hamiltonian")
         n = m.shape[-1]
         tol = HERMITIAN_TOL * max(1.0, max_abs(m))
@@ -348,14 +351,14 @@ class HamiltonianBundle:
                             recipe: MemberRecipe, metadata: dict) -> HamiltonianBundle:
         """The member of `family` of a recipe of one (`QuadratureFamily.recipe`), after the
         family has measured it (`QuadratureFamily.measure`: K once per family, the member's
-        beta); the bundle keeps the recipe."""
+        beta); the bundle keeps the recipe, and its gauge gives the phases."""
         off, imag = family.measure(recipe)
         bundle = cls.__new__(cls)
         bundle.space, bundle.gauge, bundle.metadata = family.space, gauge, metadata
         bundle.parity = parity_labels(family.space, family.parity_signs)
         bundle.time_reversal = family.time_reversal
         bundle.family, bundle.recipe = family, recipe
-        bundle._H = bundle._solution = bundle._vecs = None
+        bundle._H = bundle._vecs = None
         bundle.diagnostics = {"sector_sizes": [recipe.beta.shape[-1]] * 2,
                               "parity_off_block": float(off[0])}
         if imag is not None:
@@ -372,59 +375,66 @@ class HamiltonianBundle:
         """H in the Fock basis, formed on first read for a quadrature-basis bundle."""
         if self._H is None:
             r = self.recipe
-            self._H = hermitian_part(self.family.fock_matrix(r.theta, r.scales[0], r.order),
+            self._H = hermitian_part(self.family.fock_matrix(self.gauge.theta, r.scales[0],
+                                                             r.order),
                                      "quadrature-basis H in the Fock basis")
         return self._H
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """H x in the Fock basis for a vector (D,) or a block (D, k); a quadrature-basis
         bundle applies its member from K (`QuadratureFamily.apply_member`)."""
-        return self.H @ x if self.family is None else self.family.apply_member(self.recipe, x)
+        return (self.H @ x if self.family is None
+                else self.family.apply_member(self.gauge.theta, self.recipe, x))
 
     def _sector_blocks(self):
-        """(block, place) per sector, even sector first: place(vecs, columns, v) writes
-        eigenvectors v of the block into those columns of the Fock-basis vecs.  The
-        blocks are the real symmetric p^dag H p under declared time reversal."""
+        """The block of each sector, even sector first: the real symmetric p^dag H p under
+        declared time reversal."""
         if self.family is not None:
             yield from self.family.sector_blocks(self.recipe)
             return
         m = self._H
         for s in self._sectors:
             if self._phases is None:
-                yield (m if len(s) == len(m) else m[s[:, None], s]), partial(_scatter, s, None)
+                yield m if len(s) == len(m) else m[s[:, None], s]
                 continue
             block = m[s[:, None], s]
             p = self._phases[s]
             block *= p.conj()[:, None]
             block *= p
-            yield block.real, partial(_scatter, s, p)
+            yield block.real
+
+    def _places(self) -> list:
+        """place(vecs, columns, v) per sector, even sector first, which writes eigenvectors v
+        of the sector's block into those columns of the Fock-basis vecs."""
+        if self.family is not None:
+            return self.family.places(self.gauge.theta, self.recipe)
+        return [partial(_scatter, s, None if self._phases is None else self._phases[s])
+                for s in self._sectors]
 
     def _solve(self, keep: Optional[int] = None):
-        """(vals, parts, order, kept), from one eigh per sector, kept until a call needs
+        """(vals, parts, order, kept), from one solve per sector, kept until a call needs
         eigenvectors that were not kept: the ascending eigenvalues, read-only;
-        (place, eigenvalues, eigenvectors) per sector, even sector first, with the lowest
-        `keep` eigenvectors of each kept (every one without keep, kept = None); and the
-        stable argsort of the sectors' concatenated eigenvalues, so that a tie between
-        sectors keeps the even sector first."""
-        kept = None if self._solution is None else self._solution[3]
-        if self._solution is None or (kept is not None and (keep is None or keep > kept)):
-            parts = [(place, *_lowest_eigh(block, keep)) for block, place in self._sector_blocks()]
-            vals = np.concatenate([v for _, v, _ in parts])
+        (eigenvalues, eigenvectors) per sector, even sector first, with the lowest `keep`
+        eigenvectors of each kept (every one without keep, kept = None; none, and the
+        eigenvalues by eigvalsh, for keep = -1); and the stable argsort of the sectors'
+        concatenated eigenvalues, so that a tie between sectors keeps the even sector
+        first.  A quadrature-basis bundle keeps them, before its phases are applied, on its
+        recipe, for every bundle of that recipe; any other bundle keeps them itself."""
+        owner = self if self.recipe is None else self.recipe
+        kept = None if owner.solution is None else owner.solution[3]
+        if owner.solution is None or (kept is not None and (keep is None or keep > kept)):
+            parts = [_lowest_eigh(block, keep) for block in self._sector_blocks()]
+            vals = np.concatenate([v for v, _ in parts])
             order = np.argsort(vals, kind="stable")
             vals = vals[order]
             vals.flags.writeable = False
-            self._solution = vals, parts, order, keep
-        return self._solution
+            owner.solution = vals, parts, order, keep
+        return owner.solution
 
     def eigenvalues(self, k: Optional[int] = None) -> np.ndarray:
-        """Ascending eigenvalues, from the kept sector solves when there are some,
-        otherwise merged from one eigvalsh per sector."""
-        if self._solution is not None:
-            vals = self._solution[0]
-        else:
-            vals = np.sort(np.concatenate([np.linalg.eigvalsh(block)
-                                           for block, _ in self._sector_blocks()]))
-        return vals[:k]
+        """The lowest k eigenvalues (all without k), ascending and read-only, from the kept
+        sector solves, or from one eigvalsh per sector, then kept."""
+        return self._solve(-1)[0][:k]
 
     def eigensystem(self, columns: Optional[Sequence[int]] = None):
         """(eigenvalues, eigenvectors) of H: every eigenvalue, ascending, and the
@@ -447,7 +457,7 @@ class HamiltonianBundle:
         wanted = order if wanted is None else order[wanted]
         vecs = np.zeros((self.space.dim, len(wanted)), dtype=complex, order="F")
         start = 0
-        for place, v, sector_vecs in parts:
+        for place, (v, sector_vecs) in zip(self._places(), parts):
             hit = np.flatnonzero((wanted >= start) & (wanted < start + len(v)))
             if hit.size:
                 place(vecs, hit, sector_vecs[:, wanted[hit] - start])
@@ -460,7 +470,10 @@ class HamiltonianBundle:
 
 def _lowest_eigh(block: np.ndarray, keep: Optional[int]):
     """np.linalg.eigh of a block, with only its lowest `keep` eigenvectors (all without
-    keep) copied out, so that the others are freed at once."""
+    keep) copied out, so that the others are freed at once; eigvalsh, and no eigenvectors,
+    for keep = -1."""
+    if keep == -1:
+        return np.linalg.eigvalsh(block), None
     vals, vecs = np.linalg.eigh(block)
     return vals, vecs if keep is None else vecs[:, :keep].copy()
 
@@ -573,18 +586,20 @@ def _half_sum_and_diff(beta: np.ndarray):
     return (beta + beta[:, ::-1]) / 2, 0.5j * (beta - beta[:, ::-1])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class MemberRecipe:
-    """Members of a `sectored` `QuadratureFamily`, kept without a block: H(theta), or with
-    `order` the naive theta = 0 series of that order, at each coupling scale c (S,).  A
-    member's parity sectors are P (M0 +- diag(beta) J) P^dag, P = diag(p), with the
-    family's M0: beta (S, n), free of theta for a correct member, is all a member adds, and
-    its phases p = e^(-i theta lam_0 c nu) follow from theta and c."""
+    """Members of a `sectored` `QuadratureFamily`, kept without a block: H(theta) at any
+    theta, or with `order` the naive theta = 0 series of that order, at each coupling scale
+    c (S,).  A member's parity sectors are P (M0 +- diag(beta) J) P^dag, P = diag(p), with
+    the family's M0: beta (S, n) is all a member adds, and it does not read theta, which
+    enters only the phases p = e^(-i theta lam_0 c nu) of the bundle that holds the recipe.
+    A recipe of one member keeps the sector solves (`HamiltonianBundle._solve`) of every
+    bundle that holds it in `solution`."""
 
-    theta: float
     scales: np.ndarray
     order: Optional[int]
     beta: np.ndarray
+    solution: Optional[tuple] = field(default=None, init=False, repr=False)
 
 
 class QuadratureFamily:
@@ -717,25 +732,21 @@ class QuadratureFamily:
         t = np.multiply.outer(np.asarray(scales, dtype=float), self.x)
         return np.exp(-1j * theta * np.multiply.outer(t, self.lam))
 
-    def _off_diagonal(self, theta: float, scales, order: Optional[int]) -> np.ndarray:
+    def _off_diagonal(self, scales, order: Optional[int]) -> np.ndarray:
         """beta (L, L, S, n), whose (k, l) entry is the diagonal of M'_kl - delta_kl K at each
         coupling scale (beta_kk = h0'_kk); with `order`, of the naive theta = 0 series of
-        that order.  It does not depend on theta, which is read only to refuse a naive
-        series at any other theta."""
-        if order is not None and theta != 0.0:
-            raise ValueError("the naive series is built at theta = 0 only")
+        that order.  It does not depend on theta."""
         t = np.multiply.outer(np.asarray(scales, dtype=float), self.x)
         z = 1j * np.subtract.outer(self.lam, self.lam)[:, :, None, None] * t
         series = (np.exp(z) if order is None
                   else sum(z**j / math.factorial(j) for j in range(order + 1)))
         return self.h0[:, :, None, None] * series
 
-    def recipe(self, theta: float, scales, order: Optional[int] = None) -> MemberRecipe:
-        """The recipe of a two-level H(theta) at each coupling scale, or with `order` of the
-        naive theta = 0 series of that order: beta holds no n x n block."""
+    def recipe(self, scales, order: Optional[int] = None) -> MemberRecipe:
+        """The recipe of a two-level H(theta), at any theta, at each coupling scale, or with
+        `order` of the naive theta = 0 series of that order: beta holds no n x n block."""
         scales = np.asarray(scales, dtype=float)
-        return MemberRecipe(theta, scales, order,
-                            self._off_diagonal(theta, scales, order)[0, 1].copy())
+        return MemberRecipe(scales, order, self._off_diagonal(scales, order)[0, 1].copy())
 
     @cached_property
     def _k_checks(self) -> tuple[float, float, float]:
@@ -826,12 +837,16 @@ class QuadratureFamily:
         return e0
 
     def sector_blocks(self, recipe: MemberRecipe):
-        """(block, place) per parity sector of the member of a recipe of one, the even sector
-        first, as `HamiltonianBundle` solves them: one copy of M0 turned in place into the
-        next, so solve it before asking for the next one."""
-        p = self._phases(recipe.theta, recipe.scales)[0, :, 0]
-        for eps, sector in zip((1, -1), self._sector_stack(recipe)):
-            yield sector[0], partial(self._place, eps, p)
+        """The parity sectors of the member of a recipe of one, the even sector first, as
+        `HamiltonianBundle` solves them: one copy of M0 turned in place into the next, so
+        solve it before asking for the next one."""
+        return (sector[0] for sector in self._sector_stack(recipe))
+
+    def places(self, theta: float, recipe: MemberRecipe) -> list:
+        """`_place` per parity sector, the even sector first, of the member of a recipe of
+        one at gauge theta, with its phases p."""
+        p = self._phases(theta, recipe.scales)[0, :, 0]
+        return [partial(self._place, eps, p) for eps in (1, -1)]
 
     def _place(self, eps: int, p: np.ndarray, vecs: np.ndarray, columns: np.ndarray,
                y: np.ndarray):
@@ -854,11 +869,12 @@ class QuadratureFamily:
         for k in range(2):
             out[columns, :, k] = z * coef[:, k]
 
-    def apply_member(self, recipe: MemberRecipe, x: np.ndarray) -> np.ndarray:
-        """H x in the Fock basis for the member of a recipe of one, x a vector (D,) or a
-        block (D, k): H = P M' P^dag, M' = [[M0, diag(beta)], [diag(beta^*), M0]], is applied
-        in this basis, photon-major, as P (M' (P^* v)), so that neither H nor M0 is formed."""
-        p = self._phases(recipe.theta, recipe.scales)[0][:, :, None]
+    def apply_member(self, theta: float, recipe: MemberRecipe, x: np.ndarray) -> np.ndarray:
+        """H x in the Fock basis for the member of a recipe of one at gauge theta, x a vector
+        (D,) or a block (D, k): H = P M' P^dag, M' = [[M0, diag(beta)], [diag(beta^*), M0]],
+        is applied in this basis, photon-major, as P (M' (P^* v)), so that neither H nor M0
+        is formed."""
+        p = self._phases(theta, recipe.scales)[0][:, :, None]
         beta = recipe.beta[0][:, None]
         n = len(beta)
         y = self.basis.from_fock(x).reshape(n, 2, -1) * p.conj()
@@ -875,7 +891,7 @@ class QuadratureFamily:
         m = kron(self.k, np.eye(levels, dtype=complex)).reshape(n, levels, n, levels)
         i = np.arange(n)
         # the diagonals beta_kl of every block; beta_kk = h0'_kk, its exponent being zero
-        m[i, :, i, :] += np.moveaxis(self._off_diagonal(theta, [scale], order)[:, :, 0], -1, 0)
+        m[i, :, i, :] += np.moveaxis(self._off_diagonal([scale], order)[:, :, 0], -1, 0)
         p = self._phases(theta, [scale])[0]
         m *= p[:, :, None, None]
         m *= p.conj()
@@ -1038,9 +1054,11 @@ def _family_bundle(cs: CouplingSet, h0: np.ndarray, parity_signs: Optional[Seque
     elif family.cutoffs != cutoffs or not (np.array_equal(family.cs.eta_matrices, cs.eta_matrices)
                                            and np.array_equal(family.cs.chi, cs.chi)):
         raise ValueError("the family given is not of these couplings and cutoffs")
+    if order is not None and gauge.theta != 0.0:
+        raise ValueError("the naive series is built at theta = 0 only")
     if family.sectored and hook is None:
-        return HamiltonianBundle.in_quadrature_basis(
-            family, gauge, family.recipe(gauge.theta, [scale], order), meta)
+        return HamiltonianBundle.in_quadrature_basis(family, gauge,
+                                                     family.recipe([scale], order), meta)
     h, space = family.fock_matrix(gauge.theta, scale, order), family.space
     if hook is not None:
         h, space = hook(h, space)
@@ -1088,12 +1106,16 @@ def build_gauge_pair(ms: ModeSet, em: EmitterSpec, cutoffs: Union[int, Sequence[
     `build_naive`'s theta = 0 series of `naive_order` when that is given.  Both bundles are
     members of one gauge family of the couplings, `QuadratureFamily.of(ms, em, cutoffs)`
     unless the caller gives it: K is formed once when the couplings factor, and X is
-    eigendecomposed once when they do not."""
+    eigendecomposed once when they do not.  A correct pair of a `sectored` family holds one
+    `MemberRecipe`, which does not read theta, and so solves its sectors once."""
     if family is None:
         family = QuadratureFamily.of(ms, em, cutoffs)
     coulomb = (build_dipole(ms, em, COULOMB, cutoffs, family=family) if naive_order is None
                else build_naive(ms, em, COULOMB, cutoffs, naive_order, family=family))
-    return coulomb, build_dipole(ms, em, MULTIPOLAR, cutoffs, family=family)
+    multipolar = build_dipole(ms, em, MULTIPOLAR, cutoffs, family=family)
+    if naive_order is None and coulomb.recipe is not None:
+        multipolar.recipe = coulomb.recipe  # theta-free: the pair shares one sector solve
+    return coulomb, multipolar
 
 
 def _eta_summary(cs: CouplingSet):

@@ -7,8 +7,8 @@ is slow, and independent of the field-quadrature basis and the local factors
 that the package uses: no function here calls the package's gauge
 conjugation (`CouplingSet.generator`, `QuadratureFamily`,
 `HermitianGenerator`), but for one: `spectra` reads a `QuadratureFamily`'s K,
-h0', lam and nu, forms every member of a recipe with its gauge phases entry
-by entry as a whole 2n x 2n matrix and solves it, the oracle of the family's
+h0', lam and nu, forms every member of a recipe at a gauge theta with its
+phases entry by entry as a whole 2n x 2n matrix and solves it, the oracle of the family's
 theta-free parity sectors (`QuadratureFamily.ground_energies`, which solves
 one sector and certifies the other).
 
@@ -405,10 +405,10 @@ def dielectric_modes(d, n_modes):
             profiles * np.sign(profiles[:, :1]))
 
 
-def spectra(family, recipe):
+def spectra(family, recipe, theta):
     """Ascending eigenvalues (S, 2n) of every member of a recipe of a two-level
-    `QuadratureFamily`, each solved whole: in the family's basis, matter-major, the member
-    at coupling scale c is [[A_0, B], [B^dag, A_1]] with the phased blocks
+    `QuadratureFamily` at gauge theta, each solved whole: in the family's basis,
+    matter-major, the member at coupling scale c is [[A_0, B], [B^dag, A_1]] with the phased blocks
     A_k = diag(p_k) K diag(p_k)^* + h0'_kk, p_k = e^(-i theta lam_k c nu), and
     B = h0'_01 diag(e^(i (1 - theta) (lam_0 - lam_1) c nu)), whose exponential the naive
     series of the recipe's order cuts to its Taylor polynomial."""
@@ -416,11 +416,11 @@ def spectra(family, recipe):
     values = []
     for c in recipe.scales:
         t = c * family.x
-        a = [np.exp(-1j * recipe.theta * lam * t)[:, None] * family.k
-             * np.exp(1j * recipe.theta * lam * t) + family.h0[k, k] * np.eye(n)
+        a = [np.exp(-1j * theta * lam * t)[:, None] * family.k
+             * np.exp(1j * theta * lam * t) + family.h0[k, k] * np.eye(n)
              for k, lam in enumerate(family.lam)]
         z = 1j * (family.lam[0] - family.lam[1]) * t
-        series = (np.exp((1.0 - recipe.theta) * z) if recipe.order is None
+        series = (np.exp((1.0 - theta) * z) if recipe.order is None
                   else sum(z**j / math.factorial(j) for j in range(recipe.order + 1)))
         b = np.diag(family.h0[0, 1] * series)
         values.append(np.linalg.eigvalsh(np.block([[a[0], b], [b.conj().T, a[1]]])))

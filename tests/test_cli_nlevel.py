@@ -14,7 +14,7 @@ import pytest
 import dense_oracle
 from gaugecraft import (COULOMB, MULTIPOLAR, DetectorSpec, EmitterSpec, GaugeParam, ModeSet,
                         ambiguity_scan, build_dipole, build_gauge_pair, build_time_dependent,
-                        constant_profile, couplings, hamiltonians, standard_space)
+                        constant_profile, couplings, gaugecheck, hamiltonians, standard_space)
 from gaugecraft.cli import main
 from gaugecraft.gaugecheck import scan_cutoffs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
@@ -122,7 +122,8 @@ def test_gauge_check_scan_equals_the_per_coupling_dense_ladders(tmp_path, em):
     out = run(tmp_path, "gauge-check", em, gauge_check={"eta_grid": grid, "k": 4})
     rows = read_rows(out / "gauge_report.csv")
     meta = json.loads((out / "metadata.json").read_text(encoding="utf-8"))
-    assert meta["ladder"] == {"start_cutoff": 3, "route": "per-member builds"}
+    assert meta["ladder"] == {"start_cutoff": 3, "route": "per-member builds",
+                              "ladders": ["coulomb", "multipolar", "naive"]}
     assert meta["basis"] == "fock" and meta["verdict"] == "PASS"
     strength = np.abs(couplings(MS, em).eta_matrices).max()
     for eta, row in zip(grid, rows):
@@ -154,6 +155,26 @@ def test_the_per_member_scan_forms_k_once_per_cutoff(monkeypatch):
     assert sorted(calls["K"]) == [(3, 3), (6, 6)] and calls["split"] == 2
 
 
+@pytest.mark.parametrize("em", [ONE_AXIS, TWO_AXES], ids=["one_axis", "two_axes"])
+def test_a_scan_that_is_not_sectored_builds_members_at_theta_1(monkeypatch, em):
+    """The members of a family that is not sectored differ with theta, so its scan climbs
+    the Coulomb, the multipolar and the naive ladder apart: each coupling of the grid is
+    built at theta = 1 on every rung, as at theta = 0 (the grid converges at N = 6)."""
+    built = []
+    original = gaugecheck._family_bundle
+
+    def counted(*args, **kwargs):
+        built.append((args[4].theta, args[6], args[3]))  # the gauge, naive order and cutoffs
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gaugecheck, "_family_bundle", counted)
+    rows = ambiguity_scan(MS, em, [0.1, 0.2])
+    assert {r.cutoff for r in rows} == {6}
+    for ladder in ((0.0, None), (1.0, None), (0.0, 1)):
+        assert [n for *key, n in built if tuple(key) == ladder] == [(3, 3)] * 2 + [(6, 6)] * 2
+    assert len(built) == 12
+
+
 def count_eigh_sizes(monkeypatch) -> list:
     """The size of every matrix np.linalg.eigh is called on from now on."""
     sizes, original = [], np.linalg.eigh
@@ -162,11 +183,14 @@ def count_eigh_sizes(monkeypatch) -> list:
     return sizes
 
 
-def test_the_dense_route_eigendecomposes_x_once_per_pair_and_per_rung(monkeypatch):
+def test_the_dense_route_eigendecomposes_x_once_per_pair_and_per_rung(tmp_path, monkeypatch):
     """The gauge pair's members share one `EigenbasisFamily`, and so do every coupling and
     every ladder of a scan rung: X is eigendecomposed (D x D eigh) once per pair, naive or
     not, and once per rung the scan visits.  The naive series takes no eigh, and the
-    members' sectors are solved by eigvalsh."""
+    members' sectors are solved by eigvalsh.  The commands hand the pair's family basis to
+    the rate table's and the verify pair's gauge unitary, so that `detect` and
+    `gauge-check` at N = 12 (D = 507) each make one eigh of that size: `detect` then solves
+    the Coulomb member's two sectors, and the scan's grid converges at N = 6, below D."""
     sizes = count_eigh_sizes(monkeypatch)
     for naive_order in (None, 2):
         build_gauge_pair(MS, TWO_AXES, CUTOFFS, naive_order)
@@ -175,6 +199,17 @@ def test_the_dense_route_eigendecomposes_x_once_per_pair_and_per_rung(monkeypatc
     rows = ambiguity_scan(MS, TWO_AXES, [0.1, 0.2, 0.3, 0.4])
     visited = [n for n in scan_cutoffs(2, 3) if n <= max(r.cutoff for r in rows)]
     assert len(visited) >= 2 and sizes == [3 * (n + 1) ** 2 for n in visited]
+    for command, section, want in (
+            ("detect", {"detector": {"dipole": [0.3, 0.9, 0.2], "position_label": "detector"}},
+             [507, 254, 253]),
+            ("gauge-check", {"gauge_check": {"eta_grid": [0.1, 0.2]}}, [48, 147, 507])):
+        doc = {"seed": 0, "modeset": modeset_to_json(MS), "emitter": emitter_to_json(TWO_AXES),
+               "fock_cutoffs": [12, 12], **section}
+        config = tmp_path / f"{command}.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        sizes.clear()
+        assert main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 0
+        assert sizes == want, command
 
 
 @pytest.mark.parametrize("gauge, theta", [("coulomb", COULOMB), ("multipolar", MULTIPOLAR)])

@@ -346,7 +346,8 @@ def test_metadata_records_the_pair_and_the_ladder(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("PASS")
     meta = json.loads((tmp_path / "out" / "metadata.json").read_text(encoding="utf-8"))
     assert meta["cutoffs"] == [24] and meta["dimension"] == 50 and meta["basis"] == "quadrature"
-    assert meta["ladder"] == {"start_cutoff": 20, "route": "stacked sectors"}
+    assert meta["ladder"] == {"start_cutoff": 20, "route": "stacked sectors",
+                              "ladders": ["correct", "naive"]}
     for gauge in ("coulomb", "multipolar"):
         diagnostics = meta["diagnostics"][gauge]
         assert diagnostics["sector_sizes"] == [25, 25]
@@ -378,7 +379,8 @@ def test_the_multimode_workloads_own_system_is_gauge_checked(bench_inputs, tmp_p
     assert (cutoff, converged) == ("16", "True")
     assert float(correct_gap) <= 1e-9 and float(naive_gap) > 0.1
     meta = json.loads((out / "metadata.json").read_text(encoding="utf-8"))
-    assert meta["ladder"] == {"start_cutoff": 4, "route": "stacked sectors"}
+    assert meta["ladder"] == {"start_cutoff": 4, "route": "stacked sectors",
+                              "ladders": ["correct", "naive"]}
     assert meta["dimension"] == 882 and meta["basis"] == "quadrature"
     assert "time_reversal_imag" not in meta["diagnostics"]["coulomb"]
 

@@ -87,6 +87,22 @@ def test_forming_k_holds_k_and_one_term():
     assert peak <= 2.09 * k.nbytes
 
 
+def test_a_single_modes_k_is_its_one_term_bit_for_bit():
+    """A single mode's K is one Kronecker term on one factor, v^T diag(chi_00 n) v, at
+    N = 300 (the `coupling-scan` benchmark's cutoff).  `HilbertSpec.dense` hands such a
+    term back as it is, neither added to a zero matrix nor copied, and K is bit for bit
+    the sum that started from the zero matrix."""
+    em = tls(1.0, (0.6 * np.sqrt(2.0), 0.0, 0.0))
+    family = QuadratureFamily.of(ModeSet.single_mode(1.0, {em.position_label: (1, 0, 0)}),
+                                 em, 300)
+    v, root_n = family.v[0], np.sqrt(np.arange(301.0))
+    # chi_00 n rounded as `field_terms` rounds it, taken to v^T L v as `_field` takes it
+    local = np.multiply(v.T, (family.chi_tilde[0, 0] * root_n) * root_n, order="C") @ v
+    assert family.photons.dense([{0: local}]) is local
+    want = np.add(np.zeros((301, 301)), local)
+    assert family.k.dtype == want.dtype and family.k.tobytes() == want.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(system=systems(), theta=st.floats(0, 1))
 def test_build_dipole_matches_the_fock_assembly(system, theta):
@@ -150,7 +166,7 @@ class TestMutations:
 
     def measured(self, family):
         return HamiltonianBundle.in_quadrature_basis(family, GaugeParam(0.37),
-                                                     family.recipe(0.37, [1.0]), {})
+                                                     family.recipe([1.0]), {})
 
     def test_hermiticity(self):
         family = self.build()

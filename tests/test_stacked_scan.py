@@ -15,17 +15,18 @@ import dense_oracle
 from dense_oracle import tls_single_mode_modeset
 from gaugecraft import (COULOMB, MULTIPOLAR, ConvergenceError, CouplingSet, EmitterSpec,
                         GaugeParam, HamiltonianBundle, InvariantViolation, ModeSet,
-                        ambiguity_scan, build_dipole, build_naive, field_hamiltonian, gaugecheck,
-                        tls)
+                        ambiguity_scan, build_dipole, build_naive, couplings, field_hamiltonian,
+                        gaugecheck, tls)
 from gaugecraft.cli import main
 from gaugecraft.gaugecheck import QuadratureFamily
+from gaugecraft.hamiltonians import _family_bundle
 from gaugecraft.hilbert import (PAULI_X, PAULI_Y, PAULI_Z, Eigenbasis, HilbertSpec, fock_quadrature,
                                 ladder_matrix, matter_levels, max_abs, photon)
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
 
 pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
 
-LADDERS = {(0.0, None): "coulomb", (1.0, None): "multipolar", (0.0, 1): "naive"}
+LADDERS = {None: "correct", 1: "naive"}  # a scan's stacked ladders, by naive order
 
 
 def assert_members_close(got, want, what, rel=1e-12):
@@ -79,10 +80,10 @@ def test_stacked_build_dipole_members_equal_their_own_builds(system, theta):
     # a single mode's rotated chi~ = chi_00 is real whatever the phase of its coupling: only
     # the complex D of sigma_y breaks time reversal
     assert family.time_reversal == (not np.any(np.imag(em.dipole)))
-    recipe = family.recipe(theta, scales)
+    recipe = family.recipe(scales)
     values = sector_spectra(family, recipe)
     assert values.shape == (len(scales), 2 * (cutoff + 1))
-    assert_members_close(values, dense_oracle.spectra(family, recipe), "phased blocks")
+    assert_members_close(values, dense_oracle.spectra(family, recipe, theta), "phased blocks")
     for i, c in enumerate(scales):
         single = dense_oracle.dense_bundle(scaled_modes(ms, em, c), em, GaugeParam(theta),
                                            cutoff)
@@ -94,9 +95,9 @@ def test_stacked_build_dipole_members_equal_their_own_builds(system, theta):
 def test_stacked_build_naive_members_equal_their_own_builds(system, order):
     ms, em, cutoff, scales = system
     family = QuadratureFamily.of(ms, em, cutoff)
-    recipe = family.recipe(0.0, scales, order)
+    recipe = family.recipe(scales, order)
     values = sector_spectra(family, recipe)
-    assert_members_close(values, dense_oracle.spectra(family, recipe), "phased blocks")
+    assert_members_close(values, dense_oracle.spectra(family, recipe, 0.0), "phased blocks")
     for i, c in enumerate(scales):
         single = dense_oracle.dense_bundle(scaled_modes(ms, em, c), em, COULOMB, cutoff, order)
         assert_members_close(values[i], single.eigenvalues(), f"member {i} at scale {c}")
@@ -109,8 +110,8 @@ def test_stacked_build_naive_members_equal_their_own_builds(system, order):
 def test_ground_energies_are_the_lowest_level_of_both_sectors(system, ladder):
     ms, em, cutoff, scales = system
     family = QuadratureFamily.of(ms, em, cutoff)
-    recipe = family.recipe(ladder[0], scales, ladder[1])
-    want = dense_oracle.spectra(family, recipe)
+    recipe = family.recipe(scales, ladder[1])
+    want = dense_oracle.spectra(family, recipe, ladder[0])
     assert_members_close(family.ground_energies(recipe), want[:, 0], f"{ladder}")
     # -beta swaps the two sectors: where the certificate held, it fails there, and the
     # other sector is solved too
@@ -134,9 +135,9 @@ def count_solves(monkeypatch):
 def test_swapped_sectors_fall_back_to_solving_both(monkeypatch):
     ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
     family = QuadratureFamily.of(ms, em, 20)
-    recipe = family.recipe(0.0, [0.3, 1.1, 2.4])
+    recipe = family.recipe([0.3, 1.1, 2.4])
     want = sector_spectra(family, recipe)[:, 0]
-    assert_members_close(want, dense_oracle.spectra(family, recipe)[:, 0], "phased blocks")
+    assert_members_close(want, dense_oracle.spectra(family, recipe, 0.0)[:, 0], "phased blocks")
     eigvalsh, cholesky = count_solves(monkeypatch)
     assert np.array_equal(family.ground_energies(recipe), want)
     assert eigvalsh == cholesky == [(3, 21, 21)]  # one sector solved, the other certified
@@ -157,33 +158,89 @@ def test_gauge_check_solves_one_sector_and_certifies_the_other_per_rung(tmp_path
     original = QuadratureFamily.ground_energies
 
     def counted(family, recipe):
-        solves.append(recipe.beta.shape + recipe.beta.shape[-1:])
+        solves.append((LADDERS[recipe.order], recipe.beta.shape + recipe.beta.shape[-1:]))
         return original(family, recipe)
 
     monkeypatch.setattr(QuadratureFamily, "ground_energies", counted)
     eigvalsh, cholesky = count_solves(monkeypatch)
     assert main(["gauge-check", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     rows = (tmp_path / "out" / "gauge_report.csv").read_text(encoding="utf-8").splitlines()
-    assert len(rows) == len(grid) + 1 and max(int(r.split(",")[3]) for r in rows[1:]) >= 80
-    # every rung solve of the three ladders: one sector's eigvalsh and one Cholesky
-    # factorization of the other, on the solve's whole stack; the fallback never runs.
-    # The verify pair's sector blocks and Gram matrices are single matrices.
-    assert len(solves) >= 9
-    assert [s for s in eigvalsh if len(s) == 3] == solves
-    assert cholesky == solves
+    assert len(rows) == len(grid) + 1
+    # two ladders, the correct one (both gauges: its recipes do not read theta) and then the
+    # naive one, each climbing from N = 20 with the whole grid, one rung solve per rung
+    names = [name for name, _ in solves]
+    assert names == sorted(names) and {"correct", "naive"} == set(names)
+    for ladder in ("correct", "naive"):
+        shapes = [shape for name, shape in solves if name == ladder]
+        assert len(shapes) >= 3 and shapes[0][0] == len(grid)
+        assert [shape[1:] for shape in shapes] == [(20 * 2**i + 1,) * 2 for i in range(len(shapes))]
+    assert max(int(r.split(",")[3]) for r in rows[1:]) == max(s[1] for _, s in solves) - 1
+    # every rung solve: one sector's eigvalsh and one Cholesky factorization of the other, on
+    # the solve's whole stack; the fallback never runs.  The verify pair shares one recipe
+    # and so solves each of its two sectors once (D = 42), and the residual's Gram matrix
+    # is that of the low sector (N <= 10) of the pair's beta difference; the mode set checks
+    # its 1 x 1 chi when it is loaded.
+    assert [s for s in eigvalsh if len(s) == 3] == [shape for _, shape in solves]
+    assert cholesky == [shape for _, shape in solves]
+    assert [s for s in eigvalsh if len(s) == 2] == [(1, 1), (21, 21), (21, 21), (11, 11)]
+
+
+def assert_the_correct_ladder_is_both_gauges(monkeypatch, grid):
+    """The scan's one correct ladder at rungs N = 20 and 40 (every coupling climbs both)
+    against the ground energy of each coupling's own Fock-basis member of the dense oracle,
+    at theta = 0 and at theta = 1, to 1e-12 relative.  At strength 1 a grid entry is the
+    coupling scale of its members."""
+    ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
+    got = {}
+    original = QuadratureFamily.ground_energies
+
+    def recorded(family, recipe):
+        e0 = original(family, recipe)
+        if recipe.order is None:
+            got.update(((family.cutoffs[0], float(c)), e) for c, e in zip(recipe.scales, e0))
+        return e0
+
+    monkeypatch.setattr(QuadratureFamily, "ground_energies", recorded)
+    ambiguity_scan(ms, em, grid)
+    for n in (20, 40):
+        for c in grid:
+            for gauge in (COULOMB, MULTIPOLAR):
+                want = dense_oracle.dense_bundle(scaled_modes(ms, em, c), em, gauge,
+                                                 n).eigenvalues(1)[0]
+                assert abs(got[n, c] - want) <= 1e-12 * abs(want), (n, c, gauge.theta)
+
+
+def test_the_one_correct_ladder_is_both_gauges_fock_basis_members(monkeypatch):
+    """correct_gap is 0 by construction for a sectored family, so the ladder it reads is
+    held to an independent route; a beta that reads theta fails it."""
+    grid = [0.3, 0.9, 1.4]
+    assert_the_correct_ladder_is_both_gauges(monkeypatch, grid)
+    original = QuadratureFamily._off_diagonal
+
+    def multipolar_beta(family, scales, order):
+        """The correct beta replaced by h0'_01 e^(i (1 - theta) (lam_0 - lam_1) c nu), the
+        multipolar member's off-diagonal block before its phases, at theta = 1."""
+        beta = original(family, scales, order)
+        return beta if order is not None else family.h0[:, :, None, None] * np.ones_like(beta)
+
+    monkeypatch.setattr(QuadratureFamily, "_off_diagonal", multipolar_beta)
+    with pytest.raises(AssertionError):
+        assert_the_correct_ladder_is_both_gauges(monkeypatch, grid)
 
 
 def test_stack_of_one_keeps_its_axis_and_eigensystem_refuses_stacks():
     ms, em = tls_single_mode_modeset(1.0, 0.6, 1.0)
     family = QuadratureFamily.of(ms, em, 8)
-    values = sector_spectra(family, family.recipe(0.0, [1.0]))
+    values = sector_spectra(family, family.recipe([1.0]))
     assert values.shape == (1, 18)
     assert_members_close(values[0], build_dipole(ms, em, COULOMB, 8).eigenvalues(), "member")
     bundle = build_dipole(ms, em, COULOMB, 8)
     with pytest.raises(ValueError, match="must be square"):
         HamiltonianBundle(bundle.H[None], bundle.space, COULOMB)
+    # a recipe does not read theta: the naive series meets a gauge only in a bundle
     with pytest.raises(ValueError, match="theta = 0"):
-        family.recipe(0.37, [1.0], order=1)
+        _family_bundle(couplings(ms, em), em.h0, em.parity_signs, (8,), GaugeParam(0.37), {},
+                       1, family=family)
 
 
 def test_the_family_reads_the_cached_quadrature_basis():
@@ -201,7 +258,7 @@ class TestForgedMembers:
     def stack(self, cutoff=6, scales=SCALES, complex_d=False):
         ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
         family = QuadratureFamily.of(ms, sigma_y(em) if complex_d else em, cutoff)
-        return family, family.recipe(0.37, scales)
+        return family, family.recipe(scales)
 
     def forged(self, entries, **kwargs):
         """A family whose K gets these {(i, j): value} entries added before its first check,
@@ -257,7 +314,7 @@ class TestForgedMembers:
         cs = CouplingSet(0.7 * PAULI_X[None], [[1.0]])
         for h0, breaks in ((PAULI_Z, False), (PAULI_Z + 0.3 * PAULI_X, True)):
             family = QuadratureFamily(cs, np.array([0.7]), PAULI_X, (1, -1), h0, (6,))
-            recipe = family.recipe(0.37, [1.0])
+            recipe = family.recipe([1.0])
             assert max_abs(recipe.beta - recipe.beta[:, ::-1].conj()) <= 1e-15
             if not breaks:
                 family.measure(recipe)
@@ -355,9 +412,9 @@ def record_builds(monkeypatch):
     calls = []
     orig = QuadratureFamily.recipe
 
-    def counted(self, theta, scales, order=None):
-        calls.append((LADDERS[theta, order], self.cutoffs[0], np.array(scales)))
-        return orig(self, theta, scales, order)
+    def counted(self, scales, order=None):
+        calls.append((LADDERS[order], self.cutoffs[0], np.array(scales)))
+        return orig(self, scales, order)
 
     monkeypatch.setattr(QuadratureFamily, "recipe", counted)
     return calls
@@ -371,8 +428,12 @@ def test_one_stacked_build_per_ladder_rung_and_chunk(monkeypatch, budget):
     monkeypatch.setattr(gaugecheck, "STACK_BYTES", budget)
     calls = record_builds(monkeypatch)
     ambiguity_scan(*tls_single_mode_modeset(1.0, 1.0, 1.0), grid)
-    for ladder in ("coulomb", "multipolar", "naive"):
-        cutoffs = np.array([e0[ladder][1] for e0 in ladders])
+    # the one correct ladder climbs as the dense oracle's Coulomb and multipolar ladders do,
+    # and no multipolar ladder is built besides it
+    assert [e0["multipolar"][1] for e0 in ladders] == [e0["coulomb"][1] for e0 in ladders]
+    assert {name for name, _, _ in calls} == {"correct", "naive"}
+    for ladder, oracle in (("correct", "coulomb"), ("naive", "naive")):
+        cutoffs = np.array([e0[oracle][1] for e0 in ladders])
         n, expected = 20, []
         while n <= cutoffs.max():
             live = np.flatnonzero(cutoffs >= n)  # members still climbing at rung n
@@ -410,14 +471,14 @@ def test_one_chunk_of_a_single_mode_family_stays_within_the_budget(n, real):
     assert family.time_reversal == real
     size = gaugecheck.stack_chunk(n, real)
     family.k  # formed once per family, outside the chunks
-    for theta, order in ((0.0, None), (1.0, None), (0.0, 1)):
+    for order in (None, 1):
         tracemalloc.start()
         try:
-            family.ground_energies(family.recipe(theta, np.linspace(0.1, 2.0, size), order))
+            family.ground_energies(family.recipe(np.linspace(0.1, 2.0, size), order))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= gaugecheck.STACK_BYTES, f"{theta}, {order}: {peak} bytes"
+        assert peak <= gaugecheck.STACK_BYTES, f"{order}: {peak} bytes"
         assert peak >= 0.9 * gaugecheck.STACK_BYTES  # the count is not loose either
 
 
@@ -434,14 +495,14 @@ def test_a_complex_chunk_stays_within_the_budget(cutoffs):
     size = gaugecheck.stack_chunk(len(family.x), False)
     assert size < gaugecheck.stack_chunk(len(family.x), True)
     family.k  # formed once per family, outside the chunks
-    for theta, order in ((0.0, None), (1.0, None), (0.0, 1)):
+    for order in (None, 1):
         tracemalloc.start()
         try:
-            family.ground_energies(family.recipe(theta, np.linspace(0.1, 2.0, size), order))
+            family.ground_energies(family.recipe(np.linspace(0.1, 2.0, size), order))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= gaugecheck.STACK_BYTES, f"{theta}, {order}: {peak} bytes"
+        assert peak <= gaugecheck.STACK_BYTES, f"{order}: {peak} bytes"
 
 
 def test_strong_coupling_grid_climbs_in_bounded_memory(monkeypatch):
