@@ -34,8 +34,7 @@ from .dynamics import evolve, factor_populations, ground_state
 from .errors import ConfigError, ConvergenceError, GaugecraftError, InvariantViolation
 from .gaugecheck import ambiguity_scan, scan_cutoffs, verify_spectral_equivalence
 from .hamiltonians import (GaugeParam, QuadratureFamily, build_beyond_dipole, build_dipole,
-                           build_gauge_pair, build_naive, build_time_dependent, couplings,
-                           standard_space)
+                           build_gauge_pair, build_naive, build_time_dependent, standard_space)
 from .modes import build_from_grid, chi_from_qnm, completeness_residual, qnm_frequency_grid, solve_dielectric_1d
 from .scenario import Scenario, decode_complex_matrix, save_modeset
 
@@ -224,7 +223,7 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
     h_a, h_b = build_gauge_pair(ms, em, cutoffs, order if truncation == "naive" else None,
                                 family=family)
     rep = verify_spectral_equivalence(h_a, h_b, k=section["k"], tol=spectral_tol,
-                                      cs=couplings(ms, em), basis=family.basis)
+                                      basis=family.basis)
     worst_correct = max(r.correct_gap for r in rows)
     passed = rep.max_abs_diff < spectral_tol and worst_correct < spectral_tol
     verdict = "PASS" if passed else "FAIL"

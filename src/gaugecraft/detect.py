@@ -16,7 +16,7 @@ asks `HamiltonianBundle.eigensystem` for the columns it reads (|i> and the
 39 states above it, the states a rate table names, or the pair |i>, |j>),
 which places only those into the Fock basis from the kept sector solves.
 Only the Coulomb bundle is diagonalized: the multipolar partner of |i_C> is
-W |i_C>, with the exact gauge unitary W applied through the generator's
+W |i_C>, with the exact gauge unitary W applied through the pair's family's
 `Eigenbasis.apply` and checked by its residual against H_mp.
 The detect command builds the two bundles as one gauge pair
 (`build_gauge_pair`), members of one family that forms K once.  The dense
@@ -138,23 +138,20 @@ class RateRow:
 
 def rate_table(bundle_c: HamiltonianBundle, bundle_mp: HamiltonianBundle,
                ms: ModeSet, em: EmitterSpec, det: DetectorSpec,
-               transitions: Sequence[tuple[int, int]],
-               basis: Optional[Eigenbasis] = None) -> list[RateRow]:
+               transitions: Sequence[tuple[int, int]], basis: Eigenbasis) -> list[RateRow]:
     """Cross-gauge rate comparison over transitions indexed in the Coulomb gauge.
 
     Only the Coulomb bundle is diagonalized.  The multipolar rate of (i, j) is
     read between the partners t = W |i_C>, W |j_C>, W = exp(-i (theta_mp -
-    theta_C) X) the exact gauge unitary, applied in X's eigenbasis: `basis` when the
-    caller has it (the pair's family's), else `CouplingSet.generator`.  Each partner
-    must be an eigenvector of H_mp at E_i^C, max|H_mp t - E_i^C t| <= HERMITIAN_TOL *
-    max(1, max|E^C|), or `InvariantViolation` is raised; degenerate levels need no
-    pairing.
+    theta_C) X) the exact gauge unitary, applied in X's eigenbasis `basis` (the pair's
+    family's, or `CouplingSet.generator`).  Each partner must be an eigenvector of H_mp
+    at E_i^C, max|H_mp t - E_i^C t| <= HERMITIAN_TOL * max(1, max|E^C|), or
+    `InvariantViolation` is raised; degenerate levels need no pairing.
     """
     # |i_C> and W |i_C> for every state a transition names
     states = list(dict.fromkeys(idx for pair in transitions for idx in pair))
     vals_c, vecs_c = bundle_c.eigensystem(states)
-    targets = (basis or couplings(ms, em).generator(bundle_c.space)).apply(
-        bundle_c.gauge.theta - bundle_mp.gauge.theta, vecs_c)
+    targets = basis.apply(bundle_c.gauge.theta - bundle_mp.gauge.theta, vecs_c)
     residual = max_abs(bundle_mp.apply(targets) - targets * vals_c[states])
     scale = max(1.0, abs(float(vals_c[0])), abs(float(vals_c[-1])))
     if residual > HERMITIAN_TOL * scale:

@@ -62,12 +62,10 @@ MIN_DIM = 42  # member dimension of the scan's first rung: N = 20 for one mode, 
 MAX_DIM = 1282  # largest member dimension of a rung: N = 640 for one mode, two levels
 
 
-def gauge_unitary(space: HilbertSpec, cs: CouplingSet, theta_from: float, theta_to: float,
-                  basis: Optional[Eigenbasis] = None) -> np.ndarray:
+def gauge_unitary(basis: Eigenbasis, theta_from: float, theta_to: float) -> np.ndarray:
     """W = exp(-i (theta_to - theta_from) X), exactly unitary on the truncated space, formed
-    in the generator's eigenbasis: `basis` when the caller has it (a gauge family's), else
-    `cs.generator(space)`."""
-    return (basis or cs.generator(space)).apply(-(theta_to - theta_from), np.eye(space.dim))
+    in X's eigenbasis: a gauge family's `basis`, or `CouplingSet.generator`."""
+    return basis.apply(-(theta_to - theta_from), np.eye(len(basis.xi)))
 
 
 def _low_sector_mask(space: HilbertSpec, fraction: float = DEFAULT_LOW_FRACTION) -> np.ndarray:
@@ -101,19 +99,19 @@ class EquivalenceReport:
 def verify_spectral_equivalence(h_a, h_b, k: int = 5,
                                 low_fraction: float = DEFAULT_LOW_FRACTION,
                                 tol: Optional[float] = DEFAULT_SPECTRAL_TOL,
-                                cs: Optional[CouplingSet] = None,
                                 basis: Optional[Eigenbasis] = None) -> EquivalenceReport:
     """Compare the lowest k eigenvalues of two bundles on the same space.
 
-    When the coupling set the bundles were built from is supplied, the
+    When the eigenbasis of the generator X the bundles were built from is
+    supplied (the pair's family's `basis`, or `CouplingSet.generator`), the
     operator residual ||(W H_a W^dag - H_b) P_low||_2 is evaluated with the
     connecting gauge unitary W, a diagonal phase for two bundles in one
     quadrature basis (`QuadratureFamily.same_basis`), else formed in the Fock
-    basis from X's eigenbasis (`gauge_unitary`, given the pair's family `basis`);
-    without it the residual is reported as nan.  The correct pair of a `sectored` family
-    shares one recipe and one sector solve (`build_gauge_pair`), so its eigenvalue
-    difference and residual are 0 by construction: the dense-oracle tests, which form
-    both members in the Fock basis, guard its gauge equivalence.
+    basis from `basis` (`gauge_unitary`); without it the residual is reported as
+    nan.  The correct pair of a `sectored` family shares one recipe and one sector
+    solve (`build_gauge_pair`), so its eigenvalue difference and residual are 0 by
+    construction: the dense-oracle tests, which form both members in the Fock basis,
+    guard its gauge equivalence.
     """
     if h_a.space != h_b.space:
         raise ValueError("bundles live on different spaces")
@@ -124,11 +122,11 @@ def verify_spectral_equivalence(h_a, h_b, k: int = 5,
     ev_b = h_b.eigenvalues(k)
     per_level = np.abs(ev_a - ev_b)
     residual = float("nan")
-    if cs is not None:
+    if basis is not None:
         if h_a.family is not None and h_b.family is not None and h_a.family.same_basis(h_b.family):
             residual = h_a.family.residual(h_a, h_b, low_fraction)
         else:
-            w = gauge_unitary(h_a.space, cs, h_a.gauge.theta, h_b.gauge.theta, basis)
+            w = gauge_unitary(basis, h_a.gauge.theta, h_b.gauge.theta)
             keep = _low_sector_mask(h_a.space, low_fraction)
             # (W H_a W^dag - H_b) P_low keeps exactly the columns of the low sector
             delta = (w @ h_a.H @ w[keep].conj().T) - h_b.H[:, keep]

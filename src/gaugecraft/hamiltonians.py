@@ -724,7 +724,11 @@ class QuadratureFamily:
         rotated = lambda t: {f: (np.multiply(self.v[f].T, local.diagonal(), order="C")
                                  if len(t) == 1 else self.v[f].T @ local) @ self.v[f]
                              for f, local in t.items()}
-        return self.photons.dense(map(rotated, field_terms(self.chi_tilde, self.photons)))
+        terms = map(rotated, field_terms(self.chi_tilde, self.photons))
+        if len(self.v) > 1:
+            return self.photons.dense(terms)
+        # one mode: K is its one term (none at chi = 0), a new matrix, taken as it is
+        return next(terms, {0: np.zeros((self.photons.dim,) * 2)})[0]
 
     def _phases(self, theta: float, scales) -> np.ndarray:
         """The diagonal of P_theta of every member at its coupling scale c, (S, n, L):
@@ -1040,15 +1044,16 @@ def _apply_longitudinal(h: np.ndarray, space: HilbertSpec, em: EmitterSpec,
 def _family_bundle(cs: CouplingSet, h0: np.ndarray, parity_signs: Optional[Sequence[int]],
                    cutoffs: tuple[int, ...], gauge: GaugeParam, meta: dict,
                    order: Optional[int] = None, hook: Optional[Callable] = None,
-                   family: Optional[GaugeFamily] = None,
-                   scale: float = 1.0) -> HamiltonianBundle:
+                   family: Optional[GaugeFamily] = None, scale: float = 1.0,
+                   recipe: Optional[MemberRecipe] = None) -> HamiltonianBundle:
     """The member at this gauge, or with `order` the naive theta = 0 series, of the couplings
     scale * cs with matter Hamiltonian h0: the member at coupling scale `scale` of the family
     of cs (`QuadratureFamily.of_couplings`), unless a family of them is given.  A `sectored`
-    family is solved in the quadrature basis; any other member is formed in the Fock basis
-    by its family (`fock_matrix`), and hook(h, space) -> (h, space) appends the longitudinal
-    factor to it.  The bundle declares the parity of parity_signs, when given, and without
-    the hook time reversal when chi, the couplings and h0 are real."""
+    family is solved in the quadrature basis, from `recipe` when one of this member is
+    given; any other member is formed in the Fock basis by its family (`fock_matrix`), and
+    hook(h, space) -> (h, space) appends the longitudinal factor to it.  The bundle
+    declares the parity of parity_signs, when given, and without the hook time reversal
+    when chi, the couplings and h0 are real."""
     if family is None:
         family = QuadratureFamily.of_couplings(cs, h0, parity_signs, cutoffs)
     elif family.cutoffs != cutoffs or not (np.array_equal(family.cs.eta_matrices, cs.eta_matrices)
@@ -1057,8 +1062,8 @@ def _family_bundle(cs: CouplingSet, h0: np.ndarray, parity_signs: Optional[Seque
     if order is not None and gauge.theta != 0.0:
         raise ValueError("the naive series is built at theta = 0 only")
     if family.sectored and hook is None:
-        return HamiltonianBundle.in_quadrature_basis(family, gauge,
-                                                     family.recipe([scale], order), meta)
+        return HamiltonianBundle.in_quadrature_basis(
+            family, gauge, family.recipe([scale], order) if recipe is None else recipe, meta)
     h, space = family.fock_matrix(gauge.theta, scale, order), family.space
     if hook is not None:
         h, space = hook(h, space)
@@ -1069,7 +1074,8 @@ def _family_bundle(cs: CouplingSet, h0: np.ndarray, parity_signs: Optional[Seque
 def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
                  cutoffs: Union[int, Sequence[int]],
                  longitudinal: Optional[LongitudinalCoupling] = None, *,
-                 family: Optional[GaugeFamily] = None) -> HamiltonianBundle:
+                 family: Optional[GaugeFamily] = None,
+                 recipe: Optional[MemberRecipe] = None) -> HamiltonianBundle:
     """Dipole-approximation Hamiltonian at gauge parameter theta.
 
     H = V H_F V^dag + U H_0 U^dag with V = exp(-i theta X) and
@@ -1083,7 +1089,10 @@ def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
     (`_family_bundle`: a `QuadratureFamily` when they factor, else an
     `EigenbasisFamily`), and the hook extends it in the Fock basis;
     `family`, `QuadratureFamily.of(ms, em, cutoffs)` when the caller already
-    has it (`build_gauge_pair`), is used instead of making it again.
+    has it (`build_gauge_pair`), is used instead of making it again, and so
+    is `recipe`, the `MemberRecipe` of a correct member of that family, which
+    does not read theta (`build_gauge_pair` hands the Coulomb member's to the
+    multipolar one).
     """
     cutoffs = _normalize_cutoffs(cutoffs, ms.n_modes)
     cs = couplings(ms, em)
@@ -1095,7 +1104,7 @@ def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
         hook = partial(_apply_longitudinal, em=em, lc=longitudinal)
         meta["longitudinal"] = "custom"
     return _family_bundle(cs, em.h0, em.parity_signs, cutoffs, g, meta, hook=hook,
-                          family=family)
+                          family=family, recipe=recipe)
 
 
 def build_gauge_pair(ms: ModeSet, em: EmitterSpec, cutoffs: Union[int, Sequence[int]],
@@ -1112,10 +1121,8 @@ def build_gauge_pair(ms: ModeSet, em: EmitterSpec, cutoffs: Union[int, Sequence[
         family = QuadratureFamily.of(ms, em, cutoffs)
     coulomb = (build_dipole(ms, em, COULOMB, cutoffs, family=family) if naive_order is None
                else build_naive(ms, em, COULOMB, cutoffs, naive_order, family=family))
-    multipolar = build_dipole(ms, em, MULTIPOLAR, cutoffs, family=family)
-    if naive_order is None and coulomb.recipe is not None:
-        multipolar.recipe = coulomb.recipe  # theta-free: the pair shares one sector solve
-    return coulomb, multipolar
+    return coulomb, build_dipole(ms, em, MULTIPOLAR, cutoffs, family=family,
+                                 recipe=coulomb.recipe if naive_order is None else None)
 
 
 def _eta_summary(cs: CouplingSet):

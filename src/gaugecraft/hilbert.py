@@ -138,20 +138,15 @@ class HilbertSpec:
     def dense(self, terms: Iterable[Mapping[int, np.ndarray]]) -> np.ndarray:
         """sum_t kron(t) as one D x D matrix, each term t a {factor: local matrix} map, as
         `apply` takes.  Each term is added into the sum as it is formed and let go before the
-        next is formed, so that the sum and one term are all that is held.  The first term
-        is the sum so far, neither copied nor added to zeros.  On a one-factor space a term
-        is the caller's local matrix, which is never written: a one-term sum is that matrix,
-        and each further term gives a new sum.  The sum stays real while every term is; a
-        complex term added to a real sum takes the sum in its own buffer (a + b = b + a
-        exactly).  An empty sum is the real zero matrix."""
-        one = len(self.factors) == 1
-        total = None
+        next is formed, so that the sum and one term are all that is held.  The sum starts
+        as the real zero matrix and stays real while every term is; a complex term added to
+        a real sum takes the sum in its own buffer (a + b = b + a exactly)."""
+        total = np.zeros((self.dim, self.dim))
         for term in terms:
-            m = self._checked(term, np.eye)[0] if one else self.kron(term)
-            total = (m if total is None else total + m if one
-                     else np.add(total, m, out=total if np.can_cast(m.dtype, total.dtype) else m))
+            m = self.kron(term)
+            total = np.add(total, m, out=total if np.can_cast(m.dtype, total.dtype) else m)
             del m
-        return np.zeros((self.dim, self.dim)) if total is None else total
+        return total
 
     def apply(self, terms: Iterable[Mapping[int, np.ndarray]], x: np.ndarray) -> np.ndarray:
         """(sum_t kron(t)) @ x for a vector or a D x K block x, each term applied factor by

@@ -118,7 +118,7 @@ def test_rate_table_matches_dense_oracle(system, thetas, k, seed):
     transitions = [tuple(int(n) for n in np.sort(rng.choice(a.space.dim, 2, replace=False)))
                    for _ in range(k)]
     want_a, want_b = dense_oracle.rate_table(a, b, ms, em, DETECTOR, transitions)
-    rows = rate_table(a, b, ms, em, DETECTOR, transitions)
+    rows = rate_table(a, b, ms, em, DETECTOR, transitions, couplings(ms, em).generator(a.space))
     assert [(r.i, r.j) for r in rows] == transitions
     # a table of parity-forbidden transitions alone has rates at rounding level
     scale = max(want_a.max(), want_b.max(), 1e-12)
@@ -178,11 +178,11 @@ def test_quadrature_bundle_reads_from_k_equal_the_dense_oracle(seed, n_modes, re
         tol = APPLY_TOL * scale * np.abs(x).sum(axis=0).max()
         assert max_abs(bundle.apply(x) - h @ x) <= tol
     partner = build_dipole(ms, em, MULTIPOLAR, cutoffs)
-    cs = couplings(ms, em)
-    got = verify_spectral_equivalence(bundle, partner, k=3, cs=cs).operator_residual
+    basis = couplings(ms, em).generator(bundle.space)
+    got = verify_spectral_equivalence(bundle, partner, k=3, basis=basis).operator_residual
     want = verify_spectral_equivalence(dense, dense_oracle.dense_bundle(ms, em, MULTIPOLAR,
                                                                         cutoffs),
-                                       k=3, cs=cs).operator_residual
+                                       k=3, basis=basis).operator_residual
     if order is None:
         assert got <= 1e-10 and want <= 1e-10
     else:

@@ -41,7 +41,7 @@ def test_cross_gauge_rates_agree_with_off_diagonal_chi():
     b_mp = build_dipole(ms, em, MULTIPOLAR, CUTOFFS)
     transitions = significant_transitions(b_c, ms, detector(), 3, em=em)
     assert len(transitions) == 3
-    rows = rate_table(b_c, b_mp, ms, em, detector(), transitions)
+    rows = rate_table(b_c, b_mp, ms, em, detector(), transitions, b_c.family.basis)
     assert all(r.rate_coulomb > 0 for r in rows)
     assert max(r.rel_diff for r in rows) <= 1e-8
 
@@ -93,14 +93,15 @@ def test_rate_table_refuses_partners_that_are_not_multipolar_eigenvectors(monkey
     b_c = build_dipole(ms, em, COULOMB, CUTOFFS)
     b_mp = build_dipole(ms, em, MULTIPOLAR, CUTOFFS)
     transitions = significant_transitions(b_c, ms, detector(), 3, em=em)
-    assert len(rate_table(b_c, b_mp, ms, em, detector(), transitions)) == 3
+    basis = b_c.family.basis
+    assert len(rate_table(b_c, b_mp, ms, em, detector(), transitions, basis)) == 3
     other = build_dipole(ms, tls(1.0, (0.5, -0.4, 0.2)), MULTIPOLAR, CUTOFFS)
     with pytest.raises(InvariantViolation, match="gauge pairing"):
-        rate_table(b_c, other, ms, em, detector(), transitions)
+        rate_table(b_c, other, ms, em, detector(), transitions, basis)
     apply = Eigenbasis.apply
     monkeypatch.setattr(Eigenbasis, "apply", lambda basis, s, x: apply(basis, -s, x))
     with pytest.raises(InvariantViolation, match="gauge pairing"):
-        rate_table(b_c, b_mp, ms, em, detector(), transitions)
+        rate_table(b_c, b_mp, ms, em, detector(), transitions, basis)
 
 
 def test_detect_command_diagonalizes_only_the_coulomb_bundle(tmp_path, monkeypatch):
@@ -147,7 +148,7 @@ def test_detect_path_holds_less_than_1_6_dense_matrices(cutoff):
     try:
         b_c, b_mp = build_gauge_pair(ms, em, (cutoff, cutoff))
         transitions = significant_transitions(b_c, ms, detector(), 3, em=em)
-        rows = rate_table(b_c, b_mp, ms, em, detector(), transitions)
+        rows = rate_table(b_c, b_mp, ms, em, detector(), transitions, b_c.family.basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

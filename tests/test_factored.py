@@ -118,12 +118,12 @@ def test_gauge_unitary_matches_oracle_and_composes(system, thetas):
     ms, em, cutoffs, _ = system
     a, b, c = thetas
     dense = DenseSystem(ms, em, cutoffs)
-    cs = couplings(ms, em)
-    w_ab = gauge_unitary(dense.space, cs, a, b)
+    basis = couplings(ms, em).generator(dense.space)
+    w_ab = gauge_unitary(basis, a, b)
     assert max_abs(w_ab.conj().T @ w_ab - np.eye(dense.space.dim)) < 1e-12
     assert_close(w_ab, dense.gauge_unitary(a, b), "W")
-    w_ac = gauge_unitary(dense.space, cs, a, c)
-    w_bc = gauge_unitary(dense.space, cs, b, c)
+    w_ac = gauge_unitary(basis, a, c)
+    w_bc = gauge_unitary(basis, b, c)
     assert max_abs(w_ab @ w_bc - w_ac) < 1e-12
 
 
@@ -273,17 +273,17 @@ def test_zero_couplings_give_identity_unitary():
     ms, em = random_system(1, 2, "tls")
     em = tls(1.0, (0.0, 0.0, 0.0))
     space = hamiltonians.standard_space((3, 2), 2)
-    w = gauge_unitary(space, couplings(ms, em), 0.0, 1.0)
+    w = gauge_unitary(couplings(ms, em).generator(space), 0.0, 1.0)
     assert max_abs(w - np.eye(space.dim)) < 1e-15
 
 
 def test_masked_residual_equals_projector_form():
     ms, em = random_system(7, 1, "tls")
-    cs = couplings(ms, em)
     naive = build_naive(ms, em, COULOMB, 16)
     correct = build_dipole(ms, em, MULTIPOLAR, 16)
-    rep = verify_spectral_equivalence(naive, correct, k=3, cs=cs)
-    w = gauge_unitary(naive.space, cs, 0.0, 1.0)
+    basis = couplings(ms, em).generator(naive.space)
+    rep = verify_spectral_equivalence(naive, correct, k=3, basis=basis)
+    w = gauge_unitary(basis, 0.0, 1.0)
     p_low = low_sector_projector(naive.space)
     delta = (w @ naive.H @ w.conj().T - correct.H) @ p_low
     assert rep.operator_residual > 1e-3

@@ -34,7 +34,7 @@ def _setup(eta=0.5, cutoff=30, chi=1.0, omega0=1.0):
 class TestGaugeUnitary:
     def test_identity_for_equal_endpoints(self):
         _, _, cs, space = _setup()
-        w = gauge_unitary(space, cs, 0.3, 0.3)
+        w = gauge_unitary(cs.generator(space), 0.3, 0.3)
         assert max_abs(w - np.eye(space.dim)) < 1e-14
 
     def test_multipolar_matter_transform_is_trivial(self):
@@ -46,14 +46,15 @@ class TestGaugeUnitary:
 
     def test_exact_unitarity_strong_coupling(self):
         _, _, cs, space = _setup(eta=0.8, cutoff=60)
-        w = gauge_unitary(space, cs, 0.0, 1.0)
+        w = gauge_unitary(cs.generator(space), 0.0, 1.0)
         assert max_abs(w.conj().T @ w - np.eye(space.dim)) < 1e-12
 
     def test_composition(self):
         _, _, cs, space = _setup(eta=1.0, cutoff=60)
-        w_full = gauge_unitary(space, cs, 0.0, 1.0)
-        w_half1 = gauge_unitary(space, cs, 0.0, 0.5)
-        w_half2 = gauge_unitary(space, cs, 0.5, 1.0)
+        basis = cs.generator(space)
+        w_full = gauge_unitary(basis, 0.0, 1.0)
+        w_half1 = gauge_unitary(basis, 0.0, 0.5)
+        w_half2 = gauge_unitary(basis, 0.5, 1.0)
         assert max_abs(w_full - w_half2 @ w_half1) < 1e-12
 
     @settings(max_examples=20, deadline=None)
@@ -66,9 +67,9 @@ class TestGaugeUnitary:
         f = (complex(0.5, eta_im), 0.0, 0.0)
         ms = ModeSet.single_mode(1.0, {"emitter": f})
         cs = couplings(ms, em)
-        space = build_dipole(ms, em, COULOMB, 12).space
-        lhs = gauge_unitary(space, cs, t0, t2)
-        rhs = gauge_unitary(space, cs, t1, t2) @ gauge_unitary(space, cs, t0, t1)
+        basis = cs.generator(build_dipole(ms, em, COULOMB, 12).space)
+        lhs = gauge_unitary(basis, t0, t2)
+        rhs = gauge_unitary(basis, t1, t2) @ gauge_unitary(basis, t0, t1)
         assert max_abs(lhs - rhs) < 1e-12
 
     def test_space_coupling_mismatch(self):
@@ -77,17 +78,17 @@ class TestGaugeUnitary:
         _, _, cs, _ = _setup()
         two_mode_space = HilbertSpec([photon(5), photon(5), matter_levels(2)])
         with pytest.raises(ValueError):
-            gauge_unitary(two_mode_space, cs, 0.0, 1.0)
+            gauge_unitary(cs.generator(two_mode_space), 0.0, 1.0)
         three_level_space = HilbertSpec([photon(5), matter_levels(3)])
         with pytest.raises(ValueError):
-            gauge_unitary(three_level_space, cs, 0.0, 1.0)
+            gauge_unitary(cs.generator(three_level_space), 0.0, 1.0)
 
 
 class TestVerifySpectralEquivalence:
     def test_identical_inputs_give_zero(self):
         ms, em, cs, _ = _setup()
         b = build_dipole(ms, em, COULOMB, 25)
-        rep = verify_spectral_equivalence(b, b, k=6, cs=cs)
+        rep = verify_spectral_equivalence(b, b, k=6, basis=cs.generator(b.space))
         assert rep.max_abs_diff == 0.0
         assert np.all(rep.per_level == 0.0)
         assert rep.operator_residual < 1e-12
@@ -96,7 +97,7 @@ class TestVerifySpectralEquivalence:
         ms, em, cs, _ = _setup(eta=0.5)
         b0 = build_dipole(ms, em, COULOMB, 40)
         b1 = build_dipole(ms, em, MULTIPOLAR, 40)
-        rep = verify_spectral_equivalence(b0, b1, k=5, tol=1e-6, cs=cs)
+        rep = verify_spectral_equivalence(b0, b1, k=5, tol=1e-6, basis=cs.generator(b0.space))
         assert rep.max_abs_diff < 1e-6
         assert rep.operator_residual < 1e-10
         assert rep.converged
@@ -105,7 +106,8 @@ class TestVerifySpectralEquivalence:
         ms, em, cs, _ = _setup(eta=0.5)
         naive = build_naive(ms, em, COULOMB, 40, order=1)
         correct = build_dipole(ms, em, MULTIPOLAR, 40)
-        rep = verify_spectral_equivalence(naive, correct, k=5, tol=1e-6, cs=cs)
+        rep = verify_spectral_equivalence(naive, correct, k=5, tol=1e-6,
+                                          basis=cs.generator(naive.space))
         assert rep.max_abs_diff > 1e-2
         assert not rep.converged
 
@@ -128,8 +130,9 @@ class TestVerifySpectralEquivalence:
         ms, em, cs, _ = _setup(eta=0.4)
         b0 = build_dipole(ms, em, COULOMB, 20)
         b1 = build_dipole(ms, em, MULTIPOLAR, 20)
-        r1 = verify_spectral_equivalence(b0, b1, k=5, cs=cs)
-        r2 = verify_spectral_equivalence(b0, b1, k=5, cs=cs)
+        basis = cs.generator(b0.space)
+        r1 = verify_spectral_equivalence(b0, b1, k=5, basis=basis)
+        r2 = verify_spectral_equivalence(b0, b1, k=5, basis=basis)
         assert r1.max_abs_diff == r2.max_abs_diff
         assert r1.operator_residual == r2.operator_residual
         assert np.array_equal(r1.per_level, r2.per_level)
@@ -143,17 +146,17 @@ class TestQuadraturePair:
     def test_reports_match_the_fock_builds(self, profile, order):
         em = tls(1.0, (0.9, 0.0, 0.0))
         ms = ModeSet.single_mode(1.3, {em.position_label: (profile, 0.0, 0.0)})
-        cs = couplings(ms, em)
         h_a, h_b = build_gauge_pair(ms, em, 30, order)
         assert h_a.basis == h_b.basis == "quadrature"
         # the same Hamiltonians assembled in the Fock basis, compared there
         fock_a = dense_oracle.dense_bundle(ms, em, COULOMB, 30, order)
         fock_b = dense_oracle.dense_bundle(ms, em, MULTIPOLAR, 30)
         assert fock_a.basis == fock_b.basis == "fock"
+        basis = couplings(ms, em).generator(h_a.space)
         for fraction in (0.5, 0.3, 1.0):
-            got = verify_spectral_equivalence(h_a, h_b, k=6, low_fraction=fraction, cs=cs)
+            got = verify_spectral_equivalence(h_a, h_b, k=6, low_fraction=fraction, basis=basis)
             want = verify_spectral_equivalence(fock_a, fock_b, k=6, low_fraction=fraction,
-                                               cs=cs)
+                                               basis=basis)
             assert got.cutoff == want.cutoff == (30,)
             assert max_abs(got.per_level - want.per_level) <= 1e-12
             if want.operator_residual >= 1e-6:
@@ -214,11 +217,11 @@ class TestQuadraturePair:
         other, _ = build_gauge_pair(ms, em, 12, 1)  # separate builds share one basis
         fock = HamiltonianBundle(h_b.H, h_b.space, h_b.gauge, h_b.metadata)
         assert fock.basis == "fock"
-        cs = couplings(ms, em)
-        want = verify_spectral_equivalence(h_a, h_b, k=3, cs=cs).operator_residual
+        basis = couplings(ms, em).generator(h_a.space)
+        want = verify_spectral_equivalence(h_a, h_b, k=3, basis=basis).operator_residual
         assert want > 1e-3
         for a, b in ((other, h_b), (h_a, fock)):
-            got = verify_spectral_equivalence(a, b, k=3, cs=cs).operator_residual
+            got = verify_spectral_equivalence(a, b, k=3, basis=basis).operator_residual
             assert abs(got / want - 1) <= 1e-10
         assert verify_spectral_equivalence(h_a, fock, k=3).max_abs_diff > 1e-3
 
@@ -427,7 +430,7 @@ def test_a_sectored_verify_pair_peaks_at_its_command_bytes(monkeypatch):
     tracemalloc.start()
     try:
         h_a, h_b = build_gauge_pair(ms, em, 20)
-        rep = verify_spectral_equivalence(h_a, h_b, k=5, cs=couplings(ms, em))
+        rep = verify_spectral_equivalence(h_a, h_b, k=5, basis=h_a.family.basis)
         peak = max(tracemalloc.get_traced_memory()[1], *at_solves)
     finally:
         tracemalloc.stop()

@@ -108,7 +108,7 @@ class TestBuildDipole:
         theta = 0.6
         b0 = build_dipole(ms, em, COULOMB, 24)
         bt = build_dipole(ms, em, GaugeParam(theta), 24)
-        w = gauge_unitary(b0.space, couplings(ms, em), 0.0, theta)
+        w = gauge_unitary(couplings(ms, em).generator(b0.space), 0.0, theta)
         p_low = low_sector_projector(b0.space)
         resid = np.linalg.norm((w @ b0.H @ w.conj().T - bt.H) @ p_low, 2)
         assert resid < 1e-12

@@ -14,7 +14,7 @@ from gaugecraft import (COULOMB, GaugeParam, HamiltonianBundle, InvariantViolati
                         build_dipole, build_naive, couplings, field_hamiltonian, tls,
                         verify_spectral_equivalence)
 from gaugecraft.hamiltonians import QuadratureFamily
-from gaugecraft.hilbert import max_abs, parity_labels
+from gaugecraft.hilbert import HilbertSpec, max_abs, parity_labels
 
 pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
 
@@ -87,19 +87,20 @@ def test_forming_k_holds_k_and_one_term():
     assert peak <= 2.09 * k.nbytes
 
 
-def test_a_single_modes_k_is_its_one_term_bit_for_bit():
+def test_a_single_modes_k_is_its_one_term_bit_for_bit(monkeypatch):
     """A single mode's K is one Kronecker term on one factor, v^T diag(chi_00 n) v, at
-    N = 300 (the `coupling-scan` benchmark's cutoff).  `HilbertSpec.dense` hands such a
-    term back as it is, neither added to a zero matrix nor copied, and K is bit for bit
-    the sum that started from the zero matrix."""
+    N = 300 (the `coupling-scan` benchmark's cutoff).  `_field` takes that term as K,
+    neither added to a zero matrix nor copied by `HilbertSpec.dense`, and K is bit for bit
+    that sum, which is a new matrix: the sum never is the caller's local one."""
     em = tls(1.0, (0.6 * np.sqrt(2.0), 0.0, 0.0))
     family = QuadratureFamily.of(ModeSet.single_mode(1.0, {em.position_label: (1, 0, 0)}),
                                  em, 300)
     v, root_n = family.v[0], np.sqrt(np.arange(301.0))
     # chi_00 n rounded as `field_terms` rounds it, taken to v^T L v as `_field` takes it
     local = np.multiply(v.T, (family.chi_tilde[0, 0] * root_n) * root_n, order="C") @ v
-    assert family.photons.dense([{0: local}]) is local
-    want = np.add(np.zeros((301, 301)), local)
+    want = family.photons.dense([{0: local}])
+    assert want is not local and not np.shares_memory(want, local)
+    monkeypatch.setattr(HilbertSpec, "dense", None)  # one mode: K is not summed
     assert family.k.dtype == want.dtype and family.k.tobytes() == want.tobytes()
 
 
@@ -199,14 +200,14 @@ def test_two_mode_residual_equals_the_fock_basis_residual(order):
     with W and both H formed in the Fock basis, for a complex chi and complex couplings."""
     ms, em = two_modes()
     ms = ModeSet(ms.chi, {"emitter": ms.profile("emitter") * np.exp([[0.4j], [-1.1j]])})
-    cs = couplings(ms, em)
     h_a = (build_dipole(ms, em, COULOMB, (5, 3)) if order is None
            else build_naive(ms, em, COULOMB, (5, 3), order=order))
     h_b = build_dipole(ms, em, GaugeParam(0.6), (5, 3))
     fock_b = HamiltonianBundle(h_b.H, h_b.space, h_b.gauge, h_b.metadata)
+    basis = couplings(ms, em).generator(h_a.space)
     for fraction in (0.5, 0.3, 1.0):
-        got = verify_spectral_equivalence(h_a, h_b, k=4, low_fraction=fraction, cs=cs)
-        want = verify_spectral_equivalence(h_a, fock_b, k=4, low_fraction=fraction, cs=cs)
+        got = verify_spectral_equivalence(h_a, h_b, k=4, low_fraction=fraction, basis=basis)
+        want = verify_spectral_equivalence(h_a, fock_b, k=4, low_fraction=fraction, basis=basis)
         if order is None:
             assert got.operator_residual <= 1e-10 and want.operator_residual <= 1e-10
         else:
@@ -227,6 +228,7 @@ def test_families_of_one_basis_but_another_k_take_the_fock_basis_residual(differ
     h_b = build_dipole(other_ms, other_em, GaugeParam(1.0), (4, 3))
     assert not h_a.family.same_basis(h_b.family) and h_a.family.same_basis(h_a.family)
     fock = [HamiltonianBundle(h.H, h.space, h.gauge, h.metadata) for h in (h_a, h_b)]
-    got = verify_spectral_equivalence(h_a, h_b, k=4, cs=cs).operator_residual
-    want = verify_spectral_equivalence(*fock, k=4, cs=cs).operator_residual
+    basis = cs.generator(h_a.space)
+    got = verify_spectral_equivalence(h_a, h_b, k=4, basis=basis).operator_residual
+    want = verify_spectral_equivalence(*fock, k=4, basis=basis).operator_residual
     assert want > 1e-2 and abs(got / want - 1) <= 1e-12
