@@ -215,27 +215,30 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
     _refuse_oversized("the verify pair", cutoffs, dim,
                       command_bytes("gauge-check", dim, family.sectored))
     order, truncation = sc.values["naive_order"], sc.values["truncation"]
-    rows = ambiguity_scan(ms, em, section["eta_grid"], tol=ground_tol, order=order)
+    rows, canonical = ambiguity_scan(ms, em, section["eta_grid"], tol=ground_tol, order=order)
     write_csv(cfg.out_dir / "gauge_report.csv",
               ("eta", "naive_gap", "correct_gap", "cutoff", "converged"),
               [(r.eta, r.naive_gap, r.correct_gap, r.cutoff, r.converged) for r in rows])
 
     h_a, h_b = build_gauge_pair(ms, em, cutoffs, order if truncation == "naive" else None,
                                 family=family)
-    rep = verify_spectral_equivalence(h_a, h_b, k=section["k"], tol=spectral_tol,
-                                      basis=family.basis)
+    rep = verify_spectral_equivalence(h_a, h_b, k=section["k"], tol=spectral_tol)
     worst_correct = max(r.correct_gap for r in rows)
-    passed = rep.max_abs_diff < spectral_tol and worst_correct < spectral_tol
+    # the canonical form certifies the correct ladder only where the couplings factor
+    passed = (rep.max_abs_diff < spectral_tol and worst_correct < spectral_tol
+              and (canonical is None or canonical < spectral_tol))
     verdict = "PASS" if passed else "FAIL"
     summary = (f"{verdict}: max eigenvalue diff {rep.max_abs_diff:.3e}, "
-               f"max correct gap {worst_correct:.3e}, tolerance {spectral_tol:.3e}")
+               f"max correct gap {worst_correct:.3e}, canonical residual "
+               f"{'n/a' if canonical is None else f'{canonical:.3e}'}, "
+               f"tolerance {spectral_tol:.3e}")
     print(summary)
     (cfg.out_dir / "gauge_summary.txt").write_text(summary + "\n",
                                                    encoding="utf-8", newline="\n")
     write_metadata(cfg, {
         "verdict": verdict,
         "max_abs_diff": rep.max_abs_diff,
-        "operator_residual": rep.operator_residual,
+        "canonical_residual": canonical,
         "spectral_tol": spectral_tol,
         "truncation": truncation,
         "cutoffs": list(cutoffs),

@@ -1,26 +1,27 @@
-"""Truncated gauge-transformation unitaries and invariance verification.
+"""Gauge-invariance verification: spectra, the coupling scan, and its certificate.
 
 Gauge transformations within the family live on the truncated space as
-W = exp(-i (theta_to - theta_from) X); they are exactly unitary and compose
-exactly, since all members share one Hermitian generator.  The checks here
-compare spectra of two built Hamiltonians, measure the operator residual
-||(W H W^dag - H') P_low|| on the low-energy Fock sector, and scan the
-naive-versus-correct ground-state gap over a coupling grid.
+W = exp(-i (theta_to - theta_from) X) (`gauge_unitary`); they are exactly unitary
+and compose exactly, since all members share one Hermitian generator.  Every member
+is one theta-free matrix conjugated by diagonal phases in an eigenbasis of X, so a
+comparison of the family with itself reads 0 by construction: for a `sectored`
+family the Coulomb and the multipolar member are the same sectors, and
+`correct_gap` and the correct verify pair's eigenvalue difference
+(`verify_spectral_equivalence`) are 0.
 
-The builders return a two-level emitter's Hamiltonians in the
-field-quadrature basis of `hamiltonians.QuadratureFamily`, where X is
-diagonal and every gauge map is a diagonal phase; two bundles of one such
-basis are compared there, without forming W or H, and any other pair in the
-Fock basis.  The gauge phases act only on vectors: the parity sectors of every
-member, correct or naive, are M0 +- diag(beta) J around the family's one
-theta-free M0 = K + h0'_00, J the reversal, and a member adds only its O(n)
-vector beta, which does not read theta.  So the residual of two members of one
-M0 is their beta difference on the low sector, and a correct member is one
-recipe and one sector solve whatever its theta: for a `sectored` family the
-Coulomb and the multipolar member are the same sectors, and `correct_gap` and
-the correct verify pair's eigenvalue difference and residual are 0 by
-construction.  The tests that form both members in the Fock basis with the
-dense oracle guard their gauge equivalence.
+What certifies the correct ladder at run time is the canonical multipolar form,
+written from its definition (`hamiltonians.canonical_terms`: H_F, the multipolar
+drive, h0 and the P^2 term), which truncates the Fock space after the gauge map and
+is no member of the family.  Where the couplings factor, the family's theta = 1
+member approaches it as the cutoff converges.  `ambiguity_scan` takes the multipolar
+member of the grid's strongest coupling at the rung where its ladder converged, gets
+its ground vector v from the ladder's E0 by one shifted solve per sector, and reports
+r = ||H_can v - E0 v||_2 (`canonical_residual`): some eigenvalue of the Hermitian
+H_can lies within r of E0.  A wrong beta or wrong phases leave the family agreeing
+with itself and fail this residual.  Couplings that do not factor (an emitter with
+several dipole axes) have no certificate: their truncated eta_mu need not commute,
+so H_can is not the limit of their theta = 1 member.
+
 The scan climbs the scenario's own family, its couplings scaled to each
 strength of the grid (X(c) = c X).  Its ladders double every per-mode cutoff
 (`scan_cutoffs`) until a ground energy moves by less than the tolerance,
@@ -45,11 +46,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .hamiltonians import CouplingSet, GaugeParam, QuadratureFamily, _family_bundle, couplings
-from .hilbert import Eigenbasis, HilbertSpec, max_abs
+from .hamiltonians import (MULTIPOLAR, CouplingSet, GaugeParam, HamiltonianBundle,
+                           QuadratureFamily, _family_bundle, canonical_terms, couplings,
+                           polarization_squared)
+from .hilbert import Eigenbasis, max_abs
 
 DEFAULT_SPECTRAL_TOL = 1e-6
-DEFAULT_LOW_FRACTION = 0.5
 STACK_BYTES = 8_000_000  # bytes held at once by one stacked ladder solve
 # real n x n blocks a member holds at once, by time reversal: its copy of M0, turned from
 # one sector into the other, and the Cholesky factor of that one, real under time reversal
@@ -68,18 +70,6 @@ def gauge_unitary(basis: Eigenbasis, theta_from: float, theta_to: float) -> np.n
     return basis.apply(-(theta_to - theta_from), np.eye(len(basis.xi)))
 
 
-def _low_sector_mask(space: HilbertSpec, fraction: float = DEFAULT_LOW_FRACTION) -> np.ndarray:
-    """Boolean mask of the product states with every photon number <= fraction * cutoff;
-    the diagonal of the projector P_low."""
-    keep = np.ones(1, dtype=bool)
-    for f in space.factors:
-        local = np.ones(f.dim, dtype=bool)
-        if f.kind == "photon":
-            local[int(np.floor(fraction * f.fock_cutoff)) + 1:] = False
-        keep = np.logical_and.outer(keep, local).ravel()
-    return keep
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Outcome of comparing two Hamiltonians believed gauge-equivalent."""
@@ -87,7 +77,6 @@ class EquivalenceReport:
     k: int
     max_abs_diff: float
     per_level: np.ndarray
-    operator_residual: float
     cutoff: tuple
     converged: Optional[bool]
 
@@ -97,44 +86,53 @@ class EquivalenceReport:
 
 
 def verify_spectral_equivalence(h_a, h_b, k: int = 5,
-                                low_fraction: float = DEFAULT_LOW_FRACTION,
-                                tol: Optional[float] = DEFAULT_SPECTRAL_TOL,
-                                basis: Optional[Eigenbasis] = None) -> EquivalenceReport:
+                                tol: Optional[float] = DEFAULT_SPECTRAL_TOL) -> EquivalenceReport:
     """Compare the lowest k eigenvalues of two bundles on the same space.
 
-    When the eigenbasis of the generator X the bundles were built from is
-    supplied (the pair's family's `basis`, or `CouplingSet.generator`), the
-    operator residual ||(W H_a W^dag - H_b) P_low||_2 is evaluated with the
-    connecting gauge unitary W, a diagonal phase for two bundles in one
-    quadrature basis (`QuadratureFamily.same_basis`), else formed in the Fock
-    basis from `basis` (`gauge_unitary`); without it the residual is reported as
-    nan.  The correct pair of a `sectored` family shares one recipe and one sector
-    solve (`build_gauge_pair`), so its eigenvalue difference and residual are 0 by
-    construction: the dense-oracle tests, which form both members in the Fock basis,
-    guard its gauge equivalence.
+    The report holds the per-level differences, their maximum and whether it is below tol
+    (None without tol).  The correct pair of a `sectored` family shares one recipe and one
+    sector solve (`build_gauge_pair`), so its difference is 0 by construction: what guards
+    the correct verdict at run time is the certificate of `ambiguity_scan`, the canonical
+    residual of the correct ladder, which the dense-oracle tests back up.
     """
     if h_a.space != h_b.space:
         raise ValueError("bundles live on different spaces")
     dim = h_a.space.dim
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in [1, {dim}]")
-    ev_a = h_a.eigenvalues(k)
-    ev_b = h_b.eigenvalues(k)
-    per_level = np.abs(ev_a - ev_b)
-    residual = float("nan")
-    if basis is not None:
-        if h_a.family is not None and h_b.family is not None and h_a.family.same_basis(h_b.family):
-            residual = h_a.family.residual(h_a, h_b, low_fraction)
-        else:
-            w = gauge_unitary(basis, h_a.gauge.theta, h_b.gauge.theta)
-            keep = _low_sector_mask(h_a.space, low_fraction)
-            # (W H_a W^dag - H_b) P_low keeps exactly the columns of the low sector
-            delta = (w @ h_a.H @ w[keep].conj().T) - h_b.H[:, keep]
-            residual = float(np.linalg.norm(delta, 2))
+    per_level = np.abs(h_a.eigenvalues(k) - h_b.eigenvalues(k))
     max_diff = float(per_level.max())
     cutoffs = tuple(h_a.metadata.get("cutoffs", ()))
     converged = None if tol is None else bool(max_diff < tol)
-    return EquivalenceReport(k, max_diff, per_level, residual, cutoffs, converged)
+    return EquivalenceReport(k, max_diff, per_level, cutoffs, converged)
+
+
+def canonical_residual(bundle: HamiltonianBundle, cs: CouplingSet, h0: np.ndarray,
+                       e0: float) -> float:
+    """r = ||H_can v - E0 v||_2 for a unit vector v of a multipolar member at its energy E0,
+    H_can the canonical multipolar form of cs with matter term h0 + P^2 (`canonical_terms`)
+    on the member's space, applied without forming it.  H_can is Hermitian, so one of its
+    eigenvalues lies within r of E0.
+
+    In each sector of the member (`_sector_blocks`), one shifted solve (B - E0) y = b, one
+    step of inverse iteration, gives the sector's eigenvector u at E0 when E0 is one of its
+    levels lam.  The vector leaves a residual near |E0 - lam| ||b|| / |<u, b>| in the
+    sector, so b is the basis vector whose diagonal entry of B lies nearest E0: for one mode
+    at eta = 0.05-2.5 and N = 40-320 that ratio measured 2.2-3.7, against 5-1300 for a
+    random or a constant b.  The bundle places each y in the Fock basis with its theta = 1
+    phases (`_places`), and the smaller residual of the sectors' vectors is r.
+    """
+    places = bundle._places()
+    vecs = np.zeros((bundle.space.dim, len(places)), dtype=complex, order="F")
+    for j, (block, place) in enumerate(zip(bundle._sector_blocks(), places)):
+        # one rounding below E0, so that an uncoupled member's diagonal B is not singular
+        shifted = block - (e0 - np.finfo(float).eps * max(1.0, abs(e0))) * np.eye(len(block))
+        start = np.zeros(len(block))
+        start[np.argmin(np.abs(shifted.diagonal()))] = 1.0
+        y = np.linalg.solve(shifted, start)
+        place(vecs, np.array([j]), (y / np.linalg.norm(y))[:, None])
+    terms = canonical_terms(cs, h0 + polarization_squared(cs), bundle.space)
+    return float(np.linalg.norm(bundle.space.apply(terms, vecs) - e0 * vecs, axis=0).min())
 
 
 def stack_chunk(n: int, time_reversal: bool) -> int:
@@ -190,8 +188,9 @@ class AmbiguityRow:
 
 
 def ambiguity_scan(ms, em, eta_grid: Optional[Sequence[float]] = None, tol: float = 1e-7,
-                   order: int = 1) -> list[AmbiguityRow]:
-    """Naive-vs-correct ground-energy gaps of an emitter in a mode set, per coupling strength.
+                   order: int = 1) -> tuple[list[AmbiguityRow], Optional[float]]:
+    """(rows, canonical residual): the naive-vs-correct ground-energy gaps of an emitter in a
+    mode set, one row per coupling strength, and the certificate of the correct ladder.
 
     A grid entry eta scales the couplings to max|eta_mu| = |eta|, times the sign of eta;
     without a grid the scan runs at their own strength.  Per entry: correct_gap =
@@ -200,11 +199,15 @@ def ambiguity_scan(ms, em, eta_grid: Optional[Sequence[float]] = None, tol: floa
     until each ground energy is stable to `tol`, over one family of the couplings at
     strength 1 per rung.  A `sectored` family climbs as stacks, and its correct members'
     recipes do not read theta, so one correct ladder gives E0 at theta = 0 and 1 and
-    correct_gap is 0 by construction (the dense-oracle tests guard it); with the naive
-    ladder that makes two.  Any other family climbs the Coulomb and the multipolar ladder
-    apart, member by member (`_family_bundle`) at scale eta, so that K is formed once per
-    rung, and for couplings that do not factor X is eigendecomposed once per rung.  A row
-    is converged when its naive ladder is; `ConvergenceError` when a correct ladder is not.
+    correct_gap is 0 by construction; with the naive ladder that makes two.  Any other
+    family climbs the Coulomb and the multipolar ladder apart, member by member
+    (`_family_bundle`) at scale eta, so that K is formed once per rung, and for couplings
+    that do not factor X is eigendecomposed once per rung.  A row is converged when its
+    naive ladder is; `ConvergenceError` when a correct ladder is not.
+
+    When the couplings factor (a `QuadratureFamily`), the multipolar member of the grid's
+    largest |eta| at the rung where its ladder converged is built from that rung's family,
+    and its `canonical_residual` at the ladder's E0 is returned; otherwise None.
     """
     cs = couplings(ms, em)
     strength = max_abs(cs.eta_matrices)
@@ -235,8 +238,17 @@ def ambiguity_scan(ms, em, eta_grid: Optional[Sequence[float]] = None, tol: floa
     e0_mp, n_mp, ok_mp = correct if sectored else ladder(1.0)
     if not (ok_c.all() and ok_mp.all()):
         raise ConvergenceError(f"ground energy not converged at cutoff {rungs[-1]}")
+    residual = None
+    if isinstance(family(rungs[0]), QuadratureFamily):
+        top = int(np.argmax(np.abs(etas)))
+        n, eta = int(n_mp[top]), etas[top]
+        member = _family_bundle(unit, em.h0, em.parity_signs, (n,) * cs.n_modes, MULTIPOLAR,
+                                {}, family=family(n), scale=eta)
+        residual = canonical_residual(member, CouplingSet(eta * unit.eta_matrices, unit.chi),
+                                      em.h0, e0_mp[top])
     e0_naive, n_nv, converged = ladder(0.0, order)
     cutoffs = np.maximum(np.maximum(n_c, n_mp), n_nv)
     return [AmbiguityRow(eta=float(eta), naive_gap=float(abs(nv - mp)),
                          correct_gap=float(abs(c - mp)), cutoff=int(n), converged=bool(ok))
-            for eta, c, mp, nv, n, ok in zip(etas, e0_c, e0_mp, e0_naive, cutoffs, converged)]
+            for eta, c, mp, nv, n, ok in zip(etas, e0_c, e0_mp, e0_naive, cutoffs,
+                                             converged)], residual

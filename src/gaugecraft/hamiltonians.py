@@ -97,14 +97,22 @@ in B and the diagonal phases Q = e^(-i theta c xi), R = e^(i (1 - theta) c xi),
 formed in the Fock basis as B H B^dag; the pair, and every member of a scan
 rung, share one eigendecomposition of X.  The naive series there is
 H_F + `nested_commutators` of c X.  So no gauge exponential is a matrix: every
-one is a phase in an eigenbasis of X.  The canonical multipolar core,
-`_multipolar_bundle`, sums the terms of H_F, `multipolar_interaction` and a
-matter term (h0, with `polarization_squared` or without) in one `dense` for the
-theta = 1 naive builder and the beyond-dipole and 1D multipolar forms.  H(t)
-is the `EigenbasisFamily` member at theta = 0 or 1 and coupling scale mu(t),
-for couplings that factor or not, plus its mu' term.  No builder is written
-out by hand: the dense forms the cores
-are checked against (the embedded-product `DenseSystem`, the single-mode
+one is a phase in an eigenbasis of X.  H(t) is the `EigenbasisFamily` member
+at theta = 0 or 1 and coupling scale mu(t), for couplings that factor or not,
+plus its mu' term.
+
+The one canonical multipolar form is `canonical_terms`: the Kronecker terms of
+H_F, `multipolar_interaction` and a matter term (h0, with `polarization_squared`
+or without), written from the definition at theta = 1.  It truncates the Fock
+space after the gauge map, so it is no member of the family.  `_multipolar_bundle`
+is `dense` of it, for the theta = 1 naive builder (h0 alone) and the
+beyond-dipole and 1D multipolar forms.  With h0 + P^2 it is also what certifies
+the family at run time: for couplings that factor, the family's theta = 1 member
+approaches it as the cutoff converges, and `gaugecheck.canonical_residual`
+measures how far a member's eigenvector is from being one of its eigenvectors, a
+check that a wrong beta or wrong gauge phases fail although every member still
+agrees with every other.  No builder is written out by hand: the dense forms the
+cores are checked against (the embedded-product `DenseSystem`, the single-mode
 two-level Coulomb and multipolar forms, and the beyond-dipole and 1D
 Hamiltonians term by term) live with the tests.
 
@@ -646,8 +654,7 @@ class QuadratureFamily:
     and the O(n) vectors of its basis.  Its members are `MemberRecipe`s: `measure` checks K
     once per family and each member's beta; a sector handed to LAPACK (`sector_blocks`, or
     a stack of them in `ground_energies`) is a copy of M0 plus O(n) writes; eigenvectors
-    take p on the way out (`_place`); `apply_member` works from K; and `residual` compares
-    two members by their beta alone.
+    take p on the way out (`_place`); and `apply_member` works from K.
     """
 
     @classmethod
@@ -736,21 +743,24 @@ class QuadratureFamily:
         t = np.multiply.outer(np.asarray(scales, dtype=float), self.x)
         return np.exp(-1j * theta * np.multiply.outer(t, self.lam))
 
-    def _off_diagonal(self, scales, order: Optional[int]) -> np.ndarray:
+    def _off_diagonal(self, scales, order: Optional[int], k=slice(None),
+                      l=slice(None)) -> np.ndarray:
         """beta (L, L, S, n), whose (k, l) entry is the diagonal of M'_kl - delta_kl K at each
         coupling scale (beta_kk = h0'_kk); with `order`, of the naive theta = 0 series of
-        that order.  It does not depend on theta."""
+        that order; with level indices k and l, only that entry, (S, n).  It does not depend
+        on theta."""
         t = np.multiply.outer(np.asarray(scales, dtype=float), self.x)
-        z = 1j * np.subtract.outer(self.lam, self.lam)[:, :, None, None] * t
+        z = 1j * np.subtract.outer(self.lam[k], self.lam[l])[..., None, None] * t
         series = (np.exp(z) if order is None
                   else sum(z**j / math.factorial(j) for j in range(order + 1)))
-        return self.h0[:, :, None, None] * series
+        return self.h0[k, l][..., None, None] * series
 
     def recipe(self, scales, order: Optional[int] = None) -> MemberRecipe:
         """The recipe of a two-level H(theta), at any theta, at each coupling scale, or with
-        `order` of the naive theta = 0 series of that order: beta holds no n x n block."""
+        `order` of the naive theta = 0 series of that order: beta = beta_01 alone, no n x n
+        block."""
         scales = np.asarray(scales, dtype=float)
-        return MemberRecipe(scales, order, self._off_diagonal(scales, order)[0, 1].copy())
+        return MemberRecipe(scales, order, self._off_diagonal(scales, order, 0, 1))
 
     @cached_property
     def _k_checks(self) -> tuple[float, float, float]:
@@ -900,28 +910,6 @@ class QuadratureFamily:
         m *= p[:, :, None, None]
         m *= p.conj()
         return self.basis.fock_matrix(m.reshape(n * levels, n * levels))
-
-    def same_basis(self, other: QuadratureFamily) -> bool:
-        """Whether two families share one basis and one M': the cutoffs, couplings, U, chi
-        and h0 agree."""
-        return (self.cutoffs == other.cutoffs and np.array_equal(self.g, other.g)
-                and np.array_equal(self.u, other.u)
-                and np.array_equal(self.cs.chi, other.cs.chi)
-                and np.array_equal(self.h0, other.h0))
-
-    def residual(self, h_a: HamiltonianBundle, h_b: HamiltonianBundle,
-                 low_fraction: float) -> float:
-        """||(W H_a W^dag - H_b) P_low||_2 for two bundles of one M' (`same_basis`), both at
-        coupling scale 1.  W P_a = P_b, so W H_a W^dag - H_b = P_b (M'_a - M'_b) P_b^dag,
-        whose only blocks are diag(beta_a - beta_b) and its adjoint.  P_b and those diagonals
-        drop out of the norm but for |beta_a - beta_b|, and R_mu and U drop out of P_low:
-        the norm is ||diag(|beta_a - beta_b|) ((x)_mu v_mu^T[:, low_mu])||_2."""
-        # the Fock states with every n_mu <= fraction * N_mu, as `_low_sector_mask`
-        low = reduce(kron, [v[:int(np.floor(low_fraction * (len(v) - 1))) + 1]
-                            for v in self.v]).T
-        m = np.abs(h_a.recipe.beta[0] - h_b.recipe.beta[0])[:, None] * low
-        # ||M||_2^2 is the largest eigenvalue of M^T M, to the same relative accuracy
-        return float(np.sqrt(np.linalg.eigvalsh(m.T @ m)[-1]))
 
 
 class EigenbasisFamily:
@@ -1147,17 +1135,25 @@ def polarization_squared(cs: CouplingSet) -> np.ndarray:
     return np.einsum("mn,mji,njk->ik", cs.chi, eta.conj(), eta)
 
 
+def canonical_terms(cs: CouplingSet, matter: np.ndarray, space: HilbertSpec) -> list[dict]:
+    """The Kronecker terms of the canonical multipolar H = H_F + `multipolar_interaction` +
+    matter at theta = 1 on `space`, the matter term (h0, with the P^2 term or without it)
+    on its matter factor.  It truncates the Fock space after the gauge map, not before, so
+    it is no member of the gauge family: for couplings that factor, the family's theta = 1
+    member of h0 approaches its form with h0 + `polarization_squared` only as the cutoff
+    converges."""
+    return [*field_terms(cs.chi, space), *multipolar_interaction(cs, space),
+            {space.matter_indices[0]: matter}]
+
+
 def _multipolar_bundle(cs: CouplingSet, matter: np.ndarray, cutoffs: tuple[int, ...],
                        meta: dict, parity_signs: Optional[Sequence[int]] = None,
                        time_reversal: bool = False) -> HamiltonianBundle:
-    """The canonical multipolar H = H_F + `multipolar_interaction` + matter at theta = 1, the
-    matter term (h0, with the P^2 term or without it) on the matter factor of the
-    `standard_space` of the cutoffs, summed from their terms at once; parity and time
-    reversal declared as in `_bundle`."""
+    """`dense` of the `canonical_terms` on the `standard_space` of the cutoffs; parity and
+    time reversal declared as in `_bundle`."""
     space = standard_space(cutoffs, cs.matter_dim)
-    h = space.dense([*field_terms(cs.chi, space), *multipolar_interaction(cs, space),
-                     {space.matter_indices[0]: matter}])
-    return _bundle(h, space, MULTIPOLAR, meta, parity_signs, time_reversal)
+    return _bundle(space.dense(canonical_terms(cs, matter, space)), space, MULTIPOLAR, meta,
+                   parity_signs, time_reversal)
 
 
 def build_naive(ms: ModeSet, em: EmitterSpec, g: GaugeParam,

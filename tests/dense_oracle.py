@@ -41,7 +41,7 @@ finite-difference problem with scipy's generalized symmetric eigensolver.
 `tls_single_mode_modeset` is the single-mode two-level system most tests start from.
 
 The rest are the dense forms the package itself no longer needs: the embedded
-`ladder` and `pauli` operators, the low-sector projector P_low, the explicit
+`ladder` and `pauli` operators, the explicit
 single-mode two-level Coulomb and multipolar Hamiltonians
 (`build_tls_coulomb_single`, `build_tls_multipolar_single`), and the
 truncated field operators A and E at a point with the residual of the
@@ -55,7 +55,7 @@ import numpy as np
 import scipy.linalg
 
 from gaugecraft.errors import ConvergenceError, InvariantViolation
-from gaugecraft.gaugecheck import DEFAULT_LOW_FRACTION, AmbiguityRow
+from gaugecraft.gaugecheck import AmbiguityRow
 from gaugecraft.hamiltonians import (COULOMB, MULTIPOLAR, TLS_PARITY_SIGNS, HamiltonianBundle,
                                      _normalize_cutoffs, couplings, segment_integral,
                                      standard_space)
@@ -496,12 +496,6 @@ def _photon_diagonal(space, keep):
     photon numbers) and of ones on the others."""
     return reduce(np.kron, [keep(np.arange(f.dim), f.dim - 1) if f.kind == "photon"
                             else np.ones(f.dim) for f in space.factors])
-
-
-def low_sector_projector(space, fraction=DEFAULT_LOW_FRACTION):
-    """Projector onto product states with every photon number <= fraction * cutoff."""
-    return np.diag(_photon_diagonal(space, lambda n, top: n <= np.floor(fraction * top))
-                   ).astype(complex)
 
 
 def _tls_bundle(h, space, gauge, meta, *inputs):

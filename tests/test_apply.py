@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 import dense_oracle
 from gaugecraft import (COULOMB, MULTIPOLAR, DetectorSpec, GaugeParam, HamiltonianBundle,
                         ModeSet, build_dipole, build_naive, couplings, rate_table,
-                        significant_transitions, verify_spectral_equivalence)
+                        significant_transitions)
 from gaugecraft.detect import detection_operator
+from gaugecraft.gaugecheck import canonical_residual
 from gaugecraft.hamiltonians import standard_space
 from gaugecraft.hilbert import HermitianGenerator, max_abs
 from test_factored import KINDS, random_system
@@ -159,8 +160,9 @@ def test_bundle_apply_matches_the_formed_hamiltonian(system, theta, k):
 def test_quadrature_bundle_reads_from_k_equal_the_dense_oracle(seed, n_modes, real, theta,
                                                                  order, k):
     """A two-level member keeps only its recipe: `apply` works as P (M' (P^* x)) from K,
-    `H` is formed from K, beta and the phases P, and the pair's operator residual from
-    beta.  Each equals the embedded-product oracle, with and without time reversal: a single
+    `H` is formed from K, beta and the phases P, and the multipolar partner's canonical
+    residual from its sectors and phases.  Each equals the embedded-product oracle's, with
+    and without time reversal: a single
     mode's rotated chi~ = chi_00 is real whatever the phase of its coupling, so its complex
     member declares time reversal as well."""
     ms, em = (real_system if real else random_system)(seed, n_modes, "tls")
@@ -178,15 +180,11 @@ def test_quadrature_bundle_reads_from_k_equal_the_dense_oracle(seed, n_modes, re
         tol = APPLY_TOL * scale * np.abs(x).sum(axis=0).max()
         assert max_abs(bundle.apply(x) - h @ x) <= tol
     partner = build_dipole(ms, em, MULTIPOLAR, cutoffs)
-    basis = couplings(ms, em).generator(bundle.space)
-    got = verify_spectral_equivalence(bundle, partner, k=3, basis=basis).operator_residual
-    want = verify_spectral_equivalence(dense, dense_oracle.dense_bundle(ms, em, MULTIPOLAR,
-                                                                        cutoffs),
-                                       k=3, basis=basis).operator_residual
-    if order is None:
-        assert got <= 1e-10 and want <= 1e-10
-    else:
-        assert abs(got / want - 1) <= 1e-10
+    cs, e0 = couplings(ms, em), partner.eigenvalues(1)[0]
+    got = canonical_residual(partner, cs, em.h0, e0)
+    want = canonical_residual(dense_oracle.dense_bundle(ms, em, MULTIPOLAR, cutoffs), cs,
+                              em.h0, e0)
+    assert abs(got - want) <= 1e-12 * max(1.0, want)
 
 
 @settings(max_examples=30, deadline=None)

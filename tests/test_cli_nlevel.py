@@ -150,7 +150,7 @@ def test_the_per_member_scan_forms_k_once_per_cutoff(monkeypatch):
                         lambda self: calls["K"].append(self.cutoffs) or field(self))
     monkeypatch.setattr(hamiltonians.CouplingSet, "common_matter_matrix",
                         lambda self: calls.__setitem__("split", calls["split"] + 1) or split(self))
-    rows = ambiguity_scan(MS, ONE_AXIS, [0.1, 0.2])
+    rows, _ = ambiguity_scan(MS, ONE_AXIS, [0.1, 0.2])
     assert {r.cutoff for r in rows} == {6}  # the rungs 3 and 6
     assert sorted(calls["K"]) == [(3, 3), (6, 6)] and calls["split"] == 2
 
@@ -163,16 +163,20 @@ def test_a_scan_that_is_not_sectored_builds_members_at_theta_1(monkeypatch, em):
     built = []
     original = gaugecheck._family_bundle
 
-    def counted(*args, **kwargs):
-        built.append((args[4].theta, args[6], args[3]))  # the gauge, naive order and cutoffs
-        return original(*args, **kwargs)
+    def counted(cs, h0, signs, cutoffs, gauge, meta, order=None, **kwargs):
+        built.append((gauge.theta, order, cutoffs))
+        return original(cs, h0, signs, cutoffs, gauge, meta, order, **kwargs)
 
     monkeypatch.setattr(gaugecheck, "_family_bundle", counted)
-    rows = ambiguity_scan(MS, em, [0.1, 0.2])
+    rows, residual = ambiguity_scan(MS, em, [0.1, 0.2])
     assert {r.cutoff for r in rows} == {6}
+    # where the couplings factor, one more multipolar member, the certificate's: the
+    # strongest coupling at the rung where its multipolar ladder converged
+    certified = em is ONE_AXIS
     for ladder in ((0.0, None), (1.0, None), (0.0, 1)):
-        assert [n for *key, n in built if tuple(key) == ladder] == [(3, 3)] * 2 + [(6, 6)] * 2
-    assert len(built) == 12
+        assert [n for *key, n in built if tuple(key) == ladder] == (
+            [(3, 3)] * 2 + [(6, 6)] * 2 + [(6, 6)] * (certified and ladder == (1.0, None)))
+    assert len(built) == 12 + certified and (residual is None) != certified
 
 
 def count_eigh_sizes(monkeypatch) -> list:
@@ -196,7 +200,7 @@ def test_the_dense_route_eigendecomposes_x_once_per_pair_and_per_rung(tmp_path, 
         build_gauge_pair(MS, TWO_AXES, CUTOFFS, naive_order)
         assert sizes == [standard_space(CUTOFFS, 3).dim]
         sizes.clear()
-    rows = ambiguity_scan(MS, TWO_AXES, [0.1, 0.2, 0.3, 0.4])
+    rows, _ = ambiguity_scan(MS, TWO_AXES, [0.1, 0.2, 0.3, 0.4])
     visited = [n for n in scan_cutoffs(2, 3) if n <= max(r.cutoff for r in rows)]
     assert len(visited) >= 2 and sizes == [3 * (n + 1) ** 2 for n in visited]
     for command, section, want in (
@@ -248,3 +252,19 @@ def test_an_oversized_dense_route_command_is_refused_before_the_family_forms(
     assert "fock_cutoffs [40, 40]" in err and "D = 5043" in err and need in err
     assert peak < 10_000_000
     assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("em", [ONE_AXIS, TWO_AXES], ids=["one_axis", "two_axes"])
+def test_gauge_check_certifies_the_couplings_that_factor(tmp_path, capsys, em):
+    """The one-axis ladder's couplings factor: its strongest coupling's multipolar member is
+    certified by the canonical multipolar form, below the spectral tolerance.  The two-axis
+    emitter's truncated couplings do not commute, so the canonical form is not the limit of
+    its theta = 1 member: it writes no canonical residual."""
+    out = run(tmp_path, "gauge-check", em, gauge_check={"eta_grid": [0.1, 0.2]})
+    stdout = capsys.readouterr().out
+    meta = json.loads((out / "metadata.json").read_text(encoding="utf-8"))
+    assert stdout.startswith("PASS") and meta["verdict"] == "PASS"
+    if em is ONE_AXIS:
+        assert 0.0 < meta["canonical_residual"] < meta["spectral_tol"]
+    else:
+        assert meta["canonical_residual"] is None and "canonical residual n/a" in stdout

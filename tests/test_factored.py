@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 import gaugecraft.hamiltonians as hamiltonians
 import dense_oracle
-from dense_oracle import DenseSystem, low_sector_projector
+from dense_oracle import DenseSystem
 from gaugecraft import (COULOMB, MULTIPOLAR, EmitterSpec, GaugeParam, InvariantViolation,
                         LongitudinalCoupling, ModeSet, build_dipole, build_naive,
                         build_time_dependent, couplings, field_hamiltonian, gauge_unitary,
-                        raised_cosine_ramp, standard_space, td_gauge_equivalence, tls,
-                        verify_spectral_equivalence)
+                        raised_cosine_ramp, standard_space, td_gauge_equivalence, tls)
+from gaugecraft.gaugecheck import canonical_residual
 from gaugecraft.hilbert import HermitianGenerator, HilbertSpec, max_abs, photon
 from test_time_reversal import real_system
 
@@ -277,17 +277,21 @@ def test_zero_couplings_give_identity_unitary():
     assert max_abs(w - np.eye(space.dim)) < 1e-15
 
 
-def test_masked_residual_equals_projector_form():
+def test_the_certificate_equals_the_dense_eigenvector_residual():
+    """`canonical_residual`, from one shifted solve per sector at the member's ground energy,
+    equals ||H_can v - E0 v|| for eigh's ground vector v of the member and the dense oracle's
+    canonical multipolar form, at a cutoff where it is far from zero and at a converged one."""
     ms, em = random_system(7, 1, "tls")
-    naive = build_naive(ms, em, COULOMB, 16)
-    correct = build_dipole(ms, em, MULTIPOLAR, 16)
-    basis = couplings(ms, em).generator(naive.space)
-    rep = verify_spectral_equivalence(naive, correct, k=3, basis=basis)
-    w = gauge_unitary(basis, 0.0, 1.0)
-    p_low = low_sector_projector(naive.space)
-    delta = (w @ naive.H @ w.conj().T - correct.H) @ p_low
-    assert rep.operator_residual > 1e-3
-    assert abs(rep.operator_residual - np.linalg.norm(delta, 2)) < 1e-12 * rep.operator_residual
+    cs = couplings(ms, em)
+    omega0 = em.levels[0] - em.levels[1]
+    for cutoff, floor in ((4, 1e-3), (40, 0.0)):
+        bundle = build_dipole(ms, em, MULTIPOLAR, cutoff)
+        vals, vecs = np.linalg.eigh(bundle.H)
+        h_can = dense_oracle.build_tls_multipolar_single(ms.chi[0, 0].real, omega0,
+                                                         cs.scalars[0], cutoff).H
+        want = np.linalg.norm(h_can @ vecs[:, 0] - vals[0] * vecs[:, 0])
+        got = canonical_residual(bundle, cs, em.h0, vals[0])
+        assert want >= floor and abs(got - want) <= 1e-12 * max(1.0, want)
 
 
 def test_eigensystem_is_computed_once(monkeypatch):

@@ -18,7 +18,7 @@ from gaugecraft import (COULOMB, MULTIPOLAR, FockCutoffWarning, ambiguity_scan, 
                         build_naive, couplings, gauge_unitary, verify_spectral_equivalence)
 from gaugecraft import ConfigError, EmitterSpec, HamiltonianBundle, ModeSet, tls
 from gaugecraft.cli import command_bytes, main
-from gaugecraft.gaugecheck import _climb, scan_cutoffs
+from gaugecraft.gaugecheck import _climb, canonical_residual, scan_cutoffs
 from gaugecraft.hamiltonians import QuadratureFamily, build_gauge_pair
 from gaugecraft.hilbert import PAULI_X, PAULI_Y, HermitianGenerator, max_abs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
@@ -88,26 +88,25 @@ class TestVerifySpectralEquivalence:
     def test_identical_inputs_give_zero(self):
         ms, em, cs, _ = _setup()
         b = build_dipole(ms, em, COULOMB, 25)
-        rep = verify_spectral_equivalence(b, b, k=6, basis=cs.generator(b.space))
+        rep = verify_spectral_equivalence(b, b, k=6)
         assert rep.max_abs_diff == 0.0
         assert np.all(rep.per_level == 0.0)
-        assert rep.operator_residual < 1e-12
 
     def test_correct_endpoints_agree(self):
         ms, em, cs, _ = _setup(eta=0.5)
         b0 = build_dipole(ms, em, COULOMB, 40)
         b1 = build_dipole(ms, em, MULTIPOLAR, 40)
-        rep = verify_spectral_equivalence(b0, b1, k=5, tol=1e-6, basis=cs.generator(b0.space))
+        rep = verify_spectral_equivalence(b0, b1, k=5, tol=1e-6)
         assert rep.max_abs_diff < 1e-6
-        assert rep.operator_residual < 1e-10
         assert rep.converged
+        # the multipolar member's ground level is one of the canonical multipolar form's
+        assert canonical_residual(b1, cs, em.h0, b1.eigenvalues(1)[0]) < 1e-12
 
     def test_naive_versus_correct_disagrees(self):
         ms, em, cs, _ = _setup(eta=0.5)
         naive = build_naive(ms, em, COULOMB, 40, order=1)
         correct = build_dipole(ms, em, MULTIPOLAR, 40)
-        rep = verify_spectral_equivalence(naive, correct, k=5, tol=1e-6,
-                                          basis=cs.generator(naive.space))
+        rep = verify_spectral_equivalence(naive, correct, k=5, tol=1e-6)
         assert rep.max_abs_diff > 1e-2
         assert not rep.converged
 
@@ -130,12 +129,12 @@ class TestVerifySpectralEquivalence:
         ms, em, cs, _ = _setup(eta=0.4)
         b0 = build_dipole(ms, em, COULOMB, 20)
         b1 = build_dipole(ms, em, MULTIPOLAR, 20)
-        basis = cs.generator(b0.space)
-        r1 = verify_spectral_equivalence(b0, b1, k=5, basis=basis)
-        r2 = verify_spectral_equivalence(b0, b1, k=5, basis=basis)
+        r1 = verify_spectral_equivalence(b0, b1, k=5)
+        r2 = verify_spectral_equivalence(b0, b1, k=5)
         assert r1.max_abs_diff == r2.max_abs_diff
-        assert r1.operator_residual == r2.operator_residual
         assert np.array_equal(r1.per_level, r2.per_level)
+        e0 = b1.eigenvalues(1)[0]
+        assert canonical_residual(b1, cs, em.h0, e0) == canonical_residual(b1, cs, em.h0, e0)
 
 
 class TestQuadraturePair:
@@ -152,17 +151,14 @@ class TestQuadraturePair:
         fock_a = dense_oracle.dense_bundle(ms, em, COULOMB, 30, order)
         fock_b = dense_oracle.dense_bundle(ms, em, MULTIPOLAR, 30)
         assert fock_a.basis == fock_b.basis == "fock"
-        basis = couplings(ms, em).generator(h_a.space)
-        for fraction in (0.5, 0.3, 1.0):
-            got = verify_spectral_equivalence(h_a, h_b, k=6, low_fraction=fraction, basis=basis)
-            want = verify_spectral_equivalence(fock_a, fock_b, k=6, low_fraction=fraction,
-                                               basis=basis)
-            assert got.cutoff == want.cutoff == (30,)
-            assert max_abs(got.per_level - want.per_level) <= 1e-12
-            if want.operator_residual >= 1e-6:
-                assert abs(got.operator_residual / want.operator_residual - 1) <= 1e-10
-            else:
-                assert got.operator_residual <= 1e-10 and order is None
+        got = verify_spectral_equivalence(h_a, h_b, k=6)
+        want = verify_spectral_equivalence(fock_a, fock_b, k=6)
+        assert got.cutoff == want.cutoff == (30,)
+        assert max_abs(got.per_level - want.per_level) <= 1e-12
+        # the certificate reads the multipolar member's sectors and phases from either basis
+        cs, e0 = couplings(ms, em), h_b.eigenvalues(1)[0]
+        for bundle in (h_b, fock_b):
+            assert canonical_residual(bundle, cs, em.h0, e0) <= 1e-12
 
     def test_couplings_that_do_not_factor_are_built_in_the_fock_basis(self, tmp_path, capsys):
         # a circularly polarized mode: eta = sigma_x - i sigma_y is no phase times a
@@ -179,7 +175,7 @@ class TestQuadraturePair:
         assert main(["gauge-check", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().out.startswith("PASS")
         meta = json.loads((tmp_path / "out" / "metadata.json").read_text(encoding="utf-8"))
-        assert meta["operator_residual"] <= 1e-10
+        assert meta["canonical_residual"] is None  # certified only where couplings factor
 
     @pytest.mark.parametrize("order", [None, 2])
     def test_the_pair_shares_one_family_and_forms_k_once(self, monkeypatch, order):
@@ -211,19 +207,17 @@ class TestQuadraturePair:
         with pytest.warns(FockCutoffWarning, match="26.0"):
             build_dipole(ms, em, MULTIPOLAR, 12)
 
-    def test_residual_of_bundles_in_different_bases_is_formed_in_the_fock_basis(self):
+    def test_bundles_in_different_bases_compare_by_their_eigenvalues(self):
         ms, em = tls_single_mode_modeset(1.0, 0.5, 1.0)
         h_a, h_b = build_gauge_pair(ms, em, 12, 1)
         other, _ = build_gauge_pair(ms, em, 12, 1)  # separate builds share one basis
         fock = HamiltonianBundle(h_b.H, h_b.space, h_b.gauge, h_b.metadata)
         assert fock.basis == "fock"
-        basis = couplings(ms, em).generator(h_a.space)
-        want = verify_spectral_equivalence(h_a, h_b, k=3, basis=basis).operator_residual
+        want = verify_spectral_equivalence(h_a, h_b, k=3).max_abs_diff
         assert want > 1e-3
         for a, b in ((other, h_b), (h_a, fock)):
-            got = verify_spectral_equivalence(a, b, k=3, basis=basis).operator_residual
+            got = verify_spectral_equivalence(a, b, k=3).max_abs_diff
             assert abs(got / want - 1) <= 1e-10
-        assert verify_spectral_equivalence(h_a, fock, k=3).max_abs_diff > 1e-3
 
 
 class TestConvergenceProtocol:
@@ -239,9 +233,10 @@ class TestConvergenceProtocol:
 
 class TestAmbiguityScan:
     def test_zero_coupling_row(self):
-        rows = ambiguity_scan(*tls_single_mode_modeset(1.0, 1.0, 1.0), [0.0])
+        rows, residual = ambiguity_scan(*tls_single_mode_modeset(1.0, 1.0, 1.0), [0.0])
         assert rows[0].naive_gap < 1e-10
         assert rows[0].correct_gap < 1e-10
+        assert residual < 1e-12
 
     def test_rungs_follow_the_member_dimension(self):
         """From the smallest N with L (N + 1)^M >= 42, doubled while it is <= 1282."""
@@ -252,7 +247,7 @@ class TestAmbiguityScan:
 
     def test_a_scan_without_a_ladder_or_a_scale_is_refused(self):
         ms, em = tls_single_mode_modeset(1.0, 0.0, 1.0)
-        assert ambiguity_scan(ms, em)[0].eta == 0.0  # the uncoupled system's own strength
+        assert ambiguity_scan(ms, em)[0][0].eta == 0.0  # the uncoupled system's own strength
         with pytest.raises(ConfigError, match="couplings are all zero"):
             ambiguity_scan(ms, em, [0.3])
         ten_modes = ModeSet(np.eye(10), {em.position_label: np.full((10, 3), 0.1)})
@@ -260,11 +255,13 @@ class TestAmbiguityScan:
             ambiguity_scan(ten_modes, tls(1.0, (0.5, 0.0, 0.0)), [0.3])
 
     def test_gap_growth_and_correct_flatness(self):
-        rows = ambiguity_scan(*tls_single_mode_modeset(1.0, 1.0, 1.0), [0.1, 0.3, 0.5, 1.0])
+        rows, residual = ambiguity_scan(*tls_single_mode_modeset(1.0, 1.0, 1.0),
+                                        [0.1, 0.3, 0.5, 1.0])
         naive = [r.naive_gap for r in rows]
         assert all(naive[i + 1] > naive[i] for i in range(3))
         assert all(r.correct_gap < 1e-6 for r in rows)
         assert all(r.converged for r in rows)
+        assert residual < 1e-12  # the strongest coupling's ladder, certified
 
 
 @pytest.mark.parametrize("override, key", [
@@ -430,10 +427,50 @@ def test_a_sectored_verify_pair_peaks_at_its_command_bytes(monkeypatch):
     tracemalloc.start()
     try:
         h_a, h_b = build_gauge_pair(ms, em, 20)
-        rep = verify_spectral_equivalence(h_a, h_b, k=5, basis=h_a.family.basis)
+        rep = verify_spectral_equivalence(h_a, h_b, k=5)
         peak = max(tracemalloc.get_traced_memory()[1], *at_solves)
     finally:
         tracemalloc.stop()
     assert h_a.basis == "quadrature" and rep.max_abs_diff <= 1e-12
     budget = command_bytes("gauge-check", 882, True)
     assert 0.9 * budget <= peak <= budget, f"{peak / (16 * 882**2):.3f} x 16 D^2"
+
+
+def beta_exponent_scaled(monkeypatch):
+    """Every beta with its exponent i (lam_0 - lam_1) c nu scaled by 0.9."""
+    original = QuadratureFamily._off_diagonal
+    monkeypatch.setattr(QuadratureFamily, "_off_diagonal",
+                        lambda family, scales, order, *levels: original(
+                            family, 0.9 * np.asarray(scales, dtype=float), order, *levels))
+
+
+def coulomb_phases_placed_at_theta_1(monkeypatch):
+    """Every member's eigenvectors placed with the theta = 0 phases whatever its theta."""
+    original = QuadratureFamily.places
+    monkeypatch.setattr(QuadratureFamily, "places",
+                        lambda family, theta, recipe: original(family, 0.0, recipe))
+
+
+@pytest.mark.parametrize("mutate", [beta_exponent_scaled, coulomb_phases_placed_at_theta_1])
+def test_a_wrong_member_fails_the_certificate(tmp_path, capsys, monkeypatch, mutate):
+    """The correct ladder and the verify pair share one recipe, so a wrong beta or wrong
+    phases leave correct_gap and the pair's difference at 0: only the canonical form sees
+    them.  The verdict then reads FAIL, and the command still exits 0."""
+    ms, em = tls_single_mode_modeset(1.0, 0.5, 1.0)
+    config = write_config(tmp_path, {"seed": 0, "modeset": modeset_to_json(ms),
+                                     "emitter": emitter_to_json(em), "fock_cutoffs": 40,
+                                     "gauge_check": {"eta_grid": [0.05, 0.5]}})
+    metas = []
+    for run in ("correct", "mutated"):
+        if run == "mutated":
+            mutate(monkeypatch)
+        out = tmp_path / run
+        assert main(["gauge-check", "--config", str(config), "--out", str(out)]) == 0
+        metas.append((capsys.readouterr().out,
+                      json.loads((out / "metadata.json").read_text(encoding="utf-8"))))
+    (stdout, meta), (stdout_bad, meta_bad) = metas
+    assert stdout.startswith("PASS") and meta["verdict"] == "PASS"
+    assert meta["canonical_residual"] <= 1e-12
+    assert stdout_bad.startswith("FAIL") and meta_bad["verdict"] == "FAIL"
+    assert meta_bad["canonical_residual"] > 1e-2 and meta_bad["max_abs_diff"] == 0.0
+    assert "canonical residual" in stdout_bad

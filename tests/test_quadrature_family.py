@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from gaugecraft import (COULOMB, GaugeParam, HamiltonianBundle, InvariantViolation, ModeSet,
-                        build_dipole, build_naive, couplings, field_hamiltonian, tls,
-                        verify_spectral_equivalence)
+from gaugecraft import (COULOMB, MULTIPOLAR, CouplingSet, GaugeParam, HamiltonianBundle,
+                        InvariantViolation, ModeSet, build_dipole, build_naive, couplings,
+                        field_hamiltonian, tls)
+from gaugecraft.gaugecheck import canonical_residual
 from gaugecraft.hamiltonians import QuadratureFamily
 from gaugecraft.hilbert import HilbertSpec, max_abs, parity_labels
 
@@ -194,41 +195,29 @@ class TestMutations:
             self.measured(family)
 
 
-@pytest.mark.parametrize("order", [None, 2])
-def test_two_mode_residual_equals_the_fock_basis_residual(order):
-    """W H_a W^dag - H_b on the low sector, as a diagonal phase in the quadrature basis and
-    with W and both H formed in the Fock basis, for a complex chi and complex couplings."""
+def test_two_mode_certificate_equals_the_fock_basis_certificate():
+    """The canonical residual of a multipolar member read from its quadrature-basis sectors
+    and phases and from the same H as a Fock-basis bundle, for a complex chi and complex
+    couplings at a cutoff where the residual is far from zero (9.0e-6)."""
     ms, em = two_modes()
     ms = ModeSet(ms.chi, {"emitter": ms.profile("emitter") * np.exp([[0.4j], [-1.1j]])})
-    h_a = (build_dipole(ms, em, COULOMB, (5, 3)) if order is None
-           else build_naive(ms, em, COULOMB, (5, 3), order=order))
-    h_b = build_dipole(ms, em, GaugeParam(0.6), (5, 3))
+    h_b = build_dipole(ms, em, MULTIPOLAR, (5, 3))
     fock_b = HamiltonianBundle(h_b.H, h_b.space, h_b.gauge, h_b.metadata)
-    basis = couplings(ms, em).generator(h_a.space)
-    for fraction in (0.5, 0.3, 1.0):
-        got = verify_spectral_equivalence(h_a, h_b, k=4, low_fraction=fraction, basis=basis)
-        want = verify_spectral_equivalence(h_a, fock_b, k=4, low_fraction=fraction, basis=basis)
-        if order is None:
-            assert got.operator_residual <= 1e-10 and want.operator_residual <= 1e-10
-        else:
-            assert abs(got.operator_residual / want.operator_residual - 1) <= 1e-10
+    assert h_b.basis == "quadrature" and fock_b.basis == "fock"
+    cs, e0 = couplings(ms, em), h_b.eigenvalues(1)[0]
+    got, want = (canonical_residual(b, cs, em.h0, e0) for b in (h_b, fock_b))
+    assert want > 1e-6 and abs(got - want) <= 1e-12
 
 
-@pytest.mark.parametrize("differ", ["chi", "h0"])
-def test_families_of_one_basis_but_another_k_take_the_fock_basis_residual(differ):
-    """Two families with equal couplings and cutoffs, so one basis, but another chi (so
-    another K) or another h0: the beta difference alone would miss the rest of
-    W H_a W^dag - H_b, so the pair's residual is the one of the formed W and both H."""
-    ms, em = two_modes()
-    other_ms, other_em = ((two_modes(complex_chi=False)[0], em) if differ == "chi"
-                          else (ms, tls(1.4, (0.6, 0.2, 0.0))))
-    cs = couplings(ms, em)
-    assert np.array_equal(couplings(other_ms, other_em).eta_matrices, cs.eta_matrices)
-    h_a = build_dipole(ms, em, COULOMB, (4, 3))
-    h_b = build_dipole(other_ms, other_em, GaugeParam(1.0), (4, 3))
-    assert not h_a.family.same_basis(h_b.family) and h_a.family.same_basis(h_a.family)
-    fock = [HamiltonianBundle(h.H, h.space, h.gauge, h.metadata) for h in (h_a, h_b)]
-    basis = cs.generator(h_a.space)
-    got = verify_spectral_equivalence(h_a, h_b, k=4, basis=basis).operator_residual
-    want = verify_spectral_equivalence(*fock, k=4, basis=basis).operator_residual
-    assert want > 1e-2 and abs(got / want - 1) <= 1e-12
+@pytest.mark.parametrize("differ", ["chi", "h0", "eta"])
+def test_the_certificate_fails_a_member_of_other_inputs(differ):
+    """A converged multipolar member (one mode, eta = 0.5, N = 40) is certified by its own
+    canonical form to 1e-12, and not by one of another chi, h0 or coupling strength."""
+    ms, em = dense_oracle.tls_single_mode_modeset(1.0, 0.5, 1.0)
+    bundle = build_dipole(ms, em, MULTIPOLAR, 40)
+    cs, e0 = couplings(ms, em), bundle.eigenvalues(1)[0]
+    assert canonical_residual(bundle, cs, em.h0, e0) <= 1e-12
+    other = {"chi": (CouplingSet(cs.eta_matrices, 1.1 * cs.chi), em.h0),
+             "h0": (cs, tls(1.1, (0.5, 0.0, 0.0)).h0),
+             "eta": (CouplingSet(0.9 * cs.eta_matrices, cs.chi), em.h0)}[differ]
+    assert canonical_residual(bundle, *other, e0) > 1e-2

@@ -120,11 +120,11 @@ def test_ground_energies_are_the_lowest_level_of_both_sectors(system, ladder):
     assert_members_close(family.ground_energies(swapped), want[:, 0], f"{ladder} swapped")
 
 
-def count_solves(monkeypatch):
-    """The shapes of the arrays that `numpy.linalg.eigvalsh` and `numpy.linalg.cholesky` are
-    called on, (eigvalsh, cholesky)."""
-    shapes = ([], [])
-    for name, seen in zip(("eigvalsh", "cholesky"), shapes):
+def count_solves(monkeypatch, names=("eigvalsh", "cholesky")):
+    """The shapes of the arrays that each of these `numpy.linalg` functions is called on, one
+    list per name: (eigvalsh, cholesky) by default."""
+    shapes = tuple([] for _ in names)
+    for name, seen in zip(names, shapes):
         def counted(m, *args, original=getattr(np.linalg, name), seen=seen, **kwargs):
             seen.append(np.shape(m))
             return original(m, *args, **kwargs)
@@ -162,7 +162,7 @@ def test_gauge_check_solves_one_sector_and_certifies_the_other_per_rung(tmp_path
         return original(family, recipe)
 
     monkeypatch.setattr(QuadratureFamily, "ground_energies", counted)
-    eigvalsh, cholesky = count_solves(monkeypatch)
+    eigvalsh, cholesky, solve = count_solves(monkeypatch, ("eigvalsh", "cholesky", "solve"))
     assert main(["gauge-check", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     rows = (tmp_path / "out" / "gauge_report.csv").read_text(encoding="utf-8").splitlines()
     assert len(rows) == len(grid) + 1
@@ -177,12 +177,32 @@ def test_gauge_check_solves_one_sector_and_certifies_the_other_per_rung(tmp_path
     assert max(int(r.split(",")[3]) for r in rows[1:]) == max(s[1] for _, s in solves) - 1
     # every rung solve: one sector's eigvalsh and one Cholesky factorization of the other, on
     # the solve's whole stack; the fallback never runs.  The verify pair shares one recipe
-    # and so solves each of its two sectors once (D = 42), and the residual's Gram matrix
-    # is that of the low sector (N <= 10) of the pair's beta difference; the mode set checks
-    # its 1 x 1 chi when it is loaded.
+    # and so solves each of its two sectors once (D = 42); the mode set checks its 1 x 1 chi
+    # when it is loaded.  The certificate takes the strongest coupling's multipolar member at
+    # the correct ladder's top rung, where it converged, and makes one shifted solve per
+    # sector; it solves no eigenproblem.
     assert [s for s in eigvalsh if len(s) == 3] == [shape for _, shape in solves]
     assert cholesky == [shape for _, shape in solves]
-    assert [s for s in eigvalsh if len(s) == 2] == [(1, 1), (21, 21), (21, 21), (11, 11)]
+    assert [s for s in eigvalsh if len(s) == 2] == [(1, 1), (21, 21), (21, 21)]
+    top = [shape for name, shape in solves if name == "correct"][-1][1]
+    assert solve == [(top, top)] * 2
+
+
+def test_a_sectored_gauge_check_solves_no_eigenvectors(tmp_path, monkeypatch):
+    """The certificate takes the multipolar member's ground vector from the ladder's E0 by
+    shifted solves, and nothing else of a sectored gauge-check asks for eigenvectors: once a
+    first run has cached the rungs' Fock quadrature bases, `numpy.linalg.eigh` sees only the
+    emitter's 2 x 2 dipole matrix, once per family, and no block of a Hamiltonian."""
+    ms, em = tls_single_mode_modeset(1.0, 0.6, 1.0)
+    doc = {"seed": 0, "modeset": modeset_to_json(ms), "emitter": emitter_to_json(em),
+           "fock_cutoffs": 20, "gauge_check": {"eta_grid": np.linspace(0.05, 2.5, 12).tolist()}}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["gauge-check", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    (eigh,) = count_solves(monkeypatch, ("eigh",))
+    assert main(argv) == 0
+    assert eigh and set(eigh) == {(2, 2)}
 
 
 def assert_the_correct_ladder_is_both_gauges(monkeypatch, grid):
@@ -217,11 +237,12 @@ def test_the_one_correct_ladder_is_both_gauges_fock_basis_members(monkeypatch):
     assert_the_correct_ladder_is_both_gauges(monkeypatch, grid)
     original = QuadratureFamily._off_diagonal
 
-    def multipolar_beta(family, scales, order):
+    def multipolar_beta(family, scales, order, *levels):
         """The correct beta replaced by h0'_01 e^(i (1 - theta) (lam_0 - lam_1) c nu), the
         multipolar member's off-diagonal block before its phases, at theta = 1."""
-        beta = original(family, scales, order)
-        return beta if order is not None else family.h0[:, :, None, None] * np.ones_like(beta)
+        beta = original(family, scales, order, *levels)
+        return (beta if order is not None
+                else family.h0[levels][..., None, None] * np.ones_like(beta))
 
     monkeypatch.setattr(QuadratureFamily, "_off_diagonal", multipolar_beta)
     with pytest.raises(AssertionError):
@@ -362,7 +383,7 @@ def test_stacked_scan_matches_the_per_eta_oracle(data, order):
     # the order-2 naive energy is unbounded below from eta ~ 0.5 on; see the next test
     grid = data.draw(eta_grids(1.2 if order == 1 else 0.4))
     ladders = [dense_oracle.ambiguity_ladders(1.0, 1.0, eta, order=order) for eta in grid]
-    rows = ambiguity_scan(*tls_single_mode_modeset(1.0, 1.0, 1.0), grid, order=order)
+    rows, _ = ambiguity_scan(*tls_single_mode_modeset(1.0, 1.0, 1.0), grid, order=order)
     want = [dense_oracle.ambiguity_row(eta, e0) for eta, e0 in zip(grid, ladders)]
     assert [r.eta for r in rows] == [float(eta) for eta in grid]
     for row, ref, e0 in zip(rows, want, ladders):
@@ -378,7 +399,7 @@ def test_scan_raises_where_the_per_eta_ladder_does_not_converge():
         dense_oracle.ambiguity_ladders(1.0, 1.0, 0.8, order=2)
     # the order-2 naive ladder of eta = 0.8 is still falling at the top rung: its row is
     # reported as not converged, with the gap of that rung, and the others are unchanged
-    rows = ambiguity_scan(*tls_single_mode_modeset(1.0, 1.0, 1.0), [0.2, 0.8, 0.1], order=2)
+    rows, _ = ambiguity_scan(*tls_single_mode_modeset(1.0, 1.0, 1.0), [0.2, 0.8, 0.1], order=2)
     assert [r.converged for r in rows] == [True, False, True]
     assert rows[1].cutoff == 640
     ms, em = tls_single_mode_modeset(1.0, 0.8, 1.0)
@@ -441,6 +462,8 @@ def test_one_stacked_build_per_ladder_rung_and_chunk(monkeypatch, budget):
             expected += [(n, np.array(grid)[live[i:i + size]])
                          for i in range(0, live.size, size)]
             n *= 2
+        if ladder == "correct":  # the certificate's member: the strongest coupling, converged
+            expected.append((cutoffs.max(), np.array([max(grid)])))
         got = [(n, scales) for name, n, scales in calls if name == ladder]
         assert [n for n, _ in got] == [n for n, _ in expected]
         for (_, scales), (_, want) in zip(got, expected):
@@ -513,11 +536,17 @@ def test_strong_coupling_grid_climbs_in_bounded_memory(monkeypatch):
     calls = record_builds(monkeypatch)
     tracemalloc.start()
     try:
-        rows = ambiguity_scan(ms, em, grid)
+        rows, residual = ambiguity_scan(ms, em, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert {r.cutoff for r in rows} == {320}
+    # the certificate's member, the strongest coupling at the rung where its correct ladder
+    # converged, after the correct ladder's builds and before the naive ladder's
+    certificate = [i for i, (name, n, s) in enumerate(calls) if len(s) == 1]
+    assert len(certificate) == 1 and calls[certificate[0]][0] == "correct"
+    _, n, scales = calls.pop(certificate[0])
+    assert n == 160 and scales.tolist() == [2.5] and residual <= 1e-12
     assert max(len(s) for _, n, s in calls if n == 160) == 18  # n = 161 climbs 18 at a time
     top = [s for _, n, s in calls if n == 320]
     assert all(len(s) == 4 for s in top)  # n = 321: four members per build
@@ -601,3 +630,18 @@ def test_gauge_check_report_does_not_depend_on_jobs(tmp_path):
     lines = reports[0].decode("utf-8").splitlines()
     assert len(lines) == 5 and lines[2].startswith("0.1,") and lines[4].startswith("0.1,")
     assert math.isclose(float(lines[1].split(",")[0]), 0.9)
+
+
+@pytest.mark.parametrize("members, cutoff", [(40, 20), (40, 40), (17, 80), (2, 160)])
+@pytest.mark.parametrize("complex_d", [False, True], ids=["sigma_x", "sigma_y"])
+def test_a_recipe_forms_beta_01_alone_bit_for_bit(members, cutoff, complex_d):
+    """At the rung shapes of the `coupling-scan` benchmark's correct ladder, a recipe's beta
+    is the (0, 1) entry of the whole (L, L, S, n) off-diagonal array, byte for byte, for the
+    correct member and the naive series."""
+    ms, em = tls_single_mode_modeset(1.0, 1.0, 1.0)
+    family = QuadratureFamily.of(ms, sigma_y(em) if complex_d else em, cutoff)
+    scales = np.random.default_rng(cutoff).uniform(0.05, 2.5, members)
+    for order in (None, 1):
+        beta = family.recipe(scales, order).beta
+        assert beta.shape == (members, cutoff + 1)
+        assert beta.tobytes() == family._off_diagonal(scales, order)[0, 1].tobytes()

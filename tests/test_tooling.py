@@ -91,6 +91,8 @@ LIBRARY_API = {
                                  "that wrap once the tracer reads stage timers",
     "hilbert.HermitianGenerator.conjugate": "perfbench/tracer.py wraps it by name; delete with "
                                             "ROADMAP item 2 step B",
+    "gaugecheck.gauge_unitary": "perfbench/tracer.py wraps it by name as "
+                                "gaugecheck.gauge_unitary; the tests' formed W",
 }
 
 
