@@ -48,9 +48,11 @@ M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 # Fock-basis estimates, 10 and 14, hold LAPACK's untraced copies of a D x D sector (1 for
 # eigvalsh, 3 more for eigh) on top of the traced peak of the dense route, whose
 # `EigenbasisFamily` measured 6.5 (spectrum), 7.5 (detect) and 8.0 (gauge-check) for two
-# modes at L = 3, D = 507.  The gauge-check's verify pair (`build_gauge_pair`, then
-# `verify_spectral_equivalence`) peaks as a spectrum does: the sectored pair holds K and
-# one sector at a time.
+# modes at L = 3, D = 507.  The gauge-check's estimate is its naive verify pair's
+# (`build_gauge_pair`, then `verify_spectral_equivalence`), which peaks as a spectrum does:
+# it holds K and one sector at a time.  A correct sectored pair shares one solve and solves
+# nothing, so it holds K alone (measured 0.52, with one Kronecker term of K's size while
+# two modes' K is summed).
 COMMAND_MATRICES = {"spectrum": (0.76, 10.0), "gauge-check": (0.76, 10.0), "detect": (1.3, 14.0)}
 # the model keys each command builds without: refused unless at their defaults
 UNREAD = {"gauge-check": ("gauge_theta", "longitudinal", "beyond_dipole"),
@@ -277,10 +279,16 @@ def cmd_detect(cfg: RunConfig) -> int:
               ("i", "j", "omega_ij", "R_coulomb", "R_multipolar", "rel_diff"),
               [(r.i, r.j, r.omega_ij, r.rate_coulomb, r.rate_multipolar, r.rel_diff)
                for r in rows])
+    # per mode, the largest population of its top Fock level over the Coulomb states the rate
+    # table read, placed again from the kept sector solves
+    states = list(dict.fromkeys(idx for pair in transitions for idx in pair))
+    pops = factor_populations(bundle_c.space, bundle_c.eigensystem(states)[1].T)
+    top = [float(pops[fi][:, -1].max()) for fi in bundle_c.space.photon_indices]
     write_metadata(cfg, {"cutoffs": list(cutoffs), "transitions": [list(t) for t in transitions],
                          "basis": bundle_c.basis,
                          "diagnostics": {"coulomb": bundle_c.diagnostics,
-                                         "multipolar": bundle_mp.diagnostics}})
+                                         "multipolar": bundle_mp.diagnostics,
+                                         "top_fock_population": top}})
     return 0
 
 

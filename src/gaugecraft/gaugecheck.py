@@ -5,9 +5,10 @@ W = exp(-i (theta_to - theta_from) X) (`gauge_unitary`); they are exactly unitar
 and compose exactly, since all members share one Hermitian generator.  Every member
 is one theta-free matrix conjugated by diagonal phases in an eigenbasis of X, so a
 comparison of the family with itself reads 0 by construction: for a `sectored`
-family the Coulomb and the multipolar member are the same sectors, and
-`correct_gap` and the correct verify pair's eigenvalue difference
-(`verify_spectral_equivalence`) are 0.
+family the Coulomb and the multipolar member are the same sectors, so `correct_gap`
+is 0, and the correct verify pair, one recipe and so one solve owner, is reported as
+zeros by `verify_spectral_equivalence` without solving it.  A naive pair and a pair
+built in the Fock basis are solved and compared.
 
 What certifies the correct ladder at run time is the canonical multipolar form,
 written from its definition (`hamiltonians.canonical_terms`: H_F, the multipolar
@@ -90,17 +91,21 @@ def verify_spectral_equivalence(h_a, h_b, k: int = 5,
     """Compare the lowest k eigenvalues of two bundles on the same space.
 
     The report holds the per-level differences, their maximum and whether it is below tol
-    (None without tol).  The correct pair of a `sectored` family shares one recipe and one
-    sector solve (`build_gauge_pair`), so its difference is 0 by construction: what guards
-    the correct verdict at run time is the certificate of `ambiguity_scan`, the canonical
-    residual of the correct ladder, which the dense-oracle tests back up.
+    (None without tol).  Two bundles of one solve owner (`HamiltonianBundle.owner`: one
+    bundle with itself, or the correct pair of a `sectored` family, which shares one
+    recipe, `build_gauge_pair`) read one solution, so their differences are zeros and
+    neither is solved.  Any other pair, a naive one or two Fock-basis bundles, is solved
+    and compared.  What guards the correct verdict at run time is the certificate of
+    `ambiguity_scan`, the canonical residual of the correct ladder, which the
+    dense-oracle tests back up.
     """
     if h_a.space != h_b.space:
         raise ValueError("bundles live on different spaces")
     dim = h_a.space.dim
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in [1, {dim}]")
-    per_level = np.abs(h_a.eigenvalues(k) - h_b.eigenvalues(k))
+    per_level = (np.zeros(k) if h_a.owner is h_b.owner
+                 else np.abs(h_a.eigenvalues(k) - h_b.eigenvalues(k)))
     max_diff = float(per_level.max())
     cutoffs = tuple(h_a.metadata.get("cutoffs", ()))
     converged = None if tol is None else bool(max_diff < tol)
@@ -116,23 +121,29 @@ def canonical_residual(bundle: HamiltonianBundle, cs: CouplingSet, h0: np.ndarra
 
     In each sector of the member (`_sector_blocks`), one shifted solve (B - E0) y = b, one
     step of inverse iteration, gives the sector's eigenvector u at E0 when E0 is one of its
-    levels lam.  The vector leaves a residual near |E0 - lam| ||b|| / |<u, b>| in the
-    sector, so b is the basis vector whose diagonal entry of B lies nearest E0: for one mode
-    at eta = 0.05-2.5 and N = 40-320 that ratio measured 2.2-3.7, against 5-1300 for a
-    random or a constant b.  The bundle places each y in the Fock basis with its theta = 1
-    phases (`_places`), and the smaller residual of the sectors' vectors is r.
+    levels lam: ||y|| is of order 1 / |E0 - lam|, so the sector of the larger ||y|| holds E0
+    (the other's is of order 1 / gap) and only its y is placed and applied.  Its vector
+    leaves a residual near |E0 - lam| ||b|| / |<u, b>|, so b is the basis vector whose
+    diagonal entry of B lies nearest E0: for one mode at eta = 0.05-2.5 and N = 40-320 that
+    ratio measured 2.2-3.7, against 5-1300 for a random or a constant b.  The bundle places
+    y in the Fock basis with its theta = 1 phases (`_places`).
     """
-    places = bundle._places()
-    vecs = np.zeros((bundle.space.dim, len(places)), dtype=complex, order="F")
-    for j, (block, place) in enumerate(zip(bundle._sector_blocks(), places)):
+    ys = []
+    for block in bundle._sector_blocks():
         # one rounding below E0, so that an uncoupled member's diagonal B is not singular
         shifted = block - (e0 - np.finfo(float).eps * max(1.0, abs(e0))) * np.eye(len(block))
         start = np.zeros(len(block))
         start[np.argmin(np.abs(shifted.diagonal()))] = 1.0
-        y = np.linalg.solve(shifted, start)
-        place(vecs, np.array([j]), (y / np.linalg.norm(y))[:, None])
+        ys.append(np.linalg.solve(shifted, start))
+    norms = [np.linalg.norm(y) for y in ys]
+    j = int(np.argmax(norms))
+    v = np.zeros((bundle.space.dim, 1), dtype=complex, order="F")
+    bundle._places()[j](v, np.array([0]), (ys[j] / norms[j])[:, None])
     terms = canonical_terms(cs, h0 + polarization_squared(cs), bundle.space)
-    return float(np.linalg.norm(bundle.space.apply(terms, vecs) - e0 * vecs, axis=0).min())
+    r = (bundle.space.apply(terms, v) - e0 * v)[:, 0]
+    # |r_i|^2 summed in index order, the order of the certificates reported so far: the norm
+    # of one vector sums pairwise, which moves r by an ulp
+    return float(np.sqrt(np.cumsum((r.conj() * r).real)[-1]))
 
 
 def stack_chunk(n: int, time_reversal: bool) -> int:

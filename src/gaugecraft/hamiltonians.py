@@ -419,6 +419,13 @@ class HamiltonianBundle:
         return [partial(_scatter, s, None if self._phases is None else self._phases[s])
                 for s in self._sectors]
 
+    @property
+    def owner(self):
+        """What keeps this bundle's sector solves: its recipe, shared by every bundle of that
+        recipe, for a quadrature-basis bundle; the bundle itself for any other.  Two bundles
+        of one owner have one spectrum."""
+        return self if self.recipe is None else self.recipe
+
     def _solve(self, keep: Optional[int] = None):
         """(vals, parts, order, kept), from one solve per sector, kept until a call needs
         eigenvectors that were not kept: the ascending eigenvalues, read-only;
@@ -426,9 +433,9 @@ class HamiltonianBundle:
         eigenvectors of each kept (every one without keep, kept = None; none, and the
         eigenvalues by eigvalsh, for keep = -1); and the stable argsort of the sectors'
         concatenated eigenvalues, so that a tie between sectors keeps the even sector
-        first.  A quadrature-basis bundle keeps them, before its phases are applied, on its
-        recipe, for every bundle of that recipe; any other bundle keeps them itself."""
-        owner = self if self.recipe is None else self.recipe
+        first.  They are kept, before a quadrature-basis bundle's phases are applied, on
+        the bundle's `owner`."""
+        owner = self.owner
         kept = None if owner.solution is None else owner.solution[3]
         if owner.solution is None or (kept is not None and (keep is None or keep > kept)):
             parts = [_lowest_eigh(block, keep) for block in self._sector_blocks()]

@@ -15,6 +15,7 @@ from gaugecraft.cli import main
 from gaugecraft.hamiltonians import build_gauge_pair, field_hamiltonian
 from gaugecraft.hilbert import Eigenbasis, max_abs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
+from test_stacked_scan import count_solves
 
 pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
 
@@ -135,6 +136,38 @@ def test_detect_command_diagonalizes_only_the_coulomb_bundle(tmp_path, monkeypat
     for gauge in ("coulomb", "multipolar"):
         assert diagnostics[gauge]["sector_sizes"] == [dim // 2, dim // 2]
         assert 0.0 <= diagnostics[gauge]["parity_off_block"] <= 1e-12
+
+
+@pytest.mark.parametrize("cutoffs, short", [((2, 2), True), ((12, 12), False)])
+def test_detect_records_the_top_fock_population_of_the_states_it_reads(tmp_path, monkeypatch,
+                                                                       cutoffs, short):
+    """Per mode, the largest population of its top Fock level over the Coulomb states the
+    rate table reads, from the kept sector solves: no eigensolve beyond the Coulomb
+    bundle's two sectors.  A short cutoff shows it, a converged one does not."""
+    ms, em = two_mode_system(OFF_DIAGONAL_CHI)
+    doc = {"seed": 0, "modeset": modeset_to_json(ms), "emitter": emitter_to_json(em),
+           "fock_cutoffs": list(cutoffs),
+           "detector": {"dipole": [0.3, 0.9, 0.2], "position_label": "detector",
+                        "omega_d": 1.0, "count": 3}}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    eigh, eigvalsh = count_solves(monkeypatch, ("eigh", "eigvalsh"))
+    assert main(["detect", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    n = (cutoffs[0] + 1) * (cutoffs[1] + 1)
+    # beside the Coulomb sectors only the 2 x 2 and (N + 1) x (N + 1) matrices of the setup
+    assert [s for s in eigh + eigvalsh if s[-1] > max(cutoffs) + 1] == [(n, n)] * 2
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    top = meta["diagnostics"]["top_fock_population"]
+    # the oracle: eigh of the dense Coulomb H, its top-level populations per mode
+    h = dense_oracle.dense_bundle(ms, em, COULOMB, cutoffs).H
+    vecs = np.linalg.eigh(h)[1][:, sorted({i for pair in meta["transitions"] for i in pair})]
+    probs = np.abs(vecs.reshape(cutoffs[0] + 1, cutoffs[1] + 1, 2, -1)) ** 2
+    want = [probs[-1].sum(axis=(0, 1)).max(), probs[:, -1].sum(axis=(0, 1)).max()]
+    assert np.allclose(top, want, rtol=1e-6, atol=1e-15)
+    if short:
+        assert top[0] > 1e-2 and top[1] > 1e-3
+    else:
+        assert max(top) < 1e-12
 
 
 @pytest.mark.parametrize("cutoff", [16, 20])  # D = 578 and 882

@@ -22,6 +22,7 @@ from gaugecraft.gaugecheck import _climb, canonical_residual, scan_cutoffs
 from gaugecraft.hamiltonians import QuadratureFamily, build_gauge_pair
 from gaugecraft.hilbert import PAULI_X, PAULI_Y, HermitianGenerator, max_abs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
+from test_stacked_scan import count_solves
 
 
 def _setup(eta=0.5, cutoff=30, chi=1.0, omega0=1.0):
@@ -135,6 +136,66 @@ class TestVerifySpectralEquivalence:
         assert np.array_equal(r1.per_level, r2.per_level)
         e0 = b1.eigenvalues(1)[0]
         assert canonical_residual(b1, cs, em.h0, e0) == canonical_residual(b1, cs, em.h0, e0)
+
+
+def fock_copy(bundle):
+    """A Fock-basis bundle of the same H, built on its own: its owner is itself."""
+    return HamiltonianBundle(bundle.H, bundle.space, bundle.gauge, bundle.metadata)
+
+
+class TestOneSolveOwner:
+    """Bundles of one solve owner read one solution, so the report is zeros without a
+    solve; bundles of two owners are solved and compared."""
+
+    @pytest.mark.parametrize("pair", ["sectored correct pair", "fock bundle with itself"])
+    def test_one_owner_gives_exact_zeros_without_an_eigensolve(self, monkeypatch, pair):
+        ms, em = tls_single_mode_modeset(1.0, 0.5, 1.0)
+        h_a, h_b = build_gauge_pair(ms, em, 20)
+        if pair == "fock bundle with itself":
+            h_a = h_b = fock_copy(h_b)
+            assert h_a.recipe is None and h_a.basis == "fock"
+        else:
+            assert h_a.recipe is h_b.recipe and h_a.basis == "quadrature"
+        eigvalsh, eigh = count_solves(monkeypatch, ("eigvalsh", "eigh"))
+        rep = verify_spectral_equivalence(h_a, h_b, k=5, tol=1e-6)
+        assert eigvalsh == eigh == [] and h_a.owner.solution is None
+        assert rep.max_abs_diff == 0.0 and rep.converged
+        assert rep.per_level.shape == (5,) and np.array_equal(rep.per_level, np.zeros(5))
+        assert rep.cutoff == (20,)
+
+    def test_one_owner_still_checks_k_and_the_spaces(self, monkeypatch):
+        ms, em = tls_single_mode_modeset(1.0, 0.5, 1.0)
+        h_a, h_b = build_gauge_pair(ms, em, 20)
+        other, _ = build_gauge_pair(ms, em, 21)
+        eigvalsh, eigh = count_solves(monkeypatch, ("eigvalsh", "eigh"))
+        for k in (0, h_a.space.dim + 1):
+            with pytest.raises(ValueError, match="k must be in"):
+                verify_spectral_equivalence(h_a, h_b, k=k)
+            with pytest.raises(ValueError, match="k must be in"):
+                verify_spectral_equivalence(h_a, h_a, k=k)
+        with pytest.raises(ValueError, match="different spaces"):
+            verify_spectral_equivalence(h_a, other, k=5)
+        assert eigvalsh == eigh == []
+
+    def test_a_naive_pair_solves_exactly_four_sectors(self, monkeypatch):
+        ms, em = tls_single_mode_modeset(1.0, 0.5, 1.0)
+        h_a, h_b = build_gauge_pair(ms, em, 20, 1)
+        assert h_a.owner is not h_b.owner
+        eigvalsh, eigh = count_solves(monkeypatch, ("eigvalsh", "eigh"))
+        rep = verify_spectral_equivalence(h_a, h_b, k=5)
+        assert eigvalsh == [(21, 21)] * 4 and eigh == []
+        assert rep.max_abs_diff > 1e-3
+
+    def test_two_fock_bundles_built_apart_still_solve_and_compare(self, monkeypatch):
+        ms, em = tls_single_mode_modeset(1.0, 0.5, 1.0)
+        h_a, h_b = build_gauge_pair(ms, em, 20)
+        fock_a, fock_b = fock_copy(h_a), fock_copy(h_b)
+        assert fock_a.recipe is fock_b.recipe is None
+        eigvalsh, eigh = count_solves(monkeypatch, ("eigvalsh", "eigh"))
+        rep = verify_spectral_equivalence(fock_a, fock_b, k=5, tol=1e-6)
+        assert eigvalsh == [(42, 42)] * 2 and eigh == []  # one each: no parity is declared
+        assert rep.max_abs_diff < 1e-12 and rep.converged
+        assert np.array_equal(rep.per_level, np.abs(fock_a.eigenvalues(5) - fock_b.eigenvalues(5)))
 
 
 class TestQuadraturePair:
@@ -408,15 +469,15 @@ def test_an_oversized_verify_pair_is_refused_up_front(tmp_path, capsys, monkeypa
     assert not (tmp_path / "out" / "gauge_report.csv").exists()
 
 
-def test_a_sectored_verify_pair_peaks_at_its_command_bytes(monkeypatch):
-    """Two modes at N = 20 with complex chi (D = 882, complex sectors of n = 441): the pair
-    holds the family's K and one sector at a time, traced, and LAPACK copies the sector
-    outside the trace.  Counting that copy as traced memory while LAPACK holds it, the
-    pair peaks at the gauge-check's `command_bytes`, and the estimate is not loose either."""
+def verify_pair_peak(monkeypatch, order):
+    """(report, traced peak, eigvalsh calls) of building and verifying the pair of two modes
+    at N = 20 with complex chi (D = 882, complex sectors of n = 441), the Fock quadrature
+    caches filled outside the trace.  LAPACK copies a sector outside the trace, so that copy
+    counts as traced memory while LAPACK holds it."""
     em = tls(1.0, (1.0, 0.0, 0.0))
     ms = ModeSet(np.array([[1.0, 0.2j], [-0.2j, 1.3]]),
                  {em.position_label: [(0.5, 0.0, 0.0), (0.3, 0.0, 0.0)]})
-    build_gauge_pair(ms, em, 20)  # fills the Fock quadrature caches outside the trace
+    build_gauge_pair(ms, em, 20, order)
     at_solves = []
 
     def counted(m, *args, original=np.linalg.eigvalsh, **kwargs):
@@ -426,14 +487,31 @@ def test_a_sectored_verify_pair_peaks_at_its_command_bytes(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     tracemalloc.start()
     try:
-        h_a, h_b = build_gauge_pair(ms, em, 20)
+        h_a, h_b = build_gauge_pair(ms, em, 20, order)
         rep = verify_spectral_equivalence(h_a, h_b, k=5)
-        peak = max(tracemalloc.get_traced_memory()[1], *at_solves)
+        peak = max([tracemalloc.get_traced_memory()[1]] + at_solves)
     finally:
         tracemalloc.stop()
-    assert h_a.basis == "quadrature" and rep.max_abs_diff <= 1e-12
+    assert h_a.basis == h_b.basis == "quadrature"
+    return rep, peak, len(at_solves)
+
+
+def test_a_sectored_verify_pair_peaks_at_its_command_bytes(monkeypatch):
+    """The naive pair (order 1) solves its four sectors one at a time and holds the family's
+    K and one sector then: it peaks at the gauge-check's `command_bytes`, and the estimate
+    is not loose either."""
+    rep, peak, solves = verify_pair_peak(monkeypatch, 1)
+    assert rep.max_abs_diff > 1e-3 and solves == 4
     budget = command_bytes("gauge-check", 882, True)
     assert 0.9 * budget <= peak <= budget, f"{peak / (16 * 882**2):.3f} x 16 D^2"
+
+
+def test_a_correct_sectored_verify_pair_holds_k_alone(monkeypatch):
+    """The correct pair shares one recipe, so nothing is solved: it holds K, and one
+    Kronecker term of K's size while K is summed, 0.52 x 16 D^2 measured."""
+    rep, peak, solves = verify_pair_peak(monkeypatch, None)
+    assert rep.max_abs_diff == 0.0 and solves == 0
+    assert peak <= 0.55 * 16 * 882**2, f"{peak / (16 * 882**2):.3f} x 16 D^2"
 
 
 def beta_exponent_scaled(monkeypatch):

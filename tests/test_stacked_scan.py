@@ -176,14 +176,14 @@ def test_gauge_check_solves_one_sector_and_certifies_the_other_per_rung(tmp_path
         assert [shape[1:] for shape in shapes] == [(20 * 2**i + 1,) * 2 for i in range(len(shapes))]
     assert max(int(r.split(",")[3]) for r in rows[1:]) == max(s[1] for _, s in solves) - 1
     # every rung solve: one sector's eigvalsh and one Cholesky factorization of the other, on
-    # the solve's whole stack; the fallback never runs.  The verify pair shares one recipe
-    # and so solves each of its two sectors once (D = 42); the mode set checks its 1 x 1 chi
-    # when it is loaded.  The certificate takes the strongest coupling's multipolar member at
-    # the correct ladder's top rung, where it converged, and makes one shifted solve per
-    # sector; it solves no eigenproblem.
+    # the solve's whole stack; the fallback never runs.  The verify pair shares one recipe,
+    # so it compares one solution with itself and solves no sector; the mode set checks its
+    # 1 x 1 chi when it is loaded.  The certificate takes the strongest coupling's multipolar
+    # member at the correct ladder's top rung, where it converged, and makes one shifted
+    # solve per sector; it solves no eigenproblem.
     assert [s for s in eigvalsh if len(s) == 3] == [shape for _, shape in solves]
     assert cholesky == [shape for _, shape in solves]
-    assert [s for s in eigvalsh if len(s) == 2] == [(1, 1), (21, 21), (21, 21)]
+    assert [s for s in eigvalsh if len(s) == 2] == [(1, 1)]
     top = [shape for name, shape in solves if name == "correct"][-1][1]
     assert solve == [(top, top)] * 2
 

@@ -281,6 +281,17 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+def eigvalsh_under(spans: list, name: str) -> list:
+    """The linalg.eigvalsh spans that descend from a span of that name."""
+    def under(span):
+        while span.parent is not None:
+            span = spans[span.parent]
+            if span.name == name:
+                return True
+        return False
+    return [s for s in spans if s.name == "linalg.eigvalsh" and under(s)]
+
+
 def test_traced_gauge_check_spans_describe_the_stacked_builds(monkeypatch, tmp_path, capsys):
     from dense_oracle import tls_single_mode_modeset
     from gaugecraft import cli
@@ -292,25 +303,36 @@ def test_traced_gauge_check_spans_describe_the_stacked_builds(monkeypatch, tmp_p
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     tracer = load_tracer(monkeypatch)
-    spans = tracer.Tracer()
-    uninstall = tracer.install(spans)
-    spans.enabled = True
-    try:
-        assert cli.main(["gauge-check", "--config", str(config), "--out",
-                         str(tmp_path / "out")]) == 0
-    finally:
-        uninstall()
-    assert capsys.readouterr().out.startswith("PASS")
-    names = [s.name for s in spans.spans]
+
+    def traced(*extra):
+        spans = tracer.Tracer()
+        uninstall = tracer.install(spans)
+        spans.enabled = True
+        try:
+            assert cli.main(["gauge-check", "--config", str(config), "--out",
+                             str(tmp_path / "out"), *extra]) == 0
+        finally:
+            uninstall()
+        return spans.spans, capsys.readouterr().out
+
+    spans, out = traced()
+    assert out.startswith("PASS")
+    names = [s.name for s in spans]
     assert names.count("gaugecheck.ambiguity_scan") == 1 and names.count("gaugecheck.verify") == 1
     # the ladders and the verify pair are solved in the field-quadrature basis: no build
     # under the scan, the verify pair's two builds, and no formed gauge unitary
     assert names.count("hamiltonians.build") == 2
     assert "gaugecheck.gauge_unitary" not in names
     assert names.count("linalg.eigvalsh") > 0
-    metrics = tracer.span_metrics(spans.spans)
+    # the correct pair shares one solve, so verifying it solves nothing
+    assert eigvalsh_under(spans, "gaugecheck.verify") == []
+    metrics = tracer.span_metrics(spans)
     assert metrics["gaugecheck.ladder_builds"] == 0
     assert metrics["gaugecheck.gauge_unitary.calls"] == 0
+    # a naive pair is two recipes: each solves its two parity sectors, n = 21 (D = 42)
+    spans, out = traced("--set", "truncation=naive")
+    assert out.startswith("FAIL")
+    assert [s.attrs["n"] for s in eigvalsh_under(spans, "gaugecheck.verify")] == [21] * 4
 
 
 @pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
