@@ -268,21 +268,25 @@ def cmd_detect(cfg: RunConfig) -> int:
     transitions = section["transitions"]
     if transitions is not None and any(not 0 <= i < dim for pair in transitions for i in pair):
         raise ConfigError(f"'detector.transitions' indices must lie in [0, D), D = {dim}")
+    if transitions == []:
+        raise ConfigError("'detector.transitions' is empty: name at least one transition")
     family = QuadratureFamily.of(ms, em, cutoffs)
     _refuse_oversized("the detect pair", cutoffs, dim,
                       command_bytes("detect", dim, family.sectored))
     bundle_c, bundle_mp = build_gauge_pair(ms, em, cutoffs, family=family)
     if transitions is None:
         transitions = significant_transitions(bundle_c, ms, det, section["count"], em=em)
-    rows = rate_table(bundle_c, bundle_mp, ms, em, det, transitions, family.basis)
+        if not transitions:
+            raise ConfigError(f"no transition out of |0> has a nonzero rate: 'detector.dipole' "
+                              f"{det.d_d.tolist()} does not couple to the field at {r_d!r}")
+    rows, states = rate_table(bundle_c, bundle_mp, ms, em, det, transitions, family.basis)
     write_csv(cfg.out_dir / "rates.csv",
               ("i", "j", "omega_ij", "R_coulomb", "R_multipolar", "rel_diff"),
               [(r.i, r.j, r.omega_ij, r.rate_coulomb, r.rate_multipolar, r.rel_diff)
                for r in rows])
     # per mode, the largest population of its top Fock level over the Coulomb states the rate
-    # table read, placed again from the kept sector solves
-    states = list(dict.fromkeys(idx for pair in transitions for idx in pair))
-    pops = factor_populations(bundle_c.space, bundle_c.eigensystem(states)[1].T)
+    # table placed
+    pops = factor_populations(bundle_c.space, states.T)
     top = [float(pops[fi][:, -1].max()) for fi in bundle_c.space.photon_indices]
     write_metadata(cfg, {"cutoffs": list(cutoffs), "transitions": [list(t) for t in transitions],
                          "basis": bundle_c.basis,

@@ -13,9 +13,21 @@ Kronecker terms, the photon-only mode drives of `hamiltonians.drive_terms`
 (one term per mode) plus a matter term, applied to those eigenvectors only
 by `HilbertSpec.apply`; nothing here forms a D x D matrix.  Each function
 asks `HamiltonianBundle.eigensystem` for the columns it reads (|i> and the
-39 states above it, the states a rate table names, or the pair |i>, |j>),
-which places only those into the Fock basis from the kept sector solves.
-Only the Coulomb bundle is diagonalized: the multipolar partner of |i_C> is
+candidates among the 39 states above it, the states a rate table names, or
+the pair |i>, |j>), which places only those into the Fock basis from the kept
+sector solves.
+Only the Coulomb bundle is diagonalized, and of a quadrature-basis bundle only the
+parity sector its transitions out of |0> reach.  Its detection operator is linear in
+the field, so it flips the photon parity and the verified parity (-1)^(sum n) (x) S
+with it: `significant_transitions` solves the other sector by eigh and the sector of
+|0> by eigvalsh, |0> itself by one shifted solve at E0
+(`HamiltonianBundle.solve_ground_apart`).  Three checks hold it to the values found:
+the other sector's lowest level lies above E0, the shifted vector's residual is at most
+HERMITIAN_TOL * max(1, max|E|), and the same-parity part of O |0> vanishes to
+HERMITIAN_TOL relative, so that the candidates of |0>'s sector have a rate of exactly
+zero and are left out.  If one fails, both sectors are solved by eigh and every
+candidate is read, as for explicit transitions and Fock-basis bundles.
+The multipolar partner of |i_C> is
 W |i_C>, with the exact gauge unitary W applied through the pair's family's
 `Eigenbasis.apply` and checked by its residual against H_mp.
 The detect command builds the two bundles as one gauge pair
@@ -138,8 +150,11 @@ class RateRow:
 
 def rate_table(bundle_c: HamiltonianBundle, bundle_mp: HamiltonianBundle,
                ms: ModeSet, em: EmitterSpec, det: DetectorSpec,
-               transitions: Sequence[tuple[int, int]], basis: Eigenbasis) -> list[RateRow]:
-    """Cross-gauge rate comparison over transitions indexed in the Coulomb gauge.
+               transitions: Sequence[tuple[int, int]],
+               basis: Eigenbasis) -> tuple[list[RateRow], np.ndarray]:
+    """Cross-gauge rate comparison over transitions indexed in the Coulomb gauge: the rows,
+    and the Coulomb states |i_C> it placed (D, k), one column per state the transitions
+    name, in order of first appearance.
 
     Only the Coulomb bundle is diagonalized.  The multipolar rate of (i, j) is
     read between the partners t = W |i_C>, W |j_C>, W = exp(-i (theta_mp -
@@ -171,7 +186,7 @@ def rate_table(bundle_c: HamiltonianBundle, bundle_mp: HamiltonianBundle,
         r_mp = _frequency_factor(bundle_mp, omega_ij) ** 2 * float(a_mp)
         rel = abs(r_c - r_mp) / r_c if r_c > 0 else (0.0 if r_mp == 0 else float("inf"))
         rows.append(RateRow(i, j, omega_ij, r_c, r_mp, rel))
-    return rows
+    return rows, vecs_c
 
 
 def significant_transitions(bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec,
@@ -181,15 +196,33 @@ def significant_transitions(bundle: HamiltonianBundle, ms: ModeSet, det: Detecto
 
     Parity-forbidden transitions carry rates at numerical zero and are
     skipped (threshold: `floor` relative to the largest rate found), as are
-    transitions that are not upward in energy.
+    transitions that are not upward in energy.  The candidates are the 39 states above
+    |i>.  Out of |0> of a quadrature-basis bundle, the selection rule reads only those
+    of the other parity sector: O is linear in the field, so it flips the bundle's
+    parity, and `HamiltonianBundle.solve_ground_apart` diagonalizes only that sector,
+    with |0> from one shifted solve.  The rule holds when the same-parity part of O |0>
+    vanishes to HERMITIAN_TOL relative; then the candidates of |0>'s sector have a rate
+    of exactly zero, which the floor drops as it drops their rounding otherwise.  When it
+    does not, or the bundle's checks fail, both sectors are solved by eigh and every
+    candidate is read.
     """
     terms = detection_operator(bundle, ms, replace(det, omega_d=1.0), em)
     stop = min(bundle.space.dim, i + 40)
-    vals, vecs = bundle.eigensystem(range(i, stop))  # |i>, then every candidate |j>
+    parity = bundle.solve_ground_apart(stop) if i == 0 else None
+    candidates = (range(i + 1, stop) if parity is None
+                  else [j for j in range(1, stop) if parity[j] != parity[0]])
+    vals, vecs = bundle.eigensystem([i, *candidates])  # |i>, then every candidate |j>
     # <i| O |j> = (O |i>)^dag |j> for every candidate j, O Hermitian: one apply
-    amp_sq = np.abs(bundle.space.apply(terms, vecs[:, 0]).conj() @ vecs[:, 1:]) ** 2
+    o_i = bundle.space.apply(terms, vecs[:, 0])
+    if parity is not None and (np.linalg.norm(o_i[bundle.parity == parity[0]])
+                               > HERMITIAN_TOL * np.linalg.norm(o_i)):
+        # O has a parity-even part: every candidate, both sectors solved by eigh
+        candidates = range(1, stop)
+        vals, vecs = bundle.eigensystem([0, *candidates])
+        o_i = bundle.space.apply(terms, vecs[:, 0])
+    amp_sq = np.abs(o_i.conj() @ vecs[:, 1:]) ** 2
     rates = []
-    for j, a_sq in zip(range(i + 1, stop), amp_sq):
+    for j, a_sq in zip(candidates, amp_sq):
         omega = float(vals[j] - vals[i])
         if omega <= 0:
             continue

@@ -117,28 +117,10 @@ def canonical_residual(bundle: HamiltonianBundle, cs: CouplingSet, h0: np.ndarra
     """r = ||H_can v - E0 v||_2 for a unit vector v of a multipolar member at its energy E0,
     H_can the canonical multipolar form of cs with matter term h0 + P^2 (`canonical_terms`)
     on the member's space, applied without forming it.  H_can is Hermitian, so one of its
-    eigenvalues lies within r of E0.
-
-    In each sector of the member (`_sector_blocks`), one shifted solve (B - E0) y = b, one
-    step of inverse iteration, gives the sector's eigenvector u at E0 when E0 is one of its
-    levels lam: ||y|| is of order 1 / |E0 - lam|, so the sector of the larger ||y|| holds E0
-    (the other's is of order 1 / gap) and only its y is placed and applied.  Its vector
-    leaves a residual near |E0 - lam| ||b|| / |<u, b>|, so b is the basis vector whose
-    diagonal entry of B lies nearest E0: for one mode at eta = 0.05-2.5 and N = 40-320 that
-    ratio measured 2.2-3.7, against 5-1300 for a random or a constant b.  The bundle places
-    y in the Fock basis with its theta = 1 phases (`_places`).
+    eigenvalues lies within r of E0.  v is the member's vector at E0 from one shifted solve
+    per sector (`HamiltonianBundle.shifted_vector`), placed with its theta = 1 phases.
     """
-    ys = []
-    for block in bundle._sector_blocks():
-        # one rounding below E0, so that an uncoupled member's diagonal B is not singular
-        shifted = block - (e0 - np.finfo(float).eps * max(1.0, abs(e0))) * np.eye(len(block))
-        start = np.zeros(len(block))
-        start[np.argmin(np.abs(shifted.diagonal()))] = 1.0
-        ys.append(np.linalg.solve(shifted, start))
-    norms = [np.linalg.norm(y) for y in ys]
-    j = int(np.argmax(norms))
-    v = np.zeros((bundle.space.dim, 1), dtype=complex, order="F")
-    bundle._places()[j](v, np.array([0]), (ys[j] / norms[j])[:, None])
+    v = bundle.shifted_vector(e0)
     terms = canonical_terms(cs, h0 + polarization_squared(cs), bundle.space)
     r = (bundle.space.apply(terms, v) - e0 * v)[:, 0]
     # |r_i|^2 summed in index order, the order of the certificates reported so far: the norm

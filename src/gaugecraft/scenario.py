@@ -252,7 +252,7 @@ SCENARIO = Section(
                         ground_tol=Num(float, 1e-7, gt=0), k=Num(int, 5, ge=1)),
     detector=Section(dipole=ListOf(Num(), (0.0, 0.0, 0.0), length=3),
                      position_label=Text(default="detector"), omega_d=Num(float, 1.0, gt=0),
-                     transitions=ListOf(ListOf(Num(int), length=2)), count=Num(int, 3, ge=0)),
+                     transitions=ListOf(ListOf(Num(int), length=2)), count=Num(int, 3, ge=1)),
     evolve=Section(t_max=Num(float, 10.0, gt=0), n_times=Num(int, 101, ge=2),
                    state_checkpoints=ListOf(Num(int), ()),
                    tol=Num(float, NORM_TOL, gt=0, le=NORM_TOL),  # looser fails the norm check

@@ -119,7 +119,8 @@ def test_rate_table_matches_dense_oracle(system, thetas, k, seed):
     transitions = [tuple(int(n) for n in np.sort(rng.choice(a.space.dim, 2, replace=False)))
                    for _ in range(k)]
     want_a, want_b = dense_oracle.rate_table(a, b, ms, em, DETECTOR, transitions)
-    rows = rate_table(a, b, ms, em, DETECTOR, transitions, couplings(ms, em).generator(a.space))
+    rows, _ = rate_table(a, b, ms, em, DETECTOR, transitions,
+                         couplings(ms, em).generator(a.space))
     assert [(r.i, r.j) for r in rows] == transitions
     # a table of parity-forbidden transitions alone has rates at rounding level
     scale = max(want_a.max(), want_b.max(), 1e-12)

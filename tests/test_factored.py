@@ -363,8 +363,9 @@ def test_eigensystem_columns_are_those_of_the_full_matrix(kind, seed, theta, cut
 
 def test_eigh_runs_once_per_sector_until_a_higher_column_is_read(monkeypatch):
     """The sector solves are kept with the lowest max(columns) + 1 eigenvectors of each
-    sector: columns within those, and the eigenvalues, cost no further eigh or eigvalsh; a
-    higher column, or the full matrix, solves each sector once more."""
+    sector: columns whose levels lie within those of their sectors, and the eigenvalues,
+    cost no further eigh or eigvalsh; a column above them, or the full matrix, solves each
+    sector once more."""
     bundles = [route_bundle(kind, 3, 0.37, (3, 2)) for kind in sorted(ROUTES)]
     calls = []
     for name in ("eigh", "eigvalsh"):
@@ -376,13 +377,15 @@ def test_eigh_runs_once_per_sector_until_a_higher_column_is_read(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     solves = sum(len(b.diagnostics["sector_sizes"]) for b in bundles)
-    firsts = [bundle.eigensystem([0, 5])[0] for bundle in bundles]
+    # 4 eigenvectors kept per sector: levels 0-3 lie within them in any split
+    firsts = [bundle.eigensystem([0, 3])[0] for bundle in bundles]
     for bundle, first in zip(bundles, firsts):
-        assert bundle.eigensystem(range(3, 6))[0] is first
+        assert bundle.eigensystem(range(2, 4))[0] is first
         bundle.eigensystem([])
         assert np.array_equal(bundle.eigenvalues(3), first[:3])
     assert calls == ["eigh"] * solves
     for bundle, first in zip(bundles, firsts):
+        # levels 0-8 fill 5 positions of one of at most two sectors, one above the 4 kept
         assert np.array_equal(bundle.eigensystem(range(3, 9))[0], first)
     assert calls == ["eigh"] * 2 * solves
     for bundle in bundles:

@@ -373,8 +373,8 @@ def test_rate_table_peaks_below_one_dense_matrix():
     transitions = significant_transitions(bundle_c, ms, detector(), 3, em=em)
     tracemalloc.start()
     try:
-        rows = rate_table(bundle_c, bundle_mp, ms, em, detector(), transitions,
-                          bundle_c.family.basis)
+        rows, _ = rate_table(bundle_c, bundle_mp, ms, em, detector(), transitions,
+                             bundle_c.family.basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
