@@ -22,7 +22,7 @@ from .hamiltonians import (COULOMB, MULTIPOLAR, CouplingSet, FockCutoffWarning,
                            build_time_dependent, couplings, field_hamiltonian, standard_space)
 from .gaugecheck import (AmbiguityRow, EquivalenceReport, ambiguity_scan, gauge_unitary,
                          verify_spectral_equivalence)
-from .detect import (DetectorSpec, RateGap, RateRow, naive_rate_gap, rate_table,
+from .detect import (DetectorSpec, RateGap, RateRow, Transitions, naive_rate_gap, rate_table,
                      significant_transitions)
 from .dynamics import TdEquivalenceResult, Trajectory, evolve, td_gauge_equivalence
 

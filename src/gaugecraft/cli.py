@@ -334,6 +334,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
                          "t_max": t_max, "n_times": n_times,
                          "profile_kind": profile.kind,
                          "diagnostics": {"norm_error": stats.pop("norm_error"),
+                                         "parity_sectors": stats.pop("parity_sectors"),
+                                         "evolved_dim": stats.pop("evolved_dim"),
                                          "top_fock_population": top},
                          "counters": stats})
     return 0

@@ -25,8 +25,10 @@ with it: `significant_transitions` solves the other sector by eigh and the secto
 the other sector's lowest level lies above E0, the shifted vector's residual is at most
 HERMITIAN_TOL * max(1, max|E|), and the same-parity part of O |0> vanishes to
 HERMITIAN_TOL relative, so that the candidates of |0>'s sector have a rate of exactly
-zero and are left out.  If one fails, both sectors are solved by eigh and every
-candidate is read, as for explicit transitions and Fock-basis bundles.
+zero and are left out.  If one fails, |0>'s sector is solved by eigh as well, the
+other sector's solve kept, and every candidate is read, as for explicit transitions
+and Fock-basis bundles.  The states `significant_transitions` picks are placed once:
+its `Transitions` hand them and the Coulomb detection terms on to `rate_table`.
 The multipolar partner of |i_C> is
 W |i_C>, with the exact gauge unitary W applied through the pair's family's
 `Eigenbasis.apply` and checked by its residual against H_mp.
@@ -138,6 +140,24 @@ def naive_rate_gap(bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec,
     return RateGap(r_c, r_n, rel)
 
 
+class Transitions(list):
+    """The (i, j) pairs `significant_transitions` picked, a list, with what it placed for
+    them: `source`, the (bundle, mode set, detector) it read; `vecs`, the bundle's
+    eigenvectors (D, k) of the states the pairs name, in order of first appearance; and
+    `terms`, the detection operator at omega_d = 1.  `rate_table` reads both instead of
+    placing and forming them again where they serve its inputs (`serves`)."""
+
+    def __init__(self, pairs, source: tuple, vecs: np.ndarray, terms: list):
+        super().__init__(pairs)
+        self.source, self.vecs, self.terms = source, vecs, terms
+
+    def serves(self, bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec) -> bool:
+        """Whether these were picked on this bundle and mode set by a detector of this dipole
+        and position: the terms at omega_d = 1 read no other field of det."""
+        b, m, d = self.source
+        return b is bundle and m is ms and d.r_d == det.r_d and np.array_equal(d.d_d, det.d_d)
+
+
 @dataclass(frozen=True)
 class RateRow:
     i: int
@@ -153,10 +173,12 @@ def rate_table(bundle_c: HamiltonianBundle, bundle_mp: HamiltonianBundle,
                transitions: Sequence[tuple[int, int]],
                basis: Eigenbasis) -> tuple[list[RateRow], np.ndarray]:
     """Cross-gauge rate comparison over transitions indexed in the Coulomb gauge: the rows,
-    and the Coulomb states |i_C> it placed (D, k), one column per state the transitions
-    name, in order of first appearance.
+    and the Coulomb states |i_C> (D, k), one column per state the transitions name, in
+    order of first appearance.
 
-    Only the Coulomb bundle is diagonalized.  The multipolar rate of (i, j) is
+    Only the Coulomb bundle is diagonalized.  `Transitions` that `significant_transitions`
+    picked on bundle_c, ms and a detector of det's dipole and position hand over the
+    states it placed and its Coulomb detection terms; other transitions are placed here.  The multipolar rate of (i, j) is
     read between the partners t = W |i_C>, W |j_C>, W = exp(-i (theta_mp -
     theta_C) X) the exact gauge unitary, applied in X's eigenbasis `basis` (the pair's
     family's, or `CouplingSet.generator`).  Each partner must be an eigenvector of H_mp
@@ -165,7 +187,12 @@ def rate_table(bundle_c: HamiltonianBundle, bundle_mp: HamiltonianBundle,
     """
     # |i_C> and W |i_C> for every state a transition names
     states = list(dict.fromkeys(idx for pair in transitions for idx in pair))
-    vals_c, vecs_c = bundle_c.eigensystem(states)
+    unit = replace(det, omega_d=1.0)
+    if isinstance(transitions, Transitions) and transitions.serves(bundle_c, ms, det):
+        vals_c, vecs_c, terms_c = bundle_c.eigenvalues(), transitions.vecs, transitions.terms
+    else:
+        vals_c, vecs_c = bundle_c.eigensystem(states)
+        terms_c = detection_operator(bundle_c, ms, unit, em)
     targets = basis.apply(bundle_c.gauge.theta - bundle_mp.gauge.theta, vecs_c)
     residual = max_abs(bundle_mp.apply(targets) - targets * vals_c[states])
     scale = max(1.0, abs(float(vals_c[0])), abs(float(vals_c[-1])))
@@ -174,9 +201,7 @@ def rate_table(bundle_c: HamiltonianBundle, bundle_mp: HamiltonianBundle,
                                  f"H_mp at E_i^C (residual {residual:.3e})")
     column = {idx: k for k, idx in enumerate(states)}
     pairs = [(column[i], column[j]) for i, j in transitions]
-    unit = replace(det, omega_d=1.0)
-    amp_c = _amplitudes_sq(bundle_c.space, detection_operator(bundle_c, ms, unit, em), vecs_c,
-                           pairs)
+    amp_c = _amplitudes_sq(bundle_c.space, terms_c, vecs_c, pairs)
     amp_mp = _amplitudes_sq(bundle_mp.space, detection_operator(bundle_mp, ms, unit, em),
                             targets, pairs)
     rows = []
@@ -191,8 +216,9 @@ def rate_table(bundle_c: HamiltonianBundle, bundle_mp: HamiltonianBundle,
 
 def significant_transitions(bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec,
                             count: int, i: int = 0, em: Optional[EmitterSpec] = None,
-                            floor: float = 1e-10) -> list[tuple[int, int]]:
-    """First `count` transitions out of |i> with a non-negligible rate.
+                            floor: float = 1e-10) -> Transitions:
+    """First `count` transitions out of |i> with a non-negligible rate, as `Transitions`
+    that carry |i> and the picked states, placed once here, and the detection terms.
 
     Parity-forbidden transitions carry rates at numerical zero and are
     skipped (threshold: `floor` relative to the largest rate found), as are
@@ -203,8 +229,8 @@ def significant_transitions(bundle: HamiltonianBundle, ms: ModeSet, det: Detecto
     with |0> from one shifted solve.  The rule holds when the same-parity part of O |0>
     vanishes to HERMITIAN_TOL relative; then the candidates of |0>'s sector have a rate
     of exactly zero, which the floor drops as it drops their rounding otherwise.  When it
-    does not, or the bundle's checks fail, both sectors are solved by eigh and every
-    candidate is read.
+    does not, or the bundle's checks fail, |0>'s sector is solved by eigh as well and
+    every candidate is read.
     """
     terms = detection_operator(bundle, ms, replace(det, omega_d=1.0), em)
     stop = min(bundle.space.dim, i + 40)
@@ -216,19 +242,17 @@ def significant_transitions(bundle: HamiltonianBundle, ms: ModeSet, det: Detecto
     o_i = bundle.space.apply(terms, vecs[:, 0])
     if parity is not None and (np.linalg.norm(o_i[bundle.parity == parity[0]])
                                > HERMITIAN_TOL * np.linalg.norm(o_i)):
-        # O has a parity-even part: every candidate, both sectors solved by eigh
+        # O has a parity-even part: every candidate, |0>'s sector solved by eigh as well
         candidates = range(1, stop)
         vals, vecs = bundle.eigensystem([0, *candidates])
         o_i = bundle.space.apply(terms, vecs[:, 0])
     amp_sq = np.abs(o_i.conj() @ vecs[:, 1:]) ** 2
-    rates = []
-    for j, a_sq in zip(candidates, amp_sq):
+    rates = []  # (column of vecs, j, rate)
+    for k, (j, a_sq) in enumerate(zip(candidates, amp_sq), start=1):
         omega = float(vals[j] - vals[i])
-        if omega <= 0:
-            continue
-        rates.append((j, _frequency_factor(bundle, omega) ** 2 * float(a_sq)))
-    if not rates:
-        return []
-    top = max(r for _, r in rates)
-    picked = [(i, j) for j, r in rates if r > floor * top]
-    return picked[:count]
+        if omega > 0:
+            rates.append((k, j, _frequency_factor(bundle, omega) ** 2 * float(a_sq)))
+    top = max((r for *_, r in rates), default=0.0)
+    picked = [(k, j) for k, j, r in rates if r > floor * top][:count]
+    return Transitions([(i, j) for _, j in picked], (bundle, ms, det),
+                       vecs[:, [0] + [k for k, _ in picked]], terms)

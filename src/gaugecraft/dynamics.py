@@ -13,21 +13,32 @@ Only pieces where mu'(t) != 0 (the ramp) are integrated, with DOP853, the
 evaluates H(t) at its eleven new stage times and applies each once; the
 first stage reuses the previous step's last H, at the step's end (first same
 as last).  No step crosses a kink of mu', and H(t) is applied there, never
-formed.  The state is propagated in the eigenbasis of the generator X, where
-H(t) applies from two fixed matrices and diagonal phases: the start state is
-mapped into that basis and the recorded states back to the Fock basis.
+formed.
+X, H_F and h0 commute with the parity (-1)^(sum n) (x) S of a two-level emitter, so
+H(t) does at every t in either gauge, and a state never leaves a parity sector.  For
+such an emitter (a `sectored` `QuadratureFamily`) the start state is split into the
+sectors it has an amplitude in (`TimeDependentHamiltonian.split`), one for the `ground`
+and `vacuum` starts, and only those are propagated, each in its n = D/2 coordinates:
+a static piece takes one n x n eigh per sector and a stage one n x n product.  Every
+other emitter is propagated in the eigenbasis of the generator X, where H(t) applies
+from two fixed D x D matrices and diagonal phases.  The start state is mapped into the
+coordinates propagated and the recorded states back to the Fock basis, where the
+amplitudes of a sector not propagated are exactly zero.
 Trajectories record normalized states on the requested time grid, real
 observable series and the propagator's counters.  Every observable is read
 from a diagonal, so no D x D observable is formed: photon numbers and
 sigma_z from each factor's Fock populations, and <X> from the populations
-of X's eigenbasis.
-`ground_state` fixes the global phase of a start state by a Fock-basis
+of the coordinates propagated, where X is diagonal.
+`ground_state` takes the ground state of H(t) from the sector of the family's
+`ground_parity`, certified against the other sector by one Cholesky factorization
+(`TimeDependentHamiltonian.ground_sector`), and fixes its global phase by a Fock-basis
 convention, so it does not depend on the basis H(t) is diagonalized in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,10 +84,12 @@ def factor_populations(space: HilbertSpec, states: np.ndarray) -> list:
 
 
 def ground_state(tdh: TimeDependentHamiltonian, t: float) -> np.ndarray:
-    """The ground state of H(t) in the Fock basis, with its global phase fixed: the
+    """The ground state of H(t) in the Fock basis, from the eigh of its sector
+    (`TimeDependentHamiltonian.ground_sector`), with its global phase fixed: the
     largest-magnitude Fock amplitude (the first one on a tie) is real and positive,
     whatever basis H(t) was diagonalized in."""
-    psi = tdh.basis.to_fock(tdh.eigensystem(t)[1][:, 0])
+    sector = tdh.ground_sector(t)
+    psi = tdh.to_fock(tdh.eigensystem(t, sector)[1][None, :, :1], (sector,))[0]
     top = psi[np.argmax(np.abs(psi))]
     return psi * (np.conj(top) / abs(top))
 
@@ -163,18 +176,18 @@ _E3 = _B - np.array([  # B minus the 3rd-order weights
 _WEIGHTS = np.array([_B, _E5, _E3])
 
 
-def _dop853_step(op, t, psi, dt, k):
+def _dop853_step(stages, t, psi, dt, k):
     """One DOP853 step of psi' = -i H(t) psi from t to t + dt.
 
-    `op(t)` is the operator x -> H(t) x.  On entry k[0] holds the first stage
-    -i H(t) psi; stages 2..12 are written to k[1:], stage s from H(t + C[s] dt)
-    applied to psi + dt * (A[s, :s] @ k[:s]).  The last stage has C = 1, so its
-    H is H(t + dt).  Returns the 8th-order state at t + dt, H(t + dt) and
-    Hairer's error estimate per unit time, |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2)
-    with e5 = E5 @ k and e3 = E3 @ k.
+    `stages(times)` gives the operators x -> H(t) x at the step's stage times
+    t + C[1:] dt, all at once.  On entry k[0] holds the first stage -i H(t) psi;
+    stages 2..12 are written to k[1:], stage s from H(t + C[s] dt) applied to
+    psi + dt * (A[s, :s] @ k[:s]).  The last stage has C = 1, so its H is
+    H(t + dt).  Returns the 8th-order state at t + dt, H(t + dt) and Hairer's
+    error estimate per unit time, |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2) with
+    e5 = E5 @ k and e3 = E3 @ k.
     """
-    for s in range(1, len(_C)):
-        h = op(t + _C[s] * dt)
+    for s, h in enumerate(stages(t + _C[1:] * dt), start=1):
         k[s] = -1j * h(psi + dt * (_A[s, :s] @ k[:s]))
     step, e5, e3 = _WEIGHTS @ k
     sq5, sq3 = np.vdot(e5, e5).real, np.vdot(e3, e3).real
@@ -182,10 +195,11 @@ def _dop853_step(op, t, psi, dt, k):
     return psi + dt * step, h, float(rate)
 
 
-def _advance_adaptive(op, t0, t1, psi, h_t0, tol_per_time, dt_init, stats):
+def _advance_adaptive(stages, t0, t1, psi, h_t0, tol_per_time, dt_init, stats):
     """Integrate from t0 to t1 with the DOP853 pair and its embedded error estimate.
 
-    `op(t)` is the operator x -> H(t) x and `h_t0` is op(t0).  Each attempted
+    `stages(times)` gives the operators x -> H(t) x at those times and `h_t0` is
+    H(t0)'s.  Each attempted
     step evaluates H at its eleven new stage times, the last at t + dt, and
     applies each once (`_dop853_step`).  A step is accepted when Hairer's
     error estimate dt |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2) is at most
@@ -207,7 +221,7 @@ def _advance_adaptive(op, t0, t1, psi, h_t0, tol_per_time, dt_init, stats):
             k[0] = -1j * h_t0(psi)
             stats["h_applications"] += 1
         dt = min(dt, t1 - t)
-        new, h_end, rate = _dop853_step(op, t, psi, dt, k)
+        new, h_end, rate = _dop853_step(stages, t, psi, dt, k)
         stats["h_evaluations"] += len(_C) - 1
         stats["h_applications"] += len(_C) - 1
         growth = 0.9 * (tol_per_time / rate) ** 0.125 if rate > 0 else 5.0
@@ -228,7 +242,7 @@ def _advance_adaptive(op, t0, t1, psi, h_t0, tol_per_time, dt_init, stats):
 
 
 def _interior(fn, t_start, t_end):
-    """fn(t) on one piece, continued to its ends from the inside.
+    """fn(times) on one piece, continued to its ends from the inside.
 
     Evaluation times are clamped EDGE_OFFSET (relative) inside the piece, so a
     step that starts or ends on a breakpoint sees the piece's own one-sided
@@ -236,21 +250,26 @@ def _interior(fn, t_start, t_end):
     """
     edge = min(EDGE_OFFSET * max(1.0, abs(t_start), abs(t_end)), (t_end - t_start) / 4)
     lo, hi = t_start + edge, t_end - edge
-    return lambda t: fn(min(max(t, lo), hi))
+    return lambda times: fn(np.clip(times, lo, hi))
 
 
 def evolve(h: TimeDependentHamiltonian, psi0: np.ndarray, t_grid: Sequence[float],
            tol: float = NORM_TOL) -> Trajectory:
     """Propagate a normalized state under H(t) over a strictly increasing `t_grid`.
 
-    The horizon is split at the breakpoints of `h.profile`.  Pieces where
-    mu'(t) = 0 are propagated exactly: one eigh of H per piece, each grid
+    The horizon is split at the breakpoints of `h.profile`.  Only the parity
+    sectors psi0 has an amplitude in are propagated (`TimeDependentHamiltonian.split`:
+    one or both sectors of a two-level emitter with a parity, each at n = D/2, the
+    whole space otherwise), as one block of their coordinates.  Pieces where
+    mu'(t) = 0 are propagated exactly: one eigh of H per piece and sector, each grid
     state written from the piece's start state.  Pieces where mu'(t) != 0
     integrate with the adaptive DOP853 pair (`_advance_adaptive`) at local
     error `tol` per unit time, applying H(t) unformed, from a first step of
     an eighth of the piece; a piece that ends on a breakpoint evaluates H(t)
-    from its own side.  psi0 and the returned states are in the Fock basis.
-    Norms that drift by `tol` or more raise ConvergenceError.
+    from its own side.  The step control reads the norm of the whole block, so
+    the steps are those of the state in the Fock basis.  psi0 and the returned
+    states are in the Fock basis.  Norms that drift by `tol` or more raise
+    ConvergenceError.
 
     The observables are the photon number n<k> of each mode, sigma_z of a
     two-level emitter and the generator X ("X"); the sigma_z and X series
@@ -259,7 +278,9 @@ def evolve(h: TimeDependentHamiltonian, psi0: np.ndarray, t_grid: Sequence[float
     at its midpoint or start, plus eleven per attempted step), applications
     of an unformed H ("h_applications": eleven per attempted step plus one
     per accepted step), accepted and rejected steps, static and dynamic
-    pieces, and records the final norm error.
+    pieces, and records the final norm error, the sectors propagated
+    ("parity_sectors", such as [1], or None without sectors) and the
+    dimension of each ("evolved_dim").
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -276,8 +297,12 @@ def evolve(h: TimeDependentHamiltonian, psi0: np.ndarray, t_grid: Sequence[float
     stats = {"h_evaluations": 0, "h_applications": 0, "accepted_steps": 0,
              "rejected_steps": 0, "static_pieces": 0, "dynamic_pieces": 0}
 
-    states = np.empty((len(t_grid), psi0.shape[0]), dtype=complex)
-    states[0] = psi = h.basis.from_fock(psi0)
+    sectors, block = h.split(psi0)
+    n, width = block.shape
+    stats.update(parity_sectors=None if sectors == (None,) else list(sectors), evolved_dim=n)
+    states = np.empty((len(t_grid), block.size), dtype=complex)
+    states[0] = psi = block.ravel()
+    stages = partial(h.operators, sectors=sectors)
     filled = 1  # grid points up to the current piece's start are written
     for t_start, t_end, piece_static in _pieces(h.profile, t_grid[0], t_grid[-1]):
         stats["h_evaluations"] += 1  # H at the piece's midpoint or start; steps count theirs
@@ -287,20 +312,25 @@ def evolve(h: TimeDependentHamiltonian, psi0: np.ndarray, t_grid: Sequence[float
             stops = np.append(stops, t_end)  # the next piece starts from here
         if piece_static:
             stats["static_pieces"] += 1
-            out = _static_piece(*h.eigensystem((t_start + t_end) / 2), psi, stops - t_start)
+            columns = psi.reshape(n, width).T
+            out = np.stack([_static_piece(*h.eigensystem((t_start + t_end) / 2, sector), a,
+                                          stops - t_start)
+                            for sector, a in zip(sectors, columns)], axis=-1)
+            out = out.reshape(len(stops), -1)
         else:
             stats["dynamic_pieces"] += 1
-            piece_fn = _interior(h.operator, t_start, t_end)
+            piece_fn = _interior(stages, t_start, t_end)
             out = np.empty((stops.size, psi.shape[0]), dtype=complex)
-            t, h_t, dt = t_start, piece_fn(t_start), (t_end - t_start) / 8
+            t, h_t, dt = t_start, piece_fn([t_start])[0], (t_end - t_start) / 8
             for j, t_next in enumerate(stops):
                 psi, h_t, dt = _advance_adaptive(piece_fn, t, t_next, psi, h_t, tol, dt, stats)
                 out[j] = psi
                 t = t_next
         states[filled:stop] = out[:stop - filled]
         psi, filled = out[-1], stop
-    obs = {"X": np.abs(states) ** 2 @ h.basis.xi}  # <X> = sum_i xi_i |y_i|^2
-    states = h.basis.to_fock(states.T).T
+    states = states.reshape(len(t_grid), n, width)
+    obs = {"X": (np.abs(states) ** 2).sum(axis=-1) @ h.xi}  # <X> = sum_i xi_i |a_i|^2
+    states = h.to_fock(states, sectors)
     # Runge-Kutta steps do not conserve the norm: refuse a trajectory that drifted too far
     drift = np.abs(np.linalg.norm(states, axis=1) - 1.0).max()
     if drift >= tol:
@@ -336,8 +366,10 @@ def td_gauge_equivalence(ms: ModeSet, em: EmitterSpec, profile: TimeProfile,
 
     Both gauges are evolved from gauge-consistently prepared initial states
     (psi_mp(0) = W(0) psi_C(0), default psi_C(0) = `ground_state` of H_C(0));
-    W(t) = exp(-i mu(t) X).  Passing a flipped `extra_term_sign` provides the
-    negative control that pins the sign of the multipolar extra term.
+    W(t) = exp(-i mu(t) X), applied as a phase on the coordinates of each sector
+    (`TimeDependentHamiltonian.gauge_map`), so that W(0) psi_C(0) keeps the sector of
+    psi_C(0).  Passing a flipped `extra_term_sign` provides the negative control that
+    pins the sign of the multipolar extra term.
     """
     td_c = build_time_dependent(ms, em, "coulomb", profile, cutoffs)
     td_mp = build_time_dependent(ms, em, "multipolar", profile, cutoffs,
@@ -345,9 +377,9 @@ def td_gauge_equivalence(ms: ModeSet, em: EmitterSpec, profile: TimeProfile,
     t_grid = np.asarray(t_grid, dtype=float)
     if psi0 is None:
         psi0 = ground_state(td_c, t_grid[0])
-    psi_mp0 = td_c.basis.apply(-profile.mu(t_grid[0]), psi0)
+    psi_mp0 = td_c.gauge_map(-profile.mu(t_grid[0]), psi0)
     traj_c = evolve(td_c, psi0, t_grid, tol=tol)
     traj_mp = evolve(td_mp, psi_mp0, t_grid, tol=tol)
-    devs = np.array([np.linalg.norm(psi_mp - td_c.basis.apply(-profile.mu(t), psi_c))
+    devs = np.array([np.linalg.norm(psi_mp - td_c.gauge_map(-profile.mu(t), psi_c))
                      for t, psi_c, psi_mp in zip(t_grid, traj_c.states, traj_mp.states)])
     return TdEquivalenceResult(float(devs.max()), t_grid, devs, traj_c, traj_mp)

@@ -97,9 +97,11 @@ in B and the diagonal phases Q = e^(-i theta c xi), R = e^(i (1 - theta) c xi),
 formed in the Fock basis as B H B^dag; the pair, and every member of a scan
 rung, share one eigendecomposition of X.  The naive series there is
 H_F + `nested_commutators` of c X.  So no gauge exponential is a matrix: every
-one is a phase in an eigenbasis of X.  H(t) is the `EigenbasisFamily` member
-at theta = 0 or 1 and coupling scale mu(t), for couplings that factor or not,
-plus its mu' term.
+one is a phase in an eigenbasis of X.  H(t) is the family member at theta = 0
+or 1 and coupling scale mu(t), plus its mu' term, split as the static builders
+are: a `sectored` family's member is kept per parity sector, n x n blocks of M0
+between the phases with beta on the antidiagonal (`QuadratureFamily.sector_members`),
+and every other coupling takes its `EigenbasisFamily` member.
 
 The one canonical multipolar form is `canonical_terms`: the Kronecker terms of
 H_F, `multipolar_interaction` and a matter term (h0, with `polarization_squared`
@@ -127,7 +129,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -300,9 +302,9 @@ class HamiltonianBundle:
     state |0>, which an operator linear in the field takes into the other sector, a
     quadrature-basis bundle can solve that sector by eigh and |0>'s by eigvalsh, |0>
     itself by one shifted solve (`solve_ground_apart`).  The other sector's lowest level
-    must lie above E0 and the solve's residual within HERMITIAN_TOL; otherwise both
-    sectors are solved by eigh, as any later call that asks for another level of |0>'s
-    sector does.
+    must lie above E0 and the solve's residual within HERMITIAN_TOL; otherwise |0>'s
+    sector is solved by eigh as well, as any later call that asks for another level of
+    that sector does, and the other sector's solve is kept.
 
     A builder may also declare time reversal: that (-1)^(sum_mu n_mu) K, with
     K complex conjugation, commutes with H, so that p^dag H p is real
@@ -450,8 +452,19 @@ class HamiltonianBundle:
     def _solve(self, keep: Optional[int] = None) -> tuple:
         """One solve per sector, kept (`_keep`): eigh with the lowest `keep` eigenvectors of
         each sector kept (every one without keep; none, and the eigenvalues by eigvalsh, for
-        keep = -1)."""
-        return self._keep([_lowest_eigh(block, keep) for block in self._sector_blocks()])
+        keep = -1).  A sector whose kept solve already holds that many is not solved again."""
+        solution = self.owner.solution
+        held = [None] * len(self.diagnostics["sector_sizes"]) if solution is None else solution[1]
+        parts = []
+        for part, block in zip(held, self._sector_blocks()):
+            if part is not None:
+                vals, vecs = part
+                need = len(vals) if keep is None else min(max(keep, 0), len(vals))
+                if (0 if vecs is None else vecs.shape[1]) >= need:
+                    parts.append(part)
+                    continue
+            parts.append(_lowest_eigh(block, keep))
+        return self._keep(parts)
 
     def _holds(self, wanted: Optional[np.ndarray]) -> bool:
         """Whether the kept solution has the eigenvectors of these columns of the ascending
@@ -485,8 +498,8 @@ class HamiltonianBundle:
         eigenvectors of each sector are kept, in the sector's basis, and a later call that
         asks for a level above those of its sector solves again.  A quadrature-basis bundle
         may instead hold its ground sector's lowest vector alone, from
-        `solve_ground_apart`: a column of any other level of that sector solves both
-        sectors again, the route before that selection rule.  Only the columns asked for
+        `solve_ground_apart`: a column of any other level of that sector solves it by
+        eigh, and the other sector's kept solve serves its columns.  Only the columns asked for
         are placed into the Fock basis, as a new (D, len(columns)) array.  Without columns
         every eigenvector is kept and every column placed once, and that D x D matrix is
         kept read-only.  A tie between sectors keeps the even sector first.
@@ -524,8 +537,9 @@ class HamiltonianBundle:
         trusts first, only by eigvalsh, and its lowest vector at E0 by one shifted solve
         (`_shifted_solve`).  Two checks on the values found: the other sector's lowest level
         lies above E0, and the vector's residual in its sector, max|B u - E0 u|, is at most
-        HERMITIAN_TOL * max(1, max|E|).  Either failing returns None, and `eigensystem`
-        then solves both sectors by eigh.  A Fock-basis bundle, or one whose solve already
+        HERMITIAN_TOL * max(1, max|E|).  Either failing keeps the other sector's solve and
+        the ground sector's eigenvalues without its vector and returns None; `eigensystem`
+        then solves only the ground sector by eigh.  A Fock-basis bundle, or one whose solve already
         holds eigenvectors, returns None at once.
         """
         solution = self.owner.solution
@@ -545,6 +559,9 @@ class HamiltonianBundle:
         e0, above = parts[ground][0][0], parts[1 - ground][0][0]
         scale = max(1.0, *(abs(float(v[i])) for v, _ in parts for i in (0, -1)))
         if above <= e0 or residual > HERMITIAN_TOL * scale:
+            vals = parts[ground][0]
+            parts[ground] = vals, np.empty((len(vals), 0))
+            self._keep(parts)
             return None
         order = self._keep(parts)[2]
         return np.where(order < len(parts[0][0]), 1, -1)
@@ -980,14 +997,98 @@ class QuadratureFamily:
         it: one product over all of them rounds a column differently as their number
         changes.
         """
-        parity = parity_labels(self.photons)[:, None]
-        coef = (self.u[:, 0] + eps * parity * self.u[:, 1]) / np.sqrt(2)
         c = (y + 1j * y[::-1]) / np.sqrt(2) if self.time_reversal else y
-        c = c * p[:, None]
-        z = _kron_apply(self.basis.factors[:-1], c.T[:, :, None])[:, :, 0]
         out = vecs.T.reshape(vecs.shape[1], -1, 2)  # a view of the F-ordered vecs
-        for k in range(2):
-            out[columns, :, k] = z * coef[:, k]
+        out[columns] = self.sector_fock(eps, (c * p[:, None]).T)
+
+    def _coef(self, eps: int) -> np.ndarray:
+        """(u_0 + eps P u_1) / sqrt(2) per photon state, (n, 2), P the photon parity: the
+        matter factor of sector eps.  u_1 = S u_0, so each entry on a level of the other
+        parity is exactly zero."""
+        parity = parity_labels(self.photons)[:, None]
+        return (self.u[:, 0] + eps * parity * self.u[:, 1]) / np.sqrt(2)
+
+    def sector_fock(self, eps: int, c: np.ndarray) -> np.ndarray:
+        """The Fock-basis states (k, n, 2), photon-major, of the states [c; eps J c] / sqrt(2)
+        of this basis, c (k, n): z (x) (u_0 + eps P u_1) / sqrt(2) with z = w c, w the
+        photon part of the basis, each row of c mapped on its own."""
+        z = _kron_apply(self.basis.factors[:-1], c[:, :, None])[:, :, 0]
+        return z[:, :, None] * self._coef(eps)
+
+    def sector_coordinates(self, eps: int, psi: np.ndarray) -> np.ndarray:
+        """c (n,) of the part of a Fock-basis state psi (D,) in sector eps, the inverse of
+        `sector_fock` there: w^dag z with z the matter factor's overlap with
+        (u_0 + eps P u_1) / sqrt(2), whose entries on the other parity are zero."""
+        z = np.einsum("nk,nk->n", self._coef(eps).conj(), psi.reshape(-1, 2))
+        return _kron_apply([f.conj().T for f in self.basis.factors[:-1]], z)
+
+    @cached_property
+    def _m0(self) -> np.ndarray:
+        """M0 = K + h0'_00 of a `sectored` family, after `measure` has checked K and the parity
+        of h0'_01 once: beta - J beta^* = (h0'_01 - h0'_01^*) e^(i (lam_0 - lam_1) c nu), so
+        one coupling scale checks every scale."""
+        self.measure(self.recipe([1.0]))
+        h00 = self.h0[0, 0].real if self.time_reversal else self.h0[0, 0]
+        m0 = self.k.astype(np.result_type(self.k, h00))
+        m0.flat[::len(m0) + 1] += h00
+        return m0
+
+    @cached_property
+    def _sector_exponents(self) -> tuple:
+        """The constant columns (n, 1) of H(t)'s sectors: i (lam_0 - lam_1) nu, -i lam_0 nu and
+        lam_0 nu, X's diagonal on a sector's coordinates."""
+        lam_x = (self.lam[0] * self.x)[:, None]
+        return 1j * (self.lam[0] - self.lam[1]) * self.x[:, None], -1j * lam_x, lam_x
+
+    def sector_members(self, theta: float, scales: np.ndarray, drives: np.ndarray,
+                       signs: np.ndarray) -> list:
+        """The sectors `signs` of H(theta, c) + drive X at each coupling scale c and drive
+        (k,), one flat tuple (M0, q, q^*, b, d) per scale, as `sector_matrix` and
+        `apply_sectors` take it: q, q^* and d are columns (n, 1) or None.
+
+        With p = e^(-i theta lam_0 c nu), a state [a; eps J a] / sqrt(2) of sector eps is
+        mapped to [H_eps a; eps J H_eps a] / sqrt(2),
+
+            H_eps a = p (M0 (p^* a)) + eps p beta J (p^* a) + drive lam_0 nu a,
+
+        beta = h0'_01 e^(i (lam_0 - lam_1) c nu); J p = p^*, so the coupling term is
+        eps b J a with b = h0'_01 e^(i (1 - theta) (lam_0 - lam_1) c nu).  q = p is None at
+        theta = 0 and b the constant h0'_01 at theta = 1, so at either gauge endpoint the
+        k members take one exponential of (k, n) entries.  signs (1, s) holds eps per column
+        of the sectors' block, and b is (n, s), or (1, s) at theta = 1."""
+        off, phase, lam_x = self._sector_exponents
+        k = len(scales)
+        q = q_conj = d = [None] * k
+        if theta != 0.0:
+            q = np.exp(np.multiply.outer(theta * scales, phase))
+            q_conj = q.conj()
+        b = self.h0[0, 1] * signs
+        b = ([b] * k if theta == 1.0
+             else np.exp(np.multiply.outer((1 - theta) * scales, off)) * b)
+        if np.any(drives):
+            d = np.multiply.outer(drives, lam_x)
+        return list(zip([self._m0] * k, q, q_conj, b, d))
+
+    def sector_matrix(self, member) -> np.ndarray:
+        """H_eps of a member of one sector (`sector_members`), n x n: M0 between the phases, b on the
+        antidiagonal and the drive on the diagonal."""
+        m0, q, q_conj, b, d = member
+        h = m0 * (q * q_conj.T) if q is not None else m0.astype(complex)
+        i = np.arange(len(h))
+        h[i, i[::-1]] += b[:, 0]
+        if d is not None:
+            h[i, i] += d[:, 0]
+        return h
+
+    def apply_sectors(self, member, a: np.ndarray) -> np.ndarray:
+        """H_eps a for the block a (n, s) of a member's sectors (`sector_members`), one n x n
+        product."""
+        m0, q, q_conj, b, d = member
+        y = _left_multiply(m0, a) if q is None else q * _left_multiply(m0, q_conj * a)
+        y += b * a[::-1]
+        if d is not None:
+            y += d * a
+        return y
 
     def apply_member(self, theta: float, recipe: MemberRecipe, x: np.ndarray) -> np.ndarray:
         """H x in the Fock basis for the member of a recipe of one at gauge theta, x a vector
@@ -1429,18 +1530,26 @@ class TimeDependentHamiltonian:
     gauge condition; its sign is pinned by the gauge-equivalence of the
     resulting dynamics (see dynamics.td_gauge_equivalence).
 
-    H(t) is the member of an `EigenbasisFamily` at theta = 0 (Coulomb) or
-    theta = 1 (multipolar) and coupling scale c = mu(t), plus the drive
-    sign * mu'(t) xi, all in the generator's eigenbasis B (`basis`), where
-    X = diag(xi): H_C(t) = K + R M R^dag and H_mp(t) = Q K Q^dag + M +
-    sign * mu'(t) diag(xi), with the family's checked K and M and its phases
-    R = e^(i mu xi), Q = e^(-i mu xi).  `operator(t)` applies H(t) without
-    forming it, on the propagator's dynamic pieces; `matrix(t)` forms it, and
-    `eigensystem(t)` diagonalizes it for static pieces and the ground state.
-    `basis.to_fock` maps states back.
+    H(t) is the family's member at theta = 0 (Coulomb) or theta = 1 (multipolar)
+    and coupling scale c = mu(t), plus the drive sign * mu'(t) X, all in the family's
+    eigenbasis of X (`basis`), X = diag(xi).  X, H_F and h0 commute with the parity
+    (-1)^(sum n) (x) S at every t, so a state of one parity sector stays there.  For a
+    `sectored` `QuadratureFamily` (a two-level emitter with a parity) H(t) is
+    therefore kept per sector: a state is [a; eps J a] / sqrt(2) in `basis`, and a
+    sector's coordinates a (n,), n = D/2, take
+    H_eps a = p (M0 (p^* a)) + eps b J a + sign mu' lam_0 nu a
+    (`QuadratureFamily.sector_members`), with the family's checked M0 = K + h0'_00.
+    Every other family is an `EigenbasisFamily`, one sector (None) of the whole
+    space, where H_C(t) = K + R M R^dag and H_mp(t) = Q K Q^dag + M + sign mu' diag(xi)
+    with R = e^(i mu xi), Q = e^(-i mu xi).  `split` takes a Fock-basis state to the
+    sectors it has weight in and its coordinates there, `to_fock` back;
+    `operators(times, sectors)` applies H(t) to those coordinates without forming it,
+    at the stage times of a step of the propagator's dynamic pieces; `matrix(t, sector)` forms one sector's block (the
+    whole of H(t) in `basis` without a sector) and `eigensystem(t, sector)`
+    diagonalizes it, for static pieces and the ground state.
     """
 
-    def __init__(self, gauge: str, family: EigenbasisFamily, profile: TimeProfile,
+    def __init__(self, gauge: str, family: GaugeFamily, profile: TimeProfile,
                  extra_term_sign: float = TD_EXTRA_TERM_SIGN):
         if gauge not in ("coulomb", "multipolar"):
             raise ValueError(f"unknown gauge {gauge!r}")
@@ -1448,33 +1557,115 @@ class TimeDependentHamiltonian:
         self.theta = 0.0 if gauge == "coulomb" else 1.0
         self.space, self.basis = family.space, family.basis  # X's eigenbasis, formed here
         self.extra_term_sign = float(extra_term_sign)
-        self._eig = None
+        # every sector, and X's diagonal on one sector's coordinates
+        self.sectors = (1, -1) if family.sectored else (None,)
+        self.xi = family.lam[0] * family.x if family.sectored else self.basis.xi
+        self._eig = {}
 
-    def _member(self, t: float):
-        """The family's member at mu(t), with the drive sign * mu'(t) in the multipolar gauge
-        (theta = 1), none in the Coulomb gauge (theta = 0)."""
-        mu_dot = self.profile.mu_dot(t) if self.theta else 0.0
-        return self.family.member(self.theta, self.profile.mu(t), self.extra_term_sign * mu_dot)
+    def _drive(self, t: float) -> float:
+        """sign * mu'(t) in the multipolar gauge (theta = 1), none in the Coulomb gauge."""
+        return self.extra_term_sign * self.profile.mu_dot(t) if self.theta else 0.0
 
-    def eigensystem(self, t: float):
-        """np.linalg.eigh of `matrix(t)`, read-only and kept for the last (mu(t), mu'(t))
-        asked: the ground state and a static piece at the same coupling share one eigh."""
+    def _members(self, times, sectors: tuple) -> list:
+        """The family's member at mu(t) for each t, with the drive sign * mu'(t) X in the
+        multipolar gauge; of a `sectored` family, on the given sectors, all from one
+        exponential."""
+        if not self.family.sectored:
+            return [self.family.member(self.theta, self.profile.mu(t), self._drive(t))
+                    for t in times]
+        return self.family.sector_members(
+            self.theta, np.array([self.profile.mu(t) for t in times]),
+            np.array([self._drive(t) for t in times]), _signs(sectors))
+
+    def split(self, psi: np.ndarray) -> tuple:
+        """(sectors, a) of a Fock-basis state psi: the parity sectors it has a nonzero
+        amplitude in, (1,), (-1,) or (1, -1), and its coordinates a (n, s) there, one
+        column per sector; (None,) and basis^dag psi (D, 1) without sectors."""
+        if not self.family.sectored:
+            return (None,), self.basis.from_fock(psi)[:, None]
+        labels = parity_labels(self.space, self.family.parity_signs)
+        sectors = tuple(eps for eps in (1, -1) if np.any(psi[labels == eps]))
+        return sectors, np.column_stack([self.family.sector_coordinates(eps, psi)
+                                         for eps in sectors])
+
+    def to_fock(self, a: np.ndarray, sectors: tuple) -> np.ndarray:
+        """The Fock-basis states (k, D) of coordinates a (k, n, s) in these sectors (`split`)."""
+        if not self.family.sectored:
+            return self.basis.to_fock(a[..., 0].T).T
+        return sum(self.family.sector_fock(eps, a[..., j])
+                   for j, eps in enumerate(sectors)).reshape(len(a), -1)
+
+    def eigensystem(self, t: float, sector=None):
+        """np.linalg.eigh of `matrix(t, sector)`, read-only and kept per sector for the last
+        (mu(t), mu'(t)) asked: the ground state and a static piece at the same coupling
+        share one eigh."""
         key = (self.profile.mu(t), self.profile.mu_dot(t))
-        if self._eig is None or self._eig[0] != key:
-            eig = np.linalg.eigh(self.matrix(t))
+        kept = self._eig.get(sector)
+        if kept is None or kept[0] != key:
+            eig = np.linalg.eigh(self.matrix(t, sector))
             for arr in eig:
                 arr.flags.writeable = False
-            self._eig = (key, eig)
-        return self._eig[1]
+            self._eig[sector] = kept = (key, eig)
+        return kept[1]
 
-    def matrix(self, t: float) -> np.ndarray:
-        """H(t) in the eigenbasis of X, formed from the checked K and M (Hermitian to rounding)."""
-        return self.family.matrix(self._member(t))
+    def ground_sector(self, t: float):
+        """The sector of H(t)'s ground state: None without sectors; else the family's
+        `ground_parity` eps, once a Cholesky factorization of the other sector's block minus
+        E0 proves that its levels lie above E0, or otherwise unless one eigvalsh finds the
+        other sector's lowest level below E0."""
+        if not self.family.sectored:
+            return None
+        eps = self.family.ground_parity
+        e0 = self.eigensystem(t, eps)[0][0]
+        other = self.matrix(t, -eps)
+        diag = other.flat[::len(other) + 1]
+        other.flat[::len(other) + 1] = diag - e0
+        try:
+            np.linalg.cholesky(other)
+            return eps
+        except np.linalg.LinAlgError:
+            other.flat[::len(other) + 1] = diag
+            return -eps if np.linalg.eigvalsh(other)[0] < e0 else eps
 
-    def operator(self, t: float) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> H(t) x in the eigenbasis of X, for a state x of shape (D,), with H(t) not
-        formed: two matrix-vector products and O(D) phase products (`EigenbasisFamily.apply`)."""
-        return partial(self.family.apply, self._member(t))
+    def matrix(self, t: float, sector=None) -> np.ndarray:
+        """H(t) on one sector's coordinates, formed from the checked K (and M); without a
+        sector, the whole of H(t) in the eigenbasis of X (Hermitian to rounding)."""
+        if sector is None and self.family.sectored:
+            # [a; eps J a] / sqrt(2) of each sector eps: the (k, l) matter blocks of the sum
+            plus, minus = (self.matrix(t, eps) for eps in (1, -1))
+            even, odd = (plus + minus) / 2, (plus - minus) / 2
+            n = len(even)
+            h = np.empty((n, 2, n, 2), dtype=complex)
+            h[:, 0, :, 0], h[:, 0, :, 1] = even, odd[:, ::-1]
+            h[:, 1, :, 0], h[:, 1, :, 1] = odd[::-1], even[::-1, ::-1]
+            return h.reshape(2 * n, 2 * n)
+        member = self._members([t], (sector,))[0]
+        return (self.family.sector_matrix(member) if self.family.sectored
+                else self.family.matrix(member))
+
+    def operators(self, times, sectors: Optional[tuple] = None) -> list:
+        """x -> H(t) x at each of these times, for the flattened coordinates x (n s,) of
+        these sectors (`split`; every sector without them), with H(t) not formed: on a
+        sectored family one n x n product and O(n) phase products
+        (`QuadratureFamily.apply_sectors`), else two D x D matrix-vector products and O(D)
+        phase products (`EigenbasisFamily.apply`) on x (D,)."""
+        members = self._members(times, self.sectors if sectors is None else sectors)
+        if not self.family.sectored:
+            return [partial(self.family.apply, member) for member in members]
+        n, apply = len(self.xi), self.family.apply_sectors
+        return [lambda x, m=member: apply(m, x.reshape(n, -1)).reshape(-1)
+                for member in members]
+
+    def gauge_map(self, s: float, psi: np.ndarray) -> np.ndarray:
+        """exp(i s X) psi for a Fock-basis state psi, a phase on its coordinates (`split`)."""
+        sectors, a = self.split(psi)
+        return self.to_fock((np.exp((1j * s) * self.xi)[:, None] * a)[None], sectors)[0]
+
+
+@lru_cache(maxsize=None)
+def _signs(sectors: tuple) -> np.ndarray:
+    """eps per column (1, s) of a block of these sectors."""
+    return np.array(sectors, dtype=float)[None, :]
 
 
 def build_time_dependent(ms: ModeSet, em: EmitterSpec, gauge: str,
@@ -1485,7 +1676,17 @@ def build_time_dependent(ms: ModeSet, em: EmitterSpec, gauge: str,
     mu == 1 reproduces the static builders; mu == 0 decouples the emitter.
     `extra_term_sign` exists so the sign convention of the multipolar extra
     term can be negated as a control; the default is the physically-correct
-    choice.
+    choice.  When `QuadratureFamily.of_couplings` gives a `sectored` family (a
+    two-level emitter with a parity, coupled), H(t) is built from it and kept per
+    parity sector at n = D/2, its M0 checked once (`QuadratureFamily.measure`) at the
+    first H(t) formed or applied; its ground state comes from the sector of
+    `ground_parity`, certified against the other sector, which takes over when the
+    certificate fails (`TimeDependentHamiltonian.ground_sector`).  Every other emitter
+    takes its `EigenbasisFamily`, the same split `_family_bundle` makes for the static
+    builders.
     """
-    family = EigenbasisFamily(couplings(ms, em), em.h0, _normalize_cutoffs(cutoffs, ms.n_modes))
+    cs, cutoffs = couplings(ms, em), _normalize_cutoffs(cutoffs, ms.n_modes)
+    family = QuadratureFamily.of_couplings(cs, em.h0, em.parity_signs, cutoffs)
+    if not family.sectored:
+        family = EigenbasisFamily(cs, em.h0, cutoffs)
     return TimeDependentHamiltonian(gauge, family, profile, extra_term_sign)

@@ -247,6 +247,40 @@ def test_detect_places_each_state_once(tmp_path, monkeypatch):
     assert len(meta["diagnostics"]["top_fock_population"]) == 1
 
 
+def test_picked_states_are_placed_once_and_handed_to_the_rate_table(monkeypatch):
+    """`significant_transitions` places |0> and its candidates of the other parity sector,
+    each once; `rate_table` reads |0> and the picked states from its `Transitions` and
+    places none, nor forms the Coulomb detection terms again.  Given the same pairs as a
+    plain list, it places each state they name and forms both gauges' terms."""
+    ms, em, (b_c, b_mp) = two_mode_pair(CUTOFFS)
+    placed, formed = [], []
+    place, operator = QuadratureFamily._place, detect_module.detection_operator
+
+    def counted(family, eps, p, vecs, columns, y):
+        placed.append(len(columns))
+        return place(family, eps, p, vecs, columns, y)
+
+    monkeypatch.setattr(QuadratureFamily, "_place", counted)
+    monkeypatch.setattr(detect_module, "detection_operator",
+                        lambda bundle, *args: formed.append(bundle.gauge.theta)
+                        or operator(bundle, *args))
+    got = significant_transitions(b_c, ms, detector(), 3, em=em)
+    n = b_c.space.dim // 2
+    even = b_c.owner.solution[2][:40] < n  # the sector of each of the lowest 40 levels
+    others = int(np.sum(even[1:] != even[0]))
+    assert placed == ([1, others] if even[0] else [others, 1]) and formed == [0.0]
+    assert len(got) == 3 and got.vecs.shape == (b_c.space.dim, 4)
+    placed.clear()
+    formed.clear()
+    rows, states = rate_table(b_c, b_mp, ms, em, detector(), got, b_c.family.basis)
+    assert placed == [] and formed == [1.0]  # the multipolar terms alone are formed here
+    assert states is got.vecs
+    again, again_states = rate_table(b_c, b_mp, ms, em, detector(), list(got),
+                                     b_c.family.basis)
+    assert sum(placed) == 4 and formed == [1.0, 0.0, 1.0]
+    assert again == rows and np.array_equal(again_states, states)
+
+
 def assert_matches_the_dense_oracle(b_c, b_mp, dense_c, dense_mp, ms, em):
     """`detect`'s transitions equal the dense-eigh oracle's, and its omega_ij and both rates
     agree with the oracle's to 1e-10 relative."""
@@ -305,24 +339,28 @@ def dense_twin(bundle):
 
 def assert_both_sectors_solved_by_eigh(eigh, eigvalsh, bundle):
     n = bundle.space.dim // 2
-    # the other sector by eigh and |0>'s by eigvalsh, then both sectors by eigh
-    assert eigh == [(n, n)] * 3 and eigvalsh == [(n, n)]
+    # the other sector by eigh and |0>'s by eigvalsh, then |0>'s by eigh, the other's kept
+    assert eigh == [(n, n)] * 2 and eigvalsh == [(n, n)]
     assert bundle.owner.solution[3] == (min(n, 40),) * 2
 
 
 def test_a_ground_state_in_the_other_sector_falls_back_to_solving_both(monkeypatch):
     """beta of the opposite sign swaps the sectors (the levels of h0 swapped), so |0> lies
     in the sector that `ground_parity` does not guess: the other sector's lowest level
-    lies below E0, and both sectors are solved by eigh."""
+    lies below E0, and both sectors are solved by eigh, the other sector's solve kept."""
     ms, em = two_mode_system(OFF_DIAGONAL_CHI)
     cutoffs = (6, 6)
     family = QuadratureFamily.of(ms, em, cutoffs)
     recipe = family.recipe([1.0])
-    flipped = replace(recipe, beta=-recipe.beta)
-    b_c, b_mp = (HamiltonianBundle.in_quadrature_basis(family, g, flipped,
-                                                       {"cutoffs": cutoffs})
-                 for g in (COULOMB, MULTIPOLAR))
-    assert b_c.solve_ground_apart(40) is None and b_c.owner.solution is None
+    pair = lambda flipped: (HamiltonianBundle.in_quadrature_basis(family, g, flipped,
+                                                                  {"cutoffs": cutoffs})
+                            for g in (COULOMB, MULTIPOLAR))
+    probe, _ = pair(replace(recipe, beta=-recipe.beta))
+    assert probe.solve_ground_apart(40) is None
+    ground = 0 if family.ground_parity > 0 else 1
+    kept = probe.owner.solution[3]  # the other sector's 40 vectors, none of |0>'s guess
+    assert kept[ground] == 0 and kept[1 - ground] == 40
+    b_c, b_mp = pair(replace(recipe, beta=-recipe.beta))
     eigh, eigvalsh = count_solves(monkeypatch, ("eigh", "eigvalsh"))
     significant_transitions(b_c, ms, detector(), 3, em=em)
     assert_both_sectors_solved_by_eigh(eigh, eigvalsh, b_c)
@@ -334,7 +372,7 @@ def test_a_ground_state_in_the_other_sector_falls_back_to_solving_both(monkeypat
 
 def test_a_shifted_solve_that_misses_falls_back_to_solving_both(monkeypatch):
     """A vector from the shifted solve whose residual exceeds HERMITIAN_TOL (here the solve's
-    right-hand side alone) is not kept: both sectors are solved by eigh."""
+    right-hand side alone) is not kept: |0>'s sector is solved by eigh as well."""
     ms, em, (b_c, b_mp) = two_mode_pair((6, 6))
     monkeypatch.setattr(hamiltonians, "_shifted_solve",
                         lambda block, e0: np.eye(len(block))[np.argmin(np.abs(
@@ -350,7 +388,7 @@ def test_a_shifted_solve_that_misses_falls_back_to_solving_both(monkeypatch):
 
 def test_a_parity_even_detection_term_falls_back_to_solving_both(monkeypatch):
     """A term sigma_z on the emitter keeps the parity, so O |0> has a part in |0>'s sector:
-    every candidate is read, both sectors solved by eigh."""
+    every candidate is read, |0>'s sector solved by eigh as well."""
     ms, em, (b_c, b_mp) = two_mode_pair((6, 6))
     even = {b_c.space.matter_indices[0]: 0.3 * PAULI_Z}
     operator, oracle = detect_module.detection_operator, dense_oracle.detection_operator

@@ -38,29 +38,29 @@ GRIDS = {
 
 
 def counting(td):
-    """Wrap td.operator, td.eigensystem and td.matrix; returns the times H(t) is evaluated
+    """Wrap td.operators, td.eigensystem and td.matrix; returns the times H(t) is evaluated
     at (applied or diagonalized), the times it is diagonalized at, the times it is
     formed at, and the times an operator H(t) is applied at, once per application.
     `eigensystem` forms H through `td.matrix`, so every formed H is counted, whoever
     forms it; a piece that shares the ground state's eigh forms none."""
     times, diagonalized, formed, applied = [], [], [], []
-    operator, eigensystem, matrix = td.operator, td.eigensystem, td.matrix
+    operators, eigensystem, matrix = td.operators, td.eigensystem, td.matrix
 
-    def counted_operator(t):
-        times.append(t)
-        h = operator(t)
-        return lambda x: applied.append(t) or h(x)
+    def counted_operators(ts, *args, **kwargs):
+        times.extend(ts)
+        return [lambda x, t=t, h=h: applied.append(t) or h(x)
+                for t, h in zip(ts, operators(ts, *args, **kwargs))]
 
-    def counted_eigensystem(t):
+    def counted_eigensystem(t, *args):
         times.append(t)
         diagonalized.append(t)
-        return eigensystem(t)
+        return eigensystem(t, *args)
 
-    def counted_matrix(t):
+    def counted_matrix(t, *args):
         formed.append(t)
-        return matrix(t)
+        return matrix(t, *args)
 
-    td.operator, td.eigensystem, td.matrix = counted_operator, counted_eigensystem, counted_matrix
+    td.operators, td.eigensystem, td.matrix = counted_operators, counted_eigensystem, counted_matrix
     return times, diagonalized, formed, applied
 
 
@@ -157,19 +157,21 @@ def test_calls_where_mu_dot_vanishes_are_one_per_static_piece(kind):
 @pytest.mark.parametrize("gauge", ["coulomb", "multipolar"])
 def test_ground_state_and_the_first_static_piece_share_one_eigh(gauge, monkeypatch):
     """t = 0 lies in the profile's first static piece: H(0) is diagonalized once for the
-    start state and that piece, and the states are those of separate solves."""
+    start state and that piece, and the states are those of separate solves.  The ground
+    state lies in one parity sector, so each static piece solves one D/2 x D/2 block."""
     profile, _ = PROFILES["tabulated"]
     build = lambda: build_time_dependent(TWO_MODES, EMITTER, gauge, profile, CUTOFFS)
     td, fresh = build(), build()
     psi0 = ground_state(fresh, 0.0)
-    fresh.eigensystem(11.0)  # drops the kept H(0): the first piece solves its own
+    fresh.eigensystem(11.0, fresh.ground_sector(0.0))  # drops the kept H(0): the first
+    # piece solves its own
     want = evolve(fresh, psi0, GRIDS["on_breakpoints"])
     sizes = []
     original = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda m, *a, **k: sizes.append(len(m)) or original(m, *a, **k))
     got = evolve(td, ground_state(td, 0.0), GRIDS["on_breakpoints"])
-    assert sizes == [td.space.dim] * got.stats["static_pieces"]
+    assert sizes == [td.space.dim // 2] * got.stats["static_pieces"]
     assert got.stats == want.stats
     assert np.array_equal(got.states, want.states)
 
@@ -178,19 +180,24 @@ def test_steps_reuse_hamiltonians():
     """One new H per stage after the first of each attempted step (the first reuses the
     previous step's last) plus H at the start of each piece, and the first H(t) of a
     piece that shares the ground state's eigh is not formed again.  The start state
-    spreads over the whole spectrum, so the first step of a piece is too long."""
+    spreads over the whole spectrum, so the first step of a piece is too long.  It has
+    weight in both parity sectors: each static piece diagonalizes one block per sector,
+    and only the ground state's sector shares its eigh of H(0)."""
     profile, _ = PROFILES["tabulated"]
     td = build_time_dependent(TWO_MODES, EMITTER, "coulomb", profile, CUTOFFS)
     ground_state(td, 0.0)  # the first static piece shares this eigh of H(0)
     psi0 = np.full(td.space.dim, td.space.dim ** -0.5, dtype=complex)
+    assert td.split(psi0)[0] == td.sectors == (1, -1)
+    shared = td.sectors.index(td.ground_sector(0.0))
     times, diagonalized, formed, _ = counting(td)
     s = evolve(td, psi0, GRIDS["straddling"]).stats
-    assert s["dynamic_pieces"] == 2 and s["static_pieces"] == 3 == len(diagonalized)
+    assert s["dynamic_pieces"] == 2 and s["static_pieces"] == 3
+    assert len(diagonalized) == 2 * s["static_pieces"]
     assert s["rejected_steps"] > 0  # too long a step fails and shrinks
-    assert formed == diagonalized[1:]
+    assert formed == diagonalized[:shared] + diagonalized[shared + 1:]
     attempted = s["accepted_steps"] + s["rejected_steps"]
-    assert len(times) == s["h_evaluations"]
-    assert len(times) == (STAGES - 1) * attempted + s["dynamic_pieces"] + s["static_pieces"]
+    assert s["h_evaluations"] == (STAGES - 1) * attempted + s["dynamic_pieces"] + s["static_pieces"]
+    assert len(times) == s["h_evaluations"] + s["static_pieces"]
 
 
 @pytest.mark.parametrize("start", ["ground", "spread"])
@@ -238,7 +245,8 @@ def test_one_step_error_is_of_ninth_order():
     def error(dt):
         k = np.empty((STAGES, 2), dtype=complex)
         k[0] = -1j * h(t0) @ psi
-        got, _, _ = dynamics._dop853_step(lambda t: lambda x: h(t) @ x, t0, psi, dt, k)
+        stages = lambda times: [lambda x, t=t: h(t) @ x for t in times]
+        got, _, _ = dynamics._dop853_step(stages, t0, psi, dt, k)
         want = (frame(t0 + dt) @ expm(-1j * h_rot * dt) @ frame(t0).conj().T) @ psi
         return np.linalg.norm(got - want)
 

@@ -149,23 +149,28 @@ def test_time_dependent_matrix_matches_oracle(system):
 @given(system=systems(), seed=st.integers(0, 2**31 - 1))
 @example(system=(*random_system(11, 2, "multi_axis"), (3, 2), "multi_axis"), seed=0)
 def test_time_dependent_operator_matches_the_formed_and_dense_hamiltonian(system, seed):
-    """operator(t), applied to each column of a D x 3 block x, equals matrix(t) x and
-    B^dag H_dense(t) B x on either generator kind, in both gauges, before, inside (where
-    mu' != 0) and after the ramp."""
+    """operators([t], sectors), applied to the coordinates of each column of a D x 3 Fock-basis
+    block psi in the sectors it has weight in (`split`) and mapped back (`to_fock`), equals
+    B matrix(t) B^dag psi and H_dense(t) psi on either generator kind, in both gauges,
+    before, inside (where mu' != 0) and after the ramp."""
     ms, em, cutoffs, _ = system
     dense = DenseSystem(ms, em, cutoffs)
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(dense.space.dim, 3)) + 1j * rng.normal(size=(dense.space.dim, 3))
+    psi = rng.normal(size=(dense.space.dim, 3)) + 1j * rng.normal(size=(dense.space.dim, 3))
     assert any(RAMP.mu_dot(t) != 0.0 for t in RAMP_TIMES)
     for gauge in ("coulomb", "multipolar"):
         tdh = build_time_dependent(ms, em, gauge, RAMP, cutoffs)
         b = dense_oracle.basis_matrix(tdh.basis)
         for t in RAMP_TIMES:
-            apply = tdh.operator(t)
-            got = np.column_stack([apply(v) for v in x.T])
-            for want, what in ((tdh.matrix(t) @ x, "matrix(t) x"),
-                               (b.conj().T @ (dense.td_matrix(gauge, RAMP, t) @ (b @ x)),
-                                "B^dag H_dense(t) B x")):
+            got = []
+            for v in psi.T:
+                sectors, a = tdh.split(v)
+                assert sectors == tdh.sectors  # a random state has weight in every sector
+                y = tdh.operators([t], sectors)[0](a.ravel()).reshape(a.shape)
+                got.append(tdh.to_fock(y[None], sectors)[0])
+            got = np.column_stack(got)
+            for want, what in ((b @ (tdh.matrix(t) @ (b.conj().T @ psi)), "B matrix(t) B^dag psi"),
+                               (dense.td_matrix(gauge, RAMP, t) @ psi, "H_dense(t) psi")):
                 dev = max_abs(got - want)
                 assert dev <= 1e-12 * max(1.0, max_abs(want)), f"{gauge} {what}, t = {t}: {dev:.3e}"
 
@@ -253,10 +258,10 @@ class TestHermiticityBeforeSymmetrization:
         the first H(t) formed or applied."""
         ms, em = self._system()
         for gauge in ("coulomb", "multipolar"):
-            for first_use in ("matrix", "operator"):
+            for first_use in ("matrix", "operators"):
                 tdh = build_time_dependent(ms, em, gauge, RAMP, (4, 3))
                 with pytest.raises(InvariantViolation, match="before symmetrization"):
-                    getattr(tdh, first_use)(0.5)
+                    tdh.matrix(0.5) if first_use == "matrix" else tdh.operators([0.5])
 
 
 def test_generator_rejects_a_space_of_the_wrong_shape():
