@@ -178,12 +178,13 @@ def rate_table(bundle_c: HamiltonianBundle, bundle_mp: HamiltonianBundle,
 
     Only the Coulomb bundle is diagonalized.  `Transitions` that `significant_transitions`
     picked on bundle_c, ms and a detector of det's dipole and position hand over the
-    states it placed and its Coulomb detection terms; other transitions are placed here.  The multipolar rate of (i, j) is
-    read between the partners t = W |i_C>, W |j_C>, W = exp(-i (theta_mp -
-    theta_C) X) the exact gauge unitary, applied in X's eigenbasis `basis` (the pair's
-    family's, or `CouplingSet.generator`).  Each partner must be an eigenvector of H_mp
-    at E_i^C, max|H_mp t - E_i^C t| <= HERMITIAN_TOL * max(1, max|E^C|), or
-    `InvariantViolation` is raised; degenerate levels need no pairing.
+    states it placed and its Coulomb detection terms; other transitions are placed here.
+    The multipolar rate of (i, j) is read between the partners t = W |i_C>, W |j_C>,
+    W = exp(-i (theta_mp - theta_C) X) the exact gauge unitary, applied in X's
+    eigenbasis `basis` (the pair's family's, or `CouplingSet.generator`).  Each partner
+    must be an eigenvector of H_mp at E_i^C, max|H_mp t - E_i^C t| <= HERMITIAN_TOL *
+    max(1, max|E^C|), or `InvariantViolation` is raised; degenerate levels need no
+    pairing.
     """
     # |i_C> and W |i_C> for every state a transition names
     states = list(dict.fromkeys(idx for pair in transitions for idx in pair))

@@ -499,8 +499,8 @@ class HamiltonianBundle:
         asks for a level above those of its sector solves again.  A quadrature-basis bundle
         may instead hold its ground sector's lowest vector alone, from
         `solve_ground_apart`: a column of any other level of that sector solves it by
-        eigh, and the other sector's kept solve serves its columns.  Only the columns asked for
-        are placed into the Fock basis, as a new (D, len(columns)) array.  Without columns
+        eigh, and the other sector's kept solve serves its columns.  Only the columns asked
+        for are placed into the Fock basis, as a new (D, len(columns)) array.  Without columns
         every eigenvector is kept and every column placed once, and that D x D matrix is
         kept read-only.  A tie between sectors keeps the even sector first.
         """
@@ -539,8 +539,8 @@ class HamiltonianBundle:
         lies above E0, and the vector's residual in its sector, max|B u - E0 u|, is at most
         HERMITIAN_TOL * max(1, max|E|).  Either failing keeps the other sector's solve and
         the ground sector's eigenvalues without its vector and returns None; `eigensystem`
-        then solves only the ground sector by eigh.  A Fock-basis bundle, or one whose solve already
-        holds eigenvectors, returns None at once.
+        then solves only the ground sector by eigh.  A Fock-basis bundle, or one whose solve
+        already holds eigenvectors, returns None at once.
         """
         solution = self.owner.solution
         if self.family is None or (solution is not None and any(solution[3])):
@@ -1070,8 +1070,8 @@ class QuadratureFamily:
         return list(zip([self._m0] * k, q, q_conj, b, d))
 
     def sector_matrix(self, member) -> np.ndarray:
-        """H_eps of a member of one sector (`sector_members`), n x n: M0 between the phases, b on the
-        antidiagonal and the drive on the diagonal."""
+        """H_eps of a member of one sector (`sector_members`), n x n: M0 between the phases,
+        b on the antidiagonal and the drive on the diagonal."""
         m0, q, q_conj, b, d = member
         h = m0 * (q * q_conj.T) if q is not None else m0.astype(complex)
         i = np.arange(len(h))
@@ -1544,9 +1544,9 @@ class TimeDependentHamiltonian:
     with R = e^(i mu xi), Q = e^(-i mu xi).  `split` takes a Fock-basis state to the
     sectors it has weight in and its coordinates there, `to_fock` back;
     `operators(times, sectors)` applies H(t) to those coordinates without forming it,
-    at the stage times of a step of the propagator's dynamic pieces; `matrix(t, sector)` forms one sector's block (the
-    whole of H(t) in `basis` without a sector) and `eigensystem(t, sector)`
-    diagonalizes it, for static pieces and the ground state.
+    at the stage times of a step of the propagator's dynamic pieces; `matrix(t, sector)`
+    forms one sector's block (the whole of H(t) in `basis` without a sector) and
+    `eigensystem(t, sector)` diagonalizes it, for static pieces and the ground state.
     """
 
     def __init__(self, gauge: str, family: GaugeFamily, profile: TimeProfile,

@@ -130,7 +130,7 @@ def test_td_gauge_equivalence_holds_in_one_sector_and_its_controls_fail():
 
 @pytest.mark.parametrize("emitter", [
     EmitterSpec(np.array([0.7, 0.0, -0.6]),  # three levels along one axis
-                np.array([c * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) for c in (0.4, 0.2, 0.0)])),
+                np.multiply.outer([0.4, 0.2, 0.0], [[0, 1, 0], [1, 0, 1], [0, 1, 0]])),
     EmitterSpec(np.array([0.7, 0.0, -0.6]),  # three levels, a different matrix per axis
                 np.array([[[0, 0.4, 0], [0.4, 0, 0], [0, 0, 0]],
                           [[0, 0, 0], [0, 0, 0.3], [0, 0.3, 0]],
