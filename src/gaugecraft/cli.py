@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .detect import DetectorSpec, rate_table, significant_transitions
+from .detect import (DetectorSpec, Transitions, canonical_pairing_residual, dense_route,
+                     rate_table, significant_transitions)
 from .dynamics import evolve, factor_populations, ground_state
 from .errors import ConfigError, ConvergenceError, GaugecraftError, InvariantViolation
 from .gaugecheck import ambiguity_scan, scan_cutoffs, verify_spectral_equivalence
@@ -42,9 +43,11 @@ COMMANDS = ("spectrum", "gauge-check", "detect", "evolve", "modes")
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 # peak of a command's Hamiltonians in complex D x D matrices (16 D^2 bytes), for a `sectored`
 # family and for a Fock-basis build.  A sectored spectrum holds K, one sector and LAPACK's
-# copy of it, 3 blocks of (D/2)^2, and measured 0.755; detect holds K, the sector, eigh's
-# eigenvectors and its copy and workspace, and measured 1.28 (two complex modes, D = 882,
-# counting LAPACK's untraced arrays as the traced memory when it is called).  The
+# copy of it, 3 blocks of (D/2)^2, and measured 0.755; detect, where it solves the sector
+# its transitions reach by eigh (a small sector, or a Lanczos run that falls back), holds
+# K, the sector, eigh's eigenvectors and its copy and workspace, and measured 1.28 (two
+# complex modes, D = 882, counting LAPACK's untraced arrays as the traced memory when it
+# is called); its Lanczos route holds K and the sector twice, with eigvalsh's copy.  The
 # Fock-basis estimates, 10 and 14, hold LAPACK's untraced copies of a D x D sector (1 for
 # eigvalsh, 3 more for eigh) on top of the traced peak of the dense route, whose
 # `EigenbasisFamily` measured 6.5 (spectrum), 7.5 (detect) and 8.0 (gauge-check) for two
@@ -288,11 +291,18 @@ def cmd_detect(cfg: RunConfig) -> int:
     # table placed
     pops = factor_populations(bundle_c.space, states.T)
     top = [float(pops[fi][:, -1].max()) for fi in bundle_c.space.photon_indices]
+    canonical = canonical_pairing_residual(bundle_c, bundle_mp, ms, em, transitions, states,
+                                           family.basis)
     write_metadata(cfg, {"cutoffs": list(cutoffs), "transitions": [list(t) for t in transitions],
                          "basis": bundle_c.basis,
                          "diagnostics": {"coulomb": bundle_c.diagnostics,
                                          "multipolar": bundle_mp.diagnostics,
-                                         "top_fock_population": top}})
+                                         "top_fock_population": top,
+                                         "transitions_route": (
+                                             transitions.route
+                                             if isinstance(transitions, Transitions)
+                                             else dense_route()),
+                                         "canonical_pairing_residual": canonical}})
     return 0
 
 

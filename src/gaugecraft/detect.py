@@ -16,22 +16,33 @@ asks `HamiltonianBundle.eigensystem` for the columns it reads (|i> and the
 candidates among the 39 states above it, the states a rate table names, or
 the pair |i>, |j>), which places only those into the Fock basis from the kept
 sector solves.
-Only the Coulomb bundle is diagonalized, and of a quadrature-basis bundle only the
-parity sector its transitions out of |0> reach.  Its detection operator is linear in
-the field, so it flips the photon parity and the verified parity (-1)^(sum n) (x) S
-with it: `significant_transitions` solves the other sector by eigh and the sector of
-|0> by eigvalsh, |0> itself by one shifted solve at E0
-(`HamiltonianBundle.solve_ground_apart`).  Three checks hold it to the values found:
-the other sector's lowest level lies above E0, the shifted vector's residual is at most
-HERMITIAN_TOL * max(1, max|E|), and the same-parity part of O |0> vanishes to
-HERMITIAN_TOL relative, so that the candidates of |0>'s sector have a rate of exactly
-zero and are left out.  If one fails, |0>'s sector is solved by eigh as well, the
-other sector's solve kept, and every candidate is read, as for explicit transitions
-and Fock-basis bundles.  The states `significant_transitions` picks are placed once:
-its `Transitions` hand them and the Coulomb detection terms on to `rate_table`.
-The multipolar partner of |i_C> is
-W |i_C>, with the exact gauge unitary W applied through the pair's family's
-`Eigenbasis.apply` and checked by its residual against H_mp.
+Only the Coulomb bundle is solved, and out of |0> of a quadrature-basis bundle only as
+far as the parity sector its transitions reach.  The detection operator O is linear in
+the field, so it flips the photon parity and the verified parity (-1)^(sum n) (x) S with
+it: `HamiltonianBundle.solve_ground_apart` solves both sectors by eigvalsh, which names
+every level j by its index in the full spectrum, and |0> by one shifted solve at E0.
+The rate out of |0> into |j> is a weight |<j| O |0>|^2 of the spectral measure of
+v = O |0> with respect to H, and a Lanczos run started from v gives those weights as the
+Gauss weights of its Ritz pairs (Golub & Welsch, Math. Comp. 23, 221 (1969);
+`hilbert.lanczos`), and the states as its Ritz vectors.  `significant_transitions` runs
+it in the reached sector until the selection is certified: each candidate up to the last
+pick either matched by a converged Ritz pair (residual at most half of HERMITIAN_TOL *
+max(1, max|E|)) or bounded below the floor by the weight no pair accounts for.  A sector
+of fewer than LANCZOS_MIN_SECTOR levels is solved by eigh instead, where that costs
+less, and so is a sector whose run is not certified within LANCZOS_CAP steps.  Three
+checks hold the sector route to the values found: the other sector's lowest level lies
+above E0, the shifted vector's residual is at most HERMITIAN_TOL * max(1, max|E|), and
+the same-parity part of O |0> vanishes to HERMITIAN_TOL relative, so that the candidates
+of |0>'s sector have a rate of exactly zero and are left out.  If one fails, the sectors
+are solved by eigh as far as the candidates need, a kept solve kept, and every candidate
+read, as for explicit transitions and Fock-basis bundles.  `Transitions.route` records
+the route taken, and why it fell back.  The states `significant_transitions` picks are
+placed once: its `Transitions` hand them and the Coulomb detection terms on to
+`rate_table`.
+The multipolar partner of |i_C> is W |i_C>, with the exact gauge unitary W applied
+through the pair's family's `Eigenbasis.apply` and checked by its residual against H_mp;
+its residual against the canonical multipolar form H_can, which truncates after the gauge
+map, is reported and never checked (`canonical_pairing_residual`).
 The detect command builds the two bundles as one gauge pair
 (`build_gauge_pair`), members of one family that forms K once.  The dense
 truncated field operators A and E, and the residual of the Heisenberg
@@ -47,12 +58,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .hamiltonians import HamiltonianBundle, couplings, drive_terms
-from .hilbert import HERMITIAN_TOL, Eigenbasis, HilbertSpec, max_abs
+from .hamiltonians import (HamiltonianBundle, canonical_terms, couplings, drive_terms,
+                           polarization_squared)
+from .hilbert import HERMITIAN_TOL, Eigenbasis, HilbertSpec, Lanczos, max_abs
 from .matter import EmitterSpec
 from .modes import ModeSet
 
 FREQUENCY_MATCH_TOL = 1e-6
+LANCZOS_CAP = 120  # Lanczos steps before `significant_transitions` falls back to eigh
 
 
 @dataclass(frozen=True)
@@ -145,11 +158,14 @@ class Transitions(list):
     them: `source`, the (bundle, mode set, detector) it read; `vecs`, the bundle's
     eigenvectors (D, k) of the states the pairs name, in order of first appearance; and
     `terms`, the detection operator at omega_d = 1.  `rate_table` reads both instead of
-    placing and forming them again where they serve its inputs (`serves`)."""
+    placing and forming them again where they serve its inputs (`serves`).  `route` says
+    how they were found: "lanczos" or "dense", the Lanczos steps taken, the largest
+    residual of the picked Ritz pairs (None without them), and why the sector route fell
+    back, when it did."""
 
-    def __init__(self, pairs, source: tuple, vecs: np.ndarray, terms: list):
+    def __init__(self, pairs, source: tuple, vecs: np.ndarray, terms: list, route: dict):
         super().__init__(pairs)
-        self.source, self.vecs, self.terms = source, vecs, terms
+        self.source, self.vecs, self.terms, self.route = source, vecs, terms, route
 
     def serves(self, bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec) -> bool:
         """Whether these were picked on this bundle and mode set by a detector of this dipole
@@ -215,6 +231,30 @@ def rate_table(bundle_c: HamiltonianBundle, bundle_mp: HamiltonianBundle,
     return rows, vecs_c
 
 
+def canonical_pairing_residual(bundle_c: HamiltonianBundle, bundle_mp: HamiltonianBundle,
+                                ms: ModeSet, em: EmitterSpec,
+                                transitions: Sequence[tuple[int, int]], states: np.ndarray,
+                                basis: Eigenbasis) -> float:
+    """max ||H_can t - E_i^C t||_2 over the multipolar partners t = W |i_C> of the Coulomb
+    states (D, k) a rate table read, one per state the transitions name in order of first
+    appearance (`rate_table`'s second value), with W and basis as there.  H_can is the
+    canonical multipolar form with matter term h0 + P^2 (`canonical_terms`), applied
+    without forming it.  It truncates the Fock space after the gauge map, so it meets the
+    family's multipolar member only as the cutoff converges (2.5e-3 at eta = 1.41, N = 20):
+    the residual is reported, never held to a bound."""
+    index = list(dict.fromkeys(idx for pair in transitions for idx in pair))
+    partners = basis.apply(bundle_c.gauge.theta - bundle_mp.gauge.theta, states)
+    cs = couplings(ms, em)
+    terms = canonical_terms(cs, em.h0 + polarization_squared(cs), bundle_mp.space)
+    r = bundle_mp.space.apply(terms, partners) - partners * bundle_c.eigenvalues()[index]
+    return float(np.max(np.linalg.norm(r, axis=0), initial=0.0))
+
+
+def dense_route(fallback: Optional[str] = None) -> dict:
+    """The `Transitions.route` of states read from eigenvectors."""
+    return {"route": "dense", "iterations": 0, "max_ritz_residual": None, "fallback": fallback}
+
+
 def significant_transitions(bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec,
                             count: int, i: int = 0, em: Optional[EmitterSpec] = None,
                             floor: float = 1e-10) -> Transitions:
@@ -226,27 +266,50 @@ def significant_transitions(bundle: HamiltonianBundle, ms: ModeSet, det: Detecto
     transitions that are not upward in energy.  The candidates are the 39 states above
     |i>.  Out of |0> of a quadrature-basis bundle, the selection rule reads only those
     of the other parity sector: O is linear in the field, so it flips the bundle's
-    parity, and `HamiltonianBundle.solve_ground_apart` diagonalizes only that sector,
-    with |0> from one shifted solve.  The rule holds when the same-parity part of O |0>
+    parity, and `HamiltonianBundle.solve_ground_apart` solves |0> apart, by eigvalsh of
+    its sector and one shifted solve.  The rule holds when the same-parity part of O |0>
     vanishes to HERMITIAN_TOL relative; then the candidates of |0>'s sector have a rate
-    of exactly zero, which the floor drops as it drops their rounding otherwise.  When it
-    does not, or the bundle's checks fail, |0>'s sector is solved by eigh as well and
-    every candidate is read.
+    of exactly zero, which the floor drops as it drops their rounding otherwise.  A
+    reached sector of fewer than LANCZOS_MIN_SECTOR levels is solved by eigh, and its
+    candidates are read from its eigenvectors.  From that size on it is solved by
+    eigvalsh, the rates are the weights of the spectral measure of O |0> from a Lanczos
+    run (`_lanczos_picks`), and the picked states are its Ritz vectors; a selection that
+    the run cannot certify within LANCZOS_CAP steps reads the candidates from eigh of
+    that sector instead.  When the rule does not hold, or the bundle's checks fail, the
+    sectors are solved by eigh and every candidate is read.
     """
     terms = detection_operator(bundle, ms, replace(det, omega_d=1.0), em)
     stop = min(bundle.space.dim, i + 40)
     parity = bundle.solve_ground_apart(stop) if i == 0 else None
-    candidates = (range(i + 1, stop) if parity is None
-                  else [j for j in range(1, stop) if parity[j] != parity[0]])
-    vals, vecs = bundle.eigensystem([i, *candidates])  # |i>, then every candidate |j>
-    # <i| O |j> = (O |i>)^dag |j> for every candidate j, O Hermitian: one apply
-    o_i = bundle.space.apply(terms, vecs[:, 0])
+    route = dense_route()
+    if parity is None:
+        if i == 0 and bundle.family is not None:
+            route["fallback"] = "the ground state is not solved apart from its sector"
+        candidates = range(i + 1, stop)
+    else:
+        candidates = [j for j in range(1, stop) if parity[j] != parity[0]]
+
+    def read(columns):
+        vals, vecs = bundle.eigensystem(columns)
+        # <i| O |j> = (O |i>)^dag |j> for every candidate j, O Hermitian: one apply
+        return vals, vecs, bundle.space.apply(terms, vecs[:, 0])
+
+    # the candidates' vectors as well, unless the kept solve holds their eigenvalues alone
+    lanczos = parity is not None and not bundle.holds(candidates)
+    vals, vecs, o_i = read([i] if lanczos else [i, *candidates])
     if parity is not None and (np.linalg.norm(o_i[bundle.parity == parity[0]])
                                > HERMITIAN_TOL * np.linalg.norm(o_i)):
         # O has a parity-even part: every candidate, |0>'s sector solved by eigh as well
+        route["fallback"] = "O |0> has a part in the parity sector of |0>"
         candidates = range(1, stop)
-        vals, vecs = bundle.eigensystem([0, *candidates])
-        o_i = bundle.space.apply(terms, vecs[:, 0])
+        vals, vecs, o_i = read([0, *candidates])
+    elif lanczos:
+        found = _lanczos_picks(bundle, o_i, vecs[:, 0], vals, parity, stop, count, floor,
+                               route)
+        if found is not None:
+            return Transitions([(0, j) for j in found[0]], (bundle, ms, det), found[1],
+                               terms, route)
+        vals, vecs, o_i = read([0, *candidates])
     amp_sq = np.abs(o_i.conj() @ vecs[:, 1:]) ** 2
     rates = []  # (column of vecs, j, rate)
     for k, (j, a_sq) in enumerate(zip(candidates, amp_sq), start=1):
@@ -256,4 +319,77 @@ def significant_transitions(bundle: HamiltonianBundle, ms: ModeSet, det: Detecto
     top = max((r for *_, r in rates), default=0.0)
     picked = [(k, j) for k, j, r in rates if r > floor * top][:count]
     return Transitions([(i, j) for _, j in picked], (bundle, ms, det),
-                       vecs[:, [0] + [k for k, _ in picked]], terms)
+                       vecs[:, [0] + [k for k, _ in picked]], terms, route)
+
+
+def _lanczos_picks(bundle: HamiltonianBundle, o_0: np.ndarray, ground: np.ndarray,
+                   vals: np.ndarray, parity: np.ndarray, stop: int, count: int, floor: float,
+                   route: dict) -> Optional[tuple[list, np.ndarray]]:
+    """The picks of `significant_transitions` out of |0> from a Lanczos run on O |0> in the
+    sector it reaches (`HamiltonianBundle.reached_lanczos`), whose levels the bundle holds
+    by eigvalsh: their j, and |0> (`ground`) and their Ritz vectors placed, (D, k + 1).
+    None when the run cannot certify the selection within LANCZOS_CAP steps; `route`
+    records the run either way.
+
+    A Ritz pair counts once its residual is at most tol, half of HERMITIAN_TOL *
+    max(1, max|E|), and its value lies within tol of exactly one level of the sector, and
+    no other pair's does (a pair near two levels, or two near one, count for neither; a
+    run that outlives the Krylov space of O |0> may meet a level twice): its weight is
+    that level's |<j| O |0>|^2, and its vector, at E_j, passes `rate_table`'s pairing
+    check, which holds H t - E_j t to twice tol.  The levels no pair matched share at most
+    W, ||O |0>||^2 less the matched weights.  So each candidate's rate is f^2 w when its level is matched and at most
+    f^2 W otherwise, and the largest rate lies between top_lo, the largest matched one,
+    and top_hi, the largest of them and the bounds.  The selection is certified once
+    every candidate up to the count-th pick is decided: picked when its rate exceeds
+    floor * top_hi, left out when its rate or bound is at most floor * top_lo.  A level
+    orthogonal to O |0> is never matched, so below the last pick it leaves the selection
+    uncertified until W is small.
+    """
+    others = np.flatnonzero(parity != parity[0])  # the reached sector's levels, ascending
+    energies = vals[others]
+    levels = others[others < stop]  # the candidates, all above E0 (`solve_ground_apart`)
+    omega = vals[levels] - vals[0]
+    f2 = _frequency_factor(bundle, omega) ** 2 * np.ones_like(omega)
+    tol = HERMITIAN_TOL * max(1.0, abs(float(vals[0])), abs(float(vals[-1]))) / 2
+
+    def select(run: Lanczos):
+        """(positions among the candidates, Ritz pairs) of the picks, or None."""
+        weight, ritz = np.full(len(energies), np.nan), np.zeros(len(energies), dtype=int)
+        hits = np.zeros(len(energies), dtype=int)
+        for k in np.flatnonzero(run.converged):
+            lo, hi = np.searchsorted(energies, run.values[k] + np.array([-tol, tol]))
+            if hi - lo == 1:
+                weight[lo], ritz[lo] = run.weights[k], k
+                hits[lo] += 1
+        weight[hits > 1] = np.nan
+        rest = max(0.0, float(run.weights.sum() - np.nansum(weight)))
+        rates = f2 * weight[:len(levels)]
+        bound = np.where(np.isnan(rates), f2 * rest, rates)
+        top_lo = float(np.max(np.nan_to_num(rates), initial=0.0))
+        top_hi = float(np.max(bound, initial=0.0))
+        picks = []
+        for q in range(len(levels)):
+            if len(picks) == count:
+                break
+            if bound[q] <= floor * top_lo:
+                continue
+            if not rates[q] > floor * top_hi:  # a bound, or a rate between the two
+                return None
+            picks.append(q)
+        return picks, ritz[picks]
+
+    run, place = bundle.reached_lanczos(o_0, tol, LANCZOS_CAP,
+                                        lambda run: select(run) is not None)
+    found = select(run)
+    route.update(route="lanczos", iterations=run.iterations)
+    if found is None:
+        route.update(route="dense", fallback=f"no certified selection in {run.iterations} "
+                                             f"Lanczos steps")
+        return None
+    picks, ks = found
+    route["max_ritz_residual"] = float(np.max(run.residuals[ks], initial=0.0))
+    placed = np.zeros((len(ground), len(picks) + 1), dtype=complex, order="F")
+    placed[:, 0] = ground
+    if picks:
+        place(placed, np.arange(1, len(picks) + 1), run.vectors(ks))
+    return [int(j) for j in levels[picks]], placed

@@ -136,9 +136,10 @@ import numpy as np
 
 from .errors import ConvergenceError, InvariantViolation
 from .hilbert import (HERMITIAN_CHUNK, HERMITIAN_TOL, Eigenbasis, HermitianGenerator,
-                      HilbertSpec, PAULI_X, PAULI_Z, _kron_apply, _left_multiply,
-                      fock_quadrature, hermitian_part, kron, ladder_matrix, matter_levels,
-                      max_abs, mode_phase, parity_labels, photon, verify_members)
+                      HilbertSpec, Lanczos, PAULI_X, PAULI_Z, _kron_apply, _left_multiply,
+                      fock_quadrature, hermitian_part, kron, ladder_matrix, lanczos,
+                      matter_levels, max_abs, mode_phase, parity_labels, photon,
+                      verify_members)
 from .matter import EmitterSpec, TimeProfile
 from .modes import ModeSet, NormalModeSet1D
 
@@ -146,6 +147,9 @@ TD_EXTRA_TERM_SIGN = +1.0
 GaugeFamily = Union["QuadratureFamily", "EigenbasisFamily"]  # as `of_couplings` returns it
 FACTOR_TOL = 1e-12
 TLS_PARITY_SIGNS = (1, -1)  # sigma_z in the |e>, |g> order: S sigma_x S = -sigma_x
+# the smallest sector that `solve_ground_apart` solves by eigvalsh alone, for a Lanczos run
+# in place of its eigh: eigh - eigvalsh saved less than a 60-step run cost below it
+LANCZOS_MIN_SECTOR = 200
 
 
 class FockCutoffWarning(UserWarning):
@@ -300,11 +304,13 @@ class HamiltonianBundle:
     the full basis only the eigenvectors asked for, in ascending energy.  A bundle
     without a parity is the one-sector case.  For the transitions out of its ground
     state |0>, which an operator linear in the field takes into the other sector, a
-    quadrature-basis bundle can solve that sector by eigh and |0>'s by eigvalsh, |0>
-    itself by one shifted solve (`solve_ground_apart`).  The other sector's lowest level
-    must lie above E0 and the solve's residual within HERMITIAN_TOL; otherwise |0>'s
-    sector is solved by eigh as well, as any later call that asks for another level of
-    that sector does, and the other sector's solve is kept.
+    quadrature-basis bundle can solve |0>'s sector by eigvalsh and |0> itself by one
+    shifted solve, and the other sector by eigh, or from LANCZOS_MIN_SECTOR levels on by
+    eigvalsh, its states then read from a Lanczos run (`solve_ground_apart`,
+    `reached_lanczos`).  The other sector's lowest level must lie above E0 and the solve's
+    residual within HERMITIAN_TOL; otherwise |0>'s sector is solved by eigh as well, as
+    any later call that asks for another level of that sector does, and the other
+    sector's solve is kept.
 
     A builder may also declare time reversal: that (-1)^(sum_mu n_mu) K, with
     K complex conjugation, commutes with H, so that p^dag H p is real
@@ -449,38 +455,48 @@ class HamiltonianBundle:
         self.owner.solution = vals, parts, order, kept
         return self.owner.solution
 
-    def _solve(self, keep: Optional[int] = None) -> tuple:
+    def _solve(self, keep: Optional[int] = None, lacking: Optional[np.ndarray] = None) -> tuple:
         """One solve per sector, kept (`_keep`): eigh with the lowest `keep` eigenvectors of
         each sector kept (every one without keep; none, and the eigenvalues by eigvalsh, for
-        keep = -1).  A sector whose kept solve already holds that many is not solved again."""
+        keep = -1).  Of a kept solution only the sectors `lacking` marks are solved again, and
+        of those only the ones that do not already hold that many."""
         solution = self.owner.solution
         held = [None] * len(self.diagnostics["sector_sizes"]) if solution is None else solution[1]
         parts = []
-        for part, block in zip(held, self._sector_blocks()):
+        for s, (part, block) in enumerate(zip(held, self._sector_blocks())):
             if part is not None:
                 vals, vecs = part
                 need = len(vals) if keep is None else min(max(keep, 0), len(vals))
-                if (0 if vecs is None else vecs.shape[1]) >= need:
+                if ((lacking is not None and not lacking[s])
+                        or (0 if vecs is None else vecs.shape[1]) >= need):
                     parts.append(part)
                     continue
             parts.append(_lowest_eigh(block, keep))
         return self._keep(parts)
 
-    def _holds(self, wanted: Optional[np.ndarray]) -> bool:
-        """Whether the kept solution has the eigenvectors of these columns of the ascending
-        order (every column for None): each column's level, at position k of its sector,
-        needs k < the sector's kept count."""
+    def _lacking(self, wanted: Optional[np.ndarray]) -> np.ndarray:
+        """Per sector, whether the kept solution lacks an eigenvector of these columns of the
+        ascending order (of every column for None), each column's level, at position k of
+        its sector, held when k < the sector's kept count; every sector without a kept
+        solution."""
         solution = self.owner.solution
         if solution is None:
-            return False
+            return np.ones(len(self.diagnostics["sector_sizes"]), dtype=bool)
         _, parts, order, kept = solution
         sizes = np.array([len(v) for v, _ in parts])
+        kept = np.array(kept)
         if wanted is None:
-            return np.array_equal(kept, sizes)
+            return kept < sizes
         ends = np.cumsum(sizes)
         at = order[wanted]
         sector = np.searchsorted(ends, at, side="right")
-        return bool(np.all(at - (ends - sizes)[sector] < np.array(kept)[sector]))
+        short = at - (ends - sizes)[sector] >= kept[sector]
+        return np.bincount(sector[short], minlength=len(sizes)) > 0
+
+    def holds(self, columns: Sequence[int]) -> bool:
+        """Whether the kept sector solves hold the eigenvectors of these columns of the
+        ascending order, so that `eigensystem` places them without a solve."""
+        return not self._lacking(np.asarray(columns, dtype=int)).any()
 
     def eigenvalues(self, k: Optional[int] = None) -> np.ndarray:
         """The lowest k eigenvalues (all without k), ascending and read-only, from the kept
@@ -492,22 +508,24 @@ class HamiltonianBundle:
         """(eigenvalues, eigenvectors) of H: every eigenvalue, ascending, and the
         eigenvectors of those columns of the ascending order, in the Fock basis.
 
-        The kept sector solves serve every column whose eigenvector they hold (`_holds`).
-        Otherwise each sector is solved by eigh (`_solve`): the j-th level of a sector has
-        a global index of at least j, so with columns only the lowest max(columns) + 1
-        eigenvectors of each sector are kept, in the sector's basis, and a later call that
-        asks for a level above those of its sector solves again.  A quadrature-basis bundle
-        may instead hold its ground sector's lowest vector alone, from
-        `solve_ground_apart`: a column of any other level of that sector solves it by
-        eigh, and the other sector's kept solve serves its columns.  Only the columns asked
+        The kept sector solves serve every column whose eigenvector they hold (`holds`).
+        Otherwise each sector that lacks one is solved by eigh (`_solve`): the j-th level of
+        a sector has a global index of at least j, so with columns only the lowest
+        max(columns) + 1 eigenvectors of the sector are kept, in the sector's basis, and a
+        later call that asks for a level above those of its sector solves it again.  A
+        quadrature-basis bundle may instead hold its ground sector's lowest vector alone,
+        and the other sector's eigenvalues alone, from `solve_ground_apart`: a column of any
+        level the solve does not hold solves that sector by eigh, and the other sector's
+        kept solve serves its columns.  Only the columns asked
         for are placed into the Fock basis, as a new (D, len(columns)) array.  Without columns
         every eigenvector is kept and every column placed once, and that D x D matrix is
         kept read-only.  A tie between sectors keeps the even sector first.
         """
         wanted = None if columns is None else np.asarray(columns, dtype=int)
-        if not self._holds(wanted):
+        lacking = self._lacking(wanted)
+        if lacking.any():
             self._solve(None if wanted is None
-                        else int(np.max(wanted % self.space.dim, initial=-1)) + 1)
+                        else int(np.max(wanted % self.space.dim, initial=-1)) + 1, lacking)
         vals, parts, order, _ = self.owner.solution
         if wanted is None and self._vecs is not None:
             return vals, self._vecs
@@ -532,15 +550,18 @@ class HamiltonianBundle:
 
         A detection operator linear in the field flips the photon parity, and with it the
         verified parity of the bundle, so from |0> it reaches only the other sector.  That
-        sector is solved by eigh, its lowest `keep` eigenvectors kept; the sector of the
-        family's `ground_parity`, the guess that `QuadratureFamily.ground_energies` also
-        trusts first, only by eigvalsh, and its lowest vector at E0 by one shifted solve
+        sector is solved by eigh with its lowest `keep` eigenvectors kept while it has
+        fewer than LANCZOS_MIN_SECTOR levels, and by eigvalsh alone from that size on: its
+        states are then read from a Lanczos run on O |0> (`reached_lanczos`), or solved by
+        `eigensystem` when they are asked for.  The sector of the family's
+        `ground_parity`, the guess that `QuadratureFamily.ground_energies` also trusts
+        first, is solved only by eigvalsh, and its lowest vector at E0 by one shifted solve
         (`_shifted_solve`).  Two checks on the values found: the other sector's lowest level
         lies above E0, and the vector's residual in its sector, max|B u - E0 u|, is at most
         HERMITIAN_TOL * max(1, max|E|).  Either failing keeps the other sector's solve and
         the ground sector's eigenvalues without its vector and returns None; `eigensystem`
-        then solves only the ground sector by eigh.  A Fock-basis bundle, or one whose solve
-        already holds eigenvectors, returns None at once.
+        then solves by eigh only the sectors whose columns it lacks.  A Fock-basis bundle,
+        or one whose solve already holds eigenvectors, returns None at once.
         """
         solution = self.owner.solution
         if self.family is None or (solution is not None and any(solution[3])):
@@ -549,7 +570,8 @@ class HamiltonianBundle:
         parts, residual = [], 0.0
         for sector, block in enumerate(self._sector_blocks()):
             if sector != ground:
-                parts.append(_lowest_eigh(block, keep))
+                parts.append(_lowest_eigh(block, keep if len(block) < LANCZOS_MIN_SECTOR
+                                          else -1))
                 continue
             vals = np.linalg.eigvalsh(block)
             u = _shifted_solve(block, vals[0])
@@ -565,6 +587,20 @@ class HamiltonianBundle:
             return None
         order = self._keep(parts)[2]
         return np.where(order < len(parts[0][0]), 1, -1)
+
+    def reached_lanczos(self, psi: np.ndarray, tol: float, cap: int,
+                        done: Callable[[Lanczos], bool]) -> tuple[Lanczos, Callable]:
+        """A Lanczos run (`hilbert.lanczos`) in the parity sector opposite the family's
+        `ground_parity` of a quadrature-basis bundle, from the part of the Fock-basis state
+        psi (D,) there, with `place(vecs, columns, y)`, which writes vectors y of that
+        sector's coordinates, the Ritz vectors of the run, into those columns of the
+        F-ordered Fock-basis vecs.  The sector is the block `solve_ground_apart` solves,
+        formed again here and applied as it is, a product per step."""
+        family, eps = self.family, -self.family.ground_parity
+        block = next(family.sector_blocks(self.recipe, eps))
+        start = family.sector_start(self.gauge.theta, self.recipe, eps, psi)
+        run = lanczos(lambda x: _left_multiply(block, x[:, None])[:, 0], start, tol, cap, done)
+        return run, self._places()[(1 - eps) // 2]
 
     def shifted_vector(self, e0: float) -> np.ndarray:
         """A unit vector (D, 1) in the Fock basis at an energy E0 of H, by one step of
@@ -590,13 +626,20 @@ def _shifted_solve(block: np.ndarray, e0: float) -> np.ndarray:
     """y of (B - E0) y = b, one step of inverse iteration towards B's eigenvector at a level
     E0 of B: b is the basis vector whose diagonal entry of B lies nearest E0, and the shift
     sits one rounding below E0, so that a diagonal B (an uncoupled member's) is not
-    singular.  B is left as it was."""
+    singular.  A pivot that still rounds to exactly zero, as it did for 6 % of the 2 x 2
+    and 3 x 3 sectors of random one-mode couplings, moves the shift 1024 roundings below
+    E0.  B is left as it was."""
     shifted = block.copy()
     i = np.arange(len(block))
-    shifted[i, i] -= e0 - np.finfo(float).eps * max(1.0, abs(e0))
+    rounding = np.finfo(float).eps * max(1.0, abs(e0))
+    shifted[i, i] -= e0 - rounding
     start = np.zeros(len(block))
     start[np.argmin(np.abs(shifted.diagonal()))] = 1.0
-    return np.linalg.solve(shifted, start)
+    try:
+        return np.linalg.solve(shifted, start)
+    except np.linalg.LinAlgError:
+        shifted[i, i] += 1023 * rounding
+        return np.linalg.solve(shifted, start)
 
 
 def _lowest_eigh(block: np.ndarray, keep: Optional[int]):
@@ -973,11 +1016,11 @@ class QuadratureFamily:
             e0 = np.minimum(e0, np.linalg.eigvalsh(other)[:, 0])
         return e0
 
-    def sector_blocks(self, recipe: MemberRecipe):
-        """The parity sectors of the member of a recipe of one, the even sector first, as
-        `HamiltonianBundle` solves them: one copy of M0 turned in place into the next, so
-        solve it before asking for the next one."""
-        return (sector[0] for sector in self._sector_stack(recipe))
+    def sector_blocks(self, recipe: MemberRecipe, first: int = 1):
+        """The parity sectors of the member of a recipe of one, sector `first` (the even one
+        by default) first, as `HamiltonianBundle` solves them: one copy of M0 turned in place
+        into the next, so solve it before asking for the next one."""
+        return (sector[0] for sector in self._sector_stack(recipe, first))
 
     def places(self, theta: float, recipe: MemberRecipe) -> list:
         """`_place` per parity sector, the even sector first, of the member of a recipe of
@@ -1021,6 +1064,15 @@ class QuadratureFamily:
         (u_0 + eps P u_1) / sqrt(2), whose entries on the other parity are zero."""
         z = np.einsum("nk,nk->n", self._coef(eps).conj(), psi.reshape(-1, 2))
         return _kron_apply([f.conj().T for f in self.basis.factors[:-1]], z)
+
+    def sector_start(self, theta: float, recipe: MemberRecipe, eps: int,
+                     psi: np.ndarray) -> np.ndarray:
+        """y (n,) of the part of a Fock-basis state psi (D,) in sector eps of the member of a
+        recipe of one at gauge theta, in the coordinates of that sector's block
+        (`sector_blocks`): the inverse of `_place`, y = c p^* from the `sector_coordinates`
+        c, or Q^dag (c p^*) = (x - i J x) / sqrt(2) for x = c p^* under time reversal."""
+        x = self.sector_coordinates(eps, psi) * self._phases(theta, recipe.scales)[0, :, 0].conj()
+        return (x - 1j * x[::-1]) / np.sqrt(2) if self.time_reversal else x
 
     @cached_property
     def _m0(self) -> np.ndarray:

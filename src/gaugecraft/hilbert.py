@@ -25,6 +25,9 @@ built from the one `fock_quadrature` of each cutoff (rotated by `mode_phase`)
 and the eigenvectors of D.  Any other Hermitian generator goes through
 `HermitianGenerator`, which eigendecomposes the D x D matrix once; the
 package reads only its eigenbasis and its `nested_commutators`.
+`lanczos` is the one matrix-free eigensolver: it reads a Hermitian operator only
+through a callable that applies it, and returns the Ritz pairs of its start vector's
+spectral measure (`Lanczos`).
 Values are immutable after construction and safe to share across threads.
 
 Conventions: hbar = 1 and eps0 = 1 throughout the package.  Fock states are
@@ -46,6 +49,7 @@ from .errors import InvariantViolation
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
 HERMITIAN_CHUNK = 1 << 15  # entries of m - m^dag that `hermitian_part` holds at once
+RITZ_CHECK_STEPS = 10  # Lanczos steps between two looks at the Ritz pairs
 
 
 @dataclass(frozen=True)
@@ -385,6 +389,95 @@ def _kron_apply(local: Sequence, x: np.ndarray) -> np.ndarray:
         x = x.reshape(x.shape[:-3] + (rows, cols))
         before *= n
     return x
+
+
+@dataclass(frozen=True)
+class Lanczos:
+    """The Ritz pairs of a Lanczos run of m steps on a Hermitian H from a start vector v.
+
+    T = V^dag H V is the tridiagonal matrix of the orthonormal Lanczos vectors V (n, m),
+    T s_k = theta_k s_k.  The Ritz values theta_k and weights ||v||^2 |s_1k|^2 are the
+    m-node Gauss quadrature of the spectral measure sum_j |<j|v>|^2 delta(E - E_j) of v
+    (Golub & Welsch, Math. Comp. 23, 221 (1969)), so a converged pair carries the weight
+    of its level, summed over a degenerate eigenspace, and a level orthogonal to v has
+    none.  residuals_k = beta_m |s_mk| = ||H y_k - theta_k y_k||_2 for the Ritz vector
+    y_k = V s_k, in exact arithmetic; a pair is converged when it is at most `tol`.
+    """
+
+    values: np.ndarray
+    weights: np.ndarray
+    residuals: np.ndarray
+    tol: float
+    basis: np.ndarray  # the Lanczos vectors as rows, (m, n)
+    ritz: np.ndarray  # s, (m, m)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.values)
+
+    @property
+    def converged(self) -> np.ndarray:
+        return self.residuals <= self.tol
+
+    def vectors(self, k: Sequence[int]) -> np.ndarray:
+        """The Ritz vectors y_k = V s_k (n, len(k)) of these pairs."""
+        return self.basis.T @ self.ritz[:, k]
+
+
+def lanczos(apply: Callable[[np.ndarray], np.ndarray], start: np.ndarray, tol: float,
+            cap: int, done: Callable[[Lanczos], bool] = lambda run: False) -> Lanczos:
+    """Lanczos with full reorthogonalization on the Hermitian H of `apply` (x -> H x for a
+    vector x (n,)), from `start`; no matrix of H is formed or read.
+
+    Each new vector is orthogonalized against every earlier one twice (classical
+    Gram-Schmidt twice), so that V stays orthonormal to rounding and no ghost copy of a
+    converged level appears.  Every RITZ_CHECK_STEPS steps the Ritz pairs are formed from
+    T, by an eigh that costs about as much as a few steps at m = 60, and handed to
+    `done`; the run stops when `done` accepts them, after `cap` steps (at most n), or when
+    beta_m <= tol, where the Krylov space of v is invariant and every pair converged.  A
+    run whose beta falls to rounding above tol goes on from a rounding direction, which
+    can meet a level of v's measure once more: its weight is then the sum over the pairs
+    at it.  A zero start vector has the empty measure and takes no step.
+    """
+    norm = float(np.linalg.norm(start))
+    cap = min(cap, len(start))
+    if norm == 0.0 or cap == 0:
+        empty = np.empty(0)
+        return Lanczos(empty, empty, empty, tol, np.empty((0, len(start))), np.empty((0, 0)))
+    v = start / norm
+    w = apply(v)
+    basis = np.empty((cap, len(start)), dtype=np.result_type(v, w))
+    basis[0] = v
+    alpha, beta = np.empty(cap), np.empty(cap)
+    for j in range(cap):
+        if j:
+            w = apply(basis[j])
+        m = j + 1
+        # twice against every earlier vector; V^dag w as (V w^*)^*, with no conjugate of V
+        h = (basis[:m] @ w.conj()).conj()
+        w = w - h @ basis[:m]
+        h2 = (basis[:m] @ w.conj()).conj()
+        w -= h2 @ basis[:m]
+        alpha[j] = (h[j] + h2[j]).real
+        beta[j] = np.linalg.norm(w)
+        last = m == cap or beta[j] <= tol
+        if last or m % RITZ_CHECK_STEPS == 0:
+            run = _ritz(alpha[:m], beta[:m], norm, tol, basis[:m])
+            if last or done(run):
+                return run
+        basis[m] = w / beta[j]
+    raise AssertionError("unreachable: the last step returns")
+
+
+def _ritz(alpha: np.ndarray, beta: np.ndarray, norm: float, tol: float,
+          basis: np.ndarray) -> Lanczos:
+    """The Ritz pairs of the tridiagonal T with diagonal alpha and off-diagonal beta[:-1],
+    beta[-1] the coupling to the next Lanczos vector."""
+    t = np.diag(alpha)
+    i = np.arange(len(alpha) - 1)
+    t[i, i + 1] = t[i + 1, i] = beta[:-1]
+    values, s = np.linalg.eigh(t)
+    return Lanczos(values, norm**2 * s[0] ** 2, beta[-1] * np.abs(s[-1]), tol, basis, s)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from gaugecraft import (COULOMB, MULTIPOLAR, DetectorSpec, GaugeParam, Hamiltoni
                         significant_transitions)
 from gaugecraft.detect import detection_operator
 from gaugecraft.gaugecheck import canonical_residual
-from gaugecraft.hamiltonians import standard_space
+from gaugecraft import hamiltonians
+from gaugecraft.hamiltonians import build_gauge_pair, standard_space
 from gaugecraft.hilbert import HermitianGenerator, max_abs
 from test_factored import KINDS, random_system
 from test_time_reversal import real_system
@@ -122,17 +123,22 @@ def test_rate_table_matches_dense_oracle(system, thetas, k, seed):
     rows, _ = rate_table(a, b, ms, em, DETECTOR, transitions,
                          couplings(ms, em).generator(a.space))
     assert [(r.i, r.j) for r in rows] == transitions
-    # a table of parity-forbidden transitions alone has rates at rounding level
-    scale = max(want_a.max(), want_b.max(), 1e-12)
-    assert max_abs(np.array([r.rate_coulomb for r in rows]) - want_a) <= RATE_TOL * scale
-    # the partners W |i_a> are formed here and applied there, so the b column agrees in
-    # amplitude, sqrt(rate) = f |<i| O_b |j>|, to RATE_TOL f ||O_b||_2: next to a large
-    # ||O_b|| a tiny rate's rounding exceeds RATE_TOL of the table's largest rate
+    assert_rates_agree_in_amplitude(rows, want_a, want_b, a, b, ms, em)
+
+
+def assert_rates_agree_in_amplitude(rows, want_a, want_b, a, b, ms, em):
+    """Each column agrees with the oracle's in amplitude, sqrt(rate) = f |<i| O |j>|, to
+    RATE_TOL f ||O||_2 with its own gauge's O: a rate's rounding scales with ||O||, so that
+    next to a large ||O|| a tiny rate's rounding exceeds RATE_TOL of the table's largest
+    rate (1.15e-12 relative on one draw of a lone rate of 1.43e-6).  The b column is read
+    between the partners W |i_a>, formed here and applied there."""
     unit = DetectorSpec(1.0, DETECTOR.d_d, DETECTOR.r_d)
-    norm_b = np.linalg.norm(dense_oracle.detection_operator(b, ms, unit, em), 2)
-    factor = np.array([abs(r.omega_ij) if b.gauge.theta == 0.0 else 1.0 for r in rows])
-    got_b = np.sqrt([r.rate_multipolar for r in rows])
-    assert np.all(np.abs(got_b - np.sqrt(want_b)) <= RATE_TOL * factor * norm_b)
+    for bundle, name, want in ((a, "rate_coulomb", want_a), (b, "rate_multipolar", want_b)):
+        norm = np.linalg.norm(dense_oracle.detection_operator(bundle, ms, unit, em), 2)
+        factor = np.array([abs(r.omega_ij) if bundle.gauge.theta == 0.0 else 1.0
+                           for r in rows])
+        got = np.sqrt([getattr(r, name) for r in rows])
+        assert np.all(np.abs(got - np.sqrt(want)) <= RATE_TOL * factor * norm), name
 
 
 @settings(max_examples=30, deadline=None)
@@ -197,3 +203,38 @@ def test_significant_transitions_match_dense_oracle(system, theta, count, i):
     i = min(i, bundle.space.dim - 1)
     want = dense_oracle.significant_transitions(bundle, ms, DETECTOR, count, i=i, em=em)
     assert significant_transitions(bundle, ms, DETECTOR, count, i=i, em=em) == want
+
+
+@pytest.mark.parametrize("seed, cutoff", [(5, 2), (6, 1), (15, 1)])
+def test_a_shifted_solve_whose_pivot_rounds_to_zero_shifts_lower(seed, cutoff):
+    """One-mode systems whose 2 x 2 or 3 x 3 sector minus E0 has a pivot that rounds to
+    exactly zero at one rounding below E0: |0> still comes from the shifted solve, and the
+    transitions are the dense oracle's."""
+    ms, em = random_system(seed, 1, "tls")
+    detector = np.random.default_rng(seed).normal(size=(1, 3))
+    ms = ModeSet(ms.chi, {"emitter": ms.profile("emitter"), "detector": detector})
+    for gauge in (COULOMB, MULTIPOLAR):
+        bundle = build_dipole(ms, em, gauge, (cutoff,))
+        got = significant_transitions(bundle, ms, DETECTOR, 2, em=em)
+        assert got.route["fallback"] is None
+        assert got == dense_oracle.significant_transitions(bundle, ms, DETECTOR, 2, em=em)
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=systems(), count=st.integers(1, 5))
+def test_the_lanczos_route_matches_dense_oracle(system, count):
+    """Every sector taken by the Lanczos route (the crossover at 0): the transitions out of
+    |0> of the Coulomb bundle, and the rate table of the pair, are the dense oracle's."""
+    ms, em, cutoffs = system
+    a, b = build_gauge_pair(ms, em, cutoffs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hamiltonians, "LANCZOS_MIN_SECTOR", 0)
+        got = significant_transitions(a, ms, DETECTOR, count, em=em)
+    want = dense_oracle.significant_transitions(a, ms, DETECTOR, count, em=em)
+    assert got == want
+    if not got:
+        return
+    rows, _ = rate_table(a, b, ms, em, DETECTOR, got, couplings(ms, em).generator(a.space))
+    assert [(r.i, r.j) for r in rows] == list(got)
+    assert_rates_agree_in_amplitude(rows, *dense_oracle.rate_table(a, b, ms, em, DETECTOR, got),
+                                    a, b, ms, em)

@@ -163,9 +163,9 @@ def test_a_command_within_the_budget_runs(tmp_path, monkeypatch, command):
 def test_a_sectored_command_holds_a_few_member_blocks(tmp_path, command, blocks):
     """Two modes at N = 20 with complex chi and couplings (D = 882, complex sectors of
     n = 441, B = 16 n^2 bytes): the family's K is the only block it keeps.  spectrum holds
-    K and one sector at a time (2.2 B traced), and detect K, the sector and eigh's
-    eigenvectors, of which it keeps the lowest 40 (3.2 B traced).  LAPACK's copy of the
-    sector and eigh's workspace are not traced: about 1 B and 3 B more."""
+    K and one sector at a time (2.2 B traced), and detect K, the sector and the reached
+    sector formed again for its Lanczos run (3.0 B traced).  LAPACK's copy of the sector
+    is not traced: about 1 B more."""
     em = tls(1.0, (0.6, 0.2, 0.0))
     ms = ModeSet(np.array([[1.0, 0.1 - 0.05j], [0.1 + 0.05j, 1.2]]),
                  {em.position_label: [(0.5, 0.2j, 0.0), (0.3, -0.3, 0.1j)],

@@ -16,8 +16,9 @@ from gaugecraft import (COULOMB, MULTIPOLAR, DetectorSpec, HamiltonianBundle,
 from gaugecraft import detect as detect_module
 from gaugecraft import hamiltonians
 from gaugecraft.cli import main
-from gaugecraft.hamiltonians import QuadratureFamily, build_gauge_pair, field_hamiltonian
-from gaugecraft.hilbert import PAULI_Z, Eigenbasis, max_abs
+from gaugecraft.hamiltonians import (LANCZOS_MIN_SECTOR, QuadratureFamily, build_gauge_pair,
+                                     canonical_terms, field_hamiltonian, polarization_squared)
+from gaugecraft.hilbert import HERMITIAN_TOL, PAULI_Z, Eigenbasis, max_abs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
 from test_stacked_scan import count_solves
 from test_time_reversal import real_system
@@ -140,6 +141,10 @@ def test_detect_command_diagonalizes_only_the_coulomb_bundle(tmp_path, monkeypat
     for gauge in ("coulomb", "multipolar"):
         assert diagnostics[gauge]["sector_sizes"] == [dim // 2, dim // 2]
         assert 0.0 <= diagnostics[gauge]["parity_off_block"] <= 1e-12
+    # a sector below the crossover: its candidates read from eigh, nothing fell back
+    assert diagnostics["transitions_route"] == {"route": "dense", "iterations": 0,
+                                                "max_ritz_residual": None, "fallback": None}
+    assert diagnostics["canonical_pairing_residual"] >= 0.0
 
 
 @pytest.mark.parametrize("cutoffs, short", [((2, 2), True), ((12, 12), False)])
@@ -169,10 +174,15 @@ def test_detect_records_the_top_fock_population_of_the_states_it_reads(tmp_path,
     probs = np.abs(vecs.reshape(cutoffs[0] + 1, cutoffs[1] + 1, 2, -1)) ** 2
     want = [probs[-1].sum(axis=(0, 1)).max(), probs[:, -1].sum(axis=(0, 1)).max()]
     assert np.allclose(top, want, rtol=1e-6, atol=1e-15)
+    # the partners' residual against the canonical form, reported and not checked, falls
+    # as the cutoff converges (3.0e-2 at (2, 2), 5.9e-8 at (12, 12))
+    canonical = meta["diagnostics"]["canonical_pairing_residual"]
     if short:
         assert top[0] > 1e-2 and top[1] > 1e-3
+        assert canonical > 1e-2
     else:
         assert max(top) < 1e-12
+        assert canonical < 1e-6
 
 
 @pytest.mark.parametrize("cutoff", [16, 20])  # D = 578 and 882
@@ -226,6 +236,15 @@ def test_a_detect_without_transitions_is_a_config_error(tmp_path, capsys, sectio
     assert main(["detect", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out" / "rates.csv").exists()
+
+
+def test_a_zero_dipole_on_the_lanczos_route_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """O |0> = 0 has the empty spectral measure: the run takes no step and certifies no
+    transition, and detect exits 2 naming the dipole."""
+    monkeypatch.setattr(hamiltonians, "LANCZOS_MIN_SECTOR", 0)
+    config = single_mode_scenario(tmp_path, {})
+    assert main(["detect", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "'detector.dipole'" in capsys.readouterr().err
 
 
 def test_detect_places_each_state_once(tmp_path, monkeypatch):
@@ -313,14 +332,17 @@ def single_mode_real_pair(cutoffs):
                                            (single_mode_real_pair, (30,))])
 def test_transitions_out_of_the_ground_state_solve_one_sector_by_eigh(monkeypatch, pair,
                                                                       cutoffs):
-    """The selection rule: |0>'s sector by eigvalsh and one shifted solve, the other by
-    eigh, with the transitions, omega_ij and rates of the dense-eigh oracle."""
+    """The selection rule below the Lanczos crossover: |0>'s sector by eigvalsh and one
+    shifted solve, the other by eigh, with the transitions, omega_ij and rates of the
+    dense-eigh oracle."""
     ms, em, (b_c, b_mp) = pair(cutoffs)
     n = b_c.space.dim // 2
-    assert b_c.basis == "quadrature"
+    assert b_c.basis == "quadrature" and n < LANCZOS_MIN_SECTOR
     eigh, eigvalsh = count_solves(monkeypatch, ("eigh", "eigvalsh"))
-    significant_transitions(b_c, ms, detector(), 3, em=em)
+    got = significant_transitions(b_c, ms, detector(), 3, em=em)
     assert eigh == [(n, n)] and eigvalsh == [(n, n)]
+    assert got.route == {"route": "dense", "iterations": 0, "max_ritz_residual": None,
+                         "fallback": None}
     ground = 0 if b_c.family.ground_parity > 0 else 1
     assert b_c.owner.solution[3][ground] == 1  # |0> alone of its sector
     assert b_c.owner.solution[3][1 - ground] == min(n, 40)
@@ -328,6 +350,199 @@ def test_transitions_out_of_the_ground_state_solve_one_sector_by_eigh(monkeypatc
     dense_c, dense_mp = (dense_oracle.dense_bundle(ms, em, g, cutoffs)
                          for g in (COULOMB, MULTIPOLAR))
     assert_matches_the_dense_oracle(b_c, b_mp, dense_c, dense_mp, ms, em)
+
+
+LANCZOS_CUTOFFS = (14, 14)  # D = 450: two sectors of 225 levels, above the crossover
+
+
+def square_solves(shapes, n):
+    """The calls on an (n, n) array, beside the small tridiagonal ones of a Lanczos run."""
+    return [s for s in shapes if s == (n, n)]
+
+
+def assert_takes_the_lanczos_route(got, bundle):
+    tol = HERMITIAN_TOL * max(1.0, *np.abs(bundle.eigenvalues()[[0, -1]])) / 2
+    route = got.route
+    assert route["route"] == "lanczos" and route["fallback"] is None
+    assert 0 < route["iterations"] <= detect_module.LANCZOS_CAP
+    assert 0.0 <= route["max_ritz_residual"] <= tol
+
+
+def complex_two_mode_pair(cutoffs):
+    """Complex chi and couplings: no time reversal, complex sectors."""
+    em = tls(1.0, (0.6, 0.2, 0.0))
+    ms = ModeSet(np.array([[1.0, 0.1 - 0.05j], [0.1 + 0.05j, 1.2]]),
+                 {em.position_label: [(0.5, 0.2j, 0.0), (0.3, -0.3, 0.1j)],
+                  "detector": [(0.4, 0.5, -0.2), (-0.3, 0.2, 0.6)]})
+    return ms, em, build_gauge_pair(ms, em, cutoffs)
+
+
+@pytest.mark.parametrize("pair, cutoffs", [(two_mode_pair, LANCZOS_CUTOFFS),
+                                           (two_mode_pair, (16, 16)),
+                                           (complex_two_mode_pair, LANCZOS_CUTOFFS),
+                                           (single_mode_real_pair, (300,))])
+def test_transitions_above_the_crossover_take_the_lanczos_route(monkeypatch, pair, cutoffs):
+    """From the crossover on, both sectors by eigvalsh, |0> by one shifted solve, and no
+    eigh of the reached sector: the rates are Ritz weights and the states Ritz vectors,
+    with the transitions, omega_ij and rates of the dense-eigh oracle: complex sectors,
+    and the real ones of time reversal."""
+    ms, em, (b_c, b_mp) = pair(cutoffs)
+    n = b_c.space.dim // 2
+    assert n >= LANCZOS_MIN_SECTOR
+    eigh, eigvalsh, solve = count_solves(monkeypatch, ("eigh", "eigvalsh", "solve"))
+    got = significant_transitions(b_c, ms, detector(), 3, em=em)
+    assert square_solves(eigh, n) == [] and square_solves(eigvalsh, n) == [(n, n)] * 2
+    assert solve == [(n, n)]
+    assert_takes_the_lanczos_route(got, b_c)
+    assert b_c.owner.solution[3] == ((1, 0) if b_c.family.ground_parity > 0 else (0, 1))
+    monkeypatch.undo()
+    dense_c, dense_mp = (dense_oracle.dense_bundle(ms, em, g, cutoffs)
+                         for g in (COULOMB, MULTIPOLAR))
+    assert_matches_the_dense_oracle(b_c, b_mp, dense_c, dense_mp, ms, em)
+
+
+def test_the_lanczos_route_reproduces_the_eigh_route_to_1e_12():
+    """The same bundle's transitions by the eigh route (the crossover above its sectors):
+    the same pairs, omega_ij and both rates to 1e-12 relative, and states that differ by a
+    phase alone."""
+    ms, em, (b_c, b_mp) = two_mode_pair(LANCZOS_CUTOFFS)
+    got = significant_transitions(b_c, ms, detector(), 3, em=em)
+    rows, states = rate_table(b_c, b_mp, ms, em, detector(), got, b_c.family.basis)
+    d_c, d_mp = build_gauge_pair(ms, em, LANCZOS_CUTOFFS)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hamiltonians, "LANCZOS_MIN_SECTOR", d_c.space.dim)
+        want = significant_transitions(d_c, ms, detector(), 3, em=em)
+    assert want.route["route"] == "dense" and got == want
+    want_rows, want_states = rate_table(d_c, d_mp, ms, em, detector(), want,
+                                        d_c.family.basis)
+    for name in ("omega_ij", "rate_coulomb", "rate_multipolar"):
+        have, value = (np.array([getattr(r, name) for r in t]) for t in (rows, want_rows))
+        assert np.all(np.abs(have - value) <= 1e-12 * np.abs(value)), name
+    overlaps = np.abs(np.einsum("dk,dk->k", states.conj(), want_states))
+    assert np.allclose(overlaps, 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("count, floor", [(1, 0.1), (2, 0.05)])
+def test_a_larger_rate_the_run_has_not_converged_still_sets_the_floor(count, floor):
+    """The strongest transition, (0, 4), converges after the weak (0, 1) and (0, 2): until it
+    does, the weight no Ritz pair accounts for bounds the largest rate, so the weak ones are
+    not picked against the largest converged rate alone."""
+    ms, em, (b_c, _) = two_mode_pair(LANCZOS_CUTOFFS)
+    got = significant_transitions(b_c, ms, detector(), count, em=em, floor=floor)
+    assert got.route["route"] == "lanczos"
+    dense_c = dense_oracle.dense_bundle(ms, em, COULOMB, LANCZOS_CUTOFFS)
+    want = dense_oracle.significant_transitions(dense_c, ms, detector(), count, em=em,
+                                                floor=floor)
+    assert got == want and (0, 4) in got
+
+
+def test_picked_ritz_vectors_are_placed_once_and_handed_to_the_rate_table(monkeypatch):
+    """|0> and the picked states, each placed once: the Ritz vectors of the picks alone,
+    not the candidates."""
+    ms, em, (b_c, b_mp) = two_mode_pair(LANCZOS_CUTOFFS)
+    placed = []
+    place = QuadratureFamily._place
+
+    def counted(family, eps, p, vecs, columns, y):
+        placed.append(len(columns))
+        return place(family, eps, p, vecs, columns, y)
+
+    monkeypatch.setattr(QuadratureFamily, "_place", counted)
+    got = significant_transitions(b_c, ms, detector(), 3, em=em)
+    assert placed == [1, 3] and got.vecs.shape == (b_c.space.dim, 4)
+    placed.clear()
+    _, states = rate_table(b_c, b_mp, ms, em, detector(), got, b_c.family.basis)
+    assert placed == [] and states is got.vecs
+
+
+def test_an_uncertified_lanczos_run_falls_back_to_eigh_of_the_reached_sector(monkeypatch):
+    """A run cut at 10 steps certifies nothing: the reached sector is solved by eigh, the
+    ground sector's shifted solve kept, and the dense route's transitions returned."""
+    ms, em, (b_c, b_mp) = two_mode_pair(LANCZOS_CUTOFFS)
+    n = b_c.space.dim // 2
+    monkeypatch.setattr(detect_module, "LANCZOS_CAP", 10)
+    eigh, eigvalsh = count_solves(monkeypatch, ("eigh", "eigvalsh"))
+    got = significant_transitions(b_c, ms, detector(), 3, em=em)
+    assert square_solves(eigh, n) == [(n, n)] and square_solves(eigvalsh, n) == [(n, n)] * 2
+    assert got.route == {"route": "dense", "iterations": 10, "max_ritz_residual": None,
+                         "fallback": "no certified selection in 10 Lanczos steps"}
+    ground = 0 if b_c.family.ground_parity > 0 else 1
+    assert b_c.owner.solution[3][ground] == 1 and b_c.owner.solution[3][1 - ground] > 1
+    monkeypatch.undo()
+    dense_c, dense_mp = (dense_oracle.dense_bundle(ms, em, g, LANCZOS_CUTOFFS)
+                         for g in (COULOMB, MULTIPOLAR))
+    assert_matches_the_dense_oracle(b_c, b_mp, dense_c, dense_mp, ms, em)
+
+
+@pytest.mark.parametrize("profiles, count", [
+    # diagonal chi: O |0> has no weight on some levels of the reached sector
+    ({"emitter": [(0.6, 0.1, 0.0), (0.3, -0.2, 0.1)],
+      "detector": [(0.4, 0.5, -0.2), (-0.3, 0.2, 0.6)]}, 3),
+    # a detector that reaches one mode alone
+    ({"emitter": [(0.6, 0.1, 0.0), (0.3, -0.2, 0.1)],
+      "detector": [(0.4, 0.5, -0.2), (0.0, 0.0, 0.0)]}, 3),
+    # an emitter that couples to one mode alone: the other mode's excitations of the
+    # polaritons carry no weight, level 11 among them, below the eighth pick
+    ({"emitter": [(0.6, 0.1, 0.0), (0.0, 0.0, 0.0)],
+      "detector": [(0.4, 0.5, -0.2), (-0.3, 0.2, 0.6)]}, 8)])
+def test_a_symmetric_system_certifies_its_picks_or_falls_back(profiles, count):
+    """Levels of the reached sector that O |0> does not reach stay unmatched by any Ritz
+    pair.  The run either certifies the picks or falls back to eigh; either way the
+    transitions and rates are the dense oracle's."""
+    ms = ModeSet(DIAGONAL_CHI, profiles)
+    em = tls(1.0, (0.8, 0.3, 0.0))
+    b_c, b_mp = build_gauge_pair(ms, em, LANCZOS_CUTOFFS)
+    got = significant_transitions(b_c, ms, detector(), count, em=em)
+    if got.route["route"] == "lanczos":
+        assert_takes_the_lanczos_route(got, b_c)
+    else:
+        assert got.route["fallback"].startswith("no certified selection")
+    dense_c, dense_mp = (dense_oracle.dense_bundle(ms, em, g, LANCZOS_CUTOFFS)
+                         for g in (COULOMB, MULTIPOLAR))
+    vals = dense_c.eigenvalues()
+    want = dense_oracle.significant_transitions(dense_c, ms, detector(), count, em=em)
+    assert got == want and len(got) == count
+    rows, _ = rate_table(b_c, b_mp, ms, em, detector(), got, b_c.family.basis)
+    rates = dense_oracle.rate_table(dense_c, dense_mp, ms, em, detector(), got)
+    for name, value in zip(("omega_ij", "rate_coulomb", "rate_multipolar"),
+                           ([vals[j] - vals[i] for i, j in got], *rates)):
+        have = np.array([getattr(r, name) for r in rows])
+        assert np.all(np.abs(have - value) <= 1e-10 * np.abs(value)), name
+
+
+def test_detect_command_above_the_crossover_reports_its_lanczos_route(tmp_path, monkeypatch):
+    """No (n, n) eigh, two (n, n) eigvalsh and one shifted solve; the metadata names the
+    route, its steps and the largest residual of the picked Ritz pairs, and the canonical
+    pairing residual, against the dense H_can applied to the dense oracle's partners."""
+    ms, em = two_mode_system(OFF_DIAGONAL_CHI)
+    doc = {"seed": 0, "modeset": modeset_to_json(ms), "emitter": emitter_to_json(em),
+           "fock_cutoffs": list(LANCZOS_CUTOFFS),
+           "detector": {"dipole": [0.3, 0.9, 0.2], "position_label": "detector",
+                        "omega_d": 1.0, "count": 3}}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    n = (LANCZOS_CUTOFFS[0] + 1) * (LANCZOS_CUTOFFS[1] + 1)
+    eigh, eigvalsh, solve = count_solves(monkeypatch, ("eigh", "eigvalsh", "solve"))
+    assert main(["detect", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert square_solves(eigh, n) == [] and square_solves(eigvalsh, n) == [(n, n)] * 2
+    assert square_solves(solve, n) == [(n, n)]
+    monkeypatch.undo()
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    route = meta["diagnostics"]["transitions_route"]
+    assert route["route"] == "lanczos" and route["fallback"] is None
+    assert 0 < route["iterations"] <= 100 and route["max_ritz_residual"] <= 1e-10
+    # the oracle: dense eigenvectors of H_C, the formed W, the formed H_can
+    dense_c = dense_oracle.dense_bundle(ms, em, COULOMB, LANCZOS_CUTOFFS)
+    states = sorted({i for pair in meta["transitions"] for i in pair})
+    vals, vecs = dense_c.eigensystem()
+    partners = dense_oracle.DenseSystem(ms, em, LANCZOS_CUTOFFS).gauge_unitary(0.0, 1.0) @ (
+        vecs[:, states])
+    cs = hamiltonians.couplings(ms, em)
+    h_can = dense_c.space.dense(canonical_terms(cs, em.h0 + polarization_squared(cs),
+                                                dense_c.space))
+    want = np.linalg.norm(h_can @ partners - partners * vals[states], axis=0).max()
+    got = meta["diagnostics"]["canonical_pairing_residual"]
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(vals[-1]))
 
 
 def dense_twin(bundle):
@@ -339,17 +554,24 @@ def dense_twin(bundle):
 
 def assert_both_sectors_solved_by_eigh(eigh, eigvalsh, bundle):
     n = bundle.space.dim // 2
-    # the other sector by eigh and |0>'s by eigvalsh, then |0>'s by eigh, the other's kept
-    assert eigh == [(n, n)] * 2 and eigvalsh == [(n, n)]
+    if n < LANCZOS_MIN_SECTOR:
+        # the other sector by eigh and |0>'s by eigvalsh, then |0>'s by eigh, the other's kept
+        assert eigh == [(n, n)] * 2 and eigvalsh == [(n, n)]
+    else:
+        # both sectors by eigvalsh, then both by eigh: no Lanczos run
+        assert eigh == [(n, n)] * 2 and eigvalsh == [(n, n)] * 2
     assert bundle.owner.solution[3] == (min(n, 40),) * 2
 
 
-def test_a_ground_state_in_the_other_sector_falls_back_to_solving_both(monkeypatch):
+FALLBACK_CUTOFFS = [(6, 6), (14, 14)]  # sectors of 49 and 225 levels, about the crossover
+
+
+@pytest.mark.parametrize("cutoffs", FALLBACK_CUTOFFS)
+def test_a_ground_state_in_the_other_sector_falls_back_to_solving_both(monkeypatch, cutoffs):
     """beta of the opposite sign swaps the sectors (the levels of h0 swapped), so |0> lies
     in the sector that `ground_parity` does not guess: the other sector's lowest level
     lies below E0, and both sectors are solved by eigh, the other sector's solve kept."""
     ms, em = two_mode_system(OFF_DIAGONAL_CHI)
-    cutoffs = (6, 6)
     family = QuadratureFamily.of(ms, em, cutoffs)
     recipe = family.recipe([1.0])
     pair = lambda flipped: (HamiltonianBundle.in_quadrature_basis(family, g, flipped,
@@ -358,38 +580,44 @@ def test_a_ground_state_in_the_other_sector_falls_back_to_solving_both(monkeypat
     probe, _ = pair(replace(recipe, beta=-recipe.beta))
     assert probe.solve_ground_apart(40) is None
     ground = 0 if family.ground_parity > 0 else 1
-    kept = probe.owner.solution[3]  # the other sector's 40 vectors, none of |0>'s guess
-    assert kept[ground] == 0 and kept[1 - ground] == 40
+    # the other sector's 40 vectors (none from the crossover on), none of |0>'s guess
+    kept = probe.owner.solution[3]
+    n = probe.space.dim // 2
+    assert kept[ground] == 0 and kept[1 - ground] == (40 if n < LANCZOS_MIN_SECTOR else 0)
     b_c, b_mp = pair(replace(recipe, beta=-recipe.beta))
     eigh, eigvalsh = count_solves(monkeypatch, ("eigh", "eigvalsh"))
-    significant_transitions(b_c, ms, detector(), 3, em=em)
+    got = significant_transitions(b_c, ms, detector(), 3, em=em)
     assert_both_sectors_solved_by_eigh(eigh, eigvalsh, b_c)
+    assert got.route["route"] == "dense" and "not solved apart" in got.route["fallback"]
     monkeypatch.undo()
     dense_c, dense_mp = dense_twin(b_c), dense_twin(b_mp)
     assert dense_c.eigensystem([0])[1][b_c.parity != b_c.family.ground_parity].any()
     assert_matches_the_dense_oracle(b_c, b_mp, dense_c, dense_mp, ms, em)
 
 
-def test_a_shifted_solve_that_misses_falls_back_to_solving_both(monkeypatch):
+@pytest.mark.parametrize("cutoffs", FALLBACK_CUTOFFS)
+def test_a_shifted_solve_that_misses_falls_back_to_solving_both(monkeypatch, cutoffs):
     """A vector from the shifted solve whose residual exceeds HERMITIAN_TOL (here the solve's
     right-hand side alone) is not kept: |0>'s sector is solved by eigh as well."""
-    ms, em, (b_c, b_mp) = two_mode_pair((6, 6))
+    ms, em, (b_c, b_mp) = two_mode_pair(cutoffs)
     monkeypatch.setattr(hamiltonians, "_shifted_solve",
                         lambda block, e0: np.eye(len(block))[np.argmin(np.abs(
                             block.diagonal() - e0))])
     eigh, eigvalsh = count_solves(monkeypatch, ("eigh", "eigvalsh"))
-    significant_transitions(b_c, ms, detector(), 3, em=em)
+    got = significant_transitions(b_c, ms, detector(), 3, em=em)
     assert_both_sectors_solved_by_eigh(eigh, eigvalsh, b_c)
+    assert got.route["route"] == "dense" and "not solved apart" in got.route["fallback"]
     monkeypatch.undo()
-    dense_c, dense_mp = (dense_oracle.dense_bundle(ms, em, g, (6, 6))
+    dense_c, dense_mp = (dense_oracle.dense_bundle(ms, em, g, cutoffs)
                          for g in (COULOMB, MULTIPOLAR))
     assert_matches_the_dense_oracle(b_c, b_mp, dense_c, dense_mp, ms, em)
 
 
-def test_a_parity_even_detection_term_falls_back_to_solving_both(monkeypatch):
+@pytest.mark.parametrize("cutoffs", FALLBACK_CUTOFFS)
+def test_a_parity_even_detection_term_falls_back_to_solving_both(monkeypatch, cutoffs):
     """A term sigma_z on the emitter keeps the parity, so O |0> has a part in |0>'s sector:
     every candidate is read, |0>'s sector solved by eigh as well."""
-    ms, em, (b_c, b_mp) = two_mode_pair((6, 6))
+    ms, em, (b_c, b_mp) = two_mode_pair(cutoffs)
     even = {b_c.space.matter_indices[0]: 0.3 * PAULI_Z}
     operator, oracle = detect_module.detection_operator, dense_oracle.detection_operator
     monkeypatch.setattr(detect_module, "detection_operator",
@@ -399,7 +627,8 @@ def test_a_parity_even_detection_term_falls_back_to_solving_both(monkeypatch):
     eigh, eigvalsh = count_solves(monkeypatch, ("eigh", "eigvalsh"))
     got = significant_transitions(b_c, ms, detector(), 3, em=em)
     assert_both_sectors_solved_by_eigh(eigh, eigvalsh, b_c)
-    dense_c, dense_mp = (dense_oracle.dense_bundle(ms, em, g, (6, 6))
+    assert got.route["route"] == "dense" and "parity sector of |0>" in got.route["fallback"]
+    dense_c, dense_mp = (dense_oracle.dense_bundle(ms, em, g, cutoffs)
                          for g in (COULOMB, MULTIPOLAR))
     # the even term reaches |0>'s own sector: a transition the selection rule would skip
     vecs = b_c.eigensystem(sorted({k for pair in got for k in pair}))[1]
