@@ -43,20 +43,21 @@ COMMANDS = ("spectrum", "gauge-check", "detect", "evolve", "modes")
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 # peak of a command's Hamiltonians in complex D x D matrices (16 D^2 bytes), for a `sectored`
 # family and for a Fock-basis build.  A sectored spectrum holds K, one sector and LAPACK's
-# copy of it, 3 blocks of (D/2)^2, and measured 0.755; detect, where it solves the sector
-# its transitions reach by eigh (a small sector, or a Lanczos run that falls back), holds
-# K, the sector, eigh's eigenvectors and its copy and workspace, and measured 1.28 (two
+# copy of it, 3 blocks of (D/2)^2, and measured 0.755.  detect peaks where it falls back to
+# solving both sectors by eigh: a sector solved by eigh keeps all of its eigenvectors, so it
+# holds K, the first sector's eigenvectors, the second sector, and eigh's eigenvectors and
+# its copy and workspace (?heevd's copy, work and rwork, 3 blocks), and measured 1.76 (two
 # complex modes, D = 882, counting LAPACK's untraced arrays as the traced memory when it
-# is called); its Lanczos route holds K and the sector twice, with eigvalsh's copy.  The
-# Fock-basis estimates, 10 and 14, hold LAPACK's untraced copies of a D x D sector (1 for
-# eigvalsh, 3 more for eigh) on top of the traced peak of the dense route, whose
-# `EigenbasisFamily` measured 6.5 (spectrum), 7.5 (detect) and 8.0 (gauge-check) for two
-# modes at L = 3, D = 507.  The gauge-check's estimate is its naive verify pair's
+# is called); its Lanczos route measured 1.01, and a run that falls back to eigh of the
+# reached sector 1.52.  The Fock-basis estimates, 10 and 14, hold LAPACK's untraced copies
+# of a D x D sector (1 for eigvalsh, 3 more for eigh) on top of the traced peak of the
+# dense route, whose `EigenbasisFamily` measured 6.5 (spectrum), 7.5 (detect) and 8.0
+# (gauge-check) for two modes at L = 3, D = 507.  The gauge-check's estimate is its naive verify pair's
 # (`build_gauge_pair`, then `verify_spectral_equivalence`), which peaks as a spectrum does:
 # it holds K and one sector at a time.  A correct sectored pair shares one solve and solves
 # nothing, so it holds K alone (measured 0.52, with one Kronecker term of K's size while
 # two modes' K is summed).
-COMMAND_MATRICES = {"spectrum": (0.76, 10.0), "gauge-check": (0.76, 10.0), "detect": (1.3, 14.0)}
+COMMAND_MATRICES = {"spectrum": (0.76, 10.0), "gauge-check": (0.76, 10.0), "detect": (1.77, 14.0)}
 # the model keys each command builds without: refused unless at their defaults
 UNREAD = {"gauge-check": ("gauge_theta", "longitudinal", "beyond_dipole"),
           "detect": ("gauge_theta", "longitudinal", "beyond_dipole", "truncation"),

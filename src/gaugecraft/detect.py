@@ -8,37 +8,35 @@ the naively-truncated field (f in place of f') do not whenever chi has
 off-diagonal structure.  All rates are reported up to one common
 density-of-states constant, which cancels in every comparison.
 
-A rate needs a few eigenstates, so the detection operators stay lists of
-Kronecker terms, the photon-only mode drives of `hamiltonians.drive_terms`
-(one term per mode) plus a matter term, applied to those eigenvectors only
-by `HilbertSpec.apply`; nothing here forms a D x D matrix.  Each function
-asks `HamiltonianBundle.eigensystem` for the columns it reads (|i> and the
-candidates among the 39 states above it, the states a rate table names, or
-the pair |i>, |j>), which places only those into the Fock basis from the kept
-sector solves.
-Only the Coulomb bundle is solved, and out of |0> of a quadrature-basis bundle only as
-far as the parity sector its transitions reach.  The detection operator O is linear in
-the field, so it flips the photon parity and the verified parity (-1)^(sum n) (x) S with
-it: `HamiltonianBundle.solve_ground_apart` solves both sectors by eigvalsh, which names
-every level j by its index in the full spectrum, and |0> by one shifted solve at E0.
-The rate out of |0> into |j> is a weight |<j| O |0>|^2 of the spectral measure of
-v = O |0> with respect to H, and a Lanczos run started from v gives those weights as the
-Gauss weights of its Ritz pairs (Golub & Welsch, Math. Comp. 23, 221 (1969);
-`hilbert.lanczos`), and the states as its Ritz vectors.  `significant_transitions` runs
-it in the reached sector until the selection is certified: each candidate up to the last
-pick either matched by a converged Ritz pair (residual at most half of HERMITIAN_TOL *
-max(1, max|E|)) or bounded below the floor by the weight no pair accounts for.  A sector
-of fewer than LANCZOS_MIN_SECTOR levels is solved by eigh instead, where that costs
-less, and so is a sector whose run is not certified within LANCZOS_CAP steps.  Three
-checks hold the sector route to the values found: the other sector's lowest level lies
-above E0, the shifted vector's residual is at most HERMITIAN_TOL * max(1, max|E|), and
-the same-parity part of O |0> vanishes to HERMITIAN_TOL relative, so that the candidates
-of |0>'s sector have a rate of exactly zero and are left out.  If one fails, the sectors
-are solved by eigh as far as the candidates need, a kept solve kept, and every candidate
-read, as for explicit transitions and Fock-basis bundles.  `Transitions.route` records
-the route taken, and why it fell back.  The states `significant_transitions` picks are
-placed once: its `Transitions` hand them and the Coulomb detection terms on to
-`rate_table`.
+A rate needs a few eigenstates, so the detection operators stay lists of Kronecker terms,
+the photon-only mode drives of `hamiltonians.drive_terms` (one term per mode) plus a
+matter term, applied to those eigenvectors only by `HilbertSpec.apply`; nothing here
+forms a D x D matrix.  Only the Coulomb bundle is solved.
+
+`significant_transitions` picks by one rule (`_picks`): the first `count` of the 39 states
+above |i> whose rate exceeds `floor` times the largest, a state not upward in energy at
+rate zero.  Out of |0> of a quadrature-basis bundle the detection operator O, linear in
+the field, flips the photon parity and the verified parity (-1)^(sum n) (x) S with it, so
+it reaches only the other sector: `HamiltonianBundle.solve_ground_apart` solves both
+sectors' eigenvalues, which name every level j by its index in the full spectrum, and |0>
+by one shifted solve at E0.  The rate into |j> is then a weight of the spectral measure
+of v = O |0> in the reached sector (`HamiltonianBundle.reached_measure`).  Below
+LANCZOS_MIN_SECTOR levels it is exact, from that sector's eigenvectors, each weight
+matched to its level by index.  From that size on the weights are those of the Ritz
+pairs of a Lanczos run from v (Golub & Welsch, Math. Comp. 23, 221 (1969);
+`hilbert.lanczos`), each known where a converged pair matches one level and bounded by
+the weight no pair accounts for elsewhere; a run that leaves the picks undecided after
+LANCZOS_CAP steps reads the exact measure after all, the sector solved by eigh.  Three
+checks hold this route to the values found: the other sector's lowest level lies above
+E0, the shifted vector's residual is at most HERMITIAN_TOL * max(1, max|E|), and the
+same-parity part of O |0> vanishes to HERMITIAN_TOL relative, so that the candidates of
+|0>'s sector have a rate of exactly zero and are left out.  Only |0> and the picked
+states are placed.  If a check fails, and for |i> above |0> or a Fock-basis bundle,
+every candidate is read from its eigenvectors in the Fock basis, each sector they lie in
+solved by eigh.  `Transitions.route` records the route taken, and why it fell back, and
+the `Transitions` hand the placed states and the Coulomb detection terms on to
+`rate_table`.  Other transitions are placed there.
+
 The multipolar partner of |i_C> is W |i_C>, with the exact gauge unitary W applied
 through the pair's family's `Eigenbasis.apply` and checked by its residual against H_mp;
 its residual against the canonical multipolar form H_can, which truncates after the gauge
@@ -255,101 +253,102 @@ def dense_route(fallback: Optional[str] = None) -> dict:
     return {"route": "dense", "iterations": 0, "max_ritz_residual": None, "fallback": fallback}
 
 
+def _picks(rates: np.ndarray, bounds: np.ndarray, count: int, floor: float) -> Optional[list]:
+    """The positions of the first `count` candidates whose rate exceeds floor times the
+    largest rate, or None while that selection is undecided: the one rule by which
+    `significant_transitions` picks, on every route.
+
+    rates holds each candidate's rate, NaN where only its upper bound in `bounds` is known
+    (bounds holds the rate where it is).  The largest rate then lies between top_lo, the
+    largest known one, and top_hi, the largest bound.  A candidate is left out when its
+    bound is at most floor * top_lo and picked when its rate exceeds floor * top_hi; the
+    selection is decided once every candidate up to the count-th pick is.  With every rate
+    known, bounds = rates, and it always is.
+    """
+    top_lo = float(np.max(np.nan_to_num(rates), initial=0.0))
+    top_hi = float(np.max(bounds, initial=0.0))
+    picks = []
+    for q in range(len(rates)):
+        if len(picks) == count:
+            break
+        if bounds[q] <= floor * top_lo:
+            continue
+        if not rates[q] > floor * top_hi:  # a bound, or a rate between the two
+            return None
+        picks.append(q)
+    return picks
+
+
 def significant_transitions(bundle: HamiltonianBundle, ms: ModeSet, det: DetectorSpec,
                             count: int, i: int = 0, em: Optional[EmitterSpec] = None,
                             floor: float = 1e-10) -> Transitions:
     """First `count` transitions out of |i> with a non-negligible rate, as `Transitions`
     that carry |i> and the picked states, placed once here, and the detection terms.
 
-    Parity-forbidden transitions carry rates at numerical zero and are
-    skipped (threshold: `floor` relative to the largest rate found), as are
-    transitions that are not upward in energy.  The candidates are the 39 states above
-    |i>.  Out of |0> of a quadrature-basis bundle, the selection rule reads only those
-    of the other parity sector: O is linear in the field, so it flips the bundle's
-    parity, and `HamiltonianBundle.solve_ground_apart` solves |0> apart, by eigvalsh of
-    its sector and one shifted solve.  The rule holds when the same-parity part of O |0>
-    vanishes to HERMITIAN_TOL relative; then the candidates of |0>'s sector have a rate
-    of exactly zero, which the floor drops as it drops their rounding otherwise.  A
-    reached sector of fewer than LANCZOS_MIN_SECTOR levels is solved by eigh, and its
-    candidates are read from its eigenvectors.  From that size on it is solved by
-    eigvalsh, the rates are the weights of the spectral measure of O |0> from a Lanczos
-    run (`_lanczos_picks`), and the picked states are its Ritz vectors; a selection that
-    the run cannot certify within LANCZOS_CAP steps reads the candidates from eigh of
-    that sector instead.  When the rule does not hold, or the bundle's checks fail, the
-    sectors are solved by eigh and every candidate is read.
+    The candidates are the 39 states above |i>.  Parity-forbidden transitions carry rates
+    at numerical zero and are skipped (threshold: `floor` relative to the largest rate),
+    as are transitions that are not upward in energy: `_picks` decides.  Out of |0> of a
+    quadrature-basis bundle only the candidates of the parity sector O |0> reaches are
+    read (`HamiltonianBundle.solve_ground_apart`, `_reached_picks`), once the same-parity
+    part of O |0> vanishes to HERMITIAN_TOL relative: the candidates of |0>'s sector then
+    have a rate of exactly zero, which the floor drops as it drops their rounding
+    otherwise.  Every other case, and a bundle whose checks fail, reads every candidate
+    from its eigenvectors in the Fock basis, each sector they lie in solved by eigh.
     """
     terms = detection_operator(bundle, ms, replace(det, omega_d=1.0), em)
     stop = min(bundle.space.dim, i + 40)
-    parity = bundle.solve_ground_apart(stop) if i == 0 else None
+    solved = bundle.solve_ground_apart() if i == 0 else None
     route = dense_route()
-    if parity is None:
-        if i == 0 and bundle.family is not None:
-            route["fallback"] = "the ground state is not solved apart from its sector"
-        candidates = range(i + 1, stop)
-    else:
-        candidates = [j for j in range(1, stop) if parity[j] != parity[0]]
-
-    def read(columns):
-        vals, vecs = bundle.eigensystem(columns)
-        # <i| O |j> = (O |i>)^dag |j> for every candidate j, O Hermitian: one apply
-        return vals, vecs, bundle.space.apply(terms, vecs[:, 0])
-
-    # the candidates' vectors as well, unless the kept solve holds their eigenvalues alone
-    lanczos = parity is not None and not bundle.holds(candidates)
-    vals, vecs, o_i = read([i] if lanczos else [i, *candidates])
-    if parity is not None and (np.linalg.norm(o_i[bundle.parity == parity[0]])
-                               > HERMITIAN_TOL * np.linalg.norm(o_i)):
-        # O has a parity-even part: every candidate, |0>'s sector solved by eigh as well
+    if solved is not None:
+        parity, ground = solved
+        o_0 = bundle.space.apply(terms, ground)
+        if (np.linalg.norm(o_0[bundle.parity == parity[0]])
+                <= HERMITIAN_TOL * np.linalg.norm(o_0)):
+            return _reached_picks(bundle, (bundle, ms, det), terms, o_0, ground, parity, stop,
+                                  count, floor, route)
         route["fallback"] = "O |0> has a part in the parity sector of |0>"
-        candidates = range(1, stop)
-        vals, vecs, o_i = read([0, *candidates])
-    elif lanczos:
-        found = _lanczos_picks(bundle, o_i, vecs[:, 0], vals, parity, stop, count, floor,
-                               route)
-        if found is not None:
-            return Transitions([(0, j) for j in found[0]], (bundle, ms, det), found[1],
-                               terms, route)
-        vals, vecs, o_i = read([0, *candidates])
-    amp_sq = np.abs(o_i.conj() @ vecs[:, 1:]) ** 2
-    rates = []  # (column of vecs, j, rate)
-    for k, (j, a_sq) in enumerate(zip(candidates, amp_sq), start=1):
-        omega = float(vals[j] - vals[i])
-        if omega > 0:
-            rates.append((k, j, _frequency_factor(bundle, omega) ** 2 * float(a_sq)))
-    top = max((r for *_, r in rates), default=0.0)
-    picked = [(k, j) for k, j, r in rates if r > floor * top][:count]
-    return Transitions([(i, j) for _, j in picked], (bundle, ms, det),
-                       vecs[:, [0] + [k for k, _ in picked]], terms, route)
+    elif i == 0 and bundle.family is not None:
+        route["fallback"] = "the ground state is not solved apart from its sector"
+    candidates = np.arange(i + 1, stop)
+    vals, vecs = bundle.eigensystem([i, *candidates])
+    # <i| O |j> = (O |i>)^dag |j> for every candidate j, O Hermitian: one apply
+    amp_sq = np.abs(bundle.space.apply(terms, vecs[:, 0]).conj() @ vecs[:, 1:]) ** 2
+    omega = vals[candidates] - vals[i]
+    rates = np.where(omega > 0, _frequency_factor(bundle, omega) ** 2 * amp_sq, 0.0)
+    picks = _picks(rates, rates, count, floor)
+    return Transitions([(i, int(j)) for j in candidates[picks]], (bundle, ms, det),
+                       vecs[:, [0, *np.add(picks, 1)]], terms, route)
 
 
-def _lanczos_picks(bundle: HamiltonianBundle, o_0: np.ndarray, ground: np.ndarray,
-                   vals: np.ndarray, parity: np.ndarray, stop: int, count: int, floor: float,
-                   route: dict) -> Optional[tuple[list, np.ndarray]]:
-    """The picks of `significant_transitions` out of |0> from a Lanczos run on O |0> in the
-    sector it reaches (`HamiltonianBundle.reached_lanczos`), whose levels the bundle holds
-    by eigvalsh: their j, and |0> (`ground`) and their Ritz vectors placed, (D, k + 1).
-    None when the run cannot certify the selection within LANCZOS_CAP steps; `route`
-    records the run either way.
+def _reached_picks(bundle: HamiltonianBundle, source: tuple, terms: list, o_0: np.ndarray,
+                   ground: np.ndarray, parity: np.ndarray, stop: int, count: int,
+                   floor: float, route: dict) -> Transitions:
+    """The `Transitions` out of |0> (`ground`) among the candidates of the sector O |0>
+    reaches, from the spectral measure of O |0> there (`HamiltonianBundle.reached_measure`):
+    the rate into its level j is f^2 |<j| O |0>|^2, a weight of that measure.  Only |0> and
+    the picked states are placed.
 
-    A Ritz pair counts once its residual is at most tol, half of HERMITIAN_TOL *
-    max(1, max|E|), and its value lies within tol of exactly one level of the sector, and
-    no other pair's does (a pair near two levels, or two near one, count for neither; a
-    run that outlives the Krylov space of O |0> may meet a level twice): its weight is
-    that level's |<j| O |0>|^2, and its vector, at E_j, passes `rate_table`'s pairing
-    check, which holds H t - E_j t to twice tol.  The levels no pair matched share at most
-    W, ||O |0>||^2 less the matched weights.  So each candidate's rate is f^2 w when its level is matched and at most
-    f^2 W otherwise, and the largest rate lies between top_lo, the largest matched one,
-    and top_hi, the largest of them and the bounds.  The selection is certified once
-    every candidate up to the count-th pick is decided: picked when its rate exceeds
-    floor * top_hi, left out when its rate or bound is at most floor * top_lo.  A level
-    orthogonal to O |0> is never matched, so below the last pick it leaves the selection
-    uncertified until W is small.
+    A sector whose eigenvectors the bundle holds (one below LANCZOS_MIN_SECTOR levels)
+    gives the exact measure, its k-th weight that of the sector's k-th level, so levels are
+    matched by index and a degenerate one needs no special case.  From that size on a
+    Lanczos run gives the weights of its converged Ritz pairs, and the picked states are
+    its Ritz vectors.  A Ritz pair counts once its residual is at most tol, half of
+    HERMITIAN_TOL * max(1, max|E|), and its value lies within tol of exactly one level of
+    the sector, and no other pair's does (a pair near two levels, or two near one, count
+    for neither; a run that outlives the Krylov space of O |0> may meet a level twice): its
+    weight is that level's, and its vector, at E_j, passes `rate_table`'s pairing check,
+    which holds H t - E_j t to twice tol.  The levels no pair matched share at most W,
+    ||O |0>||^2 less the matched weights, so each of their rates is bounded by f^2 W
+    (`_picks`).  A level orthogonal to O |0> is never matched, so below the last pick it
+    leaves the selection undecided until W is small.  A run undecided after LANCZOS_CAP
+    steps reads the exact measure, the sector then solved by eigh.  `route` records the
+    run.
     """
+    vals = bundle.eigenvalues()
     others = np.flatnonzero(parity != parity[0])  # the reached sector's levels, ascending
     energies = vals[others]
     levels = others[others < stop]  # the candidates, all above E0 (`solve_ground_apart`)
-    omega = vals[levels] - vals[0]
-    f2 = _frequency_factor(bundle, omega) ** 2 * np.ones_like(omega)
+    f2 = _frequency_factor(bundle, vals[levels] - vals[0]) ** 2 * np.ones(len(levels))
     tol = HERMITIAN_TOL * max(1.0, abs(float(vals[0])), abs(float(vals[-1]))) / 2
 
     def select(run: Lanczos):
@@ -364,32 +363,26 @@ def _lanczos_picks(bundle: HamiltonianBundle, o_0: np.ndarray, ground: np.ndarra
         weight[hits > 1] = np.nan
         rest = max(0.0, float(run.weights.sum() - np.nansum(weight)))
         rates = f2 * weight[:len(levels)]
-        bound = np.where(np.isnan(rates), f2 * rest, rates)
-        top_lo = float(np.max(np.nan_to_num(rates), initial=0.0))
-        top_hi = float(np.max(bound, initial=0.0))
-        picks = []
-        for q in range(len(levels)):
-            if len(picks) == count:
-                break
-            if bound[q] <= floor * top_lo:
-                continue
-            if not rates[q] > floor * top_hi:  # a bound, or a rate between the two
-                return None
-            picks.append(q)
-        return picks, ritz[picks]
+        picks = _picks(rates, np.where(np.isnan(rates), f2 * rest, rates), count, floor)
+        return None if picks is None else (picks, ritz[picks])
 
-    run, place = bundle.reached_lanczos(o_0, tol, LANCZOS_CAP,
-                                        lambda run: select(run) is not None)
-    found = select(run)
-    route.update(route="lanczos", iterations=run.iterations)
-    if found is None:
-        route.update(route="dense", fallback=f"no certified selection in {run.iterations} "
-                                             f"Lanczos steps")
-        return None
-    picks, ks = found
-    route["max_ritz_residual"] = float(np.max(run.residuals[ks], initial=0.0))
+    y, vecs, run, place = bundle.reached_measure(o_0, tol, LANCZOS_CAP,
+                                                 lambda run: select(run) is not None)
+    if run is not None:
+        route.update(route="lanczos", iterations=run.iterations)
+    if vecs is None:
+        picks, ks = select(run)
+        route["max_ritz_residual"] = float(np.max(run.residuals[ks], initial=0.0))
+        states = run.vectors(ks)
+    else:
+        if run is not None:
+            route.update(route="dense", fallback=f"no certified selection in "
+                                                 f"{run.iterations} Lanczos steps")
+        rates = f2 * np.abs(vecs[:, :len(levels)].T.conj() @ y) ** 2
+        picks = _picks(rates, rates, count, floor)
+        states = vecs[:, picks]
     placed = np.zeros((len(ground), len(picks) + 1), dtype=complex, order="F")
     placed[:, 0] = ground
     if picks:
-        place(placed, np.arange(1, len(picks) + 1), run.vectors(ks))
-    return [int(j) for j in levels[picks]], placed
+        place(placed, np.arange(1, len(picks) + 1), states)
+    return Transitions([(0, int(j)) for j in levels[picks]], source, placed, terms, route)

@@ -299,18 +299,17 @@ class HamiltonianBundle:
     verified here, max|H[even, odd]| <= HERMITIAN_TOL * max(1, max|H|), and a
     wrong one raises `InvariantViolation`; it is never dropped silently.  The
     spectrum is then solved in the even and the odd sector separately, so two
-    (D/2)^3 eigensolves replace one D^3 solve.  The sector solves are kept (by
-    eigvalsh while only eigenvalues are asked for), and `eigensystem` places into
-    the full basis only the eigenvectors asked for, in ascending energy.  A bundle
-    without a parity is the one-sector case.  For the transitions out of its ground
-    state |0>, which an operator linear in the field takes into the other sector, a
-    quadrature-basis bundle can solve |0>'s sector by eigvalsh and |0> itself by one
-    shifted solve, and the other sector by eigh, or from LANCZOS_MIN_SECTOR levels on by
-    eigvalsh, its states then read from a Lanczos run (`solve_ground_apart`,
-    `reached_lanczos`).  The other sector's lowest level must lie above E0 and the solve's
-    residual within HERMITIAN_TOL; otherwise |0>'s sector is solved by eigh as well, as
-    any later call that asks for another level of that sector does, and the other
-    sector's solve is kept.
+    (D/2)^3 eigensolves replace one D^3 solve.  Each sector's solve is kept: its
+    eigenvalues, and all of its eigenvectors (eigh) or none (eigvalsh, while only
+    eigenvalues are asked for).  `eigensystem` solves by eigh each sector whose
+    eigenvectors it needs and the sector does not hold, and places into the full basis
+    only the eigenvectors asked for, in ascending energy.  A bundle without a parity is
+    the one-sector case.  For the transitions out of its ground state |0>, which an
+    operator linear in the field takes into the other sector, a quadrature-basis bundle
+    can solve |0>'s sector by eigvalsh and |0> itself by one shifted solve, and the other
+    sector by eigh, or from LANCZOS_MIN_SECTOR levels on by eigvalsh
+    (`solve_ground_apart`); the spectral measure of a state in that sector is then read
+    from its eigenvectors or from a Lanczos run (`reached_measure`).
 
     A builder may also declare time reversal: that (-1)^(sum_mu n_mu) K, with
     K complex conjugation, commutes with H, so that p^dag H p is real
@@ -441,92 +440,72 @@ class HamiltonianBundle:
         return self if self.recipe is None else self.recipe
 
     def _keep(self, parts: list) -> tuple:
-        """Kept as the `owner`'s solution, and returned: (vals, parts, order, kept) of the
-        sector solutions `parts`, (eigenvalues, lowest eigenvectors or None) per sector, even
-        sector first.  vals are the ascending eigenvalues, read-only; order is the stable
-        argsort of the sectors' concatenated eigenvalues, so that a tie between sectors keeps
-        the even sector first; kept is the number of eigenvectors each sector holds.  They
-        are kept before a quadrature-basis bundle's phases are applied."""
+        """Kept as the `owner`'s solution, and returned: (vals, parts, order) of the sector
+        solutions `parts`, (eigenvalues, every eigenvector or None) per sector, even sector
+        first.  vals are the ascending eigenvalues, read-only; order is the stable argsort
+        of the sectors' concatenated eigenvalues, so that a tie between sectors keeps the
+        even sector first.  They are kept before a quadrature-basis bundle's phases are
+        applied."""
         vals = np.concatenate([v for v, _ in parts])
         order = np.argsort(vals, kind="stable")
         vals = vals[order]
         vals.flags.writeable = False
-        kept = tuple(0 if vecs is None else vecs.shape[1] for _, vecs in parts)
-        self.owner.solution = vals, parts, order, kept
+        self.owner.solution = vals, parts, order
         return self.owner.solution
 
-    def _solve(self, keep: Optional[int] = None, lacking: Optional[np.ndarray] = None) -> tuple:
-        """One solve per sector, kept (`_keep`): eigh with the lowest `keep` eigenvectors of
-        each sector kept (every one without keep; none, and the eigenvalues by eigvalsh, for
-        keep = -1).  Of a kept solution only the sectors `lacking` marks are solved again, and
-        of those only the ones that do not already hold that many."""
+    def _solve(self, lacking: np.ndarray) -> tuple:
+        """One solve per sector, kept (`_keep`): eigh of each sector `lacking` marks; every
+        other sector keeps its solve, or is solved by eigvalsh without one."""
         solution = self.owner.solution
-        held = [None] * len(self.diagnostics["sector_sizes"]) if solution is None else solution[1]
+        held = [None] * len(lacking) if solution is None else solution[1]
         parts = []
-        for s, (part, block) in enumerate(zip(held, self._sector_blocks())):
-            if part is not None:
-                vals, vecs = part
-                need = len(vals) if keep is None else min(max(keep, 0), len(vals))
-                if ((lacking is not None and not lacking[s])
-                        or (0 if vecs is None else vecs.shape[1]) >= need):
-                    parts.append(part)
-                    continue
-            parts.append(_lowest_eigh(block, keep))
+        for lack, part, block in zip(lacking, held, self._sector_blocks()):
+            if lack:
+                part = np.linalg.eigh(block)
+            elif part is None:
+                part = np.linalg.eigvalsh(block), None
+            parts.append(part)
         return self._keep(parts)
 
     def _lacking(self, wanted: Optional[np.ndarray]) -> np.ndarray:
-        """Per sector, whether the kept solution lacks an eigenvector of these columns of the
-        ascending order (of every column for None), each column's level, at position k of
-        its sector, held when k < the sector's kept count; every sector without a kept
+        """Per sector, whether a column of the ascending order among these (every column for
+        None) lies in it and it holds no eigenvectors; every sector without a kept
         solution."""
         solution = self.owner.solution
         if solution is None:
             return np.ones(len(self.diagnostics["sector_sizes"]), dtype=bool)
-        _, parts, order, kept = solution
-        sizes = np.array([len(v) for v, _ in parts])
-        kept = np.array(kept)
+        _, parts, order = solution
+        lacking = np.array([vecs is None for _, vecs in parts])
         if wanted is None:
-            return kept < sizes
-        ends = np.cumsum(sizes)
-        at = order[wanted]
-        sector = np.searchsorted(ends, at, side="right")
-        short = at - (ends - sizes)[sector] >= kept[sector]
-        return np.bincount(sector[short], minlength=len(sizes)) > 0
-
-    def holds(self, columns: Sequence[int]) -> bool:
-        """Whether the kept sector solves hold the eigenvectors of these columns of the
-        ascending order, so that `eigensystem` places them without a solve."""
-        return not self._lacking(np.asarray(columns, dtype=int)).any()
+            return lacking
+        sector = np.searchsorted(np.cumsum([len(v) for v, _ in parts]), order[wanted],
+                                 side="right")
+        return lacking & (np.bincount(sector, minlength=len(parts)) > 0)
 
     def eigenvalues(self, k: Optional[int] = None) -> np.ndarray:
         """The lowest k eigenvalues (all without k), ascending and read-only, from the kept
         sector solves, or from one eigvalsh per sector, then kept."""
         solution = self.owner.solution
-        return (self._solve(-1) if solution is None else solution)[0][:k]
+        if solution is None:
+            solution = self._solve(np.zeros(len(self.diagnostics["sector_sizes"]), dtype=bool))
+        return solution[0][:k]
 
     def eigensystem(self, columns: Optional[Sequence[int]] = None):
         """(eigenvalues, eigenvectors) of H: every eigenvalue, ascending, and the
         eigenvectors of those columns of the ascending order, in the Fock basis.
 
-        The kept sector solves serve every column whose eigenvector they hold (`holds`).
-        Otherwise each sector that lacks one is solved by eigh (`_solve`): the j-th level of
-        a sector has a global index of at least j, so with columns only the lowest
-        max(columns) + 1 eigenvectors of the sector are kept, in the sector's basis, and a
-        later call that asks for a level above those of its sector solves it again.  A
-        quadrature-basis bundle may instead hold its ground sector's lowest vector alone,
-        and the other sector's eigenvalues alone, from `solve_ground_apart`: a column of any
-        level the solve does not hold solves that sector by eigh, and the other sector's
-        kept solve serves its columns.  Only the columns asked
-        for are placed into the Fock basis, as a new (D, len(columns)) array.  Without columns
-        every eigenvector is kept and every column placed once, and that D x D matrix is
-        kept read-only.  A tie between sectors keeps the even sector first.
+        Each sector holds all of its eigenvectors or none.  A sector that holds none, while
+        a column asked for lies in it, is solved by eigh (`_solve`), and then holds all of
+        them; so is every sector without a kept solve.  Only the columns asked for are placed
+        into the Fock basis, as a new (D, len(columns)) array.  Without columns every column
+        is placed once, and that D x D matrix is kept read-only.  A tie between sectors
+        keeps the even sector first.
         """
         wanted = None if columns is None else np.asarray(columns, dtype=int)
         lacking = self._lacking(wanted)
         if lacking.any():
-            self._solve(None if wanted is None
-                        else int(np.max(wanted % self.space.dim, initial=-1)) + 1, lacking)
-        vals, parts, order, _ = self.owner.solution
+            self._solve(lacking)
+        vals, parts, order = self.owner.solution
         if wanted is None and self._vecs is not None:
             return vals, self._vecs
         # the position of each column asked for among the sectors' concatenated solutions
@@ -543,64 +522,76 @@ class HamiltonianBundle:
             self._vecs = vecs
         return vals, vecs
 
-    def solve_ground_apart(self, keep: int) -> Optional[np.ndarray]:
+    def solve_ground_apart(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """Solve a quadrature-basis bundle for the transitions out of its ground state |0>:
-        the parity of each ascending level, +1 or -1, or None when this route does not apply
-        and nothing is kept.
+        (parity, ground), the parity of each ascending level, +1 or -1, and |0> (D,) in the
+        Fock basis; or None when this route does not apply.
 
         A detection operator linear in the field flips the photon parity, and with it the
         verified parity of the bundle, so from |0> it reaches only the other sector.  That
-        sector is solved by eigh with its lowest `keep` eigenvectors kept while it has
-        fewer than LANCZOS_MIN_SECTOR levels, and by eigvalsh alone from that size on: its
-        states are then read from a Lanczos run on O |0> (`reached_lanczos`), or solved by
-        `eigensystem` when they are asked for.  The sector of the family's
-        `ground_parity`, the guess that `QuadratureFamily.ground_energies` also trusts
-        first, is solved only by eigvalsh, and its lowest vector at E0 by one shifted solve
-        (`_shifted_solve`).  Two checks on the values found: the other sector's lowest level
+        sector is solved by eigh while it has fewer than LANCZOS_MIN_SECTOR levels, and by
+        eigvalsh alone from that size on, where the measure of a state there comes from a
+        Lanczos run (`reached_measure`).  The sector of the family's `ground_parity`, the
+        guess that `QuadratureFamily.ground_energies` also trusts first, is solved by
+        eigvalsh, and |0> at E0 by one shifted solve (`_shifted_solve`), placed and
+        returned, not kept.  Two checks on the values found: the other sector's lowest level
         lies above E0, and the vector's residual in its sector, max|B u - E0 u|, is at most
-        HERMITIAN_TOL * max(1, max|E|).  Either failing keeps the other sector's solve and
-        the ground sector's eigenvalues without its vector and returns None; `eigensystem`
-        then solves by eigh only the sectors whose columns it lacks.  A Fock-basis bundle,
-        or one whose solve already holds eigenvectors, returns None at once.
+        HERMITIAN_TOL * max(1, max|E|).  Either failing returns None; both sectors' solves
+        are kept either way, so `eigensystem` then solves by eigh only the sectors that hold
+        no eigenvectors.  A Fock-basis bundle, or one whose solve already holds
+        eigenvectors, returns None at once.
         """
         solution = self.owner.solution
-        if self.family is None or (solution is not None and any(solution[3])):
+        if self.family is None or (solution is not None
+                                   and any(vecs is not None for _, vecs in solution[1])):
             return None
         ground = 0 if self.family.ground_parity > 0 else 1
         parts, residual = [], 0.0
         for sector, block in enumerate(self._sector_blocks()):
             if sector != ground:
-                parts.append(_lowest_eigh(block, keep if len(block) < LANCZOS_MIN_SECTOR
-                                          else -1))
+                parts.append(np.linalg.eigh(block) if len(block) < LANCZOS_MIN_SECTOR
+                             else (np.linalg.eigvalsh(block), None))
                 continue
             vals = np.linalg.eigvalsh(block)
             u = _shifted_solve(block, vals[0])
             u /= np.linalg.norm(u)
             residual = max_abs(block @ u - vals[0] * u)
-            parts.append((vals, u[:, None]))
+            parts.append((vals, None))
         e0, above = parts[ground][0][0], parts[1 - ground][0][0]
         scale = max(1.0, *(abs(float(v[i])) for v, _ in parts for i in (0, -1)))
-        if above <= e0 or residual > HERMITIAN_TOL * scale:
-            vals = parts[ground][0]
-            parts[ground] = vals, np.empty((len(vals), 0))
-            self._keep(parts)
-            return None
         order = self._keep(parts)[2]
-        return np.where(order < len(parts[0][0]), 1, -1)
+        if above <= e0 or residual > HERMITIAN_TOL * scale:
+            return None
+        v = np.zeros((self.space.dim, 1), dtype=complex, order="F")
+        self._places()[ground](v, np.array([0]), u[:, None])
+        return np.where(order < len(parts[0][0]), 1, -1), v[:, 0]
 
-    def reached_lanczos(self, psi: np.ndarray, tol: float, cap: int,
-                        done: Callable[[Lanczos], bool]) -> tuple[Lanczos, Callable]:
-        """A Lanczos run (`hilbert.lanczos`) in the parity sector opposite the family's
-        `ground_parity` of a quadrature-basis bundle, from the part of the Fock-basis state
-        psi (D,) there, with `place(vecs, columns, y)`, which writes vectors y of that
-        sector's coordinates, the Ritz vectors of the run, into those columns of the
-        F-ordered Fock-basis vecs.  The sector is the block `solve_ground_apart` solves,
-        formed again here and applied as it is, a product per step."""
+    def reached_measure(self, psi: np.ndarray, tol: float, cap: int,
+                        done: Callable[[Lanczos], bool]) -> tuple:
+        """The spectral measure of the part of the Fock-basis state psi (D,) in the parity
+        sector opposite the family's `ground_parity`, after `solve_ground_apart`:
+        (y, vecs, run, place).  y are psi's coordinates in that sector's block
+        (`QuadratureFamily.sector_start`), and place(out, columns, v) writes vectors v of
+        those coordinates into those columns of the F-ordered Fock-basis out.
+
+        A sector that holds its eigenvectors U gives vecs = U and run = None: the measure is
+        exact, the weight of the sector's k-th level |(U^dag y)_k|^2.  Otherwise its block
+        is formed again and a Lanczos run (`hilbert.lanczos`) from y applies it, a product
+        per step, with `tol`, `cap` and `done`: a run that `done` accepts gives vecs = None;
+        one it does not accept is returned with vecs = U, the sector then solved by eigh and
+        kept.
+        """
         family, eps = self.family, -self.family.ground_parity
-        block = next(family.sector_blocks(self.recipe, eps))
-        start = family.sector_start(self.gauge.theta, self.recipe, eps, psi)
-        run = lanczos(lambda x: _left_multiply(block, x[:, None])[:, 0], start, tol, cap, done)
-        return run, self._places()[(1 - eps) // 2]
+        sector = (1 - eps) // 2
+        y = family.sector_start(self.gauge.theta, self.recipe, eps, psi)
+        run = None
+        if self.owner.solution[1][sector][1] is None:
+            run = lanczos(lambda x, block=next(family.sector_blocks(self.recipe, eps)):
+                          _left_multiply(block, x[:, None])[:, 0], y, tol, cap, done)
+            if done(run):
+                return y, None, run, self._places()[sector]
+            self._solve(np.arange(2) == sector)
+        return y, self.owner.solution[1][sector][1], run, self._places()[sector]
 
     def shifted_vector(self, e0: float) -> np.ndarray:
         """A unit vector (D, 1) in the Fock basis at an energy E0 of H, by one step of
@@ -642,14 +633,20 @@ def _shifted_solve(block: np.ndarray, e0: float) -> np.ndarray:
         return np.linalg.solve(shifted, start)
 
 
-def _lowest_eigh(block: np.ndarray, keep: Optional[int]):
-    """np.linalg.eigh of a block, with only its lowest `keep` eigenvectors (all without
-    keep) copied out, so that the others are freed at once; eigvalsh, and no eigenvectors,
-    for keep = -1."""
-    if keep == -1:
-        return np.linalg.eigvalsh(block), None
-    vals, vecs = np.linalg.eigh(block)
-    return vals, vecs if keep is None else vecs[:, :keep].copy()
+def _lowest_of_both(e0, other: np.ndarray):
+    """min(E0, the lowest level of `other`), for blocks other (..., n, n) and their E0 (...):
+    a Cholesky factorization of other - E0 proves every level of other above E0, so E0
+    without an eigensolve; when it fails, one eigvalsh decides.  other is shifted in place,
+    and restored before that eigvalsh."""
+    i = np.arange(other.shape[-1])
+    diag = other[..., i, i]
+    other[..., i, i] -= np.asarray(e0)[..., None]
+    try:
+        np.linalg.cholesky(other)
+        return e0
+    except np.linalg.LinAlgError:
+        other[..., i, i] = diag
+        return np.minimum(e0, np.linalg.eigvalsh(other)[..., 0])
 
 
 def _scatter(rows: np.ndarray, phases: Optional[np.ndarray], vecs: np.ndarray,
@@ -1006,15 +1003,7 @@ class QuadratureFamily:
         self.measure(recipe)
         sectors = self._sector_stack(recipe, self.ground_parity)
         e0 = np.linalg.eigvalsh(next(sectors))[:, 0]
-        other, i = next(sectors), np.arange(recipe.beta.shape[-1])
-        diag = other[:, i, i]
-        other[:, i, i] -= e0[:, None]
-        try:
-            np.linalg.cholesky(other)
-        except np.linalg.LinAlgError:
-            other[:, i, i] = diag
-            e0 = np.minimum(e0, np.linalg.eigvalsh(other)[:, 0])
-        return e0
+        return _lowest_of_both(e0, next(sectors))
 
     def sector_blocks(self, recipe: MemberRecipe, first: int = 1):
         """The parity sectors of the member of a recipe of one, sector `first` (the even one
@@ -1669,15 +1658,7 @@ class TimeDependentHamiltonian:
             return None
         eps = self.family.ground_parity
         e0 = self.eigensystem(t, eps)[0][0]
-        other = self.matrix(t, -eps)
-        diag = other.flat[::len(other) + 1]
-        other.flat[::len(other) + 1] = diag - e0
-        try:
-            np.linalg.cholesky(other)
-            return eps
-        except np.linalg.LinAlgError:
-            other.flat[::len(other) + 1] = diag
-            return -eps if np.linalg.eigvalsh(other)[0] < e0 else eps
+        return -eps if _lowest_of_both(e0, self.matrix(t, -eps)) < e0 else eps
 
     def matrix(self, t: float, sector=None) -> np.ndarray:
         """H(t) on one sector's coordinates, formed from the checked K (and M); without a

@@ -131,7 +131,8 @@ def three_mode_config(tmp_path, cutoff):
 def test_an_oversized_command_is_refused_up_front(tmp_path, capsys, monkeypatch, command):
     """Three modes at N = 20 give D = 18522, so one (D/2)^2 block takes 1.37 GB: a sectored
     spectrum needs about 4.2 GB (K, one sector and LAPACK's copy of it) and detect about
-    7.1 GB (K, the sector, and eigh's eigenvectors, copy and workspace), each more than half
+    9.7 GB (K, one sector's eigenvectors, the other sector, and eigh's eigenvectors, copy
+    and workspace, where it falls back to solving both sectors), each more than half
     of a 7 GiB machine.  Both exit 2 before they allocate; without the refusal this
     scenario would run out of memory, so it is never run without it."""
     monkeypatch.setattr(os, "sysconf", SEVEN_GIB.__getitem__)
@@ -144,7 +145,7 @@ def test_an_oversized_command_is_refused_up_front(tmp_path, capsys, monkeypatch,
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    need = {"spectrum": "4.2 GB", "detect": "7.1 GB"}[command]
+    need = {"spectrum": "4.2 GB", "detect": "9.7 GB"}[command]
     assert "fock_cutoffs [20, 20, 20]" in err and "D = 18522" in err and need in err
     assert peak < 10_000_000
     assert list((tmp_path / "out").iterdir()) == []

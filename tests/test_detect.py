@@ -63,6 +63,25 @@ def test_significant_transitions_match_one_matrix_element_per_transition():
             assert significant_transitions(bundle, ms, detector(), 5, i=i, em=em) == want
 
 
+def test_a_level_at_the_energy_of_i_is_not_a_transition():
+    """A candidate that is not upward in energy has rate zero, whatever <j| O |i>: a
+    multipolar Fock-basis bundle of a diagonal H with |0 photons, g> and |1 photon, g> at
+    one energy, which O connects with |<1| O |0>|^2 = 0.14, picks (0, 2) alone."""
+    ms = ModeSet(np.array([[1.0]]), {"emitter": [(0.6, 0.1, 0.0)],
+                                      "detector": [(0.4, 0.5, -0.2)]})
+    em = tls(1.0, (0.8, 0.3, 0.0))
+    space = build_dipole(ms, em, MULTIPOLAR, 5).space
+    photons, level = np.divmod(np.arange(space.dim), 2)
+    energies = np.where((photons <= 1) & (level == 0), 0.0, 1.0 + photons + 0.3 * level)
+    bundle = HamiltonianBundle(np.diag(energies).astype(complex), space, MULTIPOLAR)
+    vals, vecs = bundle.eigensystem([0, 1])
+    operator = dense_oracle.detection_operator(bundle, ms, detector(), em)
+    assert vals[1] == vals[0] and abs(vecs[:, 1].conj() @ operator @ vecs[:, 0]) ** 2 > 0.1
+    got = significant_transitions(bundle, ms, detector(), 3, em=em)
+    assert got == dense_oracle.significant_transitions(bundle, ms, detector(), 3, em=em)
+    assert got == [(0, 2)]
+
+
 @pytest.mark.parametrize("chi, expect_gap", [(OFF_DIAGONAL_CHI, True), (DIAGONAL_CHI, False)])
 def test_naive_rate_gap(chi, expect_gap):
     ms, em = two_mode_system(chi)
@@ -267,8 +286,8 @@ def test_detect_places_each_state_once(tmp_path, monkeypatch):
 
 
 def test_picked_states_are_placed_once_and_handed_to_the_rate_table(monkeypatch):
-    """`significant_transitions` places |0> and its candidates of the other parity sector,
-    each once; `rate_table` reads |0> and the picked states from its `Transitions` and
+    """`significant_transitions` places |0> and the states it picks, each once, and no other
+    candidate; `rate_table` reads |0> and the picked states from its `Transitions` and
     places none, nor forms the Coulomb detection terms again.  Given the same pairs as a
     plain list, it places each state they name and forms both gauges' terms."""
     ms, em, (b_c, b_mp) = two_mode_pair(CUTOFFS)
@@ -284,20 +303,27 @@ def test_picked_states_are_placed_once_and_handed_to_the_rate_table(monkeypatch)
                         lambda bundle, *args: formed.append(bundle.gauge.theta)
                         or operator(bundle, *args))
     got = significant_transitions(b_c, ms, detector(), 3, em=em)
-    n = b_c.space.dim // 2
-    even = b_c.owner.solution[2][:40] < n  # the sector of each of the lowest 40 levels
-    others = int(np.sum(even[1:] != even[0]))
-    assert placed == ([1, others] if even[0] else [others, 1]) and formed == [0.0]
+    assert placed == [1, 3] and formed == [0.0]
     assert len(got) == 3 and got.vecs.shape == (b_c.space.dim, 4)
     placed.clear()
     formed.clear()
     rows, states = rate_table(b_c, b_mp, ms, em, detector(), got, b_c.family.basis)
     assert placed == [] and formed == [1.0]  # the multipolar terms alone are formed here
     assert states is got.vecs
+    n = b_c.space.dim // 2
+    eigh, eigvalsh = count_solves(monkeypatch, ("eigh", "eigvalsh"))
     again, again_states = rate_table(b_c, b_mp, ms, em, detector(), list(got),
                                      b_c.family.basis)
     assert sum(placed) == 4 and formed == [1.0, 0.0, 1.0]
-    assert again == rows and np.array_equal(again_states, states)
+    # |0> is not kept, so its sector is solved by eigh here, the reached sector's kept solve
+    # read: E0 and |0> are eigh's, the other states the same bits
+    assert eigh == [(n, n)] and eigvalsh == []
+    assert [(r.i, r.j) for r in again] == [(r.i, r.j) for r in rows]
+    for name in ("omega_ij", "rate_coulomb", "rate_multipolar"):
+        have, value = (np.array([getattr(r, name) for r in t]) for t in (again, rows))
+        assert np.all(np.abs(have - value) <= 1e-12 * np.abs(value)), name
+    assert np.array_equal(again_states[:, 1:], states[:, 1:])
+    assert abs(abs(np.vdot(again_states[:, 0], states[:, 0])) - 1.0) <= 1e-12
 
 
 def assert_matches_the_dense_oracle(b_c, b_mp, dense_c, dense_mp, ms, em):
@@ -314,6 +340,12 @@ def assert_matches_the_dense_oracle(b_c, b_mp, dense_c, dense_mp, ms, em):
                                                             detector(), got))):
         have = np.array([getattr(r, name) for r in rows])
         assert np.all(np.abs(have - value) <= 1e-10 * np.abs(value)), name
+
+
+def holds_vectors(bundle):
+    """Per sector, even sector first, whether its kept solve holds its eigenvectors: each
+    holds all of them or none."""
+    return [vecs is not None for _, vecs in bundle.owner.solution[1]]
 
 
 def two_mode_pair(cutoffs):
@@ -343,9 +375,8 @@ def test_transitions_out_of_the_ground_state_solve_one_sector_by_eigh(monkeypatc
     assert eigh == [(n, n)] and eigvalsh == [(n, n)]
     assert got.route == {"route": "dense", "iterations": 0, "max_ritz_residual": None,
                          "fallback": None}
-    ground = 0 if b_c.family.ground_parity > 0 else 1
-    assert b_c.owner.solution[3][ground] == 1  # |0> alone of its sector
-    assert b_c.owner.solution[3][1 - ground] == min(n, 40)
+    # the reached sector holds every eigenvector, |0>'s sector none: |0> is not kept
+    assert holds_vectors(b_c) == [b_c.family.ground_parity < 0, b_c.family.ground_parity > 0]
     monkeypatch.undo()
     dense_c, dense_mp = (dense_oracle.dense_bundle(ms, em, g, cutoffs)
                          for g in (COULOMB, MULTIPOLAR))
@@ -394,7 +425,7 @@ def test_transitions_above_the_crossover_take_the_lanczos_route(monkeypatch, pai
     assert square_solves(eigh, n) == [] and square_solves(eigvalsh, n) == [(n, n)] * 2
     assert solve == [(n, n)]
     assert_takes_the_lanczos_route(got, b_c)
-    assert b_c.owner.solution[3] == ((1, 0) if b_c.family.ground_parity > 0 else (0, 1))
+    assert holds_vectors(b_c) == [False, False]
     monkeypatch.undo()
     dense_c, dense_mp = (dense_oracle.dense_bundle(ms, em, g, cutoffs)
                          for g in (COULOMB, MULTIPOLAR))
@@ -466,38 +497,48 @@ def test_an_uncertified_lanczos_run_falls_back_to_eigh_of_the_reached_sector(mon
     assert square_solves(eigh, n) == [(n, n)] and square_solves(eigvalsh, n) == [(n, n)] * 2
     assert got.route == {"route": "dense", "iterations": 10, "max_ritz_residual": None,
                          "fallback": "no certified selection in 10 Lanczos steps"}
-    ground = 0 if b_c.family.ground_parity > 0 else 1
-    assert b_c.owner.solution[3][ground] == 1 and b_c.owner.solution[3][1 - ground] > 1
+    assert holds_vectors(b_c) == [b_c.family.ground_parity < 0, b_c.family.ground_parity > 0]
     monkeypatch.undo()
     dense_c, dense_mp = (dense_oracle.dense_bundle(ms, em, g, LANCZOS_CUTOFFS)
                          for g in (COULOMB, MULTIPOLAR))
     assert_matches_the_dense_oracle(b_c, b_mp, dense_c, dense_mp, ms, em)
 
 
-@pytest.mark.parametrize("profiles, count", [
-    # diagonal chi: O |0> has no weight on some levels of the reached sector
-    ({"emitter": [(0.6, 0.1, 0.0), (0.3, -0.2, 0.1)],
-      "detector": [(0.4, 0.5, -0.2), (-0.3, 0.2, 0.6)]}, 3),
-    # a detector that reaches one mode alone
-    ({"emitter": [(0.6, 0.1, 0.0), (0.3, -0.2, 0.1)],
-      "detector": [(0.4, 0.5, -0.2), (0.0, 0.0, 0.0)]}, 3),
-    # an emitter that couples to one mode alone: the other mode's excitations of the
-    # polaritons carry no weight, level 11 among them, below the eighth pick
-    ({"emitter": [(0.6, 0.1, 0.0), (0.0, 0.0, 0.0)],
-      "detector": [(0.4, 0.5, -0.2), (-0.3, 0.2, 0.6)]}, 8)])
-def test_a_symmetric_system_certifies_its_picks_or_falls_back(profiles, count):
+# diagonal chi: O |0> has no weight on some levels of the reached sector
+BOTH_MODES = {"emitter": [(0.6, 0.1, 0.0), (0.3, -0.2, 0.1)],
+              "detector": [(0.4, 0.5, -0.2), (-0.3, 0.2, 0.6)]}
+# a detector that reaches one mode alone
+ONE_DETECTED_MODE = {"emitter": [(0.6, 0.1, 0.0), (0.3, -0.2, 0.1)],
+                     "detector": [(0.4, 0.5, -0.2), (0.0, 0.0, 0.0)]}
+# an emitter that couples to one mode alone: the other mode's excitations of the
+# polaritons carry no weight, level 11 among them, below the eighth pick
+ONE_COUPLED_MODE = {"emitter": [(0.6, 0.1, 0.0), (0.0, 0.0, 0.0)],
+                    "detector": [(0.4, 0.5, -0.2), (-0.3, 0.2, 0.6)]}
+
+
+@pytest.mark.parametrize("profiles, count, cutoffs", [
+    pytest.param(BOTH_MODES, 3, LANCZOS_CUTOFFS, id="profiles0-3"),
+    pytest.param(ONE_DETECTED_MODE, 3, LANCZOS_CUTOFFS, id="profiles1-3"),
+    pytest.param(ONE_COUPLED_MODE, 8, LANCZOS_CUTOFFS, id="profiles2-8"),
+    # below the crossover: the exact measure
+    pytest.param(BOTH_MODES, 3, (6, 6), id="profiles0-3-below"),
+    pytest.param(ONE_DETECTED_MODE, 3, (6, 6), id="profiles1-3-below")])
+def test_a_symmetric_system_certifies_its_picks_or_falls_back(profiles, count, cutoffs):
     """Levels of the reached sector that O |0> does not reach stay unmatched by any Ritz
-    pair.  The run either certifies the picks or falls back to eigh; either way the
-    transitions and rates are the dense oracle's."""
+    pair.  The run either certifies the picks or falls back to eigh; below the crossover
+    the exact measure of the sector's eigenvectors, matched to its levels by index, reads
+    them as zero.  Either way the transitions and rates are the dense oracle's."""
     ms = ModeSet(DIAGONAL_CHI, profiles)
     em = tls(1.0, (0.8, 0.3, 0.0))
-    b_c, b_mp = build_gauge_pair(ms, em, LANCZOS_CUTOFFS)
+    b_c, b_mp = build_gauge_pair(ms, em, cutoffs)
     got = significant_transitions(b_c, ms, detector(), count, em=em)
-    if got.route["route"] == "lanczos":
+    if b_c.space.dim // 2 < LANCZOS_MIN_SECTOR:
+        assert got.route == detect_module.dense_route()
+    elif got.route["route"] == "lanczos":
         assert_takes_the_lanczos_route(got, b_c)
     else:
         assert got.route["fallback"].startswith("no certified selection")
-    dense_c, dense_mp = (dense_oracle.dense_bundle(ms, em, g, LANCZOS_CUTOFFS)
+    dense_c, dense_mp = (dense_oracle.dense_bundle(ms, em, g, cutoffs)
                          for g in (COULOMB, MULTIPOLAR))
     vals = dense_c.eigenvalues()
     want = dense_oracle.significant_transitions(dense_c, ms, detector(), count, em=em)
@@ -560,7 +601,7 @@ def assert_both_sectors_solved_by_eigh(eigh, eigvalsh, bundle):
     else:
         # both sectors by eigvalsh, then both by eigh: no Lanczos run
         assert eigh == [(n, n)] * 2 and eigvalsh == [(n, n)] * 2
-    assert bundle.owner.solution[3] == (min(n, 40),) * 2
+    assert holds_vectors(bundle) == [True, True]
 
 
 FALLBACK_CUTOFFS = [(6, 6), (14, 14)]  # sectors of 49 and 225 levels, about the crossover
@@ -578,12 +619,11 @@ def test_a_ground_state_in_the_other_sector_falls_back_to_solving_both(monkeypat
                                                                   {"cutoffs": cutoffs})
                             for g in (COULOMB, MULTIPOLAR))
     probe, _ = pair(replace(recipe, beta=-recipe.beta))
-    assert probe.solve_ground_apart(40) is None
+    assert probe.solve_ground_apart() is None
     ground = 0 if family.ground_parity > 0 else 1
-    # the other sector's 40 vectors (none from the crossover on), none of |0>'s guess
-    kept = probe.owner.solution[3]
-    n = probe.space.dim // 2
-    assert kept[ground] == 0 and kept[1 - ground] == (40 if n < LANCZOS_MIN_SECTOR else 0)
+    # the other sector's vectors (none from the crossover on), none of |0>'s guess
+    kept = holds_vectors(probe)
+    assert not kept[ground] and kept[1 - ground] == (probe.space.dim // 2 < LANCZOS_MIN_SECTOR)
     b_c, b_mp = pair(replace(recipe, beta=-recipe.beta))
     eigh, eigvalsh = count_solves(monkeypatch, ("eigh", "eigvalsh"))
     got = significant_transitions(b_c, ms, detector(), 3, em=em)

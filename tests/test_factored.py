@@ -345,7 +345,7 @@ def route_bundle(kind, seed, theta, cutoffs):
 def test_eigensystem_columns_are_those_of_the_full_matrix(kind, seed, theta, cutoffs, data):
     """Each column is placed on its own, so the columns asked for before the full matrix
     is placed equal its columns bit for bit, and so do those of a later call that asks for
-    columns above the eigenvectors the first one kept."""
+    other columns."""
     bundle = route_bundle(kind, seed, theta, cutoffs)
     basis, sectors, reversal = ROUTES[kind]
     # a single mode's rotated chi~ = chi_00 is real whatever the phase of its coupling
@@ -366,12 +366,14 @@ def test_eigensystem_columns_are_those_of_the_full_matrix(kind, seed, theta, cut
     assert max_abs(bundle.H @ part - part * vals[columns]) <= 1e-10 * max(1.0, max_abs(vals))
 
 
-def test_eigh_runs_once_per_sector_until_a_higher_column_is_read(monkeypatch):
-    """The sector solves are kept with the lowest max(columns) + 1 eigenvectors of each
-    sector: columns whose levels lie within those of their sectors, and the eigenvalues,
-    cost no further eigh or eigvalsh; a column above them solves its sector once more, and
-    the full matrix each sector that does not hold all of its vectors."""
+def test_eigh_runs_once_per_sector_that_a_column_lies_in(monkeypatch):
+    """A sector solved by eigh keeps all of its eigenvectors: once the first columns are
+    read, no other column, nor the eigenvalues or the full matrix, costs a further eigh or
+    eigvalsh.  After the eigenvalues alone, one eigvalsh per sector, a column solves by
+    eigh only the sector it lies in, and the full matrix each sector that holds no
+    eigenvectors."""
     bundles = [route_bundle(kind, 3, 0.37, (3, 2)) for kind in sorted(ROUTES)]
+    fresh = [route_bundle(kind, 3, 0.37, (3, 2)) for kind in sorted(ROUTES)]
     calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
@@ -382,24 +384,23 @@ def test_eigh_runs_once_per_sector_until_a_higher_column_is_read(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     solves = sum(len(b.diagnostics["sector_sizes"]) for b in bundles)
-    # 4 eigenvectors kept per sector: levels 0-3 lie within them in any split
     firsts = [bundle.eigensystem([0, 3])[0] for bundle in bundles]
     for bundle, first in zip(bundles, firsts):
-        assert bundle.eigensystem(range(2, 4))[0] is first
-        bundle.eigensystem([])
+        for columns in (range(2, 4), [], range(3, 9), [bundle.space.dim - 1]):
+            assert bundle.eigensystem(columns)[0] is first
         assert np.array_equal(bundle.eigenvalues(3), first[:3])
-    assert calls == ["eigh"] * solves
-    for bundle, first in zip(bundles, firsts):
-        # levels 0-8 fill 5 positions of one of at most two sectors, one above the 4 kept;
-        # the other holds its at most 4 levels
-        assert np.array_equal(bundle.eigensystem(range(3, 9))[0], first)
-    assert calls == ["eigh"] * (solves + len(bundles))
-    for bundle in bundles:
         full = bundle.eigensystem()
         bundle.eigensystem([1])
-        assert bundle.eigensystem()[1] is full[1]
-    assert calls == ["eigh"] * (2 * solves + len(bundles))
-
+        assert bundle.eigensystem()[1] is full[1] and full[0] is first
+    assert calls == ["eigh"] * solves
+    for bundle in fresh:
+        sectors = len(bundle.diagnostics["sector_sizes"])
+        calls.clear()
+        bundle.eigenvalues()
+        bundle.eigensystem([0])
+        assert calls == ["eigvalsh"] * sectors + ["eigh"]
+        bundle.eigensystem()
+        assert calls == ["eigvalsh"] * sectors + ["eigh"] * sectors
 
 
 @settings(max_examples=30, deadline=None)

@@ -90,7 +90,7 @@ LIBRARY_API = {
     "hilbert.HilbertSpec.embed": "wrapped by perfbench/tracer.py as hilbert.embed; goes with "
                                  "that wrap once the tracer reads stage timers",
     "hilbert.HermitianGenerator.conjugate": "perfbench/tracer.py wraps it by name; delete with "
-                                            "ROADMAP item 2 step B",
+                                            "ROADMAP item 4 step B",
     "gaugecheck.gauge_unitary": "perfbench/tracer.py wraps it by name as "
                                 "gaugecheck.gauge_unitary; the tests' formed W",
 }
