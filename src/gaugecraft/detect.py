@@ -304,8 +304,8 @@ def significant_transitions(bundle: HamiltonianBundle, ms: ModeSet, det: Detecto
         o_0 = bundle.space.apply(terms, ground)
         if (np.linalg.norm(o_0[bundle.parity == parity[0]])
                 <= HERMITIAN_TOL * np.linalg.norm(o_0)):
-            return _reached_picks(bundle, (bundle, ms, det), terms, o_0, ground, parity, stop,
-                                  count, floor, route)
+            pairs, vecs, route = _reached_picks(bundle, o_0, ground, parity, stop, count, floor)
+            return Transitions(pairs, (bundle, ms, det), vecs, terms, route)
         route["fallback"] = "O |0> has a part in the parity sector of |0>"
     elif i == 0 and bundle.family is not None:
         route["fallback"] = "the ground state is not solved apart from its sector"
@@ -320,13 +320,12 @@ def significant_transitions(bundle: HamiltonianBundle, ms: ModeSet, det: Detecto
                        vecs[:, [0, *np.add(picks, 1)]], terms, route)
 
 
-def _reached_picks(bundle: HamiltonianBundle, source: tuple, terms: list, o_0: np.ndarray,
-                   ground: np.ndarray, parity: np.ndarray, stop: int, count: int,
-                   floor: float, route: dict) -> Transitions:
-    """The `Transitions` out of |0> (`ground`) among the candidates of the sector O |0>
-    reaches, from the spectral measure of O |0> there (`HamiltonianBundle.reached_measure`):
-    the rate into its level j is f^2 |<j| O |0>|^2, a weight of that measure.  Only |0> and
-    the picked states are placed.
+def _reached_picks(bundle: HamiltonianBundle, o_0: np.ndarray, ground: np.ndarray,
+                   parity: np.ndarray, stop: int, count: int, floor: float) -> tuple:
+    """(pairs, vecs, route) of the transitions out of |0> (`ground`) among the candidates
+    of the sector O |0> reaches, from the spectral measure of O |0> there
+    (`HamiltonianBundle.reached_measure`): the rate into its level j is f^2 |<j| O |0>|^2,
+    a weight of that measure.  vecs places |0> and the picked states alone.
 
     A sector whose eigenvectors the bundle holds (one below LANCZOS_MIN_SECTOR levels)
     gives the exact measure, its k-th weight that of the sector's k-th level, so levels are
@@ -350,39 +349,42 @@ def _reached_picks(bundle: HamiltonianBundle, source: tuple, terms: list, o_0: n
     levels = others[others < stop]  # the candidates, all above E0 (`solve_ground_apart`)
     f2 = _frequency_factor(bundle, vals[levels] - vals[0]) ** 2 * np.ones(len(levels))
     tol = HERMITIAN_TOL * max(1.0, abs(float(vals[0])), abs(float(vals[-1]))) / 2
+    judged = [None, None]  # the last run `done` judged, and its selection or None
 
-    def select(run: Lanczos):
-        """(positions among the candidates, Ritz pairs) of the picks, or None."""
-        weight, ritz = np.full(len(energies), np.nan), np.zeros(len(energies), dtype=int)
-        hits = np.zeros(len(energies), dtype=int)
-        for k in np.flatnonzero(run.converged):
-            lo, hi = np.searchsorted(energies, run.values[k] + np.array([-tol, tol]))
-            if hi - lo == 1:
-                weight[lo], ritz[lo] = run.weights[k], k
-                hits[lo] += 1
-        weight[hits > 1] = np.nan
-        rest = max(0.0, float(run.weights.sum() - np.nansum(weight)))
-        rates = f2 * weight[:len(levels)]
-        picks = _picks(rates, np.where(np.isnan(rates), f2 * rest, rates), count, floor)
-        return None if picks is None else (picks, ritz[picks])
+    def done(run: Lanczos) -> bool:
+        """Whether the run decides the picks; the selection is kept in `judged`."""
+        if judged[0] is not run:
+            weight, ritz = np.full(len(energies), np.nan), np.zeros(len(energies), dtype=int)
+            hits = np.zeros(len(energies), dtype=int)
+            for k in np.flatnonzero(run.converged):
+                lo, hi = np.searchsorted(energies, run.values[k] + np.array([-tol, tol]))
+                if hi - lo == 1:
+                    weight[lo], ritz[lo] = run.weights[k], k
+                    hits[lo] += 1
+            weight[hits > 1] = np.nan
+            rest = max(0.0, float(run.weights.sum() - np.nansum(weight)))
+            rates = f2 * weight[:len(levels)]
+            picks = _picks(rates, np.where(np.isnan(rates), f2 * rest, rates), count, floor)
+            judged[:] = run, None if picks is None else (picks, ritz[picks])
+        return judged[1] is not None
 
-    y, vecs, run, place = bundle.reached_measure(o_0, tol, LANCZOS_CAP,
-                                                 lambda run: select(run) is not None)
-    if run is not None:
-        route.update(route="lanczos", iterations=run.iterations)
+    y, vecs, run = bundle.reached_measure(o_0, tol, LANCZOS_CAP, done)
+    steps = 0 if run is None else run.iterations
     if vecs is None:
-        picks, ks = select(run)
-        route["max_ritz_residual"] = float(np.max(run.residuals[ks], initial=0.0))
+        picks, ks = judged[1]
         states = run.vectors(ks)
+        route = {"route": "lanczos", "iterations": steps,
+                 "max_ritz_residual": float(np.max(run.residuals[ks], initial=0.0)),
+                 "fallback": None}
     else:
-        if run is not None:
-            route.update(route="dense", fallback=f"no certified selection in "
-                                                 f"{run.iterations} Lanczos steps")
         rates = f2 * np.abs(vecs[:, :len(levels)].T.conj() @ y) ** 2
         picks = _picks(rates, rates, count, floor)
         states = vecs[:, picks]
+        route = dense_route(None if run is None
+                            else f"no certified selection in {steps} Lanczos steps")
+        route["iterations"] = steps
     placed = np.zeros((len(ground), len(picks) + 1), dtype=complex, order="F")
     placed[:, 0] = ground
     if picks:
-        place(placed, np.arange(1, len(picks) + 1), states)
-    return Transitions([(0, int(j)) for j in levels[picks]], source, placed, terms, route)
+        bundle.place_reached(placed, np.arange(1, len(picks) + 1), states)
+    return [(0, int(j)) for j in levels[picks]], placed, route

@@ -306,8 +306,8 @@ class HamiltonianBundle:
     only the eigenvectors asked for, in ascending energy.  A bundle without a parity is
     the one-sector case.  For the transitions out of its ground state |0>, which an
     operator linear in the field takes into the other sector, a quadrature-basis bundle
-    can solve |0>'s sector by eigvalsh and |0> itself by one shifted solve, and the other
-    sector by eigh, or from LANCZOS_MIN_SECTOR levels on by eigvalsh
+    can solve |0>'s sector by eigvalsh and |0> itself by one shifted solve, held on its
+    own, and the other sector by eigh, or from LANCZOS_MIN_SECTOR levels on by eigvalsh
     (`solve_ground_apart`); the spectral measure of a state in that sector is then read
     from its eigenvectors or from a Lanczos run (`reached_measure`).
 
@@ -439,25 +439,28 @@ class HamiltonianBundle:
         of one owner have one spectrum."""
         return self if self.recipe is None else self.recipe
 
-    def _keep(self, parts: list) -> tuple:
-        """Kept as the `owner`'s solution, and returned: (vals, parts, order) of the sector
-        solutions `parts`, (eigenvalues, every eigenvector or None) per sector, even sector
-        first.  vals are the ascending eigenvalues, read-only; order is the stable argsort
-        of the sectors' concatenated eigenvalues, so that a tie between sectors keeps the
-        even sector first.  They are kept before a quadrature-basis bundle's phases are
+    def _keep(self, parts: list, ground: Optional[np.ndarray]) -> tuple:
+        """Kept as the `owner`'s solution, and returned: (vals, parts, order, ground) of the
+        sector solutions `parts`, (eigenvalues, every eigenvector or None) per sector, even
+        sector first, and |0> in its sector's coordinates when `solve_ground_apart` holds it
+        (else None).  vals are the ascending eigenvalues, read-only; order is the stable
+        argsort of the sectors' concatenated eigenvalues, so that a tie between sectors keeps
+        the even sector first.  They are kept before a quadrature-basis bundle's phases are
         applied."""
         vals = np.concatenate([v for v, _ in parts])
         order = np.argsort(vals, kind="stable")
         vals = vals[order]
         vals.flags.writeable = False
-        self.owner.solution = vals, parts, order
+        self.owner.solution = vals, parts, order, ground
         return self.owner.solution
 
     def _solve(self, lacking: np.ndarray) -> tuple:
-        """One solve per sector, kept (`_keep`): eigh of each sector `lacking` marks; every
-        other sector keeps its solve, or is solved by eigvalsh without one."""
-        solution = self.owner.solution
-        held = [None] * len(lacking) if solution is None else solution[1]
+        """One solve per sector, kept (`_keep`) with the held |0>: eigh of each sector
+        `lacking` marks; every other sector keeps its solve, or is solved by eigvalsh
+        without one."""
+        held, ground = [None] * len(lacking), None
+        if self.owner.solution is not None:
+            _, held, _, ground = self.owner.solution
         parts = []
         for lack, part, block in zip(lacking, held, self._sector_blocks()):
             if lack:
@@ -465,19 +468,21 @@ class HamiltonianBundle:
             elif part is None:
                 part = np.linalg.eigvalsh(block), None
             parts.append(part)
-        return self._keep(parts)
+        return self._keep(parts, ground)
 
     def _lacking(self, wanted: Optional[np.ndarray]) -> np.ndarray:
         """Per sector, whether a column of the ascending order among these (every column for
-        None) lies in it and it holds no eigenvectors; every sector without a kept
-        solution."""
+        None) lies in it and it holds no eigenvectors, column 0 not counted while |0> is
+        held; every sector without a kept solution."""
         solution = self.owner.solution
         if solution is None:
             return np.ones(len(self.diagnostics["sector_sizes"]), dtype=bool)
-        _, parts, order = solution
+        _, parts, order, ground = solution
         lacking = np.array([vecs is None for _, vecs in parts])
         if wanted is None:
             return lacking
+        if ground is not None:
+            wanted = wanted[wanted != 0]
         sector = np.searchsorted(np.cumsum([len(v) for v, _ in parts]), order[wanted],
                                  side="right")
         return lacking & (np.bincount(sector, minlength=len(parts)) > 0)
@@ -496,16 +501,17 @@ class HamiltonianBundle:
 
         Each sector holds all of its eigenvectors or none.  A sector that holds none, while
         a column asked for lies in it, is solved by eigh (`_solve`), and then holds all of
-        them; so is every sector without a kept solve.  Only the columns asked for are placed
-        into the Fock basis, as a new (D, len(columns)) array.  Without columns every column
-        is placed once, and that D x D matrix is kept read-only.  A tie between sectors
-        keeps the even sector first.
+        them; so is every sector without a kept solve.  Column 0 of a sector that holds none
+        is |0> from the shifted solve of `solve_ground_apart`, which the owner holds on its
+        own.  Only the columns asked for are placed into the Fock basis, as a new
+        (D, len(columns)) array.  Without columns every column is placed once, and that
+        D x D matrix is kept read-only.  A tie between sectors keeps the even sector first.
         """
         wanted = None if columns is None else np.asarray(columns, dtype=int)
         lacking = self._lacking(wanted)
         if lacking.any():
             self._solve(lacking)
-        vals, parts, order = self.owner.solution
+        vals, parts, order, ground = self.owner.solution
         if wanted is None and self._vecs is not None:
             return vals, self._vecs
         # the position of each column asked for among the sectors' concatenated solutions
@@ -515,7 +521,8 @@ class HamiltonianBundle:
         for place, (v, sector_vecs) in zip(self._places(), parts):
             hit = np.flatnonzero((wanted >= start) & (wanted < start + len(v)))
             if hit.size:
-                place(vecs, hit, sector_vecs[:, wanted[hit] - start])
+                held = ground[:, None] if sector_vecs is None else sector_vecs  # |0> alone
+                place(vecs, hit, held[:, wanted[hit] - start])
             start += len(v)
         if columns is None:
             vecs.flags.writeable = False
@@ -534,12 +541,14 @@ class HamiltonianBundle:
         Lanczos run (`reached_measure`).  The sector of the family's `ground_parity`, the
         guess that `QuadratureFamily.ground_energies` also trusts first, is solved by
         eigvalsh, and |0> at E0 by one shifted solve (`_shifted_solve`), placed and
-        returned, not kept.  Two checks on the values found: the other sector's lowest level
-        lies above E0, and the vector's residual in its sector, max|B u - E0 u|, is at most
-        HERMITIAN_TOL * max(1, max|E|).  Either failing returns None; both sectors' solves
-        are kept either way, so `eigensystem` then solves by eigh only the sectors that hold
-        no eigenvectors.  A Fock-basis bundle, or one whose solve already holds
-        eigenvectors, returns None at once.
+        returned.  Two checks on the values found: the other sector's lowest level lies above
+        E0, and the vector's residual in its sector, max|B u - E0 u|, is at most
+        HERMITIAN_TOL * max(1, max|E|).  Both passing, the owner holds |0> on its own, and
+        `eigensystem` reads column 0 from it while |0>'s sector holds no eigenvectors.
+        Either failing returns None; both sectors' solves are kept either way, so
+        `eigensystem` then solves by eigh only the sectors that hold no eigenvectors.  A
+        Fock-basis bundle, or one whose solve already holds eigenvectors, returns None at
+        once.
         """
         solution = self.owner.solution
         if self.family is None or (solution is not None
@@ -559,8 +568,9 @@ class HamiltonianBundle:
             parts.append((vals, None))
         e0, above = parts[ground][0][0], parts[1 - ground][0][0]
         scale = max(1.0, *(abs(float(v[i])) for v, _ in parts for i in (0, -1)))
-        order = self._keep(parts)[2]
-        if above <= e0 or residual > HERMITIAN_TOL * scale:
+        solved = above > e0 and residual <= HERMITIAN_TOL * scale
+        order = self._keep(parts, u if solved else None)[2]
+        if not solved:
             return None
         v = np.zeros((self.space.dim, 1), dtype=complex, order="F")
         self._places()[ground](v, np.array([0]), u[:, None])
@@ -570,16 +580,15 @@ class HamiltonianBundle:
                         done: Callable[[Lanczos], bool]) -> tuple:
         """The spectral measure of the part of the Fock-basis state psi (D,) in the parity
         sector opposite the family's `ground_parity`, after `solve_ground_apart`:
-        (y, vecs, run, place).  y are psi's coordinates in that sector's block
-        (`QuadratureFamily.sector_start`), and place(out, columns, v) writes vectors v of
-        those coordinates into those columns of the F-ordered Fock-basis out.
+        (y, vecs, run), y psi's coordinates in that sector's block
+        (`QuadratureFamily.sector_start`).
 
-        A sector that holds its eigenvectors U gives vecs = U and run = None: the measure is
-        exact, the weight of the sector's k-th level |(U^dag y)_k|^2.  Otherwise its block
-        is formed again and a Lanczos run (`hilbert.lanczos`) from y applies it, a product
-        per step, with `tol`, `cap` and `done`: a run that `done` accepts gives vecs = None;
-        one it does not accept is returned with vecs = U, the sector then solved by eigh and
-        kept.
+        vecs is None where a Lanczos run (`hilbert.lanczos`) from y, on the block formed
+        again and applied once per step, with `tol` and `cap`, was accepted by `done`: its
+        Ritz pairs give the measure.  Otherwise vecs are the sector's eigenvectors U, and the
+        measure is exact, the weight of the sector's k-th level |(U^dag y)_k|^2: a sector
+        that holds them is read without a run (run None), and one whose run `done` does not
+        accept is then solved by eigh and kept.
         """
         family, eps = self.family, -self.family.ground_parity
         sector = (1 - eps) // 2
@@ -589,9 +598,14 @@ class HamiltonianBundle:
             run = lanczos(lambda x, block=next(family.sector_blocks(self.recipe, eps)):
                           _left_multiply(block, x[:, None])[:, 0], y, tol, cap, done)
             if done(run):
-                return y, None, run, self._places()[sector]
+                return y, None, run
             self._solve(np.arange(2) == sector)
-        return y, self.owner.solution[1][sector][1], run, self._places()[sector]
+        return y, self.owner.solution[1][sector][1], run
+
+    def place_reached(self, out: np.ndarray, columns: np.ndarray, v: np.ndarray):
+        """Write vectors v in the coordinates of `reached_measure` into those columns of the
+        F-ordered Fock-basis out."""
+        self._places()[(1 + self.family.ground_parity) // 2](out, columns, v)
 
     def shifted_vector(self, e0: float) -> np.ndarray:
         """A unit vector (D, 1) in the Fock basis at an energy E0 of H, by one step of

@@ -20,6 +20,7 @@ from gaugecraft.hamiltonians import (LANCZOS_MIN_SECTOR, QuadratureFamily, build
                                      canonical_terms, field_hamiltonian, polarization_squared)
 from gaugecraft.hilbert import HERMITIAN_TOL, PAULI_Z, Eigenbasis, max_abs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
+from test_apply import assert_rates_agree_in_amplitude
 from test_stacked_scan import count_solves
 from test_time_reversal import real_system
 
@@ -289,7 +290,8 @@ def test_picked_states_are_placed_once_and_handed_to_the_rate_table(monkeypatch)
     """`significant_transitions` places |0> and the states it picks, each once, and no other
     candidate; `rate_table` reads |0> and the picked states from its `Transitions` and
     places none, nor forms the Coulomb detection terms again.  Given the same pairs as a
-    plain list, it places each state they name and forms both gauges' terms."""
+    plain list, it places each state they name from the kept solves, |0> from the shifted
+    solve, without a further eigensolve, and forms both gauges' terms."""
     ms, em, (b_c, b_mp) = two_mode_pair(CUTOFFS)
     placed, formed = [], []
     place, operator = QuadratureFamily._place, detect_module.detection_operator
@@ -310,20 +312,12 @@ def test_picked_states_are_placed_once_and_handed_to_the_rate_table(monkeypatch)
     rows, states = rate_table(b_c, b_mp, ms, em, detector(), got, b_c.family.basis)
     assert placed == [] and formed == [1.0]  # the multipolar terms alone are formed here
     assert states is got.vecs
-    n = b_c.space.dim // 2
     eigh, eigvalsh = count_solves(monkeypatch, ("eigh", "eigvalsh"))
     again, again_states = rate_table(b_c, b_mp, ms, em, detector(), list(got),
                                      b_c.family.basis)
     assert sum(placed) == 4 and formed == [1.0, 0.0, 1.0]
-    # |0> is not kept, so its sector is solved by eigh here, the reached sector's kept solve
-    # read: E0 and |0> are eigh's, the other states the same bits
-    assert eigh == [(n, n)] and eigvalsh == []
-    assert [(r.i, r.j) for r in again] == [(r.i, r.j) for r in rows]
-    for name in ("omega_ij", "rate_coulomb", "rate_multipolar"):
-        have, value = (np.array([getattr(r, name) for r in t]) for t in (again, rows))
-        assert np.all(np.abs(have - value) <= 1e-12 * np.abs(value)), name
-    assert np.array_equal(again_states[:, 1:], states[:, 1:])
-    assert abs(abs(np.vdot(again_states[:, 0], states[:, 0])) - 1.0) <= 1e-12
+    assert eigh == [] and eigvalsh == []
+    assert again == rows and np.array_equal(again_states, states)
 
 
 def assert_matches_the_dense_oracle(b_c, b_mp, dense_c, dense_mp, ms, em):
@@ -343,9 +337,10 @@ def assert_matches_the_dense_oracle(b_c, b_mp, dense_c, dense_mp, ms, em):
 
 
 def holds_vectors(bundle):
-    """Per sector, even sector first, whether its kept solve holds its eigenvectors: each
-    holds all of them or none."""
-    return [vecs is not None for _, vecs in bundle.owner.solution[1]]
+    """Per sector, even sector first, whether its kept solve holds its eigenvectors (each
+    holds all of them or none), and whether |0> from the shifted solve is held on its own."""
+    _, parts, _, ground = bundle.owner.solution
+    return [vecs is not None for _, vecs in parts], ground is not None
 
 
 def two_mode_pair(cutoffs):
@@ -375,8 +370,9 @@ def test_transitions_out_of_the_ground_state_solve_one_sector_by_eigh(monkeypatc
     assert eigh == [(n, n)] and eigvalsh == [(n, n)]
     assert got.route == {"route": "dense", "iterations": 0, "max_ritz_residual": None,
                          "fallback": None}
-    # the reached sector holds every eigenvector, |0>'s sector none: |0> is not kept
-    assert holds_vectors(b_c) == [b_c.family.ground_parity < 0, b_c.family.ground_parity > 0]
+    # the reached sector holds every eigenvector, |0>'s sector none, |0> held on its own
+    assert holds_vectors(b_c) == ([b_c.family.ground_parity < 0,
+                                   b_c.family.ground_parity > 0], True)
     monkeypatch.undo()
     dense_c, dense_mp = (dense_oracle.dense_bundle(ms, em, g, cutoffs)
                          for g in (COULOMB, MULTIPOLAR))
@@ -425,7 +421,7 @@ def test_transitions_above_the_crossover_take_the_lanczos_route(monkeypatch, pai
     assert square_solves(eigh, n) == [] and square_solves(eigvalsh, n) == [(n, n)] * 2
     assert solve == [(n, n)]
     assert_takes_the_lanczos_route(got, b_c)
-    assert holds_vectors(b_c) == [False, False]
+    assert holds_vectors(b_c) == ([False, False], True)
     monkeypatch.undo()
     dense_c, dense_mp = (dense_oracle.dense_bundle(ms, em, g, cutoffs)
                          for g in (COULOMB, MULTIPOLAR))
@@ -497,7 +493,8 @@ def test_an_uncertified_lanczos_run_falls_back_to_eigh_of_the_reached_sector(mon
     assert square_solves(eigh, n) == [(n, n)] and square_solves(eigvalsh, n) == [(n, n)] * 2
     assert got.route == {"route": "dense", "iterations": 10, "max_ritz_residual": None,
                          "fallback": "no certified selection in 10 Lanczos steps"}
-    assert holds_vectors(b_c) == [b_c.family.ground_parity < 0, b_c.family.ground_parity > 0]
+    assert holds_vectors(b_c) == ([b_c.family.ground_parity < 0,
+                                   b_c.family.ground_parity > 0], True)
     monkeypatch.undo()
     dense_c, dense_mp = (dense_oracle.dense_bundle(ms, em, g, LANCZOS_CUTOFFS)
                          for g in (COULOMB, MULTIPOLAR))
@@ -516,18 +513,23 @@ ONE_COUPLED_MODE = {"emitter": [(0.6, 0.1, 0.0), (0.0, 0.0, 0.0)],
                     "detector": [(0.4, 0.5, -0.2), (-0.3, 0.2, 0.6)]}
 
 
-@pytest.mark.parametrize("profiles, count, cutoffs", [
-    pytest.param(BOTH_MODES, 3, LANCZOS_CUTOFFS, id="profiles0-3"),
-    pytest.param(ONE_DETECTED_MODE, 3, LANCZOS_CUTOFFS, id="profiles1-3"),
-    pytest.param(ONE_COUPLED_MODE, 8, LANCZOS_CUTOFFS, id="profiles2-8"),
+@pytest.mark.parametrize("profiles, count, cutoffs, relative", [
+    pytest.param(BOTH_MODES, 3, LANCZOS_CUTOFFS, True, id="profiles0-3"),
+    pytest.param(ONE_DETECTED_MODE, 3, LANCZOS_CUTOFFS, True, id="profiles1-3"),
+    pytest.param(ONE_COUPLED_MODE, 8, LANCZOS_CUTOFFS, True, id="profiles2-8"),
     # below the crossover: the exact measure
-    pytest.param(BOTH_MODES, 3, (6, 6), id="profiles0-3-below"),
-    pytest.param(ONE_DETECTED_MODE, 3, (6, 6), id="profiles1-3-below")])
-def test_a_symmetric_system_certifies_its_picks_or_falls_back(profiles, count, cutoffs):
+    pytest.param(BOTH_MODES, 3, (6, 6), True, id="profiles0-3-below"),
+    pytest.param(ONE_DETECTED_MODE, 3, (6, 6), True, id="profiles1-3-below"),
+    pytest.param(ONE_COUPLED_MODE, 8, (6, 6), False, id="profiles2-8-below")])
+def test_a_symmetric_system_certifies_its_picks_or_falls_back(profiles, count, cutoffs,
+                                                              relative):
     """Levels of the reached sector that O |0> does not reach stay unmatched by any Ritz
     pair.  The run either certifies the picks or falls back to eigh; below the crossover
     the exact measure of the sector's eigenvectors, matched to its levels by index, reads
-    them as zero.  Either way the transitions and rates are the dense oracle's."""
+    them as zero.  Either way the transitions are the dense oracle's, and so are omega_ij
+    and both rates: the rates in amplitude, to RATE_TOL f ||O||_2, and each to 1e-10 of
+    itself, but for the one-coupled-mode system at (6, 6), whose eighth Coulomb rate,
+    7.7e-10 against a largest of 0.14, rounds 1.2e-10 of itself off the oracle's."""
     ms = ModeSet(DIAGONAL_CHI, profiles)
     em = tls(1.0, (0.8, 0.3, 0.0))
     b_c, b_mp = build_gauge_pair(ms, em, cutoffs)
@@ -545,10 +547,53 @@ def test_a_symmetric_system_certifies_its_picks_or_falls_back(profiles, count, c
     assert got == want and len(got) == count
     rows, _ = rate_table(b_c, b_mp, ms, em, detector(), got, b_c.family.basis)
     rates = dense_oracle.rate_table(dense_c, dense_mp, ms, em, detector(), got)
+    assert_rates_agree_in_amplitude(rows, *rates, dense_c, dense_mp, ms, em)
     for name, value in zip(("omega_ij", "rate_coulomb", "rate_multipolar"),
                            ([vals[j] - vals[i] for i, j in got], *rates)):
         have = np.array([getattr(r, name) for r in rows])
-        assert np.all(np.abs(have - value) <= 1e-10 * np.abs(value)), name
+        if relative or name == "omega_ij":
+            assert np.all(np.abs(have - value) <= 1e-10 * np.abs(value)), name
+
+
+def test_degenerate_reached_levels_are_read_level_by_level():
+    """Three modes of one frequency, each coupled alike to the emitter: permuting them
+    commutes with H, and the permutations' two-dimensional representation makes levels of
+    the reached sector twofold, several with weight from O |0>.  Below the crossover the
+    exact measure reads them by index in the sector's own eigenbasis, which splits a
+    degenerate level's weight as that basis falls.  So the picks are the first 20
+    candidates whose rate, as `rate_table` reads it for every candidate, exceeds 1e-10 of
+    the largest, which passes over a reached level without weight (level 23); and those
+    rates, summed over each level's eigenspace, are the dense oracle's in amplitude, to
+    RATE_TOL f ||O||_2."""
+    ms = ModeSet(np.eye(3), {"emitter": [(0.6, 0.1, 0.0)] * 3,
+                             "detector": [(0.4, 0.5, -0.2), (-0.3, 0.2, 0.6),
+                                          (0.1, -0.4, 0.3)]})
+    em = tls(1.0, (0.8, 0.3, 0.0))
+    cutoffs = (3, 3, 3)  # D = 128: sectors of 64 levels
+    b_c, b_mp = build_gauge_pair(ms, em, cutoffs)
+    got = significant_transitions(b_c, ms, detector(), 20, em=em)
+    assert got.route == detect_module.dense_route()
+    candidates = [(0, j) for j in range(1, 40)]
+    rows, _ = rate_table(b_c, b_mp, ms, em, detector(), candidates, b_c.family.basis)
+    coulomb = np.array([r.rate_coulomb for r in rows])
+    assert got == [pair for pair, r in zip(candidates, coulomb) if r > 1e-10 * coulomb.max()][:20]
+    dense_c, dense_mp = (dense_oracle.dense_bundle(ms, em, g, cutoffs)
+                         for g in (COULOMB, MULTIPOLAR))
+    vals = dense_c.eigenvalues()
+    assert np.allclose(b_c.eigenvalues()[:41], vals[:41], rtol=0.0, atol=1e-10)
+    # the eigenspace of each candidate, and of state 40: none is cut at the last candidate
+    level = np.cumsum(np.diff(vals[:41]) > 1e-9)
+    assert level[-1] != level[-2]
+    level = level[:-1]
+    want = dense_oracle.rate_table(dense_c, dense_mp, ms, em, detector(), candidates)
+    have = [[getattr(r, name) for r in rows] for name in ("rate_coulomb", "rate_multipolar")]
+    size = np.bincount(level)
+    sums = [np.bincount(level, weights=w)[size > 0] for w in (*have, *want)]
+    assert np.sum((size[size > 0] == 2) & (sums[0] > 1e-10 * sums[0].max())) >= 3
+    firsts = np.unique(level, return_index=True)[1]
+    summed = [replace(rows[k], rate_coulomb=c, rate_multipolar=m)
+              for k, c, m in zip(firsts, *sums[:2])]
+    assert_rates_agree_in_amplitude(summed, *sums[2:], dense_c, dense_mp, ms, em)
 
 
 def test_detect_command_above_the_crossover_reports_its_lanczos_route(tmp_path, monkeypatch):
@@ -593,7 +638,7 @@ def dense_twin(bundle):
                              {"cutoffs": bundle.metadata["cutoffs"]}, bundle.parity)
 
 
-def assert_both_sectors_solved_by_eigh(eigh, eigvalsh, bundle):
+def assert_both_sectors_solved_by_eigh(eigh, eigvalsh, bundle, held):
     n = bundle.space.dim // 2
     if n < LANCZOS_MIN_SECTOR:
         # the other sector by eigh and |0>'s by eigvalsh, then |0>'s by eigh, the other's kept
@@ -601,7 +646,7 @@ def assert_both_sectors_solved_by_eigh(eigh, eigvalsh, bundle):
     else:
         # both sectors by eigvalsh, then both by eigh: no Lanczos run
         assert eigh == [(n, n)] * 2 and eigvalsh == [(n, n)] * 2
-    assert holds_vectors(bundle) == [True, True]
+    assert holds_vectors(bundle) == ([True, True], held)
 
 
 FALLBACK_CUTOFFS = [(6, 6), (14, 14)]  # sectors of 49 and 225 levels, about the crossover
@@ -622,12 +667,13 @@ def test_a_ground_state_in_the_other_sector_falls_back_to_solving_both(monkeypat
     assert probe.solve_ground_apart() is None
     ground = 0 if family.ground_parity > 0 else 1
     # the other sector's vectors (none from the crossover on), none of |0>'s guess
-    kept = holds_vectors(probe)
+    kept, held = holds_vectors(probe)
     assert not kept[ground] and kept[1 - ground] == (probe.space.dim // 2 < LANCZOS_MIN_SECTOR)
+    assert not held
     b_c, b_mp = pair(replace(recipe, beta=-recipe.beta))
     eigh, eigvalsh = count_solves(monkeypatch, ("eigh", "eigvalsh"))
     got = significant_transitions(b_c, ms, detector(), 3, em=em)
-    assert_both_sectors_solved_by_eigh(eigh, eigvalsh, b_c)
+    assert_both_sectors_solved_by_eigh(eigh, eigvalsh, b_c, False)
     assert got.route["route"] == "dense" and "not solved apart" in got.route["fallback"]
     monkeypatch.undo()
     dense_c, dense_mp = dense_twin(b_c), dense_twin(b_mp)
@@ -645,7 +691,7 @@ def test_a_shifted_solve_that_misses_falls_back_to_solving_both(monkeypatch, cut
                             block.diagonal() - e0))])
     eigh, eigvalsh = count_solves(monkeypatch, ("eigh", "eigvalsh"))
     got = significant_transitions(b_c, ms, detector(), 3, em=em)
-    assert_both_sectors_solved_by_eigh(eigh, eigvalsh, b_c)
+    assert_both_sectors_solved_by_eigh(eigh, eigvalsh, b_c, False)
     assert got.route["route"] == "dense" and "not solved apart" in got.route["fallback"]
     monkeypatch.undo()
     dense_c, dense_mp = (dense_oracle.dense_bundle(ms, em, g, cutoffs)
@@ -666,7 +712,7 @@ def test_a_parity_even_detection_term_falls_back_to_solving_both(monkeypatch, cu
                         lambda bundle, *args: oracle(bundle, *args) + bundle.space.kron(even))
     eigh, eigvalsh = count_solves(monkeypatch, ("eigh", "eigvalsh"))
     got = significant_transitions(b_c, ms, detector(), 3, em=em)
-    assert_both_sectors_solved_by_eigh(eigh, eigvalsh, b_c)
+    assert_both_sectors_solved_by_eigh(eigh, eigvalsh, b_c, True)
     assert got.route["route"] == "dense" and "parity sector of |0>" in got.route["fallback"]
     dense_c, dense_mp = (dense_oracle.dense_bundle(ms, em, g, cutoffs)
                          for g in (COULOMB, MULTIPOLAR))
