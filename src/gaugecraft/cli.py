@@ -36,27 +36,32 @@ from .errors import ConfigError, ConvergenceError, GaugecraftError, InvariantVio
 from .gaugecheck import ambiguity_scan, scan_cutoffs, verify_spectral_equivalence
 from .hamiltonians import (GaugeParam, QuadratureFamily, build_beyond_dipole, build_dipole,
                            build_gauge_pair, build_naive, build_time_dependent, standard_space)
-from .modes import build_from_grid, chi_from_qnm, completeness_residual, qnm_frequency_grid, solve_dielectric_1d
+from .modes import (build_from_grid, chi_from_qnm, completeness_residual, qnm_frequency_grid,
+                    solve_dielectric_1d)
 from .scenario import Scenario, decode_complex_matrix, save_modeset
 
 COMMANDS = ("spectrum", "gauge-check", "detect", "evolve", "modes")
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 # peak of a command's Hamiltonians in complex D x D matrices (16 D^2 bytes), for a `sectored`
-# family and for a Fock-basis build.  A sectored spectrum holds K, one sector and LAPACK's
-# copy of it, 3 blocks of (D/2)^2, and measured 0.755.  detect peaks where it falls back to
-# solving both sectors by eigh: a sector solved by eigh keeps all of its eigenvectors, so it
-# holds K, the first sector's eigenvectors, the second sector, and eigh's eigenvectors and
-# its copy and workspace (?heevd's copy, work and rwork, 3 blocks), and measured 1.76 (two
-# complex modes, D = 882, counting LAPACK's untraced arrays as the traced memory when it
-# is called); its Lanczos route measured 1.01, and a run that falls back to eigh of the
-# reached sector 1.52.  The Fock-basis estimates, 10 and 14, hold LAPACK's untraced copies
-# of a D x D sector (1 for eigvalsh, 3 more for eigh) on top of the traced peak of the
-# dense route, whose `EigenbasisFamily` measured 6.5 (spectrum), 7.5 (detect) and 8.0
-# (gauge-check) for two modes at L = 3, D = 507.  The gauge-check's estimate is its naive verify pair's
-# (`build_gauge_pair`, then `verify_spectral_equivalence`), which peaks as a spectrum does:
-# it holds K and one sector at a time.  A correct sectored pair shares one solve and solves
-# nothing, so it holds K alone (measured 0.52, with one Kronecker term of K's size while
-# two modes' K is summed).
+# family, whose sectors are blocks of the quadrature basis, and for a member formed in the
+# Fock basis (a `FockFormed` family's, the hook's or a canonical form).  A sectored spectrum
+# holds K, one sector and LAPACK's copy of it, 3 blocks of (D/2)^2, and measured 0.755.
+# detect peaks where it falls back to solving both sectors by eigh: a sector solved by eigh
+# keeps all of its eigenvectors, so it holds K, the first sector's eigenvectors, the second
+# sector, and eigh's eigenvectors and its copy and workspace (?heevd's copy, work and
+# rwork, 3 blocks), and measured 1.76 (two complex modes, D = 882, counting LAPACK's
+# untraced arrays as the traced memory when it is called); its Lanczos route measured
+# 1.01, and a run that falls back to eigh of the reached sector 1.52.  The Fock-basis
+# estimates, 10 and 14, hold LAPACK's untraced copies of a D x D sector (1 for eigvalsh, 3
+# more for eigh) on top of the traced peak of an `EigenbasisFamily` (two modes, L = 3,
+# D = 507): 6.5 for spectrum, 7.8 for detect, whose pairing check forms the multipolar H
+# while the Coulomb eigenvectors are held, and 8.5 for a naive verify pair.  Every correct
+# pair is one recipe, one solve owner, so its verify pair solves nothing and holds its
+# family's blocks and its theta = 0 member alone (6.5 there; a sectored pair's K alone,
+# measured 0.52, with one Kronecker term of K's size while two modes' K is summed).  The
+# gauge-check's estimate is its naive verify pair's (`build_gauge_pair`, then
+# `verify_spectral_equivalence`), which peaks as a spectrum does: it holds K and one sector
+# at a time.
 COMMAND_MATRICES = {"spectrum": (0.76, 10.0), "gauge-check": (0.76, 10.0), "detect": (1.77, 14.0)}
 # the model keys each command builds without: refused unless at their defaults
 UNREAD = {"gauge-check": ("gauge_theta", "longitudinal", "beyond_dipole"),
@@ -154,7 +159,7 @@ def _build_system(cfg: RunConfig):
 def command_bytes(command: str, dim: int, sectored: bool) -> float:
     """Peak bytes of the Hamiltonians of `spectrum`, the gauge-check's verify pair or `detect`
     at Hilbert dimension dim: COMMAND_MATRICES complex D x D matrices, of a `sectored` family
-    or of a Fock-basis build."""
+    or of a member formed in the Fock basis."""
     return COMMAND_MATRICES[command][0 if sectored else 1] * 16 * dim * dim
 
 
@@ -229,13 +234,11 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
     h_a, h_b = build_gauge_pair(ms, em, cutoffs, order if truncation == "naive" else None,
                                 family=family)
     rep = verify_spectral_equivalence(h_a, h_b, k=section["k"], tol=spectral_tol)
-    worst_correct = max(r.correct_gap for r in rows)
-    # the canonical form certifies the correct ladder only where the couplings factor
-    passed = (rep.max_abs_diff < spectral_tol and worst_correct < spectral_tol
-              and (canonical is None or canonical < spectral_tol))
+    # every correct_gap is 0, one recipe at either gauge: what certifies the correct ladder
+    # is the canonical form, where the couplings factor
+    passed = rep.max_abs_diff < spectral_tol and (canonical is None or canonical < spectral_tol)
     verdict = "PASS" if passed else "FAIL"
-    summary = (f"{verdict}: max eigenvalue diff {rep.max_abs_diff:.3e}, "
-               f"max correct gap {worst_correct:.3e}, canonical residual "
+    summary = (f"{verdict}: max eigenvalue diff {rep.max_abs_diff:.3e}, canonical residual "
                f"{'n/a' if canonical is None else f'{canonical:.3e}'}, "
                f"tolerance {spectral_tol:.3e}")
     print(summary)
@@ -253,8 +256,7 @@ def cmd_gauge_check(cfg: RunConfig) -> int:
         "diagnostics": {"coulomb": h_a.diagnostics, "multipolar": h_b.diagnostics},
         "ladder": {"start_cutoff": scan_cutoffs(ms.n_modes, em.n_levels)[0],
                    "route": "stacked sectors" if family.sectored else "per-member builds",
-                   "ladders": (["correct", "naive"] if family.sectored
-                               else ["coulomb", "multipolar", "naive"])},
+                   "ladders": ["correct", "naive"]},
     })
     return 0
 

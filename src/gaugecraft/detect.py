@@ -307,7 +307,7 @@ def significant_transitions(bundle: HamiltonianBundle, ms: ModeSet, det: Detecto
             pairs, vecs, route = _reached_picks(bundle, o_0, ground, parity, stop, count, floor)
             return Transitions(pairs, (bundle, ms, det), vecs, terms, route)
         route["fallback"] = "O |0> has a part in the parity sector of |0>"
-    elif i == 0 and bundle.family is not None:
+    elif i == 0 and bundle.family.sectored:
         route["fallback"] = "the ground state is not solved apart from its sector"
     candidates = np.arange(i + 1, stop)
     vals, vecs = bundle.eigensystem([i, *candidates])

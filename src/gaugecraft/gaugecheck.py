@@ -4,19 +4,20 @@ Gauge transformations within the family live on the truncated space as
 W = exp(-i (theta_to - theta_from) X) (`gauge_unitary`); they are exactly unitary
 and compose exactly, since all members share one Hermitian generator.  Every member
 is one theta-free matrix conjugated by diagonal phases in an eigenbasis of X, so a
-comparison of the family with itself reads 0 by construction: for a `sectored`
-family the Coulomb and the multipolar member are the same sectors, so `correct_gap`
-is 0, and the correct verify pair, one recipe and so one solve owner, is reported as
-zeros by `verify_spectral_equivalence` without solving it.  A naive pair and a pair
-built in the Fock basis are solved and compared.
+comparison of the family with itself reads 0 by construction: the Coulomb and the
+multipolar member of every family are one `MemberRecipe` with one spectrum, so
+`correct_gap` is 0, and the correct verify pair, one recipe and so one solve owner,
+is reported as zeros by `verify_spectral_equivalence` without solving it.  A naive
+pair and two bundles of matrices built apart are solved and compared.
 
 What certifies the correct ladder at run time is the canonical multipolar form,
 written from its definition (`hamiltonians.canonical_terms`: H_F, the multipolar
 drive, h0 and the P^2 term), which truncates the Fock space after the gauge map and
 is no member of the family.  Where the couplings factor, the family's theta = 1
 member approaches it as the cutoff converges.  `ambiguity_scan` takes the multipolar
-member of the grid's strongest coupling at the rung where its ladder converged, gets
-its ground vector v from the ladder's E0 by one shifted solve per sector, and reports
+member of the grid's strongest coupling at the rung where the correct ladder
+converged, gets its ground vector v from the ladder's E0 by one shifted solve per
+sector, placed with its theta = 1 phases or W_1, and reports
 r = ||H_can v - E0 v||_2 (`canonical_residual`): some eigenvalue of the Hermitian
 H_can lies within r of E0.  A wrong beta or wrong phases leave the family agreeing
 with itself and fail this residual.  Couplings that do not factor (an emitter with
@@ -26,30 +27,28 @@ so H_can is not the limit of their theta = 1 member.
 The scan climbs the scenario's own family, its couplings scaled to each
 strength of the grid (X(c) = c X).  Its ladders double every per-mode cutoff
 (`scan_cutoffs`) until a ground energy moves by less than the tolerance,
-rung-major: every coupling still climbing is one member of a stack.  A
-`sectored` family climbs one correct and one naive ladder, in chunks of
-`stack_chunk` members within STACK_BYTES, each a copy of M0 plus O(n) writes:
-one parity sector per member is solved and the other certified by a Cholesky
-factorization (`ground_energies`).  Any other system climbs a Coulomb, a
-multipolar and a naive ladder and builds each member on its own, from the
-rung's one family: for couplings that do not factor an `EigenbasisFamily`, whose
-members share one eigendecomposition of X.  A naive
-ladder still climbing at the top rung gives a row marked not converged; a
-correct one raises `ConvergenceError`.
+rung-major: every coupling still climbing is one member of a recipe.  Every family
+climbs one correct and one naive ladder through its `ground_energies`, in chunks of
+`stack_chunk` members within STACK_BYTES: one parity sector per member is solved
+and the other certified by a Cholesky factorization.  A `sectored` family's chunk
+is a stack, each member a copy of M0 plus O(n) writes; a `FockFormed` family forms,
+verifies and solves each member in turn, all from the rung's one family (for
+couplings that do not factor an `EigenbasisFamily`, whose members share one
+eigendecomposition of X).  A naive ladder still climbing at the top rung gives a row
+marked not converged; a correct one raises `ConvergenceError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .hamiltonians import (MULTIPOLAR, CouplingSet, GaugeParam, HamiltonianBundle,
-                           QuadratureFamily, _family_bundle, canonical_terms, couplings,
-                           polarization_squared)
+from .hamiltonians import (MULTIPOLAR, CouplingSet, HamiltonianBundle, QuadratureFamily,
+                           canonical_terms, couplings, polarization_squared)
 from .hilbert import Eigenbasis, max_abs
 
 DEFAULT_SPECTRAL_TOL = 1e-6
@@ -92,18 +91,17 @@ def verify_spectral_equivalence(h_a, h_b, k: int = 5,
 
     The report holds the per-level differences, their maximum and whether it is below tol
     (None without tol).  Two bundles of one solve owner (`HamiltonianBundle.owner`: one
-    bundle with itself, or the correct pair of a `sectored` family, which shares one
-    recipe, `build_gauge_pair`) read one solution, so their differences are zeros and
-    neither is solved.  Any other pair, a naive one or two Fock-basis bundles, is solved
-    and compared.  What guards the correct verdict at run time is the certificate of
+    bundle with itself, or a correct pair of any family, which shares one recipe,
+    `build_gauge_pair`) read one solution, so their differences are zeros and neither is
+    solved.  Any other pair, a naive one or two bundles of matrices built apart, is
+    solved and compared.  What guards the correct verdict at run time is the certificate of
     `ambiguity_scan`, the canonical residual of the correct ladder, which the
     dense-oracle tests back up.
     """
     if h_a.space != h_b.space:
         raise ValueError("bundles live on different spaces")
-    dim = h_a.space.dim
-    if not 1 <= k <= dim:
-        raise ValueError(f"k must be in [1, {dim}]")
+    if not 1 <= k <= h_a.space.dim:
+        raise ValueError(f"k must be in [1, {h_a.space.dim}]")
     per_level = (np.zeros(k) if h_a.owner is h_b.owner
                  else np.abs(h_a.eigenvalues(k) - h_b.eigenvalues(k)))
     max_diff = float(per_level.max())
@@ -187,20 +185,18 @@ def ambiguity_scan(ms, em, eta_grid: Optional[Sequence[float]] = None, tol: floa
 
     A grid entry eta scales the couplings to max|eta_mu| = |eta|, times the sign of eta;
     without a grid the scan runs at their own strength.  Per entry: correct_gap =
-    |E0(theta=0) - E0(theta=1)| (expected to vanish) and naive_gap = |E0(naive Coulomb,
-    given order) - E0(multipolar)|.  The ladders climb the rungs of `scan_cutoffs`
-    until each ground energy is stable to `tol`, over one family of the couplings at
-    strength 1 per rung.  A `sectored` family climbs as stacks, and its correct members'
-    recipes do not read theta, so one correct ladder gives E0 at theta = 0 and 1 and
-    correct_gap is 0 by construction; with the naive ladder that makes two.  Any other
-    family climbs the Coulomb and the multipolar ladder apart, member by member
-    (`_family_bundle`) at scale eta, so that K is formed once per rung, and for couplings
-    that do not factor X is eigendecomposed once per rung.  A row is converged when its
-    naive ladder is; `ConvergenceError` when a correct ladder is not.
+    |E0(theta=0) - E0(theta=1)| and naive_gap = |E0(naive Coulomb, given order) -
+    E0(multipolar)|.  The ladders climb the rungs of `scan_cutoffs` until each ground
+    energy is stable to `tol`, over one family of the couplings at strength 1 per rung,
+    whose `ground_energies` solve each rung's members at scale eta, in chunks of
+    `stack_chunk`.  A correct recipe does not read theta, so one correct ladder gives E0 at
+    theta = 0 and 1, and correct_gap is 0 by construction; with the naive ladder that makes
+    two.  A row is converged when its naive ladder is; `ConvergenceError` when the correct
+    ladder is not.
 
     When the couplings factor (a `QuadratureFamily`), the multipolar member of the grid's
-    largest |eta| at the rung where its ladder converged is built from that rung's family,
-    and its `canonical_residual` at the ladder's E0 is returned; otherwise None.
+    largest |eta| at the rung where the correct ladder converged is built from that rung's
+    family, and its `canonical_residual` at the ladder's E0 is returned; otherwise None.
     """
     cs = couplings(ms, em)
     strength = max_abs(cs.eta_matrices)
@@ -213,35 +209,24 @@ def ambiguity_scan(ms, em, eta_grid: Optional[Sequence[float]] = None, tol: floa
         raise ConfigError(f"no cutoff ladder: every member dimension exceeds {MAX_DIM}")
     family = cache(lambda n: QuadratureFamily.of_couplings(unit, em.h0, em.parity_signs,
                                                            (n,) * cs.n_modes))
-    sectored = family(rungs[0]).sectored
 
-    def ladder(theta, naive_order=None):
-        def solve(n, idx):
-            f = family(n)
-            if not sectored:
-                return np.array([_family_bundle(
-                    unit, em.h0, em.parity_signs, (n,) * cs.n_modes, GaugeParam(theta), {},
-                    naive_order, family=f, scale=eta).eigenvalues(1)[0] for eta in etas[idx]])
-            size = stack_chunk(len(f.x), f.time_reversal)
-            chunks = [etas[idx[i:i + size]] for i in range(0, idx.size, size)]
-            return np.concatenate([f.ground_energies(f.recipe(c, naive_order)) for c in chunks])
-        return _climb(solve, len(etas), tol, rungs)
+    def solve(n, idx, naive_order=None):
+        f = family(n)
+        size = stack_chunk(f.space.dim // 2, f.time_reversal)
+        chunks = [etas[idx[i:i + size]] for i in range(0, idx.size, size)]
+        return np.concatenate([f.ground_energies(f.recipe(c, naive_order)) for c in chunks])
 
-    e0_c, n_c, ok_c = correct = ladder(0.0)
-    e0_mp, n_mp, ok_mp = correct if sectored else ladder(1.0)
-    if not (ok_c.all() and ok_mp.all()):
+    e0, n_c, ok = _climb(solve, len(etas), tol, rungs)
+    if not ok.all():
         raise ConvergenceError(f"ground energy not converged at cutoff {rungs[-1]}")
     residual = None
     if isinstance(family(rungs[0]), QuadratureFamily):
         top = int(np.argmax(np.abs(etas)))
-        n, eta = int(n_mp[top]), etas[top]
-        member = _family_bundle(unit, em.h0, em.parity_signs, (n,) * cs.n_modes, MULTIPOLAR,
-                                {}, family=family(n), scale=eta)
+        f, eta = family(int(n_c[top])), etas[top]
+        member = HamiltonianBundle.in_quadrature_basis(f, MULTIPOLAR, f.recipe([eta]), {})
         residual = canonical_residual(member, CouplingSet(eta * unit.eta_matrices, unit.chi),
-                                      em.h0, e0_mp[top])
-    e0_naive, n_nv, converged = ladder(0.0, order)
-    cutoffs = np.maximum(np.maximum(n_c, n_mp), n_nv)
-    return [AmbiguityRow(eta=float(eta), naive_gap=float(abs(nv - mp)),
-                         correct_gap=float(abs(c - mp)), cutoff=int(n), converged=bool(ok))
-            for eta, c, mp, nv, n, ok in zip(etas, e0_c, e0_mp, e0_naive, cutoffs,
-                                             converged)], residual
+                                      em.h0, e0[top])
+    e0_naive, n_nv, converged = _climb(partial(solve, naive_order=order), len(etas), tol, rungs)
+    rows = zip(etas, e0, e0_naive, np.maximum(n_c, n_nv), converged)
+    return [AmbiguityRow(float(eta), float(abs(nv - c)), 0.0, int(n), bool(ok))
+            for eta, c, nv, n, ok in rows], residual

@@ -27,9 +27,9 @@ field-quadrature basis of `QuadratureFamily`, built from the (g, D) of
 `common_matter_matrix` without a D x D eigendecomposition.  Couplings that
 do not factor (an N-level emitter coupled through several dipole axes) take
 the eigenbasis of the dense `HermitianGenerator`, one D x D eigendecomposition
-per family.  `HamiltonianBundle` checks each assembled
-matrix once for Hermiticity before it symmetrizes away the rounding; a
-quadrature-basis bundle is checked on its raw blocks.
+per family.  Each matrix a bundle solves is checked once for Hermiticity before
+the rounding is symmetrized away: a member formed in the Fock basis by its
+`FockMember`, a quadrature-basis member on its raw blocks.
 
 The family keeps the emitter's parity at any Fock cutoff.  Let
 Pi = (-1)^(sum_mu n_mu) (x) S with S = diag(s), s_i = +-1, the signs of
@@ -40,8 +40,8 @@ so are exp(i s X), H_F, H_0, every H(theta), and the naive builders, whose
 terms are nested commutators with X or products a (x) eta^dag.  `build_dipole`
 (with or without the longitudinal hook, whose auxiliary factor joins the
 photon factors), `build_naive`, the 1D and the beyond-dipole Coulomb
-builders declare Pi on their bundle, which verifies it and diagonalizes the
-even and odd sectors separately.  The beyond-dipole multipolar form and H(t)
+builders declare Pi, which their family verifies on each member, and the bundle
+diagonalizes the even and odd sectors separately.  The beyond-dipole multipolar form and H(t)
 declare none: its drive g_even,mu 1 is even under S.
 
 The family is also time-reversal symmetric whenever chi, every eta_mu and h0
@@ -53,8 +53,8 @@ each of their terms pairs an odd power of i with an odd power of a or X, or
 an even power with an even one.  With the phases p = i^[sum_mu n_mu odd],
 p^dag H p is therefore real symmetric.  `build_dipole` (without the
 longitudinal hook), `build_naive`, the 1D builders and the beyond-dipole
-Coulomb form declare it when their inputs are real; `HamiltonianBundle`
-verifies it and solves each sector in real arithmetic.  A member solved in
+Coulomb form declare it when their inputs are real; their family verifies it
+and each sector is solved in real arithmetic.  A member solved in
 the quadrature basis (of a `sectored` family) declares more: its basis
 rotates each mode by R_mu = diag(e^(i n arg g_mu)), and
 R_mu^dag a_mu R_mu = g^_mu a_mu with g^ = g / |g|, so with R = (x)_mu R_mu
@@ -72,36 +72,44 @@ drive sum_mu a_mu (x) b_mu + H.c. (the generator X with b_mu = eta_mu^dag,
 photon-only fields of `detect`).  The longitudinal hook's terms are the same
 two lists on its auxiliary factor.
 
-Every builder is a `CouplingSet` fed to one of two cores; the models differ
-only in their couplings.  The gauge-family core, `QuadratureFamily`, gives
-every exact-conjugation member whose couplings factor, for any number of
-levels and modes and per-mode cutoffs: `build_dipole` (with or without the
-longitudinal hook), the theta = 0 `build_naive`, the beyond-dipole Coulomb
-form (eta_mu = (eta_bar_mu / 2) sigma_x) and the 1D gC form
-(eta_mu = h_mu(x0) d_hat / sqrt(2 omega_mu)).  In its basis every gauge map
-is a diagonal phase P_theta, and H(theta) = P_theta M' P_theta^dag around one
+Every builder is a `CouplingSet` fed to one gauge family of its couplings
+(`QuadratureFamily.of_couplings`); the models differ only in their couplings.
+When they factor it is a `QuadratureFamily`, for any number of levels and modes
+and per-mode cutoffs: `build_dipole` (with or without the longitudinal hook),
+the theta = 0 `build_naive`, the beyond-dipole Coulomb form
+(eta_mu = (eta_bar_mu / 2) sigma_x) and the 1D gC form
+(eta_mu = h_mu(x0) d_hat / sqrt(2 omega_mu)).  In its basis every gauge map is a
+diagonal phase P_theta, and H(theta) = P_theta M' P_theta^dag around one
 theta-free M', whose diagonal blocks are K + h0'_kk with K = w^dag H_F w (the
-`field_terms` of chi~, each local factor in the quadrature basis) and
-whose off-diagonal blocks are diagonals beta_kl; the naive series changes
-only beta.  A two-level emitter with a parity is solved there in its two
-parity sectors M0 +- diag(beta) J, M0 = K + h0'_00, without forming H in the
-Fock basis: a member is beta and its phases, and the gauge phases act only on
-vectors.  Every other member is formed in the Fock basis once, from the same
-M', where the hook appends its factor and the bundle verifies and solves it.
-`build_gauge_pair` gives a command's Coulomb and multipolar bundles as
-members of one family, so the couplings are split and K is formed once.  The
-same members of couplings that do not factor come from their
-`EigenbasisFamily`, written in the eigenbasis B of X (`CouplingSet.generator`):
-H(theta, c) = Q K Q^dag + R M R^dag with K and M the field and matter terms
-in B and the diagonal phases Q = e^(-i theta c xi), R = e^(i (1 - theta) c xi),
-formed in the Fock basis as B H B^dag; the pair, and every member of a scan
-rung, share one eigendecomposition of X.  The naive series there is
-H_F + `nested_commutators` of c X.  So no gauge exponential is a matrix: every
-one is a phase in an eigenbasis of X.  H(t) is the family member at theta = 0
-or 1 and coupling scale mu(t), plus its mu' term, split as the static builders
-are: a `sectored` family's member is kept per parity sector, n x n blocks of M0
-between the phases with beta on the antidiagonal (`QuadratureFamily.sector_members`),
-and every other coupling takes its `EigenbasisFamily` member.
+`field_terms` of chi~, each local factor in the quadrature basis) and whose
+off-diagonal blocks are diagonals beta_kl; the naive series changes only beta.
+Couplings that do not factor take their `EigenbasisFamily`, written in the
+eigenbasis B of X (`CouplingSet.generator`): H(theta, c) = Q K Q^dag + R M R^dag
+with K and M the field and matter terms in B and the diagonal phases
+Q = e^(-i theta c xi), R = e^(i (1 - theta) c xi); its naive series cuts
+R M R^dag's phases to their Taylor polynomial, as beta's are cut.  So no gauge
+exponential is a matrix: every one is a phase in an eigenbasis of X.
+
+Every member enters a `HamiltonianBundle` by one route, as a `MemberRecipe` of
+its family, and the recipe does not read theta: the members of a family are
+exactly unitarily equivalent, H(theta) = W_theta H(0) W_theta^dag with
+W_theta = e^(-i theta c X), so theta is a frame for the vectors and not a new
+Hamiltonian.  A two-level emitter with a parity (a `sectored` family) is solved
+in the quadrature basis, in its two parity sectors M0 +- diag(beta) J,
+M0 = K + h0'_00, without forming H in the Fock basis: a recipe is beta, and the
+gauge phases act only on vectors.  Every other family is `FockFormed`: a recipe
+keeps its theta = 0 member `fock_matrix(0, c, order)`, formed in the Fock basis
+and verified once (`FockMember`), its sectors are solved, and W_theta maps the
+vectors placed from them (`Eigenbasis.apply`).  `build_gauge_pair` gives a
+command's Coulomb and multipolar bundles as members of one family and, for the
+correct pair, of one recipe: the couplings are split, K formed and X
+eigendecomposed once, and the pair is solved once.  The longitudinal hook, the
+canonical theta = 1 forms and a caller's matrix are bundles of that matrix,
+which is its own family and recipe (`FockMember`).  H(t) is the family member at
+theta = 0 or 1 and coupling scale mu(t), plus its mu' term: a `sectored`
+family's member is kept per parity sector, n x n blocks of M0 between the phases
+with beta on the antidiagonal (`QuadratureFamily.sector_members`), and every
+other coupling takes its `EigenbasisFamily` member.
 
 The one canonical multipolar form is `canonical_terms`: the Kronecker terms of
 H_F, `multipolar_interaction` and a matter term (h0, with `polarization_squared`
@@ -144,7 +152,6 @@ from .matter import EmitterSpec, TimeProfile
 from .modes import ModeSet, NormalModeSet1D
 
 TD_EXTRA_TERM_SIGN = +1.0
-GaugeFamily = Union["QuadratureFamily", "EigenbasisFamily"]  # as `of_couplings` returns it
 FACTOR_TOL = 1e-12
 TLS_PARITY_SIGNS = (1, -1)  # sigma_z in the |e>, |g> order: S sigma_x S = -sigma_x
 # the smallest sector that `solve_ground_apart` solves by eigvalsh alone, for a Lanczos run
@@ -154,6 +161,35 @@ LANCZOS_MIN_SECTOR = 200
 
 class FockCutoffWarning(UserWarning):
     """Fock cutoff likely too small for the requested displacement."""
+
+
+class GaugeFamily:
+    """The member interface a gauge family offers the bundles of its recipes
+    (`HamiltonianBundle`): `measure`, `sector_blocks`, `places`, `member_matrix` and
+    `apply_member` of a `MemberRecipe` of one member, with the family's `space`, its
+    declared `parity` labels (or None) and `time_reversal`, and whether it is `sectored`.
+    A `QuadratureFamily`, a `FockFormed` family and a `FockMember`, the family of a matrix
+    given to a bundle, each offer it.  By default a member's H is `fock_matrix` made
+    Hermitian and is applied as that matrix."""
+
+    sectored = False
+
+    def _declare(self, parity_signs: Optional[np.ndarray], h0: np.ndarray, time_reversal: bool):
+        """The declared symmetries: time reversal, the parity labels of the family's space
+        (None without parity signs) and `ground_parity`, the sign of the sector that holds
+        vacuum (x) h0's lowest level."""
+        self.parity_signs, self.time_reversal = parity_signs, time_reversal
+        self.parity = None if parity_signs is None else parity_labels(self.space, parity_signs)
+        self.ground_parity = 1 if parity_signs is None else parity_signs[np.argmin(h0.diagonal())]
+
+    def member_matrix(self, theta: float, recipe: MemberRecipe) -> np.ndarray:
+        """H of the member of a recipe of one at gauge theta in the Fock basis, Hermitian."""
+        return hermitian_part(self.fock_matrix(theta, recipe.scales[0], recipe.order),
+                              "family member")
+
+    def apply_member(self, theta: float, recipe: MemberRecipe, x: np.ndarray) -> np.ndarray:
+        """H x in the Fock basis for a vector (D,) or a block (D, k), H from `member_matrix`."""
+        return self.member_matrix(theta, recipe) @ x
 
 
 @dataclass(frozen=True)
@@ -277,167 +313,96 @@ def couplings(ms: ModeSet, em: EmitterSpec) -> CouplingSet:
 
 
 class HamiltonianBundle:
-    """A built Hamiltonian with its space, gauge and builder metadata.
+    """A built Hamiltonian with its space, gauge and builder metadata: a member of a gauge
+    family, held as the family and the member's `MemberRecipe`.
 
-    What a bundle holds depends on its `basis`.  Built from a matrix ("fock"),
-    `H` is the assembled D x D ndarray of `space` (any other shape is a
-    `ValueError`), checked once with `hilbert.hermitian_part` and kept as its
-    Hermitian part, an ndarray.  A member of a `sectored` `QuadratureFamily` (a
-    two-level emitter with a parity) comes from the family instead
-    (`in_quadrature_basis`, "quadrature"): the bundle holds the family, whose K
-    is the only (D/2) x (D/2) block, and the member's `MemberRecipe`, O(D) numbers:
-    its beta, which with the family's M0 = K + h0'_00 gives its parity sectors
-    M0 +- diag(beta) J.  Its phases p follow from the bundle's gauge.  The family
-    checks K once and the member's beta when the bundle is made; each sector is a
-    copy of M0 plus O(D) writes when it is solved, its eigenvectors take p as they
-    are placed, `apply` works from K, and `H` is formed in the Fock basis only when
-    it is read.  The recipe does not read theta, so the bundles of one recipe (a
-    correct gauge pair, `build_gauge_pair`) share its sector solves.
+    Every member of a family comes from `in_quadrature_basis`.  The members of one family
+    are exactly unitarily equivalent at any cutoff, H(theta) = W_theta H(0) W_theta^dag with
+    W_theta = e^(-i theta c X), so a recipe does not read theta: theta is a frame for the
+    vectors, which take it as they are placed (`places`).  A `sectored` family (a two-level
+    emitter with a parity) holds K, its only (D/2) x (D/2) block, and a recipe O(D) numbers,
+    its beta: the member's parity sectors are M0 +- diag(beta) J in the quadrature basis.
+    Every other family's recipe keeps its theta = 0 member `fock_matrix(0, c, order)`,
+    formed in the Fock basis and verified once (`FockMember`), and solves that member's
+    sectors (`FockFormed`).  So the bundles of one recipe, a correct gauge pair
+    (`build_gauge_pair`), share its sector solves; `apply` applies H(theta) from the family
+    (`apply_member`), and `H` is formed in the Fock basis only when it is read.  A matrix
+    given to the constructor, D x D for its space (else a `ValueError`), is its own family
+    and recipe, a `FockMember`: the canonical theta = 1 forms, the longitudinal hook's
+    members and callers' matrices.
 
-    A builder may declare a parity: a label +1 or -1 per basis state, the
-    diagonal of an operator Pi that commutes with H.  The declaration is
-    verified here, max|H[even, odd]| <= HERMITIAN_TOL * max(1, max|H|), and a
-    wrong one raises `InvariantViolation`; it is never dropped silently.  The
-    spectrum is then solved in the even and the odd sector separately, so two
-    (D/2)^3 eigensolves replace one D^3 solve.  Each sector's solve is kept: its
-    eigenvalues, and all of its eigenvectors (eigh) or none (eigvalsh, while only
-    eigenvalues are asked for).  `eigensystem` solves by eigh each sector whose
-    eigenvectors it needs and the sector does not hold, and places into the full basis
-    only the eigenvectors asked for, in ascending energy.  A bundle without a parity is
-    the one-sector case.  For the transitions out of its ground state |0>, which an
+    The family verifies the symmetries it declares when the bundle is made (`measure`): a
+    parity, a label +1 or -1 per basis state (`parity`), and time reversal, that
+    (-1)^(sum_mu n_mu) K with K complex conjugation (R P K R^dag in the quadrature basis)
+    commutes with H; a wrong declaration raises `InvariantViolation`.  `diagnostics`
+    reports the sector sizes, the measured off-block maximum (None without a parity) and,
+    under time reversal, the measured max|Im| of the real forms as "time_reversal_imag".
+
+    The spectrum is solved in the even and the odd sector separately, so two (D/2)^3
+    eigensolves replace one D^3 solve; each sector is real symmetric under time reversal.
+    Each sector's solve is kept: its eigenvalues, and all of its eigenvectors (eigh) or
+    none (eigvalsh, while only eigenvalues are asked for).  `eigensystem` solves by eigh
+    each sector whose eigenvectors it needs and the sector does not hold, and places into
+    the full basis only the eigenvectors asked for, in ascending energy.  A bundle without
+    a parity is the one-sector case.  For the transitions out of its ground state |0>, which an
     operator linear in the field takes into the other sector, a quadrature-basis bundle
     can solve |0>'s sector by eigvalsh and |0> itself by one shifted solve, held on its
     own, and the other sector by eigh, or from LANCZOS_MIN_SECTOR levels on by eigvalsh
     (`solve_ground_apart`); the spectral measure of a state in that sector is then read
     from its eigenvectors or from a Lanczos run (`reached_measure`).
-
-    A builder may also declare time reversal: that (-1)^(sum_mu n_mu) K, with
-    K complex conjugation, commutes with H, so that p^dag H p is real
-    symmetric for the phases p = i^[sum_mu n_mu odd].  It is verified the same
-    way, max|Im(p^dag H p)| <= HERMITIAN_TOL * max(1, max|H|), and each sector
-    is then solved as the real symmetric block p^dag H p, rotated in place on
-    the sector's copy; eigenvectors are p v, phased as they are scattered.  A
-    quadrature-basis bundle takes its family's declaration instead,
-    R P K R^dag with the family's mode rotation R (`QuadratureFamily`), which
-    the family verifies on K's real form.
-
-    `diagnostics` reports the sector sizes, the measured off-block maximum
-    (None without a parity) and, when time reversal is declared, the measured
-    max|Im(p^dag H p)| as "time_reversal_imag"; a quadrature-basis bundle
-    reports the family's measurements of the same two symmetries, the larger of
-    K's and the member's (`QuadratureFamily.measure`).
     """
 
     def __init__(self, H: np.ndarray, space: HilbertSpec, gauge: GaugeParam,
                  metadata: Optional[dict] = None, parity: Optional[np.ndarray] = None,
                  time_reversal: bool = False):
         if np.shape(H) != (space.dim,) * 2:
-            raise ValueError(f"H must be square, (D, D) with D = {space.dim} for its space, "
-                             f"got shape {np.shape(H)}")
-        self.space, self.gauge = space, gauge
-        self.metadata = {} if metadata is None else metadata
-        self.parity, self.time_reversal = parity, time_reversal
-        self.family = self.recipe = self.solution = self._vecs = None
-        m = self._H = hermitian_part(H, f"{self.metadata.get('builder', 'bundle')} Hamiltonian")
-        n = m.shape[-1]
-        tol = HERMITIAN_TOL * max(1.0, max_abs(m))
-        sectors, off_block = (np.arange(n),), None
-        if parity is not None:
-            labels = np.asarray(parity)
-            if labels.shape != (n,) or np.any(np.abs(labels) != 1):
-                raise ValueError("parity needs a label +1 or -1 per basis state")
-            even, odd = np.flatnonzero(labels > 0), np.flatnonzero(labels < 0)
-            off_block = max_abs(m[even[:, None], odd])
-            if off_block > tol:
-                raise InvariantViolation(f"declared parity does not commute with H "
-                                         f"(max|H[even, odd]| = {off_block:.3e})")
-            sectors = tuple(s for s in (even, odd) if s.size)
-        self._sectors = sectors
-        self.diagnostics = {"sector_sizes": [len(s) for s in sectors],
-                            "parity_off_block": off_block}
-        self._phases = None
-        if time_reversal:
-            odd_photons = parity_labels(space) < 0
-            # max|Im(p^dag H p)|: Im(H) between states of equal photon parity, Re(H) between
-            # states of opposite photon parity
-            imag = max_abs(np.where(odd_photons[:, None] == odd_photons, m.imag, m.real))
-            if imag > tol:
-                raise InvariantViolation(f"declared time reversal does not hold "
-                                         f"(max|Im(p^dag H p)| = {imag:.3e})")
-            self.diagnostics["time_reversal_imag"] = imag
-            self._phases = np.where(odd_photons, 1j, 1.0)
+            raise ValueError(f"H must be square (D, D), D = {space.dim}, got {np.shape(H)}")
+        member = FockMember(H, space, f"{(metadata or {}).get('builder', 'bundle')} Hamiltonian",
+                            parity, time_reversal)
+        self._hold(member, gauge, member, metadata)
 
     @classmethod
-    def in_quadrature_basis(cls, family: QuadratureFamily, gauge: GaugeParam,
+    def in_quadrature_basis(cls, family: GaugeFamily, gauge: GaugeParam,
                             recipe: MemberRecipe, metadata: dict) -> HamiltonianBundle:
-        """The member of `family` of a recipe of one (`QuadratureFamily.recipe`), after the
-        family has measured it (`QuadratureFamily.measure`: K once per family, the member's
-        beta); the bundle keeps the recipe, and its gauge gives the phases."""
-        off, imag = family.measure(recipe)
-        bundle = cls.__new__(cls)
-        bundle.space, bundle.gauge, bundle.metadata = family.space, gauge, metadata
-        bundle.parity = parity_labels(family.space, family.parity_signs)
-        bundle.time_reversal = family.time_reversal
-        bundle.family, bundle.recipe = family, recipe
-        bundle._H = bundle._vecs = None
-        bundle.diagnostics = {"sector_sizes": [recipe.beta.shape[-1]] * 2,
-                              "parity_off_block": float(off[0])}
-        if imag is not None:
-            bundle.diagnostics["time_reversal_imag"] = float(imag[0])
-        return bundle
+        """The member of `family` of a recipe of one (`recipe`), after the family has
+        measured it (`measure`); the bundle keeps the recipe, and its gauge places the
+        vectors."""
+        return cls.__new__(cls)._hold(family, gauge, recipe, metadata)
 
-    @property
-    def basis(self) -> str:
-        """"quadrature" for a bundle of a `QuadratureFamily`, else "fock"."""
-        return "fock" if self.family is None else "quadrature"
+    def _hold(self, family, gauge: GaugeParam, recipe, metadata: Optional[dict]):
+        off, imag = family.measure(recipe)
+        self.space, self.gauge, self.family, self.recipe = family.space, gauge, family, recipe
+        self.metadata, self._H, self._vecs = {} if metadata is None else metadata, None, None
+        self.parity, self.time_reversal = family.parity, family.time_reversal
+        self.basis = "quadrature" if family.sectored else "fock"  # where its sectors are blocks
+        sizes = [self.space.dim] if self.parity is None else np.bincount(self.parity < 0).tolist()
+        self.diagnostics = {"sector_sizes": [n for n in sizes if n],
+                            "parity_off_block": None if off is None else float(off[0])}
+        if imag is not None:
+            self.diagnostics["time_reversal_imag"] = float(imag[0])
+        return self
 
     @property
     def H(self) -> np.ndarray:
-        """H in the Fock basis, formed on first read for a quadrature-basis bundle."""
+        """H in the Fock basis, Hermitian, formed on first read (`member_matrix`)."""
         if self._H is None:
-            r = self.recipe
-            self._H = hermitian_part(self.family.fock_matrix(self.gauge.theta, r.scales[0],
-                                                             r.order),
-                                     "quadrature-basis H in the Fock basis")
+            self._H = self.family.member_matrix(self.gauge.theta, self.recipe)
         return self._H
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """H x in the Fock basis for a vector (D,) or a block (D, k); a quadrature-basis
-        bundle applies its member from K (`QuadratureFamily.apply_member`)."""
-        return (self.H @ x if self.family is None
-                else self.family.apply_member(self.gauge.theta, self.recipe, x))
-
-    def _sector_blocks(self):
-        """The block of each sector, even sector first: the real symmetric p^dag H p under
-        declared time reversal."""
-        if self.family is not None:
-            yield from self.family.sector_blocks(self.recipe)
-            return
-        m = self._H
-        for s in self._sectors:
-            if self._phases is None:
-                yield m if len(s) == len(m) else m[s[:, None], s]
-                continue
-            block = m[s[:, None], s]
-            p = self._phases[s]
-            block *= p.conj()[:, None]
-            block *= p
-            yield block.real
+        """H x in the Fock basis for a vector (D,) or a block (D, k) (`apply_member`)."""
+        return self.family.apply_member(self.gauge.theta, self.recipe, x)
 
     def _places(self) -> list:
         """place(vecs, columns, v) per sector, even sector first, which writes eigenvectors v
-        of the sector's block into those columns of the Fock-basis vecs."""
-        if self.family is not None:
-            return self.family.places(self.gauge.theta, self.recipe)
-        return [partial(_scatter, s, None if self._phases is None else self._phases[s])
-                for s in self._sectors]
+        of the sector's block into those columns of the Fock-basis vecs (`places`)."""
+        return self.family.places(self.gauge.theta, self.recipe)
 
     @property
-    def owner(self):
+    def owner(self) -> MemberRecipe:
         """What keeps this bundle's sector solves: its recipe, shared by every bundle of that
-        recipe, for a quadrature-basis bundle; the bundle itself for any other.  Two bundles
-        of one owner have one spectrum."""
-        return self if self.recipe is None else self.recipe
+        recipe.  Two bundles of one owner have one spectrum."""
+        return self.recipe
 
     def _keep(self, parts: list, ground: Optional[np.ndarray]) -> tuple:
         """Kept as the `owner`'s solution, and returned: (vals, parts, order, ground) of the
@@ -451,18 +416,18 @@ class HamiltonianBundle:
         order = np.argsort(vals, kind="stable")
         vals = vals[order]
         vals.flags.writeable = False
-        self.owner.solution = vals, parts, order, ground
-        return self.owner.solution
+        self.recipe.solution = vals, parts, order, ground
+        return self.recipe.solution
 
     def _solve(self, lacking: np.ndarray) -> tuple:
         """One solve per sector, kept (`_keep`) with the held |0>: eigh of each sector
         `lacking` marks; every other sector keeps its solve, or is solved by eigvalsh
         without one."""
         held, ground = [None] * len(lacking), None
-        if self.owner.solution is not None:
-            _, held, _, ground = self.owner.solution
+        if self.recipe.solution is not None:
+            _, held, _, ground = self.recipe.solution
         parts = []
-        for lack, part, block in zip(lacking, held, self._sector_blocks()):
+        for lack, part, block in zip(lacking, held, self.family.sector_blocks(self.recipe)):
             if lack:
                 part = np.linalg.eigh(block)
             elif part is None:
@@ -474,7 +439,7 @@ class HamiltonianBundle:
         """Per sector, whether a column of the ascending order among these (every column for
         None) lies in it and it holds no eigenvectors, column 0 not counted while |0> is
         held; every sector without a kept solution."""
-        solution = self.owner.solution
+        solution = self.recipe.solution
         if solution is None:
             return np.ones(len(self.diagnostics["sector_sizes"]), dtype=bool)
         _, parts, order, ground = solution
@@ -490,7 +455,7 @@ class HamiltonianBundle:
     def eigenvalues(self, k: Optional[int] = None) -> np.ndarray:
         """The lowest k eigenvalues (all without k), ascending and read-only, from the kept
         sector solves, or from one eigvalsh per sector, then kept."""
-        solution = self.owner.solution
+        solution = self.recipe.solution
         if solution is None:
             solution = self._solve(np.zeros(len(self.diagnostics["sector_sizes"]), dtype=bool))
         return solution[0][:k]
@@ -511,7 +476,7 @@ class HamiltonianBundle:
         lacking = self._lacking(wanted)
         if lacking.any():
             self._solve(lacking)
-        vals, parts, order, ground = self.owner.solution
+        vals, parts, order, ground = self.recipe.solution
         if wanted is None and self._vecs is not None:
             return vals, self._vecs
         # the position of each column asked for among the sectors' concatenated solutions
@@ -546,32 +511,35 @@ class HamiltonianBundle:
         HERMITIAN_TOL * max(1, max|E|).  Both passing, the owner holds |0> on its own, and
         `eigensystem` reads column 0 from it while |0>'s sector holds no eigenvectors.
         Either failing returns None; both sectors' solves are kept either way, so
-        `eigensystem` then solves by eigh only the sectors that hold no eigenvectors.  A
-        Fock-basis bundle, or one whose solve already holds eigenvectors, returns None at
-        once.
+        `eigensystem` then solves by eigh only the sectors that hold no eigenvectors.  An
+        owner that holds |0> already gives it and the kept eigenvalues without a solve.  A
+        bundle of a family that is not `sectored`, or one whose solve holds eigenvectors but
+        not |0>, returns None at once.
         """
-        solution = self.owner.solution
-        if self.family is None or (solution is not None
-                                   and any(vecs is not None for _, vecs in solution[1])):
+        solution = self.recipe.solution
+        if not self.family.sectored or (solution is not None and solution[3] is None and any(
+                vecs is not None for _, vecs in solution[1])):
             return None
         ground = 0 if self.family.ground_parity > 0 else 1
-        parts, residual = [], 0.0
-        for sector, block in enumerate(self._sector_blocks()):
-            if sector != ground:
-                parts.append(np.linalg.eigh(block) if len(block) < LANCZOS_MIN_SECTOR
-                             else (np.linalg.eigvalsh(block), None))
-                continue
-            vals = np.linalg.eigvalsh(block)
-            u = _shifted_solve(block, vals[0])
-            u /= np.linalg.norm(u)
-            residual = max_abs(block @ u - vals[0] * u)
-            parts.append((vals, None))
-        e0, above = parts[ground][0][0], parts[1 - ground][0][0]
-        scale = max(1.0, *(abs(float(v[i])) for v, _ in parts for i in (0, -1)))
-        solved = above > e0 and residual <= HERMITIAN_TOL * scale
-        order = self._keep(parts, u if solved else None)[2]
-        if not solved:
-            return None
+        if solution is None or solution[3] is None:
+            parts, residual = [], 0.0
+            for sector, block in enumerate(self.family.sector_blocks(self.recipe)):
+                if sector != ground:
+                    parts.append(np.linalg.eigh(block) if len(block) < LANCZOS_MIN_SECTOR
+                                 else (np.linalg.eigvalsh(block), None))
+                    continue
+                vals = np.linalg.eigvalsh(block)
+                u = _shifted_solve(block, vals[0])
+                u /= np.linalg.norm(u)
+                residual = max_abs(block @ u - vals[0] * u)
+                parts.append((vals, None))
+            e0, above = parts[ground][0][0], parts[1 - ground][0][0]
+            scale = max(1.0, *(abs(float(v[i])) for v, _ in parts for i in (0, -1)))
+            solved = above > e0 and residual <= HERMITIAN_TOL * scale
+            solution = self._keep(parts, u if solved else None)
+            if not solved:
+                return None
+        _, parts, order, u = solution
         v = np.zeros((self.space.dim, 1), dtype=complex, order="F")
         self._places()[ground](v, np.array([0]), u[:, None])
         return np.where(order < len(parts[0][0]), 1, -1), v[:, 0]
@@ -594,13 +562,13 @@ class HamiltonianBundle:
         sector = (1 - eps) // 2
         y = family.sector_start(self.gauge.theta, self.recipe, eps, psi)
         run = None
-        if self.owner.solution[1][sector][1] is None:
+        if self.recipe.solution[1][sector][1] is None:
             run = lanczos(lambda x, block=next(family.sector_blocks(self.recipe, eps)):
                           _left_multiply(block, x[:, None])[:, 0], y, tol, cap, done)
             if done(run):
                 return y, None, run
             self._solve(np.arange(2) == sector)
-        return y, self.owner.solution[1][sector][1], run
+        return y, self.recipe.solution[1][sector][1], run
 
     def place_reached(self, out: np.ndarray, columns: np.ndarray, v: np.ndarray):
         """Write vectors v in the coordinates of `reached_measure` into those columns of the
@@ -619,7 +587,7 @@ class HamiltonianBundle:
         ratio measured 2.2-3.7 for the basis vector `_shifted_solve` takes, against 5-1300
         for a random or a constant b.
         """
-        ys = [_shifted_solve(block, e0) for block in self._sector_blocks()]
+        ys = [_shifted_solve(block, e0) for block in self.family.sector_blocks(self.recipe)]
         norms = [np.linalg.norm(y) for y in ys]
         j = int(np.argmax(norms))
         v = np.zeros((self.space.dim, 1), dtype=complex, order="F")
@@ -663,10 +631,72 @@ def _lowest_of_both(e0, other: np.ndarray):
         return np.minimum(e0, np.linalg.eigvalsh(other)[..., 0])
 
 
-def _scatter(rows: np.ndarray, phases: Optional[np.ndarray], vecs: np.ndarray,
-             columns: np.ndarray, v: np.ndarray):
-    """Write a sector's eigenvectors v into vecs[rows, columns], each row times its phase."""
-    vecs[np.ix_(rows, columns)] = v if phases is None else v * phases[:, None]
+class FockMember(GaugeFamily):
+    """A member formed in the Fock basis, D x D: the Hermitian part of its matrix h, checked
+    once by `hilbert.hermitian_part`, with the symmetries declared on it verified.  It is
+    the theta = 0 member a `FockFormed` recipe keeps, and the family and recipe of a
+    `HamiltonianBundle` made from a matrix (whose `solution` it keeps).
+
+    A parity is a label +1 or -1 per basis state, the diagonal of an operator Pi that
+    commutes with h; it is verified as max|h[even, odd]| <= HERMITIAN_TOL * max(1, max|h|).
+    Time reversal is that (-1)^(sum_mu n_mu) K, with K complex conjugation, commutes with h,
+    so that p^dag h p is real symmetric for the phases p = i^[sum_mu n_mu odd]; it is
+    verified the same way, max|Im(p^dag h p)| <= HERMITIAN_TOL * max(1, max|h|).  A wrong
+    declaration raises `InvariantViolation`; it is never dropped silently.  The sectors are
+    those of the parity (one without it), each solved as the real symmetric block p^dag h p
+    under time reversal; its eigenvectors are p v, phased as they are scattered
+    (`places`)."""
+
+    def __init__(self, h: np.ndarray, space: HilbertSpec, what: str,
+                 parity: Optional[np.ndarray] = None, time_reversal: bool = False):
+        self.space, self.parity, self.time_reversal = space, parity, time_reversal
+        m = self.h = hermitian_part(h, what)
+        tol = HERMITIAN_TOL * max(1.0, max_abs(m))
+        self.sectors, self.off = (np.arange(len(m)),), None
+        self.imag = self.phases = self.solution = None
+        if parity is not None:
+            labels = self.parity = np.asarray(parity)
+            if labels.shape != (len(m),) or np.any(np.abs(labels) != 1):
+                raise ValueError("parity needs a label +1 or -1 per basis state")
+            even, odd = np.flatnonzero(labels > 0), np.flatnonzero(labels < 0)
+            self.off = np.array([max_abs(m[even[:, None], odd])])
+            verify_members(self.off, tol, "declared parity does not commute with H",
+                           "max|H[even, odd]|")
+            self.sectors = tuple(s for s in (even, odd) if s.size)
+        if time_reversal:
+            odd_photons = parity_labels(space) < 0
+            # max|Im(p^dag H p)|: Im(H) between states of equal photon parity, Re(H) between
+            # states of opposite photon parity
+            self.imag = np.array([max_abs(np.where(odd_photons[:, None] == odd_photons, m.imag,
+                                                   m.real))])
+            verify_members(self.imag, tol, "declared time reversal does not hold",
+                           "max|Im(p^dag H p)|")
+            self.phases = np.where(odd_photons, 1j, 1.0)
+
+    def measure(self, recipe) -> tuple:
+        """(parity off-block, max|Im(p^dag h p)|), each (1,) or None where not declared, as
+        measured when h was checked."""
+        return self.off, self.imag
+
+    def member_matrix(self, theta: float, recipe) -> np.ndarray:
+        """h, at any gauge: a matrix's bundle gives its gauge as a label."""
+        return self.h
+
+    def sector_blocks(self, recipe, first: int = 1):
+        """The block of each sector, the sector of parity `first` first: the real symmetric
+        p^dag h p under declared time reversal."""
+        for s in self.sectors if first > 0 else self.sectors[::-1]:
+            block = self.h if len(s) == len(self.h) else self.h[s[:, None], s]
+            p = None if self.phases is None else self.phases[s]
+            yield block if p is None else (block * np.multiply.outer(p.conj(), p)).real
+
+    def places(self, theta: float, recipe) -> list:
+        """`_scatter` per sector, even sector first."""
+        return [partial(self._scatter, s) for s in self.sectors]
+
+    def _scatter(self, rows: np.ndarray, vecs: np.ndarray, columns: np.ndarray, v: np.ndarray):
+        """Write a sector's eigenvectors v into vecs[rows, columns], each row times its phase."""
+        vecs[np.ix_(rows, columns)] = v if self.phases is None else v * self.phases[rows, None]
 
 
 def _bundle(h: np.ndarray, space: HilbertSpec, gauge: GaugeParam, meta: dict,
@@ -765,6 +795,12 @@ def _sectors(part: np.ndarray, anti: np.ndarray, diag: Optional[np.ndarray] = No
         yield part
 
 
+def _sectored(g: np.ndarray, d: np.ndarray, parity_signs: Optional[np.ndarray]) -> bool:
+    """Whether a `QuadratureFamily` of these (g, D) is solved in its quadrature basis: two
+    levels with a parity, coupled."""
+    return len(d) == 2 and parity_signs is not None and bool(np.any(g))
+
+
 def _half_sum_and_diff(beta: np.ndarray):
     """The real form of diag(beta) J: (beta + J beta) / 2 on the antidiagonal and
     i (beta - J beta) / 2 on the diagonal."""
@@ -773,21 +809,24 @@ def _half_sum_and_diff(beta: np.ndarray):
 
 @dataclass(eq=False)
 class MemberRecipe:
-    """Members of a `sectored` `QuadratureFamily`, kept without a block: H(theta) at any
-    theta, or with `order` the naive theta = 0 series of that order, at each coupling scale
-    c (S,).  A member's parity sectors are P (M0 +- diag(beta) J) P^dag, P = diag(p), with
-    the family's M0: beta (S, n) is all a member adds, and it does not read theta, which
-    enters only the phases p = e^(-i theta lam_0 c nu) of the bundle that holds the recipe.
-    A recipe of one member keeps the sector solves (`HamiltonianBundle._solve`) of every
-    bundle that holds it in `solution`."""
+    """Members of a gauge family: H(theta) at any theta, or with `order` the naive theta = 0
+    series of that order, at each coupling scale c (S,).  A recipe does not read theta, which
+    enters only the vectors of the bundle that holds it.  Of a `sectored` `QuadratureFamily`
+    it holds no block: a member's parity sectors are P (M0 +- diag(beta) J) P^dag,
+    P = diag(p), with the family's M0, and beta (S, n) is all a member adds; theta enters the
+    phases p = e^(-i theta lam_0 c nu).  Of any other family (`FockFormed`) a recipe of one
+    keeps its verified theta = 0 member, a `FockMember`, once measured.  A recipe of one
+    member keeps the sector solves (`HamiltonianBundle._solve`) of every bundle that holds it
+    in `solution`."""
 
     scales: np.ndarray
     order: Optional[int]
-    beta: np.ndarray
+    beta: Optional[np.ndarray] = None
+    member: Optional[FockMember] = field(default=None, init=False, repr=False)
     solution: Optional[tuple] = field(default=None, init=False, repr=False)
 
 
-class QuadratureFamily:
+class QuadratureFamily(GaugeFamily):
     """The gauge family of an emitter whose couplings factor, eta_mu = g_mu D, at per-mode
     Fock cutoffs, in its field-quadrature basis.
 
@@ -823,9 +862,10 @@ class QuadratureFamily:
     for any phase of g, and modes that share one phase have a chi~ real to rounding), and
     then K is formed from Re chi~, v, U and K are real and J C J = C^* for
     C = M0 +- diag(beta) J, so Q^dag C Q = M0 +- (diag(Re beta) J - diag(Im beta)) with
-    Q = (1 + iJ) / sqrt(2) is real symmetric with C's spectrum.  Any other emitter's member
-    is formed in the Fock basis once (`fock_matrix`), where `HamiltonianBundle` verifies its
-    declared symmetries and solves its sectors.
+    Q = (1 + iJ) / sqrt(2) is real symmetric with C's spectrum.  Any other emitter's family
+    (an N-level emitter, one without a parity, uncoupled modes) is `FockFormed`: a recipe
+    keeps its theta = 0 member, formed in the Fock basis (`fock_matrix`) and verified, and
+    solves that member's sectors.
 
     What a `sectored` family holds: K, its only n x n block (n = D/2), formed on first use,
     and the O(n) vectors of its basis.  Its members are `MemberRecipe`s: `measure` checks K
@@ -846,20 +886,20 @@ class QuadratureFamily:
                      cutoffs: tuple[int, ...]) -> GaugeFamily:
         """The gauge family of a coupling set with matter Hamiltonian h0 and the emitter's
         parity signs (or None): a `QuadratureFamily` when `common_matter_matrix` factors the
-        couplings, else their `EigenbasisFamily`.  Neither forms a D x D matrix here."""
+        couplings, `FockFormed` unless it is `sectored`, else their `EigenbasisFamily`.  None
+        forms a D x D matrix here."""
         split = cs.common_matter_matrix()
         if split is None:
-            return EigenbasisFamily(cs, h0, cutoffs)
-        return cls(cs, *split, parity_signs, h0, cutoffs)
+            return EigenbasisFamily(cs, h0, cutoffs, parity_signs)
+        kind = cls if _sectored(*split, parity_signs) else _FockQuadrature
+        return kind(cs, *split, parity_signs, h0, cutoffs)
 
     def __init__(self, cs: CouplingSet, g: np.ndarray, d: np.ndarray,
                  parity_signs: Optional[np.ndarray], h0: np.ndarray, cutoffs: tuple[int, ...]):
         self.cs, self.g, self.cutoffs = cs, g, cutoffs
         self.space = standard_space(cutoffs, len(d))
         self.photons = HilbertSpec(self.space.factors[:-1])  # they precede the matter factor
-        self.parity_signs = parity_signs
-        self.sectored = len(d) == 2 and parity_signs is not None and bool(np.any(g))
-        self.ground_parity = parity_signs[np.argmin(h0.diagonal().real)] if self.sectored else 1
+        self.sectored = _sectored(g, d, parity_signs)
         unit = np.divide(g, abs(g), out=np.ones_like(g), where=g != 0)  # g^ = g / |g|, or 1
         rotation = np.multiply.outer(unit.conj(), unit)
         np.fill_diagonal(rotation, 1.0)  # |g^_m|^2 = 1 exactly, which the product rounds
@@ -867,14 +907,18 @@ class QuadratureFamily:
         # max|Im chi~|: 0 for one mode, rounding for modes that share a phase (inf if D or h0
         # is complex, which declares nothing)
         self._chi_imag = max_abs(chi_tilde.imag) if _real(d, h0) else np.inf
-        self.time_reversal = self._chi_imag <= HERMITIAN_TOL * max(1.0, max_abs(chi_tilde))
-        self.chi_tilde = chi_tilde.real if self.time_reversal else chi_tilde
-        lam, u = np.linalg.eigh(d.real if self.time_reversal else d)
+        reversal = self._chi_imag <= HERMITIAN_TOL * max(1.0, max_abs(chi_tilde))
+        self.chi_tilde = chi_tilde.real if reversal else chi_tilde
+        lam, u = np.linalg.eigh(d.real if reversal else d)
         if self.sectored:
             lam = np.array([lam[0], -lam[0]])
             u = np.column_stack([u[:, 0], np.asarray(parity_signs) * u[:, 0]])
         self.lam, self.u = lam, u
         self.h0 = u.conj().T @ h0 @ u
+        # the time reversal its members declare: R P K R^dag here when sectored, else P K on
+        # the Fock-basis members of `FockFormed`
+        self._declare(parity_signs, h0,
+                      reversal if self.sectored else _real(cs.chi, cs.eta_matrices, h0))
         quadratures = [fock_quadrature(n) for n in self.cutoffs]
         # an uncoupled mode keeps the identity, unless the sectors need its parity J
         self.v = tuple(v if g or self.sectored else np.eye(len(v))
@@ -1174,7 +1218,82 @@ class QuadratureFamily:
         return self.basis.fock_matrix(m.reshape(n * levels, n * levels))
 
 
-class EigenbasisFamily:
+class FockFormed(GaugeFamily):
+    """The member interface of a family whose members are formed in the Fock basis: an
+    `EigenbasisFamily`, and a `QuadratureFamily` that is not `sectored` (N-level emitters,
+    emitters without a parity, uncoupled modes).
+
+    The members of a family are exactly unitarily equivalent at any cutoff,
+    H(theta) = W_theta H(0) W_theta^dag with W_theta = e^(-i theta c X), so a recipe
+    (`recipe`) does not read theta.  Its member is the theta = 0 one, `fock_matrix(0, c,
+    order)`, formed once and verified (`FockMember`: its Hermiticity, the emitter's parity
+    (-1)^(sum n) (x) S, and time reversal when chi, the couplings and h0 are real), and its
+    parity sectors are solved, real symmetric under time reversal (`sector_blocks`).
+    theta enters only the vectors: a sector's eigenvector is scattered into the Fock basis
+    and mapped by W_theta, `basis.apply`, each column on its own (`places`).  `apply_member`
+    and `member_matrix` read H(theta) = `fock_matrix(theta, c)` itself, so that a pairing
+    check against it (`detect.rate_table`) is not W H(0) W^dag again."""
+
+    def recipe(self, scales, order: Optional[int] = None) -> MemberRecipe:
+        """The recipe of H(theta), at any theta, at each coupling scale, or with `order` of
+        the naive theta = 0 series of that order; a member is formed as it is measured."""
+        return MemberRecipe(np.asarray(scales, dtype=float), order)
+
+    def _member(self, recipe: MemberRecipe) -> FockMember:
+        """The theta = 0 member of a recipe of one, formed and verified on first use and kept
+        on the recipe."""
+        if recipe.member is None:
+            recipe.member = FockMember(self.fock_matrix(0.0, recipe.scales[0], recipe.order),
+                                       self.space, "H(0)", self.parity, self.time_reversal)
+        return recipe.member
+
+    def measure(self, recipe: MemberRecipe) -> tuple:
+        """(parity off-block, max|Im(p^dag H p)|) of the member of a recipe of one, each (1,)
+        or None where not declared, from its verification."""
+        return self._member(recipe).measure(recipe)
+
+    def ground_energies(self, recipe: MemberRecipe) -> np.ndarray:
+        """Ground energies (S,) of every member of a recipe, each member formed, verified and
+        let go in turn: E0 of the sector `ground_parity` once a Cholesky factorization of the
+        other sector minus E0 proves that sector's levels lie above it, else the lower
+        ground level of the two."""
+        e0 = []
+        for scale in recipe.scales:
+            sectors = self.sector_blocks(MemberRecipe([scale], recipe.order), self.ground_parity)
+            ground, other = np.linalg.eigvalsh(next(sectors))[0], next(sectors, None)
+            e0.append(ground if other is None else _lowest_of_both(ground, other))
+        return np.array(e0)
+
+    def sector_blocks(self, recipe: MemberRecipe, first: int = 1):
+        """The parity sectors of the theta = 0 member of a recipe of one, sector `first`
+        first."""
+        return self._member(recipe).sector_blocks(recipe, first)
+
+    def places(self, theta: float, recipe: MemberRecipe) -> list:
+        """place(vecs, columns, v) per sector, even sector first: the member's `places`,
+        each vector then mapped by W_theta (none at theta = 0)."""
+        places, s = self._member(recipe).places(0.0, recipe), -theta * recipe.scales[0]
+        return places if s == 0.0 else [partial(self._place, s, place) for place in places]
+
+    def _place(self, s: float, place: Callable, vecs: np.ndarray, columns: np.ndarray,
+               v: np.ndarray):
+        """Write place's vectors, mapped by e^(i s X), into those columns of vecs.  Each column
+        is mapped on its own, a stack (k, D, 1), so that its bits do not depend on which
+        other columns are placed with it."""
+        z = np.zeros((len(columns), self.space.dim, 1), dtype=complex)
+        place(z[:, :, 0].T, np.arange(len(columns)), v)
+        vecs[:, columns] = self.basis.apply(s, z)[:, :, 0].T
+
+    # the default, ahead of a sectored `QuadratureFamily`'s in a `_FockQuadrature`
+    apply_member = GaugeFamily.apply_member
+
+
+class _FockQuadrature(FockFormed, QuadratureFamily):
+    """A `QuadratureFamily` that is not `sectored`, whose members come from its `fock_matrix`
+    (`FockFormed`)."""
+
+
+class EigenbasisFamily(FockFormed):
     """The gauge family of any coupling set, in the eigenbasis B of its generator X
     (`CouplingSet.generator`), X = B diag(xi) B^dag, where every gauge exponential exp(i s X)
     is the diagonal phase e^(i s xi).
@@ -1184,16 +1303,18 @@ class EigenbasisFamily:
     is H'(theta, c) = Q K Q^dag + R M R^dag, Q = e^(-i theta c xi), R = e^(i (1 - theta) c xi):
     `member` gives its phases (with a drive d xi for H(t)'s mu' term), `matrix` forms H',
     `apply` applies it, and `fock_matrix` gives B H' B^dag, the members of couplings that do
-    not factor.  A phase whose gauge weight (theta for Q, 1 - theta for R) is zero is not
-    formed.  The naive theta = 0 series is H_F + `nested_commutators` of c X in the Fock
-    basis, with X formed once per family.  Such a family is never `sectored`.
+    not factor (`FockFormed`).  A phase whose gauge weight (theta for Q, 1 - theta for R) is
+    zero is not formed.  The naive theta = 0 series is H'(0, c) with R M R^dag's entries
+    e^(i c (xi_i - xi_j)) cut to their Taylor polynomial.  The family declares the
+    emitter's parity signs, when given, and time reversal when chi, the couplings and h0 are
+    real.
     """
 
-    sectored = False
-
-    def __init__(self, cs: CouplingSet, h0: np.ndarray, cutoffs: tuple[int, ...]):
+    def __init__(self, cs: CouplingSet, h0: np.ndarray, cutoffs: tuple[int, ...],
+                 parity_signs: Optional[np.ndarray] = None):
         self.cs, self.h0, self.cutoffs = cs, h0, cutoffs
         self.space = standard_space(cutoffs, cs.matter_dim)
+        self._declare(parity_signs, h0, _real(cs.chi, cs.eta_matrices, h0))
 
     @cached_property
     def basis(self) -> Eigenbasis:
@@ -1209,16 +1330,8 @@ class EigenbasisFamily:
     @cached_property
     def m(self) -> np.ndarray:
         """M = B^dag (1 (x) h0) B, Hermitian."""
-        return hermitian_part(self.basis.transform(self._matter()), "eigenbasis matter term M")
-
-    def _matter(self) -> np.ndarray:
-        """1 (x) h0 on the family's space, in the Fock basis."""
-        return self.space.dense([{self.space.matter_indices[0]: self.h0}])
-
-    @cached_property
-    def _generator(self) -> HermitianGenerator:
-        """X in the Fock basis, for the naive series; never eigendecomposed."""
-        return HermitianGenerator(self.cs.generator_matrix(self.space), self.space)
+        return hermitian_part(self.basis.transform(self.space.dense(
+            [{self.space.matter_indices[0]: self.h0}])), "eigenbasis matter term M")
 
     def member(self, theta: float, scale: float, drive: float = 0.0):
         """H'(theta, c) + diag(d), d = drive xi (None for a zero drive), as the flat tuple
@@ -1256,12 +1369,15 @@ class EigenbasisFamily:
 
     def fock_matrix(self, theta: float, scale: float, order: Optional[int] = None) -> np.ndarray:
         """B H'(theta, c) B^dag, not symmetrized, or with `order` the naive theta = 0 series of
-        that order, H_F + sum_{j <= order} ((i c)^j / j!) ad_X^j(1 (x) h0), in the Fock basis
-        (`build_naive` and the scan ask for it at theta = 0 only)."""
+        that order, sum_{j <= order} ((i c)^j / j!) ad_X^j(1 (x) h0) + H_F: in B, the entries
+        e^(i c (xi_i - xi_j)) of R M R^dag cut to their Taylor polynomial, as
+        `QuadratureFamily._off_diagonal` cuts beta's (`build_naive` and the scan ask for it
+        at theta = 0 only)."""
         if order is None:
             return self.basis.fock_matrix(self.matrix(self.member(theta, scale)))
-        return (field_hamiltonian(self.cs.chi, self.space)
-                + self._generator.nested_commutators(self._matter(), order, scale))
+        z = 1j * scale * np.subtract.outer(self.basis.xi, self.basis.xi)
+        series = sum(z**j / math.factorial(j) for j in range(order + 1))
+        return self.basis.fock_matrix(self.k + self.m * series)
 
 
 @dataclass(frozen=True)
@@ -1294,16 +1410,15 @@ def _apply_longitudinal(h: np.ndarray, space: HilbertSpec, em: EmitterSpec,
 def _family_bundle(cs: CouplingSet, h0: np.ndarray, parity_signs: Optional[Sequence[int]],
                    cutoffs: tuple[int, ...], gauge: GaugeParam, meta: dict,
                    order: Optional[int] = None, hook: Optional[Callable] = None,
-                   family: Optional[GaugeFamily] = None, scale: float = 1.0,
+                   family: Optional[GaugeFamily] = None,
                    recipe: Optional[MemberRecipe] = None) -> HamiltonianBundle:
     """The member at this gauge, or with `order` the naive theta = 0 series, of the couplings
-    scale * cs with matter Hamiltonian h0: the member at coupling scale `scale` of the family
-    of cs (`QuadratureFamily.of_couplings`), unless a family of them is given.  A `sectored`
-    family is solved in the quadrature basis, from `recipe` when one of this member is
-    given; any other member is formed in the Fock basis by its family (`fock_matrix`), and
-    hook(h, space) -> (h, space) appends the longitudinal factor to it.  The bundle
-    declares the parity of parity_signs, when given, and without the hook time reversal
-    when chi, the couplings and h0 are real."""
+    cs with matter Hamiltonian h0, of the family of cs (`QuadratureFamily.of_couplings`)
+    unless a family of them is given: from `recipe` when one of this member is given, else
+    from a new one of the family (`in_quadrature_basis`).  With hook(h, space) -> (h, space)
+    the family's member is formed at this gauge in the Fock basis instead (`fock_matrix`)
+    and the hook appends the longitudinal factor to it; that bundle declares the parity of
+    parity_signs, when given, and no time reversal."""
     if family is None:
         family = QuadratureFamily.of_couplings(cs, h0, parity_signs, cutoffs)
     elif family.cutoffs != cutoffs or not (np.array_equal(family.cs.eta_matrices, cs.eta_matrices)
@@ -1311,14 +1426,11 @@ def _family_bundle(cs: CouplingSet, h0: np.ndarray, parity_signs: Optional[Seque
         raise ValueError("the family given is not of these couplings and cutoffs")
     if order is not None and gauge.theta != 0.0:
         raise ValueError("the naive series is built at theta = 0 only")
-    if family.sectored and hook is None:
+    if hook is None:
         return HamiltonianBundle.in_quadrature_basis(
-            family, gauge, family.recipe([scale], order) if recipe is None else recipe, meta)
-    h, space = family.fock_matrix(gauge.theta, scale, order), family.space
-    if hook is not None:
-        h, space = hook(h, space)
-    return _bundle(h, space, gauge, meta, parity_signs,
-                   hook is None and _real(cs.chi, cs.eta_matrices, h0))
+            family, gauge, family.recipe([1.0], order) if recipe is None else recipe, meta)
+    return _bundle(*hook(family.fock_matrix(gauge.theta, 1.0, order), family.space), gauge,
+                   meta, parity_signs)
 
 
 def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
@@ -1335,9 +1447,9 @@ def build_dipole(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
     emitter's parity whenever `EmitterSpec.parity_signs` finds one; the
     auxiliary factor of the hook counts as one more photon factor in it.
     Without the hook it declares time reversal when chi, the couplings and
-    h0 are real.  The member comes from the gauge family of the couplings
+    h0 are real.  The member is a recipe of the gauge family of the couplings
     (`_family_bundle`: a `QuadratureFamily` when they factor, else an
-    `EigenbasisFamily`), and the hook extends it in the Fock basis;
+    `EigenbasisFamily`); the hook extends the member formed in the Fock basis;
     `family`, `QuadratureFamily.of(ms, em, cutoffs)` when the caller already
     has it (`build_gauge_pair`), is used instead of making it again, and so
     is `recipe`, the `MemberRecipe` of a correct member of that family, which
@@ -1365,8 +1477,8 @@ def build_gauge_pair(ms: ModeSet, em: EmitterSpec, cutoffs: Union[int, Sequence[
     `build_naive`'s theta = 0 series of `naive_order` when that is given.  Both bundles are
     members of one gauge family of the couplings, `QuadratureFamily.of(ms, em, cutoffs)`
     unless the caller gives it: K is formed once when the couplings factor, and X is
-    eigendecomposed once when they do not.  A correct pair of a `sectored` family holds one
-    `MemberRecipe`, which does not read theta, and so solves its sectors once."""
+    eigendecomposed once when they do not.  A correct pair holds one `MemberRecipe`, which
+    does not read theta, so its two bundles have one solve owner and one spectrum."""
     if family is None:
         family = QuadratureFamily.of(ms, em, cutoffs)
     coulomb = (build_dipole(ms, em, COULOMB, cutoffs, family=family) if naive_order is None
@@ -1425,8 +1537,8 @@ def build_naive(ms: ModeSet, em: EmitterSpec, g: GaugeParam,
 
     theta = 0: the minimal-coupling conjugation U H_0 U^dag is replaced by its
     Taylor series in the generator, truncated at `order` (order 1 keeps the
-    linear drive only): from the `QuadratureFamily` when the couplings factor,
-    else summed by their `EigenbasisFamily` (`nested_commutators`).  theta = 1:
+    linear drive only): the family's recipe of that order, the exponential of
+    each phase cut to its Taylor polynomial in the family's basis.  theta = 1:
     the correct multipolar form minus the mode-truncated polarization-squared
     correction.  Other theta values are not defined.  Parity and time
     reversal are declared, and `family` taken, as in `build_dipole`.
@@ -1638,8 +1750,7 @@ class TimeDependentHamiltonian:
         column per sector; (None,) and basis^dag psi (D, 1) without sectors."""
         if not self.family.sectored:
             return (None,), self.basis.from_fock(psi)[:, None]
-        labels = parity_labels(self.space, self.family.parity_signs)
-        sectors = tuple(eps for eps in (1, -1) if np.any(psi[labels == eps]))
+        sectors = tuple(eps for eps in (1, -1) if np.any(psi[self.family.parity == eps]))
         return sectors, np.column_stack([self.family.sector_coordinates(eps, psi)
                                          for eps in sectors])
 
@@ -1729,8 +1840,7 @@ def build_time_dependent(ms: ModeSet, em: EmitterSpec, gauge: str,
     first H(t) formed or applied; its ground state comes from the sector of
     `ground_parity`, certified against the other sector, which takes over when the
     certificate fails (`TimeDependentHamiltonian.ground_sector`).  Every other emitter
-    takes its `EigenbasisFamily`, the same split `_family_bundle` makes for the static
-    builders.
+    takes its `EigenbasisFamily`.
     """
     cs, cutoffs = couplings(ms, em), _normalize_cutoffs(cutoffs, ms.n_modes)
     family = QuadratureFamily.of_couplings(cs, em.h0, em.parity_signs, cutoffs)

@@ -24,7 +24,7 @@ matrix D, B is the field-quadrature basis of `hamiltonians.QuadratureFamily`,
 built from the one `fock_quadrature` of each cutoff (rotated by `mode_phase`)
 and the eigenvectors of D.  Any other Hermitian generator goes through
 `HermitianGenerator`, which eigendecomposes the D x D matrix once; the
-package reads only its eigenbasis and its `nested_commutators`.
+package reads only its eigenbasis.
 `lanczos` is the one matrix-free eigensolver: it reads a Hermitian operator only
 through a callable that applies it, and returns the Ritz pairs of its start vector's
 spectral measure (`Lanczos`).
@@ -205,11 +205,12 @@ def _dagger(m: np.ndarray) -> np.ndarray:
 
 def verify_members(measured: np.ndarray, tol: np.ndarray, claim: str, what: str):
     """Raise `InvariantViolation` "<claim> in stack member i (<what> = value)" for the first
-    member i of a stack whose measured value exceeds its own tol."""
+    member i of a stack whose measured value exceeds its own tol; "<claim> (<what> =
+    value)" for a stack of one."""
     bad = np.flatnonzero(measured > tol)
     if bad.size:
-        raise InvariantViolation(f"{claim} in stack member {bad[0]} ({what} = "
-                                 f"{measured[bad[0]]:.3e})")
+        where = f" in stack member {bad[0]}" if measured.size > 1 else ""
+        raise InvariantViolation(f"{claim}{where} ({what} = {measured[bad[0]]:.3e})")
 
 
 def hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
@@ -308,15 +309,6 @@ class HermitianGenerator:
         """exp(i s X) M exp(-i s X)."""
         u = self.unitary(s)
         return u @ m @ _dagger(u)
-
-    def nested_commutators(self, m: np.ndarray, order: int, s: float = 1.0) -> np.ndarray:
-        """sum_{j<=order} ((i s)^j / j!) ad_X^j(M), ad_X(Y) = [X, Y]: the Taylor series of
-        `conjugate(s, M)` cut at `order`."""
-        x = self.matrix
-        terms = [m]
-        for j in range(1, order + 1):
-            terms.append((1j * s / j) * (x @ terms[-1] - terms[-1] @ x))
-        return sum(terms)
 
 
 @lru_cache(maxsize=8)
@@ -506,7 +498,8 @@ class Eigenbasis:
         return _kron_apply([f.conj() for f in self.factors], self.to_fock(m).T).T
 
     def apply(self, s: float, x: np.ndarray) -> np.ndarray:
-        """exp(i s X) x = B e^{i s xi} B^dag x for a vector or a D x K block x."""
+        """exp(i s X) x = B e^{i s xi} B^dag x for a vector, a D x K block or a stack of
+        blocks x (..., D, K)."""
         y = self.from_fock(np.asarray(x))
         phase = np.exp(1j * (s * self.xi))
-        return self.to_fock(phase.reshape(phase.shape + (1,) * (y.ndim - 1)) * y)
+        return self.to_fock((phase if y.ndim == 1 else phase[:, None]) * y)

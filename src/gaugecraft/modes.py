@@ -78,8 +78,8 @@ class ModeSet:
                     raise InvariantViolation(f"derived profile missing for point {label!r}")
                 dev = max_abs(given[label] - computed[label])
                 if dev >= DERIVED_PROFILE_TOL * max(1.0, max_abs(computed[label])):
-                    raise InvariantViolation(
-                        f"stored derived profile at {label!r} inconsistent with chi (dev {dev:.3e})")
+                    raise InvariantViolation(f"stored derived profile at {label!r} "
+                                             f"inconsistent with chi (dev {dev:.3e})")
             object.__setattr__(self, "derived_profiles", given)
 
     @property

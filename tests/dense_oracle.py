@@ -354,7 +354,8 @@ def herm_eig(m, tol=HERMITIAN_TOL):
     """
     dev = max_abs(m - m.conj().T)
     if dev >= tol:
-        raise InvariantViolation(f"herm_eig requires Hermitian input, ||M - M^dag||_max = {dev:.3e}")
+        raise InvariantViolation(f"herm_eig requires Hermitian input, "
+                                 f"||M - M^dag||_max = {dev:.3e}")
     vals, vecs = np.linalg.eigh(m)
     resid = max_abs(m @ vecs - vecs * vals)
     scale = max(1.0, float(np.abs(vals).max()) if vals.size else 1.0)
@@ -472,7 +473,8 @@ def ladder(space, mode_index):
     """
     photon_idx = space.photon_indices
     if not 0 <= mode_index < len(photon_idx):
-        raise IndexError(f"mode index {mode_index} out of range (have {len(photon_idx)} photon factors)")
+        raise IndexError(f"mode index {mode_index} out of range "
+                         f"(have {len(photon_idx)} photon factors)")
     fi = photon_idx[mode_index]
     return space.embed(fi, ladder_matrix(space.factors[fi].fock_cutoff))
 

@@ -14,7 +14,7 @@ import pytest
 import dense_oracle
 from gaugecraft import (COULOMB, MULTIPOLAR, DetectorSpec, EmitterSpec, GaugeParam, ModeSet,
                         ambiguity_scan, build_dipole, build_gauge_pair, build_time_dependent,
-                        constant_profile, couplings, gaugecheck, hamiltonians, standard_space)
+                        constant_profile, couplings, hamiltonians, standard_space)
 from gaugecraft.cli import main
 from gaugecraft.gaugecheck import scan_cutoffs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
@@ -115,15 +115,16 @@ def test_evolve_matches_the_dense_propagator(tmp_path):
 
 @pytest.mark.parametrize("em", [ONE_AXIS, TWO_AXES], ids=["one_axis", "two_axes"])
 def test_gauge_check_scan_equals_the_per_coupling_dense_ladders(tmp_path, em):
-    """The scan builds each member of a three-level emitter on its own.  Each row equals the
-    three doubling ladders of the dense oracle at the couplings scaled to |eta|: per-mode
-    cutoffs 3, 6, 12, since 3 (N + 1)^2 >= 42 from N = 3 and exceeds 1282 at N = 24."""
+    """The scan forms each member of a three-level emitter on its own and climbs one correct
+    and one naive ladder.  Each row equals the three doubling ladders of the dense oracle at
+    the couplings scaled to |eta|: per-mode cutoffs 3, 6, 12, since 3 (N + 1)^2 >= 42 from
+    N = 3 and exceeds 1282 at N = 24."""
     grid = [0.15, -0.3]
     out = run(tmp_path, "gauge-check", em, gauge_check={"eta_grid": grid, "k": 4})
     rows = read_rows(out / "gauge_report.csv")
     meta = json.loads((out / "metadata.json").read_text(encoding="utf-8"))
     assert meta["ladder"] == {"start_cutoff": 3, "route": "per-member builds",
-                              "ladders": ["coulomb", "multipolar", "naive"]}
+                              "ladders": ["correct", "naive"]}
     assert meta["basis"] == "fock" and meta["verdict"] == "PASS"
     strength = np.abs(couplings(MS, em).eta_matrices).max()
     for eta, row in zip(grid, rows):
@@ -145,7 +146,8 @@ def test_the_per_member_scan_forms_k_once_per_cutoff(monkeypatch):
     in the Fock basis from the cached family of the couplings at strength 1, at scale eta,
     so the couplings are split and K formed once per distinct cutoff of the ladders."""
     calls = {"K": [], "split": 0}
-    field, split = hamiltonians.QuadratureFamily._field, hamiltonians.CouplingSet.common_matter_matrix
+    field = hamiltonians.QuadratureFamily._field
+    split = hamiltonians.CouplingSet.common_matter_matrix
     monkeypatch.setattr(hamiltonians.QuadratureFamily, "_field",
                         lambda self: calls["K"].append(self.cutoffs) or field(self))
     monkeypatch.setattr(hamiltonians.CouplingSet, "common_matter_matrix",
@@ -156,27 +158,25 @@ def test_the_per_member_scan_forms_k_once_per_cutoff(monkeypatch):
 
 
 @pytest.mark.parametrize("em", [ONE_AXIS, TWO_AXES], ids=["one_axis", "two_axes"])
-def test_a_scan_that_is_not_sectored_builds_members_at_theta_1(monkeypatch, em):
-    """The members of a family that is not sectored differ with theta, so its scan climbs
-    the Coulomb, the multipolar and the naive ladder apart: each coupling of the grid is
-    built at theta = 1 on every rung, as at theta = 0 (the grid converges at N = 6)."""
-    built = []
-    original = gaugecheck._family_bundle
+def test_a_scan_that_is_not_sectored_climbs_one_correct_ladder(monkeypatch, em):
+    """A correct recipe does not read theta on any family, so the scan of a three-level
+    emitter climbs one correct and one naive ladder, each rung's couplings of the grid one
+    recipe (the grid converges at N = 6); where the couplings factor, one more recipe, the
+    certificate's multipolar member at the rung where the correct ladder converged."""
+    recipes = []
+    original = hamiltonians.FockFormed.recipe
 
-    def counted(cs, h0, signs, cutoffs, gauge, meta, order=None, **kwargs):
-        built.append((gauge.theta, order, cutoffs))
-        return original(cs, h0, signs, cutoffs, gauge, meta, order, **kwargs)
+    def counted(family, scales, order=None):
+        recipes.append((order, family.cutoffs, len(scales)))
+        return original(family, scales, order)
 
-    monkeypatch.setattr(gaugecheck, "_family_bundle", counted)
+    monkeypatch.setattr(hamiltonians.FockFormed, "recipe", counted)
     rows, residual = ambiguity_scan(MS, em, [0.1, 0.2])
-    assert {r.cutoff for r in rows} == {6}
-    # where the couplings factor, one more multipolar member, the certificate's: the
-    # strongest coupling at the rung where its multipolar ladder converged
+    assert {r.cutoff for r in rows} == {6} and {r.correct_gap for r in rows} == {0.0}
     certified = em is ONE_AXIS
-    for ladder in ((0.0, None), (1.0, None), (0.0, 1)):
-        assert [n for *key, n in built if tuple(key) == ladder] == (
-            [(3, 3)] * 2 + [(6, 6)] * 2 + [(6, 6)] * (certified and ladder == (1.0, None)))
-    assert len(built) == 12 + certified and (residual is None) != certified
+    assert recipes == ([(None, (3, 3), 2), (None, (6, 6), 2)] + [(None, (6, 6), 1)] * certified
+                       + [(1, (3, 3), 2), (1, (6, 6), 2)])
+    assert (residual is None) != certified
 
 
 def count_eigh_sizes(monkeypatch) -> list:

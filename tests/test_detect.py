@@ -428,6 +428,23 @@ def test_transitions_above_the_crossover_take_the_lanczos_route(monkeypatch, pai
     assert_matches_the_dense_oracle(b_c, b_mp, dense_c, dense_mp, ms, em)
 
 
+@pytest.mark.parametrize("cutoffs", [(6, 6), LANCZOS_CUTOFFS])
+def test_a_second_call_reads_the_held_ground_state_without_solving(monkeypatch, cutoffs):
+    """The owner holds |0> from the first call's shifted solve and both sectors' eigenvalues,
+    and below the crossover the reached sector's eigenvectors: a second call on the same
+    bundle makes no (n, n) eigh, eigvalsh or solve, and returns the same pairs and route
+    (above the crossover from a second Lanczos run)."""
+    ms, em, (b_c, _) = two_mode_pair(cutoffs)
+    n = b_c.space.dim // 2
+    first = significant_transitions(b_c, ms, detector(), 3, em=em)
+    shapes = count_solves(monkeypatch, ("eigh", "eigvalsh", "solve"))
+    again = significant_transitions(b_c, ms, detector(), 3, em=em)
+    assert [square_solves(calls, n) for calls in shapes] == [[], [], []]
+    assert again == first and again.route == first.route
+    assert first.route["fallback"] is None
+    assert np.array_equal(again.vecs[:, 0], first.vecs[:, 0])
+
+
 def test_the_lanczos_route_reproduces_the_eigh_route_to_1e_12():
     """The same bundle's transitions by the eigh route (the crossover above its sectors):
     the same pairs, omega_ij and both rates to 1e-12 relative, and states that differ by a

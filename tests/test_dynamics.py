@@ -1,4 +1,5 @@
-"""The piecewise propagator against independent integrators, its counters, and `evolve` input errors."""
+"""The piecewise propagator against independent integrators, its counters, and `evolve` input
+errors."""
 
 import json
 

@@ -153,7 +153,7 @@ class TestOneSolveOwner:
         h_a, h_b = build_gauge_pair(ms, em, 20)
         if pair == "fock bundle with itself":
             h_a = h_b = fock_copy(h_b)
-            assert h_a.recipe is None and h_a.basis == "fock"
+            assert h_a.recipe is h_a.family and h_a.basis == "fock"
         else:
             assert h_a.recipe is h_b.recipe and h_a.basis == "quadrature"
         eigvalsh, eigh = count_solves(monkeypatch, ("eigvalsh", "eigh"))
@@ -190,7 +190,7 @@ class TestOneSolveOwner:
         ms, em = tls_single_mode_modeset(1.0, 0.5, 1.0)
         h_a, h_b = build_gauge_pair(ms, em, 20)
         fock_a, fock_b = fock_copy(h_a), fock_copy(h_b)
-        assert fock_a.recipe is fock_b.recipe is None
+        assert fock_a.owner is fock_a.family and fock_b.owner is fock_b.family
         eigvalsh, eigh = count_solves(monkeypatch, ("eigvalsh", "eigh"))
         rep = verify_spectral_equivalence(fock_a, fock_b, k=5, tol=1e-6)
         assert eigvalsh == [(42, 42)] * 2 and eigh == []  # one each: no parity is declared

@@ -1,11 +1,11 @@
 """Repository hygiene: no unused imports, orphaned private helpers or unreferenced public
-functions in the package, no scenario value read past the table of scenario keys, no
-`Operator` built by it, no Kronecker sum formed and no gauge exponential named outside
-`hilbert`, no dense oracle that no test reads, a reversible perf tracer that still
-describes the quadrature-basis gauge-check and the matrix-free detect, a command-line tool
-that runs without scipy, a rate table that holds no D x D matrix of its own, repeated
-commands that reuse the pages their temporaries freed, and a failing hypothesis test that
-is reported as a failure."""
+functions in the package, no line over 100 characters in it or the tests, no scenario
+value read past the table of scenario keys, no `Operator` built by it, no Kronecker sum
+formed and no gauge exponential named outside `hilbert`, no dense oracle that no test
+reads, a reversible perf tracer that still describes the quadrature-basis gauge-check and
+the matrix-free detect, a command-line tool that runs without scipy, a rate table that
+holds no D x D matrix of its own, repeated commands that reuse the pages their
+temporaries freed, and a failing hypothesis test that is reported as a failure."""
 
 import ast
 import ctypes
@@ -49,6 +49,14 @@ def test_test_modules_use_every_import():
     unused = [f"{path.stem}: {name}" for path in sorted((ROOT / "tests").glob("*.py"))
               for name in unused_imports(path)]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_no_line_of_the_package_or_the_tests_exceeds_100_characters():
+    long = [f"{path.relative_to(ROOT)}:{number}"
+            for path in sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")])
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 100]
+    assert not long, "lines over 100 characters: " + ", ".join(long)
 
 
 def private_helpers(trees: dict) -> list[str]:
