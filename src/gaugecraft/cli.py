@@ -61,8 +61,13 @@ M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 # measured 0.52, with one Kronecker term of K's size while two modes' K is summed).  The
 # gauge-check's estimate is its naive verify pair's (`build_gauge_pair`, then
 # `verify_spectral_equivalence`), which peaks as a spectrum does: it holds K and one sector
-# at a time.
-COMMAND_MATRICES = {"spectrum": (0.76, 10.0), "gauge-check": (0.76, 10.0), "detect": (1.77, 14.0)}
+# at a time.  evolve, in both gauges from either start, measured 2.04 on a sectored family
+# (K, M0, sector blocks of n = D/2 and their kept eigh) and 8.57 (real couplings) or 9.07
+# (complex ones) on an `EigenbasisFamily` (X, its eigenbasis, K, M, H(t) and its kept eigh
+# at D), counting LAPACK's untraced copies as detect's do (two modes, D = 800 and 507); the
+# recorded states, n_times x D, are not counted.
+COMMAND_MATRICES = {"spectrum": (0.76, 10.0), "gauge-check": (0.76, 10.0), "detect": (1.77, 14.0),
+                    "evolve": (2.05, 9.1)}
 # the model keys each command builds without: refused unless at their defaults
 UNREAD = {"gauge-check": ("gauge_theta", "longitudinal", "beyond_dipole"),
           "detect": ("gauge_theta", "longitudinal", "beyond_dipole", "truncation"),
@@ -157,9 +162,10 @@ def _build_system(cfg: RunConfig):
 
 
 def command_bytes(command: str, dim: int, sectored: bool) -> float:
-    """Peak bytes of the Hamiltonians of `spectrum`, the gauge-check's verify pair or `detect`
-    at Hilbert dimension dim: COMMAND_MATRICES complex D x D matrices, of a `sectored` family
-    or of a member formed in the Fock basis."""
+    """Peak bytes of the Hamiltonians of `spectrum`, the gauge-check's verify pair, `detect`
+    or `evolve` at Hilbert dimension dim: COMMAND_MATRICES complex D x D matrices, of a
+    `sectored` family or of a member formed in the Fock basis (for `evolve`, of an
+    `EigenbasisFamily`)."""
     return COMMAND_MATRICES[command][0 if sectored else 1] * 16 * dim * dim
 
 
@@ -321,7 +327,10 @@ def cmd_evolve(cfg: RunConfig) -> int:
             raise ConfigError(f"'evolve.state_checkpoints[{k}]' = {idx} is outside "
                               f"[0, {n_times}) (evolve.n_times)")
     profile = sc.values["time_profile"]
-    tdh = build_time_dependent(ms, em, gauge_label, profile, cutoffs)
+    tdh = build_time_dependent(ms, em, gauge_label, profile, cutoffs)  # nothing D x D yet
+    dim = tdh.space.dim
+    _refuse_oversized("the evolution", cutoffs, dim,
+                      command_bytes("evolve", dim, tdh.family.sectored))
     t_grid = np.linspace(0.0, t_max, n_times)
     if section["initial"] == "ground":
         psi0 = ground_state(tdh, 0.0)

@@ -14,16 +14,17 @@ evaluates H(t) at its eleven new stage times and applies each once; the
 first stage reuses the previous step's last H, at the step's end (first same
 as last).  No step crosses a kink of mu', and H(t) is applied there, never
 formed.
-X, H_F and h0 commute with the parity (-1)^(sum n) (x) S of a two-level emitter, so
-H(t) does at every t in either gauge, and a state never leaves a parity sector.  For
-such an emitter (a `sectored` `QuadratureFamily`) the start state is split into the
-sectors it has an amplitude in (`TimeDependentHamiltonian.split`), one for the `ground`
-and `vacuum` starts, and only those are propagated, each in its n = D/2 coordinates:
-a static piece takes one n x n eigh per sector and a stage one n x n product.  Every
-other emitter is propagated in the eigenbasis of the generator X, where H(t) applies
-from two fixed D x D matrices and diagonal phases.  The start state is mapped into the
-coordinates propagated and the recorded states back to the Fock basis, where the
-amplitudes of a sector not propagated are exactly zero.
+H(t) is propagated in the sectors of its family (`TimeDependentHamiltonian.sectors`),
+which it never leaves: the start state is split into the sectors where its coordinates
+are nonzero (`TimeDependentHamiltonian.split`), and only those are propagated, as one
+block (n, s) of their coordinates in the eigenbasis of the generator X.  A static piece
+takes one n x n eigh per sector and a stage one product of each sector's block.  A
+two-level emitter with a parity has two sectors of n = D/2, since X, H_F and h0
+commute with (-1)^(sum n) (x) S at every t in either gauge, and the `ground` and
+`vacuum` starts lie in one of them; every other emitter has one sector, the whole
+space, where H(t) applies from two fixed D x D matrices and diagonal phases.  The
+recorded states are mapped back to the Fock basis, where the amplitudes of a sector
+not propagated are exactly zero.
 Trajectories record normalized states on the requested time grid, real
 observable series and the propagator's counters.  Every observable is read
 from a diagonal, so no D x D observable is formed: photon numbers and
@@ -257,19 +258,16 @@ def evolve(h: TimeDependentHamiltonian, psi0: np.ndarray, t_grid: Sequence[float
            tol: float = NORM_TOL) -> Trajectory:
     """Propagate a normalized state under H(t) over a strictly increasing `t_grid`.
 
-    The horizon is split at the breakpoints of `h.profile`.  Only the parity
-    sectors psi0 has an amplitude in are propagated (`TimeDependentHamiltonian.split`:
-    one or both sectors of a two-level emitter with a parity, each at n = D/2, the
-    whole space otherwise), as one block of their coordinates.  Pieces where
-    mu'(t) = 0 are propagated exactly: one eigh of H per piece and sector, each grid
-    state written from the piece's start state.  Pieces where mu'(t) != 0
-    integrate with the adaptive DOP853 pair (`_advance_adaptive`) at local
-    error `tol` per unit time, applying H(t) unformed, from a first step of
-    an eighth of the piece; a piece that ends on a breakpoint evaluates H(t)
-    from its own side.  The step control reads the norm of the whole block, so
-    the steps are those of the state in the Fock basis.  psi0 and the returned
-    states are in the Fock basis.  Norms that drift by `tol` or more raise
-    ConvergenceError.
+    The horizon is split at the breakpoints of `h.profile`.  Only the sectors of `h` where
+    psi0's coordinates are nonzero are propagated (`TimeDependentHamiltonian.split`), as one
+    block of their coordinates.  Pieces where mu'(t) = 0 are propagated exactly: one eigh of
+    H per piece and sector, each grid state written from the piece's start state.  Pieces
+    where mu'(t) != 0 integrate with the adaptive DOP853 pair (`_advance_adaptive`) at local
+    error `tol` per unit time, applying H(t) unformed, from a first step of an eighth of the
+    piece; a piece that ends on a breakpoint evaluates H(t) from its own side.  The step
+    control reads the norm of the whole block, so the steps are those of the state in the
+    Fock basis.  psi0 and the returned states are in the Fock basis.  Norms that drift by
+    `tol` or more raise ConvergenceError.
 
     The observables are the photon number n<k> of each mode, sigma_z of a
     two-level emitter and the generator X ("X"); the sigma_z and X series
@@ -329,7 +327,7 @@ def evolve(h: TimeDependentHamiltonian, psi0: np.ndarray, t_grid: Sequence[float
         states[filled:stop] = out[:stop - filled]
         psi, filled = out[-1], stop
     states = states.reshape(len(t_grid), n, width)
-    obs = {"X": (np.abs(states) ** 2).sum(axis=-1) @ h.xi}  # <X> = sum_i xi_i |a_i|^2
+    obs = {"X": (np.abs(states) ** 2).sum(axis=-1) @ h.family.sector_xi}  # <X> = sum xi |a|^2
     states = h.to_fock(states, sectors)
     # Runge-Kutta steps do not conserve the norm: refuse a trajectory that drifted too far
     drift = np.abs(np.linalg.norm(states, axis=1) - 1.0).max()
@@ -368,12 +366,12 @@ def td_gauge_equivalence(ms: ModeSet, em: EmitterSpec, profile: TimeProfile,
     (psi_mp(0) = W(0) psi_C(0), default psi_C(0) = `ground_state` of H_C(0));
     W(t) = exp(-i mu(t) X), applied as a phase on the coordinates of each sector
     (`TimeDependentHamiltonian.gauge_map`), so that W(0) psi_C(0) keeps the sector of
-    psi_C(0).  Passing a flipped `extra_term_sign` provides the negative control that
-    pins the sign of the multipolar extra term.
+    psi_C(0).  Both gauges read one family, so X's eigenbasis and its blocks are formed
+    once.  Passing a flipped `extra_term_sign` provides the negative control that pins the
+    sign of the multipolar extra term.
     """
     td_c = build_time_dependent(ms, em, "coulomb", profile, cutoffs)
-    td_mp = build_time_dependent(ms, em, "multipolar", profile, cutoffs,
-                                 extra_term_sign=extra_term_sign)
+    td_mp = TimeDependentHamiltonian("multipolar", td_c.family, profile, extra_term_sign)
     t_grid = np.asarray(t_grid, dtype=float)
     if psi0 is None:
         psi0 = ground_state(td_c, t_grid[0])

@@ -90,8 +90,8 @@ def verify_spectral_equivalence(h_a, h_b, k: int = 5,
     """Compare the lowest k eigenvalues of two bundles on the same space.
 
     The report holds the per-level differences, their maximum and whether it is below tol
-    (None without tol).  Two bundles of one solve owner (`HamiltonianBundle.owner`: one
-    bundle with itself, or a correct pair of any family, which shares one recipe,
+    (None without tol).  Two bundles of one recipe, which keeps their solves (one bundle
+    with itself, or a correct pair of any family, which shares one recipe,
     `build_gauge_pair`) read one solution, so their differences are zeros and neither is
     solved.  Any other pair, a naive one or two bundles of matrices built apart, is
     solved and compared.  What guards the correct verdict at run time is the certificate of
@@ -102,7 +102,7 @@ def verify_spectral_equivalence(h_a, h_b, k: int = 5,
         raise ValueError("bundles live on different spaces")
     if not 1 <= k <= h_a.space.dim:
         raise ValueError(f"k must be in [1, {h_a.space.dim}]")
-    per_level = (np.zeros(k) if h_a.owner is h_b.owner
+    per_level = (np.zeros(k) if h_a.recipe is h_b.recipe
                  else np.abs(h_a.eigenvalues(k) - h_b.eigenvalues(k)))
     max_diff = float(per_level.max())
     cutoffs = tuple(h_a.metadata.get("cutoffs", ()))

@@ -106,10 +106,11 @@ correct pair, of one recipe: the couplings are split, K formed and X
 eigendecomposed once, and the pair is solved once.  The longitudinal hook, the
 canonical theta = 1 forms and a caller's matrix are bundles of that matrix,
 which is its own family and recipe (`FockMember`).  H(t) is the family member at
-theta = 0 or 1 and coupling scale mu(t), plus its mu' term: a `sectored`
-family's member is kept per parity sector, n x n blocks of M0 between the phases
-with beta on the antidiagonal (`QuadratureFamily.sector_members`), and every
-other coupling takes its `EigenbasisFamily` member.
+theta = 0 or 1 and coupling scale mu(t), plus its mu' term, read through one sector
+interface (`sector_members`, `sector_matrix`, `apply_sectors`, `sector_fock`,
+`sector_coordinates`, `sector_xi`): a `sectored` family's two parity sectors are
+n x n blocks of M0 between the phases with beta on the antidiagonal, and an
+`EigenbasisFamily` is the one-sector case, its sector None the whole space.
 
 The one canonical multipolar form is `canonical_terms`: the Kronecker terms of
 H_F, `multipolar_interaction` and a matter term (h0, with `polarization_squared`
@@ -137,7 +138,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, partial, reduce
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -398,14 +399,8 @@ class HamiltonianBundle:
         of the sector's block into those columns of the Fock-basis vecs (`places`)."""
         return self.family.places(self.gauge.theta, self.recipe)
 
-    @property
-    def owner(self) -> MemberRecipe:
-        """What keeps this bundle's sector solves: its recipe, shared by every bundle of that
-        recipe.  Two bundles of one owner have one spectrum."""
-        return self.recipe
-
     def _keep(self, parts: list, ground: Optional[np.ndarray]) -> tuple:
-        """Kept as the `owner`'s solution, and returned: (vals, parts, order, ground) of the
+        """Kept as the recipe's solution, and returned: (vals, parts, order, ground) of the
         sector solutions `parts`, (eigenvalues, every eigenvector or None) per sector, even
         sector first, and |0> in its sector's coordinates when `solve_ground_apart` holds it
         (else None).  vals are the ascending eigenvalues, read-only; order is the stable
@@ -467,7 +462,7 @@ class HamiltonianBundle:
         Each sector holds all of its eigenvectors or none.  A sector that holds none, while
         a column asked for lies in it, is solved by eigh (`_solve`), and then holds all of
         them; so is every sector without a kept solve.  Column 0 of a sector that holds none
-        is |0> from the shifted solve of `solve_ground_apart`, which the owner holds on its
+        is |0> from the shifted solve of `solve_ground_apart`, which the recipe holds on its
         own.  Only the columns asked for are placed into the Fock basis, as a new
         (D, len(columns)) array.  Without columns every column is placed once, and that
         D x D matrix is kept read-only.  A tie between sectors keeps the even sector first.
@@ -508,13 +503,14 @@ class HamiltonianBundle:
         eigvalsh, and |0> at E0 by one shifted solve (`_shifted_solve`), placed and
         returned.  Two checks on the values found: the other sector's lowest level lies above
         E0, and the vector's residual in its sector, max|B u - E0 u|, is at most
-        HERMITIAN_TOL * max(1, max|E|).  Both passing, the owner holds |0> on its own, and
+        HERMITIAN_TOL * max(1, max|E|).  Both passing, the recipe holds |0> on its own, and
         `eigensystem` reads column 0 from it while |0>'s sector holds no eigenvectors.
         Either failing returns None; both sectors' solves are kept either way, so
-        `eigensystem` then solves by eigh only the sectors that hold no eigenvectors.  An
-        owner that holds |0> already gives it and the kept eigenvalues without a solve.  A
-        bundle of a family that is not `sectored`, or one whose solve holds eigenvectors but
-        not |0>, returns None at once.
+        `eigensystem` then solves by eigh only the sectors that hold no eigenvectors.  A
+        recipe that holds |0> already gives it and the kept eigenvalues without a solve, and
+        one that holds only eigenvalues (`eigenvalues`) runs no eigvalsh again.  A bundle of
+        a family that is not `sectored`, or one whose solve holds eigenvectors but not |0>,
+        returns None at once.
         """
         solution = self.recipe.solution
         if not self.family.sectored or (solution is not None and solution[3] is None and any(
@@ -522,17 +518,18 @@ class HamiltonianBundle:
             return None
         ground = 0 if self.family.ground_parity > 0 else 1
         if solution is None or solution[3] is None:
+            kept = [None] * 2 if solution is None else [vals for vals, _ in solution[1]]
             parts, residual = [], 0.0
             for sector, block in enumerate(self.family.sector_blocks(self.recipe)):
-                if sector != ground:
-                    parts.append(np.linalg.eigh(block) if len(block) < LANCZOS_MIN_SECTOR
-                                 else (np.linalg.eigvalsh(block), None))
+                if sector != ground and len(block) < LANCZOS_MIN_SECTOR:
+                    parts.append(np.linalg.eigh(block))
                     continue
-                vals = np.linalg.eigvalsh(block)
-                u = _shifted_solve(block, vals[0])
-                u /= np.linalg.norm(u)
-                residual = max_abs(block @ u - vals[0] * u)
+                vals = np.linalg.eigvalsh(block) if kept[sector] is None else kept[sector]
                 parts.append((vals, None))
+                if sector == ground:
+                    u = _shifted_solve(block, vals[0])
+                    u /= np.linalg.norm(u)
+                    residual = max_abs(block @ u - vals[0] * u)
             e0, above = parts[ground][0][0], parts[1 - ground][0][0]
             scale = max(1.0, *(abs(float(v[i])) for v, _ in parts for i in (0, -1)))
             solved = above > e0 and residual <= HERMITIAN_TOL * scale
@@ -1133,15 +1130,20 @@ class QuadratureFamily(GaugeFamily):
         return m0
 
     @cached_property
+    def sector_xi(self) -> np.ndarray:
+        """lam_0 nu, X's diagonal on a sector's coordinates."""
+        return self.lam[0] * self.x
+
+    @cached_property
     def _sector_exponents(self) -> tuple:
         """The constant columns (n, 1) of H(t)'s sectors: i (lam_0 - lam_1) nu, -i lam_0 nu and
-        lam_0 nu, X's diagonal on a sector's coordinates."""
-        lam_x = (self.lam[0] * self.x)[:, None]
+        lam_0 nu (`sector_xi`)."""
+        lam_x = self.sector_xi[:, None]
         return 1j * (self.lam[0] - self.lam[1]) * self.x[:, None], -1j * lam_x, lam_x
 
     def sector_members(self, theta: float, scales: np.ndarray, drives: np.ndarray,
-                       signs: np.ndarray) -> list:
-        """The sectors `signs` of H(theta, c) + drive X at each coupling scale c and drive
+                       sectors: tuple) -> list:
+        """The parity sectors eps of H(theta, c) + drive X at each coupling scale c and drive
         (k,), one flat tuple (M0, q, q^*, b, d) per scale, as `sector_matrix` and
         `apply_sectors` take it: q, q^* and d are columns (n, 1) or None.
 
@@ -1153,15 +1155,15 @@ class QuadratureFamily(GaugeFamily):
         beta = h0'_01 e^(i (lam_0 - lam_1) c nu); J p = p^*, so the coupling term is
         eps b J a with b = h0'_01 e^(i (1 - theta) (lam_0 - lam_1) c nu).  q = p is None at
         theta = 0 and b the constant h0'_01 at theta = 1, so at either gauge endpoint the
-        k members take one exponential of (k, n) entries.  signs (1, s) holds eps per column
-        of the sectors' block, and b is (n, s), or (1, s) at theta = 1."""
+        k members take one exponential of (k, n) entries.  The columns of the sectors' block
+        are the sectors in their order, and b is (n, s), or (1, s) at theta = 1."""
         off, phase, lam_x = self._sector_exponents
         k = len(scales)
         q = q_conj = d = [None] * k
         if theta != 0.0:
             q = np.exp(np.multiply.outer(theta * scales, phase))
             q_conj = q.conj()
-        b = self.h0[0, 1] * signs
+        b = self.h0[0, 1] * np.array(sectors, dtype=float)[None, :]
         b = ([b] * k if theta == 1.0
              else np.exp(np.multiply.outer((1 - theta) * scales, off)) * b)
         if np.any(drives):
@@ -1301,11 +1303,15 @@ class EigenbasisFamily(FockFormed):
     The family holds K = B^dag (H_F (x) 1) B and M = B^dag (1 (x) h0) B, each formed on first
     use and checked once by `hermitian_part`.  Its member at gauge theta and coupling scale c
     is H'(theta, c) = Q K Q^dag + R M R^dag, Q = e^(-i theta c xi), R = e^(i (1 - theta) c xi):
-    `member` gives its phases (with a drive d xi for H(t)'s mu' term), `matrix` forms H',
-    `apply` applies it, and `fock_matrix` gives B H' B^dag, the members of couplings that do
-    not factor (`FockFormed`).  A phase whose gauge weight (theta for Q, 1 - theta for R) is
-    zero is not formed.  The naive theta = 0 series is H'(0, c) with R M R^dag's entries
-    e^(i c (xi_i - xi_j)) cut to their Taylor polynomial.  The family declares the
+    `fock_matrix` gives B H' B^dag, the members of couplings that do not factor
+    (`FockFormed`).  For H(t) it offers the sector interface of a `sectored`
+    `QuadratureFamily` as its one-sector case, the sector None of the whole space:
+    `sector_members` gives the phases (with a drive d xi for H(t)'s mu' term),
+    `sector_matrix` forms H', `apply_sectors` applies it, `sector_fock` and
+    `sector_coordinates` map through B, and `sector_xi` is xi.  The emitter's parity, when
+    declared, does not split H(t) yet.  A phase whose gauge weight (theta for Q, 1 - theta
+    for R) is zero is not formed.  The naive theta = 0 series is H'(0, c) with R M R^dag's
+    entries e^(i c (xi_i - xi_j)) cut to their Taylor polynomial.  The family declares the
     emitter's parity signs, when given, and time reversal when chi, the couplings and h0 are
     real.
     """
@@ -1333,39 +1339,58 @@ class EigenbasisFamily(FockFormed):
         return hermitian_part(self.basis.transform(self.space.dense(
             [{self.space.matter_indices[0]: self.h0}])), "eigenbasis matter term M")
 
-    def member(self, theta: float, scale: float, drive: float = 0.0):
-        """H'(theta, c) + diag(d), d = drive xi (None for a zero drive), as the flat tuple
-        (b, p, p^*, c, q, q^*, d) that `matrix` and `apply` take: the terms (block, phase,
-        its conjugate) of K and of M, the one whose gauge weight is zero (its phase None)
-        first.  theta and 1 - theta are not both zero, so the second term always has a
-        phase.  Each phase is exp((i w c) xi) for the weight w = -theta or 1 - theta,
-        evaluated in that order."""
-        xi = self.basis.xi
-        q = None if theta == 0.0 else np.exp((1j * -theta * scale) * xi)
-        r = None if theta == 1.0 else np.exp((1j * (1 - theta) * scale) * xi)
-        k, m = (self.k, q, q if q is None else q.conj()), (self.m, r, r if r is None else r.conj())
-        return (k + m if q is None else m + k) + (drive * xi if drive else None,)
+    @property
+    def sector_xi(self) -> np.ndarray:
+        """xi, X's diagonal on the coordinates of its one sector (None), the whole space."""
+        return self.basis.xi
 
-    def matrix(self, member) -> np.ndarray:
-        """H' of a `member` in the eigenbasis of X, Hermitian to rounding: the phased block of
-        the second term formed in place, and the first term added."""
+    def sector_members(self, theta: float, scales: np.ndarray, drives: np.ndarray,
+                       sectors: tuple) -> list:
+        """H'(theta, c) + diag(d), d = drive xi (None for a zero drive), at each coupling
+        scale c and drive (k,), on its one sector (None): per scale the flat tuple
+        (b, p, p^*, c, q, q^*, d) that `sector_matrix` and `apply_sectors` take, the terms
+        (block, phase, its conjugate) of K and of M, the one whose gauge weight is zero (its
+        phase None) first.  theta and 1 - theta are not both zero, so the second term always
+        has a phase.  Each phase is exp((i w c) xi) for the weight w = -theta or 1 - theta,
+        evaluated in that order, and each phase and d is a column (D, 1)."""
+        xi, members = self.basis.xi[:, None], []
+        for scale, drive in zip(scales, drives):
+            q = None if theta == 0.0 else np.exp((1j * -theta * scale) * xi)
+            r = None if theta == 1.0 else np.exp((1j * (1 - theta) * scale) * xi)
+            k = self.k, q, q if q is None else q.conj()
+            m = self.m, r, r if r is None else r.conj()
+            members.append((k + m if q is None else m + k) + (drive * xi if drive else None,))
+        return members
+
+    def sector_matrix(self, member) -> np.ndarray:
+        """H' of a member (`sector_members`) in the eigenbasis of X, Hermitian to rounding:
+        the phased block of the second term formed in place, and the first term added."""
         b, p, p_conj, c, q, q_conj, d = member
-        h = np.multiply.outer(q, q_conj)  # entry (i, j) e^(i w c (xi_i - xi_j))
+        h = q * q_conj.T  # entry (i, j) e^(i w c (xi_i - xi_j))
         h *= c
-        h += b if p is None else np.multiply.outer(p, p_conj) * b
+        h += b if p is None else (p * p_conj.T) * b
         if d is not None:
-            h.reshape(-1)[::len(h) + 1] += d
+            h.reshape(-1)[::len(h) + 1] += d[:, 0]
         return h
 
-    def apply(self, member, x: np.ndarray) -> np.ndarray:
-        """H' x in the eigenbasis of X for a state x (D,) of a `member`, with H' not formed: a
-        block without a phase is one product, a phased one P (block (P^* x))."""
+    def apply_sectors(self, member, a: np.ndarray) -> np.ndarray:
+        """H' a in the eigenbasis of X for a block a (D, 1) of a member (`sector_members`),
+        with H' not formed: a block without a phase is one product, a phased one
+        P (block (P^* a))."""
         b, p, p_conj, c, q, q_conj, d = member
-        y = b @ x if p is None else p * (b @ (p_conj * x))
-        y += q * (c @ (q_conj * x))
+        y = b @ a if p is None else p * (b @ (p_conj * a))
+        y += q * (c @ (q_conj * a))
         if d is not None:
-            y += d * x
+            y += d * a
         return y
+
+    def sector_fock(self, sector, c: np.ndarray) -> np.ndarray:
+        """The Fock-basis states (k, D) of coordinates c (k, D) in its one sector: B c."""
+        return self.basis.to_fock(c.T).T
+
+    def sector_coordinates(self, sector, psi: np.ndarray) -> np.ndarray:
+        """The coordinates (D,) of a Fock-basis state psi in its one sector: B^dag psi."""
+        return self.basis.from_fock(psi)
 
     def fock_matrix(self, theta: float, scale: float, order: Optional[int] = None) -> np.ndarray:
         """B H'(theta, c) B^dag, not symmetrized, or with `order` the naive theta = 0 series of
@@ -1374,7 +1399,8 @@ class EigenbasisFamily(FockFormed):
         `QuadratureFamily._off_diagonal` cuts beta's (`build_naive` and the scan ask for it
         at theta = 0 only)."""
         if order is None:
-            return self.basis.fock_matrix(self.matrix(self.member(theta, scale)))
+            member = self.sector_members(theta, [scale], [0.0], (None,))[0]
+            return self.basis.fock_matrix(self.sector_matrix(member))
         z = 1j * scale * np.subtract.outer(self.basis.xi, self.basis.xi)
         series = sum(z**j / math.factorial(j) for j in range(order + 1))
         return self.basis.fock_matrix(self.k + self.m * series)
@@ -1697,23 +1723,22 @@ class TimeDependentHamiltonian:
     gauge condition; its sign is pinned by the gauge-equivalence of the
     resulting dynamics (see dynamics.td_gauge_equivalence).
 
-    H(t) is the family's member at theta = 0 (Coulomb) or theta = 1 (multipolar)
-    and coupling scale c = mu(t), plus the drive sign * mu'(t) X, all in the family's
-    eigenbasis of X (`basis`), X = diag(xi).  X, H_F and h0 commute with the parity
-    (-1)^(sum n) (x) S at every t, so a state of one parity sector stays there.  For a
-    `sectored` `QuadratureFamily` (a two-level emitter with a parity) H(t) is
-    therefore kept per sector: a state is [a; eps J a] / sqrt(2) in `basis`, and a
-    sector's coordinates a (n,), n = D/2, take
-    H_eps a = p (M0 (p^* a)) + eps b J a + sign mu' lam_0 nu a
-    (`QuadratureFamily.sector_members`), with the family's checked M0 = K + h0'_00.
-    Every other family is an `EigenbasisFamily`, one sector (None) of the whole
-    space, where H_C(t) = K + R M R^dag and H_mp(t) = Q K Q^dag + M + sign mu' diag(xi)
-    with R = e^(i mu xi), Q = e^(-i mu xi).  `split` takes a Fock-basis state to the
-    sectors it has weight in and its coordinates there, `to_fock` back;
-    `operators(times, sectors)` applies H(t) to those coordinates without forming it,
+    H(t) is the family's member at theta = 0 (Coulomb) or theta = 1 (multipolar) and
+    coupling scale c = mu(t), plus the drive sign * mu'(t) X, in the family's eigenbasis of
+    X.  X, H_F and h0 commute with the parity (-1)^(sum n) (x) S at every t, so a state of
+    one parity sector stays there, and H(t) is kept per sector through one interface of the
+    family: `sector_members` gives the members of given sectors at given coupling scales and
+    drives, `sector_matrix` forms one sector's block, `apply_sectors` applies the sectors'
+    blocks to a block of their coordinates (n, s), one column per sector, `sector_fock` and
+    `sector_coordinates` map coordinates to the Fock basis and back, and `sector_xi` is X's
+    diagonal on a sector's coordinates.  The sectors are (1, -1) for a `sectored`
+    `QuadratureFamily` (a two-level emitter with a parity), each of n = D/2 coordinates, and
+    (None,), the whole space, for an `EigenbasisFamily`.  `split` takes a Fock-basis state
+    to the sectors where its coordinates are nonzero and to those coordinates, `to_fock`
+    back; `operators(times, sectors)` applies H(t) to those coordinates without forming it,
     at the stage times of a step of the propagator's dynamic pieces; `matrix(t, sector)`
-    forms one sector's block (the whole of H(t) in `basis` without a sector) and
-    `eigensystem(t, sector)` diagonalizes it, for static pieces and the ground state.
+    forms one sector's block and `eigensystem(t, sector)` diagonalizes it, for static pieces
+    and the ground state.  A sector that is not in `sectors` raises `ValueError`.
     """
 
     def __init__(self, gauge: str, family: GaugeFamily, profile: TimeProfile,
@@ -1722,11 +1747,8 @@ class TimeDependentHamiltonian:
             raise ValueError(f"unknown gauge {gauge!r}")
         self.gauge, self.family, self.profile = gauge, family, profile
         self.theta = 0.0 if gauge == "coulomb" else 1.0
-        self.space, self.basis = family.space, family.basis  # X's eigenbasis, formed here
-        self.extra_term_sign = float(extra_term_sign)
-        # every sector, and X's diagonal on one sector's coordinates
+        self.space, self.extra_term_sign = family.space, float(extra_term_sign)
         self.sectors = (1, -1) if family.sectored else (None,)
-        self.xi = family.lam[0] * family.x if family.sectored else self.basis.xi
         self._eig = {}
 
     def _drive(self, t: float) -> float:
@@ -1734,30 +1756,24 @@ class TimeDependentHamiltonian:
         return self.extra_term_sign * self.profile.mu_dot(t) if self.theta else 0.0
 
     def _members(self, times, sectors: tuple) -> list:
-        """The family's member at mu(t) for each t, with the drive sign * mu'(t) X in the
-        multipolar gauge; of a `sectored` family, on the given sectors, all from one
-        exponential."""
-        if not self.family.sectored:
-            return [self.family.member(self.theta, self.profile.mu(t), self._drive(t))
-                    for t in times]
+        """The family's member at mu(t) on these sectors for each t, with the drive
+        sign * mu'(t) X in the multipolar gauge, all from one exponential."""
+        if not set(sectors) <= set(self.sectors):
+            raise ValueError(f"H(t) has the sectors {self.sectors}, not {sectors}")
         return self.family.sector_members(
             self.theta, np.array([self.profile.mu(t) for t in times]),
-            np.array([self._drive(t) for t in times]), _signs(sectors))
+            np.array([self._drive(t) for t in times]), sectors)
 
     def split(self, psi: np.ndarray) -> tuple:
-        """(sectors, a) of a Fock-basis state psi: the parity sectors it has a nonzero
-        amplitude in, (1,), (-1,) or (1, -1), and its coordinates a (n, s) there, one
-        column per sector; (None,) and basis^dag psi (D, 1) without sectors."""
-        if not self.family.sectored:
-            return (None,), self.basis.from_fock(psi)[:, None]
-        sectors = tuple(eps for eps in (1, -1) if np.any(psi[self.family.parity == eps]))
-        return sectors, np.column_stack([self.family.sector_coordinates(eps, psi)
-                                         for eps in sectors])
+        """(sectors, a) of a Fock-basis state psi: the sectors where its coordinates are
+        nonzero, such as (1,), (-1,), (1, -1) or (None,), and those coordinates a (n, s),
+        one column per sector.  Off its sector a state's coordinates are exact zeros."""
+        found = [(eps, self.family.sector_coordinates(eps, psi)) for eps in self.sectors]
+        sectors, a = zip(*((eps, c) for eps, c in found if np.any(c)))
+        return sectors, np.column_stack(a)
 
     def to_fock(self, a: np.ndarray, sectors: tuple) -> np.ndarray:
         """The Fock-basis states (k, D) of coordinates a (k, n, s) in these sectors (`split`)."""
-        if not self.family.sectored:
-            return self.basis.to_fock(a[..., 0].T).T
         return sum(self.family.sector_fock(eps, a[..., j])
                    for j, eps in enumerate(sectors)).reshape(len(a), -1)
 
@@ -1775,55 +1791,37 @@ class TimeDependentHamiltonian:
         return kept[1]
 
     def ground_sector(self, t: float):
-        """The sector of H(t)'s ground state: None without sectors; else the family's
-        `ground_parity` eps, once a Cholesky factorization of the other sector's block minus
-        E0 proves that its levels lie above E0, or otherwise unless one eigvalsh finds the
-        other sector's lowest level below E0."""
-        if not self.family.sectored:
-            return None
+        """The sector of H(t)'s ground state: the only one, or the family's `ground_parity`
+        eps, once a Cholesky factorization of the other sector's block minus E0 proves that
+        its levels lie above E0, or otherwise unless one eigvalsh finds the other sector's
+        lowest level below E0."""
+        if len(self.sectors) == 1:
+            return self.sectors[0]
         eps = self.family.ground_parity
         e0 = self.eigensystem(t, eps)[0][0]
         return -eps if _lowest_of_both(e0, self.matrix(t, -eps)) < e0 else eps
 
     def matrix(self, t: float, sector=None) -> np.ndarray:
-        """H(t) on one sector's coordinates, formed from the checked K (and M); without a
-        sector, the whole of H(t) in the eigenbasis of X (Hermitian to rounding)."""
-        if sector is None and self.family.sectored:
-            # [a; eps J a] / sqrt(2) of each sector eps: the (k, l) matter blocks of the sum
-            plus, minus = (self.matrix(t, eps) for eps in (1, -1))
-            even, odd = (plus + minus) / 2, (plus - minus) / 2
-            n = len(even)
-            h = np.empty((n, 2, n, 2), dtype=complex)
-            h[:, 0, :, 0], h[:, 0, :, 1] = even, odd[:, ::-1]
-            h[:, 1, :, 0], h[:, 1, :, 1] = odd[::-1], even[::-1, ::-1]
-            return h.reshape(2 * n, 2 * n)
-        member = self._members([t], (sector,))[0]
-        return (self.family.sector_matrix(member) if self.family.sectored
-                else self.family.matrix(member))
+        """H(t) on one sector's coordinates, formed from the family's checked blocks
+        (`sector_matrix`), Hermitian to rounding."""
+        return self.family.sector_matrix(self._members([t], (sector,))[0])
 
     def operators(self, times, sectors: Optional[tuple] = None) -> list:
         """x -> H(t) x at each of these times, for the flattened coordinates x (n s,) of
-        these sectors (`split`; every sector without them), with H(t) not formed: on a
-        sectored family one n x n product and O(n) phase products
-        (`QuadratureFamily.apply_sectors`), else two D x D matrix-vector products and O(D)
-        phase products (`EigenbasisFamily.apply`) on x (D,)."""
+        these sectors (`split`; every sector without them), with H(t) not formed
+        (`apply_sectors`): on a `sectored` family one n x n product and O(n) phase products,
+        on an `EigenbasisFamily` two D x D matrix-vector products and O(D) phase
+        products."""
         members = self._members(times, self.sectors if sectors is None else sectors)
-        if not self.family.sectored:
-            return [partial(self.family.apply, member) for member in members]
-        n, apply = len(self.xi), self.family.apply_sectors
+        n, apply = len(self.family.sector_xi), self.family.apply_sectors
         return [lambda x, m=member: apply(m, x.reshape(n, -1)).reshape(-1)
                 for member in members]
 
     def gauge_map(self, s: float, psi: np.ndarray) -> np.ndarray:
         """exp(i s X) psi for a Fock-basis state psi, a phase on its coordinates (`split`)."""
         sectors, a = self.split(psi)
-        return self.to_fock((np.exp((1j * s) * self.xi)[:, None] * a)[None], sectors)[0]
-
-
-@lru_cache(maxsize=None)
-def _signs(sectors: tuple) -> np.ndarray:
-    """eps per column (1, s) of a block of these sectors."""
-    return np.array(sectors, dtype=float)[None, :]
+        phase = np.exp((1j * s) * self.family.sector_xi)[:, None]
+        return self.to_fock((phase * a)[None], sectors)[0]
 
 
 def build_time_dependent(ms: ModeSet, em: EmitterSpec, gauge: str,
@@ -1834,13 +1832,12 @@ def build_time_dependent(ms: ModeSet, em: EmitterSpec, gauge: str,
     mu == 1 reproduces the static builders; mu == 0 decouples the emitter.
     `extra_term_sign` exists so the sign convention of the multipolar extra
     term can be negated as a control; the default is the physically-correct
-    choice.  When `QuadratureFamily.of_couplings` gives a `sectored` family (a
-    two-level emitter with a parity, coupled), H(t) is built from it and kept per
-    parity sector at n = D/2, its M0 checked once (`QuadratureFamily.measure`) at the
-    first H(t) formed or applied; its ground state comes from the sector of
-    `ground_parity`, certified against the other sector, which takes over when the
-    certificate fails (`TimeDependentHamiltonian.ground_sector`).  Every other emitter
-    takes its `EigenbasisFamily`.
+    choice.  H(t) is kept per sector of its family (`TimeDependentHamiltonian`): the two
+    parity sectors, at n = D/2, of the `sectored` family that
+    `QuadratureFamily.of_couplings` gives a coupled two-level emitter with a parity, its
+    checked blocks formed at the first H(t) formed or applied; and for every other emitter
+    the one sector of its `EigenbasisFamily`, the whole space.  Nothing of size D x D is
+    formed here: X's eigenbasis and the blocks are formed at the first H(t) asked for.
     """
     cs, cutoffs = couplings(ms, em), _normalize_cutoffs(cutoffs, ms.n_modes)
     family = QuadratureFamily.of_couplings(cs, em.h0, em.parity_signs, cutoffs)

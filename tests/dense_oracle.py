@@ -6,11 +6,12 @@ through one D x D eigendecomposition of the generator (`DenseSystem`).  This
 is slow, and independent of the field-quadrature basis and the local factors
 that the package uses: no function here calls the package's gauge
 conjugation (`CouplingSet.generator`, `QuadratureFamily`,
-`HermitianGenerator`), but for one: `spectra` reads a `QuadratureFamily`'s K,
+`HermitianGenerator`), but for two: `spectra` reads a `QuadratureFamily`'s K,
 h0', lam and nu, forms every member of a recipe at a gauge theta with its
 phases entry by entry as a whole 2n x 2n matrix and solves it, the oracle of the family's
 theta-free parity sectors (`QuadratureFamily.ground_energies`, which solves
-one sector and certifies the other).
+one sector and certifies the other); and `fock_td_matrix` maps H(t)'s sector blocks
+to the Fock basis with the package's own `to_fock`.
 
 `beyond_dipole` and `generalized_1d` write the beyond-dipole and the 1D
 normal-mode Hamiltonians out term by term, as closed forms that do not go
@@ -32,8 +33,8 @@ matrix, written out with numpy.kron; `rate_table` and
 `significant_transitions` apply it, and the formed gauge unitary W of
 `DenseSystem`, as whole matrices.
 `basis_matrix` forms the eigenbasis of a generator with numpy.kron, and
-`fock_td_matrix` maps H(t), which the package writes in that basis, back to
-the Fock basis.
+`fock_td_matrix` sums H(t), which the package writes per sector of that basis, back
+into the Fock basis.
 `herm_eig` and `matrix_exp` are the general dense eigendecomposition and
 exponential of a matrix, and `dielectric_modes` solves the 1D dielectric
 finite-difference problem with scipy's generalized symmetric eigensolver.
@@ -136,9 +137,13 @@ def basis_matrix(basis):
 
 
 def fock_td_matrix(tdh, t):
-    """H(t) of a `TimeDependentHamiltonian` in the Fock basis, B matrix(t) B^dag."""
-    b = basis_matrix(tdh.basis)
-    return b @ tdh.matrix(t) @ b.conj().T
+    """H(t) of a `TimeDependentHamiltonian` in the Fock basis, the sum over its sectors of
+    F H_eps F^dag, H_eps = matrix(t, eps) and F the Fock-basis states of the sector's
+    coordinates (`to_fock`); F = B for the one sector of an `EigenbasisFamily`."""
+    n = len(tdh.family.sector_xi)
+    return sum(f @ tdh.matrix(t, eps) @ f.conj().T
+               for eps in tdh.sectors
+               for f in [tdh.to_fock(np.eye(n)[:, :, None], (eps,)).T])
 
 
 def dipole_matrix(ms, em, theta, cutoffs):

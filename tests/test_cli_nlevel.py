@@ -14,7 +14,8 @@ import pytest
 import dense_oracle
 from gaugecraft import (COULOMB, MULTIPOLAR, DetectorSpec, EmitterSpec, GaugeParam, ModeSet,
                         ambiguity_scan, build_dipole, build_gauge_pair, build_time_dependent,
-                        constant_profile, couplings, hamiltonians, standard_space)
+                        constant_profile, couplings, hamiltonians, hilbert,
+                        raised_cosine_ramp, standard_space, td_gauge_equivalence, tls)
 from gaugecraft.cli import main
 from gaugecraft.gaugecheck import scan_cutoffs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
@@ -216,12 +217,28 @@ def test_the_dense_route_eigendecomposes_x_once_per_pair_and_per_rung(tmp_path, 
         assert sizes == want, command
 
 
+def test_td_gauge_equivalence_forms_x_eigenbasis_once(monkeypatch):
+    """Both gauges of `td_gauge_equivalence` read one `EigenbasisFamily`: for the two-axis
+    emitter at (4, 4), D = 75, X takes one D x D eigh and K and M one transform each."""
+    cutoffs = (4, 4)
+    x = couplings(MS, TWO_AXES).generator_matrix(standard_space(cutoffs, 3)).real
+    solved, transforms = [], []
+    eigh, transform = np.linalg.eigh, hilbert.Eigenbasis.transform
+    monkeypatch.setattr(np.linalg, "eigh", lambda m, *a, **k:
+                        solved.append(np.array_equal(m, x)) or eigh(m, *a, **k))
+    monkeypatch.setattr(hilbert.Eigenbasis, "transform", lambda basis, m:
+                        transforms.append(len(m)) or transform(basis, m))
+    result = td_gauge_equivalence(MS, TWO_AXES, raised_cosine_ramp(duration=2.0, t0=0.5),
+                                  np.linspace(0.0, 3.0, 7), cutoffs)
+    assert result.max_deviation <= 1e-8
+    assert solved.count(True) == 1 and transforms == [75, 75]
+
 @pytest.mark.parametrize("gauge, theta", [("coulomb", COULOMB), ("multipolar", MULTIPOLAR)])
 def test_h_t_at_a_constant_coupling_is_the_static_member(gauge, theta):
     """At mu = 1 and mu' = 0, H(t) is the family's member at theta = 0 or 1: B H(t) B^dag is
     `build_dipole`'s H of the two-axis emitter."""
     tdh = build_time_dependent(MS, TWO_AXES, gauge, constant_profile(1.0), CUTOFFS)
-    b = dense_oracle.basis_matrix(tdh.basis)
+    b = dense_oracle.basis_matrix(tdh.family.basis)
     assert_close(b @ tdh.matrix(0.7) @ b.conj().T, build_dipole(MS, TWO_AXES, theta, CUTOFFS).H,
                  f"{gauge} H(t) at mu = 1")
 
@@ -253,6 +270,36 @@ def test_an_oversized_dense_route_command_is_refused_before_the_family_forms(
     assert peak < 10_000_000
     assert list((tmp_path / "out").iterdir()) == []
 
+
+SIXTY_FOUR_MIB = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (64 << 20) // 4096}
+
+
+@pytest.mark.parametrize("em, cutoffs, dim", [(TWO_AXES, 12, 507),
+                                              (tls(1.0, (0.6, 0.2, 0.0)), 22, 1058)],
+                         ids=["eigenbasis", "sectored"])
+def test_an_oversized_evolve_is_refused_before_h_t_forms(tmp_path, capsys, monkeypatch, em,
+                                                         cutoffs, dim):
+    """On a 64 MiB machine, `evolve` of the two-axis emitter at D = 507 (9.1 complex D x D
+    matrices) and of a two-level emitter in its parity sectors at D = 1058 (2.05) needs
+    more than half of memory: it exits 2 before X's eigenbasis, K or any H(t) forms."""
+    monkeypatch.setattr(os, "sysconf", SIXTY_FOUR_MIB.__getitem__)
+    doc = {"seed": 0, "modeset": modeset_to_json(MS), "emitter": emitter_to_json(em),
+           "fock_cutoffs": [cutoffs, cutoffs],
+           "time_profile": {"kind": "raised_cosine", "t0": 1.0, "duration": 2.0},
+           "evolve": {"t_max": 4.0, "n_times": 5}}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code = main(["evolve", "--config", str(config), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"fock_cutoffs [{cutoffs}, {cutoffs}]" in err and f"D = {dim}" in err
+    assert peak < 1_000_000
+    assert list((tmp_path / "out").iterdir()) == []
 
 @pytest.mark.parametrize("em", [ONE_AXIS, TWO_AXES], ids=["one_axis", "two_axes"])
 def test_gauge_check_certifies_the_couplings_that_factor(tmp_path, capsys, em):

@@ -339,7 +339,7 @@ def assert_matches_the_dense_oracle(b_c, b_mp, dense_c, dense_mp, ms, em):
 def holds_vectors(bundle):
     """Per sector, even sector first, whether its kept solve holds its eigenvectors (each
     holds all of them or none), and whether |0> from the shifted solve is held on its own."""
-    _, parts, _, ground = bundle.owner.solution
+    _, parts, _, ground = bundle.recipe.solution
     return [vecs is not None for _, vecs in parts], ground is not None
 
 
@@ -430,7 +430,7 @@ def test_transitions_above_the_crossover_take_the_lanczos_route(monkeypatch, pai
 
 @pytest.mark.parametrize("cutoffs", [(6, 6), LANCZOS_CUTOFFS])
 def test_a_second_call_reads_the_held_ground_state_without_solving(monkeypatch, cutoffs):
-    """The owner holds |0> from the first call's shifted solve and both sectors' eigenvalues,
+    """The recipe holds |0> from the first call's shifted solve and both sectors' eigenvalues,
     and below the crossover the reached sector's eigenvectors: a second call on the same
     bundle makes no (n, n) eigh, eigvalsh or solve, and returns the same pairs and route
     (above the crossover from a second Lanczos run)."""
@@ -443,6 +443,24 @@ def test_a_second_call_reads_the_held_ground_state_without_solving(monkeypatch, 
     assert again == first and again.route == first.route
     assert first.route["fallback"] is None
     assert np.array_equal(again.vecs[:, 0], first.vecs[:, 0])
+
+
+@pytest.mark.parametrize("cutoffs", [(6, 6), LANCZOS_CUTOFFS])
+def test_a_ground_solve_after_eigenvalues_reuses_them(monkeypatch, cutoffs):
+    """After a plain `eigenvalues()`, `solve_ground_apart` runs no eigvalsh: only the shifted
+    solve, and eigh of the reached sector below the crossover.  Its (parity, |0>) equals,
+    bit for bit, that of a bundle that did not ask for the eigenvalues first."""
+    ms, em, (fresh, _) = two_mode_pair(cutoffs)
+    want = fresh.solve_ground_apart()
+    _, _, (b_c, _) = two_mode_pair(cutoffs)
+    b_c.eigenvalues()
+    n = b_c.space.dim // 2
+    eigh, eigvalsh, solve = count_solves(monkeypatch, ("eigh", "eigvalsh", "solve"))
+    got = b_c.solve_ground_apart()
+    assert eigvalsh == [] and solve == [(n, n)]
+    assert eigh == ([(n, n)] if n < LANCZOS_MIN_SECTOR else [])
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert holds_vectors(b_c) == holds_vectors(fresh)
 
 
 def test_the_lanczos_route_reproduces_the_eigh_route_to_1e_12():

@@ -131,17 +131,18 @@ def test_gauge_unitary_matches_oracle_and_composes(system, thetas):
 @given(system=systems())
 @example(system=(*random_system(11, 2, "multi_axis"), (3, 2), "multi_axis"))
 def test_time_dependent_matrix_matches_oracle(system):
-    """B diag(xi) B^dag is X and B matrix(t) B^dag the dense H(t), B formed with numpy.kron,
-    on either generator kind (the example's couplings do not factor)."""
+    """B diag(xi) B^dag is X, B formed with numpy.kron, and H(t) summed from its sector
+    blocks (`fock_td_matrix`) the dense H(t), on either generator kind (the example's
+    couplings do not factor)."""
     ms, em, cutoffs, kind = system
     dense = DenseSystem(ms, em, cutoffs)
     for gauge in ("coulomb", "multipolar"):
         tdh = build_time_dependent(ms, em, gauge, RAMP, cutoffs)
-        assert len(tdh.basis.factors) == basis_factors(ms.n_modes, kind)
-        b = dense_oracle.basis_matrix(tdh.basis)
-        assert_close((b * tdh.basis.xi) @ b.conj().T, dense.x, "B diag(xi) B^dag")
+        assert len(tdh.family.basis.factors) == basis_factors(ms.n_modes, kind)
+        b = dense_oracle.basis_matrix(tdh.family.basis)
+        assert_close((b * tdh.family.basis.xi) @ b.conj().T, dense.x, "B diag(xi) B^dag")
         for t in RAMP_TIMES:
-            assert_close(b @ tdh.matrix(t) @ b.conj().T, dense.td_matrix(gauge, RAMP, t),
+            assert_close(dense_oracle.fock_td_matrix(tdh, t), dense.td_matrix(gauge, RAMP, t),
                          f"{gauge} H({t})")
 
 
@@ -151,8 +152,8 @@ def test_time_dependent_matrix_matches_oracle(system):
 def test_time_dependent_operator_matches_the_formed_and_dense_hamiltonian(system, seed):
     """operators([t], sectors), applied to the coordinates of each column of a D x 3 Fock-basis
     block psi in the sectors it has weight in (`split`) and mapped back (`to_fock`), equals
-    B matrix(t) B^dag psi and H_dense(t) psi on either generator kind, in both gauges,
-    before, inside (where mu' != 0) and after the ramp."""
+    the formed sector blocks (`fock_td_matrix`) and H_dense(t) applied to psi on either
+    generator kind, in both gauges, before, inside (where mu' != 0) and after the ramp."""
     ms, em, cutoffs, _ = system
     dense = DenseSystem(ms, em, cutoffs)
     rng = np.random.default_rng(seed)
@@ -160,7 +161,6 @@ def test_time_dependent_operator_matches_the_formed_and_dense_hamiltonian(system
     assert any(RAMP.mu_dot(t) != 0.0 for t in RAMP_TIMES)
     for gauge in ("coulomb", "multipolar"):
         tdh = build_time_dependent(ms, em, gauge, RAMP, cutoffs)
-        b = dense_oracle.basis_matrix(tdh.basis)
         for t in RAMP_TIMES:
             got = []
             for v in psi.T:
@@ -169,7 +169,7 @@ def test_time_dependent_operator_matches_the_formed_and_dense_hamiltonian(system
                 y = tdh.operators([t], sectors)[0](a.ravel()).reshape(a.shape)
                 got.append(tdh.to_fock(y[None], sectors)[0])
             got = np.column_stack(got)
-            for want, what in ((b @ (tdh.matrix(t) @ (b.conj().T @ psi)), "B matrix(t) B^dag psi"),
+            for want, what in ((dense_oracle.fock_td_matrix(tdh, t) @ psi, "formed H(t) psi"),
                                (dense.td_matrix(gauge, RAMP, t) @ psi, "H_dense(t) psi")):
                 dev = max_abs(got - want)
                 assert dev <= 1e-12 * max(1.0, max_abs(want)), f"{gauge} {what}, t = {t}: {dev:.3e}"
@@ -261,7 +261,10 @@ class TestHermiticityBeforeSymmetrization:
             for first_use in ("matrix", "operators"):
                 tdh = build_time_dependent(ms, em, gauge, RAMP, (4, 3))
                 with pytest.raises(InvariantViolation, match="before symmetrization"):
-                    tdh.matrix(0.5) if first_use == "matrix" else tdh.operators([0.5])
+                    if first_use == "matrix":
+                        tdh.matrix(0.5, tdh.sectors[0])
+                    else:
+                        tdh.operators([0.5])
 
 
 def test_generator_rejects_a_space_of_the_wrong_shape():

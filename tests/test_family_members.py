@@ -86,12 +86,12 @@ def test_members_match_the_dense_oracle(member, seed):
 def test_a_correct_pair_is_one_owner_that_verifies_without_a_solve(member):
     ms, em, cutoffs, *_ = member
     h_a, h_b = build_gauge_pair(ms, em, cutoffs)
-    assert h_a.owner is h_b.owner and h_a.recipe is h_b.recipe and h_a.family is h_b.family
+    assert h_a.recipe is h_b.recipe and h_a.family is h_b.family
     with pytest.MonkeyPatch.context() as patch:
         solves = count_solves(patch, ("eigh", "eigvalsh", "cholesky", "solve"))
         report = verify_spectral_equivalence(h_a, h_b, k=min(4, h_a.space.dim))
     assert solves == ([], [], [], []) and report.max_abs_diff == 0.0
-    assert h_a.owner.solution is None
+    assert h_a.recipe.solution is None
 
 
 @pytest.mark.parametrize("em", [ONE_AXIS, TWO_AXES], ids=["one_axis", "two_axes"])
@@ -102,7 +102,7 @@ def test_a_fock_formed_pair_pairs_its_states_against_the_formed_multipolar_h(mon
     ms, cutoffs = ModeSet(CHI, PROFILES), (3, 2)
     det = DetectorSpec(1.0, (0.3, 0.9, 0.2), "detector")
     b_c, b_mp = build_gauge_pair(ms, em, cutoffs)
-    assert isinstance(b_c.family, FockFormed) and b_c.owner is b_mp.owner
+    assert isinstance(b_c.family, FockFormed) and b_c.recipe is b_mp.recipe
     transitions = significant_transitions(b_c, ms, det, 3, em=em)
     formed = []
     fock_matrix = type(b_c.family).fock_matrix

@@ -158,7 +158,7 @@ class TestOneSolveOwner:
             assert h_a.recipe is h_b.recipe and h_a.basis == "quadrature"
         eigvalsh, eigh = count_solves(monkeypatch, ("eigvalsh", "eigh"))
         rep = verify_spectral_equivalence(h_a, h_b, k=5, tol=1e-6)
-        assert eigvalsh == eigh == [] and h_a.owner.solution is None
+        assert eigvalsh == eigh == [] and h_a.recipe.solution is None
         assert rep.max_abs_diff == 0.0 and rep.converged
         assert rep.per_level.shape == (5,) and np.array_equal(rep.per_level, np.zeros(5))
         assert rep.cutoff == (20,)
@@ -180,7 +180,7 @@ class TestOneSolveOwner:
     def test_a_naive_pair_solves_exactly_four_sectors(self, monkeypatch):
         ms, em = tls_single_mode_modeset(1.0, 0.5, 1.0)
         h_a, h_b = build_gauge_pair(ms, em, 20, 1)
-        assert h_a.owner is not h_b.owner
+        assert h_a.recipe is not h_b.recipe
         eigvalsh, eigh = count_solves(monkeypatch, ("eigvalsh", "eigh"))
         rep = verify_spectral_equivalence(h_a, h_b, k=5)
         assert eigvalsh == [(21, 21)] * 4 and eigh == []
@@ -190,7 +190,7 @@ class TestOneSolveOwner:
         ms, em = tls_single_mode_modeset(1.0, 0.5, 1.0)
         h_a, h_b = build_gauge_pair(ms, em, 20)
         fock_a, fock_b = fock_copy(h_a), fock_copy(h_b)
-        assert fock_a.owner is fock_a.family and fock_b.owner is fock_b.family
+        assert fock_a.recipe is fock_a.family and fock_b.recipe is fock_b.family
         eigvalsh, eigh = count_solves(monkeypatch, ("eigvalsh", "eigh"))
         rep = verify_spectral_equivalence(fock_a, fock_b, k=5, tol=1e-6)
         assert eigvalsh == [(42, 42)] * 2 and eigh == []  # one each: no parity is declared

@@ -387,5 +387,6 @@ class TestTimeDependent:
         profile = raised_cosine_ramp(duration=10.0)
         tdh = build_time_dependent(ms, em, "multipolar", profile, 16)
         for t in (0.0, 2.5, 5.0, 9.9, 12.0):
-            m = tdh.matrix(t)
-            assert max_abs(m - m.conj().T) < 1e-12
+            for sector in tdh.sectors:
+                m = tdh.matrix(t, sector)
+                assert max_abs(m - m.conj().T) < 1e-12

@@ -98,6 +98,19 @@ def test_sector_blocks_are_the_dense_hamiltonian_between_sector_states(gauge):
             assert np.abs(basis[-eps].conj().T @ h @ v).max() <= 1e-12
 
 
+@pytest.mark.parametrize("route", ["sectors", "eigenbasis"])
+def test_a_sector_outside_sectors_raises(route):
+    """A sector that H(t) does not have raises, and forms no block: the whole space (None)
+    of a sectored family, a parity sector of the `EigenbasisFamily` route."""
+    profile = PROFILES["raised_cosine"]
+    td = (build_time_dependent(TWO_MODES, EMITTER, "multipolar", profile, (4, 3))
+          if route == "sectors" else eigenbasis_route("multipolar", profile, (4, 3)))
+    wrong = (None,) if route == "sectors" else (1,)
+    with pytest.raises(ValueError, match="sectors"):
+        td.matrix(2.5, wrong[0])
+    with pytest.raises(ValueError, match="sectors"):
+        td.operators([2.5], wrong)
+
 def test_a_ground_state_outside_ground_parity_is_found_by_the_certificate(monkeypatch):
     """With `ground_parity` guessing the wrong sector, the Cholesky certificate fails and
     the ground state comes from the other sector, equal to the dense ground state."""

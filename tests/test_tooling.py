@@ -1,11 +1,12 @@
 """Repository hygiene: no unused imports, orphaned private helpers or unreferenced public
 functions in the package, no line over 100 characters in it or the tests, no scenario
 value read past the table of scenario keys, no `Operator` built by it, no Kronecker sum
-formed and no gauge exponential named outside `hilbert`, no dense oracle that no test
-reads, a reversible perf tracer that still describes the quadrature-basis gauge-check and
-the matrix-free detect, a command-line tool that runs without scipy, a rate table that
-holds no D x D matrix of its own, repeated commands that reuse the pages their
-temporaries freed, and a failing hypothesis test that is reported as a failure."""
+formed and no gauge exponential named outside `hilbert`, one H(t) route for every gauge
+family, no dense oracle that no test reads, a reversible perf tracer that still describes
+the quadrature-basis gauge-check and the matrix-free detect, a command-line tool that runs
+without scipy, a rate table that holds no D x D matrix of its own, repeated commands that
+reuse the pages their temporaries freed, and a failing hypothesis test that is reported as
+a failure."""
 
 import ast
 import ctypes
@@ -163,6 +164,21 @@ def test_only_hilbert_names_a_gauge_exponential_matrix():
              if isinstance(node, ast.Attribute) and node.attr in ("conjugate", "unitary")]
     assert not found, "gauge exponential matrices named at " + ", ".join(found)
 
+
+
+def test_time_dependent_hamiltonian_keeps_one_route():
+    """`TimeDependentHamiltonian` reads every family through one sector interface: no method
+    but `__init__`, which picks the sectors, reads `.sectored` or names a family class."""
+    tree = ast.parse((PACKAGE / "hamiltonians.py").read_text(encoding="utf-8"))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "TimeDependentHamiltonian")
+    found = [f"{method.name}:{node.lineno}" for method in cls.body
+             if isinstance(method, ast.FunctionDef) and method.name != "__init__"
+             for node in ast.walk(method)
+             if (isinstance(node, ast.Attribute) and node.attr == "sectored")
+             or (isinstance(node, ast.Name)
+                 and node.id in ("EigenbasisFamily", "QuadratureFamily"))]
+    assert not found, "a second H(t) route at " + ", ".join(found)
 
 def public_functions(trees: dict):
     """("module.name" or "module.Class.name", node) of every public module-level function and
