@@ -44,30 +44,34 @@ COMMANDS = ("spectrum", "gauge-check", "detect", "evolve", "modes")
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 # peak of a command's Hamiltonians in complex D x D matrices (16 D^2 bytes), for a `sectored`
 # family, whose sectors are blocks of the quadrature basis, and for a member formed in the
-# Fock basis (a `FockFormed` family's, the hook's or a canonical form).  A sectored spectrum
-# holds K, one sector and LAPACK's copy of it, 3 blocks of (D/2)^2, and measured 0.755.
-# detect peaks where it falls back to solving both sectors by eigh: a sector solved by eigh
-# keeps all of its eigenvectors, so it holds K, the first sector's eigenvectors, the second
-# sector, and eigh's eigenvectors and its copy and workspace (?heevd's copy, work and
-# rwork, 3 blocks), and measured 1.76 (two complex modes, D = 882, counting LAPACK's
-# untraced arrays as the traced memory when it is called); its Lanczos route measured
-# 1.01, and a run that falls back to eigh of the reached sector 1.52.  The Fock-basis
-# estimates, 10 and 14, hold LAPACK's untraced copies of a D x D sector (1 for eigvalsh, 3
-# more for eigh) on top of the traced peak of an `EigenbasisFamily` (two modes, L = 3,
-# D = 507): 6.5 for spectrum, 7.8 for detect, whose pairing check forms the multipolar H
-# while the Coulomb eigenvectors are held, and 8.5 for a naive verify pair.  Every correct
-# pair is one recipe, one solve owner, so its verify pair solves nothing and holds its
-# family's blocks and its theta = 0 member alone (6.5 there; a sectored pair's K alone,
-# measured 0.52, with one Kronecker term of K's size while two modes' K is summed).  The
-# gauge-check's estimate is its naive verify pair's (`build_gauge_pair`, then
-# `verify_spectral_equivalence`), which peaks as a spectrum does: it holds K and one sector
-# at a time.  evolve, in both gauges from either start, measured 2.04 on a sectored family
-# (K, M0, sector blocks of n = D/2 and their kept eigh) and 8.57 (real couplings) or 9.07
+# Fock basis (a `FockFormed` family's, the hook's or a canonical form), measured by
+# `tracemalloc` with LAPACK's arrays outside the trace counted while LAPACK holds them (its
+# copy of the input of eigvalsh and solve, and for eigh that copy, ?heevd's two work blocks
+# and the eigenvector output).  A sectored family holds one n x n block, K (n = D/2), and
+# turns it in place into each sector it solves, so a sectored spectrum holds K and LAPACK's
+# copy of one sector: 0.507 (two complex modes, D = 882), as does the gauge-check's naive
+# verify pair (`build_gauge_pair`, then `verify_spectral_equivalence`), which solves its
+# four sectors one at a time.  detect peaks where it falls back to solving both sectors by
+# eigh (`solve_ground_apart` failing its checks): K, the first sector's eigenvectors, and
+# eigh's eigenvectors, copy and work arrays for the second, 1.508; its Lanczos route
+# measured 0.510.  The Fock-basis estimates, 10 and 14, hold LAPACK's untraced copies of a
+# D x D sector (1 for eigvalsh, 3 more for eigh) on top of the traced peak of an
+# `EigenbasisFamily` (two modes, L = 3, D = 507): 6.5 for spectrum, 7.8 for detect, whose
+# pairing check forms the multipolar H while the Coulomb eigenvectors are held, and 8.5 for
+# a naive verify pair.  Every correct pair is one recipe, one solve owner, so its verify
+# pair solves nothing and holds its family's blocks and its theta = 0 member alone (6.5
+# there; a sectored pair's K alone, 0.346 with the terms and basis vectors it forms K
+# from).  evolve, in both gauges from either start, measured 2.04 on a sectored family (K,
+# M0, sector blocks of n = D/2 and their kept eigh) and 8.57 (real couplings) or 9.07
 # (complex ones) on an `EigenbasisFamily` (X, its eigenbasis, K, M, H(t) and its kept eigh
-# at D), counting LAPACK's untraced copies as detect's do (two modes, D = 800 and 507); the
-# recorded states, n_times x D, are not counted.
-COMMAND_MATRICES = {"spectrum": (0.76, 10.0), "gauge-check": (0.76, 10.0), "detect": (1.77, 14.0),
+# at D), counting LAPACK's untraced copies as detect's do (two modes, D = 800 and 507).
+COMMAND_MATRICES = {"spectrum": (0.51, 10.0), "gauge-check": (0.51, 10.0), "detect": (1.51, 14.0),
                     "evolve": (2.05, 9.1)}
+# the states evolve records, in complex arrays of n_times x D, for a sectored family and an
+# `EigenbasisFamily`: the recorded coordinates, their Fock-basis states, a copy of those and
+# the populations read from them, measured as the slope of the traced peak from n_times =
+# 2000 to 20000 (2.52 and 3.76, the two-mode emitters at (5, 5))
+EVOLVE_STATES = (2.6, 3.8)
 # the model keys each command builds without: refused unless at their defaults
 UNREAD = {"gauge-check": ("gauge_theta", "longitudinal", "beyond_dipole"),
           "detect": ("gauge_theta", "longitudinal", "beyond_dipole", "truncation"),
@@ -161,12 +165,15 @@ def _build_system(cfg: RunConfig):
     return ms, em, build_dipole(ms, em, g, cutoffs, longitudinal=lc, family=family)
 
 
-def command_bytes(command: str, dim: int, sectored: bool) -> float:
+def command_bytes(command: str, dim: int, sectored: bool, n_times: int = 0) -> float:
     """Peak bytes of the Hamiltonians of `spectrum`, the gauge-check's verify pair, `detect`
     or `evolve` at Hilbert dimension dim: COMMAND_MATRICES complex D x D matrices, of a
     `sectored` family or of a member formed in the Fock basis (for `evolve`, of an
-    `EigenbasisFamily`)."""
-    return COMMAND_MATRICES[command][0 if sectored else 1] * 16 * dim * dim
+    `EigenbasisFamily`), and for `evolve` EVOLVE_STATES complex arrays of its n_times x D
+    recorded states."""
+    column = 0 if sectored else 1
+    return 16 * dim * (COMMAND_MATRICES[command][column] * dim
+                       + EVOLVE_STATES[column] * n_times)
 
 
 def _refuse_oversized(what: str, cutoffs, dim: int, need: float):
@@ -329,8 +336,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
     profile = sc.values["time_profile"]
     tdh = build_time_dependent(ms, em, gauge_label, profile, cutoffs)  # nothing D x D yet
     dim = tdh.space.dim
-    _refuse_oversized("the evolution", cutoffs, dim,
-                      command_bytes("evolve", dim, tdh.family.sectored))
+    _refuse_oversized(f"the evolution of {n_times} recorded states (evolve.n_times)", cutoffs,
+                      dim, command_bytes("evolve", dim, tdh.family.sectored, n_times))
     t_grid = np.linspace(0.0, t_max, n_times)
     if section["initial"] == "ground":
         psi0 = ground_state(tdh, 0.0)

@@ -96,11 +96,12 @@ exactly unitarily equivalent, H(theta) = W_theta H(0) W_theta^dag with
 W_theta = e^(-i theta c X), so theta is a frame for the vectors and not a new
 Hamiltonian.  A two-level emitter with a parity (a `sectored` family) is solved
 in the quadrature basis, in its two parity sectors M0 +- diag(beta) J,
-M0 = K + h0'_00, without forming H in the Fock basis: a recipe is beta, and the
-gauge phases act only on vectors.  Every other family is `FockFormed`: a recipe
-keeps its theta = 0 member `fock_matrix(0, c, order)`, formed in the Fock basis
-and verified once (`FockMember`), its sectors are solved, and W_theta maps the
-vectors placed from them (`Eigenbasis.apply`).  `build_gauge_pair` gives a
+M0 = K + h0'_00, each K turned in place and restored, without forming H in the
+Fock basis: a recipe is beta, and the gauge phases act only on vectors.  Every
+other family is `FockFormed`: a recipe keeps its theta = 0 member
+`fock_matrix(0, c, order)`, formed in the Fock basis and verified once
+(`FockMember`), its sectors are solved, and W_theta maps the vectors placed from
+them (`Eigenbasis.apply`).  `build_gauge_pair` gives a
 command's Coulomb and multipolar bundles as members of one family and, for the
 correct pair, of one recipe: the couplings are split, K formed and X
 eigendecomposed once, and the pair is solved once.  The longitudinal hook, the
@@ -137,6 +138,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from typing import Callable, Optional, Sequence, Union
@@ -166,9 +168,10 @@ class FockCutoffWarning(UserWarning):
 
 class GaugeFamily:
     """The member interface a gauge family offers the bundles of its recipes
-    (`HamiltonianBundle`): `measure`, `sector_blocks`, `places`, `member_matrix` and
-    `apply_member` of a `MemberRecipe` of one member, with the family's `space`, its
-    declared `parity` labels (or None) and `time_reversal`, and whether it is `sectored`.
+    (`HamiltonianBundle`): `measure`, `sector_blocks` (a context manager), `places`,
+    `member_matrix` and `apply_member` of a `MemberRecipe` of one member, with the
+    family's `space`, its declared `parity` labels (or None) and `time_reversal`, and
+    whether it is `sectored`.
     A `QuadratureFamily`, a `FockFormed` family and a `FockMember`, the family of a matrix
     given to a bundle, each offer it.  By default a member's H is `fock_matrix` made
     Hermitian and is applied as that matrix."""
@@ -322,7 +325,9 @@ class HamiltonianBundle:
     W_theta = e^(-i theta c X), so a recipe does not read theta: theta is a frame for the
     vectors, which take it as they are placed (`places`).  A `sectored` family (a two-level
     emitter with a parity) holds K, its only (D/2) x (D/2) block, and a recipe O(D) numbers,
-    its beta: the member's parity sectors are M0 +- diag(beta) J in the quadrature basis.
+    its beta: the member's parity sectors are M0 +- diag(beta) J in the quadrature basis,
+    each K turned in place and restored (`sector_blocks`), so that every solve of a sector,
+    the shifted solve of |0> and a Lanczos run read K's own buffer.
     Every other family's recipe keeps its theta = 0 member `fock_matrix(0, c, order)`,
     formed in the Fock basis and verified once (`FockMember`), and solves that member's
     sectors (`FockFormed`).  So the bundles of one recipe, a correct gauge pair
@@ -422,12 +427,13 @@ class HamiltonianBundle:
         if self.recipe.solution is not None:
             _, held, _, ground = self.recipe.solution
         parts = []
-        for lack, part, block in zip(lacking, held, self.family.sector_blocks(self.recipe)):
-            if lack:
-                part = np.linalg.eigh(block)
-            elif part is None:
-                part = np.linalg.eigvalsh(block), None
-            parts.append(part)
+        with self.family.sector_blocks(self.recipe) as blocks:
+            for lack, part, block in zip(lacking, held, blocks):
+                if lack:
+                    part = np.linalg.eigh(block())
+                elif part is None:
+                    part = np.linalg.eigvalsh(block()), None
+                parts.append(part)
         return self._keep(parts, ground)
 
     def _lacking(self, wanted: Optional[np.ndarray]) -> np.ndarray:
@@ -520,16 +526,18 @@ class HamiltonianBundle:
         if solution is None or solution[3] is None:
             kept = [None] * 2 if solution is None else [vals for vals, _ in solution[1]]
             parts, residual = [], 0.0
-            for sector, block in enumerate(self.family.sector_blocks(self.recipe)):
-                if sector != ground and len(block) < LANCZOS_MIN_SECTOR:
-                    parts.append(np.linalg.eigh(block))
-                    continue
-                vals = np.linalg.eigvalsh(block) if kept[sector] is None else kept[sector]
-                parts.append((vals, None))
-                if sector == ground:
-                    u = _shifted_solve(block, vals[0])
-                    u /= np.linalg.norm(u)
-                    residual = max_abs(block @ u - vals[0] * u)
+            with self.family.sector_blocks(self.recipe) as blocks:
+                for sector, block in enumerate(blocks):
+                    block = block()
+                    if sector != ground and len(block) < LANCZOS_MIN_SECTOR:
+                        parts.append(np.linalg.eigh(block))
+                        continue
+                    vals = np.linalg.eigvalsh(block) if kept[sector] is None else kept[sector]
+                    parts.append((vals, None))
+                    if sector == ground:
+                        u = _shifted_solve(block, vals[0])
+                        u /= np.linalg.norm(u)
+                        residual = max_abs(block @ u - vals[0] * u)
             e0, above = parts[ground][0][0], parts[1 - ground][0][0]
             scale = max(1.0, *(abs(float(v[i])) for v, _ in parts for i in (0, -1)))
             solved = above > e0 and residual <= HERMITIAN_TOL * scale
@@ -548,20 +556,22 @@ class HamiltonianBundle:
         (y, vecs, run), y psi's coordinates in that sector's block
         (`QuadratureFamily.sector_start`).
 
-        vecs is None where a Lanczos run (`hilbert.lanczos`) from y, on the block formed
-        again and applied once per step, with `tol` and `cap`, was accepted by `done`: its
-        Ritz pairs give the measure.  Otherwise vecs are the sector's eigenvectors U, and the
-        measure is exact, the weight of the sector's k-th level |(U^dag y)_k|^2: a sector
-        that holds them is read without a run (run None), and one whose run `done` does not
-        accept is then solved by eigh and kept.
+        vecs is None where a Lanczos run (`hilbert.lanczos`) from y, on K turned into that
+        sector (`sector_blocks`) and applied once per step, with `tol` and `cap`, was
+        accepted by `done`: its Ritz pairs give the measure.  Otherwise vecs are the
+        sector's eigenvectors U, and the measure is exact, the weight of the sector's k-th
+        level |(U^dag y)_k|^2: a sector that holds them is read without a run (run None),
+        and one whose run `done` does not accept is then solved by eigh and kept.
         """
         family, eps = self.family, -self.family.ground_parity
         sector = (1 - eps) // 2
         y = family.sector_start(self.gauge.theta, self.recipe, eps, psi)
         run = None
         if self.recipe.solution[1][sector][1] is None:
-            run = lanczos(lambda x, block=next(family.sector_blocks(self.recipe, eps)):
-                          _left_multiply(block, x[:, None])[:, 0], y, tol, cap, done)
+            with family.sector_blocks(self.recipe, eps) as blocks:
+                block = blocks[0]()
+                run = lanczos(lambda x: _left_multiply(block, x[:, None])[:, 0], y, tol, cap,
+                              done)
             if done(run):
                 return y, None, run
             self._solve(np.arange(2) == sector)
@@ -584,7 +594,8 @@ class HamiltonianBundle:
         ratio measured 2.2-3.7 for the basis vector `_shifted_solve` takes, against 5-1300
         for a random or a constant b.
         """
-        ys = [_shifted_solve(block, e0) for block in self.family.sector_blocks(self.recipe)]
+        with self.family.sector_blocks(self.recipe) as blocks:
+            ys = [_shifted_solve(block(), e0) for block in blocks]
         norms = [np.linalg.norm(y) for y in ys]
         j = int(np.argmax(norms))
         v = np.zeros((self.space.dim, 1), dtype=complex, order="F")
@@ -598,18 +609,20 @@ def _shifted_solve(block: np.ndarray, e0: float) -> np.ndarray:
     sits one rounding below E0, so that a diagonal B (an uncoupled member's) is not
     singular.  A pivot that still rounds to exactly zero, as it did for 6 % of the 2 x 2
     and 3 x 3 sectors of random one-mode couplings, moves the shift 1024 roundings below
-    E0.  B is left as it was."""
-    shifted = block.copy()
+    E0.  B's diagonal is shifted in place and restored bit for bit on every exit."""
     i = np.arange(len(block))
+    diag = block[i, i]
     rounding = np.finfo(float).eps * max(1.0, abs(e0))
-    shifted[i, i] -= e0 - rounding
+    block[i, i] -= e0 - rounding
     start = np.zeros(len(block))
-    start[np.argmin(np.abs(shifted.diagonal()))] = 1.0
+    start[np.argmin(np.abs(block.diagonal()))] = 1.0
     try:
-        return np.linalg.solve(shifted, start)
+        return np.linalg.solve(block, start)
     except np.linalg.LinAlgError:
-        shifted[i, i] += 1023 * rounding
-        return np.linalg.solve(shifted, start)
+        block[i, i] += 1023 * rounding
+        return np.linalg.solve(block, start)
+    finally:
+        block[i, i] = diag
 
 
 def _lowest_of_both(e0, other: np.ndarray):
@@ -679,13 +692,19 @@ class FockMember(GaugeFamily):
         """h, at any gauge: a matrix's bundle gives its gauge as a label."""
         return self.h
 
+    @contextmanager
     def sector_blocks(self, recipe, first: int = 1):
-        """The block of each sector, the sector of parity `first` first: the real symmetric
-        p^dag h p under declared time reversal."""
-        for s in self.sectors if first > 0 else self.sectors[::-1]:
-            block = self.h if len(s) == len(self.h) else self.h[s[:, None], s]
-            p = None if self.phases is None else self.phases[s]
-            yield block if p is None else (block * np.multiply.outer(p.conj(), p)).real
+        """One callable per sector, the sector of parity `first` first, each returning that
+        sector's block: a copy of h's rows and columns in it, the real symmetric p^dag h p
+        under declared time reversal, and h itself for one sector without it."""
+        yield tuple(partial(self._block, s)
+                    for s in (self.sectors if first > 0 else self.sectors[::-1]))
+
+    def _block(self, s: np.ndarray) -> np.ndarray:
+        """The block of the sector of the basis states s (`sector_blocks`)."""
+        block = self.h if len(s) == len(self.h) else self.h[s[:, None], s]
+        p = None if self.phases is None else self.phases[s]
+        return block if p is None else (block * np.multiply.outer(p.conj(), p)).real
 
     def places(self, theta: float, recipe) -> list:
         """`_scatter` per sector, even sector first."""
@@ -778,20 +797,6 @@ def _check_cutoff_headroom(cutoffs, theta: float, cs: CouplingSet):
             FockCutoffWarning, stacklevel=3)
 
 
-def _sectors(part: np.ndarray, anti: np.ndarray, diag: Optional[np.ndarray] = None, first=1):
-    """`part`, a stack of copies of M0, turned in place into each parity sector in turn,
-    epsilon = first then -first: epsilon anti added on the antidiagonal and epsilon diag on
-    the diagonal of every member, from the entries `part` had."""
-    i = np.arange(part.shape[-1])
-    base_diag, base_anti = part[..., i, i], part[..., i, i[::-1]]
-    for eps in (first, -first):
-        part[..., i, i] = base_diag
-        part[..., i, i[::-1]] = base_anti + eps * anti
-        if diag is not None:
-            part[..., i, i] += eps * diag
-        yield part
-
-
 def _sectored(g: np.ndarray, d: np.ndarray, parity_signs: Optional[np.ndarray]) -> bool:
     """Whether a `QuadratureFamily` of these (g, D) is solved in its quadrature basis: two
     levels with a parity, coupled."""
@@ -801,7 +806,7 @@ def _sectored(g: np.ndarray, d: np.ndarray, parity_signs: Optional[np.ndarray]) 
 def _half_sum_and_diff(beta: np.ndarray):
     """The real form of diag(beta) J: (beta + J beta) / 2 on the antidiagonal and
     i (beta - J beta) / 2 on the diagonal."""
-    return (beta + beta[:, ::-1]) / 2, 0.5j * (beta - beta[:, ::-1])
+    return (beta + beta[..., ::-1]) / 2, 0.5j * (beta - beta[..., ::-1])
 
 
 @dataclass(eq=False)
@@ -864,11 +869,14 @@ class QuadratureFamily(GaugeFamily):
     keeps its theta = 0 member, formed in the Fock basis (`fock_matrix`) and verified, and
     solves that member's sectors.
 
-    What a `sectored` family holds: K, its only n x n block (n = D/2), formed on first use,
-    and the O(n) vectors of its basis.  Its members are `MemberRecipe`s: `measure` checks K
-    once per family and each member's beta; a sector handed to LAPACK (`sector_blocks`, or
-    a stack of them in `ground_energies`) is a copy of M0 plus O(n) writes; eigenvectors
-    take p on the way out (`_place`); and `apply_member` works from K.
+    What a `sectored` family holds: K, its only n x n block (n = D/2), formed on first use in
+    the dtype its sectors are solved in, and the O(n) vectors of its basis.  Its members are
+    `MemberRecipe`s: `measure` checks K once per family and each member's beta; a sector
+    handed to LAPACK or to a Lanczos run is K turned in place and restored (`sector_blocks`:
+    h0'_00 added on the diagonal, epsilon beta on the antidiagonal, and K's diagonal and
+    antidiagonal written back bit for bit), and only the batched `ground_energies` stacks
+    copies of K, one per member; eigenvectors take p on the way out (`_place`); and
+    `apply_member` works from K.  H(t) forms M0 once more, as its own n x n block (`_m0`).
     """
 
     @classmethod
@@ -936,7 +944,7 @@ class QuadratureFamily(GaugeFamily):
 
     @cached_property
     def k(self) -> np.ndarray:
-        """K = w^dag H_F w, formed on first use."""
+        """K = w^dag H_F w, formed on first use (`_field`)."""
         return self._field()
 
     def _field(self) -> np.ndarray:
@@ -945,15 +953,18 @@ class QuadratureFamily(GaugeFamily):
         R_mu^dag a_mu R_mu = g^_mu a_mu, so w^dag H_F(chi) w = v^T H_F(chi~) v.  The one-factor
         term chi_mm n is diagonal, L = diag(l), and takes one product, (v^T * l) v, with
         v^T * l laid out in C order as v^T L is, so that the product rounds as v^T L v does.
-        Real when chi~ is."""
+        K takes the dtype of chi~, the one its sectors are solved in (`sector_blocks`): real
+        under time reversal, complex otherwise, also where chi~ is real but D or h0 is not."""
         rotated = lambda t: {f: (np.multiply(self.v[f].T, local.diagonal(), order="C")
                                  if len(t) == 1 else self.v[f].T @ local) @ self.v[f]
                              for f, local in t.items()}
         terms = map(rotated, field_terms(self.chi_tilde, self.photons))
         if len(self.v) > 1:
-            return self.photons.dense(terms)
-        # one mode: K is its one term (none at chi = 0), a new matrix, taken as it is
-        return next(terms, {0: np.zeros((self.photons.dim,) * 2)})[0]
+            return self.photons.dense(terms, self.chi_tilde.dtype)
+        # one mode: K is its one term (none at chi = 0), a new matrix, taken as it is when
+        # its dtype is chi~'s
+        term = next(terms, {0: np.zeros((self.photons.dim,) * 2)})[0]
+        return term.astype(self.chi_tilde.dtype, copy=False)
 
     def _phases(self, theta: float, scales) -> np.ndarray:
         """The diagonal of P_theta of every member at its coupling scale c, (S, n, L):
@@ -1033,38 +1044,59 @@ class QuadratureFamily(GaugeFamily):
         return off, np.maximum(k_imag, np.maximum(np.abs(half_sum.imag),
                                                   np.abs(half_diff.imag)).max(axis=-1))
 
-    def _sector_stack(self, recipe: MemberRecipe, first: int = 1):
-        """Each parity sector of every member, epsilon = first then -first, as one stack
-        (S, n, n) turned in place: a copy of M0 per member with epsilon beta on its
-        antidiagonal, or under time reversal its real form, epsilon Re beta there and
-        -epsilon Im beta on the diagonal."""
-        beta, n = recipe.beta, recipe.beta.shape[-1]
-        i = np.arange(n)
-        if not self.time_reversal:
-            stack = np.empty(beta.shape + (n,), dtype=complex)
-            stack[...] = self.k
-            stack[..., i, i] += self.h0[0, 0]
-            return _sectors(stack, beta, first=first)
-        stack = np.empty(beta.shape + (n,))
-        stack[...] = np.real(self.k)
-        stack[..., i, i] += self.h0[0, 0].real
-        half_sum, half_diff = _half_sum_and_diff(beta)
-        return _sectors(stack, half_sum.real, half_diff.real, first)
+    def _sector_turns(self, part: np.ndarray, beta: np.ndarray) -> Callable[[int], np.ndarray]:
+        """turn(eps) for `part` (..., n, n) holding K, K itself or a stack of copies of it, for
+        the members of beta: h0'_00 is added on the diagonal here (M0), and turn(eps) writes
+        parity sector eps of every member into `part` from the entries M0 has, epsilon beta
+        on the antidiagonal, or under time reversal its real form, epsilon Re beta there and
+        -epsilon Im beta on the diagonal, and returns it.  The sectors can be turned in any
+        order, and only the diagonal and antidiagonal are written."""
+        i = np.arange(part.shape[-1])
+        anti, diag, h00 = beta, None, self.h0[0, 0]
+        if self.time_reversal:
+            half_sum, half_diff = _half_sum_and_diff(beta)
+            anti, diag, h00 = half_sum.real, half_diff.real, h00.real
+        part[..., i, i] += h00
+        base_diag, base_anti = part[..., i, i], part[..., i, i[::-1]]
+
+        def turn(eps: int) -> np.ndarray:
+            part[..., i, i] = base_diag
+            part[..., i, i[::-1]] = base_anti + eps * anti
+            if diag is not None:
+                part[..., i, i] += eps * diag
+            return part
+
+        return turn
 
     def ground_energies(self, recipe: MemberRecipe) -> np.ndarray:
         """Ground energies (S,) of every member of a recipe, after `measure`: E0 of the
         sector `ground_parity` once a Cholesky factorization of the other sector minus E0
-        proves that sector's levels lie above it, else the lower ground level of the two."""
+        proves that sector's levels lie above it, else the lower ground level of the two.
+        A batched eigvalsh needs a block per member, so the members' sectors are a stack
+        (S, n, n) of copies of K turned in place, the sector `ground_parity` first."""
         self.measure(recipe)
-        sectors = self._sector_stack(recipe, self.ground_parity)
-        e0 = np.linalg.eigvalsh(next(sectors))[:, 0]
-        return _lowest_of_both(e0, next(sectors))
+        stack = np.empty(recipe.beta.shape + recipe.beta.shape[-1:], dtype=self.k.dtype)
+        stack[...] = self.k
+        turn = self._sector_turns(stack, recipe.beta)
+        e0 = np.linalg.eigvalsh(turn(self.ground_parity))[:, 0]
+        return _lowest_of_both(e0, turn(-self.ground_parity))
 
+    @contextmanager
     def sector_blocks(self, recipe: MemberRecipe, first: int = 1):
         """The parity sectors of the member of a recipe of one, sector `first` (the even one
-        by default) first, as `HamiltonianBundle` solves them: one copy of M0 turned in place
-        into the next, so solve it before asking for the next one."""
-        return (sector[0] for sector in self._sector_stack(recipe, first))
+        by default) first, as `HamiltonianBundle` solves them: K turned in place and
+        restored.  It gives one callable per sector, each of which turns K into that sector
+        and returns K, a block valid until the next call; on every exit, an exception
+        included, K's diagonal and antidiagonal, the only entries written, are written back
+        bit for bit.  It does not nest."""
+        k, i = self.k, np.arange(len(self.k))
+        k_diag, k_anti = k[i, i], k[i, i[::-1]]
+        try:
+            turn = self._sector_turns(k, recipe.beta[0])
+            yield partial(turn, first), partial(turn, -first)
+        finally:
+            k[i, i[::-1]] = k_anti
+            k[i, i] = k_diag
 
     def places(self, theta: float, recipe: MemberRecipe) -> list:
         """`_place` per parity sector, the even sector first, of the member of a recipe of
@@ -1261,14 +1293,15 @@ class FockFormed(GaugeFamily):
         ground level of the two."""
         e0 = []
         for scale in recipe.scales:
-            sectors = self.sector_blocks(MemberRecipe([scale], recipe.order), self.ground_parity)
-            ground, other = np.linalg.eigvalsh(next(sectors))[0], next(sectors, None)
-            e0.append(ground if other is None else _lowest_of_both(ground, other))
+            one = MemberRecipe([scale], recipe.order)
+            with self.sector_blocks(one, self.ground_parity) as blocks:
+                ground = np.linalg.eigvalsh(blocks[0]())[0]
+                e0.append(ground if len(blocks) == 1 else _lowest_of_both(ground, blocks[1]()))
         return np.array(e0)
 
     def sector_blocks(self, recipe: MemberRecipe, first: int = 1):
         """The parity sectors of the theta = 0 member of a recipe of one, sector `first`
-        first."""
+        first, as copies (`FockMember.sector_blocks`)."""
         return self._member(recipe).sector_blocks(recipe, first)
 
     def places(self, theta: float, recipe: MemberRecipe) -> list:

@@ -6,8 +6,8 @@ full space is a bare D x D ndarray, for desk-scale D (up to ~10^4).  Products
 of local factor matrices have one Kronecker engine.  An operator is a list of
 Kronecker terms, each a {factor: local matrix} map with identities on the
 factors it leaves out: `HilbertSpec.dense` is the one place where such a list
-becomes a D x D matrix (by `HilbertSpec.kron`, one term at a time, summed in
-place and real while every term is), and `_kron_apply` is the one apply,
+becomes a D x D matrix (summed in place, slab by slab of each term, in the
+dtype of its terms), and `_kron_apply` is the one apply,
 factor by factor, which `HilbertSpec.apply` sums over the terms.
 
 The package has one Hermiticity rule, `hermitian_part`, applied once to each
@@ -49,6 +49,7 @@ from .errors import InvariantViolation
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
 HERMITIAN_CHUNK = 1 << 15  # entries of m - m^dag that `hermitian_part` holds at once
+DENSE_SLAB = 1 << 13  # entries of one Kronecker term that `HilbertSpec.dense` forms at once
 RITZ_CHECK_STEPS = 10  # Lanczos steps between two looks at the Ritz pairs
 
 
@@ -139,17 +140,23 @@ class HilbertSpec:
         factors = self._checked(local, np.eye)
         return reduce(kron, factors) if len(factors) > 1 else factors[0].copy()
 
-    def dense(self, terms: Iterable[Mapping[int, np.ndarray]]) -> np.ndarray:
+    def dense(self, terms: Iterable[Mapping[int, np.ndarray]], dtype=float) -> np.ndarray:
         """sum_t kron(t) as one D x D matrix, each term t a {factor: local matrix} map, as
-        `apply` takes.  Each term is added into the sum as it is formed and let go before the
-        next is formed, so that the sum and one term are all that is held.  The sum starts
-        as the real zero matrix and stays real while every term is; a complex term added to
-        a real sum takes the sum in its own buffer (a + b = b + a exactly)."""
-        total = np.zeros((self.dim, self.dim))
-        for term in terms:
-            m = self.kron(term)
-            total = np.add(total, m, out=total if np.can_cast(m.dtype, total.dtype) else m)
-            del m
+        `apply` takes.  The sum is allocated once, in the result dtype of `dtype` and every
+        local matrix, and each term is added into it slab by slab, the rows of a few rows of
+        its first factor at a time (at most DENSE_SLAB entries, or one row of it), so that no
+        D x D temporary of a term is made.  Each entry is still ((0 + t_1) + t_2) + ...,
+        each t_i one product of local entries formed as `kron` forms it."""
+        terms = [self._checked(term, np.eye) for term in terms]
+        total = np.zeros((self.dim, self.dim),
+                         dtype=np.result_type(dtype, *(m for t in terms for m in t)))
+        first = self.factors[0].dim
+        rest = self.dim // first
+        rows = max(1, DENSE_SLAB // (rest * self.dim))
+        for factors in terms:
+            for r in range(0, first, rows):
+                total[r * rest:(r + rows) * rest] += reduce(kron, [factors[0][r:r + rows],
+                                                                   *factors[1:]])
         return total
 
     def apply(self, terms: Iterable[Mapping[int, np.ndarray]], x: np.ndarray) -> np.ndarray:

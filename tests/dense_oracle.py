@@ -6,12 +6,13 @@ through one D x D eigendecomposition of the generator (`DenseSystem`).  This
 is slow, and independent of the field-quadrature basis and the local factors
 that the package uses: no function here calls the package's gauge
 conjugation (`CouplingSet.generator`, `QuadratureFamily`,
-`HermitianGenerator`), but for two: `spectra` reads a `QuadratureFamily`'s K,
+`HermitianGenerator`), but for three: `spectra` reads a `QuadratureFamily`'s K,
 h0', lam and nu, forms every member of a recipe at a gauge theta with its
 phases entry by entry as a whole 2n x 2n matrix and solves it, the oracle of the family's
 theta-free parity sectors (`QuadratureFamily.ground_energies`, which solves
-one sector and certifies the other); and `fock_td_matrix` maps H(t)'s sector blocks
-to the Fock basis with the package's own `to_fock`.
+one sector and certifies the other); `sector_stack` forms those sectors as new copies of
+M0, the oracle of the blocks the family turns its K into in place; and `fock_td_matrix`
+maps H(t)'s sector blocks to the Fock basis with the package's own `to_fock`.
 
 `beyond_dipole` and `generalized_1d` write the beyond-dipole and the 1D
 normal-mode Hamiltonians out term by term, as closed forms that do not go
@@ -431,6 +432,32 @@ def spectra(family, recipe, theta):
         b = np.diag(family.h0[0, 1] * series)
         values.append(np.linalg.eigvalsh(np.block([[a[0], b], [b.conj().T, a[1]]])))
     return np.array(values)
+
+
+def sector_stack(family, recipe, first=1):
+    """The parity sectors of every member of a recipe of a `sectored` `QuadratureFamily`,
+    (S, n, n) each, sector `first` first, each formed as a new copy of M0 = K + h0'_00
+    with epsilon beta on its antidiagonal, or under time reversal its real form, epsilon
+    Re beta there and -epsilon Im beta on the diagonal: the blocks that the family turns
+    K into in place (`sector_blocks`) and the stacks of `ground_energies`, bit for bit."""
+    beta, n = recipe.beta, recipe.beta.shape[-1]
+    i = np.arange(n)
+    real = family.time_reversal
+    h00 = family.h0[0, 0].real if real else family.h0[0, 0]
+    anti, diag = beta, None
+    if real:
+        anti, diag = ((beta + beta[:, ::-1]) / 2).real, (0.5j * (beta - beta[:, ::-1])).real
+    m0 = np.empty(beta.shape + (n,), dtype=float if real else complex)
+    m0[...] = family.k.real if real else family.k
+    m0[..., i, i] += h00
+    sectors = []
+    for eps in (first, -first):
+        block = m0.copy()
+        block[..., i, i[::-1]] = m0[..., i, i[::-1]] + eps * anti
+        if diag is not None:
+            block[..., i, i] += eps * diag
+        sectors.append(block)
+    return sectors
 
 
 def tls_single_mode_modeset(chi, eta, omega0):

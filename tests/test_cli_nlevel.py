@@ -16,9 +16,11 @@ from gaugecraft import (COULOMB, MULTIPOLAR, DetectorSpec, EmitterSpec, GaugePar
                         ambiguity_scan, build_dipole, build_gauge_pair, build_time_dependent,
                         constant_profile, couplings, hamiltonians, hilbert,
                         raised_cosine_ramp, standard_space, td_gauge_equivalence, tls)
+from gaugecraft import cli
 from gaugecraft.cli import main
 from gaugecraft.gaugecheck import scan_cutoffs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
+from memtrace import SEVEN_GIB, SIXTY_FOUR_MIB
 
 pytestmark = pytest.mark.filterwarnings("ignore::gaugecraft.FockCutoffWarning")
 
@@ -243,9 +245,6 @@ def test_h_t_at_a_constant_coupling_is_the_static_member(gauge, theta):
                  f"{gauge} H(t) at mu = 1")
 
 
-SEVEN_GIB = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (7 << 30) // 4096}
-
-
 @pytest.mark.parametrize("command, need", [("spectrum", "4.1 GB"), ("detect", "5.7 GB")])
 def test_an_oversized_dense_route_command_is_refused_before_the_family_forms(
         tmp_path, capsys, monkeypatch, command, need):
@@ -269,9 +268,6 @@ def test_an_oversized_dense_route_command_is_refused_before_the_family_forms(
     assert "fock_cutoffs [40, 40]" in err and "D = 5043" in err and need in err
     assert peak < 10_000_000
     assert list((tmp_path / "out").iterdir()) == []
-
-
-SIXTY_FOUR_MIB = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (64 << 20) // 4096}
 
 
 @pytest.mark.parametrize("em, cutoffs, dim", [(TWO_AXES, 12, 507),
@@ -300,6 +296,38 @@ def test_an_oversized_evolve_is_refused_before_h_t_forms(tmp_path, capsys, monke
     assert f"fock_cutoffs [{cutoffs}, {cutoffs}]" in err and f"D = {dim}" in err
     assert peak < 1_000_000
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_an_evolve_of_many_recorded_states_is_refused_up_front(tmp_path, capsys, monkeypatch):
+    """`evolve` holds about 2.6 complex arrays of n_times x D in its sectors (the recorded
+    coordinates, their Fock-basis states, a copy and the populations): the two-mode
+    emitter at (5, 5) (D = 72) with n_times = 20000 needs about 60 MB, more than half of a
+    64 MiB machine, though its D x D blocks take 0.2 MB.  It exits 2 naming n_times before
+    the time grid or any state is allocated, and n_times = 201 still runs."""
+    monkeypatch.setattr(os, "sysconf", SIXTY_FOUR_MIB.__getitem__)
+    em = tls(1.0, (0.6, 0.2, 0.0))
+    doc = {"seed": 0, "modeset": modeset_to_json(MS), "emitter": emitter_to_json(em),
+           "fock_cutoffs": [5, 5],
+           "time_profile": {"kind": "raised_cosine", "t0": 1.0, "duration": 2.0},
+           "evolve": {"t_max": 4.0, "n_times": 20000}}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["evolve", "--config", str(config), "--out", str(tmp_path / "out")]
+    with monkeypatch.context() as unrun:  # were it not refused, nothing large would run
+        unrun.setattr(cli, "evolve", lambda *args, **kwargs: pytest.fail("evolve ran"))
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "20000 recorded states (evolve.n_times)" in err and "D = 72" in err
+    assert "0.1 GB" in err and peak < 1_000_000
+    doc["evolve"]["n_times"] = 201
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(argv) == 0
 
 @pytest.mark.parametrize("em", [ONE_AXIS, TWO_AXES], ids=["one_axis", "two_axes"])
 def test_gauge_check_certifies_the_couplings_that_factor(tmp_path, capsys, em):

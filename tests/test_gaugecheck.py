@@ -22,6 +22,7 @@ from gaugecraft.gaugecheck import _climb, canonical_residual, scan_cutoffs
 from gaugecraft.hamiltonians import QuadratureFamily, build_gauge_pair
 from gaugecraft.hilbert import PAULI_X, PAULI_Y, HermitianGenerator, max_abs
 from gaugecraft.scenario import emitter_to_json, modeset_to_json
+from memtrace import SEVEN_GIB, traced_peak
 from test_stacked_scan import count_solves
 
 
@@ -447,15 +448,14 @@ def test_the_multimode_workloads_own_system_is_gauge_checked(bench_inputs, tmp_p
 
 
 def test_an_oversized_verify_pair_is_refused_up_front(tmp_path, capsys, monkeypatch):
-    """Three modes at N = 20 give D = 18522: the quadrature pair alone needs about 4.2 GB,
+    """Three modes at N = 24 give D = 31250: the quadrature pair alone needs about 8.0 GB,
     more than half of a 7 GiB machine, so the command exits 2 before it allocates."""
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (7 << 30) // 4096}
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(os, "sysconf", SEVEN_GIB.__getitem__)
     em = tls(1.0, (0.5, 0.0, 0.0))
     ms = ModeSet(np.diag([1.0, 1.1, 1.2]),
                  {em.position_label: [(0.3, 0.0, 0.0), (0.2, 0.0, 0.0), (0.1, 0.0, 0.0)]})
     config = write_config(tmp_path, {"seed": 0, "modeset": modeset_to_json(ms),
-                                     "emitter": emitter_to_json(em), "fock_cutoffs": 20})
+                                     "emitter": emitter_to_json(em), "fock_cutoffs": 24})
     tracemalloc.start()
     try:
         code = main(["gauge-check", "--config", str(config), "--out", str(tmp_path / "out")])
@@ -464,42 +464,35 @@ def test_an_oversized_verify_pair_is_refused_up_front(tmp_path, capsys, monkeypa
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert "fock_cutoffs [20, 20, 20]" in err and "D = 18522" in err and "4.2 GB" in err
+    assert "fock_cutoffs [24, 24, 24]" in err and "D = 31250" in err and "8.0 GB" in err
     assert peak < 10_000_000
     assert not (tmp_path / "out" / "gauge_report.csv").exists()
 
 
 def verify_pair_peak(monkeypatch, order):
-    """(report, traced peak, eigvalsh calls) of building and verifying the pair of two modes
-    at N = 20 with complex chi (D = 882, complex sectors of n = 441), the Fock quadrature
-    caches filled outside the trace.  LAPACK copies a sector outside the trace, so that copy
-    counts as traced memory while LAPACK holds it."""
+    """(report, peak, eigvalsh calls) of building and verifying the pair of two modes at
+    N = 20 with complex chi (D = 882, complex sectors of n = 441), the Fock quadrature
+    caches filled outside the trace, and LAPACK's untraced arrays counted while it holds
+    them (`memtrace.traced_peak`)."""
     em = tls(1.0, (1.0, 0.0, 0.0))
     ms = ModeSet(np.array([[1.0, 0.2j], [-0.2j, 1.3]]),
                  {em.position_label: [(0.5, 0.0, 0.0), (0.3, 0.0, 0.0)]})
     build_gauge_pair(ms, em, 20, order)
-    at_solves = []
+    pair = []
 
-    def counted(m, *args, original=np.linalg.eigvalsh, **kwargs):
-        at_solves.append(tracemalloc.get_traced_memory()[0] + m.nbytes)
-        return original(m, *args, **kwargs)
+    def verified():
+        pair[:] = build_gauge_pair(ms, em, 20, order)
+        return verify_spectral_equivalence(*pair, k=5)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    tracemalloc.start()
-    try:
-        h_a, h_b = build_gauge_pair(ms, em, 20, order)
-        rep = verify_spectral_equivalence(h_a, h_b, k=5)
-        peak = max([tracemalloc.get_traced_memory()[1]] + at_solves)
-    finally:
-        tracemalloc.stop()
-    assert h_a.basis == h_b.basis == "quadrature"
-    return rep, peak, len(at_solves)
+    rep, peak, calls = traced_peak(monkeypatch, verified)
+    assert pair[0].basis == pair[1].basis == "quadrature"
+    return rep, peak, calls.count("eigvalsh")
 
 
 def test_a_sectored_verify_pair_peaks_at_its_command_bytes(monkeypatch):
-    """The naive pair (order 1) solves its four sectors one at a time and holds the family's
-    K and one sector then: it peaks at the gauge-check's `command_bytes`, and the estimate
-    is not loose either."""
+    """The naive pair (order 1) solves its four sectors one at a time, each in the family's
+    K turned in place, and holds K and LAPACK's copy of one sector then: it peaks at the
+    gauge-check's `command_bytes`, and the estimate is not loose either."""
     rep, peak, solves = verify_pair_peak(monkeypatch, 1)
     assert rep.max_abs_diff > 1e-3 and solves == 4
     budget = command_bytes("gauge-check", 882, True)
@@ -507,11 +500,12 @@ def test_a_sectored_verify_pair_peaks_at_its_command_bytes(monkeypatch):
 
 
 def test_a_correct_sectored_verify_pair_holds_k_alone(monkeypatch):
-    """The correct pair shares one recipe, so nothing is solved: it holds K, and one
-    Kronecker term of K's size while K is summed, 0.52 x 16 D^2 measured."""
+    """The correct pair shares one recipe, so nothing is solved: it holds K, and the local
+    terms and slabs K is summed from while it is formed, 0.346 x 16 D^2 measured (0.523
+    when a Kronecker term of K's size was formed beside the sum)."""
     rep, peak, solves = verify_pair_peak(monkeypatch, None)
     assert rep.max_abs_diff == 0.0 and solves == 0
-    assert peak <= 0.55 * 16 * 882**2, f"{peak / (16 * 882**2):.3f} x 16 D^2"
+    assert peak <= 0.37 * 16 * 882**2, f"{peak / (16 * 882**2):.3f} x 16 D^2"
 
 
 def beta_exponent_scaled(monkeypatch):

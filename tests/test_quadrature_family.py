@@ -68,11 +68,12 @@ def test_the_field_block_of_real_couplings_is_real_and_is_w_dag_h_f_w(chi):
     assert max_abs(family.k - want) <= 1e-12 * max_abs(want)
 
 
-def test_forming_k_holds_k_and_one_term():
+def test_forming_k_holds_k_and_a_slab():
     """K of two complex modes at N = 20 (n = 441, the size of the `multimode` benchmark's)
-    is summed one term at a time by `HilbertSpec.dense`.  Its traced peak is K, one term of
-    K's size, numpy's ufunc buffers and a few local matrices: no more than the 2.09 K
-    (6.50 MB) that the loop it replaced peaked at on this system."""
+    is summed by `HilbertSpec.dense` slab by slab of each term, into one sum allocated in
+    K's dtype.  Its traced peak is K, one slab, numpy's ufunc buffers and the local
+    matrices, 1.14 K measured: 2.09 K while a whole term of K's size was formed beside the
+    sum."""
     em = tls(1.0, (0.8, 0.0, 0.0))
     ms = ModeSet(np.array([[1.0, 0.2 + 0.15j], [0.2 - 0.15j, 1.3]]),
                  {em.position_label: [(0.5, 0.0, 0.0), (0.3j, 0.0, 0.0)]})
@@ -85,7 +86,7 @@ def test_forming_k_holds_k_and_one_term():
     finally:
         tracemalloc.stop()
     assert k.shape == (441, 441) and k.dtype == np.complex128
-    assert peak <= 2.09 * k.nbytes
+    assert peak <= 1.2 * k.nbytes, f"{peak / k.nbytes:.2f} K"
 
 
 def test_a_single_modes_k_is_its_one_term_bit_for_bit(monkeypatch):

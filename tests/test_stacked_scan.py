@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from dense_oracle import tls_single_mode_modeset
+from dense_oracle import sector_stack, tls_single_mode_modeset
 from gaugecraft import (COULOMB, MULTIPOLAR, ConvergenceError, CouplingSet, EmitterSpec,
                         GaugeParam, HamiltonianBundle, InvariantViolation, ModeSet,
                         ambiguity_scan, build_dipole, build_naive, couplings, field_hamiltonian,
@@ -38,7 +38,7 @@ def sector_spectra(family, recipe):
     """Ascending eigenvalues (S, 2n) of every member of a recipe from the family's own
     theta-free parity sectors, both solved in full, after `measure`."""
     family.measure(recipe)
-    sectors = [np.linalg.eigvalsh(s) for s in family._sector_stack(recipe)]
+    sectors = [np.linalg.eigvalsh(s) for s in sector_stack(family, recipe)]
     return np.sort(np.concatenate(sectors, axis=-1), axis=-1)
 
 
