@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .detect import (DetectorSpec, Transitions, canonical_pairing_residual, dense_route,
                      rate_table, significant_transitions)
-from .dynamics import evolve, factor_populations, ground_state
+from .dynamics import evolve, ground_state, top_fock_population
 from .errors import ConfigError, ConvergenceError, GaugecraftError, InvariantViolation
 from .gaugecheck import ambiguity_scan, scan_cutoffs, verify_spectral_equivalence
 from .hamiltonians import (GaugeParam, QuadratureFamily, build_beyond_dipole, build_dipole,
@@ -61,17 +61,19 @@ M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 # a naive verify pair.  Every correct pair is one recipe, one solve owner, so its verify
 # pair solves nothing and holds its family's blocks and its theta = 0 member alone (6.5
 # there; a sectored pair's K alone, 0.346 with the terms and basis vectors it forms K
-# from).  evolve, in both gauges from either start, measured 2.04 on a sectored family (K,
-# M0, sector blocks of n = D/2 and their kept eigh) and 8.57 (real couplings) or 9.07
-# (complex ones) on an `EigenbasisFamily` (X, its eigenbasis, K, M, H(t) and its kept eigh
-# at D), counting LAPACK's untraced copies as detect's do (two modes, D = 800 and 507).
+# from).  evolve, in both gauges from either start, measured 1.79 on a sectored family (K,
+# one sector's kept eigenvectors, and the other sector's block of n = D/2 with eigh's copy,
+# work arrays and eigenvectors; two complex modes, D = 882) and 8.57 (real couplings) or
+# 9.07 (complex ones) on an `EigenbasisFamily` (X, its eigenbasis, K, M, H(t) and its kept
+# eigh at D; two modes, D = 507), counting LAPACK's untraced copies as detect's do.
 COMMAND_MATRICES = {"spectrum": (0.51, 10.0), "gauge-check": (0.51, 10.0), "detect": (1.51, 14.0),
-                    "evolve": (2.05, 9.1)}
+                    "evolve": (1.8, 9.1)}
 # the states evolve records, in complex arrays of n_times x D, for a sectored family and an
-# `EigenbasisFamily`: the recorded coordinates, their Fock-basis states, a copy of those and
-# the populations read from them, measured as the slope of the traced peak from n_times =
-# 2000 to 20000 (2.52 and 3.76, the two-mode emitters at (5, 5))
-EVOLVE_STATES = (2.6, 3.8)
+# `EigenbasisFamily`, where `Trajectory` checks their norms: their Fock-basis states, the
+# conjugate and product the norm takes, the last piece's block of coordinates and the
+# populations, measured as the slope of the traced peak from n_times = 2000 to 20000 (2.27
+# and 2.35, the two-mode emitters at (5, 5))
+EVOLVE_STATES = (2.3, 2.4)
 # the model keys each command builds without: refused unless at their defaults
 UNREAD = {"gauge-check": ("gauge_theta", "longitudinal", "beyond_dipole"),
           "detect": ("gauge_theta", "longitudinal", "beyond_dipole", "truncation"),
@@ -303,10 +305,7 @@ def cmd_detect(cfg: RunConfig) -> int:
               ("i", "j", "omega_ij", "R_coulomb", "R_multipolar", "rel_diff"),
               [(r.i, r.j, r.omega_ij, r.rate_coulomb, r.rate_multipolar, r.rel_diff)
                for r in rows])
-    # per mode, the largest population of its top Fock level over the Coulomb states the rate
-    # table placed
-    pops = factor_populations(bundle_c.space, states.T)
-    top = [float(pops[fi][:, -1].max()) for fi in bundle_c.space.photon_indices]
+    top = top_fock_population(bundle_c.space, states.T)  # over the states the rate table placed
     canonical = canonical_pairing_residual(bundle_c, bundle_mp, ms, em, transitions, states,
                                            family.basis)
     write_metadata(cfg, {"cutoffs": list(cutoffs), "transitions": [list(t) for t in transitions],
@@ -356,16 +355,14 @@ def cmd_evolve(cfg: RunConfig) -> int:
         (cfg.out_dir / "states.json").write_text(
             json.dumps(dump, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
     stats = dict(traj.stats)
-    # per mode, the largest population of its top Fock level over the recorded states
-    pops = factor_populations(tdh.space, traj.states)
-    top = [float(pops[fi][:, -1].max()) for fi in tdh.space.photon_indices]
     write_metadata(cfg, {"cutoffs": list(cutoffs), "gauge": gauge_label,
                          "t_max": t_max, "n_times": n_times,
                          "profile_kind": profile.kind,
                          "diagnostics": {"norm_error": stats.pop("norm_error"),
                                          "parity_sectors": stats.pop("parity_sectors"),
                                          "evolved_dim": stats.pop("evolved_dim"),
-                                         "top_fock_population": top},
+                                         "top_fock_population": top_fock_population(
+                                             tdh.space, traj.states)},
                          "counters": stats})
     return 0
 

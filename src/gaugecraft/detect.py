@@ -56,8 +56,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .hamiltonians import (HamiltonianBundle, canonical_terms, couplings, drive_terms,
-                           polarization_squared)
+from .gaugecheck import canonical_residuals
+from .hamiltonians import HamiltonianBundle, couplings, drive_terms
 from .hilbert import HERMITIAN_TOL, Eigenbasis, HilbertSpec, Lanczos, max_abs
 from .matter import EmitterSpec
 from .modes import ModeSet
@@ -236,16 +236,15 @@ def canonical_pairing_residual(bundle_c: HamiltonianBundle, bundle_mp: Hamiltoni
     """max ||H_can t - E_i^C t||_2 over the multipolar partners t = W |i_C> of the Coulomb
     states (D, k) a rate table read, one per state the transitions name in order of first
     appearance (`rate_table`'s second value), with W and basis as there.  H_can is the
-    canonical multipolar form with matter term h0 + P^2 (`canonical_terms`), applied
-    without forming it.  It truncates the Fock space after the gauge map, so it meets the
-    family's multipolar member only as the cutoff converges (2.5e-3 at eta = 1.41, N = 20):
-    the residual is reported, never held to a bound."""
+    canonical multipolar form with matter term h0 + P^2, applied without forming it
+    (`gaugecheck.canonical_residuals`).  It truncates the Fock space after the gauge map,
+    so it meets the family's multipolar member only as the cutoff converges (2.5e-3 at
+    eta = 1.41, N = 20): the residual is reported, never held to a bound."""
     index = list(dict.fromkeys(idx for pair in transitions for idx in pair))
     partners = basis.apply(bundle_c.gauge.theta - bundle_mp.gauge.theta, states)
-    cs = couplings(ms, em)
-    terms = canonical_terms(cs, em.h0 + polarization_squared(cs), bundle_mp.space)
-    r = bundle_mp.space.apply(terms, partners) - partners * bundle_c.eigenvalues()[index]
-    return float(np.max(np.linalg.norm(r, axis=0), initial=0.0))
+    r = canonical_residuals(couplings(ms, em), em.h0, bundle_mp.space, partners,
+                            bundle_c.eigenvalues()[index])
+    return float(np.max(r, initial=0.0))
 
 
 def dense_route(fallback: Optional[str] = None) -> dict:

@@ -84,6 +84,13 @@ def factor_populations(space: HilbertSpec, states: np.ndarray) -> list:
     return [probs.sum(axis=tuple(a for a in axes if a != k)) for k in axes]
 
 
+def top_fock_population(space: HilbertSpec, states: np.ndarray) -> list:
+    """Per mode, the largest population of its top Fock level over these Fock-basis
+    states."""
+    pops = factor_populations(space, states)
+    return [float(pops[fi][:, -1].max()) for fi in space.photon_indices]
+
+
 def ground_state(tdh: TimeDependentHamiltonian, t: float) -> np.ndarray:
     """The ground state of H(t) in the Fock basis, from the eigh of its sector
     (`TimeDependentHamiltonian.ground_sector`), with its global phase fixed: the
@@ -310,10 +317,9 @@ def evolve(h: TimeDependentHamiltonian, psi0: np.ndarray, t_grid: Sequence[float
             stops = np.append(stops, t_end)  # the next piece starts from here
         if piece_static:
             stats["static_pieces"] += 1
-            columns = psi.reshape(n, width).T
             out = np.stack([_static_piece(*h.eigensystem((t_start + t_end) / 2, sector), a,
                                           stops - t_start)
-                            for sector, a in zip(sectors, columns)], axis=-1)
+                            for sector, a in zip(sectors, psi.reshape(n, width).T)], axis=-1)
             out = out.reshape(len(stops), -1)
         else:
             stats["dynamic_pieces"] += 1

@@ -49,7 +49,7 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError
 from .hamiltonians import (MULTIPOLAR, CouplingSet, HamiltonianBundle, QuadratureFamily,
                            canonical_terms, couplings, polarization_squared)
-from .hilbert import Eigenbasis, max_abs
+from .hilbert import Eigenbasis, HilbertSpec, max_abs
 
 DEFAULT_SPECTRAL_TOL = 1e-6
 STACK_BYTES = 8_000_000  # bytes held at once by one stacked ladder solve
@@ -110,20 +110,26 @@ def verify_spectral_equivalence(h_a, h_b, k: int = 5,
     return EquivalenceReport(k, max_diff, per_level, cutoffs, converged)
 
 
+def canonical_residuals(cs: CouplingSet, h0: np.ndarray, space: HilbertSpec, v: np.ndarray,
+                        energies) -> np.ndarray:
+    """||H_can v_j - E_j v_j||_2 for each column v_j of v (D, k) at its energy E_j, H_can the
+    canonical multipolar form of cs with matter term h0 + P^2 (`canonical_terms`) on the
+    space, applied without forming it.  Each |r_i|^2 is summed in index order, the order
+    of the certificates reported so far: the norm of one vector sums pairwise, which moves
+    r by an ulp."""
+    terms = canonical_terms(cs, h0 + polarization_squared(cs), space)
+    r = space.apply(terms, v) - v * energies
+    return np.sqrt(np.cumsum((r.conj() * r).real, axis=0)[-1])
+
+
 def canonical_residual(bundle: HamiltonianBundle, cs: CouplingSet, h0: np.ndarray,
                        e0: float) -> float:
-    """r = ||H_can v - E0 v||_2 for a unit vector v of a multipolar member at its energy E0,
-    H_can the canonical multipolar form of cs with matter term h0 + P^2 (`canonical_terms`)
-    on the member's space, applied without forming it.  H_can is Hermitian, so one of its
+    """r = ||H_can v - E0 v||_2 (`canonical_residuals`) for a unit vector v of a multipolar
+    member at its energy E0, on the member's space.  H_can is Hermitian, so one of its
     eigenvalues lies within r of E0.  v is the member's vector at E0 from one shifted solve
     per sector (`HamiltonianBundle.shifted_vector`), placed with its theta = 1 phases.
     """
-    v = bundle.shifted_vector(e0)
-    terms = canonical_terms(cs, h0 + polarization_squared(cs), bundle.space)
-    r = (bundle.space.apply(terms, v) - e0 * v)[:, 0]
-    # |r_i|^2 summed in index order, the order of the certificates reported so far: the norm
-    # of one vector sums pairwise, which moves r by an ulp
-    return float(np.sqrt(np.cumsum((r.conj() * r).real)[-1]))
+    return float(canonical_residuals(cs, h0, bundle.space, bundle.shifted_vector(e0), e0)[0])
 
 
 def stack_chunk(n: int, time_reversal: bool) -> int:

@@ -110,8 +110,9 @@ which is its own family and recipe (`FockMember`).  H(t) is the family member at
 theta = 0 or 1 and coupling scale mu(t), plus its mu' term, read through one sector
 interface (`sector_members`, `sector_matrix`, `apply_sectors`, `sector_fock`,
 `sector_coordinates`, `sector_xi`): a `sectored` family's two parity sectors are
-n x n blocks of M0 between the phases with beta on the antidiagonal, and an
-`EigenbasisFamily` is the one-sector case, its sector None the whole space.
+n x n blocks of K between the phases with beta on the antidiagonal and h0'_00 on the
+diagonal, and an `EigenbasisFamily` is the one-sector case, its sector None the whole
+space.
 
 The one canonical multipolar form is `canonical_terms`: the Kronecker terms of
 H_F, `multipolar_interaction` and a matter term (h0, with `polarization_squared`
@@ -876,7 +877,8 @@ class QuadratureFamily(GaugeFamily):
     h0'_00 added on the diagonal, epsilon beta on the antidiagonal, and K's diagonal and
     antidiagonal written back bit for bit), and only the batched `ground_energies` stacks
     copies of K, one per member; eigenvectors take p on the way out (`_place`); and
-    `apply_member` works from K.  H(t) forms M0 once more, as its own n x n block (`_m0`).
+    `apply_member` works from K.  So does H(t): its sectors read K itself, with h0'_00 added
+    on their diagonal beside the drive (`sector_members`).
     """
 
     @classmethod
@@ -966,11 +968,11 @@ class QuadratureFamily(GaugeFamily):
         term = next(terms, {0: np.zeros((self.photons.dim,) * 2)})[0]
         return term.astype(self.chi_tilde.dtype, copy=False)
 
-    def _phases(self, theta: float, scales) -> np.ndarray:
+    def _phases(self, theta: float, scales, k=slice(None)) -> np.ndarray:
         """The diagonal of P_theta of every member at its coupling scale c, (S, n, L):
-        e^(-i theta lam_k c nu), photon-major."""
+        e^(-i theta lam_k c nu), photon-major; with a level index k, only that level, (S, n)."""
         t = np.multiply.outer(np.asarray(scales, dtype=float), self.x)
-        return np.exp(-1j * theta * np.multiply.outer(t, self.lam))
+        return np.exp(-1j * theta * np.multiply.outer(t, self.lam[k]))
 
     def _off_diagonal(self, scales, order: Optional[int], k=slice(None),
                       l=slice(None)) -> np.ndarray:
@@ -1101,7 +1103,7 @@ class QuadratureFamily(GaugeFamily):
     def places(self, theta: float, recipe: MemberRecipe) -> list:
         """`_place` per parity sector, the even sector first, of the member of a recipe of
         one at gauge theta, with its phases p."""
-        p = self._phases(theta, recipe.scales)[0, :, 0]
+        p = self._phases(theta, recipe.scales, 0)[0]
         return [partial(self._place, eps, p) for eps in (1, -1)]
 
     def _place(self, eps: int, p: np.ndarray, vecs: np.ndarray, columns: np.ndarray,
@@ -1147,19 +1149,8 @@ class QuadratureFamily(GaugeFamily):
         recipe of one at gauge theta, in the coordinates of that sector's block
         (`sector_blocks`): the inverse of `_place`, y = c p^* from the `sector_coordinates`
         c, or Q^dag (c p^*) = (x - i J x) / sqrt(2) for x = c p^* under time reversal."""
-        x = self.sector_coordinates(eps, psi) * self._phases(theta, recipe.scales)[0, :, 0].conj()
+        x = self.sector_coordinates(eps, psi) * self._phases(theta, recipe.scales, 0)[0].conj()
         return (x - 1j * x[::-1]) / np.sqrt(2) if self.time_reversal else x
-
-    @cached_property
-    def _m0(self) -> np.ndarray:
-        """M0 = K + h0'_00 of a `sectored` family, after `measure` has checked K and the parity
-        of h0'_01 once: beta - J beta^* = (h0'_01 - h0'_01^*) e^(i (lam_0 - lam_1) c nu), so
-        one coupling scale checks every scale."""
-        self.measure(self.recipe([1.0]))
-        h00 = self.h0[0, 0].real if self.time_reversal else self.h0[0, 0]
-        m0 = self.k.astype(np.result_type(self.k, h00))
-        m0.flat[::len(m0) + 1] += h00
-        return m0
 
     @cached_property
     def sector_xi(self) -> np.ndarray:
@@ -1167,60 +1158,55 @@ class QuadratureFamily(GaugeFamily):
         return self.lam[0] * self.x
 
     @cached_property
-    def _sector_exponents(self) -> tuple:
-        """The constant columns (n, 1) of H(t)'s sectors: i (lam_0 - lam_1) nu, -i lam_0 nu and
-        lam_0 nu (`sector_xi`)."""
-        lam_x = self.sector_xi[:, None]
-        return 1j * (self.lam[0] - self.lam[1]) * self.x[:, None], -1j * lam_x, lam_x
+    def _h00(self):
+        """h0'_00, which H(t)'s sectors add on their diagonal beside K, read once `measure`
+        has checked K and the parity of h0'_01: beta - J beta^* =
+        (h0'_01 - h0'_01^*) e^(i (lam_0 - lam_1) c nu), so one coupling scale checks every
+        scale."""
+        self.measure(self.recipe([1.0]))
+        return self.h0[0, 0]
 
     def sector_members(self, theta: float, scales: np.ndarray, drives: np.ndarray,
                        sectors: tuple) -> list:
         """The parity sectors eps of H(theta, c) + drive X at each coupling scale c and drive
-        (k,), one flat tuple (M0, q, q^*, b, d) per scale, as `sector_matrix` and
-        `apply_sectors` take it: q, q^* and d are columns (n, 1) or None.
+        (k,), one flat tuple (q, q^*, b, d) per scale, as `sector_matrix` and
+        `apply_sectors` take it with K: q and q^* are columns (n, 1) or None, d a column.
 
-        With p = e^(-i theta lam_0 c nu), a state [a; eps J a] / sqrt(2) of sector eps is
-        mapped to [H_eps a; eps J H_eps a] / sqrt(2),
+        With p = e^(-i theta lam_0 c nu) (`_phases`), a state [a; eps J a] / sqrt(2) of
+        sector eps is mapped to [H_eps a; eps J H_eps a] / sqrt(2),
 
-            H_eps a = p (M0 (p^* a)) + eps p beta J (p^* a) + drive lam_0 nu a,
+            H_eps a = p (K (p^* a)) + eps p beta J (p^* a) + (h0'_00 + drive lam_0 nu) a,
 
         beta = h0'_01 e^(i (lam_0 - lam_1) c nu); J p = p^*, so the coupling term is
-        eps b J a with b = h0'_01 e^(i (1 - theta) (lam_0 - lam_1) c nu).  q = p is None at
-        theta = 0 and b the constant h0'_01 at theta = 1, so at either gauge endpoint the
-        k members take one exponential of (k, n) entries.  The columns of the sectors' block
-        are the sectors in their order, and b is (n, s), or (1, s) at theta = 1."""
-        off, phase, lam_x = self._sector_exponents
-        k = len(scales)
-        q = q_conj = d = [None] * k
+        eps b J a with b = beta at the scale (1 - theta) c (`_off_diagonal`), the constant
+        h0'_01 at theta = 1.  q = p is None at theta = 0.  The columns of the sectors' block
+        are the sectors in their order, and b is (n, s)."""
+        q = q_conj = [None] * len(scales)
         if theta != 0.0:
-            q = np.exp(np.multiply.outer(theta * scales, phase))
+            q = self._phases(theta, scales, 0)[..., None]
             q_conj = q.conj()
-        b = self.h0[0, 1] * np.array(sectors, dtype=float)[None, :]
-        b = ([b] * k if theta == 1.0
-             else np.exp(np.multiply.outer((1 - theta) * scales, off)) * b)
-        if np.any(drives):
-            d = np.multiply.outer(drives, lam_x)
-        return list(zip([self._m0] * k, q, q_conj, b, d))
+        d = self._h00 + np.multiply.outer(drives, self.sector_xi[:, None])
+        beta = (self._off_diagonal((1 - theta) * scales, None, 0, 1) if theta != 1.0
+                else np.full((len(scales), len(self.x)), self.h0[0, 1]))
+        return list(zip(q, q_conj, np.multiply.outer(beta, sectors), d))
 
     def sector_matrix(self, member) -> np.ndarray:
-        """H_eps of a member of one sector (`sector_members`), n x n: M0 between the phases,
-        b on the antidiagonal and the drive on the diagonal."""
-        m0, q, q_conj, b, d = member
-        h = m0 * (q * q_conj.T) if q is not None else m0.astype(complex)
+        """H_eps of a member of one sector (`sector_members`), n x n: K between the phases,
+        b on the antidiagonal and h0'_00 and the drive on the diagonal."""
+        q, q_conj, b, d = member
+        h = self.k * (q * q_conj.T) if q is not None else self.k.astype(complex)
         i = np.arange(len(h))
         h[i, i[::-1]] += b[:, 0]
-        if d is not None:
-            h[i, i] += d[:, 0]
+        h[i, i] += d[:, 0]
         return h
 
     def apply_sectors(self, member, a: np.ndarray) -> np.ndarray:
         """H_eps a for the block a (n, s) of a member's sectors (`sector_members`), one n x n
         product."""
-        m0, q, q_conj, b, d = member
-        y = _left_multiply(m0, a) if q is None else q * _left_multiply(m0, q_conj * a)
+        q, q_conj, b, d = member
+        y = _left_multiply(self.k, a) if q is None else q * _left_multiply(self.k, q_conj * a)
         y += b * a[::-1]
-        if d is not None:
-            y += d * a
+        y += d * a
         return y
 
     def apply_member(self, theta: float, recipe: MemberRecipe, x: np.ndarray) -> np.ndarray:
@@ -1418,8 +1404,13 @@ class EigenbasisFamily(FockFormed):
         return y
 
     def sector_fock(self, sector, c: np.ndarray) -> np.ndarray:
-        """The Fock-basis states (k, D) of coordinates c (k, D) in its one sector: B c."""
-        return self.basis.to_fock(c.T).T
+        """The Fock-basis states (k, D) of coordinates c (k, D) in its one sector: B c for
+        each row, on c's own rows, so that neither c nor the states are transposed.  With
+        B = F (x) G, G the last factor, row c as the matrix C (D / len(G), len(G)) is mapped
+        to F C G^T: one product with G^T on all rows, then F on each row's matrix."""
+        *first, last = self.basis.factors
+        rows = (c.reshape(-1, len(last)) @ last.T).reshape(len(c), -1, len(last))
+        return _kron_apply(first, rows).reshape(c.shape)
 
     def sector_coordinates(self, sector, psi: np.ndarray) -> np.ndarray:
         """The coordinates (D,) of a Fock-basis state psi in its one sector: B^dag psi."""
@@ -1806,9 +1797,10 @@ class TimeDependentHamiltonian:
         return sectors, np.column_stack(a)
 
     def to_fock(self, a: np.ndarray, sectors: tuple) -> np.ndarray:
-        """The Fock-basis states (k, D) of coordinates a (k, n, s) in these sectors (`split`)."""
-        return sum(self.family.sector_fock(eps, a[..., j])
-                   for j, eps in enumerate(sectors)).reshape(len(a), -1)
+        """The Fock-basis states (k, D) of coordinates a (k, n, s) in these sectors (`split`),
+        summed into the first sector's."""
+        return reduce(np.ndarray.__iadd__, (self.family.sector_fock(eps, a[..., j])
+                                            for j, eps in enumerate(sectors))).reshape(len(a), -1)
 
     def eigensystem(self, t: float, sector=None):
         """np.linalg.eigh of `matrix(t, sector)`, read-only and kept per sector for the last
@@ -1867,8 +1859,8 @@ def build_time_dependent(ms: ModeSet, em: EmitterSpec, gauge: str,
     term can be negated as a control; the default is the physically-correct
     choice.  H(t) is kept per sector of its family (`TimeDependentHamiltonian`): the two
     parity sectors, at n = D/2, of the `sectored` family that
-    `QuadratureFamily.of_couplings` gives a coupled two-level emitter with a parity, its
-    checked blocks formed at the first H(t) formed or applied; and for every other emitter
+    `QuadratureFamily.of_couplings` gives a coupled two-level emitter with a parity, its K
+    formed and checked at the first H(t) formed or applied; and for every other emitter
     the one sector of its `EigenbasisFamily`, the whole space.  Nothing of size D x D is
     formed here: X's eigenbasis and the blocks are formed at the first H(t) asked for.
     """

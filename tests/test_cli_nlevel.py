@@ -271,12 +271,12 @@ def test_an_oversized_dense_route_command_is_refused_before_the_family_forms(
 
 
 @pytest.mark.parametrize("em, cutoffs, dim", [(TWO_AXES, 12, 507),
-                                              (tls(1.0, (0.6, 0.2, 0.0)), 22, 1058)],
+                                              (tls(1.0, (0.6, 0.2, 0.0)), 23, 1152)],
                          ids=["eigenbasis", "sectored"])
 def test_an_oversized_evolve_is_refused_before_h_t_forms(tmp_path, capsys, monkeypatch, em,
                                                          cutoffs, dim):
     """On a 64 MiB machine, `evolve` of the two-axis emitter at D = 507 (9.1 complex D x D
-    matrices) and of a two-level emitter in its parity sectors at D = 1058 (2.05) needs
+    matrices) and of a two-level emitter in its parity sectors at D = 1152 (1.8) needs
     more than half of memory: it exits 2 before X's eigenbasis, K or any H(t) forms."""
     monkeypatch.setattr(os, "sysconf", SIXTY_FOUR_MIB.__getitem__)
     doc = {"seed": 0, "modeset": modeset_to_json(MS), "emitter": emitter_to_json(em),
@@ -299,11 +299,12 @@ def test_an_oversized_evolve_is_refused_before_h_t_forms(tmp_path, capsys, monke
 
 
 def test_an_evolve_of_many_recorded_states_is_refused_up_front(tmp_path, capsys, monkeypatch):
-    """`evolve` holds about 2.6 complex arrays of n_times x D in its sectors (the recorded
-    coordinates, their Fock-basis states, a copy and the populations): the two-mode
-    emitter at (5, 5) (D = 72) with n_times = 20000 needs about 60 MB, more than half of a
-    64 MiB machine, though its D x D blocks take 0.2 MB.  It exits 2 naming n_times before
-    the time grid or any state is allocated, and n_times = 201 still runs."""
+    """`evolve` holds about 2.3 complex arrays of n_times x D in its sectors (the Fock-basis
+    states, the conjugate and product their norm check takes, the last piece's block of
+    coordinates and the populations): the two-mode emitter at (5, 5) (D = 72) with
+    n_times = 20000 needs about 53 MB, more than half of a 64 MiB machine, though its
+    D x D blocks take 0.1 MB.  It exits 2 naming n_times before the time grid or any
+    state is allocated, and n_times = 201 still runs."""
     monkeypatch.setattr(os, "sysconf", SIXTY_FOUR_MIB.__getitem__)
     em = tls(1.0, (0.6, 0.2, 0.0))
     doc = {"seed": 0, "modeset": modeset_to_json(MS), "emitter": emitter_to_json(em),

@@ -159,9 +159,10 @@ def test_a_command_within_the_budget_runs(tmp_path, monkeypatch, command):
     assert meta["basis"] == "quadrature" and meta["cutoffs"] == [4, 4, 4]
 
 
-def complex_two_mode_argv(tmp_path, command):
+def complex_two_mode_argv(tmp_path, command, *settings):
     """The argv of a command on two modes at N = 20 with complex chi and couplings (D = 882,
-    complex sectors of n = 441), after one run that fills the Fock quadrature caches."""
+    complex sectors of n = 441), each `--set` of settings applied, after one run that fills
+    the Fock quadrature caches.  evolve records 5 states through a raised-cosine ramp."""
     em = tls(1.0, (0.6, 0.2, 0.0))
     ms = ModeSet(np.array([[1.0, 0.1 - 0.05j], [0.1 + 0.05j, 1.2]]),
                  {em.position_label: [(0.5, 0.2j, 0.0), (0.3, -0.3, 0.1j)],
@@ -170,9 +171,13 @@ def complex_two_mode_argv(tmp_path, command):
            "fock_cutoffs": 20, "detector": {"dipole": [1.0, 0.0, 0.0]}}
     if command == "spectrum":  # detect builds both gauge endpoints and refuses gauge_theta
         doc["gauge_theta"] = 0.37
+    if command == "evolve":
+        doc["time_profile"] = {"kind": "raised_cosine", "t0": 1.0, "duration": 2.0}
+        doc["evolve"] = {"t_max": 4.0, "n_times": 5}
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    argv += [arg for setting in settings for arg in ("--set", setting)]
     assert main(argv) == 0
     return argv
 
@@ -197,17 +202,22 @@ def test_a_sectored_command_holds_a_few_member_blocks(tmp_path, command):
     assert peak <= 1.5 * 16 * 441**2, f"{peak / (16 * 441**2):.2f} B"
 
 
-@pytest.mark.parametrize("command", ["spectrum", "detect"])
-def test_a_sectored_command_peaks_at_its_command_bytes(tmp_path, monkeypatch, command):
+@pytest.mark.parametrize("command, settings", [
+    ("spectrum", ()), ("detect", ()), ("evolve", ("evolve.gauge=coulomb",)),
+    ("evolve", ("evolve.gauge=multipolar", "evolve.initial=vacuum"))],
+    ids=["spectrum", "detect", "evolve-coulomb", "evolve-multipolar"])
+def test_a_sectored_command_peaks_at_its_command_bytes(tmp_path, monkeypatch, command,
+                                                       settings):
     """With LAPACK's untraced arrays counted while it holds them (`memtrace.traced_peak`),
-    spectrum at D = 882 peaks at its `command_bytes`, and detect does where it falls back
-    to solving both sectors by eigh, here by `solve_ground_apart` failing its checks: each
-    estimate holds, and is not loose either."""
-    argv = complex_two_mode_argv(tmp_path, command)
+    spectrum at D = 882 peaks at its `command_bytes`, detect does where it falls back to
+    solving both sectors by eigh, here by `solve_ground_apart` failing its checks, and
+    evolve does in both gauges (K, one sector's kept eigenvectors and an eigh of the other
+    sector's block): each estimate holds, and is not loose either."""
+    argv = complex_two_mode_argv(tmp_path, command, *settings)
     if command == "detect":
         monkeypatch.setattr(HamiltonianBundle, "solve_ground_apart", lambda bundle: None)
     code, peak, calls = traced_peak(monkeypatch, lambda: main(argv))
     assert code == 0
-    assert calls.count("eigh" if command == "detect" else "eigvalsh") >= 2
-    budget = command_bytes(command, 882, True)
+    assert calls.count("eigvalsh" if command == "spectrum" else "eigh") >= 2
+    budget = command_bytes(command, 882, True, 5 if command == "evolve" else 0)
     assert 0.9 * budget <= peak <= budget, f"{peak / (16 * 882**2):.3f} x 16 D^2"

@@ -175,3 +175,20 @@ def test_evolve_metadata_names_the_sectors_evolved(tmp_path):
         assert meta["diagnostics"]["parity_sectors"] == sectors
         assert meta["diagnostics"]["evolved_dim"] == 20
         assert sorted(meta["counters"]) == sorted(COUNTERS)
+
+
+@pytest.mark.parametrize("chi", [CHI, CHI.real], ids=["complex", "real"])
+def test_evolve_holds_one_n_by_n_block_k(chi):
+    """After evolve in both gauges, from the ground state and from a start in both
+    sectors, the sectored family's one n x n array is K: H(t) reads K and adds h0'_00 on
+    its sectors' diagonal, and keeps no M0 = K + h0'_00 beside it."""
+    ms = ModeSet(chi, TWO_MODES.profiles)
+    td_c = build_time_dependent(ms, EMITTER, "coulomb", PROFILES["raised_cosine"], (4, 3))
+    family, n = td_c.family, td_c.space.dim // 2
+    td_mp = TimeDependentHamiltonian("multipolar", family, PROFILES["raised_cosine"])
+    for td in (td_c, td_mp):
+        for kind in ("ground", "random"):
+            evolve(td, start_state(kind, td), T_GRID, tol=TOL)
+    blocks = [name for name, value in vars(family).items()
+              if isinstance(value, np.ndarray) and value.shape == (n, n)]
+    assert family.sectored and blocks == ["k"]

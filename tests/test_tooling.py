@@ -5,8 +5,8 @@ formed and no gauge exponential named outside `hilbert`, one H(t) route for ever
 family, no dense oracle that no test reads, a reversible perf tracer that still describes
 the quadrature-basis gauge-check and the matrix-free detect, a command-line tool that runs
 without scipy, a rate table that holds no D x D matrix of its own, repeated commands that
-reuse the pages their temporaries freed, and a failing hypothesis test that is reported as
-a failure."""
+reuse the pages their temporaries freed, a failing hypothesis test that is reported as a
+failure, and a code-line counter that skips comments and docstrings."""
 
 import ast
 import ctypes
@@ -461,3 +461,15 @@ def test_failing_hypothesis_test_is_reported_not_an_internal_error(tmp_path):
                           "test_property.py"], cwd=tmp_path, capture_output=True, text=True)
     assert "INTERNALERROR" not in out.stdout + out.stderr
     assert "1 failed" in out.stdout, out.stdout
+
+
+def test_code_lines_count_neither_comments_nor_docstrings(tmp_path):
+    """`code_lines` counts each line that holds a token other than a comment or a module,
+    class or function docstring, and every line of a string that is not a docstring."""
+    from code_lines import code_lines
+    sample = tmp_path / "sample.py"
+    sample.write_text('"""Module\ndocstring."""\n\n# a comment\nX = 1  # and one here\n\n\n'
+                      'class A:\n    """Class docstring."""\n\n    def f(self):\n'
+                      '        """Function\n        docstring."""\n'
+                      '        return """two\nlines"""\n', encoding="utf-8")
+    assert code_lines(sample) == 5  # X, class A, def f and the two lines of the return
